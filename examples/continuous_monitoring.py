@@ -8,7 +8,7 @@ monitors, a nearest-neighbour probe and a within-ε contact join are
 subscribed once to a :class:`~repro.continuous.ContinuousSession`, and each
 simulation tick yields exact deltas — who entered each region, which
 contacts formed and dissolved — maintained by whichever policy the planner
-routes to (recompute / incremental / predictive).  The same session then
+routes to (recompute / incremental).  The same session then
 feeds an async :class:`~repro.serving.ContinuousServing` subscriber, the
 dashboard-facing shape of the serving tier.
 """
@@ -49,8 +49,11 @@ def main() -> None:
 
     # Full plasticity motion (every element moves) would route everything to
     # recompute — the paper's own throwaway argument.  A 15% moving fraction
-    # is the regime where maintenance wins: the planner sends the join to
-    # the incremental policy and the range/kNN probes to the predictive one.
+    # is the regime where maintenance wins: the planner sends all three
+    # subscriptions to the incremental policy.  (The TPR-backed predictive
+    # policy is pin-only, ``subscribe(spec, policy="predictive")``: it
+    # measures slower than incremental at every churn level, as the paper's
+    # "movement cannot be predicted" objection says it should.)
     motion = PlasticityMotion(universe=dataset.universe, moving_fraction=0.15, seed=6)
     for step in range(STEPS):
         moves = motion.step(live)

@@ -3,7 +3,8 @@
 The iterated-join literature the paper leans on (Sowell et al.) frames
 continuous evaluation as a recompute-vs-maintain trade-off; the moving-object
 survey in §3 adds the predictive-index option.  The session's planner routes
-each subscription, each tick, to one of:
+each subscription, each tick, to one of the first two; the third runs only
+when pinned:
 
 * :class:`RecomputePolicy` — the throwaway philosophy: rebuild a fresh grid
   from the authoritative state and re-answer from scratch.  Always correct,
@@ -31,9 +32,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.core.uniform_grid import UniformGrid
 from repro.engine import QuerySession
-from repro.geometry.aabb import AABB
+from repro.geometry.aabb import AABB, batch_min_distance_to_points
 from repro.indexes.base import KNNResult, SpatialIndex
 from repro.joins.session import JoinSession
 from repro.joins.spec import DistanceJoinSpec
@@ -51,6 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.continuous.session import ContinuousSession, Subscription
 
 Pair = tuple[int, int]
+
+# The kNN entrant prefilter keeps every entrant whose *vectorized* distance
+# is within this factor of the bound it is tested against.  The vectorized
+# kernel (sqrt of summed squares) and the scalar one (``math.hypot``) see
+# identical per-axis gaps and disagree only in rounding the norm — a few
+# ulps, ~1e-15 relative — so a 1e-9 margin is a million times wider than any
+# disagreement and still admits no one who is not practically on the
+# boundary.  Where the kernel underflows (gaps below ~1e-154) it reads low,
+# which only ever keeps more; where it overflows (gaps above ~1e154) it
+# reads ``inf``, which the prefilter hands to the scalar test as well.
+_ENTRANT_MARGIN = 1.0 + 1e-9
 
 
 def _ordered(a: int, b: int) -> Pair:
@@ -302,9 +316,9 @@ class _DeltaMaintenance(MaintenancePolicy):
         members = knn_ids(current)
         slack = self._knn_slack.get(cqid, 0.0)
 
-        invalid = any(eid in members for eid in batch.deleted)
+        invalid = any(eid in batch.deleted for eid in members)
         patched = current
-        moved_members = [eid for eid in batch.moved if eid in members]
+        moved_members = [eid for eid in members if eid in batch.moved]
         if not invalid and moved_members:
             moved_d = {}
             for eid in moved_members:
@@ -315,12 +329,24 @@ class _DeltaMaintenance(MaintenancePolicy):
                 invalid = True
         if not invalid and (batch.inserted or batch.moved):
             d_k = patched[-1][0] if len(patched) == spec.k else math.inf
+            ids, boxes, packed = batch.entrants
+            # Only an entrant at or inside max(d_k, slack) can invalidate
+            # or tighten, so one vectorized pass picks those out and the
+            # scalar test below — the sole authority on (distance, id)
+            # order — runs on them alone.
+            limit = max(d_k, slack) * _ENTRANT_MARGIN
+            if limit < math.inf:
+                self.counters.elem_tests += len(ids)
+                rough = batch_min_distance_to_points(packed, [spec.point])[0]
+                near = np.flatnonzero((rough <= limit) | np.isinf(rough)).tolist()
+            else:
+                near = range(len(ids))
             nearest = math.inf
-            for eid, box in list(batch.inserted.items()) + [
-                (eid, new) for eid, (_, new) in batch.moved.items() if eid not in members
-            ]:
+            for i in near:
+                if ids[i] in members:
+                    continue  # a moved member: patched above, not an entrant
                 self.counters.elem_tests += 1
-                dist = box.min_distance_to_point(spec.point)
+                dist = boxes[i].min_distance_to_point(spec.point)
                 if dist <= d_k:
                     invalid = True
                     break
@@ -447,6 +473,10 @@ class PredictivePolicy(_DeltaMaintenance):
     correctness).  Range specs are re-evaluated from the index whenever the
     tick is non-empty: that is the predictive bet — evaluation is cheap
     because maintenance was.
+
+    The bet loses on simulation motion (``BENCH_continuous.json``), so the
+    planner never routes here; the policy runs only when a session or a
+    subscription pins it.
     """
 
     name = "predictive"

@@ -9,19 +9,28 @@ moving dataset and a set of standing subscriptions.  Each ``tick(updates)``:
 3. routes each subscription to a policy — the **planner** — and collects
    its exact per-tick :class:`~repro.continuous.spec.Delta`.
 
-The planner routes on observed churn and spec shape (EWMA-smoothed):
+The planner routes on observed churn (EWMA-smoothed), two ways:
 
 * churn above ``recompute_churn`` → ``recompute`` (when most elements
   change, maintaining the answer costs more than rebuilding it — the
   throwaway philosophy);
-* join specs otherwise → ``incremental`` (the retract-and-reprobe trick);
-* range/kNN specs under smooth small motion (mean displacement below
-  ``predictive_displacement``) → ``predictive`` (TPR/LUR absorb it);
-  teleport-style motion → ``incremental``.
+* everything else → ``incremental`` (range results patched from the
+  affected set alone, kNN held by distance-slack safe regions, joins by
+  retract-and-reprobe), whatever the spec kind or the shape of the motion.
 
 A subscription may pin a policy explicitly (``subscribe(spec,
 policy="incremental")``) — the oracle suite uses this to prove every
-(policy × spec kind) pair exact.
+(policy × spec kind) pair exact.  ``predictive`` (TPR/LUR backing) is
+**pin-only**: the planner never picks it.  It is the paper's negative
+exhibit (§3: predictive moving-object indexes "do not work well for
+simulations because the movement of objects cannot be predicted") and the
+measurements agree — its range specs re-probe the index every tick where
+``incremental`` patches from the affected set, its kNN shares
+``incremental``'s evaluation over a slower backing, and past the TPR
+horizon every reported move pays a scalar R-tree delete + insert
+(``BENCH_continuous.json``, n=100k: 18–177x incremental's tick past the
+horizon and 1.5–2.1x its cumulative cost up to it, at every measured churn
+level).
 
 **Fault containment.**  A policy raising mid-``tick`` marks only the failing
 subscription dirty; the authoritative state and every other subscription
@@ -160,12 +169,10 @@ class ContinuousSession:
     recompute_churn:
         Churn fraction (EWMA of affected/tracked) above which the planner
         falls back to per-tick recompute.
-    predictive_displacement:
-        Mean per-tick displacement (EWMA) below which range/kNN specs route
-        to the predictive policy; defaults to 1% of the universe diagonal.
     predictive_backing / predictive_options:
         ``"tpr"`` (default) or ``"lur"``, and constructor overrides for the
-        backing index (e.g. ``{"max_speed": 0.05}``).
+        backing index (e.g. ``{"max_speed": 0.05}``) — used only by
+        subscriptions pinned to ``"predictive"``.
     executor_factory:
         Optional zero-arg callable producing a query executor for each
         policy's internal :class:`~repro.engine.QuerySession` — pass
@@ -182,7 +189,6 @@ class ContinuousSession:
         policy: str = AUTO,
         counters: Counters | None = None,
         recompute_churn: float = 0.3,
-        predictive_displacement: float | None = None,
         cell_size: float | None = None,
         predictive_backing: str = "tpr",
         predictive_options: dict[str, Any] | None = None,
@@ -202,11 +208,6 @@ class ContinuousSession:
         self.policy = policy
         self.counters = counters if counters is not None else Counters()
         self.recompute_churn = recompute_churn
-        if predictive_displacement is None and self.universe is not None:
-            lo, hi = self.universe.lo, self.universe.hi
-            diag = sum((h - l) ** 2 for l, h in zip(lo, hi)) ** 0.5
-            predictive_displacement = 0.01 * diag
-        self.predictive_displacement = predictive_displacement or 0.0
         self.cell_size = cell_size
         self.predictive_backing = predictive_backing
         self.predictive_options = dict(predictive_options or {})
@@ -217,11 +218,11 @@ class ContinuousSession:
         self._m_ticks = self.metrics.counter("continuous.ticks")
         self._m_updates = self.metrics.counter("continuous.updates")
         self._m_tick_seconds = self.metrics.histogram("continuous.tick.seconds")
+        self._m_routes: dict[str, Any] = {}  # route name -> counter, filled on first use
         self.ticks = 0
         self._subs: dict[int, Subscription] = {}
         self._policies: dict[str, MaintenancePolicy] = {}
         self._churn_ewma: float | None = None
-        self._displacement_ewma: float | None = None
         self._ewma_alpha = 0.3
 
     # -- authoritative state -----------------------------------------------------
@@ -270,7 +271,12 @@ class ContinuousSession:
         sub.initial = (
             list(sub.result) if spec.kind == "knn" else set(sub.result)
         )
+        # _subs stays in cqid order so tick() can iterate it as it is; specs
+        # are nearly always subscribed in creation order, so re-sorting is rare.
+        in_order = not self._subs or next(reversed(self._subs)) < spec.cqid
         self._subs[spec.cqid] = sub
+        if not in_order:
+            self._subs = dict(sorted(self._subs.items()))
         return sub
 
     def unsubscribe(self, sub: Subscription | int) -> None:
@@ -281,7 +287,7 @@ class ContinuousSession:
 
     @property
     def subscriptions(self) -> list[Subscription]:
-        return [self._subs[cqid] for cqid in sorted(self._subs)]
+        return list(self._subs.values())
 
     # -- the tick ---------------------------------------------------------------
 
@@ -356,7 +362,12 @@ class ContinuousSession:
                             sub.routed = target
                     routed = RESYNC if resync else name
                     self.stats.record_route(routed)
-                    self.metrics.counter(f"continuous.route.{routed}").inc()
+                    route_counter = self._m_routes.get(routed)
+                    if route_counter is None:
+                        route_counter = self._m_routes[routed] = self.metrics.counter(
+                            f"continuous.route.{routed}"
+                        )
+                    route_counter.inc()
                     delta = Delta(tick=self.ticks, added=frozenset(added), removed=frozenset(removed))
                     sub.latest = delta
                     if self.keep_history:
@@ -376,29 +387,18 @@ class ContinuousSession:
     def _observe(self, batch: TickBatch) -> None:
         tracked = max(len(self._state), 1)
         churn = batch.size / tracked
-        displacement = batch.mean_displacement()
-        alpha = self._ewma_alpha
         if self._churn_ewma is None:
             self._churn_ewma = churn
-            self._displacement_ewma = displacement
         else:
+            alpha = self._ewma_alpha
             self._churn_ewma = alpha * churn + (1 - alpha) * self._churn_ewma
-            self._displacement_ewma = (
-                alpha * displacement + (1 - alpha) * self._displacement_ewma
-            )
 
     def _route(self, sub: Subscription) -> str:
-        """Pick this tick's policy: pinned wins, then churn, then spec shape."""
+        """Pick this tick's policy: pinned wins, then churn."""
         if sub.pinned is not None:
             return sub.pinned
-        churn = self._churn_ewma or 0.0
-        if churn > self.recompute_churn:
+        if (self._churn_ewma or 0.0) > self.recompute_churn:
             return "recompute"
-        if sub.kind == "join":
-            return "incremental"
-        displacement = self._displacement_ewma or 0.0
-        if displacement <= self.predictive_displacement and self.predictive_displacement > 0:
-            return "predictive"
         return "incremental"
 
     def _policy(self, name: str) -> MaintenancePolicy:

@@ -27,11 +27,13 @@ This module is the value layer:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence, Union
 
-from repro.geometry.aabb import AABB
+import numpy as np
+
+from repro.geometry.aabb import AABB, boxes_to_array
 
 _cqid_counter = itertools.count(1)
 
@@ -172,15 +174,15 @@ class TickBatch:
         """The net motion as ``(eid, old, new)`` tuples (deterministic order)."""
         return [(eid, old, new) for eid, (old, new) in sorted(self.moved.items())]
 
-    def mean_displacement(self) -> float:
-        """Mean center displacement of moved elements (0.0 with no moves) —
-        the planner's signal for predictive-index friendliness."""
-        if not self.moved:
-            return 0.0
-        total = 0.0
-        for old, new in self.moved.values():
-            total += math.dist(old.center(), new.center())
-        return total / len(self.moved)
+    @cached_property
+    def entrants(self) -> tuple[list[int], list[AABB], np.ndarray]:
+        """Every element that may have come nearer to something this tick —
+        inserted, then moved at its new box — as parallel ``(ids, boxes,
+        (m, 2, d) array)``.  Packed once per tick and shared by every kNN
+        subscription's entrant test."""
+        ids = [*self.inserted, *self.moved]
+        boxes = [*self.inserted.values(), *(new for _, new in self.moved.values())]
+        return ids, boxes, boxes_to_array(boxes)
 
 
 def normalize_updates(

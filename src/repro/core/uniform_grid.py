@@ -137,28 +137,23 @@ class _GridSnapshot:
             self.row_of = {int(e): i for i, e in enumerate(self.eids.tolist())}
         return self.row_of[eid]
 
-    def _window(self, box: AABB) -> Iterable[CellKey]:
-        corners = np.array([box.lo, box.hi], dtype=np.float64)
-        coords = _cell_coords(corners, self.origin, self.cell, self.tops)
-        return _iter_window(coords[0].tolist(), coords[1].tolist())
-
     # -- patches (the dirty list) ---------------------------------------------
 
-    def patch_insert(self, eid: int, box: AABB) -> None:
+    def patch_insert(self, eid: int, box: AABB, cells: Sequence[CellKey]) -> None:
+        """``cells`` are the grid's covered cell coordinates for ``box`` —
+        the owning grid has just computed them for its own buckets."""
         idx = len(self.extra_eids)
         self.extra_eids.append(eid)
         self.extra_boxes.append(box)
         self.extra_alive.append(True)
         self.extra_row_of[eid] = idx
         strides = self.strides.tolist()
-        cells = 0
-        for coords in self._window(box):
+        for coords in cells:
             key = sum(c * s for c, s in zip(coords, strides))
             self.extra_cells.setdefault(key, []).append(idx)
-            cells += 1
         # Queries pay per overlay *cell*, not per patched element, so a
         # box spanning many cells must push toward compaction accordingly.
-        self.dirty += max(cells, 1)
+        self.dirty += max(len(cells), 1)
         self._tables = None
 
     def patch_remove(self, eid: int) -> None:
@@ -251,6 +246,9 @@ class UniformGrid(SpatialIndex):
         self._cells: dict[CellKey, dict[int, AABB]] = {}
         self._boxes: dict[int, AABB] = {}
         self._cells_of: dict[int, tuple[CellKey, ...]] = {}
+        # Per-axis (origin, top cell coordinate), fixed once universe and
+        # cell size are: every scalar write and the snapshot build read it.
+        self._axes: tuple[tuple[float, int], ...] | None = None
         self._snapshot: _GridSnapshot | None = None
         self.cell_switches = 0
         self.in_place_updates = 0
@@ -277,6 +275,12 @@ class UniformGrid(SpatialIndex):
             from repro.core.resolution import default_cell_size
 
             self._cell_size = default_cell_size(len(items), self._universe)
+        if self._axes is None:
+            cell = self._cell_size
+            self._axes = tuple(
+                (origin, max(int(math.ceil(extent / cell)) - 1, 0))
+                for origin, extent in zip(self._universe.lo, self._universe.extents())
+            )
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -386,12 +390,10 @@ class UniformGrid(SpatialIndex):
         the whole build run vectorized instead of walking the bucket dicts —
         both necessarily describe the identical (cell, element) relation.
         """
-        assert self._universe is not None and self._cell_size is not None
-        dims = self._universe.dims
-        res = [
-            max(1, int(math.ceil(extent / self._cell_size)))
-            for extent in self._universe.extents()
-        ]
+        assert self._axes is not None and self._cell_size is not None
+        dims = len(self._axes)
+        origins, tops_list = zip(*self._axes)
+        res = [top + 1 for top in tops_list]
         total_cells = 1
         for r in res:
             total_cells *= r
@@ -401,8 +403,8 @@ class UniformGrid(SpatialIndex):
         for axis in range(dims - 2, -1, -1):
             strides[axis] = strides[axis + 1] * res[axis + 1]
         strides_arr = np.array(strides, dtype=np.int64)
-        tops = np.array([r - 1 for r in res], dtype=np.int64)
-        origin = np.array(self._universe.lo, dtype=np.float64)
+        tops = np.array(tops_list, dtype=np.int64)
+        origin = np.array(origins, dtype=np.float64)
 
         n = len(self._boxes)
         eids = np.fromiter(self._boxes.keys(), dtype=np.int64, count=n)
@@ -708,10 +710,9 @@ class UniformGrid(SpatialIndex):
     # -- internals ---------------------------------------------------------------------
 
     def _coord(self, value: float, axis: int) -> int:
-        assert self._universe is not None and self._cell_size is not None
-        raw = int(math.floor((value - self._universe.lo[axis]) / self._cell_size))
-        top = int(math.ceil(self._universe.extents()[axis] / self._cell_size)) - 1
-        return max(0, min(raw, max(top, 0)))
+        assert self._axes is not None and self._cell_size is not None
+        origin, top = self._axes[axis]
+        return max(0, min(int(math.floor((value - origin) / self._cell_size)), top))
 
     def _covered_cells(self, box: AABB) -> Iterable[CellKey]:
         dims = box.dims
@@ -729,7 +730,7 @@ class UniformGrid(SpatialIndex):
         self._boxes[eid] = box
         self._cells_of[eid] = keys
         if self._snapshot is not None:
-            self._snapshot.patch_insert(eid, box)
+            self._snapshot.patch_insert(eid, box, keys)
             self._maybe_compact()
 
     def _unplace(self, eid: int) -> None:

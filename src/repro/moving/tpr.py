@@ -16,6 +16,20 @@ here:
   :attr:`re_anchors` (forced corrections) climbs toward one per element per
   few steps — the benchmark in ``bench_moving_objects.py`` prints both.
 
+**The horizon cliff.**  An anchor older than ``horizon`` steps is re-anchored
+by its next position report whatever the prediction says, and a re-anchor is
+a scalar R-tree delete + insert of the swept box.  Under simulation motion
+no report ever refreshes an anchor cheaply, so once the clock reaches
+``horizon`` *every* reported move pays that structural update: on the
+performance ledger's ``continuous_ticks`` workload (8 000 boxes, 400 reported
+moves a step) :meth:`TPRIndex.advance` costs 207–233 ms a step past the
+horizon — about 0.55 ms a move, against ~14 µs for a ``UniformGrid.update``
+of the same move — which was 71–76 % of a continuous tick while the
+continuous planner still routed range/kNN subscriptions here.  It no longer
+does (``repro/continuous/session.py``; ``BENCH_continuous.json`` has the
+per-churn numbers on both sides of the horizon); the index stays as the
+paper's negative exhibit and an explicitly pinned policy.
+
 Correctness is preserved regardless of motion: queries refine against exact
 current boxes supplied through :meth:`advance`, so mispredictions cost time
 (inflated candidate sets, re-anchors), never wrong answers.

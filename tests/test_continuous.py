@@ -41,7 +41,7 @@ from repro.continuous import (
 from repro.geometry.aabb import AABB
 from repro.joins.iterated import IteratedSelfJoin, PairDelta
 from repro.serving import ContinuousServing
-from tests.conftest import UNIVERSE_3D, make_items
+from tests.conftest import UNIVERSE_2D, UNIVERSE_3D, make_items
 
 pytestmark = pytest.mark.continuous
 
@@ -383,12 +383,39 @@ class TestPlanner:
         assert session.stats.policy_routes.get("recompute", 0) > 0
         assert sub.routed == "recompute"
 
-    def test_small_drift_routes_range_to_predictive(self):
+    @pytest.mark.parametrize("workload", ["drift", "teleport"])
+    @pytest.mark.parametrize("kind", ["range", "knn"])
+    def test_auto_routes_queries_incremental_and_never_predictive(self, kind, workload):
+        """The planner has two routes.  15 ticks crosses the TPR horizon
+        (10), where the retired auto→predictive route fell off its cliff;
+        the predictive policy must never even be instantiated."""
         items = make_items(60, seed=22)
         session = ContinuousSession(items, UNIVERSE_3D)
-        sub = session.subscribe(ContinuousKNNQuery((50.0, 50.0, 50.0), k=4))
-        drive(session, [sub], "drift", ticks=4, seed=7)
-        assert sub.routed == "predictive"
+        subs = [session.subscribe(spec) for spec in make_specs(kind)]
+        drive(session, subs, workload, ticks=15, seed=7)
+        assert all(sub.routed == "incremental" for sub in subs)
+        assert "predictive" not in session._policies
+        assert session.stats.policy_routes == {"incremental": 15 * len(subs)}
+
+    def test_predictive_stays_available_as_a_pin(self):
+        """Session-wide and per-subscription pins both still reach the
+        TPR-backed policy, and it stays exact past its horizon."""
+        items = make_items(60, seed=22)
+        pinned_session = ContinuousSession(items, UNIVERSE_3D, policy="predictive")
+        auto_session = ContinuousSession(items, UNIVERSE_3D)
+        for session, policy in ((pinned_session, None), (auto_session, "predictive")):
+            subs = [
+                session.subscribe(spec, policy=policy)
+                for kind in ("range", "knn")
+                for spec in make_specs(kind)
+            ]
+            drive(session, subs, "drift", ticks=15, seed=7)
+            assert all(sub.routed == "predictive" for sub in subs)
+            assert session.stats.policy_routes == {"predictive": 15 * len(subs)}
+
+    def test_predictive_displacement_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            ContinuousSession([], UNIVERSE_3D, predictive_displacement=0.5)
 
     def test_joins_route_incremental_under_low_churn(self):
         items = make_items(60, seed=23)
@@ -571,6 +598,196 @@ class TestKNNSlackSafeRegion:
         assert session.counters.safe_region_invalidations == before + 1
         assert 99 in delta.added
         assert_exact(session, sub)
+
+
+# -- the vectorized kNN entrant prefilter ---------------------------------------
+
+
+def _point(*coords: float) -> AABB:
+    return AABB(coords, coords)
+
+
+class TestKNNEntrantPrefilter:
+    """One vectorized pass per (subscription, tick) decides which entrants
+    the scalar ``(distance, id)`` test looks at; it must never drop one that
+    would have invalidated the result or tightened the slack.  Every tick
+    here has > 64 entrants, and exactness *includes distances*."""
+
+    ORIGIN = (0.0, 0.0, 0.0)
+    CLOUD = range(100, 180)  # 80 outsiders, always farther than 60 from ORIGIN
+
+    def _session(self, near: dict[int, AABB]):
+        """``near`` plus a far cloud; returns (session, kNN sub at ORIGIN, k=3)."""
+        rng = random.Random(5)
+        items = dict(near)
+        for eid in self.CLOUD:
+            lo = [rng.uniform(60.0, 95.0) for _ in range(3)]
+            items[eid] = AABB(lo, [c + 0.5 for c in lo])
+        session = ContinuousSession(sorted(items.items()), UNIVERSE_3D, policy="incremental")
+        return session, session.subscribe(ContinuousKNNQuery(self.ORIGIN, k=3)), rng
+
+    def _cloud_jitter(self, session, rng, skip=()):
+        """Every cloud element moves (> 64 entrants), none comes near."""
+        updates = []
+        for eid in self.CLOUD:
+            if eid in skip:
+                continue
+            box = session.state_box(eid)
+            lo = [min(max(c + rng.uniform(-0.3, 0.3), 60.0), 95.0) for c in box.lo]
+            updates.append((eid, box, AABB(lo, [c + 0.5 for c in lo])))
+        return updates
+
+    def _establish_slack(self, session, sub, rng, member: int) -> float:
+        """A member's nudge on a slack-less result forces the one full probe
+        that records the (k+1)-th distance."""
+        box = session.state_box(member)
+        nudged = AABB([c + 1e-3 for c in box.lo], [c + 1e-3 for c in box.hi])
+        session.tick([(member, box, nudged)] + self._cloud_jitter(session, rng))
+        assert_exact(session, sub)
+        return session._policies["incremental"]._knn_slack[sub.cqid]
+
+    def test_outsider_exactly_at_kth_distance_invalidates(self):
+        """The ``<=`` tie rule, on coordinates where the vectorized kernel
+        reads the tie one ulp *farther* than the scalar one: without the
+        margin the prefilter would drop the entrant that must take the seat."""
+        from repro.geometry.aabb import batch_min_distance_to_points, boxes_to_array
+
+        rng = random.Random(11)
+        for _ in range(10_000):
+            kth = _point(*(rng.uniform(10.0, 40.0) for _ in range(3)))
+            exact = kth.min_distance_to_point(self.ORIGIN)
+            rough = batch_min_distance_to_points(boxes_to_array([kth]), [self.ORIGIN])[0, 0]
+            if rough > exact:
+                break
+        else:  # pragma: no cover - would mean the two kernels round identically
+            pytest.fail("no coordinates where the kernels disagree")
+
+        session, sub, rng = self._session({1: _point(1, 0, 0), 2: _point(2, 0, 0), 9: kth})
+        assert sub.result[-1] == (exact, 9)
+        self._establish_slack(session, sub, rng, member=1)
+        before = session.counters.safe_region_invalidations
+        # Cloud element 100 lands exactly on the k-th member: (exact, 100)
+        # sorts after (exact, 9), so membership holds — but only a full
+        # probe may say so (and the next slack becomes the tie itself).
+        intruder = session.state_box(100)
+        session.tick([(100, intruder, kth)] + self._cloud_jitter(session, rng, skip={100}))
+        assert session.counters.safe_region_invalidations == before + 1
+        assert_exact(session, sub)
+        assert session._policies["incremental"]._knn_slack[sub.cqid] == exact
+        # A lower id on the same spot does take the seat.
+        session.tick([Insert(3, kth)] + self._cloud_jitter(session, rng))
+        assert_exact(session, sub)
+        assert sub.result[-1] == (exact, 3)
+
+    def test_outsider_at_the_slack_holds_it_and_just_inside_tightens(self):
+        near = {1: _point(10, 0, 0), 2: _point(20, 0, 0), 3: _point(30, 0, 0), 4: _point(40, 0, 0)}
+        session, sub, rng = self._session(near)
+        slack = self._establish_slack(session, sub, rng, member=1)
+        assert slack == 40.0
+        policy = session._policies["incremental"]
+        invalidations = session.counters.safe_region_invalidations
+
+        at_slack = _point(0, 40, 0)
+        box = session.state_box(100)
+        session.tick([(100, box, at_slack)] + self._cloud_jitter(session, rng, skip={100}))
+        assert policy._knn_slack[sub.cqid] == 40.0  # ``<``: a tie with the slack is no news
+
+        inside = _point(0, math.nextafter(40.0, 0.0), 0)
+        session.tick([(100, at_slack, inside)] + self._cloud_jitter(session, rng, skip={100}))
+        assert policy._knn_slack[sub.cqid] == math.nextafter(40.0, 0.0)
+        assert session.counters.safe_region_invalidations == invalidations
+        assert_exact(session, sub)
+
+    def test_short_list_takes_every_entrant(self):
+        """``len(result) < k``: d_k is infinite, nothing can be filtered."""
+        items = [(1, _point(5, 5, 5)), (2, _point(40, 40, 40))]
+        session = ContinuousSession(items, UNIVERSE_3D, policy="incremental")
+        sub = session.subscribe(ContinuousKNNQuery(self.ORIGIN, k=70))
+        rng = random.Random(3)
+        arrivals = [
+            Insert(eid, _point(*(rng.uniform(0.0, 99.0) for _ in range(3))))
+            for eid in range(10, 76)
+        ]
+        session.tick(arrivals)  # 66 entrants, all of them belong
+        assert_exact(session, sub)
+        assert len(sub.result) == 68
+        session.tick([Insert(eid, _point(90, 90, eid - 70)) for eid in range(80, 150)])
+        assert_exact(session, sub)
+        assert len(sub.result) == 70
+
+    def test_freshly_adopted_result_has_no_slack_to_filter_by(self):
+        """Before the first probe the slack reads 0.0: entrants beyond d_k
+        are hits that record nothing, one inside d_k still invalidates."""
+        near = {1: _point(10, 0, 0), 2: _point(20, 0, 0), 3: _point(30, 0, 0), 4: _point(40, 0, 0)}
+        session, sub, rng = self._session(near)
+        policy_slack = lambda: session._policies["incremental"]._knn_slack
+        session.tick(self._cloud_jitter(session, rng))
+        assert sub.cqid not in policy_slack()
+        assert session.counters.safe_region_invalidations == 0
+        # Between d_k (30) and the would-be slack (40): still just a hit.
+        box = session.state_box(100)
+        session.tick([(100, box, _point(0, 35, 0))] + self._cloud_jitter(session, rng, skip={100}))
+        assert sub.cqid not in policy_slack()
+        assert session.counters.safe_region_invalidations == 0
+        assert_exact(session, sub)
+        box = session.state_box(101)
+        session.tick([(101, box, _point(0, 0, 25))] + self._cloud_jitter(session, rng, skip={101}))
+        assert session.counters.safe_region_invalidations == 1
+        assert knn_ids(sub.result) == {1, 2, 101}
+        assert_exact(session, sub)
+
+    @settings(max_examples=30)
+    @given(
+        dims=st.sampled_from([2, 3]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        ticks=st.integers(min_value=1, max_value=5),
+    )
+    def test_tick_programs_stay_bit_identical_to_recompute(self, dims, seed, ticks):
+        """Crowded ticks (65+ movers, inserts, deletes) with exact ties on
+        members and near misses around the query point, in 2-D and 3-D.
+        (Hypothesis picks the program's shape and seed; a program this size
+        drawn value by value would exhaust its entropy budget.)"""
+        rng = random.Random(seed)
+        universe = UNIVERSE_2D if dims == 2 else UNIVERSE_3D
+        n = rng.randint(80, 130)
+        state = {}
+        for eid in range(n):
+            lo = [rng.uniform(0.0, 95.0) for _ in range(dims)]
+            state[eid] = AABB(lo, [c + rng.uniform(0.0, 4.0) for c in lo])
+        session = ContinuousSession(sorted(state.items()), universe, policy="incremental")
+        center = tuple(rng.uniform(20.0, 80.0) for _ in range(dims))
+        subs = [
+            session.subscribe(ContinuousKNNQuery(center, k=rng.randint(1, 8))),
+            session.subscribe(ContinuousKNNQuery(tuple([0.0] * dims), k=5)),
+        ]
+        next_eid = n
+        for _ in range(ticks):
+            updates = []
+            movers = rng.sample(sorted(state), k=rng.randint(65, len(state) - 2))
+            for eid in movers:
+                box, style = state[eid], rng.random()
+                if style < 0.1:  # land exactly on a current member: a distance tie
+                    target = state.get(rng.choice(sorted(subs[0].result_set())), box)
+                    offset = [t - l for t, l in zip(target.lo, box.lo)]
+                elif style < 0.3:  # jump next to the query point
+                    offset = [c + rng.uniform(-3, 3) - l for c, l in zip(center, box.lo)]
+                else:
+                    offset = [rng.uniform(-1.0, 1.0) for _ in range(dims)]
+                new = _shift(box, offset, universe)
+                updates.append((eid, box, new))
+                state[eid] = new
+            for _ in range(rng.randint(0, 3)):
+                lo = [rng.uniform(0.0, 95.0) for _ in range(dims)]
+                state[next_eid] = AABB(lo, [c + 1.0 for c in lo])
+                updates.append(Insert(next_eid, state[next_eid]))
+                next_eid += 1
+            still = sorted(set(state) - set(movers) - set(range(next_eid - 3, next_eid)))
+            for eid in rng.sample(still, k=min(len(still), rng.randint(0, 2))):
+                updates.append(Delete(eid))
+                del state[eid]
+            session.tick(updates)
+            for sub in subs:
+                assert sub.result == session.oracle_result(sub)  # distances too
 
 
 # -- telemetry -----------------------------------------------------------------

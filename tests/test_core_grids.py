@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.resolution import GridCostModel, default_cell_size, optimal_cell_size
-from repro.core.uniform_grid import UniformGrid
+from repro.core.uniform_grid import UniformGrid, _cell_coords, _iter_window
 from repro.geometry.aabb import AABB
 
 from conftest import (
@@ -93,6 +93,47 @@ class TestUniformGrid:
         outside = AABB((20, 20, 20), (21, 21, 21))
         grid.bulk_load([(1, outside)])
         assert grid.range_query(AABB((19, 19, 19), (22, 22, 22))) == [1]
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_scalar_coords_agree_with_vectorized(self, lazy):
+        """``_coord`` reads per-axis (origin, top) invariants fixed at
+        configuration time; it and ``update`` must place every box exactly
+        where the vectorized ``_cell_coords`` (the snapshot's arithmetic)
+        does — outside the universe, on its top edge, and on a grid that
+        configured itself from its first ``insert``."""
+        import numpy as np
+
+        seed_box = AABB((0.0, 0.0, 0.0), (10.0, 10.0, 7.0))
+        if lazy:
+            grid = UniformGrid()
+        else:
+            grid = UniformGrid(universe=seed_box, cell_size=2.0)  # 7/2: a ragged top cell
+        grid.insert(0, seed_box)
+        grid.insert(1, AABB((1.0, 1.0, 1.0), (2.0, 2.0, 2.0)))
+        snap = grid._ensure_snapshot()
+        top = grid.universe.hi
+        probes = [
+            AABB((-5.0, -1e30, 3.0), (-4.0, -1e29, 3.5)),  # below the universe
+            AABB((50.0, 1e30, 3.0), (60.0, 1e30, 3.5)),  # above it
+            AABB((-3.0, 4.0, -2.0), (30.0, 5.0, 40.0)),  # straddling both edges
+            AABB(top, top),  # exactly on the top corner
+            AABB((top[0] - 1.0, 0.0, 0.0), top),  # reaching the top edge
+            AABB((3.9, 4.0, 4.1), (4.0, 6.0, 6.1)),  # on interior cell boundaries
+        ]
+        box = grid._boxes[1]
+        for probe in probes:
+            corners = np.array([probe.lo, probe.hi], dtype=np.float64)
+            vectorized = _cell_coords(corners, snap.origin, snap.cell, snap.tops).tolist()
+            scalar = [
+                [grid._coord(value, axis) for axis, value in enumerate(corner)]
+                for corner in (probe.lo, probe.hi)
+            ]
+            assert scalar == vectorized
+            grid.update(1, box, probe)
+            box = probe
+            assert grid._cells_of[1] == tuple(_iter_window(*vectorized))
+            assert 1 in grid.batch_range_query([probe])[0]  # the patched snapshot agrees
+            assert sorted(grid.range_query(probe)) == sorted(grid.batch_range_query([probe])[0])
 
 
 class TestMultiResolutionGrid:
