@@ -38,6 +38,7 @@ from repro.exec.budget import (
 from repro.exec.external_build import (
     ExternalBuild,
     external_bulk_load,
+    external_leaf_arrays,
     external_leaf_groups,
     external_str_pack,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "mapped_run_rows",
     "ExternalBuild",
     "external_bulk_load",
+    "external_leaf_arrays",
     "external_leaf_groups",
     "external_str_pack",
     "pbsm_working_set_bytes",

@@ -16,19 +16,26 @@ is the out-of-core counterpart for builds larger than the
    in-memory recursive tiler finishes the remaining axes inside the slab —
    which is exactly what STR does after its outer sort.
 
-:func:`external_leaf_groups` streams the resulting leaf entry groups in
-packing order, so consumers decide where leaves live:
-:meth:`repro.indexes.rtree.RTree.bulk_load_external` materializes
-:class:`~repro.indexes.rtree.Node` objects, while
-:meth:`repro.indexes.disk_rtree.DiskRTree.bulk_load_external` allocates each
-leaf straight into its page store without ever holding the leaf level in
-memory.  Upper levels are built from one ``(mbr, child)`` entry per leaf —
-``max_entries``-fold smaller than the data, always in-budget.
+The pipeline is arrays from spill file to consumer: runs are typed arrays,
+slabs are gathered by concatenating row ranges, and one array tiler
+(:func:`repro.indexes.bulkload.tile_arrays`) finishes each slab — no
+per-entry object exists anywhere in it.  :func:`external_leaf_arrays`
+streams the resulting leaves as ``(boxes, eids)`` arrays in packing order,
+so consumers decide where leaves live: a mapped
+:meth:`repro.indexes.disk_rtree.DiskRTree.bulk_load_external` encodes each
+one straight into its page file without ever holding the leaf level in
+memory.  :func:`external_leaf_groups` is the thin object adapter over the
+same stream for consumers whose nodes hold ``AABB`` entries
+(:meth:`repro.indexes.rtree.RTree.bulk_load_external` materializing
+:class:`~repro.indexes.rtree.Node` objects, the object-payload
+``DiskRTree``).  Upper levels are built from one ``(mbr, child)`` entry per
+leaf — ``max_entries``-fold smaller than the data, always in-budget.
 
 With ``workers`` >= 2 the merge phase parallelizes over the serving pool:
 each slab's run ranges are exported as picklable
 :class:`~repro.exec.spill.MappedRun` descriptors and a pool worker maps the
-spill file read-only, gathers its rows zero-copy and tiles the slab
+spill file read-only, gathers its rows zero-copy and tiles the slab with
+the same :func:`tile_slab` the inline merge runs
 (:func:`repro.serving.worker.str_slab_task`).  Slabs are dispatched in
 waves of ``workers`` so the parent never holds more than one wave of leaf
 groups; group order — and therefore the packed tree — is identical to the
@@ -47,7 +54,7 @@ from repro.exec.budget import MemoryBudget
 from repro.exec.spill import SpillHandle, SpillManager
 from repro.geometry.aabb import AABB, boxes_to_array, union_all
 from repro.indexes.base import Item
-from repro.indexes.bulkload import NodeFactory, _tile, _tile_recursive
+from repro.indexes.bulkload import NodeFactory, _tile, split_groups, tile_arrays
 from repro.instrumentation.counters import Counters
 
 #: Chunking below this is all overhead (mirrors the external join's floor).
@@ -79,7 +86,34 @@ def external_leaf_groups(
     counters: Counters | None = None,
     workers: int | None = None,
 ) -> Iterator[list[tuple[AABB, int]]]:
-    """Yield STR leaf entry groups ``[(box, eid), ...]`` in packing order.
+    """:func:`external_leaf_arrays` as entry groups ``[(box, eid), ...]``.
+
+    The object adapter for consumers whose nodes hold ``AABB`` entries;
+    array-native consumers read :func:`external_leaf_arrays` directly.
+    """
+    for boxes, eids in external_leaf_arrays(
+        items, max_entries, budget, spill=spill, spill_dir=spill_dir,
+        counters=counters, workers=workers,
+    ):
+        yield [
+            (AABB(lo, hi), eid)
+            for lo, hi, eid in zip(
+                boxes[:, 0].tolist(), boxes[:, 1].tolist(), eids.tolist()
+            )
+        ]
+
+
+def external_leaf_arrays(
+    items: Iterable[Item],
+    max_entries: int,
+    budget: MemoryBudget | int | None = None,
+    spill: SpillManager | None = None,
+    spill_dir: str | None = None,
+    counters: Counters | None = None,
+    workers: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield STR leaves as ``(boxes (g, 2, d) float64, eids (g,) int64)``
+    array pairs in packing order.
 
     The build working set (sort arrays, runs, slab gathers) stays within
     the budget; the items iterable itself is consumed streaming and never
@@ -124,7 +158,7 @@ def external_leaf_groups(
             if pool is not None:
                 try:
                     tasks = [
-                        (dims, max_entries, _slab_segments(runs, spill, p0, p1))
+                        (max_entries, _slab_segments(runs, spill, p0, p1))
                         for p0, p1 in wave_slabs
                     ]
                     parts = pool.run_slab_tasks(tasks)
@@ -134,17 +168,13 @@ def external_leaf_groups(
                     # the pool stays down, the next ones) in-process.
                     parts = None
             if parts is not None:
-                for packed, worker_counters in parts:
+                for tiled, worker_counters in parts:
                     counters.merge(worker_counters)
-                    for group_boxes, group_eids in packed:
-                        yield [
-                            (AABB(box[0], box[1]), int(eid))
-                            for box, eid in zip(group_boxes, group_eids)
-                        ]
+                    yield from split_groups(*tiled)
             else:
                 for p0, p1 in wave_slabs:
-                    yield from _merge_slab(
-                        runs, spill, p0, p1, dims, max_entries, budget
+                    yield from split_groups(
+                        *_merge_slab(runs, spill, p0, p1, dims, max_entries, budget)
                     )
     finally:
         for run in runs:
@@ -268,28 +298,39 @@ def _merge_slab(
     dims: int,
     max_entries: int,
     budget: MemoryBudget,
-) -> list[list[tuple[AABB, int]]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Gather one slab's rows from every run and tile it in-process."""
-    entries: list[tuple[AABB, int]] = []
-    with budget.reserving((p1 - p0) * _entry_bytes(dims), force=True):
+    # Held at the peak: the gathered rows plus their permuted copy.
+    with budget.reserving(2 * (p1 - p0) * _entry_bytes(dims), force=True):
+        box_parts, eid_parts = [], []
         for run in runs:
             assert run.positions is not None
             lo = int(np.searchsorted(run.positions, p0, side="left"))
             hi = int(np.searchsorted(run.positions, p1, side="left"))
             if lo == hi:
                 continue
-            boxes = _fetch_rows(spill, run.boxes, lo, hi)
-            eids = _fetch_rows(spill, run.eids, lo, hi)
-            entries.extend(
-                (AABB(box[0], box[1]), int(eid))
-                for box, eid in zip(boxes, eids)
-            )
-        groups: list[list[tuple[AABB, int]]] = []
-        # The slab is an axis-0 slice of the global sort — exactly STR's
-        # state after its outer sort — so the in-memory tiler finishes
-        # from axis 1 (axis 0 again for 1-d data).
-        _tile_recursive(entries, min(1, dims - 1), dims, max_entries, groups)
-    return groups
+            box_parts.append(_fetch_rows(spill, run.boxes, lo, hi))
+            eid_parts.append(_fetch_rows(spill, run.eids, lo, hi))
+        return tile_slab(box_parts, eid_parts, max_entries)
+
+
+def tile_slab(
+    box_parts: list[np.ndarray], eid_parts: list[np.ndarray], max_entries: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Tile one slab's gathered row ranges into leaves.
+
+    Shared by the inline merge and the pool workers' ``str_slab_task``.
+    The slab is an axis-0 slice of the global sort — exactly STR's state
+    after its outer sort — so the tiler finishes from axis 1 (axis 0 again
+    for 1-d data).  Returns ``(boxes, eids, bounds)`` with the rows permuted
+    into packing order and leaf ``g`` at ``bounds[g]:bounds[g + 1]``; the
+    permutation always copies, so nothing returned aliases a spill-file
+    view the parts may be.
+    """
+    boxes = np.concatenate(box_parts)
+    eids = np.concatenate(eid_parts)
+    order, bounds = tile_arrays(boxes, min(1, boxes.shape[2] - 1), max_entries)
+    return boxes[order], eids[order], bounds
 
 
 def _slab_rows(total: int, dims: int, max_entries: int, chunk_budget: int | None) -> int:

@@ -156,15 +156,7 @@ class AABB:
         Uses ``math.hypot``, which is immune to the underflow/overflow of
         naive squared sums (gaps below ~1e-154 would otherwise square to 0).
         """
-        gaps = []
-        for a, b, p in zip(self.lo, self.hi, point):
-            if p < a:
-                gaps.append(a - p)
-            elif p > b:
-                gaps.append(p - b)
-        if not gaps:
-            return 0.0
-        return math.hypot(*gaps)
+        return bounds_min_distance_to_point(self.lo, self.hi, point)
 
     def max_distance_to_point(self, point: Sequence[float]) -> float:
         """Euclidean distance from ``point`` to the farthest corner."""
@@ -203,6 +195,27 @@ class AABB:
 
     def __repr__(self) -> str:
         return f"AABB(lo={self.lo}, hi={self.hi})"
+
+
+def bounds_min_distance_to_point(
+    lo: Sequence[float], hi: Sequence[float], point: Sequence[float]
+) -> float:
+    """:meth:`AABB.min_distance_to_point` over bare ``lo``/``hi`` sequences.
+
+    The one implementation of that arithmetic: array-backed nodes (a mapped
+    :class:`~repro.indexes.disk_rtree.DiskRTree` page read through
+    ``tolist()``) get distances bit-identical to the object path without
+    constructing a box per entry.
+    """
+    gaps = []
+    for a, b, p in zip(lo, hi, point):
+        if p < a:
+            gaps.append(a - p)
+        elif p > b:
+            gaps.append(p - b)
+    if not gaps:
+        return 0.0
+    return math.hypot(*gaps)
 
 
 def union_all(boxes: Iterable[AABB]) -> AABB:

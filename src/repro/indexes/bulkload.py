@@ -11,7 +11,9 @@ own node factories.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.geometry.aabb import AABB, union_all
 
@@ -73,7 +75,7 @@ def _tile_recursive(
     if len(entries) <= max_entries:
         out.append(entries)
         return
-    ordered = sorted(entries, key=lambda e: e[0].center()[axis])
+    ordered = sorted(entries, key=lambda e: (e[0].lo[axis] + e[0].hi[axis]) / 2.0)
     if axis == dims - 1:
         for start in range(0, len(ordered), max_entries):
             out.append(ordered[start : start + max_entries])
@@ -83,3 +85,51 @@ def _tile_recursive(
     slab_size = math.ceil(len(ordered) / slabs)
     for start in range(0, len(ordered), slab_size):
         _tile_recursive(ordered[start : start + slab_size], axis + 1, dims, max_entries, out)
+
+
+def tile_arrays(
+    boxes: np.ndarray, start_axis: int, max_entries: int
+) -> tuple[np.ndarray, list[int]]:
+    """:func:`_tile_recursive` over an ``(n, 2, d)`` box array.
+
+    Returns ``(order, bounds)``: group ``g`` is rows
+    ``order[bounds[g]:bounds[g + 1]]`` of ``boxes``.  A stable argsort on
+    ``(lo + hi) / 2.0`` — the float ``AABB.center()`` produces — with the
+    same slab arithmetic makes the group sequence identical to the object
+    tiler's, so array-native builders pack the very same tree.
+    """
+    n, _, dims = boxes.shape
+    order = np.arange(n)
+    bounds = [0]
+
+    def tile(rows: np.ndarray, axis: int, offset: int) -> None:
+        count = rows.shape[0]
+        if count <= max_entries:
+            order[offset : offset + count] = rows
+            bounds.append(offset + count)
+            return
+        centers = (boxes[rows, 0, axis] + boxes[rows, 1, axis]) / 2.0
+        rows = rows[np.argsort(centers, kind="stable")]
+        if axis == dims - 1:
+            order[offset : offset + count] = rows
+            bounds.extend(range(offset + max_entries, offset + count, max_entries))
+            bounds.append(offset + count)
+            return
+        pages = math.ceil(count / max_entries)
+        slabs = math.ceil(pages ** (1.0 / (dims - axis)))
+        slab_size = math.ceil(count / slabs)
+        for start in range(0, count, slab_size):
+            tile(rows[start : start + slab_size], axis + 1, offset + start)
+
+    if n:
+        tile(order.copy(), start_axis, 0)
+    return order, bounds
+
+
+def split_groups(
+    boxes: np.ndarray, refs: np.ndarray, bounds: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows already permuted into :func:`tile_arrays` order, as one
+    ``(boxes, refs)`` view pair per group."""
+    for start, stop in zip(bounds, bounds[1:]):
+        yield boxes[start:stop], refs[start:stop]

@@ -17,6 +17,14 @@ serves **zero-copy NumPy views** of node pages through the buffer pool
 hits/misses) is unchanged, but a miss maps the page instead of copying it.
 Writes go write-through with a ``pool.drop`` so no stale view frame can
 answer a rewritten page.
+
+The two modes share tree shape, traversal order and counter charges but not
+a node representation: object mode holds ``(is_leaf, [(AABB, ref), ...])``
+payloads and walks them entry by entry; mapped mode is arrays end to end —
+bulk loads tile box arrays (:func:`~repro.indexes.bulkload.tile_arrays`)
+and encode leaves straight from them, scalar queries test a whole node view
+at once, maintenance re-encodes nodes from arrays — and never constructs an
+``AABB``.
 """
 
 from __future__ import annotations
@@ -24,19 +32,26 @@ from __future__ import annotations
 import heapq
 import os
 import tempfile
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, as_box_array, boxes_to_array, union_all
+from repro.geometry.aabb import (
+    AABB,
+    as_box_array,
+    bounds_min_distance_to_point,
+    boxes_to_array,
+    union_all,
+)
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
-from repro.indexes.bulkload import _tile
+from repro.indexes.bulkload import _tile, split_groups, tile_arrays
 from repro.instrumentation.counters import Counters
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagestore import MappedPageStore, PageStore
 
-# A node payload is (is_leaf, entries); entries are (AABB, eid | page_id).
-_NodePayload = tuple[bool, list[tuple[AABB, int]]]
+# An object-mode node payload is (is_leaf, entries); entries are
+# (AABB, eid | page_id).  Mapped-mode nodes are the binary records of
+# ``DiskRTree._encode_arrays``.
 
 
 class DiskRTree(SpatialIndex):
@@ -107,46 +122,9 @@ class DiskRTree(SpatialIndex):
         self.store = self._new_store(page_size)
         self.pool = BufferPool(self.store, capacity=capacity)
 
-    def _read(self, page_id: int) -> _NodePayload:
-        if self.mapped:
-            return self._decode_node(self.pool.read_view(page_id))
-        return self.pool.read(page_id)
-
-    def _write(self, page_id: int, payload: _NodePayload) -> None:
-        if self.mapped:
-            # Write-through: a mapped frame is a read-only view of the file,
-            # so write-back is meaningless and a stale frame is a hazard.
-            self.store.write(page_id, self._encode_node(payload))
-            self.pool.drop(page_id)
-            return
-        self.pool.write(page_id, payload)
-
-    def _allocate(self, payload: _NodePayload) -> int:
-        if self.mapped:
-            return self.store.allocate(self._encode_node(payload))
-        page_id = self.store.allocate(payload)
-        return page_id
-
     # -- mapped node codec --------------------------------------------------
 
     _HEADER_BYTES = 16  # int64 [is_leaf, count]
-
-    def _encode_node(self, payload: _NodePayload) -> bytes:
-        is_leaf, entries = payload
-        count = len(entries)
-        header = np.array([1 if is_leaf else 0, count], dtype=np.int64)
-        if not count:
-            return header.tobytes()
-        boxes = boxes_to_array([box for box, _ in entries])
-        refs = np.fromiter((ref for _, ref in entries), dtype=np.int64, count=count)
-        blob = header.tobytes() + boxes.tobytes() + refs.tobytes()
-        if len(blob) > self.store.page_size:
-            raise ValueError(
-                f"node of {count} {boxes.shape[2]}-d entries needs {len(blob)} "
-                f"bytes; page size is {self.store.page_size} — lower "
-                f"max_entries for mapped mode"
-            )
-        return blob
 
     def _node_views(self, buf: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
         """Decode one mapped page buffer into ``(is_leaf, boxes, refs)``
@@ -161,21 +139,14 @@ class DiskRTree(SpatialIndex):
         refs = buf[box_end : box_end + count * 8].view(np.int64)
         return is_leaf, boxes.reshape(count, 2, dims), refs
 
-    def _decode_node(self, buf: np.ndarray) -> _NodePayload:
-        is_leaf, boxes, refs = self._node_views(buf)
-        entries = [
-            (AABB(tuple(box[0]), tuple(box[1])), int(ref))
-            for box, ref in zip(boxes, refs)
-        ]
-        return is_leaf, entries
-
     def _encode_arrays(
         self, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray
     ) -> bytes:
-        """:meth:`_encode_node` without the object payload: arrays in,
-        record out.  The scalar maintenance path feeds node views (or copies
-        of them) straight back through here, so an insert or delete never
-        materializes per-entry ``AABB`` objects."""
+        """One node record: ``int64 [is_leaf, count]`` header, ``float64``
+        boxes, ``int64`` refs.  Arrays in, bytes out — bulk loads encode
+        tiled groups and maintenance feeds node views (or copies of them)
+        straight back through here.  Raises before anything is written when
+        the record cannot fit one page."""
         count = int(refs.shape[0])
         header = np.array([1 if is_leaf else 0, count], dtype=np.int64)
         if not count:
@@ -196,7 +167,8 @@ class DiskRTree(SpatialIndex):
     def _write_arrays(
         self, page_id: int, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray
     ) -> None:
-        # Write-through + drop, exactly like the mapped branch of _write.
+        # Write-through: a mapped frame is a read-only view of the file, so
+        # write-back is meaningless and a stale frame is a hazard.
         self.store.write(page_id, self._encode_arrays(is_leaf, boxes, refs))
         self.pool.drop(page_id)
 
@@ -232,9 +204,15 @@ class DiskRTree(SpatialIndex):
             self._size = 0
             return
         self._dims = materialized[0][1].dims
+        if self.mapped:
+            n = len(materialized)
+            eids = np.fromiter((eid for eid, _ in materialized), dtype=np.int64, count=n)
+            boxes = boxes_to_array([box for _, box in materialized])
+            self._pack_leaf_arrays(self._tile_level(boxes, eids))
+            return
         entries: list[tuple[AABB, int]] = [(box, eid) for eid, box in materialized]
         groups = _tile(entries, self._dims, self.max_entries)
-        pages = [self._allocate((True, group)) for group in groups]
+        pages = [self.store.allocate((True, group)) for group in groups]
         boxes = [union_all(box for box, _ in group) for group in groups]
         self._root_page = self._pack_upper_levels(pages, boxes)
         self._size = len(materialized)
@@ -242,17 +220,53 @@ class DiskRTree(SpatialIndex):
     def _pack_upper_levels(self, pages: list[int], boxes: list[AABB]) -> int:
         """Tile ``(mbr, page)`` entries upward until one root page remains.
 
-        Shared by both bulk loads; sets ``_height`` (1 for the leaf level)
-        and returns the root page id.
+        Shared by both object-mode bulk loads; sets ``_height`` (1 for the
+        leaf level) and returns the root page id.
         """
         self._height = 1
         while len(pages) > 1:
             level_entries = list(zip(boxes, pages))
             groups = _tile(level_entries, self._dims, self.max_entries)
-            pages = [self._allocate((False, group)) for group in groups]
+            pages = [self.store.allocate((False, group)) for group in groups]
             boxes = [union_all(box for box, _ in group) for group in groups]
             self._height += 1
         return pages[0]
+
+    def _tile_level(
+        self, boxes: np.ndarray, refs: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """STR groups of one level as ``(boxes, refs)`` array pairs."""
+        order, bounds = tile_arrays(boxes, 0, self.max_entries)
+        return split_groups(boxes[order], refs[order], bounds)
+
+    def _allocate_level(
+        self, is_leaf: bool, groups: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> tuple[list[np.ndarray], list[int], int]:
+        """Write one level's nodes; returns ``(mbrs, pages, entry count)``."""
+        mbrs: list[np.ndarray] = []
+        pages: list[int] = []
+        entries = 0
+        for boxes, refs in groups:
+            pages.append(self._allocate_arrays(is_leaf, boxes, refs))
+            mbrs.append(np.stack([boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)]))
+            entries += refs.shape[0]
+        return mbrs, pages, entries
+
+    def _pack_leaf_arrays(
+        self, leaves: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """The mapped bulk load: allocate streamed ``(boxes, eids)`` leaves
+        one at a time, then tile ``(mbr, page)`` arrays upward until one
+        root page remains.  Only the one-entry-per-node skeleton is held."""
+        mbrs, pages, self._size = self._allocate_level(True, leaves)
+        if pages:
+            self._dims = mbrs[0].shape[1]
+        self._height = 1 if pages else 0
+        while len(pages) > 1:
+            level = self._tile_level(np.stack(mbrs), np.array(pages, dtype=np.int64))
+            mbrs, pages, _ = self._allocate_level(False, level)
+            self._height += 1
+        self._root_page = pages[0] if pages else None
 
     def bulk_load_external(
         self,
@@ -269,25 +283,27 @@ class DiskRTree(SpatialIndex):
         leaf level never exists in memory at all, only the one-entry-per-
         leaf skeleton the upper levels tile (``max_entries``-fold smaller
         per level).  ``items`` is consumed streaming; ``workers`` >= 2
-        tiles spilled merge slabs on the serving pool.
+        tiles spilled merge slabs on the serving pool.  Mapped mode reads
+        the packer's array stream and encodes each leaf as it arrives.
         """
-        from repro.exec.external_build import external_leaf_groups
+        from repro.exec.external_build import external_leaf_arrays, external_leaf_groups
 
         self._reset_storage()
+        options = dict(
+            budget=budget, spill_dir=spill_dir, counters=self.counters, workers=workers
+        )
+        if self.mapped:
+            self._pack_leaf_arrays(
+                external_leaf_arrays(items, self.max_entries, **options)
+            )
+            return
         pages: list[int] = []
         boxes: list[AABB] = []
         size = 0
-        for group in external_leaf_groups(
-            items,
-            self.max_entries,
-            budget=budget,  # type: ignore[arg-type]
-            spill_dir=spill_dir,
-            counters=self.counters,
-            workers=workers,
-        ):
+        for group in external_leaf_groups(items, self.max_entries, **options):
             if not pages:
                 self._dims = group[0][0].dims
-            pages.append(self._allocate((True, group)))
+            pages.append(self.store.allocate((True, group)))
             boxes.append(union_all(box for box, _ in group))
             size += len(group)
         if not pages:
@@ -305,7 +321,7 @@ class DiskRTree(SpatialIndex):
             self._insert_mapped(eid, np.array([box.lo, box.hi], dtype=np.float64))
             return
         if self._root_page is None:
-            self._root_page = self._allocate((True, [(box, eid)]))
+            self._root_page = self.store.allocate((True, [(box, eid)]))
             self._height = 1
             self._size = 1
             self.counters.inserts += 1
@@ -313,7 +329,7 @@ class DiskRTree(SpatialIndex):
         split = self._insert_recursive(self._root_page, self._height - 1, box, eid, 0)
         if split is not None:
             left_box, right_box, right_page = split
-            new_root = self._allocate(
+            new_root = self.store.allocate(
                 (False, [(left_box, self._root_page), (right_box, right_page)])
             )
             self._root_page = new_root
@@ -389,7 +405,7 @@ class DiskRTree(SpatialIndex):
         self.counters.deletes += 1
         # Shrink a single-child inner root.
         while self._height > 1:
-            is_leaf, entries = self._read(self._root_page)
+            is_leaf, entries = self.pool.read(self._root_page)
             if is_leaf or len(entries) != 1:
                 break
             self._root_page = entries[0][1]
@@ -398,7 +414,7 @@ class DiskRTree(SpatialIndex):
             split = self._insert_recursive(self._root_page, self._height - 1, orphan_box, orphan_eid, 0)
             if split is not None:
                 left_box, right_box, right_page = split
-                self._root_page = self._allocate(
+                self._root_page = self.store.allocate(
                     (False, [(left_box, self._root_page), (right_box, right_page)])
                 )
                 self._height += 1
@@ -411,12 +427,16 @@ class DiskRTree(SpatialIndex):
     def range_query(self, box: AABB) -> list[int]:
         if self._root_page is None:
             return []
+        if box.dims != self._dims:
+            raise ValueError(f"query has {box.dims} dims, index has {self._dims}")
+        if self.mapped:
+            return self._range_query_arrays(box)
         counters = self.counters
         results: list[int] = []
         stack = [self._root_page]
         while stack:
             page_id = stack.pop()
-            is_leaf, entries = self._read(page_id)
+            is_leaf, entries = self.pool.read(page_id)
             if is_leaf:
                 for entry_box, eid in entries:
                     counters.elem_tests += 1
@@ -428,6 +448,29 @@ class DiskRTree(SpatialIndex):
                     if entry_box.intersects(box):
                         counters.pointer_follows += 1
                         stack.append(child_page)
+        return results
+
+    def _range_query_arrays(self, box: AABB) -> list[int]:
+        """Mapped-mode scalar range query: one vectorized closed-interval
+        overlap per node view.  Hits are taken in entry order, so the LIFO
+        traversal, the answer order and every counter charge equal the
+        object-mode loop's."""
+        counters = self.counters
+        lo = np.array(box.lo, dtype=np.float64)
+        hi = np.array(box.hi, dtype=np.float64)
+        results: list[int] = []
+        stack = [self._root_page]
+        while stack:
+            is_leaf, boxes, refs = self._node_views(self.pool.read_view(stack.pop()))
+            overlap = ((boxes[:, 0] <= hi) & (lo <= boxes[:, 1])).all(axis=1)
+            hits = refs[overlap].tolist()
+            if is_leaf:
+                counters.elem_tests += refs.shape[0]
+                results.extend(hits)
+            else:
+                counters.node_tests += refs.shape[0]
+                counters.pointer_follows += len(hits)
+                stack.extend(hits)
         return results
 
     def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
@@ -465,20 +508,22 @@ class DiskRTree(SpatialIndex):
             if is_leaf:
                 counters.elem_tests += overlap.size
                 rows, cols = np.nonzero(overlap)
-                for entry_i, query_i in zip(rows.tolist(), cols.tolist()):
-                    results[active[query_i]].append(int(refs[entry_i]))
+                for eid, query_i in zip(refs[rows].tolist(), active[cols].tolist()):
+                    results[query_i].append(eid)
             else:
                 counters.node_tests += overlap.size
-                for entry_i in range(entry_boxes.shape[0]):
-                    sub = active[overlap[entry_i]]
+                for child, mask in zip(refs.tolist(), overlap):
+                    sub = active[mask]
                     if sub.size:
                         counters.pointer_follows += 1
-                        stack.append((int(refs[entry_i]), sub))
+                        stack.append((child, sub))
         return results
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
         if k <= 0 or self._root_page is None:
             return []
+        if len(point) != self._dims:
+            raise ValueError(f"point has {len(point)} dims, index has {self._dims}")
         counters = self.counters
         # (distance, kind, key, ref): nodes (kind 0) pop before elements
         # (kind 1) at equal distance, tied elements pop in id order — the
@@ -492,13 +537,25 @@ class DiskRTree(SpatialIndex):
             if kind == 1:
                 results.append((dist, ref))
                 continue
-            is_leaf, entries = self._read(ref)
-            for entry_box, child in entries:
-                if is_leaf:
-                    counters.elem_tests += 1
-                else:
-                    counters.node_tests += 1
-                entry_dist = entry_box.min_distance_to_point(point)
+            if self.mapped:
+                # One tolist() per node view; the shared helper keeps the
+                # distances bit-identical to the AABB method's.
+                is_leaf, boxes, refs = self._node_views(self.pool.read_view(ref))
+                scored = [
+                    (bounds_min_distance_to_point(lo, hi, point), child)
+                    for (lo, hi), child in zip(boxes.tolist(), refs.tolist())
+                ]
+            else:
+                is_leaf, entries = self.pool.read(ref)
+                scored = [
+                    (entry_box.min_distance_to_point(point), child)
+                    for entry_box, child in entries
+                ]
+            if is_leaf:
+                counters.elem_tests += len(scored)
+            else:
+                counters.node_tests += len(scored)
+            for entry_dist, child in scored:
                 if is_leaf:
                     heapq.heappush(heap, (entry_dist, 1, child, child))
                 else:
@@ -560,7 +617,7 @@ class DiskRTree(SpatialIndex):
         self, page_id: int, level: int, box: AABB, ref: int, target_level: int
     ) -> tuple[AABB, AABB, int] | None:
         """Returns (this_node_box, sibling_box, sibling_page) after a split."""
-        is_leaf, entries = self._read(page_id)
+        is_leaf, entries = self.pool.read(page_id)
         if level == target_level:
             entries = entries + [(box, ref)]
         else:
@@ -578,12 +635,12 @@ class DiskRTree(SpatialIndex):
             ordered = sorted(entries, key=lambda e: e[0].center()[0])
             half = len(ordered) // 2
             left, right = ordered[:half], ordered[half:]
-            self._write(page_id, (is_leaf, left))
-            sibling_page = self._allocate((is_leaf, right))
+            self.pool.write(page_id, (is_leaf, left))
+            sibling_page = self.store.allocate((is_leaf, right))
             left_box = union_all(b for b, _ in left)
             right_box = union_all(b for b, _ in right)
             return (left_box, right_box, sibling_page)
-        self._write(page_id, (is_leaf, entries))
+        self.pool.write(page_id, (is_leaf, entries))
         return None
 
     def _delete_recursive(
@@ -594,12 +651,12 @@ class DiskRTree(SpatialIndex):
         box: AABB,
         orphans: list[tuple[int, AABB]],
     ) -> bool:
-        is_leaf, entries = self._read(page_id)
+        is_leaf, entries = self.pool.read(page_id)
         if is_leaf:
             for i, (entry_box, ref) in enumerate(entries):
                 if ref == eid and entry_box == box:
                     remaining = entries[:i] + entries[i + 1 :]
-                    self._write(page_id, (True, remaining))
+                    self.pool.write(page_id, (True, remaining))
                     return True
             return False
         for i, (entry_box, child_page) in enumerate(entries):
@@ -607,7 +664,7 @@ class DiskRTree(SpatialIndex):
             if not entry_box.intersects(box):
                 continue
             if self._delete_recursive(child_page, level - 1, eid, box, orphans):
-                child_is_leaf, child_entries = self._read(child_page)
+                child_is_leaf, child_entries = self.pool.read(child_page)
                 updated = list(entries)
                 if len(child_entries) < self.min_entries:
                     # Dissolve the child: collect its leaf items as orphans
@@ -618,12 +675,12 @@ class DiskRTree(SpatialIndex):
                     updated[i] = (union_all(b for b, _ in child_entries), child_page)
                 else:
                     del updated[i]
-                self._write(page_id, (False, updated))
+                self.pool.write(page_id, (False, updated))
                 return True
         return False
 
     def _collect_items(self, page_id: int, out: list[tuple[int, AABB]]) -> None:
-        is_leaf, entries = self._read(page_id)
+        is_leaf, entries = self.pool.read(page_id)
         if is_leaf:
             out.extend((ref, entry_box) for entry_box, ref in entries)
             return

@@ -364,10 +364,9 @@ class WorkerPool:
     def run_slab_tasks(self, tasks: list[tuple]) -> list[tuple]:
         """Tile external-build STR slabs in the workers.
 
-        Each task is ``(dims, max_entries, [(eids_run, boxes_run, lo, hi),
-        ...])``; workers gather their slab rows from the mapped spill file
-        and return ``(groups, counters)`` with each group packed as
-        ``(boxes_array, eids_array)``.
+        Each task is ``(max_entries, [(eids_run, boxes_run, lo, hi), ...])``;
+        workers gather their slab rows from the mapped spill file and return ``((boxes, eids, bounds), counters)`` — the slab's rows
+        in packing order, leaf ``g`` at ``bounds[g]:bounds[g + 1]``.
         """
         parts = self._map_telemetry(_worker.str_slab_task, tasks)
         self.shards_run += len(tasks)

@@ -161,38 +161,28 @@ def merge_run_task(layout, segments_a, segments_b, obs_ctx=None):
     return ids_a, ids_b, counters, cap.telemetry
 
 
-def str_slab_task(dims: int, max_entries: int, segments, obs_ctx=None):
-    """Tile one STR slab of an external build into leaf groups.
+def str_slab_task(max_entries: int, segments, obs_ctx=None):
+    """Tile one STR slab of an external build into leaves.
 
     ``segments`` is ``[(eids_run, boxes_run, lo, hi), ...]`` in run order —
-    the same gather order as the inline slab loop, so the recursive tiler
-    sees an identical entry list.  Returns ``(groups, counters)`` where each
-    group is an ``(boxes_array, eids_array)`` pair (arrays, not AABBs, to
-    keep result pickling cheap).
+    the same gather order as the inline slab loop, and the same
+    :func:`~repro.exec.external_build.tile_slab` finishes it, so the leaves
+    are identical.  The slab stays arrays from the mapped spill file to the
+    result: returns ``((boxes, eids, bounds), counters)`` with the rows
+    permuted into packing order and leaf ``g`` at ``bounds[g]:bounds[g+1]``
+    (three arrays to pickle, however many leaves).
     """
-    from repro.geometry.aabb import AABB, boxes_to_array
-    from repro.indexes.bulkload import _tile_recursive
+    from repro.exec.external_build import tile_slab
 
     counters = Counters()
     with capture_worker("str_slab", obs_ctx, counters=counters) as cap:
-        entries = []
+        box_parts, eid_parts = [], []
         for eids_run, boxes_run, lo, hi in segments:
-            boxes = _attach_slice(boxes_run, lo, hi, counters)
-            eids = _attach_slice(eids_run, lo, hi, counters)
-            entries.extend(
-                (AABB(box[0], box[1]), int(eid)) for box, eid in zip(boxes, eids)
-            )
-        groups: list[list] = []
-        _tile_recursive(entries, min(1, dims - 1), dims, max_entries, groups)
-        packed = [
-            (
-                boxes_to_array([box for box, _ in group]),
-                np.fromiter((eid for _, eid in group), dtype=np.int64, count=len(group)),
-            )
-            for group in groups
-        ]
-        cap.set_attr("entries", len(entries))
-    return packed, counters, cap.telemetry
+            box_parts.append(_attach_slice(boxes_run, lo, hi, counters))
+            eid_parts.append(_attach_slice(eids_run, lo, hi, counters))
+        tiled = tile_slab(box_parts, eid_parts, max_entries)
+        cap.set_attr("entries", int(tiled[1].shape[0]))
+    return tiled, counters, cap.telemetry
 
 
 def _attach_slice(run, lo: int, hi: int, counters: Counters) -> np.ndarray:

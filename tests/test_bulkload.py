@@ -1,10 +1,11 @@
 """STR bulk-loading properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.aabb import AABB
-from repro.indexes.bulkload import str_pack
+from repro.indexes.bulkload import _tile_recursive, str_pack, tile_arrays
 from repro.indexes.rtree import Node
 
 from conftest import make_items
@@ -74,3 +75,65 @@ class TestStrPack:
         _, height, _ = str_pack(items, capacity, Node)
         minimal = math.ceil(math.log(1000, capacity))
         assert height <= minimal + 1
+
+
+class TestTileArrays:
+    """``tile_arrays`` is ``_tile_recursive`` over a box array: the same
+    groups, in the same order, with the same members in the same order —
+    the array-native builders pack the object tiler's tree by construction."""
+
+    @staticmethod
+    def _object_groups(boxes, start_axis, max_entries):
+        entries = [
+            (AABB(lo, hi), row)
+            for row, (lo, hi) in enumerate(zip(boxes[:, 0].tolist(), boxes[:, 1].tolist()))
+        ]
+        groups = []
+        _tile_recursive(entries, start_axis, boxes.shape[2], max_entries, groups)
+        return [[row for _, row in group] for group in groups]
+
+    @staticmethod
+    def _array_groups(boxes, start_axis, max_entries):
+        order, bounds = tile_arrays(boxes, start_axis, max_entries)
+        return [
+            order[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])
+        ]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dims=st.integers(1, 3),
+        max_entries=st.integers(2, 9),
+        multiple=st.integers(0, 12),
+        offset=st.integers(-1, 1),
+        coords=st.integers(1, 6),
+        from_second_axis=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_group_for_group_equal_to_the_object_tiler(
+        self, dims, max_entries, multiple, offset, coords, from_second_axis, seed
+    ):
+        # n sits at or one off a multiple of the capacity; a handful of
+        # integer coordinates forces tied centres and duplicate boxes.
+        n = max(1, multiple * max_entries + offset)
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, coords, size=(n, dims)).astype(np.float64)
+        hi = lo + rng.integers(0, 3, size=(n, dims))
+        boxes = np.stack([lo, hi], axis=1)
+        start_axis = min(1, dims - 1) if from_second_axis else 0
+        assert self._array_groups(boxes, start_axis, max_entries) == (
+            self._object_groups(boxes, start_axis, max_entries)
+        )
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_random_floats_full_scale_slabs(self, dims):
+        rng = np.random.default_rng(dims)
+        lo = rng.uniform(0.0, 100.0, size=(3000, dims))
+        boxes = np.stack([lo, lo + rng.uniform(0.0, 2.0, size=(3000, dims))], axis=1)
+        for start_axis in {0, min(1, dims - 1)}:
+            assert self._array_groups(boxes, start_axis, 16) == (
+                self._object_groups(boxes, start_axis, 16)
+            )
+
+    def test_empty_input_has_no_groups(self):
+        order, bounds = tile_arrays(np.empty((0, 2, 3)), 0, 8)
+        assert order.shape == (0,) and list(bounds) == [0]

@@ -207,3 +207,113 @@ class TestMappedMode:
         with pytest.raises(ValueError, match="mapped mode"):
             tree.bulk_load(make_items(500, seed=17))
         tree.close()
+
+
+class TestMappedScalarReadParity:
+    """ISSUE 15: mapped scalar queries test whole node views and never build
+    an ``AABB``; they must stay indistinguishable from the object-mode entry
+    loop — same answers *in the same order*, same counter charges, same pool
+    traffic — on a tree grown by bulk load plus a random update history."""
+
+    COUNTERS = ("node_tests", "elem_tests", "pointer_follows", "pages_read", "heap_ops")
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        import random
+
+        rng = random.Random(15)
+        items = make_items(600, seed=21)
+        plain = DiskRTree(max_entries=8, buffer_pages=6)
+        mapped = DiskRTree(max_entries=8, buffer_pages=6, mapped=True)
+        plain.bulk_load(items)
+        mapped.bulk_load(items)
+        live = list(items)
+        for eid in range(600, 900):
+            lo = [rng.uniform(0, 96) for _ in range(3)]
+            box = AABB(lo, [c + rng.uniform(0, 4) for c in lo])
+            plain.insert(eid, box)
+            mapped.insert(eid, box)
+            live.append((eid, box))
+            if rng.random() < 0.5:
+                gone_id, gone = live.pop(rng.randrange(len(live)))
+                plain.delete(gone_id, gone)
+                mapped.delete(gone_id, gone)
+        yield plain, mapped
+        mapped.close()
+
+    def _run(self, tree, calls):
+        before = tree.counters.snapshot()
+        hits, misses = tree.pool.hits, tree.pool.misses
+        answers = [call(tree) for call in calls]
+        delta = tree.counters.diff(before)
+        charges = {name: getattr(delta, name) for name in self.COUNTERS}
+        return answers, charges, (tree.pool.hits - hits, tree.pool.misses - misses)
+
+    def _assert_parity(self, pair, calls):
+        plain, mapped = pair
+        for warm in (False, True):
+            if not warm:
+                plain.clear_cache()
+                mapped.clear_cache()
+            got, expected = self._run(mapped, calls), self._run(plain, calls)
+            assert got[0] == expected[0]  # ordered lists, not sets
+            assert got[1] == expected[1]
+            assert got[2] == expected[2]
+            assert any(got[0]) and got[1]["pages_read"] > 0
+
+    def test_range_query_parity_cold_and_warm(self, pair):
+        queries = make_queries(40, seed=22, extent=12.0)
+        self._assert_parity(
+            pair, [lambda tree, q=q: tree.range_query(q) for q in queries]
+        )
+
+    def test_knn_parity_cold_and_warm(self, pair):
+        points = [tuple(q.lo) for q in make_queries(25, seed=23)]
+        self._assert_parity(
+            pair, [lambda tree, p=p: tree.knn(p, 9) for p in points]
+        )
+
+    def test_batch_range_query_order_matches_scalar_traversal(self, pair):
+        _, mapped = pair
+        queries = make_queries(30, seed=24, extent=12.0)
+        batched = mapped.batch_range_query(queries)
+        assert [sorted(r) for r in batched] == [
+            sorted(mapped.range_query(q)) for q in queries
+        ]
+
+
+class TestScalarDimsMismatch:
+    """Scalar queries reject a query of the wrong dimensionality exactly as
+    the batch paths do, instead of truncating through ``zip`` (object mode)
+    or broadcasting (mapped mode)."""
+
+    @pytest.fixture(params=[False, True], ids=["object", "mapped"])
+    def tree(self, request):
+        tree = DiskRTree(max_entries=8, mapped=request.param)
+        tree.bulk_load(make_items(100, seed=25))
+        yield tree
+        tree.close()
+
+    @pytest.mark.parametrize("dims", [1, 2, 4])
+    def test_range_query_raises(self, tree, dims):
+        with pytest.raises(ValueError, match=f"{dims} dims, index has 3"):
+            tree.range_query(AABB((0.0,) * dims, (50.0,) * dims))
+
+    @pytest.mark.parametrize("dims", [1, 2, 4])
+    def test_knn_raises(self, tree, dims):
+        with pytest.raises(ValueError, match=f"{dims} dims, index has 3"):
+            tree.knn((10.0,) * dims, 3)
+
+    def test_batch_paths_raise_the_same_error(self, tree):
+        with pytest.raises(ValueError, match="2 dims, index has 3"):
+            tree.batch_range_query([AABB((0.0, 0.0), (1.0, 1.0))])
+        with pytest.raises(ValueError, match="2 dims, index has 3"):
+            tree.batch_knn([(0.0, 0.0)], 3)
+
+    def test_empty_tree_still_answers_empty(self):
+        tree = DiskRTree(mapped=True)
+        try:
+            assert tree.range_query(AABB((0.0, 0.0), (1.0, 1.0))) == []
+            assert tree.knn((0.0,), 3) == []
+        finally:
+            tree.close()

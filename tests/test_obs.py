@@ -453,27 +453,41 @@ class TestMappedScalarMaintenance:
         hi = [l + rng.uniform(0, 5) for l in lo]
         return _AABB(tuple(lo), tuple(hi))
 
-    def test_scalar_insert_delete_never_decode_objects(self, monkeypatch):
-        calls = []
-        original = DiskRTree._decode_node
-
-        def spy(self, buf):
-            calls.append(1)
-            return original(self, buf)
-
-        monkeypatch.setattr(DiskRTree, "_decode_node", spy)
+    def test_mapped_mode_never_constructs_an_aabb(self, monkeypatch):
+        """Build, scalar queries and maintenance stay arrays end to end: the
+        only ``AABB`` objects alive are the caller's own arguments."""
         rng = random.Random(11)
+        items = [(i, self._rand_box(rng)) for i in range(2500)]
+        fresh = [(2500 + i, self._rand_box(rng)) for i in range(300)]
+        queries = [self._rand_box(rng).expanded(8.0) for _ in range(20)]
+        built = []
+        original = _AABB.__init__
+
+        def spy(self, lo, hi):
+            built.append(1)
+            original(self, lo, hi)
+
+        monkeypatch.setattr(_AABB, "__init__", spy)
         tree = DiskRTree(max_entries=8, mapped=True)
-        live = []
-        for i in range(300):
-            box = self._rand_box(rng)
-            tree.insert(i, box)
-            live.append((i, box))
-            if len(live) > 40 and rng.random() < 0.4:
-                eid, gone = live.pop(rng.randrange(len(live)))
-                tree.delete(eid, gone)
-        assert calls == [], "mapped scalar maintenance decoded object payloads"
-        tree.close()
+        try:
+            tree.bulk_load(items)
+            tree.bulk_load_external(iter(items))
+            tree.bulk_load_external(iter(items), budget=70_000)
+            assert tree.counters.spill_bytes_written > 0
+            live = list(items)
+            for eid, box in fresh:
+                tree.insert(eid, box)
+                live.append((eid, box))
+                if rng.random() < 0.4:
+                    gone_id, gone = live.pop(rng.randrange(len(live)))
+                    tree.delete(gone_id, gone)
+            hits = [tree.range_query(query) for query in queries]
+            near = [tree.knn(query.lo, 5) for query in queries]
+            tree.batch_range_query(queries)
+        finally:
+            tree.close()
+        assert any(hits) and all(len(result) == 5 for result in near)
+        assert built == [], "mapped DiskRTree constructed AABB objects"
 
     def test_mapped_scalar_parity_with_object_mode(self):
         rng = random.Random(7)

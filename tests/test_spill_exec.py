@@ -591,3 +591,157 @@ class TestParallelExternalBuild:
         )
         assert sum(len(g) for g in groups) == len(items)
         assert counters.tile_runs_dispatched == 0
+
+
+# -- the array-native build packs the object pipeline's tree -------------------
+
+
+def _reference_leaf_groups(items, max_entries, budget):
+    """The external STR leaf stream restated over ``AABB`` objects: chunked
+    runs sorted by first-axis centre, a stable global merge, slabs gathered
+    run by run, each finished by the object tiler.  Kept as the reference
+    the array pipeline is compared against, never called by the library.
+    Returns ``(leaf groups, run count, slab count)``."""
+    from repro.exec.external_build import MIN_CHUNK_BYTES, _entry_bytes, _slab_rows
+    from repro.indexes.bulkload import _tile_recursive
+
+    n, dims = len(items), items[0][1].dims
+    chunk_budget = chunk_rows = None
+    if budget is not None:
+        chunk_budget = max(budget // 4, MIN_CHUNK_BYTES)
+        chunk_rows = max(chunk_budget // _entry_bytes(dims), max_entries)
+
+    def key(item):
+        return (item[1].lo[0] + item[1].hi[0]) * 0.5
+
+    runs = [
+        sorted(items[start : start + (chunk_rows or n)], key=key)
+        for start in range(0, n, chunk_rows or n)
+    ]
+    merged = sorted(
+        ((r, row) for r, run in enumerate(runs) for row in range(len(run))),
+        key=lambda at: key(runs[at[0]][at[1]]),
+    )
+    slab = _slab_rows(n, dims, max_entries, chunk_budget)
+    groups = []
+    for p0 in range(0, n, slab):
+        entries = [
+            (runs[r][row][1], runs[r][row][0]) for r, row in sorted(merged[p0 : p0 + slab])
+        ]
+        _tile_recursive(entries, min(1, dims - 1), dims, max_entries, groups)
+    return groups, len(runs), -(-n // slab)
+
+
+def _reference_page_file(leaf_groups, dims, max_entries, page_size):
+    """Encode a packed tree the way mapped mode lays it out, from object
+    groups: ``int64 [is_leaf, count]``, ``float64`` boxes, ``int64`` refs,
+    one zero-padded page per node, leaves first, each level in tile order."""
+    import struct
+
+    from repro.geometry.aabb import union_all
+    from repro.indexes.bulkload import _tile
+
+    pages = []
+
+    def allocate(is_leaf, group):
+        record = struct.pack("<2q", int(is_leaf), len(group))
+        for box, _ in group:
+            record += struct.pack(f"<{2 * dims}d", *box.lo, *box.hi)
+        record += struct.pack(f"<{len(group)}q", *(ref for _, ref in group))
+        pages.append(record.ljust(page_size, b"\0"))
+        return union_all(box for box, _ in group), len(pages) - 1
+
+    level = [allocate(True, group) for group in leaf_groups]
+    while len(level) > 1:
+        level = [allocate(False, group) for group in _tile(level, dims, max_entries)]
+    return b"".join(pages)
+
+
+def _page_file(tree):
+    tree.store.sync()
+    with open(tree.store.path, "rb") as handle:
+        data = handle.read()
+    return data.ljust(len(tree.store) * tree.store.page_size, b"\0")
+
+
+class TestMappedBuildByteIdentity:
+    """ISSUE 15: the mapped build is arrays from spill file to page file and
+    still writes, byte for byte, the file the object pipeline would have."""
+
+    MAX_ENTRIES = 16
+    TIGHT = 200_000  # 12 runs, and slabs the budget halves (see the assert)
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        # Half-unit coordinates: tied centres and duplicate boxes, so the
+        # stable tie-breaks (run-major gather order) are part of the pin.
+        rng = np.random.default_rng(150)
+        lo = np.round(rng.uniform(0.0, 60.0, size=(12_000, 3)) * 2.0) / 2.0
+        hi = lo + np.round(rng.uniform(0.0, 2.0, size=(12_000, 3)) * 2.0) / 2.0
+        return [(eid, AABB(l, h)) for eid, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))]
+
+    def _expected(self, items, budget):
+        groups, runs, slabs = _reference_leaf_groups(items, self.MAX_ENTRIES, budget)
+        return _reference_page_file(groups, 3, self.MAX_ENTRIES, 4096), (runs, slabs)
+
+    def _built(self, items, **kwargs):
+        tree = DiskRTree(max_entries=self.MAX_ENTRIES, mapped=True)
+        try:
+            tree.bulk_load_external(iter(items), **kwargs)
+            return _page_file(tree), tree.counters
+        finally:
+            tree.close()
+
+    def test_unbudgeted_build_is_the_object_tilers_file(self, items):
+        expected, (runs, _) = self._expected(items, None)
+        assert runs == 1
+        built, counters = self._built(items)
+        assert counters.spill_bytes_written == 0
+        assert built == expected
+
+    def test_tight_budget_build_is_the_object_tilers_file(self, items):
+        expected, (runs, slabs) = self._expected(items, self.TIGHT)
+        # The budget is felt twice: many runs to merge, and first-axis
+        # slabs cut finer than STR's own (a different tree than unbudgeted).
+        assert runs > 2 and slabs > 10
+        assert expected != self._expected(items, None)[0]
+        built, counters = self._built(items, budget=self.TIGHT)
+        assert counters.spill_bytes_written > 0
+        assert built == expected
+
+    def test_pool_workers_write_the_inline_file(self, items):
+        inline, _ = self._built(items, budget=self.TIGHT)
+        pooled, counters = self._built(items, budget=self.TIGHT, workers=2)
+        assert counters.tile_runs_dispatched > 0
+        assert pooled == inline
+
+    def test_bulk_load_equals_unbudgeted_external_build(self, items):
+        external, _ = self._built(items)
+        tree = DiskRTree(max_entries=self.MAX_ENTRIES, mapped=True)
+        try:
+            tree.bulk_load(items)
+            assert _page_file(tree) == external
+        finally:
+            tree.close()
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_low_dimensional_builds(self, dims):
+        rng = np.random.default_rng(151 + dims)
+        lo = np.round(rng.uniform(0.0, 300.0, size=(3000, dims)))
+        hi = lo + np.round(rng.uniform(0.0, 3.0, size=(3000, dims)))
+        items = [(eid, AABB(l, h)) for eid, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))]
+        for budget in (None, 70_000):
+            groups, _, _ = _reference_leaf_groups(items, 8, budget)
+            tree = DiskRTree(max_entries=8, mapped=True)
+            try:
+                tree.bulk_load_external(iter(items), budget=budget)
+                assert _page_file(tree) == _reference_page_file(groups, dims, 8, 4096)
+            finally:
+                tree.close()
+
+    def test_adapter_streams_the_same_groups_as_objects(self, items):
+        from repro.exec.external_build import external_leaf_groups
+
+        got = list(external_leaf_groups(iter(items), self.MAX_ENTRIES, self.TIGHT))
+        assert got == _reference_leaf_groups(items, self.MAX_ENTRIES, self.TIGHT)[0]
+        assert all(type(eid) is int for group in got for _, eid in group)
