@@ -9,15 +9,32 @@ Design points realized here:
 * **No tree traversal.**  A range query computes the overlapped cell window
   arithmetically and tests only the elements in those cells; the counters
   show zero ``node_tests``.
+* **Every fact is stored once.**  ``_boxes`` is the only box store, a bucket
+  maps a cell to the *ids* registered there (insertion-ordered), and an
+  element's cell set is kept as its integer window ``(*lo_cells, *hi_cells)``.
 * **Cheap massive updates.**  "the small movement means that only few
   elements switch grid cell in every step, thereby requiring few updates to
-  the data structure" (§4.3): :meth:`UniformGrid.update` relocates an element
-  only when its cell set changes; otherwise it rewrites the stored box in
-  place.  :attr:`cell_switches` counts how often relocation was actually
+  the data structure" (§4.3): :meth:`UniformGrid.update` compares the new
+  box's window with the stored one and on a match writes the box (and the
+  snapshot row) and nothing else — cells are enumerated only on a real cell
+  switch.  :attr:`cell_switches` counts how often relocation was actually
   needed, which the massive-update benchmarks report.
-* **Replication-aware.**  Volumetric elements are registered in every cell
-  they overlap; queries deduplicate.  The resolution model
-  (:mod:`repro.core.resolution`) balances replication against probe counts.
+* **Replication-aware, duplicate-free batch kernels.**  Volumetric elements
+  are registered in every cell they overlap, yet the batch kernels gather
+  each ``(query, element)`` pair once, before any box is read: a candidate
+  ``(query, cell, element)`` survives iff on every axis the cell is the low
+  cell of the query's window or of the element's (the *first-common-cell*
+  rule).  Proof: two windows share a cell iff they intersect on every axis;
+  the minimum corner of the intersection has coordinate ``max(q_lo, e_lo)``
+  per axis, so it passes, and any other common cell exceeds both low cells
+  on some axis, so it fails.  Out-of-universe coordinates are clamped into
+  edge cells for queries and elements alike and the rule compares only the
+  clamped windows, so edge cells are no special case.  The batch kernels'
+  ``elem_tests``/``bytes_touched`` count the pairs actually tested;
+  ``cells_probed`` counts distinct cells looked up.  (The scalar
+  ``range_query`` walks the buckets and skips ids already reported.)  The
+  resolution model (:mod:`repro.core.resolution`) balances replication
+  against probe counts.
 * **Incrementally maintained batch snapshot.**  The vectorized batch kernels
   query a dense packed view of the buckets (:class:`_GridSnapshot`).
   Mutations *patch* the snapshot instead of discarding it: removals flip a
@@ -25,8 +42,8 @@ Design points realized here:
   and in-place box rewrites update the packed coordinates directly.  A dirty
   counter triggers deferred compaction (a full repack) only when the overlay
   grows past a fraction of the base, so the first batch after a mutation no
-  longer repays the full packing cost.  Invariants: the dict-of-dicts
-  buckets remain the ground truth (scalar queries never consult the
+  longer repays the full packing cost.  Invariants: the buckets and
+  ``_boxes`` remain the ground truth (scalar queries never consult the
   snapshot), and ``base ∖ dead ∪ overlay`` always equals the live element
   set — a patched snapshot answers every batch query identically to a
   from-scratch rebuild (``tests/test_snapshot_maintenance.py`` pins this).
@@ -36,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +77,9 @@ _SNAPSHOT_DIRTY_MIN = 64
 _SNAPSHOT_DIRTY_MAX = 2048
 
 CellKey = tuple[int, ...]
+# An element's cell set: the inclusive integer corners (*lo_cells, *hi_cells)
+# in one flat tuple — one object to build, compare and keep per element.
+Window = tuple[int, ...]
 
 
 class _GridSnapshot:
@@ -67,17 +88,19 @@ class _GridSnapshot:
     ``keys`` holds the linearized ids of every occupied cell in sorted order;
     ``starts``/``counts`` delimit each cell's slice of ``entry_rows``
     (replicated elements appear once per covering cell, exactly as in the
-    dict-of-dicts).  ``entry_rows`` index into the dense ``eids``/``boxes``
-    element tables, so dedup can run on small integers rather than raw ids.
-    ``strides`` linearize a cell coordinate tuple, ``tops`` are the per-axis
-    maximum cell coordinates.
+    buckets).  ``entry_rows`` index into the dense ``eids``/``boxes`` element
+    tables; ``entry_first`` holds, per entry, the bitmask "this cell is the
+    low cell of the element's window on axis a" (bit ``a``) that the
+    first-common-cell rule reads.  ``strides`` linearize a cell coordinate
+    tuple, ``tops`` are the per-axis maximum cell coordinates.
 
     The base arrays are frozen at build time; mutations are folded in as an
     overlay (the deferred-compaction dirty list):
 
     * ``alive`` masks base rows whose element was removed or relocated;
     * appended elements live in ``extra_eids``/``extra_boxes`` and are
-      reachable through ``extra_cells`` (linear cell key → overlay rows);
+      reachable through ``extra_cells`` (linear cell key → ``(overlay row,
+      first mask)`` entries);
     * in-place box rewrites patch ``boxes`` / ``extra_boxes`` directly.
 
     Overlay rows are addressed as ``len(eids) + i`` so one flat row space
@@ -87,17 +110,21 @@ class _GridSnapshot:
     """
 
     __slots__ = (
-        "keys", "starts", "counts", "entry_rows", "eids", "boxes", "strides",
-        "tops", "origin", "cell", "alive", "row_of", "extra_eids",
+        "keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
+        "strides", "tops", "origin", "cell", "alive", "row_of", "extra_eids",
         "extra_boxes", "extra_alive", "extra_cells", "extra_row_of", "dirty",
         "_tables",
     )
 
-    def __init__(self, keys, starts, counts, entry_rows, eids, boxes, strides, tops, origin, cell) -> None:
+    def __init__(
+        self, keys, starts, counts, entry_rows, entry_first, eids, boxes, strides, tops,
+        origin, cell,
+    ) -> None:
         self.keys = keys
         self.starts = starts
         self.counts = counts
         self.entry_rows = entry_rows
+        self.entry_first = entry_first
         self.eids = eids
         self.boxes = boxes
         self.strides = strides
@@ -109,7 +136,7 @@ class _GridSnapshot:
         self.extra_eids: list[int] = []
         self.extra_boxes: list[AABB] = []
         self.extra_alive: list[bool] = []
-        self.extra_cells: dict[int, list[int]] = {}
+        self.extra_cells: dict[int, list[tuple[int, int]]] = {}
         self.extra_row_of: dict[int, int] = {}
         self.dirty = 0
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -139,9 +166,10 @@ class _GridSnapshot:
 
     # -- patches (the dirty list) ---------------------------------------------
 
-    def patch_insert(self, eid: int, box: AABB, cells: Sequence[CellKey]) -> None:
+    def patch_insert(self, eid: int, box: AABB, cells: Sequence[CellKey], lo: Sequence[int]) -> None:
         """``cells`` are the grid's covered cell coordinates for ``box`` —
-        the owning grid has just computed them for its own buckets."""
+        the owning grid has just enumerated them for its own buckets —
+        and ``lo`` starts with the low corner of that window."""
         idx = len(self.extra_eids)
         self.extra_eids.append(eid)
         self.extra_boxes.append(box)
@@ -149,8 +177,13 @@ class _GridSnapshot:
         self.extra_row_of[eid] = idx
         strides = self.strides.tolist()
         for coords in cells:
-            key = sum(c * s for c, s in zip(coords, strides))
-            self.extra_cells.setdefault(key, []).append(idx)
+            key = 0
+            first = 0
+            for axis, coord in enumerate(coords):
+                key += coord * strides[axis]
+                if coord == lo[axis]:
+                    first |= 1 << axis
+            self.extra_cells.setdefault(key, []).append((idx, first))
         # Queries pay per overlay *cell*, not per patched element, so a
         # box spanning many cells must push toward compaction accordingly.
         self.dirty += max(len(cells), 1)
@@ -168,14 +201,12 @@ class _GridSnapshot:
         self._tables = None
 
     def patch_set_box(self, eid: int, box: AABB) -> None:
-        """In-place rewrite for a move that kept the element's cell set."""
+        """In-place rewrite for a move that kept the element's cell window."""
         idx = self.extra_row_of.get(eid)
         if idx is not None:
             self.extra_boxes[idx] = box
         else:
-            row = self._base_row(eid)
-            self.boxes[row, 0, :] = box.lo
-            self.boxes[row, 1, :] = box.hi
+            self.boxes[self._base_row(eid)] = (box.lo, box.hi)
         self.dirty += 1
         self._tables = None
 
@@ -183,7 +214,8 @@ class _GridSnapshot:
 def _cell_coords(
     values: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :meth:`UniformGrid._coord`: clamped integer cell coordinates.
+    """Vectorized :meth:`UniformGrid._window` arithmetic: clamped integer
+    cell coordinates.
 
     Clamps in float space *before* the int64 cast — coordinates far outside
     the universe (e.g. 1e30) would otherwise overflow the cast and wrap to
@@ -194,12 +226,14 @@ def _cell_coords(
 
 def _expand_windows(
     lo_cells: np.ndarray, hi_cells: np.ndarray, strides: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-row inclusive cell windows into (owner_row, linear_key).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten per-row inclusive cell windows into (owner_row, linear_key, first).
 
     ``lo_cells``/``hi_cells`` are ``(m, d)`` integer corner coordinates; the
     result enumerates every cell of every window in mixed-radix order,
     entirely with ``repeat``/``cumsum`` arithmetic (no per-row Python loop).
+    ``first`` is the uint8 bitmask per entry whose bit ``a`` says the cell is
+    the window's low cell on axis ``a``.
     """
     m, dims = lo_cells.shape
     window = hi_cells - lo_cells + 1
@@ -213,10 +247,12 @@ def _expand_windows(
     for axis in range(dims - 2, -1, -1):
         suffix[:, axis] = suffix[:, axis + 1] * window[:, axis + 1]
     keys = np.zeros(total, dtype=np.int64)
+    first = np.zeros(total, dtype=np.uint8)
     for axis in range(dims):
-        coord = lo_cells[owner, axis] + (rank // suffix[owner, axis]) % window[owner, axis]
-        keys += coord * strides[axis]
-    return owner, keys
+        step = (rank // suffix[owner, axis]) % window[owner, axis]
+        keys += (lo_cells[owner, axis] + step) * strides[axis]
+        first |= (step == 0).view(np.uint8) << axis
+    return owner, keys, first
 
 
 class UniformGrid(SpatialIndex):
@@ -226,7 +262,7 @@ class UniformGrid(SpatialIndex):
     ----------
     universe:
         The indexed region.  Elements outside are clamped into edge cells
-        (queries remain correct; see ``_cell_range``).
+        (queries remain correct; see ``_window``).
     cell_size:
         Cell side length, uniform across axes.  Use
         :func:`repro.core.resolution.optimal_cell_size` to pick it.
@@ -243,9 +279,11 @@ class UniformGrid(SpatialIndex):
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self._universe = universe
         self._cell_size = cell_size
-        self._cells: dict[CellKey, dict[int, AABB]] = {}
+        # cell -> ids registered there; a dict for its insertion order (the
+        # scalar result order) and O(1) removal.
+        self._cells: dict[CellKey, dict[int, None]] = {}
         self._boxes: dict[int, AABB] = {}
-        self._cells_of: dict[int, tuple[CellKey, ...]] = {}
+        self._windows: dict[int, Window] = {}
         # Per-axis (origin, top cell coordinate), fixed once universe and
         # cell size are: every scalar write and the snapshot build read it.
         self._axes: tuple[tuple[float, int], ...] | None = None
@@ -267,9 +305,15 @@ class UniformGrid(SpatialIndex):
         return self._cell_size
 
     def _ensure_configured(self, items: list[Item]) -> None:
+        """Fix universe, cell size and axes from the first items seen; items
+        of another dimensionality are refused before anything is set."""
         if self._universe is None:
             hull = union_all(box for _, box in items)
             self._universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
+        elif items[0][1].dims != self._universe.dims:
+            raise ValueError(
+                f"box has {items[0][1].dims} dims, index has {self._universe.dims}"
+            )
         if self._cell_size is None:
             # Default heuristic: aim for ~2 elements per occupied cell.
             from repro.core.resolution import default_cell_size
@@ -286,23 +330,37 @@ class UniformGrid(SpatialIndex):
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
+        # Whatever can refuse the input runs before the reset.
+        windows = self._bulk_windows(materialized) if materialized else []
         self._cells = {}
         self._boxes = {}
-        self._cells_of = {}
+        self._windows = {}
         self._snapshot = None
         self.cell_switches = 0
         self.in_place_updates = 0
-        if not materialized:
-            return
-        self._ensure_configured(materialized)
-        for eid, box in materialized:
-            self._place(eid, box)
+        # Buckets fill in input order: their insertion order is the scalar
+        # result order.
+        for (eid, box), window in zip(materialized, windows):
+            self._place(eid, box, window)
+
+    def _bulk_windows(self, items: list[Item]) -> list[Window]:
+        """Every item's window in one vectorized :func:`_cell_coords` pass."""
+        boxes = boxes_to_array([box for _, box in items])
+        if not np.isfinite(boxes).all():
+            raise ValueError("box coordinates must be finite")
+        self._ensure_configured(items)
+        assert self._cell_size is not None
+        origin, tops = self._axis_arrays()
+        corners = _cell_coords(boxes.reshape(len(items), -1), np.tile(origin, 2),
+                               self._cell_size, np.tile(tops, 2))
+        # Regroup the flat coordinate list straight into 2d-tuples.
+        return list(zip(*[iter(corners.ravel().tolist())] * corners.shape[1]))
 
     def insert(self, eid: int, box: AABB) -> None:
         if eid in self._boxes:
             raise ValueError(f"element {eid} already present")
         self._ensure_configured([(eid, box)])
-        self._place(eid, box)
+        self._place(eid, box, self._window(box))
         self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
@@ -312,22 +370,19 @@ class UniformGrid(SpatialIndex):
         self.counters.deletes += 1
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        """Relocate only when the covered cell set changes (the §4.3 win)."""
+        """Relocate only when the covered cell window changes (the §4.3 win)."""
         if eid not in self._boxes or self._boxes[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
-        new_cells = tuple(self._covered_cells(new_box))
-        old_cells = self._cells_of[eid]
-        if new_cells == old_cells:
+        window = self._window(new_box)
+        if window == self._windows[eid]:
             self._boxes[eid] = new_box
-            for key in old_cells:
-                self._cells[key][eid] = new_box
             if self._snapshot is not None:
                 self._snapshot.patch_set_box(eid, new_box)
                 self._maybe_compact()
             self.in_place_updates += 1
         else:
             self._unplace(eid)
-            self._place(eid, new_box)
+            self._place(eid, new_box, window)
             self.cell_switches += 1
         self.counters.updates += 1
 
@@ -338,19 +393,20 @@ class UniformGrid(SpatialIndex):
             return []
         counters = self.counters
         dims = box.dims
+        boxes = self._boxes
         seen: set[int] = set()
         results: list[int] = []
-        for key in self._cell_range(box):
+        for key in _window_cells(self._window(box)):
             counters.cells_probed += 1
             bucket = self._cells.get(key)
             if not bucket:
                 continue
             counters.bytes_touched += len(bucket) * (dims * _BOX_BYTES_PER_DIM + 8)
-            for eid, elem_box in bucket.items():
+            for eid in bucket:
                 if eid in seen:
                     continue
                 counters.elem_tests += 1
-                if elem_box.intersects(box):
+                if boxes[eid].intersects(box):
                     seen.add(eid)
                     results.append(eid)
         return results
@@ -382,29 +438,31 @@ class UniformGrid(SpatialIndex):
 
     # -- batch queries (vectorized) ---------------------------------------------------
 
+    def _axis_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_axes`` as the ``(origin, tops)`` arrays :func:`_cell_coords` takes."""
+        assert self._axes is not None
+        origins, tops = zip(*self._axes)
+        return np.array(origins, dtype=np.float64), np.array(tops, dtype=np.int64)
+
     def _build_snapshot(self) -> _GridSnapshot | None:
         """Pack the buckets into the dense form; ``None`` if unlinearizable.
 
         The cell membership is *recomputed* from the element boxes with the
-        same clamped-window arithmetic as :meth:`_covered_cells`, which lets
-        the whole build run vectorized instead of walking the bucket dicts —
+        same clamped-window arithmetic as :meth:`_window`, which lets the
+        whole build run vectorized instead of walking the bucket dicts —
         both necessarily describe the identical (cell, element) relation.
         """
-        assert self._axes is not None and self._cell_size is not None
-        dims = len(self._axes)
-        origins, tops_list = zip(*self._axes)
-        res = [top + 1 for top in tops_list]
-        total_cells = 1
-        for r in res:
-            total_cells *= r
-        if total_cells >= 1 << 62:  # linearized keys would overflow int64
+        assert self._cell_size is not None
+        origin, tops = self._axis_arrays()
+        dims = tops.shape[0]
+        res = [top + 1 for top in tops.tolist()]
+        # Linearized keys must fit int64 and the per-axis first mask uint8.
+        if math.prod(res) >= 1 << 62 or dims > 8:
             return None
         strides = [1] * dims
         for axis in range(dims - 2, -1, -1):
             strides[axis] = strides[axis + 1] * res[axis + 1]
         strides_arr = np.array(strides, dtype=np.int64)
-        tops = np.array(tops_list, dtype=np.int64)
-        origin = np.array(origins, dtype=np.float64)
 
         n = len(self._boxes)
         eids = np.fromiter(self._boxes.keys(), dtype=np.int64, count=n)
@@ -412,7 +470,7 @@ class UniformGrid(SpatialIndex):
         cell = self._cell_size
         lo_cells = _cell_coords(boxes[:, 0, :], origin, cell, tops)
         hi_cells = _cell_coords(boxes[:, 1, :], origin, cell, tops)
-        rows, keys = _expand_windows(lo_cells, hi_cells, strides_arr)
+        rows, keys, first = _expand_windows(lo_cells, hi_cells, strides_arr)
         order = np.argsort(keys, kind="stable")
         keys_sorted = keys[order]
         uniq_keys, starts, counts = np.unique(
@@ -424,6 +482,7 @@ class UniformGrid(SpatialIndex):
             starts=starts,
             counts=counts,
             entry_rows=rows[order],
+            entry_first=first[order],
             eids=eids,
             boxes=boxes,
             strides=strides_arr,
@@ -443,15 +502,19 @@ class UniformGrid(SpatialIndex):
         """Flat ``(query, element-row)`` candidate pairs for cell windows.
 
         ``lo_cells``/``hi_cells`` are ``(m, d)`` integer window corners.
-        Base rows are gathered with the searchsorted/repeat machinery and
-        filtered through the ``alive`` mask; overlay rows (patched-in
-        inserts, addressed past the base table) are matched per overlay cell
-        — the overlay is bounded by the compaction threshold, so that loop
-        stays small.  Pairs may repeat per (query, row); callers dedup.
+        Base entries are reached with the searchsorted/repeat machinery,
+        kept only at the first cell their window shares with the query's
+        (see the module docstring) and filtered through the ``alive`` mask;
+        overlay rows (patched-in inserts, addressed past the base table) are
+        matched per overlay cell under the same rule — the overlay is
+        bounded by the compaction threshold, so that loop stays small.
+        Every live ``(query, row)`` whose windows share a cell comes out
+        exactly once.
         """
         counters = self.counters
+        every_axis = (1 << lo_cells.shape[1]) - 1
         # Flatten all query windows into (query, cell-id) pairs.
-        qidx, flat_keys = _expand_windows(lo_cells, hi_cells, snap.strides)
+        qidx, flat_keys, q_first = _expand_windows(lo_cells, hi_cells, snap.strides)
 
         # Resolve each distinct cell id once against the occupied-cell table.
         uniq_keys, inverse = np.unique(flat_keys, return_inverse=True)
@@ -460,17 +523,18 @@ class UniformGrid(SpatialIndex):
         pos_safe = np.minimum(pos, len(snap.keys) - 1)
         occupied = snap.keys[pos_safe] == uniq_keys
         keep = occupied[inverse]
-        q_keep = qidx[keep]
         cell_pos = pos_safe[inverse][keep]
 
-        # Gather every (query, bucket entry) candidate pair.
+        # Walk every (query, bucket entry) and keep the first common cell's.
         bucket_counts = snap.counts[cell_pos]
-        n_pairs = int(bucket_counts.sum())
-        pair_q = np.repeat(q_keep, bucket_counts)
-        offset = np.arange(n_pairs, dtype=np.int64) - np.repeat(
+        n_entries = int(bucket_counts.sum())
+        offset = np.arange(n_entries, dtype=np.int64) - np.repeat(
             np.cumsum(bucket_counts) - bucket_counts, bucket_counts
         )
-        rows = snap.entry_rows[np.repeat(snap.starts[cell_pos], bucket_counts) + offset]
+        entry = np.repeat(snap.starts[cell_pos], bucket_counts) + offset
+        chosen = (np.repeat(q_first[keep], bucket_counts) | snap.entry_first[entry]) == every_axis
+        pair_q = np.repeat(qidx[keep], bucket_counts)[chosen]
+        rows = snap.entry_rows[entry[chosen]]
         live = snap.alive[rows]
         if not live.all():
             pair_q = pair_q[live]
@@ -479,11 +543,12 @@ class UniformGrid(SpatialIndex):
         if snap.extra_cells:
             n_base = snap.eids.shape[0]
             res = snap.tops + 1
+            axis_bit = 1 << np.arange(lo_cells.shape[1])
             extra_q: list[np.ndarray] = [pair_q]
             extra_rows: list[np.ndarray] = [rows]
-            for key, idxs in snap.extra_cells.items():
-                alive_idxs = [i for i in idxs if snap.extra_alive[i]]
-                if not alive_idxs:
+            for key, entries in snap.extra_cells.items():
+                alive = [pair for pair in entries if snap.extra_alive[pair[0]]]
+                if not alive:
                     continue
                 coords = (key // snap.strides) % res
                 covered = np.nonzero(
@@ -492,10 +557,13 @@ class UniformGrid(SpatialIndex):
                 if covered.size == 0:
                     continue
                 counters.cells_probed += 1
-                extra_q.append(np.repeat(covered, len(alive_idxs)))
-                extra_rows.append(
-                    np.tile(np.array(alive_idxs, dtype=np.int64) + n_base, covered.size)
+                idxs, e_first = np.array(alive, dtype=np.int64).T
+                window_first = (lo_cells[covered] == coords) @ axis_bit
+                which_q, which_e = np.nonzero(
+                    (window_first[:, None] | e_first[None, :]) == every_axis
                 )
+                extra_q.append(covered[which_q])
+                extra_rows.append(idxs[which_e] + n_base)
             if len(extra_q) > 1:
                 pair_q = np.concatenate(extra_q)
                 rows = np.concatenate(extra_rows)
@@ -506,10 +574,10 @@ class UniformGrid(SpatialIndex):
 
         Every query's covered cell window is expanded into a flat
         ``(query, cell)`` list; distinct cell ids are resolved against the
-        sorted occupied-cell table with one :func:`np.searchsorted`, bucket
-        entries are gathered with ``np.repeat`` arithmetic, and a single
-        vectorized AABB overlap test plus an :func:`np.unique` dedup (for
-        replicated elements) yields per-query id lists.
+        sorted occupied-cell table with one :func:`np.searchsorted`, each
+        ``(query, element)`` pair is gathered once at the first cell the two
+        windows share, and a single vectorized AABB overlap test yields
+        per-query id lists in ascending snapshot-row order.
         """
         queries = as_box_array(boxes)
         m = queries.shape[0]
@@ -534,8 +602,6 @@ class UniformGrid(SpatialIndex):
 
         pair_q, rows = self._gather_candidates(snap, lo_cells, hi_cells)
         n_pairs = pair_q.shape[0]
-        if n_pairs == 0:
-            return [[] for _ in range(m)]
         eids_all, boxes_all, _ = snap.tables()
 
         candidates = boxes_all[rows]
@@ -547,15 +613,11 @@ class UniformGrid(SpatialIndex):
         counters.elem_tests += n_pairs
         counters.bytes_touched += n_pairs * (dims * _BOX_BYTES_PER_DIM + 8)
 
-        hit_q = pair_q[hit]
-        hit_rows = rows[hit]
-        if hit_q.size == 0:
-            return [[] for _ in range(m)]
-        # Dedup replicated elements per query on a single scalar key (query
-        # major, element row minor) — sorted output is already grouped by
-        # query, so results fall out of one tolist + slicing.
+        # One scalar key per hit (query major, element row minor): the keys
+        # are already distinct, so a sort groups them by query and results
+        # fall out of one tolist + slicing.
         n_rows = eids_all.shape[0]
-        combined = np.unique(hit_q.astype(np.int64) * n_rows + hit_rows)
+        combined = np.sort(pair_q[hit].astype(np.int64) * n_rows + rows[hit])
         all_ids = eids_all[combined % n_rows].tolist()
         bounds = np.searchsorted(combined, np.arange(1, m) * n_rows).tolist()
         bounds = [0, *bounds, len(all_ids)]
@@ -611,25 +673,16 @@ class UniformGrid(SpatialIndex):
                     results[q] = self.knn(tuple(pts[q]), k)
                 break
             pair_q, rows = self._gather_candidates(snap, lo_cells, hi_cells)
-            if pair_q.size:
-                combined = np.unique(pair_q.astype(np.int64) * n_rows + rows)
-                cand_q = combined // n_rows
-                cand_rows = combined % n_rows
-                cand_boxes = boxes_all[cand_rows]
-                p = apts[cand_q]
-                gaps = np.maximum(
-                    np.maximum(cand_boxes[:, 0, :] - p, p - cand_boxes[:, 1, :]), 0.0
-                )
-                dists = np.sqrt(np.einsum("cd,cd->c", gaps, gaps))
-                counters.elem_tests += combined.size
-                confirmed = np.bincount(
-                    cand_q[dists <= radius], minlength=active.size
-                )
-            else:
-                cand_q = np.empty(0, dtype=np.int64)
-                cand_rows = np.empty(0, dtype=np.int64)
-                dists = np.empty(0)
-                confirmed = np.zeros(active.size, dtype=np.int64)
+            # Distinct keys: the sort only groups candidates by query.
+            combined = np.sort(pair_q.astype(np.int64) * n_rows + rows)
+            cand_q = combined // n_rows
+            cand_rows = combined % n_rows
+            cand_boxes = boxes_all[cand_rows]
+            p = apts[cand_q]
+            gaps = np.maximum(np.maximum(cand_boxes[:, 0, :] - p, p - cand_boxes[:, 1, :]), 0.0)
+            dists = np.sqrt(np.einsum("cd,cd->c", gaps, gaps))
+            counters.elem_tests += combined.size
+            confirmed = np.bincount(cand_q[dists <= radius], minlength=active.size)
             done = (confirmed >= kk) | (radius > limits[active])
             for local in np.nonzero(done)[0].tolist():
                 start, end = np.searchsorted(cand_q, [local, local + 1])
@@ -674,72 +727,80 @@ class UniformGrid(SpatialIndex):
         if snap is None:
             return None
         assert self._universe is not None
-        arrays = {
-            "keys": snap.keys,
-            "starts": snap.starts,
-            "counts": snap.counts,
-            "entry_rows": snap.entry_rows,
-            "eids": snap.eids,
-            "boxes": snap.boxes,
-            "strides": snap.strides,
-            "tops": snap.tops,
-            "origin": snap.origin,
-            "universe": np.array([self._universe.lo, self._universe.hi], dtype=np.float64),
-        }
+        exported = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
+                    "strides", "tops", "origin")
+        arrays = {name: getattr(snap, name) for name in exported}
+        arrays["universe"] = np.array([self._universe.lo, self._universe.hi], dtype=np.float64)
         return arrays, float(snap.cell)
 
     @property
     def occupied_cells(self) -> int:
-        return sum(1 for bucket in self._cells.values() if bucket)
+        return len(self._cells)  # a bucket is dropped with its last id
+
+    def _stored_entries(self) -> int:
+        """Bucket entries across all cells: the sum of the window volumes."""
+        dims = len(self._axes or ())
+        return sum(
+            math.prod(h - l + 1 for l, h in zip(window[:dims], window[dims:]))
+            for window in self._windows.values()
+        )
 
     @property
     def replication_factor(self) -> float:
         """Stored entries per distinct element (1.0 = each in one cell)."""
         if not self._boxes:
             return 0.0
-        stored = sum(len(cells) for cells in self._cells_of.values())
-        return stored / len(self._boxes)
+        return self._stored_entries() / len(self._boxes)
 
     def memory_bytes(self) -> int:
+        """One box per element, one 8-byte id per bucket entry, 16 per cell."""
         if not self._boxes:
             return 0
         dims = self._universe.dims if self._universe else 3
-        stored = sum(len(cells) for cells in self._cells_of.values())
-        return stored * (dims * _BOX_BYTES_PER_DIM + 8) + len(self._cells) * 16
+        return (
+            len(self._boxes) * dims * _BOX_BYTES_PER_DIM
+            + self._stored_entries() * 8
+            + len(self._cells) * 16
+        )
 
     # -- internals ---------------------------------------------------------------------
 
-    def _coord(self, value: float, axis: int) -> int:
-        assert self._axes is not None and self._cell_size is not None
-        origin, top = self._axes[axis]
-        return max(0, min(int(math.floor((value - origin) / self._cell_size)), top))
+    def _window(self, box: AABB) -> Window:
+        """The inclusive cell window ``box`` covers, clamped to the universe
+        — the scalar twin of :func:`_cell_coords`, bit for bit."""
+        axes = self._axes
+        assert axes is not None and self._cell_size is not None
+        if len(box.lo) != len(axes):
+            raise ValueError(f"box has {len(box.lo)} dims, index has {len(axes)}")
+        cell = self._cell_size
+        floor = math.floor
+        # Conditional clamps, not min/max calls: this runs once per update.
+        return tuple([
+            0 if (c := floor((v - o) / cell)) < 0 else top if c > top else c
+            for v, (o, top) in zip(box.lo + box.hi, axes + axes)
+        ])
 
-    def _covered_cells(self, box: AABB) -> Iterable[CellKey]:
-        dims = box.dims
-        lo = [self._coord(box.lo[axis], axis) for axis in range(dims)]
-        hi = [self._coord(box.hi[axis], axis) for axis in range(dims)]
-        return _iter_window(lo, hi)
-
-    def _cell_range(self, box: AABB) -> Iterable[CellKey]:
-        return self._covered_cells(box)
-
-    def _place(self, eid: int, box: AABB) -> None:
-        keys = tuple(self._covered_cells(box))
-        for key in keys:
-            self._cells.setdefault(key, {})[eid] = box
+    def _place(self, eid: int, box: AABB, window: Window) -> None:
+        cells = list(_window_cells(window))
+        buckets = self._cells
+        for key in cells:
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {eid: None}
+            else:
+                bucket[eid] = None
         self._boxes[eid] = box
-        self._cells_of[eid] = keys
+        self._windows[eid] = window
         if self._snapshot is not None:
-            self._snapshot.patch_insert(eid, box, keys)
+            self._snapshot.patch_insert(eid, box, cells, window)
             self._maybe_compact()
 
     def _unplace(self, eid: int) -> None:
-        for key in self._cells_of.pop(eid):
-            bucket = self._cells.get(key)
-            if bucket is not None:
-                bucket.pop(eid, None)
-                if not bucket:
-                    del self._cells[key]
+        for key in _window_cells(self._windows.pop(eid)):
+            bucket = self._cells[key]
+            del bucket[eid]
+            if not bucket:
+                del self._cells[key]
         del self._boxes[eid]
         if self._snapshot is not None:
             self._snapshot.patch_remove(eid)
@@ -756,12 +817,7 @@ class UniformGrid(SpatialIndex):
             self._snapshot = None
 
 
-def _iter_window(lo: list[int], hi: list[int]) -> Iterable[CellKey]:
-    """All integer coordinate tuples in the inclusive window [lo, hi]."""
-    if len(lo) == 1:
-        for i in range(lo[0], hi[0] + 1):
-            yield (i,)
-        return
-    for i in range(lo[0], hi[0] + 1):
-        for tail in _iter_window(lo[1:], hi[1:]):
-            yield (i, *tail)
+def _window_cells(window: Window) -> Iterable[CellKey]:
+    """All integer coordinate tuples in the inclusive window."""
+    dims = len(window) // 2
+    return product(*[range(l, h + 1) for l, h in zip(window[:dims], window[dims:])])

@@ -24,6 +24,7 @@ updated infrequently".
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable, Sequence
 
 from repro.geometry.aabb import AABB, union_all
@@ -214,7 +215,7 @@ class FLAT(SpatialIndex):
         dims = box.dims
         lo = [self._tile_coord(box.lo[axis], axis) for axis in range(dims)]
         hi = [self._tile_coord(box.hi[axis], axis) for axis in range(dims)]
-        return _iter_window(lo, hi)
+        return product(*[range(a, b + 1) for a, b in zip(lo, hi)])
 
     def _tile_box(self, key: TileKey) -> AABB:
         assert self._universe is not None and self._tile_size is not None
@@ -256,12 +257,3 @@ class FLAT(SpatialIndex):
                     del self._tiles[key]
         del self._boxes[eid]
 
-
-def _iter_window(lo: list[int], hi: list[int]) -> Iterable[TileKey]:
-    if len(lo) == 1:
-        for i in range(lo[0], hi[0] + 1):
-            yield (i,)
-        return
-    for i in range(lo[0], hi[0] + 1):
-        for tail in _iter_window(lo[1:], hi[1:]):
-            yield (i, *tail)

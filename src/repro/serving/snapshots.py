@@ -168,6 +168,7 @@ class SnapshotGridIndex(UniformGrid):
             starts=arrays["starts"],
             counts=arrays["counts"],
             entry_rows=arrays["entry_rows"],
+            entry_first=arrays["entry_first"],
             eids=arrays["eids"],
             boxes=arrays["boxes"],
             strides=arrays["strides"],

@@ -1,10 +1,12 @@
 """The core package: uniform grid, multi-resolution grid, resolution model."""
 
+from itertools import product
+
 import pytest
 
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.resolution import GridCostModel, default_cell_size, optimal_cell_size
-from repro.core.uniform_grid import UniformGrid, _cell_coords, _iter_window
+from repro.core.uniform_grid import UniformGrid, _cell_coords
 from repro.geometry.aabb import AABB
 
 from conftest import (
@@ -96,10 +98,10 @@ class TestUniformGrid:
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_scalar_coords_agree_with_vectorized(self, lazy):
-        """``_coord`` reads per-axis (origin, top) invariants fixed at
+        """``_window`` reads per-axis (origin, top) invariants fixed at
         configuration time; it and ``update`` must place every box exactly
-        where the vectorized ``_cell_coords`` (the snapshot's arithmetic)
-        does — outside the universe, on its top edge, and on a grid that
+        where the vectorized ``_cell_coords`` (the snapshot's and
+        ``bulk_load``'s arithmetic) does — outside the universe, on its top edge, and on a grid that
         configured itself from its first ``insert``."""
         import numpy as np
 
@@ -124,14 +126,13 @@ class TestUniformGrid:
         for probe in probes:
             corners = np.array([probe.lo, probe.hi], dtype=np.float64)
             vectorized = _cell_coords(corners, snap.origin, snap.cell, snap.tops).tolist()
-            scalar = [
-                [grid._coord(value, axis) for axis, value in enumerate(corner)]
-                for corner in (probe.lo, probe.hi)
-            ]
-            assert scalar == vectorized
+            lo_cells, hi_cells = vectorized
+            assert grid._window(probe) == (*lo_cells, *hi_cells)
             grid.update(1, box, probe)
             box = probe
-            assert grid._cells_of[1] == tuple(_iter_window(*vectorized))
+            assert grid._windows[1] == (*lo_cells, *hi_cells)
+            covered = set(product(*[range(lo, hi + 1) for lo, hi in zip(lo_cells, hi_cells)]))
+            assert {key for key, bucket in grid._cells.items() if 1 in bucket} == covered
             assert 1 in grid.batch_range_query([probe])[0]  # the patched snapshot agrees
             assert sorted(grid.range_query(probe)) == sorted(grid.batch_range_query([probe])[0])
 
@@ -162,9 +163,7 @@ class TestMultiResolutionGrid:
         items = make_items(400, seed=3, max_extent=20.0)
         grid = MultiResolutionGrid(universe=UNIVERSE_3D, levels=5)
         grid.bulk_load(items)
-        total_stored = sum(
-            sum(len(cells) for cells in g._cells_of.values()) for g in grid._grids
-        )
+        total_stored = sum(g.replication_factor * len(g) for g in grid._grids)
         assert total_stored / len(items) <= 8.0  # capped at 2^3 by level choice
 
     def test_knn(self, items_3d):

@@ -1,0 +1,426 @@
+"""`UniformGrid` stores each fact once — the pins for that representation.
+
+Boxes live in ``_boxes`` only, buckets hold ids, an element's cell set is its
+integer window, and the batch kernels avoid replication duplicates with the
+first-common-cell rule instead of removing them afterwards.  Pinned here:
+
+* the rule itself — ``_gather_candidates`` yields every window-sharing
+  ``(query, row)`` pair exactly once, on base, dead and overlay rows;
+* list identity (ids *and* order) of the batch and scalar answers against a
+  frozen copy of the duplicate-then-``np.unique`` kernels this replaced;
+* the write-path accounting on the paper's plasticity stream, and that an
+  in-place move enumerates no cells;
+* the exported ``entry_first`` array serving identically from a worker;
+* refusal of boxes whose dimensionality differs from the grid's.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_items
+from repro import QuerySession, ShardedExecutor, WorkerPool
+from repro.core import uniform_grid
+from repro.core.multires_grid import MultiResolutionGrid
+from repro.core.uniform_grid import UniformGrid, _cell_coords
+from repro.datasets.neuroscience import generate_neurons
+from repro.datasets.trajectories import PlasticityMotion
+from repro.geometry.aabb import AABB, as_box_array, as_point_array
+from repro.serving.snapshots import build_worker_index, export_index_payload
+
+UNIVERSE = AABB((0.0, 0.0, 0.0), (10.0, 10.0, 7.0))  # 7/2: a ragged top cell
+
+
+# -- the frozen reference: the kernels as they were before the rule ------------------
+
+
+def reference_gather(snap, lo_cells, hi_cells):
+    """The former ``_gather_candidates``: one pair per *shared cell*, so a
+    replicated element repeats.  Only the overlay entries' format is new."""
+    qidx, flat_keys, _ = uniform_grid._expand_windows(lo_cells, hi_cells, snap.strides)
+    uniq_keys, inverse = np.unique(flat_keys, return_inverse=True)
+    pos = np.searchsorted(snap.keys, uniq_keys)
+    pos_safe = np.minimum(pos, len(snap.keys) - 1)
+    occupied = snap.keys[pos_safe] == uniq_keys
+    keep = occupied[inverse]
+    q_keep = qidx[keep]
+    cell_pos = pos_safe[inverse][keep]
+    bucket_counts = snap.counts[cell_pos]
+    n_pairs = int(bucket_counts.sum())
+    pair_q = np.repeat(q_keep, bucket_counts)
+    offset = np.arange(n_pairs, dtype=np.int64) - np.repeat(
+        np.cumsum(bucket_counts) - bucket_counts, bucket_counts
+    )
+    rows = snap.entry_rows[np.repeat(snap.starts[cell_pos], bucket_counts) + offset]
+    live = snap.alive[rows]
+    pair_q, rows = pair_q[live], rows[live]
+    n_base = snap.eids.shape[0]
+    res = snap.tops + 1
+    extra_q, extra_rows = [pair_q], [rows]
+    for key, entries in snap.extra_cells.items():
+        alive_idxs = [idx for idx, _ in entries if snap.extra_alive[idx]]
+        coords = (key // snap.strides) % res
+        covered = np.nonzero(np.all((lo_cells <= coords) & (coords <= hi_cells), axis=1))[0]
+        if not alive_idxs or covered.size == 0:
+            continue
+        extra_q.append(np.repeat(covered, len(alive_idxs)))
+        extra_rows.append(np.tile(np.array(alive_idxs, dtype=np.int64) + n_base, covered.size))
+    return np.concatenate(extra_q), np.concatenate(extra_rows)
+
+
+def reference_batch_range(grid: UniformGrid, boxes) -> list[list[int]]:
+    queries = as_box_array(boxes)
+    m = queries.shape[0]
+    snap = grid._ensure_snapshot()
+    lo_cells = _cell_coords(queries[:, 0, :], snap.origin, snap.cell, snap.tops)
+    hi_cells = _cell_coords(queries[:, 1, :], snap.origin, snap.cell, snap.tops)
+    pair_q, rows = reference_gather(snap, lo_cells, hi_cells)
+    eids_all, boxes_all, _ = snap.tables()
+    candidates = boxes_all[rows]
+    qb = queries[pair_q]
+    hit = np.all(
+        (qb[:, 0, :] <= candidates[:, 1, :]) & (candidates[:, 0, :] <= qb[:, 1, :]), axis=-1
+    )
+    n_rows = eids_all.shape[0]
+    combined = np.unique(pair_q[hit].astype(np.int64) * n_rows + rows[hit])
+    all_ids = eids_all[combined % n_rows].tolist()
+    bounds = np.searchsorted(combined, np.arange(1, m) * n_rows).tolist()
+    bounds = [0, *bounds, len(all_ids)]
+    return [all_ids[bounds[i] : bounds[i + 1]] for i in range(m)]
+
+
+def reference_batch_knn(grid: UniformGrid, points, k: int):
+    pts = as_point_array(points)
+    m = pts.shape[0]
+    snap = grid._ensure_snapshot()
+    cell = snap.cell
+    eids_all, boxes_all, _ = snap.tables()
+    n_rows = eids_all.shape[0]
+    kk = min(k, len(grid))
+    lo_u, hi_u = np.asarray(grid.universe.lo), np.asarray(grid.universe.hi)
+    corner_gaps = np.maximum(np.abs(pts - lo_u), np.abs(pts - hi_u))
+    limits = np.sqrt(np.einsum("md,md->m", corner_gaps, corner_gaps)) + cell
+    results = [[] for _ in range(m)]
+    active = np.arange(m)
+    radius = cell
+    while active.size:
+        apts = pts[active]
+        lo_cells = _cell_coords(apts - radius, snap.origin, cell, snap.tops)
+        hi_cells = _cell_coords(apts + radius, snap.origin, cell, snap.tops)
+        pair_q, rows = reference_gather(snap, lo_cells, hi_cells)
+        combined = np.unique(pair_q.astype(np.int64) * n_rows + rows)
+        cand_q = combined // n_rows
+        cand_rows = combined % n_rows
+        cand_boxes = boxes_all[cand_rows]
+        p = apts[cand_q]
+        gaps = np.maximum(np.maximum(cand_boxes[:, 0, :] - p, p - cand_boxes[:, 1, :]), 0.0)
+        dists = np.sqrt(np.einsum("cd,cd->c", gaps, gaps))
+        confirmed = np.bincount(cand_q[dists <= radius], minlength=active.size)
+        done = (confirmed >= kk) | (radius > limits[active])
+        for local in np.nonzero(done)[0].tolist():
+            start, end = np.searchsorted(cand_q, [local, local + 1])
+            slice_d = dists[start:end]
+            slice_e = eids_all[cand_rows[start:end]]
+            order = np.lexsort((slice_e, slice_d))[:kk]
+            results[int(active[local])] = list(
+                zip(slice_d[order].tolist(), slice_e[order].tolist())
+            )
+        active = active[~done]
+        radius *= 2.0
+    return results
+
+
+def reference_range_query(grid: UniformGrid, box: AABB) -> list[int]:
+    """The former scalar walk: cells in mixed-radix order, first sighting wins."""
+    window = grid._window(box)
+    lo, hi = window[:3], window[3:]
+    seen, results = set(), []
+    for key in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
+        for eid in grid._cells.get(tuple(l + step for l, step in zip(lo, key)), ()):
+            if eid not in seen and grid._boxes[eid].intersects(box):
+                seen.add(eid)
+                results.append(eid)
+    return results
+
+
+# -- generators ----------------------------------------------------------------------
+
+# Coordinates reach well outside the universe, sit exactly on its top edge
+# and on interior cell boundaries, and span from one cell to all of them.
+coordinate = st.one_of(
+    st.floats(-6.0, 16.0, allow_nan=False, width=32),
+    st.sampled_from([0.0, 2.0, 4.0, 7.0, 10.0, -1e30, 1e30]),
+)
+
+
+@st.composite
+def boxes_3d(draw, min_count: int, max_count: int) -> list[AABB]:
+    boxes = []
+    for _ in range(draw(st.integers(min_count, max_count))):
+        a = [draw(coordinate) for _ in range(3)]
+        b = [draw(coordinate) for _ in range(3)]
+        boxes.append(AABB(list(map(min, a, b)), list(map(max, a, b))))
+    return boxes
+
+
+def churn(grid, state: dict[int, AABB], draw) -> None:
+    """Removals, patched-in inserts, relocations and in-place rewrites."""
+    for eid in draw(st.lists(st.sampled_from(sorted(state)), max_size=4, unique=True)):
+        grid.delete(eid, state.pop(eid))
+    for offset, box in enumerate(draw(boxes_3d(0, 5))):
+        eid = 1000 + offset
+        grid.insert(eid, box)
+        state[eid] = box
+    movers = st.lists(st.sampled_from(sorted(state)), max_size=5, unique=True) if state else st.just([])
+    for eid in draw(movers):
+        new_box = draw(boxes_3d(1, 1))[0]
+        grid.update(eid, state[eid], new_box)
+        state[eid] = new_box
+
+
+def assert_gathers_each_sharing_pair_once(grid: UniformGrid, windows: list[AABB]) -> None:
+    snap = grid._ensure_snapshot()
+    queries = as_box_array(windows)
+    lo_cells = _cell_coords(queries[:, 0, :], snap.origin, snap.cell, snap.tops)
+    hi_cells = _cell_coords(queries[:, 1, :], snap.origin, snap.cell, snap.tops)
+    pair_q, rows = grid._gather_candidates(snap, lo_cells, hi_cells)
+    got = list(zip(pair_q.tolist(), rows.tolist()))
+    assert len(got) == len(set(got)), "a (query, row) pair was gathered twice"
+
+    eids_all, boxes_all, alive = snap.tables()
+    elem_lo = _cell_coords(boxes_all[:, 0, :], snap.origin, snap.cell, snap.tops)
+    elem_hi = _cell_coords(boxes_all[:, 1, :], snap.origin, snap.cell, snap.tops)
+    share = np.all(
+        (lo_cells[:, None, :] <= elem_hi[None]) & (elem_lo[None] <= hi_cells[:, None, :]), axis=2
+    ) & alive[None]
+    assert set(got) == set(zip(*(axis.tolist() for axis in np.nonzero(share))))
+    assert sorted(eids_all[alive].tolist()) == sorted(grid._boxes)
+
+
+class TestFirstCommonCellRule:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_window_sharing_pair_is_gathered_exactly_once(self, data):
+        grid = UniformGrid(universe=UNIVERSE, cell_size=2.0)
+        state = dict(enumerate(data.draw(boxes_3d(1, 25))))
+        grid.bulk_load(list(state.items()))
+        windows = data.draw(boxes_3d(1, 8))
+        assert_gathers_each_sharing_pair_once(grid, windows)  # packs the snapshot
+        with pytest.MonkeyPatch.context() as patch:
+            # Keep the overlay however many cells the patched boxes span.
+            patch.setattr(uniform_grid, "_SNAPSHOT_DIRTY_MIN", 1 << 30)
+            churn(grid, state, data.draw)
+        if state:
+            assert grid._snapshot is not None and grid.snapshot_rebuilds == 1
+            assert_gathers_each_sharing_pair_once(grid, windows)
+            assert grid.batch_range_query(windows) == reference_batch_range(grid, windows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_level_migration_keeps_both_levels_duplicate_free(self, data):
+        grid = MultiResolutionGrid(universe=UNIVERSE, levels=3, coarsest_cell=4.0, ratio=2.0)
+        boxes = data.draw(boxes_3d(2, 20))
+        grid.bulk_load(list(enumerate(boxes)))
+        windows = data.draw(boxes_3d(1, 6))
+        grid.batch_range_query(windows)  # every populated level packs its snapshot
+        small = AABB((3.9, 3.9, 3.9), (4.1, 4.1, 4.1))
+        huge = AABB((-1.0, 1.0, 0.5), (11.0, 9.0, 6.5))
+        source = grid._level_of[0]
+        target = small if grid._level_for(small) != source else huge
+        grid.update(0, boxes[0], target)
+        assert grid.level_migrations == 1
+        for level in grid._grids:
+            if len(level):
+                assert_gathers_each_sharing_pair_once(level, windows)
+
+
+class TestListIdentityWithTheFormerKernels:
+    @pytest.fixture
+    def patched(self):
+        """A replicating grid with dead base rows, overlay rows (some dead
+        again) and in-place rewrites on its snapshot."""
+        items = make_items(3000, universe=UNIVERSE, max_extent=3.0, seed=5)
+        grid = UniformGrid(universe=UNIVERSE, cell_size=1.0)
+        grid.bulk_load(items)
+        grid.batch_range_query([UNIVERSE])
+        rng = np.random.default_rng(6)
+        for eid, box in items[:12]:
+            shift = rng.uniform(-1.5, 1.5, size=3)
+            grid.update(eid, box, AABB(np.add(box.lo, shift), np.add(box.hi, shift)))
+        for eid, box in items[40:60]:
+            grid.delete(eid, box)
+        for eid, box in make_items(8, universe=UNIVERSE, max_extent=4.0, seed=7):
+            grid.insert(9000 + eid, box)
+        grid.delete(9003, grid._boxes[9003])
+        assert grid.replication_factor > 4.0 and grid.snapshot_rebuilds == 1
+        assert grid._snapshot is not None and grid._snapshot.extra_cells
+        return grid
+
+    def test_batch_range_ids_and_order(self, patched):
+        rng = np.random.default_rng(8)
+        lo = rng.uniform(-2.0, 9.0, size=(300, 3))
+        windows = np.stack([lo, lo + rng.uniform(0.0, 4.0, size=(300, 3))], axis=1)
+        got = patched.batch_range_query(windows)
+        assert got == reference_batch_range(patched, windows)
+        assert sum(map(len, got)) > 1000
+        assert patched.snapshot_rebuilds == 1  # answered from the patched snapshot
+
+    def test_batch_knn_ids_distances_and_order(self, patched):
+        points = np.random.default_rng(9).uniform(-3.0, 13.0, size=(120, 3))
+        for k in (1, 6, 10_000):
+            assert patched.batch_knn(points, k) == reference_batch_knn(patched, points, k)
+
+    def test_scalar_range_ids_and_order(self, patched):
+        rng = np.random.default_rng(10)
+        for _ in range(60):
+            lo = rng.uniform(-2.0, 9.0, size=3)
+            box = AABB(lo, lo + rng.uniform(0.0, 4.0, size=3))
+            assert patched.range_query(box) == reference_range_query(patched, box)
+
+    def test_kernels_test_each_pair_once(self, patched):
+        """``elem_tests`` counts the pairs actually tested: the number of
+        window-sharing (query, element) pairs, not one per shared cell."""
+        windows = [AABB((1.0, 1.0, 1.0), (6.0, 6.0, 5.0)), AABB((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))]
+        snap = patched._snapshot
+        queries = as_box_array(windows)
+        lo_cells = _cell_coords(queries[:, 0, :], snap.origin, snap.cell, snap.tops)
+        hi_cells = _cell_coords(queries[:, 1, :], snap.origin, snap.cell, snap.tops)
+        with_repeats = reference_gather(snap, lo_cells, hi_cells)[0].shape[0]
+        distinct = patched._gather_candidates(snap, lo_cells, hi_cells)[0].shape[0]
+        before = patched.counters.elem_tests
+        patched.batch_range_query(windows)
+        assert patched.counters.elem_tests - before == distinct < with_repeats / 3
+
+
+class TestWritePathAccounting:
+    def test_plasticity_stream_counts_are_unchanged(self):
+        """Three whole-dataset plasticity steps on the neuron set: the same
+        moves count as in-place / cell switch, and the snapshot repacks as
+        often, as when cell sets were stored cell by cell."""
+        dataset = generate_neurons(125, 80, seed=7)
+        grid = UniformGrid(universe=dataset.universe)
+        grid.bulk_load(dataset.items)
+        state = dict(dataset.items)
+        motion = PlasticityMotion(dataset.universe, seed=3)
+        probe = np.array([[dataset.universe.lo, dataset.universe.center()]])
+        grid.batch_range_query(probe)
+        for _ in range(3):
+            for eid, old, new in motion.step(state):
+                grid.update(eid, old, new)
+                state[eid] = new
+            grid.batch_range_query(probe)
+        assert (grid.in_place_updates, grid.cell_switches) == (24_362, 5_638)
+        assert (grid.snapshot_rebuilds, grid.counters.updates) == (4, 30_000)
+        assert round(grid.replication_factor, 6) == 5.282
+
+    def test_in_place_move_enumerates_no_cells(self, monkeypatch):
+        grid = UniformGrid(universe=UNIVERSE, cell_size=2.0)
+        box = AABB((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
+        grid.bulk_load([(1, box), (2, AABB((5.0, 5.0, 5.0), (5.5, 5.5, 5.5)))])
+        grid.batch_range_query([UNIVERSE])
+        enumerations = []
+        real = uniform_grid._window_cells
+        monkeypatch.setattr(
+            uniform_grid, "_window_cells", lambda w: enumerations.append(w) or real(w)
+        )
+        nudged = AABB((1.2, 1.2, 1.2), (3.2, 3.2, 3.2))
+        grid.update(1, box, nudged)
+        assert (grid.in_place_updates, grid.cell_switches, enumerations) == (1, 0, [])
+        assert grid.batch_range_query([AABB((3.1, 3.1, 3.1), (3.3, 3.3, 3.3))]) == [[1]]
+        grid.update(1, nudged, AABB((1.2, 1.2, 1.2), (4.2, 3.2, 3.2)))  # one more cell on x
+        assert grid.cell_switches == 1 and len(enumerations) == 2  # unplace + place
+
+    def test_bulk_load_fills_buckets_in_input_order(self):
+        items = make_items(300, universe=UNIVERSE, max_extent=3.0, seed=11)
+        bulk = UniformGrid(universe=UNIVERSE, cell_size=2.0)
+        bulk.bulk_load(items)
+        one_by_one = UniformGrid(universe=UNIVERSE, cell_size=2.0)
+        for eid, box in items:
+            one_by_one.insert(eid, box)
+        assert bulk._windows == one_by_one._windows
+        assert {k: list(v) for k, v in bulk._cells.items()} == {
+            k: list(v) for k, v in one_by_one._cells.items()
+        }
+        assert (bulk.cell_switches, bulk.in_place_updates) == (0, 0)
+
+
+class TestExportedFirstMask:
+    @pytest.fixture
+    def replicated(self):
+        grid = UniformGrid(universe=UNIVERSE, cell_size=1.0)
+        grid.bulk_load(make_items(600, universe=UNIVERSE, max_extent=3.0, seed=12))
+        assert grid.replication_factor > 4.0
+        rng = np.random.default_rng(13)
+        lo = rng.uniform(-1.0, 9.0, size=(256, 3))
+        windows = np.stack([lo, lo + rng.uniform(0.0, 3.0, size=(256, 3))], axis=1)
+        return grid, windows, rng.uniform(0.0, 10.0, size=(256, 3))
+
+    def test_worker_index_answers_like_the_live_grid(self, replicated):
+        grid, windows, points = replicated
+        kind, arrays, scalars = export_index_payload(grid)
+        assert kind == "grid" and arrays["entry_first"].dtype == np.uint8
+        assert arrays["entry_first"].shape == arrays["entry_rows"].shape
+        worker = build_worker_index(kind, arrays, scalars)
+        assert worker.batch_range_query(windows) == grid.batch_range_query(windows)
+        assert worker.batch_knn(points, 5) == grid.batch_knn(points, 5)
+
+    def test_two_worker_pool_answers_like_the_live_grid(self, replicated):
+        grid, windows, points = replicated
+        with WorkerPool(workers=2) as pool:
+            session = QuerySession(
+                grid, executor=ShardedExecutor(workers=2, min_shard=32, pool=pool)
+            )
+            assert session.range_query(windows) == grid.batch_range_query(windows)
+            assert session.knn(points, 5) == grid.batch_knn(points, 5)
+            assert pool.exports == 1 and pool.shards_run > 0
+
+
+class TestDimensionalityIsChecked:
+    """A 2-d box on a 3-d grid used to be filed under 2-tuple cell keys,
+    matched by scalar queries on the first two axes, and then broke the
+    next batch query's reshape."""
+
+    def snapshot_of(self, grid):
+        return (
+            dict(grid._boxes), dict(grid._windows),
+            {key: list(bucket) for key, bucket in grid._cells.items()},
+            grid._snapshot, grid.counters.inserts, grid.counters.updates,
+            grid.cell_switches, grid.in_place_updates,
+        )
+
+    def test_flat_boxes_are_refused_and_the_grid_is_unchanged(self):
+        grid = UniformGrid(universe=UNIVERSE)  # cell size still unset
+        flat = AABB((1.0, 1.0), (2.0, 2.0))
+        with pytest.raises(ValueError, match="2 dims, index has 3"):
+            grid.insert(1, flat)
+        with pytest.raises(ValueError, match="2 dims, index has 3"):
+            grid.bulk_load([(1, flat)])
+        assert len(grid) == 0 and grid.cell_size is None
+
+        solid = AABB((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+        grid.bulk_load([(1, solid), (2, AABB((4.0, 4.0, 4.0), (9.0, 9.0, 6.0)))])
+        grid.batch_range_query([UNIVERSE])
+        before = self.snapshot_of(grid)
+        refused = [
+            lambda: grid.insert(3, flat),
+            lambda: grid.bulk_load([(3, flat)]),
+            lambda: grid.update(1, solid, flat),
+            lambda: grid.update(1, solid, AABB((1.0,) * 4, (2.0,) * 4)),
+            lambda: grid.range_query(flat),
+            lambda: grid.knn((1.0, 1.0), 1),
+            lambda: grid.knn((1.0, 1.0, 1.0, 1.0), 1),
+        ]
+        for call in refused:
+            with pytest.raises(ValueError, match="dims, index has 3"):
+                call()
+            assert self.snapshot_of(grid) == before
+        nan = float("nan")
+        for hostile in (AABB((nan,) * 3, (nan,) * 3), AABB((1.0,) * 3, (float("inf"),) * 3)):
+            with pytest.raises(ValueError, match="finite"):
+                grid.bulk_load([(3, solid), (4, hostile)])
+            assert self.snapshot_of(grid) == before
+        assert grid.batch_range_query([UNIVERSE]) == [[1, 2]]
+        assert grid.range_query(solid) == [1]
