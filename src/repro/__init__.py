@@ -62,6 +62,9 @@ nested-loop pair set)::
     synapses = session.run(SynapseJoinSpec(dataset, epsilon=0.05))
     pinned = session.run(SelfJoinSpec(items), strategy="pbsm")
 
+Specs take ``(eid, AABB)`` items or a :class:`BoxTable` (``from_arrays`` for
+callers already holding arrays); either is packed and checked exactly once.
+
 See ``examples/join_session.py`` for the planner, deferred handles, the
 sharded executor and the telemetry report.
 
@@ -99,7 +102,7 @@ See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record of every reproduced figure.
 """
 
-from repro.geometry import AABB, Capsule, Point, Segment, Sphere
+from repro.geometry import AABB, BoxTable, Capsule, Point, Segment, Sphere
 from repro.instrumentation import Counters, DiskCostModel, MemoryCostModel, TimeBreakdown
 from repro.indexes import (
     CRTree,
@@ -209,6 +212,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AABB",
+    "BoxTable",
     "Point",
     "Sphere",
     "Segment",

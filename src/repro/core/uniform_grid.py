@@ -115,6 +115,9 @@ class _GridSnapshot:
         "extra_boxes", "extra_alive", "extra_cells", "extra_row_of", "dirty",
         "_tables",
     )
+    #: The array fields that, with the cell size, describe a clean snapshot.
+    EXPORTED = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
+                "strides", "tops", "origin")
 
     def __init__(
         self, keys, starts, counts, entry_rows, entry_first, eids, boxes, strides, tops,
@@ -255,6 +258,75 @@ def _expand_windows(
     return owner, keys, first
 
 
+def grid_axes(universe: AABB, cell: float) -> tuple[tuple[float, int], ...]:
+    """Per-axis ``(origin, top cell coordinate)`` of a grid over ``universe``."""
+    return tuple(
+        (origin, max(int(math.ceil(extent / cell)) - 1, 0))
+        for origin, extent in zip(universe.lo, universe.extents())
+    )
+
+
+def _axis_arrays(axes: tuple[tuple[float, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``axes`` as the ``(origin, tops)`` arrays :func:`_cell_coords` takes."""
+    origins, tops = zip(*axes)
+    return np.array(origins, dtype=np.float64), np.array(tops, dtype=np.int64)
+
+
+def _linear_strides(tops: np.ndarray) -> np.ndarray | None:
+    """Row-major strides linearizing a cell coordinate tuple, or ``None``
+    when keys would not fit int64 or the per-axis first mask uint8."""
+    dims = tops.shape[0]
+    res = [top + 1 for top in tops.tolist()]
+    if math.prod(res) >= 1 << 62 or dims > 8:
+        return None
+    strides = [1] * dims
+    for axis in range(dims - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * res[axis + 1]
+    return np.array(strides, dtype=np.int64)
+
+
+def pack_snapshot(
+    eids: np.ndarray, boxes: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray
+) -> _GridSnapshot | None:
+    """The dense form of a grid holding exactly these rows; ``None`` if
+    unlinearizable.  Cell membership comes from the boxes by the clamped-window
+    arithmetic of :meth:`UniformGrid._window`, so the pack runs vectorized and
+    needs no bucket dicts — a live grid's buckets and this function
+    necessarily describe the identical (cell, element) relation."""
+    strides_arr = _linear_strides(tops)
+    if strides_arr is None:
+        return None
+    lo_cells = _cell_coords(boxes[:, 0, :], origin, cell, tops)
+    hi_cells = _cell_coords(boxes[:, 1, :], origin, cell, tops)
+    rows, keys, first = _expand_windows(lo_cells, hi_cells, strides_arr)
+    order = np.argsort(keys, kind="stable")
+    keys_sorted = keys[order]
+    uniq_keys, starts, counts = np.unique(
+        keys_sorted, return_index=True, return_counts=True
+    )
+    return _GridSnapshot(
+        keys=uniq_keys,
+        starts=starts,
+        counts=counts,
+        entry_rows=rows[order],
+        entry_first=first[order],
+        eids=eids,
+        boxes=boxes,
+        strides=strides_arr,
+        tops=tops,
+        origin=origin,
+        cell=cell,
+    )
+
+
+def snapshot_arrays(snap: _GridSnapshot, universe: AABB) -> dict[str, np.ndarray]:
+    """A clean snapshot's fields plus the ``(2, d)`` universe corners: the
+    plain arrays a :class:`~repro.serving.snapshots.SnapshotGridIndex` adopts."""
+    arrays = {name: getattr(snap, name) for name in _GridSnapshot.EXPORTED}
+    arrays["universe"] = np.array([universe.lo, universe.hi], dtype=np.float64)
+    return arrays
+
+
 class UniformGrid(SpatialIndex):
     """Hash-addressed uniform grid over a fixed universe.
 
@@ -320,11 +392,7 @@ class UniformGrid(SpatialIndex):
 
             self._cell_size = default_cell_size(len(items), self._universe)
         if self._axes is None:
-            cell = self._cell_size
-            self._axes = tuple(
-                (origin, max(int(math.ceil(extent / cell)) - 1, 0))
-                for origin, extent in zip(self._universe.lo, self._universe.extents())
-            )
+            self._axes = grid_axes(self._universe, self._cell_size)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -350,7 +418,8 @@ class UniformGrid(SpatialIndex):
             raise ValueError("box coordinates must be finite")
         self._ensure_configured(items)
         assert self._cell_size is not None
-        origin, tops = self._axis_arrays()
+        assert self._axes is not None
+        origin, tops = _axis_arrays(self._axes)
         corners = _cell_coords(boxes.reshape(len(items), -1), np.tile(origin, 2),
                                self._cell_size, np.tile(tops, 2))
         # Regroup the flat coordinate list straight into 2d-tuples.
@@ -438,58 +507,15 @@ class UniformGrid(SpatialIndex):
 
     # -- batch queries (vectorized) ---------------------------------------------------
 
-    def _axis_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_axes`` as the ``(origin, tops)`` arrays :func:`_cell_coords` takes."""
-        assert self._axes is not None
-        origins, tops = zip(*self._axes)
-        return np.array(origins, dtype=np.float64), np.array(tops, dtype=np.int64)
-
     def _build_snapshot(self) -> _GridSnapshot | None:
-        """Pack the buckets into the dense form; ``None`` if unlinearizable.
-
-        The cell membership is *recomputed* from the element boxes with the
-        same clamped-window arithmetic as :meth:`_window`, which lets the
-        whole build run vectorized instead of walking the bucket dicts —
-        both necessarily describe the identical (cell, element) relation.
-        """
-        assert self._cell_size is not None
-        origin, tops = self._axis_arrays()
-        dims = tops.shape[0]
-        res = [top + 1 for top in tops.tolist()]
-        # Linearized keys must fit int64 and the per-axis first mask uint8.
-        if math.prod(res) >= 1 << 62 or dims > 8:
+        """Pack the element store into the dense form (:func:`pack_snapshot`);
+        ``None`` if unlinearizable."""
+        assert self._cell_size is not None and self._axes is not None
+        origin, tops = _axis_arrays(self._axes)
+        if _linear_strides(tops) is None:  # skip packing the boxes
             return None
-        strides = [1] * dims
-        for axis in range(dims - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * res[axis + 1]
-        strides_arr = np.array(strides, dtype=np.int64)
-
-        n = len(self._boxes)
-        eids = np.fromiter(self._boxes.keys(), dtype=np.int64, count=n)
-        boxes = boxes_to_array(list(self._boxes.values()), dims=dims)
-        cell = self._cell_size
-        lo_cells = _cell_coords(boxes[:, 0, :], origin, cell, tops)
-        hi_cells = _cell_coords(boxes[:, 1, :], origin, cell, tops)
-        rows, keys, first = _expand_windows(lo_cells, hi_cells, strides_arr)
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        uniq_keys, starts, counts = np.unique(
-            keys_sorted, return_index=True, return_counts=True
-        )
         self.snapshot_rebuilds += 1
-        return _GridSnapshot(
-            keys=uniq_keys,
-            starts=starts,
-            counts=counts,
-            entry_rows=rows[order],
-            entry_first=first[order],
-            eids=eids,
-            boxes=boxes,
-            strides=strides_arr,
-            tops=tops,
-            origin=origin,
-            cell=cell,
-        )
+        return pack_snapshot(*self.export_items(), origin, self._cell_size, tops)
 
     def _ensure_snapshot(self) -> _GridSnapshot | None:
         if self._snapshot is None:
@@ -727,11 +753,7 @@ class UniformGrid(SpatialIndex):
         if snap is None:
             return None
         assert self._universe is not None
-        exported = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
-                    "strides", "tops", "origin")
-        arrays = {name: getattr(snap, name) for name in exported}
-        arrays["universe"] = np.array([self._universe.lo, self._universe.hi], dtype=np.float64)
-        return arrays, float(snap.cell)
+        return snapshot_arrays(snap, self._universe), float(snap.cell)
 
     @property
     def occupied_cells(self) -> int:

@@ -7,12 +7,13 @@ identical reference-point dedup, the same merge kernel family — but its
 execution is staged so no phase materializes more than (a quarter of) the
 session's :class:`~repro.exec.budget.MemoryBudget`:
 
-1. **Histogram pass** — inputs are packed in bounded row chunks and each
-   chunk's tile replicas are only *counted*, producing the per-tile replica
-   histogram;
+1. **Histogram pass** — both sides arrive as one
+   :class:`~repro.geometry.table.BoxTable` each (packed once by the spec, not
+   here); bounded *row slices* of the table have their tile replicas only
+   *counted* (``np.bincount``), producing the per-tile replica histogram;
 2. **Partition pass** — contiguous tile ranges are grouped into *runs* whose
-   replica bytes fit the chunk budget, and a second bounded pass gathers each
-   chunk's replicas and spills them per run through the
+   replica bytes fit the chunk budget, and a second pass over the same row
+   slices gathers each slice's replicas and spills them per run through the
    :class:`~repro.exec.spill.SpillManager` (typed ``(eids, boxes, keys)``
    segments over the real on-disk page store);
 3. **Merge pass** — runs stream back one at a time as zero-copy mapped
@@ -46,6 +47,7 @@ import numpy as np
 
 from repro.exec.budget import MemoryBudget
 from repro.exec.spill import MappedRun, SpillHandle, SpillManager
+from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
 from repro.joins import kernels
@@ -82,8 +84,6 @@ def spill_page_size(chunk_budget: int | None) -> int:
 
 #: One gathered segment: ``(eids, boxes, keys)`` replica arrays.
 Segment = tuple[np.ndarray, np.ndarray, np.ndarray]
-#: One spilled segment: the same triple as :class:`SpillHandle`\ s.
-SegmentHandles = tuple[SpillHandle, SpillHandle, SpillHandle]
 #: One exported segment: the same triple as :class:`MappedRun` descriptors.
 SegmentRuns = tuple[MappedRun, MappedRun, MappedRun]
 #: One dispatchable tile-run task: the layout plus both sides' descriptors.
@@ -151,34 +151,27 @@ def merge_run_arrays(
 # -- the sharding plan ---------------------------------------------------------
 
 
+@dataclass
 class SpillPlan:
-    """Parent-side result of the partition passes: spilled per-run segments.
+    """Parent-side result of the partition passes: per-run replica segments.
 
-    The plan owns the spill handles (and the spill manager itself when the
-    strategy created a private one): callers dispatch :meth:`run_tasks`,
-    collect every worker result, and only then :meth:`release` — so the
-    descriptors stay valid for the whole merge, including a pool
-    crash-retry.
+    With more than one run the segments are spilled and the plan owns their
+    handles (and a strategy-private spill manager); a join that fits one run
+    keeps its segments resident.  Callers merge every run —
+    :meth:`merge_inline` here, or :meth:`run_tasks` in pool workers — and only
+    then :meth:`release`, so the descriptors outlive even a pool crash-retry.
     """
 
-    def __init__(
-        self,
-        layout: TileRunLayout,
-        runs: int,
-        segments_a: list[list[SegmentHandles]],
-        segments_b: list[list[SegmentHandles]],
-        spill: SpillManager,
-        handles: list[SpillHandle],
-        owns_spill: bool,
-    ) -> None:
-        self.layout = layout
-        self.runs = runs
-        self.segments_a = segments_a
-        self.segments_b = segments_b
-        self.spill = spill
-        self._handles = handles
-        self._owns_spill = owns_spill
-        self.released = False
+    layout: TileRunLayout
+    runs: int
+    #: Per run: SpillHandle triples, or resident Segments when ``runs == 1``.
+    segments_a: list[list]
+    segments_b: list[list]
+    spill: SpillManager
+    handles: list[SpillHandle]
+    owns_spill: bool
+    budget: MemoryBudget
+    released: bool = False
 
     def run_tasks(self) -> list[TileRunTask]:
         """One dispatchable task per run, with both sides' segments exported
@@ -194,25 +187,41 @@ class SpillPlan:
         ]
 
     def merge_inline(self, run: int, counters: Counters) -> tuple[np.ndarray, np.ndarray]:
-        """Merge one run in-process (the no-pool fallback)."""
-        sides = []
-        for segments in (self.segments_a, self.segments_b):
-            parts = [
-                tuple(self.spill.read(handle) for handle in seg)
-                for seg in segments[run]
-            ]
-            sides.append(concat_segments(parts, self.layout.dims))
-        return merge_run_arrays(self.layout, sides[0], sides[1], counters)
+        """Merge one run in-process: pass 3 of the inline join, and the
+        sharded executor's no-pool fallback."""
+        spilled = self.runs > 1
+        with _span("join.spill.merge", counters=counters, run=run) as merge_span:
+            sides: list[Segment] = []
+            for segments in (self.segments_a, self.segments_b):
+                parts = segments[run]
+                if spilled:
+                    parts = [tuple(self.spill.read(handle) for handle in seg) for seg in parts]
+                sides.append(concat_segments(parts, self.layout.dims))
+            run_bytes = sum(arr.nbytes for side in sides for arr in side)
+            with self.budget.reserving(run_bytes, force=True):
+                ids_a, ids_b = merge_run_arrays(self.layout, sides[0], sides[1], counters)
+            merge_span.set_attr("pairs", int(ids_a.shape[0]))
+        return ids_a, ids_b
+
+    def free_run(self, run: int) -> None:
+        """Release one merged run's pages for slot reuse (merge_run_arrays'
+        sorts copied out of any zero-copy views)."""
+        if self.runs > 1:
+            for segments in (self.segments_a, self.segments_b):
+                for seg in segments[run]:
+                    for handle in seg:
+                        self.spill.free(handle)
 
     def release(self) -> None:
         """Free every spilled segment; close a private manager.  Idempotent —
-        callers run this in a ``finally``."""
+        callers run this in a ``finally``, so a merge that dies mid-run on a
+        session-shared manager still leaves no handle behind."""
         if self.released:
             return
         self.released = True
-        for handle in self._handles:
+        for handle in self.handles:  # free() is idempotent
             self.spill.free(handle)
-        if self._owns_spill:
+        if self.owns_spill:
             self.spill.close()
 
 
@@ -273,23 +282,18 @@ class SpillPBSMJoin(JoinStrategy):
     ) -> list[tuple[int, int]]:
         if not items_a or not items_b:
             return []
-        dims = items_a[0][1].dims
-        chunk_budget = self._chunk_budget()
-        owns_spill = self.spill is None
-        spill = (
-            self.spill
-            if self.spill is not None
-            else SpillManager(
-                dir=self.spill_dir,
-                page_size=spill_page_size(chunk_budget),
-                counters=counters,
-            )
-        )
+        plan = self._partition(BoxTable.of(items_a), BoxTable.of(items_b), counters, min_runs=1)
+        assert plan is not None
         try:
-            return self._join_staged(items_a, items_b, dims, chunk_budget, spill, counters)
+            # Pass 3: merge runs one at a time.
+            merged = []
+            for run in range(plan.runs):
+                merged.append(plan.merge_inline(run, counters))
+                plan.free_run(run)
         finally:
-            if owns_spill:
-                spill.close()
+            plan.release()
+        all_a, all_b = (np.concatenate(side) for side in zip(*merged))
+        return list(zip(all_a.tolist(), all_b.tolist()))
 
     def plan_tile_runs(
         self, items_a: Sequence[Item], items_b: Sequence[Item], counters: Counters
@@ -302,12 +306,16 @@ class SpillPBSMJoin(JoinStrategy):
         or a working set that fits one run) — the executor then runs the
         strategy inline, which is both correct and faster for those cases.
         """
-        if not items_a or not items_b:
+        if not items_a or not items_b or self.budget.limit is None:
             return None
+        return self._partition(BoxTable.of(items_a), BoxTable.of(items_b), counters, min_runs=2)
+
+    def _partition(
+        self, table_a: BoxTable, table_b: BoxTable, counters: Counters, min_runs: int
+    ) -> SpillPlan | None:
+        """Passes 1–2; ``None`` (nothing left open) below ``min_runs`` runs."""
         chunk_budget = self._chunk_budget()
-        if chunk_budget is None:
-            return None
-        dims = items_a[0][1].dims
+        dims = table_a.dims
         owns_spill = self.spill is None
         spill = (
             self.spill
@@ -318,32 +326,36 @@ class SpillPBSMJoin(JoinStrategy):
                 counters=counters,
             )
         )
+        # Every handle the gather creates, so an error path — here or in the
+        # caller's ``finally: plan.release()`` — can free them all.
         handles: list[SpillHandle] = []
         try:
             with _span(
                 "join.spill.partition",
                 counters=counters,
-                size_a=len(items_a),
-                size_b=len(items_b),
+                size_a=len(table_a),
+                size_b=len(table_b),
             ) as partition_span:
                 chunk_rows = self._chunk_rows(chunk_budget, dims)
+                # Pass 1: global tiling + per-tile replica histogram.
                 layout, histogram, replicas = self._layout_and_histogram(
-                    items_a, items_b, dims, chunk_budget, chunk_rows, counters
+                    table_a, table_b, chunk_budget, chunk_rows, counters
                 )
                 runs, run_of_tile = self._partition_runs(
                     histogram, replicas, dims, chunk_budget
                 )
                 partition_span.set_attr("runs", runs)
-                if runs < 2:
+                if runs < min_runs:
                     if owns_spill:
                         spill.close()
                     return None
+                # Pass 2: gather replicas per run; spill when there is > 1 run.
                 segments_a, segments_b = self._gather_segments(
-                    items_a, items_b, layout, run_of_tile, runs, chunk_rows,
-                    spill, handles, spilling=True,
+                    table_a, table_b, layout, run_of_tile, runs, chunk_rows,
+                    spill, handles, spilling=runs > 1,
                 )
             return SpillPlan(
-                layout, runs, segments_a, segments_b, spill, handles, owns_spill
+                layout, runs, segments_a, segments_b, spill, handles, owns_spill, self.budget
             )
         except BaseException:
             for handle in handles:
@@ -352,119 +364,37 @@ class SpillPBSMJoin(JoinStrategy):
                 spill.close()
             raise
 
-    def _join_staged(
-        self,
-        items_a: Sequence[Item],
-        items_b: Sequence[Item],
-        dims: int,
-        chunk_budget: int | None,
-        spill: SpillManager,
-        counters: Counters,
-    ) -> list[tuple[int, int]]:
-        chunk_rows = self._chunk_rows(chunk_budget, dims)
-
-        with _span(
-            "join.spill.partition",
-            counters=counters,
-            size_a=len(items_a),
-            size_b=len(items_b),
-        ) as partition_span:
-            # Pass 1: global tiling + per-tile replica histogram.
-            layout, histogram, replicas = self._layout_and_histogram(
-                items_a, items_b, dims, chunk_budget, chunk_rows, counters
-            )
-            runs, run_of_tile = self._partition_runs(
-                histogram, replicas, dims, chunk_budget
-            )
-            partition_span.set_attr("runs", runs)
-
-            # Pass 2: gather replicas per run; spill when there is > 1 run.
-            spilling = runs > 1
-        # Every handle this join creates, so the finally can release them
-        # even when the merge dies mid-run on a *session-shared* manager
-        # (a private manager is torn down wholesale by the caller).
-        all_handles: list[SpillHandle] = []
-        try:
-            segments_a, segments_b = self._gather_segments(
-                items_a, items_b, layout, run_of_tile, runs, chunk_rows,
-                spill, all_handles, spilling,
-            )
-
-            # Pass 3: merge runs one at a time.
-            out_a: list[np.ndarray] = []
-            out_b: list[np.ndarray] = []
-            for run in range(runs):
-                with _span(
-                    "join.spill.merge", counters=counters, run=run
-                ) as merge_span:
-                    side_arrays: list[Segment] = []
-                    run_bytes = 0
-                    for segments in (segments_a, segments_b):
-                        if spilling:
-                            parts = [
-                                tuple(spill.read(handle) for handle in seg)
-                                for seg in segments[run]
-                            ]
-                        else:
-                            parts = segments[run]
-                        side_arrays.append(concat_segments(parts, dims))
-                        run_bytes += sum(arr.nbytes for arr in side_arrays[-1])
-                    with self.budget.reserving(run_bytes, force=True):
-                        ids_a, ids_b = merge_run_arrays(
-                            layout, side_arrays[0], side_arrays[1], counters
-                        )
-                    merge_span.set_attr("pairs", int(ids_a.shape[0]))
-                # merge_run_arrays' sorts copied out of any zero-copy views,
-                # so the run's pages can be released for slot reuse now.
-                if spilling:
-                    for segments in (segments_a, segments_b):
-                        for seg in segments[run]:
-                            for handle in seg:
-                                spill.free(handle)
-                if ids_a.shape[0]:
-                    out_a.append(ids_a)
-                    out_b.append(ids_b)
-        finally:
-            for handle in all_handles:  # free() is idempotent
-                spill.free(handle)
-
-        if not out_a:
-            return []
-        all_a = np.concatenate(out_a)
-        all_b = np.concatenate(out_b)
-        return list(zip(all_a.tolist(), all_b.tolist()))
-
     # -- staged passes ---------------------------------------------------------
 
     def _layout_and_histogram(
         self,
-        items_a: Sequence[Item],
-        items_b: Sequence[Item],
-        dims: int,
+        table_a: BoxTable,
+        table_b: BoxTable,
         chunk_budget: int | None,
         chunk_rows: int,
         counters: Counters,
     ) -> tuple[TileRunLayout, np.ndarray, int]:
         """Pass 1: the global tiling plus the per-tile replica histogram."""
-        hull_lo, hull_hi = _chunked_hull(items_a, chunk_rows)
-        lo_b, hi_b = _chunked_hull(items_b, chunk_rows)
-        hull_lo, hull_hi = np.minimum(hull_lo, lo_b), np.maximum(hull_hi, hi_b)
+        dims = table_a.dims
+        boxes_a, boxes_b = table_a.boxes, table_b.boxes
+        hull_lo = np.minimum(boxes_a[:, 0, :].min(axis=0), boxes_b[:, 0, :].min(axis=0))
+        hull_hi = np.maximum(boxes_a[:, 1, :].max(axis=0), boxes_b[:, 1, :].max(axis=0))
         tiles = (
             self.tiles_per_axis
             if self.tiles_per_axis is not None
-            else _default_tiles(len(items_a) + len(items_b), dims)
+            else _default_tiles(len(table_a) + len(table_b), dims)
         )
         sides, strides = kernels.tile_layout(hull_lo, hull_hi, tiles)
         tile_count = tiles**dims
 
         histogram = np.zeros(tile_count, dtype=np.int64)
         replicas = 0
-        for items in (items_a, items_b):
-            for chunk in _chunks(items, chunk_rows):
-                _, boxes = kernels.pack_items(chunk)
+        for table in (table_a, table_b):
+            for start in range(0, len(table), chunk_rows):
+                boxes = table.boxes[start : start + chunk_rows]
                 with self.budget.reserving(boxes.nbytes, force=True):
                     _, keys = kernels._tile_replicas(boxes, hull_lo, sides, strides, tiles)
-                    np.add.at(histogram, keys, 1)
+                    histogram += np.bincount(keys, minlength=tile_count)
                     replicas += keys.shape[0]
         counters.cells_probed += replicas
         layout = TileRunLayout(
@@ -496,8 +426,8 @@ class SpillPBSMJoin(JoinStrategy):
 
     def _gather_segments(
         self,
-        items_a: Sequence[Item],
-        items_b: Sequence[Item],
+        table_a: BoxTable,
+        table_b: BoxTable,
         layout: TileRunLayout,
         run_of_tile: np.ndarray,
         runs: int,
@@ -506,7 +436,7 @@ class SpillPBSMJoin(JoinStrategy):
         handles: list[SpillHandle],
         spilling: bool,
     ) -> tuple[list[list], list[list]]:
-        """Pass 2: gather replicas per run in bounded chunks.
+        """Pass 2: gather replicas per run, one bounded row slice at a time.
 
         Returns ``(segments_a, segments_b)``; each run's list holds
         ``(eids, boxes, keys)`` triples of :class:`SpillHandle`\\ s when
@@ -515,9 +445,10 @@ class SpillPBSMJoin(JoinStrategy):
         """
         segments_a: list[list] = [[] for _ in range(runs)]
         segments_b: list[list] = [[] for _ in range(runs)]
-        for items, segments in ((items_a, segments_a), (items_b, segments_b)):
-            for chunk in _chunks(items, chunk_rows):
-                eids, boxes = kernels.pack_items(chunk)
+        for table, segments in ((table_a, segments_a), (table_b, segments_b)):
+            for start in range(0, len(table), chunk_rows):
+                eids = table.eids[start : start + chunk_rows]
+                boxes = table.boxes[start : start + chunk_rows]
                 with self.budget.reserving(2 * boxes.nbytes, force=True):
                     rows, keys = kernels._tile_replicas(
                         boxes, layout.hull_lo, layout.sides, layout.strides, layout.tiles
@@ -561,26 +492,3 @@ class SpillPBSMJoin(JoinStrategy):
         # overlap corners and index arrays.
         pair_bytes = 6 * dims * 8 + 4 * 8
         return min(kernels._SLAB_PAIRS, max(chunk_budget // pair_bytes, 1 << 12))
-
-
-def _chunks(items: Sequence[Item], chunk_rows: int):
-    for start in range(0, len(items), chunk_rows):
-        yield items[start : start + chunk_rows]
-
-
-def _chunked_hull(items: Sequence[Item], chunk_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dataset hull corners computed in bounded packing chunks."""
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    for chunk in _chunks(items, chunk_rows):
-        _, boxes = kernels.pack_items(chunk)
-        chunk_lo = boxes[:, 0, :].min(axis=0)
-        chunk_hi = boxes[:, 1, :].max(axis=0)
-        lo = chunk_lo if lo is None else np.minimum(lo, chunk_lo)
-        hi = chunk_hi if hi is None else np.maximum(hi, chunk_hi)
-    assert lo is not None and hi is not None
-    return lo, hi
-
-
-# Kept for callers/tests that imported the private name.
-_concat_segments = concat_segments

@@ -8,6 +8,8 @@ Every index and join in :mod:`repro` speaks one geometric vocabulary:
   :class:`~repro.geometry.primitives.Capsule`, ...) — the shapes simulation
   datasets are made of (neuron segments are capsules, n-body particles are
   points/spheres).
+* :class:`~repro.geometry.table.BoxTable` — a whole item set as one immutable
+  ``(eids, boxes)`` array pair: what the join plane carries and validates.
 * Predicates (:mod:`~repro.geometry.intersection`,
   :mod:`~repro.geometry.distance`) — exact tests used for refinement after the
   index filter step.
@@ -44,9 +46,11 @@ from repro.geometry.refine import (
     batch_segment_distances,
     pack_segments,
 )
+from repro.geometry.table import BoxTable
 
 __all__ = [
     "AABB",
+    "BoxTable",
     "union_all",
     "boxes_to_array",
     "array_to_boxes",

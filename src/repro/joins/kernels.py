@@ -1,8 +1,11 @@
 """Vectorized candidate-pair kernels for the join strategies.
 
-Every kernel works on packed box arrays (``(n, 2, d)`` float64, the same
-layout the query engine's batch kernels use) and returns candidate pairs as
-parallel integer row arrays — no Python-level pair loops.  Three families:
+Every kernel works on packed box arrays (``(n, 2, d)`` float64 — the
+``boxes`` of a :class:`~repro.geometry.table.BoxTable`, the same layout the
+query engine's batch kernels use) and returns candidate pairs as parallel
+integer row arrays — no Python-level pair loops.  The kernels never pack
+items themselves: the join plane hands them the table its spec built once.
+Three families:
 
 * :func:`block_pairs` — blocked all-pairs ``batch_intersects``: the
   vectorized nested loop.  O(n·m) comparisons but at kernel speed; the
@@ -12,7 +15,8 @@ parallel integer row arrays — no Python-level pair loops.  Three families:
   all array expressions (one ``repeat``/``cumsum`` expansion instead of a
   dict-of-buckets), processed in bounded slabs.  :func:`replica_tile_pairs`
   is its merge phase alone, over pre-gathered replica arrays — the kernel
-  the out-of-core PBSM streams spilled partitions through.
+  the out-of-core PBSM streams spilled partitions through; both run the one
+  slab loop of :func:`_merge_tiles`.
 * :func:`tree_pairs` — candidate generation over an STR-packed R-tree with
   the *carried-query-set* traversal of :mod:`repro.indexes.batch_knn`: every
   node is expanded at most once per batch with the subset of probes whose
@@ -21,8 +25,7 @@ parallel integer row arrays — no Python-level pair loops.  Three families:
   box expansion needed — exactly the "batched joins reusing the kNN
   traversal's seeded bounds" direction the ROADMAP names.
 
-Shared helpers :func:`pack_items` and :func:`expand_ranges` are the packing
-and window-expansion idioms the strategies compose.
+:func:`expand_ranges` is the window-expansion idiom the strategies compose.
 """
 
 from __future__ import annotations
@@ -45,14 +48,6 @@ _BLOCK_CELLS = 1 << 24
 # slabs of at most this many pairs, so adversarial inputs (everything in one
 # tile) degrade to bounded-memory batches instead of one giant allocation.
 _SLAB_PAIRS = 1 << 22
-
-
-def pack_items(items: Sequence[Item]) -> tuple[np.ndarray, np.ndarray]:
-    """``(eids, boxes)`` arrays for a list of ``(eid, AABB)`` items."""
-    n = len(items)
-    eids = np.fromiter((eid for eid, _ in items), dtype=np.int64, count=n)
-    boxes = boxes_to_array([box for _, box in items])
-    return eids, boxes
 
 
 def expand_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,33 +167,30 @@ def _owning_keys(
     return idx @ strides
 
 
-def pbsm_pairs(
+def _merge_tiles(
     boxes_a: np.ndarray,
+    rows_a: np.ndarray | None,
+    keys_a: np.ndarray,
     boxes_b: np.ndarray,
+    rows_b: np.ndarray | None,
+    keys_b: np.ndarray,
     hull_lo: np.ndarray,
-    hull_hi: np.ndarray,
+    sides: np.ndarray,
+    strides: np.ndarray,
     tiles_per_axis: int,
     counters: Counters,
-    slab_pairs: int = _SLAB_PAIRS,
+    slab_pairs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Partition Based Spatial-Merge: ``(row_a, row_b)`` pairs.
+    """The PBSM merge over key-sorted replicas: the one slab loop.
 
-    Partition (replicate into tiles), sort replicas by tile, form every
-    tile's |A_t| × |B_t| cross product with one ``repeat``/``cumsum``
-    expansion, test intersection for the whole slab at once, and keep a pair
-    only in the tile owning its overlap's lower corner.  Slabs cap peak
-    memory; results are deduplicated by construction, never by hashing.
+    ``keys_x`` are per-replica tile keys, sorted ascending; ``rows_x`` maps a
+    replica to its row of ``boxes_x`` (``None`` when ``boxes_x`` is already
+    per replica).  Every common tile's |A_t| × |B_t| cross product is formed
+    with one ``repeat``/``cumsum`` expansion, tested for the whole slab at
+    once, and a pair is kept only in the tile owning its overlap's lower
+    corner.  Returns the kept pairs as ``boxes_x`` row arrays.
     """
-    sides, strides = tile_layout(hull_lo, hull_hi, tiles_per_axis)
-    rows_a, keys_a = _tile_replicas(boxes_a, hull_lo, sides, strides, tiles_per_axis)
-    rows_b, keys_b = _tile_replicas(boxes_b, hull_lo, sides, strides, tiles_per_axis)
-    counters.cells_probed += int(keys_a.shape[0] + keys_b.shape[0])
-
-    order_a = np.argsort(keys_a, kind="stable")
-    order_b = np.argsort(keys_b, kind="stable")
-    rows_a, keys_a = rows_a[order_a], keys_a[order_a]
-    rows_b, keys_b = rows_b[order_b], keys_b[order_b]
-
+    empty = np.empty(0, dtype=np.int64)
     uniq_a, start_a = np.unique(keys_a, return_index=True)
     uniq_b, start_b = np.unique(keys_b, return_index=True)
     count_a = np.diff(np.append(start_a, keys_a.shape[0]))
@@ -206,7 +198,7 @@ def pbsm_pairs(
 
     common, ia, ib = np.intersect1d(uniq_a, uniq_b, return_indices=True)
     if common.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return empty, empty
     ca, cb = count_a[ia], count_b[ib]
     sa, sb = start_a[ia], start_b[ib]
     pair_counts = ca * cb
@@ -231,11 +223,12 @@ def pbsm_pairs(
         total = groups.shape[0]
         if total == 0:
             continue
-        i = local // g_cb[groups]
-        j = local % g_cb[groups]
-        a_rep = sa[lo_g:hi_g][groups] + i
-        b_rep = sb[lo_g:hi_g][groups] + j
-        ai, bi = rows_a[a_rep], rows_b[b_rep]
+        ai = sa[lo_g:hi_g][groups] + local // g_cb[groups]
+        bi = sb[lo_g:hi_g][groups] + local % g_cb[groups]
+        if rows_a is not None:
+            ai = rows_a[ai]
+        if rows_b is not None:
+            bi = rows_b[bi]
         counters.comparisons += total
 
         la, lb = boxes_a[ai], boxes_b[bi]
@@ -248,8 +241,37 @@ def pbsm_pairs(
         out_b.append(bi[keep])
 
     if not out_a:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return empty, empty
     return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def pbsm_pairs(
+    boxes_a: np.ndarray,
+    boxes_b: np.ndarray,
+    hull_lo: np.ndarray,
+    hull_hi: np.ndarray,
+    tiles_per_axis: int,
+    counters: Counters,
+    slab_pairs: int = _SLAB_PAIRS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized Partition Based Spatial-Merge: ``(row_a, row_b)`` pairs.
+
+    Partition (replicate into tiles), sort replicas by tile, and merge them
+    (:func:`_merge_tiles`).  Slabs cap peak memory; results are deduplicated
+    by construction, never by hashing.
+    """
+    sides, strides = tile_layout(hull_lo, hull_hi, tiles_per_axis)
+    rows_a, keys_a = _tile_replicas(boxes_a, hull_lo, sides, strides, tiles_per_axis)
+    rows_b, keys_b = _tile_replicas(boxes_b, hull_lo, sides, strides, tiles_per_axis)
+    counters.cells_probed += int(keys_a.shape[0] + keys_b.shape[0])
+
+    order_a = np.argsort(keys_a, kind="stable")
+    order_b = np.argsort(keys_b, kind="stable")
+    return _merge_tiles(
+        boxes_a, rows_a[order_a], keys_a[order_a],
+        boxes_b, rows_b[order_b], keys_b[order_b],
+        hull_lo, sides, strides, tiles_per_axis, counters, slab_pairs,
+    )
 
 
 def replica_tile_pairs(
@@ -280,57 +302,11 @@ def replica_tile_pairs(
     Returns ``(ids_a, ids_b)`` element-id arrays (not row indices — the
     original rows are gone once a partition is spilled).
     """
-    if eids_a.shape[0] == 0 or eids_b.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    uniq_a, start_a = np.unique(keys_a, return_index=True)
-    uniq_b, start_b = np.unique(keys_b, return_index=True)
-    count_a = np.diff(np.append(start_a, keys_a.shape[0]))
-    count_b = np.diff(np.append(start_b, keys_b.shape[0]))
-
-    common, ia, ib = np.intersect1d(uniq_a, uniq_b, return_indices=True)
-    if common.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ca, cb = count_a[ia], count_b[ib]
-    sa, sb = start_a[ia], start_b[ib]
-    pair_counts = ca * cb
-
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    slab_edges = [0]
-    running = 0
-    for g, p in enumerate(pair_counts):
-        running += int(p)
-        if running >= slab_pairs:
-            slab_edges.append(g + 1)
-            running = 0
-    if slab_edges[-1] != common.shape[0]:
-        slab_edges.append(common.shape[0])
-
-    for lo_g, hi_g in zip(slab_edges[:-1], slab_edges[1:]):
-        g_cb = cb[lo_g:hi_g]
-        g_pairs = pair_counts[lo_g:hi_g]
-        groups, local = expand_ranges(np.zeros_like(g_pairs), g_pairs)
-        total = groups.shape[0]
-        if total == 0:
-            continue
-        i = local // g_cb[groups]
-        j = local % g_cb[groups]
-        a_rep = sa[lo_g:hi_g][groups] + i
-        b_rep = sb[lo_g:hi_g][groups] + j
-        counters.comparisons += total
-
-        la, lb = boxes_a[a_rep], boxes_b[b_rep]
-        overlap_lo = np.maximum(la[:, 0, :], lb[:, 0, :])
-        overlap_hi = np.minimum(la[:, 1, :], lb[:, 1, :])
-        intersecting = np.all(overlap_lo <= overlap_hi, axis=1)
-        owners = _owning_keys(overlap_lo, hull_lo, sides, strides, tiles_per_axis)
-        keep = intersecting & (owners == common[lo_g:hi_g][groups])
-        out_a.append(eids_a[a_rep[keep]])
-        out_b.append(eids_b[b_rep[keep]])
-
-    if not out_a:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(out_a), np.concatenate(out_b)
+    ai, bi = _merge_tiles(
+        boxes_a, None, keys_a, boxes_b, None, keys_b,
+        hull_lo, sides, strides, tiles_per_axis, counters, slab_pairs,
+    )
+    return eids_a[ai], eids_b[bi]
 
 
 # -- STR-tree carried-set traversal --------------------------------------------

@@ -17,15 +17,18 @@ this module is the join counterpart, completing the session architecture:
   :data:`~repro.joins.strategies.JOIN_REGISTRY` interchangeable;
 * **executors** own *where* the filter phase runs:
   :class:`InlineJoinExecutor` in-process,
-  :class:`ShardedJoinExecutor` across a fork pool partitioning the probe
-  side.  Cross-shard deduplication is structural, not hash-based: each
-  worker joins the full build side against its probe chunk and reports an
-  unordered pair only when its probe element is the pair's maximum id, so
-  every pair is emitted by exactly one shard;
+  :class:`ShardedJoinExecutor` across worker processes partitioning the
+  probe side, with structural (not hash-based) cross-shard deduplication
+  (:func:`~repro.joins.strategies.shard_pairs`);
 * **refinement** (the exact-geometry phase of distance and synapse joins)
   runs on the vectorized pair kernels of :mod:`repro.geometry.refine` —
   one array expression over all candidates instead of a Python call per
   pair.
+
+Every executor and strategy receives the spec's
+:class:`~repro.geometry.table.BoxTable` tables — built (and contract-checked) once
+per spec at the top of execution, before planning can open a spill directory
+or a pool export — so nothing downstream re-packs the items.
 
 Accounting flows into one shared :class:`~repro.joins.spec.JoinStats`
 (candidates / refined / result pairs / comparisons plus strategy- and
@@ -42,6 +45,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -54,9 +58,9 @@ from repro.obs import span as _span
 from repro.exec.external_join import SpillPBSMJoin, spill_page_size
 from repro.exec.spill import SpillManager
 from repro.geometry.refine import batch_box_gaps, batch_capsule_gaps, pack_segments
+from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
-from repro.joins import kernels
 from repro.joins.spec import (
     DistanceJoinSpec,
     JoinSpec,
@@ -72,6 +76,7 @@ from repro.joins.strategies import (
     JoinStrategy,
     Pairs,
     make_join_strategy,
+    shard_pairs,
 )
 
 # -- deferred results ----------------------------------------------------------
@@ -205,31 +210,9 @@ def _init_join_shard(state) -> None:
 def _run_join_shard(bounds: tuple[int, int]) -> tuple[Pairs, Counters, dict | None]:
     assert _JOIN_SHARD_STATE is not None, "join shard worker started without state"
     strategy, items_a, probes, epsilon, mode, obs_ctx = _JOIN_SHARD_STATE
-    chunk = probes[bounds[0] : bounds[1]]
     counters = Counters()
     with capture_worker("join_shard", obs_ctx, mode=mode, counters=counters) as cap:
-        if mode == "pair":
-            pairs = strategy.join(items_a, chunk, counters)
-        elif mode == "self":
-            # Direct self-join sharding: the full set arrives sorted by id and
-            # chunks are contiguous, so this shard's probes can only form new
-            # pairs with the id-*prefix* ending at the chunk — joining against
-            # the whole set (the old binary expansion) would test every pair
-            # from both sides.  Reporter rule unchanged: the shard holding the
-            # pair's larger id emits it, so no hashing, no double counting.
-            pairs = [(a, b) for a, b in strategy.join(items_a[: bounds[1]], chunk, counters) if a < b]
-        elif mode == "distance_pair":
-            pairs = strategy.distance_candidates(items_a, chunk, epsilon, counters)
-        elif mode == "distance_self":
-            pairs = [
-                (a, b)
-                for a, b in strategy.distance_candidates(
-                    items_a[: bounds[1]], chunk, epsilon, counters
-                )
-                if a < b
-            ]
-        else:  # pragma: no cover - executor only emits the four modes
-            raise ValueError(f"unknown join shard mode: {mode!r}")
+        pairs = shard_pairs(strategy, mode, items_a, probes, bounds, epsilon, counters)
         cap.set_attr("pairs", len(pairs))
     return pairs, counters, cap.telemetry
 
@@ -241,14 +224,10 @@ class ShardedJoinExecutor(JoinExecutor):
     strategy over ``(A, probe chunk)``, and ships back its pairs plus the
     :class:`~repro.instrumentation.counters.Counters` it charged; the parent
     concatenates pairs and merges counters.  Self (and distance-self) joins
-    are sharded *directly*: the set is sorted by id, chunks are contiguous,
-    and each worker joins its chunk against only the id-prefix ending at
-    that chunk, keeping pairs whose probe element is the larger id.  Every
-    unordered pair still lands in exactly one shard's output (its larger
-    id lives in exactly one chunk, and the smaller id is always in that
-    chunk's prefix), so cross-shard results need no dedup pass — and the
-    summed comparison count is ~(s+1)/2s of the old full-set binary
-    expansion instead of 2x the inline self-join.
+    are sharded *directly* by the id-prefix rule of
+    :func:`~repro.joins.strategies.shard_pairs`, so cross-shard results need
+    no dedup pass — and the summed comparison count is ~(s+1)/2s of a
+    full-set binary expansion instead of 2x the inline self-join.
 
     Remaining structural price: every worker repeats the strategy's build
     phase over its prefix; sharing the build across workers is a ROADMAP
@@ -290,7 +269,6 @@ class ShardedJoinExecutor(JoinExecutor):
         self.workers = workers if workers is not None else min(cpus, 8)
         self.min_shard = min_shard
         self.pool = pool
-        self._fallback = InlineJoinExecutor()
         self._portable: dict[int, tuple[JoinStrategy, bool]] = {}
 
     def _resolve_pool(self):
@@ -321,25 +299,16 @@ class ShardedJoinExecutor(JoinExecutor):
         return portable
 
     def _run_pooled(
-        self,
-        pool,
-        mode: str,
-        strategy: JoinStrategy,
-        items_a: Sequence[Item],
-        probes: Sequence[Item],
-        epsilon: float,
-        counters: Counters,
-        shards: int,
+        self, pool, mode: str, strategy: JoinStrategy, items_a: BoxTable, probes: BoxTable,
+        epsilon: float, counters: Counters, shards: int,
     ) -> Pairs:
-        if mode in ("self", "distance_self"):
-            build = chunk_side = pool.ensure_items(probes, sort_by_id=True)
-        else:
-            build = pool.ensure_items(items_a)
-            chunk_side = pool.ensure_items(probes)
+        self_mode = mode in ("self", "distance_self")
+        build = pool.ensure_items(items_a, sort_by_id=self_mode)
+        chunk_side = build if self_mode else pool.ensure_items(probes)
         parts = pool.run_join_shards(strategy, mode, build, chunk_side, epsilon, shards)
         pairs: Pairs = []
-        for shard_pairs, shard_counters in parts:
-            pairs.extend(shard_pairs)
+        for part, shard_counters in parts:
+            pairs.extend(part)
             counters.merge(shard_counters)
         return pairs
 
@@ -353,12 +322,12 @@ class ShardedJoinExecutor(JoinExecutor):
         counters: Counters,
     ) -> Pairs:
         if mode == "pair":
-            return self._fallback.pair_pairs(strategy, items_a, probes, counters)
+            return strategy.join(items_a, probes, counters)
         if mode == "self":
-            return self._fallback.self_pairs(strategy, probes, counters)
-        if mode == "distance_pair":
-            return self._fallback.distance_pairs(strategy, items_a, probes, epsilon, counters)
-        return self._fallback.distance_pairs(strategy, probes, None, epsilon, counters)
+            return strategy.self_join(probes, counters)
+        return strategy.distance_candidates(
+            items_a, None if mode == "distance_self" else probes, epsilon, counters
+        )
 
     def _run_tile_runs(
         self,
@@ -381,18 +350,11 @@ class ShardedJoinExecutor(JoinExecutor):
         binary plan exactly as the strategy's own defaults do (join the set
         against itself and keep ``a < b``; expand boxes by ε/2).
         """
-        if mode == "pair":
-            build, probe_side = items_a, probes
-        elif mode == "self":
-            build = probe_side = probes
-        elif mode == "distance_pair":
-            build = [(eid, box.expanded(epsilon / 2.0)) for eid, box in items_a]
-            probe_side = [(eid, box.expanded(epsilon / 2.0)) for eid, box in probes]
-        else:  # distance_self
-            build = probe_side = [
-                (eid, box.expanded(epsilon / 2.0)) for eid, box in probes
-            ]
         self_mode = mode in ("self", "distance_self")
+        build, probe_side = items_a, probes
+        if mode.startswith("distance"):
+            build = build.expanded(epsilon / 2.0)
+            probe_side = build if self_mode else probe_side.expanded(epsilon / 2.0)
 
         plan = strategy.plan_tile_runs(build, probe_side, counters)
         if plan is None:
@@ -438,6 +400,10 @@ class ShardedJoinExecutor(JoinExecutor):
         epsilon: float,
         counters: Counters,
     ) -> Pairs:
+        # The session hands over its spec's tables; a bare item list from a
+        # direct caller is packed here, once for every path below.
+        items_a = BoxTable.of(items_a)
+        probes = items_a if mode in ("self", "distance_self") else BoxTable.of(probes)
         # Custom shard protocols come first: the spill join must never take
         # the generic fork/pool paths (forked children would duplicate the
         # partition passes; its contract is parent-partition + mapped runs).
@@ -462,8 +428,7 @@ class ShardedJoinExecutor(JoinExecutor):
         if mode in ("self", "distance_self"):
             # Direct self-join sharding needs id-contiguous chunks: worker k
             # joins chunk k against the sorted prefix items[:end_k].
-            ordered = sorted(probes, key=lambda item: item[0])
-            items_a = probes = ordered
+            items_a = probes = probes.sorted_by_id()
 
         edges = np.linspace(0, len(probes), shards + 1).astype(int)
         state = (strategy, items_a, probes, epsilon, mode, _obs_context())
@@ -471,8 +436,8 @@ class ShardedJoinExecutor(JoinExecutor):
         with ctx.Pool(processes=shards, initializer=_init_join_shard, initargs=(state,)) as pool:
             parts = pool.map(_run_join_shard, list(zip(edges[:-1], edges[1:])))
         pairs: Pairs = []
-        for shard_pairs, shard_counters, telemetry in parts:
-            pairs.extend(shard_pairs)
+        for part, shard_counters, telemetry in parts:
+            pairs.extend(part)
             counters.merge(shard_counters)
             ingest_telemetry(telemetry)
         return pairs
@@ -505,6 +470,29 @@ class JoinPlan:
     spec: JoinSpec
     strategy: JoinStrategy
     executor: JoinExecutor
+
+
+def _spec_tables(spec: JoinSpec) -> tuple[BoxTable, BoxTable | None]:
+    """The spec's sides as tables (``None`` for the absent side of a self
+    join) — the first thing execution does, so a contract violation is
+    refused while the session holds no spill file and no pool export."""
+    if spec.kind == "self":
+        return spec.table, None
+    if spec.kind == "synapse":
+        return BoxTable.of(spec.dataset.items), None
+    table_a, table_b = spec.table_a, spec.table_b
+    if table_b is not None and len(table_a) and len(table_b) and table_a.dims != table_b.dims:
+        raise ValueError(
+            f"join sides differ in dimensionality: A has {table_a.dims} dims, B has {table_b.dims}"
+        )
+    return table_a, table_b
+
+
+def _pair_array(pairs: Pairs) -> np.ndarray:
+    """A pair list as one ``(k, 2)`` int64 array (one flat pass; several
+    times faster than ``np.array`` over the tuples)."""
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    return flat.reshape(len(pairs), 2)
 
 
 def _spec_size(spec: JoinSpec) -> int:
@@ -637,20 +625,18 @@ class JoinSession:
 
     def estimated_working_set(self, spec: JoinSpec) -> int:
         """Bytes the in-memory partitioned join would hold for ``spec``."""
-        if spec.kind == "pair":
-            n_a, n_b = len(spec.items_a), len(spec.items_b)
-            items = spec.items_a or spec.items_b
-        elif spec.kind == "self":
-            n_a = n_b = len(spec.items)
-            items = spec.items
-        elif spec.kind == "distance":
-            n_a = len(spec.items_a)
-            n_b = len(spec.items_b) if spec.items_b is not None else n_a
-            items = spec.items_a
+        if spec.kind in ("pair", "distance"):
+            items, items_b = spec.items_a, spec.items_b
+            n_a = len(items)
+            n_b = n_a if items_b is None else len(items_b)
+            if not n_a and spec.kind == "pair":
+                items = items_b
         else:
-            n_a = n_b = len(spec.dataset)
-            items = spec.dataset.items
-        dims = items[0][1].dims if items else 3
+            items = spec.items if spec.kind == "self" else spec.dataset.items
+            n_a = n_b = len(items)
+        dims = 3
+        if len(items):  # read off the table; never unpack one just to ask
+            dims = items.dims if isinstance(items, BoxTable) else items[0][1].dims
         return pbsm_working_set_bytes(n_a, n_b, dims)
 
     def choose_strategy(self, spec: JoinSpec) -> JoinStrategy:
@@ -758,6 +744,7 @@ class JoinSession:
     # -- execution ------------------------------------------------------------
 
     def _execute(self, spec: JoinSpec, strategy: str | JoinStrategy | None = None) -> Any:
+        table_a, table_b = _spec_tables(spec)
         plan = self.plan(spec, strategy)
         strategy, executor = plan.strategy, plan.executor
         before = self.counters.snapshot()
@@ -770,20 +757,18 @@ class JoinSession:
             executor=executor.name,
             size=_spec_size(spec),
         ):
-            if spec.kind == "self":
-                pairs = executor.self_pairs(strategy, spec.items, self.counters)
+            if spec.kind in ("self", "pair"):
+                if table_b is None:
+                    pairs = executor.self_pairs(strategy, table_a, self.counters)
+                else:
+                    pairs = executor.pair_pairs(strategy, table_a, table_b, self.counters)
                 self.stats.candidates += len(pairs)
                 result: Any = sorted(pairs)
-                self.stats.pairs += len(result)
-            elif spec.kind == "pair":
-                pairs = executor.pair_pairs(strategy, spec.items_a, spec.items_b, self.counters)
-                self.stats.candidates += len(pairs)
-                result = sorted(pairs)
                 self.stats.pairs += len(result)
             elif spec.kind == "distance":
                 result = self._execute_distance(spec, strategy, executor)
             else:
-                result = self._execute_synapse(spec, strategy, executor)
+                result = self._execute_synapse(spec, strategy, executor, table_a)
         self._m_spec_seconds.observe(time.perf_counter() - spec_start)
         self.metrics.counter(f"join.strategy.{strategy.name}").inc()
         self.metrics.counter(f"join.executor.{executor.name}").inc()
@@ -806,8 +791,9 @@ class JoinSession:
     def _execute_distance(
         self, spec: DistanceJoinSpec, strategy: JoinStrategy, executor: JoinExecutor
     ) -> Pairs:
+        table_a, table_b = spec.table_a, spec.table_b
         candidates = executor.distance_pairs(
-            strategy, spec.items_a, None if spec.is_self else spec.items_b, spec.epsilon, self.counters
+            strategy, table_a, table_b, spec.epsilon, self.counters
         )
         self.stats.candidates += len(candidates)
         if not candidates:
@@ -819,31 +805,30 @@ class JoinSession:
         else:
             # Boxes are the geometry: refine with the vectorized box-gap
             # kernel (one array expression over all candidates).
-            kept = self._refine_box_gaps(spec, candidates)
+            kept = self._refine_box_gaps(
+                table_a, table_a if table_b is None else table_b, spec.epsilon, candidates
+            )
         result = sorted(kept)
         self.stats.pairs += len(result)
         return result
 
-    def _refine_box_gaps(self, spec: DistanceJoinSpec, candidates: Pairs) -> Pairs:
-        eids_a, boxes_a = kernels.pack_items(list(spec.items_a))
-        if spec.is_self:
-            eids_b, boxes_b = eids_a, boxes_a
-        else:
-            eids_b, boxes_b = kernels.pack_items(list(spec.items_b))
-        rows_a = _rows_of(eids_a, np.fromiter((a for a, _ in candidates), np.int64, len(candidates)))
-        rows_b = _rows_of(eids_b, np.fromiter((b for _, b in candidates), np.int64, len(candidates)))
-        gaps = batch_box_gaps(boxes_a[rows_a], boxes_b[rows_b])
+    def _refine_box_gaps(
+        self, table_a: BoxTable, table_b: BoxTable, epsilon: float, candidates: Pairs
+    ) -> Pairs:
+        ids = _pair_array(candidates)
+        gaps = batch_box_gaps(
+            table_a.boxes[table_a.rows_of(ids[:, 0])], table_b.boxes[table_b.rows_of(ids[:, 1])]
+        )
         self.stats.refined += len(candidates)
         self.counters.refine_tests += len(candidates)
-        keep = np.nonzero(gaps <= spec.epsilon)[0]
+        keep = np.nonzero(gaps <= epsilon)[0]
         return [candidates[i] for i in keep.tolist()]
 
     def _execute_synapse(
-        self, spec: SynapseJoinSpec, strategy: JoinStrategy, executor: JoinExecutor
+        self, spec: SynapseJoinSpec, strategy: JoinStrategy, executor: JoinExecutor, table: BoxTable
     ) -> list[Synapse]:
         dataset = spec.dataset
-        items = dataset.items
-        candidates = executor.distance_pairs(strategy, items, None, spec.epsilon, self.counters)
+        candidates = executor.distance_pairs(strategy, table, None, spec.epsilon, self.counters)
         self.stats.candidates += len(candidates)
         if not candidates:
             return []
@@ -857,12 +842,10 @@ class JoinSession:
         )
         starts, ends, radii = pack_segments(capsules_sorted)
 
-        cand_a = np.fromiter((a for a, _ in candidates), np.int64, len(candidates))
-        cand_b = np.fromiter((b for _, b in candidates), np.int64, len(candidates))
         # Registry strategies emit each pair exactly once, but a
         # user-supplied CallableJoin carries no such guarantee — and the
         # synapse contract promises duplicate unordered pairs are excluded.
-        cand_pairs = np.unique(np.stack([cand_a, cand_b], axis=1), axis=0)
+        cand_pairs = np.unique(_pair_array(candidates), axis=0)
         cand_a, cand_b = cand_pairs[:, 0], cand_pairs[:, 1]
         rows_a = np.searchsorted(eids_sorted, cand_a)
         rows_b = np.searchsorted(eids_sorted, cand_b)
@@ -902,9 +885,3 @@ class JoinSession:
         self.stats.pairs += len(synapses)
         return synapses
 
-
-def _rows_of(sorted_or_raw_eids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Row indices of ``wanted`` ids inside an eid array (ids are unique)."""
-    order = np.argsort(sorted_or_raw_eids)
-    pos = np.searchsorted(sorted_or_raw_eids[order], wanted)
-    return order[pos]

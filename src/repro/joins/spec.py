@@ -16,6 +16,11 @@ Mirroring the query side (:mod:`repro.engine.session`, where queries are
   self-join over a neuron dataset's capsule segments, excluding same-neuron
   pairs, materializing :class:`Synapse` records.
 
+Item sides are ``(eid, AABB)`` sequences or
+:class:`~repro.geometry.table.BoxTable` tables; the spec exposes them as tables
+(``table`` / ``table_a`` / ``table_b``), packed and contract-checked on first
+execution — never at construction — and cached, so a re-run packs nothing.
+
 Specs carry a unique ``jid`` and an optional caller ``tag`` so telemetry
 (:class:`JoinStats`, :func:`repro.analysis.session_report.join_report`) can
 attribute work, exactly as query values do.
@@ -25,10 +30,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence, Union
 
 from repro.datasets.neuroscience import NeuronDataset
 from repro.geometry.primitives import Capsule
+from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
 
 _JIDS = itertools.count()
@@ -38,8 +45,20 @@ def _next_jid() -> int:
     return next(_JIDS)
 
 
-def _as_items(items: Sequence[Item]) -> tuple[Item, ...]:
-    return tuple(items)
+def _as_items(items: Sequence[Item]) -> "tuple[Item, ...] | BoxTable":
+    return items if isinstance(items, BoxTable) else tuple(items)
+
+
+def _table_of(field_name: str) -> cached_property:
+    """The named item field as a :class:`BoxTable`, built on first read.
+    ``cached_property`` writes the instance dict directly, which a frozen
+    dataclass allows: the table is derived state, not a field."""
+
+    def build(spec: Any) -> BoxTable | None:
+        items = getattr(spec, field_name)
+        return None if items is None else BoxTable.of(items)
+
+    return cached_property(build)
 
 
 # -- specs ---------------------------------------------------------------------
@@ -49,7 +68,7 @@ def _as_items(items: Sequence[Item]) -> tuple[Item, ...]:
 class SelfJoinSpec:
     """All unordered intersecting pairs ``(a, b)`` with ``a < b`` in one set."""
 
-    items: tuple[Item, ...]
+    items: "tuple[Item, ...] | BoxTable"
     tag: Any = None
     jid: int = field(default_factory=_next_jid, compare=False)
 
@@ -58,13 +77,15 @@ class SelfJoinSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", _as_items(self.items))
 
+    table = _table_of("items")
+
 
 @dataclass(frozen=True)
 class PairJoinSpec:
     """All ``(a, b)`` pairs of A × B whose boxes intersect."""
 
-    items_a: tuple[Item, ...]
-    items_b: tuple[Item, ...]
+    items_a: "tuple[Item, ...] | BoxTable"
+    items_b: "tuple[Item, ...] | BoxTable"
     tag: Any = None
     jid: int = field(default_factory=_next_jid, compare=False)
 
@@ -73,6 +94,9 @@ class PairJoinSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "items_a", _as_items(self.items_a))
         object.__setattr__(self, "items_b", _as_items(self.items_b))
+
+    table_a = _table_of("items_a")
+    table_b = _table_of("items_b")
 
 
 @dataclass(frozen=True)
@@ -86,8 +110,8 @@ class DistanceJoinSpec:
     :func:`repro.geometry.refine.batch_box_gaps` kernel.
     """
 
-    items_a: tuple[Item, ...]
-    items_b: tuple[Item, ...] | None
+    items_a: "tuple[Item, ...] | BoxTable"
+    items_b: "tuple[Item, ...] | BoxTable | None"
     epsilon: float
     refine: Callable[[int, int], bool] | None = None
     tag: Any = None
@@ -105,6 +129,9 @@ class DistanceJoinSpec:
     @property
     def is_self(self) -> bool:
         return self.items_b is None
+
+    table_a = _table_of("items_a")
+    table_b = _table_of("items_b")  # ``None`` for a self-join
 
 
 @dataclass(frozen=True)

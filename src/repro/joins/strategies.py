@@ -14,6 +14,12 @@ registered in :data:`JOIN_REGISTRY`.  The contract every strategy honours:
   paper argues with ("the number of comparisons (the major bulk of work for
   in-memory spatial joins)").
 
+Inputs are ``Sequence[Item]``; the session hands every strategy the
+:class:`~repro.geometry.table.BoxTable` its spec built once, and a table *is*
+such a sequence.  Array strategies start with :meth:`BoxTable.of` (a no-op on
+a table, one pack on a bare list) and read ``eids``/``boxes``; object-mode
+strategies just iterate.
+
 Scalar baselines (``nested_loop``, ``grid_scalar``, ``pbsm_scalar``,
 ``touch``, ``tiny_cell``) keep the per-pair Python loops the paper's cost
 model counts; the vectorized strategies (``block_nested``, ``sweepline``,
@@ -34,6 +40,7 @@ import numpy as np
 from repro.core.uniform_grid import UniformGrid
 from repro.engine import QuerySession
 from repro.geometry.aabb import AABB, union_all
+from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
 from repro.indexes.bulkload import str_pack
 from repro.indexes.rtree import Node
@@ -91,11 +98,36 @@ class JoinStrategy(ABC):
         (``a < b``).  Strategies with a native distance filter (the tree's
         bounded traversal) override this with something tighter.
         """
-        expanded_a = [(eid, box.expanded(epsilon / 2.0)) for eid, box in items_a]
+        expanded_a = BoxTable.of(items_a).expanded(epsilon / 2.0)
         if items_b is None:
             return self.self_join(expanded_a, counters)
-        expanded_b = [(eid, box.expanded(epsilon / 2.0)) for eid, box in items_b]
-        return self.join(expanded_a, expanded_b, counters)
+        return self.join(expanded_a, BoxTable.of(items_b).expanded(epsilon / 2.0), counters)
+
+
+def shard_pairs(
+    strategy: JoinStrategy,
+    mode: str,
+    build: Sequence[Item],
+    probes: Sequence[Item],
+    bounds: tuple[int, int],
+    epsilon: float,
+    counters: Counters,
+) -> Pairs:
+    """One probe-side shard of a sharded join, as a fork child and a pool
+    worker both run it.  Binary modes join the full build side against the
+    probe chunk.  Self modes (``"self"``, ``"distance_self"``) get the set
+    sorted by id: the chunk can only form new pairs with the id-*prefix* ending
+    at the chunk, and the shard holding a pair's larger id reports it — every
+    unordered pair lands in exactly one shard, with no cross-shard dedup."""
+    self_mode = mode in ("self", "distance_self")
+    chunk = probes[bounds[0] : bounds[1]]
+    if self_mode:
+        build = build[: bounds[1]]
+    if mode in ("pair", "self"):
+        pairs = strategy.join(build, chunk, counters)
+    else:
+        pairs = strategy.distance_candidates(build, chunk, epsilon, counters)
+    return [(a, b) for a, b in pairs if a < b] if self_mode else pairs
 
 
 # -- registry ------------------------------------------------------------------
@@ -125,8 +157,8 @@ def make_join_strategy(name: str, **kwargs: object) -> JoinStrategy:
     return cls(**kwargs)  # type: ignore[arg-type]
 
 
-def _hull(*item_sets: Sequence[Item]) -> AABB:
-    return union_all(box for items in item_sets for _, box in items)
+def _hull(*tables: BoxTable) -> AABB:
+    return union_all(table.hull() for table in tables)
 
 
 # -- nested loop (the oracle) ----------------------------------------------------
@@ -178,16 +210,16 @@ class BlockNestedJoin(JoinStrategy):
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        eids_a, boxes_a = kernels.pack_items(items_a)
-        eids_b, boxes_b = kernels.pack_items(items_b)
-        ai, bi = kernels.block_pairs(boxes_a, boxes_b, counters)
-        return list(zip(eids_a[ai].tolist(), eids_b[bi].tolist()))
+        a, b = BoxTable.of(items_a), BoxTable.of(items_b)
+        ai, bi = kernels.block_pairs(a.boxes, b.boxes, counters)
+        return list(zip(a.eids[ai].tolist(), b.eids[bi].tolist()))
 
     def self_join(self, items, counters):
         if len(items) < 2:
             return []
-        eids, boxes = kernels.pack_items(items)
-        ai, bi = kernels.block_pairs(boxes, boxes, counters)
+        table = BoxTable.of(items)
+        eids = table.eids
+        ai, bi = kernels.block_pairs(table.boxes, table.boxes, counters)
         keep = eids[ai] < eids[bi]
         return list(zip(eids[ai[keep]].tolist(), eids[bi[keep]].tolist()))
 
@@ -214,8 +246,8 @@ class SweeplineJoin(JoinStrategy):
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        eids_a, boxes_a = kernels.pack_items(items_a)
-        eids_b, boxes_b = kernels.pack_items(items_b)
+        a, b = BoxTable.of(items_a), BoxTable.of(items_b)
+        eids_a, boxes_a, eids_b, boxes_b = a.eids, a.boxes, b.eids, b.boxes
         pairs: Pairs = []
         # Sweep 1: B elements whose lo-x lies within [a.lo_x, a.hi_x].
         pairs.extend(
@@ -274,13 +306,22 @@ class _GridJoinBase(JoinStrategy):
     def __init__(self, cell_size: float | None = None) -> None:
         self.cell_size = cell_size
 
-    def _build(self, items_a: Sequence[Item], hull: AABB, scratch: Counters) -> UniformGrid:
-        grid = UniformGrid(
-            universe=hull.expanded(max(hull.margin() * 0.005, 1e-9)),
-            cell_size=self.cell_size,
-            counters=scratch,
-        )
-        grid.bulk_load(items_a)
+    def _build(
+        self, table_a: BoxTable, hull: AABB, scratch: Counters, read_only: bool = False
+    ) -> UniformGrid:
+        """The grid over A.  ``read_only`` builds the dense snapshot the
+        batch kernel queries straight from the table's arrays, no bucket
+        dicts underneath; an unlinearizable resolution still gets buckets."""
+        universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
+        grid = None
+        if read_only:
+            from repro.serving.snapshots import SnapshotGridIndex  # repro.serving imports repro.joins
+
+            grid = SnapshotGridIndex.over(table_a.eids, table_a.boxes, universe, self.cell_size)
+        if grid is None:
+            grid = UniformGrid(universe=universe, cell_size=self.cell_size)
+            grid.bulk_load(table_a.items())
+        grid.counters = scratch
         return grid
 
 
@@ -293,42 +334,41 @@ class GridJoin(_GridJoinBase):
     :class:`~repro.engine.QuerySession` batch, so the join rides the grid's
     vectorized range kernel instead of a per-element ``range_query`` loop.
     The grid's element tests during the probes are the join's comparisons.
+    The grid is probed once and discarded, so it is built read-only.
     """
 
     name = "grid"
 
+    def _probe(self, table_a: BoxTable, probes: BoxTable, counters: Counters) -> list[list[int]]:
+        scratch = Counters()
+        grid = self._build(table_a, _hull(table_a, probes), scratch, read_only=True)
+        hits = QuerySession(grid).range_query(probes.boxes)
+        counters.comparisons += scratch.elem_tests
+        counters.cells_probed += scratch.cells_probed
+        return hits
+
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        scratch = Counters()
-        grid = self._build(items_a, _hull(items_a, items_b), scratch)
-        session = QuerySession(grid)
-        hits = session.range_query([box for _, box in items_b])
-        counters.comparisons += scratch.elem_tests
-        counters.cells_probed += scratch.cells_probed
-        pairs: Pairs = []
-        for (eid_b, _), matches in zip(items_b, hits):
-            for eid_a in matches:
-                pairs.append((eid_a, eid_b))
-        return pairs
+        probes = BoxTable.of(items_b)
+        hits = self._probe(BoxTable.of(items_a), probes, counters)
+        return [
+            (eid_a, eid_b) for eid_b, matches in zip(probes.eids.tolist(), hits) for eid_a in matches
+        ]
 
     def self_join(self, items, counters):
         if len(items) < 2:
             return []
-        scratch = Counters()
-        grid = self._build(items, _hull(items), scratch)
-        session = QuerySession(grid)
-        hits = session.range_query([box for _, box in items])
-        counters.comparisons += scratch.elem_tests
-        counters.cells_probed += scratch.cells_probed
+        table = BoxTable.of(items)
+        hits = self._probe(table, table, counters)
         # Each unordered pair surfaces from both probes; keep the probe
         # whose id is smaller, so the pair reports exactly once.
-        pairs: Pairs = []
-        for (eid, _), matches in zip(items, hits):
-            for other in matches:
-                if eid < other:
-                    pairs.append((eid, other))
-        return pairs
+        return [
+            (eid, other)
+            for eid, matches in zip(table.eids.tolist(), hits)
+            for other in matches
+            if eid < other
+        ]
 
 
 @register
@@ -346,7 +386,8 @@ class GridScalarJoin(_GridJoinBase):
         if not items_a or not items_b:
             return []
         scratch = Counters()
-        grid = self._build(items_a, _hull(items_a, items_b), scratch)
+        table_a, table_b = BoxTable.of(items_a), BoxTable.of(items_b)
+        grid = self._build(table_a, _hull(table_a, table_b), scratch)
         pairs: Pairs = []
         for eid_b, box_b in items_b:
             for eid_a in grid.range_query(box_b):
@@ -392,15 +433,15 @@ class PBSMJoin(_PBSMBase):
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        eids_a, boxes_a = kernels.pack_items(items_a)
-        eids_b, boxes_b = kernels.pack_items(items_b)
+        a, b = BoxTable.of(items_a), BoxTable.of(items_b)
+        boxes_a, boxes_b = a.boxes, b.boxes
         hull_lo = np.minimum(boxes_a[:, 0, :].min(axis=0), boxes_b[:, 0, :].min(axis=0))
         hull_hi = np.maximum(boxes_a[:, 1, :].max(axis=0), boxes_b[:, 1, :].max(axis=0))
-        tiles = self._tiles(items_a, items_b, boxes_a.shape[2])
+        tiles = self._tiles(a, b, a.dims)
         ai, bi = kernels.pbsm_pairs(
             boxes_a, boxes_b, hull_lo, hull_hi, tiles, counters
         )
-        return list(zip(eids_a[ai].tolist(), eids_b[bi].tolist()))
+        return list(zip(a.eids[ai].tolist(), b.eids[bi].tolist()))
 
 
 @register
@@ -416,7 +457,7 @@ class PBSMScalarJoin(_PBSMBase):
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        hull = _hull(items_a, items_b)
+        hull = _hull(BoxTable.of(items_a), BoxTable.of(items_b))
         dims = hull.dims
         tiles_per_axis = self._tiles(items_a, items_b, dims)
         sides = tuple(max(extent / tiles_per_axis, 1e-12) for extent in hull.extents())
@@ -474,8 +515,15 @@ def _window_keys(lo: tuple[int, ...], hi: tuple[int, ...]):
 # -- tree join (carried-set traversal) ---------------------------------------------
 
 
+class _TreeBacked(JoinStrategy):
+    def __init__(self, max_entries: int = 16) -> None:
+        if max_entries < 2:
+            raise ValueError(f"max_entries must be >= 2, got {max_entries}")
+        self.max_entries = max_entries
+
+
 @register
-class TreeJoin(JoinStrategy):
+class TreeJoin(_TreeBacked):
     """STR-packed R-tree join with the batch-kNN carried-set traversal.
 
     Builds the tree over A and answers the whole probe side in one traversal
@@ -490,29 +538,25 @@ class TreeJoin(JoinStrategy):
 
     name = "tree"
 
-    def __init__(self, max_entries: int = 16) -> None:
-        if max_entries < 2:
-            raise ValueError(f"max_entries must be >= 2, got {max_entries}")
-        self.max_entries = max_entries
-
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        eids_b, boxes_b = kernels.pack_items(items_b)
-        bounds = np.zeros(boxes_b.shape[0])
+        table_b = BoxTable.of(items_b)
+        bounds = np.zeros(len(table_b))
         probes, hits = kernels.tree_pairs(
-            items_a, boxes_b, bounds, counters, self.max_entries
+            items_a, table_b.boxes, bounds, counters, self.max_entries
         )
-        return list(zip(hits.tolist(), eids_b[probes].tolist()))
+        return list(zip(hits.tolist(), table_b.eids[probes].tolist()))
 
     def distance_candidates(self, items_a, items_b, epsilon, counters):
         probe_items = items_a if items_b is None else items_b
-        eids_p, boxes_p = kernels.pack_items(probe_items)
         if not items_a or not probe_items:
             return []
-        bounds = np.full(boxes_p.shape[0], float(epsilon))
+        table_p = BoxTable.of(probe_items)
+        eids_p = table_p.eids
+        bounds = np.full(len(table_p), float(epsilon))
         probes, hits = kernels.tree_pairs(
-            items_a, boxes_p, bounds, counters, self.max_entries
+            items_a, table_p.boxes, bounds, counters, self.max_entries
         )
         if items_b is None:
             keep = hits < eids_p[probes]
@@ -524,7 +568,7 @@ class TreeJoin(JoinStrategy):
 
 
 @register
-class TouchJoin(JoinStrategy):
+class TouchJoin(_TreeBacked):
     """TOUCH: hierarchical data-oriented partitioning, assign-and-probe
     (Nobari, Tauheed, Heinis, Karras, Bressan, Ailamaki — SIGMOD'13).
 
@@ -537,11 +581,6 @@ class TouchJoin(JoinStrategy):
     """
 
     name = "touch"
-
-    def __init__(self, max_entries: int = 16) -> None:
-        if max_entries < 2:
-            raise ValueError(f"max_entries must be >= 2, got {max_entries}")
-        self.max_entries = max_entries
 
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
@@ -624,17 +663,15 @@ class TinyCellJoin(JoinStrategy):
         dims = items[0][1].dims
         min_extent = min(min(box.extents()) for _, box in items)
         shortcut_valid = min_extent > 0.0
+        hull = BoxTable.of(items).hull()
         cell_size = self.cell_size
         if cell_size is None:
             if shortcut_valid:
                 cell_size = 0.9 * min_extent
             else:
-                hull = _hull(items)
                 cell_size = max(max(hull.extents()) / max(len(items), 1), 1e-9)
         elif cell_size >= min_extent:
             shortcut_valid = False
-
-        hull = _hull(items)
 
         def cell_of(box: AABB) -> tuple[int, ...]:
             center = box.center()

@@ -29,44 +29,34 @@ import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.engine.batch import BatchStats
-from repro.indexes.base import Item, SpatialIndex
+from repro.geometry.table import BoxTable
+from repro.indexes.base import SpatialIndex
 from repro.instrumentation.counters import Counters
 from repro.obs import ingest_telemetry, propagation_context
 from repro.serving import worker as _worker
 from repro.serving.shm import SegmentGroup
-from repro.serving.snapshots import (
-    export_index_payload,
-    export_items_payload,
-    index_fingerprint,
-)
+from repro.serving.snapshots import export_index_payload, index_fingerprint
 
 _TOKENS = itertools.count()
 
 
+@dataclass(slots=True)
 class _Export:
     """Parent-side record of one published payload."""
 
-    __slots__ = ("source", "token", "kind", "scalars", "group", "fingerprint", "size")
-
-    def __init__(self, source, token, kind, scalars, group, fingerprint, size) -> None:
-        self.source = source  # strong ref: keeps id() keys valid
-        self.token = token
-        self.kind = kind
-        self.scalars = scalars
-        self.group = group
-        self.fingerprint = fingerprint
-        self.size = size
-
-
-def _items_fingerprint(items: Sequence[Item]) -> tuple:
-    if not items:
-        return (0,)
-    return (len(items), items[0][0], items[-1][0])
+    source: Any  # strong ref: keeps id() keys valid
+    token: str
+    kind: str
+    scalars: dict
+    group: SegmentGroup
+    fingerprint: tuple | None  # index exports only; a table never goes stale
+    size: int
 
 
 class WorkerPool:
@@ -197,32 +187,30 @@ class WorkerPool:
             self.exports += 1
             return entry
 
-    def ensure_items(self, items: Sequence[Item], *, sort_by_id: bool = False) -> _Export:
-        """The live export of a join-side item sequence.
-
+    def ensure_items(self, table: BoxTable, *, sort_by_id: bool = False) -> _Export:
+        """The live export of a join side: the table's arrays as they are
+        (it is immutable, so an export keyed on it never goes stale).
         ``sort_by_id=True`` publishes the id-sorted permutation (cached
-        separately) — the order prefix-sharded self joins require.
-        """
+        separately) — the order prefix-sharded self joins require."""
         with self._lock:
             if self.closed:
                 raise RuntimeError("WorkerPool is closed")
-            key = (id(items), sort_by_id)
-            fingerprint = _items_fingerprint(items)
+            key = (id(table), sort_by_id)
             entry = self._item_exports.get(key)
-            if entry is not None and entry.source is items and entry.fingerprint == fingerprint:
+            if entry is not None and entry.source is table:
                 return entry
-            seq = sorted(items, key=lambda item: item[0]) if sort_by_id else items
-            group = SegmentGroup(export_items_payload(list(seq)))
+            rows = table.sorted_by_id() if sort_by_id else table
+            group = SegmentGroup({"eids": rows.eids, "boxes": rows.boxes})
             if entry is not None:
                 entry.group.close()
             entry = _Export(
-                source=items,
+                source=table,
                 token=f"items-{key[0]}-{next(_TOKENS)}",
                 kind="items",
                 scalars={},
                 group=group,
-                fingerprint=fingerprint,
-                size=len(items),
+                fingerprint=None,
+                size=len(table),
             )
             self._item_exports[key] = entry
             return entry

@@ -33,19 +33,23 @@ mutations (maintenance counters plus the identity of the structures every
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.approx.spill_tree import SpillTree, _FlatSpillTree
-from repro.core.uniform_grid import UniformGrid, _GridSnapshot
-from repro.geometry.aabb import AABB, array_to_boxes, as_box_array
-from repro.indexes.base import Item, KNNResult, SpatialIndex
+from repro.core.resolution import default_cell_size
+from repro.core.uniform_grid import (
+    UniformGrid,
+    _axis_arrays,
+    _GridSnapshot,
+    grid_axes,
+    pack_snapshot,
+    snapshot_arrays,
+)
+from repro.geometry.aabb import AABB, as_box_array
+from repro.geometry.table import BoxTable
+from repro.indexes.base import KNNResult, SpatialIndex
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
-
-#: Payload kinds a worker knows how to rehydrate.
-PAYLOAD_KINDS = ("grid", "tree", "spill", "packed")
 
 
 # -- parent side: export + staleness -------------------------------------------
@@ -109,26 +113,41 @@ def index_fingerprint(index: SpatialIndex) -> tuple:
     return tuple(parts)
 
 
-def items_fingerprint(items: Sequence[Item]) -> tuple:
-    """Staleness stamp for a join-side item sequence.
-
-    Join specs carry materialized ``(eid, AABB)`` sequences; tuples/lists
-    are treated as immutable once submitted (the spec dataclasses are
-    frozen), so identity plus length suffices.
-    """
-    return (id(items), len(items))
-
-
-def export_items_payload(items: Sequence[Item]) -> dict[str, np.ndarray]:
-    """Pack an item sequence into ``{"eids", "boxes"}`` arrays."""
-    from repro.geometry.aabb import boxes_to_array
-
-    eids = np.fromiter((eid for eid, _ in items), dtype=np.int64, count=len(items))
-    boxes = boxes_to_array([box for _, box in items])
-    return {"eids": eids, "boxes": boxes}
-
-
 # -- worker side: rehydration --------------------------------------------------
+
+
+class _ReadOnlyShell:
+    """What the three rehydrated indexes share: mutations raise, and the
+    scalar paths (which the batch kernels fall back to, and which cannot walk
+    structures that never crossed the process boundary) answer through a
+    lazily built :class:`~repro.indexes.linear_scan.LinearScan` over the
+    shell's ``_tables()`` — identical answers by the ordering contract."""
+
+    _oracle: LinearScan | None = None
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    bulk_load = insert = delete = update = _refuse
+
+    def _scan(self) -> LinearScan:
+        if self._oracle is None:
+            eids, boxes = self._tables()  # type: ignore[attr-defined]
+            oracle = LinearScan(counters=self.counters)  # type: ignore[attr-defined]
+            oracle._boxes = dict(BoxTable(eids, boxes).items())
+            oracle._dense = (eids, boxes)
+            self._oracle = oracle
+        return self._oracle
+
+    def range_query(self, box: AABB) -> list[int]:
+        return self._scan().range_query(box)
+
+    def knn(self, point, k: int) -> KNNResult:
+        return self._scan().knn(point, k)
+
+    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
+        eids, boxes = self._tables()  # type: ignore[attr-defined]
+        return eids.copy(), boxes.copy()
 
 
 class _Population:
@@ -147,7 +166,7 @@ class _Population:
         return self.n > 0
 
 
-class SnapshotGridIndex(UniformGrid):
+class SnapshotGridIndex(_ReadOnlyShell, UniformGrid):
     """A read-only :class:`UniformGrid` rebuilt from exported snapshot arrays.
 
     The dense ``_GridSnapshot`` tables are adopted directly (typically as
@@ -163,61 +182,32 @@ class SnapshotGridIndex(UniformGrid):
         corners = arrays["universe"]
         universe = AABB(corners[0].tolist(), corners[1].tolist())
         super().__init__(universe=universe, cell_size=float(cell))
-        self._snapshot = _GridSnapshot(
-            keys=arrays["keys"],
-            starts=arrays["starts"],
-            counts=arrays["counts"],
-            entry_rows=arrays["entry_rows"],
-            entry_first=arrays["entry_first"],
-            eids=arrays["eids"],
-            boxes=arrays["boxes"],
-            strides=arrays["strides"],
-            tops=arrays["tops"],
-            origin=arrays["origin"],
-            cell=float(cell),
-        )
+        fields = {name: arrays[name] for name in _GridSnapshot.EXPORTED}
+        self._snapshot = _GridSnapshot(cell=float(cell), **fields)
         self._boxes = _Population(int(arrays["eids"].shape[0]))  # type: ignore[assignment]
-        self._oracle: LinearScan | None = None
 
-    # -- read-only --------------------------------------------------------
+    @classmethod
+    def over(
+        cls, eids: np.ndarray, boxes: np.ndarray, universe: AABB, cell_size: float | None = None
+    ) -> "SnapshotGridIndex | None":
+        """A read-only grid straight from element arrays, no buckets built:
+        exactly what ``UniformGrid(universe, cell_size).bulk_load`` of the same
+        rows would snapshot (same default resolution, same packed tables), for
+        probe-once grids.  ``None`` when the resolution is unlinearizable."""
+        cell = cell_size if cell_size is not None else default_cell_size(len(eids), universe)
+        origin, tops = _axis_arrays(grid_axes(universe, cell))
+        snapshot = pack_snapshot(eids, boxes, origin, cell, tops)
+        if snapshot is None:
+            return None
+        return cls(snapshot_arrays(snapshot, universe), cell)
 
-    def bulk_load(self, items) -> None:
-        raise TypeError("SnapshotGridIndex is read-only")
-
-    def insert(self, eid: int, box: AABB) -> None:
-        raise TypeError("SnapshotGridIndex is read-only")
-
-    def delete(self, eid: int, box: AABB) -> None:
-        raise TypeError("SnapshotGridIndex is read-only")
-
-    def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        raise TypeError("SnapshotGridIndex is read-only")
-
-    # -- scalar paths through the oracle ----------------------------------
-
-    def _scan(self) -> LinearScan:
-        if self._oracle is None:
-            snap = self._snapshot
-            assert snap is not None
-            oracle = LinearScan(counters=self.counters)
-            oracle._boxes = dict(zip(snap.eids.tolist(), array_to_boxes(snap.boxes)))
-            oracle._dense = (snap.eids, snap.boxes)
-            self._oracle = oracle
-        return self._oracle
-
-    def range_query(self, box: AABB) -> list[int]:
-        return self._scan().range_query(box)
-
-    def knn(self, point, k: int) -> KNNResult:
-        return self._scan().knn(point, k)
-
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         snap = self._snapshot
         assert snap is not None
-        return snap.eids.copy(), snap.boxes.copy()
+        return snap.eids, snap.boxes
 
 
-class SnapshotTreeIndex(SpatialIndex):
+class SnapshotTreeIndex(_ReadOnlyShell, SpatialIndex):
     """A read-only R-tree served straight from exported node tables.
 
     The parent's :meth:`~repro.indexes.rtree.RTree.export_tree` arrays are
@@ -241,21 +231,6 @@ class SnapshotTreeIndex(SpatialIndex):
         self._size = int((self._starts[leaves + 1] - self._starts[leaves]).sum())
         self._dims = int(self._entry_boxes.shape[2])
         self._packed: dict[int, tuple[bool, np.ndarray, object]] = {}
-        self._oracle: LinearScan | None = None
-
-    # -- read-only --------------------------------------------------------
-
-    def bulk_load(self, items) -> None:
-        raise TypeError("SnapshotTreeIndex is read-only")
-
-    def insert(self, eid: int, box: AABB) -> None:
-        raise TypeError("SnapshotTreeIndex is read-only")
-
-    def delete(self, eid: int, box: AABB) -> None:
-        raise TypeError("SnapshotTreeIndex is read-only")
-
-    def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        raise TypeError("SnapshotTreeIndex is read-only")
 
     # -- batch kernels over the flat tables --------------------------------
 
@@ -335,9 +310,7 @@ class SnapshotTreeIndex(SpatialIndex):
             pts, k, self._size, 0, self._expand, self.counters
         )
 
-    # -- scalar paths through the oracle ----------------------------------
-
-    def _leaf_items(self) -> tuple[np.ndarray, np.ndarray]:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         leaves = np.nonzero(self._is_leaf)[0]
         rows = np.concatenate(
             [
@@ -347,23 +320,8 @@ class SnapshotTreeIndex(SpatialIndex):
         )
         return self._entry_refs[rows], self._entry_boxes[rows]
 
-    def _scan(self) -> LinearScan:
-        if self._oracle is None:
-            eids, boxes = self._leaf_items()
-            oracle = LinearScan(counters=self.counters)
-            oracle._boxes = dict(zip(eids.tolist(), array_to_boxes(boxes)))
-            oracle._dense = (eids, boxes)
-            self._oracle = oracle
-        return self._oracle
-
-    def range_query(self, box: AABB) -> list[int]:
-        return self._scan().range_query(box)
-
-    def knn(self, point, k: int) -> KNNResult:
-        return self._scan().knn(point, k)
-
     def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        eids, boxes = self._leaf_items()
+        eids, boxes = self._tables()
         order = np.argsort(eids, kind="stable")
         return eids[order].copy(), boxes[order].copy()
 
@@ -379,7 +337,7 @@ class SnapshotTreeIndex(SpatialIndex):
         )
 
 
-class SnapshotSpillTree(SpillTree):
+class SnapshotSpillTree(_ReadOnlyShell, SpillTree):
     """A read-only :class:`~repro.approx.spill_tree.SpillTree` over exported
     arrays: the dense ``(eids, boxes)`` tables plus the parent's *built*
     flat tree, so both the exact batch kernels and the defeatist
@@ -400,42 +358,9 @@ class SnapshotSpillTree(SpillTree):
         self._dense = (eids, arrays["boxes"])
         self._tree = _FlatSpillTree.from_arrays(arrays)
         self._recall_cache: dict[int, float] = {}
-        self._oracle: LinearScan | None = None
 
-    # -- read-only --------------------------------------------------------
-
-    def bulk_load(self, items) -> None:
-        raise TypeError("SnapshotSpillTree is read-only")
-
-    def insert(self, eid: int, box: AABB) -> None:
-        raise TypeError("SnapshotSpillTree is read-only")
-
-    def delete(self, eid: int, box: AABB) -> None:
-        raise TypeError("SnapshotSpillTree is read-only")
-
-    def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        raise TypeError("SnapshotSpillTree is read-only")
-
-    # -- scalar paths through the oracle ----------------------------------
-
-    def _scan(self) -> LinearScan:
-        if self._oracle is None:
-            eids, boxes = self._dense  # type: ignore[misc]
-            oracle = LinearScan(counters=self.counters)
-            oracle._boxes = dict(zip(eids.tolist(), array_to_boxes(boxes)))
-            oracle._dense = (eids, boxes)
-            self._oracle = oracle
-        return self._oracle
-
-    def range_query(self, box: AABB) -> list[int]:
-        return self._scan().range_query(box)
-
-    def knn(self, point, k: int) -> KNNResult:
-        return self._scan().knn(point, k)
-
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        eids, boxes = self._dense  # type: ignore[misc]
-        return eids.copy(), boxes.copy()
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._dense  # type: ignore[return-value]
 
     def memory_bytes(self) -> int:
         eids, boxes = self._dense  # type: ignore[misc]
@@ -446,13 +371,13 @@ class SnapshotSpillTree(SpillTree):
         )
 
 
-def items_from_arrays(eids: np.ndarray, boxes: np.ndarray) -> list[Item]:
-    """Rebuild the ``(eid, AABB)`` list a join strategy consumes.
-
-    Row order is preserved — the parent ships self-join payloads sorted by
-    id, and prefix sharding depends on that order surviving the round trip.
-    """
-    return list(zip(eids.tolist(), array_to_boxes(boxes)))
+def items_from_arrays(eids: np.ndarray, boxes: np.ndarray) -> BoxTable:
+    """The join side a strategy consumes: a table over the (shared-memory)
+    views as they are — no rehydration; object-mode strategies get their boxes
+    lazily.  The parent exported a checked table, so the rows are trusted, and
+    row order survives (self-join payloads arrive sorted by id, which prefix
+    sharding depends on)."""
+    return BoxTable(eids, boxes)
 
 
 def build_worker_index(

@@ -28,7 +28,8 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.engine.batch import BatchQueryEngine, BatchStats
-from repro.indexes.base import Item, SpatialIndex
+from repro.geometry.table import BoxTable
+from repro.indexes.base import SpatialIndex
 from repro.instrumentation.counters import Counters
 from repro.obs import capture_worker, global_registry
 from repro.serving.shm import AttachedArrays
@@ -48,7 +49,7 @@ class _CacheEntry:
     def __init__(self, attached: AttachedArrays) -> None:
         self.attached = attached
         self.index: SpatialIndex | None = None
-        self.items: list[Item] | None = None
+        self.items: BoxTable | None = None
 
 
 _CACHE: OrderedDict[str, _CacheEntry] = OrderedDict()
@@ -66,14 +67,6 @@ def _entry_for(token: str, meta: Meta) -> _CacheEntry:
     return entry
 
 
-def _reset_cache() -> None:
-    """Release every cached payload (tests only)."""
-    while _CACHE:
-        _, entry = _CACHE.popitem()
-        entry.attached.release()
-    _reset_maps()
-
-
 # -- mapped spill files --------------------------------------------------------
 
 #: Read-only mappings of parent spill files, one live mapping per path.
@@ -81,16 +74,6 @@ _MAPS: dict[str, tuple[mmap.mmap, int]] = {}
 #: Superseded mappings that zero-copy views may still pin (a closed-on-GC
 #: mapping mirrors MappedPageStore's retire-don't-close policy).
 _RETIRED_MAPS: list[mmap.mmap] = []
-
-
-def _reset_maps() -> None:
-    """Drop every cached spill-file mapping (tests only)."""
-    while _MAPS:
-        _, (mapping, _) = _MAPS.popitem()
-        try:
-            mapping.close()
-        except BufferError:  # a live view still exports the buffer
-            _RETIRED_MAPS.append(mapping)
 
 
 def _mapping_for(path: str, min_size: int) -> mmap.mmap:
@@ -127,16 +110,6 @@ def _run_extent(run) -> int:
     )
 
 
-def _attach_run(run, counters: Counters) -> np.ndarray:
-    """One spilled array out of the mapped file (zero-copy when contiguous)."""
-    from repro.exec.spill import mapped_run_rows
-
-    mapping = _mapping_for(run.path, _run_extent(run))
-    counters.spill_bytes_read += run.nbytes
-    global_registry().counter("spill.bytes_read").inc(run.nbytes)
-    return mapped_run_rows(mapping, run, 0, run.rows, counters)
-
-
 def merge_run_task(layout, segments_a, segments_b, obs_ctx=None):
     """Merge one spilled PBSM tile run into result id pairs.
 
@@ -153,7 +126,7 @@ def merge_run_task(layout, segments_a, segments_b, obs_ctx=None):
         sides = []
         for segments in (segments_a, segments_b):
             parts = [
-                tuple(_attach_run(run, counters) for run in seg) for seg in segments
+                tuple(_attach_slice(run, 0, run.rows, counters) for run in seg) for seg in segments
             ]
             sides.append(concat_segments(parts, layout.dims))
         ids_a, ids_b = merge_run_arrays(layout, sides[0], sides[1], counters)
@@ -227,7 +200,7 @@ def query_shard_task(
     return results, engine.stats, cap.telemetry
 
 
-def _items_for(token: str, meta: Meta) -> list[Item]:
+def _items_for(token: str, meta: Meta) -> BoxTable:
     entry = _entry_for(token, meta)
     if entry.items is None:
         arrays = entry.attached.arrays
@@ -246,35 +219,15 @@ def join_shard_task(
     epsilon: float,
     obs_ctx: tuple[str, str] | None = None,
 ):
-    """Join the build side against one probe chunk.
+    """Join the build side against one probe chunk — the same
+    :func:`~repro.joins.strategies.shard_pairs` the fork path runs, over the
+    (id-sorted, for self modes) shared-memory tables."""
+    from repro.joins.strategies import shard_pairs
 
-    Shard semantics are identical to the fork path
-    (:func:`repro.joins.session._run_join_shard`): binary modes join the
-    full build side against the chunk; self modes exploit the id-sorted
-    payload order — the chunk joins only the prefix ending at the chunk,
-    and the shard holding a pair's larger id reports it, so every pair
-    lands in exactly one shard with no cross-shard dedup pass.
-    """
     counters = Counters()
     with capture_worker("join_shard", obs_ctx, mode=mode, counters=counters) as cap:
         items_a = _items_for(token_a, meta_a)
         probes = items_a if token_b == token_a else _items_for(token_b, meta_b)
-        chunk = probes[bounds[0] : bounds[1]]
-        if mode == "pair":
-            pairs = strategy.join(items_a, chunk, counters)
-        elif mode == "self":
-            pairs = [(a, b) for a, b in strategy.join(items_a[: bounds[1]], chunk, counters) if a < b]
-        elif mode == "distance_pair":
-            pairs = strategy.distance_candidates(items_a, chunk, epsilon, counters)
-        elif mode == "distance_self":
-            pairs = [
-                (a, b)
-                for a, b in strategy.distance_candidates(
-                    items_a[: bounds[1]], chunk, epsilon, counters
-                )
-                if a < b
-            ]
-        else:  # pragma: no cover - the pool only emits the four modes
-            raise ValueError(f"unknown join shard mode: {mode!r}")
+        pairs = shard_pairs(strategy, mode, items_a, probes, bounds, epsilon, counters)
         cap.set_attr("pairs", len(pairs))
     return pairs, counters, cap.telemetry

@@ -35,6 +35,7 @@ import pytest
 from conftest import knn_pairs, make_items
 from repro import (
     AABB,
+    BoxTable,
     FlushPolicy,
     JoinSession,
     KNNQuery,
@@ -220,12 +221,19 @@ class TestWorkerPool:
         session = JoinSession(
             executor=ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)
         )
-        shared = tuple(items)
-        expected = sorted(JoinSession().run(SelfJoinSpec(shared)))
-        assert sorted(session.run(SelfJoinSpec(shared))) == expected
-        assert sorted(session.run(SelfJoinSpec(shared))) == expected
-        assert session.stats.executor_runs == {"sharded": 2}
+        # Exports are keyed on the BoxTable: two specs sharing one table
+        # publish once (two specs over one bare tuple would each pack their
+        # own table and so export twice), and so does re-running a spec.
+        shared = BoxTable.from_items(items)
+        expected = sorted(JoinSession().run(SelfJoinSpec(tuple(items))))
+        spec = SelfJoinSpec(shared)
+        assert session.run(spec) == expected
+        assert session.run(spec) == expected
+        assert session.run(SelfJoinSpec(shared)) == expected
+        assert session.stats.executor_runs == {"sharded": 3}
         assert len(pool._item_exports) == 1
+        (export,) = pool._item_exports.values()
+        assert export.source is shared
 
     def test_worker_crash_recovers_and_segments_survive(self, loaded, pool):
         items, grid, oracle = loaded
