@@ -10,9 +10,10 @@ workers.  This bench pins it two ways at the paper's analysis scale
   through the pool (snapshot attached once) vs the legacy per-flush fork
   path (``pool=False``); asserted ≥ 2x qps at full scale on ≥ 4 cores;
 * **async serving** — N=8 asyncio clients sustaining a mixed range/kNN
-  workload through a :class:`ServingSession`; reports client-observed
-  p50/p99 latency and aggregate qps, with every answer checked against the
-  LinearScan oracle.
+  workload through a :class:`ServingSession`, beside one array client whose
+  batch-sized submissions flush on their own (ISSUE 18); reports
+  client-observed p50/p99 latency and aggregate qps, with every answer —
+  the array client's included — checked against the LinearScan oracle.
 
 Usage::
 
@@ -41,6 +42,7 @@ import numpy as np
 from bench_common import emit, range_window_workload
 from repro import (
     AABB,
+    FlushPolicy,
     KNNQuery,
     QuerySession,
     RangeQuery,
@@ -63,6 +65,7 @@ QUICK_N, QUICK_M = 10_000, 1_000
 CLIENTS = 8
 REQUESTS_PER_CLIENT_FULL = 150
 REQUESTS_PER_CLIENT_QUICK = 30
+ARRAY_ROUNDS = 4  # batch-sized submissions from the array client
 
 # Observability artifacts (ISSUE 10): a short traced pass runs *after* the
 # timed workload, so the exported trace shows real pool traffic without
@@ -122,6 +125,20 @@ async def _client(serving, oracle, boxes, points, latencies, check: bool):
             assert [eid for _, eid in neighbours] == [eid for _, eid in exact]
 
 
+async def _array_client(serving, batches) -> None:
+    """Whole-batch submissions: each fills ``FlushPolicy.max_batch`` by
+    itself and shards onto the pool, so it flushes on its own while the
+    single-request clients keep being answered.  ``batches`` pairs each
+    window array with its oracle answers, computed ahead of the timed loop
+    (or ``None`` to skip the check)."""
+    for windows, expected in batches:
+        handle = await serving.query_executor.submit_ranges(windows)
+        answer = await handle
+        assert len(answer) == len(windows)
+        if expected is not None:
+            assert [sorted(ids) for ids in answer] == expected
+
+
 async def _export_artifacts(serving, oracle, workload, items) -> None:
     """One traced round through the live session, then write the
     Chrome-trace JSON and the merged metrics snapshot for CI to upload.
@@ -155,6 +172,14 @@ def bench_async_serving(
         points = [tuple(p) for p in rng.uniform(0.0, 100.0, size=(requests_per_client, 3))]
         per_client.append((boxes, points))
 
+    rows = FlushPolicy().max_batch  # the session below runs the default policy
+    array_batches = []
+    for _ in range(ARRAY_ROUNDS):
+        lo = rng.uniform(0.0, 98.0, size=(rows, 3))
+        windows = np.stack([lo, np.minimum(lo + 2.0, 100.0)], axis=1)
+        expected = [sorted(ids) for ids in oracle.batch_range_query(windows)] if check else None
+        array_batches.append((windows, expected))
+
     latencies: list[float] = []
 
     async def main() -> float:
@@ -164,16 +189,24 @@ def bench_async_serving(
                 *(
                     _client(serving, oracle, boxes, points, latencies, check)
                     for boxes, points in per_client
-                )
+                ),
+                _array_client(serving, array_batches),
             )
             elapsed = time.perf_counter() - start
             stats = serving.queries.stats
             assert stats.queue_high_water >= 2, "clients never overlapped in the queue"
+            # bench_pool_vs_fork left a live export of this grid, so every
+            # array submission flushed on its own: none entered the queue,
+            # each is one "full" flush, and none re-exported the index.
+            assert stats.queue_high_water < rows, "an array submission sat in the queue"
+            assert stats.flush_triggers.get("full", 0) == ARRAY_ROUNDS
             assert sum(stats.flush_triggers.values()) == stats.flushes
+            assert pool.exports == 1, f"expected one snapshot export, saw {pool.exports}"
             await _export_artifacts(serving, oracle, per_client[0], items)
             return elapsed
 
     elapsed = asyncio.run(main())
+    # Single requests only: the array client's rows are not latency samples.
     total = 2 * CLIENTS * requests_per_client
     return {
         "async_qps": total / elapsed,

@@ -163,9 +163,15 @@ class ResultHandle:
     attaches an asyncio waiter at submit time, and ``await handle`` parks
     the task until the executor's flush settles it.  Awaiting a handle with
     no waiter degrades to the synchronous flush-on-read path.
+
+    A submission the session claimed for a flush of its own
+    (:meth:`QuerySession.claim_alone`) is in no buffer a read could flush;
+    ``result()`` on its handle blocks until that flush settles it.
     """
 
-    __slots__ = ("query", "tag", "_session", "_value", "_error", "_resolved", "_waiter")
+    __slots__ = (
+        "query", "tag", "_session", "_value", "_error", "_resolved", "_waiter", "_settled",
+    )
 
     def __init__(self, session: "QuerySession", query: Query | None, tag: Any = None) -> None:
         self.query = query
@@ -175,13 +181,16 @@ class ResultHandle:
         self._error: BaseException | None = None
         self._resolved = False
         self._waiter: Any = None  # asyncio.Future, attached by AsyncExecutor
+        self._settled: threading.Event | None = None  # set by claim_alone
 
     @property
     def resolved(self) -> bool:
         return self._resolved
 
     def result(self) -> Any:
-        if not self._resolved:
+        if self._settled is not None:
+            self._settled.wait()
+        elif not self._resolved:
             try:
                 self._session.flush()
             except Exception:
@@ -209,16 +218,20 @@ class ResultHandle:
 
     def _resolve(self, value: Any) -> None:
         self._value = value
-        self._resolved = True
-        self._session = None  # settled handles must not pin the session/index
+        self._settle()
 
     def _fail(self, error: Exception) -> None:
         """Settle the handle with the executor error that consumed its
         submission, so ``result()`` re-raises instead of hanging on a
         never-resolved handle."""
         self._error = error
+        self._settle()
+
+    def _settle(self) -> None:
         self._resolved = True
-        self._session = None
+        self._session = None  # settled handles must not pin the session/index
+        if self._settled is not None:
+            self._settled.set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self._resolved else "pending"
@@ -391,6 +404,31 @@ def _fork_is_safe() -> bool:
     )
 
 
+def _collapse_duplicates(
+    batch: QueryBatch, dedup: bool
+) -> tuple[QueryBatch, np.ndarray | None, int]:
+    """Cross-shard dedup: collapse duplicates over the WHOLE batch before it
+    is partitioned.  Per-shard dedup (the engine's own) would execute a
+    duplicate once per shard it lands in; collapsing first executes it
+    exactly once, and :meth:`ShardedExecutor._fan_out` scatters the result
+    back.  Returns ``(batch of unique rows, inverse, rows dropped)`` —
+    ``(batch, None, 0)`` when there is nothing to collapse."""
+    if not dedup or batch.size <= 1:
+        return batch, None, 0
+    flat = np.ascontiguousarray(batch.payload.reshape(batch.size, -1))
+    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
+    dropped = batch.size - unique.shape[0]
+    if not dropped:
+        return batch, None, 0
+    collapsed = QueryBatch(
+        kind=batch.kind,
+        payload=unique.reshape(unique.shape[0], *batch.payload.shape[1:]),
+        k=batch.k,
+        accuracy=batch.accuracy,
+    )
+    return collapsed, inverse, dropped
+
+
 class ShardedExecutor(Executor):
     """Partitions the query array across a pool of worker processes.
 
@@ -461,51 +499,80 @@ class ShardedExecutor(Executor):
     def run(
         self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
     ) -> tuple[list, BatchStats]:
-        # Cross-shard dedup: collapse duplicates over the WHOLE batch before
-        # partitioning.  Per-shard dedup (the engine's own) would execute a
-        # duplicate once per shard it lands in; deduplicating here executes
-        # it exactly once, then fans the result back out on merge.
-        inverse: np.ndarray | None = None
-        dropped = 0
-        if dedup and batch.size > 1:
-            flat = np.ascontiguousarray(batch.payload.reshape(batch.size, -1))
-            unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-            if unique.shape[0] < batch.size:
-                dropped = batch.size - unique.shape[0]
-                batch = QueryBatch(
-                    kind=batch.kind,
-                    payload=unique.reshape(unique.shape[0], *batch.payload.shape[1:]),
-                    k=batch.k,
-                    accuracy=batch.accuracy,
-                )
-            else:
-                inverse = None
+        # Too small to shard on its face: the engine's own dedup is the
+        # only one the batch needs.
+        if self._shards(batch.size) < 2:
+            return self._fallback.run(index, batch, dedup=dedup)
+        unique, inverse, dropped = _collapse_duplicates(batch, dedup)
+        answered = self._run_pooled(index, unique, dedup, export=True)
+        if answered is None:
+            answered = self._run_local(index, unique, dedup)
+        return self._fan_out(*answered, inverse, dropped)
 
-        shards = min(self.workers, batch.size // self.min_shard)
-        if shards >= 2:
-            pool = self._resolve_pool()
-            if pool is not None:
-                try:
-                    entry = pool.ensure_index(index)
-                    if entry is not None:
-                        results, stats = pool.run_query_shards(
-                            entry,
-                            batch.kind,
-                            batch.payload,
-                            batch.k,
-                            dedup,
-                            shards,
-                            accuracy=batch.accuracy,
-                        )
-                        return self._fan_out(results, stats, inverse, dropped)
-                except Exception:
-                    # Pool-infrastructure failure: fall through to the
-                    # fork/in-process paths, which reproduce any genuine
-                    # query error on the same inputs.
-                    pass
+    def run_pooled(
+        self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
+    ) -> tuple[list, BatchStats] | None:
+        """:meth:`run`, if the worker pool can answer right now without
+        anything happening in this process: ``None`` when the batch is not
+        for the pool as things stand (:meth:`pooled_entry`, looking only) or
+        the pool's infrastructure failed.  Touches neither the index's
+        kernels nor its counters, so — unlike :meth:`run` — it needs no
+        exclusion from other executor runs on the same index."""
+        unique, inverse, dropped = _collapse_duplicates(batch, dedup)
+        answered = self._run_pooled(index, unique, dedup, export=False)
+        return None if answered is None else self._fan_out(*answered, inverse, dropped)
+
+    def _shards(self, rows: int) -> int:
+        return min(self.workers, rows // self.min_shard)
+
+    def pooled_entry(self, index: SpatialIndex, rows: int, *, export: bool):
+        """``(pool, export entry)`` when a ``rows``-row batch on ``index``
+        would be answered by the worker pool, else ``None``: the batch
+        shards, a pool is configured, and the index has a shared-memory
+        export.  ``export=False`` only looks — it accepts nothing but a
+        published export that is still fresh.  Publishing one may build the
+        index's lazy snapshot, which is in-process work on the index that a
+        caller outside the session's flush lock must not start."""
+        if self._shards(rows) < 2:
+            return None
+        pool = self._resolve_pool()
+        if pool is None:
+            return None
+        entry = pool.ensure_index(index) if export else pool.current_index(index)
+        return None if entry is None else (pool, entry)
+
+    def _run_pooled(
+        self, index: SpatialIndex, batch: QueryBatch, dedup: bool, *, export: bool
+    ) -> tuple[list, BatchStats] | None:
+        """Try the pool with an already-collapsed batch."""
+        try:
+            target = self.pooled_entry(index, batch.size, export=export)
+            if target is None:
+                return None
+            pool, entry = target
+            return pool.run_query_shards(
+                entry,
+                batch.kind,
+                batch.payload,
+                batch.k,
+                dedup,
+                self._shards(batch.size),
+                accuracy=batch.accuracy,
+            )
+        except Exception:
+            # Pool-infrastructure failure: the fork/in-process paths
+            # reproduce any genuine query error on the same inputs.
+            return None
+
+    def _run_local(
+        self, index: SpatialIndex, batch: QueryBatch, dedup: bool
+    ) -> tuple[list, BatchStats]:
+        """Answer an already-collapsed batch without the worker pool: a
+        per-run fork pool where forking is sound and the batch still
+        shards, else :class:`BatchExecutor`."""
+        shards = self._shards(batch.size)
         if shards < 2 or not _fork_is_safe():
-            results, stats = self._fallback.run(index, batch, dedup=dedup)
-            return self._fan_out(results, stats, inverse, dropped)
+            return self._fallback.run(index, batch, dedup=dedup)
         bounds = np.linspace(0, batch.size, shards + 1).astype(int)
         chunks = [batch.payload[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -524,7 +591,7 @@ class ShardedExecutor(Executor):
             ingest_telemetry(telemetry)
         # The shards executed one logical batch between them.
         stats.batches = 1
-        return self._fan_out(results, stats, inverse, dropped)
+        return results, stats
 
     @staticmethod
     def _fan_out(
@@ -605,7 +672,10 @@ class SessionStats:
     counts flushes per cause (``"full"`` / ``"deadline"`` / ``"idle"`` —
     recorded by :class:`~repro.serving.async_executor.AsyncExecutor`; plain
     synchronous flushes don't tag themselves), and ``flush_seconds`` is the
-    total wall-clock spent inside :meth:`QuerySession.flush`."""
+    total wall-clock spent inside :meth:`QuerySession.flush` and
+    :meth:`QuerySession.flush_alone` (the two may overlap, so it can exceed
+    elapsed time).  The session mutates these fields under its ``_lock``;
+    ``flush_triggers`` belongs to the event loop that records it."""
 
     batch: BatchStats = field(default_factory=BatchStats)
     flushes: int = 0
@@ -703,10 +773,12 @@ class QuerySession:
         self._m_high_water = self.metrics.gauge("query.queue.high_water")
         self._m_flushes = self.metrics.counter("query.flushes")
         self._m_flush_seconds = self.metrics.histogram("query.flush.seconds")
-        # Concurrency: `_lock` guards the buffer and submission tallies;
-        # `_flush_lock` serializes whole flushes (drain → execute → resolve),
-        # so a competing flush-on-read blocks until every drained handle has
-        # settled instead of observing drained-but-unresolved handles.
+        # Concurrency: `_lock` guards the buffer and every stats/metrics
+        # tally; `_flush_lock` serializes whole flushes (drain → execute →
+        # resolve), so a competing flush-on-read blocks until every drained
+        # handle has settled instead of observing drained-but-unresolved
+        # handles.  It is also the in-process execution lock: `flush_alone`
+        # runs outside it only while its batch is in the worker pool.
         self._lock = threading.Lock()
         self._flush_lock = threading.Lock()
 
@@ -755,14 +827,17 @@ class QuerySession:
         measured = estimate(k)
         if measured < accuracy:
             return None
-        self.stats.batch.recall_estimate = min(
-            self.stats.batch.recall_estimate, measured
-        )
+        with self._lock:
+            self.stats.batch.recall_estimate = min(
+                self.stats.batch.recall_estimate, measured
+            )
         return accuracy
 
     # -- submission (deferred) ------------------------------------------------
 
-    def _enqueue(self, submission: _Submission, count: int) -> None:
+    def enqueue(self, submission: _Submission) -> ResultHandle:
+        """Queue ``submission`` for the next flush; returns its handle."""
+        count = submission.payload.shape[0]
         with self._lock:
             self._buffer.add(submission)
             self.stats.submitted += count
@@ -771,10 +846,12 @@ class QuerySession:
                 self.stats.queue_high_water = depth
             self._m_submitted.inc(count)
             self._m_high_water.track_max(depth)
+        return submission.handle
 
     def submit(self, query: Query) -> ResultHandle:
         """Buffer one query value; returns its deferred handle."""
         handle = ResultHandle(self, query)
+        accuracy = None
         if isinstance(query, RangeQuery):
             payload = as_box_array([query.box])
             kind, k = "range", None
@@ -782,20 +859,38 @@ class QuerySession:
             payload = as_point_array([query.point])
             kind, k = "knn", query.k
             accuracy = None if query.accuracy == "exact" else query.accuracy
-            self._enqueue(
-                _Submission(kind, payload, k, handle, vector=False, accuracy=accuracy), 1
-            )
-            return handle
         elif isinstance(query, PointQuery):
             payload = as_point_array([query.point])
             kind, k = "point", None
         else:
             raise TypeError(f"not a query value: {query!r}")
-        self._enqueue(_Submission(kind, payload, k, handle, vector=False), 1)
-        return handle
+        return self.enqueue(_Submission(kind, payload, k, handle, vector=False, accuracy=accuracy))
 
     def submit_all(self, queries: Sequence[Query]) -> list[ResultHandle]:
         return [self.submit(q) for q in queries]
+
+    def array_submission(
+        self,
+        kind: str,
+        array: np.ndarray | Sequence,
+        *,
+        k: int | None = None,
+        tag: Any = None,
+        accuracy: float | str = "exact",
+    ) -> _Submission:
+        """One whole query array as a submission with a fresh handle, not
+        yet queued: :meth:`enqueue` it (what ``submit_ranges`` /
+        ``submit_knns`` / ``submit_points`` do), or — the serving tier, for
+        an array that is a batch by itself — :meth:`claim_alone` it."""
+        target = None
+        if kind == "knn":
+            if k < 0:
+                raise ValueError(f"k must be >= 0, got {k}")
+            target = _validate_accuracy(accuracy)
+            target = None if target == "exact" else target
+        payload = as_box_array(array) if kind == "range" else as_point_array(array)
+        handle = ResultHandle(self, None, tag)
+        return _Submission(kind, payload, k, handle, vector=True, accuracy=target)
 
     def submit_ranges(
         self, boxes: np.ndarray | Sequence[AABB], tag: Any = None
@@ -806,10 +901,7 @@ class QuerySession:
         loops keep kernel-speed submission; the handle resolves to the
         per-query list of id lists.
         """
-        payload = as_box_array(boxes)
-        handle = ResultHandle(self, None, tag)
-        self._enqueue(_Submission("range", payload, None, handle, vector=True), payload.shape[0])
-        return handle
+        return self.enqueue(self.array_submission("range", boxes, tag=tag))
 
     def submit_knns(
         self,
@@ -824,32 +916,15 @@ class QuerySession:
         ``accuracy`` follows the :class:`KNNQuery` knob: ``"exact"``
         (default) or a recall target in ``(0, 1]`` the planner may honour
         with an approximate kernel."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        target = _validate_accuracy(accuracy)
-        payload = as_point_array(points)
-        handle = ResultHandle(self, None, tag)
-        self._enqueue(
-            _Submission(
-                "knn",
-                payload,
-                k,
-                handle,
-                vector=True,
-                accuracy=None if target == "exact" else target,
-            ),
-            payload.shape[0],
+        return self.enqueue(
+            self.array_submission("knn", points, k=k, tag=tag, accuracy=accuracy)
         )
-        return handle
 
     def submit_points(
         self, points: np.ndarray | Sequence[Sequence[float]], tag: Any = None
     ) -> ResultHandle:
         """Buffer a stabbing-query point array."""
-        payload = as_point_array(points)
-        handle = ResultHandle(self, None, tag)
-        self._enqueue(_Submission("point", payload, None, handle, vector=True), payload.shape[0])
-        return handle
+        return self.enqueue(self.array_submission("point", points, tag=tag))
 
     @property
     def pending(self) -> int:
@@ -873,38 +948,111 @@ class QuerySession:
         Flushes are serialized: concurrent callers (threads, or an async
         executor racing a flush-on-read) queue on the flush lock, and each
         sees either a fully settled buffer or runs its own complete flush.
+        What the flush lock guards is *in-process execution*: no two
+        kernels ever run on the index at once, so its
+        :class:`~repro.instrumentation.counters.Counters` and lazy snapshot
+        stay single-writer.  The one thing that runs beside a flush is a
+        :meth:`flush_alone` whose batch is in the worker pool.
         """
         with self._flush_lock:
             with self._lock:
                 groups = self._buffer.drain()
-            if not groups:
-                return
-            self.stats.flushes += 1
-            start = time.perf_counter()
-            first_error: Exception | None = None
+            if groups:
+                self._flush_groups(groups, alone=False)
+
+    def claim_alone(self, submission: _Submission) -> bool:
+        """Take ``submission`` for a flush of its own — if it would run
+        off-process.
+
+        True when the executor this session picks for it is a
+        :class:`ShardedExecutor` that will answer it from the worker pool
+        (:meth:`ShardedExecutor.pooled_entry`): the submission is then
+        counted as submitted, its handle's ``result()`` blocks until
+        settled, and the caller owes one :meth:`flush_alone`.  False leaves
+        it untouched, for :meth:`enqueue`.
+
+        An index the pool holds no fresh export of is published here, on
+        the calling thread, provided no flush is running: exporting builds
+        the index's lazy snapshot, which is in-process work like any kernel.
+        While one is running the submission is left to the queue, whose
+        flush publishes."""
+        if submission.accuracy is not None:
+            # Routing a recall target calibrates on the index: in-process
+            # work, so it belongs under the flush lock.
+            return False
+        batch = QueryBatch(submission.kind, submission.payload, submission.k)
+        executor = self.choose_executor(batch)
+        if not isinstance(executor, ShardedExecutor):
+            return False
+        rows = self._chunk_rows(batch)
+        if executor.pooled_entry(self.index, rows, export=False) is None:
+            if not self._flush_lock.acquire(blocking=False):
+                return False
             try:
-                with _span("query.flush", groups=len(groups)):
-                    for (kind, k, accuracy), submissions in groups:
-                        try:
-                            self._run_group(kind, k, accuracy, submissions)
-                        except Exception as error:
-                            # Confine ordinary errors to the group that raised
-                            # them; BaseExceptions (KeyboardInterrupt,
-                            # SystemExit) propagate immediately — unexecuted
-                            # submissions stay unsettled and their reads raise
-                            # RuntimeError.
-                            for sub in submissions:
-                                if not sub.handle.resolved:
-                                    sub.handle._fail(error)
-                            if first_error is None:
-                                first_error = error
+                if executor.pooled_entry(self.index, rows, export=True) is None:
+                    return False
+            except Exception:
+                # Closed pool, no room for the segments: the queue path owns
+                # the fallbacks for a pool that cannot be used.
+                return False
             finally:
-                elapsed = time.perf_counter() - start
+                self._flush_lock.release()
+        count = submission.payload.shape[0]
+        with self._lock:
+            self.stats.submitted += count
+            self._m_submitted.inc(count)
+        submission.handle._settled = threading.Event()
+        return True
+
+    def flush_alone(self, submission: _Submission) -> None:
+        """Run one claimed submission as a flush of its own, beside the
+        queue's flushes.
+
+        Coalescing turns many small requests into one batch; a submission
+        that already *is* one gains nothing from the queue, and everything
+        sharing its flush would wait out its execution.  This is
+        :meth:`flush` for exactly one submission: one group, one executor
+        run, counted in ``stats.flushes``, its error settling its own
+        handle and re-raised here.  While the batch is in the worker pool
+        the flush lock is not held; any part of it that has to run
+        in-process (the pool failed, the export went stale) takes the lock
+        first, like any other flush."""
+        key = (submission.kind, submission.k, submission.accuracy)
+        try:
+            self._flush_groups([(key, [submission])], alone=True)
+        finally:
+            if not submission.handle.resolved:  # torn down mid-run: unblock readers
+                submission.handle._fail(RuntimeError("flush did not settle this handle"))
+
+    def _flush_groups(self, groups: list, *, alone: bool) -> None:
+        with self._lock:
+            self.stats.flushes += 1
+        start = time.perf_counter()
+        first_error: Exception | None = None
+        try:
+            with _span("query.flush", groups=len(groups)):
+                for (kind, k, accuracy), submissions in groups:
+                    try:
+                        self._run_group(kind, k, accuracy, submissions, alone)
+                    except Exception as error:
+                        # Confine ordinary errors to the group that raised
+                        # them; BaseExceptions (KeyboardInterrupt,
+                        # SystemExit) propagate immediately — unexecuted
+                        # submissions stay unsettled and their reads raise
+                        # RuntimeError.
+                        for sub in submissions:
+                            if not sub.handle.resolved:
+                                sub.handle._fail(error)
+                        if first_error is None:
+                            first_error = error
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._lock:
                 self.stats.flush_seconds += elapsed
                 self._m_flushes.inc()
                 self._m_flush_seconds.observe(elapsed)
-            if first_error is not None:
-                raise first_error
+        if first_error is not None:
+            raise first_error
 
     def _run_group(
         self,
@@ -912,6 +1060,7 @@ class QuerySession:
         k: int | None,
         accuracy: float | None,
         submissions: list[_Submission],
+        alone: bool,
     ) -> None:
         # Zero-row payloads contribute nothing (and may carry a placeholder
         # dim of 0 that would poison concatenation).
@@ -925,27 +1074,20 @@ class QuerySession:
             kind=kind, payload=payload, k=k, accuracy=self._resolve_accuracy(k, accuracy)
         )
         executor = self.choose_executor(batch)
-        # Zero-copy storage telemetry lives on the index's counters (the
-        # mapped page store charges them); diff around the batch so views
-        # served for *these* queries land in this batch's stats.
-        counters = getattr(self.index, "counters", None)
-        before = counters.snapshot() if counters is not None else None
         with _span(
             "query.group",
-            counters=counters,
+            # Off the flush lock the index's counters are another flush's to
+            # charge; the delta this span would record is not this group's.
+            counters=None if alone else getattr(self.index, "counters", None),
             kind=kind,
             size=batch.size,
             executor=executor.name,
         ):
-            results, stats = self._run_batch(executor, batch)
-        if before is not None:
-            delta = counters.diff(before)
-            stats.zero_copy_reads += delta.zero_copy_reads
-            stats.mapped_bytes += delta.mapped_bytes
-            stats.tile_runs_dispatched += delta.tile_runs_dispatched
-        self.stats.record_run(executor.name, stats)
-        self.metrics.counter(f"query.executor.{executor.name}").inc()
-        self.metrics.counter("query.queries").inc(batch.size)
+            results, stats = self._run_batch(executor, batch, alone)
+        with self._lock:
+            self.stats.record_run(executor.name, stats)
+            self.metrics.counter(f"query.executor.{executor.name}").inc()
+            self.metrics.counter("query.queries").inc(batch.size)
         offset = 0
         for sub in submissions:
             n = sub.payload.shape[0]
@@ -957,19 +1099,28 @@ class QuerySession:
     #: indices and per-query result lists dominate the raw query array.
     _KERNEL_OVERHEAD = 16
 
-    def _run_batch(self, executor: Executor, batch: QueryBatch) -> tuple[list, BatchStats]:
+    def _chunk_rows(self, batch: QueryBatch) -> int:
+        """Rows per executor run: all of them, or as many as the budget
+        admits at a time."""
+        limit = self.budget.limit
+        estimate = batch.payload.nbytes * self._KERNEL_OVERHEAD
+        if limit is None or estimate <= limit or batch.size <= 1:
+            return batch.size
+        row_bytes = max(estimate // batch.size, 1)
+        return max(int(limit // row_bytes), 1)
+
+    def _run_batch(
+        self, executor: Executor, batch: QueryBatch, alone: bool
+    ) -> tuple[list, BatchStats]:
         """Run one batch, split into budget-sized row chunks when governed.
 
         Queries are independent, so chunking never changes results — it
         only bounds the kernels' transient working set (dedup scope shrinks
         to the chunk, which alters ``deduplicated`` tallies, not answers).
         """
-        limit = self.budget.limit
-        estimate = batch.payload.nbytes * self._KERNEL_OVERHEAD
-        if limit is None or estimate <= limit or batch.size <= 1:
-            return executor.run(self.index, batch, dedup=self.dedup)
-        row_bytes = max(estimate // batch.size, 1)
-        chunk_rows = max(int(limit // row_bytes), 1)
+        chunk_rows = self._chunk_rows(batch)
+        if chunk_rows >= batch.size:
+            return self._execute(executor, batch, alone)
         results: list = []
         stats = BatchStats()
         for start in range(0, batch.size, chunk_rows):
@@ -980,13 +1131,38 @@ class QuerySession:
                 accuracy=batch.accuracy,
             )
             with self.budget.reserving(chunk.payload.nbytes * self._KERNEL_OVERHEAD, force=True):
-                part, part_stats = executor.run(self.index, chunk, dedup=self.dedup)
+                part, part_stats = self._execute(executor, chunk, alone)
             results.extend(part)
             stats.merge(part_stats)
             stats.budget_chunks += 1
         # The chunks answered one logical batch between them.
         stats.batches = 1
         stats.budget_high_water = max(stats.budget_high_water, self.budget.high_water)
+        return results, stats
+
+    def _execute(
+        self, executor: Executor, batch: QueryBatch, alone: bool
+    ) -> tuple[list, BatchStats]:
+        """One executor run.  ``alone`` means the caller does not hold the
+        flush lock: only the worker pool may answer without it."""
+        if alone:
+            if isinstance(executor, ShardedExecutor):
+                answered = executor.run_pooled(self.index, batch, dedup=self.dedup)
+                if answered is not None:
+                    return answered
+            with self._flush_lock:
+                return self._execute(executor, batch, False)
+        # Zero-copy storage telemetry lives on the index's counters (the
+        # mapped page store charges them); diff around the run so views
+        # served for *these* queries land in this batch's stats.
+        counters = getattr(self.index, "counters", None)
+        before = counters.snapshot() if counters is not None else None
+        results, stats = executor.run(self.index, batch, dedup=self.dedup)
+        if before is not None:
+            delta = counters.diff(before)
+            stats.zero_copy_reads += delta.zero_copy_reads
+            stats.mapped_bytes += delta.mapped_bytes
+            stats.tile_runs_dispatched += delta.tile_runs_dispatched
         return results, stats
 
     # -- immediate convenience surface ---------------------------------------

@@ -24,6 +24,7 @@ counts an overcommit, so the telemetry never hides a breach.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -47,6 +48,11 @@ class MemoryBudget:
     ``high_water`` (max ``in_use`` ever), ``reservations`` (admitted
     reserve calls), ``denials`` (refused ``try_reserve`` calls) and
     ``overcommits`` (forced reservations past the limit).
+
+    ``try_reserve`` / ``reserve`` / ``release`` are atomic: one budget may
+    govern executor runs on several threads (a serving session's own-flush
+    beside its queue flush), and the fit check and the admission it allows
+    must not be separated.
     """
 
     def __init__(self, limit_bytes: int | None = None) -> None:
@@ -58,6 +64,7 @@ class MemoryBudget:
         self.reservations = 0
         self.denials = 0
         self.overcommits = 0
+        self._lock = threading.Lock()
 
     @classmethod
     def unlimited(cls) -> "MemoryBudget":
@@ -88,11 +95,12 @@ class MemoryBudget:
         """Reserve ``nbytes`` if they fit; count a denial otherwise."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if not self.fits(nbytes):
-            self.denials += 1
-            return False
-        self._admit(nbytes)
-        return True
+        with self._lock:
+            if not self.fits(nbytes):
+                self.denials += 1
+                return False
+            self._admit(nbytes)
+            return True
 
     def reserve(self, nbytes: int, *, force: bool = False) -> None:
         """Reserve ``nbytes`` or raise :class:`BudgetExceeded`.
@@ -102,21 +110,23 @@ class MemoryBudget:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if not self.fits(nbytes):
-            if not force:
-                self.denials += 1
-                raise BudgetExceeded(
-                    f"reserving {nbytes} bytes would exceed the "
-                    f"{self.limit}-byte budget ({self.in_use} in use)"
-                )
-            self.overcommits += 1
-        self._admit(nbytes)
+        with self._lock:
+            if not self.fits(nbytes):
+                if not force:
+                    self.denials += 1
+                    raise BudgetExceeded(
+                        f"reserving {nbytes} bytes would exceed the "
+                        f"{self.limit}-byte budget ({self.in_use} in use)"
+                    )
+                self.overcommits += 1
+            self._admit(nbytes)
 
     def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the budget (clamped at zero)."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        self.in_use = max(self.in_use - nbytes, 0)
+        with self._lock:
+            self.in_use = max(self.in_use - nbytes, 0)
 
     @contextmanager
     def reserving(self, nbytes: int, *, force: bool = False) -> Iterator[None]:

@@ -17,7 +17,9 @@ adds the two missing pieces:
   flush policy over one :class:`~repro.engine.QuerySession` or
   :class:`~repro.joins.session.JoinSession`: batch under load, flush on
   submit when the loop goes idle, and never hold a request past the
-  latency budget.  Handles become ``await``-able.
+  latency budget — and never make one wait behind a batch-sized array
+  bound for the pool, which flushes on its own.  Handles become
+  ``await``-able.
 
 :class:`~repro.serving.async_executor.ServingSession` bundles both into the
 "heavy traffic" front door used by ``benchmarks/bench_serving.py`` and

@@ -11,12 +11,25 @@ connects the two with a *flush policy*:
   waiting out a timer;
 * **latency budget** — no request waits longer than
   :attr:`FlushPolicy.max_delay` for stragglers, and a queue reaching
-  :attr:`FlushPolicy.max_batch` flushes at once.
+  :attr:`FlushPolicy.max_batch` flushes at once;
+* **a batch by itself is its own flush** — an array submission whose row
+  count alone reaches :attr:`FlushPolicy.max_batch`, and which the session
+  would answer from the worker pool, never enters the queue: it runs as a
+  one-submission flush (cause ``"full"``) on its own thread hop, beside the
+  queue's flushes, and nobody queues behind it.  Coalescing exists to turn
+  many small requests into one batch and has nothing to offer a request
+  that is one; sharing a flush with it would make every small request wait
+  out its execution while this process, the only one that can answer them,
+  idles on a pipe.  An array the session would execute in-process rides
+  the queue like everything else — in-process kernels never overlap.
 
 Each flush runs in a worker thread (``asyncio.to_thread``), so the loop
 keeps accepting submissions while the kernels execute.  Handles submitted
 through the executor become awaitable: ``await handle`` parks the client
-task until its flush settles it.  Flush causes and latencies feed the
+task until its flush settles it.  No order is promised across handles —
+an own-flush array may settle after requests submitted later — and every
+answer reflects the index as it was when its flush executed, as it always
+has.  Flush causes and latencies feed the
 session stats (``flush_triggers`` / ``flush_seconds`` / per-flush
 latencies), which :func:`repro.analysis.session_report.session_report`
 renders as the serving telemetry line.
@@ -56,6 +69,10 @@ class FlushPolicy:
     adds nothing new (cause ``"idle"`` — the flush-on-submit-when-idle
     behaviour).  Disable ``idle_flush`` to maximize batch size under a
     pure latency budget.
+
+    The fourth rule follows from ``max_batch`` and takes no setting: a
+    submission that fills a batch by itself is its own flush and nobody
+    queues behind it (see the module docstring for when that applies).
     """
 
     max_batch: int = 1024
@@ -75,16 +92,19 @@ class AsyncExecutor:
     Wraps a :class:`~repro.engine.session.QuerySession` or
     :class:`~repro.joins.session.JoinSession`; ``submit*`` mirrors the
     session's surface but returns handles that are safe to ``await``.  One
-    flusher task owns flush timing; submissions never flush inline, so a
-    client task's latency is (time to next flush) + (its share of one
-    batched execution) rather than one full execution per request.
+    flusher task owns the queue's flush timing; submissions never flush
+    inline, so a client task's latency is (time to next flush) + (its share
+    of one batched execution) rather than one full execution per request.
+    Batch-sized arrays bound for the worker pool each get a task of their
+    own instead (:meth:`_submit_array`).
     """
 
     def __init__(self, session: QuerySession | JoinSession, policy: FlushPolicy | None = None) -> None:
         self.session = session
         self.policy = policy if policy is not None else FlushPolicy()
         self.flush_latencies: list[float] = []
-        self._pending: list[Any] = []  # handles whose waiters we complete
+        self._pending: list[Any] = []  # queued handles whose waiters we complete
+        self._own_flushes: set[asyncio.Task] = set()  # in flight, one handle each
         self._seq = 0
         self._wake: asyncio.Event | None = None
         self._flusher: asyncio.Task | None = None
@@ -111,18 +131,33 @@ class AsyncExecutor:
         return self._register(self.session.submit(request, *args, **kwargs))
 
     async def submit_ranges(self, boxes, tag: Any = None) -> ResultHandle:
-        return self._register(self.session.submit_ranges(boxes, tag))
+        return self._submit_array(self.session.array_submission("range", boxes, tag=tag))
 
     async def submit_knns(self, points, k: int, tag: Any = None) -> ResultHandle:
-        return self._register(self.session.submit_knns(points, k, tag))
+        return self._submit_array(self.session.array_submission("knn", points, k=k, tag=tag))
 
     async def submit_points(self, points, tag: Any = None) -> ResultHandle:
-        return self._register(self.session.submit_points(points, tag))
+        return self._submit_array(self.session.array_submission("point", points, tag=tag))
+
+    def _submit_array(self, submission) -> ResultHandle:
+        """Queue an array submission — unless it is a batch by itself that
+        the session will run off-process: that one flushes on its own."""
+        if self._closed:
+            raise RuntimeError("AsyncExecutor is closed")
+        fills_a_batch = submission.payload.shape[0] >= self.policy.max_batch
+        if not (fills_a_batch and self.session.claim_alone(submission)):
+            return self._register(self.session.enqueue(submission))
+        loop = asyncio.get_running_loop()
+        submission.handle._waiter = loop.create_future()
+        task = loop.create_task(self._flush_alone(submission))
+        self._own_flushes.add(task)
+        task.add_done_callback(self._own_flushes.discard)
+        return submission.handle
 
     @property
     def pending(self) -> int:
         """Requests submitted through this executor and not yet settled."""
-        return len(self._pending)
+        return len(self._pending) + len(self._own_flushes)
 
     # -- the flusher -----------------------------------------------------------
 
@@ -160,15 +195,36 @@ class AsyncExecutor:
             await self._flush_once(trigger)
 
     async def _flush_once(self, trigger: str) -> None:
-        pending, self._pending = self._pending, []
-        if not pending and not self.session.pending:
-            return
+        # Hop only for work: something buffered, or a registered handle a
+        # flush on another thread drained and has yet to settle (session.flush
+        # waits that flush out).
+        if self.session.pending or not all(handle.resolved for handle in self._pending):
+            # The thread hop keeps the loop responsive during execution —
+            # new submissions buffer for the next flush meanwhile.
+            await self._flush_in_thread(trigger, len(self._pending), self.session.flush)
+        # The flush drained the session's buffer inside the hop, so it also
+        # executed whatever was submitted after the hop began: wake every
+        # settled handle, not only those registered before it.
+        waiting = []
+        for handle in self._pending:
+            if handle.resolved:
+                self._wake_client(handle)
+            else:
+                waiting.append(handle)
+        self._pending = waiting
+
+    async def _flush_alone(self, submission) -> None:
+        # Off the flusher and off the session's flush lock: the queue keeps
+        # flushing frames while the pool works on this batch.
+        await self._flush_in_thread("full", 1, self.session.flush_alone, submission)
+        self._wake_client(submission.handle)
+
+    async def _flush_in_thread(self, trigger: str, requests: int, flush, *args) -> None:
+        """One flush on a thread hop, timed, traced and attributed."""
         start = time.perf_counter()
         try:
-            with _span("serving.flush", trigger=trigger, requests=len(pending)):
-                # The thread hop keeps the loop responsive during execution —
-                # new submissions buffer for the next flush meanwhile.
-                await asyncio.to_thread(self.session.flush)
+            with _span("serving.flush", trigger=trigger, requests=requests):
+                await asyncio.to_thread(flush, *args)
         except Exception:
             # The session already settled each affected handle with its
             # error; per-request `await handle` re-raises it.  The flush-
@@ -181,10 +237,12 @@ class AsyncExecutor:
         if metrics is not None:
             metrics.counter(f"serving.flush.trigger.{trigger}").inc()
             metrics.histogram("serving.flush.seconds").observe(elapsed)
-        for handle in pending:
-            waiter = handle._waiter
-            if waiter is not None and not waiter.done():
-                waiter.set_result(None)
+
+    @staticmethod
+    def _wake_client(handle) -> None:
+        waiter = handle._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     # -- telemetry -------------------------------------------------------------
 
@@ -203,19 +261,19 @@ class AsyncExecutor:
     # -- lifecycle -------------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Flush stragglers and stop the flusher (idempotent)."""
-        if self._closed:
-            if self._flusher is not None:
-                await self._flusher
-                self._flusher = None
-            return
+        """Flush stragglers, wait out in-flight own-flushes and stop the
+        flusher (idempotent)."""
+        closing = not self._closed
         self._closed = True
         if self._wake is not None:
             self._wake.set()
         if self._flusher is not None:
             await self._flusher
             self._flusher = None
-        await self._flush_once("close")
+        if closing:
+            await self._flush_once("close")
+        if self._own_flushes:
+            await asyncio.gather(*self._own_flushes)
 
     async def __aenter__(self) -> "AsyncExecutor":
         return self

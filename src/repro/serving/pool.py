@@ -145,6 +145,20 @@ class WorkerPool:
 
     # -- registration ----------------------------------------------------------
 
+    def current_index(self, index: SpatialIndex) -> _Export | None:
+        """The live export of ``index`` if one is published and still
+        fresh, else ``None``.  Only looks: never exports, never touches the
+        index beyond reading its fingerprint."""
+        with self._lock:
+            entry = self._index_exports.get(id(index))
+            if (
+                entry is not None
+                and entry.source is index
+                and entry.fingerprint == index_fingerprint(index)
+            ):
+                return entry
+            return None
+
     def ensure_index(self, index: SpatialIndex) -> _Export | None:
         """The live export of ``index``, (re)publishing if absent or stale.
 
@@ -154,14 +168,11 @@ class WorkerPool:
         with self._lock:
             if self.closed:
                 raise RuntimeError("WorkerPool is closed")
-            key = id(index)
-            entry = self._index_exports.get(key)
-            if (
-                entry is not None
-                and entry.source is index
-                and entry.fingerprint == index_fingerprint(index)
-            ):
+            entry = self.current_index(index)
+            if entry is not None:
                 return entry
+            key = id(index)
+            entry = self._index_exports.get(key)  # stale, if any
             payload = export_index_payload(index)
             if payload is None:
                 if entry is not None:
@@ -303,7 +314,8 @@ class WorkerPool:
             results.extend(shard_results)
             stats.merge(shard_stats)
         stats.batches = 1  # the shards answered one logical batch
-        self.shards_run += len(tasks)
+        with self._lock:  # a session's own-flush may run beside its queue flush
+            self.shards_run += len(tasks)
         return results, stats
 
     def run_join_shards(

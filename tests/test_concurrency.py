@@ -5,7 +5,9 @@ The sessions promise a small but real concurrency contract (ISSUE 6):
 submitted query executes exactly once, handles keep their values, qids stay
 unique, and the stats tallies add up.  These tests drive one
 :class:`QuerySession` and one :class:`JoinSession` from many threads at
-once and check the books afterwards.
+once and check the books afterwards.  The serving-tier stress at the end
+does the same for the async front door: frame clients, bulk clients whose
+arrays flush on their own (ISSUE 18) and the worker pool, all at once.
 
 ``_fork_is_safe`` — the predicate gating every process-pool path — gets
 direct unit coverage here for both platform branches (Linux/fork sanctioned,
@@ -14,24 +16,31 @@ macOS/spawn refused unless fork is explicitly configured).
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from conftest import knn_pairs, make_items
 from repro import (
     AABB,
+    FlushPolicy,
     JoinSession,
     KNNQuery,
     QuerySession,
     RangeQuery,
     SelfJoinSpec,
+    ServingSession,
     UniformGrid,
+    WorkerPool,
+    shutdown_default_pool,
 )
 from repro.engine.session import _fork_is_safe
 from repro.indexes.linear_scan import LinearScan
+from repro.serving.shm import live_segment_names
 
 pytestmark = pytest.mark.serving
 
@@ -194,6 +203,82 @@ class TestConcurrentJoinSession:
         assert session.pending == 0
         assert session.stats.joins == THREADS * 5
         assert session.stats.queue_high_water >= 1
+
+
+class TestServingUnderMixedLoad:
+    DASH_TASKS = 8
+    FRAMES = 20
+    FRAME_RANGES = 4
+    BULK_TASKS = 2
+    BULK_ROUNDS = 5
+    MAX_BATCH = 64
+
+    def test_frames_and_own_flushes_keep_the_books(self, loaded):
+        """8 dash tasks x 20 frames beside 2 bulk tasks whose arrays flush
+        on their own, on a shortened switch interval: every answer equals
+        the oracle's, every request is counted once, no bulk array ever
+        sat in the queue, and the pool leaves no segment behind."""
+        grid, oracle = loaded
+        shutdown_default_pool()
+        rows = self.MAX_BATCH
+
+        async def dash(serving, tid):
+            rng = np.random.default_rng(9_000 + tid)
+            for _ in range(self.FRAMES):
+                lo = rng.uniform(0.0, 92.0, size=(self.FRAME_RANGES, 3))
+                boxes = [AABB(l, h) for l, h in zip(lo.tolist(), (lo + 6.0).tolist())]
+                point = tuple(rng.uniform(0.0, 100.0, size=3).tolist())
+                *ranges, nearest = await asyncio.gather(
+                    *(serving.range_query(box) for box in boxes), serving.knn(point, 3)
+                )
+                for box, ids in zip(boxes, ranges):
+                    assert sorted(ids) == sorted(oracle.range_query(box))
+                assert knn_pairs(nearest) == knn_pairs(oracle.knn(point, 3))
+
+        async def bulk(serving, tid):
+            rng = np.random.default_rng(9_500 + tid)
+            for _ in range(self.BULK_ROUNDS):
+                lo = rng.uniform(0.0, 92.0, size=(rows, 3))
+                windows = np.stack([lo, lo + 6.0], axis=1)
+                handle = await serving.query_executor.submit_ranges(windows)
+                answer = await handle
+                assert [sorted(r) for r in answer] == [
+                    sorted(r) for r in oracle.batch_range_query(windows)
+                ]
+                await asyncio.sleep(0)
+
+        async def main(pool):
+            policy = FlushPolicy(max_batch=self.MAX_BATCH)
+            async with ServingSession(
+                grid, pool=pool, policy=policy, workers=2, min_shard=16
+            ) as serving:
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        *(dash(serving, tid) for tid in range(self.DASH_TASKS)),
+                        *(bulk(serving, tid) for tid in range(self.BULK_TASKS)),
+                    ),
+                    timeout=120.0,
+                )
+                assert serving.query_executor.pending == 0
+                return serving.queries.stats
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(workers=2) as pool:
+                stats = asyncio.run(main(pool))
+                assert pool.exports == 1
+        finally:
+            sys.setswitchinterval(interval)
+        frame_requests = self.DASH_TASKS * self.FRAMES * (self.FRAME_RANGES + 1)
+        bulk_requests = self.BULK_TASKS * self.BULK_ROUNDS * rows
+        assert stats.submitted == frame_requests + bulk_requests
+        assert stats.batch.queries == stats.submitted
+        # 8 tasks x 5 requests can share the queue; a 64-row array never does.
+        assert stats.queue_high_water < self.MAX_BATCH
+        assert stats.flush_triggers["full"] == self.BULK_TASKS * self.BULK_ROUNDS
+        assert sum(stats.flush_triggers.values()) == stats.flushes
+        assert live_segment_names() == []
 
 
 class TestForkIsSafe:

@@ -442,6 +442,48 @@ class TestShardedExecutor:
         results[0].append(-1)
         assert -1 not in results[len(base)]
 
+    @pytest.mark.parametrize("kind", ["range", "knn", "point"])
+    @pytest.mark.parametrize("duplicates", [0, 5])
+    @pytest.mark.parametrize("size", [15, 16, 40])  # min_shard=8: 16 rows shard
+    def test_dedup_tallies_on_both_sides_of_the_shard_threshold(
+        self, loaded, monkeypatch, size, duplicates, kind
+    ):
+        """A batch too small to shard is deduplicated once, by the engine;
+        one that shards, once before partitioning.  Either way the tallies
+        and every answer equal the single-process executor's."""
+        import repro.engine.session as session_module
+
+        items, _ = loaded
+        grid = build_index("uniform_grid")
+        grid.bulk_load(items)
+        points = np.random.default_rng(44).uniform(5.0, 90.0, size=(size, 3))
+        if duplicates:
+            points[-duplicates:] = points[:duplicates]
+        boxes = np.stack([points, points + 6.0], axis=1)
+        collapses: list[int] = []
+        collapse = session_module._collapse_duplicates
+
+        def counting(batch, dedup):
+            collapses.append(batch.size)
+            return collapse(batch, dedup)
+
+        monkeypatch.setattr(session_module, "_collapse_duplicates", counting)
+
+        def ask(session):
+            if kind == "range":
+                return session.range_query(boxes)
+            if kind == "knn":
+                return session.knn(points, 4)
+            return session.point_query(points)
+
+        sharded = QuerySession(grid, executor=ShardedExecutor(workers=2, min_shard=8))
+        single = QuerySession(grid, executor=BatchExecutor())
+        assert ask(sharded) == ask(single)
+        assert sharded.stats.batch.queries == single.stats.batch.queries == size
+        assert sharded.stats.batch.deduplicated == single.stats.batch.deduplicated == duplicates
+        assert sharded.stats.batch.batches == 1
+        assert collapses == ([] if size < 16 else [size])
+
     def test_small_batches_fall_back_to_single_process(self, loaded):
         items, _ = loaded
         grid = build_index("uniform_grid")

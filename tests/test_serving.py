@@ -14,6 +14,10 @@ These tests pin the contracts ISSUE 6 introduces:
   the inline LinearScan / nested-loop oracles answer, query for query;
 * **flush policy** — the event-loop flusher attributes every flush to
   ``full`` / ``deadline`` / ``idle`` and feeds the serving telemetry line;
+* **own flush** (ISSUE 18) — a batch-sized array bound for the worker pool
+  flushes on its own: no small request waits behind it, in-process kernels
+  still never overlap, and its handle blocks, fails and closes like any
+  other.  Every ordering claim is gated on events, never on wall clock;
 * **spill hygiene** — a join that dies mid-merge releases the session's
   spill tmpdir immediately (the cleanup-on-error fix), and the session
   stays usable.
@@ -27,6 +31,7 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
 
 import numpy as np
@@ -53,7 +58,7 @@ from repro import (
     shutdown_default_pool,
 )
 from repro.approx import SpillTree
-from repro.engine.session import BatchExecutor
+from repro.engine.session import BatchExecutor, InlineExecutor
 from repro.indexes.linear_scan import LinearScan
 from repro.instrumentation.counters import Counters
 from repro.joins.session import InlineJoinExecutor
@@ -604,6 +609,325 @@ class TestAsyncServing:
         query_report, join_report_text = asyncio.run(main())
         assert "serving:" in query_report
         assert "serving:" in join_report_text
+
+
+# -- batch-sized submissions flush on their own ---------------------------------
+
+MAX_BATCH = 64
+WAIT = 30.0  # failure bound for event waits; no assertion depends on its size
+
+
+def window_array(count: int, seed: int) -> np.ndarray:
+    lo = np.random.default_rng(seed).uniform(0.0, 94.0, size=(count, 3))
+    return np.stack([lo, lo + 5.0], axis=1)
+
+
+def assert_windows_match(answer, oracle, windows) -> None:
+    expected = oracle.batch_range_query(windows)
+    assert [sorted(ids) for ids in answer] == [sorted(ids) for ids in expected]
+
+
+class PoolGate:
+    """Parks every ``WorkerPool.run_query_shards`` call until released (or
+    makes it raise): the test decides what happens while a batch is "in the
+    pool"."""
+
+    def __init__(self, monkeypatch, fail: bool = False) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        original = WorkerPool.run_query_shards
+
+        def gated(pool, *args, **kwargs):
+            self.entered.set()
+            assert self.release.wait(WAIT), "gate never released"
+            if fail:
+                raise RuntimeError("pool infrastructure down")
+            return original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run_query_shards", gated)
+
+
+class TestOwnFlush:
+    @pytest.fixture
+    def scoped_pool(self):
+        with WorkerPool(workers=2) as pool:
+            yield pool
+        assert live_segment_names() == []
+
+    def serving(self, grid, pool):
+        # 64 rows over min_shard=16 on two workers: a batch-sized array shards.
+        return ServingSession(
+            grid, pool=pool, policy=FlushPolicy(max_batch=MAX_BATCH), workers=2, min_shard=16
+        )
+
+    def test_single_request_is_answered_while_the_batch_is_in_the_pool(
+        self, loaded, scoped_pool, monkeypatch
+    ):
+        _, grid, oracle = loaded
+        windows = window_array(MAX_BATCH, seed=61)
+        box = make_boxes(1, seed=62)[0]
+        gate = PoolGate(monkeypatch)
+
+        async def main():
+            async with self.serving(grid, scoped_pool) as serving:
+                bulk = await serving.query_executor.submit_ranges(windows)
+                assert await asyncio.to_thread(gate.entered.wait, WAIT)
+                # The head-of-line pin: on the parent this request shares the
+                # bulk's flush (or queues on its lock) and times out here.
+                ids = await asyncio.wait_for(serving.range_query(box), WAIT)
+                assert not bulk.resolved
+                assert serving.query_executor.pending == 1
+                gate.release.set()
+                return ids, await bulk, serving.queries.stats
+
+        ids, bulk_answer, stats = asyncio.run(main())
+        assert sorted(ids) == sorted(oracle.range_query(box))
+        assert_windows_match(bulk_answer, oracle, windows)
+        assert stats.submitted == MAX_BATCH + 1
+        assert stats.queue_high_water == 1  # the array never entered the queue
+        assert stats.flush_triggers == {"full": 1, "idle": 1}
+        assert stats.flushes == 2
+        assert scoped_pool.exports == 1
+
+    @pytest.mark.parametrize("kind", ["range", "knn", "point"])
+    def test_every_array_kind_flushes_alone(self, loaded, scoped_pool, kind):
+        _, grid, oracle = loaded
+        points = np.random.default_rng(63).uniform(0.0, 100.0, size=(MAX_BATCH, 3))
+
+        async def main():
+            async with self.serving(grid, scoped_pool) as serving:
+                executor = serving.query_executor
+                if kind == "range":
+                    handle = await executor.submit_ranges(window_array(MAX_BATCH, seed=63))
+                elif kind == "knn":
+                    handle = await executor.submit_knns(points, 4)
+                else:
+                    handle = await executor.submit_points(points)
+                return await handle, serving.queries.stats
+
+        answer, stats = asyncio.run(main())
+        if kind == "range":
+            assert_windows_match(answer, oracle, window_array(MAX_BATCH, seed=63))
+        elif kind == "knn":
+            assert [knn_pairs(r) for r in answer] == [
+                knn_pairs(r) for r in oracle.batch_knn(points, 4)
+            ]
+        else:
+            assert_windows_match(answer, oracle, np.stack([points, points], axis=1))
+        assert stats.queue_high_water == 0
+        assert stats.flush_triggers == {"full": 1}
+        assert stats.executor_runs == {"sharded": 1}
+
+    @pytest.mark.parametrize(
+        "case", ["one_row_short", "busy_cold", "unexportable", "pool_false", "inline_pinned"]
+    )
+    def test_everything_else_rides_the_queue(self, loaded, scoped_pool, case):
+        items, grid, oracle = loaded
+        rows = MAX_BATCH - 1 if case == "one_row_short" else MAX_BATCH
+        windows = window_array(rows, seed=64)
+        index = grid
+        executor = ShardedExecutor(workers=2, min_shard=16, pool=scoped_pool)
+        if case == "unexportable":
+            from repro import KDTree
+
+            items = make_items(300, seed=5, points=True)
+            index = KDTree()
+            oracle = LinearScan()
+            index.bulk_load(items)
+            oracle.bulk_load(items)
+        elif case == "pool_false":
+            executor = ShardedExecutor(workers=2, min_shard=16, pool=False)
+        elif case == "inline_pinned":
+            executor = InlineExecutor()
+        if case in ("one_row_short", "inline_pinned"):
+            scoped_pool.ensure_index(index)  # a live export alone does not qualify
+        session = QuerySession(index, executor=executor)
+        if case == "busy_cold":
+            # No export yet and a flush in progress: publishing one now would
+            # build the snapshot beside that flush's kernels.
+            session._flush_lock.acquire()
+
+        async def main():
+            async with AsyncExecutor(session, FlushPolicy(max_batch=MAX_BATCH)) as executor:
+                handle = await executor.submit_ranges(windows)
+                assert not executor._own_flushes
+                if case == "busy_cold":
+                    assert scoped_pool.exports == 0
+                    session._flush_lock.release()
+                return await handle
+
+        answer = asyncio.run(main())
+        assert_windows_match(answer, oracle, windows)
+        assert session.stats.queue_high_water == rows
+        assert session.stats.submitted == rows
+        assert session.stats.flush_triggers == (
+            {"idle": 1} if case == "one_row_short" else {"full": 1}
+        )
+        assert session.stats.flushes == 1
+
+    def test_pool_failure_falls_back_under_the_flush_lock(
+        self, loaded, scoped_pool, monkeypatch
+    ):
+        """The own flush's in-process fallback must exclude the queue's
+        kernels: park the bulk *inside* its fallback kernel, let a frame
+        flush start, and require that the frame's kernel has not begun."""
+        _, grid, oracle = loaded
+        windows = window_array(MAX_BATCH, seed=65)
+        box = make_boxes(1, seed=66)[0]
+        gate = PoolGate(monkeypatch, fail=True)
+        gate.release.set()  # fail at once
+        monkeypatch.setattr("repro.engine.session._fork_is_safe", lambda: False)
+
+        in_kernel = threading.Event()
+        resume = threading.Event()
+        frame_flush_started = threading.Event()
+        frame_kernel_started = threading.Event()
+        active: list[int] = []
+        overlaps: list[int] = []
+        kernel = grid.batch_range_query
+
+        def spied_kernel(queries):
+            active.append(len(queries))
+            if len(active) > 1:
+                overlaps.append(len(queries))
+            try:
+                if len(queries) == MAX_BATCH:
+                    in_kernel.set()
+                    assert resume.wait(WAIT)
+                else:
+                    frame_kernel_started.set()
+                return kernel(queries)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(grid, "batch_range_query", spied_kernel)
+
+        async def main():
+            async with self.serving(grid, scoped_pool) as serving:
+                flush = serving.queries.flush
+
+                def spied_flush():
+                    frame_flush_started.set()
+                    flush()
+
+                monkeypatch.setattr(serving.queries, "flush", spied_flush)
+                bulk = await serving.query_executor.submit_ranges(windows)
+                assert await asyncio.to_thread(in_kernel.wait, WAIT)
+                frame = asyncio.ensure_future(serving.range_query(box))
+                assert await asyncio.to_thread(frame_flush_started.wait, WAIT)
+                # The frame's flush is running and must be parked on the lock.
+                # (A wait that must time out: a slow host can only make it
+                # pass, never fail.)
+                assert not await asyncio.to_thread(frame_kernel_started.wait, 0.2)
+                resume.set()
+                return await bulk, await frame
+
+        bulk_answer, ids = asyncio.run(main())
+        assert overlaps == []
+        assert frame_kernel_started.is_set()
+        assert_windows_match(bulk_answer, oracle, windows)
+        assert sorted(ids) == sorted(oracle.range_query(box))
+        assert scoped_pool.exports == 1
+
+    def test_query_error_settles_only_its_own_handle(self, loaded, scoped_pool):
+        _, grid, oracle = loaded
+        flat = np.random.default_rng(67).uniform(0.0, 90.0, size=(MAX_BATCH, 2))
+        bad_windows = np.stack([flat, flat + 5.0], axis=1)  # 2-d windows, 3-d index
+        box = make_boxes(1, seed=68)[0]
+
+        async def main():
+            async with self.serving(grid, scoped_pool) as serving:
+                bad = await serving.query_executor.submit_ranges(bad_windows)
+                good = asyncio.ensure_future(serving.range_query(box))
+                with pytest.raises(ValueError):
+                    await bad
+                first = await good
+                return first, await serving.range_query(box)
+
+        first, second = asyncio.run(main())
+        assert sorted(first) == sorted(second) == sorted(oracle.range_query(box))
+
+    def test_sync_read_of_an_in_flight_handle_blocks_until_settled(
+        self, loaded, scoped_pool, monkeypatch
+    ):
+        _, grid, oracle = loaded
+        windows = window_array(MAX_BATCH, seed=69)
+        gate = PoolGate(monkeypatch)
+        read: list = []
+
+        async def main():
+            async with self.serving(grid, scoped_pool) as serving:
+                handle = await serving.query_executor.submit_ranges(windows)
+                reader = threading.Thread(target=lambda: read.append(handle.result()))
+                reader.start()
+                assert await asyncio.to_thread(gate.entered.wait, WAIT)
+                # On the parent the read flushes an empty buffer and raises
+                # "flush did not settle this handle".
+                assert reader.is_alive() and not read
+                gate.release.set()
+                await asyncio.to_thread(reader.join, WAIT)
+                assert not reader.is_alive()
+                return await handle
+
+        answer = asyncio.run(main())
+        assert read == [answer]
+        assert_windows_match(answer, oracle, windows)
+
+    def test_aclose_waits_for_an_in_flight_own_flush(self, loaded, scoped_pool, monkeypatch):
+        _, grid, oracle = loaded
+        windows = window_array(MAX_BATCH, seed=70)
+        gate = PoolGate(monkeypatch)
+
+        async def main():
+            serving = self.serving(grid, scoped_pool)
+            executor = serving.query_executor
+            handle = await executor.submit_ranges(windows)
+            assert await asyncio.to_thread(gate.entered.wait, WAIT)
+            closing = asyncio.ensure_future(serving.aclose())
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not closing.done() and not handle.resolved
+            gate.release.set()
+            await closing
+            assert handle.resolved and executor.pending == 0
+            with pytest.raises(RuntimeError, match="closed"):
+                await executor.submit_ranges(windows)
+            return handle.result()
+
+        answer = asyncio.run(main())
+        assert_windows_match(answer, oracle, windows)
+
+    def test_every_flush_is_attributed_exactly_once(self, loaded, scoped_pool):
+        """The phantom-flush pin: requests a flush drained after its hop
+        began are woken by *that* flush, so no later pass pays an empty
+        thread hop and every trigger has a session flush to show for it."""
+        _, grid, oracle = loaded
+        frames = [make_boxes(12, seed=200 + i) for i in range(25)]
+        bulk_windows = window_array(MAX_BATCH, seed=71)
+
+        async def dash(serving):
+            for boxes in frames:
+                answers = await asyncio.gather(*(serving.range_query(b) for b in boxes))
+                for box, ids in zip(boxes, answers):
+                    assert sorted(ids) == sorted(oracle.range_query(box))
+
+        async def bulk(serving, rounds):
+            for _ in range(rounds):
+                handle = await serving.query_executor.submit_ranges(bulk_windows)
+                assert len(await handle) == MAX_BATCH
+                await asyncio.sleep(0)
+
+        async def main():
+            async with self.serving(grid, scoped_pool) as serving:
+                await asyncio.gather(dash(serving), bulk(serving, 6))
+                return serving.queries.stats, serving.query_executor
+
+        stats, executor = asyncio.run(main())
+        assert stats.submitted == 25 * 12 + 6 * MAX_BATCH
+        assert stats.flush_triggers["full"] == 6
+        assert sum(stats.flush_triggers.values()) == stats.flushes
+        assert len(executor.flush_latencies) == stats.flushes
+        assert stats.queue_high_water < MAX_BATCH
 
 
 # -- spill cleanup on flush error (the tmpdir-leak fix) ------------------------

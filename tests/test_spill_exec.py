@@ -17,6 +17,8 @@ Covers the four pieces of ``repro/exec/`` and their session wiring:
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -103,6 +105,38 @@ class TestMemoryBudget:
                 raise RuntimeError("boom")
         assert budget.in_use == 0
         assert budget.high_water == 50
+
+    def test_reservations_are_atomic_across_threads(self):
+        """A serving session's own-flush reserves beside its queue flush:
+        a lost update would leave ``in_use`` off zero, and a fit check
+        separated from its admission would push ``high_water`` past the
+        limit."""
+        budget = MemoryBudget(100)
+        admitted = [0] * 4  # more threads than the sizing host has cores
+        barrier = threading.Barrier(len(admitted))
+
+        def worker(slot: int) -> None:
+            barrier.wait(60.0)
+            for _ in range(10_000):
+                if budget.try_reserve(60):
+                    admitted[slot] += 1
+                    budget.release(60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(admitted))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert budget.in_use == 0
+        assert budget.high_water <= budget.limit
+        assert budget.reservations == sum(admitted)
+        assert budget.reservations + budget.denials == 40_000
 
     def test_coerce(self):
         assert MemoryBudget.coerce(None).limit is None
