@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.uniform_grid import UniformGrid
 from repro.engine import QuerySession
-from repro.geometry.aabb import AABB, batch_min_distance_to_points
+from repro.geometry.aabb import batch_min_distance_to_points
 from repro.indexes.base import KNNResult, SpatialIndex
 from repro.joins.session import JoinSession
 from repro.joins.spec import DistanceJoinSpec
@@ -216,9 +216,9 @@ class _DeltaMaintenance(MaintenancePolicy):
         raise NotImplementedError
 
     def _apply(self, batch: TickBatch) -> None:
-        """Default per-element sync; subclasses may override (TPR advances)."""
-        for eid, (old, new) in sorted(batch.moved.items()):
-            self._backing.update(eid, old, new)
+        """Default sync: the tick's motion as one ``apply_moves``, then the
+        churn per element; subclasses may override (TPR advances)."""
+        self._backing.apply_moves(batch.moves())
         for eid, box in sorted(batch.inserted.items()):
             self._backing.insert(eid, box)
         for eid, box in sorted(batch.deleted.items()):
@@ -228,11 +228,18 @@ class _DeltaMaintenance(MaintenancePolicy):
         self._pending.append(batch)
 
     def _sync(self) -> None:
-        """Fold every deferred tick into the backing index, oldest first."""
-        if self._pending:
-            pending, self._pending = self._pending, []
-            for batch in pending:
-                self._apply(batch)
+        """Fold every deferred tick into the backing index, oldest first.
+
+        A batch leaves the queue only once the backing has taken it: one the
+        backing refuses stays at the head (a grid refuses a move batch
+        whole, see ``apply_moves``), so every later probe raises again and
+        the subscriptions fall back to resync instead of being answered
+        from a backing that silently skipped a tick.
+        """
+        pending = self._pending
+        while pending:
+            self._apply(pending[0])
+            del pending[0]
 
     # -- per-spec state ---------------------------------------------------------
 
@@ -269,18 +276,12 @@ class _DeltaMaintenance(MaintenancePolicy):
     def _evaluate_range(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
         """Patch membership from the affected set alone: elements that did
         not change this tick cannot enter or leave the box."""
-        box = sub.spec.box
         current: set = sub.result
-        added: set = set()
-        removed: set = set()
-        for eid in batch.affected_ids():
-            now = self.session.state_box(eid)
-            inside = now is not None and now.intersects(box)
-            self.counters.elem_tests += 1
-            if inside and eid not in current:
-                added.add(eid)
-            elif not inside and eid in current:
-                removed.add(eid)
+        inside = batch.entrants_inside(sub.spec.box)
+        self.counters.elem_tests += batch.size
+        added = inside - current
+        # A deleted element is nowhere, hence outside.
+        removed = (current & batch.affected_ids()) - inside
         if added or removed:
             self.counters.safe_region_invalidations += 1
             sub.result = (current - removed) | added
@@ -399,17 +400,20 @@ class _DeltaMaintenance(MaintenancePolicy):
         for eid in batch.deleted:
             partners.pop(eid, None)
 
-        survivors = sorted(eid for eid in affected if eid not in batch.deleted)
+        # The changed survivors are the tick's entrants, already packed:
+        # probe their boxes in id order, grown by ε as ``AABB.expanded`` does.
+        ids, boxes, packed = batch.entrants
         after: set[Pair] = set()
-        if survivors:
+        if ids:
             eps = spec.epsilon
-            boxes = []
-            for eid in survivors:
-                box = self.session.state_box(eid)
-                boxes.append(box.expanded(eps) if eps else box)
-            hits = self._probe_candidates(boxes)
-            for eid, candidates in zip(survivors, hits):
-                my_box = self.session.state_box(eid)
+            order = np.argsort(ids)
+            probes = packed[order]
+            if eps:
+                probes[:, 0, :] -= eps
+                probes[:, 1, :] += eps
+            hits = self._probe_candidates(probes)
+            for at, candidates in zip(order.tolist(), hits):
+                eid, my_box = ids[at], boxes[at]
                 for other in candidates:
                     if other == eid:
                         continue
@@ -437,7 +441,7 @@ class _DeltaMaintenance(MaintenancePolicy):
             self.counters.safe_region_hits += 1
         return added, removed
 
-    def _probe_candidates(self, boxes: Sequence[AABB]) -> list[list[int]]:
+    def _probe_candidates(self, boxes: np.ndarray) -> list[list[int]]:
         """Ids whose stored box intersects each probe box, one batch."""
         self._sync()
         return self._probe_session.range_query(boxes)

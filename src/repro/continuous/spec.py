@@ -34,6 +34,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 import numpy as np
 
 from repro.geometry.aabb import AABB, boxes_to_array
+from repro.indexes.base import Move
 
 _cqid_counter = itertools.count(1)
 
@@ -120,8 +121,6 @@ ContinuousSpec = Union[ContinuousRangeQuery, ContinuousKNNQuery, ContinuousJoinS
 
 # -- updates -------------------------------------------------------------------
 
-Move = tuple[int, AABB, AABB]
-
 
 @dataclass(frozen=True)
 class Insert:
@@ -183,6 +182,15 @@ class TickBatch:
         ids = [*self.inserted, *self.moved]
         boxes = [*self.inserted.values(), *(new for _, new in self.moved.values())]
         return ids, boxes, boxes_to_array(boxes)
+
+    def entrants_inside(self, box: AABB) -> set[int]:
+        """Ids of the entrants whose box now intersects ``box``: the scalar
+        ``AABB.intersects`` comparisons, run on the packed array."""
+        ids, _, packed = self.entrants
+        if not ids:
+            return set()
+        apart = (packed[:, 0, :] > box.hi) | (box.lo > packed[:, 1, :])
+        return {ids[at] for at in np.flatnonzero(~apart.any(axis=1)).tolist()}
 
 
 def normalize_updates(

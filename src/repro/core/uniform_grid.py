@@ -38,15 +38,25 @@ Design points realized here:
 * **Incrementally maintained batch snapshot.**  The vectorized batch kernels
   query a dense packed view of the buckets (:class:`_GridSnapshot`).
   Mutations *patch* the snapshot instead of discarding it: removals flip a
-  per-row ``alive`` bit, insertions append to a small overlay keyed by cell,
-  and in-place box rewrites update the packed coordinates directly.  A dirty
-  counter triggers deferred compaction (a full repack) only when the overlay
-  grows past a fraction of the base, so the first batch after a mutation no
-  longer repays the full packing cost.  Invariants: the buckets and
+  per-row ``alive`` bit, in-place box rewrites update the packed coordinates
+  directly, and insertions append rows plus their ``(cell, row, first
+  mask)`` entries to the overlay — flat columns from which a second sorted
+  cell table, laid out like the base one, is derived on the first query
+  after a mutation.  The kernels walk both tables with the same arithmetic
+  (:func:`_walk_cells`), so re-probing a just-mutated grid costs what
+  probing a clean one costs plus one sort of the overlay entries.  A dirty
+  counter triggers deferred compaction (a full repack) only when the
+  patches outgrow a fraction of the base.  Invariants: the buckets and
   ``_boxes`` remain the ground truth (scalar queries never consult the
   snapshot), and ``base ∖ dead ∪ overlay`` always equals the live element
-  set — a patched snapshot answers every batch query identically to a
-  from-scratch rebuild (``tests/test_snapshot_maintenance.py`` pins this).
+  set, in ``_boxes`` order — a patched snapshot answers every batch query
+  identically, ids and order, to a from-scratch rebuild
+  (``tests/test_snapshot_maintenance.py`` pins this).
+* **Whole-step motion in one call.**  :meth:`UniformGrid.apply_moves` takes
+  a step's ``(id, old box, new box)`` moves, refuses the batch whole or
+  applies it whole, computes every new window in one vectorized pass and
+  decides once whether to patch the snapshot or drop it; it leaves exactly
+  what the :meth:`~UniformGrid.update` loop leaves, counters included.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.geometry.aabb import AABB, as_box_array, as_point_array, boxes_to_array, union_all
-from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
+from repro.indexes.base import Item, KNNResult, Move, SpatialIndex, unique_moves, validate_items
 from repro.instrumentation.counters import Counters
 
 _BOX_BYTES_PER_DIM = 16
@@ -68,18 +78,23 @@ _BOX_BYTES_PER_DIM = 16
 # expansion would exceed this many entries; the naive loop handles the rest.
 _BATCH_WINDOW_CAP = 1 << 26
 
-# Patches tolerated on a snapshot before deferred compaction repacks it.
-# The threshold scales with the base so bigger grids absorb more churn, but
-# is capped: overlay cells are matched with a per-cell Python loop in
-# `_gather_candidates`, so past a few thousand of them a repack (O(n),
-# fully vectorized) is cheaper than dragging the overlay through queries.
+# Patches tolerated on a snapshot before deferred compaction repacks it: a
+# quarter of the base, but never fewer than this.  There is no upper cap:
+# the overlay is probed as a second sorted cell table, so a large one costs
+# a sort per mutated batch, not a Python iteration per cell, and carrying
+# it stays cheaper than repacking (n = 100k, 1 % of the boxes moved per
+# tick and re-probed: 28-38 ms/tick uncapped against 97-100 ms with the
+# former cap of 2048 patches; 5 % moved: 170-203 against 234-256 ms).
 _SNAPSHOT_DIRTY_MIN = 64
-_SNAPSHOT_DIRTY_MAX = 2048
 
 CellKey = tuple[int, ...]
 # An element's cell set: the inclusive integer corners (*lo_cells, *hi_cells)
 # in one flat tuple — one object to build, compare and keep per element.
 Window = tuple[int, ...]
+# A sorted cell table: (keys, starts, counts, entry_rows, entry_first) — see
+# :class:`_GridSnapshot`, which holds one for the base and derives one for
+# the overlay.
+CellTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _GridSnapshot:
@@ -98,22 +113,26 @@ class _GridSnapshot:
     overlay (the deferred-compaction dirty list):
 
     * ``alive`` masks base rows whose element was removed or relocated;
-    * appended elements live in ``extra_eids``/``extra_boxes`` and are
-      reachable through ``extra_cells`` (linear cell key → ``(overlay row,
-      first mask)`` entries);
+    * appended elements live in the ``extra_eids``/``extra_boxes``/
+      ``extra_alive`` rows, and their cell registrations in three flat
+      parallel columns, one entry per covered cell: ``extra_keys`` (linear
+      cell key), ``extra_rows`` (overlay row) and ``extra_first`` (first
+      mask) — the unsorted form of a second cell table;
     * in-place box rewrites patch ``boxes`` / ``extra_boxes`` directly.
 
     Overlay rows are addressed as ``len(eids) + i`` so one flat row space
     covers both tables; :meth:`tables` materializes (and caches) the merged
-    id/box/alive views.  ``dirty`` counts patches since the build — the
-    owning grid compacts (rebuilds) when it crosses the threshold.
+    id/box/alive views and :meth:`overlay_table` the sorted cell table of
+    the live overlay entries, in the base table's own layout.  ``dirty``
+    counts patches since the build — the owning grid compacts (rebuilds)
+    when it crosses the threshold.
     """
 
     __slots__ = (
         "keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
         "strides", "tops", "origin", "cell", "alive", "row_of", "extra_eids",
-        "extra_boxes", "extra_alive", "extra_cells", "extra_row_of", "dirty",
-        "_tables",
+        "extra_boxes", "extra_alive", "extra_row_of", "extra_keys", "extra_rows",
+        "extra_first", "dirty", "_tables", "_overlay",
     )
     #: The array fields that, with the cell size, describe a clean snapshot.
     EXPORTED = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
@@ -137,12 +156,15 @@ class _GridSnapshot:
         self.alive = np.ones(len(eids), dtype=bool)
         self.row_of: dict[int, int] | None = None  # built lazily on first patch
         self.extra_eids: list[int] = []
-        self.extra_boxes: list[AABB] = []
+        self.extra_boxes: list[tuple[Sequence[float], Sequence[float]]] = []  # (lo, hi)
         self.extra_alive: list[bool] = []
-        self.extra_cells: dict[int, list[tuple[int, int]]] = {}
         self.extra_row_of: dict[int, int] = {}
+        self.extra_keys: list[int] = []
+        self.extra_rows: list[int] = []
+        self.extra_first: list[int] = []
         self.dirty = 0
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._overlay: CellTable | None = None
 
     # -- merged element tables ------------------------------------------------
 
@@ -156,16 +178,49 @@ class _GridSnapshot:
                     [self.eids, np.array(self.extra_eids, dtype=np.int64)]
                 )
                 boxes = np.concatenate(
-                    [self.boxes, boxes_to_array(self.extra_boxes, dims=self.boxes.shape[2])]
+                    [self.boxes, np.array(self.extra_boxes, dtype=np.float64)]
                 )
                 alive = np.concatenate([self.alive, np.array(self.extra_alive, dtype=bool)])
                 self._tables = (eids, boxes, alive)
         return self._tables
 
-    def _base_row(self, eid: int) -> int:
+    def base_table(self) -> CellTable:
+        return self.keys, self.starts, self.counts, self.entry_rows, self.entry_first
+
+    def overlay_table(self) -> CellTable | None:
+        """The live overlay entries as a sorted cell table whose rows are
+        already offset past the base table; ``None`` while there are none.
+        Cached, and invalidated by the same patches as :meth:`tables`."""
+        if self._overlay is None and self.extra_rows:
+            rows = np.array(self.extra_rows, dtype=np.int64)
+            live = np.array(self.extra_alive, dtype=bool)[rows]
+            if live.any():
+                self._overlay = _cell_table(
+                    np.array(self.extra_keys, dtype=np.int64)[live],
+                    rows[live] + len(self.eids),
+                    np.array(self.extra_first, dtype=np.uint8)[live],
+                )
+        return self._overlay
+
+    def _base_rows(self) -> dict[int, int]:
         if self.row_of is None:
-            self.row_of = {int(e): i for i, e in enumerate(self.eids.tolist())}
-        return self.row_of[eid]
+            self.row_of = dict(zip(self.eids.tolist(), range(len(self.eids))))
+        return self.row_of
+
+    def _split_rows(self, eids: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Positions in ``eids`` and rows of the base-resident elements,
+        then positions and overlay rows of the overlay-resident ones."""
+        base_at, base_rows, extra_at, extra_rows = [], [], [], []
+        row_of, extra_row_of = self._base_rows(), self.extra_row_of
+        for at, eid in enumerate(eids):
+            idx = extra_row_of.get(eid)
+            if idx is None:
+                base_at.append(at)
+                base_rows.append(row_of[eid])
+            else:
+                extra_at.append(at)
+                extra_rows.append(idx)
+        return base_at, base_rows, extra_at, extra_rows
 
     # -- patches (the dirty list) ---------------------------------------------
 
@@ -175,10 +230,11 @@ class _GridSnapshot:
         and ``lo`` starts with the low corner of that window."""
         idx = len(self.extra_eids)
         self.extra_eids.append(eid)
-        self.extra_boxes.append(box)
+        self.extra_boxes.append((box.lo, box.hi))
         self.extra_alive.append(True)
         self.extra_row_of[eid] = idx
         strides = self.strides.tolist()
+        keys, firsts = self.extra_keys, self.extra_first
         for coords in cells:
             key = 0
             first = 0
@@ -186,32 +242,69 @@ class _GridSnapshot:
                 key += coord * strides[axis]
                 if coord == lo[axis]:
                     first |= 1 << axis
-            self.extra_cells.setdefault(key, []).append((idx, first))
-        # Queries pay per overlay *cell*, not per patched element, so a
-        # box spanning many cells must push toward compaction accordingly.
+            keys.append(key)
+            firsts.append(first)
+        self.extra_rows.extend([idx] * len(cells))
+        # Every overlay entry is carried through each derivation of the
+        # overlay table, so a box spanning many cells must push toward
+        # compaction accordingly.
         self.dirty += max(len(cells), 1)
-        self._tables = None
+        self._tables = self._overlay = None
 
     def patch_remove(self, eid: int) -> None:
         idx = self.extra_row_of.pop(eid, None)
         if idx is not None:
-            # Dead overlay rows stay listed in extra_cells; gathering filters
-            # them through the alive mask (compaction reclaims the slots).
+            # Dead overlay rows keep their entry columns; deriving the
+            # overlay table filters them out (compaction reclaims the slots).
             self.extra_alive[idx] = False
         else:
-            self.alive[self._base_row(eid)] = False
+            self.alive[self._base_rows()[eid]] = False
         self.dirty += 1
-        self._tables = None
+        self._tables = self._overlay = None
 
     def patch_set_box(self, eid: int, box: AABB) -> None:
         """In-place rewrite for a move that kept the element's cell window."""
         idx = self.extra_row_of.get(eid)
         if idx is not None:
-            self.extra_boxes[idx] = box
+            self.extra_boxes[idx] = (box.lo, box.hi)
         else:
-            self.boxes[self._base_row(eid)] = (box.lo, box.hi)
+            self.boxes[self._base_rows()[eid]] = (box.lo, box.hi)
         self.dirty += 1
         self._tables = None
+
+    # -- whole-batch patches (:meth:`UniformGrid.apply_moves`) ------------------
+
+    def patch_set_boxes(self, eids: Sequence[int], boxes: np.ndarray) -> None:
+        """:meth:`patch_set_box` for every ``(eids[i], boxes[i])`` at once:
+        the base rows take one fancy-indexed assignment."""
+        base_at, base_rows, extra_at, extra_rows = self._split_rows(eids)
+        self.boxes[base_rows] = boxes[base_at]
+        for at, idx in zip(extra_at, extra_rows):
+            self.extra_boxes[idx] = boxes[at].tolist()
+        self.dirty += len(eids)
+        self._tables = None
+
+    def patch_relocate(
+        self, eids: Sequence[int], boxes: np.ndarray, lo_cells: np.ndarray, hi_cells: np.ndarray
+    ) -> None:
+        """:meth:`patch_remove` then :meth:`patch_insert` for every element
+        at once; the new windows' entries come from one
+        :func:`_expand_windows` call, in the order the scalar path appends."""
+        _, base_rows, _, extra_rows = self._split_rows(eids)
+        self.alive[base_rows] = False
+        for idx in extra_rows:
+            self.extra_alive[idx] = False
+        first_row = len(self.extra_eids)
+        self.extra_eids.extend(eids)
+        self.extra_boxes.extend(boxes.tolist())
+        self.extra_alive.extend([True] * len(eids))
+        self.extra_row_of.update(zip(eids, range(first_row, first_row + len(eids))))
+        owner, keys, first = _expand_windows(lo_cells, hi_cells, self.strides)
+        self.extra_keys.extend(keys.tolist())
+        self.extra_rows.extend((owner + first_row).tolist())
+        self.extra_first.extend(first.tolist())
+        self.dirty += len(eids) + len(keys)  # a window holds at least one cell
+        self._tables = self._overlay = None
 
 
 def _cell_coords(
@@ -258,6 +351,49 @@ def _expand_windows(
     return owner, keys, first
 
 
+def _cell_table(keys: np.ndarray, rows: np.ndarray, first: np.ndarray) -> CellTable:
+    """Group flat ``(cell key, element row, first mask)`` entries by cell:
+    the distinct keys in sorted order, each cell's slice of the entry
+    columns, and the columns in that (stable) order."""
+    order = np.argsort(keys, kind="stable")
+    uniq_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    return uniq_keys, starts, counts, rows[order], first[order]
+
+
+def _walk_cells(
+    table: CellTable,
+    uniq_keys: np.ndarray,
+    inverse: np.ndarray,
+    qidx: np.ndarray,
+    q_first: np.ndarray,
+    every_axis: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate walk of one cell table: ``(query, row)`` pairs at the
+    first common cell, plus the mask of the distinct query cells it holds.
+
+    ``uniq_keys``/``inverse`` are the distinct cell ids of the flattened
+    ``(qidx, cell, q_first)`` query windows and the map back onto them.
+    Each distinct id is resolved once against the table's sorted keys; every
+    ``(query, bucket entry)`` of the cells found is enumerated with
+    ``repeat``/``cumsum`` arithmetic and kept iff on every axis the cell is
+    the low cell of the query's window or of the element's.
+    """
+    keys, starts, counts, entry_rows, entry_first = table
+    pos = np.minimum(np.searchsorted(keys, uniq_keys), len(keys) - 1)
+    occupied = keys[pos] == uniq_keys
+    keep = occupied[inverse]
+    cell_pos = pos[inverse][keep]
+    bucket_counts = counts[cell_pos]
+    n_entries = int(bucket_counts.sum())
+    offset = np.arange(n_entries, dtype=np.int64) - np.repeat(
+        np.cumsum(bucket_counts) - bucket_counts, bucket_counts
+    )
+    entry = np.repeat(starts[cell_pos], bucket_counts) + offset
+    chosen = (np.repeat(q_first[keep], bucket_counts) | entry_first[entry]) == every_axis
+    pair_q = np.repeat(qidx[keep], bucket_counts)[chosen]
+    return pair_q, entry_rows[entry[chosen]], occupied
+
+
 def grid_axes(universe: AABB, cell: float) -> tuple[tuple[float, int], ...]:
     """Per-axis ``(origin, top cell coordinate)`` of a grid over ``universe``."""
     return tuple(
@@ -299,17 +435,8 @@ def pack_snapshot(
     lo_cells = _cell_coords(boxes[:, 0, :], origin, cell, tops)
     hi_cells = _cell_coords(boxes[:, 1, :], origin, cell, tops)
     rows, keys, first = _expand_windows(lo_cells, hi_cells, strides_arr)
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    uniq_keys, starts, counts = np.unique(
-        keys_sorted, return_index=True, return_counts=True
-    )
     return _GridSnapshot(
-        keys=uniq_keys,
-        starts=starts,
-        counts=counts,
-        entry_rows=rows[order],
-        entry_first=first[order],
+        *_cell_table(keys, rows, first),
         eids=eids,
         boxes=boxes,
         strides=strides_arr,
@@ -399,7 +526,7 @@ class UniformGrid(SpatialIndex):
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
         # Whatever can refuse the input runs before the reset.
-        windows = self._bulk_windows(materialized) if materialized else []
+        windows = _corner_tuples(self._bulk_corners(materialized)[1]) if materialized else []
         self._cells = {}
         self._boxes = {}
         self._windows = {}
@@ -411,8 +538,9 @@ class UniformGrid(SpatialIndex):
         for (eid, box), window in zip(materialized, windows):
             self._place(eid, box, window)
 
-    def _bulk_windows(self, items: list[Item]) -> list[Window]:
-        """Every item's window in one vectorized :func:`_cell_coords` pass."""
+    def _bulk_corners(self, items: list[Item]) -> tuple[np.ndarray, np.ndarray]:
+        """The items' packed ``(n, 2, d)`` boxes and their ``(n, 2d)`` integer
+        window corners, in one vectorized :func:`_cell_coords` pass."""
         boxes = boxes_to_array([box for _, box in items])
         if not np.isfinite(boxes).all():
             raise ValueError("box coordinates must be finite")
@@ -422,20 +550,26 @@ class UniformGrid(SpatialIndex):
         origin, tops = _axis_arrays(self._axes)
         corners = _cell_coords(boxes.reshape(len(items), -1), np.tile(origin, 2),
                                self._cell_size, np.tile(tops, 2))
-        # Regroup the flat coordinate list straight into 2d-tuples.
-        return list(zip(*[iter(corners.ravel().tolist())] * corners.shape[1]))
+        return boxes, corners
 
     def insert(self, eid: int, box: AABB) -> None:
         if eid in self._boxes:
             raise ValueError(f"element {eid} already present")
         self._ensure_configured([(eid, box)])
-        self._place(eid, box, self._window(box))
+        window = self._window(box)
+        cells = self._place(eid, box, window)
+        if self._snapshot is not None:
+            self._snapshot.patch_insert(eid, box, cells, window)
+            self._maybe_compact()
         self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
         if eid not in self._boxes or self._boxes[eid] != box:
             raise KeyError(f"element {eid} with box {box} not in index")
         self._unplace(eid)
+        if self._snapshot is not None:
+            self._snapshot.patch_remove(eid)
+            self._maybe_compact()
         self.counters.deletes += 1
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
@@ -443,17 +577,83 @@ class UniformGrid(SpatialIndex):
         if eid not in self._boxes or self._boxes[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
         window = self._window(new_box)
+        snap = self._snapshot
         if window == self._windows[eid]:
             self._boxes[eid] = new_box
-            if self._snapshot is not None:
-                self._snapshot.patch_set_box(eid, new_box)
+            if snap is not None:
+                snap.patch_set_box(eid, new_box)
                 self._maybe_compact()
             self.in_place_updates += 1
         else:
             self._unplace(eid)
-            self._place(eid, new_box, window)
+            cells = self._place(eid, new_box, window)
+            if snap is not None:
+                snap.patch_remove(eid)
+                snap.patch_insert(eid, new_box, cells, window)
+                self._maybe_compact()
             self.cell_switches += 1
         self.counters.updates += 1
+
+    def apply_moves(self, moves: Iterable[Move]) -> None:
+        """The whole batch or nothing, and equal to the :meth:`update` loop.
+
+        Everything that can refuse a move — an unknown id, a stale
+        ``old_box``, a repeated id, wrong dimensionality, a non-finite
+        coordinate — is checked for every move before anything is written.
+        The new windows then come from one :func:`_cell_coords` pass;
+        in-place movers are one dict write each and one snapshot assignment
+        together, cell switchers patch their buckets one by one and the
+        snapshot together.  Whether the batch's patches would carry the
+        snapshot past the compaction threshold is decided once, up front:
+        if so the snapshot is dropped and nothing is patched — what the
+        scalar loop arrives at after patching its way to the threshold.
+        Buckets, windows, counters and batch answers end up as the loop
+        leaves them.
+        """
+        moves = unique_moves(moves)
+        if not moves:
+            return
+        boxes, stored = self._boxes, self._windows
+        dims = len(self._axes or ())
+        for eid, old_box, new_box in moves:
+            if eid not in boxes or boxes[eid] != old_box:
+                raise KeyError(f"element {eid} with box {old_box} not in index")
+            if len(new_box.lo) != dims:
+                raise ValueError(f"box has {len(new_box.lo)} dims, index has {dims}")
+        targets = [(eid, new_box) for eid, _, new_box in moves]
+        packed, corners = self._bulk_corners(targets)
+        windows = _corner_tuples(corners)
+        stay: list[int] = []
+        switch: list[int] = []
+        for at, ((eid, _), window) in enumerate(zip(targets, windows)):
+            (stay if window == stored[eid] else switch).append(at)
+
+        snap = self._snapshot
+        lo_cells, hi_cells = corners[switch, :dims], corners[switch, dims:]
+        if snap is not None:
+            # The dirt the scalar loop would add: one patch per in-place
+            # rewrite, one removal and one entry per covered cell per switch.
+            dirt = len(stay) + len(switch) + int(np.prod(hi_cells - lo_cells + 1, axis=1).sum())
+            if snap.dirty + dirt > _compaction_threshold(snap):
+                self._snapshot = snap = None
+
+        for at in stay:
+            eid, box = targets[at]
+            boxes[eid] = box
+        for at in switch:
+            eid, box = targets[at]
+            self._unplace(eid)
+            self._place(eid, box, windows[at])
+        if snap is not None:
+            if stay:
+                snap.patch_set_boxes([targets[at][0] for at in stay], packed[stay])
+            if switch:
+                snap.patch_relocate(
+                    [targets[at][0] for at in switch], packed[switch], lo_cells, hi_cells
+                )
+        self.in_place_updates += len(stay)
+        self.cell_switches += len(switch)
+        self.counters.updates += len(moves)
 
     # -- queries --------------------------------------------------------------------
 
@@ -528,71 +728,39 @@ class UniformGrid(SpatialIndex):
         """Flat ``(query, element-row)`` candidate pairs for cell windows.
 
         ``lo_cells``/``hi_cells`` are ``(m, d)`` integer window corners.
-        Base entries are reached with the searchsorted/repeat machinery,
-        kept only at the first cell their window shares with the query's
-        (see the module docstring) and filtered through the ``alive`` mask;
-        overlay rows (patched-in inserts, addressed past the base table) are
-        matched per overlay cell under the same rule — the overlay is
-        bounded by the compaction threshold, so that loop stays small.
-        Every live ``(query, row)`` whose windows share a cell comes out
-        exactly once.
+        The windows are flattened into ``(query, cell)`` pairs once and
+        their distinct cells walked through the base cell table and, when
+        the snapshot carries patched-in inserts, through the overlay's cell
+        table (:func:`_walk_cells` both times; overlay rows are addressed
+        past the base table), so probing a patched snapshot costs one more
+        pass of the same arithmetic, whatever the number of overlay cells.
+        Pairs are kept only at the first cell the two windows share (see
+        the module docstring) and filtered through the ``alive`` mask:
+        every live ``(query, row)`` whose windows share a cell comes out
+        exactly once.  ``cells_probed`` rises by the distinct query cells
+        plus the overlay cells among them.
         """
         counters = self.counters
         every_axis = (1 << lo_cells.shape[1]) - 1
         # Flatten all query windows into (query, cell-id) pairs.
         qidx, flat_keys, q_first = _expand_windows(lo_cells, hi_cells, snap.strides)
-
-        # Resolve each distinct cell id once against the occupied-cell table.
         uniq_keys, inverse = np.unique(flat_keys, return_inverse=True)
         counters.cells_probed += len(uniq_keys)
-        pos = np.searchsorted(snap.keys, uniq_keys)
-        pos_safe = np.minimum(pos, len(snap.keys) - 1)
-        occupied = snap.keys[pos_safe] == uniq_keys
-        keep = occupied[inverse]
-        cell_pos = pos_safe[inverse][keep]
-
-        # Walk every (query, bucket entry) and keep the first common cell's.
-        bucket_counts = snap.counts[cell_pos]
-        n_entries = int(bucket_counts.sum())
-        offset = np.arange(n_entries, dtype=np.int64) - np.repeat(
-            np.cumsum(bucket_counts) - bucket_counts, bucket_counts
+        pair_q, rows, _ = _walk_cells(
+            snap.base_table(), uniq_keys, inverse, qidx, q_first, every_axis
         )
-        entry = np.repeat(snap.starts[cell_pos], bucket_counts) + offset
-        chosen = (np.repeat(q_first[keep], bucket_counts) | snap.entry_first[entry]) == every_axis
-        pair_q = np.repeat(qidx[keep], bucket_counts)[chosen]
-        rows = snap.entry_rows[entry[chosen]]
-        live = snap.alive[rows]
+        overlay = snap.overlay_table()
+        if overlay is not None:
+            extra_q, extra_rows, found = _walk_cells(
+                overlay, uniq_keys, inverse, qidx, q_first, every_axis
+            )
+            counters.cells_probed += int(np.count_nonzero(found))
+            pair_q = np.concatenate([pair_q, extra_q])
+            rows = np.concatenate([rows, extra_rows])
+        live = snap.tables()[2][rows]
         if not live.all():
             pair_q = pair_q[live]
             rows = rows[live]
-
-        if snap.extra_cells:
-            n_base = snap.eids.shape[0]
-            res = snap.tops + 1
-            axis_bit = 1 << np.arange(lo_cells.shape[1])
-            extra_q: list[np.ndarray] = [pair_q]
-            extra_rows: list[np.ndarray] = [rows]
-            for key, entries in snap.extra_cells.items():
-                alive = [pair for pair in entries if snap.extra_alive[pair[0]]]
-                if not alive:
-                    continue
-                coords = (key // snap.strides) % res
-                covered = np.nonzero(
-                    np.all((lo_cells <= coords) & (coords <= hi_cells), axis=1)
-                )[0]
-                if covered.size == 0:
-                    continue
-                counters.cells_probed += 1
-                idxs, e_first = np.array(alive, dtype=np.int64).T
-                window_first = (lo_cells[covered] == coords) @ axis_bit
-                which_q, which_e = np.nonzero(
-                    (window_first[:, None] | e_first[None, :]) == every_axis
-                )
-                extra_q.append(covered[which_q])
-                extra_rows.append(idxs[which_e] + n_base)
-            if len(extra_q) > 1:
-                pair_q = np.concatenate(extra_q)
-                rows = np.concatenate(extra_rows)
         return pair_q, rows
 
     def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
@@ -802,7 +970,9 @@ class UniformGrid(SpatialIndex):
             for v, (o, top) in zip(box.lo + box.hi, axes + axes)
         ])
 
-    def _place(self, eid: int, box: AABB, window: Window) -> None:
+    def _place(self, eid: int, box: AABB, window: Window) -> list[CellKey]:
+        """File ``eid`` under every cell of ``window``; returns those cells.
+        The snapshot is the caller's to patch."""
         cells = list(_window_cells(window))
         buckets = self._cells
         for key in cells:
@@ -813,9 +983,7 @@ class UniformGrid(SpatialIndex):
                 bucket[eid] = None
         self._boxes[eid] = box
         self._windows[eid] = window
-        if self._snapshot is not None:
-            self._snapshot.patch_insert(eid, box, cells, window)
-            self._maybe_compact()
+        return cells
 
     def _unplace(self, eid: int) -> None:
         for key in _window_cells(self._windows.pop(eid)):
@@ -824,19 +992,22 @@ class UniformGrid(SpatialIndex):
             if not bucket:
                 del self._cells[key]
         del self._boxes[eid]
-        if self._snapshot is not None:
-            self._snapshot.patch_remove(eid)
-            self._maybe_compact()
 
     def _maybe_compact(self) -> None:
-        """Deferred compaction: drop the snapshot once the dirty overlay
-        outgrows a fraction of the base (the next batch repacks)."""
+        """Deferred compaction: drop the snapshot once its dirt outgrows a
+        fraction of the base (the next batch repacks)."""
         snap = self._snapshot
-        if snap is None:
-            return
-        threshold = max(_SNAPSHOT_DIRTY_MIN, min(len(snap.eids) // 4, _SNAPSHOT_DIRTY_MAX))
-        if snap.dirty > threshold:
+        if snap is not None and snap.dirty > _compaction_threshold(snap):
             self._snapshot = None
+
+
+def _compaction_threshold(snap: _GridSnapshot) -> int:
+    return max(_SNAPSHOT_DIRTY_MIN, len(snap.eids) // 4)
+
+
+def _corner_tuples(corners: np.ndarray) -> list[Window]:
+    """``(n, 2d)`` integer corners regrouped straight into window tuples."""
+    return list(zip(*[iter(corners.ravel().tolist())] * corners.shape[1]))
 
 
 def _window_cells(window: Window) -> Iterable[CellKey]:

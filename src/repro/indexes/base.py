@@ -17,6 +17,8 @@ from repro.geometry.aabb import AABB, array_to_boxes
 from repro.instrumentation.counters import Counters
 
 Item = tuple[int, AABB]
+# One element's net motion over a step: ``(element_id, old_box, new_box)``.
+Move = tuple[int, AABB, AABB]
 # kNN results are (distance, element_id) pairs sorted ascending by
 # ``(distance, element_id)`` — ties at equal distance are broken by the
 # smaller id.  Every exact index (and every vectorized batch kernel)
@@ -78,6 +80,20 @@ class SpatialIndex(ABC):
         self.delete(eid, old_box)
         self.insert(eid, new_box)
         self.counters.updates += 1
+
+    def apply_moves(self, moves: Iterable[Move]) -> None:
+        """Apply one step's motion: at most one ``(eid, old_box, new_box)``
+        per element (a repeated id is refused before anything moves).
+
+        Equivalent to calling :meth:`update` per move, in order — which is
+        what this default does, so it is **not atomic**: a move refused
+        half-way (stale ``old_box``, unknown id) leaves the earlier ones
+        applied.  Overrides may do better on both counts;
+        :class:`~repro.core.uniform_grid.UniformGrid` validates the whole
+        batch first and writes it in one pass.
+        """
+        for eid, old_box, new_box in unique_moves(moves):
+            self.update(eid, old_box, new_box)
 
     # -- queries --------------------------------------------------------------
 
@@ -182,4 +198,13 @@ def validate_items(items: Iterable[Item]) -> list[Item]:
         if eid in seen:
             raise ValueError(f"duplicate element id {eid}")
         seen.add(eid)
+    return materialized
+
+
+def unique_moves(moves: Iterable[Move]) -> list[Move]:
+    """Materialize an :meth:`SpatialIndex.apply_moves` input, refusing a
+    batch that names an element twice."""
+    materialized = moves if isinstance(moves, list) else list(moves)
+    if len({move[0] for move in materialized}) != len(materialized):
+        raise ValueError("a move batch may name each element at most once")
     return materialized

@@ -128,7 +128,7 @@ class _ReadOnlyShell:
     def _refuse(self, *args: object, **kwargs: object) -> None:
         raise TypeError(f"{type(self).__name__} is read-only")
 
-    bulk_load = insert = delete = update = _refuse
+    bulk_load = insert = delete = update = apply_moves = _refuse
 
     def _scan(self) -> LinearScan:
         if self._oracle is None:

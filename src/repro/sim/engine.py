@@ -170,8 +170,7 @@ class TimeSteppedSimulation:
         if self.maintenance == "rebuild":
             self.index.bulk_load(list(self._state.items()))
             return "rebuild"
-        for eid, old_box, new_box in moves:
-            self.index.update(eid, old_box, new_box)
+        self.index.apply_moves(moves)
         return "update"
 
     @property

@@ -12,10 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.geometry.aabb import AABB
-from repro.indexes.base import SpatialIndex
-
-# One step's motion: (eid, old_box, new_box).
-Move = tuple[int, AABB, AABB]
+from repro.indexes.base import Move, SpatialIndex  # Move: (eid, old_box, new_box)
 
 
 class SimulationModel(ABC):
@@ -28,7 +25,7 @@ class SimulationModel(ABC):
     @abstractmethod
     def advance(self, index: SpatialIndex, step: int) -> list[Move]:
         """Compute one time step, using ``index`` for neighbourhood queries,
-        and return the motion performed.
+        and return the motion performed, at most one move per element.
 
         Implementations must *not* mutate the index — the engine applies the
         returned moves under its maintenance strategy, so that different

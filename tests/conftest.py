@@ -132,3 +132,13 @@ def items_3d() -> list[Item]:
 @pytest.fixture
 def queries_3d():
     return make_queries(12, seed=11)
+
+
+def overlay_cells(snap) -> dict[int, list[tuple[int, int]]]:
+    """A grid snapshot's overlay entry columns regrouped as cell key ->
+    ``(overlay row, first mask)`` entries in append order: the dict the
+    snapshot kept before the columns, for the frozen reference kernels."""
+    cells: dict[int, list[tuple[int, int]]] = {}
+    for key, idx, first in zip(snap.extra_keys, snap.extra_rows, snap.extra_first):
+        cells.setdefault(key, []).append((idx, first))
+    return cells

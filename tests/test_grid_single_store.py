@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_items
+from conftest import make_items, overlay_cells
 from repro import QuerySession, ShardedExecutor, WorkerPool
 from repro.core import uniform_grid
 from repro.core.multires_grid import MultiResolutionGrid
@@ -39,7 +39,7 @@ UNIVERSE = AABB((0.0, 0.0, 0.0), (10.0, 10.0, 7.0))  # 7/2: a ragged top cell
 
 def reference_gather(snap, lo_cells, hi_cells):
     """The former ``_gather_candidates``: one pair per *shared cell*, so a
-    replicated element repeats.  Only the overlay entries' format is new."""
+    replicated element repeats, and one Python iteration per overlay cell."""
     qidx, flat_keys, _ = uniform_grid._expand_windows(lo_cells, hi_cells, snap.strides)
     uniq_keys, inverse = np.unique(flat_keys, return_inverse=True)
     pos = np.searchsorted(snap.keys, uniq_keys)
@@ -60,7 +60,7 @@ def reference_gather(snap, lo_cells, hi_cells):
     n_base = snap.eids.shape[0]
     res = snap.tops + 1
     extra_q, extra_rows = [pair_q], [rows]
-    for key, entries in snap.extra_cells.items():
+    for key, entries in overlay_cells(snap).items():
         alive_idxs = [idx for idx, _ in entries if snap.extra_alive[idx]]
         coords = (key // snap.strides) % res
         covered = np.nonzero(np.all((lo_cells <= coords) & (coords <= hi_cells), axis=1))[0]
@@ -256,7 +256,7 @@ class TestListIdentityWithTheFormerKernels:
             grid.insert(9000 + eid, box)
         grid.delete(9003, grid._boxes[9003])
         assert grid.replication_factor > 4.0 and grid.snapshot_rebuilds == 1
-        assert grid._snapshot is not None and grid._snapshot.extra_cells
+        assert grid._snapshot is not None and grid._snapshot.extra_keys
         return grid
 
     def test_batch_range_ids_and_order(self, patched):

@@ -3,7 +3,7 @@
 PR 1's batch kernels packed the UniformGrid into a dense snapshot but threw
 it away on *any* mutation, so the first batch after a simulation step repaid
 the full packing cost.  These tests pin the incremental behaviour that
-replaced it: mutations patch the snapshot (alive mask, cell-keyed overlay,
+replaced it: mutations patch the snapshot (alive mask, overlay cell table,
 in-place box rewrites), ``snapshot_rebuilds`` counts full packs, and a
 patched snapshot must answer every batch query identically to a
 from-scratch rebuild.
@@ -12,10 +12,14 @@ from-scratch rebuild.
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import knn_pairs, make_items, make_queries
+from conftest import knn_pairs, make_items, make_queries, overlay_cells
+from repro.core import uniform_grid
 from repro.core.multires_grid import MultiResolutionGrid
-from repro.core.uniform_grid import UniformGrid
+from repro.core.uniform_grid import UniformGrid, _expand_windows
 from repro.geometry.aabb import AABB, boxes_to_array
 from repro.indexes.linear_scan import LinearScan
 
@@ -150,6 +154,141 @@ class TestPatchedSnapshotCorrectness:
             assert 70_000 in hits
         # ... and exactly once per query despite the multi-cell replication.
         assert all(hits.count(70_000) == 1 for hits in grid.batch_range_query(probes))
+        assert grid.snapshot_rebuilds == 1
+
+
+def per_cell_gather(grid: UniformGrid, snap, lo_cells, hi_cells):
+    """``_gather_candidates`` as it was while the overlay was a dict walked
+    cell by cell (first-common-cell rule, alive filtering and
+    ``cells_probed`` accounting included) — the frozen reference for the
+    overlay cell table.  Only the overlay's reader is new."""
+    counters = grid.counters
+    every_axis = (1 << lo_cells.shape[1]) - 1
+    qidx, flat_keys, q_first = _expand_windows(lo_cells, hi_cells, snap.strides)
+    uniq_keys, inverse = np.unique(flat_keys, return_inverse=True)
+    counters.cells_probed += len(uniq_keys)
+    pos = np.searchsorted(snap.keys, uniq_keys)
+    pos_safe = np.minimum(pos, len(snap.keys) - 1)
+    occupied = snap.keys[pos_safe] == uniq_keys
+    keep = occupied[inverse]
+    cell_pos = pos_safe[inverse][keep]
+    bucket_counts = snap.counts[cell_pos]
+    n_entries = int(bucket_counts.sum())
+    offset = np.arange(n_entries, dtype=np.int64) - np.repeat(
+        np.cumsum(bucket_counts) - bucket_counts, bucket_counts
+    )
+    entry = np.repeat(snap.starts[cell_pos], bucket_counts) + offset
+    chosen = (np.repeat(q_first[keep], bucket_counts) | snap.entry_first[entry]) == every_axis
+    pair_q = np.repeat(qidx[keep], bucket_counts)[chosen]
+    rows = snap.entry_rows[entry[chosen]]
+    live = snap.alive[rows]
+    pair_q, rows = pair_q[live], rows[live]
+
+    n_base = snap.eids.shape[0]
+    res = snap.tops + 1
+    axis_bit = 1 << np.arange(lo_cells.shape[1])
+    extra_q, extra_rows = [pair_q], [rows]
+    for key, entries in overlay_cells(snap).items():
+        alive = [pair for pair in entries if snap.extra_alive[pair[0]]]
+        if not alive:
+            continue
+        coords = (key // snap.strides) % res
+        covered = np.nonzero(np.all((lo_cells <= coords) & (coords <= hi_cells), axis=1))[0]
+        if covered.size == 0:
+            continue
+        counters.cells_probed += 1
+        idxs, e_first = np.array(alive, dtype=np.int64).T
+        window_first = (lo_cells[covered] == coords) @ axis_bit
+        which_q, which_e = np.nonzero((window_first[:, None] | e_first[None, :]) == every_axis)
+        extra_q.append(covered[which_q])
+        extra_rows.append(idxs[which_e] + n_base)
+    return np.concatenate(extra_q), np.concatenate(extra_rows)
+
+
+class TestOverlayCellTable:
+    """The overlay is probed as a second sorted cell table: whatever the
+    churn left in it, the batch kernels answer like a fresh grid, list for
+    list, and count what the per-cell loop counted."""
+
+    UNIVERSE = AABB((0.0, 0.0, 0.0), (24.0, 24.0, 17.0))  # 17/2: a ragged top cell
+
+    def random_box(self, rng, max_extent: float) -> AABB:
+        lo = rng.uniform(-1.0, [24.0, 24.0, 17.0])
+        return AABB(lo, lo + rng.uniform(0.0, max_extent, size=3))
+
+    def kernel_answers(self, grid, windows, points):
+        before = grid.counters.snapshot()
+        answers = (grid.batch_range_query(windows), grid.batch_knn(points, 1),
+                   grid.batch_knn(points, 7))
+        spent = grid.counters.diff(before)
+        return answers, (spent.elem_tests, spent.cells_probed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 3))
+    def test_churned_overlay_answers_and_counts(self, seed, rounds):
+        rng = np.random.default_rng(seed)
+        state = {eid: self.random_box(rng, 3.0) for eid in range(300)}
+        grid = UniformGrid(universe=self.UNIVERSE, cell_size=2.0)
+        grid.bulk_load(list(state.items()))
+        grid.batch_range_query([self.UNIVERSE])  # pack the snapshot
+        next_id = 1000
+
+        def move(eid, box):
+            grid.update(eid, state[eid], box)
+            state[eid] = box
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(uniform_grid, "_SNAPSHOT_DIRTY_MIN", 1 << 30)  # never compact
+            for _ in range(rounds):
+                for eid in rng.choice(sorted(state), size=20, replace=False).tolist():
+                    grid.delete(eid, state.pop(eid))
+                fresh_ids = list(range(next_id, next_id + 40))
+                next_id += 40
+                for eid in fresh_ids:
+                    state[eid] = self.random_box(rng, 5.0)
+                    grid.insert(eid, state[eid])
+                movers = rng.choice(sorted(state), size=60, replace=False).tolist()
+                for eid in movers:  # base and overlay rows alike
+                    move(eid, self.random_box(rng, 3.0))
+                for eid in movers[:15]:  # relocated a second time
+                    move(eid, self.random_box(rng, 3.0))
+                rewrites = grid.in_place_updates
+                for eid in fresh_ids[:10] + movers[15:25]:  # overlay rows, nudged
+                    box = state[eid]
+                    move(eid, AABB(box.lo, np.add(box.lo, np.subtract(box.hi, box.lo) * 0.999)))
+                assert grid.in_place_updates > rewrites
+                for eid in fresh_ids[-5:]:  # dead overlay rows
+                    grid.delete(eid, state.pop(eid))
+
+        snap = grid._snapshot
+        assert snap is not None and grid.snapshot_rebuilds == 1
+        assert len(set(snap.extra_keys)) >= 100 and False in snap.extra_alive
+        lo = rng.uniform(-2.0, 22.0, size=(40, 3))
+        windows = np.stack([lo, lo + rng.uniform(0.0, 6.0, size=(40, 3))], axis=1)
+        points = rng.uniform(-3.0, 27.0, size=(25, 3))
+
+        got, got_counts = self.kernel_answers(grid, windows, points)
+        rebuilt = UniformGrid(universe=self.UNIVERSE, cell_size=2.0)
+        rebuilt.bulk_load(list(grid._boxes.items()))
+        assert got == self.kernel_answers(rebuilt, windows, points)[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                grid, "_gather_candidates", lambda *args: per_cell_gather(grid, *args)
+            )
+            assert (got, got_counts) == self.kernel_answers(grid, windows, points)
+        assert grid.snapshot_rebuilds == 1
+
+    def test_overlay_of_dead_rows_only_is_no_table(self):
+        grid = UniformGrid(universe=self.UNIVERSE, cell_size=2.0)
+        grid.bulk_load([(1, AABB((1.0,) * 3, (2.0,) * 3)), (2, AABB((9.0,) * 3, (9.5,) * 3))])
+        grid.batch_range_query([self.UNIVERSE])
+        box = AABB((5.0,) * 3, (7.5,) * 3)
+        grid.insert(3, box)
+        assert grid._snapshot.overlay_table() is not None
+        grid.delete(3, box)
+        assert grid._snapshot.extra_keys and grid._snapshot.overlay_table() is None
+        assert grid.batch_range_query([self.UNIVERSE]) == [[1, 2]]
+        assert grid.batch_knn([(6.0, 6.0, 6.0)], 3) == [grid.knn((6.0, 6.0, 6.0), 3)]
         assert grid.snapshot_rebuilds == 1
 
 
