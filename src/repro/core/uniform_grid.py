@@ -35,6 +35,12 @@ Design points realized here:
   ``range_query`` walks the buckets and skips ids already reported.)  The
   resolution model (:mod:`repro.core.resolution`) balances replication
   against probe counts.
+* **Arrays in, arrays out.**  The snapshot's one box store is laid out as
+  the overlap test reads it — a contiguous column per corner and axis
+  (``(2, d, n)``; the familiar ``(n, 2, d)`` form is a view of it, so patches
+  written through either land in both) — and the range kernel's product is
+  the CSR pair of :meth:`UniformGrid.batch_range_hits`;
+  :meth:`~UniformGrid.batch_range_query` is that plus one ``tolist``.
 * **Incrementally maintained batch snapshot.**  The vectorized batch kernels
   query a dense packed view of the buckets (:class:`_GridSnapshot`).
   Mutations *patch* the snapshot instead of discarding it: removals flip a
@@ -69,7 +75,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.geometry.aabb import AABB, as_box_array, as_point_array, boxes_to_array, union_all
-from repro.indexes.base import Item, KNNResult, Move, SpatialIndex, unique_moves, validate_items
+from repro.indexes.base import (
+    Item, KNNResult, Move, SpatialIndex, csr_hits, unique_moves, validate_items,
+)
 from repro.instrumentation.counters import Counters
 
 _BOX_BYTES_PER_DIM = 16
@@ -103,8 +111,10 @@ class _GridSnapshot:
     ``keys`` holds the linearized ids of every occupied cell in sorted order;
     ``starts``/``counts`` delimit each cell's slice of ``entry_rows``
     (replicated elements appear once per covering cell, exactly as in the
-    buckets).  ``entry_rows`` index into the dense ``eids``/``boxes`` element
-    tables; ``entry_first`` holds, per entry, the bitmask "this cell is the
+    buckets).  ``entry_rows`` index into the dense ``eids``/``columns`` element
+    tables — ``columns`` is the one box store, ``(2, d, n)`` with a contiguous
+    column per corner and axis, and ``boxes`` its ``(n, 2, d)`` view;
+    ``entry_first`` holds, per entry, the bitmask "this cell is the
     low cell of the element's window on axis a" (bit ``a``) that the
     first-common-cell rule reads.  ``strides`` linearize a cell coordinate
     tuple, ``tops`` are the per-axis maximum cell coordinates.
@@ -129,17 +139,17 @@ class _GridSnapshot:
     """
 
     __slots__ = (
-        "keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
+        "keys", "starts", "counts", "entry_rows", "entry_first", "eids", "columns", "boxes",
         "strides", "tops", "origin", "cell", "alive", "row_of", "extra_eids",
         "extra_boxes", "extra_alive", "extra_row_of", "extra_keys", "extra_rows",
         "extra_first", "dirty", "_tables", "_overlay",
     )
     #: The array fields that, with the cell size, describe a clean snapshot.
-    EXPORTED = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "boxes",
+    EXPORTED = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "columns",
                 "strides", "tops", "origin")
 
     def __init__(
-        self, keys, starts, counts, entry_rows, entry_first, eids, boxes, strides, tops,
+        self, keys, starts, counts, entry_rows, entry_first, eids, columns, strides, tops,
         origin, cell,
     ) -> None:
         self.keys = keys
@@ -148,7 +158,8 @@ class _GridSnapshot:
         self.entry_rows = entry_rows
         self.entry_first = entry_first
         self.eids = eids
-        self.boxes = boxes
+        self.columns = columns
+        self.boxes = columns.transpose(2, 0, 1)
         self.strides = strides
         self.tops = tops
         self.origin = origin
@@ -169,7 +180,8 @@ class _GridSnapshot:
     # -- merged element tables ------------------------------------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(eids, boxes, alive)`` across base rows then overlay rows."""
+        """``(eids, boxes, alive)`` across base rows then overlay rows;
+        ``boxes`` is the ``(n, 2, d)`` view of a column store either way."""
         if self._tables is None:
             if not self.extra_eids:
                 self._tables = (self.eids, self.boxes, self.alive)
@@ -177,11 +189,10 @@ class _GridSnapshot:
                 eids = np.concatenate(
                     [self.eids, np.array(self.extra_eids, dtype=np.int64)]
                 )
-                boxes = np.concatenate(
-                    [self.boxes, np.array(self.extra_boxes, dtype=np.float64)]
-                )
+                extra = np.array(self.extra_boxes, dtype=np.float64)
+                columns = np.concatenate([self.columns, extra.transpose(1, 2, 0)], axis=-1)
                 alive = np.concatenate([self.alive, np.array(self.extra_alive, dtype=bool)])
-                self._tables = (eids, boxes, alive)
+                self._tables = (eids, columns.transpose(2, 0, 1), alive)
         return self._tables
 
     def base_table(self) -> CellTable:
@@ -385,10 +396,10 @@ def _walk_cells(
     cell_pos = pos[inverse][keep]
     bucket_counts = counts[cell_pos]
     n_entries = int(bucket_counts.sum())
-    offset = np.arange(n_entries, dtype=np.int64) - np.repeat(
-        np.cumsum(bucket_counts) - bucket_counts, bucket_counts
+    # Entry j of the enumeration is its cell's start plus j's rank in the cell.
+    entry = np.arange(n_entries, dtype=np.int64) + np.repeat(
+        starts[cell_pos] - (np.cumsum(bucket_counts) - bucket_counts), bucket_counts
     )
-    entry = np.repeat(starts[cell_pos], bucket_counts) + offset
     chosen = (np.repeat(q_first[keep], bucket_counts) | entry_first[entry]) == every_axis
     pair_q = np.repeat(qidx[keep], bucket_counts)[chosen]
     return pair_q, entry_rows[entry[chosen]], occupied
@@ -421,24 +432,30 @@ def _linear_strides(tops: np.ndarray) -> np.ndarray | None:
     return np.array(strides, dtype=np.int64)
 
 
+def box_columns(boxes: np.ndarray) -> np.ndarray:
+    """``(n, 2, d)`` boxes as ``(2, d, n)``: a contiguous column per corner and axis."""
+    return np.ascontiguousarray(boxes.transpose(1, 2, 0))
+
+
 def pack_snapshot(
-    eids: np.ndarray, boxes: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray
+    eids: np.ndarray, columns: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray
 ) -> _GridSnapshot | None:
-    """The dense form of a grid holding exactly these rows; ``None`` if
-    unlinearizable.  Cell membership comes from the boxes by the clamped-window
-    arithmetic of :meth:`UniformGrid._window`, so the pack runs vectorized and
-    needs no bucket dicts — a live grid's buckets and this function
-    necessarily describe the identical (cell, element) relation."""
+    """The dense form of a grid holding exactly these rows (``columns`` as
+    :func:`box_columns` lays them out, adopted as the snapshot's box store);
+    ``None`` if unlinearizable.  Cell membership comes from the boxes by the
+    clamped-window arithmetic of :meth:`UniformGrid._window`, so the pack runs
+    vectorized and needs no bucket dicts — a live grid's buckets and this
+    function necessarily describe the identical (cell, element) relation."""
     strides_arr = _linear_strides(tops)
     if strides_arr is None:
         return None
-    lo_cells = _cell_coords(boxes[:, 0, :], origin, cell, tops)
-    hi_cells = _cell_coords(boxes[:, 1, :], origin, cell, tops)
+    lo_cells = _cell_coords(columns[0].T, origin, cell, tops)
+    hi_cells = _cell_coords(columns[1].T, origin, cell, tops)
     rows, keys, first = _expand_windows(lo_cells, hi_cells, strides_arr)
     return _GridSnapshot(
         *_cell_table(keys, rows, first),
         eids=eids,
-        boxes=boxes,
+        columns=columns,
         strides=strides_arr,
         tops=tops,
         origin=origin,
@@ -715,7 +732,10 @@ class UniformGrid(SpatialIndex):
         if _linear_strides(tops) is None:  # skip packing the boxes
             return None
         self.snapshot_rebuilds += 1
-        return pack_snapshot(*self.export_items(), origin, self._cell_size, tops)
+        eids, boxes = self.export_items()
+        columns = box_columns(boxes)
+        del boxes  # the row-major copy goes before the cell table's temporaries come
+        return pack_snapshot(eids, columns, origin, self._cell_size, tops)
 
     def _ensure_snapshot(self) -> _GridSnapshot | None:
         if self._snapshot is None:
@@ -763,25 +783,27 @@ class UniformGrid(SpatialIndex):
             rows = rows[live]
         return pair_q, rows
 
-    def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
+    def batch_range_hits(
+        self, boxes: np.ndarray | Sequence[AABB]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """All queries in one pass: vectorized cell bucketing + overlap tests.
 
         Every query's covered cell window is expanded into a flat
         ``(query, cell)`` list; distinct cell ids are resolved against the
         sorted occupied-cell table with one :func:`np.searchsorted`, each
         ``(query, element)`` pair is gathered once at the first cell the two
-        windows share, and a single vectorized AABB overlap test yields
-        per-query id lists in ascending snapshot-row order.
+        windows share, and one columnar AABB overlap test leaves the hits,
+        per query in ascending snapshot-row order.
         """
         queries = as_box_array(boxes)
+        if np.isnan(queries).any():  # ±inf corners clamp to the universe; NaN has no cell
+            raise ValueError("query coordinates must be finite")
         m = queries.shape[0]
-        if m == 0:
-            return []
-        if not self._boxes:
-            return [[] for _ in range(m)]
+        if m == 0 or not self._boxes:
+            return np.zeros(m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
         snap = self._ensure_snapshot()
         if snap is None:
-            return super().batch_range_query(queries)
+            return csr_hits(super().batch_range_query(queries))
         dims = snap.tops.shape[0]
         if queries.shape[2] != dims:
             raise ValueError(f"queries have {queries.shape[2]} dims, index has {dims}")
@@ -792,30 +814,36 @@ class UniformGrid(SpatialIndex):
         lo_cells = _cell_coords(queries[:, 0, :], snap.origin, cell, snap.tops)
         hi_cells = _cell_coords(queries[:, 1, :], snap.origin, cell, snap.tops)
         if int(np.prod(hi_cells - lo_cells + 1, axis=1).sum()) > _BATCH_WINDOW_CAP:
-            return super().batch_range_query(queries)
+            return csr_hits(super().batch_range_query(queries))
 
         pair_q, rows = self._gather_candidates(snap, lo_cells, hi_cells)
         n_pairs = pair_q.shape[0]
         eids_all, boxes_all, _ = snap.tables()
-
-        candidates = boxes_all[rows]
-        qb = queries[pair_q]
-        hit = np.all(
-            (qb[:, 0, :] <= candidates[:, 1, :]) & (candidates[:, 0, :] <= qb[:, 1, :]),
-            axis=-1,
-        )
+        # The overlap test reads both sides as per-corner, per-axis columns
+        # (the store's own layout; the queries' are copied out once): 2·d flat
+        # gathers per side, folded into one mask in place.
+        q_cols = box_columns(queries)
+        e_cols = boxes_all.transpose(1, 2, 0)
+        hit = np.ones(n_pairs, dtype=bool)
+        for axis in range(dims):
+            hit &= q_cols[0, axis].take(pair_q) <= e_cols[1, axis].take(rows)
+            hit &= e_cols[0, axis].take(rows) <= q_cols[1, axis].take(pair_q)
         counters.elem_tests += n_pairs
         counters.bytes_touched += n_pairs * (dims * _BOX_BYTES_PER_DIM + 8)
 
         # One scalar key per hit (query major, element row minor): the keys
-        # are already distinct, so a sort groups them by query and results
-        # fall out of one tolist + slicing.
+        # are already distinct, so a sort groups them by query.
         n_rows = eids_all.shape[0]
-        combined = np.sort(pair_q[hit].astype(np.int64) * n_rows + rows[hit])
-        all_ids = eids_all[combined % n_rows].tolist()
-        bounds = np.searchsorted(combined, np.arange(1, m) * n_rows).tolist()
-        bounds = [0, *bounds, len(all_ids)]
-        return [all_ids[bounds[i] : bounds[i + 1]] for i in range(m)]
+        combined = np.sort(pair_q[hit] * n_rows + rows[hit])
+        offsets = np.searchsorted(combined, np.arange(m + 1) * n_rows)
+        return offsets, eids_all[combined % n_rows]
+
+    def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
+        """:meth:`batch_range_hits` as one id list per query: one ``tolist``
+        and slicing."""
+        offsets, ids = self.batch_range_hits(boxes)
+        all_ids, bounds = ids.tolist(), offsets.tolist()
+        return [all_ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def batch_knn(
         self, points: np.ndarray | Sequence[Sequence[float]], k: int
@@ -826,10 +854,14 @@ class UniformGrid(SpatialIndex):
         their probe radius starts at one cell side and doubles until at
         least ``min(k, n)`` candidates are *confirmed* (distance within the
         probe radius, so no unseen element can beat them).  Candidates are
-        gathered with the same machinery as :meth:`batch_range_query`;
-        per-query results follow the deterministic ``(distance, id)`` order.
+        gathered with the same machinery as :meth:`batch_range_hits`; the
+        queries a round resolves are cut to their ``k`` best together — one
+        ``lexsort`` over ``(query, distance, id)`` and a rank-within-query
+        mask — so results follow the deterministic ``(distance, id)`` order.
         """
         pts = as_point_array(points)
+        if not np.isfinite(pts).all():
+            raise ValueError("query coordinates must be finite")
         m = pts.shape[0]
         if m == 0:
             return []
@@ -868,7 +900,7 @@ class UniformGrid(SpatialIndex):
                 break
             pair_q, rows = self._gather_candidates(snap, lo_cells, hi_cells)
             # Distinct keys: the sort only groups candidates by query.
-            combined = np.sort(pair_q.astype(np.int64) * n_rows + rows)
+            combined = np.sort(pair_q * n_rows + rows)
             cand_q = combined // n_rows
             cand_rows = combined % n_rows
             cand_boxes = boxes_all[cand_rows]
@@ -878,15 +910,23 @@ class UniformGrid(SpatialIndex):
             counters.elem_tests += combined.size
             confirmed = np.bincount(cand_q[dists <= radius], minlength=active.size)
             done = (confirmed >= kk) | (radius > limits[active])
+
+            # The resolved queries' candidates, best first within each query
+            # (``cand_q`` is sorted, so the lexsort keeps the queries grouped).
+            # A query with ``kk`` confirmed candidates has its answer among
+            # them; only one that gave up needs the unconfirmed rest sorted.
+            resolved = done[cand_q] & ((dists <= radius) | (confirmed < kk)[cand_q])
+            owner, dist, eid = cand_q[resolved], dists[resolved], eids_all[cand_rows[resolved]]
+            order = np.lexsort((eid, dist, owner))
+            counts = np.bincount(owner, minlength=active.size)
+            rank = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+            best = order[rank < kk]
+            counters.heap_ops += best.size
+            scored = list(zip(dist[best].tolist(), eid[best].tolist()))
+            bounds = [0, *np.cumsum(np.minimum(counts, kk)).tolist()]
+            targets = active.tolist()
             for local in np.nonzero(done)[0].tolist():
-                start, end = np.searchsorted(cand_q, [local, local + 1])
-                slice_d = dists[start:end]
-                slice_e = eids_all[cand_rows[start:end]]
-                order = np.lexsort((slice_e, slice_d))[:kk]
-                results[int(active[local])] = list(
-                    zip(slice_d[order].tolist(), slice_e[order].tolist())
-                )
-                counters.heap_ops += int(order.shape[0])
+                results[targets[local]] = scored[bounds[local] : bounds[local + 1]]
             active = active[~done]
             radius *= 2.0
         return results

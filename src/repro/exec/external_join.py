@@ -51,7 +51,7 @@ from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
 from repro.joins import kernels
-from repro.joins.strategies import JoinStrategy, _default_tiles, register
+from repro.joins.strategies import JoinStrategy, Pairs, _default_tiles, pair_columns, register
 from repro.obs import span as _span
 
 #: Below this, chunking is all overhead: the partition passes never shrink
@@ -279,7 +279,7 @@ class SpillPBSMJoin(JoinStrategy):
 
     def join(
         self, items_a: Sequence[Item], items_b: Sequence[Item], counters: Counters
-    ) -> list[tuple[int, int]]:
+    ) -> Pairs:
         if not items_a or not items_b:
             return []
         plan = self._partition(BoxTable.of(items_a), BoxTable.of(items_b), counters, min_runs=1)
@@ -292,8 +292,7 @@ class SpillPBSMJoin(JoinStrategy):
                 plan.free_run(run)
         finally:
             plan.release()
-        all_a, all_b = (np.concatenate(side) for side in zip(*merged))
-        return list(zip(all_a.tolist(), all_b.tolist()))
+        return pair_columns(*(np.concatenate(side) for side in zip(*merged)))
 
     def plan_tile_runs(
         self, items_a: Sequence[Item], items_b: Sequence[Item], counters: Counters

@@ -9,6 +9,7 @@ and keeps every index comparable in the benchmarks.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -131,6 +132,16 @@ class SpatialIndex(ABC):
         """Run one range query per box; ``boxes`` is ``(m, 2, d)`` or AABBs."""
         return [self.range_query(box) for box in as_aabb_list(boxes)]
 
+    def batch_range_hits(
+        self, boxes: np.ndarray | Sequence[AABB]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`batch_range_query` as the CSR pair ``(offsets, ids)``, both
+        int64: query ``i``'s ids are ``ids[offsets[i]:offsets[i + 1]]``, in the
+        order the lists hold them.  Array consumers (the grid join) read this
+        and never see a Python list; indexes whose kernel produces arrays
+        override it and derive the lists from it."""
+        return csr_hits(self.batch_range_query(boxes))
+
     def batch_knn(self, points: np.ndarray | Sequence[Sequence[float]], k: int) -> list[KNNResult]:
         """Run one kNN query per point; ``points`` is ``(m, d)`` or sequences."""
         return [self.knn(point, k) for point in as_point_list(points)]
@@ -179,6 +190,13 @@ class SpatialIndex(ABC):
     def memory_bytes(self) -> int:
         """Approximate structure size in bytes (for cost accounting)."""
         return 0
+
+
+def csr_hits(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query id lists as the ``(offsets (m + 1,), ids (h,))`` int64 pair."""
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(hits) for hits in lists], out=offsets[1:])
+    return offsets, np.fromiter(chain.from_iterable(lists), np.int64, int(offsets[-1]))
 
 
 def validate_items(items: Iterable[Item]) -> list[Item]:

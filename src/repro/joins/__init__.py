@@ -60,12 +60,16 @@ from repro.joins.session import (
 from repro.joins.iterated import IteratedSelfJoin, PairDelta
 from repro.joins.synapse import SynapseDetector, distance_join
 
-# Deprecated free-function shims (see the per-module docstrings).
-from repro.joins.nested_loop import nested_loop_join, nested_loop_self_join
-from repro.joins.sweepline import sweepline_join
-from repro.joins.pbsm import pbsm_join
-from repro.joins.touch import touch_join
-from repro.joins.grid_join import grid_join, tiny_cell_self_join
+# Deprecated free-function shims.
+from repro.joins._shims import (
+    grid_join,
+    nested_loop_join,
+    nested_loop_self_join,
+    pbsm_join,
+    sweepline_join,
+    tiny_cell_self_join,
+    touch_join,
+)
 
 __all__ = [
     # the session architecture

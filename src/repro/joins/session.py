@@ -45,7 +45,6 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -75,7 +74,11 @@ from repro.joins.strategies import (
     JOIN_REGISTRY,
     JoinStrategy,
     Pairs,
+    concat_pairs,
     make_join_strategy,
+    ordered_pairs,
+    pair_array,
+    pair_columns,
     shard_pairs,
 )
 
@@ -306,11 +309,9 @@ class ShardedJoinExecutor(JoinExecutor):
         build = pool.ensure_items(items_a, sort_by_id=self_mode)
         chunk_side = build if self_mode else pool.ensure_items(probes)
         parts = pool.run_join_shards(strategy, mode, build, chunk_side, epsilon, shards)
-        pairs: Pairs = []
-        for part, shard_counters in parts:
-            pairs.extend(part)
+        for _, shard_counters in parts:
             counters.merge(shard_counters)
-        return pairs
+        return concat_pairs([part for part, _ in parts])
 
     def _run_inline(
         self,
@@ -384,12 +385,8 @@ class ShardedJoinExecutor(JoinExecutor):
                 ]
         finally:
             plan.release()
-        pairs: Pairs = []
-        for ids_a, ids_b in id_arrays:
-            pairs.extend(zip(ids_a.tolist(), ids_b.tolist()))
-        if self_mode:
-            pairs = [(a, b) for a, b in pairs if a < b]
-        return pairs
+        pairs = pair_columns(*(np.concatenate(side) for side in zip(*id_arrays)))
+        return ordered_pairs(pairs) if self_mode else pairs
 
     def _run(
         self,
@@ -435,12 +432,10 @@ class ShardedJoinExecutor(JoinExecutor):
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=shards, initializer=_init_join_shard, initargs=(state,)) as pool:
             parts = pool.map(_run_join_shard, list(zip(edges[:-1], edges[1:])))
-        pairs: Pairs = []
-        for part, shard_counters, telemetry in parts:
-            pairs.extend(part)
+        for _, shard_counters, telemetry in parts:
             counters.merge(shard_counters)
             ingest_telemetry(telemetry)
-        return pairs
+        return concat_pairs([part for part, _, _ in parts])
 
     def self_pairs(self, strategy, items, counters):
         return self._run("self", strategy, items, items, 0.0, counters)
@@ -488,11 +483,11 @@ def _spec_tables(spec: JoinSpec) -> tuple[BoxTable, BoxTable | None]:
     return table_a, table_b
 
 
-def _pair_array(pairs: Pairs) -> np.ndarray:
-    """A pair list as one ``(k, 2)`` int64 array (one flat pass; several
-    times faster than ``np.array`` over the tuples)."""
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    return flat.reshape(len(pairs), 2)
+def pair_list(pairs: Pairs) -> list[tuple[int, int]]:
+    """The one materialisation: sorted ``(a, b)`` tuples of Python ints."""
+    pairs = pair_array(pairs)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def _spec_size(spec: JoinSpec) -> int:
@@ -763,7 +758,7 @@ class JoinSession:
                 else:
                     pairs = executor.pair_pairs(strategy, table_a, table_b, self.counters)
                 self.stats.candidates += len(pairs)
-                result: Any = sorted(pairs)
+                result: Any = pair_list(pairs)
                 self.stats.pairs += len(result)
             elif spec.kind == "distance":
                 result = self._execute_distance(spec, strategy, executor)
@@ -790,45 +785,38 @@ class JoinSession:
 
     def _execute_distance(
         self, spec: DistanceJoinSpec, strategy: JoinStrategy, executor: JoinExecutor
-    ) -> Pairs:
+    ) -> list[tuple[int, int]]:
         table_a, table_b = spec.table_a, spec.table_b
-        candidates = executor.distance_pairs(
-            strategy, table_a, table_b, spec.epsilon, self.counters
+        candidates = pair_array(
+            executor.distance_pairs(strategy, table_a, table_b, spec.epsilon, self.counters)
         )
         self.stats.candidates += len(candidates)
         if not candidates:
             return []
+        self.stats.refined += len(candidates)
+        self.counters.refine_tests += len(candidates)
         if spec.refine is not None:
-            self.stats.refined += len(candidates)
-            self.counters.refine_tests += len(candidates)
-            kept = [(a, b) for a, b in candidates if spec.refine(a, b)]
+            verdicts = (spec.refine(a, b) for a, b in candidates.tolist())  # Python ints
+            keep = np.fromiter(verdicts, dtype=bool, count=len(candidates))
         else:
             # Boxes are the geometry: refine with the vectorized box-gap
             # kernel (one array expression over all candidates).
-            kept = self._refine_box_gaps(
-                table_a, table_a if table_b is None else table_b, spec.epsilon, candidates
-            )
-        result = sorted(kept)
+            table_b = table_a if table_b is None else table_b
+            keep = batch_box_gaps(
+                table_a.boxes[table_a.rows_of(candidates[:, 0])],
+                table_b.boxes[table_b.rows_of(candidates[:, 1])],
+            ) <= spec.epsilon
+        result = pair_list(candidates[keep])
         self.stats.pairs += len(result)
         return result
-
-    def _refine_box_gaps(
-        self, table_a: BoxTable, table_b: BoxTable, epsilon: float, candidates: Pairs
-    ) -> Pairs:
-        ids = _pair_array(candidates)
-        gaps = batch_box_gaps(
-            table_a.boxes[table_a.rows_of(ids[:, 0])], table_b.boxes[table_b.rows_of(ids[:, 1])]
-        )
-        self.stats.refined += len(candidates)
-        self.counters.refine_tests += len(candidates)
-        keep = np.nonzero(gaps <= epsilon)[0]
-        return [candidates[i] for i in keep.tolist()]
 
     def _execute_synapse(
         self, spec: SynapseJoinSpec, strategy: JoinStrategy, executor: JoinExecutor, table: BoxTable
     ) -> list[Synapse]:
         dataset = spec.dataset
-        candidates = executor.distance_pairs(strategy, table, None, spec.epsilon, self.counters)
+        candidates = pair_array(
+            executor.distance_pairs(strategy, table, None, spec.epsilon, self.counters)
+        )
         self.stats.candidates += len(candidates)
         if not candidates:
             return []
@@ -845,7 +833,7 @@ class JoinSession:
         # Registry strategies emit each pair exactly once, but a
         # user-supplied CallableJoin carries no such guarantee — and the
         # synapse contract promises duplicate unordered pairs are excluded.
-        cand_pairs = np.unique(_pair_array(candidates), axis=0)
+        cand_pairs = np.unique(candidates, axis=0)
         cand_a, cand_b = cand_pairs[:, 0], cand_pairs[:, 1]
         rows_a = np.searchsorted(eids_sorted, cand_a)
         rows_b = np.searchsorted(eids_sorted, cand_b)

@@ -29,6 +29,7 @@ attribute work, exactly as query values do.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence, Union
@@ -120,7 +121,7 @@ class DistanceJoinSpec:
     kind = "distance"
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not 0 <= self.epsilon < math.inf:  # NaN fails every comparison
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         object.__setattr__(self, "items_a", _as_items(self.items_a))
         if self.items_b is not None:
@@ -152,7 +153,7 @@ class SynapseJoinSpec:
     kind = "synapse"
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not 0 <= self.epsilon < math.inf:  # NaN fails every comparison
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 

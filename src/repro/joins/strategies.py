@@ -20,6 +20,14 @@ such a sequence.  Array strategies start with :meth:`BoxTable.of` (a no-op on
 a table, one pack on a bare list) and read ``eids``/``boxes``; object-mode
 strategies just iterate.
 
+Outputs mirror that: pairs travel as one :class:`PairArray` — ``(k, 2)``
+int64 — from the strategy through executor, dedup, refinement and sort, and
+become ``list[tuple[int, int]]`` once, at the session boundary
+(:func:`repro.joins.session.pair_list`).  Array strategies return the array they already hold;
+scalar strategies and :class:`CallableJoin` return the list their loops
+append to, which :func:`pair_array` — the single adapter, as
+:meth:`BoxTable.of` is for items — converts once.
+
 Scalar baselines (``nested_loop``, ``grid_scalar``, ``pbsm_scalar``,
 ``touch``, ``tiny_cell``) keep the per-pair Python loops the paper's cost
 model counts; the vectorized strategies (``block_nested``, ``sweepline``,
@@ -33,12 +41,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.uniform_grid import UniformGrid
-from repro.engine import QuerySession
 from repro.geometry.aabb import AABB, union_all
 from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
@@ -47,7 +55,51 @@ from repro.indexes.rtree import Node
 from repro.instrumentation.counters import Counters
 from repro.joins import kernels
 
-Pairs = list[tuple[int, int]]
+
+class PairArray(np.ndarray):
+    """Id pairs as one ``(k, 2)`` int64 array, truthy iff it holds a pair —
+    so ``if not pairs`` and ``pairs or default`` read as they do on the list
+    it replaces (the session, user code and the ledger's replay all ask a
+    strategy's output that).  Anything else derived from it (a row, a column, the
+    boolean result of a comparison) keeps ndarray's refusal to be a truth
+    value."""
+
+    def __bool__(self) -> bool:
+        if self.ndim == 2 and self.dtype != np.bool_:
+            return len(self) > 0
+        return super().__bool__()
+
+
+# What a strategy may return: the array, or (scalar loops, user callables)
+# a list of tuples for :func:`pair_array` to convert.
+Pairs = PairArray | list[tuple[int, int]]
+
+
+def pair_array(pairs: Pairs) -> PairArray:
+    """The single adapter onto the pair plane: an array passes through, a
+    pair list is packed in one flat pass (several times faster than
+    ``np.array`` over the tuples)."""
+    if isinstance(pairs, np.ndarray):
+        return pairs.view(PairArray)
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    return flat.reshape(len(pairs), 2).view(PairArray)
+
+
+def pair_columns(ids_a: np.ndarray, ids_b: np.ndarray) -> PairArray:
+    """Two parallel id columns as one :class:`PairArray`."""
+    return np.stack([ids_a, ids_b], axis=1).view(PairArray)
+
+
+def concat_pairs(parts: Sequence[Pairs]) -> PairArray:
+    """Per-shard (or per-sweep) results as one array, in part order."""
+    return pair_array(np.concatenate([pair_array(()), *map(pair_array, parts)]))
+
+
+def ordered_pairs(pairs: Pairs) -> PairArray:
+    """The ``a < b`` half of an ordered result: one orientation per
+    unordered pair, the diagonal gone."""
+    pairs = pair_array(pairs)
+    return pairs[pairs[:, 0] < pairs[:, 1]]
 
 
 class JoinStrategy(ABC):
@@ -81,7 +133,7 @@ class JoinStrategy(ABC):
         so the filter reports it exactly once.  Strategies with a cheaper
         native self path override this.
         """
-        return [(a, b) for a, b in self.join(items, items, counters) if a < b]
+        return ordered_pairs(self.join(items, items, counters))
 
     def distance_candidates(
         self,
@@ -127,7 +179,7 @@ def shard_pairs(
         pairs = strategy.join(build, chunk, counters)
     else:
         pairs = strategy.distance_candidates(build, chunk, epsilon, counters)
-    return [(a, b) for a, b in pairs if a < b] if self_mode else pairs
+    return ordered_pairs(pairs) if self_mode else pair_array(pairs)
 
 
 # -- registry ------------------------------------------------------------------
@@ -212,16 +264,7 @@ class BlockNestedJoin(JoinStrategy):
             return []
         a, b = BoxTable.of(items_a), BoxTable.of(items_b)
         ai, bi = kernels.block_pairs(a.boxes, b.boxes, counters)
-        return list(zip(a.eids[ai].tolist(), b.eids[bi].tolist()))
-
-    def self_join(self, items, counters):
-        if len(items) < 2:
-            return []
-        table = BoxTable.of(items)
-        eids = table.eids
-        ai, bi = kernels.block_pairs(table.boxes, table.boxes, counters)
-        keep = eids[ai] < eids[bi]
-        return list(zip(eids[ai[keep]].tolist(), eids[bi[keep]].tolist()))
+        return pair_columns(a.eids[ai], b.eids[bi])
 
 
 # -- plane sweep -----------------------------------------------------------------
@@ -248,18 +291,12 @@ class SweeplineJoin(JoinStrategy):
             return []
         a, b = BoxTable.of(items_a), BoxTable.of(items_b)
         eids_a, boxes_a, eids_b, boxes_b = a.eids, a.boxes, b.eids, b.boxes
-        pairs: Pairs = []
         # Sweep 1: B elements whose lo-x lies within [a.lo_x, a.hi_x].
-        pairs.extend(
-            self._sweep(eids_a, boxes_a, eids_b, boxes_b, counters, strict=False)
-        )
+        forward = self._sweep(eids_a, boxes_a, eids_b, boxes_b, counters, strict=False)
         # Sweep 2 (mirror): A elements whose lo-x lies strictly inside
         # (b.lo_x, b.hi_x] — strict, so ties report only in sweep 1.
-        pairs.extend(
-            (a, b)
-            for b, a in self._sweep(eids_b, boxes_b, eids_a, boxes_a, counters, strict=True)
-        )
-        return pairs
+        mirror = self._sweep(eids_b, boxes_b, eids_a, boxes_a, counters, strict=True)
+        return concat_pairs([forward, mirror[:, ::-1]])
 
     # Candidate pairs materialized per slab; x-clustered inputs can produce
     # windows far larger than the output, and the slab keeps that bounded.
@@ -275,8 +312,6 @@ class SweeplineJoin(JoinStrategy):
         counts = np.maximum(stops - starts, 0)
         cumulative = np.cumsum(counts)
         total = int(cumulative[-1]) if counts.shape[0] else 0
-        if total == 0:
-            return []
         counters.comparisons += total
         pairs = []
         edges = np.searchsorted(cumulative, np.arange(0, total, cls._SLAB), side="left")
@@ -293,8 +328,8 @@ class SweeplineJoin(JoinStrategy):
             ok = np.all(
                 (a[:, 0, 1:] <= b[:, 1, 1:]) & (b[:, 0, 1:] <= a[:, 1, 1:]), axis=1
             )
-            pairs.extend(zip(eids_out[rows[ok]].tolist(), eids_in[inner[ok]].tolist()))
-        return pairs
+            pairs.append(pair_columns(eids_out[rows[ok]], eids_in[inner[ok]]))
+        return concat_pairs(pairs)
 
 
 # -- grid joins ------------------------------------------------------------------
@@ -331,44 +366,25 @@ class GridJoin(_GridJoinBase):
 
     Index A in a uniform grid (one linear pass — the preprocessing the paper
     wants cheap), then answer the whole probe side as one
-    :class:`~repro.engine.QuerySession` batch, so the join rides the grid's
-    vectorized range kernel instead of a per-element ``range_query`` loop.
-    The grid's element tests during the probes are the join's comparisons.
-    The grid is probed once and discarded, so it is built read-only.
+    :meth:`~repro.core.uniform_grid.UniformGrid.batch_range_hits` call, so the
+    join rides the grid's vectorized range kernel instead of a per-element
+    ``range_query`` loop and its hits never become Python lists.  The grid's
+    element tests during the probes are the join's comparisons.  The grid is
+    probed once and discarded, so it is built read-only.
     """
 
     name = "grid"
 
-    def _probe(self, table_a: BoxTable, probes: BoxTable, counters: Counters) -> list[list[int]]:
-        scratch = Counters()
-        grid = self._build(table_a, _hull(table_a, probes), scratch, read_only=True)
-        hits = QuerySession(grid).range_query(probes.boxes)
-        counters.comparisons += scratch.elem_tests
-        counters.cells_probed += scratch.cells_probed
-        return hits
-
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        probes = BoxTable.of(items_b)
-        hits = self._probe(BoxTable.of(items_a), probes, counters)
-        return [
-            (eid_a, eid_b) for eid_b, matches in zip(probes.eids.tolist(), hits) for eid_a in matches
-        ]
-
-    def self_join(self, items, counters):
-        if len(items) < 2:
-            return []
-        table = BoxTable.of(items)
-        hits = self._probe(table, table, counters)
-        # Each unordered pair surfaces from both probes; keep the probe
-        # whose id is smaller, so the pair reports exactly once.
-        return [
-            (eid, other)
-            for eid, matches in zip(table.eids.tolist(), hits)
-            for other in matches
-            if eid < other
-        ]
+        table_a, probes = BoxTable.of(items_a), BoxTable.of(items_b)
+        scratch = Counters()
+        grid = self._build(table_a, _hull(table_a, probes), scratch, read_only=True)
+        offsets, ids = grid.batch_range_hits(probes.boxes)
+        counters.comparisons += scratch.elem_tests
+        counters.cells_probed += scratch.cells_probed
+        return pair_columns(ids, np.repeat(probes.eids, np.diff(offsets)))
 
 
 @register
@@ -441,7 +457,7 @@ class PBSMJoin(_PBSMBase):
         ai, bi = kernels.pbsm_pairs(
             boxes_a, boxes_b, hull_lo, hull_hi, tiles, counters
         )
-        return list(zip(a.eids[ai].tolist(), b.eids[bi].tolist()))
+        return pair_columns(a.eids[ai], b.eids[bi])
 
 
 @register
@@ -539,14 +555,7 @@ class TreeJoin(_TreeBacked):
     name = "tree"
 
     def join(self, items_a, items_b, counters):
-        if not items_a or not items_b:
-            return []
-        table_b = BoxTable.of(items_b)
-        bounds = np.zeros(len(table_b))
-        probes, hits = kernels.tree_pairs(
-            items_a, table_b.boxes, bounds, counters, self.max_entries
-        )
-        return list(zip(hits.tolist(), table_b.eids[probes].tolist()))
+        return self.distance_candidates(items_a, items_b, 0.0, counters)
 
     def distance_candidates(self, items_a, items_b, epsilon, counters):
         probe_items = items_a if items_b is None else items_b
@@ -558,10 +567,8 @@ class TreeJoin(_TreeBacked):
         probes, hits = kernels.tree_pairs(
             items_a, table_p.boxes, bounds, counters, self.max_entries
         )
-        if items_b is None:
-            keep = hits < eids_p[probes]
-            return list(zip(hits[keep].tolist(), eids_p[probes[keep]].tolist()))
-        return list(zip(hits.tolist(), eids_p[probes].tolist()))
+        pairs = pair_columns(hits, eids_p[probes])
+        return ordered_pairs(pairs) if items_b is None else pairs
 
 
 # -- TOUCH -----------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.core.uniform_grid import (
     UniformGrid,
     _axis_arrays,
     _GridSnapshot,
+    box_columns,
     grid_axes,
     pack_snapshot,
     snapshot_arrays,
@@ -196,7 +197,7 @@ class SnapshotGridIndex(_ReadOnlyShell, UniformGrid):
         probe-once grids.  ``None`` when the resolution is unlinearizable."""
         cell = cell_size if cell_size is not None else default_cell_size(len(eids), universe)
         origin, tops = _axis_arrays(grid_axes(universe, cell))
-        snapshot = pack_snapshot(eids, boxes, origin, cell, tops)
+        snapshot = pack_snapshot(eids, box_columns(boxes), origin, cell, tops)
         if snapshot is None:
             return None
         return cls(snapshot_arrays(snapshot, universe), cell)

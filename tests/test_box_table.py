@@ -36,6 +36,7 @@ from repro.exec import pbsm_working_set_bytes
 from repro.geometry.aabb import union_all
 from repro.instrumentation.counters import Counters
 from repro.joins import JOIN_REGISTRY, make_join_strategy
+from repro.joins.session import pair_list
 from repro.serving.shm import live_segment_names
 from repro.serving.snapshots import SnapshotGridIndex
 
@@ -430,7 +431,7 @@ class TestGridJoinReadOnlyGrid:
         strategy = make_join_strategy("grid", cell_size=cell_size)
         pairs = strategy.distance_candidates(table, None, self.EPSILON, counters)
         monkeypatch.undo()
-        return pairs, counters.comparisons, counters.cells_probed
+        return pairs.tolist(), counters.comparisons, counters.cells_probed
 
     def test_equals_the_bucket_grid_path(self, neurons, monkeypatch):
         built = []
@@ -454,7 +455,7 @@ class TestGridJoinReadOnlyGrid:
                 monkeypatch.setattr(SnapshotGridIndex, "over", classmethod(lambda cls, *a: None))
             counters = Counters()
             pairs = make_join_strategy("grid").join(a, b, counters)
-            results.append((pairs, counters.comparisons, counters.cells_probed))
+            results.append((pairs.tolist(), counters.comparisons, counters.cells_probed))
         assert results[0] == results[1]
 
     def test_oversized_probe_windows_fall_back_and_stay_exact(self, neurons, monkeypatch):
@@ -477,5 +478,5 @@ class TestGridJoinReadOnlyGrid:
         assert SnapshotGridIndex.over(table.eids, table.boxes, universe, 5e-5) is None
         counters = Counters()
         pairs = make_join_strategy("grid", cell_size=5e-5).self_join(table, counters)
-        assert sorted(pairs) == sorted(make_join_strategy("nested_loop").self_join(items, Counters()))
+        assert pair_list(pairs) == pair_list(make_join_strategy("nested_loop").self_join(items, Counters()))
         assert len(pairs) == 20

@@ -34,6 +34,7 @@ from repro.joins import (
     make_join_strategy,
 )
 from repro.analysis import join_report, session_report
+from repro.joins.session import pair_list
 from repro.joins.strategies import NestedLoopJoin
 
 from conftest import UNIVERSE_3D
@@ -85,7 +86,7 @@ class TestStrategyOracle:
     def test_binary_matches_nested_loop(self, name, dataset):
         a, b = DATASETS[dataset]
         expected = sorted(ORACLE.join(a, b, Counters()))
-        got = sorted(make_join_strategy(name).join(a, b, Counters()))
+        got = pair_list(make_join_strategy(name).join(a, b, Counters()))
         assert got == expected
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
@@ -93,7 +94,7 @@ class TestStrategyOracle:
     def test_self_matches_nested_loop(self, name, dataset):
         items, _ = DATASETS[dataset]
         expected = sorted(ORACLE.self_join(items, Counters()))
-        got = sorted(make_join_strategy(name).self_join(items, Counters()))
+        got = pair_list(make_join_strategy(name).self_join(items, Counters()))
         assert got == expected
 
     @pytest.mark.parametrize("name", BINARY_STRATEGIES)
@@ -107,8 +108,8 @@ class TestStrategyOracle:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_empty_self(self, name):
         strategy = make_join_strategy(name)
-        assert strategy.self_join([], Counters()) == []
-        assert strategy.self_join([(1, AABB((0, 0, 0), (1, 1, 1)))], Counters()) == []
+        assert pair_list(strategy.self_join([], Counters())) == []
+        assert pair_list(strategy.self_join([(1, AABB((0, 0, 0), (1, 1, 1)))], Counters())) == []
 
     @pytest.mark.parametrize("name", BINARY_STRATEGIES)
     def test_distance_candidates_complete(self, name):
@@ -123,7 +124,7 @@ class TestStrategyOracle:
             if ba.min_distance_to_box(bb) <= epsilon
         }
         candidates = set(
-            make_join_strategy(name).distance_candidates(a, b, epsilon, Counters())
+            pair_list(make_join_strategy(name).distance_candidates(a, b, epsilon, Counters()))
         )
         assert truth <= candidates
 
@@ -423,7 +424,7 @@ class TestShardedJoinExecutor:
         pairs = executor.self_pairs(strategy, items, counters)
         inline_counters = Counters()
         expected = InlineJoinExecutor().self_pairs(strategy, items, inline_counters)
-        assert sorted(pairs) == sorted(expected)
+        assert pair_list(pairs) == pair_list(expected)
         # 4 shards: exactly (1+2+3+4)/16 = 0.625 n² prefix-join comparisons.
         assert counters.comparisons == pytest.approx(0.625 * n * n, rel=0.01)
         # Well under the old binary expansion's n² (2x the inline n²/2).
@@ -437,7 +438,7 @@ class TestShardedJoinExecutor:
         counters = Counters()
         pairs = executor.distance_pairs(strategy, items, None, 1.0, counters)
         expected = InlineJoinExecutor().distance_pairs(strategy, items, None, 1.0, Counters())
-        assert sorted(pairs) == sorted(expected)
+        assert pair_list(pairs) == pair_list(expected)
         assert counters.comparisons <= 0.66 * n * n
 
 

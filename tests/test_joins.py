@@ -23,6 +23,7 @@ from repro.joins import (
     tiny_cell_self_join,
     touch_join,
 )
+from repro.joins.session import pair_list
 from repro.joins.strategies import (
     GridJoin,
     NestedLoopJoin,
@@ -50,7 +51,7 @@ class TestBinaryJoins:
     def test_matches_oracle_uniform(self, strategy_cls):
         a, b = _datasets()
         expected = sorted(ORACLE.join(a, b, Counters()))
-        assert sorted(strategy_cls().join(a, b, Counters())) == expected
+        assert pair_list(strategy_cls().join(a, b, Counters())) == expected
 
     @pytest.mark.parametrize("strategy_cls", STRATEGIES)
     def test_elongated_elements(self, strategy_cls):
@@ -58,7 +59,7 @@ class TestBinaryJoins:
         a = clustered_boxes(60, UNIVERSE_3D, elongation=20.0, seed=5)
         b = [(eid + 10_000, box) for eid, box in clustered_boxes(60, UNIVERSE_3D, elongation=20.0, seed=6)]
         expected = sorted(ORACLE.join(a, b, Counters()))
-        assert sorted(strategy_cls().join(a, b, Counters())) == expected
+        assert pair_list(strategy_cls().join(a, b, Counters())) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -67,7 +68,7 @@ class TestBinaryJoins:
         b = [(eid + 10_000, box) for eid, box in uniform_boxes(35, UNIVERSE_3D, 0.5, 8.0, seed=seed_b)]
         expected = sorted(ORACLE.join(a, b, Counters()))
         for strategy_cls in STRATEGIES:
-            assert sorted(strategy_cls().join(a, b, Counters())) == expected
+            assert pair_list(strategy_cls().join(a, b, Counters())) == expected
 
     def test_comparison_counts_below_nested_loop(self):
         a, b = _datasets(n_a=300, n_b=300)

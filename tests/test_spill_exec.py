@@ -46,6 +46,7 @@ from repro.joins import (
     SelfJoinSpec,
     make_join_strategy,
 )
+from repro.joins.session import pair_list
 
 from conftest import make_items, make_queries
 
@@ -240,9 +241,9 @@ class TestSpillPBSMJoin:
         items_b = _offset(_sides(500, seed=11), 10_000)
         counters = Counters()
         strategy = make_join_strategy("pbsm_spill")
-        pairs = sorted(strategy.join(items_a, items_b, counters))
+        pairs = pair_list(strategy.join(items_a, items_b, counters))
         oracle = Counters()
-        expected = sorted(make_join_strategy("pbsm").join(items_a, items_b, oracle))
+        expected = pair_list(make_join_strategy("pbsm").join(items_a, items_b, oracle))
         assert pairs == expected
         assert counters.tiles_spilled == 0
         assert counters.spill_bytes_written == 0
@@ -252,8 +253,8 @@ class TestSpillPBSMJoin:
         items_b = _offset(_sides(1100, seed=13), 10_000)
         counters = Counters()
         strategy = make_join_strategy("pbsm_spill", budget=200_000)
-        pairs = sorted(strategy.join(items_a, items_b, counters))
-        expected = sorted(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
+        pairs = pair_list(strategy.join(items_a, items_b, counters))
+        expected = pair_list(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
         assert pairs == expected
         assert counters.tiles_spilled > 0
         assert counters.spill_bytes_written > 0
@@ -270,7 +271,7 @@ class TestSpillPBSMJoin:
             # The small spec stayed on an in-memory strategy.
             assert sum(session.stats.strategy_runs.values()) == 2
             assert session.stats.strategy_runs.get("pbsm_spill", 0) == 1
-            expected = sorted(
+            expected = pair_list(
                 make_join_strategy("pbsm").join(items_a, items_b, Counters())
             )
             assert pairs == expected
@@ -288,7 +289,7 @@ class TestSpillPBSMJoin:
         items = _sides(1400, seed=16)
         with JoinSession(budget=150_000) as session:
             pairs = session.run(SelfJoinSpec(items))
-        expected = sorted(make_join_strategy("pbsm").self_join(items, Counters()))
+        expected = pair_list(make_join_strategy("pbsm").self_join(items, Counters()))
         assert pairs == expected
 
     def test_per_spec_pin_by_name(self):
@@ -296,7 +297,7 @@ class TestSpillPBSMJoin:
         items_b = _offset(_sides(300, seed=18), 10_000)
         session = JoinSession()
         pairs = session.run(PairJoinSpec(items_a, items_b), strategy="pbsm_spill")
-        expected = sorted(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
+        expected = pair_list(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
         assert pairs == expected
         assert session.stats.strategy_runs == {"pbsm_spill": 1}
 
@@ -498,7 +499,7 @@ class TestShardedSpillJoin:
         got = self._executor().pair_pairs(
             SpillPBSMJoin(budget=self.BUDGET), items_a, items_b, counters
         )
-        assert got == expected  # identical list, not just identical set
+        assert got.tolist() == expected.tolist()  # identical order, not just identical set
         assert counters.tile_runs_dispatched > 0
         assert counters.zero_copy_reads > 0
         # No copy amplification: the sharded merge reads exactly the bytes
@@ -516,7 +517,7 @@ class TestShardedSpillJoin:
         got = self._executor().self_pairs(
             SpillPBSMJoin(budget=self.BUDGET), items, counters
         )
-        assert got == expected
+        assert got.tolist() == expected.tolist()
         assert counters.tile_runs_dispatched > 0
 
     def test_distance_join_bit_identical_to_inline(self):
@@ -531,7 +532,7 @@ class TestShardedSpillJoin:
         got = self._executor().distance_pairs(
             SpillPBSMJoin(budget=self.BUDGET), items, None, epsilon, counters
         )
-        assert got == expected
+        assert got.tolist() == expected.tolist()
 
     def test_resident_joins_plan_none_and_run_inline(self):
         # Below-budget inputs never spill: plan_tile_runs declines and the
@@ -542,7 +543,7 @@ class TestShardedSpillJoin:
         assert strategy.plan_tile_runs(items_a, items_b, Counters()) is None
         counters = Counters()
         got = self._executor().pair_pairs(strategy, items_a, items_b, counters)
-        assert sorted(got) == sorted(
+        assert pair_list(got) == pair_list(
             make_join_strategy("pbsm").join(items_a, items_b, Counters())
         )
         assert counters.tile_runs_dispatched == 0
@@ -562,7 +563,7 @@ class TestShardedSpillJoin:
             assert session.stats.mapped_bytes > 0
             report = join_report(session)
             assert "mapped:" in report and "tile-runs=" in report
-        expected = sorted(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
+        expected = pair_list(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
         assert sorted(pairs) == expected
 
 
