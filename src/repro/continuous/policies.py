@@ -190,8 +190,10 @@ class _DeltaMaintenance(MaintenancePolicy):
         super().__init__(session)
         self._backing: SpatialIndex = self._make_backing()
         self._backing.bulk_load(list(session.state_items()))
+        # Probes always take the batch kernels (no inline scalar route): those
+        # read the grid's snapshot, so its bucket view is never built.
         self._probe_session = QuerySession(
-            self._backing, executor=session._make_executor()
+            self._backing, executor=session._make_executor(), inline_cutoff=0
         )
         # Ticks accepted but not yet folded into the backing index — the
         # "maintain the answer, not the index" discipline taken to its
@@ -374,9 +376,17 @@ class _DeltaMaintenance(MaintenancePolicy):
         the ``k`` probe's answer (per-element distances don't depend on
         ``k``, and the expanding-window search only ever *grows* its
         candidate pool, whose extra candidates all sit beyond the window
-        radius that confirmed the first ``k``)."""
+        radius that confirmed the first ``k``).  The batch kernel's norm
+        can differ from the scalar ``min_distance_to_point`` in the last ulp,
+        so the returned ids are re-scored with the scalar one — what
+        :class:`RecomputePolicy` and the patching above report — and
+        re-sorted as ``(distance, id)``."""
         self._sync()
-        probe = self._probe_session.knn([point], k + 1)[0]
+        box_of = self.session.state_box
+        probe = sorted(
+            (box_of(eid).min_distance_to_point(point), eid)
+            for _, eid in self._probe_session.knn([point], k + 1)[0]
+        )
         slack = probe[k][0] if len(probe) > k else math.inf
         return probe[:k], slack
 

@@ -299,7 +299,10 @@ class ContinuousSession:
         failing subscription is queued for next-tick resync, and the first
         error re-raises after the tick's bookkeeping."""
         tick_start = time.perf_counter()
-        batch = normalize_updates(updates, self._state)
+        universe = self.universe
+        batch = normalize_updates(
+            updates, self._state, dims=None if universe is None else universe.dims
+        )
         self.ticks += 1
         self.stats.ticks += 1
         self.stats.updates += batch.size

@@ -193,19 +193,34 @@ class TickBatch:
         return {ids[at] for at in np.flatnonzero(~apart.any(axis=1)).tolist()}
 
 
+def _other_dims(box: AABB, dims: int | None) -> int:
+    """Called when ``box`` is not ``dims``-dimensional: fine only while
+    nothing is tracked yet, and then the box decides."""
+    if dims is not None:
+        raise ValueError(f"box has {box.dims} dims, tracked elements have {dims}")
+    return box.dims
+
+
 def normalize_updates(
-    updates: Iterable[Update], state: dict[int, AABB]
+    updates: Iterable[Update], state: dict[int, AABB], dims: int | None = None
 ) -> TickBatch:
     """Fold a raw update sequence into a :class:`TickBatch`.
 
     ``state`` is the authoritative tick-start ``eid → box`` map; updates are
     validated against it in order (a move's ``old_box`` must match the
     element's current box, inserts must be fresh ids, deletes must exist),
-    matching the strictness of every index's ``update`` contract.
+    matching the strictness of every index's ``update`` contract.  So are
+    the boxes themselves: one of another dimensionality than the tracked
+    elements (``dims``, when the caller knows it while ``state`` is empty)
+    or, in the net batch, with a non-finite coordinate is refused here —
+    every backing index would refuse it, but only after the session had
+    committed the tick to its state.
     """
     moved: dict[int, tuple[AABB, AABB]] = {}
     inserted: dict[int, AABB] = {}
     deleted: dict[int, AABB] = {}
+    if dims is None and state:
+        dims = next(iter(state.values())).dims
 
     def current_box(eid: int) -> AABB | None:
         if eid in inserted:
@@ -221,6 +236,8 @@ def normalize_updates(
             eid, box = update.eid, update.box
             if current_box(eid) is not None:
                 raise ValueError(f"insert of element {eid} already present")
+            if len(box.lo) != dims:
+                dims = _other_dims(box, dims)
             if eid in deleted:
                 # delete-then-insert within one tick nets to a move.
                 old = deleted.pop(eid)
@@ -243,6 +260,8 @@ def normalize_updates(
             have = current_box(eid)
             if have is None or have != old_box:
                 raise KeyError(f"element {eid} with box {old_box} not tracked")
+            if len(new_box.lo) != dims:
+                dims = _other_dims(new_box, dims)
             if eid in inserted:
                 inserted[eid] = new_box  # insert-then-move nets to one insert
                 continue
@@ -251,7 +270,10 @@ def normalize_updates(
                 moved.pop(eid, None)  # moved back: no net change
             else:
                 moved[eid] = (start, new_box)
-    return TickBatch(moved=moved, inserted=inserted, deleted=deleted)
+    batch = TickBatch(moved=moved, inserted=inserted, deleted=deleted)
+    if not np.isfinite(batch.entrants[2]).all():  # packed here, read by every policy
+        raise ValueError("box coordinates must be finite")
+    return batch
 
 
 # -- deltas --------------------------------------------------------------------

@@ -9,9 +9,20 @@ Design points realized here:
 * **No tree traversal.**  A range query computes the overlapped cell window
   arithmetically and tests only the elements in those cells; the counters
   show zero ``node_tests``.
-* **Every fact is stored once.**  ``_boxes`` is the only box store, a bucket
-  maps a cell to the *ids* registered there (insertion-ordered), and an
-  element's cell set is kept as its integer window ``(*lo_cells, *hi_cells)``.
+* **Every fact is stored once.**  ``_boxes`` is the only box store and an
+  element's cell set is kept as its integer window ``(*lo_cells, *hi_cells)``
+  in ``_windows``.  These two dicts are the ground truth, both in order of
+  *last placement*: a load, an insert or a cell switch (re-)appends the
+  element, an in-place move keeps its seat.
+* **Buckets are a view.**  A bucket maps a cell to the *ids* registered
+  there, in insertion order — the scalar result order.  Only scalar reads
+  look at buckets, so a bulk load builds none: the first ``range_query`` /
+  ``knn`` / ``occupied_cells`` / ``memory_bytes`` since builds them all
+  (:meth:`UniformGrid._buckets`).  Writes, scalar or batch, maintain them
+  where they are built and otherwise only keep the placement order.  A
+  bucket's insertion order is its members' placement order, so grouping the
+  windows by cell in store order rebuilds every bucket exactly as
+  incremental maintenance would have left it.
 * **Cheap massive updates.**  "the small movement means that only few
   elements switch grid cell in every step, thereby requiring few updates to
   the data structure" (§4.3): :meth:`UniformGrid.update` compares the new
@@ -52,9 +63,9 @@ Design points realized here:
   (:func:`_walk_cells`), so re-probing a just-mutated grid costs what
   probing a clean one costs plus one sort of the overlay entries.  A dirty
   counter triggers deferred compaction (a full repack) only when the
-  patches outgrow a fraction of the base.  Invariants: the buckets and
-  ``_boxes`` remain the ground truth (scalar queries never consult the
-  snapshot), and ``base ∖ dead ∪ overlay`` always equals the live element
+  patches outgrow a fraction of the base.  Invariants: the snapshot is a
+  view too (scalar queries never consult it, batch queries never the
+  buckets), and ``base ∖ dead ∪ overlay`` always equals the live element
   set, in ``_boxes`` order — a patched snapshot answers every batch query
   identically, ids and order, to a from-scratch rebuild
   (``tests/test_snapshot_maintenance.py`` pins this).
@@ -69,7 +80,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -495,14 +506,18 @@ class UniformGrid(SpatialIndex):
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self._universe = universe
         self._cell_size = cell_size
-        # cell -> ids registered there; a dict for its insertion order (the
-        # scalar result order) and O(1) removal.
-        self._cells: dict[CellKey, dict[int, None]] = {}
+        # The ground truth, both in order of last placement.
         self._boxes: dict[int, AABB] = {}
         self._windows: dict[int, Window] = {}
+        # cell -> ids registered there; a dict for its insertion order (the
+        # scalar result order) and O(1) removal.  ``None`` from a bulk load
+        # until a scalar read asks: read it through :meth:`_buckets`.
+        self._cells: dict[CellKey, dict[int, None]] | None = {}
         # Per-axis (origin, top cell coordinate), fixed once universe and
-        # cell size are: every scalar write and the snapshot build read it.
+        # cell size are, and the same per window corner as (origins, tops):
+        # the bulk paths read the first, the scalar ``_window`` the second.
         self._axes: tuple[tuple[float, int], ...] | None = None
+        self._corner_axes: tuple[tuple[float, ...], tuple[int, ...]] | None = None
         self._snapshot: _GridSnapshot | None = None
         self.cell_switches = 0
         self.in_place_updates = 0
@@ -537,6 +552,8 @@ class UniformGrid(SpatialIndex):
             self._cell_size = default_cell_size(len(items), self._universe)
         if self._axes is None:
             self._axes = grid_axes(self._universe, self._cell_size)
+            origins, tops = zip(*self._axes)
+            self._corner_axes = (origins * 2, tops * 2)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -544,16 +561,12 @@ class UniformGrid(SpatialIndex):
         materialized = validate_items(items)
         # Whatever can refuse the input runs before the reset.
         windows = _corner_tuples(self._bulk_corners(materialized)[1]) if materialized else []
-        self._cells = {}
-        self._boxes = {}
-        self._windows = {}
+        self._boxes = dict(materialized)
+        self._windows = dict(zip(self._boxes, windows))
+        self._cells = None if materialized else {}  # nothing to build from nothing
         self._snapshot = None
         self.cell_switches = 0
         self.in_place_updates = 0
-        # Buckets fill in input order: their insertion order is the scalar
-        # result order.
-        for (eid, box), window in zip(materialized, windows):
-            self._place(eid, box, window)
 
     def _bulk_corners(self, items: list[Item]) -> tuple[np.ndarray, np.ndarray]:
         """The items' packed ``(n, 2, d)`` boxes and their ``(n, 2d)`` integer
@@ -591,11 +604,13 @@ class UniformGrid(SpatialIndex):
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
         """Relocate only when the covered cell window changes (the §4.3 win)."""
-        if eid not in self._boxes or self._boxes[eid] != old_box:
+        stored = self._boxes.get(eid)
+        if stored is None or not (stored is old_box or stored == old_box):
             raise KeyError(f"element {eid} with box {old_box} not in index")
-        window = self._window(new_box)
+        current = self._windows[eid]
+        window = self._window(new_box, current)
         snap = self._snapshot
-        if window == self._windows[eid]:
+        if window == current:
             self._boxes[eid] = new_box
             if snap is not None:
                 snap.patch_set_box(eid, new_box)
@@ -619,13 +634,13 @@ class UniformGrid(SpatialIndex):
         coordinate — is checked for every move before anything is written.
         The new windows then come from one :func:`_cell_coords` pass;
         in-place movers are one dict write each and one snapshot assignment
-        together, cell switchers patch their buckets one by one and the
-        snapshot together.  Whether the batch's patches would carry the
-        snapshot past the compaction threshold is decided once, up front:
-        if so the snapshot is dropped and nothing is patched — what the
-        scalar loop arrives at after patching its way to the threshold.
-        Buckets, windows, counters and batch answers end up as the loop
-        leaves them.
+        together, cell switchers are re-appended one by one (through their
+        buckets, if those are built) and patch the snapshot together.
+        Whether the batch's patches would carry the snapshot past the
+        compaction threshold is decided once, up front: if so the snapshot
+        is dropped and nothing is patched — what the scalar loop arrives at
+        after patching its way to the threshold.  Stores, buckets, counters
+        and batch answers end up as the loop leaves them.
         """
         moves = unique_moves(moves)
         if not moves:
@@ -657,10 +672,15 @@ class UniformGrid(SpatialIndex):
         for at in stay:
             eid, box = targets[at]
             boxes[eid] = box
+        built = self._cells is not None
         for at in switch:
             eid, box = targets[at]
-            self._unplace(eid)
-            self._place(eid, box, windows[at])
+            if built:
+                self._unplace(eid)
+                self._place(eid, box, windows[at])
+            else:  # placement order, which the buckets will be built from
+                del boxes[eid], stored[eid]
+                boxes[eid], stored[eid] = box, windows[at]
         if snap is not None:
             if stay:
                 snap.patch_set_boxes([targets[at][0] for at in stay], packed[stay])
@@ -682,9 +702,10 @@ class UniformGrid(SpatialIndex):
         boxes = self._boxes
         seen: set[int] = set()
         results: list[int] = []
+        buckets = self._buckets()
         for key in _window_cells(self._window(box)):
             counters.cells_probed += 1
-            bucket = self._cells.get(key)
+            bucket = buckets.get(key)
             if not bucket:
                 continue
             counters.bytes_touched += len(bucket) * (dims * _BOX_BYTES_PER_DIM + 8)
@@ -965,7 +986,7 @@ class UniformGrid(SpatialIndex):
 
     @property
     def occupied_cells(self) -> int:
-        return len(self._cells)  # a bucket is dropped with its last id
+        return len(self._buckets())  # a bucket is dropped with its last id
 
     def _stored_entries(self) -> int:
         """Bucket entries across all cells: the sum of the window volumes."""
@@ -990,48 +1011,83 @@ class UniformGrid(SpatialIndex):
         return (
             len(self._boxes) * dims * _BOX_BYTES_PER_DIM
             + self._stored_entries() * 8
-            + len(self._cells) * 16
+            + self.occupied_cells * 16
         )
 
     # -- internals ---------------------------------------------------------------------
 
-    def _window(self, box: AABB) -> Window:
+    def _window(self, box: AABB, stored: Window | None = None) -> Window:
         """The inclusive cell window ``box`` covers, clamped to the universe
-        — the scalar twin of :func:`_cell_coords`, bit for bit."""
-        axes = self._axes
-        assert axes is not None and self._cell_size is not None
-        if len(box.lo) != len(axes):
-            raise ValueError(f"box has {len(box.lo)} dims, index has {len(axes)}")
+        — the scalar twin of :func:`_cell_coords`, bit for bit.  ``stored``
+        is the element's current window, if it has one: unclamped
+        coordinates that equal it are in range already (it was clamped)."""
+        assert self._corner_axes is not None and self._cell_size is not None
+        origins, tops = self._corner_axes
+        if len(box.lo) * 2 != len(origins):
+            raise ValueError(f"box has {len(box.lo)} dims, index has {len(origins) // 2}")
         cell = self._cell_size
         floor = math.floor
+        raw = tuple([floor((v - o) / cell) for v, o in zip(box.lo + box.hi, origins)])
+        if raw == stored:
+            return stored
         # Conditional clamps, not min/max calls: this runs once per update.
-        return tuple([
-            0 if (c := floor((v - o) / cell)) < 0 else top if c > top else c
-            for v, (o, top) in zip(box.lo + box.hi, axes + axes)
-        ])
+        return tuple([0 if c < 0 else top if c > top else c for c, top in zip(raw, tops)])
+
+    def _buckets(self) -> dict[CellKey, dict[int, None]]:
+        """The buckets, built here if no scalar read has asked since the
+        last bulk load: the windows grouped by cell, in store order (see the
+        module docstring for why that is each bucket's own order)."""
+        if self._cells is None:
+            assert self._axes is not None
+            windows, dims = self._windows, len(self._axes)
+            tops = _axis_arrays(self._axes)[1]
+            strides = _linear_strides(tops)
+            cells: dict[CellKey, dict[int, None]] = {}
+            if strides is None:
+                for eid, window in windows.items():
+                    for key in _window_cells(window):
+                        cells.setdefault(key, {})[eid] = None
+            else:
+                corners = np.fromiter(
+                    chain.from_iterable(windows.values()), np.int64, 2 * dims * len(windows)
+                ).reshape(-1, 2 * dims)
+                owner, keys, first = _expand_windows(corners[:, :dims], corners[:, dims:], strides)
+                keys, starts, _, rows, _ = _cell_table(keys, owner, first)
+                ids = np.fromiter(windows, np.int64, len(windows))[rows].tolist()
+                coords = [(keys // stride % (top + 1)).tolist()
+                          for stride, top in zip(strides.tolist(), tops.tolist())]
+                bounds = [*starts.tolist(), len(ids)]
+                for key, lo, hi in zip(zip(*coords), bounds, bounds[1:]):
+                    cells[key] = dict.fromkeys(ids[lo:hi])
+            self._cells = cells
+        return self._cells
 
     def _place(self, eid: int, box: AABB, window: Window) -> list[CellKey]:
-        """File ``eid`` under every cell of ``window``; returns those cells.
+        """Append ``eid`` to the stores and, where the buckets are built,
+        to the bucket of every cell of ``window``; returns those cells.
         The snapshot is the caller's to patch."""
         cells = list(_window_cells(window))
         buckets = self._cells
-        for key in cells:
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {eid: None}
-            else:
-                bucket[eid] = None
+        if buckets is not None:
+            for key in cells:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = {eid: None}
+                else:
+                    bucket[eid] = None
         self._boxes[eid] = box
         self._windows[eid] = window
         return cells
 
     def _unplace(self, eid: int) -> None:
-        for key in _window_cells(self._windows.pop(eid)):
-            bucket = self._cells[key]
-            del bucket[eid]
-            if not bucket:
-                del self._cells[key]
+        window, buckets = self._windows.pop(eid), self._cells
         del self._boxes[eid]
+        if buckets is not None:
+            for key in _window_cells(window):
+                bucket = buckets[key]
+                del bucket[eid]
+                if not bucket:
+                    del buckets[key]
 
     def _maybe_compact(self) -> None:
         """Deferred compaction: drop the snapshot once its dirt outgrows a

@@ -62,7 +62,7 @@ def write_state(grid: UniformGrid):
     )
     return (
         list(grid._boxes.items()), dict(grid._windows),
-        {key: list(bucket) for key, bucket in grid._cells.items()}, patches,
+        {key: list(bucket) for key, bucket in grid._buckets().items()}, patches,
         grid.in_place_updates, grid.cell_switches, grid.snapshot_rebuilds,
         grid.counters.snapshot(),
     )

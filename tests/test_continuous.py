@@ -356,6 +356,40 @@ class TestNormalizeUpdates:
         with pytest.raises(KeyError):
             normalize_updates([Delete(99)], dict(self.STATE))
 
+    @pytest.mark.parametrize("bad", [
+        AABB((2.0, float("nan"), 2.0), (3.0, float("nan"), 3.0)),
+        AABB((2.0, 2.0, 2.0), (3.0, float("inf"), 3.0)),
+        AABB((2.0, 2.0), (3.0, 3.0)),
+    ], ids=["nan", "inf", "flat"])
+    def test_unindexable_boxes_are_refused(self, bad):
+        for updates in ([(1, self.STATE[1], bad)], [Insert(7, bad)]):
+            with pytest.raises(ValueError, match="finite|dims"):
+                normalize_updates(updates, dict(self.STATE))
+        with pytest.raises(ValueError, match="finite|dims"):
+            normalize_updates([Insert(7, bad)], {}, dims=3 if bad.dims == 2 else None)
+
+    @pytest.mark.parametrize("policy", ["auto", "recompute", "predictive"])
+    def test_a_refused_tick_commits_nothing(self, policy):
+        """One NaN move used to reach the session's state, and every later
+        tick — valid or not — then died in the backing grid."""
+        items = make_items(60, seed=41)
+        session = ContinuousSession(items, UNIVERSE_3D, policy=policy)
+        subs = [session.subscribe(spec) for kind in ("range", "knn", "join")
+                for spec in make_specs(kind)]
+        drive(session, subs, "drift", ticks=2, seed=42)
+        before = dict(session.state_items())
+        (eid, box), (other, other_box) = items[0], items[1]
+        nan = float("nan")
+        moved = _shift(other_box, [1.0, 1.0, 1.0])
+        for bad in (AABB((nan, 1.0, 1.0), (nan, 2.0, 2.0)), AABB((1.0, 1.0), (2.0, 2.0))):
+            for updates in ([(other, before[other], moved), (eid, before[eid], bad)],
+                            [Insert(9_000, bad)]):
+                with pytest.raises(ValueError):
+                    session.tick(updates)
+        assert dict(session.state_items()) == before
+        assert (session.ticks, session.stats.faults) == (2, 0)
+        drive(session, subs, "drift", ticks=2, seed=43)  # asserts the oracle each tick
+
     def test_delta_apply_rejects_inconsistency(self):
         delta = Delta(tick=1, added=frozenset({1}), removed=frozenset({2}))
         with pytest.raises(ValueError):

@@ -132,7 +132,7 @@ class TestUniformGrid:
             box = probe
             assert grid._windows[1] == (*lo_cells, *hi_cells)
             covered = set(product(*[range(lo, hi + 1) for lo, hi in zip(lo_cells, hi_cells)]))
-            assert {key for key, bucket in grid._cells.items() if 1 in bucket} == covered
+            assert {key for key, bucket in grid._buckets().items() if 1 in bucket} == covered
             assert 1 in grid.batch_range_query([probe])[0]  # the patched snapshot agrees
             assert sorted(grid.range_query(probe)) == sorted(grid.batch_range_query([probe])[0])
 
