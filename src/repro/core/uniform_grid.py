@@ -52,6 +52,11 @@ Design points realized here:
   written through either land in both) — and the range kernel's product is
   the CSR pair of :meth:`UniformGrid.batch_range_hits`;
   :meth:`~UniformGrid.batch_range_query` is that plus one ``tolist``.
+* **Every gather pass runs once, over flat columns.**  Windows unfold an
+  axis at a time by ``repeat``; the walk builds its one entry column in
+  place, selects by ``flatnonzero`` + ``take`` where a mask would copy, and
+  frees it before the next — a fresh entry-sized temporary's page faults cost
+  more than its arithmetic (``test_grid_single_store`` bounds bytes per entry).
 * **Incrementally maintained batch snapshot.**  The vectorized batch kernels
   query a dense packed view of the buckets (:class:`_GridSnapshot`).
   Mutations *patch* the snapshot instead of discarding it: removals flip a
@@ -348,28 +353,28 @@ def _expand_windows(
     """Flatten per-row inclusive cell windows into (owner_row, linear_key, first).
 
     ``lo_cells``/``hi_cells`` are ``(m, d)`` integer corner coordinates; the
-    result enumerates every cell of every window in mixed-radix order,
-    entirely with ``repeat``/``cumsum`` arithmetic (no per-row Python loop).
-    ``first`` is the uint8 bitmask per entry whose bit ``a`` says the cell is
-    the window's low cell on axis ``a``.
+    result enumerates every cell of every window in mixed-radix order, last
+    axis fastest.  One entry per row at its low corner is unfolded an axis at
+    a time — each entry repeats once per step along the axis, its rank among
+    the repeats being the step: ``repeat``/``cumsum``, no division, no loop
+    over rows.  ``first`` is the uint8 bitmask per entry whose bit ``a`` says
+    the cell is the window's low cell on axis ``a``.
     """
     m, dims = lo_cells.shape
     window = hi_cells - lo_cells + 1
-    cells_per_row = np.prod(window, axis=1)
-    total = int(cells_per_row.sum())
-    owner = np.repeat(np.arange(m), cells_per_row)
-    rank = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(cells_per_row) - cells_per_row, cells_per_row
-    )
-    suffix = np.ones((m, dims), dtype=np.int64)
-    for axis in range(dims - 2, -1, -1):
-        suffix[:, axis] = suffix[:, axis + 1] * window[:, axis + 1]
-    keys = np.zeros(total, dtype=np.int64)
-    first = np.zeros(total, dtype=np.uint8)
+    owner = np.arange(m)
+    keys = lo_cells @ strides
+    first = np.zeros(m, dtype=np.uint8)
     for axis in range(dims):
-        step = (rank // suffix[owner, axis]) % window[owner, axis]
-        keys += (lo_cells[owner, axis] + step) * strides[axis]
+        width = window[:, axis].take(owner)
+        step = np.arange(int(width.sum()), dtype=np.int64)
+        step -= np.repeat(np.cumsum(width) - width, width)
+        owner = np.repeat(owner, width)
+        first = np.repeat(first, width)
         first |= (step == 0).view(np.uint8) << axis
+        keys = np.repeat(keys, width)
+        step *= strides[axis]
+        keys += step
     return owner, keys, first
 
 
@@ -378,8 +383,12 @@ def _cell_table(keys: np.ndarray, rows: np.ndarray, first: np.ndarray) -> CellTa
     the distinct keys in sorted order, each cell's slice of the entry
     columns, and the columns in that (stable) order."""
     order = np.argsort(keys, kind="stable")
-    uniq_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    return uniq_keys, starts, counts, rows[order], first[order]
+    keys = keys.take(order)
+    edge = np.ones(len(keys), dtype=bool)  # a cell starts where the sorted keys change
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
+    counts = np.diff(starts, append=len(keys))
+    return keys.take(starts), starts, counts, rows.take(order), first.take(order)
 
 
 def _walk_cells(
@@ -403,17 +412,19 @@ def _walk_cells(
     keys, starts, counts, entry_rows, entry_first = table
     pos = np.minimum(np.searchsorted(keys, uniq_keys), len(keys) - 1)
     occupied = keys[pos] == uniq_keys
-    keep = occupied[inverse]
-    cell_pos = pos[inverse][keep]
-    bucket_counts = counts[cell_pos]
-    n_entries = int(bucket_counts.sum())
+    keep = np.flatnonzero(occupied.take(inverse))
+    cell_pos = pos.take(inverse.take(keep))
+    bucket_counts = counts.take(cell_pos)
     # Entry j of the enumeration is its cell's start plus j's rank in the cell.
-    entry = np.arange(n_entries, dtype=np.int64) + np.repeat(
-        starts[cell_pos] - (np.cumsum(bucket_counts) - bucket_counts), bucket_counts
+    entry = np.repeat(
+        starts.take(cell_pos) - (np.cumsum(bucket_counts) - bucket_counts), bucket_counts
     )
-    chosen = (np.repeat(q_first[keep], bucket_counts) | entry_first[entry]) == every_axis
-    pair_q = np.repeat(qidx[keep], bucket_counts)[chosen]
-    return pair_q, entry_rows[entry[chosen]], occupied
+    entry += np.arange(len(entry))
+    mask = np.repeat(q_first.take(keep), bucket_counts)
+    mask |= entry_first.take(entry)
+    chosen = np.flatnonzero(mask == every_axis)
+    entry = entry.take(chosen)  # the entry-sized column goes before the next one comes
+    return np.repeat(qidx.take(keep), bucket_counts).take(chosen), entry_rows.take(entry), occupied
 
 
 def grid_axes(universe: AABB, cell: float) -> tuple[tuple[float, int], ...]:
@@ -798,10 +809,10 @@ class UniformGrid(SpatialIndex):
             counters.cells_probed += int(np.count_nonzero(found))
             pair_q = np.concatenate([pair_q, extra_q])
             rows = np.concatenate([rows, extra_rows])
-        live = snap.tables()[2][rows]
+        live = snap.tables()[2].take(rows)
         if not live.all():
-            pair_q = pair_q[live]
-            rows = rows[live]
+            live = np.flatnonzero(live)
+            pair_q, rows = pair_q.take(live), rows.take(live)
         return pair_q, rows
 
     def batch_range_hits(
@@ -855,7 +866,9 @@ class UniformGrid(SpatialIndex):
         # One scalar key per hit (query major, element row minor): the keys
         # are already distinct, so a sort groups them by query.
         n_rows = eids_all.shape[0]
-        combined = np.sort(pair_q[hit] * n_rows + rows[hit])
+        hit = np.flatnonzero(hit)
+        combined = pair_q.take(hit) * n_rows + rows.take(hit)
+        combined.sort()
         offsets = np.searchsorted(combined, np.arange(m + 1) * n_rows)
         return offsets, eids_all[combined % n_rows]
 
@@ -898,6 +911,7 @@ class UniformGrid(SpatialIndex):
         assert self._cell_size is not None
         cell = self._cell_size
         eids_all, boxes_all, _ = snap.tables()
+        e_cols = boxes_all.transpose(1, 2, 0)
         n_rows = eids_all.shape[0]
         kk = min(k, len(self._boxes))
 
@@ -924,9 +938,11 @@ class UniformGrid(SpatialIndex):
             combined = np.sort(pair_q * n_rows + rows)
             cand_q = combined // n_rows
             cand_rows = combined % n_rows
-            cand_boxes = boxes_all[cand_rows]
-            p = apts[cand_q]
-            gaps = np.maximum(np.maximum(cand_boxes[:, 0, :] - p, p - cand_boxes[:, 1, :]), 0.0)
+            gaps = np.empty((combined.size, dims))  # filled per axis, from the store's columns
+            for axis in range(dims):
+                p = apts[:, axis].take(cand_q)
+                lo, hi = e_cols[0, axis].take(cand_rows), e_cols[1, axis].take(cand_rows)
+                gaps[:, axis] = np.maximum(np.maximum(lo - p, p - hi), 0.0)
             dists = np.sqrt(np.einsum("cd,cd->c", gaps, gaps))
             counters.elem_tests += combined.size
             confirmed = np.bincount(cand_q[dists <= radius], minlength=active.size)

@@ -296,6 +296,22 @@ def as_point_array(points: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray
     return np.array(materialized, dtype=np.float64)
 
 
+def _fold_axes(lo_rows: np.ndarray, hi_cols: np.ndarray, lo_cols: np.ndarray,
+               hi_rows: np.ndarray) -> np.ndarray:
+    """``out[i, j]``: on every axis ``lo_rows[i] <= hi_cols[j]`` and
+    ``lo_cols[j] <= hi_rows[i]``, for ``(m, d)`` row and ``(n, d)`` column
+    operands.  Folded into one ``(m, n)`` mask an axis at a time: no
+    ``(m, n, d)`` temporary and no reduction over a trailing axis of length
+    ``d``, which is most of the cost of a tree-node visit."""
+    if not lo_rows.shape[1] == hi_cols.shape[1] == lo_cols.shape[1] == hi_rows.shape[1]:
+        raise ValueError(f"operands differ in dims: {lo_rows.shape[1]} and {hi_cols.shape[1]}")
+    out = np.ones((lo_rows.shape[0], hi_cols.shape[0]), dtype=bool)
+    for axis in range(lo_rows.shape[1]):
+        out &= lo_rows[:, None, axis] <= hi_cols[None, :, axis]
+        out &= lo_cols[None, :, axis] <= hi_rows[:, None, axis]
+    return out
+
+
 def batch_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise closed-interval overlap of two box arrays.
 
@@ -304,20 +320,14 @@ def batch_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.all(
-        (a[:, None, 0, :] <= b[None, :, 1, :]) & (b[None, :, 0, :] <= a[:, None, 1, :]),
-        axis=-1,
-    )
+    return _fold_axes(a[:, 0], b[:, 1], b[:, 0], a[:, 1])
 
 
 def batch_contains(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise box containment: ``out[i, j] == a_i.contains_box(b_j)``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.all(
-        (a[:, None, 0, :] <= b[None, :, 0, :]) & (b[None, :, 1, :] <= a[:, None, 1, :]),
-        axis=-1,
-    )
+    return _fold_axes(a[:, 0], b[:, 0], b[:, 1], a[:, 1])
 
 
 def batch_contains_points(a: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -327,10 +337,7 @@ def batch_contains_points(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
-    return np.all(
-        (a[:, None, 0, :] <= p[None, :, :]) & (p[None, :, :] <= a[:, None, 1, :]),
-        axis=-1,
-    )
+    return _fold_axes(a[:, 0], p, p, a[:, 1])
 
 
 def batch_min_distance_to_points(boxes: np.ndarray, points: np.ndarray) -> np.ndarray:

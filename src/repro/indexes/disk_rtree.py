@@ -39,6 +39,7 @@ import numpy as np
 from repro.geometry.aabb import (
     AABB,
     as_box_array,
+    batch_intersects,
     bounds_min_distance_to_point,
     boxes_to_array,
     union_all,
@@ -499,12 +500,7 @@ class DiskRTree(SpatialIndex):
             is_leaf, entry_boxes, refs = self._node_arrays(page_id)
             if entry_boxes.shape[0] == 0:
                 continue
-            pending = queries[active]
-            overlap = np.all(
-                (entry_boxes[:, None, 0, :] <= pending[None, :, 1, :])
-                & (pending[None, :, 0, :] <= entry_boxes[:, None, 1, :]),
-                axis=-1,
-            )
+            overlap = batch_intersects(entry_boxes, queries[active])
             if is_leaf:
                 counters.elem_tests += overlap.size
                 rows, cols = np.nonzero(overlap)

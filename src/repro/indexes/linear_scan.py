@@ -18,6 +18,7 @@ from repro.geometry.aabb import (
     AABB,
     as_box_array,
     as_point_array,
+    batch_intersects,
     batch_min_distance_to_points,
     boxes_to_array,
 )
@@ -123,17 +124,9 @@ class LinearScan(SpatialIndex):
         dims = data.shape[2]
         if queries.shape[2] != dims:
             raise ValueError(f"queries have {queries.shape[2]} dims, index has {dims}")
-        data_lo = data[:, 0, :]
-        data_hi = data[:, 1, :]
         chunk = max(1, _BATCH_CHUNK_ENTRIES // n)
         for start in range(0, m, chunk):
-            q = queries[start : start + chunk]
-            overlap = np.all(
-                (q[:, None, 0, :] <= data_hi[None, :, :])
-                & (data_lo[None, :, :] <= q[:, None, 1, :]),
-                axis=-1,
-            )
-            q_rows, hits = np.nonzero(overlap)
+            q_rows, hits = np.nonzero(batch_intersects(queries[start : start + chunk], data))
             for qi, eid in zip((q_rows + start).tolist(), eids[hits].tolist()):
                 results[qi].append(eid)
         counters.elem_tests += m * n

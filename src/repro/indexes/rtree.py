@@ -20,7 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, as_box_array, boxes_to_array, union_all
+from repro.geometry.aabb import (
+    AABB, as_box_array, batch_intersects, boxes_to_array, union_all,
+)
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
 from repro.instrumentation.counters import Counters
 
@@ -247,12 +249,7 @@ class RTree(SpatialIndex):
                 continue
             counters.bytes_touched += node.payload_bytes(dims)
             entry_boxes = boxes_to_array([box for box, _ in node.entries])
-            pending = queries[active]
-            overlap = np.all(
-                (entry_boxes[:, None, 0, :] <= pending[None, :, 1, :])
-                & (pending[None, :, 0, :] <= entry_boxes[:, None, 1, :]),
-                axis=-1,
-            )  # (entries, active queries)
+            overlap = batch_intersects(entry_boxes, queries[active])  # (entries, active queries)
             if node.is_leaf:
                 counters.elem_tests += overlap.size
                 rows, cols = np.nonzero(overlap)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import boxes_to_array
+from repro.geometry.aabb import batch_intersects, boxes_to_array
 from repro.indexes.base import Item
 from repro.indexes.bulkload import str_pack
 from repro.indexes.rtree import Node
@@ -90,13 +90,7 @@ def block_pairs(
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
     for start in range(0, n, rows_per_block):
-        chunk = boxes_a[start : start + rows_per_block]
-        overlap = np.all(
-            (chunk[:, None, 0, :] <= boxes_b[None, :, 1, :])
-            & (boxes_b[None, :, 0, :] <= chunk[:, None, 1, :]),
-            axis=-1,
-        )
-        ai, bi = np.nonzero(overlap)
+        ai, bi = np.nonzero(batch_intersects(boxes_a[start : start + rows_per_block], boxes_b))
         out_a.append(ai + start)
         out_b.append(bi)
     return np.concatenate(out_a), np.concatenate(out_b)

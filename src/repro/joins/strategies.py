@@ -325,9 +325,10 @@ class SweeplineJoin(JoinStrategy):
             rows = rows + lo_row
             inner = order[cols]
             a, b = boxes_out[rows], boxes_in[inner]
-            ok = np.all(
-                (a[:, 0, 1:] <= b[:, 1, 1:]) & (b[:, 0, 1:] <= a[:, 1, 1:]), axis=1
-            )
+            ok = np.ones(rows.shape[0], dtype=bool)
+            for axis in range(1, a.shape[2]):  # axis 0 is the sweep's own
+                ok &= a[:, 0, axis] <= b[:, 1, axis]
+                ok &= b[:, 0, axis] <= a[:, 1, axis]
             pairs.append(pair_columns(eids_out[rows[ok]], eids_in[inner[ok]]))
         return concat_pairs(pairs)
 

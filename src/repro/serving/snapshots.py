@@ -46,7 +46,7 @@ from repro.core.uniform_grid import (
     pack_snapshot,
     snapshot_arrays,
 )
-from repro.geometry.aabb import AABB, as_box_array
+from repro.geometry.aabb import AABB, as_box_array, batch_intersects
 from repro.geometry.table import BoxTable
 from repro.indexes.base import KNNResult, SpatialIndex
 from repro.indexes.linear_scan import LinearScan
@@ -258,12 +258,7 @@ class SnapshotTreeIndex(_ReadOnlyShell, SpatialIndex):
             entry_boxes = self._entry_boxes[lo:hi]
             refs = self._entry_refs[lo:hi]
             counters.bytes_touched += entry_boxes.nbytes + refs.nbytes
-            pending = queries[active]
-            overlap = np.all(
-                (entry_boxes[:, None, 0, :] <= pending[None, :, 1, :])
-                & (pending[None, :, 0, :] <= entry_boxes[:, None, 1, :]),
-                axis=-1,
-            )  # (entries, active queries)
+            overlap = batch_intersects(entry_boxes, queries[active])  # (entries, active queries)
             if self._is_leaf[nid]:
                 counters.elem_tests += overlap.size
                 rows, cols = np.nonzero(overlap)

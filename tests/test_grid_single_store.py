@@ -11,10 +11,19 @@ first-common-cell rule instead of removing them afterwards.  Pinned here:
 * the write-path accounting on the paper's plasticity stream, and that an
   in-place move enumerates no cells;
 * the exported ``entry_first`` array serving identically from a worker;
+* the gather's passes (``_expand_windows``, ``_walk_cells`` inside
+  ``_gather_candidates``) against an ``itertools.product`` enumeration and
+  the written rule, pairs *in order* and counters, in 1 to 4 dimensions, and
+  against digests of what the kernels produced before ISSUE 24 rewrote them;
+* the gather's temporary memory per enumerated entry;
 * refusal of boxes whose dimensionality differs from the grid's.
 """
 
 from __future__ import annotations
+
+import hashlib
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -181,11 +190,16 @@ def churn(grid, state: dict[int, AABB], draw) -> None:
         state[eid] = new_box
 
 
-def assert_gathers_each_sharing_pair_once(grid: UniformGrid, windows: list[AABB]) -> None:
+def cell_windows(grid: UniformGrid, boxes) -> tuple[np.ndarray, np.ndarray]:
     snap = grid._ensure_snapshot()
-    queries = as_box_array(windows)
-    lo_cells = _cell_coords(queries[:, 0, :], snap.origin, snap.cell, snap.tops)
-    hi_cells = _cell_coords(queries[:, 1, :], snap.origin, snap.cell, snap.tops)
+    queries = as_box_array(boxes)
+    return (_cell_coords(queries[:, 0, :], snap.origin, snap.cell, snap.tops),
+            _cell_coords(queries[:, 1, :], snap.origin, snap.cell, snap.tops))
+
+
+def assert_gathers_each_sharing_pair_once(grid: UniformGrid, windows: list[AABB]) -> None:
+    lo_cells, hi_cells = cell_windows(grid, windows)
+    snap = grid._snapshot
     pair_q, rows = grid._gather_candidates(snap, lo_cells, hi_cells)
     got = list(zip(pair_q.tolist(), rows.tolist()))
     assert len(got) == len(set(got)), "a (query, row) pair was gathered twice"
@@ -285,14 +299,226 @@ class TestListIdentityWithTheFormerKernels:
         window-sharing (query, element) pairs, not one per shared cell."""
         windows = [AABB((1.0, 1.0, 1.0), (6.0, 6.0, 5.0)), AABB((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))]
         snap = patched._snapshot
-        queries = as_box_array(windows)
-        lo_cells = _cell_coords(queries[:, 0, :], snap.origin, snap.cell, snap.tops)
-        hi_cells = _cell_coords(queries[:, 1, :], snap.origin, snap.cell, snap.tops)
+        lo_cells, hi_cells = cell_windows(patched, windows)
         with_repeats = reference_gather(snap, lo_cells, hi_cells)[0].shape[0]
         distinct = patched._gather_candidates(snap, lo_cells, hi_cells)[0].shape[0]
         before = patched.counters.elem_tests
         patched.batch_range_query(windows)
         assert patched.counters.elem_tests - before == distinct < with_repeats / 3
+
+
+# -- the gather's passes against plain enumeration (ISSUE 24) -------------------------
+
+
+def product_expand(lo_cells, hi_cells, strides):
+    """``_expand_windows`` one cell at a time: every window's cells in
+    ``itertools.product`` order, keyed and first-masked by the definitions."""
+    owner, keys, first = [], [], []
+    for row, (lo, hi) in enumerate(zip(lo_cells.tolist(), hi_cells.tolist())):
+        for coords in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
+            owner.append(row)
+            keys.append(sum(c * s for c, s in zip(coords, strides.tolist())))
+            first.append(sum((c == l) << axis for axis, (c, l) in enumerate(zip(coords, lo))))
+    return owner, keys, first
+
+
+def product_gather(snap, lo_cells, hi_cells):
+    """``_gather_candidates`` from the written rule alone, reading nothing of
+    the cell tables: the base rows' buckets then the overlay rows' (a bucket
+    holds the rows whose window covers the cell, ascending), walked query by
+    query and cell by cell in ``product`` order; a ``(query, cell, row)``
+    survives iff on every axis the cell is the low cell of the query's window
+    or of the element's; dead rows drop out last.  Returns the pairs in that
+    order and what the call adds to ``cells_probed``."""
+    eids_all, boxes_all, alive = snap.tables()
+    elem_lo = _cell_coords(boxes_all[:, 0, :], snap.origin, snap.cell, snap.tops).tolist()
+    elem_hi = _cell_coords(boxes_all[:, 1, :], snap.origin, snap.cell, snap.tops).tolist()
+    n_base = len(snap.eids)
+    live_overlay = [n_base + idx for idx, ok in enumerate(snap.extra_alive) if ok]
+    pairs, probed = [], set()
+    for is_overlay, table_rows in ((False, range(n_base)), (True, live_overlay)):
+        buckets: dict[tuple, list[int]] = {}
+        for row in table_rows:
+            for cell in product(*[range(l, h + 1) for l, h in zip(elem_lo[row], elem_hi[row])]):
+                buckets.setdefault(cell, []).append(row)
+        for q, (lo, hi) in enumerate(zip(lo_cells.tolist(), hi_cells.tolist())):
+            for cell in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
+                if cell in buckets or not is_overlay:  # every query cell, then the overlay's
+                    probed.add((is_overlay, cell))
+                for row in buckets.get(cell, ()):
+                    if all(c == ql or c == el for c, ql, el in zip(cell, lo, elem_lo[row])):
+                        pairs.append((q, row))
+    return [pair for pair in pairs if alive[pair[1]]], len(probed)
+
+
+def assert_gather_equals_enumeration(grid: UniformGrid, lo_cells, hi_cells) -> int:
+    snap = grid._snapshot
+    owner, keys, first = uniform_grid._expand_windows(lo_cells, hi_cells, snap.strides)
+    assert (owner.dtype, keys.dtype, first.dtype) == (np.int64, np.int64, np.uint8)
+    assert (owner.tolist(), keys.tolist(), first.tolist()) == product_expand(
+        lo_cells, hi_cells, snap.strides)
+    before = grid.counters.snapshot()
+    pair_q, rows = grid._gather_candidates(snap, lo_cells, hi_cells)
+    spent = grid.counters.diff(before)
+    want, probed = product_gather(snap, lo_cells, hi_cells)
+    assert pair_q.dtype == rows.dtype == np.int64
+    assert list(zip(pair_q.tolist(), rows.tolist())) == want  # in order
+    assert spent.cells_probed == probed
+    assert (spent.elem_tests, spent.bytes_touched, spent.heap_ops) == (0, 0, 0)
+    return len(want)
+
+
+def random_boxes(rng, n: int, hi: np.ndarray, max_extent: float) -> list[AABB]:
+    """Boxes that start up to one unit outside ``[0, hi]`` on either side."""
+    lo = rng.uniform(-1.0, hi + 1.0, size=(n, len(hi)))
+    return [AABB(l, l + e) for l, e in zip(lo, rng.uniform(0.0, max_extent, size=lo.shape))]
+
+
+def patched_grid(dims: int, seed: int, n: int = 120) -> tuple[UniformGrid, AABB, np.random.Generator]:
+    """A replicating ``dims``-d grid (ragged top cells) whose snapshot carries
+    dead base rows, in-place rewrites, overlay rows and dead overlay rows."""
+    rng = np.random.default_rng(seed)
+    hi = np.array([9.0, 7.0, 5.0, 3.0][:dims])
+    universe = AABB((0.0,) * dims, hi)
+    grid = UniformGrid(universe=universe, cell_size=2.0)
+    state = dict(enumerate(random_boxes(rng, n, hi, 3.0)))
+    grid.bulk_load(list(state.items()))
+    grid.batch_range_query([universe])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uniform_grid, "_SNAPSHOT_DIRTY_MIN", 1 << 30)  # keep the overlay
+        for eid in range(0, n, 7):
+            grid.delete(eid, state.pop(eid))
+        for eid, box in enumerate(random_boxes(rng, n // 4, hi, 5.0), start=1000):
+            grid.insert(eid, box)
+            state[eid] = box
+        movers = [eid for eid in list(state) if eid % 3 == 1]
+        for eid, box in zip(movers, random_boxes(rng, len(movers), hi, 3.0)):
+            grid.update(eid, state[eid], box)
+            state[eid] = box
+        for eid in range(1000, 1000 + n // 4, 5):
+            grid.delete(eid, state.pop(eid))
+    snap = grid._snapshot
+    assert snap is not None and grid.snapshot_rebuilds == 1
+    assert snap.extra_keys and not snap.alive.all() and not all(snap.extra_alive)
+    return grid, universe, rng
+
+
+def digest(*arrays: np.ndarray) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def neuron_fixture():
+    dataset = generate_neurons(15, 40, seed=5)
+    grid = UniformGrid(universe=dataset.universe)
+    grid.bulk_load(dataset.items)
+    rng = np.random.default_rng(50)
+    lo = rng.uniform(dataset.universe.lo, np.asarray(dataset.universe.hi) - 1.5, size=(200, 3))
+    return grid, np.stack([lo, lo + 1.5], axis=1), rng.uniform(
+        dataset.universe.lo, dataset.universe.hi, size=(50, 3))
+
+
+def patched_fixture(dims: int, seed: int):
+    grid, universe, rng = patched_grid(dims, seed, n=300)
+    windows = as_box_array([*random_boxes(rng, 60, np.asarray(universe.hi), 4.0), universe])
+    return grid, windows, rng.uniform(-2.0, np.asarray(universe.hi) + 2.0, size=(40, dims))
+
+
+# What the parent of ISSUE 24 (commit 5df08ea) produced on three seeded
+# fixtures, captured before the gather was rewritten: digests of the ordered
+# ``(pair_q, rows)`` arrays, of the CSR hits and of the kNN lists, then the
+# ``(cells_probed, elem_tests, bytes_touched, heap_ops)`` the three calls cost.
+PARENT_KERNELS = {
+    "neurons-3d-clean": (neuron_fixture, (
+        "d5b52c2bdac25bbc", "c2edddf4e4c646ee", "665c28ae887d5cf9", (1090, 19041, 910336, 200))),
+    "patched-2d": (lambda: patched_fixture(2, 61), (
+        "5ea238278f1995f1", "fcffd56310bb6c82", "20c4aa223b03752c", (120, 8580, 186800, 160))),
+    "patched-4d": (lambda: patched_fixture(4, 62), (
+        "d84fa0c1c20ba94d", "2dc687409e38fb7d", "e7dfc1633c4aa9c6", (952, 6298, 164376, 160))),
+}
+
+
+class TestGatherAgainstEnumeration:
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_clean_and_patched_snapshots_in_every_dimensionality(self, dims):
+        grid, universe, rng = patched_grid(dims, seed=40 + dims)
+        snap = grid._snapshot
+        hi = np.asarray(universe.hi)
+        tops = snap.tops
+        point = AABB(hi / 3.0, hi / 3.0)
+        below, above = AABB(hi * 0.0 - 50.0, hi * 0.0 + 0.5), AABB(hi - 0.5, hi + 50.0)
+        spanning = AABB(hi * 0.0 - 1e30, hi + 1e30)
+        windows = [point, below, above, spanning, universe, *random_boxes(rng, 12, hi, 4.0)]
+        lo_cells, hi_cells = cell_windows(grid, windows)
+        assert (lo_cells[0] == hi_cells[0]).all()  # a one-cell window
+        assert (hi_cells[1] == 0).all() and (lo_cells[2] == tops).all()  # clamped at each edge
+        assert (lo_cells[3] == 0).all() and (hi_cells[3] == tops).all()  # the whole grid
+        assert assert_gather_equals_enumeration(grid, lo_cells, hi_cells) > len(grid)
+        # The same windows on the compacted (clean) snapshot of the same state.
+        clean = UniformGrid(universe=universe, cell_size=2.0)
+        clean.bulk_load(list(grid._boxes.items()))
+        assert assert_gather_equals_enumeration(clean, *cell_windows(clean, windows)) > len(grid)
+        assert clean.batch_range_query(windows) == grid.batch_range_query(windows)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_empty_batch_and_unoccupied_cells(self, dims):
+        grid, universe, _ = patched_grid(dims, seed=44 + dims)
+        none = np.empty((0, dims), dtype=np.int64)
+        assert assert_gather_equals_enumeration(grid, none, none) == 0
+        # Everything lives in the low corner cell; the windows look elsewhere.
+        sparse = UniformGrid(universe=universe, cell_size=2.0)
+        sparse.bulk_load([(eid, AABB((0.1,) * dims, (0.2 + eid / 10,) * dims)) for eid in range(5)])
+        far = [AABB((2.5,) * dims, (2.6,) * dims), AABB((2.5,) * dims, universe.hi)]
+        lo_cells, hi_cells = cell_windows(sparse, far)
+        assert assert_gather_equals_enumeration(sparse, lo_cells, hi_cells) == 0
+        assert sparse.batch_range_query(far) == [[], []]
+        sparse.insert(9, AABB((0.3,) * dims, (0.4,) * dims))  # an overlay the windows miss too
+        assert assert_gather_equals_enumeration(sparse, lo_cells, hi_cells) == 0
+
+    @pytest.mark.parametrize("name", PARENT_KERNELS)
+    def test_pairs_hits_and_counters_equal_the_parents(self, name):
+        build, want = PARENT_KERNELS[name]
+        grid, windows, points = build()
+        lo_cells, hi_cells = cell_windows(grid, windows)
+        before = grid.counters.snapshot()
+        pairs = grid._gather_candidates(grid._snapshot, lo_cells, hi_cells)
+        hits = grid.batch_range_hits(windows)
+        nearest = grid.batch_knn(points, 4)
+        spent = grid.counters.diff(before)
+        got = (
+            digest(*pairs), digest(*hits),
+            hashlib.sha256(repr(nearest).encode()).hexdigest()[:16],
+            (spent.cells_probed, spent.elem_tests, spent.bytes_touched, spent.heap_ops),
+        )
+        assert got == want
+
+
+def test_gather_temporaries_per_enumerated_entry():
+    """The gather's ``tracemalloc`` peak over 2 000 monitor windows on the
+    10 000-box neuron set, per ``(query, bucket entry)`` it enumerates, stays
+    within what it was before ISSUE 24 (15.08 MB over 599 907 entries): one
+    more entry-sized column alive at once adds 8 bytes per entry and fails
+    here instead of on the ledger's ``peak_rss_mb``."""
+    dataset = generate_neurons(125, 80, seed=7)
+    grid = UniformGrid(universe=dataset.universe)
+    grid.bulk_load(dataset.items)
+    rng = np.random.default_rng(24)
+    lo = rng.uniform(dataset.universe.lo, np.asarray(dataset.universe.hi) - 1.5, size=(2000, 3))
+    lo_cells, hi_cells = cell_windows(grid, np.stack([lo, lo + 1.5], axis=1))
+    snap = grid._snapshot
+    _, keys, _ = uniform_grid._expand_windows(lo_cells, hi_cells, snap.strides)
+    pos = np.minimum(np.searchsorted(snap.keys, keys), len(snap.keys) - 1)
+    entries = int(snap.counts[pos][snap.keys[pos] == keys].sum())
+    tracemalloc.start()
+    try:
+        pair_q, _ = grid._gather_candidates(snap, lo_cells, hi_cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (entries, len(pair_q)) == (599_907, 200_571)
+    assert peak / entries <= 25.14
 
 
 class TestWritePathAccounting:
