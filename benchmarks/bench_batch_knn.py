@@ -59,7 +59,7 @@ def bench_index(name, index, items, points, loop_cap, verify_sample=25, steady_r
     ``steady`` amortizes over repeated batches on the unmutated index.
     """
     index.bulk_load(items)
-    engine = BatchQueryEngine.kernel(index, dedup=False)
+    engine = BatchQueryEngine(index, dedup=False)
     loop_points = points[:loop_cap]
 
     start = time.perf_counter()

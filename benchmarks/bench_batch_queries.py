@@ -57,7 +57,7 @@ def bench_index(name, index, items, queries, verify_sample=25, steady_rounds=3):
     probes) against an index that is not mutated between them.
     """
     index.bulk_load(items)
-    engine = BatchQueryEngine.kernel(index, dedup=False)
+    engine = BatchQueryEngine(index, dedup=False)
     query_boxes = [AABB(q[0], q[1]) for q in queries]
 
     start = time.perf_counter()

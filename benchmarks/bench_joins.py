@@ -1,39 +1,24 @@
-"""Sections 3.2/3.3/4.3 — scalar vs vectorized join strategies.
+"""Sections 3.2/3.3/4.3 — the join strategy field.
 
-Paper claims reproduced, now measured through the JoinSession registry:
+Paper claims reproduced, measured through the JoinSession registry:
 
 * partitioned joins (grid / PBSM) do far fewer comparisons than the nested
   loop, and the sweep line "does not ensure that only spatially close
-  objects are compared";
-* "an approach based on a grid (similar to PBSM) optimized for memory ...
-  will certainly speed up the preprocessing/indexing and thus the overall
-  join" — and on top of that, running the *same algorithm* on the array
-  kernels instead of per-pair Python loops is worth another order of
-  magnitude.
-
-Two measurements:
-
-* **scalar vs vectorized** at n=100k per side: ``grid_scalar`` → ``grid``
-  and ``pbsm_scalar`` → ``pbsm`` — the same algorithm doing (near-)identical
-  comparison counts, executed on kernels instead of Python loops.  The
-  acceptance bar (asserted at full scale): the vectorized grid or PBSM join
-  is ≥ 3x its scalar baseline.
-* **strategy field** at a mid scale every algorithm can afford (including
-  the Python-loop TOUCH and the quadratic-candidate sweep line), all
-  agreeing pair-for-pair.
+  objects are compared" (asserted: it compares > 3x what PBSM does);
+* every algorithm agrees pair-for-pair, at a scale every one of them can
+  afford (including the Python-loop TOUCH and the quadratic-candidate
+  sweep line).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_joins.py          # full scale
-    PYTHONPATH=src python benchmarks/bench_joins.py --quick  # CI smoke
+    PYTHONPATH=src python benchmarks/bench_joins.py
 
 Also collectable by pytest (``python -m pytest benchmarks/bench_joins.py``),
-where it runs at quick scale and checks agreement, not wall-clock.
+where it checks agreement, not wall-clock.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -46,12 +31,9 @@ import numpy as np
 from bench_common import emit
 from repro.analysis.reporting import format_table
 from repro.geometry.aabb import AABB
-from repro.instrumentation.counters import Counters
 from repro.joins import JoinSession, PairJoinSpec
 
-FULL_N = 100_000
-QUICK_N = 4_000
-FIELD_N = 4_000  # scale the Python-loop TOUCH can afford
+FIELD_N = 4_000  # the scale the Python-loop TOUCH can afford
 
 
 def join_workload(n: int, seed: int = 0):
@@ -72,82 +54,34 @@ def timed_join(name: str, items_a, items_b) -> tuple[list, float, int]:
     return pairs, elapsed, counters.comparisons
 
 
-def run(quick: bool = False) -> dict[str, float]:
-    n = QUICK_N if quick else FULL_N
+def run() -> dict[str, int]:
+    n = FIELD_N
     side_a, side_b = join_workload(n)
-
-    # -- scalar vs vectorized, same algorithm --------------------------------
     rows = []
-    speedups: dict[str, float] = {}
     reference: list | None = None
-    for family, scalar_name, vector_name in (
-        ("grid", "grid_scalar", "grid"),
-        ("PBSM", "pbsm_scalar", "pbsm"),
-    ):
-        scalar_pairs, scalar_time, scalar_cmp = timed_join(scalar_name, side_a, side_b)
-        vector_pairs, vector_time, vector_cmp = timed_join(vector_name, side_a, side_b)
-        assert vector_pairs == scalar_pairs, f"{family}: vectorized diverged from scalar"
-        if reference is None:
-            reference = scalar_pairs
-        else:
-            assert scalar_pairs == reference, f"{family} disagrees with grid"
-        speedups[family] = scalar_time / vector_time
-        rows.append([f"{family} scalar", scalar_time, scalar_cmp, len(scalar_pairs), 1.0])
-        rows.append([f"{family} vectorized", vector_time, vector_cmp, len(vector_pairs), speedups[family]])
-
-    emit(
-        f"Scalar vs vectorized joins — |A| = |B| = {n:,}:\n"
-        + format_table(["strategy", "wall s", "comparisons", "pairs", "speedup"], rows)
-        + "\npaper: grids cut preprocessing; kernels cut the Python tax"
-    )
-
-    # -- the full strategy field at a scale everyone can afford --------------
-    field_n = min(n, FIELD_N)
-    field_a, field_b = side_a[:field_n], side_b[:field_n]
-    field_rows = []
-    field_reference: list | None = None
     comparisons: dict[str, int] = {}
     for name in ("sweepline", "pbsm", "tree", "touch", "grid"):
-        pairs, elapsed, cmp_count = timed_join(name, field_a, field_b)
+        pairs, elapsed, cmp_count = timed_join(name, side_a, side_b)
         comparisons[name] = cmp_count
-        if field_reference is None:
-            field_reference = pairs
+        if reference is None:
+            reference = pairs
         else:
-            assert pairs == field_reference, f"{name} disagrees on the field workload"
-        field_rows.append([name, elapsed, cmp_count, len(pairs)])
+            assert pairs == reference, f"{name} disagrees on the field workload"
+        rows.append([name, elapsed, cmp_count, len(pairs)])
     emit(
-        f"Strategy field — |A| = |B| = {field_n:,}:\n"
-        + format_table(["strategy", "wall s", "comparisons", "pairs"], field_rows)
+        f"Strategy field — |A| = |B| = {n:,}:\n"
+        + format_table(["strategy", "wall s", "comparisons", "pairs"], rows)
         + "\npaper: the sweep line prunes by x only; partitioning prunes by space"
     )
     # Sweep-line criticism, in numbers: x-only pruning compares far more.
     assert comparisons["sweepline"] > 3 * comparisons["pbsm"]
-
-    return speedups
-
-
-def test_strategies_agree_at_quick_scale():
-    """Harness smoke: scalar and vectorized variants agree pair-for-pair."""
-    run(quick=True)
+    return comparisons
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI smoke scale (4k per side)")
-    args = parser.parse_args()
-    speedups = run(quick=args.quick)
-    if args.quick:
-        return
-    # The ISSUE 4 acceptance bar, at full scale only: vectorized grid or
-    # PBSM ≥ 3x its scalar baseline at n=100k.
-    best = max(speedups.values())
-    assert best >= 3.0, f"best vectorized speedup {best:.2f}x < 3x ({speedups})"
-    print(
-        "OK: vectorized speedups "
-        + ", ".join(f"{k} {v:.1f}x" for k, v in speedups.items())
-        + " (best >= 3x)"
-    )
+def test_strategies_agree():
+    """Harness smoke: every strategy agrees pair-for-pair."""
+    run()
 
 
 if __name__ == "__main__":
-    main()
+    run()

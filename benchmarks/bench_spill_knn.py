@@ -102,7 +102,7 @@ def run(quick: bool = False):
 
     grid = UniformGrid(universe=UNIVERSE)
     grid.bulk_load(items)
-    engine = BatchQueryEngine.kernel(grid, dedup=False)
+    engine = BatchQueryEngine(grid, dedup=False)
     # The recall oracle: exact ids from the grid's batch kernel (the same
     # (distance, id) contract every exact index answers), paying the
     # one-time snapshot packing before the timed rounds.

@@ -72,7 +72,7 @@ def main() -> None:
     print(f"synapses at eps=0.1: {len(synapses)} "
           f"(first at {tuple(round(c, 1) for c in synapses[0].location) if synapses else '-'})")
 
-    # -- 6. shard the probe side across a fork pool --------------------------
+    # -- 6. shard the probe side across the worker pool ---------------------
     sharded = JoinSession(executor=ShardedJoinExecutor(workers=4, min_shard=512))
     sharded_pairs = sharded.run(SelfJoinSpec(cells))
     assert sharded_pairs == collisions.result()

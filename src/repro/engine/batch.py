@@ -15,16 +15,14 @@ normalization, dedup and accounting, while the indexes own the kernels —
 so future sharding/async layers can wrap the same interface.
 
 Since the :class:`~repro.engine.session.QuerySession` redesign the engine is
-the **kernel layer**, not the public entry point: sessions (and their
-executors) construct engines through :meth:`BatchQueryEngine.kernel`, and
-direct ``BatchQueryEngine(index)`` construction emits a
-``DeprecationWarning`` steering callers to ``QuerySession``.
+the **kernel layer**, not the public entry point: sessions and their
+executors construct one per batch, and application code talks to the
+session.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -108,30 +106,6 @@ class BatchQueryEngine:
     index: SpatialIndex
     dedup: bool = True
     stats: BatchStats = field(default_factory=BatchStats)
-    # Construction provenance, not state: set by .kernel() to mark a
-    # kernel-layer construction that should skip the deprecation nudge.
-    _kernel: InitVar[bool] = False
-
-    def __post_init__(self, _kernel: bool) -> None:
-        if not _kernel:
-            warnings.warn(
-                "Constructing BatchQueryEngine directly is deprecated; create a "
-                "repro.engine.QuerySession instead (the engine remains the "
-                "kernel layer behind its BatchExecutor, reachable via "
-                "BatchQueryEngine.kernel for kernel-level plumbing).",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    @classmethod
-    def kernel(cls, index: SpatialIndex, dedup: bool = True) -> "BatchQueryEngine":
-        """Construct an engine as kernel-layer plumbing (no deprecation nudge).
-
-        Sessions, executors, benchmarks of the kernels themselves and tests
-        of engine internals use this; application code should talk to
-        :class:`~repro.engine.session.QuerySession`.
-        """
-        return cls(index, dedup=dedup, _kernel=True)
 
     # -- range ---------------------------------------------------------------
 

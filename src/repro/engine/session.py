@@ -21,14 +21,16 @@ the sim monitors and joins.  This module unifies them:
     batches and for indexes without vectorized kernels;
   - :class:`BatchExecutor` — wraps the existing
     :class:`~repro.engine.batch.BatchQueryEngine` (the kernel layer);
-  - :class:`ShardedExecutor` — partitions the query array across a
-    ``multiprocessing`` pool of forked workers and merges the per-shard
-    results and :class:`~repro.engine.batch.BatchStats`.
+  - :class:`ShardedExecutor` — partitions the query array across the
+    persistent :class:`~repro.serving.pool.WorkerPool` and merges the
+    per-shard results and :class:`~repro.engine.batch.BatchStats`; a batch
+    the pool cannot take runs in-process through :class:`BatchExecutor`.
 
   The executor is chosen per batch by a small cost heuristic
   (batch size × index capability, see :meth:`QuerySession.choose_executor`)
   that is overridable per session — pin one with ``executor=...`` or supply
-  a ``policy`` callable.
+  a ``policy`` callable.  The heuristic itself never picks the sharded
+  executor.
 
 Every executor answers every batch with the same id sets (range/point) and
 the identical ``(distance, id)`` lists (kNN) — the deterministic ordering
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import sys
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -55,8 +56,7 @@ from repro.engine.batch import BatchQueryEngine, BatchStats
 from repro.exec.budget import MemoryBudget
 from repro.geometry.aabb import AABB, as_box_array, as_point_array
 from repro.indexes.base import KNNResult, SpatialIndex
-from repro.obs import MetricsRegistry, capture_worker, ingest_telemetry
-from repro.obs import propagation_context as _obs_context
+from repro.obs import MetricsRegistry
 from repro.obs import span as _span
 
 _QIDS = itertools.count()
@@ -350,7 +350,7 @@ class BatchExecutor(Executor):
     def run(
         self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
     ) -> tuple[list, BatchStats]:
-        engine = BatchQueryEngine.kernel(index, dedup=dedup)
+        engine = BatchQueryEngine(index, dedup=dedup)
         results = _run_on_engine(engine, batch)
         return results, engine.stats
 
@@ -364,44 +364,6 @@ def _run_on_engine(engine: BatchQueryEngine, batch: QueryBatch) -> list:
         assert batch.k is not None
         return engine.knn(batch.payload, batch.k, accuracy=batch.accuracy)
     raise ValueError(f"unknown batch kind: {batch.kind!r}")
-
-
-# Worker-side view of (index, kind, k, dedup, accuracy, obs_ctx).  Assigned
-# only inside the forked children via the pool initializer — each pool hands
-# its own state object to its own workers, so concurrent sessions/threads in
-# the parent never race on it.
-_SHARD_STATE: tuple | None = None
-
-
-def _init_shard(state: tuple) -> None:
-    global _SHARD_STATE
-    _SHARD_STATE = state
-
-
-def _run_shard(chunk: np.ndarray) -> tuple[list, BatchStats, dict | None]:
-    assert _SHARD_STATE is not None, "shard worker started without state"
-    index, kind, k, dedup, accuracy, obs_ctx = _SHARD_STATE
-    with capture_worker("query_shard", obs_ctx, kind=kind) as cap:
-        engine = BatchQueryEngine.kernel(index, dedup=dedup)
-        results = _run_on_engine(
-            engine, QueryBatch(kind=kind, payload=chunk, k=k, accuracy=accuracy)
-        )
-        cap.set_attr("queries", int(chunk.shape[0]))
-    return results, engine.stats, cap.telemetry
-
-
-def _fork_is_safe() -> bool:
-    """Forking a pool is only sound where fork is the sanctioned model.
-
-    macOS lists ``fork`` as available but its system frameworks are not
-    fork-safe (spawn is the platform default for exactly that reason), so
-    require either Linux or an explicit user-set fork start method.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    return sys.platform.startswith("linux") or (
-        multiprocessing.get_start_method(allow_none=True) == "fork"
-    )
 
 
 def _collapse_duplicates(
@@ -430,20 +392,20 @@ def _collapse_duplicates(
 
 
 class ShardedExecutor(Executor):
-    """Partitions the query array across a pool of worker processes.
+    """Partitions the query array across a persistent worker pool.
 
     The batch engine is stateless over results, so the query axis shards
     trivially: each worker answers a contiguous chunk and ships back
     ``(results, BatchStats)``; the parent concatenates results in
     submission order and merges the stats.
 
-    By default the work runs on a **persistent**
-    :class:`~repro.serving.pool.WorkerPool`: the index crosses the process
-    boundary once, as a shared-memory snapshot, and each flush ships only
-    probe arrays and result ids.  When the index has no shared-memory
-    representation (``export_index_payload`` returns ``None``) — or
-    ``pool=False`` pins the legacy behaviour — the executor forks a fresh
-    ``multiprocessing.Pool`` per run, inheriting the index through fork.
+    The work runs on a :class:`~repro.serving.pool.WorkerPool`: the index
+    crosses the process boundary once, as a shared-memory snapshot, and
+    each flush ships only probe arrays and result ids.  A batch the pool
+    cannot take — the index has no shared-memory representation
+    (``export_index_payload`` returns ``None``), or the pool's
+    infrastructure failed — runs in-process through :class:`BatchExecutor`
+    with the same answers and tallies.
 
     Parameters
     ----------
@@ -452,13 +414,11 @@ class ShardedExecutor(Executor):
     min_shard:
         Smallest worthwhile per-worker chunk; batches smaller than
         ``2 * min_shard`` fall back to single-process :class:`BatchExecutor`
-        execution, as do platforms where no multiprocess path is viable.
+        execution.
     pool:
         ``None`` (default) — route through the process-wide
         :func:`~repro.serving.pool.default_pool`; a
-        :class:`~repro.serving.pool.WorkerPool` — route through that pool;
-        ``False`` — always use the legacy per-flush fork path (the
-        benchmark baseline).
+        :class:`~repro.serving.pool.WorkerPool` — route through that pool.
 
     Notes
     -----
@@ -488,8 +448,6 @@ class ShardedExecutor(Executor):
         self._fallback = BatchExecutor()
 
     def _resolve_pool(self):
-        if self.pool is False:
-            return None
         if self.pool is not None:
             return self.pool
         from repro.serving.pool import default_pool
@@ -506,7 +464,7 @@ class ShardedExecutor(Executor):
         unique, inverse, dropped = _collapse_duplicates(batch, dedup)
         answered = self._run_pooled(index, unique, dedup, export=True)
         if answered is None:
-            answered = self._run_local(index, unique, dedup)
+            answered = self._fallback.run(index, unique, dedup=dedup)
         return self._fan_out(*answered, inverse, dropped)
 
     def run_pooled(
@@ -528,16 +486,14 @@ class ShardedExecutor(Executor):
     def pooled_entry(self, index: SpatialIndex, rows: int, *, export: bool):
         """``(pool, export entry)`` when a ``rows``-row batch on ``index``
         would be answered by the worker pool, else ``None``: the batch
-        shards, a pool is configured, and the index has a shared-memory
-        export.  ``export=False`` only looks — it accepts nothing but a
-        published export that is still fresh.  Publishing one may build the
-        index's lazy snapshot, which is in-process work on the index that a
-        caller outside the session's flush lock must not start."""
+        shards and the index has a shared-memory export.  ``export=False``
+        only looks — it accepts nothing but a published export that is
+        still fresh.  Publishing one may build the index's lazy snapshot,
+        which is in-process work on the index that a caller outside the
+        session's flush lock must not start."""
         if self._shards(rows) < 2:
             return None
         pool = self._resolve_pool()
-        if pool is None:
-            return None
         entry = pool.ensure_index(index) if export else pool.current_index(index)
         return None if entry is None else (pool, entry)
 
@@ -560,38 +516,9 @@ class ShardedExecutor(Executor):
                 accuracy=batch.accuracy,
             )
         except Exception:
-            # Pool-infrastructure failure: the fork/in-process paths
-            # reproduce any genuine query error on the same inputs.
+            # Pool-infrastructure failure: the in-process path reproduces
+            # any genuine query error on the same inputs.
             return None
-
-    def _run_local(
-        self, index: SpatialIndex, batch: QueryBatch, dedup: bool
-    ) -> tuple[list, BatchStats]:
-        """Answer an already-collapsed batch without the worker pool: a
-        per-run fork pool where forking is sound and the batch still
-        shards, else :class:`BatchExecutor`."""
-        shards = self._shards(batch.size)
-        if shards < 2 or not _fork_is_safe():
-            return self._fallback.run(index, batch, dedup=dedup)
-        bounds = np.linspace(0, batch.size, shards + 1).astype(int)
-        chunks = [batch.payload[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-        # The initializer's state rides into each child through fork (no
-        # pickling of the index), and is assigned only worker-side.
-        state = (index, batch.kind, batch.k, dedup, batch.accuracy, _obs_context())
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=shards, initializer=_init_shard, initargs=(state,)) as pool:
-            parts = pool.map(_run_shard, chunks)
-
-        results: list = []
-        stats = BatchStats()
-        for shard_results, shard_stats, telemetry in parts:
-            results.extend(shard_results)
-            stats.merge(shard_stats)
-            ingest_telemetry(telemetry)
-        # The shards executed one logical batch between them.
-        stats.batches = 1
-        return results, stats
 
     @staticmethod
     def _fan_out(

@@ -30,8 +30,8 @@ what :meth:`SpillPBSMJoin.plan_tile_runs` exposes — the
 bundle of picklable :class:`~repro.exec.spill.MappedRun` descriptors to pool
 workers, which map the spill file read-only and run the same
 :func:`merge_run_arrays` the inline path uses (``shard_protocol =
-"tile_runs"``).  The strategy is ``forkable`` because shard workers never
-touch the parent's file descriptors — they open their own read-only mapping.
+"tile_runs"``).  Shard workers never touch the parent's file descriptors —
+they open their own read-only mapping.
 
 When the whole working set fits the budget (or no budget is given) the
 strategy degrades gracefully to a single in-memory run with zero spill
@@ -252,15 +252,10 @@ class SpillPBSMJoin(JoinStrategy):
     """
 
     name = "pbsm_spill"
-    # Shardable — but never by forking the whole strategy into workers: the
-    # tile_runs protocol below partitions in the parent and ships workers
-    # read-only MappedRun descriptors, so no spill file descriptor is ever
-    # shared across processes.
-    forkable = True
     #: The sharded executor's contract: partition in the parent with
     #: :meth:`plan_tile_runs`, merge runs in pool workers via
     #: ``repro.serving.worker.merge_run_task``.  Generic element-range
-    #: sharding (pool or fork) must not be applied to this strategy.
+    #: sharding must not be applied to this strategy.
     shard_protocol = "tile_runs"
 
     def __init__(

@@ -199,7 +199,7 @@ class SpillManager:
         else:
             os.makedirs(dir, exist_ok=True)
         self.dir = dir
-        # A unique file per manager: FilePageStore opens with "w+b", so a
+        # A unique file per manager: MappedPageStore opens with "w+b", so a
         # shared fixed name would let two managers pointed at the same
         # directory truncate each other's live spill file.
         fd, self.path = tempfile.mkstemp(prefix="spill-", suffix=".pages", dir=dir)

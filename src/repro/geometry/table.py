@@ -18,7 +18,7 @@ tables.
 
 **Sequence protocol.**  A table *is* a lazy ``Sequence[Item]`` (``len``,
 iteration, indexing; slices are zero-copy views), so object-mode consumers —
-scalar strategies, user callables, fork shards — run unchanged.
+scalar strategies, user callables, pool shards — run unchanged.
 :meth:`items` is cached and is the originating sequence when there is one;
 otherwise the boxes are rebuilt from the rows on first use, which array
 strategies never trigger.

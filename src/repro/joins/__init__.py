@@ -14,13 +14,14 @@ query side's session design:
   deferred :class:`JoinHandle` results, a size-based planner over the
   strategy registry, pluggable executors
   (:class:`InlineJoinExecutor` / :class:`ShardedJoinExecutor` — the latter
-  partitions the probe side across a fork pool with structural cross-shard
-  dedup), vectorized refinement, shared :class:`JoinStats`.
+  partitions the probe side across the persistent worker pool with
+  structural cross-shard dedup), vectorized refinement, shared
+  :class:`JoinStats`.
 * **Strategies** (:mod:`repro.joins.strategies`) are the algorithms, all
   registered in :data:`JOIN_REGISTRY` and all returning the exact
   nested-loop pair set: ``nested_loop``, ``block_nested``, ``sweepline``,
-  ``grid`` / ``grid_scalar``, ``pbsm`` / ``pbsm_scalar``, ``tree``,
-  ``touch``, ``tiny_cell``.
+  ``grid``, ``pbsm``, ``tree``, ``touch``, ``tiny_cell`` (and the
+  out-of-core ``pbsm_spill``).
 * **Kernels** (:mod:`repro.joins.kernels`,
   :mod:`repro.geometry.refine`) are the NumPy hot paths: blocked all-pairs
   overlap, fully vectorized PBSM tiling, the carried-set STR-tree
@@ -28,9 +29,7 @@ query side's session design:
   and array-wide capsule/box refinement.
 
 :class:`IteratedSelfJoin` maintains a self-join under per-step motion
-(Section 4.1's recompute-vs-incremental trade-off).  The pre-session free
-functions (``nested_loop_join``, ``grid_join``, ``pbsm_join``, ...) remain
-as deprecation shims.
+(Section 4.1's recompute-vs-incremental trade-off).
 """
 
 from repro.joins.spec import (
@@ -58,18 +57,7 @@ from repro.joins.session import (
     ShardedJoinExecutor,
 )
 from repro.joins.iterated import IteratedSelfJoin, PairDelta
-from repro.joins.synapse import SynapseDetector, distance_join
-
-# Deprecated free-function shims.
-from repro.joins._shims import (
-    grid_join,
-    nested_loop_join,
-    nested_loop_self_join,
-    pbsm_join,
-    sweepline_join,
-    tiny_cell_self_join,
-    touch_join,
-)
+from repro.joins.synapse import SynapseDetector
 
 __all__ = [
     # the session architecture
@@ -95,13 +83,4 @@ __all__ = [
     "SynapseDetector",
     "IteratedSelfJoin",
     "PairDelta",
-    # deprecated shims
-    "nested_loop_join",
-    "nested_loop_self_join",
-    "sweepline_join",
-    "pbsm_join",
-    "touch_join",
-    "grid_join",
-    "tiny_cell_self_join",
-    "distance_join",
 ]

@@ -17,9 +17,10 @@ this module is the join counterpart, completing the session architecture:
   :data:`~repro.joins.strategies.JOIN_REGISTRY` interchangeable;
 * **executors** own *where* the filter phase runs:
   :class:`InlineJoinExecutor` in-process,
-  :class:`ShardedJoinExecutor` across worker processes partitioning the
+  :class:`ShardedJoinExecutor` across the worker pool partitioning the
   probe side, with structural (not hash-based) cross-shard deduplication
-  (:func:`~repro.joins.strategies.shard_pairs`);
+  (:func:`~repro.joins.strategies.shard_pairs`), and in-process for what
+  the pool cannot take;
 * **refinement** (the exact-geometry phase of distance and synapse joins)
   runs on the vectorized pair kernels of :mod:`repro.geometry.refine` —
   one array expression over all candidates instead of a Python call per
@@ -49,10 +50,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.engine.session import _fork_is_safe
 from repro.exec.budget import MemoryBudget, pbsm_working_set_bytes
-from repro.obs import MetricsRegistry, capture_worker, ingest_telemetry
-from repro.obs import propagation_context as _obs_context
+from repro.obs import MetricsRegistry
 from repro.obs import span as _span
 from repro.exec.external_join import SpillPBSMJoin, spill_page_size
 from repro.exec.spill import SpillManager
@@ -79,7 +78,6 @@ from repro.joins.strategies import (
     ordered_pairs,
     pair_array,
     pair_columns,
-    shard_pairs,
 )
 
 # -- deferred results ----------------------------------------------------------
@@ -199,64 +197,41 @@ class InlineJoinExecutor(JoinExecutor):
         return strategy.distance_candidates(items_a, items_b, epsilon, counters)
 
 
-# Worker-side view of (strategy, build items, probe items, epsilon, mode,
-# obs_ctx); assigned only inside forked children via the pool initializer,
-# so concurrent sessions in the parent never race on it.
-_JOIN_SHARD_STATE: tuple | None = None
-
-
-def _init_join_shard(state) -> None:
-    global _JOIN_SHARD_STATE
-    _JOIN_SHARD_STATE = state
-
-
-def _run_join_shard(bounds: tuple[int, int]) -> tuple[Pairs, Counters, dict | None]:
-    assert _JOIN_SHARD_STATE is not None, "join shard worker started without state"
-    strategy, items_a, probes, epsilon, mode, obs_ctx = _JOIN_SHARD_STATE
-    counters = Counters()
-    with capture_worker("join_shard", obs_ctx, mode=mode, counters=counters) as cap:
-        pairs = shard_pairs(strategy, mode, items_a, probes, bounds, epsilon, counters)
-        cap.set_attr("pairs", len(pairs))
-    return pairs, counters, cap.telemetry
-
-
 class ShardedJoinExecutor(JoinExecutor):
-    """Partitions the probe side of a join across a fork pool.
+    """Partitions the probe side of a join across a persistent worker pool.
 
-    Each worker inherits the build side through ``fork``, runs the planned
-    strategy over ``(A, probe chunk)``, and ships back its pairs plus the
-    :class:`~repro.instrumentation.counters.Counters` it charged; the parent
-    concatenates pairs and merges counters.  Self (and distance-self) joins
-    are sharded *directly* by the id-prefix rule of
-    :func:`~repro.joins.strategies.shard_pairs`, so cross-shard results need
-    no dedup pass — and the summed comparison count is ~(s+1)/2s of a
+    Both join sides are published once to the
+    :class:`~repro.serving.pool.WorkerPool` as shared-memory ``(eids,
+    boxes)`` tables (the self-join sides in id-sorted order, which the
+    prefix rule requires); each worker runs the planned strategy over
+    ``(A, probe chunk)`` and ships back its pairs plus the
+    :class:`~repro.instrumentation.counters.Counters` it charged, and the
+    parent concatenates pairs and merges counters.  Self (and
+    distance-self) joins are sharded *directly* by the id-prefix rule of
+    :func:`~repro.joins.strategies.shard_pairs`, so cross-shard results
+    need no dedup pass — and the summed comparison count is ~(s+1)/2s of a
     full-set binary expansion instead of 2x the inline self-join.
 
     Remaining structural price: every worker repeats the strategy's build
     phase over its prefix; sharing the build across workers is a ROADMAP
     follow-up.
 
-    By default the shards run on the persistent
-    :class:`~repro.serving.pool.WorkerPool`: both join sides are published
-    once as shared-memory ``(eids, boxes)`` tables (the self-join sides in
-    id-sorted order, which the prefix rule requires) and each flush ships
-    only shard bounds out and pairs back.  Strategies that cannot cross a
-    process boundary by pickle (e.g. a closure-carrying ``CallableJoin``)
-    use the legacy per-flush fork path instead.
+    What the pool cannot take runs in-process, as
+    :class:`InlineJoinExecutor` would run it: jobs smaller than two shards,
+    strategies without a binary form, strategies that cannot cross a
+    process boundary by pickle (e.g. a closure-carrying ``CallableJoin``),
+    and any job whose pool infrastructure failed.
 
     Parameters
     ----------
     workers:
         Pool size (default: CPU count, capped at 8).
     min_shard:
-        Smallest worthwhile probe chunk; smaller jobs (and strategies
-        without a binary form, and platforms with no multiprocess path)
-        fall back to :class:`InlineJoinExecutor`.
+        Smallest worthwhile probe chunk.
     pool:
         ``None`` (default) — the process-wide
         :func:`~repro.serving.pool.default_pool`; a
-        :class:`~repro.serving.pool.WorkerPool` — that pool; ``False`` —
-        always the legacy per-flush fork path (the benchmark baseline).
+        :class:`~repro.serving.pool.WorkerPool` — that pool.
     """
 
     name = "sharded"
@@ -275,8 +250,6 @@ class ShardedJoinExecutor(JoinExecutor):
         self._portable: dict[int, tuple[JoinStrategy, bool]] = {}
 
     def _resolve_pool(self):
-        if self.pool is False:
-            return None
         if self.pool is not None:
             return self.pool
         from repro.serving.pool import default_pool
@@ -286,9 +259,8 @@ class ShardedJoinExecutor(JoinExecutor):
     def _strategy_is_portable(self, strategy: JoinStrategy) -> bool:
         """Can ``strategy`` ride a task message to a pool worker?
 
-        The legacy fork path never pickles the strategy, so closure-carrying
-        strategies worked there; probe once per instance and route the
-        unpicklable ones back through fork.
+        Probed once per instance; closure-carrying strategies cannot, and
+        run in-process instead.
         """
         cached = self._portable.get(id(strategy))
         if cached is not None and cached[0] is strategy:
@@ -363,17 +335,14 @@ class ShardedJoinExecutor(JoinExecutor):
             # and faster than shipping a single resident run anywhere.
             return self._run_inline(mode, strategy, items_a, probes, epsilon, counters)
         try:
-            parts = None
-            pool = self._resolve_pool()
-            if pool is not None:
-                try:
-                    tasks = plan.run_tasks()
-                    parts = pool.run_tile_runs(tasks)
-                    counters.tile_runs_dispatched += len(tasks)
-                except Exception:
-                    # Pool-infrastructure failure: the inline merge below
-                    # reproduces any genuine join error.
-                    parts = None
+            try:
+                tasks = plan.run_tasks()
+                parts = self._resolve_pool().run_tile_runs(tasks)
+                counters.tile_runs_dispatched += len(tasks)
+            except Exception:
+                # Pool-infrastructure failure: the inline merge below
+                # reproduces any genuine join error.
+                parts = None
             if parts is not None:
                 id_arrays = []
                 for ids_a, ids_b, worker_counters in parts:
@@ -402,40 +371,22 @@ class ShardedJoinExecutor(JoinExecutor):
         items_a = BoxTable.of(items_a)
         probes = items_a if mode in ("self", "distance_self") else BoxTable.of(probes)
         # Custom shard protocols come first: the spill join must never take
-        # the generic fork/pool paths (forked children would duplicate the
-        # partition passes; its contract is parent-partition + mapped runs).
+        # the generic element-range path (its contract is parent-partition
+        # + mapped runs).
         if getattr(strategy, "shard_protocol", None) == "tile_runs":
             return self._run_tile_runs(mode, strategy, items_a, probes, epsilon, counters)
         shards = min(self.workers, len(probes) // self.min_shard)
-        use_pool = shards >= 2 and strategy.binary and strategy.forkable
-        if use_pool:
-            pool = self._resolve_pool()
-            if pool is not None and self._strategy_is_portable(strategy):
-                try:
-                    return self._run_pooled(
-                        pool, mode, strategy, items_a, probes, epsilon, counters, shards
-                    )
-                except Exception:
-                    # Pool-infrastructure failure: the fork/inline paths
-                    # below reproduce any genuine join error.
-                    pass
-        if shards < 2 or not strategy.binary or not strategy.forkable or not _fork_is_safe():
-            return self._run_inline(mode, strategy, items_a, probes, epsilon, counters)
-
-        if mode in ("self", "distance_self"):
-            # Direct self-join sharding needs id-contiguous chunks: worker k
-            # joins chunk k against the sorted prefix items[:end_k].
-            items_a = probes = probes.sorted_by_id()
-
-        edges = np.linspace(0, len(probes), shards + 1).astype(int)
-        state = (strategy, items_a, probes, epsilon, mode, _obs_context())
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=shards, initializer=_init_join_shard, initargs=(state,)) as pool:
-            parts = pool.map(_run_join_shard, list(zip(edges[:-1], edges[1:])))
-        for _, shard_counters, telemetry in parts:
-            counters.merge(shard_counters)
-            ingest_telemetry(telemetry)
-        return concat_pairs([part for part, _, _ in parts])
+        if shards >= 2 and strategy.binary and self._strategy_is_portable(strategy):
+            try:
+                pool = self._resolve_pool()
+                return self._run_pooled(
+                    pool, mode, strategy, items_a, probes, epsilon, counters, shards
+                )
+            except Exception:
+                # Pool-infrastructure failure: the inline path below
+                # reproduces any genuine join error.
+                pass
+        return self._run_inline(mode, strategy, items_a, probes, epsilon, counters)
 
     def self_pairs(self, strategy, items, counters):
         return self._run("self", strategy, items, items, 0.0, counters)

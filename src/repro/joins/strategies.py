@@ -28,11 +28,11 @@ scalar strategies and :class:`CallableJoin` return the list their loops
 append to, which :func:`pair_array` — the single adapter, as
 :meth:`BoxTable.of` is for items — converts once.
 
-Scalar baselines (``nested_loop``, ``grid_scalar``, ``pbsm_scalar``,
-``touch``, ``tiny_cell``) keep the per-pair Python loops the paper's cost
-model counts; the vectorized strategies (``block_nested``, ``sweepline``,
-``grid``, ``pbsm``, ``tree``) run the same algorithms on the array kernels
-of :mod:`repro.joins.kernels` and the query engine.  The oracle suite
+The scalar strategies (``nested_loop``, ``touch``, ``tiny_cell``) keep the
+per-pair Python loops the paper's cost model counts; the vectorized
+strategies (``block_nested``, ``sweepline``, ``grid``, ``pbsm``, ``tree``)
+run on the array kernels of :mod:`repro.joins.kernels` and the query
+engine.  The oracle suite
 (``tests/test_join_session.py``) asserts every registry entry agrees with
 the nested loop on every dataset shape.
 """
@@ -109,14 +109,10 @@ class JoinStrategy(ABC):
     name: str = "strategy"
     #: Whether the strategy answers binary (A ⋈ B) joins.
     binary: bool = True
-    #: Whether the strategy is safe to run inside forked shard workers.
-    #: A strategy holding writable process state (e.g. open file
-    #: descriptors forked children would write through) must set False.
-    forkable: bool = True
     #: Custom sharding contract, checked by the sharded executor *before*
-    #: its generic element-range paths.  ``"tile_runs"`` (the spill join)
+    #: its generic element-range path.  ``"tile_runs"`` (the spill join)
     #: means: partition in the parent via ``plan_tile_runs`` and merge the
-    #: resulting mapped runs in pool workers — never fork the strategy
+    #: resulting mapped runs in pool workers — never ship the strategy
     #: wholesale.  ``None`` means generic sharding applies.
     shard_protocol: str | None = None
 
@@ -165,8 +161,8 @@ def shard_pairs(
     epsilon: float,
     counters: Counters,
 ) -> Pairs:
-    """One probe-side shard of a sharded join, as a fork child and a pool
-    worker both run it.  Binary modes join the full build side against the
+    """One probe-side shard of a sharded join, as a pool worker runs it.
+    Binary modes join the full build side against the
     probe chunk.  Self modes (``"self"``, ``"distance_self"``) get the set
     sorted by id: the chunk can only form new pairs with the id-*prefix* ending
     at the chunk, and the shard holding a pair's larger id reports it — every
@@ -336,33 +332,8 @@ class SweeplineJoin(JoinStrategy):
 # -- grid joins ------------------------------------------------------------------
 
 
-class _GridJoinBase(JoinStrategy):
-    """Shared build-the-grid-over-A plumbing for both grid variants."""
-
-    def __init__(self, cell_size: float | None = None) -> None:
-        self.cell_size = cell_size
-
-    def _build(
-        self, table_a: BoxTable, hull: AABB, scratch: Counters, read_only: bool = False
-    ) -> UniformGrid:
-        """The grid over A.  ``read_only`` builds the dense snapshot the
-        batch kernel queries straight from the table's arrays, no bucket
-        dicts underneath; an unlinearizable resolution still gets buckets."""
-        universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
-        grid = None
-        if read_only:
-            from repro.serving.snapshots import SnapshotGridIndex  # repro.serving imports repro.joins
-
-            grid = SnapshotGridIndex.over(table_a.eids, table_a.boxes, universe, self.cell_size)
-        if grid is None:
-            grid = UniformGrid(universe=universe, cell_size=self.cell_size)
-            grid.bulk_load(table_a.items())
-        grid.counters = scratch
-        return grid
-
-
 @register
-class GridJoin(_GridJoinBase):
+class GridJoin(JoinStrategy):
     """The paper's §4.3 direction on the vectorized kernels.
 
     Index A in a uniform grid (one linear pass — the preprocessing the paper
@@ -371,47 +342,33 @@ class GridJoin(_GridJoinBase):
     join rides the grid's vectorized range kernel instead of a per-element
     ``range_query`` loop and its hits never become Python lists.  The grid's
     element tests during the probes are the join's comparisons.  The grid is
-    probed once and discarded, so it is built read-only.
+    probed once and discarded, so it is built read-only: the dense snapshot
+    the batch kernel queries, straight from A's arrays, with no bucket dicts
+    underneath — only an unlinearizable resolution still gets buckets.
     """
 
     name = "grid"
 
+    def __init__(self, cell_size: float | None = None) -> None:
+        self.cell_size = cell_size
+
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
+        from repro.serving.snapshots import SnapshotGridIndex  # repro.serving imports repro.joins
+
         table_a, probes = BoxTable.of(items_a), BoxTable.of(items_b)
-        scratch = Counters()
-        grid = self._build(table_a, _hull(table_a, probes), scratch, read_only=True)
+        hull = _hull(table_a, probes)
+        universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
+        grid = SnapshotGridIndex.over(table_a.eids, table_a.boxes, universe, self.cell_size)
+        if grid is None:
+            grid = UniformGrid(universe=universe, cell_size=self.cell_size)
+            grid.bulk_load(table_a.items())
+        scratch = grid.counters = Counters()
         offsets, ids = grid.batch_range_hits(probes.boxes)
         counters.comparisons += scratch.elem_tests
         counters.cells_probed += scratch.cells_probed
         return pair_columns(ids, np.repeat(probes.eids, np.diff(offsets)))
-
-
-@register
-class GridScalarJoin(_GridJoinBase):
-    """The same grid join, probing with one scalar ``range_query`` per B box.
-
-    The pre-batching shape of the algorithm — kept as the measured baseline
-    the vectorized :class:`GridJoin` is benchmarked against
-    (``benchmarks/bench_joins.py``).
-    """
-
-    name = "grid_scalar"
-
-    def join(self, items_a, items_b, counters):
-        if not items_a or not items_b:
-            return []
-        scratch = Counters()
-        table_a, table_b = BoxTable.of(items_a), BoxTable.of(items_b)
-        grid = self._build(table_a, _hull(table_a, table_b), scratch)
-        pairs: Pairs = []
-        for eid_b, box_b in items_b:
-            for eid_a in grid.range_query(box_b):
-                pairs.append((eid_a, eid_b))
-        counters.comparisons += scratch.elem_tests
-        counters.cells_probed += scratch.cells_probed
-        return pairs
 
 
 # -- PBSM ------------------------------------------------------------------------
@@ -422,18 +379,8 @@ def _default_tiles(n_total: int, dims: int) -> int:
     return max(1, int(round(target_tiles ** (1.0 / dims))))
 
 
-class _PBSMBase(JoinStrategy):
-    def __init__(self, tiles_per_axis: int | None = None) -> None:
-        self.tiles_per_axis = tiles_per_axis
-
-    def _tiles(self, items_a, items_b, dims) -> int:
-        if self.tiles_per_axis is not None:
-            return self.tiles_per_axis
-        return _default_tiles(len(items_a) + len(items_b), dims)
-
-
 @register
-class PBSMJoin(_PBSMBase):
+class PBSMJoin(JoinStrategy):
     """Partition Based Spatial-Merge (Patel & DeWitt, SIGMOD'96), vectorized.
 
     The paper recommends exactly this shape for memory: "An approach based
@@ -447,6 +394,9 @@ class PBSMJoin(_PBSMBase):
 
     name = "pbsm"
 
+    def __init__(self, tiles_per_axis: int | None = None) -> None:
+        self.tiles_per_axis = tiles_per_axis
+
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
@@ -454,69 +404,13 @@ class PBSMJoin(_PBSMBase):
         boxes_a, boxes_b = a.boxes, b.boxes
         hull_lo = np.minimum(boxes_a[:, 0, :].min(axis=0), boxes_b[:, 0, :].min(axis=0))
         hull_hi = np.maximum(boxes_a[:, 1, :].max(axis=0), boxes_b[:, 1, :].max(axis=0))
-        tiles = self._tiles(a, b, a.dims)
+        tiles = self.tiles_per_axis
+        if tiles is None:
+            tiles = _default_tiles(len(a) + len(b), a.dims)
         ai, bi = kernels.pbsm_pairs(
             boxes_a, boxes_b, hull_lo, hull_hi, tiles, counters
         )
         return pair_columns(a.eids[ai], b.eids[bi])
-
-
-@register
-class PBSMScalarJoin(_PBSMBase):
-    """PBSM with dict-of-buckets partitioning and per-pair Python tests.
-
-    The pre-vectorization shape, kept as the measured baseline for
-    :class:`PBSMJoin` (``benchmarks/bench_joins.py``).
-    """
-
-    name = "pbsm_scalar"
-
-    def join(self, items_a, items_b, counters):
-        if not items_a or not items_b:
-            return []
-        hull = _hull(BoxTable.of(items_a), BoxTable.of(items_b))
-        dims = hull.dims
-        tiles_per_axis = self._tiles(items_a, items_b, dims)
-        sides = tuple(max(extent / tiles_per_axis, 1e-12) for extent in hull.extents())
-
-        def tile_window(box: AABB) -> tuple[tuple[int, ...], tuple[int, ...]]:
-            lo, hi = [], []
-            for axis in range(dims):
-                lo_idx = int((box.lo[axis] - hull.lo[axis]) / sides[axis])
-                hi_idx = int((box.hi[axis] - hull.lo[axis]) / sides[axis])
-                lo.append(max(0, min(lo_idx, tiles_per_axis - 1)))
-                hi.append(max(0, min(hi_idx, tiles_per_axis - 1)))
-            return tuple(lo), tuple(hi)
-
-        tiles_a: dict[tuple[int, ...], list[Item]] = {}
-        tiles_b: dict[tuple[int, ...], list[Item]] = {}
-        for tiles, items in ((tiles_a, items_a), (tiles_b, items_b)):
-            for eid, box in items:
-                lo, hi = tile_window(box)
-                for key in _window_keys(lo, hi):
-                    tiles.setdefault(key, []).append((eid, box))
-
-        def owning_tile(overlap: AABB) -> tuple[int, ...]:
-            key = []
-            for axis in range(dims):
-                idx = int((overlap.lo[axis] - hull.lo[axis]) / sides[axis])
-                key.append(max(0, min(idx, tiles_per_axis - 1)))
-            return tuple(key)
-
-        pairs: Pairs = []
-        for key, bucket_a in tiles_a.items():
-            bucket_b = tiles_b.get(key)
-            if not bucket_b:
-                continue
-            for eid_a, box_a in bucket_a:
-                for eid_b, box_b in bucket_b:
-                    counters.comparisons += 1
-                    overlap = box_a.intersection(box_b)
-                    if overlap is None:
-                        continue
-                    if owning_tile(overlap) == key:
-                        pairs.append((eid_a, eid_b))
-        return pairs
 
 
 def _window_keys(lo: tuple[int, ...], hi: tuple[int, ...]):
@@ -758,10 +652,9 @@ class TinyCellJoin(JoinStrategy):
 class CallableJoin(JoinStrategy):
     """Adapts a bare ``(items_a, items_b, counters) -> pairs`` callable.
 
-    Back-compat bridge for the pre-session ``box_join=`` hooks
-    (:meth:`repro.joins.synapse.SynapseDetector.detect` and
-    :func:`repro.joins.synapse.distance_join`); not registered — construct
-    it explicitly.
+    Back-compat bridge for the pre-session ``box_join=`` hook of
+    :meth:`repro.joins.synapse.SynapseDetector.detect`; not registered —
+    construct it explicitly.
     """
 
     name = "callable"

@@ -9,9 +9,7 @@ Since the JoinSession redesign the pipeline lives in the session layer:
 :class:`~repro.joins.spec.SynapseJoinSpec` describes the predicate, the
 planner picks the filter strategy, and refinement runs on the vectorized
 capsule kernel (:func:`repro.geometry.refine.batch_capsule_gaps`).
-:class:`SynapseDetector` remains the convenient application wrapper;
-:func:`distance_join` is a deprecated shim over
-:class:`~repro.joins.spec.DistanceJoinSpec`.
+:class:`SynapseDetector` remains the convenient application wrapper.
 """
 
 from __future__ import annotations
@@ -21,37 +19,14 @@ from typing import Callable, Sequence
 from repro.datasets.neuroscience import NeuronDataset
 from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
-from repro.joins._shims import deprecated_join
 from repro.joins.session import JoinSession
-from repro.joins.spec import DistanceJoinSpec, Synapse, SynapseJoinSpec
+from repro.joins.spec import Synapse, SynapseJoinSpec
 from repro.joins.strategies import CallableJoin, JoinStrategy
 
 # A box-join algorithm: (items_a, items_b, counters) -> id pairs.
 BoxJoin = Callable[[Sequence[Item], Sequence[Item], Counters], list[tuple[int, int]]]
 
-__all__ = ["BoxJoin", "Synapse", "SynapseDetector", "distance_join"]
-
-
-def distance_join(
-    items_a: Sequence[Item],
-    items_b: Sequence[Item],
-    epsilon: float,
-    refine: Callable[[int, int], bool],
-    box_join: BoxJoin | None = None,
-    counters: Counters | None = None,
-) -> list[tuple[int, int]]:
-    """Deprecated shim: pairs within ``epsilon``, via expand-filter-refine.
-
-    Submit a :class:`~repro.joins.spec.DistanceJoinSpec` through
-    :class:`~repro.joins.JoinSession` instead.  A supplied ``box_join``
-    callable still runs the filter, wrapped as a
-    :class:`~repro.joins.strategies.CallableJoin`.
-    """
-    deprecated_join("distance_join", "pbsm")
-    session = JoinSession(counters=counters)
-    strategy: JoinStrategy | None = CallableJoin(box_join) if box_join is not None else "pbsm"  # type: ignore[assignment]
-    spec = DistanceJoinSpec(items_a, items_b, epsilon, refine)
-    return session.run(spec, strategy=strategy)
+__all__ = ["BoxJoin", "Synapse", "SynapseDetector"]
 
 
 class SynapseDetector:

@@ -182,7 +182,7 @@ class Tracer:
             self._spans.append(span)
 
     def ingest(self, spans: Iterator[Mapping[str, Any]] | list) -> None:
-        """Adopt spans recorded elsewhere (pool workers, forked shards)."""
+        """Adopt spans recorded elsewhere (pool workers)."""
         decoded = [
             span if isinstance(span, Span) else Span.from_dict(span)
             for span in spans

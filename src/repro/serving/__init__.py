@@ -10,9 +10,9 @@ adds the two missing pieces:
   whose workers attach index snapshots through
   ``multiprocessing.shared_memory``.  A snapshot is exported exactly once
   per (index, pool); after that, only probe arrays and result id arrays
-  cross process boundaries.  ``ShardedExecutor`` and
-  ``ShardedJoinExecutor`` route through it instead of forking a fresh pool
-  per flush.
+  cross process boundaries.  It is the only place the library starts
+  processes: ``ShardedExecutor`` and ``ShardedJoinExecutor`` route through
+  it, and run in-process whatever it cannot take.
 * :class:`~repro.serving.async_executor.AsyncExecutor` — an event-loop
   flush policy over one :class:`~repro.engine.QuerySession` or
   :class:`~repro.joins.session.JoinSession`: batch under load, flush on

@@ -1,13 +1,12 @@
 """The long-lived worker pool behind the sharded executors.
 
-Before this module, ``ShardedExecutor``/``ShardedJoinExecutor`` forked a
-fresh ``multiprocessing.Pool`` on *every flush*: each flush paid pool
-start-up plus a full copy-on-write (or re-pickle) of the index.  A
-:class:`WorkerPool` amortizes both: its ``ProcessPoolExecutor`` workers
-persist across flushes, and the index crosses the process boundary **once**
-per (index, pool) as a shared-memory snapshot
-(:mod:`repro.serving.snapshots`).  Steady-state flushes ship probe arrays
-out and result arrays back — nothing else.
+A :class:`WorkerPool` is the one place this package starts processes: its
+``ProcessPoolExecutor`` workers persist across flushes, so no flush pays
+process start-up, and the index crosses the process boundary **once** per
+(index, pool) as a shared-memory snapshot (:mod:`repro.serving.snapshots`).
+Steady-state flushes ship probe arrays out and result arrays back — nothing
+else.  ``ShardedExecutor``/``ShardedJoinExecutor`` run what the pool cannot
+take in-process.
 
 Registration is keyed by object identity with a mutation fingerprint: when
 an index mutates, the next flush re-exports a fresh snapshot (and retires
@@ -26,6 +25,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -44,6 +44,20 @@ from repro.serving.shm import SegmentGroup
 from repro.serving.snapshots import export_index_payload, index_fingerprint
 
 _TOKENS = itertools.count()
+
+
+def _fork_is_safe() -> bool:
+    """Forking workers is only sound where fork is the sanctioned model.
+
+    macOS lists ``fork`` as available but its system frameworks are not
+    fork-safe (spawn is the platform default for exactly that reason), so
+    require either Linux or an explicit user-set fork start method.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return False
+    return sys.platform.startswith("linux") or (
+        multiprocessing.get_start_method(allow_none=True) == "fork"
+    )
 
 
 @dataclass(slots=True)
@@ -68,16 +82,13 @@ class WorkerPool:
         Worker count (default: CPU count, capped at 8).
     context:
         ``multiprocessing`` start-method name; default ``"fork"`` where
-        :func:`~repro.engine.session._fork_is_safe` allows it, else
-        ``"spawn"``.  Unlike the legacy per-flush fork path, spawn is
-        serviceable here: workers start once and never pickle an index.
+        :func:`_fork_is_safe` allows it, else ``"spawn"``.  Spawn is
+        serviceable: workers start once and never pickle an index.
 
     Thread-safe: concurrent sessions may register and run through one pool.
     """
 
     def __init__(self, workers: int | None = None, context: str | None = None) -> None:
-        from repro.engine.session import _fork_is_safe
-
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         cpus = multiprocessing.cpu_count()

@@ -192,7 +192,7 @@ def query_shard_task(
         entry = _entry_for(token, meta)
         if entry.index is None:
             entry.index = build_worker_index(kind, entry.attached.arrays, scalars)
-        engine = BatchQueryEngine.kernel(entry.index, dedup=dedup)
+        engine = BatchQueryEngine(entry.index, dedup=dedup)
         results = _run_on_engine(
             engine, QueryBatch(kind=batch_kind, payload=chunk, k=k, accuracy=accuracy)
         )
@@ -219,9 +219,9 @@ def join_shard_task(
     epsilon: float,
     obs_ctx: tuple[str, str] | None = None,
 ):
-    """Join the build side against one probe chunk — the same
-    :func:`~repro.joins.strategies.shard_pairs` the fork path runs, over the
-    (id-sorted, for self modes) shared-memory tables."""
+    """Join the build side against one probe chunk with
+    :func:`~repro.joins.strategies.shard_pairs`, over the (id-sorted, for
+    self modes) shared-memory tables."""
     from repro.joins.strategies import shard_pairs
 
     counters = Counters()

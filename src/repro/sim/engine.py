@@ -177,18 +177,3 @@ class TimeSteppedSimulation:
     def state(self) -> dict[int, AABB]:
         """The engine's authoritative id → box state."""
         return dict(self._state)
-
-    @property
-    def query_engine(self) -> QuerySession:
-        """Deprecated alias from the PR 1 API: the simulation now owns a
-        :class:`~repro.engine.QuerySession` (same ``range_query`` / ``knn``
-        / ``point_query`` surface)."""
-        import warnings
-
-        warnings.warn(
-            "TimeSteppedSimulation.query_engine is deprecated; use .session "
-            "(a QuerySession with the same query methods).",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.session

@@ -5,16 +5,15 @@ simulation down without changing the accounting); what makes this a "disk" is
 that every read and write is charged to a :class:`Counters` object, which the
 :class:`~repro.instrumentation.costmodel.DiskCostModel` then prices.
 
-:class:`FilePageStore` is the other half: the same page protocol and the same
-accounting, but payloads are byte blobs persisted in one real file, so evicted
-data genuinely leaves main memory.  It is the substrate the out-of-core
-subsystem (:mod:`repro.exec.spill`) writes tile and partition arrays through.
-
-:class:`MappedPageStore` completes the read side: the same file, but reads
-can come back as **zero-copy NumPy views** over an ``mmap`` of the backing
-file.  Writers still go through the slot protocol (plain file writes — the
-kernel's unified page cache keeps the mapping coherent), so one store serves
-any number of readers, in this process or another, without a copy per read.
+:class:`MappedPageStore` is the other half: the same page protocol and the
+same accounting, but payloads are byte blobs persisted in one real file, so
+evicted data genuinely leaves main memory, and reads can come back as
+**zero-copy NumPy views** over an ``mmap`` of that file.  Writers go through
+the slot protocol (plain file writes — the kernel's unified page cache keeps
+the mapping coherent), so one store serves any number of readers, in this
+process or another, without a copy per read.  It is the substrate the
+out-of-core subsystem (:mod:`repro.exec.spill`) writes tile and partition
+arrays through, and the page file of the mapped ``DiskRTree``.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ class PageStore:
         return list(self._pages)
 
 
-class FilePageStore(PageStore):
-    """Fixed-size pages persisted in one real file on disk.
+class MappedPageStore(PageStore):
+    """Fixed-size pages persisted in one real file, readable as mmap views.
 
     The page protocol (allocate / read / write / free) and the transfer
     accounting are identical to :class:`PageStore`; the difference is that
@@ -103,6 +102,26 @@ class FilePageStore(PageStore):
     grows.  The :class:`~repro.storage.buffer_pool.BufferPool` composes with
     it unchanged — that pairing is what :class:`repro.exec.spill.SpillManager`
     builds on.
+
+    Besides the copying :meth:`read`, the read side offers :meth:`read_view`
+    / :meth:`run_view`, which return NumPy arrays backed directly by an
+    ``mmap`` of the file: no page buffer, no ``bytes`` copy, no per-read
+    allocation.  File writes and the read-only mapping stay coherent through
+    the kernel's unified page cache, so a view taken before a later write to
+    a *different* page never moves or staled (views of pages the caller then
+    overwrites are the caller's hazard, exactly like any shared-memory
+    protocol).
+
+    Growth is handled by remapping: when the file has grown past the mapped
+    length, a larger mapping is created and the old one is *retired, not
+    closed* — NumPy views exported from it keep their buffer alive, and the
+    underlying file regions never move.  ``close()`` releases whatever can
+    be released and leaves the rest to garbage collection.
+
+    Views served before any page exists, or of freed pages, raise exactly
+    like :meth:`read`.  Every view charges ``pages_read`` (transfer
+    accounting is uniform with the copying reads) plus the zero-copy
+    telemetry: ``zero_copy_reads`` and ``mapped_bytes``.
     """
 
     def __init__(
@@ -115,6 +134,10 @@ class FilePageStore(PageStore):
         self._free_slots: list[int] = []
         self._slots = 0
         self.closed = False
+        self._map: mmap.mmap | None = None
+        self._mapped_slots = 0
+        self._retired_maps: list[mmap.mmap] = []
+        self._unflushed = False
 
     def __len__(self) -> int:
         return len(self._lengths)
@@ -178,68 +201,6 @@ class FilePageStore(PageStore):
             return 0.0
         return len(self._free_slots) / self._slots
 
-    def close(self, *, unlink: bool = True) -> None:
-        """Close (and by default remove) the backing file.  Idempotent."""
-        if self.closed:
-            return
-        self.closed = True
-        self._file.close()
-        if unlink and os.path.exists(self.path):
-            os.remove(self.path)
-
-    # -- internals ------------------------------------------------------------
-
-    def _write_at(self, page_id: int, payload: bytes) -> None:
-        if len(payload) > self.page_size:
-            raise ValueError(
-                f"payload of {len(payload)} bytes exceeds page size {self.page_size}"
-            )
-        self._file.seek(page_id * self.page_size)
-        self._file.write(payload)
-        self._lengths[page_id] = len(payload)
-
-    def _read_at(self, page_id: int) -> bytes:
-        length = self._lengths[page_id]
-        if length == 0:
-            return b""
-        self._file.seek(page_id * self.page_size)
-        return self._file.read(length)
-
-
-class MappedPageStore(FilePageStore):
-    """A :class:`FilePageStore` whose reads can be zero-copy mmap views.
-
-    The write side is unchanged — the slot protocol appends/overwrites byte
-    blobs through the file descriptor — but the read side adds
-    :meth:`read_view` / :meth:`run_view`, which return NumPy arrays backed
-    directly by an ``mmap`` of the file: no page buffer, no ``bytes`` copy,
-    no per-read allocation.  File writes and the read-only mapping stay
-    coherent through the kernel's unified page cache, so a view taken before
-    a later write to a *different* page never moves or staled (views of
-    pages the caller then overwrites are the caller's hazard, exactly like
-    any shared-memory protocol).
-
-    Growth is handled by remapping: when the file has grown past the mapped
-    length, a larger mapping is created and the old one is *retired, not
-    closed* — NumPy views exported from it keep their buffer alive, and the
-    underlying file regions never move.  ``close()`` releases whatever can
-    be released and leaves the rest to garbage collection.
-
-    Views served before any page exists, or of freed pages, raise exactly
-    like :meth:`read`.  Every view charges ``pages_read`` (transfer
-    accounting is uniform with the copying stores) plus the zero-copy
-    telemetry: ``zero_copy_reads`` and ``mapped_bytes``.
-    """
-
-    def __init__(
-        self, path: str, page_size: int = 1 << 20, counters: Counters | None = None
-    ) -> None:
-        super().__init__(path, page_size=page_size, counters=counters)
-        self._map: mmap.mmap | None = None
-        self._mapped_slots = 0
-        self._retired_maps: list[mmap.mmap] = []
-        self._unflushed = False
-
     # -- zero-copy reads ------------------------------------------------------
 
     def read_view(self, page_id: int) -> np.ndarray:
@@ -291,6 +252,7 @@ class MappedPageStore(FilePageStore):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, *, unlink: bool = True) -> None:
+        """Close (and by default remove) the backing file.  Idempotent."""
         if self.closed:
             return
         for mapping in (*self._retired_maps, *([self._map] if self._map else [])):
@@ -301,13 +263,29 @@ class MappedPageStore(FilePageStore):
         self._retired_maps.clear()
         self._map = None
         self._mapped_slots = 0
-        super().close(unlink=unlink)
+        self.closed = True
+        self._file.close()
+        if unlink and os.path.exists(self.path):
+            os.remove(self.path)
 
     # -- internals ------------------------------------------------------------
 
     def _write_at(self, page_id: int, payload: bytes) -> None:
-        super()._write_at(page_id, payload)
+        if len(payload) > self.page_size:
+            raise ValueError(
+                f"payload of {len(payload)} bytes exceeds page size {self.page_size}"
+            )
+        self._file.seek(page_id * self.page_size)
+        self._file.write(payload)
+        self._lengths[page_id] = len(payload)
         self._unflushed = True
+
+    def _read_at(self, page_id: int) -> bytes:
+        length = self._lengths[page_id]
+        if length == 0:
+            return b""
+        self._file.seek(page_id * self.page_size)
+        return self._file.read(length)
 
     def _ensure_mapped(self, slots_needed: int) -> mmap.mmap:
         self.sync()

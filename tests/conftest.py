@@ -135,6 +135,17 @@ def queries_3d():
     return make_queries(12, seed=11)
 
 
+@pytest.fixture(scope="module")
+def closed_pool():
+    """A ``WorkerPool`` whose infrastructure is gone: every job offered to
+    it raises, so a sharded executor over it must answer in-process."""
+    from repro.serving.pool import WorkerPool
+
+    pool = WorkerPool(workers=2)
+    pool.close()
+    return pool
+
+
 def overlay_cells(snap) -> dict[int, list[tuple[int, int]]]:
     """A grid snapshot's overlay entry columns regrouped as cell key ->
     ``(overlay row, first mask)`` entries in append order: the dict the

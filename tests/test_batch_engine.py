@@ -183,7 +183,7 @@ class TestBatchQueryEngine:
     def test_range_dedup_fans_results_back_out(self):
         index, oracle = self._setup()
         query = make_queries(1, seed=12)[0]
-        engine = BatchQueryEngine.kernel(index)
+        engine = BatchQueryEngine(index)
         results = engine.range_query([query] * 7)
         assert engine.stats.deduplicated == 6
         assert engine.stats.queries == 7
@@ -195,7 +195,7 @@ class TestBatchQueryEngine:
 
     def test_dedup_disabled(self):
         index, _ = self._setup()
-        engine = BatchQueryEngine.kernel(index, dedup=False)
+        engine = BatchQueryEngine(index, dedup=False)
         engine.range_query(make_queries(3, seed=13) * 2)
         assert engine.stats.deduplicated == 0
         assert engine.stats.queries == 6
@@ -203,20 +203,20 @@ class TestBatchQueryEngine:
     def test_point_query_is_containment(self):
         index, oracle = self._setup()
         points = np.array([[50.0, 50.0, 50.0], [1.0, 2.0, 3.0], [99.0, 99.0, 99.0]])
-        got = BatchQueryEngine.kernel(index).point_query(points)
+        got = BatchQueryEngine(index).point_query(points)
         for answer, point in zip(got, points):
             assert sorted(answer) == sorted(oracle.range_query(AABB.from_point(point)))
 
     def test_knn_matches_oracle(self):
         index, oracle = self._setup()
         points = np.array([[10.0, 20.0, 30.0], [10.0, 20.0, 30.0], [80.0, 10.0, 40.0]])
-        got = BatchQueryEngine.kernel(index).knn(points, 5)
+        got = BatchQueryEngine(index).knn(points, 5)
         for answer, point in zip(got, points):
             assert knn_pairs(answer) == knn_pairs(oracle.knn(tuple(point), 5))
 
     def test_empty_batches(self):
         index, _ = self._setup(50)
-        engine = BatchQueryEngine.kernel(index)
+        engine = BatchQueryEngine(index)
         assert engine.range_query([]) == []
         assert engine.knn([], 4) == []
         assert engine.point_query([]) == []

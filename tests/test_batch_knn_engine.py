@@ -237,7 +237,7 @@ class TestEngineAndMonitorWiring:
         index.bulk_load(items)
         oracle = LinearScan()
         oracle.bulk_load(items)
-        engine = BatchQueryEngine.kernel(index)
+        engine = BatchQueryEngine(index)
         point = (33.0, 44.0, 55.0)
         results = engine.knn([point] * 5, 6)
         assert engine.stats.deduplicated == 4
@@ -254,7 +254,7 @@ class TestEngineAndMonitorWiring:
         looped = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
         batched = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
         looped.observe(index, step=0)
-        batched.observe_batch(BatchQueryEngine.kernel(index), step=0)
+        batched.observe_batch(BatchQueryEngine(index), step=0)
         assert looped.nearest_ids == batched.nearest_ids
         assert np.allclose(looped.kth_distances, batched.kth_distances)
 

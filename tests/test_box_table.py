@@ -5,9 +5,10 @@
 * hostile input through :class:`JoinSession`: one ``ValueError`` wording per
   cause for every registry strategy, refused before any spill file or pool
   export exists, with the session usable afterwards;
-* identity: every strategy × spec kind × executor answers a spec over Item
-  lists and a spec over ``BoxTable.from_arrays`` with the same list and the
-  same :class:`JoinStats` numbers;
+* identity: every strategy × spec kind × executor (inline, pooled, and a
+  failed pool answering in-process) answers a spec over Item lists and a
+  spec over ``BoxTable.from_arrays`` with the same list and the same
+  :class:`JoinStats` numbers;
 * the spill join's traffic against values frozen at the pre-table commit;
 * spies: one pack per side per run, none on a re-run, no per-item ``AABB``
   inside the array strategies;
@@ -283,11 +284,15 @@ class TestListAndTableInputAgree:
             specs["distance_pair"] = DistanceJoinSpec(wrap(self.A), wrap(self.B), 0.4)
         return specs
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["inline", "sharded"])
+    @pytest.mark.parametrize("where", ["inline", "sharded", "fallback"])
     @pytest.mark.parametrize("name", STRATEGIES)
-    def test_identical_lists_and_stats(self, name, sharded, pool):
+    def test_identical_lists_and_stats(self, name, where, pool, closed_pool):
         def executor():
-            return ShardedJoinExecutor(workers=2, min_shard=60, pool=pool) if sharded else None
+            if where == "inline":
+                return None
+            return ShardedJoinExecutor(
+                workers=2, min_shard=60, pool=pool if where == "sharded" else closed_pool
+            )
 
         with JoinSession(strategy="nested_loop") as oracle:
             expected = {kind: oracle.run(spec) for kind, spec in self._specs(name, False).items()}

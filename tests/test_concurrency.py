@@ -9,9 +9,10 @@ once and check the books afterwards.  The serving-tier stress at the end
 does the same for the async front door: frame clients, bulk clients whose
 arrays flush on their own (ISSUE 18) and the worker pool, all at once.
 
-``_fork_is_safe`` — the predicate gating every process-pool path — gets
-direct unit coverage here for both platform branches (Linux/fork sanctioned,
-macOS/spawn refused unless fork is explicitly configured).
+``_fork_is_safe`` — the predicate behind ``WorkerPool``'s fork-or-spawn
+choice — gets direct unit coverage here for both platform branches
+(Linux/fork sanctioned, macOS/spawn refused unless fork is explicitly
+configured), and the pool is held to the choice it makes.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from repro import (
     WorkerPool,
     shutdown_default_pool,
 )
-from repro.engine.session import _fork_is_safe
 from repro.indexes.linear_scan import LinearScan
+from repro.serving.pool import _fork_is_safe
 from repro.serving.shm import live_segment_names
 
 pytestmark = pytest.mark.serving
@@ -316,3 +317,10 @@ class TestForkIsSafe:
             multiprocessing, "get_start_method", lambda allow_none=False: "fork"
         )
         assert _fork_is_safe() is True
+
+    @pytest.mark.parametrize("safe, context", [(True, "fork"), (False, "spawn")])
+    def test_worker_pool_starts_as_the_predicate_says(self, monkeypatch, safe, context):
+        monkeypatch.setattr("repro.serving.pool._fork_is_safe", lambda: safe)
+        assert WorkerPool(workers=1)._context == context
+        # An explicit start method wins over the predicate.
+        assert WorkerPool(workers=1, context="forkserver")._context == "forkserver"

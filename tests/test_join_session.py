@@ -3,7 +3,8 @@
 The contract under test: **every** strategy in ``JOIN_REGISTRY`` returns the
 exact nested-loop pair set — for binary joins, self joins and distance
 candidates — over every dataset shape (uniform, clustered, degenerate
-points, all-overlapping boxes, empty inputs).  On top of that, the session
+points, all-overlapping boxes, empty inputs), and so does ``GridJoin``'s
+bucket-grid fallback for unlinearizable resolutions.  On top of that, the session
 layer: planner routing, deferred handles, per-spec strategy pinning, error
 containment, the sharded executor's structural cross-shard dedup, and the
 JoinStats/telemetry feed.
@@ -36,6 +37,7 @@ from repro.joins import (
 from repro.analysis import join_report, session_report
 from repro.joins.session import pair_list
 from repro.joins.strategies import NestedLoopJoin
+from repro.serving.snapshots import SnapshotGridIndex
 
 from conftest import UNIVERSE_3D
 
@@ -145,10 +147,66 @@ class TestStrategyOracle:
         b = _uniform(300, 10, offset=10_000)
         nested = Counters()
         ORACLE.join(a, b, nested)
-        for name in ("pbsm", "pbsm_scalar", "grid", "tree"):
+        for name in ("pbsm", "grid", "tree"):
             counters = Counters()
             make_join_strategy(name).join(a, b, counters)
             assert counters.comparisons < nested.comparisons / 5, name
+
+
+class TestGridJoinBucketGrid:
+    """``GridJoin`` over the bucket :class:`UniformGrid` — the path it takes
+    when the read-only snapshot cannot linearize the resolution — against the
+    nested loop on every dataset shape."""
+
+    @pytest.fixture(autouse=True)
+    def snapshot_requests(self, monkeypatch):
+        """Every snapshot request answers "unlinearizable"; the list records them."""
+        requests = []
+
+        def unlinearizable(cls, eids, boxes, universe, cell_size=None):
+            requests.append(len(eids))
+            return None
+
+        monkeypatch.setattr(SnapshotGridIndex, "over", classmethod(unlinearizable))
+        return requests
+
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_binary_matches_nested_loop(self, dataset, snapshot_requests):
+        a, b = DATASETS[dataset]
+        expected = sorted(ORACLE.join(a, b, Counters()))
+        assert pair_list(make_join_strategy("grid").join(a, b, Counters())) == expected
+        assert snapshot_requests == [len(a)]
+
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_self_matches_nested_loop(self, dataset, snapshot_requests):
+        items, _ = DATASETS[dataset]
+        expected = sorted(ORACLE.self_join(items, Counters()))
+        assert pair_list(make_join_strategy("grid").self_join(items, Counters())) == expected
+        assert snapshot_requests == [len(items)]
+
+    def test_empty_inputs(self, snapshot_requests):
+        strategy = make_join_strategy("grid")
+        a, _ = DATASETS["uniform"]
+        assert strategy.join([], a, Counters()) == []
+        assert strategy.join(a, [], Counters()) == []
+        assert pair_list(strategy.self_join([(1, AABB((0, 0, 0), (1, 1, 1)))], Counters())) == []
+        assert snapshot_requests == [1]  # only the one-box self join builds a grid
+
+    def test_distance_candidates_equal_the_nested_loop_filter(self, snapshot_requests):
+        a, b = DATASETS["uniform"]
+        epsilon = 2.0
+        expected = sorted(ORACLE.distance_candidates(a, b, epsilon, Counters()))
+        got = make_join_strategy("grid").distance_candidates(a, b, epsilon, Counters())
+        assert expected and pair_list(got) == expected
+        assert snapshot_requests == [len(a)]
+
+    def test_cuts_comparisons(self, snapshot_requests):
+        a, b = _uniform(300, 9), _uniform(300, 10, offset=10_000)
+        nested, counters = Counters(), Counters()
+        ORACLE.join(a, b, nested)
+        make_join_strategy("grid").join(a, b, counters)
+        assert 0 < counters.comparisons < nested.comparisons / 5
+        assert counters.cells_probed > 0 and snapshot_requests == [len(a)]
 
 
 class TestJoinSession:

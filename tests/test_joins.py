@@ -1,10 +1,9 @@
-"""Legacy join surface: property tests and the deprecation shims.
+"""Join strategy classes: property tests against the nested-loop oracle.
 
 The deep oracle suite for the subsystem lives in ``test_join_session.py``;
 this file keeps the original property coverage running against the strategy
-classes (random-seed hypothesis sweeps, the tiny-cell shortcut, comparison
-budgets) and pins that every pre-session free function still answers
-correctly — through a ``DeprecationWarning``.
+classes directly: random-seed hypothesis sweeps, the tiny-cell shortcut and
+comparison budgets.
 """
 
 import numpy as np
@@ -14,15 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets.points import clustered_boxes, uniform_boxes
 from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
-from repro.joins import (
-    grid_join,
-    nested_loop_join,
-    nested_loop_self_join,
-    pbsm_join,
-    sweepline_join,
-    tiny_cell_self_join,
-    touch_join,
-)
 from repro.joins.session import pair_list
 from repro.joins.strategies import (
     GridJoin,
@@ -117,56 +107,3 @@ class TestSelfJoins:
         items = uniform_boxes(100, UNIVERSE_3D, 1.0, 4.0, seed=11)
         got = TinyCellJoin(cell_size=2.0).self_join(items, Counters())
         assert sorted(got) == sorted(ORACLE.self_join(items, Counters()))
-
-
-class TestDeprecatedShims:
-    """Every pre-session free function warns and still answers exactly."""
-
-    def test_binary_shims_warn_and_match(self):
-        a, b = _datasets(n_a=60, n_b=50)
-        expected = sorted(ORACLE.join(a, b, Counters()))
-        for shim in (nested_loop_join, sweepline_join, pbsm_join, touch_join, grid_join):
-            with pytest.deprecated_call():
-                got = shim(a, b)
-            assert sorted(got) == expected, shim.__name__
-
-    def test_self_shims_warn_and_match(self):
-        items = uniform_boxes(80, UNIVERSE_3D, 1.0, 6.0, seed=12)
-        expected = sorted(ORACLE.self_join(items, Counters()))
-        with pytest.deprecated_call():
-            assert sorted(nested_loop_self_join(items)) == expected
-        with pytest.deprecated_call():
-            assert sorted(tiny_cell_self_join(items)) == expected
-
-    def test_distance_join_shim(self):
-        from repro.joins import distance_join
-
-        a = uniform_boxes(60, UNIVERSE_3D, 0.5, 2.0, seed=12)
-        b = [(eid + 10_000, box) for eid, box in uniform_boxes(60, UNIVERSE_3D, 0.5, 2.0, seed=13)]
-        boxes = dict(a) | dict(b)
-
-        def refine(eid_a, eid_b):
-            return boxes[eid_a].min_distance_to_box(boxes[eid_b]) <= 3.0
-
-        with pytest.deprecated_call():
-            got = sorted(distance_join(a, b, epsilon=3.0, refine=refine))
-        expected = sorted(
-            (ea, eb)
-            for ea, ba in a
-            for eb, bb in b
-            if ba.min_distance_to_box(bb) <= 3.0
-        )
-        assert got == expected
-
-    def test_distance_join_shim_rejects_negative_epsilon(self):
-        from repro.joins import distance_join
-
-        with pytest.raises(ValueError), pytest.deprecated_call():
-            distance_join([], [], epsilon=-1.0, refine=lambda a, b: True)
-
-    def test_shims_count_comparisons(self):
-        a, b = _datasets(n_a=80, n_b=80)
-        counters = Counters()
-        with pytest.deprecated_call():
-            pbsm_join(a, b, counters=counters)
-        assert counters.comparisons > 0

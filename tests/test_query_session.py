@@ -100,7 +100,7 @@ class TestQueryValues:
         index = build_index("uniform_grid")
         index.bulk_load(items)
         points = np.array([[10.0, 10.0, 10.0], [50.0, 50.0, 50.0]])
-        engine = BatchQueryEngine.kernel(index)
+        engine = BatchQueryEngine(index)
         session = QuerySession(index)
         assert session.knn(points, 0) == engine.knn(points, 0) == [[], []]
         assert session.submit(KNNQuery((10.0, 10.0, 10.0), k=0)).result() == []
@@ -525,19 +525,6 @@ class TestPublicApi:
         with pytest.raises(KeyError):
             make_index("no-such-index")
 
-    def test_direct_engine_construction_warns(self, loaded):
-        items, _ = loaded
-        grid = build_index("uniform_grid")
-        grid.bulk_load(items)
-        with pytest.warns(DeprecationWarning):
-            BatchQueryEngine(grid)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            BatchQueryEngine.kernel(grid)  # the kernel layer stays silent
-            QuerySession(grid).range_query(make_queries(8, seed=43))
-
 
 class TestSessionMatchesKernelEngine:
     """The acceptance bar: session answers are byte-identical to the raw
@@ -556,7 +543,7 @@ class TestSessionMatchesKernelEngine:
             axis=1,
         )
         points = queries[:, 0, :]
-        engine = BatchQueryEngine.kernel(index)
+        engine = BatchQueryEngine(index)
         session = QuerySession(index)
         assert session.range_query(queries) == engine.range_query(queries)
         assert session.knn(points, 5) == engine.knn(points, 5)

@@ -449,20 +449,32 @@ class TestPairPlane:
         assert all(answers.values())
         return answers
 
-    @pytest.mark.parametrize("where", ["inline", "fork", "pool"])
+    @pytest.mark.parametrize("where", ["inline", "pool", "fallback"])
     @pytest.mark.parametrize("name", sorted(JOIN_REGISTRY))
-    def test_every_strategy_kind_and_executor_equals_the_oracle(self, name, where, oracle, pool):
+    def test_every_strategy_kind_and_executor_equals_the_oracle(
+        self, name, where, oracle, pool, closed_pool
+    ):
         executor = {
             "inline": lambda: None,
-            "fork": lambda: ShardedJoinExecutor(workers=2, min_shard=50, pool=False),
             "pool": lambda: ShardedJoinExecutor(workers=2, min_shard=50, pool=pool),
+            "fallback": lambda: ShardedJoinExecutor(workers=2, min_shard=50, pool=closed_pool),
         }[where]
+
+        def tallies(session):
+            stats = session.stats
+            return session.counters, (stats.candidates, stats.pairs, stats.comparisons, stats.refined)
+
         for kind, spec in self.specs(name).items():
             with JoinSession(strategy=name, executor=executor()) as session:
                 result = session.run(spec)
                 assert result == oracle[kind], (name, kind, where)
                 assert_plain_pairs(result)
                 assert session.stats.pairs == len(result) <= session.stats.candidates
+            if where == "fallback":  # answered in-process: the inline run's tallies too
+                with JoinSession(strategy=name) as inline:
+                    inline.run(spec)
+                assert tallies(session) == tallies(inline), (name, kind)
+        assert closed_pool.shards_run == 0
 
     @pytest.mark.parametrize("name", sorted(JOIN_REGISTRY))
     def test_strategy_output_lands_on_the_plane_through_one_adapter(self, name):
@@ -476,11 +488,10 @@ class TestPairPlane:
 
     def test_sharded_parts_concatenate_in_shard_order(self, pool):
         inline = make_join_strategy("pbsm").self_join(sorted(self.A), Counters())
-        for executor in (ShardedJoinExecutor(workers=2, min_shard=50, pool=False),
-                         ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)):
-            got = executor.self_pairs(make_join_strategy("pbsm"), self.A, Counters())
-            assert type(got) is PairArray
-            assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, inline.tolist()))
+        executor = ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)
+        got = executor.self_pairs(make_join_strategy("pbsm"), self.A, Counters())
+        assert type(got) is PairArray
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, inline.tolist()))
 
     def test_refine_callback_sees_python_ints(self, pool):
         seen = []
@@ -526,17 +537,6 @@ class TestPairPlane:
             for spec in specs:
                 result = session.run(spec)
                 assert result == [] and type(result) is list
-
-    def test_deprecated_free_functions_still_return_lists(self):
-        from repro.joins import grid_join, pbsm_join, sweepline_join
-
-        with JoinSession(strategy="block_nested") as session:
-            expected = session.run(PairJoinSpec(self.A, self.B))
-        for shim in (grid_join, pbsm_join, sweepline_join):
-            with pytest.warns(DeprecationWarning):
-                result = shim(self.A, self.B)
-            assert result == expected
-            assert_plain_pairs(result)
 
 
 class TestEpsilonContract:

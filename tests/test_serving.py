@@ -55,12 +55,14 @@ from repro import (
     UniformGrid,
     WorkerPool,
     default_pool,
+    make_index,
     shutdown_default_pool,
 )
 from repro.approx import SpillTree
 from repro.engine.session import BatchExecutor, InlineExecutor
 from repro.indexes.linear_scan import LinearScan
 from repro.instrumentation.counters import Counters
+from repro.joins import CallableJoin, DistanceJoinSpec, PairJoinSpec, make_join_strategy
 from repro.joins.session import InlineJoinExecutor
 from repro.serving.async_executor import AsyncExecutor
 from repro.serving.shm import AttachedArrays, SegmentGroup, live_segment_names
@@ -175,13 +177,13 @@ class TestWorkerPool:
         for p, handle in zip(points, khandles):
             assert knn_pairs(handle.result()) == knn_pairs(oracle.knn(p, 4))
 
-    @pytest.mark.parametrize("build", ["grid", "rtree"])
+    @pytest.mark.parametrize("build", ["grid", "rtree", "linear_scan", "multires_grid", "rstar"])
     def test_pooled_shards_match_oracle(self, loaded, pool, build):
         items, grid, oracle = loaded
         if build == "grid":
             index = grid
         else:
-            index = RTree(max_entries=16)
+            index = RTree(max_entries=16) if build == "rtree" else make_index(build)
             index.bulk_load(items)
         session = QuerySession(
             index, executor=ShardedExecutor(workers=2, min_shard=32, pool=pool)
@@ -271,6 +273,21 @@ class TestWorkerPool:
         assert live_segment_names() == []
         assert scoped.closed
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WorkerPool(workers=0),
+            lambda: ShardedExecutor(workers=0),
+            lambda: ShardedExecutor(min_shard=0),
+            lambda: ShardedJoinExecutor(workers=0),
+            lambda: ShardedJoinExecutor(min_shard=0),
+        ],
+        ids=["pool_workers", "query_workers", "query_min_shard", "join_workers", "join_min_shard"],
+    )
+    def test_rejects_sizes_below_one(self, build):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build()
+
     def test_default_pool_is_a_resettable_singleton(self):
         first = default_pool()
         assert default_pool() is first
@@ -282,7 +299,7 @@ class TestWorkerPool:
 
     def test_unexportable_index_falls_back_without_pooling(self, pool):
         # KD-trees have no packed export; the sharded executor must still
-        # answer (legacy paths) and the pool must not register anything.
+        # answer (in-process) and the pool must not register anything.
         from repro import KDTree
 
         items = make_items(300, seed=5, points=True)
@@ -299,6 +316,99 @@ class TestWorkerPool:
         for box, handle in zip(boxes, handles):
             assert sorted(handle.result()) == sorted(oracle.range_query(box))
         assert pool.exports == 0
+
+
+class TestOnlyThePoolStartsProcesses:
+    """``WorkerPool`` is the one place the library starts processes.  With
+    ``multiprocessing``'s ``Pool`` refused outright, what the pool cannot
+    take — an index with no shared-memory export, a strategy that cannot be
+    pickled, a batch on a pool whose infrastructure failed — is answered
+    in-process, with the in-process executors' answers and tallies.  (Every
+    join strategy on a failed pool is held to the same in
+    ``test_result_plane.py``.)"""
+
+    #: Registry indexes with no shared-memory export of a box load.
+    UNEXPORTABLE = ["crtree", "disk_rtree", "loose_octree", "octree", "rplus", "spatial_lsh"]
+    #: Registry indexes the pool would take, were it up.
+    EXPORTABLE = ["linear_scan", "multires_grid", "rstar", "rtree", "uniform_grid"]
+
+    @pytest.fixture(autouse=True)
+    def refuse_other_pools(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started outside WorkerPool")
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", refuse)
+
+    @staticmethod
+    def ask(index, executor):
+        """Range and kNN answers, the batch stats and the index's counter
+        movement of one session over ``index``."""
+        boxes = make_boxes(80, seed=6)
+        boxes += boxes[:10]  # duplicates exercise the dedup tallies
+        points = np.random.default_rng(7).uniform(0.0, 100.0, size=(70, 3))
+        points = np.concatenate([points, points[:6]])
+        session = QuerySession(index, executor=executor)
+        before = index.counters.snapshot()
+        answers = session.range_query(boxes), session.knn(points, 4)
+        return answers, session.stats.batch, index.counters.diff(before)
+
+    def assert_answered_in_process(self, index, pool):
+        self.ask(index, BatchExecutor())  # warm whatever the index builds lazily
+        sharded = self.ask(index, ShardedExecutor(workers=2, min_shard=16, pool=pool))
+        assert sharded == self.ask(index, BatchExecutor())
+        assert pool.exports == 0 and pool.shards_run == 0
+
+    def test_unexportable_index(self):
+        from repro import KDTree
+
+        index = KDTree()
+        index.bulk_load(make_items(300, seed=5, points=True))
+        with WorkerPool(workers=2) as pool:
+            self.assert_answered_in_process(index, pool)
+
+    @pytest.mark.parametrize("name", UNEXPORTABLE)
+    def test_unexportable_box_index(self, name):
+        index = make_index(name)
+        index.bulk_load(make_items(300, seed=5))
+        assert export_index_payload(index) is None
+        with WorkerPool(workers=2) as pool:
+            self.assert_answered_in_process(index, pool)
+
+    @pytest.mark.parametrize("name", EXPORTABLE)
+    def test_failed_pool_answers_queries_in_process(self, name, closed_pool):
+        index = make_index(name)
+        index.bulk_load(make_items(300, seed=5))
+        assert export_index_payload(index) is not None
+        self.assert_answered_in_process(index, closed_pool)
+
+    @pytest.mark.parametrize("kind", ["self", "pair", "distance_self", "distance_pair"])
+    def test_unpicklable_strategy(self, kind):
+        block_nested = make_join_strategy("block_nested")
+
+        def closure_join(items_a, items_b, counters):  # a local: pickle refuses it
+            return block_nested.join(items_a, items_b, counters)
+
+        items = make_items(300, seed=8)
+        others = [(eid + 10_000, box) for eid, box in make_items(250, seed=9)]
+        spec = {
+            "self": lambda: SelfJoinSpec(items),
+            "pair": lambda: PairJoinSpec(items, others),
+            "distance_self": lambda: DistanceJoinSpec(items, None, 1.5),
+            "distance_pair": lambda: DistanceJoinSpec(items, others, 1.5),
+        }[kind]()
+
+        def run(executor):
+            with JoinSession(strategy=CallableJoin(closure_join), executor=executor) as session:
+                pairs = session.run(spec)
+                stats = session.stats
+                tallies = (stats.candidates, stats.pairs, stats.comparisons, stats.refined)
+                return pairs, session.counters, tallies
+
+        with WorkerPool(workers=2) as pool:
+            sharded = run(ShardedJoinExecutor(workers=2, min_shard=50, pool=pool))
+        expected = run(InlineJoinExecutor())
+        assert expected[0]
+        assert sharded == expected
 
 
 # -- tree & spill payloads ------------------------------------------------------
@@ -719,15 +829,17 @@ class TestOwnFlush:
         assert stats.executor_runs == {"sharded": 1}
 
     @pytest.mark.parametrize(
-        "case", ["one_row_short", "busy_cold", "unexportable", "pool_false", "inline_pinned"]
+        "case", ["one_row_short", "busy_cold", "unexportable", "failed_pool", "inline_pinned"]
     )
-    def test_everything_else_rides_the_queue(self, loaded, scoped_pool, case):
+    def test_everything_else_rides_the_queue(self, loaded, scoped_pool, closed_pool, case):
         items, grid, oracle = loaded
         rows = MAX_BATCH - 1 if case == "one_row_short" else MAX_BATCH
         windows = window_array(rows, seed=64)
         index = grid
         executor = ShardedExecutor(workers=2, min_shard=16, pool=scoped_pool)
-        if case == "unexportable":
+        if case == "failed_pool":
+            executor = ShardedExecutor(workers=2, min_shard=16, pool=closed_pool)
+        elif case == "unexportable":
             from repro import KDTree
 
             items = make_items(300, seed=5, points=True)
@@ -735,8 +847,6 @@ class TestOwnFlush:
             oracle = LinearScan()
             index.bulk_load(items)
             oracle.bulk_load(items)
-        elif case == "pool_false":
-            executor = ShardedExecutor(workers=2, min_shard=16, pool=False)
         elif case == "inline_pinned":
             executor = InlineExecutor()
         if case in ("one_row_short", "inline_pinned"):
@@ -776,7 +886,6 @@ class TestOwnFlush:
         box = make_boxes(1, seed=66)[0]
         gate = PoolGate(monkeypatch, fail=True)
         gate.release.set()  # fail at once
-        monkeypatch.setattr("repro.engine.session._fork_is_safe", lambda: False)
 
         in_kernel = threading.Event()
         resume = threading.Event()

@@ -90,6 +90,14 @@ class TestEngine:
         query = AABB.from_center(neuron_dataset.universe.center(), 3.0)
         assert sorted(grid_a.range_query(query)) == sorted(grid_b.range_query(query))
 
+    def test_queries_go_through_the_session(self, neuron_dataset):
+        index = UniformGrid(universe=neuron_dataset.universe)
+        sim = _plasticity_sim(neuron_dataset, index, "update")
+        sim.run(2)
+        query = AABB.from_center(neuron_dataset.universe.center(), 3.0)
+        assert sim.session.index is index
+        assert sorted(sim.session.range_query([query])[0]) == sorted(index.range_query(query))
+
 
 class TestPlasticityModel:
     def test_density_queries_recorded(self, neuron_dataset):

@@ -8,7 +8,28 @@ import pytest
 from repro.instrumentation.counters import Counters
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.cache import Arena, CacheSimulator
-from repro.storage.pagestore import FilePageStore, MappedPageStore, PageStore
+from repro.storage.pagestore import MappedPageStore, PageStore
+
+
+@pytest.fixture(params=["memory", "file"])
+def make_store(request, tmp_path):
+    """A store factory per implementation: the in-memory simulated disk and
+    the file store promise one page protocol and one transfer accounting."""
+    stores = []
+
+    def make(page_size=4096, counters=None):
+        if request.param == "memory":
+            store = PageStore(page_size=page_size, counters=counters)
+        else:
+            path = str(tmp_path / f"pages{len(stores)}.bin")
+            store = MappedPageStore(path, page_size=page_size, counters=counters)
+        stores.append(store)
+        return store
+
+    yield make
+    for store in stores:
+        if isinstance(store, MappedPageStore):
+            store.close()
 
 
 class TestMappedPageStore:
@@ -81,47 +102,74 @@ class TestMappedPageStore:
         assert pool.hits == 1  # warm frames serve the cached view
         store.close()
 
+    @pytest.mark.parametrize("state", ["never_allocated", "freed"])
+    def test_views_of_dead_pages_raise_like_read(self, tmp_path, state):
+        counters = Counters()
+        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16, counters=counters)
+        pid = 0
+        if state == "freed":
+            pid = store.allocate(b"gone")
+            store.free(pid)
+        for read in (store.read, store.read_view):
+            with pytest.raises(KeyError):
+                read(pid)
+        assert counters.pages_read == counters.zero_copy_reads == 0  # nothing charged
+        store.close()
+
 
 class TestPageStore:
-    def test_allocate_read_write(self):
+    """The page protocol, held to the same assertions on both stores."""
+
+    def test_allocate_read_write(self, make_store):
         counters = Counters()
-        store = PageStore(counters=counters)
-        pid = store.allocate("payload")
+        store = make_store(counters=counters)
+        pid = store.allocate(b"payload")
         assert counters.pages_written == 1
-        assert store.read(pid) == "payload"
+        assert store.read(pid) == b"payload"
         assert counters.pages_read == 1
-        store.write(pid, "new")
+        store.write(pid, b"new")
         assert counters.pages_written == 2
-        assert store.peek(pid) == "new"
+        assert store.peek(pid) == b"new"
         assert counters.pages_read == 1  # peek is free
 
-    def test_allocate_empty_is_free(self):
+    def test_allocate_empty_is_free(self, make_store):
         counters = Counters()
-        store = PageStore(counters=counters)
+        store = make_store(counters=counters)
         store.allocate()
         assert counters.pages_written == 0
 
-    def test_free_and_errors(self):
-        store = PageStore()
-        pid = store.allocate("x")
+    def test_free_and_errors(self, make_store):
+        store = make_store()
+        pid = store.allocate(b"x")
         store.free(pid)
         with pytest.raises(KeyError):
             store.read(pid)
         with pytest.raises(KeyError):
-            store.write(pid, "y")
+            store.write(pid, b"y")
         with pytest.raises(KeyError):
             store.free(pid)
 
-    def test_invalid_page_size(self):
+    def test_len_and_page_ids_track_live_pages(self, make_store):
+        store = make_store()
+        pids = [store.allocate(bytes([i])) for i in range(4)]
+        store.free(pids[1])
+        assert len(store) == 3
+        assert sorted(store.page_ids()) == [pids[0], pids[2], pids[3]]
+        pid = store.allocate()  # an empty page is live too
+        assert len(store) == 4 and pid in store.page_ids()
+
+    def test_invalid_page_size(self, make_store):
         with pytest.raises(ValueError):
-            PageStore(page_size=0)
+            make_store(page_size=0)
 
 
 class TestBufferPool:
-    def test_hit_avoids_disk_read(self):
+    """The pool composes with either store unchanged."""
+
+    def test_hit_avoids_disk_read(self, make_store):
         counters = Counters()
-        store = PageStore(counters=counters)
-        pid = store.allocate("v")
+        store = make_store(counters=counters)
+        pid = store.allocate(b"v")
         pool = BufferPool(store, capacity=4)
         pool.read(pid)
         pool.read(pid)
@@ -130,10 +178,10 @@ class TestBufferPool:
         assert pool.misses == 1
         assert pool.hit_rate() == 0.5
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, make_store):
         counters = Counters()
-        store = PageStore(counters=counters)
-        pids = [store.allocate(i) for i in range(3)]
+        store = make_store(counters=counters)
+        pids = [store.allocate(bytes([i])) for i in range(3)]
         pool = BufferPool(store, capacity=2)
         pool.read(pids[0])
         pool.read(pids[1])
@@ -141,52 +189,42 @@ class TestBufferPool:
         pool.read(pids[0])  # miss again
         assert counters.pages_read == 4
 
-    def test_writeback_on_eviction(self):
+    def test_writeback_on_eviction(self, make_store):
         counters = Counters()
-        store = PageStore(counters=counters)
-        pids = [store.allocate(i) for i in range(2)]
+        store = make_store(counters=counters)
+        pids = [store.allocate(bytes([i])) for i in range(2)]
         pool = BufferPool(store, capacity=1)
-        pool.write(pids[0], "dirty")
+        pool.write(pids[0], b"dirty")
         pool.read(pids[1])  # evicts the dirty frame
-        assert store.peek(pids[0]) == "dirty"
+        assert store.peek(pids[0]) == b"dirty"
 
-    def test_clear_flushes(self):
-        store = PageStore()
-        pid = store.allocate("orig")
+    def test_clear_flushes(self, make_store):
+        store = make_store()
+        pid = store.allocate(b"orig")
         pool = BufferPool(store, capacity=4)
-        pool.write(pid, "changed")
+        pool.write(pid, b"changed")
         pool.clear()
-        assert store.peek(pid) == "changed"
+        assert store.peek(pid) == b"changed"
         pool.read(pid)
         assert pool.misses == 1  # cold after clear
 
-    def test_zero_capacity(self):
+    def test_zero_capacity(self, make_store):
         counters = Counters()
-        store = PageStore(counters=counters)
-        pid = store.allocate("v")
+        store = make_store(counters=counters)
+        pid = store.allocate(b"v")
         pool = BufferPool(store, capacity=0)
         pool.read(pid)
         pool.read(pid)
         assert counters.pages_read == 2  # nothing cached
 
 
-class TestFilePageStore:
-    def test_roundtrip_and_accounting(self, tmp_path):
-        counters = Counters()
-        store = FilePageStore(str(tmp_path / "pages.bin"), page_size=64, counters=counters)
-        pid = store.allocate(b"hello")
-        assert counters.pages_written == 1
-        assert store.read(pid) == b"hello"
-        assert counters.pages_read == 1
-        store.write(pid, b"rewritten")
-        assert counters.pages_written == 2
-        assert store.peek(pid) == b"rewritten"
-        assert counters.pages_read == 1  # peek is free
-        store.close()
+class TestMappedPageStoreSlots:
+    """What the file store adds to the page protocol: a real file, slot
+    reuse, a size cap and a fragmentation gauge."""
 
     def test_payloads_persist_in_real_file(self, tmp_path):
         path = tmp_path / "pages.bin"
-        store = FilePageStore(str(path), page_size=16)
+        store = MappedPageStore(str(path), page_size=16)
         store.allocate(b"0123456789abcdef")
         store._file.flush()
         assert path.stat().st_size >= 16
@@ -194,7 +232,7 @@ class TestFilePageStore:
         assert not path.exists()  # close unlinks by default
 
     def test_free_slots_are_reused(self, tmp_path):
-        store = FilePageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
         first = store.allocate(b"aa")
         store.allocate(b"bb")
         store.free(first)
@@ -209,7 +247,7 @@ class TestFilePageStore:
         # The free list is a heap, not a LIFO stack: after freeing slots
         # out of order, allocations return them ascending — so a multi-page
         # allocation that follows a multi-page free lands contiguous again.
-        store = FilePageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
         pids = [store.allocate(bytes([i]) * 4) for i in range(6)]
         for pid in (pids[4], pids[1], pids[3], pids[2]):
             store.free(pid)
@@ -217,7 +255,7 @@ class TestFilePageStore:
         store.close()
 
     def test_fragmentation_gauge(self, tmp_path):
-        store = FilePageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
         assert store.fragmentation() == 0.0  # empty store: no holes
         pids = [store.allocate(b"p") for i in range(4)]
         assert store.fragmentation() == 0.0  # fully packed
@@ -229,22 +267,9 @@ class TestFilePageStore:
         store.close()
 
     def test_oversized_payload_rejected(self, tmp_path):
-        store = FilePageStore(str(tmp_path / "pages.bin"), page_size=4)
+        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=4)
         with pytest.raises(ValueError):
             store.allocate(b"too large")
-        store.close()
-
-    def test_buffer_pool_composes(self, tmp_path):
-        counters = Counters()
-        store = FilePageStore(str(tmp_path / "pages.bin"), page_size=16, counters=counters)
-        pids = [store.allocate(bytes([i]) * 8) for i in range(4)]
-        pool = BufferPool(store, capacity=2)
-        for pid in pids:
-            assert pool.read(pid) == store.peek(pid)
-        assert len(pool) <= 2
-        assert counters.pages_read == 4  # one charged miss per cold page
-        assert pool.read(pids[-1]) == store.peek(pids[-1])
-        assert counters.pages_read == 4  # warm hit: no disk transfer
         store.close()
 
 
