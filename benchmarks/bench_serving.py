@@ -137,18 +137,20 @@ async def _array_client(serving, batches) -> None:
             assert [sorted(ids) for ids in answer] == expected
 
 
-async def _export_artifacts(serving, oracle, workload, items) -> None:
+async def _export_artifacts(serving, oracle, workload, items, array_batch) -> None:
     """One traced round through the live session, then write the
     Chrome-trace JSON and the merged metrics snapshot for CI to upload.
-    The pooled self-join is what puts *worker* spans in the trace: single
-    awaited queries batch too narrowly to shard, but the join fans out
-    across the pool and its worker spans merge back under the flush span."""
+    The array batch is what puts *worker* spans in the trace: single awaited
+    queries batch too narrowly to shard, but a batch-sized array fans out
+    across the pool and its worker spans merge back under the flush span.
+    The self-join runs in-process, off the loop."""
     was_enabled = tracing_enabled()
     tracer = enable_tracing()
     tracer.clear()
     try:
         boxes, points = workload
         await _client(serving, oracle, boxes[:4], points[:4], [], check=False)
+        await _array_client(serving, [array_batch])
         await serving.join(SelfJoinSpec(items[: max(len(items) // 2, 6_000)]))
     finally:
         tracer.enabled = was_enabled
@@ -200,7 +202,7 @@ def bench_async_serving(
             assert stats.flush_triggers.get("full", 0) == ARRAY_ROUNDS
             assert sum(stats.flush_triggers.values()) == stats.flushes
             assert pool.exports == 1, f"expected one snapshot export, saw {pool.exports}"
-            await _export_artifacts(serving, oracle, per_client[0], items)
+            await _export_artifacts(serving, oracle, per_client[0], items, array_batches[0])
             return elapsed
 
     elapsed = asyncio.run(main())

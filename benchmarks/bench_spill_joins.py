@@ -1,29 +1,22 @@
-"""Out-of-core PBSM under a memory budget: inline, and sharded over mmap.
+"""Out-of-core PBSM under a memory budget.
 
 The paper's framing: the target datasets "exceed the memory of a single
 machine by definition", so a join must degrade gracefully when its working
 set does not fit.  ``pbsm_spill`` (the ISSUE 5 tentpole) runs the exact same
 partition/merge algorithm as the in-memory ``pbsm`` strategy, but stages it
 through the memory governor + spill manager so no phase holds more than a
-quarter of the budget.  ISSUE 9 adds the sharded tier on top: the parent
-partitions once, spills through the zero-copy ``MappedPageStore``, and pool
-workers map the spill file read-only and merge whole tile runs in parallel.
+quarter of the budget, and reads its spilled runs back as zero-copy views of
+the spill file (``MappedPageStore``).
 
 The measurement: |A| = |B| = n, the session budget pinned to **25% of the
 estimated in-memory working set** (`repro.exec.pbsm_working_set_bytes`), so
 the planner must route to the spilling strategy and the strategy must
 actually spill.  Asserted at every scale:
 
-* both the inline and the sharded pair lists are **identical** to the
-  in-memory vectorized PBSM;
+* the pair list is **identical** to the in-memory vectorized PBSM;
 * the planner routed to ``pbsm_spill``, spill counters are live, and the
-  sharded run dispatched tile runs with zero-copy mapped reads;
-* at full scale only: inline slowdown vs in-memory PBSM is ≤ 5x (ISSUE 5),
-  and — **on ≥ 4 cores only** — the sharded external join is ≥ 2.5x the
-  single-worker external join (ISSUE 9).
-
-Every run writes machine-readable results (qps, scaling factor, spill
-bytes) to ``BENCH_spill_joins.json`` at the repo root.
+  merge read its runs as zero-copy mapped views;
+* at full scale only: slowdown vs in-memory PBSM is ≤ 5x (ISSUE 5).
 
 Usage::
 
@@ -37,7 +30,6 @@ exactness + routing, not wall-clock.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -52,15 +44,11 @@ from repro.analysis.reporting import format_table
 from repro.analysis.session_report import join_report
 from repro.exec import pbsm_working_set_bytes
 from repro.geometry.aabb import AABB
-from repro.joins import JoinSession, PairJoinSpec, ShardedJoinExecutor
+from repro.joins import JoinSession, PairJoinSpec
 
 FULL_N = 100_000
 QUICK_N = 8_000
 BUDGET_SHARE = 0.25  # the ISSUE 5 bar: budget <= 25% of the working set
-SCALING_BAR = 2.5  # the ISSUE 9 bar, gated on >= 4 physical cores
-JSON_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_spill_joins.json"
-)
 
 
 def join_workload(n: int, seed: int = 0):
@@ -74,8 +62,6 @@ def join_workload(n: int, seed: int = 0):
 
 def run(quick: bool = False) -> dict:
     n = QUICK_N if quick else FULL_N
-    cores = os.cpu_count() or 1
-    workers = max(2, min(cores, 8))
     side_a, side_b = join_workload(n)
 
     memory_session = JoinSession(strategy="pbsm")
@@ -90,103 +76,40 @@ def run(quick: bool = False) -> dict:
         start = time.perf_counter()
         pairs = session.run(PairJoinSpec(side_a, side_b))
         spill_time = time.perf_counter() - start
-        inline_stats = session.stats
-        assert pairs == expected, "pbsm_spill diverged from in-memory PBSM"
-        assert inline_stats.strategy_runs.get("pbsm_spill") == 1, (
-            f"planner did not route to pbsm_spill: {inline_stats.strategy_runs}"
-        )
-        assert inline_stats.tiles_spilled > 0 and inline_stats.spill_bytes_written > 0, (
-            "budget was 25% of the working set but nothing spilled"
-        )
-
-    with JoinSession(
-        budget=budget, executor=ShardedJoinExecutor(workers=workers)
-    ) as session:
-        start = time.perf_counter()
-        sharded_pairs = session.run(PairJoinSpec(side_a, side_b))
-        sharded_time = time.perf_counter() - start
         stats = session.stats
         report = join_report(session)
-        assert sharded_pairs == expected, (
-            "sharded pbsm_spill diverged from in-memory PBSM"
+        assert pairs == expected, "pbsm_spill diverged from in-memory PBSM"
+        assert stats.strategy_runs.get("pbsm_spill") == 1, (
+            f"planner did not route to pbsm_spill: {stats.strategy_runs}"
         )
-        assert stats.tile_runs_dispatched > 0, "no tile runs reached the pool"
-        assert stats.zero_copy_reads > 0, "workers did not map the spill file"
+        assert stats.tiles_spilled > 0 and stats.spill_bytes_written > 0, (
+            "budget was 25% of the working set but nothing spilled"
+        )
+        assert stats.zero_copy_reads > 0, "the merge did not map the spill file"
 
     slowdown = spill_time / max(memory_time, 1e-9)
-    scaling = spill_time / max(sharded_time, 1e-9)
-    results = {
-        "bench": "spill_joins",
-        "n_per_side": n,
-        "quick": quick,
-        "cores": cores,
-        "workers": workers,
-        "budget_bytes": budget,
-        "working_set_bytes": working_set,
-        "pairs": len(expected),
-        "wall_seconds": {
-            "pbsm_memory": memory_time,
-            "pbsm_spill_inline": spill_time,
-            "pbsm_spill_sharded": sharded_time,
-        },
-        "qps": {
-            "pbsm_memory": 1.0 / max(memory_time, 1e-9),
-            "pbsm_spill_inline": 1.0 / max(spill_time, 1e-9),
-            "pbsm_spill_sharded": 1.0 / max(sharded_time, 1e-9),
-        },
-        "pairs_per_second": {
-            "pbsm_spill_inline": len(pairs) / max(spill_time, 1e-9),
-            "pbsm_spill_sharded": len(sharded_pairs) / max(sharded_time, 1e-9),
-        },
-        "spill_bytes": {
-            "written": stats.spill_bytes_written,
-            "read": stats.spill_bytes_read,
-            "mapped": stats.mapped_bytes,
-        },
-        "tile_runs_dispatched": stats.tile_runs_dispatched,
-        "zero_copy_reads": stats.zero_copy_reads,
-        "inline_slowdown_vs_memory": slowdown,
-        "sharded_scaling_vs_inline": scaling,
-        "scaling_bar": SCALING_BAR,
-        "scaling_bar_enforced": not quick and cores >= 4,
-    }
-    with open(JSON_PATH, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-
     rows = [
         ["pbsm (in memory)", memory_time, len(expected), 0, 0, "-"],
         [
-            "pbsm_spill inline (25% budget)",
+            "pbsm_spill (25% budget)",
             spill_time,
             len(pairs),
-            inline_stats.tiles_spilled,
-            inline_stats.spill_bytes_written,
+            stats.tiles_spilled,
+            stats.spill_bytes_written,
             f"{slowdown:.2f}x slowdown",
-        ],
-        [
-            f"pbsm_spill sharded ({workers}w)",
-            sharded_time,
-            len(sharded_pairs),
-            stats.tile_runs_dispatched,
-            stats.mapped_bytes,
-            f"{scaling:.2f}x vs inline",
         ],
     ]
     emit(
         f"Out-of-core PBSM — |A| = |B| = {n:,}, budget = "
-        f"{budget:,}B (25% of {working_set:,}B working set), {cores} cores:\n"
-        + format_table(
-            ["strategy", "wall s", "pairs", "tiles/runs", "bytes out/mapped", "ratio"],
-            rows,
-        )
+        f"{budget:,}B (25% of {working_set:,}B working set):\n"
+        + format_table(["strategy", "wall s", "pairs", "tiles", "bytes out", "ratio"], rows)
         + f"\nbudget high-water: {stats.budget_high_water:,}B"
         + f" | spill read back: {stats.spill_bytes_read:,}B"
-        + f" | results -> {os.path.basename(JSON_PATH)}\n"
+        + f" | mapped: {stats.mapped_bytes:,}B\n"
         + report
         + "\npaper: out-of-memory joins at near-in-memory speed via mapped tiles"
     )
-    return results
+    return {"n_per_side": n, "pairs": len(pairs), "slowdown_vs_memory": slowdown}
 
 
 def test_spill_join_exact_at_quick_scale():
@@ -199,27 +122,13 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true", help="CI smoke scale (8k per side)")
     args = parser.parse_args()
     results = run(quick=args.quick)
-    slowdown = results["inline_slowdown_vs_memory"]
-    scaling = results["sharded_scaling_vs_inline"]
+    slowdown = results["slowdown_vs_memory"]
     if args.quick:
-        print(
-            f"OK: exact under 25% budget, slowdown {slowdown:.2f}x, "
-            f"sharded scaling {scaling:.2f}x (quick scale)"
-        )
+        print(f"OK: exact under 25% budget, slowdown {slowdown:.2f}x (quick scale)")
         return
     # The ISSUE 5 acceptance bar, at full scale only.
     assert slowdown <= 5.0, f"spilling PBSM slowdown {slowdown:.2f}x > 5x"
-    # The ISSUE 9 acceptance bar: >= 2.5x over the single-worker external
-    # join — only meaningful with real parallel hardware, so gated on cores.
-    if results["scaling_bar_enforced"]:
-        assert scaling >= SCALING_BAR, (
-            f"sharded external join scaled {scaling:.2f}x < {SCALING_BAR}x "
-            f"on {results['cores']} cores"
-        )
-    print(
-        f"OK: exact under 25% budget at n={FULL_N:,}, slowdown {slowdown:.2f}x "
-        f"(<= 5x), sharded scaling {scaling:.2f}x on {results['cores']} cores"
-    )
+    print(f"OK: exact under 25% budget at n={FULL_N:,}, slowdown {slowdown:.2f}x (<= 5x)")
 
 
 if __name__ == "__main__":

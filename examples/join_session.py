@@ -1,12 +1,12 @@
-"""Tour of the join subsystem: specs, the planner, strategies, sharding.
+"""Tour of the join subsystem: specs, the planner, strategies, spilling.
 
 Run:  python examples/join_session.py
 
 The join counterpart of ``examples/query_session.py``: joins are described
 as first-class specs, submitted through a JoinSession whose planner routes
-them across the strategy registry, with deferred handles, a sharded
-executor for large probe sides, vectorized distance refinement, and the
-telemetry report that shows where every spec went.
+them across the strategy registry, with deferred handles, vectorized
+distance refinement, an out-of-core route for specs over a memory budget,
+and the telemetry report that shows where every spec went.
 """
 
 import os
@@ -22,7 +22,6 @@ from repro import (
     JoinSession,
     PairJoinSpec,
     SelfJoinSpec,
-    ShardedJoinExecutor,
     SynapseJoinSpec,
     available_join_strategies,
 )
@@ -72,12 +71,13 @@ def main() -> None:
     print(f"synapses at eps=0.1: {len(synapses)} "
           f"(first at {tuple(round(c, 1) for c in synapses[0].location) if synapses else '-'})")
 
-    # -- 6. shard the probe side across the worker pool ---------------------
-    sharded = JoinSession(executor=ShardedJoinExecutor(workers=4, min_shard=512))
-    sharded_pairs = sharded.run(SelfJoinSpec(cells))
-    assert sharded_pairs == collisions.result()
-    print(f"sharded executor agrees: {len(sharded_pairs):,} pairs, "
-          f"routing {sharded.stats.executor_runs}")
+    # -- 6. over a memory budget the planner spills ---------------------------
+    with JoinSession(budget=256 * 1024) as budgeted:
+        spilled_pairs = budgeted.run(SelfJoinSpec(cells))
+        assert spilled_pairs == collisions.result()
+        print(f"budgeted session agrees: {len(spilled_pairs):,} pairs via "
+              f"{budgeted.stats.strategy_runs}, "
+              f"{budgeted.stats.spill_bytes_written:,} bytes spilled")
 
     # -- 7. telemetry --------------------------------------------------------
     print("\njoin telemetry:")

@@ -9,9 +9,10 @@ answers *now*, concurrently.  The serving tier stacks three pieces for that:
 * **flush policy** — concurrent submissions coalesce: a quiet loop flushes
   immediately (``idle``), a busy one batches until the latency budget
   (``deadline``) or the queue bound (``full``) trips;
-* **worker pool** — flushes shard across long-lived processes that attach
-  the index as a shared-memory snapshot once; steady-state requests ship
-  only probe arrays and result ids across the process boundary.
+* **worker pool** — query flushes shard across long-lived processes that
+  attach the index as a shared-memory snapshot once; steady-state requests
+  ship only probe arrays and result ids across the process boundary.  Join
+  flushes run in-process, on a thread off the loop.
 
 Run with::
 
@@ -83,9 +84,7 @@ async def main() -> None:
     # single-core hosts (WorkerPool() alone sizes to the CPU count).
     with WorkerPool(workers=max(2, os.cpu_count() or 1)) as pool:
         policy = FlushPolicy(max_batch=256, max_delay=0.005)
-        async with ServingSession(
-            grid, pool=pool, policy=policy, min_shard=4, join_min_shard=500
-        ) as serving:
+        async with ServingSession(grid, pool=pool, policy=policy, min_shard=4) as serving:
             start = time.perf_counter()
             results = await asyncio.gather(
                 *(dashboard(serving, cid) for cid in range(CLIENTS)),

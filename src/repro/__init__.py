@@ -66,13 +66,13 @@ Specs take ``(eid, AABB)`` items or a :class:`BoxTable` (``from_arrays`` for
 callers already holding arrays); either is packed and checked exactly once.
 
 See ``examples/join_session.py`` for the planner, deferred handles, the
-sharded executor and the telemetry report.
+out-of-core spill route and the telemetry report.
 
 For concurrent clients, the serving tier puts both sessions behind the
 event loop: a :class:`ServingSession` batches awaitable requests under a
-:class:`FlushPolicy` and executes shards on a persistent shared-memory
+:class:`FlushPolicy`, executes query shards on a persistent shared-memory
 :class:`WorkerPool` (indexes cross the process boundary once, as
-snapshots — not once per flush)::
+snapshots — not once per flush) and runs joins in-process off the loop::
 
     async with ServingSession(index) as serving:
         ids = await serving.range_query(AABB((10, 10, 10), (20, 20, 20)))
@@ -151,7 +151,6 @@ from repro.joins import (
     JoinStrategy,
     PairJoinSpec,
     SelfJoinSpec,
-    ShardedJoinExecutor,
     Synapse,
     SynapseDetector,
     SynapseJoinSpec,
@@ -247,7 +246,6 @@ __all__ = [
     "JOIN_REGISTRY",
     "available_join_strategies",
     "make_join_strategy",
-    "ShardedJoinExecutor",
     "Synapse",
     "SynapseDetector",
     "IteratedSelfJoin",

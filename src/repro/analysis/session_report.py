@@ -2,7 +2,7 @@
 
 The query session records which executor answered each batch
 (:class:`~repro.engine.session.SessionStats`); the join session records
-which strategy and executor answered each spec plus the filter/refine
+which strategy answered each spec plus the filter/refine
 funnel (:class:`~repro.joins.spec.JoinStats`).  These helpers turn both
 into the same plain-text tables the rest of the analysis layer emits, so
 benchmarks (and capacity planning) can judge the planners' routing the way
@@ -50,15 +50,12 @@ def _spill_line(
     return " ".join(parts)
 
 
-def _mapped_line(views: int, mapped: int, tile_runs: int) -> str | None:
+def _mapped_line(views: int, mapped: int) -> str | None:
     """The zero-copy storage funnel, rendered once any read was served as a
-    mapped view (or any mapped work unit went to a pool worker)."""
-    if not (views or mapped or tile_runs):
+    mapped view."""
+    if not (views or mapped):
         return None
-    parts = [f"mapped: views={views:,}", f"bytes={mapped:,}B"]
-    if tile_runs:
-        parts.append(f"tile-runs={tile_runs:,}")
-    return " ".join(parts)
+    return f"mapped: views={views:,} bytes={mapped:,}B"
 
 
 def _approx_line(stats: SessionStats) -> str | None:
@@ -138,9 +135,7 @@ def query_session_report(session: QuerySession) -> str:
     )
     if spill is not None:
         header = f"{header}\n{spill}"
-    mapped = _mapped_line(
-        batch.zero_copy_reads, batch.mapped_bytes, batch.tile_runs_dispatched
-    )
+    mapped = _mapped_line(batch.zero_copy_reads, batch.mapped_bytes)
     if mapped is not None:
         header = f"{header}\n{mapped}"
     approx = _approx_line(stats)
@@ -162,7 +157,7 @@ def join_summary_rows(stats: JoinStats) -> list[list[object]]:
 
 
 def join_report(session: JoinSession) -> str:
-    """A formatted strategy/executor-mix + filter-funnel summary.
+    """A formatted strategy-mix + filter-funnel summary.
 
     The funnel line is the paper's filter/refine split in numbers: candidate
     pairs out of the filter, exact refinements run on them, result pairs,
@@ -182,9 +177,7 @@ def join_report(session: JoinSession) -> str:
     )
     if spill is not None:
         header = f"{header}\n{spill}"
-    mapped = _mapped_line(
-        stats.zero_copy_reads, stats.mapped_bytes, stats.tile_runs_dispatched
-    )
+    mapped = _mapped_line(stats.zero_copy_reads, stats.mapped_bytes)
     if mapped is not None:
         header = f"{header}\n{mapped}"
     serving = _serving_line(stats, getattr(session, "metrics", None), "join")
@@ -194,11 +187,7 @@ def join_report(session: JoinSession) -> str:
         ["strategy", "joins", "share %", "routing"],
         join_summary_rows(stats),
     )
-    executor_table = format_table(
-        ["executor", "joins", "share %", "routing"],
-        _routing_rows(stats.executor_runs),
-    )
-    return f"{header}\n{strategy_table}\n{executor_table}"
+    return f"{header}\n{strategy_table}"
 
 
 def continuous_report(session: ContinuousSession) -> str:

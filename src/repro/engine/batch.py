@@ -39,9 +39,8 @@ class BatchStats:
     ``budget_chunks`` counts batches the session split to honour its
     :class:`~repro.exec.budget.MemoryBudget`, ``tiles_spilled`` /
     ``spill_bytes_written`` / ``spill_bytes_read`` any spill traffic charged
-    while serving batches, ``zero_copy_reads`` / ``mapped_bytes`` /
-    ``tile_runs_dispatched`` the zero-copy storage telemetry (reads served
-    as mmap views and mapped work units dispatched to workers), and
+    while serving batches, ``zero_copy_reads`` / ``mapped_bytes`` the
+    zero-copy storage telemetry (reads served as mmap views), and
     ``budget_high_water`` is a gauge (merges take the max).
 
     The approximate-kNN fields (:mod:`repro.approx`) follow the same split:
@@ -60,7 +59,6 @@ class BatchStats:
     spill_bytes_read: int = 0
     zero_copy_reads: int = 0
     mapped_bytes: int = 0
-    tile_runs_dispatched: int = 0
     budget_high_water: int = 0
     approx_descents: int = 0
     leaves_scanned: int = 0
@@ -76,7 +74,6 @@ class BatchStats:
         self.spill_bytes_read += other.spill_bytes_read
         self.zero_copy_reads += other.zero_copy_reads
         self.mapped_bytes += other.mapped_bytes
-        self.tile_runs_dispatched += other.tile_runs_dispatched
         self.budget_high_water = max(self.budget_high_water, other.budget_high_water)
         self.approx_descents += other.approx_descents
         self.leaves_scanned += other.leaves_scanned

@@ -1089,7 +1089,6 @@ class QuerySession:
             delta = counters.diff(before)
             stats.zero_copy_reads += delta.zero_copy_reads
             stats.mapped_bytes += delta.mapped_bytes
-            stats.tile_runs_dispatched += delta.tile_runs_dispatched
         return results, stats
 
     # -- immediate convenience surface ---------------------------------------

@@ -12,9 +12,7 @@ full working set in RAM.  ``repro.exec`` closes that gap with four pieces:
   :class:`~repro.storage.pagestore.MappedPageStore`, with explicit
   lifecycle (tmpdir per manager, cleanup on session close and on error
   paths); contiguous reads come back as zero-copy mmap views, fragmented
-  ones through a bounded :class:`~repro.storage.buffer_pool.BufferPool`,
-  and any handle exports as a picklable :class:`~repro.exec.spill.MappedRun`
-  descriptor other processes attach by path;
+  ones through a bounded :class:`~repro.storage.buffer_pool.BufferPool`;
 * the **external PBSM** join (:mod:`repro.exec.external_join`, registry name
   ``pbsm_spill``) — partitions both inputs into tile runs, spills runs
   exceeding the budget, and streams them back through the vectorized merge
@@ -42,15 +40,13 @@ from repro.exec.external_build import (
     external_leaf_groups,
     external_str_pack,
 )
-from repro.exec.spill import MappedRun, SpillHandle, SpillManager, mapped_run_rows
+from repro.exec.spill import SpillHandle, SpillManager
 
 __all__ = [
     "BudgetExceeded",
     "MemoryBudget",
     "SpillHandle",
     "SpillManager",
-    "MappedRun",
-    "mapped_run_rows",
     "ExternalBuild",
     "external_bulk_load",
     "external_leaf_arrays",

@@ -30,16 +30,6 @@ same stream for consumers whose nodes hold ``AABB`` entries
 :class:`~repro.indexes.rtree.Node` objects, the object-payload
 ``DiskRTree``).  Upper levels are built from one ``(mbr, child)`` entry per
 leaf — ``max_entries``-fold smaller than the data, always in-budget.
-
-With ``workers`` >= 2 the merge phase parallelizes over the serving pool:
-each slab's run ranges are exported as picklable
-:class:`~repro.exec.spill.MappedRun` descriptors and a pool worker maps the
-spill file read-only, gathers its rows zero-copy and tiles the slab with
-the same :func:`tile_slab` the inline merge runs
-(:func:`repro.serving.worker.str_slab_task`).  Slabs are dispatched in
-waves of ``workers`` so the parent never holds more than one wave of leaf
-groups; group order — and therefore the packed tree — is identical to the
-single-process merge.
 """
 
 from __future__ import annotations
@@ -84,7 +74,6 @@ def external_leaf_groups(
     spill: SpillManager | None = None,
     spill_dir: str | None = None,
     counters: Counters | None = None,
-    workers: int | None = None,
 ) -> Iterator[list[tuple[AABB, int]]]:
     """:func:`external_leaf_arrays` as entry groups ``[(box, eid), ...]``.
 
@@ -92,8 +81,7 @@ def external_leaf_groups(
     array-native consumers read :func:`external_leaf_arrays` directly.
     """
     for boxes, eids in external_leaf_arrays(
-        items, max_entries, budget, spill=spill, spill_dir=spill_dir,
-        counters=counters, workers=workers,
+        items, max_entries, budget, spill=spill, spill_dir=spill_dir, counters=counters
     ):
         yield [
             (AABB(lo, hi), eid)
@@ -110,17 +98,13 @@ def external_leaf_arrays(
     spill: SpillManager | None = None,
     spill_dir: str | None = None,
     counters: Counters | None = None,
-    workers: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield STR leaves as ``(boxes (g, 2, d) float64, eids (g,) int64)``
     array pairs in packing order.
 
     The build working set (sort arrays, runs, slab gathers) stays within
     the budget; the items iterable itself is consumed streaming and never
-    materialized as a whole.  ``workers`` >= 2 tiles spilled slabs on the
-    serving pool (mapped read-only by each worker) in dispatch waves; group
-    order is identical either way, and any pool failure falls back to the
-    in-process merge per wave.
+    materialized as a whole.
     """
     budget = MemoryBudget.coerce(budget)
     counters = counters if counters is not None else Counters()
@@ -138,44 +122,10 @@ def external_leaf_arrays(
         total = sum(run.size for run in runs)
         _assign_positions(runs, spill, budget)
         slab_size = _slab_rows(total, dims, max_entries, chunk_budget)
-        slabs = [
-            (p0, min(p0 + slab_size, total)) for p0 in range(0, total, slab_size)
-        ]
-        spilled = all(isinstance(run.keys, SpillHandle) for run in runs)
-        pool = None
-        if workers is not None and workers >= 2 and spilled and len(slabs) >= 2:
-            from repro.serving.pool import default_pool
-
-            pool = default_pool()
-
-        # Waves of ``workers`` slabs bound the parent's in-flight results;
-        # within a wave, futures come back in dispatch order, so the group
-        # stream is identical to the sequential merge.
-        wave = max(workers or 1, 1)
-        for wave_start in range(0, len(slabs), wave):
-            wave_slabs = slabs[wave_start : wave_start + wave]
-            parts = None
-            if pool is not None:
-                try:
-                    tasks = [
-                        (max_entries, _slab_segments(runs, spill, p0, p1))
-                        for p0, p1 in wave_slabs
-                    ]
-                    parts = pool.run_slab_tasks(tasks)
-                    counters.tile_runs_dispatched += len(tasks)
-                except Exception:
-                    # Pool-infrastructure failure: merge this wave (and, if
-                    # the pool stays down, the next ones) in-process.
-                    parts = None
-            if parts is not None:
-                for tiled, worker_counters in parts:
-                    counters.merge(worker_counters)
-                    yield from split_groups(*tiled)
-            else:
-                for p0, p1 in wave_slabs:
-                    yield from split_groups(
-                        *_merge_slab(runs, spill, p0, p1, dims, max_entries, budget)
-                    )
+        for p0 in range(0, total, slab_size):
+            yield from split_groups(
+                *_merge_slab(runs, spill, p0, min(p0 + slab_size, total), dims, max_entries, budget)
+            )
     finally:
         for run in runs:
             for field in (run.keys, run.eids, run.boxes):
@@ -272,24 +222,6 @@ def _assign_positions(runs: list[_Run], spill: SpillManager, budget: MemoryBudge
             offset += run.size
 
 
-def _slab_segments(
-    runs: list[_Run], spill: SpillManager, p0: int, p1: int
-) -> list[tuple]:
-    """One slab's dispatchable gather list: ``(eids_run, boxes_run, lo,
-    hi)`` MappedRun descriptor tuples, in run order (the inline order)."""
-    segments = []
-    for run in runs:
-        assert run.positions is not None
-        lo = int(np.searchsorted(run.positions, p0, side="left"))
-        hi = int(np.searchsorted(run.positions, p1, side="left"))
-        if lo == hi:
-            continue
-        segments.append(
-            (spill.describe(run.eids), spill.describe(run.boxes), lo, hi)
-        )
-    return segments
-
-
 def _merge_slab(
     runs: list[_Run],
     spill: SpillManager,
@@ -299,7 +231,15 @@ def _merge_slab(
     max_entries: int,
     budget: MemoryBudget,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Gather one slab's rows from every run and tile it in-process."""
+    """Gather one slab's rows from every run and tile them into leaves.
+
+    The slab is an axis-0 slice of the global sort — exactly STR's state
+    after its outer sort — so the tiler finishes from axis 1 (axis 0 again
+    for 1-d data).  Returns ``(boxes, eids, bounds)`` with the rows permuted
+    into packing order and leaf ``g`` at ``bounds[g]:bounds[g + 1]``; the
+    permutation always copies, so nothing returned aliases a spill-file
+    view.
+    """
     # Held at the peak: the gathered rows plus their permuted copy.
     with budget.reserving(2 * (p1 - p0) * _entry_bytes(dims), force=True):
         box_parts, eid_parts = [], []
@@ -311,26 +251,10 @@ def _merge_slab(
                 continue
             box_parts.append(_fetch_rows(spill, run.boxes, lo, hi))
             eid_parts.append(_fetch_rows(spill, run.eids, lo, hi))
-        return tile_slab(box_parts, eid_parts, max_entries)
-
-
-def tile_slab(
-    box_parts: list[np.ndarray], eid_parts: list[np.ndarray], max_entries: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Tile one slab's gathered row ranges into leaves.
-
-    Shared by the inline merge and the pool workers' ``str_slab_task``.
-    The slab is an axis-0 slice of the global sort — exactly STR's state
-    after its outer sort — so the tiler finishes from axis 1 (axis 0 again
-    for 1-d data).  Returns ``(boxes, eids, bounds)`` with the rows permuted
-    into packing order and leaf ``g`` at ``bounds[g]:bounds[g + 1]``; the
-    permutation always copies, so nothing returned aliases a spill-file
-    view the parts may be.
-    """
-    boxes = np.concatenate(box_parts)
-    eids = np.concatenate(eid_parts)
-    order, bounds = tile_arrays(boxes, min(1, boxes.shape[2] - 1), max_entries)
-    return boxes[order], eids[order], bounds
+        boxes = np.concatenate(box_parts)
+        eids = np.concatenate(eid_parts)
+        order, bounds = tile_arrays(boxes, min(1, dims - 1), max_entries)
+        return boxes[order], eids[order], bounds
 
 
 def _slab_rows(total: int, dims: int, max_entries: int, chunk_budget: int | None) -> int:
@@ -376,7 +300,6 @@ def external_str_pack(
     spill: SpillManager | None = None,
     spill_dir: str | None = None,
     counters: Counters | None = None,
-    workers: int | None = None,
 ) -> ExternalBuild:
     """The external counterpart of :func:`repro.indexes.bulkload.str_pack`.
 
@@ -391,8 +314,7 @@ def external_str_pack(
     size = 0
     dims: int | None = None
     for group in external_leaf_groups(
-        items, max_entries, budget, spill=spill, spill_dir=spill_dir,
-        counters=counters, workers=workers,
+        items, max_entries, budget, spill=spill, spill_dir=spill_dir, counters=counters
     ):
         if dims is None:
             dims = group[0][0].dims
@@ -419,7 +341,6 @@ def external_bulk_load(
     items: Iterable[Item],
     budget: MemoryBudget | int | None = None,
     spill_dir: str | None = None,
-    workers: int | None = None,
 ) -> None:
     """Bulk-load any index exposing ``bulk_load_external`` under a budget.
 
@@ -433,4 +354,4 @@ def external_bulk_load(
             f"{type(index).__name__} has no external bulk load; "
             "RTree, RStarTree and DiskRTree support it"
         )
-    hook(items, budget=budget, spill_dir=spill_dir, workers=workers)
+    hook(items, budget=budget, spill_dir=spill_dir)

@@ -23,19 +23,14 @@ session's :class:`~repro.exec.budget.MemoryBudget`:
    *and* runs is still reported exactly once.
 
 Because a tile lives in exactly one run and the dedup rule is global, the
-runs are **independent**: merging them in any process, in any order, yields
-disjoint pair sets whose union is the exact nested-loop result.  That is
-what :meth:`SpillPBSMJoin.plan_tile_runs` exposes — the
-:class:`~repro.joins.session.ShardedJoinExecutor` dispatches each run as a
-bundle of picklable :class:`~repro.exec.spill.MappedRun` descriptors to pool
-workers, which map the spill file read-only and run the same
-:func:`merge_run_arrays` the inline path uses (``shard_protocol =
-"tile_runs"``).  Shard workers never touch the parent's file descriptors —
-they open their own read-only mapping.
+runs are **independent**: merging them in any order yields disjoint pair
+sets whose union is the exact nested-loop result.
+:meth:`SpillPBSMJoin.plan_tile_runs` exposes passes 1–2 on their own, so a
+caller can time partitioning and each run's merge separately.
 
 When the whole working set fits the budget (or no budget is given) the
 strategy degrades gracefully to a single in-memory run with zero spill
-traffic, and the sharded executor runs it inline.
+traffic.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exec.budget import MemoryBudget
-from repro.exec.spill import MappedRun, SpillHandle, SpillManager
+from repro.exec.spill import SpillHandle, SpillManager
 from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
@@ -84,20 +79,15 @@ def spill_page_size(chunk_budget: int | None) -> int:
 
 #: One gathered segment: ``(eids, boxes, keys)`` replica arrays.
 Segment = tuple[np.ndarray, np.ndarray, np.ndarray]
-#: One exported segment: the same triple as :class:`MappedRun` descriptors.
-SegmentRuns = tuple[MappedRun, MappedRun, MappedRun]
-#: One dispatchable tile-run task: the layout plus both sides' descriptors.
-TileRunTask = tuple["TileRunLayout", list[SegmentRuns], list[SegmentRuns]]
 
 
 @dataclass(frozen=True)
 class TileRunLayout:
     """The global tiling a run merge needs besides the replica arrays.
 
-    Picklable and small (three tiny arrays plus scalars): the parent
-    computes it once in the histogram pass and every merge — inline or in a
-    pool worker — shares it, which is what keeps the reference-point dedup
-    global across runs.
+    Small (three tiny arrays plus scalars): the histogram pass computes it
+    once and every run's merge shares it, which is what keeps the
+    reference-point dedup global across runs.
     """
 
     hull_lo: np.ndarray
@@ -126,11 +116,9 @@ def merge_run_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge one run's replica arrays into result id pairs.
 
-    This is the single merge implementation shared by the inline pass-3 loop
-    and the pool workers' ``merge_run_task`` — same stable key sort, same
-    kernel, so sharded output is bit-identical to inline.  Sorting rebinds
-    through fancy indexing (a copy) rather than assigning in place, so the
-    inputs may be read-only zero-copy views over the spill file.
+    A stable key sort per side, then the replica-tile kernel.  Sorting
+    rebinds through fancy indexing (a copy) rather than assigning in place,
+    so the inputs may be read-only zero-copy views over the spill file.
     """
     eids_ra, boxes_ra, keys_ra = side_a
     eids_rb, boxes_rb, keys_rb = side_b
@@ -148,18 +136,17 @@ def merge_run_arrays(
     )
 
 
-# -- the sharding plan ---------------------------------------------------------
+# -- the partition plan --------------------------------------------------------
 
 
 @dataclass
 class SpillPlan:
-    """Parent-side result of the partition passes: per-run replica segments.
+    """Result of the partition passes: per-run replica segments.
 
     With more than one run the segments are spilled and the plan owns their
     handles (and a strategy-private spill manager); a join that fits one run
-    keeps its segments resident.  Callers merge every run —
-    :meth:`merge_inline` here, or :meth:`run_tasks` in pool workers — and only
-    then :meth:`release`, so the descriptors outlive even a pool crash-retry.
+    keeps its segments resident.  Callers merge every run with
+    :meth:`merge_inline` and only then :meth:`release`.
     """
 
     layout: TileRunLayout
@@ -173,22 +160,8 @@ class SpillPlan:
     budget: MemoryBudget
     released: bool = False
 
-    def run_tasks(self) -> list[TileRunTask]:
-        """One dispatchable task per run, with both sides' segments exported
-        as :class:`~repro.exec.spill.MappedRun` descriptor triples."""
-        describe = self.spill.describe
-        return [
-            (
-                self.layout,
-                [tuple(describe(h) for h in seg) for seg in self.segments_a[run]],
-                [tuple(describe(h) for h in seg) for seg in self.segments_b[run]],
-            )
-            for run in range(self.runs)
-        ]
-
     def merge_inline(self, run: int, counters: Counters) -> tuple[np.ndarray, np.ndarray]:
-        """Merge one run in-process: pass 3 of the inline join, and the
-        sharded executor's no-pool fallback."""
+        """Merge one run: pass 3 of the join."""
         spilled = self.runs > 1
         with _span("join.spill.merge", counters=counters, run=run) as merge_span:
             sides: list[Segment] = []
@@ -252,11 +225,6 @@ class SpillPBSMJoin(JoinStrategy):
     """
 
     name = "pbsm_spill"
-    #: The sharded executor's contract: partition in the parent with
-    #: :meth:`plan_tile_runs`, merge runs in pool workers via
-    #: ``repro.serving.worker.merge_run_task``.  Generic element-range
-    #: sharding must not be applied to this strategy.
-    shard_protocol = "tile_runs"
 
     def __init__(
         self,
@@ -292,13 +260,13 @@ class SpillPBSMJoin(JoinStrategy):
     def plan_tile_runs(
         self, items_a: Sequence[Item], items_b: Sequence[Item], counters: Counters
     ) -> SpillPlan | None:
-        """Partition for sharded merging; ``None`` when sharding is moot.
+        """Passes 1–2 alone; ``None`` for a join that would not spill.
 
-        Runs passes 1–2 (histogram + gather/spill) in the calling process
-        and returns a :class:`SpillPlan` whose runs are independent merge
-        units.  Returns ``None`` for joins that would not spill (no budget,
-        or a working set that fits one run) — the executor then runs the
-        strategy inline, which is both correct and faster for those cases.
+        Runs the histogram and gather/spill passes and returns a
+        :class:`SpillPlan` whose runs are independent merge units, for a
+        caller that merges (and times) them one at a time.  Returns ``None``
+        when there is no budget or the working set fits one run —
+        :meth:`join` answers those in memory.
         """
         if not items_a or not items_b or self.budget.limit is None:
             return None

@@ -16,20 +16,14 @@ released), and reads come back one of two ways:
   the pre-mmap path, keeping residency bounded no matter how much spilled.
 
 A spilled array is *typed*: its :class:`SpillHandle` carries dtype and shape.
-Because the backing store is a plain file, a handle can also be exported as a
-picklable :class:`MappedRun` descriptor (:meth:`SpillManager.describe`):
-any process maps the file read-only and reconstructs the array — or a row
-range of it — with :func:`mapped_run_rows`, again zero-copy when contiguous.
-That is how pool workers attach spill segments by path+descriptor, the same
-shape as their shared-memory snapshot attach.
+A spill file cut short behind the manager's back raises ``ValueError`` on
+read rather than mapping back as zeros.
 
 Lifecycle is explicit: the manager owns one tmpdir (created on demand,
 removed on :meth:`close`), every handle can be freed individually, and
 ``close()`` is idempotent — sessions call it from their own ``close()``,
 strategies from ``finally`` blocks, so an error path never leaves orphan
-spill files behind.  Descriptors are only valid while the manager (and the
-handles they describe) are alive — the parent frees handles *after* worker
-results return.
+spill files behind.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,78 +79,6 @@ class SpillHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.live else "freed"
         return f"<SpillHandle {state} {self.dtype}{self.shape} tag={self.tag!r}>"
-
-
-@dataclass(frozen=True)
-class MappedRun:
-    """Picklable description of one spilled array in one mapped file.
-
-    Everything another process needs to reconstruct the array without the
-    parent shipping a byte: the file path, the page geometry, and the type.
-    ``pages`` is kept (not just the first slot) so fragmented runs can still
-    be gathered; :attr:`contiguous` callers take the zero-copy view path.
-    """
-
-    path: str
-    page_size: int
-    pages: tuple[int, ...]
-    dtype: str
-    shape: tuple[int, ...]
-    nbytes: int
-
-    @property
-    def rows(self) -> int:
-        return self.shape[0] if self.shape else 1
-
-    @property
-    def row_bytes(self) -> int:
-        tail = 1
-        for extent in self.shape[1:]:
-            tail *= extent
-        return int(np.dtype(self.dtype).itemsize * tail)
-
-    @property
-    def contiguous(self) -> bool:
-        return all(b == a + 1 for a, b in zip(self.pages, self.pages[1:]))
-
-
-def mapped_run_rows(
-    mapping, run: MappedRun, lo: int, hi: int, counters: Counters | None = None
-) -> np.ndarray:
-    """Rows ``[lo, hi)`` of a :class:`MappedRun` out of ``mapping`` (any
-    buffer over the spill file — typically a read-only ``mmap``).
-
-    Contiguous runs come back as a zero-copy view (charged to
-    ``zero_copy_reads`` / ``mapped_bytes``); fragmented runs gather their
-    covering pages with copies.  This is the worker-side attach primitive:
-    it needs no :class:`SpillManager`, only the mapped file.
-    """
-    if not 0 <= lo <= hi <= run.rows:
-        raise ValueError(f"row range [{lo}, {hi}) out of [0, {run.rows})")
-    dtype = np.dtype(run.dtype)
-    shape = (hi - lo, *run.shape[1:])
-    row_bytes = run.row_bytes
-    if hi == lo or row_bytes == 0:
-        return np.empty(shape, dtype=dtype)
-    start, stop = lo * row_bytes, hi * row_bytes
-    if run.contiguous:
-        offset = run.pages[0] * run.page_size + start
-        view = np.frombuffer(mapping, dtype=np.uint8, count=stop - start, offset=offset)
-        if counters is not None:
-            counters.zero_copy_reads += 1
-            counters.mapped_bytes += stop - start
-        return view.view(dtype).reshape(shape)
-    page_size = run.page_size
-    first, last = start // page_size, (stop - 1) // page_size
-    buffer = np.empty((last - first + 1) * page_size, dtype=np.uint8)
-    for position, page_index in enumerate(range(first, last + 1)):
-        offset = run.pages[page_index] * page_size
-        length = min(page_size, run.nbytes - page_index * page_size)
-        buffer[position * page_size : position * page_size + length] = np.frombuffer(
-            mapping, dtype=np.uint8, count=length, offset=offset
-        )
-    window = buffer[start - first * page_size : stop - first * page_size].copy()
-    return window.view(dtype).reshape(shape)
 
 
 class SpillManager:
@@ -279,27 +200,6 @@ class SpillManager:
         self._m_bytes_read.inc(stop - start)
         window = buffer[start - first * page_size : stop - first * page_size].copy()
         return window.view(handle.dtype).reshape(shape)
-
-    def describe(self, handle: SpillHandle) -> MappedRun:
-        """A picklable :class:`MappedRun` descriptor for ``handle``.
-
-        Flushes buffered writes first, so any process that maps
-        :attr:`path` sees the run's bytes.  The descriptor stays valid until
-        the handle is freed (or the manager closed) — callers dispatching it
-        to workers free the handle only after the results return.
-        """
-        self._check_open()
-        if not handle.live:
-            raise ValueError(f"spill handle already freed: {handle!r}")
-        self.store.sync()
-        return MappedRun(
-            path=self.path,
-            page_size=self.store.page_size,
-            pages=handle.pages,
-            dtype=handle.dtype.str,
-            shape=handle.shape,
-            nbytes=handle.nbytes,
-        )
 
     def free(self, handle: SpillHandle) -> None:
         """Release a spilled array's pages for reuse.  Idempotent."""

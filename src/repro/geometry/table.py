@@ -166,13 +166,6 @@ class BoxTable(Sequence):
             self._order = np.argsort(self.eids, kind="stable")
         return self._order
 
-    def sorted_by_id(self) -> "BoxTable":
-        """The rows in ascending id order (``self`` when already sorted)."""
-        order = self._id_order()
-        if (order[1:] > order[:-1]).all():
-            return self
-        return BoxTable(self.eids[order], self.boxes[order])
-
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Row index of each id in ``ids`` (which must all be present)."""
         order = self._id_order()

@@ -274,7 +274,6 @@ class DiskRTree(SpatialIndex):
         items: Iterable[Item],
         budget: object = None,
         spill_dir: str | None = None,
-        workers: int | None = None,
     ) -> None:
         """STR rebuild with the build working set bounded by ``budget``.
 
@@ -283,16 +282,13 @@ class DiskRTree(SpatialIndex):
         the page store one at a time — the natural fit for this index: the
         leaf level never exists in memory at all, only the one-entry-per-
         leaf skeleton the upper levels tile (``max_entries``-fold smaller
-        per level).  ``items`` is consumed streaming; ``workers`` >= 2
-        tiles spilled merge slabs on the serving pool.  Mapped mode reads
+        per level).  ``items`` is consumed streaming.  Mapped mode reads
         the packer's array stream and encodes each leaf as it arrives.
         """
         from repro.exec.external_build import external_leaf_arrays, external_leaf_groups
 
         self._reset_storage()
-        options = dict(
-            budget=budget, spill_dir=spill_dir, counters=self.counters, workers=workers
-        )
+        options = dict(budget=budget, spill_dir=spill_dir, counters=self.counters)
         if self.mapped:
             self._pack_leaf_arrays(
                 external_leaf_arrays(items, self.max_entries, **options)

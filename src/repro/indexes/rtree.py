@@ -129,7 +129,6 @@ class RTree(SpatialIndex):
         items: Iterable[Item],
         budget: object = None,
         spill_dir: str | None = None,
-        workers: int | None = None,
     ) -> None:
         """STR rebuild whose *build* working set never exceeds ``budget``.
 
@@ -140,8 +139,6 @@ class RTree(SpatialIndex):
         streaming — pass a generator for datasets that should never be
         materialized as a list.  Query results are identical to
         :meth:`bulk_load`; leaf composition may differ at slab boundaries.
-        ``workers`` >= 2 tiles spilled merge slabs on the serving pool
-        (identical output, parallel wall-clock).
         """
         from repro.exec.external_build import external_str_pack
 
@@ -152,7 +149,6 @@ class RTree(SpatialIndex):
             budget=budget,  # type: ignore[arg-type]
             spill_dir=spill_dir,
             counters=self.counters,
-            workers=workers,
         )
         self._batch_pack.clear()
         if build.size == 0:

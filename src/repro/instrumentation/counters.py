@@ -49,10 +49,7 @@ class Counters:
     * ``zero_copy_reads`` / ``mapped_bytes`` — reads served as zero-copy
       NumPy views over an mmap-backed page store
       (:class:`~repro.storage.pagestore.MappedPageStore`) and the logical
-      bytes those views exposed without a copy;
-    * ``tile_runs_dispatched`` — mapped work units (spilled join tile runs,
-      external-build slabs) handed to pool workers, which attach the spill
-      file read-only instead of receiving the arrays by pickle.
+      bytes those views exposed without a copy.
     """
 
     node_tests: int = 0
@@ -78,7 +75,6 @@ class Counters:
     leaves_scanned: int = 0
     zero_copy_reads: int = 0
     mapped_bytes: int = 0
-    tile_runs_dispatched: int = 0
 
     def reset(self) -> None:
         """Zero every counter in place."""
@@ -94,11 +90,6 @@ class Counters:
         return Counters(
             **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
         )
-
-    def merge(self, other: "Counters") -> None:
-        """Add ``other``'s tallies into this object (for aggregating runs)."""
-        for field in fields(self):
-            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
     def total_intersection_tests(self) -> int:
         return self.node_tests + self.elem_tests + self.refine_tests

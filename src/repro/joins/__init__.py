@@ -11,12 +11,9 @@ query side's session design:
   :class:`SelfJoinSpec`, :class:`PairJoinSpec`, :class:`DistanceJoinSpec`,
   :class:`SynapseJoinSpec` — first-class values with ids and tags.
 * **The session** (:mod:`repro.joins.session`) plans and runs them:
-  deferred :class:`JoinHandle` results, a size-based planner over the
-  strategy registry, pluggable executors
-  (:class:`InlineJoinExecutor` / :class:`ShardedJoinExecutor` — the latter
-  partitions the probe side across the persistent worker pool with
-  structural cross-shard dedup), vectorized refinement, shared
-  :class:`JoinStats`.
+  deferred :class:`JoinHandle` results, a size-based (and budget-aware)
+  planner over the strategy registry, in-process execution of the planned
+  strategy, vectorized refinement, shared :class:`JoinStats`.
 * **Strategies** (:mod:`repro.joins.strategies`) are the algorithms, all
   registered in :data:`JOIN_REGISTRY` and all returning the exact
   nested-loop pair set: ``nested_loop``, ``block_nested``, ``sweepline``,
@@ -48,14 +45,7 @@ from repro.joins.strategies import (
     available_join_strategies,
     make_join_strategy,
 )
-from repro.joins.session import (
-    InlineJoinExecutor,
-    JoinExecutor,
-    JoinHandle,
-    JoinPlan,
-    JoinSession,
-    ShardedJoinExecutor,
-)
+from repro.joins.session import JoinHandle, JoinPlan, JoinSession
 from repro.joins.iterated import IteratedSelfJoin, PairDelta
 from repro.joins.synapse import SynapseDetector
 
@@ -70,9 +60,6 @@ __all__ = [
     "DistanceJoinSpec",
     "SynapseJoinSpec",
     "JoinStats",
-    "JoinExecutor",
-    "InlineJoinExecutor",
-    "ShardedJoinExecutor",
     "JoinStrategy",
     "JOIN_REGISTRY",
     "available_join_strategies",

@@ -15,38 +15,34 @@ this module is the join counterpart, completing the session architecture:
   the vectorized grid join — overridable by pinning a ``strategy`` or
   supplying a ``policy`` callable, with every algorithm in
   :data:`~repro.joins.strategies.JOIN_REGISTRY` interchangeable;
-* **executors** own *where* the filter phase runs:
-  :class:`InlineJoinExecutor` in-process,
-  :class:`ShardedJoinExecutor` across the worker pool partitioning the
-  probe side, with structural (not hash-based) cross-shard deduplication
-  (:func:`~repro.joins.strategies.shard_pairs`), and in-process for what
-  the pool cannot take;
+* the filter phase runs **in-process**: the session calls the planned
+  strategy directly (a budgeted spec spills through the session's
+  :class:`~repro.exec.spill.SpillManager` and reads its runs back as
+  zero-copy views; a serving front end moves the whole flush off its event
+  loop with a thread);
 * **refinement** (the exact-geometry phase of distance and synapse joins)
   runs on the vectorized pair kernels of :mod:`repro.geometry.refine` —
   one array expression over all candidates instead of a Python call per
   pair.
 
-Every executor and strategy receives the spec's
+Every strategy receives the spec's
 :class:`~repro.geometry.table.BoxTable` tables — built (and contract-checked) once
 per spec at the top of execution, before planning can open a spill directory
-or a pool export — so nothing downstream re-packs the items.
+— so nothing downstream re-packs the items.
 
 Accounting flows into one shared :class:`~repro.joins.spec.JoinStats`
-(candidates / refined / result pairs / comparisons plus strategy- and
-executor-routing maps), which
+(candidates / refined / result pairs / comparisons plus the strategy-routing
+map), which
 :func:`repro.analysis.session_report.join_report` renders next to the query
 session's telemetry.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import threading
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,7 +53,6 @@ from repro.exec.external_join import SpillPBSMJoin, spill_page_size
 from repro.exec.spill import SpillManager
 from repro.geometry.refine import batch_box_gaps, batch_capsule_gaps, pack_segments
 from repro.geometry.table import BoxTable
-from repro.indexes.base import Item
 from repro.instrumentation.counters import Counters
 from repro.joins.spec import (
     DistanceJoinSpec,
@@ -73,11 +68,8 @@ from repro.joins.strategies import (
     JOIN_REGISTRY,
     JoinStrategy,
     Pairs,
-    concat_pairs,
     make_join_strategy,
-    ordered_pairs,
     pair_array,
-    pair_columns,
 )
 
 # -- deferred results ----------------------------------------------------------
@@ -148,258 +140,6 @@ class JoinHandle:
         return f"<JoinHandle {state} spec={self.spec!r}>"
 
 
-# -- executors -----------------------------------------------------------------
-
-
-class JoinExecutor(ABC):
-    """Runs one planned filter phase; interchangeable like query executors."""
-
-    name: str = "executor"
-
-    @abstractmethod
-    def self_pairs(self, strategy: JoinStrategy, items: Sequence[Item], counters: Counters) -> Pairs:
-        """Unordered intersecting pairs (``a < b``), each exactly once."""
-
-    @abstractmethod
-    def pair_pairs(
-        self,
-        strategy: JoinStrategy,
-        items_a: Sequence[Item],
-        items_b: Sequence[Item],
-        counters: Counters,
-    ) -> Pairs:
-        """Ordered A ⋈ B pairs, each exactly once."""
-
-    @abstractmethod
-    def distance_pairs(
-        self,
-        strategy: JoinStrategy,
-        items_a: Sequence[Item],
-        items_b: Sequence[Item] | None,
-        epsilon: float,
-        counters: Counters,
-    ) -> Pairs:
-        """Complete within-ε candidate pairs (unordered when ``items_b`` is None)."""
-
-
-class InlineJoinExecutor(JoinExecutor):
-    """Single-process execution: the strategy runs as called."""
-
-    name = "inline"
-
-    def self_pairs(self, strategy, items, counters):
-        return strategy.self_join(items, counters)
-
-    def pair_pairs(self, strategy, items_a, items_b, counters):
-        return strategy.join(items_a, items_b, counters)
-
-    def distance_pairs(self, strategy, items_a, items_b, epsilon, counters):
-        return strategy.distance_candidates(items_a, items_b, epsilon, counters)
-
-
-class ShardedJoinExecutor(JoinExecutor):
-    """Partitions the probe side of a join across a persistent worker pool.
-
-    Both join sides are published once to the
-    :class:`~repro.serving.pool.WorkerPool` as shared-memory ``(eids,
-    boxes)`` tables (the self-join sides in id-sorted order, which the
-    prefix rule requires); each worker runs the planned strategy over
-    ``(A, probe chunk)`` and ships back its pairs plus the
-    :class:`~repro.instrumentation.counters.Counters` it charged, and the
-    parent concatenates pairs and merges counters.  Self (and
-    distance-self) joins are sharded *directly* by the id-prefix rule of
-    :func:`~repro.joins.strategies.shard_pairs`, so cross-shard results
-    need no dedup pass — and the summed comparison count is ~(s+1)/2s of a
-    full-set binary expansion instead of 2x the inline self-join.
-
-    Remaining structural price: every worker repeats the strategy's build
-    phase over its prefix; sharing the build across workers is a ROADMAP
-    follow-up.
-
-    What the pool cannot take runs in-process, as
-    :class:`InlineJoinExecutor` would run it: jobs smaller than two shards,
-    strategies without a binary form, strategies that cannot cross a
-    process boundary by pickle (e.g. a closure-carrying ``CallableJoin``),
-    and any job whose pool infrastructure failed.
-
-    Parameters
-    ----------
-    workers:
-        Pool size (default: CPU count, capped at 8).
-    min_shard:
-        Smallest worthwhile probe chunk.
-    pool:
-        ``None`` (default) — the process-wide
-        :func:`~repro.serving.pool.default_pool`; a
-        :class:`~repro.serving.pool.WorkerPool` — that pool.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self, workers: int | None = None, min_shard: int = 2048, pool: Any = None
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if min_shard < 1:
-            raise ValueError(f"min_shard must be >= 1, got {min_shard}")
-        cpus = multiprocessing.cpu_count()
-        self.workers = workers if workers is not None else min(cpus, 8)
-        self.min_shard = min_shard
-        self.pool = pool
-        self._portable: dict[int, tuple[JoinStrategy, bool]] = {}
-
-    def _resolve_pool(self):
-        if self.pool is not None:
-            return self.pool
-        from repro.serving.pool import default_pool
-
-        return default_pool()
-
-    def _strategy_is_portable(self, strategy: JoinStrategy) -> bool:
-        """Can ``strategy`` ride a task message to a pool worker?
-
-        Probed once per instance; closure-carrying strategies cannot, and
-        run in-process instead.
-        """
-        cached = self._portable.get(id(strategy))
-        if cached is not None and cached[0] is strategy:
-            return cached[1]
-        try:
-            pickle.dumps(strategy)
-            portable = True
-        except Exception:
-            portable = False
-        self._portable[id(strategy)] = (strategy, portable)
-        return portable
-
-    def _run_pooled(
-        self, pool, mode: str, strategy: JoinStrategy, items_a: BoxTable, probes: BoxTable,
-        epsilon: float, counters: Counters, shards: int,
-    ) -> Pairs:
-        self_mode = mode in ("self", "distance_self")
-        build = pool.ensure_items(items_a, sort_by_id=self_mode)
-        chunk_side = build if self_mode else pool.ensure_items(probes)
-        parts = pool.run_join_shards(strategy, mode, build, chunk_side, epsilon, shards)
-        for _, shard_counters in parts:
-            counters.merge(shard_counters)
-        return concat_pairs([part for part, _ in parts])
-
-    def _run_inline(
-        self,
-        mode: str,
-        strategy: JoinStrategy,
-        items_a: Sequence[Item],
-        probes: Sequence[Item],
-        epsilon: float,
-        counters: Counters,
-    ) -> Pairs:
-        if mode == "pair":
-            return strategy.join(items_a, probes, counters)
-        if mode == "self":
-            return strategy.self_join(probes, counters)
-        return strategy.distance_candidates(
-            items_a, None if mode == "distance_self" else probes, epsilon, counters
-        )
-
-    def _run_tile_runs(
-        self,
-        mode: str,
-        strategy: JoinStrategy,
-        items_a: Sequence[Item],
-        probes: Sequence[Item],
-        epsilon: float,
-        counters: Counters,
-    ) -> Pairs:
-        """The ``tile_runs`` shard protocol (``pbsm_spill``).
-
-        The parent partitions once (histogram + gather/spill), then hands
-        workers *tile runs* — spilled ``(eids, boxes, keys)`` segment ranges
-        exported as :class:`~repro.exec.spill.MappedRun` descriptors — to
-        merge against their own read-only mapping of the spill file.  A tile
-        lives in exactly one run and the reference-point dedup is global, so
-        per-run results are disjoint and concatenate to the exact inline
-        answer, in the same order.  Self and distance modes reduce to the
-        binary plan exactly as the strategy's own defaults do (join the set
-        against itself and keep ``a < b``; expand boxes by ε/2).
-        """
-        self_mode = mode in ("self", "distance_self")
-        build, probe_side = items_a, probes
-        if mode.startswith("distance"):
-            build = build.expanded(epsilon / 2.0)
-            probe_side = build if self_mode else probe_side.expanded(epsilon / 2.0)
-
-        plan = strategy.plan_tile_runs(build, probe_side, counters)
-        if plan is None:
-            # The join would not spill — the inline strategy is both exact
-            # and faster than shipping a single resident run anywhere.
-            return self._run_inline(mode, strategy, items_a, probes, epsilon, counters)
-        try:
-            try:
-                tasks = plan.run_tasks()
-                parts = self._resolve_pool().run_tile_runs(tasks)
-                counters.tile_runs_dispatched += len(tasks)
-            except Exception:
-                # Pool-infrastructure failure: the inline merge below
-                # reproduces any genuine join error.
-                parts = None
-            if parts is not None:
-                id_arrays = []
-                for ids_a, ids_b, worker_counters in parts:
-                    counters.merge(worker_counters)
-                    id_arrays.append((ids_a, ids_b))
-            else:
-                id_arrays = [
-                    plan.merge_inline(run, counters) for run in range(plan.runs)
-                ]
-        finally:
-            plan.release()
-        pairs = pair_columns(*(np.concatenate(side) for side in zip(*id_arrays)))
-        return ordered_pairs(pairs) if self_mode else pairs
-
-    def _run(
-        self,
-        mode: str,
-        strategy: JoinStrategy,
-        items_a: Sequence[Item],
-        probes: Sequence[Item],
-        epsilon: float,
-        counters: Counters,
-    ) -> Pairs:
-        # The session hands over its spec's tables; a bare item list from a
-        # direct caller is packed here, once for every path below.
-        items_a = BoxTable.of(items_a)
-        probes = items_a if mode in ("self", "distance_self") else BoxTable.of(probes)
-        # Custom shard protocols come first: the spill join must never take
-        # the generic element-range path (its contract is parent-partition
-        # + mapped runs).
-        if getattr(strategy, "shard_protocol", None) == "tile_runs":
-            return self._run_tile_runs(mode, strategy, items_a, probes, epsilon, counters)
-        shards = min(self.workers, len(probes) // self.min_shard)
-        if shards >= 2 and strategy.binary and self._strategy_is_portable(strategy):
-            try:
-                pool = self._resolve_pool()
-                return self._run_pooled(
-                    pool, mode, strategy, items_a, probes, epsilon, counters, shards
-                )
-            except Exception:
-                # Pool-infrastructure failure: the inline path below
-                # reproduces any genuine join error.
-                pass
-        return self._run_inline(mode, strategy, items_a, probes, epsilon, counters)
-
-    def self_pairs(self, strategy, items, counters):
-        return self._run("self", strategy, items, items, 0.0, counters)
-
-    def pair_pairs(self, strategy, items_a, items_b, counters):
-        return self._run("pair", strategy, items_a, items_b, 0.0, counters)
-
-    def distance_pairs(self, strategy, items_a, items_b, epsilon, counters):
-        if items_b is None:
-            return self._run("distance_self", strategy, items_a, items_a, epsilon, counters)
-        return self._run("distance_pair", strategy, items_a, items_b, epsilon, counters)
-
-
 # -- planning ------------------------------------------------------------------
 
 #: Specs whose total input size is at or below this run the scalar nested
@@ -411,17 +151,16 @@ JoinPolicy = Callable[[JoinSpec], JoinStrategy]
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """One planning decision: which strategy and executor answer a spec."""
+    """One planning decision: which strategy answers a spec."""
 
     spec: JoinSpec
     strategy: JoinStrategy
-    executor: JoinExecutor
 
 
 def _spec_tables(spec: JoinSpec) -> tuple[BoxTable, BoxTable | None]:
     """The spec's sides as tables (``None`` for the absent side of a self
     join) — the first thing execution does, so a contract violation is
-    refused while the session holds no spill file and no pool export."""
+    refused while the session holds no spill file."""
     if spec.kind == "self":
         return spec.table, None
     if spec.kind == "synapse":
@@ -466,9 +205,6 @@ class JoinSession:
     policy:
         Override the planner with ``(spec) -> JoinStrategy``; ignored when
         ``strategy`` is pinned.
-    executor:
-        Where the filter phase runs (default in-process; pass
-        ``ShardedJoinExecutor(...)`` to partition the probe side).
     counters:
         Shared :class:`~repro.instrumentation.counters.Counters` the
         strategies charge (one is created when omitted).
@@ -504,7 +240,6 @@ class JoinSession:
         *,
         strategy: str | JoinStrategy | None = None,
         policy: JoinPolicy | None = None,
-        executor: JoinExecutor | None = None,
         counters: Counters | None = None,
         inline_cutoff: int = INLINE_JOIN_CUTOFF,
         budget: MemoryBudget | int | None = None,
@@ -515,7 +250,6 @@ class JoinSession:
             strategy = make_join_strategy(strategy)
         self._pinned = strategy
         self._policy = policy
-        self._executor = executor if executor is not None else InlineJoinExecutor()
         self.counters = counters if counters is not None else Counters()
         self.inline_cutoff = inline_cutoff
         self.budget = MemoryBudget.coerce(budget)
@@ -617,7 +351,7 @@ class JoinSession:
             strategy = make_join_strategy(strategy)
         if strategy is None:
             strategy = self.choose_strategy(spec)
-        return JoinPlan(spec=spec, strategy=strategy, executor=self._executor)
+        return JoinPlan(spec=spec, strategy=strategy)
 
     # -- submission -----------------------------------------------------------
 
@@ -691,8 +425,7 @@ class JoinSession:
 
     def _execute(self, spec: JoinSpec, strategy: str | JoinStrategy | None = None) -> Any:
         table_a, table_b = _spec_tables(spec)
-        plan = self.plan(spec, strategy)
-        strategy, executor = plan.strategy, plan.executor
+        strategy = self.plan(spec, strategy).strategy
         before = self.counters.snapshot()
         spec_start = time.perf_counter()
         with _span(
@@ -700,24 +433,22 @@ class JoinSession:
             counters=self.counters,
             kind=spec.kind,
             strategy=strategy.name,
-            executor=executor.name,
             size=_spec_size(spec),
         ):
             if spec.kind in ("self", "pair"):
                 if table_b is None:
-                    pairs = executor.self_pairs(strategy, table_a, self.counters)
+                    pairs = strategy.self_join(table_a, self.counters)
                 else:
-                    pairs = executor.pair_pairs(strategy, table_a, table_b, self.counters)
+                    pairs = strategy.join(table_a, table_b, self.counters)
                 self.stats.candidates += len(pairs)
                 result: Any = pair_list(pairs)
                 self.stats.pairs += len(result)
             elif spec.kind == "distance":
-                result = self._execute_distance(spec, strategy, executor)
+                result = self._execute_distance(spec, strategy)
             else:
-                result = self._execute_synapse(spec, strategy, executor, table_a)
+                result = self._execute_synapse(spec, strategy, table_a)
         self._m_spec_seconds.observe(time.perf_counter() - spec_start)
         self.metrics.counter(f"join.strategy.{strategy.name}").inc()
-        self.metrics.counter(f"join.executor.{executor.name}").inc()
         self.metrics.counter("join.specs").inc()
         self.stats.joins += 1
         delta = self.counters.diff(before)
@@ -727,19 +458,18 @@ class JoinSession:
         self.stats.spill_bytes_read += delta.spill_bytes_read
         self.stats.zero_copy_reads += delta.zero_copy_reads
         self.stats.mapped_bytes += delta.mapped_bytes
-        self.stats.tile_runs_dispatched += delta.tile_runs_dispatched
         self.stats.budget_high_water = max(
             self.stats.budget_high_water, self.budget.high_water
         )
-        self.stats.record_run(strategy.name, executor.name)
+        self.stats.record_run(strategy.name)
         return result
 
     def _execute_distance(
-        self, spec: DistanceJoinSpec, strategy: JoinStrategy, executor: JoinExecutor
+        self, spec: DistanceJoinSpec, strategy: JoinStrategy
     ) -> list[tuple[int, int]]:
         table_a, table_b = spec.table_a, spec.table_b
         candidates = pair_array(
-            executor.distance_pairs(strategy, table_a, table_b, spec.epsilon, self.counters)
+            strategy.distance_candidates(table_a, table_b, spec.epsilon, self.counters)
         )
         self.stats.candidates += len(candidates)
         if not candidates:
@@ -762,11 +492,11 @@ class JoinSession:
         return result
 
     def _execute_synapse(
-        self, spec: SynapseJoinSpec, strategy: JoinStrategy, executor: JoinExecutor, table: BoxTable
+        self, spec: SynapseJoinSpec, strategy: JoinStrategy, table: BoxTable
     ) -> list[Synapse]:
         dataset = spec.dataset
         candidates = pair_array(
-            executor.distance_pairs(strategy, table, None, spec.epsilon, self.counters)
+            strategy.distance_candidates(table, None, spec.epsilon, self.counters)
         )
         self.stats.candidates += len(candidates)
         if not candidates:

@@ -188,14 +188,15 @@ def apposition_point(a: Capsule, b: Capsule) -> tuple[float, float, float]:
 
 @dataclass
 class JoinStats:
-    """Shared accounting across every join strategy and executor.
+    """Shared accounting across every join strategy.
 
     ``comparisons`` is the paper's currency ("the number of comparisons (the
     major bulk of work for in-memory spatial joins)"); ``candidates`` counts
     filter-phase output pairs and ``refined`` the exact-geometry tests run on
     them, so the filter/refine split is visible per session.  The routing
-    maps mirror :class:`~repro.engine.session.SessionStats.executor_runs` —
-    :func:`repro.analysis.session_report.join_report` renders them the same
+    map ``strategy_runs`` mirrors
+    :class:`~repro.engine.session.SessionStats.executor_runs` —
+    :func:`repro.analysis.session_report.join_report` renders it the same
     way.
 
     Out-of-core execution adds the spill funnel: ``tiles_spilled`` counts
@@ -209,8 +210,7 @@ class JoinStats:
     The zero-copy storage fields complete the funnel: ``zero_copy_reads`` /
     ``mapped_bytes`` count spill reads served as NumPy views over the
     mmap-backed page store (and the bytes those views exposed without a
-    copy), and ``tile_runs_dispatched`` the spilled tile runs handed to
-    pool workers as mapped-file descriptors by the sharded executor.
+    copy).
     """
 
     joins: int = 0
@@ -223,10 +223,8 @@ class JoinStats:
     spill_bytes_read: int = 0
     zero_copy_reads: int = 0
     mapped_bytes: int = 0
-    tile_runs_dispatched: int = 0
     budget_high_water: int = 0
     strategy_runs: dict[str, int] = field(default_factory=dict)
-    executor_runs: dict[str, int] = field(default_factory=dict)
     # Serving telemetry, mirroring SessionStats: the deepest the spec
     # buffer got (a gauge), flush counts per cause, and total wall-clock
     # inside flush().
@@ -234,9 +232,8 @@ class JoinStats:
     flush_triggers: dict[str, int] = field(default_factory=dict)
     flush_seconds: float = 0.0
 
-    def record_run(self, strategy_name: str, executor_name: str) -> None:
+    def record_run(self, strategy_name: str) -> None:
         self.strategy_runs[strategy_name] = self.strategy_runs.get(strategy_name, 0) + 1
-        self.executor_runs[executor_name] = self.executor_runs.get(executor_name, 0) + 1
 
     def record_trigger(self, cause: str) -> None:
         self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + 1
@@ -252,12 +249,9 @@ class JoinStats:
         self.spill_bytes_read += other.spill_bytes_read
         self.zero_copy_reads += other.zero_copy_reads
         self.mapped_bytes += other.mapped_bytes
-        self.tile_runs_dispatched += other.tile_runs_dispatched
         self.budget_high_water = max(self.budget_high_water, other.budget_high_water)
         for name, runs in other.strategy_runs.items():
             self.strategy_runs[name] = self.strategy_runs.get(name, 0) + runs
-        for name, runs in other.executor_runs.items():
-            self.executor_runs[name] = self.executor_runs.get(name, 0) + runs
         self.queue_high_water = max(self.queue_high_water, other.queue_high_water)
         for cause, count in other.flush_triggers.items():
             self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + count

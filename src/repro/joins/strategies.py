@@ -21,7 +21,7 @@ a table, one pack on a bare list) and read ``eids``/``boxes``; object-mode
 strategies just iterate.
 
 Outputs mirror that: pairs travel as one :class:`PairArray` — ``(k, 2)``
-int64 — from the strategy through executor, dedup, refinement and sort, and
+int64 — from the strategy through dedup, refinement and sort, and
 become ``list[tuple[int, int]]`` once, at the session boundary
 (:func:`repro.joins.session.pair_list`).  Array strategies return the array they already hold;
 scalar strategies and :class:`CallableJoin` return the list their loops
@@ -91,7 +91,7 @@ def pair_columns(ids_a: np.ndarray, ids_b: np.ndarray) -> PairArray:
 
 
 def concat_pairs(parts: Sequence[Pairs]) -> PairArray:
-    """Per-shard (or per-sweep) results as one array, in part order."""
+    """Per-sweep (or per-slab) results as one array, in part order."""
     return pair_array(np.concatenate([pair_array(()), *map(pair_array, parts)]))
 
 
@@ -109,12 +109,6 @@ class JoinStrategy(ABC):
     name: str = "strategy"
     #: Whether the strategy answers binary (A ⋈ B) joins.
     binary: bool = True
-    #: Custom sharding contract, checked by the sharded executor *before*
-    #: its generic element-range path.  ``"tile_runs"`` (the spill join)
-    #: means: partition in the parent via ``plan_tile_runs`` and merge the
-    #: resulting mapped runs in pool workers — never ship the strategy
-    #: wholesale.  ``None`` means generic sharding applies.
-    shard_protocol: str | None = None
 
     @abstractmethod
     def join(self, items_a: Sequence[Item], items_b: Sequence[Item], counters: Counters) -> Pairs:
@@ -150,32 +144,6 @@ class JoinStrategy(ABC):
         if items_b is None:
             return self.self_join(expanded_a, counters)
         return self.join(expanded_a, BoxTable.of(items_b).expanded(epsilon / 2.0), counters)
-
-
-def shard_pairs(
-    strategy: JoinStrategy,
-    mode: str,
-    build: Sequence[Item],
-    probes: Sequence[Item],
-    bounds: tuple[int, int],
-    epsilon: float,
-    counters: Counters,
-) -> Pairs:
-    """One probe-side shard of a sharded join, as a pool worker runs it.
-    Binary modes join the full build side against the
-    probe chunk.  Self modes (``"self"``, ``"distance_self"``) get the set
-    sorted by id: the chunk can only form new pairs with the id-*prefix* ending
-    at the chunk, and the shard holding a pair's larger id reports it — every
-    unordered pair lands in exactly one shard, with no cross-shard dedup."""
-    self_mode = mode in ("self", "distance_self")
-    chunk = probes[bounds[0] : bounds[1]]
-    if self_mode:
-        build = build[: bounds[1]]
-    if mode in ("pair", "self"):
-        pairs = strategy.join(build, chunk, counters)
-    else:
-        pairs = strategy.distance_candidates(build, chunk, epsilon, counters)
-    return ordered_pairs(pairs) if self_mode else pair_array(pairs)
 
 
 # -- registry ------------------------------------------------------------------

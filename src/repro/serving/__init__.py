@@ -11,8 +11,9 @@ adds the two missing pieces:
   ``multiprocessing.shared_memory``.  A snapshot is exported exactly once
   per (index, pool); after that, only probe arrays and result id arrays
   cross process boundaries.  It is the only place the library starts
-  processes: ``ShardedExecutor`` and ``ShardedJoinExecutor`` route through
-  it, and run in-process whatever it cannot take.
+  processes, and only query shards go there: ``ShardedExecutor`` routes
+  through it and runs in-process whatever it cannot take.  Joins run
+  in-process, off the event loop on a worker thread.
 * :class:`~repro.serving.async_executor.AsyncExecutor` — an event-loop
   flush policy over one :class:`~repro.engine.QuerySession` or
   :class:`~repro.joins.session.JoinSession`: batch under load, flush on

@@ -283,14 +283,14 @@ class AsyncExecutor:
 
 
 class ServingSession:
-    """The "heavy traffic" front door: async queries + joins over one pool.
+    """The "heavy traffic" front door: async queries + joins.
 
-    Bundles a :class:`~repro.engine.session.QuerySession` and a
-    :class:`~repro.joins.session.JoinSession` — both routed through one
-    persistent :class:`~repro.serving.pool.WorkerPool` — behind awaitable
-    convenience methods.  N client tasks share the two flushers, so
-    concurrent requests batch into few executor runs while each client
-    just awaits its own answer::
+    Bundles a :class:`~repro.engine.session.QuerySession` — its shards
+    routed through one persistent :class:`~repro.serving.pool.WorkerPool` —
+    and a plain :class:`~repro.joins.session.JoinSession`, whose flushes run
+    in-process on a worker thread, behind awaitable convenience methods.
+    N client tasks share the two flushers, so concurrent requests batch into
+    few executor runs while each client just awaits its own answer::
 
         async with ServingSession(index) as serving:
             ids = await serving.range_query(box)
@@ -309,23 +309,19 @@ class ServingSession:
         policy: FlushPolicy | None = None,
         workers: int | None = None,
         min_shard: int = 512,
-        join_min_shard: int = 2048,
     ) -> None:
         from repro.engine.session import ShardedExecutor
-        from repro.joins.session import ShardedJoinExecutor
         from repro.serving.pool import default_pool
 
         self.pool = pool if pool is not None else default_pool()
         self.index = index
         # Shard as wide as the pool actually is — not as wide as the CPU
-        # count the executors would otherwise assume.
+        # count the executor would otherwise assume.
         workers = workers if workers is not None else self.pool.workers
         self.queries = QuerySession(
             index, executor=ShardedExecutor(workers=workers, min_shard=min_shard, pool=self.pool)
         )
-        self.joins = JoinSession(
-            executor=ShardedJoinExecutor(workers=workers, min_shard=join_min_shard, pool=self.pool)
-        )
+        self.joins = JoinSession()
         self.query_executor = AsyncExecutor(self.queries, policy)
         self.join_executor = AsyncExecutor(self.joins, policy)
 

@@ -1,12 +1,13 @@
-"""The long-lived worker pool behind the sharded executors.
+"""The long-lived worker pool behind the sharded query executor.
 
 A :class:`WorkerPool` is the one place this package starts processes: its
 ``ProcessPoolExecutor`` workers persist across flushes, so no flush pays
 process start-up, and the index crosses the process boundary **once** per
 (index, pool) as a shared-memory snapshot (:mod:`repro.serving.snapshots`).
 Steady-state flushes ship probe arrays out and result arrays back — nothing
-else.  ``ShardedExecutor``/``ShardedJoinExecutor`` run what the pool cannot
-take in-process.
+else.  Only query shards travel here (``ShardedExecutor`` runs what the pool
+cannot take in-process); joins and external builds run in the calling
+process.
 
 Registration is keyed by object identity with a mutation fingerprint: when
 an index mutates, the next flush re-exports a fresh snapshot (and retires
@@ -35,9 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.batch import BatchStats
-from repro.geometry.table import BoxTable
 from repro.indexes.base import SpatialIndex
-from repro.instrumentation.counters import Counters
 from repro.obs import ingest_telemetry, propagation_context
 from repro.serving import worker as _worker
 from repro.serving.shm import SegmentGroup
@@ -69,8 +68,7 @@ class _Export:
     kind: str
     scalars: dict
     group: SegmentGroup
-    fingerprint: tuple | None  # index exports only; a table never goes stale
-    size: int
+    fingerprint: tuple
 
 
 class WorkerPool:
@@ -99,7 +97,6 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.RLock()
         self._index_exports: dict[int, _Export] = {}
-        self._item_exports: dict[tuple[int, bool], _Export] = {}
         #: Lifetime count of index snapshot exports — the telemetry the
         #: export-exactly-once tests assert on.
         self.exports = 0
@@ -132,10 +129,9 @@ class WorkerPool:
             if self._executor is not None:
                 self._executor.shutdown(wait=True, cancel_futures=True)
                 self._executor = None
-            for exports in (self._index_exports, self._item_exports):
-                for entry in exports.values():
-                    entry.group.close()
-                exports.clear()
+            for entry in self._index_exports.values():
+                entry.group.close()
+            self._index_exports.clear()
             self.closed = True
 
     def __enter__(self) -> "WorkerPool":
@@ -148,11 +144,7 @@ class WorkerPool:
     def segment_bytes(self) -> int:
         """Total bytes currently published through shared memory."""
         with self._lock:
-            return sum(
-                entry.group.nbytes
-                for exports in (self._index_exports, self._item_exports)
-                for entry in exports.values()
-            )
+            return sum(entry.group.nbytes for entry in self._index_exports.values())
 
     # -- registration ----------------------------------------------------------
 
@@ -203,38 +195,9 @@ class WorkerPool:
                 # Stamped *after* export: exporting may itself (re)build the
                 # index's snapshot, which is part of the fingerprint.
                 fingerprint=index_fingerprint(index),
-                size=len(index),
             )
             self._index_exports[key] = entry
             self.exports += 1
-            return entry
-
-    def ensure_items(self, table: BoxTable, *, sort_by_id: bool = False) -> _Export:
-        """The live export of a join side: the table's arrays as they are
-        (it is immutable, so an export keyed on it never goes stale).
-        ``sort_by_id=True`` publishes the id-sorted permutation (cached
-        separately) — the order prefix-sharded self joins require."""
-        with self._lock:
-            if self.closed:
-                raise RuntimeError("WorkerPool is closed")
-            key = (id(table), sort_by_id)
-            entry = self._item_exports.get(key)
-            if entry is not None and entry.source is table:
-                return entry
-            rows = table.sorted_by_id() if sort_by_id else table
-            group = SegmentGroup({"eids": rows.eids, "boxes": rows.boxes})
-            if entry is not None:
-                entry.group.close()
-            entry = _Export(
-                source=table,
-                token=f"items-{key[0]}-{next(_TOKENS)}",
-                kind="items",
-                scalars={},
-                group=group,
-                fingerprint=None,
-                size=len(table),
-            )
-            self._item_exports[key] = entry
             return entry
 
     # -- execution -------------------------------------------------------------
@@ -328,60 +291,6 @@ class WorkerPool:
         with self._lock:  # a session's own-flush may run beside its queue flush
             self.shards_run += len(tasks)
         return results, stats
-
-    def run_join_shards(
-        self,
-        strategy,
-        mode: str,
-        build: _Export,
-        probes: _Export,
-        epsilon: float,
-        shards: int,
-    ) -> list[tuple[Any, Counters]]:
-        """Partition the probe side across the workers; returns raw parts."""
-        edges = np.linspace(0, probes.size, shards + 1).astype(int)
-        tasks = [
-            (
-                strategy,
-                mode,
-                build.token,
-                build.group.meta,
-                probes.token,
-                probes.group.meta,
-                (int(a), int(b)),
-                epsilon,
-            )
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        parts = self._map_telemetry(_worker.join_shard_task, tasks)
-        self.shards_run += len(tasks)
-        return parts
-
-    def run_tile_runs(self, tasks: list[tuple]) -> list[tuple]:
-        """Merge spilled PBSM tile runs in the workers.
-
-        Each task is ``(layout, segments_a, segments_b)`` with the segments
-        as :class:`~repro.exec.spill.MappedRun` descriptor triples (see
-        :meth:`repro.exec.external_join.SpillPlan.run_tasks`); workers map
-        the spill file read-only and return ``(ids_a, ids_b, counters)``.
-        The caller must keep the described handles live until this returns —
-        a crash retry remaps the same descriptors.
-        """
-        parts = self._map_telemetry(_worker.merge_run_task, tasks)
-        self.shards_run += len(tasks)
-        return parts
-
-    def run_slab_tasks(self, tasks: list[tuple]) -> list[tuple]:
-        """Tile external-build STR slabs in the workers.
-
-        Each task is ``(max_entries, [(eids_run, boxes_run, lo, hi), ...])``;
-        workers gather their slab rows from the mapped spill file and return ``((boxes, eids, bounds), counters)`` — the slab's rows
-        in packing order, leaf ``g`` at ``bounds[g]:bounds[g + 1]``.
-        """
-        parts = self._map_telemetry(_worker.str_slab_task, tasks)
-        self.shards_run += len(tasks)
-        return parts
 
 
 # -- the shared default pool ---------------------------------------------------

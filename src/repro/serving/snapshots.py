@@ -367,15 +367,6 @@ class SnapshotSpillTree(_ReadOnlyShell, SpillTree):
         )
 
 
-def items_from_arrays(eids: np.ndarray, boxes: np.ndarray) -> BoxTable:
-    """The join side a strategy consumes: a table over the (shared-memory)
-    views as they are — no rehydration; object-mode strategies get their boxes
-    lazily.  The parent exported a checked table, so the rows are trusted, and
-    row order survives (self-join payloads arrive sorted by id, which prefix
-    sharding depends on)."""
-    return BoxTable(eids, boxes)
-
-
 def build_worker_index(
     kind: str, arrays: dict[str, np.ndarray], scalars: dict[str, float]
 ) -> SpatialIndex:
@@ -388,6 +379,6 @@ def build_worker_index(
         return SnapshotSpillTree(arrays)
     if kind == "packed":
         tree = RTree(max_entries=16)
-        tree.bulk_load(items_from_arrays(arrays["eids"], arrays["boxes"]))
+        tree.bulk_load(BoxTable(arrays["eids"], arrays["boxes"]))
         return tree
     raise ValueError(f"unknown payload kind: {kind!r}")

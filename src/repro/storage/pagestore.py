@@ -133,11 +133,11 @@ class MappedPageStore(PageStore):
         self._lengths: dict[int, int] = {}
         self._free_slots: list[int] = []
         self._slots = 0
+        self._extent = 0  # end of the furthest byte ever written
         self.closed = False
         self._map: mmap.mmap | None = None
         self._mapped_slots = 0
         self._retired_maps: list[mmap.mmap] = []
-        self._unflushed = False
 
     def __len__(self) -> int:
         return len(self._lengths)
@@ -242,13 +242,6 @@ class MappedPageStore(PageStore):
         mapping = self._ensure_mapped(slots_needed)
         return np.frombuffer(mapping, dtype=np.uint8, count=nbytes, offset=start)
 
-    def sync(self) -> None:
-        """Make every buffered write visible to mappings (this process's and
-        any other process that maps the file)."""
-        if self._unflushed and not self.closed:
-            self._file.flush()
-            self._unflushed = False
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, *, unlink: bool = True) -> None:
@@ -277,25 +270,42 @@ class MappedPageStore(PageStore):
             )
         self._file.seek(page_id * self.page_size)
         self._file.write(payload)
+        # Hand the page to the kernel now (the seek of the next write would
+        # anyway): the mapping sees it at once, and nothing buffered is left
+        # to re-grow a file cut short behind the store's back.
+        self._file.flush()
         self._lengths[page_id] = len(payload)
-        self._unflushed = True
+        self._extent = max(self._extent, page_id * self.page_size + len(payload))
 
     def _read_at(self, page_id: int) -> bytes:
         length = self._lengths[page_id]
         if length == 0:
             return b""
         self._file.seek(page_id * self.page_size)
-        return self._file.read(length)
+        payload = self._file.read(length)
+        if len(payload) != length:
+            raise ValueError(
+                f"page file {self.path!r} is truncated: page {page_id} holds "
+                f"{len(payload)} of its {length} bytes"
+            )
+        return payload
 
     def _ensure_mapped(self, slots_needed: int) -> mmap.mmap:
-        self.sync()
         if self._map is not None and self._mapped_slots >= slots_needed:
             return self._map
         with _span("storage.remap", slots=self._slots):
             size = self._slots * self.page_size  # map the whole high-water once
             # A partial final page leaves the file short of the slot boundary;
-            # mmap cannot extend past EOF, so round the file up first.
-            if os.fstat(self._file.fileno()).st_size < size:
+            # mmap cannot extend past EOF, so round the file up first — but
+            # only a file that still holds every written byte: one cut short
+            # from outside would otherwise map back as silent zeros.
+            file_size = os.fstat(self._file.fileno()).st_size
+            if file_size < size:
+                if file_size < self._extent:
+                    raise ValueError(
+                        f"page file {self.path!r} is truncated: {file_size} bytes "
+                        f"on disk, {self._extent} written"
+                    )
                 os.ftruncate(self._file.fileno(), size)
             mapping = mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ)
             if self._map is not None:

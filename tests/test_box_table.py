@@ -3,10 +3,9 @@
 * the value itself: round trips, ``expanded``/``hull`` against the object
   arithmetic, views, read-only arrays, the input contract (hypothesis);
 * hostile input through :class:`JoinSession`: one ``ValueError`` wording per
-  cause for every registry strategy, refused before any spill file or pool
-  export exists, with the session usable afterwards;
-* identity: every strategy × spec kind × executor (inline, pooled, and a
-  failed pool answering in-process) answers a spec over Item lists and a
+  cause for every registry strategy, refused before any spill file exists,
+  with the session usable afterwards;
+* identity: every strategy × spec kind answers a spec over Item lists and a
   spec over ``BoxTable.from_arrays`` with the same list and the same
   :class:`JoinStats` numbers;
 * the spill join's traffic against values frozen at the pre-table commit;
@@ -29,8 +28,6 @@ from repro import (
     JoinSession,
     PairJoinSpec,
     SelfJoinSpec,
-    ShardedJoinExecutor,
-    WorkerPool,
 )
 from repro.datasets.neuroscience import generate_neurons
 from repro.exec import pbsm_working_set_bytes
@@ -38,10 +35,15 @@ from repro.geometry.aabb import union_all
 from repro.instrumentation.counters import Counters
 from repro.joins import JOIN_REGISTRY, make_join_strategy
 from repro.joins.session import pair_list
-from repro.serving.shm import live_segment_names
 from repro.serving.snapshots import SnapshotGridIndex
 
 STRATEGIES = sorted(JOIN_REGISTRY)
+STRATEGY_KINDS = [
+    (name, kind)
+    for name in STRATEGIES
+    for kind in ("self", "distance_self", "pair", "distance_pair")
+    if JOIN_REGISTRY[name].binary or not kind.endswith("pair")
+]
 
 
 def _boxes(n, dims, seed, offset=0, extent=2.0, side=20.0):
@@ -130,13 +132,10 @@ class TestBoxTableValue:
         first, second = table[2:7], table[4:]  # parent items now cached
         assert first[0] is table[2] and second[0] is table[4] is first[2]
 
-    def test_sorted_by_id_and_rows_of(self):
+    def test_rows_of(self):
         items = _boxes(50, 2, seed=2)
-        ordered = BoxTable.from_items(items)
-        assert ordered.sorted_by_id() is ordered
         shuffled = [items[i] for i in np.random.default_rng(3).permutation(50)]
         table = BoxTable.from_items(shuffled)
-        assert list(table.sorted_by_id()) == items
         wanted = np.array([7, 0, 49, 7])
         assert table.eids[table.rows_of(wanted)].tolist() == wanted.tolist()
 
@@ -243,25 +242,9 @@ class TestHostileInput:
             assert session.stats.strategy_runs == {"pbsm_spill": 1}
             assert session.spill_manager().live_handles == 0
 
-    def test_refused_before_any_pool_export_exists(self):
-        before = live_segment_names()
-        with WorkerPool(workers=2) as pool:
-            executor = ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)
-            with JoinSession(executor=executor) as session:
-                for spec, message in _hostile_specs(binary=True):
-                    with pytest.raises(ValueError, match=message):
-                        session.run(spec)
-                    assert not pool._item_exports
-                    assert live_segment_names() == before
 
 
 # -- (b) Item-list input vs table input --------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool(workers=2) as shared:
-        yield shared
 
 
 def _stats(session):
@@ -284,34 +267,18 @@ class TestListAndTableInputAgree:
             specs["distance_pair"] = DistanceJoinSpec(wrap(self.A), wrap(self.B), 0.4)
         return specs
 
-    @pytest.mark.parametrize("where", ["inline", "sharded", "fallback"])
-    @pytest.mark.parametrize("name", STRATEGIES)
-    def test_identical_lists_and_stats(self, name, where, pool, closed_pool):
-        def executor():
-            if where == "inline":
-                return None
-            return ShardedJoinExecutor(
-                workers=2, min_shard=60, pool=pool if where == "sharded" else closed_pool
-            )
-
+    @pytest.mark.parametrize("name, kind", STRATEGY_KINDS)
+    def test_identical_lists_and_stats(self, name, kind):
         with JoinSession(strategy="nested_loop") as oracle:
-            expected = {kind: oracle.run(spec) for kind, spec in self._specs(name, False).items()}
-        for kind, expected_pairs in expected.items():
-            answers = []
-            for as_table in (False, True):
-                spec = self._specs(name, as_table)[kind]
-                with JoinSession(strategy=name, executor=executor()) as session:
-                    answers.append((session.run(spec), _stats(session)))
-                    assert session.run(spec) == answers[-1][0]  # re-run off the cached table
-            assert answers[0] == answers[1], (name, kind)
-            assert answers[0][0] == expected_pairs, (name, kind)
-
-    def test_sharded_runs_really_shard(self, pool):
-        executor = ShardedJoinExecutor(workers=2, min_shard=60, pool=pool)
-        before = pool.shards_run
-        with JoinSession(strategy="pbsm", executor=executor) as session:
-            session.run(SelfJoinSpec(BoxTable.from_arrays(*_arrays(self.A))))
-        assert pool.shards_run == before + 2
+            expected_pairs = oracle.run(self._specs(name, False)[kind])
+        answers = []
+        for as_table in (False, True):
+            spec = self._specs(name, as_table)[kind]
+            with JoinSession(strategy=name) as session:
+                answers.append((session.run(spec), _stats(session)))
+                assert session.run(spec) == answers[-1][0]  # re-run off the cached table
+        assert answers[0] == answers[1], (name, kind)
+        assert answers[0][0] == expected_pairs, (name, kind)
 
 
 # -- (c) spill traffic frozen at the pre-table commit --------------------------------

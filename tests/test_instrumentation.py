@@ -30,14 +30,6 @@ class TestCounters:
         assert delta.elem_tests == 2
         assert before.node_tests == 5  # snapshot unaffected
 
-    def test_merge(self):
-        a = Counters(node_tests=1, pages_read=2)
-        b = Counters(node_tests=10, heap_ops=4)
-        a.merge(b)
-        assert a.node_tests == 11
-        assert a.pages_read == 2
-        assert a.heap_ops == 4
-
     def test_reset(self):
         counters = Counters(elem_tests=9, bytes_touched=100)
         counters.reset()

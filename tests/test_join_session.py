@@ -6,13 +6,10 @@ candidates — over every dataset shape (uniform, clustered, degenerate
 points, all-overlapping boxes, empty inputs), and so does ``GridJoin``'s
 bucket-grid fallback for unlinearizable resolutions.  On top of that, the session
 layer: planner routing, deferred handles, per-spec strategy pinning, error
-containment, the sharded executor's structural cross-shard dedup, and the
-JoinStats/telemetry feed.
+containment, and the JoinStats/telemetry feed.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -23,12 +20,10 @@ from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
 from repro.joins import (
     DistanceJoinSpec,
-    InlineJoinExecutor,
     JOIN_REGISTRY,
     JoinSession,
     PairJoinSpec,
     SelfJoinSpec,
-    ShardedJoinExecutor,
     SynapseDetector,
     SynapseJoinSpec,
     available_join_strategies,
@@ -40,8 +35,6 @@ from repro.joins.strategies import NestedLoopJoin
 from repro.serving.snapshots import SnapshotGridIndex
 
 from conftest import UNIVERSE_3D
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 ALL_STRATEGIES = sorted(JOIN_REGISTRY)
 BINARY_STRATEGIES = [n for n in ALL_STRATEGIES if JOIN_REGISTRY[n].binary]
@@ -415,91 +408,6 @@ class TestSynapseSpec:
             SynapseDetector(dataset, epsilon).detect(box_join=box_join, strategy="grid")
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs the fork start method")
-class TestShardedJoinExecutor:
-    def test_pair_join_matches_inline(self):
-        a = _uniform(400, 22)
-        b = _uniform(350, 23, offset=10_000)
-        sharded = JoinSession(
-            strategy="grid", executor=ShardedJoinExecutor(workers=2, min_shard=64)
-        )
-        got = sharded.run(PairJoinSpec(a, b))
-        assert got == sorted(ORACLE.join(a, b, Counters()))
-        assert sharded.stats.executor_runs == {"sharded": 1}
-
-    def test_self_join_cross_shard_dedup_is_exact(self):
-        """Each unordered pair must be reported by exactly one shard — the
-        result is compared as a *list*, so any double-report fails."""
-        items = _clustered(500, 24)
-        sharded = JoinSession(
-            strategy="grid", executor=ShardedJoinExecutor(workers=4, min_shard=32)
-        )
-        got = sharded.run(SelfJoinSpec(items))
-        assert len(got) == len(set(got))  # no duplicates survived the merge
-        assert got == sorted(ORACLE.self_join(items, Counters()))
-
-    def test_distance_self_join_sharded(self):
-        items = _uniform(400, 25)
-        epsilon = 1.0
-        expected = sorted(
-            (min(x, y), max(x, y))
-            for i, (x, bx) in enumerate(items)
-            for y, by in items[i + 1 :]
-            if bx.min_distance_to_box(by) <= epsilon
-        )
-        sharded = JoinSession(
-            strategy="tree", executor=ShardedJoinExecutor(workers=2, min_shard=64)
-        )
-        assert sharded.run(DistanceJoinSpec(items, None, epsilon)) == expected
-
-    def test_small_jobs_fall_back_inline(self):
-        items = _uniform(100, 26)
-        session = JoinSession(
-            strategy="grid", executor=ShardedJoinExecutor(workers=2, min_shard=10_000)
-        )
-        got = session.run(SelfJoinSpec(items))
-        assert got == sorted(ORACLE.self_join(items, Counters()))
-
-    def test_sharded_counters_merge_back(self):
-        items = _uniform(400, 27)
-        session = JoinSession(
-            strategy="pbsm", executor=ShardedJoinExecutor(workers=2, min_shard=64)
-        )
-        session.run(SelfJoinSpec(items))
-        assert session.counters.comparisons > 0
-        assert session.stats.comparisons == session.counters.comparisons
-
-    def test_self_join_shards_directly_not_as_binary_expansion(self):
-        """ROADMAP known issue, fixed: sharding a self-join used to expand it
-        to the full binary join per shard (n² comparisons summed; ~2x the
-        inline n²/2).  Direct prefix sharding does n²·(s+1)/2s — with 4
-        shards 0.625·n², checked here with the deterministic nested loop."""
-        items = _uniform(600, 29)
-        n = len(items)
-        strategy = make_join_strategy("nested_loop")
-        executor = ShardedJoinExecutor(workers=4, min_shard=50)
-        counters = Counters()
-        pairs = executor.self_pairs(strategy, items, counters)
-        inline_counters = Counters()
-        expected = InlineJoinExecutor().self_pairs(strategy, items, inline_counters)
-        assert pair_list(pairs) == pair_list(expected)
-        # 4 shards: exactly (1+2+3+4)/16 = 0.625 n² prefix-join comparisons.
-        assert counters.comparisons == pytest.approx(0.625 * n * n, rel=0.01)
-        # Well under the old binary expansion's n² (2x the inline n²/2).
-        assert counters.comparisons < 1.3 * inline_counters.comparisons
-
-    def test_distance_self_join_shards_directly(self):
-        items = _uniform(500, 30)
-        n = len(items)
-        strategy = make_join_strategy("nested_loop")
-        executor = ShardedJoinExecutor(workers=4, min_shard=50)
-        counters = Counters()
-        pairs = executor.distance_pairs(strategy, items, None, 1.0, counters)
-        expected = InlineJoinExecutor().distance_pairs(strategy, items, None, 1.0, Counters())
-        assert pair_list(pairs) == pair_list(expected)
-        assert counters.comparisons <= 0.66 * n * n
-
-
 class TestTelemetry:
     def test_join_report_renders_routing(self):
         items = _uniform(200, 28)
@@ -509,7 +417,6 @@ class TestTelemetry:
         report = join_report(session)
         assert "joins=2" in report
         assert "grid" in report and "nested_loop" in report
-        assert "inline" in report
 
     def test_session_report_dispatches_on_type(self):
         from repro import QuerySession, UniformGrid
@@ -554,14 +461,9 @@ class TestPublicApi:
             "JOIN_REGISTRY",
             "make_join_strategy",
             "available_join_strategies",
-            "ShardedJoinExecutor",
             "SynapseDetector",
             "Synapse",
             "IteratedSelfJoin",
         ):
             assert name in repro.__all__, name
             assert hasattr(repro, name)
-
-    def test_inline_executor_is_default(self):
-        session = JoinSession()
-        assert isinstance(session.plan(SelfJoinSpec([])).executor, InlineJoinExecutor)

@@ -7,13 +7,14 @@ These tests pin the contracts ISSUE 10 introduces:
   worker→parent merge path), and the process-global registry;
 * **span tracer** — context-manager nesting, counter-delta attachment,
   Chrome ``trace_event`` export, and a sub-microsecond disabled path;
-* **cross-process propagation** — a sharded ``pbsm_spill`` join under a
-  live WorkerPool (fork AND spawn) renders as ONE connected span tree,
-  with every ``worker.*`` span a descendant of the parent's
-  ``join.flush`` span;
+* **cross-process propagation** — a sharded query flush under a live
+  WorkerPool (fork AND spawn) renders as ONE connected span tree, with
+  every ``worker.*`` span a descendant of the parent's ``query.flush``
+  span;
 * **exactly-once pool retry** — results that landed before a worker
   crash are kept, only the dead tasks rerun (the stats double-count
-  regression);
+  regression), and a query session's ``BatchStats`` stay exact across a
+  crash;
 * **serving exposition** — ``ServingSession.dump_metrics`` merges the
   query/join/global registries into one snapshot, served as Prometheus
   text and JSON over HTTP;
@@ -25,6 +26,7 @@ These tests pin the contracts ISSUE 10 introduces:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -36,16 +38,19 @@ import urllib.request
 import pytest
 
 from conftest import make_items
+import numpy as np
+
 from repro import (
     AABB,
-    JoinSession,
+    QuerySession,
     SelfJoinSpec,
     ServingSession,
-    ShardedJoinExecutor,
+    ShardedExecutor,
     UniformGrid,
     WorkerPool,
     shutdown_default_pool,
 )
+from repro.approx import SpillTree
 from repro.geometry.aabb import AABB as _AABB
 from repro.indexes.disk_rtree import DiskRTree
 from repro.obs import (
@@ -247,38 +252,41 @@ def pool(request):
     p.close()
 
 
+def _windows(count: int, seed: int) -> np.ndarray:
+    lo = np.random.default_rng(seed).uniform(0.0, 94.0, size=(count, 3))
+    return np.stack([lo, lo + 6.0], axis=1)
+
+
 class TestPropagation:
-    def test_sharded_spill_join_is_one_span_tree(self, pool):
-        """The acceptance scenario: a sharded pbsm_spill join under a live
-        pool produces ONE connected trace with every worker span a
-        descendant of the join.flush span."""
-        items = make_items(1400, seed=83)
+    def test_sharded_query_flush_is_one_span_tree(self, pool):
+        """The acceptance scenario: a sharded query flush under a live pool
+        produces ONE connected trace with every worker span a descendant of
+        the query.flush span."""
+        grid = build_grid(make_items(600, seed=31))
+        session = QuerySession(
+            grid, executor=ShardedExecutor(workers=2, min_shard=16, pool=pool)
+        )
         tracer = enable_tracing()
         tracer.clear()
-        session = JoinSession(
-            budget=100_000,
-            executor=ShardedJoinExecutor(workers=2, min_shard=64, pool=pool),
-        )
         try:
-            session.run(SelfJoinSpec(items))
+            session.range_query(_windows(200, seed=83))
             spans = tracer.spans()
         finally:
-            session.close()
             disable_tracing()
-        assert session.stats.strategy_runs.get("pbsm_spill") == 1
+        assert session.stats.executor_runs == {"sharded": 1}
+        assert pool.shards_run == 2
 
         assert spans, "tracing produced no spans"
         trace_ids = {s.trace_id for s in spans}
         assert len(trace_ids) == 1, f"disconnected traces: {trace_ids}"
 
         by_id = {s.span_id: s for s in spans}
-        flush_spans = [s for s in spans if s.name == "join.flush"]
+        flush_spans = [s for s in spans if s.name == "query.flush"]
         assert len(flush_spans) == 1
         flush = flush_spans[0]
 
         worker_spans = [s for s in spans if s.name.startswith("worker.")]
-        assert worker_spans, "no worker spans were merged back"
-        assert {s.name for s in worker_spans} == {"worker.merge_run"}
+        assert [s.name for s in worker_spans] == ["worker.query_shard"] * 2
         assert {s.pid for s in worker_spans} != {os.getpid()}
 
         def ancestor_ids(node: Span) -> set[str]:
@@ -293,8 +301,6 @@ class TestPropagation:
 
         for worker_span in worker_spans:
             assert flush.span_id in ancestor_ids(worker_span)
-        # The partition pass traced too, inside the same tree.
-        assert any(s.name == "join.spill.partition" for s in spans)
 
 
 # -- exactly-once retry --------------------------------------------------------
@@ -343,29 +349,28 @@ class TestExactlyOnceRetry:
         # the bomb task ran, died, and was retried exactly once
         assert executed.count(2) == 2
 
-    def test_join_stats_exact_after_worker_crash(self):
-        """End-to-end: a crash-retried sharded spill join reports the same
-        pair count the no-pool baseline reports (no double merge)."""
-        items = make_items(1400, seed=83)
-        baseline = JoinSession(budget=100_000)
-        expected = sorted(baseline.run(SelfJoinSpec(items)))
-        expected_pairs = baseline.stats.pairs
+    def test_query_stats_exact_after_worker_crash(self):
+        """End-to-end: a crash-retried sharded query flush reports the same
+        answers and batch tallies as the flush before the crash (no shard
+        merged twice)."""
+        grid = build_grid(make_items(600, seed=31))
+        windows = _windows(200, seed=84)
         with WorkerPool(workers=2, context="fork") as pool:
-            session = JoinSession(
-                budget=100_000,
-                executor=ShardedJoinExecutor(workers=2, min_shard=64, pool=pool),
+            session = QuerySession(
+                grid, executor=ShardedExecutor(workers=2, min_shard=16, pool=pool)
             )
-            try:
-                assert sorted(session.run(SelfJoinSpec(items))) == expected
-                first_run_pairs = session.stats.pairs
-                assert first_run_pairs == expected_pairs
-                for process in list(pool._executor._processes.values()):
-                    os.kill(process.pid, signal.SIGKILL)
-                time.sleep(0.1)
-                assert sorted(session.run(SelfJoinSpec(items))) == expected
-                assert session.stats.pairs == 2 * expected_pairs
-            finally:
-                session.close()
+            expected = session.range_query(windows)
+            first = dataclasses.replace(session.stats.batch)
+            assert first.queries == len(windows) and first.batches == 1
+            for process in list(pool._executor._processes.values()):
+                os.kill(process.pid, signal.SIGKILL)
+            time.sleep(0.1)
+            assert session.range_query(windows) == expected
+            stats = session.stats.batch
+            assert stats.queries == 2 * first.queries
+            assert stats.batches == 2 * first.batches
+            assert stats.deduplicated == 2 * first.deduplicated
+            assert session.stats.executor_runs == {"sharded": 2}
 
 
 # -- serving exposition --------------------------------------------------------
@@ -427,20 +432,22 @@ class TestServingExposition:
             server.close()
 
     def test_pool_merges_worker_metrics_into_parent_registry(self, pool):
-        """2+ workers, one merged snapshot: worker-side spill reads surface
-        in the parent's global registry via the telemetry merge."""
-        items = make_items(1400, seed=83)
-        session = JoinSession(
-            budget=100_000,
-            executor=ShardedJoinExecutor(workers=2, min_shard=64, pool=pool),
+        """2+ workers, one merged snapshot: the defeatist descents the
+        workers charge to their own registries surface in the parent's
+        global registry via the telemetry merge, each exactly once."""
+        items = make_items(600, seed=33, points=True)
+        tree = SpillTree(tau=0.25, leaf_size=32, seed=9)
+        tree.bulk_load(items)
+        points = np.random.default_rng(7).uniform(0.0, 100.0, size=(400, 3))
+        session = QuerySession(
+            tree, executor=ShardedExecutor(workers=2, min_shard=32, pool=pool)
         )
-        try:
-            session.run(SelfJoinSpec(items))
-        finally:
-            session.close()
-        # Workers read spilled runs; their registry deltas merged back here.
-        assert global_registry().value("spill.bytes_read") > 0
-        assert global_registry().value("spill.bytes_written") > 0
+        session.knn(points, 4, accuracy=0.5)  # the parent calibrates recall once
+        global_registry().clear()
+        session.knn(points, 4, accuracy=0.5)
+        assert pool.shards_run == 4
+        assert global_registry().value("approx.descents") == len(points)
+        assert global_registry().value("approx.leaves_scanned") > 0
 
 
 # -- mapped scalar maintenance (ROADMAP zero-copy item (b)) --------------------

@@ -40,7 +40,6 @@ from repro.joins import (
     JoinSession,
     PairJoinSpec,
     SelfJoinSpec,
-    ShardedJoinExecutor,
     SynapseJoinSpec,
     make_join_strategy,
 )
@@ -424,10 +423,12 @@ def assert_plain_pairs(result) -> None:
     assert result == sorted(result)
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool(workers=2) as shared:
-        yield shared
+STRATEGY_KINDS = [
+    (name, kind)
+    for name in sorted(JOIN_REGISTRY)
+    for kind in ("self", "distance_self", "pair", "distance_pair")
+    if JOIN_REGISTRY[name].binary or not kind.endswith("pair")
+]
 
 
 class TestPairPlane:
@@ -449,32 +450,13 @@ class TestPairPlane:
         assert all(answers.values())
         return answers
 
-    @pytest.mark.parametrize("where", ["inline", "pool", "fallback"])
-    @pytest.mark.parametrize("name", sorted(JOIN_REGISTRY))
-    def test_every_strategy_kind_and_executor_equals_the_oracle(
-        self, name, where, oracle, pool, closed_pool
-    ):
-        executor = {
-            "inline": lambda: None,
-            "pool": lambda: ShardedJoinExecutor(workers=2, min_shard=50, pool=pool),
-            "fallback": lambda: ShardedJoinExecutor(workers=2, min_shard=50, pool=closed_pool),
-        }[where]
-
-        def tallies(session):
-            stats = session.stats
-            return session.counters, (stats.candidates, stats.pairs, stats.comparisons, stats.refined)
-
-        for kind, spec in self.specs(name).items():
-            with JoinSession(strategy=name, executor=executor()) as session:
-                result = session.run(spec)
-                assert result == oracle[kind], (name, kind, where)
-                assert_plain_pairs(result)
-                assert session.stats.pairs == len(result) <= session.stats.candidates
-            if where == "fallback":  # answered in-process: the inline run's tallies too
-                with JoinSession(strategy=name) as inline:
-                    inline.run(spec)
-                assert tallies(session) == tallies(inline), (name, kind)
-        assert closed_pool.shards_run == 0
+    @pytest.mark.parametrize("name, kind", STRATEGY_KINDS)
+    def test_every_strategy_and_kind_equals_the_oracle(self, name, kind, oracle):
+        with JoinSession(strategy=name) as session:
+            result = session.run(self.specs(name)[kind])
+            assert result == oracle[kind], (name, kind)
+            assert_plain_pairs(result)
+            assert session.stats.pairs == len(result) <= session.stats.candidates
 
     @pytest.mark.parametrize("name", sorted(JOIN_REGISTRY))
     def test_strategy_output_lands_on_the_plane_through_one_adapter(self, name):
@@ -486,30 +468,21 @@ class TestPairPlane:
         with pytest.raises(ValueError):  # only the pair array itself is truthy-by-length
             bool(pairs[:, 0] < pairs[:, 1])
 
-    def test_sharded_parts_concatenate_in_shard_order(self, pool):
-        inline = make_join_strategy("pbsm").self_join(sorted(self.A), Counters())
-        executor = ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)
-        got = executor.self_pairs(make_join_strategy("pbsm"), self.A, Counters())
-        assert type(got) is PairArray
-        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, inline.tolist()))
-
-    def test_refine_callback_sees_python_ints(self, pool):
+    def test_refine_callback_sees_python_ints(self):
         seen = []
 
         def refine(a, b):
             seen.append((type(a), type(b)))
             return (a + b) % 2 == 0
 
-        for executor in (None, ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)):
-            seen.clear()
-            with JoinSession(executor=executor) as session:
-                result = session.run(DistanceJoinSpec(self.A, None, self.EPSILON, refine=refine))
-                assert session.stats.refined == session.stats.candidates == len(seen)
-            with JoinSession(strategy="block_nested") as oracle:
-                candidates = oracle.run(DistanceJoinSpec(self.A, None, self.EPSILON, refine=lambda a, b: True))
-            assert result == [pair for pair in candidates if sum(pair) % 2 == 0] and result
-            assert set(seen) == {(int, int)}
-            assert_plain_pairs(result)
+        with JoinSession() as session:
+            result = session.run(DistanceJoinSpec(self.A, None, self.EPSILON, refine=refine))
+            assert session.stats.refined == session.stats.candidates == len(seen)
+        with JoinSession(strategy="block_nested") as oracle:
+            candidates = oracle.run(DistanceJoinSpec(self.A, None, self.EPSILON, refine=lambda a, b: True))
+        assert result == [pair for pair in candidates if sum(pair) % 2 == 0] and result
+        assert set(seen) == {(int, int)}
+        assert_plain_pairs(result)
 
     def test_callable_join_duplicates_are_dropped_for_synapses(self):
         dataset = generate_neurons(6, 30, seed=3)

@@ -20,13 +20,13 @@ These tests pin the contracts ISSUE 6 introduces:
   other.  Every ordering claim is gated on events, never on wall clock;
 * **spill hygiene** — a join that dies mid-merge releases the session's
   spill tmpdir immediately (the cleanup-on-error fix), and the session
-  stays usable.
+  stays usable; a spill file cut short from outside raises instead of
+  reading back as zeros.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import multiprocessing
 import os
 import random
@@ -37,10 +37,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.serving.pool
+
 from conftest import knn_pairs, make_items
 from repro import (
     AABB,
-    BoxTable,
     FlushPolicy,
     JoinSession,
     KNNQuery,
@@ -51,7 +52,6 @@ from repro import (
     SelfJoinSpec,
     ServingSession,
     ShardedExecutor,
-    ShardedJoinExecutor,
     UniformGrid,
     WorkerPool,
     default_pool,
@@ -60,10 +60,10 @@ from repro import (
 )
 from repro.approx import SpillTree
 from repro.engine.session import BatchExecutor, InlineExecutor
+from repro.exec import SpillManager
+from repro.exec.external_join import SpillPlan
 from repro.indexes.linear_scan import LinearScan
-from repro.instrumentation.counters import Counters
 from repro.joins import CallableJoin, DistanceJoinSpec, PairJoinSpec, make_join_strategy
-from repro.joins.session import InlineJoinExecutor
 from repro.serving.async_executor import AsyncExecutor
 from repro.serving.shm import AttachedArrays, SegmentGroup, live_segment_names
 from repro.serving.snapshots import build_worker_index, export_index_payload
@@ -223,25 +223,6 @@ class TestWorkerPool:
         self.run_batch(session, oracle, seed=22, count=64)
         assert pool.exports == 2
 
-    def test_join_item_exports_are_cached(self, loaded, pool):
-        items, _, _ = loaded
-        session = JoinSession(
-            executor=ShardedJoinExecutor(workers=2, min_shard=50, pool=pool)
-        )
-        # Exports are keyed on the BoxTable: two specs sharing one table
-        # publish once (two specs over one bare tuple would each pack their
-        # own table and so export twice), and so does re-running a spec.
-        shared = BoxTable.from_items(items)
-        expected = sorted(JoinSession().run(SelfJoinSpec(tuple(items))))
-        spec = SelfJoinSpec(shared)
-        assert session.run(spec) == expected
-        assert session.run(spec) == expected
-        assert session.run(SelfJoinSpec(shared)) == expected
-        assert session.stats.executor_runs == {"sharded": 3}
-        assert len(pool._item_exports) == 1
-        (export,) = pool._item_exports.values()
-        assert export.source is shared
-
     def test_worker_crash_recovers_and_segments_survive(self, loaded, pool):
         items, grid, oracle = loaded
         session = QuerySession(
@@ -279,10 +260,8 @@ class TestWorkerPool:
             lambda: WorkerPool(workers=0),
             lambda: ShardedExecutor(workers=0),
             lambda: ShardedExecutor(min_shard=0),
-            lambda: ShardedJoinExecutor(workers=0),
-            lambda: ShardedJoinExecutor(min_shard=0),
         ],
-        ids=["pool_workers", "query_workers", "query_min_shard", "join_workers", "join_min_shard"],
+        ids=["pool_workers", "query_workers", "query_min_shard"],
     )
     def test_rejects_sizes_below_one(self, build):
         with pytest.raises(ValueError, match="must be >= 1"):
@@ -321,11 +300,10 @@ class TestWorkerPool:
 class TestOnlyThePoolStartsProcesses:
     """``WorkerPool`` is the one place the library starts processes.  With
     ``multiprocessing``'s ``Pool`` refused outright, what the pool cannot
-    take — an index with no shared-memory export, a strategy that cannot be
-    pickled, a batch on a pool whose infrastructure failed — is answered
-    in-process, with the in-process executors' answers and tallies.  (Every
-    join strategy on a failed pool is held to the same in
-    ``test_result_plane.py``.)"""
+    take — an index with no shared-memory export, a batch on a pool whose
+    infrastructure failed — is answered in-process, with the in-process
+    executors' answers and tallies; and joins, even with a strategy that
+    cannot be pickled, never start a pool at all."""
 
     #: Registry indexes with no shared-memory export of a box load.
     UNEXPORTABLE = ["crtree", "disk_rtree", "loose_octree", "octree", "rplus", "spatial_lsh"]
@@ -397,18 +375,18 @@ class TestOnlyThePoolStartsProcesses:
             "distance_pair": lambda: DistanceJoinSpec(items, others, 1.5),
         }[kind]()
 
-        def run(executor):
-            with JoinSession(strategy=CallableJoin(closure_join), executor=executor) as session:
+        def run(strategy):
+            with JoinSession(strategy=strategy) as session:
                 pairs = session.run(spec)
                 stats = session.stats
                 tallies = (stats.candidates, stats.pairs, stats.comparisons, stats.refined)
                 return pairs, session.counters, tallies
 
-        with WorkerPool(workers=2) as pool:
-            sharded = run(ShardedJoinExecutor(workers=2, min_shard=50, pool=pool))
-        expected = run(InlineJoinExecutor())
+        got = run(CallableJoin(closure_join))
+        expected = run(block_nested)
         assert expected[0]
-        assert sharded == expected
+        assert got == expected
+        assert repro.serving.pool._DEFAULT is None  # no pool was ever asked for
 
 
 # -- tree & spill payloads ------------------------------------------------------
@@ -489,87 +467,45 @@ class TestTreeAndSpillPayloads:
 
 
 class TestMappedSpillRuns:
-    """ISSUE 9: workers attach spill files by path+descriptor the same way
-    they attach shm index payloads — N processes map ONE spill file
-    read-only and merge their tile runs concurrently, with no byte copied
-    on the read path and no descriptor inherited (the spawn param proves
-    the attach is purely path-based)."""
+    """Spilled segments read back as zero-copy views of the spill file's
+    mapping.  A file cut short from outside must fail loudly — on a direct
+    read and inside a budgeted join — never map back as zeros."""
 
-    def _spilled_plan(self, seed):
-        from repro.exec.external_join import SpillPBSMJoin
+    ROWS = 20_000  # 160 000 bytes over 16 KiB pages: the last page is partial
 
-        items_a = make_items(1200, seed=seed)
-        items_b = [(eid + 10_000, box) for eid, box in make_items(1100, seed=seed + 1)]
-        strategy = SpillPBSMJoin(budget=150_000)
-        counters = Counters()
-        plan = strategy.plan_tile_runs(items_a, items_b, counters)
-        assert plan is not None and plan.runs >= 2
-        return plan, counters
+    @pytest.mark.parametrize("cut", [0, 4096, 8 * ROWS - 1], ids=["empty", "one-page", "one-byte"])
+    def test_mapped_attach_rejects_truncated_files(self, cut):
+        with SpillManager(page_size=1 << 14) as spill:
+            handle = spill.spill(np.arange(self.ROWS))
+            os.truncate(spill.path, cut)
+            with pytest.raises(ValueError, match="truncated"):
+                spill.read(handle)
+            with pytest.raises(ValueError, match="truncated"):  # the copying read too
+                spill.store.read(handle.pages[-1])
 
-    def test_concurrent_workers_map_one_spill_file(self, pool):
-        plan, plan_counters = self._spilled_plan(81)
-        try:
-            before = plan_counters.snapshot()
-            expected = [
-                tuple(arr.tolist() for arr in plan.merge_inline(run, Counters()))
-                for run in range(plan.runs)
-            ]
-            # Segment reads are charged to the spill manager's counters.
-            inline_reads = plan_counters.diff(before)
-            parts = pool.run_tile_runs(plan.run_tasks())
-            worker_counters = Counters()
-            got = []
-            for ids_a, ids_b, counters in parts:
-                worker_counters.merge(counters)
-                got.append((ids_a.tolist(), ids_b.tolist()))
-            # Exactness: every run's id arrays, bit for bit, run for run.
-            assert got == expected
-            # No copy amplification: the workers read exactly the bytes the
-            # inline merge reads — each segment once, as a mapped view.
-            assert worker_counters.spill_bytes_read == inline_reads.spill_bytes_read
-            assert worker_counters.zero_copy_reads > 0
-        finally:
-            plan.release()
+    def test_partial_last_page_still_maps(self):
+        # The legitimate round-up: a file short of its slot boundary only by
+        # the unwritten tail of its last page maps and reads back whole.
+        with SpillManager(page_size=1 << 14) as spill:
+            handle = spill.spill(np.arange(self.ROWS))
+            assert os.path.getsize(spill.path) < len(handle.pages) * (1 << 14)
+            assert np.array_equal(spill.read(handle), np.arange(self.ROWS))
+            assert spill.counters.zero_copy_reads > 0
 
-    def test_worker_crash_recovers_and_spill_dir_is_released(self, loaded):
-        items = make_items(1400, seed=83)
-        with WorkerPool(workers=2) as pool:
-            session = JoinSession(
-                budget=100_000,
-                executor=ShardedJoinExecutor(workers=2, min_shard=64, pool=pool),
-            )
-            expected = sorted(JoinSession(budget=100_000).run(SelfJoinSpec(items)))
-            assert sorted(session.run(SelfJoinSpec(items))) == expected
-            assert session.stats.strategy_runs.get("pbsm_spill") == 1
-            assert session.stats.tile_runs_dispatched > 0
-            spill_dir = session.spill_manager().dir
-            assert os.path.isdir(spill_dir)
-            for process in list(pool._executor._processes.values()):
-                os.kill(process.pid, signal.SIGKILL)
-            time.sleep(0.1)
-            # The rerun must stay exact whether the retry path resurrects
-            # the pool or the executor falls back to the inline merge.
-            assert sorted(session.run(SelfJoinSpec(items))) == expected
-            session.close()
-            # Worker-side read-only mappings never pin the parent's spill
-            # files: close() removes the tmpdir immediately.
-            assert not os.path.exists(spill_dir)
+    def test_budgeted_join_rejects_a_file_cut_between_passes(self, monkeypatch):
+        # The same cut between a budgeted join's partition and merge passes.
+        merge = SpillPlan.merge_inline
 
-    def test_mapped_attach_rejects_truncated_files(self, pool):
-        # A descriptor pointing past EOF (stale handle, truncated file) must
-        # fail loudly in the worker, not map garbage.
-        plan, _ = self._spilled_plan(85)
-        try:
-            tasks = plan.run_tasks()
-            layout, segments_a, segments_b = tasks[0]
-            run = segments_a[0][0]
-            bogus = dataclasses.replace(run, pages=(10_000,))
-            with pytest.raises(Exception):
-                pool.run_tile_runs(
-                    [(layout, [(bogus,) + segments_a[0][1:]], segments_b)]
-                )
-        finally:
-            plan.release()
+        def truncate_then_merge(plan, run, counters):
+            if run == 0:
+                os.truncate(plan.spill.path, 4096)
+            return merge(plan, run, counters)
+
+        monkeypatch.setattr(SpillPlan, "merge_inline", truncate_then_merge)
+        session = JoinSession(budget=100_000)
+        with pytest.raises(ValueError, match="truncated"):
+            session.run(SelfJoinSpec(make_items(1400, seed=85)))
+        assert session._spill is None  # the failed flush released the file
 
 
 # -- the async serving tier ----------------------------------------------------
@@ -578,7 +514,7 @@ class TestMappedSpillRuns:
 class TestAsyncServing:
     def test_mixed_workload_matches_oracle(self, loaded, pool):
         items, grid, oracle = loaded
-        join_oracle = sorted(JoinSession().run(SelfJoinSpec(tuple(items))))
+        join_oracle = JoinSession(strategy="nested_loop").run(SelfJoinSpec(tuple(items)))
         shared_items = tuple(items)
 
         async def client(serving, cid):
@@ -601,9 +537,7 @@ class TestAsyncServing:
             assert sorted(await serving.join(SelfJoinSpec(shared_items))) == join_oracle
 
         async def main():
-            async with ServingSession(
-                grid, pool=pool, workers=2, min_shard=4, join_min_shard=50
-            ) as serving:
+            async with ServingSession(grid, pool=pool, workers=2, min_shard=4) as serving:
                 await asyncio.gather(*(client(serving, cid) for cid in range(8)))
                 return serving.queries.stats, serving.joins.stats
 
@@ -617,6 +551,29 @@ class TestAsyncServing:
         assert sum(qstats.flush_triggers.values()) == qstats.flushes
         assert jstats.joins == 8
         assert jstats.queue_high_water >= 1
+
+    @pytest.mark.parametrize("kind", ["self", "pair", "distance_self", "distance_pair"])
+    def test_joins_answer_in_process_and_leave_the_pool_alone(self, loaded, kind):
+        items, grid, _ = loaded
+        side_a, side_b = tuple(items[:300]), tuple((eid + 10_000, box) for eid, box in items[300:])
+        spec = {
+            "self": SelfJoinSpec(side_a),
+            "pair": PairJoinSpec(side_a, side_b),
+            "distance_self": DistanceJoinSpec(side_a, None, 0.5),
+            "distance_pair": DistanceJoinSpec(side_a, side_b, 0.5),
+        }[kind]
+        expected = JoinSession(strategy="block_nested").run(spec)
+        assert expected
+
+        async def main(pool):
+            async with ServingSession(grid, pool=pool, workers=2) as serving:
+                return await serving.join(spec), serving.joins.stats
+
+        with WorkerPool(workers=2, context="fork") as pool:
+            pairs, stats = asyncio.run(main(pool))
+            assert pool.shards_run == 0 and pool.exports == 0
+        assert pairs == expected
+        assert stats.joins == 1 and stats.pairs == len(expected)
 
     def test_flush_trigger_full(self, loaded):
         _, grid, oracle = loaded

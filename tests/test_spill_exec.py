@@ -41,6 +41,7 @@ from repro.indexes.disk_rtree import DiskRTree
 from repro.instrumentation.counters import Counters
 from repro.engine.session import QuerySession
 from repro.joins import (
+    DistanceJoinSpec,
     JoinSession,
     PairJoinSpec,
     SelfJoinSpec,
@@ -470,162 +471,104 @@ class TestQuerySessionBudget:
         assert "spill:" not in session_report(session)
 
 
-class TestShardedSpillJoin:
-    """ISSUE 9 tentpole: the ``tile_runs`` shard protocol.
+class TestSpillJoinRuns:
+    """The spill join's runs merge one at a time in the session's process.
 
-    ``pbsm_spill`` partitions in the parent and hands pool workers spilled
-    tile *runs* as MappedRun descriptors; each worker maps the spill file
-    read-only and merges with the shared kernel.  A tile lives in exactly
-    one run and the reference-point dedup is global, so the sharded pair
-    list must be **bit-identical** (same order, not just same set) to the
-    inline out-of-core merge.
+    A tile lives in exactly one run and the reference-point dedup is global,
+    so merging the runs of a :meth:`SpillPBSMJoin.plan_tile_runs` plan one
+    by one must reproduce :meth:`SpillPBSMJoin.join` **bit-identically**
+    (same order, not just same set), and a budgeted session — which reads
+    every run back as zero-copy views of its spill file — must equal the
+    ``block_nested`` oracle for every spec kind.
     """
 
-    BUDGET = 150_000
+    #: Both force >= 2 runs at these sizes: three runs, then two.
+    BUDGETS = [150_000, 400_000]
 
-    def _executor(self):
-        from repro.joins.session import ShardedJoinExecutor
+    def _oracle(self, spec):
+        with JoinSession(strategy="block_nested") as oracle:
+            return oracle.run(spec)
 
-        return ShardedJoinExecutor(workers=2, min_shard=64)
+    def _budgeted(self, spec, budget):
+        with JoinSession(budget=budget) as session:
+            pairs = session.run(spec)
+            assert session.stats.strategy_runs == {"pbsm_spill": 1}
+            assert session.stats.tiles_spilled > 0
+            assert session.stats.zero_copy_reads > 0
+            assert session.stats.mapped_bytes > 0
+            report = join_report(session)
+        assert "mapped:" in report
+        return pairs
 
-    def test_pair_join_bit_identical_to_inline(self):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_runs_merged_one_by_one_equal_the_join(self, budget):
         items_a = _sides(1200, seed=60)
         items_b = _offset(_sides(1100, seed=61), 10_000)
-        strategy = SpillPBSMJoin(budget=self.BUDGET)
-        inline_counters = Counters()
-        expected = strategy.join(items_a, items_b, inline_counters)
-        assert inline_counters.tiles_spilled > 0  # the regime under test
+        strategy = SpillPBSMJoin(budget=budget)
+        join_counters = Counters()
+        expected = strategy.join(items_a, items_b, join_counters)
         counters = Counters()
-        got = self._executor().pair_pairs(
-            SpillPBSMJoin(budget=self.BUDGET), items_a, items_b, counters
-        )
-        assert got.tolist() == expected.tolist()  # identical order, not just identical set
-        assert counters.tile_runs_dispatched > 0
-        assert counters.zero_copy_reads > 0
-        # No copy amplification: the sharded merge reads exactly the bytes
-        # the inline merge reads — every segment once, straight off the map.
-        assert counters.spill_bytes_read == inline_counters.spill_bytes_read
+        plan = strategy.plan_tile_runs(items_a, items_b, counters)
+        try:
+            assert plan.runs >= 2  # the regime under test
+            merged = [plan.merge_inline(run, counters) for run in range(plan.runs)]
+        finally:
+            plan.release()
+        got = np.stack([np.concatenate(side) for side in zip(*merged)], axis=1)
+        assert got.tolist() == expected.tolist()  # identical order, not just set
+        assert counters.spill_bytes_read == join_counters.spill_bytes_read
 
-    def test_self_join_bit_identical_to_inline(self):
-        from repro.joins.session import InlineJoinExecutor
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_pair_join_equals_block_nested(self, budget):
+        items_a = _sides(1500, seed=66)
+        items_b = _offset(_sides(1500, seed=67), 10_000)
+        spec = PairJoinSpec(items_a, items_b)
+        assert self._budgeted(spec, budget) == self._oracle(spec)
 
-        items = _sides(1400, seed=62)
-        expected = InlineJoinExecutor().self_pairs(
-            SpillPBSMJoin(budget=self.BUDGET), items, Counters()
-        )
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_self_join_equals_block_nested(self, budget):
+        spec = SelfJoinSpec(_sides(1400, seed=62))
+        assert self._budgeted(spec, budget) == self._oracle(spec)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_distance_join_equals_block_nested(self, budget):
+        spec = DistanceJoinSpec(_sides(1200, seed=63), None, 1.5)
+        assert self._budgeted(spec, budget) == self._oracle(spec)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_distance_pair_join_equals_block_nested(self, budget):
+        items_a = _sides(1200, seed=68)
+        items_b = _offset(_sides(1100, seed=69), 10_000)
+        spec = DistanceJoinSpec(items_a, items_b, 1.5)
+        assert self._budgeted(spec, budget) == self._oracle(spec)
+
+    def test_one_run_working_set_plans_none(self):
+        # A budget the working set fits in one run declines the plan just
+        # as no budget does, and the join answers without spilling.
+        items_a = _sides(1200, seed=60)
+        items_b = _offset(_sides(1100, seed=61), 10_000)
+        strategy = SpillPBSMJoin(budget=4 * pbsm_working_set_bytes(1200, 1100))
+        assert strategy.plan_tile_runs(items_a, items_b, Counters()) is None
         counters = Counters()
-        got = self._executor().self_pairs(
-            SpillPBSMJoin(budget=self.BUDGET), items, counters
+        got = strategy.join(items_a, items_b, counters)
+        assert pair_list(got) == pair_list(
+            make_join_strategy("pbsm").join(items_a, items_b, Counters())
         )
-        assert got.tolist() == expected.tolist()
-        assert counters.tile_runs_dispatched > 0
+        assert counters.tiles_spilled == counters.spill_bytes_written == 0
 
-    def test_distance_join_bit_identical_to_inline(self):
-        from repro.joins.session import InlineJoinExecutor
-
-        items = _sides(1200, seed=63)
-        epsilon = 1.5
-        expected = InlineJoinExecutor().distance_pairs(
-            SpillPBSMJoin(budget=self.BUDGET), items, None, epsilon, Counters()
-        )
-        counters = Counters()
-        got = self._executor().distance_pairs(
-            SpillPBSMJoin(budget=self.BUDGET), items, None, epsilon, counters
-        )
-        assert got.tolist() == expected.tolist()
-
-    def test_resident_joins_plan_none_and_run_inline(self):
+    def test_resident_joins_plan_none(self):
         # Below-budget inputs never spill: plan_tile_runs declines and the
-        # executor answers through the plain inline strategy.
+        # strategy answers in memory.
         items_a = _sides(200, seed=64)
         items_b = _offset(_sides(200, seed=65), 10_000)
         strategy = SpillPBSMJoin(budget=None)
         assert strategy.plan_tile_runs(items_a, items_b, Counters()) is None
         counters = Counters()
-        got = self._executor().pair_pairs(strategy, items_a, items_b, counters)
+        got = strategy.join(items_a, items_b, counters)
         assert pair_list(got) == pair_list(
             make_join_strategy("pbsm").join(items_a, items_b, Counters())
         )
-        assert counters.tile_runs_dispatched == 0
-
-    def test_session_threads_mapped_telemetry(self):
-        from repro.joins.session import ShardedJoinExecutor
-
-        items_a = _sides(1500, seed=66)
-        items_b = _offset(_sides(1500, seed=67), 10_000)
-        with JoinSession(
-            budget=self.BUDGET, executor=ShardedJoinExecutor(workers=2, min_shard=64)
-        ) as session:
-            pairs = session.run(PairJoinSpec(items_a, items_b))
-            assert session.stats.strategy_runs.get("pbsm_spill") == 1
-            assert session.stats.tile_runs_dispatched > 0
-            assert session.stats.zero_copy_reads > 0
-            assert session.stats.mapped_bytes > 0
-            report = join_report(session)
-            assert "mapped:" in report and "tile-runs=" in report
-        expected = pair_list(make_join_strategy("pbsm").join(items_a, items_b, Counters()))
-        assert sorted(pairs) == expected
-
-
-class TestParallelExternalBuild:
-    """ISSUE 9: the mapped-slab path parallelizes the external STR merge.
-
-    Pool workers tile whole slabs from their own read-only mapping of the
-    run file; group order (and therefore the packed tree) must be identical
-    to the single-process merge.
-    """
-
-    def _items(self, n, seed):
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(0.0, 400.0, size=(n, 2))
-        return [
-            (i, AABB(tuple(l), tuple(l + rng.uniform(0.5, 2.0, 2))))
-            for i, l in enumerate(lo)
-        ]
-
-    def test_leaf_groups_identical_to_inline(self):
-        from repro.exec.external_build import external_leaf_groups
-
-        items = self._items(6000, seed=70)
-        inline = list(external_leaf_groups(iter(items), 16, 100_000, counters=Counters()))
-        counters = Counters()
-        parallel = list(
-            external_leaf_groups(iter(items), 16, 100_000, counters=counters, workers=2)
-        )
-        assert parallel == inline  # same groups, same order
-        assert counters.tile_runs_dispatched > 0
-        assert counters.zero_copy_reads > 0
-
-    @pytest.mark.parametrize("cls", [RTree, DiskRTree])
-    def test_indexes_build_identically_with_workers(self, cls):
-        items = self._items(5000, seed=71)
-        solo = cls(max_entries=16)
-        solo.bulk_load_external(iter(items), budget=80_000)
-        pooled = cls(max_entries=16)
-        pooled.bulk_load_external(iter(items), budget=80_000, workers=2)
-        assert len(pooled) == len(items)
-        assert pooled.counters.tile_runs_dispatched > 0
-        queries = [
-            AABB((40.0 * i, 30.0 * i), (40.0 * i + 50.0, 30.0 * i + 50.0))
-            for i in range(8)
-        ]
-        for got, expected in zip(
-            pooled.batch_range_query(queries), solo.batch_range_query(queries)
-        ):
-            assert sorted(got) == sorted(expected)
-
-    def test_resident_build_skips_the_pool(self):
-        # Unbudgeted builds keep every run resident — nothing to map, so the
-        # workers path must decline rather than ship arrays around.
-        from repro.exec.external_build import external_leaf_groups
-
-        items = self._items(800, seed=72)
-        counters = Counters()
-        groups = list(
-            external_leaf_groups(iter(items), 16, None, counters=counters, workers=2)
-        )
-        assert sum(len(g) for g in groups) == len(items)
-        assert counters.tile_runs_dispatched == 0
+        assert counters.tiles_spilled == 0
 
 
 # -- the array-native build packs the object pipeline's tree -------------------
@@ -693,7 +636,6 @@ def _reference_page_file(leaf_groups, dims, max_entries, page_size):
 
 
 def _page_file(tree):
-    tree.store.sync()
     with open(tree.store.path, "rb") as handle:
         data = handle.read()
     return data.ljust(len(tree.store) * tree.store.page_size, b"\0")
@@ -743,12 +685,6 @@ class TestMappedBuildByteIdentity:
         built, counters = self._built(items, budget=self.TIGHT)
         assert counters.spill_bytes_written > 0
         assert built == expected
-
-    def test_pool_workers_write_the_inline_file(self, items):
-        inline, _ = self._built(items, budget=self.TIGHT)
-        pooled, counters = self._built(items, budget=self.TIGHT, workers=2)
-        assert counters.tile_runs_dispatched > 0
-        assert pooled == inline
 
     def test_bulk_load_equals_unbudgeted_external_build(self, items):
         external, _ = self._built(items)
