@@ -20,8 +20,8 @@ Analysis workloads issue queries by the million per simulation step; issue
 those through a :class:`QuerySession` — the single public query surface over
 every index.  Queries are first-class values with deferred results, and the
 session's buffer flushes them through pluggable executors: a cost heuristic
-routes each batch to the scalar or vectorized-kernel path, and a sharded
-process pool can be pinned per session (``executor=ShardedExecutor(...)``)::
+routes each batch to the scalar or vectorized-kernel path unless the session
+pins one — a sharded process pool, say (``executor=ShardedExecutor(...)``)::
 
     import numpy as np
     from repro import KNNQuery, QuerySession, RangeQuery
@@ -53,7 +53,9 @@ Spatial joins get the same treatment: describe the join as a spec and
 submit it through a :class:`JoinSession`, whose planner routes it to one of
 the registered strategies (``JOIN_REGISTRY`` — nested loop, plane sweep,
 PBSM, grid, STR-tree traversal, TOUCH, tiny-cell; all returning the exact
-nested-loop pair set)::
+nested-loop pair set) unless the session or the spec pins one.  Both
+sessions share one deferred handle and one flush loop
+(:mod:`repro.engine.core`)::
 
     from repro import JoinSession, SelfJoinSpec, SynapseJoinSpec
 
@@ -84,9 +86,9 @@ See ``examples/serving.py`` for N concurrent clients over one pool.
 Moving datasets — the paper's structural-plasticity workload — get
 *continuous* queries: submit a spec once to a :class:`ContinuousSession` and
 each ``tick(updates)`` yields an exact delta (results added / removed, pairs
-added / dissolved) maintained by a planner that routes per tick between full
-recompute, incremental safe-region maintenance, and predictive TPR/LUR
-evaluation::
+added / dissolved), routed per tick by observed churn between full recompute
+and incremental safe-region maintenance (predictive TPR evaluation runs only
+when pinned)::
 
     from repro import ContinuousSession, ContinuousRangeQuery, ContinuousJoinSpec
 
@@ -97,9 +99,6 @@ evaluation::
 
 The serving tier pushes the same streams to async clients
 (:class:`ContinuousServing`); see ``examples/continuous_monitoring.py``.
-
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
-the paper-vs-measured record of every reproduced figure.
 """
 
 from repro.geometry import AABB, BoxTable, Capsule, Point, Segment, Sphere

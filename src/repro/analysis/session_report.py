@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.analysis.reporting import format_table, percent_bar
 from repro.continuous.session import ContinuousSession
 from repro.engine import QuerySession, SessionStats
+from repro.engine.core import FlushStats
 from repro.joins.session import JoinSession
 from repro.joins.spec import JoinStats
 from repro.obs import Histogram, MetricsRegistry
@@ -72,35 +73,26 @@ def _approx_line(stats: SessionStats) -> str | None:
     )
 
 
-def _serving_line(
-    stats: SessionStats | JoinStats,
-    metrics: MetricsRegistry | None = None,
-    prefix: str = "query",
-) -> str | None:
+def _serving_line(stats: FlushStats, metrics: MetricsRegistry, prefix: str) -> str | None:
     """The async serving-tier telemetry, rendered once an event-loop
     executor has attributed flushes to causes.
 
-    Rendered from the session's metrics registry when one is supplied (the
-    sessions mirror every serving stat there); the legacy stats fields are
-    the fallback so snapshots merged from elsewhere still report.
+    Rendered from the session's metrics registry (the sessions mirror every
+    serving stat there); the legacy stats fields are the fallback so
+    snapshots merged from elsewhere still report.
     """
-    if metrics is not None:
-        head = "serving.flush.trigger."
-        triggers = {
-            name[len(head):]: int(metrics.value(name))
-            for name in metrics.names()
-            if name.startswith(head)
-        }
-        high_water = int(metrics.value(f"{prefix}.queue.high_water"))
-        hist = metrics.get(f"{prefix}.flush.seconds")
-        flush_wall = hist.total if isinstance(hist, Histogram) else 0.0
-        if not triggers and not high_water:
-            # A session that never rode the async tier mirrors nothing under
-            # serving.*; fall through to the stats fields (merged snapshots).
-            triggers = stats.flush_triggers
-            high_water = stats.queue_high_water
-            flush_wall = stats.flush_seconds
-    else:
+    head = "serving.flush.trigger."
+    triggers = {
+        name[len(head):]: int(metrics.value(name))
+        for name in metrics.names()
+        if name.startswith(head)
+    }
+    high_water = int(metrics.value(f"{prefix}.queue.high_water"))
+    hist = metrics.get(f"{prefix}.flush.seconds")
+    flush_wall = hist.total if isinstance(hist, Histogram) else 0.0
+    if not triggers and not high_water:
+        # A session that never rode the async tier mirrors nothing under
+        # serving.*; fall through to the stats fields (merged snapshots).
         triggers = stats.flush_triggers
         high_water = stats.queue_high_water
         flush_wall = stats.flush_seconds
@@ -141,7 +133,7 @@ def query_session_report(session: QuerySession) -> str:
     approx = _approx_line(stats)
     if approx is not None:
         header = f"{header}\n{approx}"
-    serving = _serving_line(stats, getattr(session, "metrics", None), "query")
+    serving = _serving_line(stats, session.metrics, "query")
     if serving is not None:
         header = f"{header}\n{serving}"
     table = format_table(
@@ -180,7 +172,7 @@ def join_report(session: JoinSession) -> str:
     mapped = _mapped_line(stats.zero_copy_reads, stats.mapped_bytes)
     if mapped is not None:
         header = f"{header}\n{mapped}"
-    serving = _serving_line(stats, getattr(session, "metrics", None), "join")
+    serving = _serving_line(stats, session.metrics, "join")
     if serving is not None:
         header = f"{header}\n{serving}"
     strategy_table = format_table(

@@ -9,11 +9,11 @@ problem.  This package promotes it to a first-class scenario:
   :class:`ContinuousSession`;
 * exact per-tick :class:`Delta` streams (results-added / results-removed,
   pairs-added / pairs-removed) instead of full result sets;
-* a maintenance planner routing each spec per tick, by observed churn,
-  between full recompute (throwaway rebuild) and incremental maintenance
-  (the :class:`~repro.joins.iterated.IteratedSelfJoin` safe-region trick
-  generalized to all spec kinds); predictive evaluation on TPR/LUR backing
-  indexes is a pin-only third policy, measured slower at every churn level.
+* routing *pin > heuristic*: unpinned specs go per tick, by observed churn,
+  to full recompute (throwaway rebuild) or incremental maintenance (the
+  :class:`~repro.joins.iterated.IteratedSelfJoin` safe-region trick
+  generalized to all spec kinds); predictive evaluation on a TPR-tree
+  backing is a pin-only third policy, measured slower at every churn level.
 
 See ``examples/continuous_monitoring.py`` and the "Continuous queries"
 section of the README.

@@ -15,10 +15,10 @@ when pinned:
   patched from the tick's *affected set* alone, generalizing
   :class:`~repro.joins.iterated.IteratedSelfJoin`'s retract-and-reprobe trick
   to range / kNN / join specs with per-spec safe-region checks.
-* :class:`PredictivePolicy` — the TPR/LUR bet: a predictive (or lazy) index
-  absorbs motion nearly for free, and invalidated results are re-asked
-  against it; exactness comes from those indexes' built-in refinement
-  against exact current boxes.
+* :class:`PredictivePolicy` — the TPR bet: a predictive index absorbs
+  motion nearly for free, and invalidated results are re-asked against it;
+  exactness comes from the index's built-in refinement against exact
+  current boxes.
 
 Every policy maintains the same invariant the oracle suite pins: after
 ``evaluate``, the subscription's result equals a full recompute against the
@@ -40,7 +40,6 @@ from repro.geometry.aabb import batch_min_distance_to_points
 from repro.indexes.base import KNNResult, SpatialIndex
 from repro.joins.session import JoinSession
 from repro.joins.spec import DistanceJoinSpec
-from repro.moving.lur_tree import LURTree
 from repro.moving.tpr import TPRIndex
 
 from repro.continuous.spec import (
@@ -138,7 +137,7 @@ class RecomputePolicy(MaintenancePolicy):
             grid = UniformGrid(universe=self.session.universe, counters=self.counters)
             grid.bulk_load(list(self.session.state_items()))
             self.rebuilds += 1
-            self._cache = (tick, QuerySession(grid, executor=self.session._make_executor()))
+            self._cache = (tick, QuerySession(grid))
         return self._cache[1]
 
     def full_result(self, spec: ContinuousSpec):
@@ -181,7 +180,7 @@ class RecomputePolicy(MaintenancePolicy):
 class _DeltaMaintenance(MaintenancePolicy):
     """Maintain answers against a live backing index (never rebuilt).
 
-    Subclasses provide the backing (:meth:`_make_backing` / :meth:`_apply`)
+    Subclasses provide the backing (:meth:`_make_backing` / :meth:`_move`)
     and the per-kind evaluation hooks; the safe-region logic — which results
     provably survived the tick untouched — is shared.
     """
@@ -192,9 +191,7 @@ class _DeltaMaintenance(MaintenancePolicy):
         self._backing.bulk_load(list(session.state_items()))
         # Probes always take the batch kernels (no inline scalar route): those
         # read the grid's snapshot, so its bucket view is never built.
-        self._probe_session = QuerySession(
-            self._backing, executor=session._make_executor(), inline_cutoff=0
-        )
+        self._probe_session = QuerySession(self._backing, inline_cutoff=0)
         # Ticks accepted but not yet folded into the backing index — the
         # "maintain the answer, not the index" discipline taken to its
         # conclusion: range results are patched from the affected set alone
@@ -217,10 +214,13 @@ class _DeltaMaintenance(MaintenancePolicy):
     def _make_backing(self) -> SpatialIndex:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def _move(self, moves: list) -> None:
+        """The tick's motion as one batch (a TPR backing advances instead)."""
+        self._backing.apply_moves(moves)
+
     def _apply(self, batch: TickBatch) -> None:
-        """Default sync: the tick's motion as one ``apply_moves``, then the
-        churn per element; subclasses may override (TPR advances)."""
-        self._backing.apply_moves(batch.moves())
+        """Sync one tick: its motion, then the churn per element."""
+        self._move(batch.moves())
         for eid, box in sorted(batch.inserted.items()):
             self._backing.insert(eid, box)
         for eid, box in sorted(batch.deleted.items()):
@@ -469,51 +469,35 @@ class IncrementalPolicy(_DeltaMaintenance):
     name = "incremental"
 
     def _make_backing(self) -> SpatialIndex:
-        return UniformGrid(
-            universe=self.session.universe,
-            cell_size=self.session.cell_size,
-            counters=self.counters,
-        )
+        return UniformGrid(universe=self.session.universe, counters=self.counters)
 
 
 class PredictivePolicy(_DeltaMaintenance):
-    """Predictive evaluation on a TPR (default) or LUR backing index.
+    """Predictive evaluation on a TPR-tree backing index
+    (``TPRIndex(max_speed=0.1, horizon=10)``).
 
-    The index absorbs motion without structural work — TPR swept boxes
-    cover predicted positions until the horizon, LUR grace boxes absorb
-    jitter — and invalidated results are *re-asked* against it (both
-    indexes refine candidates against exact current boxes, so answers stay
-    exact even under wild misprediction; mispredictions cost time, never
-    correctness).  Range specs are re-evaluated from the index whenever the
-    tick is non-empty: that is the predictive bet — evaluation is cheap
-    because maintenance was.
+    The index absorbs motion without structural work — swept boxes cover
+    predicted positions until the horizon — and invalidated results are
+    *re-asked* against it (the index refines candidates against exact
+    current boxes, so answers stay exact even under wild misprediction;
+    mispredictions cost time, never correctness).  Range specs are
+    re-evaluated from the index whenever the tick is non-empty: that is the
+    predictive bet — evaluation is cheap because maintenance was.
 
     The bet loses on simulation motion (``BENCH_continuous.json``), so the
-    planner never routes here; the policy runs only when a session or a
+    heuristic never routes here; the policy runs only when a session or a
     subscription pins it.
     """
 
     name = "predictive"
 
     def _make_backing(self) -> SpatialIndex:
-        session = self.session
-        if session.predictive_backing == "lur":
-            options = {"grace": 0.5, **session.predictive_options}
-            return LURTree(counters=self.counters, **options)
-        options = {"max_speed": 0.1, "horizon": 10, **session.predictive_options}
-        return TPRIndex(counters=self.counters, **options)
+        return TPRIndex(max_speed=0.1, horizon=10, counters=self.counters)
 
-    def _apply(self, batch: TickBatch) -> None:
-        if isinstance(self._backing, TPRIndex):
-            # advance() owns the clock: one bump per tick, then the tick's
-            # true motion (prediction escapes re-anchor inside).
-            self._backing.advance(batch.moves())
-            for eid, box in sorted(batch.inserted.items()):
-                self._backing.insert(eid, box)
-            for eid, box in sorted(batch.deleted.items()):
-                self._backing.delete(eid, box)
-        else:
-            super()._apply(batch)
+    def _move(self, moves: list) -> None:
+        # advance() owns the clock: one bump per tick, then the tick's true
+        # motion (prediction escapes re-anchor inside).
+        self._backing.advance(moves)
 
     def _evaluate_range(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
         self._sync()

@@ -9,25 +9,26 @@ moving dataset and a set of standing subscriptions.  Each ``tick(updates)``:
 3. routes each subscription to a policy — the **planner** — and collects
    its exact per-tick :class:`~repro.continuous.spec.Delta`.
 
-The planner routes on observed churn (EWMA-smoothed), two ways:
+Routing is *pin > heuristic*.  The heuristic routes on observed churn
+(EWMA-smoothed), two ways:
 
-* churn above ``recompute_churn`` → ``recompute`` (when most elements
+* churn above :data:`RECOMPUTE_CHURN` → ``recompute`` (when most elements
   change, maintaining the answer costs more than rebuilding it — the
   throwaway philosophy);
 * everything else → ``incremental`` (range results patched from the
   affected set alone, kNN held by distance-slack safe regions, joins by
   retract-and-reprobe), whatever the spec kind or the shape of the motion.
 
-A subscription may pin a policy explicitly (``subscribe(spec,
-policy="incremental")``) — the oracle suite uses this to prove every
-(policy × spec kind) pair exact.  ``predictive`` (TPR/LUR backing) is
-**pin-only**: the planner never picks it.  It is the paper's negative
-exhibit (§3: predictive moving-object indexes "do not work well for
-simulations because the movement of objects cannot be predicted") and the
-measurements agree — its range specs re-probe the index every tick where
-``incremental`` patches from the affected set, its kNN shares
-``incremental``'s evaluation over a slower backing, and past the TPR
-horizon every reported move pays a scalar R-tree delete + insert
+A session (``ContinuousSession(..., policy="incremental")``) or a
+subscription (``subscribe(spec, policy="incremental")``) may pin a policy —
+the oracle suite uses this to prove every (policy × spec kind) pair exact.
+``predictive`` (a TPR-tree backing) is **pin-only**: the heuristic never
+picks it.  It is the paper's negative exhibit (§3: predictive moving-object
+indexes "do not work well for simulations because the movement of objects
+cannot be predicted") and the measurements agree — its range specs re-probe
+the index every tick where ``incremental`` patches from the affected set,
+its kNN shares ``incremental``'s evaluation over a slower backing, and past
+the TPR horizon every reported move pays a scalar R-tree delete + insert
 (``BENCH_continuous.json``, n=100k: 18–177x incremental's tick past the
 horizon and 1.5–2.1x its cumulative cost up to it, at every measured churn
 level).
@@ -68,6 +69,10 @@ from repro.continuous.spec import (
 
 AUTO = "auto"
 RESYNC = "resync"
+
+#: Churn fraction (EWMA of affected/tracked) above which the heuristic
+#: falls back to per-tick recompute.
+RECOMPUTE_CHURN = 0.3
 
 
 @dataclass
@@ -164,21 +169,11 @@ class ContinuousSession:
         Simulation domain (grids size their cells from it; required only
         for an empty initial state that grows later).
     policy:
-        Default routing: ``"auto"`` (the planner) or a policy name to pin
+        Default routing: ``"auto"`` (the heuristic) or a policy name to pin
         for every subscription that does not pin its own.
-    recompute_churn:
-        Churn fraction (EWMA of affected/tracked) above which the planner
-        falls back to per-tick recompute.
-    predictive_backing / predictive_options:
-        ``"tpr"`` (default) or ``"lur"``, and constructor overrides for the
-        backing index (e.g. ``{"max_speed": 0.05}``) — used only by
-        subscriptions pinned to ``"predictive"``.
-    executor_factory:
-        Optional zero-arg callable producing a query executor for each
-        policy's internal :class:`~repro.engine.QuerySession` — pass
-        ``lambda: ShardedExecutor(pool=pool)`` to run probe batches on a
-        shared :class:`~repro.serving.WorkerPool` (mutation fingerprints
-        make the pool re-export snapshots as the backing indexes change).
+    counters / metrics:
+        The :class:`~repro.instrumentation.counters.Counters` the policies
+        charge and the session's metrics registry (created when omitted).
     """
 
     def __init__(
@@ -188,31 +183,15 @@ class ContinuousSession:
         *,
         policy: str = AUTO,
         counters: Counters | None = None,
-        recompute_churn: float = 0.3,
-        cell_size: float | None = None,
-        predictive_backing: str = "tpr",
-        predictive_options: dict[str, Any] | None = None,
-        executor_factory: Callable[[], Any] | None = None,
-        keep_history: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if policy != AUTO and policy not in POLICY_CLASSES:
             raise ValueError(f"unknown policy: {policy!r}")
-        if predictive_backing not in ("tpr", "lur"):
-            raise ValueError(f"unknown predictive backing: {predictive_backing!r}")
-        if not 0.0 < recompute_churn <= 1.0:
-            raise ValueError(f"recompute_churn must be in (0, 1], got {recompute_churn}")
         materialized = validate_items(items)
         self._state: dict[int, AABB] = dict(materialized)
         self.universe = universe if universe is not None else self._bounds()
         self.policy = policy
         self.counters = counters if counters is not None else Counters()
-        self.recompute_churn = recompute_churn
-        self.cell_size = cell_size
-        self.predictive_backing = predictive_backing
-        self.predictive_options = dict(predictive_options or {})
-        self.executor_factory = executor_factory
-        self.keep_history = keep_history
         self.stats = ContinuousStats()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_ticks = self.metrics.counter("continuous.ticks")
@@ -248,9 +227,6 @@ class ContinuousSession:
 
     def __contains__(self, eid: int) -> bool:
         return eid in self._state
-
-    def _make_executor(self):
-        return self.executor_factory() if self.executor_factory is not None else None
 
     # -- subscriptions -----------------------------------------------------------
 
@@ -373,8 +349,7 @@ class ContinuousSession:
                     route_counter.inc()
                     delta = Delta(tick=self.ticks, added=frozenset(added), removed=frozenset(removed))
                     sub.latest = delta
-                    if self.keep_history:
-                        sub.deltas.append(delta)
+                    sub.deltas.append(delta)
                     deltas[sub.cqid] = delta
                     self.stats.record_delta(sub.kind, delta)
                     for listener in sub.listeners:
@@ -400,7 +375,7 @@ class ContinuousSession:
         """Pick this tick's policy: pinned wins, then churn."""
         if sub.pinned is not None:
             return sub.pinned
-        if (self._churn_ewma or 0.0) > self.recompute_churn:
+        if (self._churn_ewma or 0.0) > RECOMPUTE_CHURN:
             return "recompute"
         return "incremental"
 

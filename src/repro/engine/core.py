@@ -1,0 +1,226 @@
+"""The session core: one deferred handle, one buffer, one flush loop.
+
+:class:`~repro.engine.session.QuerySession` and
+:class:`~repro.joins.session.JoinSession` differ only in what a *group* is
+(queries of one kind, ``k`` and accuracy run as one batch; a join spec runs
+alone) and in how one group runs.  Everything around that lives here once.
+Routing stays with each session and is *pin > heuristic* in both.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from dataclasses import dataclass, field
+from typing import Any
+
+from repro.obs import MetricsRegistry
+from repro.obs import span as _span
+
+
+class Handle:
+    """A deferred result, resolved when its session flushes.
+
+    ``result()`` flushes the owning session while still pending
+    (flush-on-read).  Under an :class:`~repro.serving.async_executor.AsyncExecutor`
+    the executor attaches an asyncio waiter at submit time and ``await
+    handle`` parks the task until a flush settles it; with no waiter,
+    ``await`` is the synchronous read.  A submission claimed for a flush of
+    its own (:meth:`~repro.engine.session.QuerySession.claim_alone`) is in no
+    buffer a read could flush: ``result()`` blocks until that flush settles it.
+    """
+
+    __slots__ = ("tag", "_session", "_value", "_error", "_resolved", "_waiter", "_settled")
+
+    def __init__(self, session: "SessionCore", tag: Any) -> None:
+        self.tag = tag
+        self._session = session
+        self._value: Any = None
+        self._error: BaseException | None = None
+        self._resolved = False
+        self._waiter: Any = None  # asyncio.Future, attached by AsyncExecutor
+        self._settled: threading.Event | None = None  # set by claim_alone
+
+    @property
+    def resolved(self) -> bool:
+        return self._resolved
+
+    def result(self) -> Any:
+        if self._settled is not None:
+            self._settled.wait()
+        elif not self._resolved:
+            try:
+                self._session.flush()
+            except Exception:
+                # The flush re-raises the FIRST group error; a read reports
+                # only what happened to its own submission, so a settled
+                # handle swallows it.  Explicit flush() is where cross-group
+                # errors propagate.
+                if not self._resolved:
+                    raise
+        if not self._resolved:
+            # Only when a flush was torn down mid-group (e.g. a
+            # KeyboardInterrupt): drained, but never executed.
+            raise RuntimeError("flush did not settle this handle")
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def __await__(self):
+        if not self._resolved and self._waiter is not None:
+            yield from self._waiter.__await__()
+        return self.result()
+
+    def _resolve(self, value: Any) -> None:
+        self._value = value
+        self._settle()
+
+    def _fail(self, error: Exception) -> None:
+        """Settle with the error that consumed this submission."""
+        self._error = error
+        self._settle()
+
+    def _settle(self) -> None:
+        self._resolved = True
+        self._session = None  # settled handles must not pin the session/index
+        if self._settled is not None:
+            self._settled.set()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "resolved" if self._resolved else "pending"
+        return f"<{type(self).__name__} {state} tag={self.tag!r}>"
+
+
+class Buffer:
+    """Entries (each with a ``handle``) awaiting a flush; ``len()`` is the
+    depth in rows.  :meth:`drain` empties it as groups of entries, by
+    default one group per entry."""
+
+    def __init__(self) -> None:
+        self._entries: list = []
+        self._depth = 0
+
+    def __len__(self) -> int:
+        return self._depth
+
+    def add(self, entry: Any, rows: int) -> None:
+        self._entries.append(entry)
+        self._depth += rows
+
+    def drain(self) -> list[list]:
+        entries, self._entries, self._depth = self._entries, [], 0
+        return self._group(entries)
+
+    def _group(self, entries: list) -> list[list]:
+        return [[entry] for entry in entries]
+
+
+@dataclass
+class FlushStats:
+    """Queue and flush telemetry, mutated under the session's ``_lock``.
+
+    ``flushes`` counts flushes that ran work (own-flushes included);
+    ``queue_high_water`` is the deepest the buffer got (a gauge);
+    ``flush_triggers`` counts flushes per cause, recorded by the
+    :class:`~repro.serving.async_executor.AsyncExecutor` event loop (plain
+    synchronous flushes don't tag themselves); ``flush_seconds`` is the wall
+    clock spent inside flushes, which may overlap."""
+
+    flushes: int = 0
+    queue_high_water: int = 0
+    flush_triggers: dict[str, int] = field(default_factory=dict)
+    flush_seconds: float = 0.0
+
+    def record_trigger(self, cause: str) -> None:
+        self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + 1
+
+
+class SessionCore:
+    """A session's buffer, locks, telemetry and flush loop.
+
+    A subclass names its span/metric namespace (``_PREFIX``) and the flush
+    span's group-count attribute (``_GROUPS``), and supplies its
+    :class:`Buffer` (what a group is) and :meth:`_run_group` (how one runs).
+
+    ``_lock`` guards the buffer and every stats/metrics tally;
+    ``_flush_lock`` serializes whole flushes (drain → execute → resolve), so
+    a competing flush-on-read waits until every drained handle has settled.
+    """
+
+    _PREFIX: str
+    _GROUPS: str
+
+    def __init__(self, buffer: Buffer, stats: FlushStats, metrics: MetricsRegistry | None) -> None:
+        self._buffer = buffer
+        self.stats = stats
+        # Registry mirrors of the stats fields, cached once so the submit
+        # hot path pays one attribute bump, not a name lookup.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_high_water = self.metrics.gauge(f"{self._PREFIX}.queue.high_water")
+        self._m_flushes = self.metrics.counter(f"{self._PREFIX}.flushes")
+        self._m_flush_seconds = self.metrics.histogram(f"{self._PREFIX}.flush.seconds")
+        self._lock = threading.Lock()
+        self._flush_lock = threading.Lock()
+
+    @property
+    def pending(self) -> int:
+        """Rows (query rows, join specs) buffered and not yet flushed."""
+        return len(self._buffer)
+
+    def _enqueue(self, entry: Any, rows: int) -> None:
+        """Buffer ``entry``, ``rows`` deep; the caller holds ``_lock``."""
+        self._buffer.add(entry, rows)
+        depth = len(self._buffer)
+        if depth > self.stats.queue_high_water:
+            self.stats.queue_high_water = depth
+        self._m_high_water.track_max(depth)
+
+    def flush(self) -> None:
+        """Execute everything buffered and resolve the handles.
+
+        A group that raises settles its own handles with its error; the
+        other groups still run, and the first error propagates once the
+        buffer is settled.  Concurrent callers queue on the flush lock.
+        """
+        with self._flush_lock:
+            with self._lock:
+                groups = self._buffer.drain()
+            if groups:
+                self._flush_groups(groups)
+
+    def _flush_groups(self, groups: list[list], *, alone: bool = False) -> None:
+        with self._lock:
+            self.stats.flushes += 1
+        start = time.perf_counter()
+        first_error: Exception | None = None
+        try:
+            with _span(f"{self._PREFIX}.flush", **{self._GROUPS: len(groups)}):
+                for group in groups:
+                    try:
+                        self._run_group(group, alone)
+                    except Exception as error:
+                        # BaseExceptions (KeyboardInterrupt, SystemExit)
+                        # propagate at once: unexecuted submissions stay
+                        # unsettled and their reads raise RuntimeError.
+                        for entry in group:
+                            if not entry.handle.resolved:
+                                entry.handle._fail(error)
+                        self._group_failed()
+                        if first_error is None:
+                            first_error = error
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self.stats.flush_seconds += elapsed
+                self._m_flushes.inc()
+                self._m_flush_seconds.observe(elapsed)
+        if first_error is not None:
+            raise first_error
+
+    def _run_group(self, group: list, alone: bool) -> None:  # pragma: no cover - interface
+        """Run one group and settle its handles; ``alone`` means the caller
+        does not hold the flush lock."""
+        raise NotImplementedError
+
+    def _group_failed(self) -> None:
+        """Called once a raising group's handles are settled."""

@@ -1,11 +1,8 @@
 """QuerySession: the declarative front door for every spatial query.
 
 The paper's analysis phases fire "thousands of range queries ... at locations
-that cannot be anticipated" (§2.2) between simulation steps.  PRs 1–2 built
-the vectorized kernels for that workload, but callers still talked to three
-different surfaces: scalar :class:`~repro.indexes.base.SpatialIndex` methods,
-the :class:`~repro.engine.batch.BatchQueryEngine`, and ad-hoc loops inside
-the sim monitors and joins.  This module unifies them:
+that cannot be anticipated" (§2.2) between simulation steps; every one of
+them goes through this session:
 
 * Queries are **first-class values** — :class:`RangeQuery`,
   :class:`KNNQuery` and :class:`PointQuery` dataclasses carrying a unique
@@ -28,16 +25,16 @@ the sim monitors and joins.  This module unifies them:
 
   The executor is chosen per batch by a small cost heuristic
   (batch size × index capability, see :meth:`QuerySession.choose_executor`)
-  that is overridable per session — pin one with ``executor=...`` or supply
-  a ``policy`` callable.  The heuristic itself never picks the sharded
-  executor.
+  unless the session pins one with ``executor=...``.  The heuristic itself
+  never picks the sharded executor.
 
-Every executor answers every batch with the same id sets (range/point) and
-the identical ``(distance, id)`` lists (kNN) — the deterministic ordering
-contract of :mod:`repro.indexes.base` makes them interchangeable, which is
-what lets the heuristic switch freely.  The ROADMAP's streaming front end
-and process-pool sharding both live behind this one interface now: the
-former is the buffer, the latter is one executor.
+The handle, the buffer and the flush loop are the session core
+(:mod:`repro.engine.core`), shared with
+:class:`~repro.joins.session.JoinSession`; this module supplies what a query
+group is and how it runs.  Every executor answers every batch with the same
+id sets (range/point) and the identical ``(distance, id)`` lists (kNN) — the
+ordering contract of :mod:`repro.indexes.base` — so the heuristic may switch
+freely.
 """
 
 from __future__ import annotations
@@ -45,14 +42,14 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
 from repro.engine.batch import BatchQueryEngine, BatchStats
+from repro.engine.core import Buffer, FlushStats, Handle, SessionCore
 from repro.exec.budget import MemoryBudget
 from repro.geometry.aabb import AABB, as_box_array, as_point_array
 from repro.indexes.base import KNNResult, SpatialIndex
@@ -148,94 +145,19 @@ Query = Union[RangeQuery, KNNQuery, PointQuery]
 # -- deferred results ----------------------------------------------------------
 
 
-class ResultHandle:
-    """A deferred result, resolved when its session flushes.
+class ResultHandle(Handle):
+    """A deferred query result (the session core's :class:`Handle`).
 
-    ``result()`` triggers the owning session's flush when still pending
-    (flush-on-read), so callers can interleave submissions and reads without
-    managing flush boundaries themselves.  For single-query submissions the
-    value is that query's result (``list[int]`` or
-    :data:`~repro.indexes.base.KNNResult`); for array submissions it is the
-    per-query list of results, in submission order.
-
-    Handles are also ``await``-able: under an
-    :class:`~repro.serving.async_executor.AsyncExecutor` the executor
-    attaches an asyncio waiter at submit time, and ``await handle`` parks
-    the task until the executor's flush settles it.  Awaiting a handle with
-    no waiter degrades to the synchronous flush-on-read path.
-
-    A submission the session claimed for a flush of its own
-    (:meth:`QuerySession.claim_alone`) is in no buffer a read could flush;
-    ``result()`` on its handle blocks until that flush settles it.
+    For single-query submissions the value is that query's result
+    (``list[int]`` or :data:`~repro.indexes.base.KNNResult`); for array
+    submissions it is the per-query list of results, in submission order.
     """
 
-    __slots__ = (
-        "query", "tag", "_session", "_value", "_error", "_resolved", "_waiter", "_settled",
-    )
+    __slots__ = ("query",)
 
     def __init__(self, session: "QuerySession", query: Query | None, tag: Any = None) -> None:
+        super().__init__(session, tag if query is None else query.tag)
         self.query = query
-        self.tag = tag if query is None else query.tag
-        self._session = session
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._resolved = False
-        self._waiter: Any = None  # asyncio.Future, attached by AsyncExecutor
-        self._settled: threading.Event | None = None  # set by claim_alone
-
-    @property
-    def resolved(self) -> bool:
-        return self._resolved
-
-    def result(self) -> Any:
-        if self._settled is not None:
-            self._settled.wait()
-        elif not self._resolved:
-            try:
-                self._session.flush()
-            except Exception:
-                # The flush may fail on any group (it re-raises the FIRST
-                # group error); a read only reports what happened to ITS
-                # OWN submission.  If this handle settled — with a value or
-                # with its own error, re-raised below — swallow the flush
-                # exception; explicit session.flush() is the surface where
-                # cross-group errors propagate.
-                if not self._resolved:
-                    raise
-        if not self._resolved:
-            # Reachable only when a flush was torn down mid-group (e.g. a
-            # KeyboardInterrupt): the buffer drained but this submission
-            # never executed.
-            raise RuntimeError("flush did not settle this handle")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def __await__(self):
-        if not self._resolved and self._waiter is not None:
-            yield from self._waiter.__await__()
-        return self.result()
-
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-        self._settle()
-
-    def _fail(self, error: Exception) -> None:
-        """Settle the handle with the executor error that consumed its
-        submission, so ``result()`` re-raises instead of hanging on a
-        never-resolved handle."""
-        self._error = error
-        self._settle()
-
-    def _settle(self) -> None:
-        self._resolved = True
-        self._session = None  # settled handles must not pin the session/index
-        if self._settled is not None:
-            self._settled.set()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "resolved" if self._resolved else "pending"
-        return f"<ResultHandle {state} query={self.query!r}>"
 
 
 # -- executors -----------------------------------------------------------------
@@ -551,73 +473,38 @@ class _Submission:
     accuracy: float | None = None  # kNN recall target; None = exact
 
 
-class QueryBuffer:
-    """Accumulates submissions until the session flushes.
+class QueryBuffer(Buffer):
+    """Submissions awaiting a flush, depth in query rows, drained as one
+    group per (kind, k, accuracy) in first-seen order.  Submission order
+    inside a group is the contract handles rely on; accuracy is in the key
+    so exact and approximate kNN at one ``k`` never share a kernel run."""
 
-    The buffer preserves submission order inside each (kind, k, accuracy)
-    group — that order is the contract handles rely on — while letting the
-    flush concatenate each group into one contiguous payload per executor
-    run.  Accuracy is part of the grouping key so exact and approximate
-    kNN submissions at the same ``k`` never share a kernel run.
-    """
-
-    def __init__(self) -> None:
-        self._submissions: list[_Submission] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def add(self, submission: _Submission) -> None:
-        self._submissions.append(submission)
-        self._count += submission.payload.shape[0]
-
-    def drain(self) -> list[tuple[tuple[str, int | None, float | None], list[_Submission]]]:
-        """Empty the buffer, grouped by (kind, k, accuracy) in first-seen order."""
+    def _group(self, entries: list[_Submission]) -> list[list[_Submission]]:
         groups: dict[tuple[str, int | None, float | None], list[_Submission]] = {}
-        for sub in self._submissions:
+        for sub in entries:
             groups.setdefault((sub.kind, sub.k, sub.accuracy), []).append(sub)
-        self._submissions = []
-        self._count = 0
-        return list(groups.items())
+        return list(groups.values())
 
 
 # -- session stats -------------------------------------------------------------
 
 
 @dataclass
-class SessionStats:
-    """Session-level accounting: kernel tallies plus executor mix.
+class SessionStats(FlushStats):
+    """Kernel tallies plus executor mix, beside the core's queue/flush fields.
 
     ``batch`` accumulates the merged :class:`BatchStats` of every executor
-    run; ``executor_runs`` counts batches per executor name, which is the
-    telemetry the cost heuristic is judged by
-    (:func:`repro.analysis.session_report`).
-
-    The serving tier adds queue/flush telemetry: ``queue_high_water`` is
-    the deepest the buffer got before a flush (a gauge), ``flush_triggers``
-    counts flushes per cause (``"full"`` / ``"deadline"`` / ``"idle"`` —
-    recorded by :class:`~repro.serving.async_executor.AsyncExecutor`; plain
-    synchronous flushes don't tag themselves), and ``flush_seconds`` is the
-    total wall-clock spent inside :meth:`QuerySession.flush` and
-    :meth:`QuerySession.flush_alone` (the two may overlap, so it can exceed
-    elapsed time).  The session mutates these fields under its ``_lock``;
-    ``flush_triggers`` belongs to the event loop that records it."""
+    run; ``executor_runs`` counts batches per executor name, the telemetry
+    the cost heuristic is judged by (:func:`repro.analysis.session_report`).
+    ``flush_seconds`` covers :meth:`QuerySession.flush_alone` too."""
 
     batch: BatchStats = field(default_factory=BatchStats)
-    flushes: int = 0
     submitted: int = 0
     executor_runs: dict[str, int] = field(default_factory=dict)
-    queue_high_water: int = 0
-    flush_triggers: dict[str, int] = field(default_factory=dict)
-    flush_seconds: float = 0.0
 
     def record_run(self, executor_name: str, stats: BatchStats) -> None:
         self.batch.merge(stats)
         self.executor_runs[executor_name] = self.executor_runs.get(executor_name, 0) + 1
-
-    def record_trigger(self, cause: str) -> None:
-        self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + 1
 
 
 # -- the session ---------------------------------------------------------------
@@ -626,10 +513,8 @@ class SessionStats:
 #: dispatch is cheaper than array normalization + kernel set-up.
 INLINE_CUTOFF = 4
 
-Policy = Callable[[SpatialIndex, QueryBatch], Executor]
 
-
-class QuerySession:
+class QuerySession(SessionCore):
     """The single public entry point for queries against any index.
 
     Parameters
@@ -639,9 +524,6 @@ class QuerySession:
     executor:
         Pin every batch to one executor, bypassing the cost heuristic
         (e.g. ``ShardedExecutor(workers=4)`` for large analysis phases).
-    policy:
-        Override the heuristic with a callable
-        ``(index, batch) -> Executor``; ignored when ``executor`` is set.
     dedup:
         Collapse duplicate queries inside each batch (default True, as in
         the kernel engine).
@@ -672,42 +554,32 @@ class QuerySession:
         stabs     = session.point_query(points)
     """
 
+    _PREFIX = "query"
+    _GROUPS = "groups"
+
     def __init__(
         self,
         index: SpatialIndex,
         *,
         executor: Executor | None = None,
-        policy: Policy | None = None,
         dedup: bool = True,
         inline_cutoff: int = INLINE_CUTOFF,
         budget: MemoryBudget | int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        super().__init__(QueryBuffer(), SessionStats(), metrics)
         self.index = index
         self.dedup = dedup
         self.inline_cutoff = inline_cutoff
         self.budget = MemoryBudget.coerce(budget)
         self._pinned = executor
-        self._policy = policy
-        self._buffer = QueryBuffer()
-        self.stats = SessionStats()
         self._inline = InlineExecutor()
         self._batch = BatchExecutor()
-        # Registry mirrors of the stats fields, cached once so the submit
-        # hot path pays one attribute bump, not a name lookup.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_submitted = self.metrics.counter("query.submitted")
-        self._m_high_water = self.metrics.gauge("query.queue.high_water")
-        self._m_flushes = self.metrics.counter("query.flushes")
-        self._m_flush_seconds = self.metrics.histogram("query.flush.seconds")
-        # Concurrency: `_lock` guards the buffer and every stats/metrics
-        # tally; `_flush_lock` serializes whole flushes (drain → execute →
-        # resolve), so a competing flush-on-read blocks until every drained
-        # handle has settled instead of observing drained-but-unresolved
-        # handles.  It is also the in-process execution lock: `flush_alone`
-        # runs outside it only while its batch is in the worker pool.
-        self._lock = threading.Lock()
-        self._flush_lock = threading.Lock()
+        # The flush lock is also the in-process execution lock: no two
+        # kernels ever run on the index at once, so its counters and lazy
+        # snapshot stay single-writer.  `flush_alone` runs outside it only
+        # while its batch is in the worker pool.
 
     # -- executor choice ------------------------------------------------------
 
@@ -718,13 +590,11 @@ class QuerySession:
         kernel for the batch's kind (see
         :meth:`~repro.indexes.base.SpatialIndex.supports_batch_kind`) run
         inline — the kernel set-up would outweigh the work.  Everything
-        else runs through the batch engine.  A pinned ``executor`` or a
-        session ``policy`` overrides this entirely.
+        else runs through the batch engine.  A pinned ``executor``
+        overrides this entirely.
         """
         if self._pinned is not None:
             return self._pinned
-        if self._policy is not None:
-            return self._policy(self.index, batch)
         capability = (
             "approx_knn"
             if batch.kind == "knn" and batch.accuracy is not None
@@ -766,13 +636,9 @@ class QuerySession:
         """Queue ``submission`` for the next flush; returns its handle."""
         count = submission.payload.shape[0]
         with self._lock:
-            self._buffer.add(submission)
+            self._enqueue(submission, count)
             self.stats.submitted += count
-            depth = len(self._buffer)
-            if depth > self.stats.queue_high_water:
-                self.stats.queue_high_water = depth
             self._m_submitted.inc(count)
-            self._m_high_water.track_max(depth)
         return submission.handle
 
     def submit(self, query: Query) -> ResultHandle:
@@ -792,9 +658,6 @@ class QuerySession:
         else:
             raise TypeError(f"not a query value: {query!r}")
         return self.enqueue(_Submission(kind, payload, k, handle, vector=False, accuracy=accuracy))
-
-    def submit_all(self, queries: Sequence[Query]) -> list[ResultHandle]:
-        return [self.submit(q) for q in queries]
 
     def array_submission(
         self,
@@ -853,39 +716,7 @@ class QuerySession:
         """Buffer a stabbing-query point array."""
         return self.enqueue(self.array_submission("point", points, tag=tag))
 
-    @property
-    def pending(self) -> int:
-        """Queries buffered and not yet flushed."""
-        return len(self._buffer)
-
-    # -- flushing -------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Execute everything buffered and resolve the handles.
-
-        Submissions are grouped by (kind, k), each group concatenated into
-        one contiguous payload, run through the chosen executor, and the
-        results scattered back to the group's handles in submission order.
-
-        A group whose execution raises settles its handles with that error
-        (``result()`` re-raises it) instead of orphaning them; the other
-        groups still run, and the first error propagates once the buffer is
-        fully settled.
-
-        Flushes are serialized: concurrent callers (threads, or an async
-        executor racing a flush-on-read) queue on the flush lock, and each
-        sees either a fully settled buffer or runs its own complete flush.
-        What the flush lock guards is *in-process execution*: no two
-        kernels ever run on the index at once, so its
-        :class:`~repro.instrumentation.counters.Counters` and lazy snapshot
-        stay single-writer.  The one thing that runs beside a flush is a
-        :meth:`flush_alone` whose batch is in the worker pool.
-        """
-        with self._flush_lock:
-            with self._lock:
-                groups = self._buffer.drain()
-            if groups:
-                self._flush_groups(groups, alone=False)
+    # -- flushing (``flush()`` is the core's) ---------------------------------
 
     def claim_alone(self, submission: _Submission) -> bool:
         """Take ``submission`` for a flush of its own — if it would run
@@ -944,51 +775,17 @@ class QuerySession:
         the flush lock is not held; any part of it that has to run
         in-process (the pool failed, the export went stale) takes the lock
         first, like any other flush."""
-        key = (submission.kind, submission.k, submission.accuracy)
         try:
-            self._flush_groups([(key, [submission])], alone=True)
+            self._flush_groups([[submission]], alone=True)
         finally:
             if not submission.handle.resolved:  # torn down mid-run: unblock readers
                 submission.handle._fail(RuntimeError("flush did not settle this handle"))
 
-    def _flush_groups(self, groups: list, *, alone: bool) -> None:
-        with self._lock:
-            self.stats.flushes += 1
-        start = time.perf_counter()
-        first_error: Exception | None = None
-        try:
-            with _span("query.flush", groups=len(groups)):
-                for (kind, k, accuracy), submissions in groups:
-                    try:
-                        self._run_group(kind, k, accuracy, submissions, alone)
-                    except Exception as error:
-                        # Confine ordinary errors to the group that raised
-                        # them; BaseExceptions (KeyboardInterrupt,
-                        # SystemExit) propagate immediately — unexecuted
-                        # submissions stay unsettled and their reads raise
-                        # RuntimeError.
-                        for sub in submissions:
-                            if not sub.handle.resolved:
-                                sub.handle._fail(error)
-                        if first_error is None:
-                            first_error = error
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.stats.flush_seconds += elapsed
-                self._m_flushes.inc()
-                self._m_flush_seconds.observe(elapsed)
-        if first_error is not None:
-            raise first_error
-
-    def _run_group(
-        self,
-        kind: str,
-        k: int | None,
-        accuracy: float | None,
-        submissions: list[_Submission],
-        alone: bool,
-    ) -> None:
+    def _run_group(self, submissions: list[_Submission], alone: bool) -> None:
+        """One contiguous payload through the chosen executor, its results
+        scattered back to the handles in submission order."""
+        first = submissions[0]
+        kind, k = first.kind, first.k
         # Zero-row payloads contribute nothing (and may carry a placeholder
         # dim of 0 that would poison concatenation).
         parts = [sub.payload for sub in submissions if sub.payload.shape[0]]
@@ -998,7 +795,7 @@ class QuerySession:
             return
         payload = parts[0] if len(parts) == 1 else np.concatenate(parts)
         batch = QueryBatch(
-            kind=kind, payload=payload, k=k, accuracy=self._resolve_accuracy(k, accuracy)
+            kind=kind, payload=payload, k=k, accuracy=self._resolve_accuracy(k, first.accuracy)
         )
         executor = self.choose_executor(batch)
         with _span(

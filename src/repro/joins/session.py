@@ -1,19 +1,18 @@
 """JoinSession: the declarative front door for every spatial join.
 
-The query side got this treatment in PR 3 (:mod:`repro.engine.session`);
-this module is the join counterpart, completing the session architecture:
-
 * Joins are **first-class values** — :class:`~repro.joins.spec.SelfJoinSpec`,
   :class:`~repro.joins.spec.PairJoinSpec`,
   :class:`~repro.joins.spec.DistanceJoinSpec` and
   :class:`~repro.joins.spec.SynapseJoinSpec` describe *what* to join;
 * ``session.submit(spec)`` returns a deferred :class:`JoinHandle`
-  (flush-on-read, exactly like query handles); ``session.run(spec)`` is the
-  immediate form;
+  (flush-on-read); ``session.run(spec)`` is the immediate form.  The handle,
+  the buffer and the flush loop are the session core
+  (:mod:`repro.engine.core`) the query session runs on too; here each spec
+  is a group of its own;
 * a small **planner** picks the strategy per spec — tiny inputs run the
   scalar nested loop (partitioning set-up would dominate), everything else
-  the vectorized grid join — overridable by pinning a ``strategy`` or
-  supplying a ``policy`` callable, with every algorithm in
+  the vectorized grid join — overridable by pinning a ``strategy`` per
+  session or per spec, with every algorithm in
   :data:`~repro.joins.strategies.JOIN_REGISTRY` interchangeable;
 * the filter phase runs **in-process**: the session calls the planned
   strategy directly (a budgeted spec spills through the session's
@@ -25,27 +24,22 @@ this module is the join counterpart, completing the session architecture:
   one array expression over all candidates instead of a Python call per
   pair.
 
-Every strategy receives the spec's
-:class:`~repro.geometry.table.BoxTable` tables — built (and contract-checked) once
-per spec at the top of execution, before planning can open a spill directory
-— so nothing downstream re-packs the items.
-
-Accounting flows into one shared :class:`~repro.joins.spec.JoinStats`
-(candidates / refined / result pairs / comparisons plus the strategy-routing
-map), which
-:func:`repro.analysis.session_report.join_report` renders next to the query
-session's telemetry.
+Every strategy receives the spec's :class:`~repro.geometry.table.BoxTable`
+tables — built (and contract-checked) once per spec at the top of execution,
+before planning can open a spill directory — so nothing downstream re-packs
+the items.  Accounting flows into one :class:`~repro.joins.spec.JoinStats`,
+which :func:`repro.analysis.session_report.join_report` renders.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.engine.core import Buffer, Handle, SessionCore
 from repro.exec.budget import MemoryBudget, pbsm_working_set_bytes
 from repro.obs import MetricsRegistry
 from repro.obs import span as _span
@@ -75,69 +69,27 @@ from repro.joins.strategies import (
 # -- deferred results ----------------------------------------------------------
 
 
-class JoinHandle:
-    """A deferred join result, resolved when its session flushes.
+class JoinHandle(Handle):
+    """A deferred join result (the session core's :class:`Handle`).
 
-    ``result()`` triggers the owning session's flush when still pending
-    (flush-on-read).  The value is the spec's natural result: sorted id
-    pairs for box/distance joins, :class:`~repro.joins.spec.Synapse` records
-    for synapse specs.
-
-    Like query handles, join handles are ``await``-able once an
-    :class:`~repro.serving.async_executor.AsyncExecutor` has attached a
-    waiter; without one, ``await handle`` degrades to the synchronous
-    flush-on-read path.
+    The value is the spec's natural result: sorted id pairs for
+    box/distance joins, :class:`~repro.joins.spec.Synapse` records for
+    synapse specs.
     """
 
-    __slots__ = ("spec", "tag", "_session", "_value", "_error", "_resolved", "_waiter")
+    __slots__ = ("spec",)
 
     def __init__(self, session: "JoinSession", spec: JoinSpec) -> None:
+        super().__init__(session, spec.tag)
         self.spec = spec
-        self.tag = spec.tag
-        self._session = session
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._resolved = False
-        self._waiter: Any = None  # asyncio.Future, attached by AsyncExecutor
 
-    @property
-    def resolved(self) -> bool:
-        return self._resolved
 
-    def result(self) -> Any:
-        if not self._resolved:
-            try:
-                self._session.flush()
-            except Exception:
-                # Mirror ResultHandle: a read only reports what happened to
-                # its own submission; cross-spec errors surface on explicit
-                # flush().
-                if not self._resolved:
-                    raise
-        if not self._resolved:
-            raise RuntimeError("flush did not settle this handle")
-        if self._error is not None:
-            raise self._error
-        return self._value
+class _Submission(NamedTuple):
+    """One buffered spec: its handle and its per-spec strategy pin."""
 
-    def __await__(self):
-        if not self._resolved and self._waiter is not None:
-            yield from self._waiter.__await__()
-        return self.result()
-
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-        self._resolved = True
-        self._session = None
-
-    def _fail(self, error: Exception) -> None:
-        self._error = error
-        self._resolved = True
-        self._session = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "resolved" if self._resolved else "pending"
-        return f"<JoinHandle {state} spec={self.spec!r}>"
+    spec: JoinSpec
+    handle: JoinHandle
+    strategy: JoinStrategy | None
 
 
 # -- planning ------------------------------------------------------------------
@@ -145,8 +97,6 @@ class JoinHandle:
 #: Specs whose total input size is at or below this run the scalar nested
 #: loop: partitioning/packing set-up would outweigh the quadratic scan.
 INLINE_JOIN_CUTOFF = 64
-
-JoinPolicy = Callable[[JoinSpec], JoinStrategy]
 
 
 @dataclass(frozen=True)
@@ -193,7 +143,7 @@ def _spec_size(spec: JoinSpec) -> int:
 # -- the session ---------------------------------------------------------------
 
 
-class JoinSession:
+class JoinSession(SessionCore):
     """The single public entry point for spatial joins.
 
     Parameters
@@ -202,14 +152,9 @@ class JoinSession:
         Pin every spec to one strategy — a registry name (``"pbsm"``) or a
         :class:`~repro.joins.strategies.JoinStrategy` instance — bypassing
         the planner.
-    policy:
-        Override the planner with ``(spec) -> JoinStrategy``; ignored when
-        ``strategy`` is pinned.
     counters:
         Shared :class:`~repro.instrumentation.counters.Counters` the
         strategies charge (one is created when omitted).
-    inline_cutoff:
-        Largest total input the planner routes to the scalar nested loop.
     budget:
         A :class:`~repro.exec.budget.MemoryBudget` (or raw byte limit)
         governing the session's join working sets.  When a spec's estimated
@@ -235,42 +180,30 @@ class JoinSession:
             pairs = session.run(PairJoinSpec(huge_a, huge_b))    # spills
     """
 
+    _PREFIX = "join"
+    _GROUPS = "specs"
+
     def __init__(
         self,
         *,
         strategy: str | JoinStrategy | None = None,
-        policy: JoinPolicy | None = None,
         counters: Counters | None = None,
-        inline_cutoff: int = INLINE_JOIN_CUTOFF,
         budget: MemoryBudget | int | None = None,
         spill_dir: str | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        super().__init__(Buffer(), JoinStats(), metrics)
         if isinstance(strategy, str):
             strategy = make_join_strategy(strategy)
         self._pinned = strategy
-        self._policy = policy
         self.counters = counters if counters is not None else Counters()
-        self.inline_cutoff = inline_cutoff
         self.budget = MemoryBudget.coerce(budget)
-        # Registry mirrors of the stats fields, cached once per session.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_high_water = self.metrics.gauge("join.queue.high_water")
-        self._m_flushes = self.metrics.counter("join.flushes")
-        self._m_flush_seconds = self.metrics.histogram("join.flush.seconds")
         self._m_spec_seconds = self.metrics.histogram("join.spec.seconds")
         self._spill_dir = spill_dir
         self._spill: SpillManager | None = None
         self._spill_strategy: SpillPBSMJoin | None = None
-        self.stats = JoinStats()
-        self._pending: list[tuple[JoinSpec, JoinHandle, JoinStrategy | None]] = []
         self._small = make_join_strategy("nested_loop")
         self._default = make_join_strategy("grid")
-        # Concurrency: `_lock` guards the pending list; `_flush_lock`
-        # serializes whole flushes so a competing flush-on-read never sees
-        # drained-but-unresolved handles (same discipline as QuerySession).
-        self._lock = threading.Lock()
-        self._flush_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -323,15 +256,13 @@ class JoinSession:
         """The planner: tiny inputs scan, in-memory sets ride the grid, and
         working sets over the session budget spill.
 
-        A pinned ``strategy`` or a session ``policy`` overrides this
-        entirely; any :data:`~repro.joins.strategies.JOIN_REGISTRY` entry is
-        a valid answer because all strategies return identical pair sets.
+        A pinned ``strategy`` overrides this entirely; any
+        :data:`~repro.joins.strategies.JOIN_REGISTRY` entry is a valid
+        answer because all strategies return identical pair sets.
         """
         if self._pinned is not None:
             return self._pinned
-        if self._policy is not None:
-            return self._policy(spec)
-        if _spec_size(spec) <= self.inline_cutoff:
+        if _spec_size(spec) <= INLINE_JOIN_CUTOFF:
             return self._small
         if self.budget.limit is not None and self.estimated_working_set(spec) > self.budget.limit:
             if self._spill_strategy is None:
@@ -367,55 +298,22 @@ class JoinSession:
             strategy = make_join_strategy(strategy)
         handle = JoinHandle(self, spec)
         with self._lock:
-            self._pending.append((spec, handle, strategy))
-            if len(self._pending) > self.stats.queue_high_water:
-                self.stats.queue_high_water = len(self._pending)
-            self._m_high_water.track_max(len(self._pending))
+            self._enqueue(_Submission(spec, handle, strategy), 1)
         return handle
 
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
+    # ``flush()`` is the core's; each spec runs as a group of its own.
 
-    def flush(self) -> None:
-        """Execute every buffered spec and resolve the handles.
+    def _run_group(self, group: list[_Submission], alone: bool) -> None:
+        [(spec, handle, strategy)] = group
+        handle._resolve(self._execute(spec, strategy))
 
-        A spec whose execution raises settles its handle with that error;
-        the other specs still run, and the first error propagates once the
-        buffer is settled (the same containment contract as query flushes).
-
-        Flushes are serialized across threads, and a spec that fails while
-        the session's spill manager is open releases the spill files
-        immediately: a strategy that dies mid-merge leaves partitions
-        parked on disk, and deferring cleanup to :meth:`close` would leak
-        the tmpdir for the session's whole remaining lifetime.  The next
-        over-budget spec simply opens a fresh manager.
-        """
-        with self._flush_lock:
-            with self._lock:
-                pending, self._pending = self._pending, []
-            if not pending:
-                return
-            start = time.perf_counter()
-            first_error: Exception | None = None
-            try:
-                with _span("join.flush", specs=len(pending)):
-                    for spec, handle, strategy in pending:
-                        try:
-                            handle._resolve(self._execute(spec, strategy))
-                        except Exception as error:
-                            handle._fail(error)
-                            if self._spill is not None:
-                                self.close()
-                            if first_error is None:
-                                first_error = error
-            finally:
-                elapsed = time.perf_counter() - start
-                self.stats.flush_seconds += elapsed
-                self._m_flushes.inc()
-                self._m_flush_seconds.observe(elapsed)
-            if first_error is not None:
-                raise first_error
+    def _group_failed(self) -> None:
+        """A spec that fails while the spill manager is open releases the
+        spill files at once: a strategy that dies mid-merge leaves
+        partitions parked on disk, and deferring cleanup to :meth:`close`
+        would leak the tmpdir for the session's whole remaining lifetime.
+        The next over-budget spec simply opens a fresh manager."""
+        self.close()
 
     def run(self, spec: JoinSpec, strategy: str | JoinStrategy | None = None) -> Any:
         """Submit + flush + read: the immediate surface."""

@@ -35,6 +35,7 @@ from functools import cached_property
 from typing import Any, Callable, Sequence, Union
 
 from repro.datasets.neuroscience import NeuronDataset
+from repro.engine.core import FlushStats
 from repro.geometry.primitives import Capsule
 from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
@@ -187,8 +188,9 @@ def apposition_point(a: Capsule, b: Capsule) -> tuple[float, float, float]:
 
 
 @dataclass
-class JoinStats:
-    """Shared accounting across every join strategy.
+class JoinStats(FlushStats):
+    """Shared accounting across every join strategy, beside the session
+    core's queue/flush fields.
 
     ``comparisons`` is the paper's currency ("the number of comparisons (the
     major bulk of work for in-memory spatial joins)"); ``candidates`` counts
@@ -204,8 +206,7 @@ class JoinStats:
     :class:`~repro.exec.spill.SpillManager`, ``spill_bytes_written`` /
     ``spill_bytes_read`` the logical bytes shipped out and back, and
     ``budget_high_water`` the closest the session's
-    :class:`~repro.exec.budget.MemoryBudget` came to its limit (a gauge —
-    merges take the max, not the sum).
+    :class:`~repro.exec.budget.MemoryBudget` came to its limit (a gauge).
 
     The zero-copy storage fields complete the funnel: ``zero_copy_reads`` /
     ``mapped_bytes`` count spill reads served as NumPy views over the
@@ -225,34 +226,6 @@ class JoinStats:
     mapped_bytes: int = 0
     budget_high_water: int = 0
     strategy_runs: dict[str, int] = field(default_factory=dict)
-    # Serving telemetry, mirroring SessionStats: the deepest the spec
-    # buffer got (a gauge), flush counts per cause, and total wall-clock
-    # inside flush().
-    queue_high_water: int = 0
-    flush_triggers: dict[str, int] = field(default_factory=dict)
-    flush_seconds: float = 0.0
 
     def record_run(self, strategy_name: str) -> None:
         self.strategy_runs[strategy_name] = self.strategy_runs.get(strategy_name, 0) + 1
-
-    def record_trigger(self, cause: str) -> None:
-        self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + 1
-
-    def merge(self, other: "JoinStats") -> None:
-        self.joins += other.joins
-        self.candidates += other.candidates
-        self.pairs += other.pairs
-        self.refined += other.refined
-        self.comparisons += other.comparisons
-        self.tiles_spilled += other.tiles_spilled
-        self.spill_bytes_written += other.spill_bytes_written
-        self.spill_bytes_read += other.spill_bytes_read
-        self.zero_copy_reads += other.zero_copy_reads
-        self.mapped_bytes += other.mapped_bytes
-        self.budget_high_water = max(self.budget_high_water, other.budget_high_water)
-        for name, runs in other.strategy_runs.items():
-            self.strategy_runs[name] = self.strategy_runs.get(name, 0) + runs
-        self.queue_high_water = max(self.queue_high_water, other.queue_high_water)
-        for cause, count in other.flush_triggers.items():
-            self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + count
-        self.flush_seconds += other.flush_seconds

@@ -233,10 +233,9 @@ class AsyncExecutor:
         elapsed = time.perf_counter() - start
         self.flush_latencies.append(elapsed)
         self.session.stats.record_trigger(trigger)
-        metrics = getattr(self.session, "metrics", None)
-        if metrics is not None:
-            metrics.counter(f"serving.flush.trigger.{trigger}").inc()
-            metrics.histogram("serving.flush.seconds").observe(elapsed)
+        metrics = self.session.metrics
+        metrics.counter(f"serving.flush.trigger.{trigger}").inc()
+        metrics.histogram("serving.flush.seconds").observe(elapsed)
 
     @staticmethod
     def _wake_client(handle) -> None:

@@ -191,14 +191,6 @@ class TestDeltaStreamsExact:
         if policy != "recompute":
             assert session.counters.safe_region_hits > before_hits
 
-    def test_lur_backing_predictive(self):
-        items = make_items(90, seed=15)
-        session = ContinuousSession(
-            items, UNIVERSE_3D, policy="predictive", predictive_backing="lur"
-        )
-        subs = [session.subscribe(s) for kind in KINDS for s in make_specs(kind)]
-        drive(session, subs, "drift", ticks=8, seed=31)
-
     def test_knn_ties_invalidate_at_equal_distance(self):
         """A mover landing exactly at the kth distance must displace the
         higher-id member under the (distance, id) order — the ``<=`` in the

@@ -19,6 +19,7 @@ from repro.datasets.points import clustered_boxes, uniform_boxes
 from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
 from repro.joins import (
+    CallableJoin,
     DistanceJoinSpec,
     JOIN_REGISTRY,
     JoinSession,
@@ -231,12 +232,6 @@ class TestJoinSession:
         assert result == sorted(ORACLE.self_join(items, Counters()))
         assert pinned.stats.strategy_runs == {"sweepline": 1}
 
-    def test_policy_callable(self):
-        items = _uniform(150, 14)
-        session = JoinSession(policy=lambda spec: make_join_strategy("tree"))
-        session.run(SelfJoinSpec(items))
-        assert session.stats.strategy_runs == {"tree": 1}
-
     def test_every_strategy_through_session(self):
         items, other = DATASETS["clustered"]
         expected_self = sorted(ORACLE.self_join(items, Counters()))
@@ -254,14 +249,12 @@ class TestJoinSession:
         class Boom(Exception):
             pass
 
-        def exploding_policy(spec):
-            if spec.tag == "bad":
-                raise Boom("planner rejected")
-            return make_join_strategy("grid")
+        def explode(items_a, items_b, counters):
+            raise Boom("strategy failed")
 
-        session = JoinSession(policy=exploding_policy)
+        session = JoinSession(strategy="grid")
         good = session.submit(SelfJoinSpec(items))
-        bad = session.submit(SelfJoinSpec(items, tag="bad"))
+        bad = session.submit(SelfJoinSpec(items, tag="bad"), strategy=CallableJoin(explode))
         with pytest.raises(Boom):
             session.flush()
         assert good.result() == sorted(ORACLE.self_join(items, Counters()))

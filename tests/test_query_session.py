@@ -37,7 +37,6 @@ from repro import (
     available_indexes,
     make_index,
 )
-from repro.engine.session import QueryBatch
 from repro.indexes.linear_scan import LinearScan
 
 UNIVERSE = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
@@ -236,15 +235,13 @@ class TestHandlesAndBuffer:
         class Boom(Exception):
             pass
 
-        def exploding_policy(idx, batch):
-            if batch.kind == "knn":
-                class _Bomb(InlineExecutor):
-                    def run(self, *a, **kw):
-                        raise Boom("knn-broken")
-                return _Bomb()
-            return InlineExecutor()
+        class KnnBomb(InlineExecutor):
+            def run(self, index, batch, *, dedup):
+                if batch.kind == "knn":
+                    raise Boom("knn-broken")
+                return super().run(index, batch, dedup=dedup)
 
-        session = QuerySession(index, policy=exploding_policy)
+        session = QuerySession(index, executor=KnnBomb())
         h_range = session.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))  # 2-d
         h_range2 = session.submit_ranges(make_queries(2, seed=48))  # concat fails
         h_knn = session.submit(KNNQuery((10.0, 10.0, 10.0), k=2))  # executor fails
@@ -363,22 +360,6 @@ class TestExecutorEquivalence:
         assert grid.supports_batch_kind("knn")
         with pytest.raises(ValueError):
             grid.supports_batch_kind("join")
-
-    def test_policy_override(self, loaded):
-        items, _ = loaded
-        grid = build_index("uniform_grid")
-        grid.bulk_load(items)
-        chosen: list[str] = []
-        inline = InlineExecutor()
-
-        def policy(index, batch: QueryBatch):
-            chosen.append(batch.kind)
-            return inline
-
-        session = QuerySession(grid, policy=policy)
-        session.range_query(make_queries(20, seed=39))
-        assert chosen == ["range"]
-        assert session.stats.executor_runs == {"inline": 1}
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs the fork start method")
