@@ -3,9 +3,10 @@
 ``pbsm_spill`` is the out-of-core member of
 :data:`~repro.joins.strategies.JOIN_REGISTRY`.  It is the same Partition
 Based Spatial-Merge as the in-memory ``pbsm`` strategy — identical tiling,
-identical reference-point dedup, the same merge kernel family — but its
-execution is staged so no phase materializes more than (a quarter of) the
-session's :class:`~repro.exec.budget.MemoryBudget`:
+the same dedup (the uniform grid's first-common-cell rule on tile windows),
+the same merge kernel — but its execution is staged so no phase
+materializes more than (a quarter of) the session's
+:class:`~repro.exec.budget.MemoryBudget`:
 
 1. **Histogram pass** — both sides arrive as one
    :class:`~repro.geometry.table.BoxTable` each (packed once by the spec, not
@@ -15,12 +16,14 @@ session's :class:`~repro.exec.budget.MemoryBudget`:
    replica bytes fit the chunk budget, and a second pass over the same row
    slices gathers each slice's replicas and spills them per run through the
    :class:`~repro.exec.spill.SpillManager` (typed ``(eids, boxes, keys)``
-   segments over the real on-disk page store);
+   segments over the real on-disk page store, each key the replica's tile
+   key with its first mask packed into the low ``dims`` bits);
 3. **Merge pass** — runs stream back one at a time as zero-copy mapped
-   views; each is key-sorted and pushed through
-   :func:`repro.joins.kernels.replica_tile_pairs`, whose global
-   reference-point dedup guarantees that a pair replicated across tiles
-   *and* runs is still reported exactly once.
+   views and go, unsorted, through
+   :func:`repro.joins.kernels.replica_tile_pairs`: B's replicas become a
+   grid cell table that A's walk, and the first-common-tile rule — a pair is
+   kept only in the tile holding its overlap's low corner — guarantees that
+   a pair replicated across tiles *and* runs is still reported exactly once.
 
 Because a tile lives in exactly one run and the dedup rule is global, the
 runs are **independent**: merging them in any order yields disjoint pair
@@ -55,7 +58,7 @@ MIN_CHUNK_BYTES = 1 << 16
 
 
 def _replica_bytes(dims: int) -> int:
-    """Spilled bytes per replica: box + eid + tile key."""
+    """Spilled bytes per replica: box + eid + packed tile key."""
     return 2 * dims * 8 + 16
 
 
@@ -77,17 +80,17 @@ def spill_page_size(chunk_budget: int | None) -> int:
 
 # -- the shared merge ----------------------------------------------------------
 
-#: One gathered segment: ``(eids, boxes, keys)`` replica arrays.
+#: One gathered segment: ``(eids, boxes, packed keys)`` replica arrays.
 Segment = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class TileRunLayout:
-    """The global tiling a run merge needs besides the replica arrays.
+    """The global tiling the partition passes and every run's merge share.
 
     Small (three tiny arrays plus scalars): the histogram pass computes it
-    once and every run's merge shares it, which is what keeps the
-    reference-point dedup global across runs.
+    once, the gather pass tiles every slice with it, and every run's merge
+    reads its ``dims`` and ``slab_pairs``.
     """
 
     hull_lo: np.ndarray
@@ -109,31 +112,6 @@ def concat_segments(parts: list[Segment], dims: int) -> Segment:
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(field) for field in zip(*parts))  # type: ignore[return-value]
-
-
-def merge_run_arrays(
-    layout: TileRunLayout, side_a: Segment, side_b: Segment, counters: Counters
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge one run's replica arrays into result id pairs.
-
-    A stable key sort per side, then the replica-tile kernel.  Sorting
-    rebinds through fancy indexing (a copy) rather than assigning in place,
-    so the inputs may be read-only zero-copy views over the spill file.
-    """
-    eids_ra, boxes_ra, keys_ra = side_a
-    eids_rb, boxes_rb, keys_rb = side_b
-    if eids_ra.shape[0] == 0 or eids_rb.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order_a = np.argsort(keys_ra, kind="stable")
-    eids_ra, boxes_ra, keys_ra = eids_ra[order_a], boxes_ra[order_a], keys_ra[order_a]
-    order_b = np.argsort(keys_rb, kind="stable")
-    eids_rb, boxes_rb, keys_rb = eids_rb[order_b], boxes_rb[order_b], keys_rb[order_b]
-    return kernels.replica_tile_pairs(
-        eids_ra, boxes_ra, keys_ra,
-        eids_rb, boxes_rb, keys_rb,
-        layout.hull_lo, layout.sides, layout.strides, layout.tiles,
-        counters, slab_pairs=layout.slab_pairs,
-    )
 
 
 # -- the partition plan --------------------------------------------------------
@@ -172,13 +150,15 @@ class SpillPlan:
                 sides.append(concat_segments(parts, self.layout.dims))
             run_bytes = sum(arr.nbytes for side in sides for arr in side)
             with self.budget.reserving(run_bytes, force=True):
-                ids_a, ids_b = merge_run_arrays(self.layout, sides[0], sides[1], counters)
+                ids_a, ids_b = kernels.replica_tile_pairs(
+                    *sides[0], *sides[1], counters, slab_pairs=self.layout.slab_pairs
+                )
             merge_span.set_attr("pairs", int(ids_a.shape[0]))
         return ids_a, ids_b
 
     def free_run(self, run: int) -> None:
-        """Release one merged run's pages for slot reuse (merge_run_arrays'
-        sorts copied out of any zero-copy views)."""
+        """Release one merged run's pages for slot reuse (the merge's id
+        columns are gathers, never views of the mapped pages)."""
         if self.runs > 1:
             for segments in (self.segments_a, self.segments_b):
                 for seg in segments[run]:
@@ -338,9 +318,8 @@ class SpillPBSMJoin(JoinStrategy):
     ) -> tuple[TileRunLayout, np.ndarray, int]:
         """Pass 1: the global tiling plus the per-tile replica histogram."""
         dims = table_a.dims
-        boxes_a, boxes_b = table_a.boxes, table_b.boxes
-        hull_lo = np.minimum(boxes_a[:, 0, :].min(axis=0), boxes_b[:, 0, :].min(axis=0))
-        hull_hi = np.maximum(boxes_a[:, 1, :].max(axis=0), boxes_b[:, 1, :].max(axis=0))
+        (lo_a, hi_a), (lo_b, hi_b) = table_a.bounds(), table_b.bounds()
+        hull_lo, hull_hi = np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
         tiles = (
             self.tiles_per_axis
             if self.tiles_per_axis is not None
@@ -355,7 +334,7 @@ class SpillPBSMJoin(JoinStrategy):
             for start in range(0, len(table), chunk_rows):
                 boxes = table.boxes[start : start + chunk_rows]
                 with self.budget.reserving(boxes.nbytes, force=True):
-                    _, keys = kernels._tile_replicas(boxes, hull_lo, sides, strides, tiles)
+                    _, keys, _ = kernels.tile_replicas(boxes, hull_lo, sides, strides, tiles)
                     histogram += np.bincount(keys, minlength=tile_count)
                     replicas += keys.shape[0]
         counters.cells_probed += replicas
@@ -401,7 +380,7 @@ class SpillPBSMJoin(JoinStrategy):
         """Pass 2: gather replicas per run, one bounded row slice at a time.
 
         Returns ``(segments_a, segments_b)``; each run's list holds
-        ``(eids, boxes, keys)`` triples of :class:`SpillHandle`\\ s when
+        ``(eids, boxes, packed keys)`` triples of :class:`SpillHandle`\\ s when
         ``spilling`` else of resident arrays.  Every created handle is also
         appended to ``handles`` so any caller's error path can release them.
         """
@@ -412,17 +391,20 @@ class SpillPBSMJoin(JoinStrategy):
                 eids = table.eids[start : start + chunk_rows]
                 boxes = table.boxes[start : start + chunk_rows]
                 with self.budget.reserving(2 * boxes.nbytes, force=True):
-                    rows, keys = kernels._tile_replicas(
+                    rows, keys, first = kernels.tile_replicas(
                         boxes, layout.hull_lo, layout.sides, layout.strides, layout.tiles
                     )
-                    run_ids = run_of_tile[keys]
-                    order = np.argsort(run_ids, kind="stable")
-                    rows, keys, run_ids = rows[order], keys[order], run_ids[order]
-                    uniq_runs, starts = np.unique(run_ids, return_index=True)
-                    edges = np.append(starts, run_ids.shape[0])
-                    for run, seg_lo, seg_hi in zip(uniq_runs.tolist(), edges[:-1], edges[1:]):
+                    # Runs are tile ranges, so key order groups the replicas
+                    # by run, and it hands the merge presorted key columns.
+                    order = np.argsort(keys)
+                    keys, rows = keys.take(order), rows.take(order)
+                    packed = kernels.pack_first(keys, first.take(order), layout.dims)
+                    ends = np.cumsum(np.bincount(run_of_tile.take(keys), minlength=runs)).tolist()
+                    for run, seg_lo, seg_hi in zip(range(runs), [0, *ends], ends):
+                        if seg_lo == seg_hi:
+                            continue
                         sl = slice(seg_lo, seg_hi)
-                        seg = (eids[rows[sl]], boxes[rows[sl]], keys[sl])
+                        seg = (eids.take(rows[sl]), boxes.take(rows[sl], axis=0), packed[sl])
                         if spilling:
                             spilled = tuple(
                                 spill.spill(arr, tag=self.name) for arr in seg

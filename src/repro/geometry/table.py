@@ -153,13 +153,21 @@ class BoxTable(Sequence):
             raise ValueError(f"expanding by {margin} inverts a box")
         return BoxTable(self.eids, boxes)
 
-    def hull(self) -> AABB:
-        """The minimum bounding box of all rows (``union_all`` of the boxes)."""
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` corners of the minimum bounding box of all rows, as
+        arrays.  Reduced one column at a time: a row-axis reduction of the
+        ``(n, 2, d)`` array runs ``d``-long inner loops, several times slower."""
         if not len(self):
             raise ValueError("hull of an empty table")
-        return AABB(
-            self.boxes[:, 0, :].min(axis=0).tolist(), self.boxes[:, 1, :].max(axis=0).tolist()
+        axes = range(self.dims)
+        return (
+            np.array([self.boxes[:, 0, axis].min() for axis in axes]),
+            np.array([self.boxes[:, 1, axis].max() for axis in axes]),
         )
+
+    def hull(self) -> AABB:
+        """The minimum bounding box of all rows (``union_all`` of the boxes)."""
+        return AABB(*self.bounds())
 
     def _id_order(self) -> np.ndarray:
         if self._order is None:

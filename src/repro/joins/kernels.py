@@ -10,13 +10,17 @@ Three families:
 * :func:`block_pairs` — blocked all-pairs ``batch_intersects``: the
   vectorized nested loop.  O(n·m) comparisons but at kernel speed; the
   memory cap bounds each bool block.
-* :func:`pbsm_pairs` — the fully vectorized Partition Based Spatial-Merge:
-  tile replication, per-tile cross products, and reference-point dedup are
-  all array expressions (one ``repeat``/``cumsum`` expansion instead of a
-  dict-of-buckets), processed in bounded slabs.  :func:`replica_tile_pairs`
-  is its merge phase alone, over pre-gathered replica arrays — the kernel
-  the out-of-core PBSM streams spilled partitions through; both run the one
-  slab loop of :func:`_merge_tiles`.
+* :func:`pbsm_pairs` — the fully vectorized Partition Based Spatial-Merge,
+  built from the uniform grid's own gather kernels
+  (:mod:`repro.core.uniform_grid`) applied to tile windows: the grid's
+  window expansion replicates boxes into tiles, B's replicas become a cell
+  table, and A's replicas walk it under the grid's *first-common-cell* rule,
+  which on tiles is exactly PBSM's reference-point dedup (a pair is kept
+  only in the tile holding its overlap's low corner).  The walk is cut into
+  bounded slabs.  :func:`replica_tile_pairs` is its merge phase alone, over
+  pre-gathered replica arrays whose keys carry the first mask in their low
+  bits — the kernel the out-of-core PBSM streams spilled partitions
+  through; both run :func:`_merge_replicas`.
 * :func:`tree_pairs` — candidate generation over an STR-packed R-tree with
   the *carried-query-set* traversal of :mod:`repro.indexes.batch_knn`: every
   node is expanded at most once per batch with the subset of probes whose
@@ -34,6 +38,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.uniform_grid import (
+    _cell_table,
+    _expand_windows,
+    _linear_strides,
+    _walk_cells,
+    box_columns,
+)
 from repro.geometry.aabb import batch_intersects, boxes_to_array
 from repro.indexes.base import Item
 from repro.indexes.bulkload import str_pack
@@ -44,9 +55,9 @@ from repro.instrumentation.counters import Counters
 # 16 MB and measures fastest on the n=100k workload.
 _BLOCK_CELLS = 1 << 24
 
-# Candidate pairs per PBSM slab: tile cross products are materialized in
-# slabs of at most this many pairs, so adversarial inputs (everything in one
-# tile) degrade to bounded-memory batches instead of one giant allocation.
+# Candidate entries per PBSM slab: the merge enumerates tile cross products
+# in slabs of at most this many entries, so adversarial inputs (everything in
+# one tile) degrade to bounded-memory batches instead of one giant allocation.
 _SLAB_PAIRS = 1 << 22
 
 
@@ -102,138 +113,110 @@ def block_pairs(
 def tile_layout(
     hull_lo: np.ndarray, hull_hi: np.ndarray, tiles_per_axis: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(sides, strides)`` of a uniform tiling of the hull."""
-    extents = hull_hi - hull_lo
-    sides = np.maximum(extents / tiles_per_axis, 1e-12)
+    """``(sides, strides)`` of a uniform tiling of the hull.
+
+    Refuses a tiling whose linear tile keys, shifted past the ``dims`` bits
+    of a packed first mask (:func:`pack_first`), would not fit int64 — the
+    grid's :func:`~repro.core.uniform_grid._linear_strides` rule plus those
+    bits — before anything tile-sized is allocated.
+    """
     dims = hull_lo.shape[0]
-    strides = np.empty(dims, dtype=np.int64)
-    strides[-1] = 1
-    for axis in range(dims - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * tiles_per_axis
+    strides = _linear_strides(np.full(dims, tiles_per_axis - 1))
+    if tiles_per_axis < 1 or strides is None or int(tiles_per_axis) ** dims << dims >= 1 << 62:
+        raise ValueError(
+            f"cannot tile {dims}-d input with {tiles_per_axis} tiles per axis: "
+            "linear tile keys would not fit int64"
+        )
+    sides = np.maximum((hull_hi - hull_lo) / tiles_per_axis, 1e-12)
     return sides, strides
 
 
-def _tile_replicas(
+def tile_replicas(
     boxes: np.ndarray,
     hull_lo: np.ndarray,
     sides: np.ndarray,
     strides: np.ndarray,
     tiles_per_axis: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replicate each box into every tile it overlaps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replicate each box into every tile it overlaps: PBSM's partition phase.
 
-    Returns ``(rows, keys)``: the source row of each replica and the linear
-    tile key it lands in — the array form of PBSM's partition phase.
+    Returns ``(rows, keys, first)``: the source row of each replica, the
+    linear tile key it lands in and its first mask (bit ``a`` set iff the
+    tile is the box's low tile on axis ``a``), in row order, tiles in
+    row-major order within a row — the grid's own window expansion
+    (:func:`~repro.core.uniform_grid._expand_windows`) over tile windows.
     """
-    lo_idx = np.clip(
-        ((boxes[:, 0, :] - hull_lo) / sides).astype(np.int64), 0, tiles_per_axis - 1
-    )
-    hi_idx = np.clip(
-        ((boxes[:, 1, :] - hull_lo) / sides).astype(np.int64), 0, tiles_per_axis - 1
-    )
-    spans = hi_idx - lo_idx + 1
-    counts = spans.prod(axis=1)
-    rows, flat = expand_ranges(np.zeros_like(counts), counts)
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    # Decompose the flat within-window offset into per-axis tile coordinates
-    # (row-major, last axis fastest), entirely in integer array arithmetic.
-    rep_spans = spans[rows]
-    rep_lo = lo_idx[rows]
-    for axis in range(boxes.shape[2] - 1, -1, -1):
-        coord = rep_lo[:, axis] + flat % rep_spans[:, axis]
-        flat //= rep_spans[:, axis]
-        keys += coord * strides[axis]
-    return rows, keys
+    # Tile coordinates as one contiguous column per corner and axis: ufuncs
+    # over the (n, 2, d) rows would run d-long inner loops, several times slower.
+    coords = np.subtract(boxes.transpose(1, 2, 0), hull_lo[:, None], order="C")
+    coords /= sides[:, None]
+    tiles = coords.astype(np.int64)
+    np.clip(tiles, 0, tiles_per_axis - 1, out=tiles)
+    return _expand_windows(tiles[0].T, tiles[1].T, strides)
 
 
-def _owning_keys(
-    overlap_lo: np.ndarray,
-    hull_lo: np.ndarray,
-    sides: np.ndarray,
-    strides: np.ndarray,
-    tiles_per_axis: int,
-) -> np.ndarray:
-    """Linear key of the tile containing each overlap's lower corner — the
-    unique reporter of the standard reference-point dedup."""
-    idx = np.clip(
-        ((overlap_lo - hull_lo) / sides).astype(np.int64), 0, tiles_per_axis - 1
-    )
-    return idx @ strides
+def pack_first(keys: np.ndarray, first: np.ndarray, dims: int) -> np.ndarray:
+    """One int64 column per replica: the tile key above ``dims`` first-mask
+    bits (:func:`tile_layout` guarantees the room)."""
+    return (keys << dims) | first
 
 
-def _merge_tiles(
+def _merge_replicas(
     boxes_a: np.ndarray,
-    rows_a: np.ndarray | None,
+    rows_a: np.ndarray,
     keys_a: np.ndarray,
+    first_a: np.ndarray,
     boxes_b: np.ndarray,
-    rows_b: np.ndarray | None,
+    rows_b: np.ndarray,
     keys_b: np.ndarray,
-    hull_lo: np.ndarray,
-    sides: np.ndarray,
-    strides: np.ndarray,
-    tiles_per_axis: int,
+    first_b: np.ndarray,
     counters: Counters,
     slab_pairs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The PBSM merge over key-sorted replicas: the one slab loop.
+    """The PBSM merge: B's replicas become a grid cell table that A's walk.
 
-    ``keys_x`` are per-replica tile keys, sorted ascending; ``rows_x`` maps a
-    replica to its row of ``boxes_x`` (``None`` when ``boxes_x`` is already
-    per replica).  Every common tile's |A_t| × |B_t| cross product is formed
-    with one ``repeat``/``cumsum`` expansion, tested for the whole slab at
-    once, and a pair is kept only in the tile owning its overlap's lower
-    corner.  Returns the kept pairs as ``boxes_x`` row arrays.
+    ``rows_x``/``keys_x``/``first_x`` describe each replica: its row of
+    ``boxes_x``, its tile key and its first mask, in any order.  Each A
+    replica meets every B replica of its tile (``comparisons`` counts these,
+    the cross products over common tiles) and a pair is kept only at the
+    first common tile — the grid's rule, which on tile windows *is* PBSM's
+    reference-point dedup: the overlap's low corner lies, per axis, in tile
+    ``max(lo_a, lo_b)``.  One columnar overlap test follows.  The A side is
+    cut into slabs of at most ``slab_pairs`` enumerated entries (a replica
+    whose tile alone exceeds that is a slab of its own).  Returns the kept
+    pairs as ``boxes_x`` row arrays, in A replica order.
     """
     empty = np.empty(0, dtype=np.int64)
-    uniq_a, start_a = np.unique(keys_a, return_index=True)
-    uniq_b, start_b = np.unique(keys_b, return_index=True)
-    count_a = np.diff(np.append(start_a, keys_a.shape[0]))
-    count_b = np.diff(np.append(start_b, keys_b.shape[0]))
-
-    common, ia, ib = np.intersect1d(uniq_a, uniq_b, return_indices=True)
-    if common.shape[0] == 0:
+    if keys_a.shape[0] == 0 or keys_b.shape[0] == 0:
         return empty, empty
-    ca, cb = count_a[ia], count_b[ib]
-    sa, sb = start_a[ia], start_b[ib]
-    pair_counts = ca * cb
+    table = _cell_table(keys_b, rows_b, first_b)
+    tile_keys, _, tile_counts = table[:3]
+    uniq, inverse = np.unique(keys_a, return_inverse=True)
+    pos = np.minimum(np.searchsorted(tile_keys, uniq), len(tile_keys) - 1)
+    per_key = np.where(tile_keys.take(pos) == uniq, tile_counts.take(pos), 0)
+    entries = np.cumsum(per_key.take(inverse))
+    total = int(entries[-1])
+    counters.comparisons += total
 
+    dims = boxes_a.shape[2]
+    every_axis = (1 << dims) - 1
+    cols_a, cols_b = box_columns(boxes_a), box_columns(boxes_b)
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
-    # Slab the common tiles so each materialized cross product stays bounded.
-    slab_edges = [0]
-    running = 0
-    for g, p in enumerate(pair_counts):
-        running += int(p)
-        if running >= slab_pairs:
-            slab_edges.append(g + 1)
-            running = 0
-    if slab_edges[-1] != common.shape[0]:
-        slab_edges.append(common.shape[0])
-
-    for lo_g, hi_g in zip(slab_edges[:-1], slab_edges[1:]):
-        g_cb = cb[lo_g:hi_g]
-        g_pairs = pair_counts[lo_g:hi_g]
-        groups, local = expand_ranges(np.zeros_like(g_pairs), g_pairs)
-        total = groups.shape[0]
-        if total == 0:
-            continue
-        ai = sa[lo_g:hi_g][groups] + local // g_cb[groups]
-        bi = sb[lo_g:hi_g][groups] + local % g_cb[groups]
-        if rows_a is not None:
-            ai = rows_a[ai]
-        if rows_b is not None:
-            bi = rows_b[bi]
-        counters.comparisons += total
-
-        la, lb = boxes_a[ai], boxes_b[bi]
-        overlap_lo = np.maximum(la[:, 0, :], lb[:, 0, :])
-        overlap_hi = np.minimum(la[:, 1, :], lb[:, 1, :])
-        intersecting = np.all(overlap_lo <= overlap_hi, axis=1)
-        owners = _owning_keys(overlap_lo, hull_lo, sides, strides, tiles_per_axis)
-        keep = intersecting & (owners == common[lo_g:hi_g][groups])
-        out_a.append(ai[keep])
-        out_b.append(bi[keep])
-
+    start, done = 0, 0
+    while done < total:
+        stop = max(int(np.searchsorted(entries, done + slab_pairs, side="right")), start + 1)
+        ai, bi, _ = _walk_cells(
+            table, uniq, inverse[start:stop], rows_a[start:stop], first_a[start:stop], every_axis
+        )
+        hit = np.ones(ai.shape[0], dtype=bool)
+        for axis in range(dims):
+            hit &= cols_a[0, axis].take(ai) <= cols_b[1, axis].take(bi)
+            hit &= cols_b[0, axis].take(bi) <= cols_a[1, axis].take(ai)
+        hit = np.flatnonzero(hit)
+        out_a.append(ai.take(hit))
+        out_b.append(bi.take(hit))
+        start, done = stop, int(entries[stop - 1])
     if not out_a:
         return empty, empty
     return np.concatenate(out_a), np.concatenate(out_b)
@@ -250,57 +233,53 @@ def pbsm_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Partition Based Spatial-Merge: ``(row_a, row_b)`` pairs.
 
-    Partition (replicate into tiles), sort replicas by tile, and merge them
-    (:func:`_merge_tiles`).  Slabs cap peak memory; results are deduplicated
-    by construction, never by hashing.
+    Partition both sides into tile replicas (:func:`tile_replicas`) and
+    merge them (:func:`_merge_replicas`).  Slabs cap peak memory; results
+    are deduplicated by construction, never by hashing.
     """
     sides, strides = tile_layout(hull_lo, hull_hi, tiles_per_axis)
-    rows_a, keys_a = _tile_replicas(boxes_a, hull_lo, sides, strides, tiles_per_axis)
-    rows_b, keys_b = _tile_replicas(boxes_b, hull_lo, sides, strides, tiles_per_axis)
+    rows_a, keys_a, first_a = tile_replicas(boxes_a, hull_lo, sides, strides, tiles_per_axis)
+    rows_b, keys_b, first_b = tile_replicas(boxes_b, hull_lo, sides, strides, tiles_per_axis)
     counters.cells_probed += int(keys_a.shape[0] + keys_b.shape[0])
-
-    order_a = np.argsort(keys_a, kind="stable")
-    order_b = np.argsort(keys_b, kind="stable")
-    return _merge_tiles(
-        boxes_a, rows_a[order_a], keys_a[order_a],
-        boxes_b, rows_b[order_b], keys_b[order_b],
-        hull_lo, sides, strides, tiles_per_axis, counters, slab_pairs,
+    return _merge_replicas(
+        boxes_a, rows_a, keys_a, first_a, boxes_b, rows_b, keys_b, first_b, counters, slab_pairs
     )
 
 
 def replica_tile_pairs(
     eids_a: np.ndarray,
     boxes_a: np.ndarray,
-    keys_a: np.ndarray,
+    packed_a: np.ndarray,
     eids_b: np.ndarray,
     boxes_b: np.ndarray,
-    keys_b: np.ndarray,
-    hull_lo: np.ndarray,
-    sides: np.ndarray,
-    strides: np.ndarray,
-    tiles_per_axis: int,
+    packed_b: np.ndarray,
     counters: Counters,
     slab_pairs: int = _SLAB_PAIRS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The PBSM merge phase over pre-gathered, key-sorted replica arrays.
+    """The PBSM merge phase over pre-gathered replica arrays.
 
     Where :func:`pbsm_pairs` partitions *and* merges in one call over the
     full input, this kernel is the merge alone: the caller hands it one
-    partition's worth of replicas — per-replica ``(eid, box, tile key)``
-    with keys sorted ascending — which is exactly what the out-of-core PBSM
-    (:mod:`repro.exec.external_join`) reads back from a spill file.  Pairs
-    keep the global reference-point dedup: a pair is reported only by the
-    tile owning its overlap's lower corner, so partitions never duplicate
-    output even though boxes are replicated across tiles *and* partitions.
+    partition's worth of replicas — per-replica ``(eid, box, packed key)``
+    columns, the key packed by :func:`pack_first`, in any order — which is
+    exactly what the out-of-core PBSM (:mod:`repro.exec.external_join`)
+    reads back from a spill file.  The first-common-tile rule is global, so
+    partitions never duplicate output even though boxes are replicated
+    across tiles *and* partitions.
 
     Returns ``(ids_a, ids_b)`` element-id arrays (not row indices — the
     original rows are gone once a partition is spilled).
     """
-    ai, bi = _merge_tiles(
-        boxes_a, None, keys_a, boxes_b, None, keys_b,
-        hull_lo, sides, strides, tiles_per_axis, counters, slab_pairs,
+    dims = boxes_a.shape[2]
+    every_axis = (1 << dims) - 1
+    ai, bi = _merge_replicas(
+        boxes_a, np.arange(packed_a.shape[0]), packed_a >> dims,
+        (packed_a & every_axis).astype(np.uint8),
+        boxes_b, np.arange(packed_b.shape[0]), packed_b >> dims,
+        (packed_b & every_axis).astype(np.uint8),
+        counters, slab_pairs,
     )
-    return eids_a[ai], eids_b[bi]
+    return eids_a.take(ai), eids_b.take(bi)
 
 
 # -- STR-tree carried-set traversal --------------------------------------------

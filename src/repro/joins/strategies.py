@@ -354,10 +354,13 @@ class PBSMJoin(JoinStrategy):
     The paper recommends exactly this shape for memory: "An approach based
     on a grid (similar to PBSM) optimized for memory ... will certainly
     speed up the preprocessing/indexing and thus the overall join" (§3.3).
-    Partitioning, the per-tile cross products and the reference-point dedup
-    all run as array expressions (:func:`repro.joins.kernels.pbsm_pairs`);
-    a pair is reported only by the tile containing the lower corner of the
-    two boxes' intersection, so replication never duplicates output.
+    Partition and merge are the uniform grid's own gather kernels applied to
+    tile windows (:func:`repro.joins.kernels.pbsm_pairs`): boxes replicate
+    into tiles by the grid's window expansion, and a pair is kept only at
+    the first tile the two windows share — the grid's first-common-cell
+    rule, which on tiles is PBSM's reference-point dedup (the tile holding
+    the low corner of the two boxes' intersection) — so replication never
+    duplicates output.
     """
 
     name = "pbsm"
@@ -369,14 +372,12 @@ class PBSMJoin(JoinStrategy):
         if not items_a or not items_b:
             return []
         a, b = BoxTable.of(items_a), BoxTable.of(items_b)
-        boxes_a, boxes_b = a.boxes, b.boxes
-        hull_lo = np.minimum(boxes_a[:, 0, :].min(axis=0), boxes_b[:, 0, :].min(axis=0))
-        hull_hi = np.maximum(boxes_a[:, 1, :].max(axis=0), boxes_b[:, 1, :].max(axis=0))
+        (lo_a, hi_a), (lo_b, hi_b) = a.bounds(), b.bounds()
         tiles = self.tiles_per_axis
         if tiles is None:
             tiles = _default_tiles(len(a) + len(b), a.dims)
         ai, bi = kernels.pbsm_pairs(
-            boxes_a, boxes_b, hull_lo, hull_hi, tiles, counters
+            a.boxes, b.boxes, np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b), tiles, counters
         )
         return pair_columns(a.eids[ai], b.eids[bi])
 
