@@ -139,10 +139,15 @@ def calibrate(
     start = time.perf_counter()
     for eid, old_box, new_box in sample:
         index.update(eid, old_box, new_box)
-    update_per_element = (time.perf_counter() - start) / len(sample)
-    # Restore original boxes so query timing sees a consistent dataset.
+    index.range_query(query_boxes[0])  # a write-behind index (the grid) places them here
+    elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    index.range_query(query_boxes[0])  # ... less the same read on the settled index
+    update_per_element = (elapsed - (time.perf_counter() - start)) / len(sample)
+    # Restore (and place) the original boxes so query timing sees a consistent dataset.
     for eid, old_box, new_box in sample:
         index.update(eid, new_box, old_box)
+    index.range_query(query_boxes[0])
 
     start = time.perf_counter()
     for box in query_boxes:

@@ -9,27 +9,31 @@ Design points realized here:
 * **No tree traversal.**  A range query computes the overlapped cell window
   arithmetically and tests only the elements in those cells; the counters
   show zero ``node_tests``.
-* **Every fact is stored once.**  ``_boxes`` is the only box store and an
-  element's cell set is kept as its integer window ``(*lo_cells, *hi_cells)``
-  in ``_windows``.  These two dicts are the ground truth, both in order of
-  *last placement*: a load, an insert or a cell switch (re-)appends the
-  element, an in-place move keeps its seat.
+* **The ground truth is arrays.**  The row store (``_store``, a
+  :class:`_GridSnapshot`) holds the boxes as ``(2, d, n)`` columns, as the
+  overlap test reads them (``(n, 2, d)`` is a view, so patches through either
+  land in both), each element's cell set as its integer window ``(*lo_cells,
+  *hi_cells)`` — one row of an ``(n, 2d)`` matrix — and ``alive``, in order of *last
+  placement*: a load, an insert or a cell switch (re-)appends the row, an
+  in-place move keeps its seat.  The batch snapshot is these same arrays
+  plus a cell table, and compaction repacks from them.  ``_boxes`` is the
+  ``AABB`` view the scalar API reads, kept in the same order.
 * **Buckets are a view.**  A bucket maps a cell to the *ids* registered
   there, in insertion order — the scalar result order.  Only scalar reads
   look at buckets, so a bulk load builds none: the first ``range_query`` /
-  ``knn`` / ``occupied_cells`` / ``memory_bytes`` since builds them all
-  (:meth:`UniformGrid._buckets`).  Writes, scalar or batch, maintain them
-  where they are built and otherwise only keep the placement order.  A
-  bucket's insertion order is its members' placement order, so grouping the
-  windows by cell in store order rebuilds every bucket exactly as
-  incremental maintenance would have left it.
+  ``knn`` / ``occupied_cells`` / ``memory_bytes`` since builds them all from
+  the live windows in store order, which is each bucket's own order
+  (:meth:`UniformGrid._buckets`); writes maintain them only where built.
 * **Cheap massive updates.**  "the small movement means that only few
   elements switch grid cell in every step, thereby requiring few updates to
-  the data structure" (§4.3): :meth:`UniformGrid.update` compares the new
-  box's window with the stored one and on a match writes the box (and the
-  snapshot row) and nothing else — cells are enumerated only on a real cell
-  switch.  :attr:`cell_switches` counts how often relocation was actually
-  needed, which the massive-update benchmarks report.
+  the data structure" (§4.3): :meth:`UniformGrid.update` is write-behind —
+  it refuses what it must, writes the ``AABB`` view and logs the move, and
+  the next read of any kind places the log in one vectorized pass
+  (:meth:`UniformGrid._settle`): the stay/switch split is one comparison of
+  window matrices, in-place movers one column assignment, and cells are
+  enumerated only for cell switchers.  :meth:`~UniformGrid.apply_moves` is
+  the same pass over a checked batch, so loop and batch leave the same
+  grid; :attr:`cell_switches` counts how often relocation was needed.
 * **Replication-aware, duplicate-free batch kernels.**  Volumetric elements
   are registered in every cell they overlap, yet the batch kernels gather
   each ``(query, element)`` pair once, before any box is read: a candidate
@@ -44,48 +48,32 @@ Design points realized here:
   ``elem_tests``/``bytes_touched`` count the pairs actually tested;
   ``cells_probed`` counts distinct cells looked up.  (The scalar
   ``range_query`` walks the buckets and skips ids already reported.)  The
-  resolution model (:mod:`repro.core.resolution`) balances replication
+  range kernel's product is the CSR pair of :meth:`UniformGrid.batch_range_hits`;
+  the resolution model (:mod:`repro.core.resolution`) balances replication
   against probe counts.
-* **Arrays in, arrays out.**  The snapshot's one box store is laid out as
-  the overlap test reads it — a contiguous column per corner and axis
-  (``(2, d, n)``; the familiar ``(n, 2, d)`` form is a view of it, so patches
-  written through either land in both) — and the range kernel's product is
-  the CSR pair of :meth:`UniformGrid.batch_range_hits`;
-  :meth:`~UniformGrid.batch_range_query` is that plus one ``tolist``.
 * **Every gather pass runs once, over flat columns.**  Windows unfold an
   axis at a time by ``repeat``; the walk builds its one entry column in
   place, selects by ``flatnonzero`` + ``take`` where a mask would copy, and
   frees it before the next — a fresh entry-sized temporary's page faults cost
   more than its arithmetic (``test_grid_single_store`` bounds bytes per entry).
-* **Incrementally maintained batch snapshot.**  The vectorized batch kernels
-  query a dense packed view of the buckets (:class:`_GridSnapshot`).
-  Mutations *patch* the snapshot instead of discarding it: removals flip a
-  per-row ``alive`` bit, in-place box rewrites update the packed coordinates
-  directly, and insertions append rows plus their ``(cell, row, first
-  mask)`` entries to the overlay — flat columns from which a second sorted
-  cell table, laid out like the base one, is derived on the first query
-  after a mutation.  The kernels walk both tables with the same arithmetic
-  (:func:`_walk_cells`), so re-probing a just-mutated grid costs what
-  probing a clean one costs plus one sort of the overlay entries.  A dirty
-  counter triggers deferred compaction (a full repack) only when the
-  patches outgrow a fraction of the base.  Invariants: the snapshot is a
-  view too (scalar queries never consult it, batch queries never the
-  buckets), and ``base ∖ dead ∪ overlay`` always equals the live element
-  set, in ``_boxes`` order — a patched snapshot answers every batch query
-  identically, ids and order, to a from-scratch rebuild
+* **Incrementally maintained batch snapshot.**  Mutations *patch* the
+  snapshot: removals flip an ``alive`` bit, in-place rewrites update the
+  columns, insertions append rows plus their ``(cell, row, first mask)``
+  entries to the overlay, whose sorted cell table is derived on the next
+  query and walked like the base one (:func:`_walk_cells`).  Past a
+  fraction of the base the store is repacked from its own live rows and
+  the snapshot dropped.  ``base ∖ dead ∪ overlay`` always equals the live
+  element set in ``_boxes`` order, so a patched snapshot answers every
+  batch query, ids and order, as a rebuild would
   (``tests/test_snapshot_maintenance.py`` pins this).
-* **Whole-step motion in one call.**  :meth:`UniformGrid.apply_moves` takes
-  a step's ``(id, old box, new box)`` moves, refuses the batch whole or
-  applies it whole, computes every new window in one vectorized pass and
-  decides once whether to patch the snapshot or drop it; it leaves exactly
-  what the :meth:`~UniformGrid.update` loop leaves, counters included.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain, product
+import threading
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,8 +100,8 @@ _BATCH_WINDOW_CAP = 1 << 26
 _SNAPSHOT_DIRTY_MIN = 64
 
 CellKey = tuple[int, ...]
-# An element's cell set: the inclusive integer corners (*lo_cells, *hi_cells)
-# in one flat tuple — one object to build, compare and keep per element.
+# An element's cell set: the inclusive integer corners (*lo_cells, *hi_cells),
+# one row of the store's window matrix (a tuple where the scalar path needs one).
 Window = tuple[int, ...]
 # A sorted cell table: (keys, starts, counts, entry_rows, entry_first) — see
 # :class:`_GridSnapshot`, which holds one for the base and derives one for
@@ -122,43 +110,41 @@ CellTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _GridSnapshot:
-    """Dense, query-ready view of the grid's buckets, patchable in place.
+    """The grid's row store and, once its cell table is packed, the dense
+    query-ready view of the buckets, patchable in place.
 
     ``keys`` holds the linearized ids of every occupied cell in sorted order;
     ``starts``/``counts`` delimit each cell's slice of ``entry_rows``
     (replicated elements appear once per covering cell, exactly as in the
-    buckets).  ``entry_rows`` index into the dense ``eids``/``columns`` element
-    tables — ``columns`` is the one box store, ``(2, d, n)`` with a contiguous
-    column per corner and axis, and ``boxes`` its ``(n, 2, d)`` view;
-    ``entry_first`` holds, per entry, the bitmask "this cell is the
+    buckets), which index the element tables: ``eids``, ``columns`` (the one
+    box store, ``(2, d, n)``; ``boxes`` is its ``(n, 2, d)`` view) and
+    ``windows`` (``(n, 2d)`` integer cell windows; ``None`` on a read-only
+    copy).  ``entry_first`` holds, per entry, the bitmask "this cell is the
     low cell of the element's window on axis a" (bit ``a``) that the
     first-common-cell rule reads.  ``strides`` linearize a cell coordinate
-    tuple, ``tops`` are the per-axis maximum cell coordinates.
+    tuple, ``tops`` are the per-axis maximum cell coordinates.  Without a
+    packed cell table, ``keys`` and the rest of the table are ``None``.
 
     The base arrays are frozen at build time; mutations are folded in as an
-    overlay (the deferred-compaction dirty list):
-
-    * ``alive`` masks base rows whose element was removed or relocated;
-    * appended elements live in the ``extra_eids``/``extra_boxes``/
-      ``extra_alive`` rows, and their cell registrations in three flat
-      parallel columns, one entry per covered cell: ``extra_keys`` (linear
-      cell key), ``extra_rows`` (overlay row) and ``extra_first`` (first
-      mask) — the unsorted form of a second cell table;
-    * in-place box rewrites patch ``boxes`` / ``extra_boxes`` directly.
-
-    Overlay rows are addressed as ``len(eids) + i`` so one flat row space
-    covers both tables; :meth:`tables` materializes (and caches) the merged
-    id/box/alive views and :meth:`overlay_table` the sorted cell table of
-    the live overlay entries, in the base table's own layout.  ``dirty``
-    counts patches since the build — the owning grid compacts (rebuilds)
-    when it crosses the threshold.
+    overlay (the deferred-compaction dirty list): ``alive`` masks base rows
+    whose element was removed or relocated; appended elements live in the
+    ``extra_eids``/``extra_boxes``/``extra_windows``/``extra_alive`` rows
+    and, while the cell table is packed, their cell registrations in three
+    flat parallel entry columns ``extra_keys``/``extra_rows``/``extra_first``
+    (the unsorted form of a second cell table); in-place box rewrites patch
+    ``boxes`` / ``extra_boxes`` directly.  Overlay rows are addressed as
+    ``len(eids) + i``, so one flat row space covers both tables;
+    :meth:`tables` materializes (and caches) the merged id/box/alive views
+    and :meth:`overlay_table` the sorted cell table of the live overlay
+    entries.  ``dirty`` counts patches since the build; past the owning
+    grid's threshold it repacks the live rows (:meth:`compacted`).
     """
 
     __slots__ = (
         "keys", "starts", "counts", "entry_rows", "entry_first", "eids", "columns", "boxes",
-        "strides", "tops", "origin", "cell", "alive", "row_of", "extra_eids",
-        "extra_boxes", "extra_alive", "extra_row_of", "extra_keys", "extra_rows",
-        "extra_first", "dirty", "_tables", "_overlay",
+        "windows", "strides", "tops", "origin", "cell", "alive", "row_of", "extra_eids",
+        "extra_boxes", "extra_windows", "extra_alive", "extra_row_of", "extra_keys",
+        "extra_rows", "extra_first", "dirty", "_tables", "_overlay",
     )
     #: The array fields that, with the cell size, describe a clean snapshot.
     EXPORTED = ("keys", "starts", "counts", "entry_rows", "entry_first", "eids", "columns",
@@ -166,24 +152,18 @@ class _GridSnapshot:
 
     def __init__(
         self, keys, starts, counts, entry_rows, entry_first, eids, columns, strides, tops,
-        origin, cell,
+        origin, cell, windows=None,
     ) -> None:
-        self.keys = keys
-        self.starts = starts
-        self.counts = counts
-        self.entry_rows = entry_rows
-        self.entry_first = entry_first
-        self.eids = eids
-        self.columns = columns
+        self.keys, self.starts, self.counts = keys, starts, counts
+        self.entry_rows, self.entry_first = entry_rows, entry_first
+        self.eids, self.columns, self.windows = eids, columns, windows
         self.boxes = columns.transpose(2, 0, 1)
-        self.strides = strides
-        self.tops = tops
-        self.origin = origin
-        self.cell = cell
+        self.strides, self.tops, self.origin, self.cell = strides, tops, origin, cell
         self.alive = np.ones(len(eids), dtype=bool)
         self.row_of: dict[int, int] | None = None  # built lazily on first patch
         self.extra_eids: list[int] = []
-        self.extra_boxes: list[tuple[Sequence[float], Sequence[float]]] = []  # (lo, hi)
+        self.extra_boxes: list[Sequence[Sequence[float]]] = []  # [lo, hi]
+        self.extra_windows: list[Sequence[int]] = []
         self.extra_alive: list[bool] = []
         self.extra_row_of: dict[int, int] = {}
         self.extra_keys: list[int] = []
@@ -202,14 +182,18 @@ class _GridSnapshot:
             if not self.extra_eids:
                 self._tables = (self.eids, self.boxes, self.alive)
             else:
-                eids = np.concatenate(
-                    [self.eids, np.array(self.extra_eids, dtype=np.int64)]
-                )
+                eids = np.concatenate([self.eids, np.array(self.extra_eids, dtype=np.int64)])
                 extra = np.array(self.extra_boxes, dtype=np.float64)
                 columns = np.concatenate([self.columns, extra.transpose(1, 2, 0)], axis=-1)
                 alive = np.concatenate([self.alive, np.array(self.extra_alive, dtype=bool)])
                 self._tables = (eids, columns.transpose(2, 0, 1), alive)
         return self._tables
+
+    def window_table(self) -> np.ndarray:
+        """The ``(rows, 2d)`` windows across base rows then overlay rows."""
+        if not self.extra_windows:
+            return self.windows
+        return np.concatenate([self.windows, np.array(self.extra_windows, dtype=np.int64)])
 
     def base_table(self) -> CellTable:
         return self.keys, self.starts, self.counts, self.entry_rows, self.entry_first
@@ -229,109 +213,86 @@ class _GridSnapshot:
                 )
         return self._overlay
 
-    def _base_rows(self) -> dict[int, int]:
+    def locate(self, eids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The flat rows of these live elements (overlay rows past the base)
+        and their stored windows, as an ``(m, 2d)`` matrix."""
         if self.row_of is None:
             self.row_of = dict(zip(self.eids.tolist(), range(len(self.eids))))
-        return self.row_of
-
-    def _split_rows(self, eids: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Positions in ``eids`` and rows of the base-resident elements,
-        then positions and overlay rows of the overlay-resident ones."""
-        base_at, base_rows, extra_at, extra_rows = [], [], [], []
-        row_of, extra_row_of = self._base_rows(), self.extra_row_of
-        for at, eid in enumerate(eids):
-            idx = extra_row_of.get(eid)
-            if idx is None:
-                base_at.append(at)
-                base_rows.append(row_of[eid])
-            else:
-                extra_at.append(at)
-                extra_rows.append(idx)
-        return base_at, base_rows, extra_at, extra_rows
+        row_of, extra_row_of, n_base = self.row_of, self.extra_row_of, len(self.eids)
+        if not extra_row_of:
+            rows = np.fromiter(map(row_of.__getitem__, eids), np.int64, len(eids))
+            return rows, self.windows[rows]
+        rows = np.array([n_base + extra_row_of[eid] if eid in extra_row_of else row_of[eid]
+                         for eid in eids], dtype=np.int64)
+        windows = np.empty((len(rows), self.windows.shape[1]), dtype=np.int64)
+        base = rows < n_base
+        windows[base] = self.windows[rows[base]]
+        extra = [self.extra_windows[idx] for idx in (rows[~base] - n_base).tolist()]
+        windows[~base] = np.array(extra, dtype=np.int64).reshape(-1, windows.shape[1])
+        return rows, windows
 
     # -- patches (the dirty list) ---------------------------------------------
 
-    def patch_insert(self, eid: int, box: AABB, cells: Sequence[CellKey], lo: Sequence[int]) -> None:
-        """``cells`` are the grid's covered cell coordinates for ``box`` —
-        the owning grid has just enumerated them for its own buckets —
-        and ``lo`` starts with the low corner of that window."""
-        idx = len(self.extra_eids)
-        self.extra_eids.append(eid)
-        self.extra_boxes.append((box.lo, box.hi))
-        self.extra_alive.append(True)
-        self.extra_row_of[eid] = idx
-        strides = self.strides.tolist()
-        keys, firsts = self.extra_keys, self.extra_first
-        for coords in cells:
-            key = 0
-            first = 0
-            for axis, coord in enumerate(coords):
-                key += coord * strides[axis]
-                if coord == lo[axis]:
-                    first |= 1 << axis
-            keys.append(key)
-            firsts.append(first)
-        self.extra_rows.extend([idx] * len(cells))
-        # Every overlay entry is carried through each derivation of the
-        # overlay table, so a box spanning many cells must push toward
-        # compaction accordingly.
-        self.dirty += max(len(cells), 1)
-        self._tables = self._overlay = None
-
-    def patch_remove(self, eid: int) -> None:
-        idx = self.extra_row_of.pop(eid, None)
-        if idx is not None:
-            # Dead overlay rows keep their entry columns; deriving the
-            # overlay table filters them out (compaction reclaims the slots).
-            self.extra_alive[idx] = False
-        else:
-            self.alive[self._base_rows()[eid]] = False
-        self.dirty += 1
-        self._tables = self._overlay = None
-
-    def patch_set_box(self, eid: int, box: AABB) -> None:
-        """In-place rewrite for a move that kept the element's cell window."""
-        idx = self.extra_row_of.get(eid)
-        if idx is not None:
-            self.extra_boxes[idx] = (box.lo, box.hi)
-        else:
-            self.boxes[self._base_rows()[eid]] = (box.lo, box.hi)
-        self.dirty += 1
+    def patch_rewrite(self, rows: np.ndarray, boxes: np.ndarray) -> None:
+        """In-place rewrites of the flat ``rows`` to ``boxes`` (moves that
+        kept their windows): the base rows take one fancy-indexed assignment."""
+        n_base = len(self.eids)
+        base = rows < n_base
+        self.boxes[rows[base]] = boxes[base]
+        for idx, box in zip((rows[~base] - n_base).tolist(), boxes[~base].tolist()):
+            self.extra_boxes[idx] = box
+        self.dirty += len(rows)
         self._tables = None
 
-    # -- whole-batch patches (:meth:`UniformGrid.apply_moves`) ------------------
-
-    def patch_set_boxes(self, eids: Sequence[int], boxes: np.ndarray) -> None:
-        """:meth:`patch_set_box` for every ``(eids[i], boxes[i])`` at once:
-        the base rows take one fancy-indexed assignment."""
-        base_at, base_rows, extra_at, extra_rows = self._split_rows(eids)
-        self.boxes[base_rows] = boxes[base_at]
-        for at, idx in zip(extra_at, extra_rows):
-            self.extra_boxes[idx] = boxes[at].tolist()
-        self.dirty += len(eids)
-        self._tables = None
-
-    def patch_relocate(
-        self, eids: Sequence[int], boxes: np.ndarray, lo_cells: np.ndarray, hi_cells: np.ndarray
-    ) -> None:
-        """:meth:`patch_remove` then :meth:`patch_insert` for every element
-        at once; the new windows' entries come from one
-        :func:`_expand_windows` call, in the order the scalar path appends."""
-        _, base_rows, _, extra_rows = self._split_rows(eids)
-        self.alive[base_rows] = False
-        for idx in extra_rows:
+    def patch_remove(self, rows: np.ndarray) -> None:
+        """Kill the flat ``rows``.  Dead overlay rows keep their entry
+        columns; deriving the overlay table filters them out."""
+        n_base = len(self.eids)
+        self.alive[rows[rows < n_base]] = False
+        for idx in (rows[rows >= n_base] - n_base).tolist():
             self.extra_alive[idx] = False
+        self.dirty += len(rows)
+        self._tables = self._overlay = None
+
+    def patch_append(self, eids: Sequence[int], boxes: np.ndarray, windows: np.ndarray) -> None:
+        """Append overlay rows and, while the cell table is packed, their entries
+        from one :func:`_expand_windows` call; every entry is dirt (each overlay
+        table derivation carries it)."""
         first_row = len(self.extra_eids)
         self.extra_eids.extend(eids)
         self.extra_boxes.extend(boxes.tolist())
+        self.extra_windows.extend(windows.tolist())
         self.extra_alive.extend([True] * len(eids))
         self.extra_row_of.update(zip(eids, range(first_row, first_row + len(eids))))
-        owner, keys, first = _expand_windows(lo_cells, hi_cells, self.strides)
-        self.extra_keys.extend(keys.tolist())
-        self.extra_rows.extend((owner + first_row).tolist())
-        self.extra_first.extend(first.tolist())
-        self.dirty += len(eids) + len(keys)  # a window holds at least one cell
+        dims = windows.shape[1] // 2
+        lo_cells, hi_cells = windows[:, :dims], windows[:, dims:]
+        if self.keys is not None:
+            owner, keys, first = _expand_windows(lo_cells, hi_cells, self.strides)
+            self.extra_keys.extend(keys.tolist())
+            self.extra_rows.extend((owner + first_row).tolist())
+            self.extra_first.extend(first.tolist())
+        self.dirty += int(np.prod(hi_cells - lo_cells + 1, axis=1).sum())
         self._tables = self._overlay = None
+
+    def compacted(self, moves: tuple[np.ndarray, ...] | None = None) -> _GridSnapshot:
+        """The live rows as a clean store with no cell table, this one left as
+        it was — with ``moves = (rows, boxes, windows, switch)`` folded in on
+        the way: the flat ``rows`` take ``boxes``/``windows``, and those at
+        the ``switch`` positions leave their seats for the end, in order."""
+        eids, table, alive = self.tables()
+        rows, boxes, windows, switch = moves or (np.empty(0, dtype=np.int64),) * 4
+        keep = alive.copy()
+        keep[rows[switch]] = False
+        order = np.concatenate([np.flatnonzero(keep), rows[switch]])
+        columns = table.transpose(1, 2, 0).take(order, axis=2)
+        cells = self.window_table().take(order, axis=0)
+        if len(rows):
+            seat = np.empty(len(alive), dtype=np.int64)
+            seat[order] = np.arange(len(order))
+            columns[:, :, seat[rows]] = boxes.transpose(1, 2, 0)
+            cells[seat[rows]] = windows
+        return _GridSnapshot(None, None, None, None, None, eids.take(order), columns,
+                             self.strides, self.tops, self.origin, self.cell, windows=cells)
 
 
 def _cell_coords(
@@ -378,15 +339,27 @@ def _expand_windows(
     return owner, keys, first
 
 
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of non-negative int64 ``keys``, the sorted keys and
+    where each run of equal keys starts.  While ``key · n + position`` fits
+    int64, one plain sort of those (a stable argsort costs several times more)."""
+    n = len(keys)
+    if n and int(keys.max()) < (1 << 62) // n:
+        order = np.sort(keys * n + np.arange(n)) % n
+    else:
+        order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    edge = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    return order, keys, edge
+
+
 def _cell_table(keys: np.ndarray, rows: np.ndarray, first: np.ndarray) -> CellTable:
     """Group flat ``(cell key, element row, first mask)`` entries by cell:
     the distinct keys in sorted order, each cell's slice of the entry
     columns, and the columns in that (stable) order."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys.take(order)
-    edge = np.ones(len(keys), dtype=bool)  # a cell starts where the sorted keys change
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
-    starts = np.flatnonzero(edge)
+    order, keys, edge = _group(keys)
+    starts = np.flatnonzero(edge)  # a cell starts where the sorted keys change
     counts = np.diff(starts, append=len(keys))
     return keys.take(starts), starts, counts, rows.take(order), first.take(order)
 
@@ -460,19 +433,24 @@ def box_columns(boxes: np.ndarray) -> np.ndarray:
 
 
 def pack_snapshot(
-    eids: np.ndarray, columns: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray
+    eids: np.ndarray, columns: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray,
+    windows: np.ndarray | None = None,
 ) -> _GridSnapshot | None:
     """The dense form of a grid holding exactly these rows (``columns`` as
     :func:`box_columns` lays them out, adopted as the snapshot's box store);
     ``None`` if unlinearizable.  Cell membership comes from the boxes by the
-    clamped-window arithmetic of :meth:`UniformGrid._window`, so the pack runs
-    vectorized and needs no bucket dicts — a live grid's buckets and this
+    clamped-window arithmetic of :meth:`UniformGrid._window` — unless the
+    rows' ``(n, 2d)`` ``windows`` are known already — so the pack runs
+    vectorized and needs no bucket dicts: a live grid's buckets and this
     function necessarily describe the identical (cell, element) relation."""
     strides_arr = _linear_strides(tops)
     if strides_arr is None:
         return None
-    lo_cells = _cell_coords(columns[0].T, origin, cell, tops)
-    hi_cells = _cell_coords(columns[1].T, origin, cell, tops)
+    if windows is None:  # a read-only pack keeps no windows: its rows never move
+        lo_cells = _cell_coords(columns[0].T, origin, cell, tops)
+        hi_cells = _cell_coords(columns[1].T, origin, cell, tops)
+    else:
+        lo_cells, hi_cells = windows[:, :len(tops)], windows[:, len(tops):]
     rows, keys, first = _expand_windows(lo_cells, hi_cells, strides_arr)
     return _GridSnapshot(
         *_cell_table(keys, rows, first),
@@ -482,6 +460,7 @@ def pack_snapshot(
         tops=tops,
         origin=origin,
         cell=cell,
+        windows=windows,
     )
 
 
@@ -517,9 +496,12 @@ class UniformGrid(SpatialIndex):
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self._universe = universe
         self._cell_size = cell_size
-        # The ground truth, both in order of last placement.
+        # The ground truth, the row store, and its ``AABB`` view (written at
+        # call time); then the moves :meth:`update` logged, in call order.
         self._boxes: dict[int, AABB] = {}
-        self._windows: dict[int, Window] = {}
+        self._store: _GridSnapshot | None = None
+        self._log: dict[int, AABB] = {}
+        self._lock = threading.Lock()
         # cell -> ids registered there; a dict for its insertion order (the
         # scalar result order) and O(1) removal.  ``None`` from a bulk load
         # until a scalar read asks: read it through :meth:`_buckets`.
@@ -529,9 +511,9 @@ class UniformGrid(SpatialIndex):
         # the bulk paths read the first, the scalar ``_window`` the second.
         self._axes: tuple[tuple[float, int], ...] | None = None
         self._corner_axes: tuple[tuple[float, ...], tuple[int, ...]] | None = None
-        self._snapshot: _GridSnapshot | None = None
-        self.cell_switches = 0
-        self.in_place_updates = 0
+        self._snapshot: _GridSnapshot | None = None  # the store, while it has a cell table
+        self._switches = 0
+        self._in_place = 0
         # Lifetime count of full snapshot packs; the snapshot-maintenance
         # regression tests assert mutations patch instead of repack.
         self.snapshot_rebuilds = 0
@@ -546,6 +528,16 @@ class UniformGrid(SpatialIndex):
     def cell_size(self) -> float | None:
         return self._cell_size
 
+    @property
+    def cell_switches(self) -> int:
+        self._settle()
+        return self._switches
+
+    @property
+    def in_place_updates(self) -> int:
+        self._settle()
+        return self._in_place
+
     def _ensure_configured(self, items: list[Item]) -> None:
         """Fix universe, cell size and axes from the first items seen; items
         of another dimensionality are refused before anything is set."""
@@ -553,9 +545,7 @@ class UniformGrid(SpatialIndex):
             hull = union_all(box for _, box in items)
             self._universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
         elif items[0][1].dims != self._universe.dims:
-            raise ValueError(
-                f"box has {items[0][1].dims} dims, index has {self._universe.dims}"
-            )
+            raise ValueError(f"box has {items[0][1].dims} dims, index has {self._universe.dims}")
         if self._cell_size is None:
             # Default heuristic: aim for ~2 elements per occupied cell.
             from repro.core.resolution import default_cell_size
@@ -570,142 +560,158 @@ class UniformGrid(SpatialIndex):
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
-        # Whatever can refuse the input runs before the reset.
-        windows = _corner_tuples(self._bulk_corners(materialized)[1]) if materialized else []
+        store = None
+        if materialized:  # whatever can refuse the input runs before the reset
+            packed = _pack_finite([box for _, box in materialized])
+            self._ensure_configured(materialized)
+            eids = np.fromiter((eid for eid, _ in materialized), np.int64, len(materialized))
+            store = self._new_store(eids, packed, self._corners(packed))
+        self._log = {}  # the reset supersedes any logged moves
         self._boxes = dict(materialized)
-        self._windows = dict(zip(self._boxes, windows))
+        self._store = store
         self._cells = None if materialized else {}  # nothing to build from nothing
         self._snapshot = None
-        self.cell_switches = 0
-        self.in_place_updates = 0
+        self._switches = 0
+        self._in_place = 0
 
-    def _bulk_corners(self, items: list[Item]) -> tuple[np.ndarray, np.ndarray]:
-        """The items' packed ``(n, 2, d)`` boxes and their ``(n, 2d)`` integer
-        window corners, in one vectorized :func:`_cell_coords` pass."""
-        boxes = boxes_to_array([box for _, box in items])
-        if not np.isfinite(boxes).all():
-            raise ValueError("box coordinates must be finite")
-        self._ensure_configured(items)
-        assert self._cell_size is not None
-        assert self._axes is not None
+    def _corners(self, packed: np.ndarray) -> np.ndarray:
+        """The ``(n, 2d)`` integer window corners of packed ``(n, 2, d)``
+        boxes, in one vectorized :func:`_cell_coords` pass."""
+        assert self._cell_size is not None and self._axes is not None
         origin, tops = _axis_arrays(self._axes)
-        corners = _cell_coords(boxes.reshape(len(items), -1), np.tile(origin, 2),
-                               self._cell_size, np.tile(tops, 2))
-        return boxes, corners
+        return _cell_coords(packed.reshape(len(packed), -1), np.tile(origin, 2),
+                            self._cell_size, np.tile(tops, 2))
+
+    def _new_store(self, eids: np.ndarray, boxes: np.ndarray, windows: np.ndarray) -> _GridSnapshot:
+        """A clean row store of these rows, with no cell table."""
+        assert self._cell_size is not None and self._axes is not None
+        origin, tops = _axis_arrays(self._axes)
+        return _GridSnapshot(None, None, None, None, None, eids, box_columns(boxes),
+                             _linear_strides(tops), tops, origin, self._cell_size, windows=windows)
 
     def insert(self, eid: int, box: AABB) -> None:
         if eid in self._boxes:
             raise ValueError(f"element {eid} already present")
+        packed = _pack_finite([box])
         self._ensure_configured([(eid, box)])
-        window = self._window(box)
-        cells = self._place(eid, box, window)
-        if self._snapshot is not None:
-            self._snapshot.patch_insert(eid, box, cells, window)
-            self._maybe_compact()
+        windows = self._corners(packed)
+        self._settle()
+        if self._store is None:
+            self._store = self._new_store(np.array([eid]), packed, windows)
+        else:
+            self._store.patch_append([eid], packed, windows)
+        self._place(eid, _window_cells(windows[0].tolist()))
+        self._boxes[eid] = box
+        self._maybe_compact()
         self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
         if eid not in self._boxes or self._boxes[eid] != box:
             raise KeyError(f"element {eid} with box {box} not in index")
-        self._unplace(eid)
-        if self._snapshot is not None:
-            self._snapshot.patch_remove(eid)
-            self._maybe_compact()
+        self._settle()
+        store = self._store
+        assert store is not None
+        rows, windows = store.locate([eid])
+        self._unplace(eid, windows[0].tolist())
+        store.patch_remove(rows)
+        store.extra_row_of.pop(eid, None)
+        del self._boxes[eid]
+        self._maybe_compact()
         self.counters.deletes += 1
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        """Relocate only when the covered cell window changes (the §4.3 win)."""
+        """Write-behind: refuse what must be refused, write the ``AABB`` view and
+        log the move for the next read; a logged element's next move settles first."""
         stored = self._boxes.get(eid)
         if stored is None or not (stored is old_box or stored == old_box):
             raise KeyError(f"element {eid} with box {old_box} not in index")
-        current = self._windows[eid]
-        window = self._window(new_box, current)
-        snap = self._snapshot
-        if window == current:
-            self._boxes[eid] = new_box
-            if snap is not None:
-                snap.patch_set_box(eid, new_box)
-                self._maybe_compact()
-            self.in_place_updates += 1
-        else:
-            self._unplace(eid)
-            cells = self._place(eid, new_box, window)
-            if snap is not None:
-                snap.patch_remove(eid)
-                snap.patch_insert(eid, new_box, cells, window)
-                self._maybe_compact()
-            self.cell_switches += 1
+        dims = len(self._axes)  # type: ignore[arg-type]  # configured: it holds eid
+        if len(new_box.lo) != dims:
+            raise ValueError(f"box has {len(new_box.lo)} dims, index has {dims}")
+        # The sum is finite unless a coordinate is not, or the sum overflows.
+        lo, hi = new_box.lo, new_box.hi
+        if not math.isfinite(sum(lo) + sum(hi)) and not all(map(math.isfinite, lo + hi)):
+            raise ValueError("box coordinates must be finite")
+        if eid in self._log:
+            self._settle()
+        self._boxes[eid] = new_box
+        self._log[eid] = new_box
         self.counters.updates += 1
 
     def apply_moves(self, moves: Iterable[Move]) -> None:
-        """The whole batch or nothing, and equal to the :meth:`update` loop.
-
-        Everything that can refuse a move — an unknown id, a stale
-        ``old_box``, a repeated id, wrong dimensionality, a non-finite
-        coordinate — is checked for every move before anything is written.
-        The new windows then come from one :func:`_cell_coords` pass;
-        in-place movers are one dict write each and one snapshot assignment
-        together, cell switchers are re-appended one by one (through their
-        buckets, if those are built) and patch the snapshot together.
-        Whether the batch's patches would carry the snapshot past the
-        compaction threshold is decided once, up front: if so the snapshot
-        is dropped and nothing is patched — what the scalar loop arrives at
-        after patching its way to the threshold.  Stores, buckets, counters
-        and batch answers end up as the loop leaves them.
-        """
+        """The whole batch or nothing, and equal to the :meth:`update` loop:
+        whatever can refuse a move (unknown id, stale ``old_box``, repeated
+        id, wrong dims, non-finite coordinate) is checked for every move
+        first; then the batch is logged and settled, as the loop's log is."""
         moves = unique_moves(moves)
         if not moves:
             return
-        boxes, stored = self._boxes, self._windows
+        boxes = self._boxes
         dims = len(self._axes or ())
         for eid, old_box, new_box in moves:
-            if eid not in boxes or boxes[eid] != old_box:
+            stored = boxes.get(eid)
+            if stored is None or not (stored is old_box or stored == old_box):
                 raise KeyError(f"element {eid} with box {old_box} not in index")
             if len(new_box.lo) != dims:
                 raise ValueError(f"box has {len(new_box.lo)} dims, index has {dims}")
-        targets = [(eid, new_box) for eid, _, new_box in moves]
-        packed, corners = self._bulk_corners(targets)
-        windows = _corner_tuples(corners)
-        stay: list[int] = []
-        switch: list[int] = []
-        for at, ((eid, _), window) in enumerate(zip(targets, windows)):
-            (stay if window == stored[eid] else switch).append(at)
-
-        snap = self._snapshot
-        lo_cells, hi_cells = corners[switch, :dims], corners[switch, dims:]
-        if snap is not None:
-            # The dirt the scalar loop would add: one patch per in-place
-            # rewrite, one removal and one entry per covered cell per switch.
-            dirt = len(stay) + len(switch) + int(np.prod(hi_cells - lo_cells + 1, axis=1).sum())
-            if snap.dirty + dirt > _compaction_threshold(snap):
-                self._snapshot = snap = None
-
-        for at in stay:
-            eid, box = targets[at]
-            boxes[eid] = box
-        built = self._cells is not None
-        for at in switch:
-            eid, box = targets[at]
-            if built:
-                self._unplace(eid)
-                self._place(eid, box, windows[at])
-            else:  # placement order, which the buckets will be built from
-                del boxes[eid], stored[eid]
-                boxes[eid], stored[eid] = box, windows[at]
-        if snap is not None:
-            if stay:
-                snap.patch_set_boxes([targets[at][0] for at in stay], packed[stay])
-            if switch:
-                snap.patch_relocate(
-                    [targets[at][0] for at in switch], packed[switch], lo_cells, hi_cells
-                )
-        self.in_place_updates += len(stay)
-        self.cell_switches += len(switch)
+        packed = _pack_finite([new_box for _, _, new_box in moves])
+        self._settle()
+        for eid, _, new_box in moves:
+            boxes[eid] = self._log[eid] = new_box
+        self._settle(packed)
         self.counters.updates += len(moves)
+
+    def _settle(self, packed: np.ndarray | None = None) -> None:
+        """Place the logged moves (``packed``: their boxes, if at hand) in one
+        vectorized pass, once, whichever thread reads first.  Whether their
+        patches would carry the store past the compaction threshold is
+        decided up front: if so the store is repacked from its own rows with
+        the moves folded in and the snapshot dropped — where patching one by
+        one arrives.  Switchers are re-appended in log order."""
+        if not self._log:  # a read of a settled grid: one truth test, no lock
+            return
+        with self._lock:
+            log, self._log = self._log, {}
+            if not log:  # another thread placed it meanwhile
+                return
+            eids = list(log)
+            if packed is None:
+                packed = _pack_finite(list(log.values()))
+            windows = self._corners(packed)
+            store = self._store
+            assert store is not None
+            rows, old = store.locate(eids)
+            stays = (old == windows).all(axis=1)
+            switch = np.flatnonzero(~stays)
+            dims = windows.shape[1] // 2
+            moved = windows[switch]
+            # The dirt of the scalar loop: one patch per in-place rewrite,
+            # one removal and one entry per covered cell per switch.
+            dirt = len(eids) + int(np.prod(moved[:, dims:] - moved[:, :dims] + 1, axis=1).sum())
+            if store.dirty + dirt > _compaction_threshold(store):
+                self._store = store.compacted((rows, packed, windows, switch))
+                self._snapshot = None
+            else:
+                stay = np.flatnonzero(stays)
+                if stay.size:
+                    store.patch_rewrite(rows[stay], packed[stay])
+                if switch.size:
+                    store.patch_remove(rows[switch])
+                    store.patch_append([eids[at] for at in switch.tolist()], packed[switch], moved)
+            boxes, built = self._boxes, self._cells is not None
+            for at, window, new in zip(switch.tolist(), old[switch].tolist(), moved.tolist()):
+                eid = eids[at]
+                boxes[eid] = boxes.pop(eid)
+                if built:
+                    self._unplace(eid, window)
+                    self._place(eid, _window_cells(new))
+            self._in_place += len(eids) - len(switch)
+            self._switches += len(switch)
 
     # -- queries --------------------------------------------------------------------
 
     def range_query(self, box: AABB) -> list[int]:
+        self._settle()
         if not self._boxes:
             return []
         counters = self.counters
@@ -733,6 +739,7 @@ class UniformGrid(SpatialIndex):
         """Expanding-window kNN: probe growing cell rings until k confirmed."""
         if k <= 0 or not self._boxes or self._universe is None:
             return []
+        self._settle()
         assert self._cell_size is not None
         counters = self.counters
         point = tuple(point)
@@ -757,19 +764,24 @@ class UniformGrid(SpatialIndex):
     # -- batch queries (vectorized) ---------------------------------------------------
 
     def _build_snapshot(self) -> _GridSnapshot | None:
-        """Pack the element store into the dense form (:func:`pack_snapshot`);
-        ``None`` if unlinearizable."""
+        """Pack the store's live rows into the dense form (:func:`pack_snapshot`,
+        from the stored windows), which becomes the store; ``None`` if
+        unlinearizable."""
         assert self._cell_size is not None and self._axes is not None
         origin, tops = _axis_arrays(self._axes)
-        if _linear_strides(tops) is None:  # skip packing the boxes
+        store = self._store
+        if store is None or _linear_strides(tops) is None:
             return None
         self.snapshot_rebuilds += 1
-        eids, boxes = self.export_items()
-        columns = box_columns(boxes)
-        del boxes  # the row-major copy goes before the cell table's temporaries come
-        return pack_snapshot(eids, columns, origin, self._cell_size, tops)
+        if store.dirty:
+            store = store.compacted()
+        snap = pack_snapshot(store.eids, store.columns, origin, self._cell_size, tops,
+                             windows=store.windows)
+        self._store = snap
+        return snap
 
     def _ensure_snapshot(self) -> _GridSnapshot | None:
+        self._settle()
         if self._snapshot is None:
             self._snapshot = self._build_snapshot()
         return self._snapshot
@@ -777,26 +789,22 @@ class UniformGrid(SpatialIndex):
     def _gather_candidates(
         self, snap: _GridSnapshot, lo_cells: np.ndarray, hi_cells: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(query, element-row)`` candidate pairs for cell windows.
-
-        ``lo_cells``/``hi_cells`` are ``(m, d)`` integer window corners.
-        The windows are flattened into ``(query, cell)`` pairs once and
-        their distinct cells walked through the base cell table and, when
-        the snapshot carries patched-in inserts, through the overlay's cell
-        table (:func:`_walk_cells` both times; overlay rows are addressed
-        past the base table), so probing a patched snapshot costs one more
-        pass of the same arithmetic, whatever the number of overlay cells.
-        Pairs are kept only at the first cell the two windows share (see
-        the module docstring) and filtered through the ``alive`` mask:
-        every live ``(query, row)`` whose windows share a cell comes out
-        exactly once.  ``cells_probed`` rises by the distinct query cells
-        plus the overlay cells among them.
-        """
+        """Flat ``(query, element-row)`` candidate pairs for the ``(m, d)``
+        integer windows ``lo_cells``/``hi_cells``: flattened into ``(query,
+        cell)`` pairs once, their distinct cells walked through the base cell
+        table and the overlay's, if any (:func:`_walk_cells` both times),
+        kept at the first cell the two windows share and filtered through
+        ``alive`` — every live ``(query, row)`` whose windows share a cell
+        comes out exactly once.  ``cells_probed`` rises by the distinct
+        query cells plus the overlay cells among them."""
         counters = self.counters
         every_axis = (1 << lo_cells.shape[1]) - 1
         # Flatten all query windows into (query, cell-id) pairs.
         qidx, flat_keys, q_first = _expand_windows(lo_cells, hi_cells, snap.strides)
-        uniq_keys, inverse = np.unique(flat_keys, return_inverse=True)
+        order, flat_keys, edge = _group(flat_keys)  # np.unique(return_inverse=True), cheaper
+        uniq_keys = flat_keys[edge]
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(edge) - 1
         counters.cells_probed += len(uniq_keys)
         pair_q, rows, _ = _walk_cells(
             snap.base_table(), uniq_keys, inverse, qidx, q_first, every_axis
@@ -974,21 +982,21 @@ class UniformGrid(SpatialIndex):
     # -- introspection ---------------------------------------------------------------
 
     def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        dims = self._universe.dims if self._universe else 0
-        eids = np.fromiter(self._boxes.keys(), dtype=np.int64, count=len(self._boxes))
-        return eids, boxes_to_array(list(self._boxes.values()), dims=dims)
+        self._settle()
+        if self._store is None:
+            dims = self._universe.dims if self._universe else 0
+            return np.empty(0, dtype=np.int64), np.empty((0, 2, dims))
+        eids, boxes, alive = self._store.tables()
+        live = np.flatnonzero(alive)
+        return eids[live], boxes[live]
 
     def snapshot_export(self) -> tuple[dict[str, np.ndarray], float] | None:
-        """The compacted snapshot as plain arrays, for shared-memory export.
-
-        Returns ``(arrays, cell_size)`` where ``arrays`` holds every
-        :class:`_GridSnapshot` field plus the ``(2, d)`` universe corners,
-        or ``None`` when the grid is empty or unlinearizable.  A dirty
-        overlay forces a compacting rebuild first so the exported base
-        arrays alone describe the full contents — the serving worker pool
-        rehydrates them into a read-only grid without replaying patches
-        (:mod:`repro.serving.snapshots`).
-        """
+        """The compacted snapshot for shared-memory export: ``(arrays,
+        cell_size)`` with every exported :class:`_GridSnapshot` field plus the
+        ``(2, d)`` universe corners, or ``None`` when the grid is empty or
+        unlinearizable.  A dirty snapshot is repacked first, so the base
+        arrays alone describe the contents and the worker pool rehydrates
+        them without replaying patches (:mod:`repro.serving.snapshots`)."""
         if not self._boxes:
             return None
         snap = self._ensure_snapshot()
@@ -1006,11 +1014,13 @@ class UniformGrid(SpatialIndex):
 
     def _stored_entries(self) -> int:
         """Bucket entries across all cells: the sum of the window volumes."""
-        dims = len(self._axes or ())
-        return sum(
-            math.prod(h - l + 1 for l, h in zip(window[:dims], window[dims:]))
-            for window in self._windows.values()
-        )
+        self._settle()
+        store = self._store
+        if store is None:
+            return 0
+        windows = store.window_table()[store.tables()[2]]
+        dims = windows.shape[1] // 2
+        return int(np.prod(windows[:, dims:] - windows[:, :dims] + 1, axis=1).sum())
 
     @property
     def replication_factor(self) -> float:
@@ -1024,52 +1034,45 @@ class UniformGrid(SpatialIndex):
         if not self._boxes:
             return 0
         dims = self._universe.dims if self._universe else 3
-        return (
-            len(self._boxes) * dims * _BOX_BYTES_PER_DIM
-            + self._stored_entries() * 8
-            + self.occupied_cells * 16
-        )
+        return (len(self._boxes) * dims * _BOX_BYTES_PER_DIM + self._stored_entries() * 8
+                + self.occupied_cells * 16)
 
     # -- internals ---------------------------------------------------------------------
 
-    def _window(self, box: AABB, stored: Window | None = None) -> Window:
+    def _window(self, box: AABB) -> Window:
         """The inclusive cell window ``box`` covers, clamped to the universe
-        — the scalar twin of :func:`_cell_coords`, bit for bit.  ``stored``
-        is the element's current window, if it has one: unclamped
-        coordinates that equal it are in range already (it was clamped)."""
+        — the scalar twin of :func:`_cell_coords`, bit for bit."""
         assert self._corner_axes is not None and self._cell_size is not None
         origins, tops = self._corner_axes
         if len(box.lo) * 2 != len(origins):
             raise ValueError(f"box has {len(box.lo)} dims, index has {len(origins) // 2}")
         cell = self._cell_size
         floor = math.floor
-        raw = tuple([floor((v - o) / cell) for v, o in zip(box.lo + box.hi, origins)])
-        if raw == stored:
-            return stored
-        # Conditional clamps, not min/max calls: this runs once per update.
+        raw = [floor((v - o) / cell) for v, o in zip(box.lo + box.hi, origins)]
         return tuple([0 if c < 0 else top if c > top else c for c, top in zip(raw, tops)])
 
     def _buckets(self) -> dict[CellKey, dict[int, None]]:
         """The buckets, built here if no scalar read has asked since the
-        last bulk load: the windows grouped by cell, in store order (see the
-        module docstring for why that is each bucket's own order)."""
+        last bulk load: the live windows grouped by cell, in store order (see
+        the module docstring for why that is each bucket's own order)."""
+        self._settle()
         if self._cells is None:
-            assert self._axes is not None
-            windows, dims = self._windows, len(self._axes)
+            assert self._axes is not None and self._store is not None
+            dims = len(self._axes)
+            eids, _, alive = self._store.tables()
+            live = np.flatnonzero(alive)
+            corners = self._store.window_table()[live]
             tops = _axis_arrays(self._axes)[1]
             strides = _linear_strides(tops)
             cells: dict[CellKey, dict[int, None]] = {}
             if strides is None:
-                for eid, window in windows.items():
+                for eid, window in zip(eids[live].tolist(), corners.tolist()):
                     for key in _window_cells(window):
                         cells.setdefault(key, {})[eid] = None
             else:
-                corners = np.fromiter(
-                    chain.from_iterable(windows.values()), np.int64, 2 * dims * len(windows)
-                ).reshape(-1, 2 * dims)
                 owner, keys, first = _expand_windows(corners[:, :dims], corners[:, dims:], strides)
                 keys, starts, _, rows, _ = _cell_table(keys, owner, first)
-                ids = np.fromiter(windows, np.int64, len(windows))[rows].tolist()
+                ids = eids[live][rows].tolist()
                 coords = [(keys // stride % (top + 1)).tolist()
                           for stride, top in zip(strides.tolist(), tops.tolist())]
                 bounds = [*starts.tolist(), len(ids)]
@@ -1078,38 +1081,26 @@ class UniformGrid(SpatialIndex):
             self._cells = cells
         return self._cells
 
-    def _place(self, eid: int, box: AABB, window: Window) -> list[CellKey]:
-        """Append ``eid`` to the stores and, where the buckets are built,
-        to the bucket of every cell of ``window``; returns those cells.
-        The snapshot is the caller's to patch."""
-        cells = list(_window_cells(window))
-        buckets = self._cells
-        if buckets is not None:
+    def _place(self, eid: int, cells: Iterable[CellKey]) -> None:
+        """Append ``eid`` to the bucket of every cell, if the buckets are built."""
+        if self._cells is not None:
             for key in cells:
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = {eid: None}
-                else:
-                    bucket[eid] = None
-        self._boxes[eid] = box
-        self._windows[eid] = window
-        return cells
+                self._cells.setdefault(key, {})[eid] = None
 
-    def _unplace(self, eid: int) -> None:
-        window, buckets = self._windows.pop(eid), self._cells
-        del self._boxes[eid]
-        if buckets is not None:
-            for key in _window_cells(window):
-                bucket = buckets[key]
-                del bucket[eid]
-                if not bucket:
-                    del buckets[key]
+    def _unplace(self, eid: int, window: Sequence[int]) -> None:
+        """Take ``eid`` out of the buckets of ``window``, if they are built."""
+        buckets = self._cells
+        for key in _window_cells(window) if buckets is not None else ():
+            bucket = buckets[key]
+            del bucket[eid]
+            if not bucket:
+                del buckets[key]
 
     def _maybe_compact(self) -> None:
-        """Deferred compaction: drop the snapshot once its dirt outgrows a
-        fraction of the base (the next batch repacks)."""
-        snap = self._snapshot
-        if snap is not None and snap.dirty > _compaction_threshold(snap):
+        """Past the threshold, repack the store's live rows; drop the snapshot."""
+        store = self._store
+        if store is not None and store.dirty > _compaction_threshold(store):
+            self._store = store.compacted()
             self._snapshot = None
 
 
@@ -1117,12 +1108,15 @@ def _compaction_threshold(snap: _GridSnapshot) -> int:
     return max(_SNAPSHOT_DIRTY_MIN, len(snap.eids) // 4)
 
 
-def _corner_tuples(corners: np.ndarray) -> list[Window]:
-    """``(n, 2d)`` integer corners regrouped straight into window tuples."""
-    return list(zip(*[iter(corners.ravel().tolist())] * corners.shape[1]))
+def _pack_finite(boxes: list[AABB]) -> np.ndarray:
+    """:func:`boxes_to_array`, refusing a NaN or infinite coordinate."""
+    packed = boxes_to_array(boxes)
+    if not np.isfinite(packed).all():
+        raise ValueError("box coordinates must be finite")
+    return packed
 
 
-def _window_cells(window: Window) -> Iterable[CellKey]:
+def _window_cells(window: Sequence[int]) -> Iterable[CellKey]:
     """All integer coordinate tuples in the inclusive window."""
     dims = len(window) // 2
     return product(*[range(l, h + 1) for l, h in zip(window[:dims], window[dims:])])

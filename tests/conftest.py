@@ -154,3 +154,15 @@ def overlay_cells(snap) -> dict[int, list[tuple[int, int]]]:
     for key, idx, first in zip(snap.extra_keys, snap.extra_rows, snap.extra_first):
         cells.setdefault(key, []).append((idx, first))
     return cells
+
+
+def grid_windows(grid) -> dict[int, tuple[int, ...]]:
+    """A ``UniformGrid``'s live cell windows by id, in placement order, read
+    from its store's window matrix once the move log is settled."""
+    grid._settle()
+    store = grid._store
+    if store is None:
+        return {}
+    eids, _, alive = store.tables()
+    live = np.flatnonzero(alive)
+    return dict(zip(eids[live].tolist(), map(tuple, store.window_table()[live].tolist())))

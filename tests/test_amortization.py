@@ -1,8 +1,12 @@
 """Section 4.1 economics: crossover fractions and strategy choice."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core import amortization
 from repro.core.amortization import MaintenanceCosts, Strategy, UpdateEconomics, calibrate
+from repro.core.uniform_grid import UniformGrid
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
 
@@ -115,6 +119,24 @@ class TestCalibrate:
         assert costs.query_scan > 0
         assert costs.n_elements == 800
         assert 0 < costs.crossover_fraction() <= 1.0
+
+    def test_a_write_behind_settle_is_timed_as_update_cost(self, monkeypatch):
+        """The grid's ``update`` only logs; the read that places the log must
+        fall inside the timed update region, between its two clock reads."""
+        events = []
+        clock = SimpleNamespace(perf_counter=lambda: events.append("clock") or float(len(events)))
+        monkeypatch.setattr(amortization, "time", clock)
+        settle = UniformGrid._settle
+        monkeypatch.setattr(UniformGrid, "_settle",
+                            lambda grid: (grid._log and events.append("settle")) or settle(grid))
+        items = make_items(400, seed=7)
+        moves = [(eid, box, box.expanded(0.5)) for eid, box in items[:200]]
+        calibrate(lambda: UniformGrid(universe=UNIVERSE_3D, cell_size=10.0), items, moves,
+                  make_queries(3, extent=10.0, seed=8), LinearScan)
+        # rebuild start / end, update start, the settle, update end
+        assert events[:5] == ["clock", "clock", "clock", "settle", "clock"]
+        # the restore's settle is placed before the query timing starts
+        assert events[5:9] == ["clock", "clock", "settle", "clock"]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

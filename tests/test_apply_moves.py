@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import UNIVERSE_2D, UNIVERSE_3D, make_items
+from conftest import UNIVERSE_2D, UNIVERSE_3D, grid_windows, make_items
 from repro import INDEX_REGISTRY, ContinuousJoinSpec, ContinuousSession, make_index
 from repro.core.uniform_grid import UniformGrid, _compaction_threshold
 from repro.geometry.aabb import AABB
@@ -53,15 +53,17 @@ def loaded_grid(items) -> UniformGrid:
 
 
 def write_state(grid: UniformGrid):
+    windows = grid_windows(grid)  # settles the scalar loop's log first
     snap = grid._snapshot
     patches = None if snap is None else (
-        snap.dirty, snap.alive.tolist(), snap.boxes.tolist(), list(snap.extra_eids),
-        [np.asarray(box).tolist() for box in snap.extra_boxes], list(snap.extra_alive),
+        snap.dirty, snap.alive.tolist(), snap.boxes.tolist(), snap.windows.tolist(),
+        list(snap.extra_eids), [np.asarray(box).tolist() for box in snap.extra_boxes],
+        [list(window) for window in snap.extra_windows], list(snap.extra_alive),
         dict(snap.extra_row_of), list(snap.extra_keys), list(snap.extra_rows),
         list(snap.extra_first),
     )
     return (
-        list(grid._boxes.items()), dict(grid._windows),
+        list(grid._boxes.items()), windows,
         {key: list(bucket) for key, bucket in grid._buckets().items()}, patches,
         grid.in_place_updates, grid.cell_switches, grid.snapshot_rebuilds,
         grid.counters.snapshot(),

@@ -6,13 +6,14 @@ import pytest
 
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.resolution import GridCostModel, default_cell_size, optimal_cell_size
-from repro.core.uniform_grid import UniformGrid, _cell_coords
+from repro.core.uniform_grid import UniformGrid, _cell_coords, _cell_table
 from repro.geometry.aabb import AABB
 
 from conftest import (
     UNIVERSE_3D,
     assert_same_knn,
     assert_same_range_results,
+    grid_windows,
     make_items,
     make_queries,
 )
@@ -75,6 +76,42 @@ class TestUniformGrid:
         switch_rate = grid.cell_switches / grid.counters.updates
         assert switch_rate < 0.1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("call", ["insert", "update"])
+    def test_non_finite_scalar_writes_are_refused(self, call, bad):
+        """Refused with the batch paths' wording, before anything is
+        written (no longer an ``OverflowError`` from ``math.floor``)."""
+        grid = UniformGrid(universe=UNIVERSE_3D, cell_size=10.0)
+        box = AABB((5, 5, 5), (6, 6, 6))
+        grid.bulk_load([(1, box)])
+        lo, hi = [5.0, 5.0, 5.0], [6.0, 6.0, 6.0]
+        (hi if bad > 0 else lo)[1] = bad
+        if bad != bad:  # NaN: both corners
+            lo[1] = hi[1] = bad
+        with pytest.raises(ValueError, match="^box coordinates must be finite$"):
+            if call == "insert":
+                grid.insert(2, AABB(lo, hi))
+            else:
+                grid.update(1, box, AABB(lo, hi))
+        assert grid._boxes == {1: box} and grid.counters.updates == grid.counters.inserts == 0
+        assert grid.range_query(UNIVERSE_3D) == [1] and grid.in_place_updates == 0
+
+    @pytest.mark.parametrize("top", [1, 6_000, 1 << 40, (1 << 62) - 1])
+    def test_cell_table_is_the_stable_order_on_both_sort_paths(self, top):
+        """Small keys take one plain sort of ``key · n + position``, keys too
+        large for it the stable argsort; either way the entries come out in
+        stable key order (ties in input order)."""
+        import numpy as np
+
+        rng = np.random.default_rng(top % 97)
+        keys = rng.integers(0, top, size=5_000, dtype=np.int64)
+        rows, first = np.arange(5_000), rng.integers(0, 8, size=5_000).astype(np.uint8)
+        cells, starts, counts, got_rows, got_first = _cell_table(keys, rows, first)
+        order = np.argsort(keys, kind="stable")
+        assert got_rows.tolist() == order.tolist() and got_first.tolist() == first[order].tolist()
+        assert cells.tolist() == np.unique(keys).tolist() and counts.sum() == 5_000
+        assert (keys[order][starts] == cells).all()
+
     def test_update_wrong_box_raises(self):
         grid = UniformGrid(universe=UNIVERSE_3D, cell_size=5.0)
         box = AABB((1, 1, 1), (2, 2, 2))
@@ -130,7 +167,7 @@ class TestUniformGrid:
             assert grid._window(probe) == (*lo_cells, *hi_cells)
             grid.update(1, box, probe)
             box = probe
-            assert grid._windows[1] == (*lo_cells, *hi_cells)
+            assert grid_windows(grid)[1] == (*lo_cells, *hi_cells)
             covered = set(product(*[range(lo, hi + 1) for lo, hi in zip(lo_cells, hi_cells)]))
             assert {key for key, bucket in grid._buckets().items() if 1 in bucket} == covered
             assert 1 in grid.batch_range_query([probe])[0]  # the patched snapshot agrees

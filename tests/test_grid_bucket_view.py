@@ -1,4 +1,4 @@
-"""`UniformGrid`'s buckets are a view of `_boxes` + `_windows`.
+"""`UniformGrid`'s buckets are a view of its row store's window matrix.
 
 Pinned here:
 
@@ -21,7 +21,7 @@ import asyncio
 
 import numpy as np
 
-from conftest import make_items
+from conftest import grid_windows, make_items
 from repro import (
     AABB,
     ContinuousJoinSpec,
@@ -143,7 +143,7 @@ class Twins:
         self.both(buckets_in_order)
         lazy, eager = self.lazy, self.eager
         assert list(lazy._boxes.items()) == list(eager._boxes.items())
-        assert list(lazy._windows.items()) == list(eager._windows.items())
+        assert list(grid_windows(lazy).items()) == list(grid_windows(eager).items())
         assert lazy.occupied_cells == eager.occupied_cells
         assert lazy.memory_bytes() == eager.memory_bytes()
 

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_items, overlay_cells
+from conftest import grid_windows, make_items, overlay_cells
 from repro import QuerySession, ShardedExecutor, WorkerPool
 from repro.core import uniform_grid
 from repro.core.multires_grid import MultiResolutionGrid
@@ -549,18 +549,27 @@ class TestWritePathAccounting:
         grid.bulk_load([(1, box), (2, AABB((5.0, 5.0, 5.0), (5.5, 5.5, 5.5)))])
         grid.batch_range_query([UNIVERSE])
         assert grid.range_query(UNIVERSE) == [1, 2] if built else grid._cells is None
-        enumerations = []
+        enumerations, expansions = [], []
         real = uniform_grid._window_cells
         monkeypatch.setattr(
             uniform_grid, "_window_cells", lambda w: enumerations.append(w) or real(w)
         )
+        expand = uniform_grid._expand_windows
+        monkeypatch.setattr(
+            uniform_grid, "_expand_windows",
+            lambda lo, hi, strides: expansions.append(len(lo)) or expand(lo, hi, strides),
+        )
         nudged = AABB((1.2, 1.2, 1.2), (3.2, 3.2, 3.2))
         grid.update(1, box, nudged)
-        assert (grid.in_place_updates, grid.cell_switches, enumerations) == (1, 0, [])
+        assert (grid.in_place_updates, grid.cell_switches) == (1, 0)  # the read settles
+        assert (enumerations, expansions) == ([], [])
         assert grid.batch_range_query([AABB((3.1, 3.1, 3.1), (3.3, 3.3, 3.3))]) == [[1]]
+        expansions.clear()  # the query's own windows
         grid.update(1, nudged, AABB((1.2, 1.2, 1.2), (4.2, 3.2, 3.2)))  # one more cell on x
-        # unplace + place; with no buckets to patch, the snapshot entries alone
-        assert grid.cell_switches == 1 and len(enumerations) == (2 if built else 1)
+        assert grid.cell_switches == 1
+        # The snapshot entries from one expansion of the one switcher's window;
+        # the buckets, where built, enumerate its old window and its new one.
+        assert expansions == [1] and len(enumerations) == (2 if built else 0)
 
     def test_bulk_load_fills_buckets_in_input_order(self):
         items = make_items(300, universe=UNIVERSE, max_extent=3.0, seed=11)
@@ -569,7 +578,7 @@ class TestWritePathAccounting:
         one_by_one = UniformGrid(universe=UNIVERSE, cell_size=2.0)
         for eid, box in items:
             one_by_one.insert(eid, box)
-        assert bulk._windows == one_by_one._windows
+        assert grid_windows(bulk) == grid_windows(one_by_one)
         assert {k: list(v) for k, v in bulk._buckets().items()} == {
             k: list(v) for k, v in one_by_one._buckets().items()
         }
@@ -614,7 +623,7 @@ class TestDimensionalityIsChecked:
 
     def snapshot_of(self, grid):
         return (
-            dict(grid._boxes), dict(grid._windows),
+            dict(grid._boxes), grid_windows(grid),
             {key: list(bucket) for key, bucket in grid._buckets().items()},
             grid._snapshot, grid.counters.inserts, grid.counters.updates,
             grid.cell_switches, grid.in_place_updates,

@@ -91,6 +91,7 @@ def finishes(call, seconds=20.0):
 
 
 def assert_one_box_store(grid: UniformGrid) -> None:
+    grid._settle()  # place logged scalar updates first
     snap = grid._snapshot
     assert snap.columns.flags.c_contiguous and snap.columns.shape == (2, 3, len(snap.eids))
     assert np.shares_memory(snap.boxes, snap.columns)
@@ -115,13 +116,13 @@ class TestColumnStore:
             return AABB(box.lo, np.add(box.lo, np.subtract(box.hi, box.lo) * 0.999))
 
         state[7], old = nudged(7), state[7]
-        grid.update(7, old, state[7])  # patch_set_box
+        grid.update(7, old, state[7])  # logged; the read below rewrites its row in place
         assert grid.in_place_updates == 1
         assert_one_box_store(grid)
 
         stay = [(eid, state[eid], nudged(eid)) for eid in range(20, 60)]
         switch = [(eid, state[eid], random_box(rng, 3.0)) for eid in range(100, 140)]
-        grid.apply_moves(stay + switch)  # patch_set_boxes + patch_relocate
+        grid.apply_moves(stay + switch)  # patch_rewrite + patch_relocate
         state.update({eid: new for eid, _, new in stay + switch})
         assert grid.cell_switches > 0 and grid.snapshot_rebuilds == 1
         assert_one_box_store(grid)
