@@ -3,7 +3,8 @@
 The query session records which executor answered each batch
 (:class:`~repro.engine.session.SessionStats`); the join session records
 which strategy answered each spec plus the filter/refine
-funnel (:class:`~repro.joins.spec.JoinStats`).  These helpers turn both
+funnel (:class:`~repro.joins.spec.JoinStats`), both read-only views over
+the session's metrics registry.  These helpers turn both
 into the same plain-text tables the rest of the analysis layer emits, so
 benchmarks (and capacity planning) can judge the planners' routing the way
 the paper's figures judge the indexes.
@@ -14,10 +15,8 @@ from __future__ import annotations
 from repro.analysis.reporting import format_table, percent_bar
 from repro.continuous.session import ContinuousSession
 from repro.engine import QuerySession, SessionStats
-from repro.engine.core import FlushStats
 from repro.joins.session import JoinSession
 from repro.joins.spec import JoinStats
-from repro.obs import Histogram, MetricsRegistry
 
 
 def session_summary_rows(stats: SessionStats) -> list[list[object]]:
@@ -73,29 +72,10 @@ def _approx_line(stats: SessionStats) -> str | None:
     )
 
 
-def _serving_line(stats: FlushStats, metrics: MetricsRegistry, prefix: str) -> str | None:
+def _serving_line(stats: SessionStats | JoinStats) -> str | None:
     """The async serving-tier telemetry, rendered once an event-loop
-    executor has attributed flushes to causes.
-
-    Rendered from the session's metrics registry (the sessions mirror every
-    serving stat there); the legacy stats fields are the fallback so
-    snapshots merged from elsewhere still report.
-    """
-    head = "serving.flush.trigger."
-    triggers = {
-        name[len(head):]: int(metrics.value(name))
-        for name in metrics.names()
-        if name.startswith(head)
-    }
-    high_water = int(metrics.value(f"{prefix}.queue.high_water"))
-    hist = metrics.get(f"{prefix}.flush.seconds")
-    flush_wall = hist.total if isinstance(hist, Histogram) else 0.0
-    if not triggers and not high_water:
-        # A session that never rode the async tier mirrors nothing under
-        # serving.*; fall through to the stats fields (merged snapshots).
-        triggers = stats.flush_triggers
-        high_water = stats.queue_high_water
-        flush_wall = stats.flush_seconds
+    executor has attributed flushes to causes (or anything queued)."""
+    triggers, high_water = stats.flush_triggers, stats.queue_high_water
     if not triggers and not high_water:
         return None
     causes = ",".join(
@@ -104,7 +84,7 @@ def _serving_line(stats: FlushStats, metrics: MetricsRegistry, prefix: str) -> s
     return (
         f"serving: triggers={causes or '-'} "
         f"queue-high-water={high_water:,} "
-        f"flush-wall={flush_wall:.3f}s"
+        f"flush-wall={stats.flush_seconds:.3f}s"
     )
 
 
@@ -133,7 +113,7 @@ def query_session_report(session: QuerySession) -> str:
     approx = _approx_line(stats)
     if approx is not None:
         header = f"{header}\n{approx}"
-    serving = _serving_line(stats, session.metrics, "query")
+    serving = _serving_line(stats)
     if serving is not None:
         header = f"{header}\n{serving}"
     table = format_table(
@@ -172,7 +152,7 @@ def join_report(session: JoinSession) -> str:
     mapped = _mapped_line(stats.zero_copy_reads, stats.mapped_bytes)
     if mapped is not None:
         header = f"{header}\n{mapped}"
-    serving = _serving_line(stats, session.metrics, "join")
+    serving = _serving_line(stats)
     if serving is not None:
         header = f"{header}\n{serving}"
     strategy_table = format_table(

@@ -45,7 +45,6 @@ evaluation leaks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.geometry.aabb import AABB
@@ -53,6 +52,7 @@ from repro.indexes.base import Item, validate_items
 from repro.instrumentation.counters import Counters
 from repro.obs import MetricsRegistry
 from repro.obs import span as _span
+from repro.obs.metrics import MetricsView, Read, Tally
 
 from repro.continuous.policies import POLICY_CLASSES, MaintenancePolicy, RecomputePolicy
 from repro.continuous.spec import (
@@ -75,43 +75,36 @@ RESYNC = "resync"
 RECOMPUTE_CHURN = 0.3
 
 
-@dataclass
-class ContinuousStats:
-    """Session-level telemetry, the continuous analogue of ``JoinStats``.
+class ContinuousStats(MetricsView):
+    """Session-level telemetry read off the session's registry, the
+    continuous analogue of ``JoinStats``.
 
     ``policy_routes`` counts per-tick routing decisions by policy name
-    (plus ``"resync"`` for post-fault recoveries); delta volumes are split
-    by element kind to mirror the issue's results/pairs vocabulary.
+    (plus ``"resync"`` for post-fault recoveries: ``resyncs``); each routed
+    evaluation emits one delta, so ``deltas`` is their sum.  Delta volumes
+    are split by element kind to mirror the results/pairs vocabulary.
     Safe-region hits/invalidations live in the shared
     :class:`~repro.instrumentation.counters.Counters` (they are primitive
     ops, bumped inside the policies).
     """
 
-    ticks: int = 0
-    updates: int = 0
-    deltas: int = 0
-    empty_deltas: int = 0
-    results_added: int = 0
-    results_removed: int = 0
-    pairs_added: int = 0
-    pairs_removed: int = 0
-    resyncs: int = 0
-    faults: int = 0
-    policy_routes: dict[str, int] = field(default_factory=dict)
+    ticks = Read("continuous.ticks")
+    updates = Read("continuous.updates")
+    empty_deltas = Read("continuous.empty_deltas")
+    results_added = Read("continuous.results_added")
+    results_removed = Read("continuous.results_removed")
+    pairs_added = Read("continuous.pairs_added")
+    pairs_removed = Read("continuous.pairs_removed")
+    faults = Read("continuous.faults")
+    policy_routes = Tally("continuous.route.")
 
-    def record_route(self, policy: str) -> None:
-        self.policy_routes[policy] = self.policy_routes.get(policy, 0) + 1
+    @property
+    def deltas(self) -> int:
+        return sum(self.policy_routes.values())
 
-    def record_delta(self, kind: str, delta: Delta) -> None:
-        self.deltas += 1
-        if delta.is_empty:
-            self.empty_deltas += 1
-        if kind == "join":
-            self.pairs_added += len(delta.added)
-            self.pairs_removed += len(delta.removed)
-        else:
-            self.results_added += len(delta.added)
-            self.results_removed += len(delta.removed)
+    @property
+    def resyncs(self) -> int:
+        return self.policy_routes.get(RESYNC, 0)
 
 
 class Subscription:
@@ -171,9 +164,10 @@ class ContinuousSession:
     policy:
         Default routing: ``"auto"`` (the heuristic) or a policy name to pin
         for every subscription that does not pin its own.
-    counters / metrics:
+    counters:
         The :class:`~repro.instrumentation.counters.Counters` the policies
-        charge and the session's metrics registry (created when omitted).
+        charge (created when omitted).  The session owns its ``metrics``
+        registry, which ``stats`` reads.
     """
 
     def __init__(
@@ -183,7 +177,6 @@ class ContinuousSession:
         *,
         policy: str = AUTO,
         counters: Counters | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if policy != AUTO and policy not in POLICY_CLASSES:
             raise ValueError(f"unknown policy: {policy!r}")
@@ -192,17 +185,28 @@ class ContinuousSession:
         self.universe = universe if universe is not None else self._bounds()
         self.policy = policy
         self.counters = counters if counters is not None else Counters()
-        self.stats = ContinuousStats()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.stats = ContinuousStats(self.metrics)
         self._m_ticks = self.metrics.counter("continuous.ticks")
         self._m_updates = self.metrics.counter("continuous.updates")
         self._m_tick_seconds = self.metrics.histogram("continuous.tick.seconds")
-        self._m_routes: dict[str, Any] = {}  # route name -> counter, filled on first use
-        self.ticks = 0
+        self._m: dict[str, Any] = {}  # metric name -> counter, filled on first use
         self._subs: dict[int, Subscription] = {}
         self._policies: dict[str, MaintenancePolicy] = {}
         self._churn_ewma: float | None = None
         self._ewma_alpha = 0.3
+
+    @property
+    def ticks(self) -> int:
+        """Ticks run so far: the number the last deltas were stamped with."""
+        return int(self._m_ticks.value)
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Bump counter ``name``, looked up in the registry once per session."""
+        counter = self._m.get(name)
+        if counter is None:
+            counter = self._m[name] = self.metrics.counter(name)
+        counter.inc(amount)
 
     # -- authoritative state -----------------------------------------------------
 
@@ -279,16 +283,14 @@ class ContinuousSession:
         batch = normalize_updates(
             updates, self._state, dims=None if universe is None else universe.dims
         )
-        self.ticks += 1
-        self.stats.ticks += 1
-        self.stats.updates += batch.size
         self._m_ticks.inc()
         self._m_updates.inc(batch.size)
+        tick = self.ticks
         try:
             with _span(
                 "continuous.tick",
                 counters=self.counters,
-                tick=self.ticks,
+                tick=tick,
                 updates=batch.size,
                 subscriptions=len(self._subs),
             ):
@@ -316,8 +318,7 @@ class ContinuousSession:
                         added, removed = policy.evaluate(sub, batch)
                     except Exception as exc:
                         sub.dirty = True
-                        self.stats.faults += 1
-                        self.metrics.counter("continuous.faults").inc()
+                        self._count("continuous.faults")
                         # Whatever per-spec state the policy half-mutated is
                         # dead: drop it now, and let the resync's adopt()
                         # rebuild it from the last emitted result, which
@@ -329,7 +330,6 @@ class ContinuousSession:
                         continue
                     if resync:
                         sub.dirty = False
-                        self.stats.resyncs += 1
                         # Hand the subscription straight back: the planner's
                         # policy re-adopts from the freshly committed result,
                         # so the next tick maintains incrementally again
@@ -340,18 +340,16 @@ class ContinuousSession:
                             self._policy(target).adopt(sub)
                             sub.routed = target
                     routed = RESYNC if resync else name
-                    self.stats.record_route(routed)
-                    route_counter = self._m_routes.get(routed)
-                    if route_counter is None:
-                        route_counter = self._m_routes[routed] = self.metrics.counter(
-                            f"continuous.route.{routed}"
-                        )
-                    route_counter.inc()
-                    delta = Delta(tick=self.ticks, added=frozenset(added), removed=frozenset(removed))
+                    self._count(f"continuous.route.{routed}")
+                    delta = Delta(tick=tick, added=frozenset(added), removed=frozenset(removed))
                     sub.latest = delta
                     sub.deltas.append(delta)
                     deltas[sub.cqid] = delta
-                    self.stats.record_delta(sub.kind, delta)
+                    if delta.is_empty:
+                        self._count("continuous.empty_deltas")
+                    noun = "pairs" if sub.kind == "join" else "results"
+                    self._count(f"continuous.{noun}_added", len(delta.added))
+                    self._count(f"continuous.{noun}_removed", len(delta.removed))
                     for listener in sub.listeners:
                         listener(sub, delta)
                 if first_error is not None:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsView
 from repro.obs import span as _span
 
 
@@ -115,47 +115,31 @@ class Buffer:
         return [[entry] for entry in entries]
 
 
-@dataclass
-class FlushStats:
-    """Queue and flush telemetry, mutated under the session's ``_lock``.
-
-    ``flushes`` counts flushes that ran work (own-flushes included);
-    ``queue_high_water`` is the deepest the buffer got (a gauge);
-    ``flush_triggers`` counts flushes per cause, recorded by the
-    :class:`~repro.serving.async_executor.AsyncExecutor` event loop (plain
-    synchronous flushes don't tag themselves); ``flush_seconds`` is the wall
-    clock spent inside flushes, which may overlap."""
-
-    flushes: int = 0
-    queue_high_water: int = 0
-    flush_triggers: dict[str, int] = field(default_factory=dict)
-    flush_seconds: float = 0.0
-
-    def record_trigger(self, cause: str) -> None:
-        self.flush_triggers[cause] = self.flush_triggers.get(cause, 0) + 1
-
-
 class SessionCore:
     """A session's buffer, locks, telemetry and flush loop.
 
     A subclass names its span/metric namespace (``_PREFIX``) and the flush
     span's group-count attribute (``_GROUPS``), and supplies its
-    :class:`Buffer` (what a group is) and :meth:`_run_group` (how one runs).
+    :class:`Buffer` (what a group is), its ``stats`` view type and
+    :meth:`_run_group` (how one runs).  The session's own ``metrics``
+    registry is the one store of its telemetry: here ``<prefix>.flushes``
+    (flushes that ran work), the ``.queue.high_water`` gauge and the
+    ``.flush.seconds`` histogram (flushes may overlap).
 
-    ``_lock`` guards the buffer and every stats/metrics tally;
-    ``_flush_lock`` serializes whole flushes (drain → execute → resolve), so
-    a competing flush-on-read waits until every drained handle has settled.
+    ``_lock`` guards the buffer and every metrics tally; ``_flush_lock``
+    serializes whole flushes (drain → execute → resolve), so a competing
+    flush-on-read waits until every drained handle has settled.
     """
 
     _PREFIX: str
     _GROUPS: str
 
-    def __init__(self, buffer: Buffer, stats: FlushStats, metrics: MetricsRegistry | None) -> None:
+    def __init__(self, buffer: Buffer, stats: type[MetricsView]) -> None:
         self._buffer = buffer
-        self.stats = stats
-        # Registry mirrors of the stats fields, cached once so the submit
-        # hot path pays one attribute bump, not a name lookup.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.stats = stats(self.metrics)
+        # Cached once so the submit hot path pays one attribute bump, not a
+        # name lookup.
         self._m_high_water = self.metrics.gauge(f"{self._PREFIX}.queue.high_water")
         self._m_flushes = self.metrics.counter(f"{self._PREFIX}.flushes")
         self._m_flush_seconds = self.metrics.histogram(f"{self._PREFIX}.flush.seconds")
@@ -170,10 +154,7 @@ class SessionCore:
     def _enqueue(self, entry: Any, rows: int) -> None:
         """Buffer ``entry``, ``rows`` deep; the caller holds ``_lock``."""
         self._buffer.add(entry, rows)
-        depth = len(self._buffer)
-        if depth > self.stats.queue_high_water:
-            self.stats.queue_high_water = depth
-        self._m_high_water.track_max(depth)
+        self._m_high_water.track_max(len(self._buffer))
 
     def flush(self) -> None:
         """Execute everything buffered and resolve the handles.
@@ -190,7 +171,7 @@ class SessionCore:
 
     def _flush_groups(self, groups: list[list], *, alone: bool = False) -> None:
         with self._lock:
-            self.stats.flushes += 1
+            self._m_flushes.inc()
         start = time.perf_counter()
         first_error: Exception | None = None
         try:
@@ -211,8 +192,6 @@ class SessionCore:
         finally:
             elapsed = time.perf_counter() - start
             with self._lock:
-                self.stats.flush_seconds += elapsed
-                self._m_flushes.inc()
                 self._m_flush_seconds.observe(elapsed)
         if first_error is not None:
             raise first_error

@@ -43,18 +43,18 @@ import itertools
 import multiprocessing
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence, Union
 
 import numpy as np
 
 from repro.engine.batch import BatchQueryEngine, BatchStats
-from repro.engine.core import Buffer, FlushStats, Handle, SessionCore
+from repro.engine.core import Buffer, Handle, SessionCore
 from repro.exec.budget import MemoryBudget
 from repro.geometry.aabb import AABB, as_box_array, as_point_array
 from repro.indexes.base import KNNResult, SpatialIndex
-from repro.obs import MetricsRegistry
 from repro.obs import span as _span
+from repro.obs.metrics import MetricsView, Read, Seconds, Tally
 
 _QIDS = itertools.count()
 
@@ -488,23 +488,38 @@ class QueryBuffer(Buffer):
 
 # -- session stats -------------------------------------------------------------
 
+#: :class:`BatchStats` fields each run adds to counter ``query.batch.<field>``
+#: (``budget_high_water`` is a max-gauge, ``recall_estimate`` a min-gauge).
+_BATCH_COUNTS = tuple(
+    f.name for f in fields(BatchStats) if f.name not in ("budget_high_water", "recall_estimate")
+)
+_RECALL = "query.batch.recall_estimate"
 
-@dataclass
-class SessionStats(FlushStats):
-    """Kernel tallies plus executor mix, beside the core's queue/flush fields.
 
-    ``batch`` accumulates the merged :class:`BatchStats` of every executor
-    run; ``executor_runs`` counts batches per executor name, the telemetry
-    the cost heuristic is judged by (:func:`repro.analysis.session_report`).
+class SessionStats(MetricsView):
+    """A query session's telemetry, read off its registry.
+
+    ``batch`` adds up the :class:`BatchStats` of every executor run;
+    ``executor_runs`` counts batches per executor name, the telemetry the
+    cost heuristic is judged by (:func:`repro.analysis.session_report`);
+    ``flush_triggers`` counts flushes per cause (the async executor's).
     ``flush_seconds`` covers :meth:`QuerySession.flush_alone` too."""
 
-    batch: BatchStats = field(default_factory=BatchStats)
-    submitted: int = 0
-    executor_runs: dict[str, int] = field(default_factory=dict)
+    flushes = Read("query.flushes")
+    queue_high_water = Read("query.queue.high_water")
+    flush_seconds = Seconds("query.flush.seconds")
+    flush_triggers = Tally("serving.flush.trigger.")
+    submitted = Read("query.submitted")
+    executor_runs = Tally("query.executor.")
 
-    def record_run(self, executor_name: str, stats: BatchStats) -> None:
-        self.batch.merge(stats)
-        self.executor_runs[executor_name] = self.executor_runs.get(executor_name, 0) + 1
+    @property
+    def batch(self) -> BatchStats:
+        value = self._registry.value
+        return BatchStats(
+            **{attr: int(value(f"query.batch.{attr}")) for attr in _BATCH_COUNTS},
+            budget_high_water=int(value("query.batch.budget_high_water")),
+            recall_estimate=value(_RECALL, 1.0),
+        )
 
 
 # -- the session ---------------------------------------------------------------
@@ -565,9 +580,8 @@ class QuerySession(SessionCore):
         dedup: bool = True,
         inline_cutoff: int = INLINE_CUTOFF,
         budget: MemoryBudget | int | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(QueryBuffer(), SessionStats(), metrics)
+        super().__init__(QueryBuffer(), SessionStats)
         self.index = index
         self.dedup = dedup
         self.inline_cutoff = inline_cutoff
@@ -576,6 +590,8 @@ class QuerySession(SessionCore):
         self._inline = InlineExecutor()
         self._batch = BatchExecutor()
         self._m_submitted = self.metrics.counter("query.submitted")
+        self._m_batch = [(a, self.metrics.counter(f"query.batch.{a}")) for a in _BATCH_COUNTS]
+        self._m_budget_high_water = self.metrics.gauge("query.batch.budget_high_water")
         # The flush lock is also the in-process execution lock: no two
         # kernels ever run on the index at once, so its counters and lazy
         # snapshot stay single-writer.  `flush_alone` runs outside it only
@@ -625,9 +641,8 @@ class QuerySession(SessionCore):
         if measured < accuracy:
             return None
         with self._lock:
-            self.stats.batch.recall_estimate = min(
-                self.stats.batch.recall_estimate, measured
-            )
+            lowest = min(self.metrics.value(_RECALL, 1.0), measured)
+            self.metrics.gauge(_RECALL).set(lowest)
         return accuracy
 
     # -- submission (deferred) ------------------------------------------------
@@ -637,7 +652,6 @@ class QuerySession(SessionCore):
         count = submission.payload.shape[0]
         with self._lock:
             self._enqueue(submission, count)
-            self.stats.submitted += count
             self._m_submitted.inc(count)
         return submission.handle
 
@@ -757,7 +771,6 @@ class QuerySession(SessionCore):
                 self._flush_lock.release()
         count = submission.payload.shape[0]
         with self._lock:
-            self.stats.submitted += count
             self._m_submitted.inc(count)
         submission.handle._settled = threading.Event()
         return True
@@ -809,9 +822,10 @@ class QuerySession(SessionCore):
         ):
             results, stats = self._run_batch(executor, batch, alone)
         with self._lock:
-            self.stats.record_run(executor.name, stats)
             self.metrics.counter(f"query.executor.{executor.name}").inc()
-            self.metrics.counter("query.queries").inc(batch.size)
+            for attr, counter in self._m_batch:
+                counter.inc(getattr(stats, attr))
+            self._m_budget_high_water.track_max(stats.budget_high_water)
         offset = 0
         for sub in submissions:
             n = sub.payload.shape[0]

@@ -27,8 +27,9 @@
 Every strategy receives the spec's :class:`~repro.geometry.table.BoxTable`
 tables — built (and contract-checked) once per spec at the top of execution,
 before planning can open a spill directory — so nothing downstream re-packs
-the items.  Accounting flows into one :class:`~repro.joins.spec.JoinStats`,
-which :func:`repro.analysis.session_report.join_report` renders.
+the items.  Accounting flows into the session's metrics registry, read
+through :class:`~repro.joins.spec.JoinStats`, which
+:func:`repro.analysis.session_report.join_report` renders.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 
 from repro.engine.core import Buffer, Handle, SessionCore
 from repro.exec.budget import MemoryBudget, pbsm_working_set_bytes
-from repro.obs import MetricsRegistry
 from repro.obs import span as _span
 from repro.exec.external_join import SpillPBSMJoin, spill_page_size
 from repro.exec.spill import SpillManager
@@ -190,9 +190,8 @@ class JoinSession(SessionCore):
         counters: Counters | None = None,
         budget: MemoryBudget | int | None = None,
         spill_dir: str | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(Buffer(), JoinStats(), metrics)
+        super().__init__(Buffer(), JoinStats)
         if isinstance(strategy, str):
             strategy = make_join_strategy(strategy)
         self._pinned = strategy
@@ -338,9 +337,9 @@ class JoinSession(SessionCore):
                     pairs = strategy.self_join(table_a, self.counters)
                 else:
                     pairs = strategy.join(table_a, table_b, self.counters)
-                self.stats.candidates += len(pairs)
+                self.metrics.counter("join.candidates").inc(len(pairs))
                 result: Any = pair_list(pairs)
-                self.stats.pairs += len(result)
+                self.metrics.counter("join.pairs").inc(len(result))
             elif spec.kind == "distance":
                 result = self._execute_distance(spec, strategy)
             else:
@@ -348,18 +347,11 @@ class JoinSession(SessionCore):
         self._m_spec_seconds.observe(time.perf_counter() - spec_start)
         self.metrics.counter(f"join.strategy.{strategy.name}").inc()
         self.metrics.counter("join.specs").inc()
-        self.stats.joins += 1
         delta = self.counters.diff(before)
-        self.stats.comparisons += delta.comparisons
-        self.stats.tiles_spilled += delta.tiles_spilled
-        self.stats.spill_bytes_written += delta.spill_bytes_written
-        self.stats.spill_bytes_read += delta.spill_bytes_read
-        self.stats.zero_copy_reads += delta.zero_copy_reads
-        self.stats.mapped_bytes += delta.mapped_bytes
-        self.stats.budget_high_water = max(
-            self.stats.budget_high_water, self.budget.high_water
-        )
-        self.stats.record_run(strategy.name)
+        for attr in ("comparisons", "tiles_spilled", "spill_bytes_written",
+                     "spill_bytes_read", "zero_copy_reads", "mapped_bytes"):
+            self.metrics.counter(f"join.{attr}").inc(getattr(delta, attr))
+        self.metrics.gauge("join.budget_high_water").track_max(self.budget.high_water)
         return result
 
     def _execute_distance(
@@ -369,10 +361,10 @@ class JoinSession(SessionCore):
         candidates = pair_array(
             strategy.distance_candidates(table_a, table_b, spec.epsilon, self.counters)
         )
-        self.stats.candidates += len(candidates)
+        self.metrics.counter("join.candidates").inc(len(candidates))
         if not candidates:
             return []
-        self.stats.refined += len(candidates)
+        self.metrics.counter("join.refined").inc(len(candidates))
         self.counters.refine_tests += len(candidates)
         if spec.refine is not None:
             verdicts = (spec.refine(a, b) for a, b in candidates.tolist())  # Python ints
@@ -386,7 +378,7 @@ class JoinSession(SessionCore):
                 table_b.boxes[table_b.rows_of(candidates[:, 1])],
             ) <= spec.epsilon
         result = pair_list(candidates[keep])
-        self.stats.pairs += len(result)
+        self.metrics.counter("join.pairs").inc(len(result))
         return result
 
     def _execute_synapse(
@@ -396,7 +388,7 @@ class JoinSession(SessionCore):
         candidates = pair_array(
             strategy.distance_candidates(table, None, spec.epsilon, self.counters)
         )
-        self.stats.candidates += len(candidates)
+        self.metrics.counter("join.candidates").inc(len(candidates))
         if not candidates:
             return []
 
@@ -427,7 +419,7 @@ class JoinSession(SessionCore):
             starts[rows_a], ends[rows_a], radii[rows_a],
             starts[rows_b], ends[rows_b], radii[rows_b],
         )
-        self.stats.refined += int(rows_a.shape[0])
+        self.metrics.counter("join.refined").inc(int(rows_a.shape[0]))
         self.counters.refine_tests += int(rows_a.shape[0])
         keep = np.nonzero(gaps <= spec.epsilon)[0]
 
@@ -449,6 +441,6 @@ class JoinSession(SessionCore):
                 )
             )
         synapses.sort(key=lambda s: (s.segment_a, s.segment_b))
-        self.stats.pairs += len(synapses)
+        self.metrics.counter("join.pairs").inc(len(synapses))
         return synapses
 

@@ -35,10 +35,10 @@ from functools import cached_property
 from typing import Any, Callable, Sequence, Union
 
 from repro.datasets.neuroscience import NeuronDataset
-from repro.engine.core import FlushStats
 from repro.geometry.primitives import Capsule
 from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
+from repro.obs.metrics import MetricsView, Read, Seconds, Tally
 
 _JIDS = itertools.count()
 
@@ -187,17 +187,16 @@ def apposition_point(a: Capsule, b: Capsule) -> tuple[float, float, float]:
 # -- stats ---------------------------------------------------------------------
 
 
-@dataclass
-class JoinStats(FlushStats):
-    """Shared accounting across every join strategy, beside the session
-    core's queue/flush fields.
+class JoinStats(MetricsView):
+    """Shared accounting across every join strategy, read off the session's
+    registry beside the session core's queue/flush fields.
 
     ``comparisons`` is the paper's currency ("the number of comparisons (the
     major bulk of work for in-memory spatial joins)"); ``candidates`` counts
     filter-phase output pairs and ``refined`` the exact-geometry tests run on
-    them, so the filter/refine split is visible per session.  The routing
-    map ``strategy_runs`` mirrors
-    :class:`~repro.engine.session.SessionStats.executor_runs` —
+    them, so the filter/refine split is visible per session.  ``joins`` is
+    the ``join.specs`` count, and the routing map ``strategy_runs`` mirrors
+    :attr:`~repro.engine.session.SessionStats.executor_runs` —
     :func:`repro.analysis.session_report.join_report` renders it the same
     way.
 
@@ -208,24 +207,24 @@ class JoinStats(FlushStats):
     ``budget_high_water`` the closest the session's
     :class:`~repro.exec.budget.MemoryBudget` came to its limit (a gauge).
 
-    The zero-copy storage fields complete the funnel: ``zero_copy_reads`` /
+    The zero-copy fields complete the funnel: ``zero_copy_reads`` /
     ``mapped_bytes`` count spill reads served as NumPy views over the
-    mmap-backed page store (and the bytes those views exposed without a
-    copy).
+    mmap-backed page store (and the bytes they exposed without a copy).
     """
 
-    joins: int = 0
-    candidates: int = 0
-    pairs: int = 0
-    refined: int = 0
-    comparisons: int = 0
-    tiles_spilled: int = 0
-    spill_bytes_written: int = 0
-    spill_bytes_read: int = 0
-    zero_copy_reads: int = 0
-    mapped_bytes: int = 0
-    budget_high_water: int = 0
-    strategy_runs: dict[str, int] = field(default_factory=dict)
-
-    def record_run(self, strategy_name: str) -> None:
-        self.strategy_runs[strategy_name] = self.strategy_runs.get(strategy_name, 0) + 1
+    flushes = Read("join.flushes")
+    queue_high_water = Read("join.queue.high_water")
+    flush_seconds = Seconds("join.flush.seconds")
+    flush_triggers = Tally("serving.flush.trigger.")
+    joins = Read("join.specs")
+    candidates = Read("join.candidates")
+    pairs = Read("join.pairs")
+    refined = Read("join.refined")
+    comparisons = Read("join.comparisons")
+    tiles_spilled = Read("join.tiles_spilled")
+    spill_bytes_written = Read("join.spill_bytes_written")
+    spill_bytes_read = Read("join.spill_bytes_read")
+    zero_copy_reads = Read("join.zero_copy_reads")
+    mapped_bytes = Read("join.mapped_bytes")
+    budget_high_water = Read("join.budget_high_water")
+    strategy_runs = Tally("join.strategy.")

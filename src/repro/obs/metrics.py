@@ -1,9 +1,9 @@
 """Cross-process metrics: named counters, gauges and fixed-bucket histograms.
 
-The repo's telemetry grew up ad hoc — ``Counters`` for kernel work,
-``flush_seconds``/``queue_high_water`` fields bolted onto the session stats,
-per-benchmark latency lists.  This module is the unified registry those
-tallies flow into:
+Every session tally lands in exactly one place: the session's registry.
+``Counters`` stays the kernel struct for the Figure 3 cost categories; a
+session's ``stats`` is a read-only :class:`MetricsView` over its registry,
+so there is no second copy to drift.  The three metric kinds:
 
 * :class:`Counter` — a monotonically increasing total (int or float);
 * :class:`Gauge` — a point-in-time value (merges take the max, which is the
@@ -185,10 +185,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(name, lambda: Histogram(bounds), "histogram")  # type: ignore[return-value]
 
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     def get(self, name: str) -> Metric | None:
         with self._lock:
             return self._metrics.get(name)
@@ -199,6 +195,15 @@ class MetricsRegistry:
         if metric is None or isinstance(metric, Histogram):
             return default
         return metric.value
+
+    def tally(self, head: str) -> dict[str, int]:
+        """``{suffix: count}`` of the counters named ``head`` + suffix, in first-use order."""
+        with self._lock:
+            return {
+                name[len(head):]: int(metric.value)
+                for name, metric in self._metrics.items()
+                if name.startswith(head) and metric.kind == "counter"
+            }
 
     def clear(self) -> None:
         with self._lock:
@@ -238,9 +243,6 @@ class MetricsRegistry:
                     if data["count"]:
                         hist.vmin = min(hist.vmin, data["min"])
                         hist.vmax = max(hist.vmax, data["max"])
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_snapshot(other.snapshot())
 
 
 def snapshot_delta(
@@ -283,6 +285,50 @@ def snapshot_delta(
                     "max": data.get("max", 0.0),
                 }
     return delta
+
+
+# -- read-only views -----------------------------------------------------------
+
+
+class MetricsView:
+    """Read-only attribute access to one registry.  A subclass is the table
+    from attribute to metric: :class:`Read` entries, or properties deriving
+    one field from others.  Assigning any attribute raises AttributeError."""
+
+    __slots__ = ("_registry",)
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        object.__setattr__(self, "_registry", registry)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is a read-only view of a metrics registry")
+
+
+class Read:
+    """A view attribute: the int value of counter or gauge ``name``."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, view: MetricsView | None, owner: type | None = None):
+        return self if view is None else self.read(view._registry)
+
+    def read(self, registry: MetricsRegistry):
+        return int(registry.value(self.name))
+
+
+class Seconds(Read):
+    """A view attribute: the float sum of histogram ``name``."""
+
+    def read(self, registry: MetricsRegistry) -> float:
+        return registry.histogram(self.name).total
+
+
+class Tally(Read):
+    """A view attribute: :meth:`MetricsRegistry.tally` of prefix ``name``."""
+
+    def read(self, registry: MetricsRegistry) -> dict[str, int]:
+        return registry.tally(self.name)
 
 
 # -- the process-wide registry -------------------------------------------------

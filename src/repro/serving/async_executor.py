@@ -29,10 +29,10 @@ through the executor become awaitable: ``await handle`` parks the client
 task until its flush settles it.  No order is promised across handles —
 an own-flush array may settle after requests submitted later — and every
 answer reflects the index as it was when its flush executed, as it always
-has.  Flush causes and latencies feed the
-session stats (``flush_triggers`` / ``flush_seconds`` / per-flush
-latencies), which :func:`repro.analysis.session_report.session_report`
-renders as the serving telemetry line.
+has.  Each flush's cause and wall clock are counted once, in the session's
+registry (``serving.flush.trigger.<cause>``, ``serving.flush.seconds``),
+which the session's ``stats`` and
+:func:`repro.analysis.session_report.session_report` read.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import asyncio
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
-
-import numpy as np
 
 from repro.engine.session import KNNQuery, PointQuery, Query, QuerySession, RangeQuery, ResultHandle
 from repro.geometry.aabb import AABB
@@ -102,7 +100,6 @@ class AsyncExecutor:
     def __init__(self, session: QuerySession | JoinSession, policy: FlushPolicy | None = None) -> None:
         self.session = session
         self.policy = policy if policy is not None else FlushPolicy()
-        self.flush_latencies: list[float] = []
         self._pending: list[Any] = []  # queued handles whose waiters we complete
         self._own_flushes: set[asyncio.Task] = set()  # in flight, one handle each
         self._seq = 0
@@ -231,8 +228,6 @@ class AsyncExecutor:
             # level exception has no other consumer here.
             pass
         elapsed = time.perf_counter() - start
-        self.flush_latencies.append(elapsed)
-        self.session.stats.record_trigger(trigger)
         metrics = self.session.metrics
         metrics.counter(f"serving.flush.trigger.{trigger}").inc()
         metrics.histogram("serving.flush.seconds").observe(elapsed)
@@ -246,16 +241,12 @@ class AsyncExecutor:
     # -- telemetry -------------------------------------------------------------
 
     def latency_summary(self) -> dict[str, float]:
-        """p50/p99/max of per-flush wall-clock latencies, in seconds."""
-        if not self.flush_latencies:
-            return {"flushes": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
-        lat = np.sort(np.asarray(self.flush_latencies))
-        return {
-            "flushes": float(lat.shape[0]),
-            "p50": float(np.percentile(lat, 50)),
-            "p99": float(np.percentile(lat, 99)),
-            "max": float(lat[-1]),
-        }
+        """Flush count and p50/p99/max wall-clock latency in seconds, from
+        the session's ``serving.flush.seconds`` histogram.  ``max`` is
+        exact; p50 and p99 are interpolated inside their bucket, so they are
+        within one bucket (under a factor of two) of the true value."""
+        digest = self.session.metrics.histogram("serving.flush.seconds").summary()
+        return {"flushes": digest["count"], **{q: digest[q] for q in ("p50", "p99", "max")}}
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -992,7 +992,7 @@ class TestOwnFlush:
         assert stats.submitted == 25 * 12 + 6 * MAX_BATCH
         assert stats.flush_triggers["full"] == 6
         assert sum(stats.flush_triggers.values()) == stats.flushes
-        assert len(executor.flush_latencies) == stats.flushes
+        assert executor.latency_summary()["flushes"] == stats.flushes
         assert stats.queue_high_water < MAX_BATCH
 
 
