@@ -6,7 +6,7 @@ only LinearScan answered them at array speed.  This bench builds the uniform
 n=100k / m=10k workload and times, per index:
 
 * ``loop``   — one scalar ``knn`` call per probe point;
-* ``first``  — a cold ``BatchQueryEngine.knn`` over the whole point array
+* ``first``  — a cold ``batch_knn`` kernel call over the whole point array
   (pays any one-time dense packing: the grid snapshot, tree entry arrays);
 * ``steady`` — repeated batches against an unmutated index, the paper's
   analysis regime (visualization frames, monitors, synapse probes).
@@ -39,7 +39,6 @@ from bench_common import emit, knn_point_workload
 from repro.analysis.reporting import format_table
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.uniform_grid import UniformGrid
-from repro.engine import BatchQueryEngine
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
@@ -59,7 +58,6 @@ def bench_index(name, index, items, points, loop_cap, verify_sample=25, steady_r
     ``steady`` amortizes over repeated batches on the unmutated index.
     """
     index.bulk_load(items)
-    engine = BatchQueryEngine(index, dedup=False)
     loop_points = points[:loop_cap]
 
     start = time.perf_counter()
@@ -67,7 +65,7 @@ def bench_index(name, index, items, points, loop_cap, verify_sample=25, steady_r
     loop_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = engine.knn(points, K)
+    batched = index.batch_knn(points, K)
     first_seconds = time.perf_counter() - start
 
     # Best-of-rounds: the steady regime asks "how fast can a warm batch
@@ -75,7 +73,7 @@ def bench_index(name, index, items, points, loop_cap, verify_sample=25, steady_r
     steady_seconds = float("inf")
     for _ in range(steady_rounds):
         start = time.perf_counter()
-        engine.knn(points, K)
+        index.batch_knn(points, K)
         steady_seconds = min(steady_seconds, time.perf_counter() - start)
 
     for i in np.linspace(0, len(loop_points) - 1, verify_sample).astype(int):

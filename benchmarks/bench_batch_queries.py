@@ -1,4 +1,4 @@
-"""Per-query loop vs batched execution — the batch engine's reason to exist.
+"""Per-query loop vs batched execution — the batch kernels' reason to exist.
 
 The paper's workloads are batch-shaped: "thousands of range queries need to
 be executed between two simulation steps" (§2.2) and synapse detection probes
@@ -8,9 +8,9 @@ index:
 
 * ``loop``   — one ``range_query`` call per query (the seed library's only
   option);
-* ``batch``  — ``BatchQueryEngine.range_query`` over the whole array;
+* ``batch``  — the index's ``batch_range_query`` kernel over the whole array;
 
-and asserts the claim the engine was built on: batched range queries on the
+and asserts the claim the batch kernels were built on: batched range queries on the
 UniformGrid run at least 3× the per-query loop's throughput.
 
 Usage::
@@ -38,7 +38,6 @@ from bench_common import emit, range_window_workload
 from repro.analysis.reporting import format_table
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.uniform_grid import UniformGrid
-from repro.engine import BatchQueryEngine
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
@@ -57,7 +56,6 @@ def bench_index(name, index, items, queries, verify_sample=25, steady_rounds=3):
     probes) against an index that is not mutated between them.
     """
     index.bulk_load(items)
-    engine = BatchQueryEngine(index, dedup=False)
     query_boxes = [AABB(q[0], q[1]) for q in queries]
 
     start = time.perf_counter()
@@ -65,12 +63,12 @@ def bench_index(name, index, items, queries, verify_sample=25, steady_rounds=3):
     loop_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = engine.range_query(queries)
+    batched = index.batch_range_query(queries)
     first_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     for _ in range(steady_rounds):
-        engine.range_query(queries)
+        index.batch_range_query(queries)
     steady_seconds = (time.perf_counter() - start) / steady_rounds
 
     for i in np.linspace(0, len(query_boxes) - 1, verify_sample).astype(int):

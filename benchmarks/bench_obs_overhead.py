@@ -87,7 +87,7 @@ def run(quick: bool = False) -> dict[str, float]:
     items, queries = range_window_workload(n, m)
     grid = UniformGrid(universe=UNIVERSE)
     grid.bulk_load(items)
-    session = QuerySession(grid, dedup=False)
+    session = QuerySession(grid)
     session.range_query(queries)  # warm kernels / caches once
 
     disable_tracing()

@@ -5,8 +5,8 @@ its promise is that the convenience layer is free.  This bench pins two
 claims at the paper's analysis scale (n=100k elements / m=10k queries):
 
 * **overhead** — ``QuerySession.range_query`` / ``.knn`` throughput is
-  within 10% of driving the raw kernel-layer ``BatchQueryEngine`` directly
-  (asserted at full scale);
+  within 10% of calling the index's batch kernels directly (asserted at
+  full scale);
 * **sharding** — the ``ShardedExecutor`` beats single-process batching with
   2 workers (asserted at full scale when the hardware actually has >= 2
   CPUs; reported otherwise — a worker pool cannot beat one core with one
@@ -36,7 +36,6 @@ import numpy as np
 from bench_common import emit, range_window_workload
 from repro import AABB, QuerySession, ShardedExecutor, UniformGrid
 from repro.analysis.reporting import format_table
-from repro.engine import BatchQueryEngine
 from repro.serving.pool import _fork_is_safe
 
 UNIVERSE = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
@@ -62,15 +61,14 @@ def run(quick: bool = False) -> dict[str, float]:
     grid = UniformGrid(universe=UNIVERSE)
     grid.bulk_load(items)
 
-    engine = BatchQueryEngine(grid, dedup=False)
-    session = QuerySession(grid, dedup=False)
-    engine.range_query(queries)  # warm the packed snapshot for everyone
-    expected = engine.range_query(queries)
-    assert session.range_query(queries) == expected, "session diverged from engine"
+    session = QuerySession(grid)
+    grid.batch_range_query(queries)  # warm the packed snapshot for everyone
+    expected = grid.batch_range_query(queries)
+    assert session.range_query(queries) == expected, "session diverged from kernel"
 
-    raw_range = best_of(lambda: engine.range_query(queries))
+    raw_range = best_of(lambda: grid.batch_range_query(queries))
     ses_range = best_of(lambda: session.range_query(queries))
-    raw_knn = best_of(lambda: engine.knn(points, 8))
+    raw_knn = best_of(lambda: grid.batch_knn(points, 8))
     ses_knn = best_of(lambda: session.knn(points, 8))
 
     rows = [
@@ -83,7 +81,7 @@ def run(quick: bool = False) -> dict[str, float]:
     sharded_times: dict[int, float] = {}
     for workers in (2, 4):
         executor = ShardedExecutor(workers=workers, min_shard=max(m // (2 * workers), 1))
-        sharded = QuerySession(grid, dedup=False, executor=executor)
+        sharded = QuerySession(grid, executor=executor)
         assert sharded.range_query(queries) == expected, "sharded diverged"
         sharded_times[workers] = best_of(lambda: sharded.range_query(queries))
         sharded_rows.append(
@@ -95,7 +93,7 @@ def run(quick: bool = False) -> dict[str, float]:
         )
 
     emit(
-        f"QuerySession overhead vs raw BatchQueryEngine — n={n:,}, m={m:,}\n"
+        f"QuerySession overhead vs the raw batch kernels — n={n:,}, m={m:,}\n"
         + format_table(
             ["workload", "raw qps", "session qps", "overhead %"], rows
         )
@@ -114,7 +112,7 @@ def run(quick: bool = False) -> dict[str, float]:
     }
 
 
-def test_session_matches_engine_at_quick_scale():
+def test_session_matches_kernels_at_quick_scale():
     """Harness smoke: the session stays correct and in the same ballpark."""
     results = run(quick=True)
     # Quick scale is noise-dominated; just bound it loosely.

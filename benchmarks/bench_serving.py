@@ -92,9 +92,9 @@ def bench_pool_vs_inline(grid, queries, m: int, pool: WorkerPool) -> dict[str, f
     workers = pool.workers
     min_shard = max(m // (2 * workers), 1)
     pooled = QuerySession(
-        grid, dedup=False, executor=ShardedExecutor(workers=workers, min_shard=min_shard, pool=pool)
+        grid, executor=ShardedExecutor(workers=workers, min_shard=min_shard, pool=pool)
     )
-    inline = QuerySession(grid, dedup=False, executor=BatchExecutor())
+    inline = QuerySession(grid, executor=BatchExecutor())
     expected = pooled.range_query(queries)  # also warms pool + snapshot
     assert inline.range_query(queries) == expected, "in-process path diverged from pool path"
 

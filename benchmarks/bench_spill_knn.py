@@ -41,7 +41,6 @@ from bench_common import emit
 from repro.analysis.reporting import format_table
 from repro.approx import SpillTree, available_split_rules
 from repro.core.uniform_grid import UniformGrid
-from repro.engine import BatchQueryEngine
 from repro.geometry.aabb import AABB
 
 UNIVERSE = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
@@ -102,12 +101,11 @@ def run(quick: bool = False):
 
     grid = UniformGrid(universe=UNIVERSE)
     grid.bulk_load(items)
-    engine = BatchQueryEngine(grid, dedup=False)
     # The recall oracle: exact ids from the grid's batch kernel (the same
     # (distance, id) contract every exact index answers), paying the
     # one-time snapshot packing before the timed rounds.
-    exact = engine.knn(probes, K)
-    grid_qps = m / _best_of(lambda: engine.knn(probes, K))
+    exact = grid.batch_knn(probes, K)
+    grid_qps = m / _best_of(lambda: grid.batch_knn(probes, K))
     best_exact_qps = max(scan_qps, grid_qps)
 
     # -- the (rule, tau) sweep --------------------------------------------------

@@ -43,8 +43,9 @@ pins one — a sharded process pool, say (``executor=ShardedExecutor(...)``)::
 Every index supports ``batch_range_query`` / ``batch_knn`` (a naive loop by
 default); LinearScan, the grids and the R-tree family override them with
 vectorized kernels, and ``supports_batch_kind()`` reports which.  The
-``BatchQueryEngine`` remains the kernel layer behind the session's batch
-executor.  See ``examples/query_session.py`` for deferred handles and
+session's executors call those kernels directly and only answer; the
+session collapses duplicate queries and counts the work (``stats.batch``)
+itself.  See ``examples/query_session.py`` for deferred handles and
 sharded execution, and ``examples/batch_analysis.py`` for a full batched
 synapse-style analysis.  ``INDEX_REGISTRY`` / ``make_index`` enumerate every
 shipped index by name.
@@ -127,7 +128,6 @@ from repro.core import (
 )
 from repro.engine import (
     BatchExecutor,
-    BatchQueryEngine,
     BatchStats,
     InlineExecutor,
     KNNQuery,
@@ -229,7 +229,6 @@ __all__ = [
     "InlineExecutor",
     "BatchExecutor",
     "ShardedExecutor",
-    "BatchQueryEngine",
     "BatchStats",
     "INDEX_REGISTRY",
     "available_indexes",

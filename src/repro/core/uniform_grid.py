@@ -711,6 +711,8 @@ class UniformGrid(SpatialIndex):
     # -- queries --------------------------------------------------------------------
 
     def range_query(self, box: AABB) -> list[int]:
+        if any(map(math.isnan, box.lo + box.hi)):  # as batch_range_hits: ±inf clamps
+            raise ValueError("query coordinates must be finite")
         self._settle()
         if not self._boxes:
             return []
@@ -737,12 +739,14 @@ class UniformGrid(SpatialIndex):
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
         """Expanding-window kNN: probe growing cell rings until k confirmed."""
+        point = tuple(point)
+        if not all(map(math.isfinite, point)):
+            raise ValueError("query coordinates must be finite")
         if k <= 0 or not self._boxes or self._universe is None:
             return []
         self._settle()
         assert self._cell_size is not None
         counters = self.counters
-        point = tuple(point)
         radius = self._cell_size
         limit = self._universe.max_distance_to_point(point) + self._cell_size
         while True:
@@ -1041,15 +1045,16 @@ class UniformGrid(SpatialIndex):
 
     def _window(self, box: AABB) -> Window:
         """The inclusive cell window ``box`` covers, clamped to the universe
-        — the scalar twin of :func:`_cell_coords`, bit for bit."""
+        — the scalar twin of :func:`_cell_coords`, bit for bit.  Clamping
+        before the floor keeps a ±inf corner in range (a NaN one raises)."""
         assert self._corner_axes is not None and self._cell_size is not None
         origins, tops = self._corner_axes
         if len(box.lo) * 2 != len(origins):
             raise ValueError(f"box has {len(box.lo)} dims, index has {len(origins) // 2}")
         cell = self._cell_size
         floor = math.floor
-        raw = [floor((v - o) / cell) for v, o in zip(box.lo + box.hi, origins)]
-        return tuple([0 if c < 0 else top if c > top else c for c, top in zip(raw, tops)])
+        raw = [(v - o) / cell for v, o in zip(box.lo + box.hi, origins)]
+        return tuple([0 if c < 0 else top if c > top else floor(c) for c, top in zip(raw, tops)])
 
     def _buckets(self) -> dict[CellKey, dict[int, None]]:
         """The buckets, built here if no scalar read has asked since the

@@ -2,14 +2,16 @@
 
 :mod:`repro.engine.session` is the public surface — declarative
 :class:`QuerySession` with deferred :class:`ResultHandle` results and
-pluggable executors.  :mod:`repro.engine.batch` is the kernel layer the
-session's :class:`BatchExecutor` (and the sharded executor's workers) run
-on.
+pluggable executors that call the indexes' kernels directly (the sharded
+executor's workers run :class:`BatchExecutor` too).  The session collapses
+duplicate rows and counts executor work; ``session.stats.batch`` is the
+:class:`BatchStats` read of that count.  :mod:`repro.engine.core` is the
+handle, buffer and flush loop the query and join sessions share.
 """
 
-from repro.engine.batch import BatchQueryEngine, BatchStats
 from repro.engine.session import (
     BatchExecutor,
+    BatchStats,
     Executor,
     InlineExecutor,
     KNNQuery,
@@ -25,7 +27,6 @@ from repro.engine.session import (
 )
 
 __all__ = [
-    "BatchQueryEngine",
     "BatchStats",
     "QuerySession",
     "QueryBuffer",

@@ -16,12 +16,12 @@ them goes through this session:
 
   - :class:`InlineExecutor` — the scalar per-query path, cheapest for tiny
     batches and for indexes without vectorized kernels;
-  - :class:`BatchExecutor` — wraps the existing
-    :class:`~repro.engine.batch.BatchQueryEngine` (the kernel layer);
+  - :class:`BatchExecutor` — one call of the index's vectorized batch
+    kernel;
   - :class:`ShardedExecutor` — partitions the query array across the
-    persistent :class:`~repro.serving.pool.WorkerPool` and merges the
-    per-shard results and :class:`~repro.engine.batch.BatchStats`; a batch
-    the pool cannot take runs in-process through :class:`BatchExecutor`.
+    persistent :class:`~repro.serving.pool.WorkerPool` and concatenates the
+    per-shard results; a batch the pool cannot take runs in-process, as
+    :class:`BatchExecutor` runs it.
 
   The executor is chosen per batch by a small cost heuristic
   (batch size × index capability, see :meth:`QuerySession.choose_executor`)
@@ -31,10 +31,12 @@ them goes through this session:
 The handle, the buffer and the flush loop are the session core
 (:mod:`repro.engine.core`), shared with
 :class:`~repro.joins.session.JoinSession`; this module supplies what a query
-group is and how it runs.  Every executor answers every batch with the same
-id sets (range/point) and the identical ``(distance, id)`` lists (kNN) — the
-ordering contract of :mod:`repro.indexes.base` — so the heuristic may switch
-freely.
+group is and how it runs.  Executors only answer: the session collapses
+duplicate rows before each run and counts the work after it, in one place
+(:meth:`QuerySession._execute`).  Every executor answers every batch with
+the same id sets (range/point) and the identical ``(distance, id)`` lists
+(kNN) — the ordering contract of :mod:`repro.indexes.base` — so the
+heuristic may switch freely.
 """
 
 from __future__ import annotations
@@ -43,16 +45,17 @@ import itertools
 import multiprocessing
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Sequence, Union
 
 import numpy as np
 
-from repro.engine.batch import BatchQueryEngine, BatchStats
 from repro.engine.core import Buffer, Handle, SessionCore
 from repro.exec.budget import MemoryBudget
 from repro.geometry.aabb import AABB, as_box_array, as_point_array
 from repro.indexes.base import KNNResult, SpatialIndex
+from repro.instrumentation.counters import Counters
 from repro.obs import span as _span
 from repro.obs.metrics import MetricsView, Read, Seconds, Tally
 
@@ -185,38 +188,34 @@ class QueryBatch:
 
 
 class Executor(ABC):
-    """Executes one :class:`QueryBatch` against one index.
+    """Answers one :class:`QueryBatch` against one index, in this process.
 
     Implementations must be interchangeable: same id sets per range/point
-    query, identical ``(distance, id)`` lists per kNN query.  They return
-    the per-query results plus the :class:`BatchStats` of the work done, so
-    the session can account uniformly across strategies.
+    query, identical ``(distance, id)`` lists per kNN query.  An executor
+    returns answers only; the session collapses duplicate rows before the
+    run, fans the answers back out after it and reads the work off the
+    index's counters (:meth:`QuerySession._execute`), so every executor is
+    accounted the same way.
     """
 
     name: str = "executor"
 
     @abstractmethod
-    def run(
-        self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
-    ) -> tuple[list, BatchStats]:
-        """Execute ``batch``; returns ``(results, stats)``."""
+    def run(self, index: SpatialIndex, batch: QueryBatch) -> list:
+        """The per-row results of ``batch``, in row order."""
 
 
 class InlineExecutor(Executor):
     """The scalar path: one index method call per query.
 
-    For tiny batches the array normalization and kernel set-up of the batch
-    engine cost more than they save; the inline path keeps exactly the
-    per-query behaviour (and counter accounting) of calling the index
-    directly, while still honouring duplicate-query memoization so dedup
-    stats stay comparable across executors.
+    For tiny batches the array set-up of the batch kernels costs more than
+    it saves; the inline path keeps exactly the per-query behaviour (and
+    counter accounting) of calling the index directly.
     """
 
     name = "inline"
 
-    def run(
-        self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
-    ) -> tuple[list, BatchStats]:
+    def run(self, index: SpatialIndex, batch: QueryBatch) -> list:
         if batch.kind == "range":
             def answer(row):
                 # The kernel contract (as_box_array) admits inverted windows
@@ -242,92 +241,51 @@ class InlineExecutor(Executor):
                 answer = lambda row: index.knn(tuple(row.tolist()), k)
         else:  # pragma: no cover - QueryBuffer only emits the three kinds
             raise ValueError(f"unknown batch kind: {batch.kind!r}")
-
-        stats = BatchStats(batches=1, queries=batch.size)
-        counters = index.counters
-        descents0 = counters.approx_descents
-        leaves0 = counters.leaves_scanned
-        results: list = []
-        memo: dict[bytes, Any] = {}
-        for row in batch.payload:
-            key = row.tobytes() if dedup else None
-            if key is not None and key in memo:
-                stats.deduplicated += 1
-                results.append(list(memo[key]))
-                continue
-            hits = answer(row)
-            if key is not None:
-                memo[key] = hits
-            results.append(hits)
-        stats.approx_descents = counters.approx_descents - descents0
-        stats.leaves_scanned = counters.leaves_scanned - leaves0
-        return results, stats
+        return [answer(row) for row in batch.payload]
 
 
 class BatchExecutor(Executor):
-    """Vectorized single-process execution through the kernel-layer engine."""
+    """Vectorized execution: the whole batch in one call of the index's
+    batch kernel — ``batch_range_query`` for range queries and, on
+    zero-extent boxes, for point queries; ``batch_knn``, or
+    ``approx_batch_knn`` when the session routed the batch to an index's
+    approximate kernel, for kNN.  Indexes without a vectorized kernel
+    answer through the base class's per-query loop."""
 
     name = "batch"
 
-    def run(
-        self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
-    ) -> tuple[list, BatchStats]:
-        engine = BatchQueryEngine(index, dedup=dedup)
-        results = _run_on_engine(engine, batch)
-        return results, engine.stats
+    def run(self, index: SpatialIndex, batch: QueryBatch) -> list:
+        if batch.kind == "range":
+            return index.batch_range_query(batch.payload)
+        if batch.kind == "point":
+            return index.batch_range_query(np.stack([batch.payload, batch.payload], axis=1))
+        if batch.kind == "knn":
+            assert batch.k is not None
+            kernel = index.batch_knn
+            if batch.accuracy is not None:
+                kernel = getattr(index, "approx_batch_knn", kernel)
+            return kernel(batch.payload, batch.k)
+        raise ValueError(f"unknown batch kind: {batch.kind!r}")
 
 
-def _run_on_engine(engine: BatchQueryEngine, batch: QueryBatch) -> list:
-    if batch.kind == "range":
-        return engine.range_query(batch.payload)
-    if batch.kind == "point":
-        return engine.point_query(batch.payload)
-    if batch.kind == "knn":
-        assert batch.k is not None
-        return engine.knn(batch.payload, batch.k, accuracy=batch.accuracy)
-    raise ValueError(f"unknown batch kind: {batch.kind!r}")
-
-
-def _collapse_duplicates(
-    batch: QueryBatch, dedup: bool
-) -> tuple[QueryBatch, np.ndarray | None, int]:
-    """Cross-shard dedup: collapse duplicates over the WHOLE batch before it
-    is partitioned.  Per-shard dedup (the engine's own) would execute a
-    duplicate once per shard it lands in; collapsing first executes it
-    exactly once, and :meth:`ShardedExecutor._fan_out` scatters the result
-    back.  Returns ``(batch of unique rows, inverse, rows dropped)`` —
-    ``(batch, None, 0)`` when there is nothing to collapse."""
-    if not dedup or batch.size <= 1:
-        return batch, None, 0
-    flat = np.ascontiguousarray(batch.payload.reshape(batch.size, -1))
-    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-    dropped = batch.size - unique.shape[0]
-    if not dropped:
-        return batch, None, 0
-    collapsed = QueryBatch(
-        kind=batch.kind,
-        payload=unique.reshape(unique.shape[0], *batch.payload.shape[1:]),
-        k=batch.k,
-        accuracy=batch.accuracy,
-    )
-    return collapsed, inverse, dropped
-
-
-class ShardedExecutor(Executor):
+class ShardedExecutor(BatchExecutor):
     """Partitions the query array across a persistent worker pool.
 
-    The batch engine is stateless over results, so the query axis shards
-    trivially: each worker answers a contiguous chunk and ships back
-    ``(results, BatchStats)``; the parent concatenates results in
-    submission order and merges the stats.
+    Queries are independent, so the query axis shards trivially: each
+    worker answers a contiguous chunk against its snapshot of the index and
+    ships back the results and the :class:`~repro.instrumentation.counters.Counters`
+    the snapshot was charged; the parent concatenates the results in
+    submission order and sums the charges (:meth:`run_pooled`).
 
     The work runs on a :class:`~repro.serving.pool.WorkerPool`: the index
     crosses the process boundary once, as a shared-memory snapshot, and
-    each flush ships only probe arrays and result ids.  A batch the pool
-    cannot take — the index has no shared-memory representation
+    each flush ships only probe arrays and result ids.  The session offers
+    every batch to :meth:`run_pooled` first.  A batch the pool cannot take
+    — too small to shard, the index has no shared-memory representation
     (``export_index_payload`` returns ``None``), or the pool's
-    infrastructure failed — runs in-process through :class:`BatchExecutor`
-    with the same answers and tallies.
+    infrastructure failed — runs in-process through :meth:`run`, the
+    inherited :class:`BatchExecutor` kernel call, with the same answers and
+    tallies.
 
     Parameters
     ----------
@@ -335,8 +293,7 @@ class ShardedExecutor(Executor):
         Shard count cap (default: CPU count, capped at 8).
     min_shard:
         Smallest worthwhile per-worker chunk; batches smaller than
-        ``2 * min_shard`` fall back to single-process :class:`BatchExecutor`
-        execution.
+        ``2 * min_shard`` run in-process.
     pool:
         ``None`` (default) — route through the process-wide
         :func:`~repro.serving.pool.default_pool`; a
@@ -344,11 +301,9 @@ class ShardedExecutor(Executor):
 
     Notes
     -----
-    Worker-side :class:`~repro.instrumentation.counters.Counters` charges die
-    with the workers — only the returned ``BatchStats`` merge back.
-    Dedup is global: duplicate queries are collapsed in the parent *before*
-    the array is partitioned, so duplicates landing in different shards are
-    still executed exactly once and fanned back out on merge.
+    The pool answers the rows it is handed: the session has already
+    collapsed duplicate queries over the whole batch, so duplicates that
+    would land in different shards still execute exactly once.
     """
 
     name = "sharded"
@@ -367,7 +322,6 @@ class ShardedExecutor(Executor):
         self.workers = workers if workers is not None else min(cpus, 8)
         self.min_shard = min_shard
         self.pool = pool
-        self._fallback = BatchExecutor()
 
     def _resolve_pool(self):
         if self.pool is not None:
@@ -375,32 +329,6 @@ class ShardedExecutor(Executor):
         from repro.serving.pool import default_pool
 
         return default_pool()
-
-    def run(
-        self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
-    ) -> tuple[list, BatchStats]:
-        # Too small to shard on its face: the engine's own dedup is the
-        # only one the batch needs.
-        if self._shards(batch.size) < 2:
-            return self._fallback.run(index, batch, dedup=dedup)
-        unique, inverse, dropped = _collapse_duplicates(batch, dedup)
-        answered = self._run_pooled(index, unique, dedup, export=True)
-        if answered is None:
-            answered = self._fallback.run(index, unique, dedup=dedup)
-        return self._fan_out(*answered, inverse, dropped)
-
-    def run_pooled(
-        self, index: SpatialIndex, batch: QueryBatch, *, dedup: bool
-    ) -> tuple[list, BatchStats] | None:
-        """:meth:`run`, if the worker pool can answer right now without
-        anything happening in this process: ``None`` when the batch is not
-        for the pool as things stand (:meth:`pooled_entry`, looking only) or
-        the pool's infrastructure failed.  Touches neither the index's
-        kernels nor its counters, so — unlike :meth:`run` — it needs no
-        exclusion from other executor runs on the same index."""
-        unique, inverse, dropped = _collapse_duplicates(batch, dedup)
-        answered = self._run_pooled(index, unique, dedup, export=False)
-        return None if answered is None else self._fan_out(*answered, inverse, dropped)
 
     def _shards(self, rows: int) -> int:
         return min(self.workers, rows // self.min_shard)
@@ -419,10 +347,15 @@ class ShardedExecutor(Executor):
         entry = pool.ensure_index(index) if export else pool.current_index(index)
         return None if entry is None else (pool, entry)
 
-    def _run_pooled(
-        self, index: SpatialIndex, batch: QueryBatch, dedup: bool, *, export: bool
-    ) -> tuple[list, BatchStats] | None:
-        """Try the pool with an already-collapsed batch."""
+    def run_pooled(
+        self, index: SpatialIndex, batch: QueryBatch, *, export: bool
+    ) -> tuple[list, Counters] | None:
+        """The batch's results and the work the workers were charged, if the
+        worker pool answers it: ``None`` when the batch is not for the pool
+        (:meth:`pooled_entry`) or the pool's infrastructure failed.  With
+        ``export=False`` it touches neither the index's kernels nor its
+        counters, so it needs no exclusion from other executor runs on the
+        same index."""
         try:
             target = self.pooled_entry(index, batch.size, export=export)
             if target is None:
@@ -433,7 +366,6 @@ class ShardedExecutor(Executor):
                 batch.kind,
                 batch.payload,
                 batch.k,
-                dedup,
                 self._shards(batch.size),
                 accuracy=batch.accuracy,
             )
@@ -442,17 +374,27 @@ class ShardedExecutor(Executor):
             # any genuine query error on the same inputs.
             return None
 
-    @staticmethod
-    def _fan_out(
-        results: list, stats: BatchStats, inverse: np.ndarray | None, dropped: int
-    ) -> tuple[list, BatchStats]:
-        """Scatter unique-query results back to the original batch order."""
-        if inverse is None:
-            return results, stats
-        stats.queries += dropped
-        stats.deduplicated += dropped
-        # Independent copies, matching the engine's dedup fan-out contract.
-        return [list(results[i]) for i in inverse], stats
+
+def _distinct_rows(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of ``payload`` in first-seen order (an executor
+    runs them in submission order), and the inverse that rebuilds
+    ``payload`` from them — or ``(payload, None)`` when no row repeats.
+
+    Rows compare by value, each viewed as one opaque byte string once
+    ``-0.0`` is mapped to ``+0.0`` (so equal coordinates share their
+    bytes): one 1-d ``np.unique`` instead of a lexicographic row sort."""
+    m = payload.shape[0]
+    if m <= 1 or not payload.size:  # zero-width rows: left for the kernels to refuse
+        return payload, None
+    flat = payload.reshape(m, -1) + 0.0  # a fresh C-contiguous copy; -0.0 + 0.0 is +0.0
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.shape[0] == m:
+        return payload, None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return payload[first[order]], rank[inverse.ravel()]
 
 
 # -- the buffer ----------------------------------------------------------------
@@ -488,7 +430,44 @@ class QueryBuffer(Buffer):
 
 # -- session stats -------------------------------------------------------------
 
-#: :class:`BatchStats` fields each run adds to counter ``query.batch.<field>``
+
+@dataclass
+class BatchStats:
+    """A query session's executor work, as ``session.stats.batch`` reads it
+    off the session's ``query.batch.*`` metrics.
+
+    ``batches`` counts executor-run groups and ``queries`` their rows;
+    ``deduplicated`` the rows answered by copying another row's result.
+    The out-of-core fields mirror :class:`~repro.joins.spec.JoinStats`:
+    ``budget_chunks`` counts row chunks the session split batches into to
+    honour its :class:`~repro.exec.budget.MemoryBudget`, ``tiles_spilled`` /
+    ``spill_bytes_written`` / ``spill_bytes_read`` any spill traffic charged
+    while serving batches, ``zero_copy_reads`` / ``mapped_bytes`` the
+    zero-copy storage telemetry (reads served as mmap views), and
+    ``budget_high_water`` is the reserved peak.
+
+    The approximate-kNN fields (:mod:`repro.approx`) follow the same split:
+    ``approx_descents`` / ``leaves_scanned`` count defeatist work, and
+    ``recall_estimate`` is the *lowest* calibrated recall any approximate
+    batch was routed with (1.0 while every answer is exact).
+    """
+
+    batches: int = 0
+    queries: int = 0
+    deduplicated: int = 0
+    budget_chunks: int = 0
+    tiles_spilled: int = 0
+    spill_bytes_written: int = 0
+    spill_bytes_read: int = 0
+    zero_copy_reads: int = 0
+    mapped_bytes: int = 0
+    budget_high_water: int = 0
+    approx_descents: int = 0
+    leaves_scanned: int = 0
+    recall_estimate: float = 1.0
+
+
+#: :class:`BatchStats` fields that are counter ``query.batch.<field>``
 #: (``budget_high_water`` is a max-gauge, ``recall_estimate`` a min-gauge).
 _BATCH_COUNTS = tuple(
     f.name for f in fields(BatchStats) if f.name not in ("budget_high_water", "recall_estimate")
@@ -499,7 +478,7 @@ _RECALL = "query.batch.recall_estimate"
 class SessionStats(MetricsView):
     """A query session's telemetry, read off its registry.
 
-    ``batch`` adds up the :class:`BatchStats` of every executor run;
+    ``batch`` is the executor work of every group the session ran;
     ``executor_runs`` counts batches per executor name, the telemetry the
     cost heuristic is judged by (:func:`repro.analysis.session_report`);
     ``flush_triggers`` counts flushes per cause (the async executor's).
@@ -539,9 +518,6 @@ class QuerySession(SessionCore):
     executor:
         Pin every batch to one executor, bypassing the cost heuristic
         (e.g. ``ShardedExecutor(workers=4)`` for large analysis phases).
-    dedup:
-        Collapse duplicate queries inside each batch (default True, as in
-        the kernel engine).
     inline_cutoff:
         Largest batch the default heuristic routes to the scalar path.
     budget:
@@ -561,8 +537,7 @@ class QuerySession(SessionCore):
         handles = [session.submit(RangeQuery(box)) for box in boxes]
         counts = [len(h.result()) for h in handles]     # one flush
 
-    Immediate — array-in / array-out, the drop-in replacement for the old
-    ``BatchQueryEngine`` surface::
+    Immediate — array-in / array-out, one flush per call::
 
         hits      = session.range_query(boxes)           # (m, 2, d) or AABBs
         neighbours = session.knn(points, k=8)            # (m, d)
@@ -577,20 +552,18 @@ class QuerySession(SessionCore):
         index: SpatialIndex,
         *,
         executor: Executor | None = None,
-        dedup: bool = True,
         inline_cutoff: int = INLINE_CUTOFF,
         budget: MemoryBudget | int | None = None,
     ) -> None:
         super().__init__(QueryBuffer(), SessionStats)
         self.index = index
-        self.dedup = dedup
         self.inline_cutoff = inline_cutoff
         self.budget = MemoryBudget.coerce(budget)
         self._pinned = executor
         self._inline = InlineExecutor()
         self._batch = BatchExecutor()
         self._m_submitted = self.metrics.counter("query.submitted")
-        self._m_batch = [(a, self.metrics.counter(f"query.batch.{a}")) for a in _BATCH_COUNTS]
+        self._m_batch = {a: self.metrics.counter(f"query.batch.{a}") for a in _BATCH_COUNTS}
         self._m_budget_high_water = self.metrics.gauge("query.batch.budget_high_water")
         # The flush lock is also the in-process execution lock: no two
         # kernels ever run on the index at once, so its counters and lazy
@@ -820,12 +793,7 @@ class QuerySession(SessionCore):
             size=batch.size,
             executor=executor.name,
         ):
-            results, stats = self._run_batch(executor, batch, alone)
-        with self._lock:
-            self.metrics.counter(f"query.executor.{executor.name}").inc()
-            for attr, counter in self._m_batch:
-                counter.inc(getattr(stats, attr))
-            self._m_budget_high_water.track_max(stats.budget_high_water)
+            results = self._execute(executor, batch, alone)
         offset = 0
         for sub in submissions:
             n = sub.payload.shape[0]
@@ -847,66 +815,78 @@ class QuerySession(SessionCore):
         row_bytes = max(estimate // batch.size, 1)
         return max(int(limit // row_bytes), 1)
 
-    def _run_batch(
-        self, executor: Executor, batch: QueryBatch, alone: bool
-    ) -> tuple[list, BatchStats]:
-        """Run one batch, split into budget-sized row chunks when governed.
+    def _execute(self, executor: Executor, batch: QueryBatch, alone: bool) -> list:
+        """Run one batch and count it: the one place duplicate rows collapse
+        and executor work is read.
 
-        Queries are independent, so chunking never changes results — it
-        only bounds the kernels' transient working set (dedup scope shrinks
-        to the chunk, which alters ``deduplicated`` tallies, not answers).
-        """
-        chunk_rows = self._chunk_rows(batch)
-        if chunk_rows >= batch.size:
-            return self._execute(executor, batch, alone)
+        A governed session splits a batch whose kernel working set exceeds
+        its budget into row chunks; queries are independent, so that bounds
+        the working set without changing an answer.  Each executor run —
+        the whole batch or one chunk — gets the distinct rows of its part
+        (:func:`_distinct_rows`), and their answers are fanned back out as
+        independent copies.  Its work is the index's counter diff around an
+        in-process run, or what the worker pool reports it charged.  The
+        group is folded into ``query.batch.*`` once every run answered: a
+        batch that raises counts nothing."""
+        rows = self._chunk_rows(batch)
+        chunked = rows < batch.size
+        runs = range(0, batch.size, rows)
         results: list = []
-        stats = BatchStats()
-        for start in range(0, batch.size, chunk_rows):
-            chunk = QueryBatch(
-                kind=batch.kind,
-                payload=batch.payload[start : start + chunk_rows],
-                k=batch.k,
-                accuracy=batch.accuracy,
+        charges: list[Counters] = []
+        dropped = 0
+        for start in runs:
+            part = batch.payload[start : start + rows]
+            unique, inverse = _distinct_rows(part)
+            reserve = (
+                self.budget.reserving(part.nbytes * self._KERNEL_OVERHEAD, force=True)
+                if chunked
+                else nullcontext()
             )
-            with self.budget.reserving(chunk.payload.nbytes * self._KERNEL_OVERHEAD, force=True):
-                part, part_stats = self._execute(executor, chunk, alone)
-            results.extend(part)
-            stats.merge(part_stats)
-            stats.budget_chunks += 1
-        # The chunks answered one logical batch between them.
-        stats.batches = 1
-        stats.budget_high_water = max(stats.budget_high_water, self.budget.high_water)
-        return results, stats
+            with reserve:
+                answers, charged = self._answer(
+                    executor,
+                    batch if unique.shape[0] == batch.size else replace(batch, payload=unique),
+                    alone,
+                )
+            charges.append(charged)
+            if inverse is None:
+                results.extend(answers)
+            else:
+                dropped += part.shape[0] - unique.shape[0]
+                results.extend([list(answers[i]) for i in inverse.tolist()])
+        work = sum(charges[1:], charges[0])  # one run (the usual case): no new object
+        # Every other count is a Counters field: the work the runs charged.
+        counts = {"batches": 1, "queries": batch.size, "deduplicated": dropped,
+                  "budget_chunks": len(runs) if chunked else 0}
+        with self._lock:
+            self.metrics.counter(f"query.executor.{executor.name}").inc()
+            for name, counter in self._m_batch.items():
+                counter.inc(counts[name] if name in counts else getattr(work, name))
+            if chunked:
+                self._m_budget_high_water.track_max(self.budget.high_water)
+        return results
 
-    def _execute(
+    def _answer(
         self, executor: Executor, batch: QueryBatch, alone: bool
-    ) -> tuple[list, BatchStats]:
-        """One executor run.  ``alone`` means the caller does not hold the
-        flush lock: only the worker pool may answer without it."""
+    ) -> tuple[list, Counters]:
+        """One executor run: its results and the work it charged.  ``alone``
+        means the caller does not hold the flush lock: only the worker pool
+        may answer without it."""
+        if isinstance(executor, ShardedExecutor):
+            answered = executor.run_pooled(self.index, batch, export=not alone)
+            if answered is not None:
+                return answered
         if alone:
-            if isinstance(executor, ShardedExecutor):
-                answered = executor.run_pooled(self.index, batch, dedup=self.dedup)
-                if answered is not None:
-                    return answered
             with self._flush_lock:
-                return self._execute(executor, batch, False)
-        # Zero-copy storage telemetry lives on the index's counters (the
-        # mapped page store charges them); diff around the run so views
-        # served for *these* queries land in this batch's stats.
-        counters = getattr(self.index, "counters", None)
-        before = counters.snapshot() if counters is not None else None
-        results, stats = executor.run(self.index, batch, dedup=self.dedup)
-        if before is not None:
-            delta = counters.diff(before)
-            stats.zero_copy_reads += delta.zero_copy_reads
-            stats.mapped_bytes += delta.mapped_bytes
-        return results, stats
+                return self._answer(executor, batch, False)
+        counters = self.index.counters
+        before = counters.snapshot()
+        return executor.run(self.index, batch), counters.diff(before)
 
     # -- immediate convenience surface ---------------------------------------
     #
-    # The drop-in replacement for the old public BatchQueryEngine methods:
-    # same signatures, same results, one flush per call (plus whatever was
-    # already buffered — submissions never reorder across a flush).
+    # Array in, array out: one flush per call (plus whatever was already
+    # buffered — submissions never reorder across a flush).
 
     def range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
         """Submit + flush + read: one id list per query box."""

@@ -10,6 +10,7 @@ answer exactly.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,7 +70,18 @@ class LinearScan(SpatialIndex):
         self._dense = None
         self.counters.updates += 1
 
+    def _check_query(self, coords: tuple[float, ...], dims: int, what: str) -> None:
+        """Refuse what the batch kernels refuse: a NaN coordinate, or a
+        query of other dimensionality than the stored boxes (the scalar
+        predicates would zip the corners and answer a truncated query)."""
+        if any(map(math.isnan, coords)):
+            raise ValueError("query coordinates must be finite")
+        stored = next(iter(self._boxes.values()), None)
+        if stored is not None and stored.dims != dims:
+            raise ValueError(f"{what} have {dims} dims, index has {stored.dims}")
+
     def range_query(self, box: AABB) -> list[int]:
+        self._check_query(box.lo + box.hi, box.dims, "queries")
         counters = self.counters
         results = []
         for eid, elem_box in self._boxes.items():
@@ -80,6 +92,8 @@ class LinearScan(SpatialIndex):
         return results
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
+        point = tuple(point)
+        self._check_query(point, len(point), "points")
         if k <= 0:
             return []
         counters = self.counters
@@ -96,7 +110,7 @@ class LinearScan(SpatialIndex):
             elif (dist, eid) < (-heap[0][0], -heap[0][1]):
                 heapq.heapreplace(heap, (-dist, -eid))
                 counters.heap_ops += 1
-        counters.bytes_touched += len(self._boxes) * (len(tuple(point)) * _BOX_BYTES_PER_DIM + 8)
+        counters.bytes_touched += len(self._boxes) * (len(point) * _BOX_BYTES_PER_DIM + 8)
         return sorted((-neg_d, -neg_e) for neg_d, neg_e in heap)
 
     # -- batch queries (vectorized) -----------------------------------------
@@ -114,6 +128,8 @@ class LinearScan(SpatialIndex):
 
     def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
         queries = as_box_array(boxes)
+        if np.isnan(queries).any():
+            raise ValueError("query coordinates must be finite")
         m = queries.shape[0]
         results: list[list[int]] = [[] for _ in range(m)]
         n = len(self._boxes)
@@ -137,15 +153,21 @@ class LinearScan(SpatialIndex):
         self, points: np.ndarray | Sequence[Sequence[float]], k: int
     ) -> list[KNNResult]:
         pts = as_point_array(points)
+        if np.isnan(pts).any():
+            raise ValueError("query coordinates must be finite")
         m = pts.shape[0]
         if m == 0:
             return []
         n = len(self._boxes)
-        if k <= 0 or n == 0:
+        if n == 0:
             return [[] for _ in range(m)]
-        counters = self.counters
         eids, data = self._dense_view()
         dims = data.shape[2]
+        if pts.shape[1] != dims:
+            raise ValueError(f"points have {pts.shape[1]} dims, index has {dims}")
+        if k <= 0:
+            return [[] for _ in range(m)]
+        counters = self.counters
         results: list[KNNResult] = []
         chunk = max(1, _BATCH_CHUNK_ENTRIES // n)
         kk = min(k, n)

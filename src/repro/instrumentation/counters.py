@@ -91,6 +91,13 @@ class Counters:
             **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
         )
 
+    def __add__(self, other: "Counters") -> "Counters":
+        """Both tallies summed field by field (``sum(diffs, Counters())``
+        totals the work of several runs)."""
+        return Counters(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        )
+
     def total_intersection_tests(self) -> int:
         return self.node_tests + self.elem_tests + self.refine_tests
 

@@ -35,8 +35,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.batch import BatchStats
 from repro.indexes.base import SpatialIndex
+from repro.instrumentation.counters import Counters
 from repro.obs import ingest_telemetry, propagation_context
 from repro.serving import worker as _worker
 from repro.serving.shm import SegmentGroup
@@ -208,7 +208,7 @@ class WorkerPool:
         Exactly-once per completed task: results that landed before the
         pool broke are kept, and only the tasks that died are resubmitted
         to the recreated executor.  (The old retry-everything path re-ran
-        completed shards, double-counting their merged stats.)  A second
+        completed shards, double-counting their charged work.)  A second
         ``BrokenProcessPool`` propagates.
         """
         with self._lock:
@@ -256,11 +256,12 @@ class WorkerPool:
         batch_kind: str,
         payload: np.ndarray,
         k: int | None,
-        dedup: bool,
         shards: int,
         accuracy: float | None = None,
-    ) -> tuple[list, BatchStats]:
-        """Partition ``payload`` row-wise across the workers and merge.
+    ) -> tuple[list, Counters]:
+        """Partition ``payload`` row-wise across the workers; returns the
+        results in row order and the :class:`Counters` the shards' snapshot
+        indexes were charged, summed.
 
         ``accuracy`` rides along for kNN batches the session planner
         resolved to approximate routing: each worker then answers its shard
@@ -275,7 +276,6 @@ class WorkerPool:
                 batch_kind,
                 payload[a:b],
                 k,
-                dedup,
                 accuracy,
             )
             for a, b in zip(bounds[:-1], bounds[1:])
@@ -283,14 +283,11 @@ class WorkerPool:
         ]
         parts = self._map_telemetry(_worker.query_shard_task, tasks)
         results: list = []
-        stats = BatchStats()
-        for shard_results, shard_stats in parts:
+        for shard_results, _ in parts:
             results.extend(shard_results)
-            stats.merge(shard_stats)
-        stats.batches = 1  # the shards answered one logical batch
         with self._lock:  # a session's own-flush may run beside its queue flush
             self.shards_run += len(tasks)
-        return results, stats
+        return results, sum((charged for _, charged in parts), Counters())
 
 
 # -- the shared default pool ---------------------------------------------------

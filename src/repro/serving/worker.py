@@ -19,8 +19,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.engine.batch import BatchQueryEngine, BatchStats
 from repro.indexes.base import SpatialIndex
+from repro.instrumentation.counters import Counters
 from repro.obs import capture_worker
 from repro.serving.shm import AttachedArrays
 from repro.serving.snapshots import build_worker_index
@@ -64,25 +64,26 @@ def query_shard_task(
     batch_kind: str,
     chunk: np.ndarray,
     k: int | None,
-    dedup: bool,
     accuracy: float | None = None,
     obs_ctx: tuple[str, str] | None = None,
-) -> tuple[list, BatchStats, dict | None]:
-    """Answer one probe chunk against a rehydrated index snapshot.
+) -> tuple[list, Counters, dict | None]:
+    """Answer one probe chunk against a rehydrated index snapshot; returns
+    the results and the :class:`Counters` the snapshot was charged.
 
     ``accuracy`` is the parent planner's resolved routing decision: a float
     routes a kNN chunk through the snapshot's defeatist kernel (spill
     payloads); ``None`` — and any snapshot without an approximate kernel —
     serves exactly."""
-    from repro.engine.session import QueryBatch, _run_on_engine
+    from repro.engine.session import BatchExecutor, QueryBatch
 
     with capture_worker("query_shard", obs_ctx, kind=batch_kind) as cap:
         entry = _entry_for(token, meta)
         if entry.index is None:
             entry.index = build_worker_index(kind, entry.attached.arrays, scalars)
-        engine = BatchQueryEngine(entry.index, dedup=dedup)
-        results = _run_on_engine(
-            engine, QueryBatch(kind=batch_kind, payload=chunk, k=k, accuracy=accuracy)
+        counters = entry.index.counters
+        before = counters.snapshot()
+        results = BatchExecutor().run(
+            entry.index, QueryBatch(kind=batch_kind, payload=chunk, k=k, accuracy=accuracy)
         )
         cap.set_attr("queries", int(chunk.shape[0]))
-    return results, engine.stats, cap.telemetry
+    return results, counters.diff(before), cap.telemetry

@@ -4,8 +4,8 @@ Every index's ``batch_range_query`` / ``batch_knn`` must agree item-for-item
 with the :class:`~repro.indexes.linear_scan.LinearScan` oracle — including
 empty batches, duplicate queries and degenerate (zero-extent) boxes.  The
 hypothesis suites drive the comparison with generated datasets and batches;
-the deterministic tests pin engine behaviour (dedup, point queries, input
-forms) and the UniformGrid cell-visit regression.
+the deterministic tests pin the session's batch path (dedup, point queries,
+input forms) and the UniformGrid cell-visit regression.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import UNIVERSE_3D, knn_pairs, make_items, make_queries
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.uniform_grid import UniformGrid
-from repro.engine import BatchQueryEngine
+from repro.engine import BatchExecutor, QuerySession
 from repro.geometry.aabb import AABB, boxes_to_array
 from repro.indexes.disk_rtree import DiskRTree
 from repro.indexes.linear_scan import LinearScan
@@ -171,7 +171,7 @@ class TestBatchKnnMatchesOracle:
         assert index.batch_knn([], 3) == []
 
 
-class TestBatchQueryEngine:
+class TestSessionBatchPath:
     def _setup(self, n=400):
         items = make_items(n, seed=11)
         index = UniformGrid()
@@ -183,43 +183,36 @@ class TestBatchQueryEngine:
     def test_range_dedup_fans_results_back_out(self):
         index, oracle = self._setup()
         query = make_queries(1, seed=12)[0]
-        engine = BatchQueryEngine(index)
-        results = engine.range_query([query] * 7)
-        assert engine.stats.deduplicated == 6
-        assert engine.stats.queries == 7
+        session = QuerySession(index, executor=BatchExecutor())
+        results = session.range_query([query] * 7)
+        assert session.stats.batch.deduplicated == 6
+        assert session.stats.batch.queries == 7
         expected = sorted(oracle.range_query(query))
         assert all(sorted(r) == expected for r in results)
         # Fanned-out lists must be independent copies.
         results[0].append(-1)
         assert results[1] != results[0]
 
-    def test_dedup_disabled(self):
-        index, _ = self._setup()
-        engine = BatchQueryEngine(index, dedup=False)
-        engine.range_query(make_queries(3, seed=13) * 2)
-        assert engine.stats.deduplicated == 0
-        assert engine.stats.queries == 6
-
     def test_point_query_is_containment(self):
         index, oracle = self._setup()
         points = np.array([[50.0, 50.0, 50.0], [1.0, 2.0, 3.0], [99.0, 99.0, 99.0]])
-        got = BatchQueryEngine(index).point_query(points)
+        got = QuerySession(index, executor=BatchExecutor()).point_query(points)
         for answer, point in zip(got, points):
             assert sorted(answer) == sorted(oracle.range_query(AABB.from_point(point)))
 
     def test_knn_matches_oracle(self):
         index, oracle = self._setup()
         points = np.array([[10.0, 20.0, 30.0], [10.0, 20.0, 30.0], [80.0, 10.0, 40.0]])
-        got = BatchQueryEngine(index).knn(points, 5)
+        got = QuerySession(index, executor=BatchExecutor()).knn(points, 5)
         for answer, point in zip(got, points):
             assert knn_pairs(answer) == knn_pairs(oracle.knn(tuple(point), 5))
 
     def test_empty_batches(self):
         index, _ = self._setup(50)
-        engine = BatchQueryEngine(index)
-        assert engine.range_query([]) == []
-        assert engine.knn([], 4) == []
-        assert engine.point_query([]) == []
+        session = QuerySession(index, executor=BatchExecutor())
+        assert session.range_query([]) == []
+        assert session.knn([], 4) == []
+        assert session.point_query([]) == []
 
 
 class TestUniformGridBatchCellRegression:

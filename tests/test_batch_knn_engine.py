@@ -6,8 +6,8 @@ tie-break contract (``repro/indexes/base.py``) leaves nothing to sort.  The
 hypothesis suites drive that comparison with generated datasets; the
 deterministic tests pin the adversarial corners: ``k = 0``, ``k >= n``,
 co-located/duplicate geometry, empty indexes, probes far outside the data
-bounds and batches full of repeated queries.  The engine and sim-monitor
-tests cover the wiring: ``BatchQueryEngine.knn`` dedup fan-out and the
+bounds and batches full of repeated queries.  The session and sim-monitor
+tests cover the wiring: ``QuerySession.knn`` dedup fan-out and the
 ``NearestNeighborMonitor`` batch path.
 """
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import UNIVERSE_3D, knn_pairs, make_items
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.uniform_grid import UniformGrid
-from repro.engine import BatchQueryEngine
+from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.crtree import CRTree
 from repro.indexes.disk_rtree import DiskRTree
@@ -248,17 +248,17 @@ class TestBatchKnnMatchesOracle:
             assert knn_pairs(index.knn(point, 7)) == knn_pairs(oracle.knn(point, 7))
 
 
-class TestEngineAndMonitorWiring:
-    def test_engine_knn_dedup_fans_results_back_out(self):
+class TestSessionAndMonitorWiring:
+    def test_session_knn_dedup_fans_results_back_out(self):
         items = make_items(300, seed=11)
         index = UniformGrid()
         index.bulk_load(items)
         oracle = LinearScan()
         oracle.bulk_load(items)
-        engine = BatchQueryEngine(index)
+        session = QuerySession(index)
         point = (33.0, 44.0, 55.0)
-        results = engine.knn([point] * 5, 6)
-        assert engine.stats.deduplicated == 4
+        results = session.knn([point] * 5, 6)
+        assert session.stats.batch.deduplicated == 4
         expected = knn_pairs(oracle.knn(point, 6))
         assert all(knn_pairs(r) == expected for r in results)
         # Fanned-out lists must be independent copies.
@@ -272,7 +272,7 @@ class TestEngineAndMonitorWiring:
         looped = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
         batched = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
         looped.observe(index, step=0)
-        batched.observe_batch(BatchQueryEngine(index), step=0)
+        batched.observe_batch(QuerySession(index), step=0)
         assert looped.nearest_ids == batched.nearest_ids
         assert np.allclose(looped.kth_distances, batched.kth_distances)
 

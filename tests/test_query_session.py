@@ -11,12 +11,16 @@ pin its contract:
   agree with the LinearScan oracle on every index, and the
   ShardedExecutor's merged results and dedup stats match single-process
   execution;
+* executors only answer: the session hands each run the distinct rows of
+  its batch, and inline, batch and sharded runs of one workload report
+  identical ``stats.batch``;
 * the curated public API (`repro.__all__`, the index registry) exposes the
   session surface without deep module imports.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -27,7 +31,6 @@ from repro import (
     AABB,
     INDEX_REGISTRY,
     BatchExecutor,
-    BatchQueryEngine,
     InlineExecutor,
     KNNQuery,
     PointQuery,
@@ -93,15 +96,14 @@ class TestQueryValues:
         with pytest.raises(ValueError):
             KNNQuery((0.0,), k=-1)
 
-    def test_k_zero_matches_kernel_engine(self, loaded):
-        """Drop-in parity: k=0 answers empty lists, as the engine does."""
+    def test_k_zero_matches_kernel(self, loaded):
+        """Drop-in parity: k=0 answers empty lists, as the kernel does."""
         items, _ = loaded
         index = build_index("uniform_grid")
         index.bulk_load(items)
         points = np.array([[10.0, 10.0, 10.0], [50.0, 50.0, 50.0]])
-        engine = BatchQueryEngine(index)
         session = QuerySession(index)
-        assert session.knn(points, 0) == engine.knn(points, 0) == [[], []]
+        assert session.knn(points, 0) == index.batch_knn(points, 0) == [[], []]
         assert session.submit(KNNQuery((10.0, 10.0, 10.0), k=0)).result() == []
 
     def test_kind_markers(self):
@@ -236,10 +238,10 @@ class TestHandlesAndBuffer:
             pass
 
         class KnnBomb(InlineExecutor):
-            def run(self, index, batch, *, dedup):
+            def run(self, index, batch):
                 if batch.kind == "knn":
                     raise Boom("knn-broken")
-                return super().run(index, batch, dedup=dedup)
+                return super().run(index, batch)
 
         session = QuerySession(index, executor=KnnBomb())
         h_range = session.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))  # 2-d
@@ -325,16 +327,58 @@ class TestExecutorEquivalence:
         assert inline.stats.executor_runs == {"inline": 3}
         assert batch.stats.executor_runs == {"batch": 3}
 
-    def test_inverted_boxes_answer_empty_on_every_executor(self, loaded):
-        """The kernel contract admits inverted (lo > hi) windows as empty
-        intersections; the inline path must agree, not raise."""
+    #: Hostile input for the inline/batch parity check: (kind, payload, k).
+    HOSTILE = {
+        "inverted_window": ("range", [[[5.0, 5.0, 5.0], [1.0, 1.0, 1.0]]], None),
+        "inf_window": ("range", [[[-np.inf] * 3, [np.inf] * 3]], None),
+        "inf_slab": ("range", [[[5.0, -np.inf, 5.0], [9.0, np.inf, 9.0]]], None),
+        "nan_window": ("range", [[[np.nan, 1.0, 1.0], [2.0, 2.0, 2.0]]], None),
+        "window_2d": ("range", [[[1.0, 1.0], [50.0, 50.0]]], None),
+        "inf_point": ("point", [[np.inf, 1.0, 1.0]], None),
+        "nan_point": ("point", [[np.nan, 1.0, 1.0]], None),
+        "point_2d": ("point", [[10.0, 10.0]], None),
+        "inf_probe": ("knn", [[np.inf, 1.0, 1.0]], 3),
+        "minus_inf_probe": ("knn", [[-np.inf, 1.0, 1.0]], 3),
+        "nan_probe": ("knn", [[np.nan, 1.0, 1.0]], 3),
+        "probe_2d": ("knn", [[10.0, 10.0]], 3),
+        "k_zero": ("knn", [[10.0, 10.0, 10.0]], 0),
+        "k_past_n": ("knn", [[10.0, 10.0, 10.0]], 500),
+        "empty_range": ("range", np.empty((0, 2, 3)), None),
+        "empty_knn": ("knn", np.empty((0, 3)), 3),
+    }
+
+    @pytest.mark.parametrize("case", list(HOSTILE))
+    @pytest.mark.parametrize("name", ["uniform_grid", "linear_scan"])
+    def test_inline_and_batch_agree_on_hostile_input(self, loaded, name, case):
+        """The heuristic may send any batch inline, so the scalar path must
+        answer what the kernels answer, or raise the same exception type:
+        inverted windows are empty intersections, ±inf window corners clamp
+        to the universe, NaN and wrong-dimension queries are refused."""
         items, _ = loaded
-        index = build_index("uniform_grid")
+        index = build_index(name)
         index.bulk_load(items)
-        inverted = np.array([[[5.0, 5.0, 5.0], [1.0, 1.0, 1.0]]])
-        for executor in (InlineExecutor(), BatchExecutor()):
+        kind, payload, k = self.HOSTILE[case]
+        payload = np.asarray(payload, dtype=np.float64)
+
+        def ask(executor):
             session = QuerySession(index, executor=executor)
-            assert session.range_query(inverted) == [[]]
+            try:
+                if kind == "knn":
+                    return _answers(session.knn(payload, k))
+                if kind == "point":
+                    return _answers(session.point_query(payload))
+                return _answers(session.range_query(payload))
+            except Exception as error:  # the type is the contract, not the text
+                return type(error)
+
+        inline, batch = ask(InlineExecutor()), ask(BatchExecutor())
+        assert inline == batch
+        if "nan" in case or "2d" in case:
+            assert batch is ValueError
+        if case == "inverted_window":
+            assert batch == [[]]
+        if case == "inf_window":
+            assert batch == [sorted(index.batch_range_query(np.array([[[0.0] * 3, [100.0] * 3]]))[0])]
 
     def test_default_heuristic_routes_by_size_and_capability(self, loaded):
         items, _ = loaded
@@ -362,6 +406,120 @@ class TestExecutorEquivalence:
             grid.supports_batch_kind("join")
 
 
+class _RowSpy(BatchExecutor):
+    """The batch executor, recording every row it is handed."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[float, ...]] = []
+
+    def run(self, index, batch):
+        self.rows.extend(tuple(row) for row in batch.payload.reshape(batch.size, -1).tolist())
+        return super().run(index, batch)
+
+
+def _one_point_per_leaf(tree, candidates: np.ndarray, want: int) -> np.ndarray:
+    """``want`` probes that a defeatist descent lands in ``want`` different
+    leaves, so every executor scans one leaf per distinct probe."""
+    chosen: list[np.ndarray] = []
+    for point in candidates:
+        before = tree.counters.leaves_scanned
+        tree.approx_batch_knn(np.array(chosen + [point]), 6)
+        if tree.counters.leaves_scanned - before == len(chosen) + 1:
+            chosen.append(point)
+            if len(chosen) == want:
+                return np.array(chosen)
+    raise AssertionError("too few leaves for the probe set")
+
+
+def _answers(results) -> list:
+    """Range/point answers as sorted id lists, kNN answers via knn_pairs."""
+    if results and results[0] and isinstance(results[0][0], tuple):
+        return [knn_pairs(r) for r in results]
+    return [sorted(r) for r in results]
+
+
+class TestSessionDedupsAndCounts:
+    """Executors answer, the session counts: one collapse of duplicate rows
+    and one work diff per executor run, whatever the executor."""
+
+    @pytest.mark.parametrize("kind", ["range", "point", "knn"])
+    def test_executor_sees_each_distinct_row_once(self, loaded, kind):
+        items, oracle = loaded
+        grid = build_index("uniform_grid")
+        grid.bulk_load(items)
+        points = np.random.default_rng(45).uniform(5.0, 90.0, size=(6, 3))
+        points[1, 0] = 0.0
+        twin = points[1].copy()
+        twin[0] = -0.0  # equal to row 1 by value, not by bytes
+        payload = np.concatenate([points, points[::-1], [twin], points[:2]])
+        spy = _RowSpy()
+        session = QuerySession(grid, executor=spy)
+        if kind == "range":
+            payload = np.stack([payload, payload + 7.0], axis=1)
+            got = session.range_query(payload)
+            expected = [oracle.range_query(AABB(*row)) for row in payload]
+        elif kind == "point":
+            got = session.point_query(payload)
+            expected = [oracle.range_query(AABB.from_point(row)) for row in payload]
+        else:
+            got = session.knn(payload, 3)
+            expected = [oracle.knn(tuple(row), 3) for row in payload]
+        assert len(spy.rows) == len(set(spy.rows)) == 6
+        assert _answers(got) == _answers(expected)
+        assert session.stats.batch.queries == len(payload)
+        assert session.stats.batch.deduplicated == len(payload) - 6
+        # Fanned-out answers are independent copies.
+        got[0].append(-1)
+        assert -1 not in got[11] and -1 not in got[13]  # rows 11 and 13 repeat row 0
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="needs the fork start method")
+    def test_every_executor_reports_the_same_work(self, loaded):
+        """Inline, batch and pooled sharded runs of one workload: identical
+        answers and identical ``stats.batch``."""
+        from repro.approx import SpillTree
+        from repro.serving import WorkerPool
+
+        items, _ = loaded
+        grid = build_index("uniform_grid")
+        grid.bulk_load(items)
+        tree = SpillTree(tau=0.25, leaf_size=48, seed=1)
+        tree.bulk_load(make_items(600, seed=42, points=True))
+        rng = np.random.default_rng(46)
+        base = rng.uniform(5.0, 90.0, size=(12, 3))
+        spanning = np.concatenate([base, base])  # each shard holds every row
+        windows = np.stack([spanning, spanning + 6.0], axis=1)
+        chunked = np.concatenate([windows, windows[:12] + 3.0])  # 16-row budget chunks
+        probes = _one_point_per_leaf(tree, rng.uniform(0.0, 100.0, size=(400, 3)), 8)
+        probes = np.concatenate([probes, probes[:4]])
+
+        def run(executor):
+            sessions = [QuerySession(grid, executor=executor),
+                        QuerySession(grid, executor=executor, budget=12 * 1024),
+                        QuerySession(tree, executor=executor)]
+            queries, budgeted, spill = sessions
+            answers = [
+                queries.range_query(windows),
+                queries.point_query(spanning),
+                queries.knn(spanning, 4),
+                budgeted.range_query(chunked),
+                spill.knn(probes, 6, accuracy=0.5),
+                spill.knn(probes, 6),
+            ]
+            return [_answers(a) for a in answers], [dataclasses.asdict(s.stats.batch) for s in sessions]
+
+        with WorkerPool(workers=2) as pool:
+            sharded = run(ShardedExecutor(workers=2, min_shard=4, pool=pool))
+            assert pool.shards_run > 0
+        inline, batch = run(InlineExecutor()), run(BatchExecutor())
+        assert inline == batch == sharded
+        stats = batch[1]
+        assert stats[0]["deduplicated"] == 3 * 12
+        # Dedup is per run: only the first chunk repeats rows (base[:4]).
+        assert stats[1]["budget_chunks"] == 3 and stats[1]["deduplicated"] == 4
+        assert stats[2]["approx_descents"] == stats[2]["leaves_scanned"] == 8
+        assert stats[2]["deduplicated"] == 2 * 4 and stats[2]["recall_estimate"] < 1.0
+
+
 @pytest.mark.skipif(not HAVE_FORK, reason="needs the fork start method")
 class TestShardedExecutor:
     def test_sharded_matches_single_process_and_oracle(self, loaded):
@@ -385,8 +543,8 @@ class TestShardedExecutor:
         assert sharded.stats.executor_runs == {"sharded": 2}
 
     def test_dedup_stats_propagate_from_shards(self, loaded):
-        """Duplicate queries inside each shard are answered once; the
-        per-shard BatchStats merge back into the session's tallies."""
+        """Duplicate queries are answered once and counted in the session's
+        tallies when the batch is sharded."""
         items, oracle = loaded
         grid = build_index("uniform_grid")
         grid.bulk_load(items)
@@ -429,9 +587,9 @@ class TestShardedExecutor:
     def test_dedup_tallies_on_both_sides_of_the_shard_threshold(
         self, loaded, monkeypatch, size, duplicates, kind
     ):
-        """A batch too small to shard is deduplicated once, by the engine;
-        one that shards, once before partitioning.  Either way the tallies
-        and every answer equal the single-process executor's."""
+        """Every executor run is deduplicated once, by the session, whether
+        the batch shards or not; the tallies and every answer equal the
+        single-process executor's."""
         import repro.engine.session as session_module
 
         items, _ = loaded
@@ -442,13 +600,13 @@ class TestShardedExecutor:
             points[-duplicates:] = points[:duplicates]
         boxes = np.stack([points, points + 6.0], axis=1)
         collapses: list[int] = []
-        collapse = session_module._collapse_duplicates
+        collapse = session_module._distinct_rows
 
-        def counting(batch, dedup):
-            collapses.append(batch.size)
-            return collapse(batch, dedup)
+        def counting(payload):
+            collapses.append(payload.shape[0])
+            return collapse(payload)
 
-        monkeypatch.setattr(session_module, "_collapse_duplicates", counting)
+        monkeypatch.setattr(session_module, "_distinct_rows", counting)
 
         def ask(session):
             if kind == "range":
@@ -463,7 +621,7 @@ class TestShardedExecutor:
         assert sharded.stats.batch.queries == single.stats.batch.queries == size
         assert sharded.stats.batch.deduplicated == single.stats.batch.deduplicated == duplicates
         assert sharded.stats.batch.batches == 1
-        assert collapses == ([] if size < 16 else [size])
+        assert collapses == [size, size]  # one run each, sharded then single
 
     def test_small_batches_fall_back_to_single_process(self, loaded):
         items, _ = loaded
@@ -507,12 +665,12 @@ class TestPublicApi:
             make_index("no-such-index")
 
 
-class TestSessionMatchesKernelEngine:
-    """The acceptance bar: session answers are byte-identical to the raw
-    kernel engine the pre-redesign callers used directly."""
+class TestSessionMatchesKernels:
+    """The acceptance bar: session answers are byte-identical to the index's
+    own batch kernels, point queries being zero-extent range queries."""
 
     @pytest.mark.parametrize("name", ["uniform_grid", "rtree", "multires_grid"])
-    def test_range_and_knn_identical_to_engine(self, name, loaded):
+    def test_range_and_knn_identical_to_kernels(self, name, loaded):
         items, _ = loaded
         index = build_index(name)
         index.bulk_load(items)
@@ -524,8 +682,8 @@ class TestSessionMatchesKernelEngine:
             axis=1,
         )
         points = queries[:, 0, :]
-        engine = BatchQueryEngine(index)
         session = QuerySession(index)
-        assert session.range_query(queries) == engine.range_query(queries)
-        assert session.knn(points, 5) == engine.knn(points, 5)
-        assert session.point_query(points) == engine.point_query(points)
+        assert session.range_query(queries) == index.batch_range_query(queries)
+        assert session.knn(points, 5) == index.batch_knn(points, 5)
+        stabs = np.stack([points, points], axis=1)
+        assert session.point_query(points) == index.batch_range_query(stabs)

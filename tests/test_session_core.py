@@ -53,7 +53,7 @@ from repro import (
 )
 from repro.analysis.session_report import session_report
 from repro.approx import SpillTree
-from repro.engine.batch import BatchStats
+from repro.engine import BatchStats
 from repro.indexes.linear_scan import LinearScan
 from repro.instrumentation.counters import Counters
 from repro.joins import CallableJoin, JoinSession, SelfJoinSpec
@@ -73,10 +73,10 @@ class _FaultyExecutor(BatchExecutor):
     def __init__(self, faults: dict) -> None:
         self.faults = faults
 
-    def run(self, index, batch, *, dedup):
+    def run(self, index, batch):
         if batch.k in self.faults:
             raise self.faults[batch.k]
-        return super().run(index, batch, dedup=dedup)
+        return super().run(index, batch)
 
 
 class QueryRig:
