@@ -189,8 +189,8 @@ class _DeltaMaintenance(MaintenancePolicy):
         super().__init__(session)
         self._backing: SpatialIndex = self._make_backing()
         self._backing.bulk_load(list(session.state_items()))
-        # Probes always take the batch kernels (no inline scalar route): those
-        # read the grid's snapshot, so its bucket view is never built.
+        # Probes always take the batch kernels (no inline scalar route): one
+        # kernel call per probe batch, not one per row.
         self._probe_session = QuerySession(self._backing, inline_cutoff=0)
         # Ticks accepted but not yet folded into the backing index — the
         # "maintain the answer, not the index" discipline taken to its

@@ -130,7 +130,7 @@ def calibrate(
     start = time.perf_counter()
     index.bulk_load(items)
     # A rebuild is done when the index answers: what a structure builds on
-    # its first query (the grid's bucket view) is the rebuild's cost, not
+    # its first query (the grid's snapshot pack) is the rebuild's cost, not
     # the per-query one measured below.
     index.range_query(query_boxes[0])
     rebuild_fixed = time.perf_counter() - start

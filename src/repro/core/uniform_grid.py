@@ -17,13 +17,13 @@ Design points realized here:
   placement*: a load, an insert or a cell switch (re-)appends the row, an
   in-place move keeps its seat.  The batch snapshot is these same arrays
   plus a cell table, and compaction repacks from them.  ``_boxes`` is the
-  ``AABB`` view the scalar API reads, kept in the same order.
-* **Buckets are a view.**  A bucket maps a cell to the *ids* registered
-  there, in insertion order — the scalar result order.  Only scalar reads
-  look at buckets, so a bulk load builds none: the first ``range_query`` /
-  ``knn`` / ``occupied_cells`` / ``memory_bytes`` since builds them all from
-  the live windows in store order, which is each bucket's own order
-  (:meth:`UniformGrid._buckets`); writes maintain them only where built.
+  ``AABB`` view that :meth:`UniformGrid.update` checks ``old_box`` against.
+* **One read path.**  The scalar :meth:`~UniformGrid.range_query` and
+  :meth:`~UniformGrid.knn` are the batch kernels on one row (kNN re-scores
+  the kernel's ids with the scalar ``min_distance_to_point``), so a scalar
+  read costs and counts what a batch read does.  A grid whose cell keys do
+  not fit int64 answers through :class:`~repro.indexes.linear_scan.LinearScan`'s
+  kernels over its live rows.
 * **Cheap massive updates.**  "the small movement means that only few
   elements switch grid cell in every step, thereby requiring few updates to
   the data structure" (§4.3): :meth:`UniformGrid.update` is write-behind —
@@ -46,13 +46,14 @@ Design points realized here:
   edge cells for queries and elements alike and the rule compares only the
   clamped windows, so edge cells are no special case.  The batch kernels'
   ``elem_tests``/``bytes_touched`` count the pairs actually tested;
-  ``cells_probed`` counts distinct cells looked up.  (The scalar
-  ``range_query`` walks the buckets and skips ids already reported.)  The
+  ``cells_probed`` counts distinct cells looked up.  The
   range kernel's product is the CSR pair of :meth:`UniformGrid.batch_range_hits`;
   the resolution model (:mod:`repro.core.resolution`) balances replication
   against probe counts.
 * **Every gather pass runs once, over flat columns.**  Windows unfold an
-  axis at a time by ``repeat``; the walk builds its one entry column in
+  axis at a time by ``repeat`` — except one holding more cells than the
+  cell tables hold keys, which takes the occupied keys inside it instead, so
+  no gather costs more than the occupied cells per window; the walk builds its one entry column in
   place, selects by ``flatnonzero`` + ``take`` where a mask would copy, and
   frees it before the next — a fresh entry-sized temporary's page faults cost
   more than its arithmetic (``test_grid_single_store`` bounds bytes per entry).
@@ -63,17 +64,15 @@ Design points realized here:
   query and walked like the base one (:func:`_walk_cells`).  Past a
   fraction of the base the store is repacked from its own live rows and
   the snapshot dropped.  ``base ∖ dead ∪ overlay`` always equals the live
-  element set in ``_boxes`` order, so a patched snapshot answers every
+  element set in placement order, so a patched snapshot answers every
   batch query, ids and order, as a rebuild would
   (``tests/test_snapshot_maintenance.py`` pins this).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,13 +81,10 @@ from repro.geometry.aabb import AABB, as_box_array, as_point_array, boxes_to_arr
 from repro.indexes.base import (
     Item, KNNResult, Move, SpatialIndex, csr_hits, unique_moves, validate_items,
 )
+from repro.indexes.linear_scan import LinearScan
 from repro.instrumentation.counters import Counters
 
 _BOX_BYTES_PER_DIM = 16
-
-# Bail out of the vectorized batch kernel when the flattened (query, cell)
-# expansion would exceed this many entries; the naive loop handles the rest.
-_BATCH_WINDOW_CAP = 1 << 26
 
 # Patches tolerated on a snapshot before deferred compaction repacks it: a
 # quarter of the base, but never fewer than this.  There is no upper cap:
@@ -99,10 +95,6 @@ _BATCH_WINDOW_CAP = 1 << 26
 # former cap of 2048 patches; 5 % moved: 170-203 against 234-256 ms).
 _SNAPSHOT_DIRTY_MIN = 64
 
-CellKey = tuple[int, ...]
-# An element's cell set: the inclusive integer corners (*lo_cells, *hi_cells),
-# one row of the store's window matrix (a tuple where the scalar path needs one).
-Window = tuple[int, ...]
 # A sorted cell table: (keys, starts, counts, entry_rows, entry_first) — see
 # :class:`_GridSnapshot`, which holds one for the base and derives one for
 # the overlay.
@@ -111,12 +103,11 @@ CellTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 class _GridSnapshot:
     """The grid's row store and, once its cell table is packed, the dense
-    query-ready view of the buckets, patchable in place.
+    query-ready grouping of its entries by cell, patchable in place.
 
     ``keys`` holds the linearized ids of every occupied cell in sorted order;
     ``starts``/``counts`` delimit each cell's slice of ``entry_rows``
-    (replicated elements appear once per covering cell, exactly as in the
-    buckets), which index the element tables: ``eids``, ``columns`` (the one
+    (replicated elements appear once per covering cell), which index the element tables: ``eids``, ``columns`` (the one
     box store, ``(2, d, n)``; ``boxes`` is its ``(n, 2, d)`` view) and
     ``windows`` (``(n, 2d)`` integer cell windows; ``None`` on a read-only
     copy).  ``entry_first`` holds, per entry, the bitmask "this cell is the
@@ -298,12 +289,11 @@ class _GridSnapshot:
 def _cell_coords(
     values: np.ndarray, origin: np.ndarray, cell: float, tops: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :meth:`UniformGrid._window` arithmetic: clamped integer
-    cell coordinates.
+    """Clamped integer cell coordinates: the cell window arithmetic.
 
     Clamps in float space *before* the int64 cast — coordinates far outside
-    the universe (e.g. 1e30) would otherwise overflow the cast and wrap to
-    the wrong edge, where the scalar path's Python ints are exact.
+    the universe (e.g. 1e30, or ±inf) would otherwise overflow the cast and
+    wrap to the wrong edge.
     """
     return np.floor(np.clip((values - origin) / cell, 0.0, tops)).astype(np.int64)
 
@@ -337,6 +327,39 @@ def _expand_windows(
         step *= strides[axis]
         keys += step
     return owner, keys, first
+
+
+def _window_entries(
+    snap: _GridSnapshot, lo_cells: np.ndarray, hi_cells: np.ndarray,
+    base: CellTable, overlay: CellTable | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_expand_windows` of the query windows, except that a window
+    holding more cells than the ``base`` and ``overlay`` cell tables hold keys
+    lists only the occupied keys inside it: the keys decoded to coordinates by
+    ``strides``/``tops`` and masked per axis.  Ascending keys are a window's
+    ``product`` order, so every window's entries keep their order, minus cells
+    no table holds; the windows under the bound pay one volume comparison."""
+    volume = np.prod(hi_cells - lo_cells + 1, axis=1)
+    wide = volume > len(base[0]) + (0 if overlay is None else len(overlay[0]))
+    if not wide.any():
+        return _expand_windows(lo_cells, hi_cells, snap.strides)
+    narrow, wide = np.flatnonzero(~wide), np.flatnonzero(wide)
+    owner, keys, first = _expand_windows(lo_cells[narrow], hi_cells[narrow], snap.strides)
+    occupied = base[0] if overlay is None else np.union1d(base[0], overlay[0])
+    coords = occupied[:, None] // snap.strides % (snap.tops + 1)
+    inside = np.ones((len(wide), len(occupied)), dtype=bool)
+    for axis in range(coords.shape[1]):
+        inside &= lo_cells[wide, axis, None] <= coords[:, axis]
+        inside &= coords[:, axis] <= hi_cells[wide, axis, None]
+    window, key = np.nonzero(inside)  # window-major, keys ascending within each
+    at_low = coords[key] == lo_cells[wide[window]]
+    wide_first = (at_low.astype(np.uint8) << np.arange(coords.shape[1], dtype=np.uint8)).sum(
+        axis=1, dtype=np.uint8)
+    # Two runs, each sorted by window: the stable sort merges them.
+    qidx = np.concatenate([narrow[owner], wide[window]])
+    order = np.argsort(qidx, kind="stable")
+    return (qidx[order], np.concatenate([keys, occupied[key]])[order],
+            np.concatenate([first, wide_first])[order])
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -439,9 +462,8 @@ def pack_snapshot(
     """The dense form of a grid holding exactly these rows (``columns`` as
     :func:`box_columns` lays them out, adopted as the snapshot's box store);
     ``None`` if unlinearizable.  Cell membership comes from the boxes by the
-    clamped-window arithmetic of :meth:`UniformGrid._window` — unless the
-    rows' ``(n, 2d)`` ``windows`` are known already — so the pack runs
-    vectorized and needs no bucket dicts: a live grid's buckets and this
+    clamped-window arithmetic of :func:`_cell_coords` — unless the rows'
+    ``(n, 2d)`` ``windows`` are known already — so a live grid and this
     function necessarily describe the identical (cell, element) relation."""
     strides_arr = _linear_strides(tops)
     if strides_arr is None:
@@ -502,15 +524,9 @@ class UniformGrid(SpatialIndex):
         self._store: _GridSnapshot | None = None
         self._log: dict[int, AABB] = {}
         self._lock = threading.Lock()
-        # cell -> ids registered there; a dict for its insertion order (the
-        # scalar result order) and O(1) removal.  ``None`` from a bulk load
-        # until a scalar read asks: read it through :meth:`_buckets`.
-        self._cells: dict[CellKey, dict[int, None]] | None = {}
         # Per-axis (origin, top cell coordinate), fixed once universe and
-        # cell size are, and the same per window corner as (origins, tops):
-        # the bulk paths read the first, the scalar ``_window`` the second.
+        # cell size are.
         self._axes: tuple[tuple[float, int], ...] | None = None
-        self._corner_axes: tuple[tuple[float, ...], tuple[int, ...]] | None = None
         self._snapshot: _GridSnapshot | None = None  # the store, while it has a cell table
         self._switches = 0
         self._in_place = 0
@@ -553,8 +569,6 @@ class UniformGrid(SpatialIndex):
             self._cell_size = default_cell_size(len(items), self._universe)
         if self._axes is None:
             self._axes = grid_axes(self._universe, self._cell_size)
-            origins, tops = zip(*self._axes)
-            self._corner_axes = (origins * 2, tops * 2)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -569,7 +583,6 @@ class UniformGrid(SpatialIndex):
         self._log = {}  # the reset supersedes any logged moves
         self._boxes = dict(materialized)
         self._store = store
-        self._cells = None if materialized else {}  # nothing to build from nothing
         self._snapshot = None
         self._switches = 0
         self._in_place = 0
@@ -600,7 +613,6 @@ class UniformGrid(SpatialIndex):
             self._store = self._new_store(np.array([eid]), packed, windows)
         else:
             self._store.patch_append([eid], packed, windows)
-        self._place(eid, _window_cells(windows[0].tolist()))
         self._boxes[eid] = box
         self._maybe_compact()
         self.counters.inserts += 1
@@ -611,9 +623,7 @@ class UniformGrid(SpatialIndex):
         self._settle()
         store = self._store
         assert store is not None
-        rows, windows = store.locate([eid])
-        self._unplace(eid, windows[0].tolist())
-        store.patch_remove(rows)
+        store.patch_remove(store.locate([eid])[0])
         store.extra_row_of.pop(eid, None)
         del self._boxes[eid]
         self._maybe_compact()
@@ -667,7 +677,7 @@ class UniformGrid(SpatialIndex):
         patches would carry the store past the compaction threshold is
         decided up front: if so the store is repacked from its own rows with
         the moves folded in and the snapshot dropped — where patching one by
-        one arrives.  Switchers are re-appended in log order."""
+        one arrives.  Switchers are re-appended to the store in log order."""
         if not self._log:  # a read of a settled grid: one truth test, no lock
             return
         with self._lock:
@@ -698,72 +708,23 @@ class UniformGrid(SpatialIndex):
                 if switch.size:
                     store.patch_remove(rows[switch])
                     store.patch_append([eids[at] for at in switch.tolist()], packed[switch], moved)
-            boxes, built = self._boxes, self._cells is not None
-            for at, window, new in zip(switch.tolist(), old[switch].tolist(), moved.tolist()):
-                eid = eids[at]
-                boxes[eid] = boxes.pop(eid)
-                if built:
-                    self._unplace(eid, window)
-                    self._place(eid, _window_cells(new))
             self._in_place += len(eids) - len(switch)
             self._switches += len(switch)
 
     # -- queries --------------------------------------------------------------------
 
     def range_query(self, box: AABB) -> list[int]:
-        if any(map(math.isnan, box.lo + box.hi)):  # as batch_range_hits: ±inf clamps
-            raise ValueError("query coordinates must be finite")
-        self._settle()
-        if not self._boxes:
-            return []
-        counters = self.counters
-        dims = box.dims
-        boxes = self._boxes
-        seen: set[int] = set()
-        results: list[int] = []
-        buckets = self._buckets()
-        for key in _window_cells(self._window(box)):
-            counters.cells_probed += 1
-            bucket = buckets.get(key)
-            if not bucket:
-                continue
-            counters.bytes_touched += len(bucket) * (dims * _BOX_BYTES_PER_DIM + 8)
-            for eid in bucket:
-                if eid in seen:
-                    continue
-                counters.elem_tests += 1
-                if boxes[eid].intersects(box):
-                    seen.add(eid)
-                    results.append(eid)
-        return results
+        """:meth:`batch_range_query` on one row."""
+        return self.batch_range_query([box])[0]
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
-        """Expanding-window kNN: probe growing cell rings until k confirmed."""
+        """:meth:`batch_knn` on one row, its ids re-scored by the scalar
+        ``min_distance_to_point`` (the kernel's norm can differ from it in
+        the last ulp) and sorted as ``(distance, id)``."""
         point = tuple(point)
-        if not all(map(math.isfinite, point)):
-            raise ValueError("query coordinates must be finite")
-        if k <= 0 or not self._boxes or self._universe is None:
-            return []
-        self._settle()
-        assert self._cell_size is not None
-        counters = self.counters
-        radius = self._cell_size
-        limit = self._universe.max_distance_to_point(point) + self._cell_size
-        while True:
-            probe = AABB.from_center(point, radius)
-            candidates = self.range_query(probe)
-            scored = []
-            for eid in candidates:
-                dist = self._boxes[eid].min_distance_to_point(point)
-                scored.append((dist, eid))
-                counters.heap_ops += 1
-            confirmed = [(d, e) for d, e in scored if d <= radius]
-            if len(confirmed) >= k:
-                return heapq.nsmallest(k, scored)
-            if radius > limit:
-                scored.sort()
-                return scored[:k]
-            radius *= 2.0
+        hits = self.batch_knn([point], k)[0]
+        boxes = self._boxes
+        return sorted((boxes[eid].min_distance_to_point(point), eid) for _, eid in hits)
 
     # -- batch queries (vectorized) ---------------------------------------------------
 
@@ -795,25 +756,24 @@ class UniformGrid(SpatialIndex):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(query, element-row)`` candidate pairs for the ``(m, d)``
         integer windows ``lo_cells``/``hi_cells``: flattened into ``(query,
-        cell)`` pairs once, their distinct cells walked through the base cell
-        table and the overlay's, if any (:func:`_walk_cells` both times),
-        kept at the first cell the two windows share and filtered through
-        ``alive`` — every live ``(query, row)`` whose windows share a cell
-        comes out exactly once.  ``cells_probed`` rises by the distinct
-        query cells plus the overlay cells among them."""
+        cell)`` pairs once (:func:`_window_entries`), their distinct cells
+        walked through the base cell table and the overlay's, if any
+        (:func:`_walk_cells` both times), kept at the first cell the two
+        windows share and filtered through ``alive`` — every live ``(query,
+        row)`` whose windows share a cell comes out exactly once.
+        ``cells_probed`` rises by the distinct query cells (only the occupied
+        ones of a window wider than the cell tables) plus the overlay cells
+        among them."""
         counters = self.counters
         every_axis = (1 << lo_cells.shape[1]) - 1
-        # Flatten all query windows into (query, cell-id) pairs.
-        qidx, flat_keys, q_first = _expand_windows(lo_cells, hi_cells, snap.strides)
+        base, overlay = snap.base_table(), snap.overlay_table()
+        qidx, flat_keys, q_first = _window_entries(snap, lo_cells, hi_cells, base, overlay)
         order, flat_keys, edge = _group(flat_keys)  # np.unique(return_inverse=True), cheaper
         uniq_keys = flat_keys[edge]
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(edge) - 1
         counters.cells_probed += len(uniq_keys)
-        pair_q, rows, _ = _walk_cells(
-            snap.base_table(), uniq_keys, inverse, qidx, q_first, every_axis
-        )
-        overlay = snap.overlay_table()
+        pair_q, rows, _ = _walk_cells(base, uniq_keys, inverse, qidx, q_first, every_axis)
         if overlay is not None:
             extra_q, extra_rows, found = _walk_cells(
                 overlay, uniq_keys, inverse, qidx, q_first, every_axis
@@ -847,7 +807,7 @@ class UniformGrid(SpatialIndex):
             return np.zeros(m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
         snap = self._ensure_snapshot()
         if snap is None:
-            return csr_hits(super().batch_range_query(queries))
+            return csr_hits(self._scan().batch_range_query(queries))
         dims = snap.tops.shape[0]
         if queries.shape[2] != dims:
             raise ValueError(f"queries have {queries.shape[2]} dims, index has {dims}")
@@ -857,9 +817,8 @@ class UniformGrid(SpatialIndex):
 
         lo_cells = _cell_coords(queries[:, 0, :], snap.origin, cell, snap.tops)
         hi_cells = _cell_coords(queries[:, 1, :], snap.origin, cell, snap.tops)
-        if int(np.prod(hi_cells - lo_cells + 1, axis=1).sum()) > _BATCH_WINDOW_CAP:
-            return csr_hits(super().batch_range_query(queries))
-
+        # A window inverted across a cell boundary covers no cell (not a negative count).
+        np.maximum(hi_cells, lo_cells - 1, out=hi_cells)
         pair_q, rows = self._gather_candidates(snap, lo_cells, hi_cells)
         n_pairs = pair_q.shape[0]
         eids_all, boxes_all, _ = snap.tables()
@@ -915,7 +874,7 @@ class UniformGrid(SpatialIndex):
             return [[] for _ in range(m)]
         snap = self._ensure_snapshot()
         if snap is None:
-            return super().batch_knn(pts, k)
+            return self._scan().batch_knn(pts, k)
         dims = snap.tops.shape[0]
         if pts.shape[1] != dims:
             raise ValueError(f"points have {pts.shape[1]} dims, index has {dims}")
@@ -927,8 +886,8 @@ class UniformGrid(SpatialIndex):
         n_rows = eids_all.shape[0]
         kk = min(k, len(self._boxes))
 
-        # Per-query give-up radius, as in the scalar path: beyond the
-        # farthest universe corner the probe provably covers every element.
+        # Per-query give-up radius: beyond the farthest universe corner the
+        # probe provably covers every element.
         lo_u = np.asarray(self._universe.lo)
         hi_u = np.asarray(self._universe.hi)
         corner_gaps = np.maximum(np.abs(pts - lo_u), np.abs(pts - hi_u))
@@ -941,10 +900,6 @@ class UniformGrid(SpatialIndex):
             apts = pts[active]
             lo_cells = _cell_coords(apts - radius, snap.origin, cell, snap.tops)
             hi_cells = _cell_coords(apts + radius, snap.origin, cell, snap.tops)
-            if int(np.prod(hi_cells - lo_cells + 1, axis=1).sum()) > _BATCH_WINDOW_CAP:
-                for q in active.tolist():
-                    results[q] = self.knn(tuple(pts[q]), k)
-                break
             pair_q, rows = self._gather_candidates(snap, lo_cells, hi_cells)
             # Distinct keys: the sort only groups candidates by query.
             combined = np.sort(pair_q * n_rows + rows)
@@ -1014,15 +969,28 @@ class UniformGrid(SpatialIndex):
 
     @property
     def occupied_cells(self) -> int:
-        return len(self._buckets())  # a bucket is dropped with its last id
+        """Distinct cells the live windows cover, counted without packing a
+        snapshot: per axis, the cell coordinates of every window entry, then
+        the distinct coordinate rows (no int64 key is needed)."""
+        windows = self._live_windows()
+        if not len(windows):
+            return 0
+        dims = windows.shape[1] // 2
+        lo_cells, hi_cells = windows[:, :dims], windows[:, dims:]
+        axes = [_expand_windows(lo_cells, hi_cells, unit)[1] for unit in np.eye(dims, dtype=int)]
+        return len(np.unique(np.stack(axes, axis=1), axis=0))
 
-    def _stored_entries(self) -> int:
-        """Bucket entries across all cells: the sum of the window volumes."""
+    def _live_windows(self) -> np.ndarray:
+        """The live rows' ``(n, 2d)`` cell windows, in store order."""
         self._settle()
         store = self._store
         if store is None:
-            return 0
-        windows = store.window_table()[store.tables()[2]]
+            return np.empty((0, 0), dtype=np.int64)
+        return store.window_table()[store.tables()[2]]
+
+    def _stored_entries(self) -> int:
+        """Cell entries across all cells: the sum of the window volumes."""
+        windows = self._live_windows()
         dims = windows.shape[1] // 2
         return int(np.prod(windows[:, dims:] - windows[:, :dims] + 1, axis=1).sum())
 
@@ -1034,7 +1002,7 @@ class UniformGrid(SpatialIndex):
         return self._stored_entries() / len(self._boxes)
 
     def memory_bytes(self) -> int:
-        """One box per element, one 8-byte id per bucket entry, 16 per cell."""
+        """One box per element, one 8-byte id per cell entry, 16 per cell."""
         if not self._boxes:
             return 0
         dims = self._universe.dims if self._universe else 3
@@ -1043,63 +1011,10 @@ class UniformGrid(SpatialIndex):
 
     # -- internals ---------------------------------------------------------------------
 
-    def _window(self, box: AABB) -> Window:
-        """The inclusive cell window ``box`` covers, clamped to the universe
-        — the scalar twin of :func:`_cell_coords`, bit for bit.  Clamping
-        before the floor keeps a ±inf corner in range (a NaN one raises)."""
-        assert self._corner_axes is not None and self._cell_size is not None
-        origins, tops = self._corner_axes
-        if len(box.lo) * 2 != len(origins):
-            raise ValueError(f"box has {len(box.lo)} dims, index has {len(origins) // 2}")
-        cell = self._cell_size
-        floor = math.floor
-        raw = [(v - o) / cell for v, o in zip(box.lo + box.hi, origins)]
-        return tuple([0 if c < 0 else top if c > top else floor(c) for c, top in zip(raw, tops)])
-
-    def _buckets(self) -> dict[CellKey, dict[int, None]]:
-        """The buckets, built here if no scalar read has asked since the
-        last bulk load: the live windows grouped by cell, in store order (see
-        the module docstring for why that is each bucket's own order)."""
-        self._settle()
-        if self._cells is None:
-            assert self._axes is not None and self._store is not None
-            dims = len(self._axes)
-            eids, _, alive = self._store.tables()
-            live = np.flatnonzero(alive)
-            corners = self._store.window_table()[live]
-            tops = _axis_arrays(self._axes)[1]
-            strides = _linear_strides(tops)
-            cells: dict[CellKey, dict[int, None]] = {}
-            if strides is None:
-                for eid, window in zip(eids[live].tolist(), corners.tolist()):
-                    for key in _window_cells(window):
-                        cells.setdefault(key, {})[eid] = None
-            else:
-                owner, keys, first = _expand_windows(corners[:, :dims], corners[:, dims:], strides)
-                keys, starts, _, rows, _ = _cell_table(keys, owner, first)
-                ids = eids[live][rows].tolist()
-                coords = [(keys // stride % (top + 1)).tolist()
-                          for stride, top in zip(strides.tolist(), tops.tolist())]
-                bounds = [*starts.tolist(), len(ids)]
-                for key, lo, hi in zip(zip(*coords), bounds, bounds[1:]):
-                    cells[key] = dict.fromkeys(ids[lo:hi])
-            self._cells = cells
-        return self._cells
-
-    def _place(self, eid: int, cells: Iterable[CellKey]) -> None:
-        """Append ``eid`` to the bucket of every cell, if the buckets are built."""
-        if self._cells is not None:
-            for key in cells:
-                self._cells.setdefault(key, {})[eid] = None
-
-    def _unplace(self, eid: int, window: Sequence[int]) -> None:
-        """Take ``eid`` out of the buckets of ``window``, if they are built."""
-        buckets = self._cells
-        for key in _window_cells(window) if buckets is not None else ():
-            bucket = buckets[key]
-            del bucket[eid]
-            if not bucket:
-                del buckets[key]
+    def _scan(self) -> LinearScan:
+        """The live rows as a :class:`LinearScan` charging this grid's
+        counters: the read path of a grid whose cell keys do not fit int64."""
+        return LinearScan.over(*self.export_items(), counters=self.counters)
 
     def _maybe_compact(self) -> None:
         """Past the threshold, repack the store's live rows; drop the snapshot."""
@@ -1120,8 +1035,3 @@ def _pack_finite(boxes: list[AABB]) -> np.ndarray:
         raise ValueError("box coordinates must be finite")
     return packed
 
-
-def _window_cells(window: Sequence[int]) -> Iterable[CellKey]:
-    """All integer coordinate tuples in the inclusive window."""
-    dims = len(window) // 2
-    return product(*[range(l, h + 1) for l, h in zip(window[:dims], window[dims:])])

@@ -23,6 +23,7 @@ from repro.geometry.aabb import (
     batch_min_distance_to_points,
     boxes_to_array,
 )
+from repro.geometry.table import BoxTable
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
 from repro.instrumentation.counters import Counters
 
@@ -46,6 +47,18 @@ class LinearScan(SpatialIndex):
         super().__init__(counters)
         self._boxes: dict[int, AABB] = {}
         self._dense: tuple[np.ndarray, np.ndarray] | None = None  # (eids, boxes)
+
+    @classmethod
+    def over(
+        cls, eids: np.ndarray, boxes: np.ndarray, counters: Counters | None = None
+    ) -> "LinearScan":
+        """A scan over packed ``(n,)`` ids and ``(n, 2, d)`` boxes, adopted as
+        its dense view (the read path of grids that cannot key their cells,
+        and of the read-only snapshot indexes)."""
+        scan = cls(counters)
+        scan._boxes = dict(BoxTable(eids, boxes).items())
+        scan._dense = (eids, boxes)
+        return scan
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         self._boxes = dict(validate_items(items))
@@ -93,6 +106,8 @@ class LinearScan(SpatialIndex):
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
         point = tuple(point)
+        if not all(map(math.isfinite, point)):  # ±inf too, as the grid refuses it
+            raise ValueError("query coordinates must be finite")
         self._check_query(point, len(point), "points")
         if k <= 0:
             return []
@@ -153,7 +168,7 @@ class LinearScan(SpatialIndex):
         self, points: np.ndarray | Sequence[Sequence[float]], k: int
     ) -> list[KNNResult]:
         pts = as_point_array(points)
-        if np.isnan(pts).any():
+        if not np.isfinite(pts).all():
             raise ValueError("query coordinates must be finite")
         m = pts.shape[0]
         if m == 0:

@@ -311,8 +311,8 @@ class GridJoin(JoinStrategy):
     ``range_query`` loop and its hits never become Python lists.  The grid's
     element tests during the probes are the join's comparisons.  The grid is
     probed once and discarded, so it is built read-only: the dense snapshot
-    the batch kernel queries, straight from A's arrays, with no bucket dicts
-    underneath — only an unlinearizable resolution still gets buckets.
+    the batch kernel queries, straight from A's arrays — only an
+    unlinearizable resolution gets a live grid, which answers by scanning.
     """
 
     name = "grid"

@@ -7,7 +7,7 @@ query-equivalent engine from the attached views:
 
 * ``"grid"`` payloads carry the :class:`~repro.core.uniform_grid._GridSnapshot`
   arrays (compacted, so no overlay replay is needed) and rehydrate into a
-  read-only :class:`SnapshotGridIndex` — the worker probes the *same* bucket
+  read-only :class:`SnapshotGridIndex` — the worker probes the *same* cell
   tables the parent built, through the same vectorized kernels.
 * ``"tree"`` payloads carry an R-tree family index's own structure — the
   packed-entry node tables of :meth:`~repro.indexes.rtree.RTree.export_tree`
@@ -119,10 +119,10 @@ def index_fingerprint(index: SpatialIndex) -> tuple:
 
 class _ReadOnlyShell:
     """What the three rehydrated indexes share: mutations raise, and the
-    scalar paths (which the batch kernels fall back to, and which cannot walk
-    structures that never crossed the process boundary) answer through a
-    lazily built :class:`~repro.indexes.linear_scan.LinearScan` over the
-    shell's ``_tables()`` — identical answers by the ordering contract."""
+    scalar paths (which cannot walk structures that never crossed the
+    process boundary) answer through a lazily built
+    :class:`~repro.indexes.linear_scan.LinearScan` over the shell's
+    ``_tables()`` — identical answers by the ordering contract."""
 
     _oracle: LinearScan | None = None
 
@@ -133,11 +133,9 @@ class _ReadOnlyShell:
 
     def _scan(self) -> LinearScan:
         if self._oracle is None:
-            eids, boxes = self._tables()  # type: ignore[attr-defined]
-            oracle = LinearScan(counters=self.counters)  # type: ignore[attr-defined]
-            oracle._boxes = dict(BoxTable(eids, boxes).items())
-            oracle._dense = (eids, boxes)
-            self._oracle = oracle
+            self._oracle = LinearScan.over(
+                *self._tables(), counters=self.counters  # type: ignore[attr-defined]
+            )
         return self._oracle
 
     def range_query(self, box: AABB) -> list[int]:
@@ -172,9 +170,8 @@ class SnapshotGridIndex(_ReadOnlyShell, UniformGrid):
 
     The dense ``_GridSnapshot`` tables are adopted directly (typically as
     views over shared memory), so the vectorized ``batch_range_query`` /
-    ``batch_knn`` paths run unchanged.  The scalar paths — which the batch
-    kernels fall back to on oversized cell windows — cannot walk the absent
-    bucket dicts, so they delegate to a lazily built
+    ``batch_knn`` paths run unchanged.  The scalar paths have no ``AABB``
+    view to re-score kNN with, so they delegate to a lazily built
     :class:`~repro.indexes.linear_scan.LinearScan` oracle over the same
     tables (identical answers by the ordering contract).  Mutations raise.
     """
@@ -191,7 +188,7 @@ class SnapshotGridIndex(_ReadOnlyShell, UniformGrid):
     def over(
         cls, eids: np.ndarray, boxes: np.ndarray, universe: AABB, cell_size: float | None = None
     ) -> "SnapshotGridIndex | None":
-        """A read-only grid straight from element arrays, no buckets built:
+        """A read-only grid straight from element arrays:
         exactly what ``UniformGrid(universe, cell_size).bulk_load`` of the same
         rows would snapshot (same default resolution, same packed tables), for
         probe-once grids.  ``None`` when the resolution is unlinearizable."""

@@ -166,3 +166,10 @@ def grid_windows(grid) -> dict[int, tuple[int, ...]]:
     eids, _, alive = store.tables()
     live = np.flatnonzero(alive)
     return dict(zip(eids[live].tolist(), map(tuple, store.window_table()[live].tolist())))
+
+
+def placed_items(grid) -> list:
+    """A ``UniformGrid``'s ``(eid, box)`` items in placement order (store
+    order): what a fresh ``bulk_load`` needs to answer batch queries with the
+    same ids in the same order."""
+    return [(eid, grid._boxes[eid]) for eid in grid_windows(grid)]

@@ -3,7 +3,7 @@
 Pinned here:
 
 * `UniformGrid.apply_moves` leaves exactly what the scalar `update` loop
-  leaves — buckets (ids and order), windows, boxes, the snapshot's patches and
+  leaves — windows (ids and placement order), boxes, the snapshot's patches and
   dirt, batch answers (ids and order) and every counter — for batches below
   and above the compaction threshold, on base and overlay rows;
 * a batch the grid refuses mutates nothing (grid, snapshot, counters);
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import UNIVERSE_2D, UNIVERSE_3D, grid_windows, make_items
+from conftest import UNIVERSE_2D, UNIVERSE_3D, grid_windows, make_items, placed_items
 from repro import INDEX_REGISTRY, ContinuousJoinSpec, ContinuousSession, make_index
 from repro.core.uniform_grid import UniformGrid, _compaction_threshold
 from repro.geometry.aabb import AABB
@@ -63,8 +63,7 @@ def write_state(grid: UniformGrid):
         list(snap.extra_first),
     )
     return (
-        list(grid._boxes.items()), windows,
-        {key: list(bucket) for key, bucket in grid._buckets().items()}, patches,
+        list(grid._boxes.items()), windows, patches,
         grid.in_place_updates, grid.cell_switches, grid.snapshot_rebuilds,
         grid.counters.snapshot(),
     )
@@ -106,7 +105,7 @@ class TestUniformGridEqualsTheScalarLoop:
             (30, 350, 30): [False, True, False], (150, 150): [False, True],
         }[sizes]
         fresh = UniformGrid(universe=UNIVERSE, cell_size=2.0)
-        fresh.bulk_load(list(batched._boxes.items()))
+        fresh.bulk_load(placed_items(batched))
         assert read_state(batched)[0] == read_state(fresh)[0]
 
     def test_a_dropped_batch_patches_nothing(self):

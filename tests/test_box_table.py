@@ -29,6 +29,7 @@ from repro import (
     PairJoinSpec,
     SelfJoinSpec,
 )
+from repro.core import uniform_grid
 from repro.datasets.neuroscience import generate_neurons
 from repro.exec import pbsm_working_set_bytes
 from repro.geometry.aabb import union_all
@@ -430,14 +431,24 @@ class TestGridJoinReadOnlyGrid:
             results.append((pairs.tolist(), counters.comparisons, counters.cells_probed))
         assert results[0] == results[1]
 
-    def test_oversized_probe_windows_fall_back_and_stay_exact(self, neurons, monkeypatch):
-        # The fallback answers each probe with a scalar scan: keep it small.
-        part = neurons[:1500]
-        expected = self._self_join(part, monkeypatch, bucket_grid=False)
-        monkeypatch.setattr("repro.core.uniform_grid._BATCH_WINDOW_CAP", 1000)
-        capped = self._self_join(part, monkeypatch, bucket_grid=False)
-        assert capped[0] == expected[0] and expected[0]
-        assert capped[1] == len(part) ** 2 > expected[1]  # every probe scanned every row
+    def test_probe_windows_wider_than_the_occupied_cells_stay_exact(self, neurons, monkeypatch):
+        # An ε past the hull makes every probe window the whole grid, wider
+        # than the occupied cells: each gathers from the occupied keys alone.
+        part = neurons[:400]
+        walked = []
+        real = uniform_grid._walk_cells
+        monkeypatch.setattr(
+            uniform_grid, "_walk_cells",
+            lambda table, keys, *rest: walked.append((len(keys), len(table[0])))
+            or real(table, keys, *rest),
+        )
+        epsilon = float(np.max(part.hull().extents()))
+        counters = Counters()
+        pairs = make_join_strategy("grid").distance_candidates(part, None, epsilon, counters)
+        nested = make_join_strategy("nested_loop").distance_candidates(part, None, epsilon, Counters())
+        assert pair_list(pairs) == pair_list(nested) and len(pairs) == 400 * 399 // 2
+        assert counters.comparisons == len(part) ** 2  # every probe window shares a cell with every row
+        assert walked and all(gathered <= occupied for gathered, occupied in walked)
 
     def test_unlinearizable_universe_uses_the_bucket_grid(self, monkeypatch):
         # 3 axes of ~2M cells each: linear cell keys would overflow int64.

@@ -133,13 +133,66 @@ class TestUniformGrid:
         grid.bulk_load([(1, outside)])
         assert grid.range_query(AABB((19, 19, 19), (22, 22, 22))) == [1]
 
+    def test_occupied_cells_and_memory_count_the_live_windows(self, items_3d):
+        """Counted from the live windows after moves and a delete, and
+        without packing a snapshot; an empty reload counts nothing."""
+        import math
+
+        import numpy as np
+
+        grid = UniformGrid(universe=UNIVERSE_3D, cell_size=5.0)
+        grid.bulk_load(items_3d)
+        for eid, box in items_3d[:40]:
+            grid.update(eid, box, AABB(np.add(box.lo, 7.0), np.add(box.hi, 7.0)))
+        grid.delete(*items_3d[50])
+        windows = list(grid_windows(grid).values())
+        cells = {cell for w in windows for cell in product(*map(range, w[:3], np.add(w[3:], 1)))}
+        entries = sum(math.prod(hi - lo + 1 for lo, hi in zip(w[:3], w[3:])) for w in windows)
+        assert grid.occupied_cells == len(cells)
+        assert grid.memory_bytes() == len(grid) * 3 * 16 + entries * 8 + len(cells) * 16
+        assert grid.snapshot_rebuilds == 0 and grid._snapshot is None
+        grid.bulk_load([])
+        assert grid.occupied_cells == 0 and grid.memory_bytes() == 0
+
+    def test_unlinearizable_grid_answers_like_one_built_by_inserts(self):
+        """~2M cells per axis: no int64 cell key, so there is no snapshot and
+        the grid answers through ``LinearScan``'s kernels over its live rows
+        (``elem_tests`` = queries × elements); a bulk-loaded grid and one
+        built by inserts answer, and count their cells, alike."""
+        import numpy as np
+
+        from repro.indexes.linear_scan import LinearScan
+
+        rng = np.random.default_rng(5)
+        items = [(eid, AABB(p, p + 2e-4)) for eid, p in enumerate(rng.uniform(0.0, 100.0, (80, 3)))]
+        bulk = UniformGrid(universe=AABB((0.0,) * 3, (100.0,) * 3), cell_size=5e-5)
+        bulk.bulk_load(items)
+        one_by_one = UniformGrid(universe=bulk.universe, cell_size=5e-5)
+        for eid, box in items:
+            one_by_one.insert(eid, box)
+        scan = LinearScan()
+        scan.bulk_load(items)
+        windows = [items[0][1], AABB((10.0,) * 3, (60.0,) * 3), bulk.universe]
+        points = rng.uniform(0.0, 100.0, (5, 3)).tolist()
+        for grid in (bulk, one_by_one):
+            before = grid.counters.snapshot()
+            assert grid.batch_range_query(windows) == scan.batch_range_query(windows)
+            assert grid.counters.diff(before).elem_tests == len(windows) * len(items)
+            assert [grid.range_query(box) for box in windows] == scan.batch_range_query(windows)
+            assert grid.batch_knn(points, 4) == scan.batch_knn(points, 4)
+            assert [grid.knn(point, 4) for point in points] == [scan.knn(point, 4) for point in points]
+            assert grid.snapshot_rebuilds == 0 and grid._snapshot is None
+        windows = grid_windows(bulk).values()
+        cells = {cell for w in windows for cell in product(*map(range, w[:3], np.add(w[3:], 1)))}
+        assert bulk.occupied_cells == one_by_one.occupied_cells == len(cells)
+        assert bulk.memory_bytes() == one_by_one.memory_bytes()
+
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_scalar_coords_agree_with_vectorized(self, lazy):
-        """``_window`` reads per-axis (origin, top) invariants fixed at
-        configuration time; it and ``update`` must place every box exactly
-        where the vectorized ``_cell_coords`` (the snapshot's and
-        ``bulk_load``'s arithmetic) does — outside the universe, on its top edge, and on a grid that
-        configured itself from its first ``insert``."""
+    def test_updates_place_boxes_where_cell_coords_do(self, lazy):
+        """``update`` must place every box exactly where ``_cell_coords``
+        over the snapshot's per-axis (origin, top) invariants does — outside
+        the universe, on its top edge, and on a grid that configured itself
+        from its first ``insert``."""
         import numpy as np
 
         seed_box = AABB((0.0, 0.0, 0.0), (10.0, 10.0, 7.0))
@@ -164,12 +217,9 @@ class TestUniformGrid:
             corners = np.array([probe.lo, probe.hi], dtype=np.float64)
             vectorized = _cell_coords(corners, snap.origin, snap.cell, snap.tops).tolist()
             lo_cells, hi_cells = vectorized
-            assert grid._window(probe) == (*lo_cells, *hi_cells)
             grid.update(1, box, probe)
             box = probe
             assert grid_windows(grid)[1] == (*lo_cells, *hi_cells)
-            covered = set(product(*[range(lo, hi + 1) for lo, hi in zip(lo_cells, hi_cells)]))
-            assert {key for key, bucket in grid._buckets().items() if 1 in bucket} == covered
             assert 1 in grid.batch_range_query([probe])[0]  # the patched snapshot agrees
             assert sorted(grid.range_query(probe)) == sorted(grid.batch_range_query([probe])[0])
 

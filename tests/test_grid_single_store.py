@@ -1,20 +1,24 @@
 """`UniformGrid` stores each fact once — the pins for that representation.
 
-Boxes live in ``_boxes`` only, buckets hold ids, an element's cell set is its
-integer window, and the batch kernels avoid replication duplicates with the
-first-common-cell rule instead of removing them afterwards.  Pinned here:
+Boxes live in the row store, an element's cell set is its integer window,
+and the batch kernels avoid replication duplicates with the first-common-cell
+rule instead of removing them afterwards.  Pinned here:
 
 * the rule itself — ``_gather_candidates`` yields every window-sharing
   ``(query, row)`` pair exactly once, on base, dead and overlay rows;
-* list identity (ids *and* order) of the batch and scalar answers against a
-  frozen copy of the duplicate-then-``np.unique`` kernels this replaced;
+* list identity (ids *and* order) of the batch answers against a frozen copy
+  of the duplicate-then-``np.unique`` kernels this replaced, and scalar reads
+  as one-row calls of those kernels (same lists, same counters);
 * the write-path accounting on the paper's plasticity stream, and that an
   in-place move enumerates no cells;
 * the exported ``entry_first`` array serving identically from a worker;
 * the gather's passes (``_expand_windows``, ``_walk_cells`` inside
   ``_gather_candidates``) against an ``itertools.product`` enumeration and
-  the written rule, pairs *in order* and counters, in 1 to 4 dimensions, and
-  against digests of what the kernels produced before ISSUE 24 rewrote them;
+  the written rule, pairs *in order* and counters, in 1 to 4 dimensions, with
+  windows wider than the occupied cells among them, and against digests of
+  what the kernels produced at commit 5df08ea, before the gather was rewritten;
+* that no gather lists more keys per window than there are occupied cells
+  (one element on 256³ cells, scalar and batch reads);
 * the gather's temporary memory per enumerated entry;
 * refusal of boxes whose dimensionality differs from the grid's.
 """
@@ -30,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_windows, make_items, overlay_cells
+from conftest import grid_windows, make_items, overlay_cells, placed_items
 from repro import QuerySession, ShardedExecutor, WorkerPool
 from repro.core import uniform_grid
 from repro.core.multires_grid import MultiResolutionGrid
@@ -139,19 +143,6 @@ def reference_batch_knn(grid: UniformGrid, points, k: int):
             )
         active = active[~done]
         radius *= 2.0
-    return results
-
-
-def reference_range_query(grid: UniformGrid, box: AABB) -> list[int]:
-    """The former scalar walk: cells in mixed-radix order, first sighting wins."""
-    window = grid._window(box)
-    lo, hi = window[:3], window[3:]
-    seen, results = set(), []
-    for key in np.ndindex(*[h - l + 1 for l, h in zip(lo, hi)]):
-        for eid in grid._buckets().get(tuple(l + step for l, step in zip(lo, key)), ()):
-            if eid not in seen and grid._boxes[eid].intersects(box):
-                seen.add(eid)
-                results.append(eid)
     return results
 
 
@@ -287,12 +278,28 @@ class TestListIdentityWithTheFormerKernels:
         for k in (1, 6, 10_000):
             assert patched.batch_knn(points, k) == reference_batch_knn(patched, points, k)
 
-    def test_scalar_range_ids_and_order(self, patched):
+    def test_scalar_reads_are_one_row_kernel_calls(self, patched):
+        """A scalar range query answers the one-row batch list, ids and order,
+        and a scalar kNN the kernel's ids re-scored by the scalar distance;
+        each spends exactly the counters the one-row batch call spends."""
+        def spent(call):
+            before = patched.counters.snapshot()
+            return call(), patched.counters.diff(before)
+
         rng = np.random.default_rng(10)
-        for _ in range(60):
+        for _ in range(30):
             lo = rng.uniform(-2.0, 9.0, size=3)
             box = AABB(lo, lo + rng.uniform(0.0, 4.0, size=3))
-            assert patched.range_query(box) == reference_range_query(patched, box)
+            hits, counted = spent(lambda: patched.range_query(box))
+            assert (hits, counted) == spent(lambda: patched.batch_range_query([box])[0])
+            point = tuple(rng.uniform(-3.0, 13.0, size=3).tolist())
+            nearest, counted = spent(lambda: patched.knn(point, 6))
+            kernel, kernel_counted = spent(lambda: patched.batch_knn([point], 6)[0])
+            assert counted == kernel_counted and counted.cells_probed > 0
+            assert nearest == sorted(
+                (patched._boxes[eid].min_distance_to_point(point), eid) for _, eid in kernel
+            )
+        assert patched.snapshot_rebuilds == 1
 
     def test_kernels_test_each_pair_once(self, patched):
         """``elem_tests`` counts the pairs actually tested: the number of
@@ -328,22 +335,29 @@ def product_gather(snap, lo_cells, hi_cells):
     holds the rows whose window covers the cell, ascending), walked query by
     query and cell by cell in ``product`` order; a ``(query, cell, row)``
     survives iff on every axis the cell is the low cell of the query's window
-    or of the element's; dead rows drop out last.  Returns the pairs in that
-    order and what the call adds to ``cells_probed``."""
+    or of the element's; dead rows drop out last.  A window holding more
+    cells than the two bucket sets together lists only the cells some bucket
+    holds.  Returns the pairs in that order and what the call adds to
+    ``cells_probed``."""
     eids_all, boxes_all, alive = snap.tables()
     elem_lo = _cell_coords(boxes_all[:, 0, :], snap.origin, snap.cell, snap.tops).tolist()
     elem_hi = _cell_coords(boxes_all[:, 1, :], snap.origin, snap.cell, snap.tops).tolist()
     n_base = len(snap.eids)
     live_overlay = [n_base + idx for idx, ok in enumerate(snap.extra_alive) if ok]
-    pairs, probed = [], set()
-    for is_overlay, table_rows in ((False, range(n_base)), (True, live_overlay)):
-        buckets: dict[tuple, list[int]] = {}
+    tables: list[dict[tuple, list[int]]] = []
+    for table_rows in (range(n_base), live_overlay):
+        tables.append({})
         for row in table_rows:
             for cell in product(*[range(l, h + 1) for l, h in zip(elem_lo[row], elem_hi[row])]):
-                buckets.setdefault(cell, []).append(row)
+                tables[-1].setdefault(cell, []).append(row)
+    bound = sum(map(len, tables))
+    pairs, probed = [], set()
+    for is_overlay, buckets in enumerate(tables):
         for q, (lo, hi) in enumerate(zip(lo_cells.tolist(), hi_cells.tolist())):
+            wide = np.prod([h - l + 1 for l, h in zip(lo, hi)]) > bound
             for cell in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-                if cell in buckets or not is_overlay:  # every query cell, then the overlay's
+                listed = not wide or any(cell in table for table in tables)
+                if cell in buckets or (listed and not is_overlay):  # the listed cells, then the overlay's
                     probed.add((is_overlay, cell))
                 for row in buckets.get(cell, ()):
                     if all(c == ql or c == el for c, ql, el in zip(cell, lo, elem_lo[row])):
@@ -374,11 +388,13 @@ def random_boxes(rng, n: int, hi: np.ndarray, max_extent: float) -> list[AABB]:
     return [AABB(l, l + e) for l, e in zip(lo, rng.uniform(0.0, max_extent, size=lo.shape))]
 
 
-def patched_grid(dims: int, seed: int, n: int = 120) -> tuple[UniformGrid, AABB, np.random.Generator]:
+def patched_grid(
+    dims: int, seed: int, n: int = 120, top: tuple[float, ...] = (9.0, 7.0, 5.0, 3.0)
+) -> tuple[UniformGrid, AABB, np.random.Generator]:
     """A replicating ``dims``-d grid (ragged top cells) whose snapshot carries
     dead base rows, in-place rewrites, overlay rows and dead overlay rows."""
     rng = np.random.default_rng(seed)
-    hi = np.array([9.0, 7.0, 5.0, 3.0][:dims])
+    hi = np.array(top[:dims])
     universe = AABB((0.0,) * dims, hi)
     grid = UniformGrid(universe=universe, cell_size=2.0)
     state = dict(enumerate(random_boxes(rng, n, hi, 3.0)))
@@ -440,10 +456,23 @@ PARENT_KERNELS = {
 }
 
 
+# Universes of many cells for 16 small boxes: a window spanning one holds
+# more cells than the cell tables hold keys.
+SPARSE_TOPS = {1: (300.0,), 2: (60.0, 40.0), 3: (24.0, 20.0, 14.0), 4: (14.0, 12.0, 10.0, 8.0)}
+
+
 class TestGatherAgainstEnumeration:
-    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
-    def test_clean_and_patched_snapshots_in_every_dimensionality(self, dims):
-        grid, universe, rng = patched_grid(dims, seed=40 + dims)
+    @pytest.mark.parametrize("dims, sparse", [
+        *[pytest.param(dims, False, id=str(dims)) for dims in (1, 2, 3, 4)],
+        *[pytest.param(dims, True, id=f"{dims}-sparse") for dims in (1, 2, 3, 4)],
+    ])
+    def test_clean_and_patched_snapshots_in_every_dimensionality(self, dims, sparse):
+        """On the sparse grids the two windows spanning the universe are
+        wider than the occupied cells and gather from the occupied keys."""
+        if sparse:
+            grid, universe, rng = patched_grid(dims, seed=50 + dims, n=16, top=SPARSE_TOPS[dims])
+        else:
+            grid, universe, rng = patched_grid(dims, seed=40 + dims)
         snap = grid._snapshot
         hi = np.asarray(universe.hi)
         tops = snap.tops
@@ -455,10 +484,13 @@ class TestGatherAgainstEnumeration:
         assert (lo_cells[0] == hi_cells[0]).all()  # a one-cell window
         assert (hi_cells[1] == 0).all() and (lo_cells[2] == tops).all()  # clamped at each edge
         assert (lo_cells[3] == 0).all() and (hi_cells[3] == tops).all()  # the whole grid
+        volume = np.prod(hi_cells - lo_cells + 1, axis=1)
+        wide = volume > len(snap.keys) + len(snap.overlay_table()[0])
+        assert np.flatnonzero(wide).tolist() == ([3, 4] if sparse else [])
         assert assert_gather_equals_enumeration(grid, lo_cells, hi_cells) > len(grid)
         # The same windows on the compacted (clean) snapshot of the same state.
         clean = UniformGrid(universe=universe, cell_size=2.0)
-        clean.bulk_load(list(grid._boxes.items()))
+        clean.bulk_load(placed_items(grid))
         assert assert_gather_equals_enumeration(clean, *cell_windows(clean, windows)) > len(grid)
         assert clean.batch_range_query(windows) == grid.batch_range_query(windows)
 
@@ -493,6 +525,42 @@ class TestGatherAgainstEnumeration:
             (spent.cells_probed, spent.elem_tests, spent.bytes_touched, spent.heap_ops),
         )
         assert got == want
+
+
+class TestGatherIsBoundedByTheOccupiedCells:
+    """One element on 256³ cells: the kNN rings from the far corner and a
+    full-universe range query list at most the occupied cells per ring, on
+    the scalar path and the batch path alike (a walk of every cell in the
+    window took seconds per query)."""
+
+    @pytest.fixture
+    def lonely(self, monkeypatch):
+        grid = UniformGrid(universe=AABB((0.0,) * 3, (256.0,) * 3), cell_size=1.0)
+        grid.bulk_load([(7, AABB((0.2,) * 3, (0.4,) * 3))])
+        walked: list[int] = []
+        real = uniform_grid._walk_cells
+        monkeypatch.setattr(
+            uniform_grid, "_walk_cells",
+            lambda table, keys, *rest: walked.append(len(keys)) or real(table, keys, *rest),
+        )
+        return grid, walked
+
+    def test_knn_from_the_far_corner(self, lonely):
+        grid, walked = lonely
+        far = (255.9,) * 3
+        want = [(grid._boxes[7].min_distance_to_point(far), 7)]
+        for ask in (lambda: grid.knn(far, 3), lambda: grid.batch_knn([far], 3)[0]):
+            walked.clear()
+            assert [(round(d, 9), eid) for d, eid in ask()] == [(round(want[0][0], 9), 7)]
+            assert len(walked) == 10 and max(walked) <= grid.occupied_cells == 1  # ten rings
+        assert grid.knn(far, 3) == want  # the scalar distance, bit for bit
+
+    def test_full_universe_range_query(self, lonely):
+        grid, walked = lonely
+        before = grid.counters.snapshot()
+        assert grid.range_query(grid.universe) == [7]
+        assert grid.batch_range_query([grid.universe, grid.universe]) == [[7], [7]]
+        assert walked == [1, 1] and grid.counters.diff(before).cells_probed == 2
 
 
 def test_gather_temporaries_per_enumerated_entry():
@@ -542,18 +610,12 @@ class TestWritePathAccounting:
         assert (grid.snapshot_rebuilds, grid.counters.updates) == (4, 30_000)
         assert round(grid.replication_factor, 6) == 5.282
 
-    @pytest.mark.parametrize("built", [True, False], ids=["built", "unbuilt"])
-    def test_in_place_move_enumerates_no_cells(self, monkeypatch, built):
+    def test_in_place_move_enumerates_no_cells(self, monkeypatch):
         grid = UniformGrid(universe=UNIVERSE, cell_size=2.0)
         box = AABB((1.0, 1.0, 1.0), (3.0, 3.0, 3.0))
         grid.bulk_load([(1, box), (2, AABB((5.0, 5.0, 5.0), (5.5, 5.5, 5.5)))])
         grid.batch_range_query([UNIVERSE])
-        assert grid.range_query(UNIVERSE) == [1, 2] if built else grid._cells is None
-        enumerations, expansions = [], []
-        real = uniform_grid._window_cells
-        monkeypatch.setattr(
-            uniform_grid, "_window_cells", lambda w: enumerations.append(w) or real(w)
-        )
+        expansions = []
         expand = uniform_grid._expand_windows
         monkeypatch.setattr(
             uniform_grid, "_expand_windows",
@@ -562,26 +624,22 @@ class TestWritePathAccounting:
         nudged = AABB((1.2, 1.2, 1.2), (3.2, 3.2, 3.2))
         grid.update(1, box, nudged)
         assert (grid.in_place_updates, grid.cell_switches) == (1, 0)  # the read settles
-        assert (enumerations, expansions) == ([], [])
+        assert expansions == []
         assert grid.batch_range_query([AABB((3.1, 3.1, 3.1), (3.3, 3.3, 3.3))]) == [[1]]
         expansions.clear()  # the query's own windows
         grid.update(1, nudged, AABB((1.2, 1.2, 1.2), (4.2, 3.2, 3.2)))  # one more cell on x
         assert grid.cell_switches == 1
-        # The snapshot entries from one expansion of the one switcher's window;
-        # the buckets, where built, enumerate its old window and its new one.
-        assert expansions == [1] and len(enumerations) == (2 if built else 0)
+        # The snapshot entries from one expansion of the one switcher's window.
+        assert expansions == [1]
 
-    def test_bulk_load_fills_buckets_in_input_order(self):
+    def test_bulk_load_places_rows_in_input_order(self):
         items = make_items(300, universe=UNIVERSE, max_extent=3.0, seed=11)
         bulk = UniformGrid(universe=UNIVERSE, cell_size=2.0)
         bulk.bulk_load(items)
         one_by_one = UniformGrid(universe=UNIVERSE, cell_size=2.0)
         for eid, box in items:
             one_by_one.insert(eid, box)
-        assert grid_windows(bulk) == grid_windows(one_by_one)
-        assert {k: list(v) for k, v in bulk._buckets().items()} == {
-            k: list(v) for k, v in one_by_one._buckets().items()
-        }
+        assert list(grid_windows(bulk).items()) == list(grid_windows(one_by_one).items())
         assert (bulk.cell_switches, bulk.in_place_updates) == (0, 0)
 
 
@@ -623,9 +681,7 @@ class TestDimensionalityIsChecked:
 
     def snapshot_of(self, grid):
         return (
-            dict(grid._boxes), grid_windows(grid),
-            {key: list(bucket) for key, bucket in grid._buckets().items()},
-            grid._snapshot, grid.counters.inserts, grid.counters.updates,
+            dict(grid._boxes), grid_windows(grid), grid._snapshot, grid.counters.inserts, grid.counters.updates,
             grid.cell_switches, grid.in_place_updates,
         )
 

@@ -11,14 +11,13 @@ oracles judge every read:
   ordered ``(distance, id)`` kNN lists);
 * :class:`PlacementModel`, a dict in placement order that re-appends an
   element on each cell switch (windows from ``_cell_coords``), for what the
-  scan cannot say: scalar ``range_query`` order (cells in window order, each
-  bucket in placement order), batch order (placement order), the in-place /
+  scan cannot say: batch order (placement order), the in-place /
   cell-switch split and when the snapshot is repacked.
 
-A refused write must leave grid, counters and snapshot as they were.  The
-machine runs with the buckets built (scalar reads interleaved) and unbuilt
-(no scalar read until the end; writes must never build them), each with the
-compaction threshold low (the snapshot drops often) and out of reach (it
+Scalar reads are the batch kernels on one row: their range hits equal the
+batch answer, and they pack a snapshot as a batch read does.  A refused write
+must leave grid, counters and snapshot as they were.  The machine runs with
+the compaction threshold low (the snapshot drops often) and out of reach (it
 patches forever).
 """
 
@@ -109,24 +108,11 @@ class PlacementModel:
             self.rebuilds += 1
             self.packed, self.dirt, self.base = True, 0, len(self.order)
 
-    def scalar_order(self, query: AABB) -> list[int]:
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for eid, (_, window) in self.order.items():
-            for cell in self.cells(window):
-                buckets.setdefault(cell, []).append(eid)
-        hits: dict[int, None] = {}
-        for cell in self.cells(self.window(query)):
-            for eid in buckets.get(cell, ()):
-                if self.order[eid][0].intersects(query):
-                    hits[eid] = None
-        return list(hits)
-
     def batch_order(self, query: AABB) -> list[int]:
         return [eid for eid, (box, _) in self.order.items() if box.intersects(query)]
 
 
 class GridWriteMachine(RuleBasedStateMachine):
-    BUILT = True
     DIRTY_MIN = 4
 
     def __init__(self) -> None:
@@ -137,16 +123,9 @@ class GridWriteMachine(RuleBasedStateMachine):
         self.oracle = LinearScan()
         self.model = PlacementModel()
         self.next_id = 0
-        self.unbuilt = False
 
     def teardown(self) -> None:
-        try:
-            if self.unbuilt and self.model.order:
-                # The first scalar read builds the buckets from the store.
-                for query in (UNIVERSE, AABB((1.0, 1.0, 1.0), (6.0, 4.0, 3.0))):
-                    assert self.grid.range_query(query) == self.model.scalar_order(query)
-        finally:
-            uniform_grid._SNAPSHOT_DIRTY_MIN = self.saved_min
+        uniform_grid._SNAPSHOT_DIRTY_MIN = self.saved_min
 
     # -- helpers ----------------------------------------------------------------
 
@@ -156,14 +135,14 @@ class GridWriteMachine(RuleBasedStateMachine):
     def fingerprint(self):
         """What a refused write must leave alone (read without settling)."""
         grid = self.grid
-        return list(grid._boxes.items()), grid.counters.snapshot(), grid._snapshot, grid._cells
+        return list(grid._boxes.items()), grid.counters.snapshot(), grid._snapshot
 
     def refused(self, error, call) -> None:
         before = self.fingerprint()
         with pytest.raises(error):
             call()
         after = self.fingerprint()
-        assert after[:2] == before[:2] and after[2] is before[2] and after[3] is before[3]
+        assert after[:2] == before[:2] and after[2] is before[2]
 
     def move(self, eid: int, box: AABB) -> None:
         self.grid.update(eid, self.model.order[eid][0], box)
@@ -180,9 +159,6 @@ class GridWriteMachine(RuleBasedStateMachine):
         self.oracle.bulk_load(items)
         self.model.load(items)
         self.next_id = n
-        self.unbuilt = not self.BUILT and n > 0  # an empty load builds empty buckets
-        if self.BUILT and n:
-            assert self.grid.range_query(UNIVERSE) == self.model.scalar_order(UNIVERSE)
 
     @rule(seed=st.integers(0, 1 << 16))
     def insert(self, seed):
@@ -276,14 +252,14 @@ class GridWriteMachine(RuleBasedStateMachine):
 
     # -- reads --------------------------------------------------------------------
 
-    @precondition(lambda self: self.BUILT)
     @rule(seed=st.integers(0, 1 << 16), k=st.integers(1, 6))
     def scalar_reads(self, seed, k):
         rng = np.random.default_rng(seed)
         query = random_box(rng)
         got = self.grid.range_query(query)
-        assert got == self.model.scalar_order(query)
-        assert sorted(got) == sorted(self.oracle.range_query(query))
+        self.model.batch_read()
+        assert set(got) == set(self.oracle.range_query(query))
+        assert got == self.grid.batch_range_query([query])[0]
         point = rng.uniform(-1.0, 11.0, size=3).tolist()
         assert self.grid.knn(point, k) == self.oracle.knn(point, k)
 
@@ -315,20 +291,15 @@ class GridWriteMachine(RuleBasedStateMachine):
             oracle.inserts, oracle.deletes, oracle.updates)
 
     @invariant()
-    def length_and_buckets(self):
+    def length(self):
         assert len(self.grid) == len(self.model.order)
-        if self.unbuilt:
-            assert self.grid._cells is None
 
 
-def machine(built: bool, dirty_min: int):
-    return type(f"Machine_{built}_{dirty_min}", (GridWriteMachine,),
-                {"BUILT": built, "DIRTY_MIN": dirty_min})
+def machine(dirty_min: int):
+    return type(f"Machine_{dirty_min}", (GridWriteMachine,), {"DIRTY_MIN": dirty_min})
 
 
 RUN = settings(max_examples=30, stateful_step_count=30, deadline=None)
 
-TestBuiltDropping = RUN(machine(True, 4)).TestCase
-TestBuiltPatching = RUN(machine(True, 1 << 30)).TestCase
-TestUnbuiltDropping = RUN(machine(False, 4)).TestCase
-TestUnbuiltPatching = RUN(machine(False, 1 << 30)).TestCase
+TestDropping = RUN(machine(4)).TestCase
+TestPatching = RUN(machine(1 << 30)).TestCase

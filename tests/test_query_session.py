@@ -41,6 +41,7 @@ from repro import (
     make_index,
 )
 from repro.indexes.linear_scan import LinearScan
+from repro.serving.snapshots import SnapshotGridIndex
 
 UNIVERSE = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 
@@ -348,15 +349,24 @@ class TestExecutorEquivalence:
     }
 
     @pytest.mark.parametrize("case", list(HOSTILE))
-    @pytest.mark.parametrize("name", ["uniform_grid", "linear_scan"])
+    @pytest.mark.parametrize(
+        "name", ["uniform_grid", "linear_scan", "multires_grid", "snapshot_grid"]
+    )
     def test_inline_and_batch_agree_on_hostile_input(self, loaded, name, case):
         """The heuristic may send any batch inline, so the scalar path must
         answer what the kernels answer, or raise the same exception type:
         inverted windows are empty intersections, ±inf window corners clamp
-        to the universe, NaN and wrong-dimension queries are refused."""
+        to the universe, NaN, ±inf kNN points and wrong-dimension queries are
+        refused.  ``snapshot_grid`` is a read-only grid rehydrated from a
+        live grid's ``snapshot_export()``, whose scalar path is a scan."""
         items, _ = loaded
-        index = build_index(name)
-        index.bulk_load(items)
+        if name == "snapshot_grid":
+            grid = build_index("uniform_grid")
+            grid.bulk_load(items)
+            index = SnapshotGridIndex(*grid.snapshot_export())
+        else:
+            index = build_index(name)
+            index.bulk_load(items)
         kind, payload, k = self.HOSTILE[case]
         payload = np.asarray(payload, dtype=np.float64)
 
@@ -373,7 +383,7 @@ class TestExecutorEquivalence:
 
         inline, batch = ask(InlineExecutor()), ask(BatchExecutor())
         assert inline == batch
-        if "nan" in case or "2d" in case:
+        if "nan" in case or "2d" in case or "inf_probe" in case:
             assert batch is ValueError
         if case == "inverted_window":
             assert batch == [[]]

@@ -223,15 +223,27 @@ class TestRangeHits:
         assert csr_lists(grid.batch_range_hits(far)) == grid.batch_range_query(far) == [[], [], []]
         assert csr_lists(empty.batch_range_hits(far)) == empty.batch_range_query(far) == [[], [], []]
 
-    def test_oversized_windows_fall_back_to_the_scalar_walk(self, monkeypatch):
-        grid, _ = loaded_grid(np.random.default_rng(12), n=60)
+    def test_windows_wider_than_the_occupied_cells_stay_exact(self):
+        """The universe window holds more cells than the cell table holds
+        keys, so it gathers from the occupied keys and probes only those."""
+        grid, state = loaded_grid(np.random.default_rng(12), n=60)
         windows = [UNIVERSE, AABB((1.0,) * 3, (9.0,) * 3)]
-        expected = grid.batch_range_query(windows)
-        monkeypatch.setattr(uniform_grid, "_BATCH_WINDOW_CAP", 10)
-        assert [sorted(hits) for hits in csr_lists(grid.batch_range_hits(windows))] == [
-            sorted(hits) for hits in expected
+        snap = grid._ensure_snapshot()
+        corners = np.array([[box.lo, box.hi] for box in windows])
+        lo_cells, hi_cells = (_cell_coords(corners[:, at], snap.origin, snap.cell, snap.tops)
+                              for at in (0, 1))
+        volume = np.prod(hi_cells - lo_cells + 1, axis=1)
+        assert volume[0] > len(snap.keys) >= volume[1]
+        scan = LinearScan()
+        scan.bulk_load(list(state.items()))
+        before = grid.counters.snapshot()
+        hits = csr_lists(grid.batch_range_hits(windows))
+        probed = grid.counters.diff(before).cells_probed
+        assert probed <= len(snap.keys) + volume[1] < volume[0]  # not every cell of the first
+        assert [sorted(ids) for ids in hits] == [
+            sorted(ids) for ids in scan.batch_range_query(windows)
         ]
-        assert grid.batch_range_query(windows) == [grid.range_query(box) for box in windows]
+        assert grid.batch_range_query(windows) == [grid.range_query(box) for box in windows] == hits
 
 
 # -- (b) batch kNN against the loop it replaced ----------------------------------------

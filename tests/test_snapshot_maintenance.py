@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import knn_pairs, make_items, make_queries, overlay_cells
+from conftest import knn_pairs, make_items, make_queries, overlay_cells, placed_items
 from repro.core import uniform_grid
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.uniform_grid import UniformGrid, _expand_windows
@@ -269,7 +269,7 @@ class TestOverlayCellTable:
 
         got, got_counts = self.kernel_answers(grid, windows, points)
         rebuilt = UniformGrid(universe=self.UNIVERSE, cell_size=2.0)
-        rebuilt.bulk_load(list(grid._boxes.items()))
+        rebuilt.bulk_load(placed_items(grid))
         assert got == self.kernel_answers(rebuilt, windows, points)[0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
