@@ -12,14 +12,13 @@ switch rate stays below a few percent (the §4.3 claim).
 
 from __future__ import annotations
 
-from repro.analysis.reporting import format_table
 from repro.core.resolution import optimal_cell_size
 from repro.core.uniform_grid import UniformGrid
 from repro.datasets.queries import random_range_queries
 from repro.datasets.trajectories import PlasticityMotion
 from repro.instrumentation.costmodel import MemoryCostModel
 
-from bench_common import emit
+from bench_common import record
 
 
 def test_cell_size_vs_update_cost(neuron_dataset, benchmark):
@@ -55,14 +54,13 @@ def test_cell_size_vs_update_cost(neuron_dataset, benchmark):
         return rows, switch_rates
 
     rows, switch_rates = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "Ablation — grid resolution vs plasticity-step update economics "
-        f"(optimum {optimum:.3f}):\n"
-        + format_table(
-            ["cell size", "cell-switch rate", "maintain ms", "query ms (50q)"], rows
-        )
-        + "\npaper: small motion => few grid cell switches (rate is governed "
-        "by displacement/cell-size)"
+    record(
+        "ablation_grid_updates",
+        ["cell size", "cell-switch rate", "maintain ms", "query ms (50q)"],
+        rows,
+        optimum=optimum,
+        paper="small motion => few grid cell switches (rate is governed by "
+        "displacement/cell-size)",
     )
 
     # The §4.3 claim, quantified: the switch rate falls monotonically as

@@ -1,29 +1,37 @@
-"""Shared workload builders for the benchmark harness.
+"""Shared fixtures and the result writer of the paper exhibits.
 
 This module deliberately is **not** named ``conftest.py``: pytest imports
 conftest files under the bare module name ``conftest``, so a helper module
 with that name in ``benchmarks/`` would shadow ``tests/conftest.py`` (or vice
 versa) whenever both directories are collected in one run.  The fixtures are
-re-exported by ``benchmarks/conftest.py``; bench modules import the plain
-helpers (``emit`` et al.) from here.
+re-exported by ``benchmarks/conftest.py``; exhibits import :func:`record`
+from here.
 
 Scale note: the paper's Appendix A uses 200 M elements (9 GB) on a 2013 SAS
-array; this harness runs the same *experiment designs* at 10⁴–10⁵ elements so
-that each bench finishes in seconds in pure Python.  Every bench prints the
-paper-style table/series it reproduces and asserts the claim's *shape* (who
-wins, what dominates, where the crossover falls) so the reproduction is
-checked, not just printed.
+array; the exhibits run the same *experiment designs* at 10⁴–10⁵ elements so
+that each finishes in seconds in pure Python.  Every exhibit records the
+paper-style table it reproduces and asserts the claim's *shape* (who wins,
+what dominates, where the crossover falls) so the reproduction is checked,
+not just printed.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 
 import pytest
 
+from repro.analysis.reporting import format_table
 from repro.datasets.neuroscience import NeuronDataset, generate_neurons
 from repro.datasets.queries import range_queries_for_selectivity
-from repro.geometry.aabb import AABB
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+OUT_DIR = os.path.join(HERE, "out")
+
+sys.path.insert(0, os.path.join(HERE, "ledger"))
+from harness import environment  # noqa: E402  (the ledger's environment block)
 
 # One shared neuron dataset per session: ~20k capsule segments.
 _NEURONS = 250
@@ -48,44 +56,18 @@ def paper_queries(neuron_dataset):
     )
 
 
-REPORT_PATH = "benchmark_report.txt"
+def record(exhibit: str, columns: list[str], rows: list[list], **facts) -> None:
+    """Write ``benchmarks/out/<exhibit>.json`` and print the table.
 
-
-def emit(text: str) -> None:
-    """Print a report and persist it to ``benchmark_report.txt``.
-
-    pytest captures per-test output, so the harness both writes to stderr
-    (visible with ``-s``) and appends to a report file that survives any
-    capture mode.
+    The file holds the table (``columns``, ``rows``), any headline ``facts``
+    (the paper's figure, a measured crossover) and the performance ledger's
+    environment block, so every exhibit names the machine it ran on.  The
+    table also goes to stdout, visible under ``pytest -s``.
     """
-    sys.stderr.write("\n" + text + "\n")
-    sys.stderr.flush()
-    with open(REPORT_PATH, "a") as report:
-        report.write(text + "\n\n")
-
-
-# -- shared uniform workloads (the n-elements / m-queries acceptance scale) --
-
-import numpy as np  # noqa: E402  (kept with its helpers, below the fixtures)
-
-
-def uniform_box_items(rng: np.random.Generator, n: int) -> list:
-    """n small uniform boxes in the benches' canonical 100³ universe."""
-    lo = rng.uniform(0.0, 99.0, size=(n, 3))
-    hi = np.minimum(lo + rng.uniform(0.05, 1.0, size=(n, 3)), 100.0)
-    return [(eid, AABB(l, h)) for eid, (l, h) in enumerate(zip(lo, hi))]
-
-
-def range_window_workload(n: int, m: int, seed: int = 0):
-    """(items, (m, 2, 3) synapse-scale query windows), one RNG stream."""
-    rng = np.random.default_rng(seed)
-    items = uniform_box_items(rng, n)
-    q_lo = rng.uniform(0.0, 98.0, size=(m, 3))
-    return items, np.stack([q_lo, np.minimum(q_lo + 2.0, 100.0)], axis=1)
-
-
-def knn_point_workload(n: int, m: int, seed: int = 0):
-    """(items, (m, 3) probe points), one RNG stream."""
-    rng = np.random.default_rng(seed)
-    items = uniform_box_items(rng, n)
-    return items, rng.uniform(0.0, 100.0, size=(m, 3))
+    os.makedirs(OUT_DIR, exist_ok=True)
+    result = {"exhibit": exhibit, "columns": columns, "rows": rows, **facts,
+              "env": environment()}
+    with open(os.path.join(OUT_DIR, f"{exhibit}.json"), "w") as handle:
+        json.dump(result, handle, indent=2, default=float)
+        handle.write("\n")
+    print(f"\n{exhibit}:\n{format_table(columns, rows)}")

@@ -12,13 +12,12 @@ queries.
 
 from __future__ import annotations
 
-from repro.analysis.reporting import format_table
 from repro.core.uniform_grid import UniformGrid
 from repro.sim.engine import TimeSteppedSimulation
 from repro.sim.monitors import RangeMonitor
 from repro.sim.plasticity import PlasticityModel
 
-from bench_common import emit
+from bench_common import record
 
 STEPS = 5
 
@@ -29,7 +28,7 @@ def test_fig1_simulation_timeline(neuron_dataset, benchmark):
     model = PlasticityModel(items, universe, neighbourhood_queries=16, seed=31)
     index = UniformGrid(universe=universe)
     monitor = RangeMonitor(universe, queries_per_step=50, extent=1.5, seed=32)
-    sim = TimeSteppedSimulation(model, index, monitors=[monitor], maintenance="update")
+    sim = TimeSteppedSimulation(model, index, monitors=[monitor])
 
     reports = benchmark.pedantic(lambda: sim.run(STEPS), rounds=1, iterations=1)
 
@@ -40,18 +39,16 @@ def test_fig1_simulation_timeline(neuron_dataset, benchmark):
             report.maintenance_seconds,
             report.monitor_seconds,
             report.moves,
-            report.strategy,
         ]
         for report in reports
     ]
-    emit(
-        f"Figure 1 — simulation timeline ({len(items)} elements):\n"
-        + format_table(
-            ["step", "compute s", "maintain s", "monitor s", "moves", "strategy"],
-            rows,
-        )
-        + "\npaper: analysis & update queries during the step, analysis "
-        "queries while monitoring"
+    record(
+        "fig1_timeline",
+        ["step", "compute s", "maintain s", "monitor s", "moves"],
+        rows,
+        elements=len(items),
+        paper="analysis & update queries during the step, analysis queries "
+        "while monitoring",
     )
 
     for report in reports:

@@ -13,12 +13,12 @@ in memory, and the modeled in-memory run is orders of magnitude faster.
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import disk_vs_memory_report
+from repro.analysis.breakdown import coarse_breakdown_rows
 from repro.indexes.disk_rtree import DiskRTree
 from repro.indexes.rtree import RTree
 from repro.instrumentation.costmodel import READING, DiskCostModel, MemoryCostModel
 
-from bench_common import emit
+from bench_common import record
 
 
 def _run_queries(index, queries, clear_cache=False):
@@ -45,16 +45,17 @@ def test_fig2_disk_vs_memory(neuron_items, paper_queries, benchmark):
     memory_counters, memory_hits = benchmark.pedantic(run_memory, rounds=1, iterations=1)
     assert disk_hits == memory_hits  # same answers on both substrates
 
-    disk_model = DiskCostModel()
-    memory_model = MemoryCostModel()
-    disk_breakdown = disk_model.breakdown(disk_counters).coarse()
-    memory_breakdown = memory_model.breakdown(memory_counters).coarse()
+    disk_breakdown = DiskCostModel().breakdown(disk_counters).coarse()
+    memory_breakdown = MemoryCostModel().breakdown(memory_counters).coarse()
 
-    emit(
-        "Figure 2 — query execution time breakdown (200 queries, "
-        f"{len(neuron_items)} elements, selectivity 5e-4 %):\n"
-        + disk_vs_memory_report(disk_counters, memory_counters)
-        + "\npaper: disk 96.7 % reading / memory 3.3 % reading, 2253 s -> 40 s"
+    record(
+        "fig2_disk_vs_memory",
+        ["configuration", "reading %", "computing %", "modeled s"],
+        coarse_breakdown_rows("R-Tree on Disk", disk_breakdown)
+        + coarse_breakdown_rows("R-Tree in Memory", memory_breakdown),
+        elements=len(neuron_items),
+        queries=len(paper_queries),
+        paper="disk 96.7 % reading / memory 3.3 % reading, 2253 s -> 40 s",
     )
 
     # Shape assertions (the paper's claims).

@@ -12,7 +12,6 @@ tests are a major share, reading data is small.
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import memory_breakdown_report
 from repro.indexes.rtree import RTree
 from repro.instrumentation.costmodel import (
     ELEM_TESTS,
@@ -21,7 +20,7 @@ from repro.instrumentation.costmodel import (
     MemoryCostModel,
 )
 
-from bench_common import emit
+from bench_common import record
 
 
 def test_fig3_memory_breakdown(neuron_items, paper_queries, benchmark):
@@ -37,11 +36,16 @@ def test_fig3_memory_breakdown(neuron_items, paper_queries, benchmark):
     counters = benchmark.pedantic(run, rounds=1, iterations=1)
     breakdown = MemoryCostModel().breakdown(counters)
 
-    emit(
-        "Figure 3 — in-memory R-tree breakdown "
-        f"({len(neuron_items)} elements, 200 queries):\n"
-        + memory_breakdown_report(counters)
-        + "\npaper: ~3.3 % reading, ~55 % tree tests, ~25 % element tests"
+    record(
+        "fig3_memory_breakdown",
+        ["category", "% of time", "modeled s"],
+        [
+            [category, breakdown.percent(category), seconds]
+            for category, seconds in breakdown.seconds.items()
+        ],
+        elements=len(neuron_items),
+        queries=len(paper_queries),
+        paper="~3.3 % reading, ~55 % tree tests, ~25 % element tests",
     )
 
     tests_share = breakdown.fraction(TREE_TESTS) + breakdown.fraction(ELEM_TESTS)

@@ -15,7 +15,6 @@ than the grid.
 
 from __future__ import annotations
 
-from repro.analysis.reporting import format_table
 from repro.core.resolution import optimal_cell_size
 from repro.core.uniform_grid import UniformGrid
 from repro.datasets.points import clustered_boxes
@@ -23,7 +22,7 @@ from repro.datasets.queries import random_range_queries
 from repro.geometry.aabb import AABB
 from repro.indexes.rtree import RTree
 
-from bench_common import emit
+from bench_common import record
 
 UNIVERSE = AABB((0, 0, 0), (100, 100, 100))
 
@@ -62,17 +61,16 @@ def test_fig4_partition_waste(benchmark):
     grid_tests, grid_hits, grid_waste = grid_stats
     assert rtree_hits == grid_hits  # identical answers
 
-    emit(
-        "Figure 4 — unnecessary element tests on elongated elements "
-        f"({len(items)} elements, 100 queries):\n"
-        + format_table(
-            ["index", "elem tests", "hits", "wasted fraction"],
-            [
-                ["R-tree (data-oriented)", rtree_tests, rtree_hits, rtree_waste],
-                ["Uniform grid (space-oriented)", grid_tests, grid_hits, grid_waste],
-            ],
-        )
-        + "\npaper: narrow data-oriented partitions => unnecessary tests"
+    record(
+        "fig4_partition_waste",
+        ["index", "elem tests", "hits", "wasted fraction"],
+        [
+            ["R-tree (data-oriented)", rtree_tests, rtree_hits, rtree_waste],
+            ["Uniform grid (space-oriented)", grid_tests, grid_hits, grid_waste],
+        ],
+        elements=len(items),
+        queries=len(queries),
+        paper="narrow data-oriented partitions => unnecessary tests",
     )
 
     assert rtree_waste > grid_waste, (

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.reporting import format_table
 from repro.core.amortization import MaintenanceCosts
 from repro.datasets.trajectories import PlasticityMotion
 from repro.indexes.rtree import RTree
 
-from bench_common import emit
+from bench_common import record
 
 FRACTIONS = (0.05, 0.1, 0.2, 0.38, 0.6, 0.8, 1.0)
 
@@ -59,13 +58,16 @@ def test_sec41_update_vs_rebuild(neuron_dataset, benchmark):
         winner = "update" if update_cost < rebuild_seconds else "rebuild"
         rows.append([f"{fraction:.0%}", update_cost, rebuild_seconds, winner])
 
-    emit(
-        "Section 4.1 — update vs rebuild per step "
-        f"({len(items)} elements, plasticity motion):\n"
-        + format_table(["changed", "update s", "rebuild s", "winner"], rows)
-        + f"\nmeasured crossover: {crossover:.1%} changed "
-        f"(paper: 38% at 200M elements; full update {full_update_seconds:.2f}s "
-        f"vs rebuild {rebuild_seconds:.2f}s)"
+    record(
+        "sec41_update_vs_rebuild",
+        ["changed", "update s", "rebuild s", "winner"],
+        rows,
+        elements=len(items),
+        crossover=crossover,
+        full_update_s=full_update_seconds,
+        rebuild_s=rebuild_seconds,
+        paper="updating is faster than a rebuild below 38 % changed "
+        "(200 M elements: full update 130 s vs rebuild 48 s)",
     )
 
     benchmark.pedantic(rebuild, rounds=1, iterations=1)

@@ -34,8 +34,8 @@ def clustered_workload(n: int, m: int, seed: int = 0):
 
 
 def main() -> None:
-    pts, probes = clustered_workload(n=20_000, m=2_000)
-    tree = SpillTree(tau=0.2, leaf_size=64, split_rule="kd", seed=0)
+    pts, probes = clustered_workload(n=3_000, m=300)
+    tree = SpillTree(tau=0.2, leaf_size=64)
     tree.bulk_load([(eid, AABB(p, p)) for eid, p in enumerate(pts.tolist())])
     session = QuerySession(tree)
     print(

@@ -8,19 +8,15 @@ monitors, a nearest-neighbour probe and a within-ε contact join are
 subscribed once to a :class:`~repro.continuous.ContinuousSession`, and each
 simulation tick yields exact deltas — who entered each region, which
 contacts formed and dissolved — maintained by whichever policy the planner
-routes to (recompute / incremental).  The same session then
-feeds an async :class:`~repro.serving.ContinuousServing` subscriber, the
-dashboard-facing shape of the serving tier.
+routes to (recompute / incremental).  A dashboard reads those deltas
+straight off ``tick``'s return value.
 """
-
-import asyncio
 
 from repro import (
     AABB,
     ContinuousJoinSpec,
     ContinuousKNNQuery,
     ContinuousRangeQuery,
-    ContinuousServing,
     ContinuousSession,
 )
 from repro.analysis.session_report import continuous_report
@@ -68,24 +64,6 @@ def main() -> None:
         )
 
     print("\n" + continuous_report(session))
-
-    # The push tier: an async subscriber receives the same deltas as a
-    # stream while the simulation keeps ticking.
-    async def dashboard() -> None:
-        async with ContinuousServing(session) as serving:
-            stream = serving.stream(region)
-            for _ in range(3):
-                moves = motion.step(live)
-                apply_moves(live, moves)
-                await serving.tick(moves)
-                delta = await stream.get()
-                print(
-                    f"pushed delta tick={delta.tick}: "
-                    f"+{len(delta.added)}/-{len(delta.removed)} "
-                    f"-> |octant|={len(region.result)}"
-                )
-
-    asyncio.run(dashboard())
 
 
 if __name__ == "__main__":

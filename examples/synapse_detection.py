@@ -18,13 +18,13 @@ from repro.sim import GrowthModel
 
 def main() -> None:
     # Start from small stubs and let them grow into each other.
-    dataset = generate_neurons(neurons=60, segments_per_neuron=5, seed=7)
+    dataset = generate_neurons(neurons=30, segments_per_neuron=5, seed=7)
     model = GrowthModel(dataset, epsilon=0.1, join_every=0, seed=8)
     index = UniformGrid(universe=dataset.universe)
-    sim = TimeSteppedSimulation(model, index, maintenance="update")
+    sim = TimeSteppedSimulation(model, index)
 
     print(f"growing {len(set(dataset.neuron_of.values()))} neurons...")
-    sim.run(25)
+    sim.run(12)
     print(f"tissue now has {len(dataset)} segments "
           f"(+{sum(model.grown)} grown during co-growth)")
 

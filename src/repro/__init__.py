@@ -98,8 +98,7 @@ when pinned)::
     contacts = session.subscribe(ContinuousJoinSpec(epsilon=0.05))
     deltas = session.tick(moves)        # {cqid: Delta(added=…, removed=…)}
 
-The serving tier pushes the same streams to async clients
-(:class:`ContinuousServing`); see ``examples/continuous_monitoring.py``.
+See ``examples/continuous_monitoring.py``.
 """
 
 from repro.geometry import AABB, BoxTable, Capsule, Point, Segment, Sphere
@@ -121,9 +120,7 @@ from repro.core import (
     GridCostModel,
     MaintenanceCosts,
     MultiResolutionGrid,
-    SpatialLSH,
     UniformGrid,
-    UpdateEconomics,
     optimal_cell_size,
 )
 from repro.engine import (
@@ -163,8 +160,6 @@ from repro.exec import (
 )
 from repro.serving import (
     AsyncExecutor,
-    ContinuousServing,
-    DeltaStream,
     FlushPolicy,
     ServingSession,
     WorkerPool,
@@ -182,13 +177,7 @@ from repro.continuous import (
     Insert,
     Subscription,
 )
-from repro.approx import (
-    SPLIT_RULES,
-    SpillTree,
-    SplitRule,
-    available_split_rules,
-    make_split_rule,
-)
+from repro.approx import SpillTree
 from repro.moving import BottomUpRTree, BufferedRTree, LURTree, TPRIndex
 from repro.mesh import DLS, FLAT, Mesh, Octopus
 from repro.sim import TimeSteppedSimulation
@@ -255,8 +244,6 @@ __all__ = [
     "Delta",
     "Insert",
     "Delete",
-    "ContinuousServing",
-    "DeltaStream",
     "AsyncExecutor",
     "FlushPolicy",
     "ServingSession",
@@ -279,16 +266,10 @@ __all__ = [
     "LooseOctree",
     "UniformGrid",
     "MultiResolutionGrid",
-    "SpatialLSH",
     "GridCostModel",
     "optimal_cell_size",
     "MaintenanceCosts",
-    "UpdateEconomics",
     "SpillTree",
-    "SplitRule",
-    "SPLIT_RULES",
-    "available_split_rules",
-    "make_split_rule",
     "LURTree",
     "BufferedRTree",
     "BottomUpRTree",

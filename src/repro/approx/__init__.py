@@ -1,4 +1,4 @@
-"""Approximate-kNN tier: spill trees with pluggable split rules.
+"""Approximate-kNN tier: the spill tree.
 
 Exactness past recall ~0.9 is wasted work at serving scale; this package
 adds the approximate tier behind the same ``SpatialIndex`` surface the
@@ -10,25 +10,5 @@ the defeatist sweep using the tree's measured recall.
 """
 
 from repro.approx.spill_tree import SpillTree
-from repro.approx.split_rules import (
-    SPLIT_RULES,
-    MaxVarianceKD,
-    PCASplit,
-    RandomProjection,
-    SplitRule,
-    TwoMeans,
-    available_split_rules,
-    make_split_rule,
-)
 
-__all__ = [
-    "SpillTree",
-    "SplitRule",
-    "MaxVarianceKD",
-    "RandomProjection",
-    "PCASplit",
-    "TwoMeans",
-    "SPLIT_RULES",
-    "available_split_rules",
-    "make_split_rule",
-]
+__all__ = ["SpillTree"]

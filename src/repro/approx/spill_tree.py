@@ -38,7 +38,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.approx.split_rules import SplitRule, make_split_rule
 from repro.geometry.aabb import AABB, as_point_array, batch_min_distance_to_points
 from repro.indexes.base import Item, KNNResult, validate_items
 from repro.indexes.linear_scan import LinearScan
@@ -100,14 +99,12 @@ class _FlatSpillTree:
         )
 
 
-def _build_flat_tree(
-    pts: np.ndarray,
-    leaf_size: int,
-    tau: float,
-    rule: SplitRule,
-    rng: np.random.Generator,
-) -> _FlatSpillTree:
-    """One recursive pass over row-index arrays, packed into flat arrays."""
+def _build_flat_tree(pts: np.ndarray, leaf_size: int, tau: float) -> _FlatSpillTree:
+    """One recursive pass over row-index arrays, packed into flat arrays.
+
+    Every split projects onto the node's axis of maximum variance (the
+    KD-tree's own heuristic) and thresholds at the median.
+    """
     dims = pts.shape[1]
     dirs: list[np.ndarray | None] = []
     thresh: list[float] = []
@@ -130,7 +127,8 @@ def _build_flat_tree(
         count = rows.shape[0]
         split = None
         if count > leaf_size:
-            direction = rule.direction(pts[rows], rng)
+            direction = np.zeros(dims)
+            direction[int(np.argmax(pts[rows].var(axis=0)))] = 1.0
             proj = pts[rows] @ direction
             cut = float(np.median(proj))
             lo_q, hi_q = np.quantile(proj, (0.5 - tau / 2.0, 0.5 + tau / 2.0))
@@ -188,12 +186,6 @@ class SpillTree(LinearScan):
     leaf_size:
         Points at or below which a node stops splitting.  Hybrid leaves
         (overlap stopped shrinking the split) may exceed it.
-    split_rule:
-        A :class:`~repro.approx.split_rules.SplitRule` name or instance
-        (``"kd"``, ``"rp"``, ``"pca"``, ``"two_means"``).
-    seed:
-        Seeds the per-rebuild generator the split rules draw from, so
-        builds (and approximate answers) reproduce.
     calibration_sample:
         Queries drawn from the data itself by :meth:`estimated_recall` to
         measure defeatist-vs-exact recall per ``k`` (cached until the next
@@ -207,8 +199,6 @@ class SpillTree(LinearScan):
         self,
         tau: float = 0.15,
         leaf_size: int = 64,
-        split_rule: str | SplitRule = "kd",
-        seed: int = 0,
         calibration_sample: int = 128,
         counters: Counters | None = None,
     ) -> None:
@@ -221,8 +211,6 @@ class SpillTree(LinearScan):
             raise ValueError(f"calibration_sample must be >= 1, got {calibration_sample}")
         self.tau = tau
         self.leaf_size = leaf_size
-        self.split_rule = make_split_rule(split_rule)
-        self.seed = seed
         self.calibration_sample = calibration_sample
         self._tree: _FlatSpillTree | None = None
         self._recall_cache: dict[int, float] = {}
@@ -267,13 +255,7 @@ class SpillTree(LinearScan):
     def _ensure_tree(self) -> _FlatSpillTree:
         if self._tree is None:
             _, data = self._dense_view()
-            self._tree = _build_flat_tree(
-                data[:, 0, :],
-                self.leaf_size,
-                self.tau,
-                self.split_rule,
-                np.random.default_rng(self.seed),
-            )
+            self._tree = _build_flat_tree(data[:, 0, :], self.leaf_size, self.tau)
         return self._tree
 
     def approx_batch_knn(

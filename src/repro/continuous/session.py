@@ -45,7 +45,7 @@ evaluation leaks.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.geometry.aabb import AABB
 from repro.indexes.base import Item, validate_items
@@ -113,8 +113,7 @@ class Subscription:
     ``result`` is the current exact answer (a set of eids for range, an
     ordered ``(distance, eid)`` list for kNN, a set of ``(low, high)`` pairs
     for joins) and always equals the accumulation of ``deltas`` over the
-    initial result.  ``listeners`` are called with each tick's delta —
-    the hook the serving tier's push streams attach to.
+    initial result.
     """
 
     def __init__(self, session: "ContinuousSession", spec: ContinuousSpec, pinned: str | None) -> None:
@@ -125,7 +124,6 @@ class Subscription:
         self.initial: Any = None
         self.deltas: list[Delta] = []
         self.latest: Delta | None = None
-        self.listeners: list[Callable[["Subscription", Delta], None]] = []
         self.routed: str | None = None  # policy currently holding per-spec state
         self.dirty = False
 
@@ -350,8 +348,6 @@ class ContinuousSession:
                     noun = "pairs" if sub.kind == "join" else "results"
                     self._count(f"continuous.{noun}_added", len(delta.added))
                     self._count(f"continuous.{noun}_removed", len(delta.removed))
-                    for listener in sub.listeners:
-                        listener(sub, delta)
                 if first_error is not None:
                     raise first_error
                 return deltas

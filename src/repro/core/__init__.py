@@ -14,8 +14,6 @@ built out:
   fanned across levels;
 * :mod:`~repro.core.resolution` — the analytical model the paper calls for,
   predicting query cost as a function of cell size and picking the optimum;
-* :class:`~repro.core.spatial_lsh.SpatialLSH` — locality-sensitive hashing
-  for kNN in low dimensions, no tree structure;
 * :mod:`~repro.core.amortization` — the Section 4.1 economics: when does
   updating beat rebuilding beat not indexing at all.
 """
@@ -23,15 +21,12 @@ built out:
 from repro.core.uniform_grid import UniformGrid
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.resolution import GridCostModel, optimal_cell_size
-from repro.core.spatial_lsh import SpatialLSH
-from repro.core.amortization import MaintenanceCosts, UpdateEconomics
+from repro.core.amortization import MaintenanceCosts
 
 __all__ = [
     "UniformGrid",
     "MultiResolutionGrid",
     "GridCostModel",
     "optimal_cell_size",
-    "SpatialLSH",
     "MaintenanceCosts",
-    "UpdateEconomics",
 ]

@@ -8,9 +8,9 @@ per step, even the rebuilt index may not amortize and a linear scan wins.
 
 This module makes those decisions first-class:
 
-* :class:`MaintenanceCosts` holds measured (or modeled) per-step costs;
-* :class:`UpdateEconomics` computes the crossover fraction and picks the
-  cheapest strategy for a step given the changed fraction and query count;
+* :class:`MaintenanceCosts` holds measured (or modeled) per-step costs,
+  prices a step under each :class:`Strategy` and computes the crossover
+  fraction;
 * :func:`calibrate` measures the costs empirically for any index/workload
   pair, which is exactly the experiment behind the paper's numbers.
 """
@@ -71,44 +71,6 @@ class MaintenanceCosts:
         return queries * self.query_scan
 
 
-class UpdateEconomics:
-    """Strategy chooser built on :class:`MaintenanceCosts`."""
-
-    def __init__(self, costs: MaintenanceCosts) -> None:
-        self.costs = costs
-
-    def choose(self, changed_fraction: float, queries: int) -> Strategy:
-        """Cheapest strategy for a step (ties prefer the simpler choice:
-        scan over rebuild over update)."""
-        options = [
-            (self.costs.step_cost(Strategy.SCAN, changed_fraction, queries), 0, Strategy.SCAN),
-            (
-                self.costs.step_cost(Strategy.REBUILD, changed_fraction, queries),
-                1,
-                Strategy.REBUILD,
-            ),
-            (
-                self.costs.step_cost(Strategy.UPDATE, changed_fraction, queries),
-                2,
-                Strategy.UPDATE,
-            ),
-        ]
-        options.sort()
-        return options[0][2]
-
-    def amortization_queries(self) -> float:
-        """Queries per step needed before *any* index beats the plain scan.
-
-        Below this count the paper's warning applies: "rebuilding an index
-        may no longer pay off as the cost cannot be amortized over enough
-        queries".
-        """
-        saving_per_query = self.costs.query_scan - self.costs.query_indexed
-        if saving_per_query <= 0.0:
-            return float("inf")
-        return self.costs.rebuild_fixed / saving_per_query
-
-
 def calibrate(
     index_factory: Callable[[], SpatialIndex],
     items: Sequence[Item],
@@ -135,15 +97,22 @@ def calibrate(
     index.range_query(query_boxes[0])
     rebuild_fixed = time.perf_counter() - start
 
-    sample = moved_items[: max(1, len(moved_items) // 10)]
+    sample = moved_items[: max(min(len(moved_items), 64), len(moved_items) // 10)]
     start = time.perf_counter()
     for eid, old_box, new_box in sample:
         index.update(eid, old_box, new_box)
-    index.range_query(query_boxes[0])  # a write-behind index (the grid) places them here
-    elapsed = time.perf_counter() - start
+    updates = time.perf_counter() - start
+    # A write-behind index (the grid) places the updates on its next read:
+    # charge what that read costs beyond the same read on the settled index.
+    # Only the positive part counts — two reads this short can time in
+    # either order, and a negative excess would price an update below zero.
     start = time.perf_counter()
-    index.range_query(query_boxes[0])  # ... less the same read on the settled index
-    update_per_element = (elapsed - (time.perf_counter() - start)) / len(sample)
+    index.range_query(query_boxes[0])
+    settling = time.perf_counter() - start
+    start = time.perf_counter()
+    index.range_query(query_boxes[0])
+    settled = time.perf_counter() - start
+    update_per_element = (updates + max(settling - settled, 0.0)) / len(sample)
     # Restore (and place) the original boxes so query timing sees a consistent dataset.
     for eid, old_box, new_box in sample:
         index.update(eid, new_box, old_box)

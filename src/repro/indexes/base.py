@@ -24,9 +24,9 @@ Move = tuple[int, AABB, AABB]
 # ``(distance, element_id)`` — ties at equal distance are broken by the
 # smaller id.  Every exact index (and every vectorized batch kernel)
 # implements this, so oracle comparisons can require list equality instead
-# of comparing distance multisets.  Approximate structures (SpatialLSH)
-# order whatever candidates they surface the same way but make no claim of
-# matching the oracle's answer set.
+# of comparing distance multisets.  The approximate tier
+# (``SpillTree.approx_batch_knn``) orders whatever candidates it surfaces the
+# same way but makes no claim of matching the oracle's answer set.
 KNNResult = list[tuple[float, int]]
 
 

@@ -30,7 +30,7 @@ class Counters:
     * ``bytes_touched`` — memory traffic over node/element payloads
       ("Reading Data" in memory, converted to cache lines);
     * ``cells_probed`` — grid cells visited;
-    * ``hash_probes`` — LSH bucket probes;
+    * ``hash_probes`` — hash-table probes (the mesh indexes' seed lookups);
     * ``heap_ops`` — kNN priority-queue pushes/pops;
     * ``comparisons`` — pairwise candidate comparisons in joins;
     * ``inserts`` / ``deletes`` / ``updates`` — index maintenance operations;

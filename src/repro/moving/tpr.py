@@ -14,7 +14,7 @@ here:
 * on plasticity-style Brownian motion the velocity estimates are noise, the
   uncertainty inflation balloons the effective boxes, and
   :attr:`re_anchors` (forced corrections) climbs toward one per element per
-  few steps — the benchmark in ``bench_moving_objects.py`` prints both.
+  few steps — ``tests/test_moving_objects.py::TestTPRIndex`` pins both.
 
 **The horizon cliff.**  An anchor older than ``horizon`` steps is re-anchored
 by its next position report whatever the prediction says, and a re-anchor is

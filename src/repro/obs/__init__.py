@@ -6,8 +6,7 @@ Three pieces, importable with zero repro dependencies (stdlib only):
   nesting, cross-process propagation, and Chrome ``trace_event`` export;
 * :mod:`~repro.obs.metrics` — named counters / gauges / fixed-bucket
   histograms in mergeable registries;
-* :mod:`~repro.obs.exposition` — Prometheus text + JSON renderers and a
-  stdlib HTTP endpoint.
+* :mod:`~repro.obs.exposition` — Prometheus text + JSON renderers.
 
 See README "Observability" for the naming scheme and the metrics table.
 """
@@ -33,7 +32,7 @@ from .trace import (
     span,
     tracing_enabled,
 )
-from .exposition import MetricsServer, render_json, render_prometheus
+from .exposition import render_json, render_prometheus
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -41,7 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "Span",
     "Tracer",
     "capture_worker",

@@ -1,5 +1,4 @@
-"""Live exposition: Prometheus text format, JSON snapshots, and an
-embeddable HTTP endpoint.
+"""Exposition: Prometheus text format and JSON snapshots.
 
 The renderers work off registry *snapshots* (plain dicts), so the same
 code serves a live registry, a merged multi-process snapshot, or a
@@ -10,8 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -85,57 +82,3 @@ def render_json(snapshot: Mapping[str, dict], indent: int | None = None) -> str:
             out[name] = {"kind": data["kind"], "value": data["value"]}
     return json.dumps(out, indent=indent)
 
-
-class MetricsServer:
-    """A tiny stdlib HTTP server exposing one snapshot callable.
-
-    ``GET /metrics`` → Prometheus text, ``GET /metrics.json`` → JSON.
-    Pass ``port=0`` to bind an ephemeral port (read it back from
-    ``server.port``).  The snapshot function runs per request, so scrapes
-    always see current values.
-    """
-
-    def __init__(self, snapshot_fn, host: str = "127.0.0.1", port: int = 0) -> None:
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                try:
-                    snapshot = snapshot_fn()
-                    if self.path.startswith("/metrics.json"):
-                        body = render_json(snapshot, indent=1).encode()
-                        ctype = "application/json"
-                    elif self.path.startswith("/metrics"):
-                        body = render_prometheus(snapshot).encode()
-                        ctype = "text/plain; version=0.0.4; charset=utf-8"
-                    else:
-                        self.send_error(404)
-                        return
-                except Exception as exc:  # surface, don't hang the scraper
-                    self.send_error(500, str(exc))
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # silence per-request stderr
-                return
-
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        self.host = host
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-metrics", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def url(self) -> str:
-        """Base URL; append ``/metrics`` or ``/metrics.json``."""
-        return f"http://{self.host}:{self.port}"
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)

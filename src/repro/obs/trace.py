@@ -15,7 +15,9 @@ share one clock and render as a single tree in Perfetto
 The tracer is **disabled by default** and the disabled path is a single
 dictionary-free call returning a cached no-op context manager; hot paths
 stay instrumented unconditionally and pay < 1 µs per span when tracing is
-off (asserted by ``benchmarks/bench_obs_overhead.py``).  Set
+off (``tests/test_obs.py::TestTracer::
+test_disabled_spans_cost_under_two_percent_of_a_flush`` bounds that cost
+against a query flush).  Set
 ``REPRO_TRACE=1`` to enable at import, or call :func:`enable_tracing`.
 """
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.approx.spill_tree import SpillTree
 from repro.core.multires_grid import MultiResolutionGrid
-from repro.core.spatial_lsh import SpatialLSH
 from repro.core.uniform_grid import UniformGrid
 from repro.indexes.base import SpatialIndex
 from repro.indexes.crtree import CRTree
@@ -46,7 +45,6 @@ INDEX_REGISTRY: dict[str, type[SpatialIndex]] = {
     "loose_octree": LooseOctree,
     "uniform_grid": UniformGrid,
     "multires_grid": MultiResolutionGrid,
-    "spatial_lsh": SpatialLSH,
     "spill_tree": SpillTree,
 }
 

@@ -23,20 +23,12 @@ adds the two missing pieces:
   ``await``-able.
 
 :class:`~repro.serving.async_executor.ServingSession` bundles both into the
-"heavy traffic" front door used by ``benchmarks/bench_serving.py`` and
-``examples/serving.py``.
-
-Continuous queries get the push-based counterpart
-(:mod:`repro.serving.push`): :class:`~repro.serving.push.ContinuousServing`
-wraps a :class:`~repro.continuous.ContinuousSession` so clients
-``subscribe()`` once and consume an async
-:class:`~repro.serving.push.DeltaStream` of exact per-tick deltas while the
-producer ``await tick(updates)``-s maintenance off-loop.
+"heavy traffic" front door used by the performance ledger's ``serve_mixed``
+workload and ``examples/serving.py``.
 """
 
 from repro.serving.async_executor import AsyncExecutor, FlushPolicy, ServingSession
 from repro.serving.pool import WorkerPool, default_pool, shutdown_default_pool
-from repro.serving.push import ContinuousServing, DeltaStream
 
 __all__ = [
     "AsyncExecutor",
@@ -45,6 +37,4 @@ __all__ = [
     "WorkerPool",
     "default_pool",
     "shutdown_default_pool",
-    "ContinuousServing",
-    "DeltaStream",
 ]

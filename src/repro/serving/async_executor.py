@@ -47,13 +47,7 @@ from repro.geometry.aabb import AABB
 from repro.indexes.base import KNNResult, SpatialIndex
 from repro.joins.session import JoinHandle, JoinSession
 from repro.joins.spec import JoinSpec
-from repro.obs import (
-    MetricsServer,
-    get_tracer,
-    global_registry,
-    render_json,
-    render_prometheus,
-)
+from repro.obs import get_tracer, global_registry, render_json, render_prometheus
 from repro.obs import span as _span
 
 
@@ -362,14 +356,6 @@ class ServingSession:
     def metrics_json(self, indent: int | None = None) -> str:
         """The merged snapshot as JSON (histograms keep p50/p95/p99)."""
         return render_json(self.dump_metrics(), indent=indent)
-
-    def serve_metrics(self, host: str = "127.0.0.1", port: int = 0) -> MetricsServer:
-        """Start a live scrape endpoint over :meth:`dump_metrics`.
-
-        ``GET /metrics`` serves Prometheus text, ``GET /metrics.json`` the
-        JSON snapshot; ``port=0`` binds an ephemeral port (``server.port``).
-        The caller owns the returned server (``server.close()``)."""
-        return MetricsServer(self.dump_metrics, host=host, port=port)
 
     def export_trace(self, path: str | None = None) -> list[dict]:
         """This process's collected spans as Chrome ``trace_event`` JSON

@@ -344,8 +344,6 @@ class SnapshotSpillTree(_ReadOnlyShell, SpillTree):
         eids = arrays["eids"]
         self.tau = 0.0  # introspection only; the tree is prebuilt
         self.leaf_size = 0
-        self.split_rule = None  # type: ignore[assignment]
-        self.seed = 0
         self.calibration_sample = 128
         self._boxes = _Population(int(eids.shape[0]))  # type: ignore[assignment]
         self._dense = (eids, arrays["boxes"])

@@ -4,14 +4,14 @@ Each step runs three phases, individually timed and counter-attributed:
 
 1. **compute** — the model advances one step, issuing update queries (kNN,
    range, join partners) against the index;
-2. **maintenance** — the step's motion is folded into the index under a
-   pluggable strategy (incremental updates or a full rebuild);
+2. **maintenance** — the step's motion is folded into the index as one
+   ``apply_moves`` batch;
 3. **monitor** — in-situ analysis queries run against the fresh state
    ("thousands of range queries ... at locations that cannot be
    anticipated").
 
 The per-step :class:`StepReport` is the timeline Figure 1 sketches; the
-``bench_fig1_timeline.py`` benchmark prints it.
+``bench_fig1_timeline.py`` exhibit records it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class StepReport:
     maintenance_seconds: float
     monitor_seconds: float
     moves: int
-    strategy: str
     counters: Counters = field(default_factory=Counters)
 
     @property
@@ -67,9 +66,6 @@ class TimeSteppedSimulation:
         Any :class:`~repro.indexes.base.SpatialIndex`.
     monitors:
         In-situ analysis tasks (may be empty).
-    maintenance:
-        ``"update"`` — one ``apply_moves`` batch per step; ``"rebuild"`` —
-        bulk reload per step.
     """
 
     def __init__(
@@ -77,16 +73,12 @@ class TimeSteppedSimulation:
         model: SimulationModel,
         index: SpatialIndex,
         monitors: Iterable[Monitor] = (),
-        maintenance: str = "update",
         continuous: "bool | object" = False,
     ) -> None:
-        if maintenance not in ("update", "rebuild"):
-            raise ValueError(f"unknown maintenance strategy: {maintenance!r}")
         self.model = model
         self.index = index
         self.session = QuerySession(index)
         self.monitors = list(monitors)
-        self.maintenance = maintenance
         self._state: dict[int, AABB] = dict(model.items())
         self.index.bulk_load(list(self._state.items()))
         # Standing queries: a ContinuousSession ticked with each step's
@@ -128,7 +120,7 @@ class TimeSteppedSimulation:
         compute_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        strategy = self._maintain(moves)
+        self._maintain(moves)
         maintenance_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -147,20 +139,15 @@ class TimeSteppedSimulation:
             maintenance_seconds=maintenance_seconds,
             monitor_seconds=monitor_seconds,
             moves=len(moves),
-            strategy=strategy,
             counters=self.index.counters.diff(before),
         )
 
-    def _maintain(self, moves: Sequence[Move]) -> str:
+    def _maintain(self, moves: Sequence[Move]) -> None:
         for eid, _, new_box in moves:
             self._state[eid] = new_box
         if self.continuous is not None:
             self.continuous.tick(moves)
-        if self.maintenance == "rebuild":
-            self.index.bulk_load(list(self._state.items()))
-            return "rebuild"
         self.index.apply_moves(moves)
-        return "update"
 
     @property
     def state(self) -> dict[int, AABB]:

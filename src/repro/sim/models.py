@@ -28,8 +28,7 @@ class SimulationModel(ABC):
         and return the motion performed, at most one move per element.
 
         Implementations must *not* mutate the index — the engine applies the
-        returned moves under its maintenance strategy, so that different
-        strategies are comparable on identical physics.
+        returned moves in its maintenance phase, timed apart from compute.
         """
 
     def universe(self) -> AABB:

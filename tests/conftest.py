@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.datasets.neuroscience import NeuronDataset, generate_neurons
 from repro.geometry.aabb import AABB
 from repro.indexes.base import Item, SpatialIndex
 from repro.indexes.linear_scan import LinearScan
+from repro.instrumentation.costmodel import MemoryCostModel
+from repro.instrumentation.counters import Counters
 
 # The default profile is "ci": derandomized (fixed seed) examples, so the
 # tier-1 command — which sets no profile — gives the same result run to run.
@@ -123,6 +126,21 @@ def recall_fixture():
     """The shared recall measure as a fixture (import ``recall`` directly
     for use outside test functions)."""
     return recall
+
+
+@pytest.fixture(scope="session")
+def small_neurons() -> NeuronDataset:
+    """The paper exhibits' neuron tissue at tier-1 scale (2 400 segments)."""
+    return generate_neurons(neurons=60, segments_per_neuron=40, seed=42)
+
+
+def modeled_query_cost(index: SpatialIndex, queries) -> tuple[float, Counters, int]:
+    """(memory-cost-model seconds, counter diff, total hits) of one scalar
+    pass over ``queries`` — a deterministic price, unlike wall clock."""
+    before = index.counters.snapshot()
+    hits = sum(len(index.range_query(query)) for query in queries)
+    counters = index.counters.diff(before)
+    return MemoryCostModel().seconds(counters), counters, hits
 
 
 @pytest.fixture

@@ -202,13 +202,12 @@ def test_apply_moves_equals_the_update_loop_on_every_index(name):
     assert len(batched) == len(looped) == len(items)
     windows = [AABB(lo, np.add(lo, 25.0)) for lo in rng.uniform(0.0, 75.0, size=(12, universe.dims))]
     points = rng.uniform(0.0, 100.0, size=(8, universe.dims))
-    if name != "spatial_lsh":  # approximate: equal to its own loop, not to the oracle
-        oracle = LinearScan()
-        oracle.bulk_load(items)
-        oracle.apply_moves(moves)
-        assert [sorted(hits) for hits in batched.batch_range_query(windows)] == [
-            sorted(oracle.range_query(window)) for window in windows
-        ]
+    oracle = LinearScan()
+    oracle.bulk_load(items)
+    oracle.apply_moves(moves)
+    assert [sorted(hits) for hits in batched.batch_range_query(windows)] == [
+        sorted(oracle.range_query(window)) for window in windows
+    ]
     assert batched.batch_range_query(windows) == looped.batch_range_query(windows)
     assert batched.batch_knn(points, 5) == looped.batch_knn(points, 5)
 

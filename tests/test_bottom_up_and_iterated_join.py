@@ -107,6 +107,48 @@ class TestIteratedSelfJoin:
             apply_moves(live, moves)
         assert incremental.pairs == recompute.pairs
 
+    def test_incremental_does_less_work_when_few_move(self):
+        """Maintaining the pair set "will almost always pay off" when few
+        elements move: at 5 % moving, the incremental join charges a fraction
+        of the recompute's element tests for the same pairs."""
+        items = self._items(seed=15)
+        work, pairs = {}, {}
+        for strategy in ("incremental", "recompute"):
+            join = IteratedSelfJoin(items, UNIVERSE_3D, strategy=strategy)
+            live = dict(items)
+            motion = BrownianMotion(
+                sigma=1.0, universe=UNIVERSE_3D, moving_fraction=0.05, seed=16
+            )
+            before = join.counters.snapshot()
+            for _ in range(3):
+                moves = motion.step(live)
+                join.step(moves)
+                apply_moves(live, moves)
+            work[strategy] = join.counters.diff(before).elem_tests
+            pairs[strategy] = join.pairs
+        assert pairs["incremental"] == pairs["recompute"]
+        assert work["incremental"] < work["recompute"] / 2
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
+    def test_moving_fraction_sweep_matches_oracle(self, fraction):
+        """Few, some or all elements moving: both strategies keep the nested
+        loop's pair set every step."""
+        dense = AABB((0.0, 0.0, 0.0), (25.0, 25.0, 25.0))  # tens of pairs
+        items = make_items(300, universe=dense, max_extent=2.0, seed=17)
+        joins = {
+            strategy: IteratedSelfJoin(items, dense, strategy=strategy)
+            for strategy in ("incremental", "recompute")
+        }
+        live = dict(items)
+        motion = BrownianMotion(sigma=1.0, universe=dense, moving_fraction=fraction, seed=18)
+        for _ in range(3):
+            moves = motion.step(live)
+            for join in joins.values():
+                join.step(moves)
+            apply_moves(live, moves)
+            expected = set(NestedLoopJoin().self_join(list(live.items()), Counters()))
+            assert joins["incremental"].pairs == joins["recompute"].pairs == expected
+
     def test_partial_motion(self):
         items = self._items(seed=12)
         join = IteratedSelfJoin(items, UNIVERSE_3D)

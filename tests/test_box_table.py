@@ -313,6 +313,7 @@ class TestSpillTrafficUnchanged:
             assert stats.comparisons == 14_582
             assert session.counters.cells_probed == 11_316
             assert len(pairs) == 153
+            assert stats.zero_copy_reads > 0  # the merge mapped its runs
         with JoinSession(strategy="pbsm") as memory:
             assert memory.run(spec) == pairs
 

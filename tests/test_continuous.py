@@ -18,10 +18,10 @@ hypothesis-driven random update programs under the derandomized CI profile.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +40,6 @@ from repro.continuous import (
 )
 from repro.geometry.aabb import AABB
 from repro.joins.iterated import IteratedSelfJoin, PairDelta
-from repro.serving import ContinuousServing
 from tests.conftest import UNIVERSE_2D, UNIVERSE_3D, make_items
 
 pytestmark = pytest.mark.continuous
@@ -160,6 +159,36 @@ class TestDeltaStreamsExact:
         subs = [session.subscribe(spec) for spec in make_specs(kind)]
         drive(session, subs, workload, ticks=10, seed=17)
         assert session.stats.policy_routes.get(policy, 0) > 0
+
+    def test_policies_emit_identical_streams_past_the_tpr_horizon(self):
+        """One seeded drift sequence (20 % of 1 000 boxes move per tick)
+        through each pinned policy: the delta streams of 8 standing ranges
+        and 8 standing kNN queries are identical, over 16 ticks so that
+        predictive's TPR horizon (10) is crossed and every reported move
+        re-anchors."""
+        rng = np.random.default_rng(43)
+        specs = [
+            ContinuousRangeQuery(AABB(lo, lo + 20.0)) for lo in rng.uniform(5.0, 75.0, (8, 3))
+        ] + [ContinuousKNNQuery(tuple(p), k=8) for p in rng.uniform(10.0, 90.0, (8, 3)).tolist()]
+        streams = {}
+        for policy in POLICIES:
+            lo = np.random.default_rng(17).uniform(0.0, 99.2, size=(1000, 3))
+            state = {eid: AABB(lo[eid], lo[eid] + 0.8) for eid in range(1000)}
+            session = ContinuousSession(list(state.items()), UNIVERSE_3D, policy=policy)
+            subs = [session.subscribe(spec) for spec in specs]
+            for tick in range(16):
+                tick_rng = np.random.default_rng(29 + tick)
+                moved = tick_rng.choice(1000, size=200, replace=False).tolist()
+                updates = []
+                for eid, step in zip(moved, tick_rng.uniform(-0.5, 0.5, size=(200, 3))):
+                    new_lo = np.clip(np.asarray(state[eid].lo) + step, 0.0, 99.2)
+                    updates.append((eid, state[eid], AABB(new_lo, new_lo + 0.8)))
+                    state[eid] = updates[-1][2]
+                session.tick(updates)
+            assert session.stats.deltas == 16 * len(specs)
+            streams[policy] = [sub.deltas for sub in subs]
+        assert streams["incremental"] == streams["recompute"]
+        assert streams["predictive"] == streams["recompute"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_auto_planner_stays_exact(self, kind):
@@ -881,86 +910,6 @@ class TestIteratedSelfJoinDeltas:
             assert not (delta.added & delta.removed)
             accumulated = (accumulated - delta.removed) | delta.added
             assert accumulated == join.pairs
-
-
-# -- the async push surface ----------------------------------------------------
-
-
-class TestContinuousServing:
-    def _updates(self, session, rng, k=8):
-        state = dict(session.state_items())
-        return [
-            (eid, state[eid], _shift(state[eid], [rng.uniform(-2, 2)] * 3))
-            for eid in rng.sample(sorted(state), k=k)
-        ]
-
-    def test_streams_receive_every_delta(self):
-        async def main():
-            items = make_items(80, seed=61)
-            session = ContinuousSession(items, UNIVERSE_3D, policy="incremental")
-            async with ContinuousServing(session) as serving:
-                stream = serving.subscribe(ContinuousRangeQuery(AABB((15, 15, 15), (70, 70, 70))))
-                join_stream = serving.subscribe(ContinuousJoinSpec(epsilon=1.0))
-                received: list[Delta] = []
-
-                async def consume():
-                    async for delta in stream:
-                        received.append(delta)
-
-                consumer = asyncio.create_task(consume())
-                rng = random.Random(7)
-                for _ in range(5):
-                    await serving.tick(self._updates(session, rng))
-                await asyncio.sleep(0)
-                stream.close()
-                await consumer
-                assert len(received) == 5
-                accumulated = set(stream.subscription.initial)
-                for delta in received:
-                    accumulated = delta.apply(accumulated)
-                assert accumulated == set(stream.current)
-                assert join_stream.current == session.oracle_result(join_stream.subscription)
-
-        asyncio.run(main())
-
-    def test_backpressure_merges_exactly(self):
-        async def main():
-            items = make_items(60, seed=62)
-            session = ContinuousSession(items, UNIVERSE_3D, policy="incremental")
-            async with ContinuousServing(session, max_queue=2) as serving:
-                stream = serving.subscribe(ContinuousRangeQuery(AABB((10, 10, 10), (80, 80, 80))))
-                rng = random.Random(8)
-                for _ in range(10):  # no consumer: queue overflows and merges
-                    await serving.tick(self._updates(session, rng))
-                assert stream.merged > 0
-                accumulated = set(stream.subscription.initial)
-                drained = 0
-                while drained < 2:
-                    delta = await stream.get()
-                    accumulated = delta.apply(accumulated)
-                    drained += 1
-                assert accumulated == set(stream.current)
-
-        asyncio.run(main())
-
-    def test_two_streams_one_subscription(self):
-        async def main():
-            items = make_items(50, seed=63)
-            session = ContinuousSession(items, UNIVERSE_3D, policy="recompute")
-            async with ContinuousServing(session) as serving:
-                first = serving.subscribe(ContinuousKNNQuery((50.0, 50.0, 50.0), k=4))
-                second = serving.stream(first.subscription)
-                rng = random.Random(9)
-                await serving.tick(self._updates(session, rng))
-                a, b = await first.get(), await second.get()
-                assert a == b
-                second.close()
-                await serving.tick(self._updates(session, rng))
-                assert (await first.get()).tick == 2
-                # the closed stream got nothing new
-                assert second._queue.qsize() <= 1
-
-        asyncio.run(main())
 
 
 # -- simulation subscribers ----------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from repro.core.multires_grid import MultiResolutionGrid
 from repro.core.resolution import GridCostModel, default_cell_size, optimal_cell_size
 from repro.core.uniform_grid import UniformGrid, _cell_coords, _cell_table
+from repro.datasets.queries import random_range_queries, range_queries_for_selectivity
 from repro.geometry.aabb import AABB
+from repro.indexes.crtree import CRTree
+from repro.indexes.rtree import RTree
 
 from conftest import (
     UNIVERSE_3D,
@@ -16,6 +19,7 @@ from conftest import (
     grid_windows,
     make_items,
     make_queries,
+    modeled_query_cost,
 )
 
 
@@ -322,3 +326,64 @@ class TestResolutionModel:
         )
         with pytest.raises(ValueError):
             model.query_cost(0.0)
+
+
+class TestModeledCostOnNeurons:
+    """The paper's grid-vs-tree shapes on neuron tissue, priced by the memory
+    cost model from counters (deterministic, unlike wall clock)."""
+
+    def test_grids_skip_the_tree_and_cost_less(self, small_neurons):
+        """§3.3: a grid does no node tests and answers cheaper than the
+        R-tree; the CR-tree cuts memory traffic but still walks a tree."""
+        items, universe = small_neurons.items, small_neurons.universe
+        queries = range_queries_for_selectivity(60, universe, selectivity=5e-6, seed=7)
+        mean_extent, _ = small_neurons.element_extent_stats()
+        cell = optimal_cell_size(len(items), universe, mean_extent, max(queries[0].extents()))
+        costs = {}
+        for name, index in (
+            ("rtree", RTree(max_entries=16)),
+            ("crtree", CRTree(max_entries=42)),
+            ("grid", UniformGrid(universe=universe, cell_size=cell)),
+            ("multigrid", MultiResolutionGrid(universe=universe, levels=4)),
+        ):
+            index.bulk_load(items)
+            costs[name] = modeled_query_cost(index, queries)
+        assert len({hits for _, _, hits in costs.values()}) == 1
+        assert costs["crtree"][1].bytes_touched < costs["rtree"][1].bytes_touched
+        assert costs["crtree"][1].node_tests > 0
+        assert costs["grid"][1].node_tests == 0
+        assert costs["grid"][0] < costs["rtree"][0]
+
+    def test_model_optimum_is_near_the_swept_best(self, small_neurons):
+        """The analytical cell size prices within 2.5x of the best cell of a
+        sweep two octaves either side of it."""
+        items, universe = small_neurons.items, small_neurons.universe
+        mean_extent, _ = small_neurons.element_extent_stats()
+        queries = random_range_queries(40, universe, extent=2.0, seed=3)
+        predicted = GridCostModel(
+            n=len(items),
+            universe_extent=max(universe.extents()),
+            avg_element_extent=mean_extent,
+            avg_query_extent=2.0,
+        ).optimal_cell_size()
+        costs = {}
+        for scale in (1 / 8, 1 / 4, 1 / 2, 1, 2, 4, 8):
+            grid = UniformGrid(universe=universe, cell_size=predicted * scale)
+            grid.bulk_load(items)
+            costs[scale] = modeled_query_cost(grid, queries)[0]
+        assert costs[1] <= 2.5 * min(costs.values())
+
+    def test_multires_beats_the_worst_single_resolution(self, small_neurons):
+        """On mixed small and large queries the multi-resolution grid removes
+        the resolution-guessing risk: it beats the worst single grid."""
+        items, universe = small_neurons.items, small_neurons.universe
+        mixed = random_range_queries(60, universe, extent=0.8, seed=4)
+        mixed += random_range_queries(10, universe, extent=18.0, seed=5)
+        multi = MultiResolutionGrid(universe=universe, levels=4)
+        multi.bulk_load(items)
+        singles = []
+        for cell in (0.5, 2.0, 8.0):
+            grid = UniformGrid(universe=universe, cell_size=cell)
+            grid.bulk_load(items)
+            singles.append(modeled_query_cost(grid, mixed)[0])
+        assert modeled_query_cost(multi, mixed)[0] < max(singles)

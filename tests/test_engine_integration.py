@@ -42,7 +42,7 @@ class TestEngineWithEveryIndexFamily:
             dict(dataset.items), dataset.universe, neighbourhood_queries=4, seed=22
         )
         monitor = RangeMonitor(dataset.universe, queries_per_step=5, extent=1.0, seed=23)
-        sim = TimeSteppedSimulation(model, index, monitors=[monitor], maintenance="update")
+        sim = TimeSteppedSimulation(model, index, monitors=[monitor])
         sim.run(3)
         oracle = LinearScan()
         oracle.bulk_load(list(sim.state.items()))
@@ -59,7 +59,7 @@ class TestMonitorsObserveConsistentState:
         index = UniformGrid(universe=dataset.universe)
         model = PlasticityModel(dict(dataset.items), dataset.universe, seed=29)
         monitor = DensityMonitor(regions)
-        sim = TimeSteppedSimulation(model, index, monitors=[monitor], maintenance="update")
+        sim = TimeSteppedSimulation(model, index, monitors=[monitor])
         sim.run(3)
         for counts in monitor.history:
             assert counts[1] == len(dataset.items)  # nothing lost or duplicated
@@ -71,7 +71,7 @@ class TestMonitorsObserveConsistentState:
             dict(dataset.items), dataset.universe, neighbourhood_queries=6, seed=30
         )
         monitor = RangeMonitor(dataset.universe, queries_per_step=7, extent=1.0, seed=31)
-        sim = TimeSteppedSimulation(model, index, monitors=[monitor], maintenance="update")
+        sim = TimeSteppedSimulation(model, index, monitors=[monitor])
         reports = sim.run(2)
         for report in reports:
             assert report.counters.updates == len(dataset.items)

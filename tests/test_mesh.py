@@ -6,6 +6,7 @@ import pytest
 from repro.datasets.points import uniform_boxes
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
+from repro.indexes.rtree import RTree
 from repro.mesh.connectivity import Mesh
 from repro.mesh.dls import DLS
 from repro.mesh.flat import FLAT
@@ -129,6 +130,30 @@ class TestOctopus:
         mesh.jitter(0.02, rng)
         for query in _mesh_queries(mesh, 15, seed=7):
             assert sorted(octopus.range_query(query)) == sorted(mesh.scan_range(query))
+
+
+class TestDeformingMeshNeedsNoMaintenance:
+    """§4.3: the walkers query the live geometry, so after every deformation
+    step they answer like an R-tree rebuilt on the deformed cells, without
+    any maintenance of their own."""
+
+    @pytest.mark.parametrize(
+        "walker, shape",
+        [(DLS, "convex"), (Octopus, "convex"), (Octopus, "concave")],
+        ids=["dls-convex", "octopus-convex", "octopus-concave"],
+    )
+    def test_every_step_matches_a_rebuilt_rtree(self, walker, shape):
+        mesh = structured_tet_mesh(5, 5, 4)
+        if shape == "concave":
+            mesh = carve_hole(mesh, AABB((2.0, 1.0, -1.0), (3.0, 4.0, 5.0)))
+        index = walker(mesh)
+        rng = np.random.default_rng(1)
+        for step in range(4):
+            mesh.jitter(0.004, rng)
+            rtree = RTree(max_entries=16)
+            rtree.bulk_load([(cell.cid, mesh.bounds(cell.cid)) for cell in mesh.cells])
+            for query in _mesh_queries(mesh, 10, seed=step, extent=(0.5, 1.5)):
+                assert sorted(index.range_query(query)) == sorted(rtree.range_query(query))
 
 
 class TestFLAT:

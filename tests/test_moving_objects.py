@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.uniform_grid import UniformGrid
+from repro.datasets.neuroscience import generate_neurons
+from repro.datasets.queries import random_range_queries
 from repro.datasets.trajectories import BrownianMotion, LinearMotion, PlasticityMotion, apply_moves
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
+from repro.indexes.rtree import RTree
+from repro.moving.bottom_up import BottomUpRTree
 from repro.moving.buffered_rtree import BufferedRTree
 from repro.moving.lur_tree import LURTree
 from repro.moving.tpr import TPRIndex
@@ -164,3 +169,58 @@ class TestTPRIndex:
         assert len(index) == 1
         index.delete(7, box)
         assert len(index) == 0
+
+
+def _strategy(name: str, universe: AABB, n: int):
+    """One index and how it takes a step's moves: a per-element update, a
+    per-step rebuild, or (TPR) an advance of the prediction clock."""
+    if name == "rtree_update":
+        return RTree(max_entries=16), "update"
+    if name == "rtree_rebuild":
+        return RTree(max_entries=16), "rebuild"
+    if name == "bottom_up":
+        return BottomUpRTree(max_entries=16), "update"
+    if name == "lur_grace":
+        return LURTree(grace=0.3, max_entries=16), "update"
+    if name == "buffered":
+        return BufferedRTree(buffer_capacity=n + 1, max_entries=16), "update"
+    if name == "grid_rebuild":
+        return UniformGrid(universe=universe), "rebuild"
+    if name == "grid_incremental":
+        return UniformGrid(universe=universe), "update"
+    if name == "tpr":
+        return TPRIndex(max_speed=0.2, horizon=5, max_entries=16), "advance"
+    raise AssertionError(name)  # pragma: no cover - guard against typos
+
+
+STRATEGIES = [
+    "rtree_update", "rtree_rebuild", "bottom_up", "lur_grace",
+    "buffered", "grid_rebuild", "grid_incremental", "tpr",
+]
+
+
+class TestUpdateStrategiesAgree:
+    """§4.2's update mechanisms differ in cost, never in answers: under the
+    same plasticity motion every one answers each step like the oracle."""
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_every_step_matches_the_oracle(self, name):
+        dataset = generate_neurons(neurons=12, segments_per_neuron=20, seed=8)
+        universe = dataset.universe
+        index, mode = _strategy(name, universe, len(dataset.items))
+        index.bulk_load(dataset.items)
+        live = dict(dataset.items)
+        motion = PlasticityMotion(universe=universe, seed=9)
+        queries = random_range_queries(15, universe, extent=1.5, seed=8)
+        for _ in range(3):
+            moves = motion.step(live)
+            apply_moves(live, moves)
+            if mode == "rebuild":
+                index.bulk_load(list(live.items()))
+            elif mode == "advance":
+                index.advance(moves)
+            else:
+                for eid, old, new in moves:
+                    index.update(eid, old, new)
+            assert_same_range_results(index, list(live.items()), queries)
+        assert_same_knn(index, list(live.items()), [universe.center()], k=6)

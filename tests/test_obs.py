@@ -33,7 +33,6 @@ import os
 import random
 import signal
 import time
-import urllib.request
 
 import pytest
 
@@ -55,7 +54,6 @@ from repro.geometry.aabb import AABB as _AABB
 from repro.indexes.disk_rtree import DiskRTree
 from repro.obs import (
     MetricsRegistry,
-    MetricsServer,
     Span,
     capture_worker,
     disable_tracing,
@@ -172,6 +170,40 @@ class TestTracer:
             ghost.set_attr("ignored", 1)  # no-op handle
         assert get_tracer().spans() == []
         assert propagation_context() is None
+
+    def test_disabled_spans_cost_under_two_percent_of_a_flush(self):
+        """The disabled fast path, bounded structurally: the cost of one
+        disabled ``span()`` times the spans a traced flush records must stay
+        under 2 % of the untraced flush.  A wall-clock A/B at 2 % would
+        drown in scheduler noise; the per-span cost is stable to
+        nanoseconds.  (The traced <= 1.15x bar is CI's traced tier-1 pass.)"""
+        session = QuerySession(build_grid(make_items(10_000, seed=41)))
+        windows = _windows(1_000, seed=42)
+        session.range_query(windows)  # pack the snapshot once
+        disable_tracing()
+        untraced = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            session.range_query(windows)
+            untraced = min(untraced, time.perf_counter() - start)
+        iters = 200_000
+        start = time.perf_counter()
+        for _ in range(iters):
+            with span("noop"):
+                pass
+        with_spans = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(iters):
+            pass
+        per_span = max(with_spans - (time.perf_counter() - start), 0.0) / iters
+        tracer = enable_tracing()
+        session.range_query(windows)
+        spans_per_flush = len(tracer.spans())
+        assert spans_per_flush >= 1
+        assert per_span * spans_per_flush < 0.02 * untraced, (
+            f"{per_span * 1e9:.0f} ns x {spans_per_flush} spans vs a "
+            f"{untraced * 1e3:.1f} ms flush"
+        )
 
     def test_chrome_export_roundtrip(self, tmp_path):
         enable_tracing()
@@ -400,7 +432,11 @@ class TestServingExposition:
         return asyncio.run(workload())
 
     def test_dump_metrics_merges_all_registries(self, pool):
+        tracer = enable_tracing()
         snapshot, text, payload = self._run_workload({"pool": pool, "workers": 2})
+        # every async flush is one span and one timed sample
+        assert any(s.name == "serving.flush" for s in tracer.spans())
+        assert snapshot["serving.flush.seconds"]["count"] >= 1
         # session registries
         assert snapshot["query.flushes"]["value"] >= 1
         assert snapshot["join.flushes"]["value"] >= 1
@@ -416,27 +452,12 @@ class TestServingExposition:
         assert "p99" in payload["query.flush.seconds"]
         assert "buckets" not in payload["query.flush.seconds"]
 
-    def test_http_endpoints_serve_merged_snapshot(self):
-        snapshot, _, _ = self._run_workload()
-        registry = MetricsRegistry()
-        registry.merge_snapshot(snapshot)
-        server = MetricsServer(registry.snapshot)
-        try:
-            with urllib.request.urlopen(f"{server.url}/metrics") as response:
-                text = response.read().decode()
-            assert "query_flushes" in text
-            with urllib.request.urlopen(f"{server.url}/metrics.json") as response:
-                payload = json.loads(response.read().decode())
-            assert payload["query.flushes"]["value"] >= 1
-        finally:
-            server.close()
-
     def test_pool_merges_worker_metrics_into_parent_registry(self, pool):
         """2+ workers, one merged snapshot: the defeatist descents the
         workers charge to their own registries surface in the parent's
         global registry via the telemetry merge, each exactly once."""
         items = make_items(600, seed=33, points=True)
-        tree = SpillTree(tau=0.25, leaf_size=32, seed=9)
+        tree = SpillTree(tau=0.25, leaf_size=32)
         tree.bulk_load(items)
         points = np.random.default_rng(7).uniform(0.0, 100.0, size=(400, 3))
         session = QuerySession(

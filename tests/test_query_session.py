@@ -492,7 +492,7 @@ class TestSessionDedupsAndCounts:
         items, _ = loaded
         grid = build_index("uniform_grid")
         grid.bulk_load(items)
-        tree = SpillTree(tau=0.25, leaf_size=48, seed=1)
+        tree = SpillTree(tau=0.25, leaf_size=48)
         tree.bulk_load(make_items(600, seed=42, points=True))
         rng = np.random.default_rng(46)
         base = rng.uniform(5.0, 90.0, size=(12, 3))

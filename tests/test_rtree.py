@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.datasets.queries import range_queries_for_selectivity
 from repro.geometry.aabb import AABB
 from repro.indexes.bulkload import str_pack
 from repro.indexes.rstar import RStarTree
 from repro.indexes.rtree import Node, RTree, _linear_split, _quadratic_split
 
-from conftest import assert_same_knn, assert_same_range_results, make_items, make_queries
+from conftest import (
+    assert_same_knn,
+    assert_same_range_results,
+    make_items,
+    make_queries,
+    modeled_query_cost,
+)
 
 
 class TestConstruction:
@@ -186,6 +193,23 @@ class TestCounters:
         assert delta.node_tests > 0
         assert delta.bytes_touched > 0
         assert delta.pointer_follows > 0
+
+
+class TestNodeSizeInMemory:
+    def test_a_sub_page_node_wins_under_the_memory_cost_model(self, small_neurons):
+        """§3.3: in memory, nodes far below the 4 KB disk page (≈ 70
+        entries) win; the paper puts the optimum at 640 B–1 KB."""
+        queries = range_queries_for_selectivity(
+            60, small_neurons.universe, selectivity=5e-6, seed=7
+        )
+        costs = {}
+        for fanout in (4, 8, 16, 32, 70, 140):
+            tree = RTree(max_entries=fanout)
+            tree.bulk_load(small_neurons.items)
+            costs[fanout] = modeled_query_cost(tree, queries)[0]
+        best = min(costs, key=costs.get)
+        assert best < 70
+        assert costs[best] < costs[70]
 
 
 class TestRStar:

@@ -306,7 +306,7 @@ class TestOnlyThePoolStartsProcesses:
     cannot be pickled, never start a pool at all."""
 
     #: Registry indexes with no shared-memory export of a box load.
-    UNEXPORTABLE = ["crtree", "disk_rtree", "loose_octree", "octree", "rplus", "spatial_lsh"]
+    UNEXPORTABLE = ["crtree", "disk_rtree", "loose_octree", "octree", "rplus"]
     #: Registry indexes the pool would take, were it up.
     EXPORTABLE = ["linear_scan", "multires_grid", "rstar", "rtree", "uniform_grid"]
 
@@ -449,7 +449,7 @@ class TestTreeAndSpillPayloads:
 
     def test_pool_serves_defeatist_spill_batches(self, pool):
         items = make_items(600, seed=33, points=True)
-        spill = SpillTree(tau=0.25, leaf_size=32, seed=9)
+        spill = SpillTree(tau=0.25, leaf_size=32)
         spill.bulk_load(items)
         rng = random.Random(7)
         points = [tuple(rng.uniform(0.0, 100.0) for _ in range(3)) for _ in range(400)]

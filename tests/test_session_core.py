@@ -350,7 +350,7 @@ def telemetry_workload() -> dict:
     queries.point_query(points[:3])
 
     # An approximate-kNN route on a spill tree (recall_estimate moves).
-    tree = SpillTree(tau=0.25, leaf_size=48, seed=1)
+    tree = SpillTree(tau=0.25, leaf_size=48)
     tree.bulk_load(make_items(600, seed=42, points=True))
     approx = QuerySession(tree)
     approx.knn(rng.uniform(0.0, 100.0, size=(40, 3)), 6, accuracy=0.5)

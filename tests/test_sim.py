@@ -7,6 +7,7 @@ from repro.datasets.neuroscience import generate_neurons
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
+from repro.registry import INDEX_REGISTRY, make_index
 from repro.sim.engine import TimeSteppedSimulation
 from repro.sim.growth import GrowthModel
 from repro.sim.monitors import DensityMonitor, RangeMonitor, VisualizationMonitor
@@ -20,55 +21,45 @@ def neuron_dataset():
     return generate_neurons(neurons=10, segments_per_neuron=20, seed=1)
 
 
-def _plasticity_sim(dataset, index, maintenance, monitors=()):
+def _plasticity_sim(dataset, index, monitors=()):
     model = PlasticityModel(
         dict(dataset.items), dataset.universe, neighbourhood_queries=4, seed=2
     )
-    return TimeSteppedSimulation(model, index, monitors=monitors, maintenance=maintenance)
+    return TimeSteppedSimulation(model, index, monitors=monitors)
+
+
+#: Every registered index that stores 3-D boxes (neuron segments); the point
+#: access methods and the 2-D quadtree cannot hold the dataset.
+BOX_INDEXES_3D = [name for name in INDEX_REGISTRY if name not in ("kdtree", "spill_tree", "quadtree")]
 
 
 class TestEngine:
-    @pytest.mark.parametrize("maintenance", ["update", "rebuild"])
-    def test_index_stays_consistent(self, neuron_dataset, maintenance):
-        index = UniformGrid(universe=neuron_dataset.universe)
-        sim = _plasticity_sim(neuron_dataset, index, maintenance)
+    @pytest.mark.parametrize("name", BOX_INDEXES_3D)
+    def test_index_stays_consistent(self, neuron_dataset, name):
+        index = make_index(name)
+        sim = _plasticity_sim(neuron_dataset, index)
         sim.run(4)
         oracle = LinearScan()
         oracle.bulk_load(list(sim.state.items()))
-        query = AABB.from_center(neuron_dataset.universe.center(), 2.0)
+        center = neuron_dataset.universe.center()
+        query = AABB.from_center(center, 2.0)
         assert sorted(index.range_query(query)) == sorted(oracle.range_query(query))
+        assert index.knn(center, 5) == oracle.knn(center, 5)
 
     def test_reports_phases(self, neuron_dataset):
         index = UniformGrid(universe=neuron_dataset.universe)
         monitor = RangeMonitor(neuron_dataset.universe, queries_per_step=5, seed=3)
-        sim = _plasticity_sim(neuron_dataset, index, "update", monitors=[monitor])
+        sim = _plasticity_sim(neuron_dataset, index, monitors=[monitor])
         reports = sim.run(3)
         assert len(reports) == 3
         for report in reports:
             assert report.moves == len(neuron_dataset.items)
-            assert report.strategy == "update"
             assert report.total_seconds >= 0
             assert report.counters.updates == report.moves
 
-    def test_unknown_maintenance(self, neuron_dataset):
-        model = PlasticityModel(dict(neuron_dataset.items), neuron_dataset.universe)
-        with pytest.raises(ValueError):
-            TimeSteppedSimulation(model, UniformGrid(), maintenance="yolo")
-
-    def test_rebuild_vs_update_same_results(self, neuron_dataset):
-        grid_a = UniformGrid(universe=neuron_dataset.universe)
-        grid_b = UniformGrid(universe=neuron_dataset.universe)
-        sim_a = _plasticity_sim(neuron_dataset, grid_a, "update")
-        sim_b = _plasticity_sim(neuron_dataset, grid_b, "rebuild")
-        sim_a.run(3)
-        sim_b.run(3)
-        # Identical seeds -> identical physics -> identical final state.
-        query = AABB.from_center(neuron_dataset.universe.center(), 3.0)
-        assert sorted(grid_a.range_query(query)) == sorted(grid_b.range_query(query))
-
     def test_queries_go_through_the_session(self, neuron_dataset):
         index = UniformGrid(universe=neuron_dataset.universe)
-        sim = _plasticity_sim(neuron_dataset, index, "update")
+        sim = _plasticity_sim(neuron_dataset, index)
         sim.run(2)
         query = AABB.from_center(neuron_dataset.universe.center(), 3.0)
         assert sim.session.index is index
@@ -78,7 +69,7 @@ class TestEngine:
 class TestPlasticityModel:
     def test_density_queries_recorded(self, neuron_dataset):
         index = UniformGrid(universe=neuron_dataset.universe)
-        sim = _plasticity_sim(neuron_dataset, index, "update")
+        sim = _plasticity_sim(neuron_dataset, index)
         sim.run(2)
         assert len(sim.model.density_samples) == 8  # 4 per step
 
@@ -92,7 +83,7 @@ class TestGrowth:
         model = GrowthModel(neuron_dataset, join_every=0, seed=8)
         index = UniformGrid(universe=neuron_dataset.universe)
         initial = len(neuron_dataset.capsules)
-        sim = TimeSteppedSimulation(model, index, maintenance="update")
+        sim = TimeSteppedSimulation(model, index)
         sim.run(4)
         assert len(neuron_dataset.capsules) > initial
         assert len(index) == len(neuron_dataset.capsules)
@@ -100,7 +91,7 @@ class TestGrowth:
     def test_synapse_detection_runs(self, neuron_dataset):
         model = GrowthModel(neuron_dataset, join_every=2, epsilon=0.3, seed=9)
         index = UniformGrid(universe=neuron_dataset.universe)
-        sim = TimeSteppedSimulation(model, index, maintenance="update")
+        sim = TimeSteppedSimulation(model, index)
         sim.run(4)
         assert len(model.synapse_counts) == 2
 

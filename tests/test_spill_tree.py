@@ -7,9 +7,9 @@ Two contracts coexist in one index:
   kNN answers are *bit-identical* to the oracle's (same kernels, same
   ``(distance, id)`` tie-break) — compared without rounding;
 * **approximate tier** — the defeatist descent returns well-formed ordered
-  results whose recall against the oracle clears a floor for every split
-  rule on every data shape, and degrades to *exactly* the exact answer when
-  the overlap swallows the split (one hybrid root leaf).
+  results whose recall against the oracle clears a floor on every data
+  shape, and degrades to *exactly* the exact answer when the overlap
+  swallows the split (one hybrid root leaf).
 
 The planner contract rides on top: ``accuracy='exact'`` (the default)
 routes through the inherited exact kernels untouched, a float target routes
@@ -27,27 +27,26 @@ from hypothesis import strategies as st
 
 from repro import INDEX_REGISTRY, KNNQuery, QuerySession, UniformGrid
 from repro.analysis import query_session_report
-from repro.approx import (
-    SpillTree,
-    SPLIT_RULES,
-    available_split_rules,
-    make_split_rule,
-)
+from repro.approx import SpillTree
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
 from tests.conftest import UNIVERSE_3D, make_items, recall
 
 pytestmark = pytest.mark.approx
 
-RULES = sorted(SPLIT_RULES)
 SHAPES = ["uniform", "clustered", "degenerate"]
+#: The split's dimensionalities: planar and volumetric point sets.
+DIMS = [2, 3]
+#: Defeatist recall floors on data-correlated probes: clustered data — the
+#: regime approximate kNN exists for — clears 0.8.
+RECALL_FLOORS = {"uniform": 0.6, "clustered": 0.8, "degenerate": 0.6}
 
 
 def shaped_items(shape: str, n: int = 1500, seed: int = 3, dims: int = 3):
     """Point datasets for the three shapes the issue names.
 
-    ``degenerate`` is the split rules' stress case: every point sits on one
-    line, so all but the dominant direction carry zero variance.
+    ``degenerate`` is the split's stress case: every point sits on one
+    line, so every axis carries the same variance.
     """
     rng = np.random.default_rng(seed)
     if shape == "uniform":
@@ -78,27 +77,27 @@ def build(items, **kwargs) -> tuple[SpillTree, LinearScan]:
     return tree, oracle
 
 
-# -- the oracle grid: every rule × every shape ----------------------------------
+# -- the oracle grid: every shape -----------------------------------------------
 
 
 class TestOracleGrid:
+    @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("rule", RULES)
-    def test_exact_tier_is_bit_identical(self, rule, shape):
-        items = shaped_items(shape)
-        tree, oracle = build(items, split_rule=rule, tau=0.2, leaf_size=32)
-        pts = query_points(50, seed=5)
+    def test_exact_tier_is_bit_identical(self, shape, dims):
+        items = shaped_items(shape, dims=dims)
+        tree, oracle = build(items, tau=0.2, leaf_size=32)
+        pts = query_points(50, seed=5, dims=dims)
         # Batch vs batch and scalar vs scalar: same kernels as the oracle,
         # so no rounding is allowed in either comparison.
         assert tree.batch_knn(pts, 8) == oracle.batch_knn(pts, 8)
         for p in map(tuple, pts[:10]):
             assert tree.knn(p, 8) == oracle.knn(p, 8)
 
+    @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("rule", RULES)
-    def test_defeatist_recall_clears_floor(self, rule, shape):
-        items = shaped_items(shape)
-        tree, oracle = build(items, split_rule=rule, tau=0.25, leaf_size=48)
+    def test_defeatist_recall_clears_floor(self, shape, dims):
+        items = shaped_items(shape, dims=dims)
+        tree, oracle = build(items, tau=0.25, leaf_size=48)
         # Data-correlated queries (stored points + jitter): the workload
         # approximate kNN exists for.  Far-from-everything probes are the
         # defeatist search's known blind spot and are pinned separately by
@@ -106,30 +105,31 @@ class TestOracleGrid:
         rng = np.random.default_rng(6)
         data = np.asarray([box.lo for _, box in items], dtype=np.float64)
         pts = data[rng.integers(0, len(data), size=200)] + rng.normal(
-            0.0, 1.0, size=(200, 3)
+            0.0, 1.0, size=(200, dims)
         )
         approx = tree.approx_batch_knn(pts, 8)
         exact = oracle.batch_knn(pts, 8)
         for row in approx:  # well-formed: ascending (distance, id), no dupes
             assert row == sorted(row)
             assert len({eid for _, eid in row}) == len(row)
-        assert recall(exact, approx) >= 0.6
+        assert recall(exact, approx) >= RECALL_FLOORS[shape]
         assert tree.counters.approx_descents == len(pts)
         assert tree.counters.leaves_scanned > 0
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_saturated_overlap_degrades_to_exact(self, rule):
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_saturated_overlap_degrades_to_exact(self, shape):
         # tau→1 stops the split from shrinking anything, so the build keeps
         # the whole population in one hybrid root leaf and the defeatist
         # sweep *is* the exact kernel.
-        items = shaped_items("uniform", n=400)
-        tree, oracle = build(items, split_rule=rule, tau=0.95, leaf_size=16)
+        items = shaped_items(shape, n=400)
+        tree, oracle = build(items, tau=0.95, leaf_size=16)
         pts = query_points(40, seed=7)
         assert tree.leaves == 1
         assert tree.approx_batch_knn(pts, 6) == oracle.batch_knn(pts, 6)
 
-    def test_scalar_approx_matches_batch_row(self):
-        items = shaped_items("clustered")
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_scalar_approx_matches_batch_row(self, shape):
+        items = shaped_items(shape)
         tree, _ = build(items, tau=0.2, leaf_size=32)
         pts = query_points(5, seed=8)
         batch = tree.approx_batch_knn(pts, 4)
@@ -170,8 +170,6 @@ class TestMaintenance:
             SpillTree(tau=-0.1)
         with pytest.raises(ValueError, match="leaf_size"):
             SpillTree(leaf_size=0)
-        with pytest.raises(KeyError, match="split rule"):
-            SpillTree(split_rule="nope")
 
 
 # -- calibration ----------------------------------------------------------------
@@ -191,36 +189,15 @@ class TestCalibration:
         assert 0.0 < tree.estimated_recall(8) <= 1.0  # cache invalidated, rebuilt
 
 
-# -- split-rule registry --------------------------------------------------------
+# -- degenerate splits ----------------------------------------------------------
 
 
-class TestSplitRules:
-    def test_registry_surface(self):
-        assert set(available_split_rules()) == set(SPLIT_RULES) >= {
-            "kd",
-            "rp",
-            "pca",
-            "two_means",
-        }
-        rule = make_split_rule("pca")
-        assert make_split_rule(rule) is rule  # instances pass through
-        with pytest.raises(KeyError, match="split rule"):
-            make_split_rule("voronoi")
-
-    @pytest.mark.parametrize("rule", RULES)
-    def test_directions_are_unit_vectors(self, rule):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(0.0, 1.0, size=(200, 3))
-        direction = make_split_rule(rule).direction(pts, rng)
-        assert direction.shape == (3,)
-        assert np.isclose(float(np.linalg.norm(direction)), 1.0)
-
-    @pytest.mark.parametrize("rule", RULES)
-    def test_identical_points_still_split_safely(self, rule):
-        # Zero variance everywhere: the rules must return *some* unit
-        # direction, and the build must terminate in a hybrid leaf.
+class TestDegenerateSplits:
+    def test_identical_points_still_split_safely(self):
+        # Zero variance everywhere: the split still gets a unit direction,
+        # and the build must terminate in a hybrid leaf.
         items = [(eid, AABB((5.0, 5.0, 5.0), (5.0, 5.0, 5.0))) for eid in range(40)]
-        tree, oracle = build(items, split_rule=rule, tau=0.2, leaf_size=8)
+        tree, oracle = build(items, tau=0.2, leaf_size=8)
         pts = query_points(5, seed=12)
         assert tree.approx_batch_knn(pts, 3) == oracle.batch_knn(pts, 3)
 
@@ -231,7 +208,7 @@ class TestSplitRules:
 class TestAccuracyRouting:
     def setup_sessions(self, n=1200, seed=21):
         items = shaped_items("clustered", n=n, seed=seed)
-        tree, oracle = build(items, tau=0.25, leaf_size=48, seed=1)
+        tree, oracle = build(items, tau=0.25, leaf_size=48)
         return tree, oracle, QuerySession(tree), QuerySession(oracle)
 
     def test_exact_accuracy_is_bit_identical_to_oracle_session(self):
@@ -343,9 +320,9 @@ def update_programs(draw):
 
 class TestUpdatePrograms:
     @settings(max_examples=40)
-    @given(program=update_programs(), rule=st.sampled_from(RULES))
-    def test_program_stays_exact_and_well_formed(self, program, rule):
-        tree = SpillTree(split_rule=rule, tau=0.3, leaf_size=4, seed=2)
+    @given(program=update_programs())
+    def test_program_stays_exact_and_well_formed(self, program):
+        tree = SpillTree(tau=0.3, leaf_size=4)
         oracle = LinearScan()
         state: dict[int, tuple[float, ...]] = {}
         for op, arg, payload in program:

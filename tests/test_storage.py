@@ -1,4 +1,4 @@
-"""Page store, buffer pool, cache simulator — and the spill substrate."""
+"""Page store, buffer pool — and the spill substrate."""
 
 import os
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.instrumentation.counters import Counters
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.cache import Arena, CacheSimulator
 from repro.storage.pagestore import MappedPageStore, PageStore
 
 
@@ -360,54 +359,3 @@ class TestSpillLifecycle:
                 assert len(spill.pool) <= pool_pages
             assert spill.pool.misses > 0
 
-
-class TestArena:
-    def test_sequential(self):
-        arena = Arena()
-        assert arena.allocate(10) == 0
-        assert arena.allocate(5) == 10
-        assert arena.used_bytes == 15
-
-    def test_alignment(self):
-        arena = Arena(alignment=64)
-        arena.allocate(10)
-        assert arena.allocate(10) == 64
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Arena(alignment=0)
-        with pytest.raises(ValueError):
-            Arena().allocate(0)
-
-
-class TestCacheSimulator:
-    def test_miss_then_hit(self):
-        cache = CacheSimulator(capacity_bytes=1024, line_bytes=64, associativity=2)
-        assert cache.access(0, 1) == 1
-        assert cache.access(0, 1) == 0
-        assert cache.miss_rate() == 0.5
-
-    def test_spanning_access(self):
-        cache = CacheSimulator(capacity_bytes=1024, line_bytes=64, associativity=2)
-        misses = cache.access(0, 129)  # lines 0, 1, 2
-        assert misses == 3
-
-    def test_set_conflict_eviction(self):
-        # 2 sets x 1 way: lines 0 and 2 collide in set 0.
-        cache = CacheSimulator(capacity_bytes=128, line_bytes=64, associativity=1)
-        cache.access(0)  # line 0 -> set 0
-        cache.access(128)  # line 2 -> set 0, evicts line 0
-        assert cache.access(0) == 1  # miss again
-
-    def test_clear(self):
-        cache = CacheSimulator(capacity_bytes=1024, line_bytes=64, associativity=2)
-        cache.access(0)
-        cache.clear()
-        assert cache.access(0) == 1
-
-    def test_bad_geometry(self):
-        with pytest.raises(ValueError):
-            CacheSimulator(capacity_bytes=100, line_bytes=64, associativity=3)
-        cache = CacheSimulator()
-        with pytest.raises(ValueError):
-            cache.access(0, 0)
