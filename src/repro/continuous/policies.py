@@ -30,13 +30,14 @@ into :class:`~repro.instrumentation.counters.Counters`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 from repro.core.uniform_grid import UniformGrid
 from repro.engine import QuerySession
-from repro.geometry.aabb import batch_min_distance_to_points
+from repro.geometry.aabb import batch_min_distance_to_points, boxes_to_array
+from repro.geometry.refine import batch_box_gaps
 from repro.indexes.base import KNNResult, SpatialIndex
 from repro.joins.session import JoinSession
 from repro.joins.spec import DistanceJoinSpec
@@ -53,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.continuous.session import ContinuousSession, Subscription
 
 Pair = tuple[int, int]
+Outcome = Union[tuple[set, set], Exception]
 
 # The kNN entrant prefilter keeps every entrant whose *vectorized* distance
 # is within this factor of the bound it is tested against.  The vectorized
@@ -78,11 +80,11 @@ class MaintenancePolicy:
     backing lazily, but always before the next probe), so routing can switch
     per tick without a rebuild.  ``adopt`` initializes per-spec state when a subscription
     arrives (from routing or a post-fault resync); ``forget`` drops it.
-    ``evaluate`` returns the tick's exact ``(added, removed)`` sets and must
-    commit ``sub.result`` only as its final action — the session relies on
-    ``sub.result`` always equaling the last *emitted* result, so a policy
-    that raises mid-evaluation leaves only its own internal state suspect
-    (discarded by the resync's ``adopt``).
+    ``evaluate`` answers the tick's subscriptions routed here in one call
+    (their probes share kernel passes), one outcome each: the exact ``(added,
+    removed)`` sets or the exception that failed it.  ``sub.result`` is set
+    only as the last act for a subscription, so a failed one keeps its last
+    *emitted* result and only per-spec state is suspect (the resync re-adopts).
     """
 
     name: str = "abstract"
@@ -101,9 +103,48 @@ class MaintenancePolicy:
         """Drop per-spec state for an unsubscribed / re-routed subscription."""
 
     def evaluate(
-        self, sub: "Subscription", batch: TickBatch
-    ) -> tuple[set, set]:  # pragma: no cover - interface
+        self, subs: list["Subscription"], batch: TickBatch
+    ) -> list[Outcome]:  # pragma: no cover - interface
         raise NotImplementedError
+
+
+def per_group(items: list, key: Callable, answer: Callable[[list], list]) -> list:
+    """One outcome per item, in order: ``answer(group)`` runs once per group of
+    items sharing a ``key``; an exception it raises is each of their outcomes."""
+    groups: dict = {}
+    for row, item in enumerate(items):
+        groups.setdefault(key(item), []).append(row)
+    out: dict = {}
+    for rows in groups.values():
+        try:
+            out.update(zip(rows, answer([items[r] for r in rows])))
+        except Exception as exc:
+            out.update(dict.fromkeys(rows, exc))
+    return [out[row] for row in range(len(items))]
+
+
+def _commit(sub: "Subscription", new) -> Outcome:
+    """Commit ``new`` as ``sub.result`` and return the change (an exception passes)."""
+    if isinstance(new, Exception):
+        return new
+    old = sub.result_set()
+    sub.result = new
+    now = sub.result_set()
+    return now - old, old - now
+
+
+def _rescored_knn(session: QuerySession, box_of: Callable, specs: list) -> list[tuple[KNNResult, float]]:
+    """One ``k + 1`` probe for ``specs`` (all of one ``k``): each top ``k`` (exactly
+    the ``k`` probe's answer — the expanding-window search only ever grows
+    its candidate pool) plus its next slack, the (k+1)-th distance.  The
+    kernel's norm can differ from the scalar ``min_distance_to_point`` in
+    the last ulp, so ids are re-scored with the scalar one — the distance
+    every policy reports, whichever executor answered — and re-sorted."""
+    out, k, points = [], specs[0].k, [spec.point for spec in specs]
+    for point, row in zip(points, session.knn(points, k + 1)):
+        probe = sorted((box_of(eid).min_distance_to_point(point), eid) for _, eid in row)
+        out.append((probe[:k], probe[k][0] if len(probe) > k else math.inf))
+    return out
 
 
 # -- recompute -----------------------------------------------------------------
@@ -143,35 +184,27 @@ class RecomputePolicy(MaintenancePolicy):
     def full_result(self, spec: ContinuousSpec):
         """The from-scratch answer: a set for range/join, an ordered
         ``(distance, id)`` list for kNN."""
-        if spec.kind == "range":
-            return set(self._query_session().range_query([spec.box])[0])
-        if spec.kind == "knn":
-            return self._query_session().knn([spec.point], spec.k)[0]
-        items = tuple(self.session.state_items())
-        if not items:
-            return set()
-        refine = spec.refine
-        if refine is not None and spec.epsilon:
-            # ContinuousJoinSpec's refine *sharpens* the box-gap predicate;
-            # DistanceJoinSpec's refine *replaces* it (candidates are only
-            # strategy-dependent supersets).  Fold the gap test in so the
-            # oracle's pair set is strategy-independent and matches the
-            # incremental path.
-            state, eps, user = self.session._state, spec.epsilon, refine
-            refine = lambda a, b: (
-                state[a].min_distance_to_box(state[b]) <= eps and user(a, b)
-            )
-        return set(
-            self._joins.run(DistanceJoinSpec(items, None, spec.epsilon, refine))
-        )
+        return self._answers([spec])[0]
 
-    def evaluate(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
-        new = self.full_result(sub.spec)
-        new_set = knn_ids(new) if sub.spec.kind == "knn" else new
-        old_set = sub.result_set()
-        added, removed = new_set - old_set, old_set - new_set
-        sub.result = new
-        return added, removed
+    def _answers(self, specs: list[ContinuousSpec]) -> list:
+        """:meth:`full_result` for specs of one kind (kNN: of one ``k``; join:
+        just one): the ranges in one probe, the kNN in one :func:`_rescored_knn`."""
+        spec = specs[0]
+        if spec.kind == "range":
+            return [set(ids) for ids in self._query_session().range_query([s.box for s in specs])]
+        if spec.kind == "knn":
+            return [knn for knn, _ in _rescored_knn(self._query_session(), self.session.state_box, specs)]
+        # A join: the gap-only join (``batch_box_gaps <= ε``), then the user refine
+        # (DistanceJoinSpec's refine would *replace* the gap test, on candidates).
+        items = tuple(self.session.state_items())
+        pairs = self._joins.run(DistanceJoinSpec(items, None, spec.epsilon)) if items else []
+        return [{pair for pair in pairs if spec.refine is None or spec.refine(*pair)}]
+
+    def evaluate(self, subs: list["Subscription"], batch: TickBatch) -> list[Outcome]:
+        # The ranges share one probe, the kNN specs one per k; each join runs alone.
+        key = lambda sub: (sub.kind, sub.cqid if sub.kind == "join" else getattr(sub.spec, "k", 0))
+        commit = lambda group: list(map(_commit, group, self._answers([sub.spec for sub in group])))
+        return per_group(subs, key, commit)
 
 
 # -- shared incremental/predictive machinery -----------------------------------
@@ -263,36 +296,40 @@ class _DeltaMaintenance(MaintenancePolicy):
 
     # -- evaluation -------------------------------------------------------------
 
-    def evaluate(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
+    def evaluate(self, subs: list["Subscription"], batch: TickBatch) -> list[Outcome]:
         if batch.is_empty:
             # Zero-motion tick: nothing can have changed, for any spec kind.
-            self.counters.safe_region_hits += 1
-            return set(), set()
-        kind = sub.spec.kind
-        if kind == "range":
-            return self._evaluate_range(sub, batch)
-        if kind == "knn":
-            return self._evaluate_knn(sub, batch)
-        return self._evaluate_join(sub, batch)
+            self.counters.safe_region_hits += len(subs)
+            return [(set(), set()) for _ in subs]
 
-    def _evaluate_range(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
+        def answer(group: list) -> list:  # the ranges together, the kNN together, joins alone
+            if group[0].kind == "join":
+                return [self._evaluate_join(group[0], batch)]
+            return (self._evaluate_range if group[0].kind == "range" else self._evaluate_knn)(group, batch)
+
+        return per_group(subs, lambda sub: sub.cqid if sub.kind == "join" else sub.kind, answer)
+
+    def _evaluate_range(self, subs: list["Subscription"], batch: TickBatch) -> list[Outcome]:
         """Patch membership from the affected set alone: elements that did
-        not change this tick cannot enter or leave the box."""
-        current: set = sub.result
-        inside = batch.entrants_inside(sub.spec.box)
-        self.counters.elem_tests += batch.size
-        added = inside - current
-        # A deleted element is nowhere, hence outside.
-        removed = (current & batch.affected_ids()) - inside
-        if added or removed:
-            self.counters.safe_region_invalidations += 1
-            sub.result = (current - removed) | added
-        else:
-            self.counters.safe_region_hits += 1
-        return added, removed
+        not change this tick cannot enter or leave a box."""
+        affected, outcomes = batch.affected_ids(), []
+        for sub, inside in zip(subs, batch.entrants_inside([sub.spec.box for sub in subs])):
+            current: set = sub.result
+            self.counters.elem_tests += batch.size
+            added = inside - current
+            # A deleted element is nowhere, hence outside.
+            removed = (current & affected) - inside
+            if added or removed:
+                self.counters.safe_region_invalidations += 1
+                sub.result = (current - removed) | added
+            else:
+                self.counters.safe_region_hits += 1
+            outcomes.append((added, removed))
+        return outcomes
 
-    def _evaluate_knn(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
-        """Distance-slack safe region: recompute only when geometry demands.
+    def _evaluate_knn(self, subs: list["Subscription"], batch: TickBatch) -> list[Outcome]:
+        """Distance-slack safe regions for every kNN spec of the tick at once:
+        recompute only when geometry demands.
 
         The slack for a spec is the (k+1)-th neighbor's distance at the last
         full probe (tightened by every outsider seen since); every
@@ -309,93 +346,95 @@ class _DeltaMaintenance(MaintenancePolicy):
 
         Otherwise the tick is a hit: moved members keep their seats with
         freshly patched exact distances, and outsiders that came closer than
-        the old slack tighten it.  Distances are patched with the same
-        scalar ``min_distance_to_point`` the probe path uses, so a held
-        result stays bit-identical to a recompute.
+        the old slack tighten it.  Four phases: (a) and (b) per spec; one
+        distance matrix (in row blocks) picking each spec's near entrants;
+        the scalar test (c) on those; one :meth:`_knn` per distinct ``k`` for
+        the invalidated specs (a failed probe fails just those).  Distances
+        are the scalar ``min_distance_to_point``, as a recompute reports.
         """
-        spec = sub.spec
-        cqid = spec.cqid
-        current: KNNResult = sub.result
-        members = knn_ids(current)
-        slack = self._knn_slack.get(cqid, 0.0)
-
-        invalid = any(eid in batch.deleted for eid in members)
-        patched = current
-        moved_members = [eid for eid in members if eid in batch.moved]
-        if not invalid and moved_members:
-            moved_d = {}
-            for eid in moved_members:
-                self.counters.elem_tests += 1
-                moved_d[eid] = batch.moved[eid][1].min_distance_to_point(spec.point)
-            patched = sorted((moved_d.get(eid, d), eid) for d, eid in current)
-            if len(patched) == spec.k and patched[-1][0] >= slack:
-                invalid = True
-        if not invalid and (batch.inserted or batch.moved):
+        ids, boxes, packed = batch.entrants
+        checks = []  # per spec: (invalid, patched, d_k, entrant-test limit)
+        for sub in subs:
+            spec, current = sub.spec, sub.result
+            slack = self._knn_slack.get(spec.cqid, 0.0)
+            invalid = any(eid in batch.deleted for _, eid in current)
+            patched = current
+            moved = [eid for _, eid in current if eid in batch.moved]
+            if not invalid and moved:
+                self.counters.elem_tests += len(moved)
+                moved_d = {eid: batch.moved[eid][1].min_distance_to_point(spec.point) for eid in moved}
+                patched = sorted((moved_d.get(eid, d), eid) for d, eid in current)
+                invalid = len(patched) == spec.k and patched[-1][0] >= slack
             d_k = patched[-1][0] if len(patched) == spec.k else math.inf
-            ids, boxes, packed = batch.entrants
-            # Only an entrant at or inside max(d_k, slack) can invalidate
-            # or tighten, so one vectorized pass picks those out and the
-            # scalar test below — the sole authority on (distance, id)
-            # order — runs on them alone.
-            limit = max(d_k, slack) * _ENTRANT_MARGIN
-            if limit < math.inf:
-                self.counters.elem_tests += len(ids)
-                rough = batch_min_distance_to_points(packed, [spec.point])[0]
-                near = np.flatnonzero((rough <= limit) | np.isinf(rough)).tolist()
-            else:
-                near = range(len(ids))
-            nearest = math.inf
-            for i in near:
-                if ids[i] in members:
-                    continue  # a moved member: patched above, not an entrant
-                self.counters.elem_tests += 1
-                dist = boxes[i].min_distance_to_point(spec.point)
-                if dist <= d_k:
-                    invalid = True
-                    break
-                nearest = min(nearest, dist)
-            if not invalid and nearest < slack:
-                self._knn_slack[cqid] = nearest
-        if not invalid:
+            # Only an entrant at or inside max(d_k, slack) can invalidate or
+            # tighten, so the distance matrix picks those out and the scalar
+            # test below — the sole authority on (distance, id) order — runs
+            # on them alone.
+            checks.append((invalid, patched, d_k, max(d_k, slack) * _ENTRANT_MARGIN))
+
+        tested = [i for i, (invalid, _, _, limit) in enumerate(checks)
+                  if ids and not invalid and limit < math.inf]
+        near: dict[int, list[int]] = {}
+        self.counters.elem_tests += len(ids) * len(tested)
+        # Row blocks of at most 2**12 point-entrant gaps keep the kernel's
+        # temporaries near one spec's size however many specs there are.
+        step = max(1, (1 << 12) // max(len(ids), 1))
+        for at in range(0, len(tested), step):
+            rows = tested[at:at + step]
+            rough = batch_min_distance_to_points(packed, [subs[i].spec.point for i in rows])
+            limits = np.array([checks[i][3] for i in rows])[:, None]
+            for i, mask in zip(rows, (rough <= limits) | np.isinf(rough)):
+                near[i] = np.flatnonzero(mask).tolist()
+
+        outcomes: list = [None] * len(subs)
+        probe: list[int] = []
+        for i, (sub, (invalid, patched, d_k, _)) in enumerate(zip(subs, checks)):
+            spec = sub.spec
+            if not invalid and ids:
+                members = knn_ids(patched)
+                nearest = math.inf
+                for at in near.get(i, range(len(ids))):
+                    if ids[at] in members:
+                        continue  # a moved member: patched above, not an entrant
+                    self.counters.elem_tests += 1
+                    dist = boxes[at].min_distance_to_point(spec.point)
+                    if dist <= d_k:
+                        invalid = True
+                        break
+                    nearest = min(nearest, dist)
+                if not invalid and nearest < self._knn_slack.get(spec.cqid, 0.0):
+                    self._knn_slack[spec.cqid] = nearest
+            if invalid:
+                self.counters.safe_region_invalidations += 1
+                probe.append(i)
+                continue
             self.counters.safe_region_hits += 1
-            if patched is not current:
-                sub.result = patched
-            return set(), set()
-        self.counters.safe_region_invalidations += 1
-        new, new_slack = self._knn(spec.point, spec.k)
-        self._knn_slack[cqid] = new_slack
-        new_members = knn_ids(new)
-        added, removed = new_members - members, members - new_members
-        sub.result = new
-        return added, removed
+            sub.result = patched
+            outcomes[i] = (set(), set())
 
-    def _knn(self, point: Sequence[float], k: int) -> tuple[KNNResult, float]:
-        """Full probe, plus the next slack: the (k+1)-th neighbor's distance.
+        stale = [subs[i] for i in probe]
+        answers = per_group(stale, lambda sub: sub.spec.k, self._knn)
+        for i, sub, new in zip(probe, stale, answers):
+            if not isinstance(new, Exception):
+                new, self._knn_slack[sub.cqid] = new  # the top k, the next slack
+            outcomes[i] = _commit(sub, new)
+        return outcomes
 
-        One ``k+1`` probe serves both — its first ``k`` entries are exactly
-        the ``k`` probe's answer (per-element distances don't depend on
-        ``k``, and the expanding-window search only ever *grows* its
-        candidate pool, whose extra candidates all sit beyond the window
-        radius that confirmed the first ``k``).  The batch kernel's norm
-        can differ from the scalar ``min_distance_to_point`` in the last ulp,
-        so the returned ids are re-scored with the scalar one — what
-        :class:`RecomputePolicy` and the patching above report — and
-        re-sorted as ``(distance, id)``."""
+    def _knn(self, subs: list["Subscription"]) -> list[tuple[KNNResult, float]]:
+        """:func:`_rescored_knn` for ``subs`` (all of one ``k``) on the synced backing."""
         self._sync()
-        box_of = self.session.state_box
-        probe = sorted(
-            (box_of(eid).min_distance_to_point(point), eid)
-            for _, eid in self._probe_session.knn([point], k + 1)[0]
-        )
-        slack = probe[k][0] if len(probe) > k else math.inf
-        return probe[:k], slack
+        return _rescored_knn(self._probe_session, self.session.state_box, [s.spec for s in subs])
 
     def _evaluate_join(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
         """The IteratedSelfJoin trick, with deltas: retract every pair
         touching a changed element, re-probe the changed survivors' (ε-
-        expanded) boxes as one batch, and report the difference.  Pairs
-        between untouched elements carry over — their geometry is frozen, so
-        the predicate's value is too."""
+        expanded) boxes as one ``batch_range_hits`` call, and report the
+        difference.  Pairs between untouched elements carry over — their
+        geometry is frozen, so the predicate's value is too.
+
+        Candidates (self-hits dropped, deduplicated on ``(low, high)``) pass
+        on ``batch_box_gaps <= ε``, :class:`RecomputePolicy`'s predicate too
+        (at ε = 0 the probe has decided it); a user ``refine`` sees only those."""
         spec: ContinuousJoinSpec = sub.spec
         partners = self._partners[spec.cqid]
         affected = batch.affected_ids()
@@ -411,34 +450,31 @@ class _DeltaMaintenance(MaintenancePolicy):
             partners.pop(eid, None)
 
         # The changed survivors are the tick's entrants, already packed:
-        # probe their boxes in id order, grown by ε as ``AABB.expanded`` does.
-        ids, boxes, packed = batch.entrants
+        # probe their boxes grown by ε as ``AABB.expanded`` does.
+        ids, _, packed = batch.entrants
         after: set[Pair] = set()
         if ids:
             eps = spec.epsilon
-            order = np.argsort(ids)
-            probes = packed[order]
-            if eps:
-                probes[:, 0, :] -= eps
-                probes[:, 1, :] += eps
-            hits = self._probe_candidates(probes)
-            for at, candidates in zip(order.tolist(), hits):
-                eid, my_box = ids[at], boxes[at]
-                for other in candidates:
-                    if other == eid:
-                        continue
-                    pair = _ordered(eid, other)
-                    if pair in after:
-                        continue
-                    if eps:
-                        self.counters.refine_tests += 1
-                        if my_box.min_distance_to_box(self.session.state_box(other)) > eps:
-                            continue
-                    if spec.refine is not None:
-                        self.counters.refine_tests += 1
-                        if not spec.refine(*pair):
-                            continue
-                    after.add(pair)
+            self._sync()
+            offsets, hits = self._backing.batch_range_hits(packed + np.array([[-eps], [eps]]))
+            rows = np.repeat(np.arange(len(ids)), np.diff(offsets))
+            mine = np.asarray(ids, dtype=np.int64)[rows]
+            rows, mine, hits = rows[hits != mine], mine[hits != mine], hits[hits != mine]
+            # Packed (low, high) keys, over id ranks so that no product overflows.
+            ranks, inverse = np.unique([np.minimum(mine, hits), np.maximum(mine, hits)], return_inverse=True)
+            low, high = inverse.reshape(2, -1)
+            _, first = np.unique(low * len(ranks) + high, return_index=True)
+            rows, hits = rows[first], hits[first]
+            if eps and len(rows):
+                self.counters.refine_tests += len(rows)
+                others = boxes_to_array([self.session.state_box(eid) for eid in hits.tolist()])
+                close = batch_box_gaps(packed[rows], others) <= eps
+                rows, hits = rows[close], hits[close]
+            found = [_ordered(ids[at], eid) for at, eid in zip(rows.tolist(), hits.tolist())]
+            if spec.refine is not None:
+                self.counters.refine_tests += len(found)
+                found = [pair for pair in found if spec.refine(*pair)]
+            after.update(found)
             for a, b in after:
                 partners.setdefault(a, set()).add(b)
                 partners.setdefault(b, set()).add(a)
@@ -450,11 +486,6 @@ class _DeltaMaintenance(MaintenancePolicy):
         else:
             self.counters.safe_region_hits += 1
         return added, removed
-
-    def _probe_candidates(self, boxes: np.ndarray) -> list[list[int]]:
-        """Ids whose stored box intersects each probe box, one batch."""
-        self._sync()
-        return self._probe_session.range_query(boxes)
 
 
 class IncrementalPolicy(_DeltaMaintenance):
@@ -499,17 +530,14 @@ class PredictivePolicy(_DeltaMaintenance):
         # motion (prediction escapes re-anchor inside).
         self._backing.advance(moves)
 
-    def _evaluate_range(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
+    def _evaluate_range(self, subs: list["Subscription"], batch: TickBatch) -> list[Outcome]:
         self._sync()
-        new = set(self._probe_session.range_query([sub.spec.box])[0])
-        old = sub.result
-        added, removed = new - old, old - new
-        if added or removed:
-            self.counters.safe_region_invalidations += 1
-        else:
-            self.counters.safe_region_hits += 1
-        sub.result = new
-        return added, removed
+        found = self._probe_session.range_query([sub.spec.box for sub in subs])
+        outcomes = [_commit(sub, set(ids)) for sub, ids in zip(subs, found)]
+        changed = sum(1 for added, removed in outcomes if added or removed)
+        self.counters.safe_region_invalidations += changed
+        self.counters.safe_region_hits += len(outcomes) - changed
+        return outcomes
 
 
 POLICY_CLASSES: dict[str, type[MaintenancePolicy]] = {

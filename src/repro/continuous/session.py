@@ -6,8 +6,9 @@ moving dataset and a set of standing subscriptions.  Each ``tick(updates)``:
 1. normalizes the updates into a :class:`~repro.continuous.spec.TickBatch`
    and folds them into the authoritative state;
 2. syncs every instantiated maintenance policy's backing structure;
-3. routes each subscription to a policy — the **planner** — and collects
-   its exact per-tick :class:`~repro.continuous.spec.Delta`.
+3. routes each subscription to a policy — the **planner** — hands each
+   policy all of its subscriptions in one call (their probes share kernel
+   passes), and collects each exact :class:`~repro.continuous.spec.Delta`.
 
 Routing is *pin > heuristic*.  The heuristic routes on observed churn
 (EWMA-smoothed), two ways:
@@ -33,13 +34,13 @@ the TPR horizon every reported move pays a scalar R-tree delete + insert
 horizon and 1.5–2.1x its cumulative cost up to it, at every measured churn
 level).
 
-**Fault containment.**  A policy raising mid-``tick`` marks only the failing
-subscription dirty; the authoritative state and every other subscription
-stay consistent, and the error propagates after the tick completes.  On the
-next tick a dirty subscription re-syncs through the recompute policy — its
-delta then spans the missed tick(s), the routed policy re-``adopt``s it
-(rebuilding safe-region state from scratch), and nothing of the failed
-evaluation leaks.
+**Fault containment.**  A failed outcome marks only its subscription dirty
+(a batched probe that raises fails exactly the subscriptions that needed
+it); the authoritative state and every other subscription stay consistent,
+and the error propagates after the tick completes.  On the next tick a
+dirty subscription re-syncs through the recompute policy — its delta then
+spans the missed tick(s), the routed policy re-``adopt``s it (rebuilding
+safe-region state from scratch), and nothing of the failed evaluation leaks.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.obs import MetricsRegistry
 from repro.obs import span as _span
 from repro.obs.metrics import MetricsView, Read, Tally
 
-from repro.continuous.policies import POLICY_CLASSES, MaintenancePolicy, RecomputePolicy
+from repro.continuous.policies import POLICY_CLASSES, MaintenancePolicy, RecomputePolicy, per_group
 from repro.continuous.spec import (
     ContinuousJoinSpec,
     ContinuousKNNQuery,
@@ -241,6 +242,10 @@ class ContinuousSession:
             raise ValueError(f"unknown policy: {policy!r}")
         if spec.cqid in self._subs:
             raise ValueError(f"spec {spec.cqid} already subscribed")
+        # A spec of the wrong dimensionality would fail every probe it shares.
+        coords = spec.box.lo if spec.kind == "range" else getattr(spec, "point", ())
+        if coords and self.universe is not None and len(coords) != self.universe.dims:
+            raise ValueError(f"spec has {len(coords)} dims, tracked elements have {self.universe.dims}")
         if policy is None and self.policy != AUTO:
             policy = self.policy
         sub = Subscription(self, spec, policy)
@@ -272,10 +277,10 @@ class ContinuousSession:
     def tick(self, updates: Iterable[Update] = ()) -> dict[int, Delta]:
         """Fold one tick's updates into every standing result.
 
-        Returns ``cqid → Delta`` for every subscription.  If a maintenance
-        policy raises, the remaining subscriptions still complete, the
-        failing subscription is queued for next-tick resync, and the first
-        error re-raises after the tick's bookkeeping."""
+        Returns ``cqid → Delta`` for every subscription.  If an evaluation
+        fails, the remaining subscriptions still complete, each failed one
+        is queued for next-tick resync, and the first error (in cqid order)
+        re-raises after the tick's bookkeeping."""
         tick_start = time.perf_counter()
         universe = self.universe
         batch = normalize_updates(
@@ -301,31 +306,35 @@ class ContinuousSession:
                     instantiated.apply(batch)
                 self._observe(batch)
 
-                deltas: dict[int, Delta] = {}
-                first_error: Exception | None = None
-                for sub in self.subscriptions:
-                    resync = sub.dirty
-                    name = "recompute" if resync else self._route(sub)
-                    policy = self._policy(name)
+                # Route each subscription, then evaluate each policy's share at once.
+                subs = self.subscriptions
+                for sub in subs:
+                    name = "recompute" if sub.dirty else self._route(sub)
                     if sub.routed != name:
                         if sub.routed is not None:
                             self._policies[sub.routed].forget(sub)
-                        policy.adopt(sub)
+                        self._policy(name).adopt(sub)
                         sub.routed = name
-                    try:
-                        added, removed = policy.evaluate(sub, batch)
-                    except Exception as exc:
+                evaluate = lambda group: self._policies[group[0].routed].evaluate(group, batch)
+                outcomes = per_group(subs, lambda sub: sub.routed, evaluate)
+
+                deltas: dict[int, Delta] = {}
+                first_error: Exception | None = None
+                for sub, outcome in zip(subs, outcomes):
+                    if isinstance(outcome, Exception):
                         sub.dirty = True
                         self._count("continuous.faults")
                         # Whatever per-spec state the policy half-mutated is
                         # dead: drop it now, and let the resync's adopt()
                         # rebuild it from the last emitted result, which
                         # evaluate() never got far enough to commit.
-                        policy.forget(sub)
+                        self._policies[sub.routed].forget(sub)
                         sub.routed = None
                         if first_error is None:
-                            first_error = exc
+                            first_error = outcome
                         continue
+                    added, removed = outcome
+                    resync = sub.dirty
                     if resync:
                         sub.dirty = False
                         # Hand the subscription straight back: the planner's
@@ -337,8 +346,7 @@ class ContinuousSession:
                             self._policies[sub.routed].forget(sub)
                             self._policy(target).adopt(sub)
                             sub.routed = target
-                    routed = RESYNC if resync else name
-                    self._count(f"continuous.route.{routed}")
+                    self._count(f"continuous.route.{RESYNC if resync else sub.routed}")
                     delta = Delta(tick=tick, added=frozenset(added), removed=frozenset(removed))
                     sub.latest = delta
                     sub.deltas.append(delta)

@@ -183,14 +183,16 @@ class TickBatch:
         boxes = [*self.inserted.values(), *(new for _, new in self.moved.values())]
         return ids, boxes, boxes_to_array(boxes)
 
-    def entrants_inside(self, box: AABB) -> set[int]:
-        """Ids of the entrants whose box now intersects ``box``: the scalar
-        ``AABB.intersects`` comparisons, run on the packed array."""
+    def entrants_inside(self, boxes: list[AABB]) -> list[set[int]]:
+        """Per box, the ids of the entrants whose box now intersects it: the
+        scalar ``AABB.intersects`` comparisons, for every box in one pass
+        over the packed array."""
         ids, _, packed = self.entrants
         if not ids:
-            return set()
-        apart = (packed[:, 0, :] > box.hi) | (box.lo > packed[:, 1, :])
-        return {ids[at] for at in np.flatnonzero(~apart.any(axis=1)).tolist()}
+            return [set() for _ in boxes]
+        windows = boxes_to_array(boxes)[:, None]  # (boxes, 1, 2, d) against (m, d)
+        apart = (packed[:, 0, :] > windows[..., 1, :]) | (windows[..., 0, :] > packed[:, 1, :])
+        return [{ids[at] for at in np.flatnonzero(row).tolist()} for row in ~apart.any(axis=2)]
 
 
 def _other_dims(box: AABB, dims: int | None) -> int:
@@ -258,7 +260,7 @@ def normalize_updates(
         else:
             eid, old_box, new_box = update
             have = current_box(eid)
-            if have is None or have != old_box:
+            if have is not old_box and (have is None or have != old_box):
                 raise KeyError(f"element {eid} with box {old_box} not tracked")
             if len(new_box.lo) != dims:
                 dims = _other_dims(new_box, dims)

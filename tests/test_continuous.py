@@ -845,6 +845,221 @@ class TestKNNEntrantPrefilter:
                 assert sub.result == session.oracle_result(sub)  # distances too
 
 
+# -- one kernel pass per tick ----------------------------------------------------
+
+
+def _cube(center, half: float = 0.25) -> AABB:
+    return AABB([c - half for c in center], [c + half for c in center])
+
+
+class TestBatchedTick:
+    """A tick hands each policy all of its subscriptions at once: the kNN
+    re-probes share one ``batch_knn`` per ``k``, the entrant prefilters one
+    distance matrix, and the join re-probe runs on the gap kernel alone.
+    Structural pins (call counts, never wall clock), each checked against
+    the oracle as well."""
+
+    A = [(20.0, 20.0, 20.0), (22.0, 20.0, 20.0), (20.0, 22.0, 20.0)]
+    B = (80.0, 80.0, 80.0)
+
+    def _session(self):
+        """Cluster A (eids 0-9) around three kNN points, cluster B (10-19)
+        around a fourth, a far cloud (20-59); range, join and kNN specs."""
+        rng = random.Random(13)
+        items = {}
+        for eid in range(10):
+            items[eid] = _cube([c + rng.uniform(-2.0, 2.0) for c in self.A[0]])
+        for eid in range(10, 20):
+            items[eid] = _cube([c + rng.uniform(-2.0, 2.0) for c in self.B])
+        for eid in range(20, 60):
+            items[eid] = _cube([rng.uniform(45.0, 60.0) for _ in range(3)])
+        session = ContinuousSession(sorted(items.items()), UNIVERSE_3D, policy="incremental")
+        ranged = session.subscribe(ContinuousRangeQuery(AABB((15, 15, 15), (25, 25, 25))))
+        joined = session.subscribe(ContinuousJoinSpec(epsilon=1.0))
+        near = [session.subscribe(ContinuousKNNQuery(point, k=3)) for point in self.A]
+        far = session.subscribe(ContinuousKNNQuery(self.B, k=3))
+        session.tick([])  # instantiates the incremental policy and its backing
+        return session, ranged, joined, near, far, rng
+
+    def _jiggle(self, session, rng, eids, step: float = 0.3):
+        updates = []
+        for eid in eids:
+            box = session.state_box(eid)
+            updates.append((eid, box, _shift(box, [rng.uniform(-step, step) for _ in range(3)])))
+        return updates
+
+    def test_invalidated_knn_specs_share_one_batch_knn(self, monkeypatch):
+        session, _, _, near, far, rng = self._session()
+        backing = session._policies["incremental"]._backing
+        calls = []
+        original = backing.batch_knn
+
+        def spy(points, k):
+            calls.append((len(points), k))
+            return original(points, k)
+
+        monkeypatch.setattr(backing, "batch_knn", spy)
+        invalidations = session.counters.safe_region_invalidations
+        # Every cluster-A member moves: no A spec has a slack yet, so each
+        # of the three (same k) must re-probe; the B spec holds.
+        session.tick(self._jiggle(session, rng, range(10)))
+        assert session.counters.safe_region_invalidations - invalidations >= 3
+        assert calls == [(3, 4)]
+        for sub in near + [far]:
+            assert_exact(session, sub)
+
+    def _matrix_rows(self, monkeypatch) -> list[int]:
+        """Spy on the entrant distance matrix: the row count of each call."""
+        import repro.continuous.policies as policies
+
+        rows, original = [], policies.batch_min_distance_to_points
+        monkeypatch.setattr(policies, "batch_min_distance_to_points",
+                            lambda boxes, points: rows.append(len(points)) or original(boxes, points))
+        return rows
+
+    def test_entrant_prefilter_is_one_distance_matrix_per_tick(self, monkeypatch):
+        session, _, _, near, far, rng = self._session()
+        session.tick(self._jiggle(session, rng, range(20)))  # records every slack
+        calls = self._matrix_rows(monkeypatch)
+        for tick in range(4):
+            calls.clear()
+            session.tick(self._jiggle(session, rng, range(20, 60)))  # only the cloud
+            assert calls == [4]
+            for sub in near + [far]:
+                assert_exact(session, sub)
+
+    def test_a_crowded_tick_splits_the_matrix_into_row_blocks(self, monkeypatch):
+        session, _, _, near, far, rng = self._session()
+        session.tick(self._jiggle(session, rng, range(20)))  # records every slack
+        crowd = [Insert(eid, _cube([rng.uniform(45.0, 60.0) for _ in range(3)]))
+                 for eid in range(100, 1700)]
+        calls = self._matrix_rows(monkeypatch)
+        session.tick(crowd + self._jiggle(session, rng, range(20, 60)))
+        # Several blocks, fewer than one per spec; each spec's row in one block.
+        assert 1 < len(calls) < 4 and sum(calls) == 4
+        for sub in near + [far]:
+            assert_exact(session, sub)
+
+    def test_join_reprobe_never_calls_the_scalar_box_gap(self, monkeypatch):
+        session, _, joined, _, _, rng = self._session()
+        calls = []
+        original = AABB.min_distance_to_box
+
+        def spy(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(AABB, "min_distance_to_box", spy)
+        refines = session.counters.refine_tests
+        for _ in range(3):
+            session.tick(self._jiggle(session, rng, range(60), step=1.0))
+        assert session.counters.refine_tests > refines  # the gap test did run
+        assert calls == []
+        monkeypatch.undo()
+        assert_exact(session, joined)
+
+    @pytest.mark.parametrize("spec", [
+        ContinuousKNNQuery((1.0, 2.0), k=2), ContinuousRangeQuery(AABB((0, 0), (5, 5)))])
+    def test_a_spec_of_other_dims_is_refused_before_it_shares_a_probe(self, spec):
+        # An empty grid answers anything, so only the subscribe check stops
+        # a 2-D spec from failing every 3-D spec batched with it later.
+        session = ContinuousSession([], UNIVERSE_3D, policy="incremental")
+        with pytest.raises(ValueError, match="dims"):
+            session.subscribe(spec)
+        good = session.subscribe(ContinuousKNNQuery((1.0, 2.0, 3.0), k=2))
+        session.tick([Insert(eid, _cube((eid, eid, eid))) for eid in range(1, 10)])
+        box = session.state_box(1)
+        session.tick([(1, box, _shift(box, [0.5, 0.0, 0.0]))])
+        assert_exact(session, good)
+
+    def test_failed_knn_reprobe_fails_exactly_its_specs(self, monkeypatch):
+        session, ranged, joined, near, far, rng = self._session()
+        backing = session._policies["incremental"]._backing
+        original = backing.batch_knn
+        raised = []
+
+        def once(points, k):
+            if not raised:
+                raised.append(len(points))
+                raise Boom("batch_knn")
+            return original(points, k)
+
+        monkeypatch.setattr(backing, "batch_knn", once)
+        before = {sub.cqid: (list(sub.result), list(sub.deltas)) for sub in near}
+        with pytest.raises(Boom):
+            session.tick(self._jiggle(session, rng, range(10)))
+        assert raised == [3]
+        tick = session.ticks
+        for sub in near:
+            assert sub.dirty and sub.routed is None
+            assert (sub.result, sub.deltas) == before[sub.cqid]
+        # Range, join and the held kNN spec still got this tick's delta.
+        for sub in (ranged, joined, far):
+            assert not sub.dirty and sub.deltas[-1].tick == tick
+            assert_exact(session, sub)
+        assert session.stats.faults == 3
+
+        session.tick(self._jiggle(session, rng, range(10)))
+        assert session.stats.resyncs == 3
+        for sub in near + [ranged, joined, far]:
+            assert not sub.dirty and sub.routed == "incremental"
+            assert_exact(session, sub)
+
+
+class TestDistanceContract:
+    """The continuous layer reports one distance per kind: kNN lists carry
+    the scalar ``min_distance_to_point``, and the join keeps a pair when
+    ``batch_box_gaps <= ε`` — for every policy, whichever executor answers."""
+
+    def test_join_and_its_oracle_agree_at_the_epsilon_boundary(self):
+        # Per-axis gaps whose math.hypot is one ulp below their summed-
+        # squares norm: at ε = hypot(g), the scalar gap keeps the pair and
+        # batch_box_gaps (the recompute oracle's kernel) drops it.
+        g = (0.012561257529079892, 0.040329209851472696, 0.033643983317252706)
+        items = [(0, AABB((-1.0,) * 3, (0.0,) * 3)), (1, AABB((5.0,) * 3, (6.0,) * 3))]
+        items += [(eid, AABB((10.0 + 3 * eid,) * 3, (11.0 + 3 * eid,) * 3)) for eid in range(2, 40)]
+        session = ContinuousSession(items)
+        sub = session.subscribe(ContinuousJoinSpec(epsilon=math.hypot(*g)))
+        session.tick([(1, session.state_box(1), AABB(g, [c + 1 for c in g]))])
+        assert session.stats.policy_routes == {"incremental": 1}
+        assert sub.result == session.oracle_result(sub) == set()
+        assert_exact(session, sub)
+
+    def test_recompute_and_incremental_knn_are_bit_identical_on_the_batch_kernel(
+        self, monkeypatch
+    ):
+        from functools import partial
+
+        import repro.continuous.policies as policies
+        from repro.engine import BatchExecutor, QuerySession
+
+        monkeypatch.setattr(
+            policies, "QuerySession", partial(QuerySession, executor=BatchExecutor())
+        )
+        rng = random.Random(23)
+        items = make_items(300, seed=23)
+        session = ContinuousSession(items, UNIVERSE_3D, policy="incremental")
+        subs = [
+            session.subscribe(ContinuousKNNQuery(
+                tuple(rng.uniform(0.0, 100.0) for _ in range(3)), k=rng.randint(1, 8)))
+            for _ in range(200)
+        ]
+        # Every element moves: no adopted result has a slack yet, so every
+        # spec re-probes the incremental grid on the batch kernel.
+        updates = []
+        for eid, box in session.state_items():
+            updates.append((eid, box, _shift(box, [rng.uniform(-0.2, 0.2) for _ in range(3)])))
+        session.tick(updates)
+        assert session.counters.safe_region_invalidations == len(subs)
+        for sub in subs:
+            assert sub.result == session.oracle_result(sub)
+            point = sub.spec.point
+            assert sub.result == sorted(
+                (session.state_box(eid).min_distance_to_point(point), eid)
+                for _, eid in sub.result
+            )
+
+
 # -- telemetry -----------------------------------------------------------------
 
 
