@@ -23,8 +23,8 @@ class Handle:
 
     ``result()`` flushes the owning session while still pending
     (flush-on-read).  Under an :class:`~repro.serving.async_executor.AsyncExecutor`
-    the executor attaches an asyncio waiter at submit time and ``await
-    handle`` parks the task until a flush settles it; with no waiter,
+    the executor attaches a future at submit time, settled with the value
+    or error, and ``await handle`` parks the task on it; with no future,
     ``await`` is the synchronous read.  A submission claimed for a flush of
     its own (:meth:`~repro.engine.session.QuerySession.claim_alone`) is in no
     buffer a read could flush: ``result()`` blocks until that flush settles it.
@@ -156,18 +156,25 @@ class SessionCore:
         self._buffer.add(entry, rows)
         self._m_high_water.track_max(len(self._buffer))
 
-    def flush(self) -> None:
+    def flush(self, blocking: bool = True) -> bool:
         """Execute everything buffered and resolve the handles.
 
         A group that raises settles its own handles with its error; the
         other groups still run, and the first error propagates once the
-        buffer is settled.  Concurrent callers queue on the flush lock.
+        buffer is settled.  Concurrent callers queue on the flush lock;
+        with ``blocking=False`` a caller that finds it taken flushes
+        nothing and gets False back.
         """
-        with self._flush_lock:
+        if not self._flush_lock.acquire(blocking):
+            return False
+        try:
             with self._lock:
                 groups = self._buffer.drain()
             if groups:
                 self._flush_groups(groups)
+        finally:
+            self._flush_lock.release()
+        return True
 
     def _flush_groups(self, groups: list[list], *, alone: bool = False) -> None:
         with self._lock:

@@ -42,6 +42,7 @@ heuristic may switch freely.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import threading
 from abc import ABC, abstractmethod
@@ -397,34 +398,48 @@ def _distinct_rows(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return payload[first[order]], rank[inverse.ravel()]
 
 
+#: What a refused query's handle raises — the kernels' own words for it.
+_NOT_FINITE = "query coordinates must be finite"
+
+
+def _refused(kind: str, coords: np.ndarray | tuple[float, ...]) -> bool:
+    """Whether a query is refused at submission, never joining a group it
+    would fail: a NaN anywhere, or a kNN probe that is not finite (±inf
+    window corners clamp to the universe)."""
+    if isinstance(coords, np.ndarray):
+        return not np.isfinite(coords).all() and (kind == "knn" or bool(np.isnan(coords).any()))
+    return not all(map(math.isfinite, coords)) and (kind == "knn" or any(map(math.isnan, coords)))
+
+
 # -- the buffer ----------------------------------------------------------------
 
 
 @dataclass
 class _Submission:
-    """One submit() call's worth of pending work: a payload slice plus the
-    handle(s) awaiting it.  ``vector`` submissions resolve their single
-    handle with the whole result list; scalar ones resolve one handle with
-    one result."""
+    """One submit() call's worth of pending work: a payload plus the
+    handle awaiting it.  ``vector`` submissions resolve their single handle
+    with the whole result list; scalar ones, one flat row (``lo + hi`` for a
+    window) packed with their group at flush time, with one result."""
 
     kind: str
-    payload: np.ndarray  # (n, 2, d) for range, (n, d) for knn/point
+    payload: Any  # vector: (n, 2, d) for range, (n, d) for knn/point
     k: int | None
     handle: ResultHandle
     vector: bool
+    dims: int
     accuracy: float | None = None  # kNN recall target; None = exact
 
 
 class QueryBuffer(Buffer):
     """Submissions awaiting a flush, depth in query rows, drained as one
-    group per (kind, k, accuracy) in first-seen order.  Submission order
-    inside a group is the contract handles rely on; accuracy is in the key
-    so exact and approximate kNN at one ``k`` never share a kernel run."""
+    group per (kind, k, accuracy, dims) in first-seen order.  Submission
+    order inside a group is the contract handles rely on; exact and
+    approximate kNN, and queries of other dims, never share a kernel run."""
 
     def _group(self, entries: list[_Submission]) -> list[list[_Submission]]:
-        groups: dict[tuple[str, int | None, float | None], list[_Submission]] = {}
+        groups: dict[tuple[str, int | None, float | None, int], list[_Submission]] = {}
         for sub in entries:
-            groups.setdefault((sub.kind, sub.k, sub.accuracy), []).append(sub)
+            groups.setdefault((sub.kind, sub.k, sub.accuracy, sub.dims), []).append(sub)
         return list(groups.values())
 
 
@@ -621,30 +636,37 @@ class QuerySession(SessionCore):
     # -- submission (deferred) ------------------------------------------------
 
     def enqueue(self, submission: _Submission) -> ResultHandle:
-        """Queue ``submission`` for the next flush; returns its handle."""
-        count = submission.payload.shape[0]
+        """Queue ``submission`` for the next flush, unless it was refused
+        (settled) when made; returns its handle."""
+        handle = submission.handle
+        if handle.resolved:
+            return handle
+        count = submission.payload.shape[0] if submission.vector else 1
         with self._lock:
             self._enqueue(submission, count)
             self._m_submitted.inc(count)
-        return submission.handle
+        return handle
 
     def submit(self, query: Query) -> ResultHandle:
-        """Buffer one query value; returns its deferred handle."""
-        handle = ResultHandle(self, query)
+        """Buffer one query value; returns its deferred handle, failed at
+        once if the query is refused (:func:`_refused`)."""
         accuracy = None
         if isinstance(query, RangeQuery):
-            payload = as_box_array([query.box])
-            kind, k = "range", None
+            kind, k, row = "range", None, query.box.lo + query.box.hi
         elif isinstance(query, KNNQuery):
-            payload = as_point_array([query.point])
-            kind, k = "knn", query.k
+            kind, k, row = "knn", query.k, query.point
             accuracy = None if query.accuracy == "exact" else query.accuracy
         elif isinstance(query, PointQuery):
-            payload = as_point_array([query.point])
-            kind, k = "point", None
+            kind, k, row = "point", None, query.point
         else:
             raise TypeError(f"not a query value: {query!r}")
-        return self.enqueue(_Submission(kind, payload, k, handle, vector=False, accuracy=accuracy))
+        handle = ResultHandle(self, query)
+        dims = len(row) // 2 if kind == "range" else len(row)
+        if _refused(kind, row):
+            handle._fail(ValueError(_NOT_FINITE))
+        return self.enqueue(
+            _Submission(kind, row, k, handle, vector=False, dims=dims, accuracy=accuracy)
+        )
 
     def array_submission(
         self,
@@ -658,7 +680,8 @@ class QuerySession(SessionCore):
         """One whole query array as a submission with a fresh handle, not
         yet queued: :meth:`enqueue` it (what ``submit_ranges`` /
         ``submit_knns`` / ``submit_points`` do), or — the serving tier, for
-        an array that is a batch by itself — :meth:`claim_alone` it."""
+        an array that is a batch by itself — :meth:`claim_alone` it.  A
+        refused array comes back with its handle failed."""
         target = None
         if kind == "knn":
             if k < 0:
@@ -667,7 +690,11 @@ class QuerySession(SessionCore):
             target = None if target == "exact" else target
         payload = as_box_array(array) if kind == "range" else as_point_array(array)
         handle = ResultHandle(self, None, tag)
-        return _Submission(kind, payload, k, handle, vector=True, accuracy=target)
+        if _refused(kind, payload):
+            handle._fail(ValueError(_NOT_FINITE))
+        return _Submission(
+            kind, payload, k, handle, vector=True, dims=payload.shape[-1], accuracy=target
+        )
 
     def submit_ranges(
         self, boxes: np.ndarray | Sequence[AABB], tag: Any = None
@@ -721,9 +748,9 @@ class QuerySession(SessionCore):
         the index's lazy snapshot, which is in-process work like any kernel.
         While one is running the submission is left to the queue, whose
         flush publishes."""
-        if submission.accuracy is not None:
+        if submission.accuracy is not None or submission.handle.resolved:
             # Routing a recall target calibrates on the index: in-process
-            # work, so it belongs under the flush lock.
+            # work, so it belongs under the flush lock.  Refused: no work.
             return False
         batch = QueryBatch(submission.kind, submission.payload, submission.k)
         executor = self.choose_executor(batch)
@@ -772,9 +799,15 @@ class QuerySession(SessionCore):
         scattered back to the handles in submission order."""
         first = submissions[0]
         kind, k = first.kind, first.k
-        # Zero-row payloads contribute nothing (and may carry a placeholder
-        # dim of 0 that would poison concatenation).
-        parts = [sub.payload for sub in submissions if sub.payload.shape[0]]
+        # Each run of scalar rows packs into one array; zero-row arrays
+        # contribute nothing.
+        parts = []
+        for vector, run in itertools.groupby(submissions, key=lambda sub: sub.vector):
+            if vector:
+                parts.extend(sub.payload for sub in run if sub.payload.shape[0])
+            else:
+                rows = np.array([sub.payload for sub in run], dtype=np.float64)
+                parts.append(rows.reshape(len(rows), 2, -1) if kind == "range" else rows)
         if not parts:
             for sub in submissions:
                 sub.handle._resolve([] if sub.vector else None)
@@ -796,7 +829,7 @@ class QuerySession(SessionCore):
             results = self._execute(executor, batch, alone)
         offset = 0
         for sub in submissions:
-            n = sub.payload.shape[0]
+            n = sub.payload.shape[0] if sub.vector else 1
             chunk = results[offset : offset + n]
             offset += n
             sub.handle._resolve(chunk if sub.vector else chunk[0])

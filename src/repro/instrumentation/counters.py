@@ -78,32 +78,32 @@ class Counters:
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        for field in fields(self):
-            setattr(self, field.name, 0)
+        for name in _NAMES:
+            setattr(self, name, 0)
 
     def snapshot(self) -> "Counters":
         """An independent copy of the current tallies."""
-        return Counters(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return Counters(**{name: getattr(self, name) for name in _NAMES})
 
     def diff(self, earlier: "Counters") -> "Counters":
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return Counters(
-            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
-        )
+        return Counters(**{name: getattr(self, name) - getattr(earlier, name) for name in _NAMES})
 
     def __add__(self, other: "Counters") -> "Counters":
         """Both tallies summed field by field (``sum(diffs, Counters())``
         totals the work of several runs)."""
-        return Counters(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
+        return Counters(**{name: getattr(self, name) + getattr(other, name) for name in _NAMES})
 
     def total_intersection_tests(self) -> int:
         return self.node_tests + self.elem_tests + self.refine_tests
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _NAMES}
 
     def __str__(self) -> str:
         parts = [f"{name}={value}" for name, value in self.as_dict().items() if value]
         return "Counters(" + ", ".join(parts) + ")"
+
+
+#: The counter names, in field order: read once, not per snapshot or diff.
+_NAMES = tuple(field.name for field in fields(Counters))

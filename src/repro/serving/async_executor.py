@@ -23,13 +23,19 @@ connects the two with a *flush policy*:
   idles on a pipe.  An array the session would execute in-process rides
   the queue like everything else — in-process kernels never overlap.
 
-Each flush runs in a worker thread (``asyncio.to_thread``), so the loop
-keeps accepting submissions while the kernels execute.  Handles submitted
-through the executor become awaitable: ``await handle`` parks the client
-task until its flush settles it.  No order is promised across handles —
-an own-flush array may settle after requests submitted later — and every
-answer reflects the index as it was when its flush executed, as it always
-has.  Each flush's cause and wall clock are counted once, in the session's
+A submission buffers at call time and gets an asyncio future, settled by
+its flush with the value or the error: ``await handle`` parks on it, and
+:class:`ServingSession`'s request methods return it, so a frame costs no
+task per request.  A query queue no deeper than
+:attr:`FlushPolicy.max_batch` whose flush lock is free flushes on the loop
+thread: its work is bounded by one batch, and a hop's two wake-ups would
+cost a small frame a tenth of its time.  Every other flush hops to a
+worker thread while the loop keeps accepting submissions: one that would
+wait for the lock (the loop never blocks on it), a join (one spec's work
+has no bound), a deeper queue, and an own flush.  No order is promised
+across handles — an own-flush array may settle after requests submitted
+later — and every answer reflects the index as it was when its flush
+executed.  Each flush's cause and wall clock are counted once, in the session's
 registry (``serving.flush.trigger.<cause>``, ``serving.flush.seconds``),
 which the session's ``stats`` and
 :func:`repro.analysis.session_report.session_report` read.
@@ -112,10 +118,18 @@ class AsyncExecutor:
                 raise RuntimeError("AsyncExecutor is closed")
             self._flusher = loop.create_task(self._run_flusher())
         handle._waiter = loop.create_future()
+        if handle.resolved:  # refused at submission: settled, never queued
+            self._wake_client(handle)
+            return handle
         self._pending.append(handle)
         self._seq += 1
         self._wake.set()
         return handle
+
+    def request(self, request: Query | JoinSpec, *args: Any) -> asyncio.Future:
+        """Buffer one query value or join spec now; returns the future its
+        flush settles with the answer or the error."""
+        return self._register(self.session.submit(request, *args))._waiter
 
     async def submit(self, request: Query | JoinSpec, *args: Any, **kwargs: Any):
         """Buffer one query value or join spec; returns an awaitable handle."""
@@ -186,14 +200,14 @@ class AsyncExecutor:
             await self._flush_once(trigger)
 
     async def _flush_once(self, trigger: str) -> None:
-        # Hop only for work: something buffered, or a registered handle a
+        # Flush only for work: something buffered, or a registered handle a
         # flush on another thread drained and has yet to settle (session.flush
         # waits that flush out).
         if self.session.pending or not all(handle.resolved for handle in self._pending):
-            # The thread hop keeps the loop responsive during execution —
-            # new submissions buffer for the next flush meanwhile.
-            await self._flush_in_thread(trigger, len(self._pending), self.session.flush)
-        # The flush drained the session's buffer inside the hop, so it also
+            queries = isinstance(self.session, QuerySession)  # a join's work has no bound
+            here = queries and self.session.pending <= self.policy.max_batch
+            await self._flush(trigger, len(self._pending), self.session.flush, here=here)
+        # A flush on a thread hop drains the buffer when it starts, so it also
         # executed whatever was submitted after the hop began: wake every
         # settled handle, not only those registered before it.
         waiting = []
@@ -207,15 +221,17 @@ class AsyncExecutor:
     async def _flush_alone(self, submission) -> None:
         # Off the flusher and off the session's flush lock: the queue keeps
         # flushing frames while the pool works on this batch.
-        await self._flush_in_thread("full", 1, self.session.flush_alone, submission)
+        await self._flush("full", 1, self.session.flush_alone, submission)
         self._wake_client(submission.handle)
 
-    async def _flush_in_thread(self, trigger: str, requests: int, flush, *args) -> None:
-        """One flush on a thread hop, timed, traced and attributed."""
+    async def _flush(self, trigger: str, requests: int, flush, *args, here: bool = False) -> None:
+        """One flush, timed, traced and attributed: on the loop thread if
+        ``here`` and the flush lock is free, else on a thread hop."""
         start = time.perf_counter()
         try:
             with _span("serving.flush", trigger=trigger, requests=requests):
-                await asyncio.to_thread(flush, *args)
+                if not (here and flush(*args, blocking=False)):
+                    await asyncio.to_thread(flush, *args)
         except Exception:
             # The session already settled each affected handle with its
             # error; per-request `await handle` re-raises it.  The flush-
@@ -228,9 +244,15 @@ class AsyncExecutor:
 
     @staticmethod
     def _wake_client(handle) -> None:
+        """Settle the request's future with its handle's value or error."""
         waiter = handle._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+        if waiter is None or waiter.done():
+            return
+        if handle._error is None:
+            waiter.set_result(handle._value)
+        else:
+            waiter.set_exception(handle._error)
+            waiter.exception()  # retrieved: a result() read must not leave it to log
 
     # -- telemetry -------------------------------------------------------------
 
@@ -272,14 +294,16 @@ class ServingSession:
     Bundles a :class:`~repro.engine.session.QuerySession` — its shards
     routed through one persistent :class:`~repro.serving.pool.WorkerPool` —
     and a plain :class:`~repro.joins.session.JoinSession`, whose flushes run
-    in-process on a worker thread, behind awaitable convenience methods.
-    N client tasks share the two flushers, so concurrent requests batch into
-    few executor runs while each client just awaits its own answer::
+    in-process on a worker thread.  Each request method submits when called
+    and returns its answer's future (no task per request); N clients share
+    the two flushers, so concurrent requests batch into few executor runs
+    while each client just awaits its own answer::
 
         async with ServingSession(index) as serving:
             ids = await serving.range_query(box)
             nn = await serving.knn((1.0, 2.0, 3.0), k=8)
             pairs = await serving.join(SelfJoinSpec(items))
+            frame = await asyncio.gather(*(serving.range_query(b) for b in boxes))
 
     The pool is shared (the process-wide default unless one is passed) and
     is therefore *not* closed with the session.
@@ -309,23 +333,19 @@ class ServingSession:
         self.query_executor = AsyncExecutor(self.queries, policy)
         self.join_executor = AsyncExecutor(self.joins, policy)
 
-    # -- awaitable request surface --------------------------------------------
+    # -- request surface: each call submits and returns its answer's future --
 
-    async def range_query(self, box: AABB) -> list[int]:
-        handle = await self.query_executor.submit(RangeQuery(box))
-        return await handle
+    def range_query(self, box: AABB) -> "asyncio.Future[list[int]]":
+        return self.query_executor.request(RangeQuery(box))
 
-    async def knn(self, point: Sequence[float], k: int) -> KNNResult:
-        handle = await self.query_executor.submit(KNNQuery(tuple(point), k=k))
-        return await handle
+    def knn(self, point: Sequence[float], k: int) -> "asyncio.Future[KNNResult]":
+        return self.query_executor.request(KNNQuery(point, k=k))
 
-    async def point_query(self, point: Sequence[float]) -> list[int]:
-        handle = await self.query_executor.submit(PointQuery(tuple(point)))
-        return await handle
+    def point_query(self, point: Sequence[float]) -> "asyncio.Future[list[int]]":
+        return self.query_executor.request(PointQuery(point))
 
-    async def join(self, spec: JoinSpec, strategy: Any = None) -> Any:
-        handle = await self.join_executor.submit(spec, strategy)
-        return await handle
+    def join(self, spec: JoinSpec, strategy: Any = None) -> asyncio.Future:
+        return self.join_executor.request(spec, strategy)
 
     async def submit(self, request: Query | JoinSpec) -> ResultHandle | JoinHandle:
         """Route a query value or join spec to the right executor."""

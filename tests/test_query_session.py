@@ -20,13 +20,14 @@ pin its contract:
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from conftest import knn_pairs, make_items, make_queries
+from conftest import UNIVERSE_2D, knn_pairs, make_items, make_queries
 from repro import (
     AABB,
     INDEX_REGISTRY,
@@ -36,7 +37,9 @@ from repro import (
     PointQuery,
     QuerySession,
     RangeQuery,
+    ServingSession,
     ShardedExecutor,
+    WorkerPool,
     available_indexes,
     make_index,
 )
@@ -197,16 +200,16 @@ class TestHandlesAndBuffer:
         good_box = make_queries(1, seed=45)[0]
         h_good = session.submit(KNNQuery((10.0, 10.0, 10.0), k=3))
         h_bad = session.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))  # 2-d vs 3-d
-        h_good2 = session.submit(RangeQuery(good_box))  # same doomed group
+        h_good2 = session.submit(RangeQuery(good_box))  # 3-d: a group of its own
         with pytest.raises(ValueError):
             session.flush()
         assert session.pending == 0
         assert h_bad.resolved and h_good2.resolved
         with pytest.raises(ValueError):
             h_bad.result()
-        with pytest.raises(ValueError):
-            h_good2.result()  # rode in the same batch as the bad query
-        # The kNN group was independent and still answered.
+        # Dims are part of the group key: the 3-d window and the kNN group
+        # were independent of the 2-d one and still answered.
+        assert sorted(h_good2.result()) == sorted(oracle.range_query(good_box))
         assert knn_pairs(h_good.result()) == knn_pairs(oracle.knn((10.0, 10.0, 10.0), 3))
         # The session stays usable afterwards.
         assert sorted(session.range_query([good_box])[0]) == sorted(
@@ -222,7 +225,7 @@ class TestHandlesAndBuffer:
         index.bulk_load(items)
         session = QuerySession(index)
         session.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))  # 2-d
-        session.submit_ranges(make_queries(3, seed=47))  # same doomed group
+        session.submit_ranges(make_queries(3, seed=47))  # 3-d: answered
         h_good = session.submit(KNNQuery((10.0, 10.0, 10.0), k=2))
         expected = knn_pairs(oracle.knn((10.0, 10.0, 10.0), 2))
         assert knn_pairs(h_good.result()) == expected  # first read: no raise
@@ -246,7 +249,7 @@ class TestHandlesAndBuffer:
 
         session = QuerySession(index, executor=KnnBomb())
         h_range = session.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))  # 2-d
-        h_range2 = session.submit_ranges(make_queries(2, seed=48))  # concat fails
+        h_range2 = session.submit_ranges(make_queries(2, UNIVERSE_2D, seed=48))  # same group
         h_knn = session.submit(KNNQuery((10.0, 10.0, 10.0), k=2))  # executor fails
         with pytest.raises((ValueError, Boom)):
             session.flush()  # first group's error, whichever ran first
@@ -266,7 +269,7 @@ class TestHandlesAndBuffer:
         index.bulk_load(items)
         session = QuerySession(index)
         h_bad = session.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))  # 2-d
-        h_bad2 = session.submit_ranges(make_queries(3, seed=46))  # same group
+        h_bad2 = session.submit_ranges(make_queries(3, UNIVERSE_2D, seed=46))  # same group
         points = np.array([[10.0, 10.0, 10.0], [70.0, 20.0, 30.0]])
         got = session.knn(points, 4)  # flush fails on the range group
         assert [knn_pairs(r) for r in got] == [
@@ -390,6 +393,60 @@ class TestExecutorEquivalence:
         if case == "inf_window":
             assert batch == [sorted(index.batch_range_query(np.array([[[0.0] * 3, [100.0] * 3]]))[0])]
 
+    #: The hostile cases every executor refuses with ValueError.
+    REFUSED = [case for case in HOSTILE if "nan" in case or "2d" in case or "inf_probe" in case]
+
+    @pytest.mark.parametrize("form", ["query", "array"])
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_a_refused_request_fails_only_itself(self, loaded, case, form):
+        """One hostile request among five good ones of its kind: the good
+        ones answer what the oracle answers and only the bad one raises.  A
+        NaN, or a kNN probe that is not finite, is refused at submission; a
+        wrong-dimension query runs in a group of its own."""
+        items, oracle = loaded
+        index = build_index("uniform_grid")
+        index.bulk_load(items)
+        kind, bad, k = self.HOSTILE[case]
+        bad = np.asarray(bad, dtype=np.float64)
+        good = _good_rows(kind, items)
+        session = QuerySession(index)
+        if form == "query":
+            handles = [session.submit(_query(kind, row, k)) for row in [*good[:2], bad[0], *good[2:]]]
+            bad_handle = handles.pop(2)
+            got = [handle.result() for handle in handles]
+        else:
+            first = _submit_array(session, kind, good[:2], k)
+            bad_handle = _submit_array(session, kind, bad, k)
+            got = first.result() + _submit_array(session, kind, good[2:], k).result()
+        with pytest.raises(ValueError):
+            bad_handle.result()
+        assert _answers(got) == _answers(_oracle_rows(oracle, kind, good, k))
+
+    @pytest.mark.serving
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_a_refused_request_fails_only_itself_in_a_serving_frame(self, loaded, case):
+        items, oracle = loaded
+        index = build_index("uniform_grid")
+        index.bulk_load(items)
+        kind, bad, k = self.HOSTILE[case]
+        good = _good_rows(kind, items)
+        rows = [*good[:2], np.asarray(bad, dtype=np.float64)[0], *good[2:]]
+
+        async def main():
+            # Six rows never shard: the pool starts no process.
+            with WorkerPool(workers=2) as pool:
+                async with ServingSession(index, pool=pool, workers=2) as serving:
+                    ask = {
+                        "range": lambda row: serving.range_query(AABB(row[0], row[1])),
+                        "point": serving.point_query,
+                        "knn": lambda row: serving.knn(row, k),
+                    }[kind]
+                    return await asyncio.gather(*map(ask, rows), return_exceptions=True)
+
+        answers = asyncio.run(main())
+        assert isinstance(answers.pop(2), ValueError)
+        assert _answers(answers) == _answers(_oracle_rows(oracle, kind, good, k))
+
     def test_default_heuristic_routes_by_size_and_capability(self, loaded):
         items, _ = loaded
         grid = build_index("uniform_grid")
@@ -439,6 +496,31 @@ def _one_point_per_leaf(tree, candidates: np.ndarray, want: int) -> np.ndarray:
             if len(chosen) == want:
                 return np.array(chosen)
     raise AssertionError("too few leaves for the probe set")
+
+
+def _good_rows(kind: str, items) -> np.ndarray:
+    """Five well-formed 3-d rows of ``kind``: windows, or points."""
+    if kind == "range":
+        return np.array([[box.lo, box.hi] for box in make_queries(5, seed=49)])
+    return np.array([items[i][1].center() for i in (3, 11, 29, 57, 101)])
+
+
+def _query(kind: str, row: np.ndarray, k: int | None):
+    if kind == "range":
+        return RangeQuery(AABB(row[0], row[1]))
+    return KNNQuery(row, k=k) if kind == "knn" else PointQuery(row)
+
+
+def _submit_array(session: QuerySession, kind: str, rows: np.ndarray, k: int | None):
+    if kind == "range":
+        return session.submit_ranges(rows)
+    return session.submit_knns(rows, k) if kind == "knn" else session.submit_points(rows)
+
+
+def _oracle_rows(oracle: LinearScan, kind: str, rows: np.ndarray, k: int | None) -> list:
+    if kind == "knn":
+        return oracle.batch_knn(rows, k)
+    return oracle.batch_range_query(rows if kind == "range" else np.stack([rows, rows], axis=1))
 
 
 def _answers(results) -> list:

@@ -14,6 +14,9 @@ These tests pin the contracts ISSUE 6 introduces:
   the inline LinearScan / nested-loop oracles answer, query for query;
 * **flush policy** — the event-loop flusher attributes every flush to
   ``full`` / ``deadline`` / ``idle`` and feeds the serving telemetry line;
+* **frame path** — a request through ``ServingSession`` is the future of
+  its answer (no task per request), and an uncontended frame's flush runs
+  on the loop thread.  Structural checks only, no clock;
 * **own flush** (ISSUE 18) — a batch-sized array bound for the worker pool
   flushes on its own: no small request waits behind it, in-process kernels
   still never overlap, and its handle blocks, fails and closes like any
@@ -27,6 +30,7 @@ These tests pin the contracts ISSUE 6 introduces:
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import random
@@ -678,6 +682,141 @@ class TestAsyncServing:
         assert "serving:" in join_report_text
 
 
+class TestFramePath:
+    """A dashboard frame — 32 windows and 8 kNN probes gathered at once —
+    through ``ServingSession``."""
+
+    @pytest.fixture
+    def lazy_pool(self):
+        # A frame is too small to shard: it never starts a worker.
+        with WorkerPool(workers=2) as pool:
+            yield pool
+
+    @staticmethod
+    def frame(serving, boxes, points):
+        return asyncio.gather(
+            *(serving.range_query(box) for box in boxes), *(serving.knn(p, 4) for p in points)
+        )
+
+    @staticmethod
+    def assert_frame_matches(answers, oracle, boxes, points) -> None:
+        assert [sorted(ids) for ids in answers[: len(boxes)]] == [
+            sorted(oracle.range_query(box)) for box in boxes
+        ]
+        assert [knn_pairs(nn) for nn in answers[len(boxes) :]] == [
+            knn_pairs(oracle.knn(p, 4)) for p in points
+        ]
+
+    def test_a_frame_schedules_no_task_per_request(self, loaded, lazy_pool):
+        _, grid, oracle = loaded
+        boxes, points = make_boxes(32, seed=70), [tuple(b.center()) for b in make_boxes(8, seed=71)]
+        created = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            async with ServingSession(grid, pool=lazy_pool, workers=2) as serving:
+                await serving.range_query(boxes[0])  # the flusher task starts here
+                create_task = loop.create_task
+
+                def spied_create_task(coro, **kwargs):
+                    created.append(coro)
+                    return create_task(coro, **kwargs)
+
+                loop.create_task = spied_create_task
+                try:
+                    return await self.frame(serving, boxes, points)
+                finally:
+                    del loop.create_task
+
+        answers = asyncio.run(main())
+        assert created == []
+        self.assert_frame_matches(answers, oracle, boxes, points)
+
+    def test_an_uncontended_frame_flushes_once_on_the_loop_thread(
+        self, loaded, lazy_pool, monkeypatch
+    ):
+        _, grid, oracle = loaded
+        boxes, points = make_boxes(32, seed=72), [tuple(b.center()) for b in make_boxes(8, seed=73)]
+        threads = []
+        for name in ("batch_range_query", "batch_knn"):
+
+            def spied_kernel(*args, _kernel=getattr(grid, name), **kwargs):
+                threads.append(threading.get_ident())
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(grid, name, spied_kernel)
+
+        async def main():
+            async with ServingSession(grid, pool=lazy_pool, workers=2) as serving:
+                answers = await self.frame(serving, boxes, points)
+                return threading.get_ident(), answers, serving.queries.stats
+
+        loop_thread, answers, stats = asyncio.run(main())
+        assert threads == [loop_thread, loop_thread]  # one range, one kNN kernel call
+        assert stats.flush_triggers == {"idle": 1}
+        assert stats.flushes == 1
+        self.assert_frame_matches(answers, oracle, boxes, points)
+
+    def test_every_way_of_awaiting_a_request_answers(self, loaded, lazy_pool):
+        _, grid, oracle = loaded
+        box = make_boxes(1, seed=74)[0]
+        point = (40.0, 45.0, 50.0)
+
+        async def main():
+            async with ServingSession(grid, pool=lazy_pool, workers=2) as serving:
+                request = serving.range_query(box)
+                assert isinstance(request, asyncio.Future)
+                scheduled = asyncio.ensure_future(serving.range_query(box))
+                nn = await serving.knn(point, 4)
+                handle = await serving.submit(RangeQuery(box))
+                stab = await serving.point_query(box.lo)
+                return await request, await scheduled, nn, await handle, stab
+
+        ids, scheduled, nn, handled, stab = asyncio.run(main())
+        assert sorted(ids) == sorted(scheduled) == sorted(handled) == sorted(oracle.range_query(box))
+        assert knn_pairs(nn) == knn_pairs(oracle.knn(point, 4))
+        assert sorted(stab) == sorted(oracle.range_query(AABB(box.lo, box.lo)))
+
+    def test_a_failed_request_raises_its_own_error(self, loaded, lazy_pool):
+        _, grid, oracle = loaded
+        box = make_boxes(1, seed=75)[0]
+
+        async def main():
+            async with ServingSession(grid, pool=lazy_pool, workers=2) as serving:
+                return await asyncio.gather(
+                    serving.range_query(AABB((0.0, 0.0), (1.0, 1.0))),  # its group fails
+                    serving.knn((np.nan, 1.0, 1.0), 4),  # refused at submission
+                    serving.range_query(box),
+                    return_exceptions=True,
+                )
+
+        flat, refused, ids = asyncio.run(main())
+        assert isinstance(flat, ValueError) and "dims" in str(flat)
+        assert isinstance(refused, ValueError) and "finite" in str(refused)
+        assert sorted(ids) == sorted(oracle.range_query(box))
+
+    def test_a_failed_handle_read_with_result_logs_nothing(self, loaded, lazy_pool):
+        """The handle and its future share the error: reading it through
+        ``result()`` must not leave the future to log it as unretrieved."""
+        _, grid, _ = loaded
+
+        async def main():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _, context: logged.append(context["message"])
+            )
+            async with ServingSession(grid, pool=lazy_pool, workers=2) as serving:
+                handle = await serving.submit(RangeQuery(AABB((0.0, 0.0), (1.0, 1.0))))
+                await serving.range_query(make_boxes(1, seed=76)[0])  # settled by the same flush
+                with pytest.raises(ValueError):
+                    handle.result()
+                del handle
+                gc.collect()
+            return logged
+
+        assert asyncio.run(main()) == []
+
+
 # -- batch-sized submissions flush on their own ---------------------------------
 
 MAX_BATCH = 64
@@ -872,9 +1011,9 @@ class TestOwnFlush:
             async with self.serving(grid, scoped_pool) as serving:
                 flush = serving.queries.flush
 
-                def spied_flush():
+                def spied_flush(blocking=True):
                     frame_flush_started.set()
-                    flush()
+                    return flush(blocking)
 
                 monkeypatch.setattr(serving.queries, "flush", spied_flush)
                 bulk = await serving.query_executor.submit_ranges(windows)
