@@ -139,7 +139,6 @@ from repro.engine import (
 from repro.registry import INDEX_REGISTRY, available_indexes, make_index
 from repro.joins import (
     DistanceJoinSpec,
-    IteratedSelfJoin,
     JOIN_REGISTRY,
     JoinSession,
     JoinStats,
@@ -234,7 +233,6 @@ __all__ = [
     "make_join_strategy",
     "Synapse",
     "SynapseDetector",
-    "IteratedSelfJoin",
     "ContinuousSession",
     "ContinuousStats",
     "ContinuousRangeQuery",

@@ -11,8 +11,8 @@ problem.  This package promotes it to a first-class scenario:
   pairs-added / pairs-removed) instead of full result sets;
 * routing *pin > heuristic*: unpinned specs go per tick, by observed churn,
   to full recompute (throwaway rebuild) or incremental maintenance (the
-  :class:`~repro.joins.iterated.IteratedSelfJoin` safe-region trick
-  generalized to all spec kinds); predictive evaluation on a TPR-tree
+  iterated join's retract-and-reprobe trick, with per-spec safe regions,
+  for all spec kinds); predictive evaluation on a TPR-tree
   backing is a pin-only third policy, measured slower at every churn level.
 
 See ``examples/continuous_monitoring.py`` and the "Continuous queries"

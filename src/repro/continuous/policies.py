@@ -12,9 +12,9 @@ when pinned:
   tested against (and the resync path after a mid-tick fault).
 * :class:`IncrementalPolicy` — maintain the answer, not the index: an
   incrementally-updated grid absorbs the tick's updates, and each result is
-  patched from the tick's *affected set* alone, generalizing
-  :class:`~repro.joins.iterated.IteratedSelfJoin`'s retract-and-reprobe trick
-  to range / kNN / join specs with per-spec safe-region checks.
+  patched from the tick's *affected set* alone: the iterated join's
+  retract-and-reprobe trick, for range / kNN / join specs with per-spec
+  safe-region checks.
 * :class:`PredictivePolicy` — the TPR bet: a predictive index absorbs
   motion nearly for free, and invalidated results are re-asked against it;
   exactness comes from the index's built-in refinement against exact
@@ -43,30 +43,13 @@ from repro.joins.session import JoinSession
 from repro.joins.spec import DistanceJoinSpec
 from repro.moving.tpr import TPRIndex
 
-from repro.continuous.spec import (
-    ContinuousJoinSpec,
-    ContinuousSpec,
-    TickBatch,
-    knn_ids,
-)
+from repro.continuous.spec import ContinuousJoinSpec, ContinuousSpec, TickBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.continuous.session import ContinuousSession, Subscription
 
 Pair = tuple[int, int]
 Outcome = Union[tuple[set, set], Exception]
-
-# The kNN entrant prefilter keeps every entrant whose *vectorized* distance
-# is within this factor of the bound it is tested against.  The vectorized
-# kernel (sqrt of summed squares) and the scalar one (``math.hypot``) see
-# identical per-axis gaps and disagree only in rounding the norm — a few
-# ulps, ~1e-15 relative — so a 1e-9 margin is a million times wider than any
-# disagreement and still admits no one who is not practically on the
-# boundary.  Where the kernel underflows (gaps below ~1e-154) it reads low,
-# which only ever keeps more; where it overflows (gaps above ~1e154) it
-# reads ``inf``, which the prefilter hands to the scalar test as well.
-_ENTRANT_MARGIN = 1.0 + 1e-9
-
 
 def _ordered(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
@@ -133,17 +116,13 @@ def _commit(sub: "Subscription", new) -> Outcome:
     return now - old, old - now
 
 
-def _rescored_knn(session: QuerySession, box_of: Callable, specs: list) -> list[tuple[KNNResult, float]]:
+def _slack_knn(session: QuerySession, specs: list) -> list[tuple[KNNResult, float]]:
     """One ``k + 1`` probe for ``specs`` (all of one ``k``): each top ``k`` (exactly
     the ``k`` probe's answer — the expanding-window search only ever grows
-    its candidate pool) plus its next slack, the (k+1)-th distance.  The
-    kernel's norm can differ from the scalar ``min_distance_to_point`` in
-    the last ulp, so ids are re-scored with the scalar one — the distance
-    every policy reports, whichever executor answered — and re-sorted."""
-    out, k, points = [], specs[0].k, [spec.point for spec in specs]
-    for point, row in zip(points, session.knn(points, k + 1)):
-        probe = sorted((box_of(eid).min_distance_to_point(point), eid) for _, eid in row)
-        out.append((probe[:k], probe[k][0] if len(probe) > k else math.inf))
+    its candidate pool) plus its next slack, the (k+1)-th distance."""
+    out, k = [], specs[0].k
+    for row in session.knn([spec.point for spec in specs], k + 1):
+        out.append((row[:k], row[k][0] if len(row) > k else math.inf))
     return out
 
 
@@ -188,12 +167,12 @@ class RecomputePolicy(MaintenancePolicy):
 
     def _answers(self, specs: list[ContinuousSpec]) -> list:
         """:meth:`full_result` for specs of one kind (kNN: of one ``k``; join:
-        just one): the ranges in one probe, the kNN in one :func:`_rescored_knn`."""
+        just one): the ranges in one probe, the kNN in one :func:`_slack_knn`."""
         spec = specs[0]
         if spec.kind == "range":
             return [set(ids) for ids in self._query_session().range_query([s.box for s in specs])]
         if spec.kind == "knn":
-            return [knn for knn, _ in _rescored_knn(self._query_session(), self.session.state_box, specs)]
+            return [knn for knn, _ in _slack_knn(self._query_session(), specs)]
         # A join: the gap-only join (``batch_box_gaps <= ε``), then the user refine
         # (DistanceJoinSpec's refine would *replace* the gap test, on candidates).
         items = tuple(self.session.state_items())
@@ -346,14 +325,15 @@ class _DeltaMaintenance(MaintenancePolicy):
 
         Otherwise the tick is a hit: moved members keep their seats with
         freshly patched exact distances, and outsiders that came closer than
-        the old slack tighten it.  Four phases: (a) and (b) per spec; one
-        distance matrix (in row blocks) picking each spec's near entrants;
-        the scalar test (c) on those; one :meth:`_knn` per distinct ``k`` for
-        the invalidated specs (a failed probe fails just those).  Distances
-        are the scalar ``min_distance_to_point``, as a recompute reports.
+        the old slack tighten it.  Three phases: (a) and (b) per spec; one
+        distance matrix (in row blocks) testing (c) for every spec still
+        valid; one :meth:`_knn` per distinct ``k`` for the invalidated specs
+        (a failed probe fails just those).  The matrix is the point–box
+        kernel, so its distances are the scalar ``min_distance_to_point``
+        bit for bit, as a recompute reports.
         """
-        ids, boxes, packed = batch.entrants
-        checks = []  # per spec: (invalid, patched, d_k, entrant-test limit)
+        ids, packed = batch.entrants
+        checks = []  # per spec: [invalid, patched, d_k]
         for sub in subs:
             spec, current = sub.spec, sub.result
             slack = self._knn_slack.get(spec.cqid, 0.0)
@@ -365,45 +345,29 @@ class _DeltaMaintenance(MaintenancePolicy):
                 moved_d = {eid: batch.moved[eid][1].min_distance_to_point(spec.point) for eid in moved}
                 patched = sorted((moved_d.get(eid, d), eid) for d, eid in current)
                 invalid = len(patched) == spec.k and patched[-1][0] >= slack
-            d_k = patched[-1][0] if len(patched) == spec.k else math.inf
-            # Only an entrant at or inside max(d_k, slack) can invalidate or
-            # tighten, so the distance matrix picks those out and the scalar
-            # test below — the sole authority on (distance, id) order — runs
-            # on them alone.
-            checks.append((invalid, patched, d_k, max(d_k, slack) * _ENTRANT_MARGIN))
+            checks.append([invalid, patched, patched[-1][0] if len(patched) == spec.k else math.inf])
 
-        tested = [i for i, (invalid, _, _, limit) in enumerate(checks)
-                  if ids and not invalid and limit < math.inf]
-        near: dict[int, list[int]] = {}
+        tested = [i for i, (invalid, _, _) in enumerate(checks) if ids and not invalid]
         self.counters.elem_tests += len(ids) * len(tested)
+        column = {eid: at for at, eid in enumerate(ids)}
         # Row blocks of at most 2**12 point-entrant gaps keep the kernel's
         # temporaries near one spec's size however many specs there are.
         step = max(1, (1 << 12) // max(len(ids), 1))
         for at in range(0, len(tested), step):
             rows = tested[at:at + step]
-            rough = batch_min_distance_to_points(packed, [subs[i].spec.point for i in rows])
-            limits = np.array([checks[i][3] for i in rows])[:, None]
-            for i, mask in zip(rows, (rough <= limits) | np.isinf(rough)):
-                near[i] = np.flatnonzero(mask).tolist()
+            for i, dists in zip(rows, batch_min_distance_to_points(packed, [subs[i].spec.point for i in rows])):
+                check, cqid = checks[i], subs[i].spec.cqid
+                # A moved member was patched above; it is not an entrant.
+                dists = np.delete(dists, [column[eid] for _, eid in check[1] if eid in column])
+                nearest = dists.min() if dists.size else math.inf
+                if nearest <= check[2]:
+                    check[0] = True
+                elif nearest < self._knn_slack.get(cqid, 0.0):
+                    self._knn_slack[cqid] = float(nearest)
 
         outcomes: list = [None] * len(subs)
         probe: list[int] = []
-        for i, (sub, (invalid, patched, d_k, _)) in enumerate(zip(subs, checks)):
-            spec = sub.spec
-            if not invalid and ids:
-                members = knn_ids(patched)
-                nearest = math.inf
-                for at in near.get(i, range(len(ids))):
-                    if ids[at] in members:
-                        continue  # a moved member: patched above, not an entrant
-                    self.counters.elem_tests += 1
-                    dist = boxes[at].min_distance_to_point(spec.point)
-                    if dist <= d_k:
-                        invalid = True
-                        break
-                    nearest = min(nearest, dist)
-                if not invalid and nearest < self._knn_slack.get(spec.cqid, 0.0):
-                    self._knn_slack[spec.cqid] = nearest
+        for i, (sub, (invalid, patched, _)) in enumerate(zip(subs, checks)):
             if invalid:
                 self.counters.safe_region_invalidations += 1
                 probe.append(i)
@@ -421,12 +385,12 @@ class _DeltaMaintenance(MaintenancePolicy):
         return outcomes
 
     def _knn(self, subs: list["Subscription"]) -> list[tuple[KNNResult, float]]:
-        """:func:`_rescored_knn` for ``subs`` (all of one ``k``) on the synced backing."""
+        """:func:`_slack_knn` for ``subs`` (all of one ``k``) on the synced backing."""
         self._sync()
-        return _rescored_knn(self._probe_session, self.session.state_box, [s.spec for s in subs])
+        return _slack_knn(self._probe_session, [s.spec for s in subs])
 
     def _evaluate_join(self, sub: "Subscription", batch: TickBatch) -> tuple[set, set]:
-        """The IteratedSelfJoin trick, with deltas: retract every pair
+        """The iterated self-join, with deltas: retract every pair
         touching a changed element, re-probe the changed survivors' (ε-
         expanded) boxes as one ``batch_range_hits`` call, and report the
         difference.  Pairs between untouched elements carry over — their
@@ -451,7 +415,7 @@ class _DeltaMaintenance(MaintenancePolicy):
 
         # The changed survivors are the tick's entrants, already packed:
         # probe their boxes grown by ε as ``AABB.expanded`` does.
-        ids, _, packed = batch.entrants
+        ids, packed = batch.entrants
         after: set[Pair] = set()
         if ids:
             eps = spec.epsilon

@@ -174,20 +174,19 @@ class TickBatch:
         return [(eid, old, new) for eid, (old, new) in sorted(self.moved.items())]
 
     @cached_property
-    def entrants(self) -> tuple[list[int], list[AABB], np.ndarray]:
+    def entrants(self) -> tuple[list[int], np.ndarray]:
         """Every element that may have come nearer to something this tick —
-        inserted, then moved at its new box — as parallel ``(ids, boxes,
-        (m, 2, d) array)``.  Packed once per tick and shared by every kNN
+        inserted, then moved at its new box — as parallel ``(ids, (m, 2, d)
+        array)``.  Packed once per tick and shared by every kNN
         subscription's entrant test."""
-        ids = [*self.inserted, *self.moved]
         boxes = [*self.inserted.values(), *(new for _, new in self.moved.values())]
-        return ids, boxes, boxes_to_array(boxes)
+        return [*self.inserted, *self.moved], boxes_to_array(boxes)
 
     def entrants_inside(self, boxes: list[AABB]) -> list[set[int]]:
         """Per box, the ids of the entrants whose box now intersects it: the
         scalar ``AABB.intersects`` comparisons, for every box in one pass
         over the packed array."""
-        ids, _, packed = self.entrants
+        ids, packed = self.entrants
         if not ids:
             return [set() for _ in boxes]
         windows = boxes_to_array(boxes)[:, None]  # (boxes, 1, 2, d) against (m, d)
@@ -273,7 +272,7 @@ def normalize_updates(
             else:
                 moved[eid] = (start, new_box)
     batch = TickBatch(moved=moved, inserted=inserted, deleted=deleted)
-    if not np.isfinite(batch.entrants[2]).all():  # packed here, read by every policy
+    if not np.isfinite(batch.entrants[1]).all():  # packed here, read by every policy
         raise ValueError("box coordinates must be finite")
     return batch
 

@@ -19,11 +19,14 @@ Design points realized here:
   plus a cell table, and compaction repacks from them.  ``_boxes`` is the
   ``AABB`` view that :meth:`UniformGrid.update` checks ``old_box`` against.
 * **One read path.**  The scalar :meth:`~UniformGrid.range_query` and
-  :meth:`~UniformGrid.knn` are the batch kernels on one row (kNN re-scores
-  the kernel's ids with the scalar ``min_distance_to_point``), so a scalar
-  read costs and counts what a batch read does.  A grid whose cell keys do
-  not fit int64 answers through :class:`~repro.indexes.linear_scan.LinearScan`'s
-  kernels over its live rows.
+  :meth:`~UniformGrid.knn` are the batch kernels on one row, so a scalar
+  read costs and counts what a batch read does.  kNN distances go through
+  the library's one formula (:func:`~repro.geometry.aabb.gap_norm`: squares
+  summed in axis order, with a range guard), so they are the scalar
+  ``min_distance_to_point`` bit for bit and nothing re-scores them.  A grid
+  whose cell keys do not fit int64 answers through
+  :class:`~repro.indexes.linear_scan.LinearScan`'s kernels over its live
+  rows.
 * **Cheap massive updates.**  "the small movement means that only few
   elements switch grid cell in every step, thereby requiring few updates to
   the data structure" (§4.3): :meth:`UniformGrid.update` is write-behind —
@@ -77,7 +80,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, as_box_array, as_point_array, boxes_to_array, union_all
+from repro.geometry.aabb import AABB, as_box_array, as_point_array, boxes_to_array, gap_norm, union_all
 from repro.indexes.base import (
     Item, KNNResult, Move, SpatialIndex, csr_hits, unique_moves, validate_items,
 )
@@ -718,13 +721,8 @@ class UniformGrid(SpatialIndex):
         return self.batch_range_query([box])[0]
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
-        """:meth:`batch_knn` on one row, its ids re-scored by the scalar
-        ``min_distance_to_point`` (the kernel's norm can differ from it in
-        the last ulp) and sorted as ``(distance, id)``."""
-        point = tuple(point)
-        hits = self.batch_knn([point], k)[0]
-        boxes = self._boxes
-        return sorted((boxes[eid].min_distance_to_point(point), eid) for _, eid in hits)
+        """:meth:`batch_knn` on one row."""
+        return self.batch_knn([point], k)[0]
 
     # -- batch queries (vectorized) ---------------------------------------------------
 
@@ -890,8 +888,7 @@ class UniformGrid(SpatialIndex):
         # probe provably covers every element.
         lo_u = np.asarray(self._universe.lo)
         hi_u = np.asarray(self._universe.hi)
-        corner_gaps = np.maximum(np.abs(pts - lo_u), np.abs(pts - hi_u))
-        limits = np.sqrt(np.einsum("md,md->m", corner_gaps, corner_gaps)) + cell
+        limits = gap_norm(np.maximum(np.abs(pts - lo_u), np.abs(pts - hi_u)).T) + cell
 
         results: list[KNNResult] = [[] for _ in range(m)]
         active = np.arange(m)
@@ -905,12 +902,12 @@ class UniformGrid(SpatialIndex):
             combined = np.sort(pair_q * n_rows + rows)
             cand_q = combined // n_rows
             cand_rows = combined % n_rows
-            gaps = np.empty((combined.size, dims))  # filled per axis, from the store's columns
+            gaps = []  # per axis, from the store's columns
             for axis in range(dims):
                 p = apts[:, axis].take(cand_q)
                 lo, hi = e_cols[0, axis].take(cand_rows), e_cols[1, axis].take(cand_rows)
-                gaps[:, axis] = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-            dists = np.sqrt(np.einsum("cd,cd->c", gaps, gaps))
+                gaps.append(np.maximum(np.maximum(lo - p, p - hi), 0.0))
+            dists = gap_norm(gaps)
             counters.elem_tests += combined.size
             confirmed = np.bincount(cand_q[dists <= radius], minlength=active.size)
             done = (confirmed >= kk) | (radius > limits[active])

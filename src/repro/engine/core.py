@@ -107,6 +107,10 @@ class Buffer:
         self._entries.append(entry)
         self._depth += rows
 
+    def groups(self) -> list[list]:
+        """The groups :meth:`drain` would return, leaving them buffered."""
+        return self._group(self._entries)
+
     def drain(self) -> list[list]:
         entries, self._entries, self._depth = self._entries, [], 0
         return self._group(entries)

@@ -732,6 +732,30 @@ class QuerySession(SessionCore):
 
     # -- flushing (``flush()`` is the core's) ---------------------------------
 
+    def _sharding(self, batch: QueryBatch) -> ShardedExecutor | None:
+        """The executor this session picks for ``batch`` if it is a
+        :class:`ShardedExecutor` that splits the batch's runs into shards
+        for the worker pool, else ``None``."""
+        executor = self.choose_executor(batch)
+        if isinstance(executor, ShardedExecutor) and executor._shards(self._chunk_rows(batch)) >= 2:
+            return executor
+        return None
+
+    def flushes_in_process(self) -> bool:
+        """Whether a flush of the queue as it stands would run every group
+        in this process: no group goes to the worker pool by the test
+        :meth:`claim_alone` makes (:meth:`_sharding`).  Sizing a group
+        needs only its row count, so no payload is packed."""
+        with self._lock:
+            groups = self._buffer.groups()
+        for group in groups:
+            first = group[0]
+            rows = sum(sub.payload.shape[0] if sub.vector else 1 for sub in group)
+            shape = (rows, 2, first.dims) if first.kind == "range" else (rows, first.dims)
+            if self._sharding(QueryBatch(first.kind, np.broadcast_to(0.0, shape), first.k)) is not None:
+                return False
+        return True
+
     def claim_alone(self, submission: _Submission) -> bool:
         """Take ``submission`` for a flush of its own — if it would run
         off-process.
@@ -753,8 +777,8 @@ class QuerySession(SessionCore):
             # work, so it belongs under the flush lock.  Refused: no work.
             return False
         batch = QueryBatch(submission.kind, submission.payload, submission.k)
-        executor = self.choose_executor(batch)
-        if not isinstance(executor, ShardedExecutor):
+        executor = self._sharding(batch)
+        if executor is None:
             return False
         rows = self._chunk_rows(batch)
         if executor.pooled_entry(self.index, rows, export=False) is None:

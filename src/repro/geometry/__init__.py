@@ -28,7 +28,6 @@ from repro.geometry.aabb import (
 )
 from repro.geometry.primitives import Capsule, Point, Segment, Sphere
 from repro.geometry.distance import (
-    point_box_distance,
     point_point_distance,
     point_segment_distance,
     segment_segment_distance,
@@ -57,7 +56,6 @@ __all__ = [
     "Segment",
     "Capsule",
     "point_point_distance",
-    "point_box_distance",
     "point_segment_distance",
     "segment_segment_distance",
     "batch_segment_distances",

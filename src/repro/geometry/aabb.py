@@ -11,9 +11,14 @@ free compared to 0-d array indexing.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+# The smallest normal double: a sum of squares below it has lost bits to
+# underflow (or is 0 although a gap is not).
+_TINY = sys.float_info.min
 
 
 class AABB:
@@ -151,33 +156,22 @@ class AABB:
     # -- distances ----------------------------------------------------------
 
     def min_distance_to_point(self, point: Sequence[float]) -> float:
-        """Euclidean distance from ``point`` to the nearest face (0 inside).
-
-        Uses ``math.hypot``, which is immune to the underflow/overflow of
-        naive squared sums (gaps below ~1e-154 would otherwise square to 0).
-        """
+        """Euclidean distance from ``point`` to the nearest face (0 inside):
+        :func:`batch_min_distance_to_points` on one row, bit for bit."""
         return bounds_min_distance_to_point(self.lo, self.hi, point)
 
     def max_distance_to_point(self, point: Sequence[float]) -> float:
         """Euclidean distance from ``point`` to the farthest corner."""
-        return math.hypot(
-            *(max(abs(p - a), abs(p - b)) for a, b, p in zip(self.lo, self.hi, point))
-        )
+        return _norm([max(abs(p - a), abs(p - b)) for a, b, p in zip(self.lo, self.hi, point)])
 
     def min_distance_to_box(self, other: "AABB") -> float:
-        """Euclidean gap between two boxes (0 when they intersect).
-
-        ``math.hypot`` keeps sub-1e-154 gaps from underflowing to zero, so
-        ``gap == 0`` holds exactly when the boxes intersect.
-        """
-        gaps = []
-        for a_lo, a_hi, b_lo, b_hi in zip(self.lo, self.hi, other.lo, other.hi):
-            gap = max(b_lo - a_hi, a_lo - b_hi, 0.0)
-            if gap > 0.0:
-                gaps.append(gap)
-        if not gaps:
-            return 0.0
-        return math.hypot(*gaps)
+        """Euclidean gap between two boxes: 0 exactly when they intersect,
+        and :func:`repro.geometry.refine.batch_box_gaps` on one row, bit for
+        bit."""
+        return _norm([
+            b_lo - a_hi if b_lo > a_hi else a_lo - b_hi if a_lo > b_hi else 0.0
+            for a_lo, a_hi, b_lo, b_hi in zip(self.lo, self.hi, other.lo, other.hi)
+        ])
 
     # -- dunder -------------------------------------------------------------
 
@@ -202,20 +196,34 @@ def bounds_min_distance_to_point(
 ) -> float:
     """:meth:`AABB.min_distance_to_point` over bare ``lo``/``hi`` sequences.
 
-    The one implementation of that arithmetic: array-backed nodes (a mapped
+    The one scalar point–box distance: array-backed nodes (a mapped
     :class:`~repro.indexes.disk_rtree.DiskRTree` page read through
-    ``tolist()``) get distances bit-identical to the object path without
-    constructing a box per entry.
+    ``tolist()``) and unbounded regions (a KD-tree cell) get distances
+    bit-identical to the object path without constructing a box.
     """
-    gaps = []
-    for a, b, p in zip(lo, hi, point):
-        if p < a:
-            gaps.append(a - p)
-        elif p > b:
-            gaps.append(p - b)
-    if not gaps:
-        return 0.0
-    return math.hypot(*gaps)
+    return _norm([a - p if p < a else p - b if p > b else 0.0 for a, b, p in zip(lo, hi, point)])
+
+
+def _sum_of_squares(gaps):
+    """``Σ g²`` **in axis order**: ``g0*g0 + g1*g1 + ...`` left to right."""
+    total = gaps[0] * gaps[0]
+    for gap in gaps[1:]:
+        total += gap * gap
+    return total
+
+
+def _norm(gaps: list[float]) -> float:
+    """:func:`gap_norm` on one row: the same operations in the same order,
+    so the same bits (``0.0 + g0*g0`` is ``g0*g0``)."""
+    total = 0.0
+    for gap in gaps:
+        total += gap * gap
+    if total < _TINY or total == math.inf:
+        top = max(gaps)
+        if top == 0.0 or top == math.inf:
+            return top
+        return top * math.sqrt(_sum_of_squares([gap / top for gap in gaps]))
+    return math.sqrt(total)
 
 
 def union_all(boxes: Iterable[AABB]) -> AABB:
@@ -340,15 +348,51 @@ def batch_contains_points(a: np.ndarray, points: np.ndarray) -> np.ndarray:
     return _fold_axes(a[:, 0], p, p, a[:, 1])
 
 
+def gap_norm(gaps: Sequence[np.ndarray]) -> np.ndarray:
+    """The library's one Euclidean distance formula, over per-axis gaps.
+
+    ``gaps`` holds one array of non-negative gaps per axis, in axis order
+    (all of one shape).  The squares are summed **in axis order** and the
+    sum's ``sqrt`` taken; these are correctly rounded IEEE operations, so
+    the scalar distances (:meth:`AABB.min_distance_to_point`,
+    :meth:`AABB.min_distance_to_box`, which run the same steps in Python)
+    equal this kernel bit for bit.  A guard keeps the whole double range: a
+    row whose sum fell below the smallest normal double while some gap is
+    positive (underflow) or overflowed to ``inf`` is recomputed as
+    ``m * sqrt(Σ (g/m)²)`` with ``m`` the row's largest gap (``inf`` when
+    ``m`` is).  So a distance is 0 exactly when every gap is 0 (the boxes
+    touch), and finite whenever the gaps are.  A batch whose sums are all
+    normal pays two reductions for the guard; only flagged rows pay more.
+    """
+    total = _sum_of_squares(gaps)
+    odd = ()
+    if total.size and not (np.minimum.reduce(total, None) >= _TINY
+                           and np.maximum.reduce(total, None) < math.inf):
+        flagged = gaps[0] > 0.0
+        for gap in gaps[1:]:
+            flagged |= gap > 0.0
+        flagged &= total < _TINY
+        flagged |= total == math.inf
+        odd = np.flatnonzero(flagged)
+    out = np.sqrt(total, out=total)
+    if len(odd):
+        rows = [gap.ravel()[odd] for gap in gaps]
+        top = np.maximum.reduce(rows)
+        with np.errstate(invalid="ignore"):  # inf / inf: those rows are inf
+            rescaled = top * np.sqrt(_sum_of_squares([gap / top for gap in rows]))
+        out.ravel()[odd] = np.where(top == math.inf, top, rescaled)
+    return out
+
+
 def batch_min_distance_to_points(boxes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Euclidean point-to-box gaps: ``out[i, j] == box_j.min_distance_to_point(p_i)``.
+    """The point–box kernel: ``out[i, j] == box_j.min_distance_to_point(p_i)``,
+    bit for bit.
 
     ``points`` is ``(m, d)``, ``boxes`` is ``(n, 2, d)``; the result is
-    ``(m, n)``.  Computed as sqrt-of-squared-gaps; unlike the scalar
-    ``math.hypot`` path this can underflow for gaps below ~1e-154, which is
-    far outside any simulation universe this library models.
+    ``(m, n)``: the per-axis gaps ``max(lo - p, p - hi, 0)`` through
+    :func:`gap_norm`.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)[:, None, :]
-    gaps = np.maximum(np.maximum(boxes[None, :, 0, :] - p, p - boxes[None, :, 1, :]), 0.0)
-    return np.sqrt(np.einsum("mnd,mnd->mn", gaps, gaps))
+    columns = np.asarray(points, dtype=np.float64).T[:, :, None]
+    return gap_norm([np.maximum(np.maximum(lo - p, p - hi), 0.0)
+                     for lo, hi, p in zip(boxes[:, 0].T, boxes[:, 1].T, columns)])

@@ -18,23 +18,6 @@ def point_point_distance(p: Sequence[float], q: Sequence[float]) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
-def point_box_distance(point: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> float:
-    """Distance from a point to a box given as lo/hi corners (0 inside).
-
-    Uses ``math.hypot`` to stay exact for sub-1e-154 gaps (squared sums
-    underflow), matching :meth:`repro.geometry.AABB.min_distance_to_point`.
-    """
-    gaps = []
-    for p, a, b in zip(point, lo, hi):
-        if p < a:
-            gaps.append(a - p)
-        elif p > b:
-            gaps.append(p - b)
-    if not gaps:
-        return 0.0
-    return math.hypot(*gaps)
-
-
 def point_segment_distance(
     point: Sequence[float], a: Sequence[float], b: Sequence[float]
 ) -> float:

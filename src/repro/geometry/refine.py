@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.geometry.aabb import gap_norm
 from repro.geometry.primitives import Capsule
 
 _EPS = 1e-12
@@ -123,16 +124,20 @@ def batch_capsule_gaps(
 
 
 def batch_box_gaps(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean gaps between box pairs (0 when intersecting).
+    """The box–box kernel: Euclidean gaps between box pairs, 0 exactly when
+    they intersect.
 
-    ``boxes_a`` and ``boxes_b`` are parallel ``(n, 2, d)`` arrays; the result
-    matches :meth:`repro.geometry.AABB.min_distance_to_box` per row (up to
-    the sub-1e-154 underflow the squared-sum form admits).
+    ``boxes_a`` and ``boxes_b`` are ``(..., 2, d)`` arrays that broadcast
+    against each other (parallel ``(n, 2, d)`` rows, or ``(p, 1, 2, d)``
+    against ``(1, e, 2, d)`` for a gap matrix); each result equals
+    :meth:`repro.geometry.AABB.min_distance_to_box` bit for bit: the
+    per-axis gaps ``max(b.lo - a.hi, a.lo - b.hi, 0)`` through
+    :func:`repro.geometry.aabb.gap_norm`.
     """
     boxes_a = np.asarray(boxes_a, dtype=np.float64)
     boxes_b = np.asarray(boxes_b, dtype=np.float64)
-    gaps = np.maximum(
-        np.maximum(boxes_b[:, 0, :] - boxes_a[:, 1, :], boxes_a[:, 0, :] - boxes_b[:, 1, :]),
-        0.0,
-    )
-    return np.sqrt(np.einsum("nd,nd->n", gaps, gaps))
+    return gap_norm([
+        np.maximum(np.maximum(boxes_b[..., 0, axis] - boxes_a[..., 1, axis],
+                              boxes_a[..., 0, axis] - boxes_b[..., 1, axis]), 0.0)
+        for axis in range(boxes_a.shape[-1])
+    ])

@@ -3,7 +3,9 @@
 One traversal answers a whole batch of kNN queries: every node enters the
 priority queue at most once per batch, carrying the subset of queries whose
 current k-th-distance bound still reaches it, and entry distances are
-computed for all carried queries with one vectorized kernel.  The per-query
+computed for all carried queries with the one point–box kernel
+(:func:`~repro.geometry.aabb.batch_min_distance_to_points`), so they equal
+the scalar ``min_distance_to_point`` bit for bit.  The per-query
 running top-k lives in dense ``(m, k)`` distance/id arrays, so leaf updates
 are a single row-wise merge instead of per-hit Python heap churn.
 
@@ -31,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.geometry.aabb import batch_min_distance_to_points
 from repro.indexes.base import KNNResult
 from repro.instrumentation.counters import Counters
 
@@ -72,13 +75,6 @@ def _spatial_chunks(pts: np.ndarray, chunk: int) -> list[np.ndarray]:
     return [order[start : start + chunk] for start in range(0, m, chunk)]
 
 
-def _entry_distances(cpts: np.ndarray, rows: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Point-to-box gaps for query rows vs node entries: ``(rows, entries)``."""
-    p = cpts[rows][:, None, :]
-    gaps = np.maximum(np.maximum(boxes[None, :, 0, :] - p, p - boxes[None, :, 1, :]), 0.0)
-    return np.sqrt(np.einsum("qed,qed->qe", gaps, gaps))
-
-
 def _seed_bounds(
     cpts: np.ndarray, kk: int, root: object, expand: ExpandFn, counters: Counters
 ) -> np.ndarray:
@@ -98,7 +94,7 @@ def _seed_bounds(
         is_leaf, boxes, refs = expand(handle)
         if boxes.shape[0] == 0:
             continue
-        dists = _entry_distances(cpts, rows, boxes)
+        dists = batch_min_distance_to_points(boxes, cpts[rows])
         if is_leaf:
             counters.elem_tests += dists.size
             if boxes.shape[0] >= kk:
@@ -165,7 +161,7 @@ def best_first_batch_knn(
             is_leaf, boxes, refs = expand(handle)
             if boxes.shape[0] == 0:
                 continue
-            dists = _entry_distances(cpts, carried, boxes)  # (carried, entries)
+            dists = batch_min_distance_to_points(boxes, cpts[carried])  # (carried, entries)
             if is_leaf:
                 counters.elem_tests += dists.size
                 # Merge only rows an entry can actually improve (`<=` keeps

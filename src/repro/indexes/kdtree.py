@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB
+from repro.geometry.aabb import AABB, bounds_min_distance_to_point
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
 from repro.instrumentation.counters import Counters
 
@@ -152,13 +152,14 @@ class KDTree(SpatialIndex):
                 return (-best[0][0], -best[0][1])
             return (float("inf"), 0)
 
-        # For the lower bound we store alongside each node the squared
-        # distance accumulated from plane crossings (standard trick).
-        bound_heap: list[tuple[float, int, _KDNode, dict[int, tuple[float, float]]]] = [
-            (0.0, 0, self._root, {})
+        # Each node carries its cell — the parent's clipped at the split
+        # plane, unbounded at the root — and is keyed by the point's distance
+        # to it, the same formula as the elements' (a lower bound on them).
+        bound_heap: list[tuple[float, int, _KDNode, list[float], list[float]]] = [
+            (0.0, 0, self._root, [-math.inf] * len(point), [math.inf] * len(point))
         ]
         while bound_heap:
-            dist, _, node, bounds = heapq.heappop(bound_heap)
+            dist, _, node, cell_lo, cell_hi = heapq.heappop(bound_heap)
             counters.heap_ops += 1
             # Strictly greater: a node at exactly the k-th distance can still
             # hold a tied element with a smaller id.
@@ -169,7 +170,7 @@ class KDTree(SpatialIndex):
                 assert points is not None
                 for stored, eid in points:
                     counters.elem_tests += 1
-                    d = math.hypot(*(a - b for a, b in zip(stored, point)))
+                    d = bounds_min_distance_to_point(stored, stored, point)
                     if len(best) < k:
                         heapq.heappush(best, (-d, -eid))
                         counters.heap_ops += 1
@@ -180,23 +181,15 @@ class KDTree(SpatialIndex):
             counters.node_tests += 1
             axis, threshold = node.axis, node.threshold
             for child, side in ((node.left, "lo"), (node.right, "hi")):
-                child_bounds = dict(bounds)
-                lo, hi = child_bounds.get(axis, (float("-inf"), float("inf")))
+                child_lo, child_hi = list(cell_lo), list(cell_hi)
                 if side == "lo":
-                    hi = min(hi, threshold)
+                    child_hi[axis] = min(cell_hi[axis], threshold)
                 else:
-                    lo = max(lo, threshold)
-                child_bounds[axis] = (lo, hi)
-                child_dist_sq = 0.0
-                for bound_axis, (b_lo, b_hi) in child_bounds.items():
-                    coordinate = point[bound_axis]
-                    if coordinate < b_lo:
-                        child_dist_sq += (b_lo - coordinate) ** 2
-                    elif coordinate > b_hi:
-                        child_dist_sq += (coordinate - b_hi) ** 2
-                heapq.heappush(
-                    bound_heap, (child_dist_sq**0.5, tiebreak, child, child_bounds)
-                )
+                    child_lo[axis] = max(cell_lo[axis], threshold)
+                heapq.heappush(bound_heap, (
+                    bounds_min_distance_to_point(child_lo, child_hi, point),
+                    tiebreak, child, child_lo, child_hi,
+                ))
                 counters.heap_ops += 1
                 tiebreak += 1
         return sorted((-neg_d, -neg_e) for neg_d, neg_e in best)

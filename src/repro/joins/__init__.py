@@ -25,8 +25,10 @@ query side's session design:
   traversal (the batch-kNN pruning discipline with per-probe ε bounds),
   and array-wide capsule/box refinement.
 
-:class:`IteratedSelfJoin` maintains a self-join under per-step motion
-(Section 4.1's recompute-vs-incremental trade-off).
+A self-join maintained under per-step motion (Section 4.1's
+recompute-vs-incremental trade-off) is a
+:class:`~repro.continuous.ContinuousJoinSpec` on a
+:class:`~repro.continuous.ContinuousSession`.
 """
 
 from repro.joins.spec import (
@@ -46,7 +48,6 @@ from repro.joins.strategies import (
     make_join_strategy,
 )
 from repro.joins.session import JoinHandle, JoinPlan, JoinSession
-from repro.joins.iterated import IteratedSelfJoin, PairDelta
 from repro.joins.synapse import SynapseDetector
 
 __all__ = [
@@ -68,6 +69,4 @@ __all__ = [
     # applications
     "Synapse",
     "SynapseDetector",
-    "IteratedSelfJoin",
-    "PairDelta",
 ]

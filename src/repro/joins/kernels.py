@@ -46,6 +46,7 @@ from repro.core.uniform_grid import (
     box_columns,
 )
 from repro.geometry.aabb import batch_intersects, boxes_to_array
+from repro.geometry.refine import batch_box_gaps
 from repro.indexes.base import Item
 from repro.indexes.bulkload import str_pack
 from repro.indexes.rtree import Node
@@ -285,23 +286,6 @@ def replica_tile_pairs(
 # -- STR-tree carried-set traversal --------------------------------------------
 
 
-def _box_gap_matrix(probe_boxes: np.ndarray, entry_boxes: np.ndarray) -> np.ndarray:
-    """Euclidean gaps between probe boxes and node entries: ``(probes, entries)``.
-
-    The box-join analogue of the batch-kNN traversal's ``_entry_distances``
-    point kernel: per-axis gap is ``max(entry.lo - probe.hi,
-    probe.lo - entry.hi, 0)``; zero means intersecting (closed intervals).
-    """
-    gaps = np.maximum(
-        np.maximum(
-            entry_boxes[None, :, 0, :] - probe_boxes[:, None, 1, :],
-            probe_boxes[:, None, 0, :] - entry_boxes[None, :, 1, :],
-        ),
-        0.0,
-    )
-    return np.sqrt(np.einsum("ped,ped->pe", gaps, gaps))
-
-
 def tree_pairs(
     items_a: Sequence[Item],
     probe_boxes: np.ndarray,
@@ -351,7 +335,7 @@ def tree_pairs(
         is_leaf, entry_boxes, refs = expand(node)
         if entry_boxes.shape[0] == 0:
             continue
-        gaps = _box_gap_matrix(probe_boxes[carried], entry_boxes)
+        gaps = batch_box_gaps(probe_boxes[carried, None], entry_boxes[None])
         within = gaps <= bounds[carried][:, None]
         if is_leaf:
             counters.elem_tests += gaps.size

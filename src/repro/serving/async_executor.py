@@ -27,15 +27,17 @@ A submission buffers at call time and gets an asyncio future, settled by
 its flush with the value or the error: ``await handle`` parks on it, and
 :class:`ServingSession`'s request methods return it, so a frame costs no
 task per request.  A query queue no deeper than
-:attr:`FlushPolicy.max_batch` whose flush lock is free flushes on the loop
-thread: its work is bounded by one batch, and a hop's two wake-ups would
-cost a small frame a tenth of its time.  Every other flush hops to a
-worker thread while the loop keeps accepting submissions: one that would
-wait for the lock (the loop never blocks on it), a join (one spec's work
-has no bound), a deeper queue, and an own flush.  No order is promised
-across handles — an own-flush array may settle after requests submitted
-later — and every answer reflects the index as it was when its flush
-executed.  Each flush's cause and wall clock are counted once, in the session's
+:attr:`FlushPolicy.max_batch` that the session would run entirely
+in-process, and whose flush lock is free, flushes on the loop thread: its
+work is bounded by one batch, and a hop's two wake-ups would cost a small
+frame a tenth of its time.  Every other flush hops to a worker thread
+while the loop keeps accepting submissions: one that would wait for the
+lock (the loop never blocks on it), a join (one spec's work has no
+bound), a queue with a group the session shards for the worker pool (the
+loop never waits on the pool), a deeper queue, and an own flush.  No
+order is promised across handles — an own-flush array may settle after
+requests submitted later — and every answer reflects the index as it was
+when its flush executed.  Each flush's cause and wall clock are counted once, in the session's
 registry (``serving.flush.trigger.<cause>``, ``serving.flush.seconds``),
 which the session's ``stats`` and
 :func:`repro.analysis.session_report.session_report` read.
@@ -204,8 +206,11 @@ class AsyncExecutor:
         # flush on another thread drained and has yet to settle (session.flush
         # waits that flush out).
         if self.session.pending or not all(handle.resolved for handle in self._pending):
-            queries = isinstance(self.session, QuerySession)  # a join's work has no bound
-            here = queries and self.session.pending <= self.policy.max_batch
+            # A join's work has no bound, and a query group the session
+            # shards waits on the worker pool: both hop.
+            here = (isinstance(self.session, QuerySession)
+                    and self.session.pending <= self.policy.max_batch
+                    and self.session.flushes_in_process())
             await self._flush(trigger, len(self._pending), self.session.flush, here=here)
         # A flush on a thread hop drains the buffer when it starts, so it also
         # executed whatever was submitted after the hop began: wake every

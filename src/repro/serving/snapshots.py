@@ -49,7 +49,6 @@ from repro.core.uniform_grid import (
 from repro.geometry.aabb import AABB, as_box_array, batch_intersects
 from repro.geometry.table import BoxTable
 from repro.indexes.base import KNNResult, SpatialIndex
-from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
 
 
@@ -119,30 +118,20 @@ def index_fingerprint(index: SpatialIndex) -> tuple:
 
 class _ReadOnlyShell:
     """What the three rehydrated indexes share: mutations raise, and the
-    scalar paths (which cannot walk structures that never crossed the
-    process boundary) answer through a lazily built
-    :class:`~repro.indexes.linear_scan.LinearScan` over the shell's
-    ``_tables()`` — identical answers by the ordering contract."""
-
-    _oracle: LinearScan | None = None
+    scalar reads are the shell's own batch kernels on one row — the
+    structures a scalar walk needs never crossed the process boundary, and
+    the kernels' distances are the scalar ones bit for bit."""
 
     def _refuse(self, *args: object, **kwargs: object) -> None:
         raise TypeError(f"{type(self).__name__} is read-only")
 
     bulk_load = insert = delete = update = apply_moves = _refuse
 
-    def _scan(self) -> LinearScan:
-        if self._oracle is None:
-            self._oracle = LinearScan.over(
-                *self._tables(), counters=self.counters  # type: ignore[attr-defined]
-            )
-        return self._oracle
-
     def range_query(self, box: AABB) -> list[int]:
-        return self._scan().range_query(box)
+        return self.batch_range_query([box])[0]  # type: ignore[attr-defined]
 
     def knn(self, point, k: int) -> KNNResult:
-        return self._scan().knn(point, k)
+        return self.batch_knn([point], k)[0]  # type: ignore[attr-defined]
 
     def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
         eids, boxes = self._tables()  # type: ignore[attr-defined]
@@ -170,10 +159,8 @@ class SnapshotGridIndex(_ReadOnlyShell, UniformGrid):
 
     The dense ``_GridSnapshot`` tables are adopted directly (typically as
     views over shared memory), so the vectorized ``batch_range_query`` /
-    ``batch_knn`` paths run unchanged.  The scalar paths have no ``AABB``
-    view to re-score kNN with, so they delegate to a lazily built
-    :class:`~repro.indexes.linear_scan.LinearScan` oracle over the same
-    tables (identical answers by the ordering contract).  Mutations raise.
+    ``batch_knn`` paths run unchanged, and the scalar paths are those
+    kernels on one row.  Mutations raise.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], cell: float) -> None:
@@ -214,9 +201,8 @@ class SnapshotTreeIndex(_ReadOnlyShell, SpatialIndex):
     ``batch_knn`` the shared best-first kernel, with node handles being flat
     indices into the tables — the per-node entry arrays the live tree packs
     lazily are already packed here, so a worker *attaches* the parent's tree
-    instead of STR-rebuilding one.  Scalar paths delegate to a lazily built
-    :class:`~repro.indexes.linear_scan.LinearScan` oracle over the leaf
-    entries (identical answers by the ordering contract).  Mutations raise.
+    instead of STR-rebuilding one.  Scalar paths are those kernels on one
+    row.  Mutations raise.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]) -> None:
@@ -334,9 +320,9 @@ class SnapshotSpillTree(_ReadOnlyShell, SpillTree):
     """A read-only :class:`~repro.approx.spill_tree.SpillTree` over exported
     arrays: the dense ``(eids, boxes)`` tables plus the parent's *built*
     flat tree, so both the exact batch kernels and the defeatist
-    ``approx_batch_knn`` sweep run with zero rebuild.  Scalar paths
-    delegate to a lazily built LinearScan oracle (the population dict never
-    crossed the process boundary).  Mutations raise.
+    ``approx_batch_knn`` sweep run with zero rebuild.  Scalar paths are the
+    exact batch kernels on one row (the population dict never crossed the
+    process boundary).  Mutations raise.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]) -> None:

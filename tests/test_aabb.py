@@ -2,10 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.geometry.aabb import AABB, union_all
+from repro.geometry.aabb import (
+    AABB,
+    batch_min_distance_to_points,
+    bounds_min_distance_to_point,
+    boxes_to_array,
+    union_all,
+)
+from repro.geometry.refine import batch_box_gaps
 
 
 def boxes(dims: int = 3, span: float = 100.0):
@@ -197,3 +205,48 @@ class TestProperties:
             assert gap == 0.0
         else:
             assert gap > 0.0
+
+
+# Per-axis gaps from 0 (touching) and from the subnormal range to far beyond
+# where a square overflows: the range guard's domain.
+gap = st.one_of(st.just(0.0), st.floats(1e-320, 1e200, allow_subnormal=True))
+
+
+def gapped_pair(gaps: list[float], flips: list[bool]) -> tuple[AABB, AABB]:
+    """Two boxes whose per-axis gap is exactly ``gaps`` (B beyond A's high
+    face, or below A's low face where ``flips``): every corner of the gap
+    sits on 0, so no subtraction rounds it away."""
+    a_lo, a_hi, b_lo, b_hi = [], [], [], []
+    for g, flip in zip(gaps, flips):
+        if flip:
+            a_lo.append(0.0), a_hi.append(1.0), b_lo.append(-g - 1.0), b_hi.append(-g)
+        else:
+            a_lo.append(-1.0), a_hi.append(0.0), b_lo.append(g), b_hi.append(g + 1.0)
+    return AABB(a_lo, a_hi), AABB(b_lo, b_hi)
+
+
+class TestOneDistanceFormula:
+    """Scalar and kernel distances are one formula with one range guard:
+    gap 0 exactly when the boxes touch, positive and finite otherwise, and
+    the same bits on both paths — with guarded rows mixed among plain ones."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the guard's domain
+    @settings(max_examples=300)
+    @given(rows=st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.tuples(st.lists(gap, min_size=d, max_size=d), st.lists(st.booleans(), min_size=d, max_size=d)),
+        min_size=1, max_size=8)))
+    def test_the_range_guard(self, rows):
+        pairs = [gapped_pair(gaps, flips) for gaps, flips in rows]
+        kernel = batch_box_gaps(boxes_to_array([a for a, _ in pairs]), boxes_to_array([b for _, b in pairs]))
+        # The point on B's near corner, against A: the same per-axis gaps.
+        points = np.array([[bh if f else bl for bl, bh, f in zip(b.lo, b.hi, flips)]
+                           for (_, b), (_, flips) in zip(pairs, rows)])
+        near = [bounds_min_distance_to_point(a.lo, a.hi, p) for (a, _), p in zip(pairs, points.tolist())]
+        for (a, b), row, (gaps, _), p, d in zip(pairs, kernel.tolist(), rows, points, near):
+            scalar = a.min_distance_to_box(b)
+            assert scalar == row  # the same bits
+            assert (scalar == 0.0) == a.intersects(b) == (max(gaps) == 0.0)
+            assert math.isfinite(scalar) and scalar >= max(gaps)
+            assert batch_min_distance_to_points(boxes_to_array([a]), p[None])[0, 0] == a.min_distance_to_point(p)
+        for row, p in enumerate(points):
+            assert batch_min_distance_to_points(boxes_to_array([a for a, _ in pairs]), p[None])[0, row] == near[row]

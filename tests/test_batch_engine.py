@@ -39,12 +39,7 @@ FACTORY_PARAMS = pytest.mark.parametrize(
     "factory", INDEX_FACTORIES.values(), ids=INDEX_FACTORIES.keys()
 )
 
-# float32-representable coordinates keep kNN distances clear of the batch
-# kernels' squared-gap underflow (subnormal gaps square to 0.0 where scalar
-# math.hypot resolves them; see aabb.batch_min_distance_to_points) — exact
-# ordered (distance, id) comparisons would otherwise flake on ties that
-# exist only on one side.
-coordinate = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False, width=32)
+coordinate = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite

@@ -93,11 +93,8 @@ def points_only(factory) -> bool:
 
 
 # Coordinates on a fixed binary grid (multiples of 2**-10 in [-50, 50]): gaps,
-# their squares and the sums of squares are then exact in float64, so scalar
-# ``math.hypot`` and the kernels' sqrt-of-summed-squares see the same ties and
-# the exact ordered comparison cannot flake.  float32-representable floats do
-# not give that — 2**-52 is a normal float32 — see
-# ``test_scalar_and_batch_arithmetic_differ_in_the_last_bit``.
+# their squares and the sums of squares are then exact in float64, so the
+# datasets are rich in exact distance ties for the ``(distance, id)`` order.
 coordinate = st.integers(-51200, 51200).map(lambda i: i / 1024)
 
 
@@ -145,25 +142,21 @@ class TestBatchKnnMatchesOracle:
         index, oracle = build(factory, items)
         assert_batch_matches(index, oracle, points, k)
 
-    def test_scalar_and_batch_arithmetic_differ_in_the_last_bit(self):
+    def test_scalar_and_batch_agree_where_two_formulas_once_differed(self):
         """The example ``width=32`` floats once produced: element 1 is one
-        ulp nearer than the five on the origin.  ``math.hypot`` resolves
-        that, sqrt-of-summed-squares rounds it into a tie that the smallest
-        id wins — every ``batch_knn`` answers 0 where scalar ``knn`` answers
-        1.  Both are within an ulp; the strategy keeps clear of such input."""
+        ulp nearer than the five on the origin by one formula and tied by
+        the other, so ``batch_knn`` answered 0 where scalar ``knn`` answered
+        1.  With one formula every path gives the same bits."""
         origin = AABB((0.0, 0.0), (0.0, 0.0))
         items = [(eid, origin) for eid in range(6)]
         items[1] = (1, AABB((-2.0**-52, 0.0), (0.0, 0.0)))
-        oracle = LinearScan()
-        oracle.bulk_load(items)
         probe = (-1.25, 1.0)
-        [(scalar_d, scalar_id)] = oracle.knn(probe, 1)
-        [[(batch_d, batch_id)]] = oracle.batch_knn([probe], 1)
-        assert (scalar_id, batch_id) == (1, 0)
-        assert scalar_d < batch_d == np.nextafter(scalar_d, 2.0)
-        grid = UniformGrid()
-        grid.bulk_load(items)
-        assert grid.batch_knn([probe], 1) == [[(batch_d, 0)]]
+        answers = []
+        for index in (LinearScan(), UniformGrid()):
+            index.bulk_load(items)
+            answers += [index.knn(probe, 2), *index.batch_knn([probe], 2)]
+        expected = sorted((box.min_distance_to_point(probe), eid) for eid, box in items)[:2]
+        assert answers == [expected] * 4
 
     @ALL_PARAMS
     def test_empty_batch(self, factory):

@@ -38,8 +38,13 @@ from repro.continuous import (
     knn_ids,
     normalize_updates,
 )
-from repro.geometry.aabb import AABB
-from repro.joins.iterated import IteratedSelfJoin, PairDelta
+from repro.datasets.trajectories import BrownianMotion, PlasticityMotion, apply_moves
+from repro.geometry.aabb import AABB, boxes_to_array
+from repro.geometry.refine import batch_box_gaps
+from repro.indexes.linear_scan import LinearScan
+from repro.instrumentation.counters import Counters
+from repro.joins.strategies import NestedLoopJoin
+from repro.registry import INDEX_REGISTRY, make_index
 from tests.conftest import UNIVERSE_2D, UNIVERSE_3D, make_items
 
 pytestmark = pytest.mark.continuous
@@ -663,10 +668,10 @@ def _point(*coords: float) -> AABB:
 
 
 class TestKNNEntrantPrefilter:
-    """One vectorized pass per (subscription, tick) decides which entrants
-    the scalar ``(distance, id)`` test looks at; it must never drop one that
-    would have invalidated the result or tightened the slack.  Every tick
-    here has > 64 entrants, and exactness *includes distances*."""
+    """One distance matrix per tick tests every subscription's entrants; it
+    must never miss one that would have invalidated the result or tightened
+    the slack.  Every tick here has > 64 entrants, and exactness *includes
+    distances*."""
 
     ORIGIN = (0.0, 0.0, 0.0)
     CLOUD = range(100, 180)  # 80 outsiders, always farther than 60 from ORIGIN
@@ -702,20 +707,15 @@ class TestKNNEntrantPrefilter:
         return session._policies["incremental"]._knn_slack[sub.cqid]
 
     def test_outsider_exactly_at_kth_distance_invalidates(self):
-        """The ``<=`` tie rule, on coordinates where the vectorized kernel
-        reads the tie one ulp *farther* than the scalar one: without the
-        margin the prefilter would drop the entrant that must take the seat."""
+        """The ``<=`` tie rule: an entrant on the k-th member's distance must
+        force a probe.  The distance matrix is the scalar distance bit for
+        bit, so it sees the tie exactly."""
         from repro.geometry.aabb import batch_min_distance_to_points, boxes_to_array
 
         rng = random.Random(11)
-        for _ in range(10_000):
-            kth = _point(*(rng.uniform(10.0, 40.0) for _ in range(3)))
-            exact = kth.min_distance_to_point(self.ORIGIN)
-            rough = batch_min_distance_to_points(boxes_to_array([kth]), [self.ORIGIN])[0, 0]
-            if rough > exact:
-                break
-        else:  # pragma: no cover - would mean the two kernels round identically
-            pytest.fail("no coordinates where the kernels disagree")
+        kth = _point(*(rng.uniform(10.0, 40.0) for _ in range(3)))
+        exact = kth.min_distance_to_point(self.ORIGIN)
+        assert batch_min_distance_to_points(boxes_to_array([kth]), [self.ORIGIN])[0, 0] == exact
 
         session, sub, rng = self._session({1: _point(1, 0, 0), 2: _point(2, 0, 0), 9: kth})
         assert sub.result[-1] == (exact, 9)
@@ -1007,23 +1007,52 @@ class TestBatchedTick:
 
 
 class TestDistanceContract:
-    """The continuous layer reports one distance per kind: kNN lists carry
-    the scalar ``min_distance_to_point``, and the join keeps a pair when
-    ``batch_box_gaps <= ε`` — for every policy, whichever executor answers."""
+    """One distance formula: every index's scalar ``knn(p, k)`` is
+    ``batch_knn([p], k)[0]`` and row ``i`` of ``batch_knn(P, k)``, bit for
+    bit; the scalar box gap is the ``batch_box_gaps`` row.  The continuous
+    layer reports those distances for every policy, whichever executor
+    answers, and the join keeps a pair when ``batch_box_gaps <= ε``."""
+
+    @pytest.mark.parametrize("name", list(INDEX_REGISTRY))
+    def test_scalar_batch_one_and_batch_n_knn_are_bit_identical(self, name):
+        universe = UNIVERSE_2D if name == "quadtree" else UNIVERSE_3D
+        items = make_items(400, universe, seed=29, points=name in ("kdtree", "spill_tree"))
+        index, oracle = make_index(name), LinearScan()
+        index.bulk_load(items)
+        oracle.bulk_load(items)
+        probes = np.random.default_rng(30).uniform(-5.0, 105.0, size=(40, universe.dims))
+        probes[:8] = [box.center() for _, box in items[:8]]  # inside (or on) an element
+        for k in (1, 7):
+            batch = index.batch_knn(probes, k)
+            for point, row in zip(probes.tolist(), batch):
+                assert index.knn(point, k) == index.batch_knn([point], k)[0] == row
+                assert row == oracle.knn(point, k)
+
+    def test_scalar_box_gap_is_the_kernel_row(self):
+        rng = np.random.default_rng(31)
+        lo = rng.uniform(0.0, 10.0, size=(2, 500, 3))
+        a, b = (np.stack([corner, corner + rng.uniform(0.0, 3.0, size=(500, 3))], axis=1) for corner in lo)
+        rows = batch_box_gaps(a, b).tolist()
+        assert rows == [AABB(*x).min_distance_to_box(AABB(*y)) for x, y in zip(a, b)]
+        assert 0.0 in rows and any(rows)
 
     def test_join_and_its_oracle_agree_at_the_epsilon_boundary(self):
-        # Per-axis gaps whose math.hypot is one ulp below their summed-
-        # squares norm: at ε = hypot(g), the scalar gap keeps the pair and
-        # batch_box_gaps (the recompute oracle's kernel) drops it.
+        # Per-axis gaps on which two formulas once disagreed by one ulp: at
+        # ε = the kernel's gap the pair sits exactly on the boundary and
+        # both joins keep it; one ulp below, both drop it.
         g = (0.012561257529079892, 0.040329209851472696, 0.033643983317252706)
         items = [(0, AABB((-1.0,) * 3, (0.0,) * 3)), (1, AABB((5.0,) * 3, (6.0,) * 3))]
         items += [(eid, AABB((10.0 + 3 * eid,) * 3, (11.0 + 3 * eid,) * 3)) for eid in range(2, 40)]
-        session = ContinuousSession(items)
-        sub = session.subscribe(ContinuousJoinSpec(epsilon=math.hypot(*g)))
-        session.tick([(1, session.state_box(1), AABB(g, [c + 1 for c in g]))])
-        assert session.stats.policy_routes == {"incremental": 1}
-        assert sub.result == session.oracle_result(sub) == set()
-        assert_exact(session, sub)
+        moved = AABB(g, [c + 1 for c in g])
+        gap = batch_box_gaps(boxes_to_array([items[0][1]]), boxes_to_array([moved]))[0]
+        assert gap == items[0][1].min_distance_to_box(moved)
+        for epsilon, pairs in ((gap, {(0, 1)}), (math.nextafter(gap, 0.0), set())):
+            session = ContinuousSession(items)
+            sub = session.subscribe(ContinuousJoinSpec(epsilon=epsilon))
+            session.tick([(1, session.state_box(1), moved)])
+            assert session.stats.policy_routes == {"incremental": 1}
+            assert sub.result == session.oracle_result(sub) == pairs
+            assert_exact(session, sub)
 
     def test_recompute_and_incremental_knn_are_bit_identical_on_the_batch_kernel(
         self, monkeypatch
@@ -1103,28 +1132,97 @@ class TestTelemetry:
         assert "safe_region_hits" in counters.as_dict()
 
 
-# -- IteratedSelfJoin delta surface --------------------------------------------
+# -- the maintained self-join (Sowell et al.'s iterated join) ------------------
 
 
-class TestIteratedSelfJoinDeltas:
-    @pytest.mark.parametrize("strategy", ["incremental", "recompute"])
-    def test_step_returns_exact_pair_delta(self, strategy):
-        items = make_items(80, seed=51)
-        join = IteratedSelfJoin(items, UNIVERSE_3D, strategy=strategy)
-        boxes = dict(items)
-        accumulated = set(join.pairs)
-        rng = random.Random(6)
-        for _ in range(6):
-            moves = []
-            for eid in rng.sample(sorted(boxes), k=10):
-                new = _shift(boxes[eid], [rng.uniform(-2, 2)] * 3)
-                moves.append((eid, boxes[eid], new))
-                boxes[eid] = new
-            delta = join.step(moves)
-            assert isinstance(delta, PairDelta)
-            assert not (delta.added & delta.removed)
-            accumulated = (accumulated - delta.removed) | delta.added
-            assert accumulated == join.pairs
+def _touch_join(items, universe: AABB, policy: str):
+    """A session pinned to ``policy`` maintaining the intersecting pairs."""
+    session = ContinuousSession(items, universe, policy=policy)
+    return session, session.subscribe(ContinuousJoinSpec(epsilon=0.0))
+
+
+def _nested_loop_pairs(live: dict) -> set:
+    return set(NestedLoopJoin().self_join(list(live.items()), Counters()))
+
+
+class TestMaintainedSelfJoin:
+    """Section 4.1's iterated join — recompute the pairs every step, or
+    maintain them — is one ``ContinuousJoinSpec(epsilon=0)`` pinned to
+    ``recompute`` or ``incremental``: at ε = 0 the gap is 0 exactly when the
+    boxes intersect, so both equal the nested-loop intersection join."""
+
+    def _items(self, n=150, seed=8):
+        return [(eid, box.expanded(0.2)) for eid, box in make_items(n, seed=seed, max_extent=2.0)]
+
+    @pytest.mark.parametrize("policy", ["incremental", "recompute"])
+    def test_matches_oracle_across_steps(self, policy):
+        items = self._items()
+        session, sub = _touch_join(items, UNIVERSE_3D, policy)
+        live = dict(items)
+        motion = BrownianMotion(sigma=0.3, universe=UNIVERSE_3D, seed=9)
+        for _ in range(4):
+            moves = motion.step(live)
+            session.tick(moves)
+            apply_moves(live, moves)
+            assert sub.result == _nested_loop_pairs(live)
+            assert_exact(session, sub)
+        assert session.stats.policy_routes == {policy: 4}
+
+    def test_strategies_agree(self):
+        items = self._items(seed=10)
+        joins = {policy: _touch_join(items, UNIVERSE_3D, policy) for policy in ("incremental", "recompute")}
+        live = dict(items)
+        motion = PlasticityMotion(universe=UNIVERSE_3D, seed=11)
+        for _ in range(3):
+            moves = motion.step(live)
+            for session, _ in joins.values():
+                session.tick(moves)
+            apply_moves(live, moves)
+        (_, incremental), (_, recompute) = joins.values()
+        assert incremental.result == recompute.result == _nested_loop_pairs(live)
+        assert incremental.deltas == recompute.deltas
+
+    def _sweep(self, items, universe, fraction, seed):
+        """Three steps at ``fraction`` moving through each pinned policy:
+        its final pairs and the element box tests the steps charged (the
+        grid probe counts them as ``elem_tests``, the recompute's join as
+        ``comparisons``)."""
+        pairs, work = {}, {}
+        for policy in ("incremental", "recompute"):
+            session, sub = _touch_join(items, universe, policy)
+            live = dict(items)
+            motion = BrownianMotion(sigma=1.0, universe=universe, moving_fraction=fraction, seed=seed)
+            before = session.counters.snapshot()
+            for _ in range(3):
+                moves = motion.step(live)
+                session.tick(moves)
+                apply_moves(live, moves)
+                assert sub.result == _nested_loop_pairs(live)
+            spent = session.counters.diff(before)
+            pairs[policy], work[policy] = sub.result, spent.elem_tests + spent.comparisons
+        return pairs, work
+
+    def test_incremental_does_less_work_when_few_move(self):
+        """Maintaining the pair set "will almost always pay off" when few
+        elements move: at 5 % moving, the incremental join charges a fraction
+        of the recompute's element tests for the same pairs."""
+        pairs, work = self._sweep(self._items(seed=15), UNIVERSE_3D, 0.05, seed=16)
+        assert pairs["incremental"] == pairs["recompute"]
+        assert work["incremental"] < work["recompute"] / 2
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
+    def test_moving_fraction_sweep_matches_oracle(self, fraction):
+        """Few, some or all elements moving: both policies keep the nested
+        loop's pair set every step, and both count their element tests."""
+        dense = AABB((0.0, 0.0, 0.0), (25.0, 25.0, 25.0))  # tens of pairs
+        items = make_items(300, universe=dense, max_extent=2.0, seed=17)
+        pairs, work = self._sweep(items, dense, fraction, seed=18)
+        assert pairs["incremental"] == pairs["recompute"]
+        assert work["incremental"] > 0 and work["recompute"] > 0
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            ContinuousSession(self._items(), UNIVERSE_3D, policy="magic")
 
 
 # -- simulation subscribers ----------------------------------------------------

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry.aabb import AABB
+from repro.geometry.aabb import AABB, batch_min_distance_to_points, bounds_min_distance_to_point
 from repro.geometry.distance import (
-    point_box_distance,
     point_point_distance,
     point_segment_distance,
     segment_segment_distance,
@@ -144,9 +143,9 @@ class TestPointBoxDistance:
     @given(coords)
     def test_matches_aabb_method(self, point):
         box = AABB((-5, -5, -5), (5, 5, 5))
-        assert point_box_distance(point, box.lo, box.hi) == pytest.approx(
-            box.min_distance_to_point(point)
-        )
+        kernel = batch_min_distance_to_points(np.array([[box.lo, box.hi]]), np.array([point]))
+        assert bounds_min_distance_to_point(box.lo, box.hi, point) == kernel[0, 0]
+        assert box.min_distance_to_point(point) == kernel[0, 0]
 
     @given(coords, coords)
     def test_point_point_nonnegative_symmetric(self, p, q):

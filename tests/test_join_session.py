@@ -473,7 +473,6 @@ class TestPublicApi:
             "available_join_strategies",
             "SynapseDetector",
             "Synapse",
-            "IteratedSelfJoin",
         ):
             assert name in repro.__all__, name
             assert hasattr(repro, name)

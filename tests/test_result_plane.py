@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_grid_single_store import axis_ordered_squares
 from test_snapshot_maintenance import per_cell_gather
 from repro.core import uniform_grid
 from repro.core.uniform_grid import UniformGrid, _cell_coords
@@ -252,7 +253,8 @@ class TestRangeHits:
 def head_batch_knn(grid: UniformGrid, points, k: int):
     """``UniformGrid.batch_knn`` as it was before the one-lexsort tail: one
     ``searchsorted`` + ``lexsort`` + ``zip`` per resolved query.  The frozen
-    reference for results and ``heap_ops``."""
+    reference for results and ``heap_ops``; its distances follow the
+    library's one formula, squares summed in axis order."""
     pts = as_point_array(points)
     m = pts.shape[0]
     snap = grid._ensure_snapshot()
@@ -262,7 +264,7 @@ def head_batch_knn(grid: UniformGrid, points, k: int):
     kk = min(k, len(grid))
     lo_u, hi_u = np.asarray(grid.universe.lo), np.asarray(grid.universe.hi)
     corner_gaps = np.maximum(np.abs(pts - lo_u), np.abs(pts - hi_u))
-    limits = np.sqrt(np.einsum("md,md->m", corner_gaps, corner_gaps)) + cell
+    limits = np.sqrt(axis_ordered_squares(corner_gaps)) + cell
     results = [[] for _ in range(m)]
     active = np.arange(m)
     radius = cell
@@ -279,7 +281,7 @@ def head_batch_knn(grid: UniformGrid, points, k: int):
         cand_boxes = boxes_all[cand_rows]
         p = apts[cand_q]
         gaps = np.maximum(np.maximum(cand_boxes[:, 0, :] - p, p - cand_boxes[:, 1, :]), 0.0)
-        dists = np.sqrt(np.einsum("cd,cd->c", gaps, gaps))
+        dists = np.sqrt(axis_ordered_squares(gaps))
         grid.counters.elem_tests += combined.size
         confirmed = np.bincount(cand_q[dists <= radius], minlength=active.size)
         done = (confirmed >= kk) | (radius > limits[active])

@@ -757,6 +757,37 @@ class TestFramePath:
         assert stats.flushes == 1
         self.assert_frame_matches(answers, oracle, boxes, points)
 
+    def test_a_queue_the_session_shards_waits_on_the_pool_off_the_loop(self, monkeypatch):
+        """1 024 single windows at ``ServingSession``'s defaults (``max_batch``
+        1 024 = 2 × ``min_shard``): the queue's one flush shards, so it waits
+        on the worker pool from a thread hop, never from the loop thread."""
+        items = make_items(2000, seed=77)
+        grid, oracle = build_grid(items), LinearScan()
+        oracle.bulk_load(items)
+        boxes = make_boxes(1024, seed=78)
+        threads = []
+        run_query_shards = WorkerPool.run_query_shards
+
+        def spied(pool, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return run_query_shards(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run_query_shards", spied)
+
+        async def main(pool):
+            async with ServingSession(grid, pool=pool, workers=2) as serving:
+                answers = await asyncio.gather(*(serving.range_query(box) for box in boxes))
+                return threading.get_ident(), answers, serving.queries.stats
+
+        with WorkerPool(workers=2) as pool:
+            loop_thread, answers, stats = asyncio.run(main(pool))
+        assert live_segment_names() == []
+        assert stats.executor_runs == {"sharded": 1}
+        assert len(threads) == 1 and threads[0] != loop_thread
+        assert [sorted(ids) for ids in answers] == [
+            sorted(ids) for ids in oracle.batch_range_query(boxes)
+        ]
+
     def test_every_way_of_awaiting_a_request_answers(self, loaded, lazy_pool):
         _, grid, oracle = loaded
         box = make_boxes(1, seed=74)[0]
