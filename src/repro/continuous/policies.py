@@ -420,7 +420,11 @@ class _DeltaMaintenance(MaintenancePolicy):
         if ids:
             eps = spec.epsilon
             self._sync()
+            tested = self.counters.elem_tests  # the join's comparisons, as in GridJoin
             offsets, hits = self._backing.batch_range_hits(packed + np.array([[-eps], [eps]]))
+            tested = self.counters.elem_tests - tested
+            self.counters.elem_tests -= tested
+            self.counters.comparisons += tested
             rows = np.repeat(np.arange(len(ids)), np.diff(offsets))
             mine = np.asarray(ids, dtype=np.int64)[rows]
             rows, mine, hits = rows[hits != mine], mine[hits != mine], hits[hits != mine]

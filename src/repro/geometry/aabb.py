@@ -11,6 +11,7 @@ free compared to 0-d array indexing.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -34,17 +35,17 @@ class AABB:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]) -> None:
-        lo = tuple(float(c) for c in lo)
-        hi = tuple(float(c) for c in hi)
+        lo = tuple(map(float, lo))
+        hi = tuple(map(float, hi))
         if len(lo) != len(hi):
             raise ValueError(f"lo has {len(lo)} dims but hi has {len(hi)}")
         if not lo:
             raise ValueError("AABB needs at least one dimension")
-        for axis, (a, b) in enumerate(zip(lo, hi)):
-            if a > b:
-                raise ValueError(f"lo > hi on axis {axis}: {a} > {b}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if any(map(operator.gt, lo, hi)):
+            axis = next(axis for axis, (a, b) in enumerate(zip(lo, hi)) if a > b)
+            raise ValueError(f"lo > hi on axis {axis}: {lo[axis]} > {hi[axis]}")
+        _set_lo(self, lo)  # the slots' own setters: __setattr__ refuses writes
+        _set_hi(self, hi)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AABB is immutable")
@@ -189,6 +190,9 @@ class AABB:
 
     def __repr__(self) -> str:
         return f"AABB(lo={self.lo}, hi={self.hi})"
+
+
+_set_lo, _set_hi = AABB.lo.__set__, AABB.hi.__set__
 
 
 def bounds_min_distance_to_point(

@@ -4,13 +4,17 @@ Each step runs three phases, individually timed and counter-attributed:
 
 1. **compute** — the model advances one step, issuing update queries (kNN,
    range, join partners) against the index;
-2. **maintenance** — the step's motion is folded into the index as one
-   ``apply_moves`` batch;
+2. **maintenance** — the step's updates are folded into the index: each
+   :class:`~repro.continuous.spec.Insert` (growth) through ``insert``, the
+   moves as one ``apply_moves`` batch; a continuous session, if any, is
+   ticked with the same list;
 3. **monitor** — in-situ analysis queries run against the fresh state
    ("thousands of range queries ... at locations that cannot be
    anticipated").
 
-The per-step :class:`StepReport` is the timeline Figure 1 sketches; the
+The model owns the elements; the engine keeps no copy of them
+(:attr:`TimeSteppedSimulation.state` is the model's ``items()``).  The
+per-step :class:`StepReport` is the timeline Figure 1 sketches; the
 ``bench_fig1_timeline.py`` exhibit records it.
 """
 
@@ -20,11 +24,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
+from repro.continuous import ContinuousSession
 from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.base import SpatialIndex
 from repro.instrumentation.counters import Counters
-from repro.sim.models import Move, SimulationModel
+from repro.sim.models import Insert, Move, SimulationModel
 
 
 class Monitor(Protocol):
@@ -79,19 +84,15 @@ class TimeSteppedSimulation:
         self.index = index
         self.session = QuerySession(index)
         self.monitors = list(monitors)
-        self._state: dict[int, AABB] = dict(model.items())
-        self.index.bulk_load(list(self._state.items()))
+        items = list(model.items().items())
+        self.index.bulk_load(items)
         # Standing queries: a ContinuousSession ticked with each step's
-        # motion during the maintenance phase, so subscriber monitors read
+        # updates during the maintenance phase, so subscriber monitors read
         # exact delta-maintained results for free in the monitor phase.
         self.continuous = None
         if continuous:
-            from repro.continuous import ContinuousSession
-
             if continuous is True:
-                self.continuous = ContinuousSession(
-                    list(self._state.items()), universe=model.universe()
-                )
+                self.continuous = ContinuousSession(items, universe=model.universe())
             else:
                 self.continuous = continuous
             for monitor in self.monitors:
@@ -116,11 +117,11 @@ class TimeSteppedSimulation:
         before = self.index.counters.snapshot()
 
         start = time.perf_counter()
-        moves = self.model.advance(self.index, step)
+        updates = self.model.advance(self.index, step)
         compute_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        self._maintain(moves)
+        moves = self._maintain(updates)
         maintenance_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -142,14 +143,20 @@ class TimeSteppedSimulation:
             counters=self.index.counters.diff(before),
         )
 
-    def _maintain(self, moves: Sequence[Move]) -> None:
-        for eid, _, new_box in moves:
-            self._state[eid] = new_box
+    def _maintain(self, updates: Sequence[Move | Insert]) -> list[Move]:
+        """Fold one step's updates into the standing queries and the index."""
         if self.continuous is not None:
-            self.continuous.tick(moves)
+            self.continuous.tick(updates)
+        moves: list[Move] = []
+        for update in updates:
+            if isinstance(update, Insert):
+                self.index.insert(update.eid, update.box)
+            else:
+                moves.append(update)
         self.index.apply_moves(moves)
+        return moves
 
     @property
     def state(self) -> dict[int, AABB]:
-        """The engine's authoritative id → box state."""
-        return dict(self._state)
+        """The current id → box state: the model's (the engine keeps no copy)."""
+        return self.model.items()

@@ -17,21 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.continuous import ContinuousJoinSpec, ContinuousSession
 from repro.datasets.neuroscience import NeuronDataset
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import Capsule
 from repro.indexes.base import SpatialIndex
 from repro.joins import JoinSession, SynapseJoinSpec
-from repro.sim.models import Move, SimulationModel
+from repro.sim.models import Insert, SimulationModel
 
 
 class GrowthModel(SimulationModel):
     """Growing morphologies with periodic synapse detection.
 
-    Note on inserts: the engine's maintenance contract covers *moves*; new
-    segments are inserted directly into the index inside :meth:`advance`
-    (growth is monotone — no strategy ambiguity), and recorded in
-    ``self.grown`` per step for accounting.
+    Each new segment is an :class:`~repro.continuous.spec.Insert` in the
+    updates :meth:`advance` returns (nothing moves); the engine's
+    maintenance phase inserts it into the index.  ``self.grown`` records
+    the count per step for accounting.
 
     Parameters
     ----------
@@ -88,8 +89,6 @@ class GrowthModel(SimulationModel):
         self.continuous_session = None
         self.synapse_subscription = None
         if continuous:
-            from repro.continuous import ContinuousJoinSpec, ContinuousSession
-
             self.continuous_session = ContinuousSession(
                 self.items().items(), universe=dataset.universe
             )
@@ -111,11 +110,10 @@ class GrowthModel(SimulationModel):
             return False
         return self.dataset.capsules[a].distance_to(self.dataset.capsules[b]) <= self.epsilon
 
-    def advance(self, index: SpatialIndex, step: int) -> list[Move]:
+    def advance(self, index: SpatialIndex, step: int) -> list[Insert]:
         lo = np.asarray(self.dataset.universe.lo)
         hi = np.asarray(self.dataset.universe.hi)
-        grown = 0
-        inserts: list[tuple[int, AABB]] = []
+        inserts: list[Insert] = []
         for neuron, cones in self._cones.items():
             new_cones = []
             for tip, direction in cones:
@@ -126,21 +124,15 @@ class GrowthModel(SimulationModel):
                 self._next_eid += 1
                 self.dataset.capsules[eid] = capsule
                 self.dataset.neuron_of[eid] = neuron
-                index.insert(eid, capsule.bounds())
-                inserts.append((eid, capsule.bounds()))
-                grown += 1
+                inserts.append(Insert(eid, capsule.bounds()))
                 new_cones.append((end, direction))
                 if self._rng.random() < self.branch_probability:
                     new_cones.append((end, self._perturb(direction, 1.2)))
             self._cones[neuron] = new_cones
-        self.grown.append(grown)
+        self.grown.append(len(inserts))
 
         if self.continuous_session is not None:
-            from repro.continuous import Insert
-
-            self.continuous_session.tick(
-                [Insert(eid, box) for eid, box in inserts]
-            )
+            self.continuous_session.tick(inserts)
             if self.join_every and step % self.join_every == self.join_every - 1:
                 self.synapse_counts.append(len(self.synapse_subscription.result))
         elif self.join_every and step % self.join_every == self.join_every - 1:
@@ -148,7 +140,7 @@ class GrowthModel(SimulationModel):
                 SynapseJoinSpec(self.dataset, epsilon=self.epsilon)
             )
             self.synapse_counts.append(len(synapses))
-        return []  # growth inserts; nothing moved
+        return inserts
 
     def _random_unit(self) -> np.ndarray:
         v = self._rng.normal(size=3)

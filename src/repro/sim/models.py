@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.geometry.aabb import AABB
+from repro.continuous.spec import Insert
+from repro.geometry.aabb import AABB, union_all
 from repro.indexes.base import Move, SpatialIndex  # Move: (eid, old_box, new_box)
 
 
@@ -23,20 +24,16 @@ class SimulationModel(ABC):
         """Current id → bounding box state (the engine bulk-loads this)."""
 
     @abstractmethod
-    def advance(self, index: SpatialIndex, step: int) -> list[Move]:
+    def advance(self, index: SpatialIndex, step: int) -> list[Move | Insert]:
         """Compute one time step, using ``index`` for neighbourhood queries,
-        and return the motion performed, at most one move per element.
+        and return the step's updates: the motion performed, at most one
+        move per element, plus an :class:`~repro.continuous.spec.Insert` per
+        new element.
 
         Implementations must *not* mutate the index — the engine applies the
-        returned moves in its maintenance phase, timed apart from compute.
+        returned updates in its maintenance phase, timed apart from compute.
         """
 
     def universe(self) -> AABB:
         """The simulation domain (defaults to the current hull)."""
-        boxes = list(self.items().values())
-        if not boxes:
-            raise ValueError("empty model has no universe")
-        hull = boxes[0]
-        for box in boxes[1:]:
-            hull = hull.union(box)
-        return hull
+        return union_all(self.items().values())

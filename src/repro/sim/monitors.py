@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.continuous import ContinuousRangeQuery
 from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.base import SpatialIndex
@@ -149,8 +150,6 @@ class ContinuousDensityMonitor:
 
     def subscribe_continuous(self, continuous) -> None:
         """Engine hook: register one standing range query per region."""
-        from repro.continuous import ContinuousRangeQuery
-
         self._subs = [
             continuous.subscribe(ContinuousRangeQuery(region, tag="density"))
             for region in self.regions

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.trajectories import PlasticityMotion
+from repro.datasets.trajectories import PlasticityMotion, apply_moves
 from repro.geometry.aabb import AABB
 from repro.indexes.base import SpatialIndex
 from repro.sim.models import Move, SimulationModel
@@ -78,6 +78,5 @@ class PlasticityModel(SimulationModel):
             self.density_samples.append(len(index.range_query(probe)))
         # Motion: everything shifts minimally.
         moves = self._motion.step(self._items)
-        for eid, _, new_box in moves:
-            self._items[eid] = new_box
+        apply_moves(self._items, moves)
         return moves

@@ -114,7 +114,140 @@ class TestNeuronGenerator:
         ]
 
 
+class ReferenceBrownian:
+    """BrownianMotion.step as a per-element loop: ``np.clip`` on one
+    box's 3-vectors at a time, one ``AABB`` per move."""
+
+    def __init__(self, sigma, universe, moving_fraction=1.0, seed=0):
+        self.sigma, self.universe, self.moving_fraction = sigma, universe, moving_fraction
+        self._rng = np.random.default_rng(seed)
+
+    def step(self, items):
+        if not items:
+            return []
+        eids = list(items)
+        if self.moving_fraction < 1.0:
+            count = int(round(len(eids) * self.moving_fraction))
+            chosen = self._rng.choice(len(eids), size=count, replace=False)
+            eids = [eids[i] for i in chosen]
+        lo = np.asarray(self.universe.lo)
+        hi = np.asarray(self.universe.hi)
+        moves = []
+        deltas = self._rng.normal(0.0, self.sigma, size=(len(eids), self.universe.dims))
+        for eid, delta in zip(eids, deltas):
+            old = items[eid]
+            new_lo = np.clip(np.asarray(old.lo) + delta, lo, hi)
+            extent = np.asarray(old.hi) - np.asarray(old.lo)
+            new_hi = np.minimum(new_lo + extent, hi)
+            new_lo = np.maximum(new_hi - extent, lo)
+            moves.append((eid, old, AABB(new_lo, new_hi)))
+        return moves
+
+
+class ReferenceLinear:
+    """LinearMotion.step as a per-element loop, each velocity drawn lazily
+    the first time its element appears and bounced one axis at a time.
+
+    The velocity norm is the axis-ordered sum of squares: the row norm the
+    model takes over its drawn array.  ``np.linalg.norm`` of one 3-vector
+    (a BLAS dot) differs from it in the last bit for about one draw in ten.
+    """
+
+    def __init__(self, speed, universe, seed=0):
+        self.speed, self.universe = speed, universe
+        self._rng = np.random.default_rng(seed)
+        self._velocities = {}
+
+    def _velocity_of(self, eid):
+        if eid not in self._velocities:
+            v = self._rng.normal(size=self.universe.dims)
+            total = 0.0
+            for c in v.tolist():
+                total += c * c
+            norm = math.sqrt(total)
+            if norm < 1e-12:
+                norm = 1.0
+            self._velocities[eid] = v / norm * self.speed
+        return self._velocities[eid]
+
+    def step(self, items):
+        lo = np.asarray(self.universe.lo)
+        hi = np.asarray(self.universe.hi)
+        moves = []
+        for eid, old in items.items():
+            velocity = self._velocity_of(eid)
+            new_lo = np.asarray(old.lo) + velocity
+            new_hi = np.asarray(old.hi) + velocity
+            for axis in range(self.universe.dims):
+                if new_lo[axis] < lo[axis] or new_hi[axis] > hi[axis]:
+                    velocity[axis] = -velocity[axis]
+                    new_lo[axis] = min(max(new_lo[axis], lo[axis]), hi[axis])
+            extent = np.asarray(old.hi) - np.asarray(old.lo)
+            new_hi = np.minimum(new_lo + extent, hi)
+            new_lo = np.maximum(new_hi - extent, lo)
+            moves.append((eid, old, AABB(new_lo, new_hi)))
+        return moves
+
+
+PLASTICITY_SIGMA = PlasticityMotion.MEAN_DISPLACEMENT_UM * math.sqrt(math.pi / 8.0)
+
+#: (model, its per-element reference) with the same seed.
+MOTION_REFERENCES = {
+    "plasticity": lambda: (
+        PlasticityMotion(universe=UNIVERSE_3D, seed=31),
+        ReferenceBrownian(PLASTICITY_SIGMA, UNIVERSE_3D, seed=31),
+    ),
+    "plasticity_half_moving": lambda: (
+        PlasticityMotion(universe=UNIVERSE_3D, moving_fraction=0.5, seed=32),
+        ReferenceBrownian(PLASTICITY_SIGMA, UNIVERSE_3D, moving_fraction=0.5, seed=32),
+    ),
+    "brownian": lambda: (
+        BrownianMotion(5.0, UNIVERSE_3D, moving_fraction=0.3, seed=33),
+        ReferenceBrownian(5.0, UNIVERSE_3D, moving_fraction=0.3, seed=33),
+    ),
+    "linear": lambda: (
+        LinearMotion(speed=15.0, universe=UNIVERSE_3D, seed=34),
+        ReferenceLinear(15.0, UNIVERSE_3D, seed=34),
+    ),
+}
+
+
+def move_bits(moves, items):
+    """Each move's id, whether its old box is the caller's own object, and
+    its new coordinates' exact bits — in move order."""
+    return [
+        (eid, old is items[eid], tuple(c.hex() for c in new.lo + new.hi))
+        for eid, old, new in moves
+    ]
+
+
 class TestMotionModels:
+    @pytest.mark.parametrize("name", MOTION_REFERENCES)
+    def test_step_equals_the_per_element_reference(self, name):
+        """Every step's moves equal the per-element loop's bit for bit:
+        the same ids in the same order, the caller's old box objects and the
+        same new coordinates — with boxes pinned against both universe
+        corners, an empty step between full ones, and (for LinearMotion)
+        bounces over several steps."""
+        model, reference = MOTION_REFERENCES[name]()
+        items = dict(uniform_boxes(300, UNIVERSE_3D, 0.5, 3.0, seed=30))
+        items[1_000] = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        items[1_001] = AABB((99.0, 99.0, 99.0), (100.0, 100.0, 100.0))
+        mine, theirs = dict(items), dict(items)
+        on_wall = 0
+        for step in range(8):
+            if step == 3:
+                assert model.step({}) == reference.step({}) == []
+            moves, expected = model.step(mine), reference.step(theirs)
+            assert move_bits(moves, mine) == move_bits(expected, theirs)
+            assert all(old is mine[eid] for eid, old, _ in moves)
+            on_wall += sum(
+                0.0 in new.lo or 100.0 in new.hi for _, _, new in moves
+            )
+            apply_moves(mine, moves)
+            apply_moves(theirs, expected)
+        assert on_wall > 0
+
     def test_plasticity_matches_paper_statistics(self):
         """Mean displacement 0.04 with <0.5% beyond 0.1 (§4.1)."""
         items = dict(uniform_points(20_000, UNIVERSE_3D, seed=12))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.continuous import ContinuousRangeQuery, Insert
 from repro.core.uniform_grid import UniformGrid
 from repro.datasets.neuroscience import generate_neurons
 from repro.geometry.aabb import AABB
@@ -87,6 +88,29 @@ class TestGrowth:
         sim.run(4)
         assert len(neuron_dataset.capsules) > initial
         assert len(index) == len(neuron_dataset.capsules)
+
+    def test_grown_segments_pass_through_the_maintenance_phase(self):
+        """Growth returns its new segments as inserts and the engine applies
+        them: the index, the model-owned state and a standing range query
+        over the whole universe all hold the 20 initial plus 12 grown
+        segments, and no step counts a move."""
+        dataset = generate_neurons(neurons=4, segments_per_neuron=5, seed=8)
+        model = GrowthModel(dataset, join_every=0, seed=8)
+        index = UniformGrid(universe=dataset.universe)
+        sim = TimeSteppedSimulation(model, index, continuous=True)
+        everything = sim.continuous.subscribe(ContinuousRangeQuery(dataset.universe))
+        reports = sim.run(3)
+        assert (len(index), len(sim.state), len(everything.result)) == (32, 32, 32)
+        assert [report.moves for report in reports] == [0, 0, 0]
+
+    def test_advance_leaves_the_index_alone(self, neuron_dataset):
+        model = GrowthModel(neuron_dataset, join_every=0, seed=8)
+        index = LinearScan()
+        index.bulk_load(list(model.items().items()))
+        before = len(index)
+        updates = model.advance(index, 0)
+        assert len(index) == before
+        assert [type(update) for update in updates] == [Insert] * model.grown[0]
 
     def test_synapse_detection_runs(self, neuron_dataset):
         model = GrowthModel(neuron_dataset, join_every=2, epsilon=0.3, seed=9)
