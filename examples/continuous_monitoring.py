@@ -46,10 +46,8 @@ def main() -> None:
     # Full plasticity motion (every element moves) would route everything to
     # recompute — the paper's own throwaway argument.  A 15% moving fraction
     # is the regime where maintenance wins: the planner sends all three
-    # subscriptions to the incremental policy.  (The TPR-backed predictive
-    # policy is pin-only, ``subscribe(spec, policy="predictive")``: it
-    # measures slower than incremental at every churn level, as the paper's
-    # "movement cannot be predicted" objection says it should.)
+    # subscriptions to the incremental policy.  Both policies read the
+    # session's one grid, which each tick writes once before they evaluate.
     motion = PlasticityMotion(universe=dataset.universe, moving_fraction=0.15, seed=6)
     for step in range(STEPS):
         moves = motion.step(live)

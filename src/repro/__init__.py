@@ -88,8 +88,8 @@ Moving datasets — the paper's structural-plasticity workload — get
 *continuous* queries: submit a spec once to a :class:`ContinuousSession` and
 each ``tick(updates)`` yields an exact delta (results added / removed, pairs
 added / dissolved), routed per tick by observed churn between full recompute
-and incremental safe-region maintenance (predictive TPR evaluation runs only
-when pinned)::
+and incremental safe-region maintenance, both on the session's one grid (a
+simulation's session shares the simulation's grid)::
 
     from repro import ContinuousSession, ContinuousRangeQuery, ContinuousJoinSpec
 

@@ -9,11 +9,13 @@ problem.  This package promotes it to a first-class scenario:
   :class:`ContinuousSession`;
 * exact per-tick :class:`Delta` streams (results-added / results-removed,
   pairs-added / pairs-removed) instead of full result sets;
+* one :class:`~repro.core.uniform_grid.UniformGrid` per session as its
+  state — its own, or the simulation's index it is handed — written once
+  per tick before any policy reads it;
 * routing *pin > heuristic*: unpinned specs go per tick, by observed churn,
-  to full recompute (throwaway rebuild) or incremental maintenance (the
-  iterated join's retract-and-reprobe trick, with per-spec safe regions,
-  for all spec kinds); predictive evaluation on a TPR-tree
-  backing is a pin-only third policy, measured slower at every churn level.
+  to full recompute (throwaway answers on the grid) or incremental
+  maintenance (the iterated join's retract-and-reprobe trick, with per-spec
+  safe regions, for all spec kinds).
 
 See ``examples/continuous_monitoring.py`` and the "Continuous queries"
 section of the README.
@@ -23,7 +25,6 @@ from repro.continuous.policies import (
     POLICY_CLASSES,
     IncrementalPolicy,
     MaintenancePolicy,
-    PredictivePolicy,
     RecomputePolicy,
 )
 from repro.continuous.session import ContinuousSession, ContinuousStats, Subscription
@@ -61,6 +62,5 @@ __all__ = [
     "MaintenancePolicy",
     "RecomputePolicy",
     "IncrementalPolicy",
-    "PredictivePolicy",
     "POLICY_CLASSES",
 ]

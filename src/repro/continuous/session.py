@@ -1,20 +1,25 @@
 """The continuous session: submit once, receive exact deltas forever.
 
-:class:`ContinuousSession` owns the authoritative ``eid → box`` state of a
-moving dataset and a set of standing subscriptions.  Each ``tick(updates)``:
+:class:`ContinuousSession` keeps its elements in exactly one
+:class:`~repro.core.uniform_grid.UniformGrid` — its own, bulk-loaded from
+the items it is given, or a live grid it is handed (a simulation's index) —
+and that grid is the authoritative ``eid → box`` state.  Each
+``tick(updates)``:
 
-1. normalizes the updates into a :class:`~repro.continuous.spec.TickBatch`
-   and folds them into the authoritative state;
-2. syncs every instantiated maintenance policy's backing structure;
+1. normalizes the updates into a :class:`~repro.continuous.spec.TickBatch`,
+   validated against the grid's ``AABB`` view;
+2. writes the batch into the grid once: the moves as one ``apply_moves``,
+   then the inserts and deletes;
 3. routes each subscription to a policy — the **planner** — hands each
    policy all of its subscriptions in one call (their probes share kernel
-   passes), and collects each exact :class:`~repro.continuous.spec.Delta`.
+   passes, on the same grid), and collects each exact
+   :class:`~repro.continuous.spec.Delta`.
 
 Routing is *pin > heuristic*.  The heuristic routes on observed churn
 (EWMA-smoothed), two ways:
 
 * churn above :data:`RECOMPUTE_CHURN` → ``recompute`` (when most elements
-  change, maintaining the answer costs more than rebuilding it — the
+  change, maintaining the answer costs more than re-answering it — the
   throwaway philosophy);
 * everything else → ``incremental`` (range results patched from the
   affected set alone, kNN held by distance-slack safe regions, joins by
@@ -22,25 +27,16 @@ Routing is *pin > heuristic*.  The heuristic routes on observed churn
 
 A session (``ContinuousSession(..., policy="incremental")``) or a
 subscription (``subscribe(spec, policy="incremental")``) may pin a policy —
-the oracle suite uses this to prove every (policy × spec kind) pair exact.
-``predictive`` (a TPR-tree backing) is **pin-only**: the heuristic never
-picks it.  It is the paper's negative exhibit (§3: predictive moving-object
-indexes "do not work well for simulations because the movement of objects
-cannot be predicted") and the measurements agree — its range specs re-probe
-the index every tick where ``incremental`` patches from the affected set,
-its kNN shares ``incremental``'s evaluation over a slower backing, and past
-the TPR horizon every reported move pays a scalar R-tree delete + insert
-(``BENCH_continuous.json``, n=100k: 18–177x incremental's tick past the
-horizon and 1.5–2.1x its cumulative cost up to it, at every measured churn
-level).
+the oracle suite uses this to prove every (policy × spec kind) pair exact
+against :meth:`ContinuousSession.oracle_result`, which shares no grid code.
 
 **Fault containment.**  A failed outcome marks only its subscription dirty
 (a batched probe that raises fails exactly the subscriptions that needed
-it); the authoritative state and every other subscription stay consistent,
-and the error propagates after the tick completes.  On the next tick a
-dirty subscription re-syncs through the recompute policy — its delta then
-spans the missed tick(s), the routed policy re-``adopt``s it (rebuilding
-safe-region state from scratch), and nothing of the failed evaluation leaks.
+it); the grid and every other subscription stay consistent, and the error
+propagates after the tick completes.  On the next tick a dirty subscription
+re-syncs through the recompute policy — its delta then spans the missed
+tick(s), the routed policy re-``adopt``s it (rebuilding safe-region state
+from scratch), and nothing of the failed evaluation leaks.
 """
 
 from __future__ import annotations
@@ -48,14 +44,19 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable, Iterator
 
+from repro.core.uniform_grid import UniformGrid
+from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
-from repro.indexes.base import Item, validate_items
+from repro.indexes.base import Item
+from repro.indexes.linear_scan import LinearScan
 from repro.instrumentation.counters import Counters
+from repro.joins.session import JoinSession
+from repro.joins.spec import DistanceJoinSpec
 from repro.obs import MetricsRegistry
 from repro.obs import span as _span
 from repro.obs.metrics import MetricsView, Read, Tally
 
-from repro.continuous.policies import POLICY_CLASSES, MaintenancePolicy, RecomputePolicy, per_group
+from repro.continuous.policies import POLICY_CLASSES, MaintenancePolicy, per_group
 from repro.continuous.spec import (
     ContinuousJoinSpec,
     ContinuousKNNQuery,
@@ -156,22 +157,26 @@ class ContinuousSession:
     Parameters
     ----------
     items:
-        Initial ``(eid, box)`` state.
+        Initial ``(eid, box)`` state, bulk-loaded into the session's own
+        grid — or a live :class:`~repro.core.uniform_grid.UniformGrid`,
+        which then *is* the session's state: every tick writes into it, and
+        nothing else may write it between ticks.
     universe:
-        Simulation domain (grids size their cells from it; required only
-        for an empty initial state that grows later).
+        Simulation domain (the grid sizes its cells from it; required only
+        for an empty initial state that grows later).  A live grid brings
+        its own.
     policy:
         Default routing: ``"auto"`` (the heuristic) or a policy name to pin
         for every subscription that does not pin its own.
     counters:
-        The :class:`~repro.instrumentation.counters.Counters` the policies
-        charge (created when omitted).  The session owns its ``metrics``
-        registry, which ``stats`` reads.
+        The :class:`~repro.instrumentation.counters.Counters` the grid and
+        the policies charge (created when omitted; a live grid's own).  The
+        session owns its ``metrics`` registry, which ``stats`` reads.
     """
 
     def __init__(
         self,
-        items: Iterable[Item] = (),
+        items: Iterable[Item] | UniformGrid = (),
         universe: AABB | None = None,
         *,
         policy: str = AUTO,
@@ -179,11 +184,20 @@ class ContinuousSession:
     ) -> None:
         if policy != AUTO and policy not in POLICY_CLASSES:
             raise ValueError(f"unknown policy: {policy!r}")
-        materialized = validate_items(items)
-        self._state: dict[int, AABB] = dict(materialized)
-        self.universe = universe if universe is not None else self._bounds()
+        if isinstance(items, UniformGrid):
+            if universe is not None and universe != items.universe:
+                raise ValueError(f"universe {universe} is not the grid's {items.universe}")
+            if counters is not None and counters is not items.counters:
+                raise ValueError("a session over a live grid charges the grid's counters")
+            self.grid = items
+        else:
+            self.grid = UniformGrid(universe=universe, counters=counters)
+            self.grid.bulk_load(items)
+        self.counters = self.grid.counters
+        # Every probe takes the batch kernels (no inline scalar route): one
+        # kernel call per probe batch, not one per row.
+        self.queries = QuerySession(self.grid, inline_cutoff=0)
         self.policy = policy
-        self.counters = counters if counters is not None else Counters()
         self.metrics = MetricsRegistry()
         self.stats = ContinuousStats(self.metrics)
         self._m_ticks = self.metrics.counter("continuous.ticks")
@@ -194,6 +208,11 @@ class ContinuousSession:
         self._policies: dict[str, MaintenancePolicy] = {}
         self._churn_ewma: float | None = None
         self._ewma_alpha = 0.3
+
+    @property
+    def universe(self) -> AABB | None:
+        """The grid's universe (``None`` until a first element fixes it)."""
+        return self.grid.universe
 
     @property
     def ticks(self) -> int:
@@ -209,27 +228,27 @@ class ContinuousSession:
 
     # -- authoritative state -----------------------------------------------------
 
-    def _bounds(self) -> AABB | None:
-        if not self._state:
-            return None
-        boxes = iter(self._state.values())
-        acc = next(boxes)
-        for box in boxes:
-            acc = acc.union(box)
-        return acc
-
     def state_items(self) -> Iterator[Item]:
         """The authoritative ``(eid, box)`` state, deterministic order."""
-        return iter(sorted(self._state.items()))
+        return iter(sorted(self.grid._boxes.items()))
 
     def state_box(self, eid: int) -> AABB | None:
-        return self._state.get(eid)
+        return self.grid._boxes.get(eid)
 
     def __len__(self) -> int:
-        return len(self._state)
+        return len(self.grid)
 
     def __contains__(self, eid: int) -> bool:
-        return eid in self._state
+        return eid in self.grid._boxes
+
+    def _write(self, batch: TickBatch) -> None:
+        """Fold one validated tick into the grid: its motion, then the churn."""
+        grid = self.grid
+        grid.apply_moves(batch.moves())
+        for eid, box in sorted(batch.inserted.items()):
+            grid.insert(eid, box)
+        for eid, box in sorted(batch.deleted.items()):
+            grid.delete(eid, box)
 
     # -- subscriptions -----------------------------------------------------------
 
@@ -284,7 +303,7 @@ class ContinuousSession:
         tick_start = time.perf_counter()
         universe = self.universe
         batch = normalize_updates(
-            updates, self._state, dims=None if universe is None else universe.dims
+            updates, self.grid._boxes, dims=None if universe is None else universe.dims
         )
         self._m_ticks.inc()
         self._m_updates.inc(batch.size)
@@ -297,13 +316,7 @@ class ContinuousSession:
                 updates=batch.size,
                 subscriptions=len(self._subs),
             ):
-                for eid, (_, new) in batch.moved.items():
-                    self._state[eid] = new
-                self._state.update(batch.inserted)
-                for eid in batch.deleted:
-                    del self._state[eid]
-                for instantiated in self._policies.values():
-                    instantiated.apply(batch)
+                self._write(batch)
                 self._observe(batch)
 
                 # Route each subscription, then evaluate each policy's share at once.
@@ -365,7 +378,7 @@ class ContinuousSession:
     # -- the planner -------------------------------------------------------------
 
     def _observe(self, batch: TickBatch) -> None:
-        tracked = max(len(self._state), 1)
+        tracked = max(len(self.grid), 1)
         churn = batch.size / tracked
         if self._churn_ewma is None:
             self._churn_ewma = churn
@@ -388,13 +401,19 @@ class ContinuousSession:
             self._policies[name] = policy
         return policy
 
-    @property
-    def recompute(self) -> RecomputePolicy:
-        """The recompute policy doubles as the session's oracle."""
-        return self._policy("recompute")  # type: ignore[return-value]
-
     def oracle_result(self, sub: Subscription | ContinuousSpec):
-        """A from-scratch answer against the current authoritative state —
-        what the accumulated deltas must always reproduce."""
+        """A from-scratch answer against the current elements — what the
+        accumulated deltas must always reproduce — that shares no grid code:
+        a fresh :class:`~repro.indexes.linear_scan.LinearScan` answers range
+        and kNN specs, a nested-loop :class:`~repro.joins.JoinSession` joins."""
         spec = sub.spec if isinstance(sub, Subscription) else sub
-        return self.recompute.full_result(spec)
+        items = list(self.state_items())
+        if spec.kind == "join":
+            joins = JoinSession(strategy="nested_loop")
+            pairs = joins.run(DistanceJoinSpec(items, None, spec.epsilon)) if items else []
+            return {pair for pair in pairs if spec.refine is None or spec.refine(*pair)}
+        scan = LinearScan()
+        scan.bulk_load(items)
+        if spec.kind == "knn":
+            return scan.knn(spec.point, spec.k)
+        return set(scan.range_query(spec.box))

@@ -170,8 +170,9 @@ class TickBatch:
         return set(self.moved) | set(self.inserted) | set(self.deleted)
 
     def moves(self) -> list[Move]:
-        """The net motion as ``(eid, old, new)`` tuples (deterministic order)."""
-        return [(eid, old, new) for eid, (old, new) in sorted(self.moved.items())]
+        """The net motion as ``(eid, old, new)`` tuples, in the order the
+        elements first moved this tick (the order the updates came in)."""
+        return [(eid, old, new) for eid, (old, new) in self.moved.items()]
 
     @cached_property
     def entrants(self) -> tuple[list[int], np.ndarray]:

@@ -50,6 +50,11 @@ class AABB:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AABB is immutable")
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__: the default slots
+        # protocol would restore lo/hi through the __setattr__ above.
+        return type(self), (self.lo, self.hi)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

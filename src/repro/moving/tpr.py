@@ -25,10 +25,11 @@ performance ledger's ``continuous_ticks`` workload (8 000 boxes, 400 reported
 moves a step) :meth:`TPRIndex.advance` costs 207–233 ms a step past the
 horizon — about 0.55 ms a move, against ~14 µs for a ``UniformGrid.update``
 of the same move — which was 71–76 % of a continuous tick while the
-continuous planner still routed range/kNN subscriptions here.  It no longer
-does (``repro/continuous/session.py``; ``BENCH_continuous.json`` has the
-per-churn numbers on both sides of the horizon); the index stays as the
-paper's negative exhibit and an explicitly pinned policy.
+continuous planner still routed range/kNN subscriptions here.  The
+continuous layer no longer has a predictive policy at all (both of its
+policies read one uniform grid); the index stays as the paper's negative
+exhibit, which the §3 moving-object tests and the ledger's
+``moving.tpr_advance_ms`` replay still measure.
 
 Correctness is preserved regardless of motion: queries refine against exact
 current boxes supplied through :meth:`advance`, so mispredictions cost time

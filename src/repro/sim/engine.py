@@ -6,8 +6,12 @@ Each step runs three phases, individually timed and counter-attributed:
    range, join partners) against the index;
 2. **maintenance** — the step's updates are folded into the index: each
    :class:`~repro.continuous.spec.Insert` (growth) through ``insert``, the
-   moves as one ``apply_moves`` batch; a continuous session, if any, is
-   ticked with the same list;
+   moves as one ``apply_moves`` batch.  With ``continuous=True`` over a
+   :class:`~repro.core.uniform_grid.UniformGrid` the continuous session's
+   state *is* the index, and the phase is one ``tick`` of that session,
+   which writes the index once and then maintains the standing queries;
+   over any other index the session keeps its own grid, ticked beside the
+   index's writes;
 3. **monitor** — in-situ analysis queries run against the fresh state
    ("thousands of range queries ... at locations that cannot be
    anticipated").
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from repro.continuous import ContinuousSession
+from repro.core.uniform_grid import UniformGrid
 from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.base import SpatialIndex
@@ -71,6 +76,12 @@ class TimeSteppedSimulation:
         Any :class:`~repro.indexes.base.SpatialIndex`.
     monitors:
         In-situ analysis tasks (may be empty).
+    continuous:
+        Carry a :class:`~repro.continuous.ContinuousSession` for standing
+        queries (monitors subscribe through ``subscribe_continuous``).  It
+        shares the index when the index is a
+        :class:`~repro.core.uniform_grid.UniformGrid`, and charges its
+        counters.
     """
 
     def __init__(
@@ -78,7 +89,7 @@ class TimeSteppedSimulation:
         model: SimulationModel,
         index: SpatialIndex,
         monitors: Iterable[Monitor] = (),
-        continuous: "bool | object" = False,
+        continuous: bool = False,
     ) -> None:
         self.model = model
         self.index = index
@@ -91,10 +102,10 @@ class TimeSteppedSimulation:
         # exact delta-maintained results for free in the monitor phase.
         self.continuous = None
         if continuous:
-            if continuous is True:
-                self.continuous = ContinuousSession(items, universe=model.universe())
+            if isinstance(index, UniformGrid):
+                self.continuous = ContinuousSession(index)
             else:
-                self.continuous = continuous
+                self.continuous = ContinuousSession(items, universe=model.universe())
             for monitor in self.monitors:
                 hook = getattr(monitor, "subscribe_continuous", None)
                 if hook is not None:
@@ -144,15 +155,16 @@ class TimeSteppedSimulation:
         )
 
     def _maintain(self, updates: Sequence[Move | Insert]) -> list[Move]:
-        """Fold one step's updates into the standing queries and the index."""
+        """Fold one step's updates into the standing queries and the index
+        (one write when the continuous session's grid is the index)."""
+        moves = [update for update in updates if not isinstance(update, Insert)]
         if self.continuous is not None:
             self.continuous.tick(updates)
-        moves: list[Move] = []
+            if self.continuous.grid is self.index:
+                return moves
         for update in updates:
             if isinstance(update, Insert):
                 self.index.insert(update.eid, update.box)
-            else:
-                moves.append(update)
         self.index.apply_moves(moves)
         return moves
 

@@ -1,6 +1,8 @@
 """Unit and property tests for the AABB value type."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -163,6 +165,16 @@ class TestValueSemantics:
 
     def test_repr(self):
         assert "AABB" in repr(AABB((0,), (1,)))
+
+    def test_pickle_copy_and_deepcopy_rebuild_an_equal_immutable_box(self):
+        box = AABB((1, 2, 3), (4, 5, 6.5))
+        for clone in (pickle.loads(pickle.dumps(box)), copy.copy(box), copy.deepcopy(box)):
+            assert type(clone) is AABB and clone == box and hash(clone) == hash(box)
+            assert (clone.lo, clone.hi) == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.5))
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.lo = (0.0, 0.0, 0.0)
+        nested = copy.deepcopy({7: [box]})
+        assert nested == {7: [box]}
 
 
 class TestProperties:

@@ -8,8 +8,7 @@ Pinned here:
   and above the compaction threshold, on base and overlay rows;
 * a batch the grid refuses mutates nothing (grid, snapshot, counters);
 * the default implementation equals the loop on every registry index, refuses
-  a repeated id up front and is otherwise *not* atomic;
-* a tick the backing refuses stays queued in the delta-maintenance policy.
+  a repeated id up front and is otherwise *not* atomic.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import UNIVERSE_2D, UNIVERSE_3D, grid_windows, make_items, placed_items
-from repro import INDEX_REGISTRY, ContinuousJoinSpec, ContinuousSession, make_index
+from repro import INDEX_REGISTRY, make_index
 from repro.core.uniform_grid import UniformGrid, _compaction_threshold
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
@@ -210,35 +209,3 @@ def test_apply_moves_equals_the_update_loop_on_every_index(name):
     ]
     assert batched.batch_range_query(windows) == looped.batch_range_query(windows)
     assert batched.batch_knn(points, 5) == looped.batch_knn(points, 5)
-
-
-@pytest.mark.continuous
-class TestDeltaMaintenanceKeepsARefusedTick:
-    def test_refused_batch_stays_pending_and_the_grid_untouched(self):
-        items = make_items(200, universe=UNIVERSE, max_extent=2.0, seed=12)
-        session = ContinuousSession(items, UNIVERSE, policy="incremental")
-        sub = session.subscribe(ContinuousJoinSpec(epsilon=0.5))
-        rng = np.random.default_rng(12)
-        state = dict(items)
-        session.tick(move_batch(rng, state, 20))
-        policy = session._policies["incremental"]
-        grid = policy._backing
-        assert not policy._pending
-
-        # Knock one element of the backing out of step with the session, as a
-        # fault between the session's state and the index would.
-        victim, in_session = state.popitem()
-        drifted = jittered(rng, in_session, 5.0)
-        grid.update(victim, in_session, drifted)
-        before = write_state(grid)
-        moves = move_batch(rng, state, 20)
-        moves.insert(11, (victim, in_session, jittered(rng, in_session, 1.0)))
-        with pytest.raises(KeyError):
-            session.tick(moves)
-        assert len(policy._pending) == 1 and write_state(grid) == before
-        assert sub.dirty  # answered by resync from now on, not from a stale grid
-
-        # Repaired, the queued tick folds in whole.
-        grid.update(victim, drifted, in_session)
-        policy._sync()
-        assert not policy._pending and grid.counters.updates == before[-1].updates + 22

@@ -4,9 +4,10 @@ The contract under test: for **every** maintenance policy and **every** spec
 kind, the delta stream a :class:`~repro.continuous.ContinuousSession` emits
 is *exact* — at every tick
 
-* the subscription's live result equals a full recompute against the
-  authoritative state (the session's :meth:`oracle_result`, a throwaway
-  rebuild), and
+* the subscription's live result equals a from-scratch answer against the
+  session's elements (the session's :meth:`oracle_result`: a fresh
+  ``LinearScan`` for range and kNN, a nested-loop join for joins — no grid
+  code, since both policies read the session's one grid), and
 * folding the accumulated deltas into the initial result reproduces that
   same live result (no delta lost, duplicated or misordered).
 
@@ -45,11 +46,12 @@ from repro.indexes.linear_scan import LinearScan
 from repro.instrumentation.counters import Counters
 from repro.joins.strategies import NestedLoopJoin
 from repro.registry import INDEX_REGISTRY, make_index
+from test_apply_moves import write_state
 from tests.conftest import UNIVERSE_2D, UNIVERSE_3D, make_items
 
 pytestmark = pytest.mark.continuous
 
-POLICIES = ["recompute", "incremental", "predictive"]
+POLICIES = ["recompute", "incremental"]
 KINDS = ["range", "knn", "join"]
 WORKLOADS = ["drift", "teleport", "churn", "still"]
 
@@ -165,12 +167,10 @@ class TestDeltaStreamsExact:
         drive(session, subs, workload, ticks=10, seed=17)
         assert session.stats.policy_routes.get(policy, 0) > 0
 
-    def test_policies_emit_identical_streams_past_the_tpr_horizon(self):
-        """One seeded drift sequence (20 % of 1 000 boxes move per tick)
-        through each pinned policy: the delta streams of 8 standing ranges
-        and 8 standing kNN queries are identical, over 16 ticks so that
-        predictive's TPR horizon (10) is crossed and every reported move
-        re-anchors."""
+    def test_policies_emit_identical_streams(self):
+        """One seeded drift sequence (20 % of 1 000 boxes move per tick, 16
+        ticks) through each pinned policy: the delta streams of 8 standing
+        ranges and 8 standing kNN queries are identical."""
         rng = np.random.default_rng(43)
         specs = [
             ContinuousRangeQuery(AABB(lo, lo + 20.0)) for lo in rng.uniform(5.0, 75.0, (8, 3))
@@ -193,7 +193,6 @@ class TestDeltaStreamsExact:
             assert session.stats.deltas == 16 * len(specs)
             streams[policy] = [sub.deltas for sub in subs]
         assert streams["incremental"] == streams["recompute"]
-        assert streams["predictive"] == streams["recompute"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_auto_planner_stays_exact(self, kind):
@@ -344,6 +343,24 @@ class TestHypothesisOracle:
             for sub in subs:
                 assert_exact(session, sub)
 
+    @settings(max_examples=15)
+    @given(program=update_programs())
+    def test_any_program_over_a_live_grid(self, program):
+        """A session handed a loaded grid (as a simulation hands over its
+        index) keeps exact deltas, and the grid holds its elements."""
+        from repro.core import UniformGrid
+
+        items, ticks = program
+        grid = UniformGrid(universe=UNIVERSE_3D)
+        grid.bulk_load(items)
+        session = ContinuousSession(grid)
+        subs = [session.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
+        for updates in ticks:
+            session.tick(updates)
+            for sub in subs:
+                assert_exact(session, sub)
+        assert dict(session.state_items()) == grid._boxes
+
 
 # -- update normalization ------------------------------------------------------
 
@@ -394,16 +411,19 @@ class TestNormalizeUpdates:
         with pytest.raises(ValueError, match="finite|dims"):
             normalize_updates([Insert(7, bad)], {}, dims=3 if bad.dims == 2 else None)
 
-    @pytest.mark.parametrize("policy", ["auto", "recompute", "predictive"])
+    @pytest.mark.parametrize("policy", ["auto", "recompute"])
     def test_a_refused_tick_commits_nothing(self, policy):
         """One NaN move used to reach the session's state, and every later
-        tick — valid or not — then died in the backing grid."""
+        tick — valid or not — then died in the grid.  A refused tick leaves
+        the grid's whole write state as it was: boxes, windows, snapshot
+        patches and counters."""
         items = make_items(60, seed=41)
         session = ContinuousSession(items, UNIVERSE_3D, policy=policy)
         subs = [session.subscribe(spec) for kind in ("range", "knn", "join")
                 for spec in make_specs(kind)]
         drive(session, subs, "drift", ticks=2, seed=42)
         before = dict(session.state_items())
+        written = write_state(session.grid)
         (eid, box), (other, other_box) = items[0], items[1]
         nan = float("nan")
         moved = _shift(other_box, [1.0, 1.0, 1.0])
@@ -413,6 +433,7 @@ class TestNormalizeUpdates:
                 with pytest.raises(ValueError):
                     session.tick(updates)
         assert dict(session.state_items()) == before
+        assert write_state(session.grid) == written
         assert (session.ticks, session.stats.faults) == (2, 0)
         drive(session, subs, "drift", ticks=2, seed=43)  # asserts the oracle each tick
 
@@ -446,32 +467,24 @@ class TestPlanner:
     @pytest.mark.parametrize("workload", ["drift", "teleport"])
     @pytest.mark.parametrize("kind", ["range", "knn"])
     def test_auto_routes_queries_incremental_and_never_predictive(self, kind, workload):
-        """The planner has two routes.  15 ticks crosses the TPR horizon
-        (10), where the retired auto→predictive route fell off its cliff;
-        the predictive policy must never even be instantiated."""
+        """The planner has two routes; under low churn range and kNN
+        subscriptions stay incremental for all 15 ticks."""
         items = make_items(60, seed=22)
         session = ContinuousSession(items, UNIVERSE_3D)
         subs = [session.subscribe(spec) for spec in make_specs(kind)]
         drive(session, subs, workload, ticks=15, seed=7)
         assert all(sub.routed == "incremental" for sub in subs)
-        assert "predictive" not in session._policies
         assert session.stats.policy_routes == {"incremental": 15 * len(subs)}
 
-    def test_predictive_stays_available_as_a_pin(self):
-        """Session-wide and per-subscription pins both still reach the
-        TPR-backed policy, and it stays exact past its horizon."""
-        items = make_items(60, seed=22)
-        pinned_session = ContinuousSession(items, UNIVERSE_3D, policy="predictive")
-        auto_session = ContinuousSession(items, UNIVERSE_3D)
-        for session, policy in ((pinned_session, None), (auto_session, "predictive")):
-            subs = [
-                session.subscribe(spec, policy=policy)
-                for kind in ("range", "knn")
-                for spec in make_specs(kind)
-            ]
-            drive(session, subs, "drift", ticks=15, seed=7)
-            assert all(sub.routed == "predictive" for sub in subs)
-            assert session.stats.policy_routes == {"predictive": 15 * len(subs)}
+    def test_predictive_is_not_a_policy(self):
+        """The TPR-backed policy is gone: neither a session-wide nor a
+        per-subscription pin reaches it."""
+        with pytest.raises(ValueError, match="unknown policy"):
+            ContinuousSession(make_items(20, seed=22), UNIVERSE_3D, policy="predictive")
+        session = ContinuousSession(make_items(20, seed=22), UNIVERSE_3D)
+        with pytest.raises(ValueError, match="unknown policy"):
+            session.subscribe(make_specs("range")[0], policy="predictive")
+        assert not session.subscriptions
 
     def test_predictive_displacement_knob_is_gone(self):
         with pytest.raises(TypeError):
@@ -615,7 +628,7 @@ class TestKNNSlackSafeRegion:
             items[eid] = box
         return center, items
 
-    @pytest.mark.parametrize("policy", ["incremental", "predictive"])
+    @pytest.mark.parametrize("policy", ["incremental", "auto"])
     def test_small_drift_holds_safe_region(self, policy):
         rng = random.Random(77)
         center, items = self._neighbourhood(rng)
@@ -878,7 +891,7 @@ class TestBatchedTick:
         joined = session.subscribe(ContinuousJoinSpec(epsilon=1.0))
         near = [session.subscribe(ContinuousKNNQuery(point, k=3)) for point in self.A]
         far = session.subscribe(ContinuousKNNQuery(self.B, k=3))
-        session.tick([])  # instantiates the incremental policy and its backing
+        session.tick([])  # instantiates the incremental policy
         return session, ranged, joined, near, far, rng
 
     def _jiggle(self, session, rng, eids, step: float = 0.3):
@@ -890,15 +903,15 @@ class TestBatchedTick:
 
     def test_invalidated_knn_specs_share_one_batch_knn(self, monkeypatch):
         session, _, _, near, far, rng = self._session()
-        backing = session._policies["incremental"]._backing
+        grid = session.grid
         calls = []
-        original = backing.batch_knn
+        original = grid.batch_knn
 
         def spy(points, k):
             calls.append((len(points), k))
             return original(points, k)
 
-        monkeypatch.setattr(backing, "batch_knn", spy)
+        monkeypatch.setattr(grid, "batch_knn", spy)
         invalidations = session.counters.safe_region_invalidations
         # Every cluster-A member moves: no A spec has a slack yet, so each
         # of the three (same k) must re-probe; the B spec holds.
@@ -974,8 +987,8 @@ class TestBatchedTick:
 
     def test_failed_knn_reprobe_fails_exactly_its_specs(self, monkeypatch):
         session, ranged, joined, near, far, rng = self._session()
-        backing = session._policies["incremental"]._backing
-        original = backing.batch_knn
+        grid = session.grid
+        original = grid.batch_knn
         raised = []
 
         def once(points, k):
@@ -984,7 +997,7 @@ class TestBatchedTick:
                 raise Boom("batch_knn")
             return original(points, k)
 
-        monkeypatch.setattr(backing, "batch_knn", once)
+        monkeypatch.setattr(grid, "batch_knn", once)
         before = {sub.cqid: (list(sub.result), list(sub.deltas)) for sub in near}
         with pytest.raises(Boom):
             session.tick(self._jiggle(session, rng, range(10)))
@@ -1059,11 +1072,11 @@ class TestDistanceContract:
     ):
         from functools import partial
 
-        import repro.continuous.policies as policies
+        import repro.continuous.session as continuous_session
         from repro.engine import BatchExecutor, QuerySession
 
         monkeypatch.setattr(
-            policies, "QuerySession", partial(QuerySession, executor=BatchExecutor())
+            continuous_session, "QuerySession", partial(QuerySession, executor=BatchExecutor())
         )
         rng = random.Random(23)
         items = make_items(300, seed=23)
@@ -1074,7 +1087,7 @@ class TestDistanceContract:
             for _ in range(200)
         ]
         # Every element moves: no adopted result has a slack yet, so every
-        # spec re-probes the incremental grid on the batch kernel.
+        # spec re-probes the session's grid on the batch kernel.
         updates = []
         for eid, box in session.state_items():
             updates.append((eid, box, _shift(box, [rng.uniform(-0.2, 0.2) for _ in range(3)])))
@@ -1143,6 +1156,13 @@ def _touch_join(items, universe: AABB, policy: str):
 
 def _nested_loop_pairs(live: dict) -> set:
     return set(NestedLoopJoin().self_join(list(live.items()), Counters()))
+
+
+def _nested_loop_pairs_within(live: dict, epsilon: float) -> set:
+    """The within-ε self-join by brute force on the scalar box gap."""
+    boxes = sorted(live.items())
+    return {(a, b) for i, (a, box) in enumerate(boxes) for b, other in boxes[i + 1:]
+            if box.min_distance_to_box(other) <= epsilon}
 
 
 class TestMaintainedSelfJoin:
@@ -1223,6 +1243,168 @@ class TestMaintainedSelfJoin:
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
             ContinuousSession(self._items(), UNIVERSE_3D, policy="magic")
+
+
+# -- one grid per session -------------------------------------------------------
+
+
+def _count_grids(monkeypatch) -> list[type]:
+    """The type of every grid constructed from now on (``SnapshotGridIndex``
+    runs ``UniformGrid.__init__`` too)."""
+    from repro.core import UniformGrid
+
+    built, original = [], UniformGrid.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(UniformGrid, "__init__", counting)
+    return built
+
+
+class TestOneGrid:
+    """A session keeps its elements in one grid: its own, or the live grid it
+    is handed.  Both policies read that grid; nothing rebuilds a copy."""
+
+    def test_a_standalone_session_constructs_exactly_one_grid(self, monkeypatch):
+        built = _count_grids(monkeypatch)
+        session = ContinuousSession(make_items(120, seed=51), UNIVERSE_3D)
+        subs = [session.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
+        subs += [session.subscribe(spec, policy="recompute") for kind in KINDS for spec in make_specs(kind)]
+        drive(session, subs, "churn", ticks=4, seed=52)
+        assert built == [type(session.grid)]
+        assert len(session.grid) == len(session) == len(list(session.state_items()))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("source", ["items", "live grid"])
+    def test_an_empty_session_answers_and_grows(self, source, policy):
+        """No elements yet: every spec kind answers empty, and the first
+        inserts configure the grid (with no universe given, from the boxes)."""
+        from repro.core import UniformGrid
+
+        session = ContinuousSession([] if source == "items" else UniformGrid(), policy=policy)
+        assert session.universe is None and len(session) == 0
+        subs = [session.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
+        assert all(not sub.result for sub in subs)
+        rng = random.Random(66)
+        session.tick([Insert(eid, _boxed(rng)) for eid in range(40)])
+        assert session.universe is not None and len(session) == 40
+        for sub in subs:
+            assert_exact(session, sub)
+        drive(session, subs, "churn", ticks=3, seed=67)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_cancelled_subscription_gets_no_more_deltas(self, kind):
+        session = ContinuousSession(make_items(80, seed=63), UNIVERSE_3D, policy="incremental")
+        gone, kept = (session.subscribe(spec) for spec in make_specs(kind))
+        drive(session, [gone, kept], "drift", ticks=2, seed=64)
+        gone.cancel()
+        policy = session._policies["incremental"]
+        assert gone.cqid not in policy._partners and gone.cqid not in policy._knn_slack
+        drive(session, [kept], "drift", ticks=2, seed=65)
+        assert session.subscriptions == [kept]
+        assert (len(gone.deltas), len(kept.deltas)) == (2, 4)
+
+    def test_a_mismatched_universe_is_refused_when_the_session_is_built(self):
+        items = make_items(10, seed=53)
+        with pytest.raises(ValueError, match="3 dims, index has 2"):
+            ContinuousSession(items, AABB((0, 0), (10, 10)))
+
+    def test_a_session_over_a_live_grid_writes_it_and_charges_its_counters(self):
+        from repro.core import UniformGrid
+
+        items = make_items(100, seed=54)
+        grid = UniformGrid(universe=UNIVERSE_3D)
+        grid.bulk_load(items)
+        session = ContinuousSession(grid, policy="incremental")
+        assert session.grid is grid and session.counters is grid.counters
+        assert session.universe == UNIVERSE_3D
+        subs = [session.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
+        drive(session, subs, "churn", ticks=4, seed=55)
+        assert dict(session.state_items()) == grid._boxes
+        assert grid.counters.safe_region_hits + grid.counters.safe_region_invalidations > 0
+        with pytest.raises(ValueError, match="counters"):
+            ContinuousSession(grid, counters=Counters())
+        with pytest.raises(ValueError, match="universe"):
+            ContinuousSession(grid, AABB((0, 0, 0), (1, 1, 1)))
+
+    @pytest.mark.parametrize("pin", [None, "recompute"])
+    def test_a_simulation_session_shares_the_simulation_grid(self, monkeypatch, pin):
+        from repro.core import UniformGrid
+        from repro.sim import TimeSteppedSimulation
+        from repro.sim.plasticity import PlasticityModel
+
+        items = dict(make_items(150, seed=56, max_extent=2.0))
+        grid = UniformGrid(universe=UNIVERSE_3D)
+        built = _count_grids(monkeypatch)
+        model = PlasticityModel(items, UNIVERSE_3D, neighbourhood_queries=4, moving_fraction=0.1, seed=57)
+        sim = TimeSteppedSimulation(model, grid, continuous=True)
+        session = sim.continuous
+        subs = [session.subscribe(spec, policy=pin) for kind in KINDS for spec in make_specs(kind)]
+        reports = sim.run(4)
+        assert built == []  # no grid beyond the caller's, no SnapshotGridIndex
+        assert session.grid is grid and session.counters is grid.counters
+        assert session.stats.policy_routes == {pin or "incremental": 4 * len(subs)}
+        assert dict(session.state_items()) == sim.state
+        # The join probes charge the index's counters, so the steps report them.
+        assert all(report.counters.comparisons > 0 for report in reports)
+        for sub in subs:
+            assert_exact(session, sub)
+
+    def test_each_tick_writes_the_grid_once(self, monkeypatch):
+        """The tick's moves reach the grid as one ``apply_moves``, before any
+        policy reads it, whatever is subscribed — range specs too, which
+        never probe the grid."""
+        from repro.core import UniformGrid
+        from repro.sim import TimeSteppedSimulation
+        from repro.sim.plasticity import PlasticityModel
+
+        writes = []
+        original = UniformGrid.apply_moves
+        monkeypatch.setattr(UniformGrid, "apply_moves",
+                            lambda grid, moves: writes.append(grid) or original(grid, moves))
+        items = dict(make_items(100, seed=60))
+        model = PlasticityModel(items, UNIVERSE_3D, neighbourhood_queries=2, moving_fraction=0.1, seed=61)
+        sim = TimeSteppedSimulation(model, UniformGrid(universe=UNIVERSE_3D), continuous=True)
+        sub = sim.continuous.subscribe(make_specs("range")[0])
+        sim.run(3)
+        assert writes == [sim.index] * 3
+        assert_exact(sim.continuous, sub)
+
+    def test_the_oracle_shares_no_grid_code(self, monkeypatch):
+        """A grid that answers wrong cannot pass its own oracle: with every
+        grid read broken, ``oracle_result`` still answers each spec kind."""
+        from repro.core import UniformGrid
+
+        items = make_items(80, seed=62)
+        session = ContinuousSession(items, UNIVERSE_3D)
+        specs = [spec for kind in KINDS for spec in make_specs(kind)]
+        want = [session.oracle_result(spec) for spec in specs]
+        for read in ("batch_range_hits", "batch_range_query", "batch_knn", "range_query", "knn"):
+            monkeypatch.setattr(UniformGrid, read, lambda *args, **kwargs: 1 / 0)
+        assert [session.oracle_result(spec) for spec in specs] == want
+        scan = LinearScan()
+        scan.bulk_load(items)
+        assert want[0] == set(scan.range_query(specs[0].box))
+        assert want[2] == scan.knn(specs[2].point, specs[2].k)
+        assert want[4] == _nested_loop_pairs_within(dict(items), specs[4].epsilon)
+
+    def test_a_simulation_over_another_index_keeps_both_in_step(self):
+        from repro.indexes.rtree import RTree
+        from repro.sim import TimeSteppedSimulation
+        from repro.sim.plasticity import PlasticityModel
+
+        items = dict(make_items(150, seed=58, max_extent=2.0))
+        model = PlasticityModel(items, UNIVERSE_3D, neighbourhood_queries=4, seed=59)
+        sim = TimeSteppedSimulation(model, RTree(), continuous=True)
+        subs = [sim.continuous.subscribe(spec) for spec in make_specs("range")]
+        sim.run(3)
+        assert sim.continuous.grid is not sim.index
+        assert dict(sim.continuous.state_items()) == sim.state
+        for sub in subs:
+            assert_exact(sim.continuous, sub)
+            assert sub.result == set(sim.index.range_query(sub.spec.box))
 
 
 # -- simulation subscribers ----------------------------------------------------
