@@ -134,16 +134,13 @@ def _join_probe(
     low, high = np.minimum(mine, hits), np.maximum(mine, hits)
     # Packed (low, high) keys, over id ranks so that no product overflows.
     ranks, inverse = np.unique([low, high], return_inverse=True)
-    _, first = np.unique(inverse[0] * len(ranks) + inverse[1], return_index=True)
+    low_rank, high_rank = inverse.reshape(2, -1)
+    _, first = np.unique(low_rank * len(ranks) + high_rank, return_index=True)
     rows, hits, low, high = rows[first], hits[first], low[first], high[first]
     if eps and len(rows):
         counters.refine_tests += len(rows)
-        if len(ids) == len(grid):  # every element probed: each hit's box is a row of packed
-            order = np.argsort(ids)
-            others = packed[order[np.searchsorted(ids, hits, sorter=order)]]
-        else:
-            boxes = grid._boxes
-            others = boxes_to_array([boxes[eid] for eid in hits.tolist()])
+        boxes = grid.boxes
+        others = boxes_to_array([boxes[eid] for eid in hits.tolist()])
         close = batch_box_gaps(packed[rows], others) <= eps
         low, high = low[close], high[close]
     found = list(zip(low.tolist(), high.tolist()))

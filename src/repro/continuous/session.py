@@ -189,6 +189,7 @@ class ContinuousSession:
                 raise ValueError(f"universe {universe} is not the grid's {items.universe}")
             if counters is not None and counters is not items.counters:
                 raise ValueError("a session over a live grid charges the grid's counters")
+            items.boxes  # a read-only grid (a snapshot) has no box view: refused here
             self.grid = items
         else:
             self.grid = UniformGrid(universe=universe, counters=counters)
@@ -230,16 +231,16 @@ class ContinuousSession:
 
     def state_items(self) -> Iterator[Item]:
         """The authoritative ``(eid, box)`` state, deterministic order."""
-        return iter(sorted(self.grid._boxes.items()))
+        return iter(sorted(self.grid.boxes.items()))
 
     def state_box(self, eid: int) -> AABB | None:
-        return self.grid._boxes.get(eid)
+        return self.grid.boxes.get(eid)
 
     def __len__(self) -> int:
         return len(self.grid)
 
     def __contains__(self, eid: int) -> bool:
-        return eid in self.grid._boxes
+        return eid in self.grid.boxes
 
     def _write(self, batch: TickBatch) -> None:
         """Fold one validated tick into the grid: its motion, then the churn."""
@@ -303,7 +304,7 @@ class ContinuousSession:
         tick_start = time.perf_counter()
         universe = self.universe
         batch = normalize_updates(
-            updates, self.grid._boxes, dims=None if universe is None else universe.dims
+            updates, self.grid.boxes, dims=None if universe is None else universe.dims
         )
         self._m_ticks.inc()
         self._m_updates.inc(batch.size)

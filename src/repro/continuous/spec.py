@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def _other_dims(box: AABB, dims: int | None) -> int:
 
 
 def normalize_updates(
-    updates: Iterable[Update], state: dict[int, AABB], dims: int | None = None
+    updates: Iterable[Update], state: Mapping[int, AABB], dims: int | None = None
 ) -> TickBatch:
     """Fold a raw update sequence into a :class:`TickBatch`.
 

@@ -76,7 +76,8 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -936,6 +937,11 @@ class UniformGrid(SpatialIndex):
         return len(self._boxes)
 
     # -- introspection ---------------------------------------------------------------
+
+    @property
+    def boxes(self) -> Mapping[int, AABB]:
+        """The live ``eid → box`` view, read-only (writes go through the grid)."""
+        return MappingProxyType(self._boxes)
 
     def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
         self._settle()

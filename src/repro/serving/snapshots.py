@@ -191,6 +191,11 @@ class SnapshotGridIndex(_ReadOnlyShell, UniformGrid):
         assert snap is not None
         return snap.eids, snap.boxes
 
+    @property
+    def boxes(self):
+        # The shell keeps no per-element AABBs, only the packed tables.
+        raise TypeError(f"{type(self).__name__} is read-only and keeps no box view")
+
 
 class SnapshotTreeIndex(_ReadOnlyShell, SpatialIndex):
     """A read-only R-tree served straight from exported node tables.

@@ -11,7 +11,8 @@ Each step runs three phases, individually timed and counter-attributed:
    state *is* the index, and the phase is one ``tick`` of that session,
    which writes the index once and then maintains the standing queries;
    over any other index the session keeps its own grid, ticked beside the
-   index's writes;
+   index's writes.  Either way the session charges the index's counters,
+   so a step's report includes the standing queries' work;
 3. **monitor** — in-situ analysis queries run against the fresh state
    ("thousands of range queries ... at locations that cannot be
    anticipated").
@@ -80,8 +81,8 @@ class TimeSteppedSimulation:
         Carry a :class:`~repro.continuous.ContinuousSession` for standing
         queries (monitors subscribe through ``subscribe_continuous``).  It
         shares the index when the index is a
-        :class:`~repro.core.uniform_grid.UniformGrid`, and charges its
-        counters.
+        :class:`~repro.core.uniform_grid.UniformGrid`; over any index it
+        charges the index's counters.
     """
 
     def __init__(
@@ -105,7 +106,9 @@ class TimeSteppedSimulation:
             if isinstance(index, UniformGrid):
                 self.continuous = ContinuousSession(index)
             else:
-                self.continuous = ContinuousSession(items, universe=model.universe())
+                self.continuous = ContinuousSession(
+                    items, universe=model.universe(), counters=index.counters
+                )
             for monitor in self.monitors:
                 hook = getattr(monitor, "subscribe_continuous", None)
                 if hook is not None:

@@ -359,7 +359,7 @@ class TestHypothesisOracle:
             session.tick(updates)
             for sub in subs:
                 assert_exact(session, sub)
-        assert dict(session.state_items()) == grid._boxes
+        assert dict(session.state_items()) == grid.boxes
 
 
 # -- update normalization ------------------------------------------------------
@@ -1322,7 +1322,7 @@ class TestOneGrid:
         assert session.universe == UNIVERSE_3D
         subs = [session.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
         drive(session, subs, "churn", ticks=4, seed=55)
-        assert dict(session.state_items()) == grid._boxes
+        assert dict(session.state_items()) == grid.boxes
         assert grid.counters.safe_region_hits + grid.counters.safe_region_invalidations > 0
         with pytest.raises(ValueError, match="counters"):
             ContinuousSession(grid, counters=Counters())
@@ -1398,13 +1398,29 @@ class TestOneGrid:
         items = dict(make_items(150, seed=58, max_extent=2.0))
         model = PlasticityModel(items, UNIVERSE_3D, neighbourhood_queries=4, seed=59)
         sim = TimeSteppedSimulation(model, RTree(), continuous=True)
-        subs = [sim.continuous.subscribe(spec) for spec in make_specs("range")]
-        sim.run(3)
+        subs = [sim.continuous.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
+        reports = sim.run(3)
         assert sim.continuous.grid is not sim.index
         assert dict(sim.continuous.state_items()) == sim.state
+        # The session charges the index's counters here too, so the steps
+        # report the join's comparisons as over a shared grid.
+        assert sim.continuous.counters is sim.index.counters
+        assert all(report.counters.comparisons > 0 for report in reports)
         for sub in subs:
             assert_exact(sim.continuous, sub)
-            assert sub.result == set(sim.index.range_query(sub.spec.box))
+            if sub.kind == "range":
+                assert sub.result == set(sim.index.range_query(sub.spec.box))
+
+    def test_a_read_only_grid_is_refused_when_the_session_is_built(self):
+        from repro.core import UniformGrid
+        from repro.serving.snapshots import SnapshotGridIndex
+
+        grid = UniformGrid(universe=UNIVERSE_3D)
+        grid.bulk_load(make_items(50, seed=60))
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            grid.boxes[0] = grid.boxes[0]
+        with pytest.raises(TypeError, match="read-only"):
+            ContinuousSession(SnapshotGridIndex(*grid.snapshot_export()))
 
 
 # -- simulation subscribers ----------------------------------------------------
