@@ -49,7 +49,6 @@ from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.base import Item
 from repro.indexes.linear_scan import LinearScan
-from repro.instrumentation.counters import Counters
 from repro.joins.session import JoinSession
 from repro.joins.spec import DistanceJoinSpec
 from repro.obs import MetricsRegistry
@@ -168,10 +167,11 @@ class ContinuousSession:
     policy:
         Default routing: ``"auto"`` (the heuristic) or a policy name to pin
         for every subscription that does not pin its own.
-    counters:
-        The :class:`~repro.instrumentation.counters.Counters` the grid and
-        the policies charge (created when omitted; a live grid's own).  The
-        session owns its ``metrics`` registry, which ``stats`` reads.
+
+    The grid and the policies charge the grid's
+    :class:`~repro.instrumentation.counters.Counters` (``counters``): a live
+    grid's own, or fresh ones for the session's own grid.  The session owns
+    its ``metrics`` registry, which ``stats`` reads.
     """
 
     def __init__(
@@ -180,19 +180,16 @@ class ContinuousSession:
         universe: AABB | None = None,
         *,
         policy: str = AUTO,
-        counters: Counters | None = None,
     ) -> None:
         if policy != AUTO and policy not in POLICY_CLASSES:
             raise ValueError(f"unknown policy: {policy!r}")
         if isinstance(items, UniformGrid):
             if universe is not None and universe != items.universe:
                 raise ValueError(f"universe {universe} is not the grid's {items.universe}")
-            if counters is not None and counters is not items.counters:
-                raise ValueError("a session over a live grid charges the grid's counters")
             items.boxes  # a read-only grid (a snapshot) has no box view: refused here
             self.grid = items
         else:
-            self.grid = UniformGrid(universe=universe, counters=counters)
+            self.grid = UniformGrid(universe=universe)
             self.grid.bulk_load(items)
         self.counters = self.grid.counters
         # Every probe takes the batch kernels (no inline scalar route): one

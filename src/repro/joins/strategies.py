@@ -621,8 +621,8 @@ class TinyCellJoin(JoinStrategy):
 class CallableJoin(JoinStrategy):
     """Adapts a bare ``(items_a, items_b, counters) -> pairs`` callable.
 
-    Back-compat bridge for the pre-session ``box_join=`` hook of
-    :meth:`repro.joins.synapse.SynapseDetector.detect`; not registered —
+    Lets a caller pin an arbitrary filter, such as a test's failing or
+    duplicating join, wherever a strategy is accepted; not registered —
     construct it explicitly.
     """
 

@@ -14,19 +14,12 @@ capsule kernel (:func:`repro.geometry.refine.batch_capsule_gaps`).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from repro.datasets.neuroscience import NeuronDataset
-from repro.indexes.base import Item
-from repro.instrumentation.counters import Counters
 from repro.joins.session import JoinSession
 from repro.joins.spec import Synapse, SynapseJoinSpec
-from repro.joins.strategies import CallableJoin, JoinStrategy
+from repro.joins.strategies import JoinStrategy
 
-# A box-join algorithm: (items_a, items_b, counters) -> id pairs.
-BoxJoin = Callable[[Sequence[Item], Sequence[Item], Counters], list[tuple[int, int]]]
-
-__all__ = ["BoxJoin", "Synapse", "SynapseDetector"]
+__all__ = ["Synapse", "SynapseDetector"]
 
 
 class SynapseDetector:
@@ -67,23 +60,14 @@ class SynapseDetector:
         """The owning session's :class:`~repro.joins.spec.JoinStats`."""
         return self.session.stats
 
-    def detect(
-        self,
-        box_join: BoxJoin | None = None,
-        strategy: str | JoinStrategy | None = None,
-    ) -> list[Synapse]:
+    def detect(self, strategy: str | JoinStrategy | None = None) -> list[Synapse]:
         """Run the join and materialize synapse records.
 
         Same-neuron segment pairs are excluded (a neuron does not synapse
         onto itself through adjacent segments), as are duplicate unordered
         pairs.  ``strategy`` pins the filter to a
-        :data:`~repro.joins.strategies.JOIN_REGISTRY` entry; the legacy
-        ``box_join`` callable is still honoured via
-        :class:`~repro.joins.strategies.CallableJoin`.
+        :data:`~repro.joins.strategies.JOIN_REGISTRY` entry or to a
+        :class:`~repro.joins.strategies.JoinStrategy` instance.
         """
-        if box_join is not None and strategy is not None:
-            raise ValueError("pass either box_join or strategy, not both")
-        if box_join is not None:
-            strategy = CallableJoin(box_join)
         spec = SynapseJoinSpec(self.dataset, epsilon=self.epsilon)
         return self.session.run(spec, strategy=strategy)

@@ -13,7 +13,8 @@ progress of the simulation."
   workloads: neural plasticity and neuron co-growth with synapse formation;
 * :mod:`~repro.sim.monitors` — in-situ analysis: random-window range
   monitors, density probes, visualization sampling and nearest-neighbour
-  (nearest-synapse) probes, all batch-capable.
+  (nearest-synapse) probes, each reading through the simulation's query
+  session.
 """
 
 from repro.sim.engine import StepReport, TimeSteppedSimulation

@@ -6,16 +6,16 @@ Each step runs three phases, individually timed and counter-attributed:
    range, join partners) against the index;
 2. **maintenance** — the step's updates are folded into the index: each
    :class:`~repro.continuous.spec.Insert` (growth) through ``insert``, the
-   moves as one ``apply_moves`` batch.  With ``continuous=True`` over a
-   :class:`~repro.core.uniform_grid.UniformGrid` the continuous session's
-   state *is* the index, and the phase is one ``tick`` of that session,
-   which writes the index once and then maintains the standing queries;
-   over any other index the session keeps its own grid, ticked beside the
-   index's writes.  Either way the session charges the index's counters,
-   so a step's report includes the standing queries' work;
+   moves as one ``apply_moves`` batch.  With ``continuous=True`` (which
+   requires a :class:`~repro.core.uniform_grid.UniformGrid` index) the
+   simulation carries one continuous session whose state *is* the index,
+   and the phase is one ``tick`` of that session, which writes the index
+   once and then maintains the model's and the monitors' standing queries;
+   the session charges the index's counters, so a step's report includes
+   the standing queries' work;
 3. **monitor** — in-situ analysis queries run against the fresh state
-   ("thousands of range queries ... at locations that cannot be
-   anticipated").
+   through the simulation's :class:`~repro.engine.QuerySession` ("thousands
+   of range queries ... at locations that cannot be anticipated").
 
 The model owns the elements; the engine keeps no copy of them
 (:attr:`TimeSteppedSimulation.state` is the model's ``items()``).  The
@@ -39,15 +39,14 @@ from repro.sim.models import Insert, Move, SimulationModel
 
 
 class Monitor(Protocol):
-    """An in-situ analysis task run against the index every step.
-
-    Monitors that additionally implement
-    ``observe_batch(session: QuerySession, step: int)`` get handed the
-    simulation's query session instead, so a step's whole query volume runs
-    through the session's executors (all shipped monitors do).
+    """An in-situ analysis task run every step through the simulation's
+    query session, so a step's whole query volume runs through the
+    session's executors.  A monitor (or model) that also has
+    ``subscribe_continuous(session)`` is handed the simulation's
+    :class:`~repro.continuous.ContinuousSession` when there is one.
     """
 
-    def observe(self, index: SpatialIndex, step: int) -> None: ...
+    def observe(self, session: QuerySession, step: int) -> None: ...
 
 
 @dataclass
@@ -74,15 +73,17 @@ class TimeSteppedSimulation:
     model:
         The physics.
     index:
-        Any :class:`~repro.indexes.base.SpatialIndex`.
+        Any :class:`~repro.indexes.base.SpatialIndex` (a
+        :class:`~repro.core.uniform_grid.UniformGrid` when ``continuous``).
     monitors:
         In-situ analysis tasks (may be empty).
     continuous:
-        Carry a :class:`~repro.continuous.ContinuousSession` for standing
-        queries (monitors subscribe through ``subscribe_continuous``).  It
-        shares the index when the index is a
-        :class:`~repro.core.uniform_grid.UniformGrid`; over any index it
-        charges the index's counters.
+        Carry one :class:`~repro.continuous.ContinuousSession` for standing
+        queries: the model and every monitor with a
+        ``subscribe_continuous`` hook subscribe through it.  Its state is
+        the index, so the index must be a
+        :class:`~repro.core.uniform_grid.UniformGrid` (any other is refused
+        before anything is loaded), and it charges the index's counters.
     """
 
     def __init__(
@@ -92,25 +93,24 @@ class TimeSteppedSimulation:
         monitors: Iterable[Monitor] = (),
         continuous: bool = False,
     ) -> None:
+        if continuous and not isinstance(index, UniformGrid):
+            raise TypeError(
+                "continuous=True needs a UniformGrid index (the continuous "
+                f"session's state is the index), got {type(index).__name__}"
+            )
         self.model = model
         self.index = index
         self.session = QuerySession(index)
         self.monitors = list(monitors)
-        items = list(model.items().items())
-        self.index.bulk_load(items)
-        # Standing queries: a ContinuousSession ticked with each step's
-        # updates during the maintenance phase, so subscriber monitors read
-        # exact delta-maintained results for free in the monitor phase.
+        self.index.bulk_load(list(model.items().items()))
+        # Standing queries: one ContinuousSession over the index, ticked with
+        # each step's updates during the maintenance phase, so subscribers
+        # read exact delta-maintained results for free afterwards.
         self.continuous = None
         if continuous:
-            if isinstance(index, UniformGrid):
-                self.continuous = ContinuousSession(index)
-            else:
-                self.continuous = ContinuousSession(
-                    items, universe=model.universe(), counters=index.counters
-                )
-            for monitor in self.monitors:
-                hook = getattr(monitor, "subscribe_continuous", None)
+            self.continuous = ContinuousSession(index)
+            for subscriber in (model, *self.monitors):
+                hook = getattr(subscriber, "subscribe_continuous", None)
                 if hook is not None:
                     hook(self.continuous)
         self.reports: list[StepReport] = []
@@ -140,11 +140,7 @@ class TimeSteppedSimulation:
 
         start = time.perf_counter()
         for monitor in self.monitors:
-            observe_batch = getattr(monitor, "observe_batch", None)
-            if observe_batch is not None:
-                observe_batch(self.session, step)
-            else:
-                monitor.observe(self.index, step)
+            monitor.observe(self.session, step)
         monitor_seconds = time.perf_counter() - start
 
         self._step += 1
@@ -158,13 +154,13 @@ class TimeSteppedSimulation:
         )
 
     def _maintain(self, updates: Sequence[Move | Insert]) -> list[Move]:
-        """Fold one step's updates into the standing queries and the index
-        (one write when the continuous session's grid is the index)."""
+        """Fold one step's updates into the index: one ``tick`` of the
+        continuous session (whose grid is the index), or the inserts and
+        one ``apply_moves``."""
         moves = [update for update in updates if not isinstance(update, Insert)]
         if self.continuous is not None:
             self.continuous.tick(updates)
-            if self.continuous.grid is self.index:
-                return moves
+            return moves
         for update in updates:
             if isinstance(update, Insert):
                 self.index.insert(update.eid, update.box)

@@ -10,14 +10,16 @@ every ``join_every`` steps a within-ε self-join detects new appositions.
 The join runs as a :class:`~repro.joins.spec.SynapseJoinSpec` through the
 model's persistent :class:`~repro.joins.JoinSession`, so benchmarks can pin
 any registry strategy and read the accumulated join telemetry of a living
-simulation.
+simulation.  In a simulation with ``continuous=True`` the model instead
+subscribes one standing synapse join through the simulation's continuous
+session, which the engine's maintenance tick keeps exact as segments grow.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.continuous import ContinuousJoinSpec, ContinuousSession
+from repro.continuous import ContinuousJoinSpec, ContinuousSession, Subscription
 from repro.datasets.neuroscience import NeuronDataset
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import Capsule
@@ -44,6 +46,9 @@ class GrowthModel(SimulationModel):
         Synapse apposition threshold.
     join_every:
         Steps between synapse-detection joins (0 disables).
+
+    ``synapse_counts`` holds the synapse count after each join step's
+    inserts, whichever way the join runs.
     """
 
     def __init__(
@@ -54,7 +59,6 @@ class GrowthModel(SimulationModel):
         epsilon: float = 0.05,
         join_every: int = 5,
         seed: int = 0,
-        continuous: bool = False,
     ) -> None:
         self.dataset = dataset
         self.segment_length = segment_length
@@ -75,34 +79,52 @@ class GrowthModel(SimulationModel):
         for neuron in self._cones:
             self._cones[neuron] = self._cones[neuron][-1:]
         self.grown: list[int] = []
-        self.synapse_counts: list[int] = []
+        self._synapse_counts: list[int] = []
         # One session for the whole simulation: every periodic detection
         # shares the planner, counters and JoinStats, so the run's join
         # telemetry accumulates alongside the query engine's.
         self.join_session = JoinSession()
-        # Continuous mode: instead of re-running the synapse join from
-        # scratch every join_every steps, subscribe one standing
-        # ContinuousJoinSpec whose refine is the synapse predicate (exact
-        # capsule gap ≤ ε, same-neuron pairs excluded) and feed each step's
-        # new segments as inserts — the maintained pair set equals the
-        # SynapseJoinSpec result at every step, probing only around growth.
-        self.continuous_session = None
-        self.synapse_subscription = None
-        if continuous:
-            self.continuous_session = ContinuousSession(
-                self.items().items(), universe=dataset.universe
-            )
-            self.synapse_subscription = self.continuous_session.subscribe(
-                ContinuousJoinSpec(
-                    epsilon=epsilon, refine=self._synapse_refine, tag="synapses"
-                )
-            )
+        self.synapse_subscription: Subscription | None = None
 
     def items(self) -> dict[int, AABB]:
         return {eid: capsule.bounds() for eid, capsule in self.dataset.capsules.items()}
 
     def universe(self) -> AABB:
         return self.dataset.universe
+
+    def subscribe_continuous(self, continuous: ContinuousSession) -> None:
+        """Engine hook: subscribe the synapse join as one standing
+        :class:`~repro.continuous.ContinuousJoinSpec` (refined by the exact
+        synapse predicate) in place of the periodic one; the engine's
+        maintenance tick then keeps it equal to the
+        :class:`~repro.joins.spec.SynapseJoinSpec` result, probing only
+        around growth."""
+        if self.join_every:
+            self.synapse_subscription = continuous.subscribe(
+                ContinuousJoinSpec(
+                    epsilon=self.epsilon, refine=self._synapse_refine, tag="synapses"
+                )
+            )
+
+    @property
+    def synapse_counts(self) -> list[int]:
+        """The synapse count after each join step so far.
+
+        A standing join's count is read off its delta history: the
+        subscription is made when the simulation is built, so the delta
+        stamped tick ``t`` carries step ``t - 1``'s inserts."""
+        sub = self.synapse_subscription
+        if sub is None:
+            return self._synapse_counts
+        count, counts = len(sub.initial), []
+        for delta in sub.deltas:
+            count += len(delta.added) - len(delta.removed)
+            if self._joins_at(delta.tick - 1):
+                counts.append(count)
+        return counts
+
+    def _joins_at(self, step: int) -> bool:
+        return bool(self.join_every) and step % self.join_every == self.join_every - 1
 
     def _synapse_refine(self, a: int, b: int) -> bool:
         """The synapse predicate on segment ids: cross-neuron, within ε."""
@@ -131,15 +153,11 @@ class GrowthModel(SimulationModel):
             self._cones[neuron] = new_cones
         self.grown.append(len(inserts))
 
-        if self.continuous_session is not None:
-            self.continuous_session.tick(inserts)
-            if self.join_every and step % self.join_every == self.join_every - 1:
-                self.synapse_counts.append(len(self.synapse_subscription.result))
-        elif self.join_every and step % self.join_every == self.join_every - 1:
+        if self.synapse_subscription is None and self._joins_at(step):
             synapses = self.join_session.run(
                 SynapseJoinSpec(self.dataset, epsilon=self.epsilon)
             )
-            self.synapse_counts.append(len(synapses))
+            self._synapse_counts.append(len(synapses))
         return inserts
 
     def _random_unit(self) -> np.ndarray:

@@ -4,6 +4,10 @@
 in-situ visualization of the progressing simulation.  For visualizations, as
 well as analyses, thousands of range queries need to be executed between two
 simulation steps at locations that cannot be anticipated."
+
+Every monitor has one method, ``observe(session, step)``: it reads the fresh
+state through the simulation's :class:`~repro.engine.QuerySession`, so a
+step's whole query volume runs as batches through the session's executors.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import numpy as np
 from repro.continuous import ContinuousRangeQuery
 from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
-from repro.indexes.base import SpatialIndex
 
 
 class RangeMonitor:
@@ -36,23 +39,15 @@ class RangeMonitor:
         self.result_counts: list[int] = []
 
     def _draw_boxes(self) -> np.ndarray:
-        """The step's query windows as an ``(m, 2, d)`` array.
-
-        Drawing all centers with one ``uniform`` call consumes the identical
-        RNG stream as the scalar per-query loop did, so batched and looped
-        observation see the same windows.
-        """
+        """The step's query windows as an ``(m, 2, d)`` array, all centers
+        drawn with one ``uniform`` call."""
         lo = np.asarray(self.universe.lo)
         hi = np.asarray(self.universe.hi)
         centers = self._rng.uniform(lo, hi, size=(self.queries_per_step, len(lo)))
         half = self.extent / 2.0
         return np.stack([centers - half, centers + half], axis=1)
 
-    def observe(self, index: SpatialIndex, step: int) -> None:
-        for box in self._draw_boxes():
-            self.result_counts.append(len(index.range_query(AABB(box[0], box[1]))))
-
-    def observe_batch(self, session: QuerySession, step: int) -> None:
+    def observe(self, session: QuerySession, step: int) -> None:
         self.result_counts.extend(
             len(hits) for hits in session.range_query(self._draw_boxes())
         )
@@ -62,13 +57,11 @@ class NearestNeighborMonitor:
     """Nearest-synapse probes: batched kNN at unpredictable locations.
 
     Synapse detection and segment-proximity analyses are kNN-shaped — every
-    probe asks for the ``k`` nearest elements to a sample point.  The batch
-    path hands the step's whole probe set to
-    :meth:`~repro.engine.session.QuerySession.knn`, whose executor runs the
-    index's vectorized batch-kNN kernel; the per-query path consumes the
-    identical RNG stream, so looped and batched observation record the same
-    probes.  Per step, the monitor appends one list of k-th-neighbour
-    distances (the local "proximity field") and one list of nearest ids.
+    probe asks for the ``k`` nearest elements to a sample point.  The step's
+    whole probe set goes to :meth:`~repro.engine.session.QuerySession.knn`,
+    whose executor runs the index's vectorized batch-kNN kernel.  Per step,
+    the monitor appends one list of k-th-neighbour distances (the local
+    "proximity field") and one list of nearest ids.
     """
 
     def __init__(
@@ -94,17 +87,12 @@ class NearestNeighborMonitor:
         hi = np.asarray(self.universe.hi)
         return self._rng.uniform(lo, hi, size=(self.probes_per_step, len(lo)))
 
-    def _record(self, answers) -> None:
+    def observe(self, session: QuerySession, step: int) -> None:
+        answers = session.knn(self._draw_points(), self.k)
         self.kth_distances.append(
             [hits[-1][0] if hits else float("inf") for hits in answers]
         )
         self.nearest_ids.append([hits[0][1] if hits else -1 for hits in answers])
-
-    def observe(self, index: SpatialIndex, step: int) -> None:
-        self._record([index.knn(tuple(p), self.k) for p in self._draw_points()])
-
-    def observe_batch(self, session: QuerySession, step: int) -> None:
-        self._record(session.knn(self._draw_points(), self.k))
 
 
 class DensityMonitor:
@@ -113,20 +101,17 @@ class DensityMonitor:
 
     def __init__(self, regions: list[AABB]) -> None:
         if not regions:
-            raise ValueError("DensityMonitor needs at least one region")
+            raise ValueError(f"{type(self).__name__} needs at least one region")
         self.regions = regions
         self.history: list[list[int]] = []
 
-    def observe(self, index: SpatialIndex, step: int) -> None:
-        self.history.append([len(index.range_query(region)) for region in self.regions])
-
-    def observe_batch(self, session: QuerySession, step: int) -> None:
+    def observe(self, session: QuerySession, step: int) -> None:
         self.history.append(
             [len(hits) for hits in session.range_query(self.regions)]
         )
 
 
-class ContinuousDensityMonitor:
+class ContinuousDensityMonitor(DensityMonitor):
     """A :class:`DensityMonitor` that subscribes instead of re-asking.
 
     Fixed regions of interest are the canonical continuous workload: the
@@ -141,10 +126,7 @@ class ContinuousDensityMonitor:
     """
 
     def __init__(self, regions: list[AABB]) -> None:
-        if not regions:
-            raise ValueError("ContinuousDensityMonitor needs at least one region")
-        self.regions = regions
-        self.history: list[list[int]] = []
+        super().__init__(regions)
         self.delta_sizes: list[int] = []
         self._subs: list = []
 
@@ -155,13 +137,11 @@ class ContinuousDensityMonitor:
             for region in self.regions
         ]
 
-    def observe(self, index: SpatialIndex, step: int) -> None:
-        """Fallback when no continuous session is wired: behave like
-        :class:`DensityMonitor` (so the monitor composes with any engine)."""
+    def observe(self, session: QuerySession, step: int) -> None:
+        """Without a continuous session, behave like :class:`DensityMonitor`
+        (so the monitor composes with any simulation)."""
         if not self._subs:
-            self.history.append(
-                [len(index.range_query(region)) for region in self.regions]
-            )
+            super().observe(session, step)
             return
         self.history.append([len(sub.result) for sub in self._subs])
         self.delta_sizes.append(
@@ -194,15 +174,7 @@ class VisualizationMonitor:
         cell_lo = lo + axes * side
         return np.stack([cell_lo, cell_lo + side], axis=1)
 
-    def observe(self, index: SpatialIndex, step: int) -> None:
-        counts = [
-            len(index.range_query(AABB(box[0], box[1]))) for box in self._frame_boxes()
-        ]
-        self.frames.append(
-            np.array(counts, dtype=int).reshape((self.resolution,) * self.universe.dims)
-        )
-
-    def observe_batch(self, session: QuerySession, step: int) -> None:
+    def observe(self, session: QuerySession, step: int) -> None:
         counts = [len(hits) for hits in session.range_query(self._frame_boxes())]
         self.frames.append(
             np.array(counts, dtype=int).reshape((self.resolution,) * self.universe.dims)

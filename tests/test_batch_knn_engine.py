@@ -258,16 +258,21 @@ class TestSessionAndMonitorWiring:
         results[0].append((-1.0, -1))
         assert results[1] != results[0]
 
-    def test_nearest_neighbor_monitor_batch_equals_loop(self):
+    def test_nearest_neighbor_monitor_equals_oracle(self):
         items = make_items(250, seed=12)
         index = UniformGrid()
         index.bulk_load(items)
-        looped = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
-        batched = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
-        looped.observe(index, step=0)
-        batched.observe_batch(QuerySession(index), step=0)
-        assert looped.nearest_ids == batched.nearest_ids
-        assert np.allclose(looped.kth_distances, batched.kth_distances)
+        oracle = LinearScan()
+        oracle.bulk_load(items)
+        monitor = NearestNeighborMonitor(UNIVERSE_3D, probes_per_step=20, k=3, seed=5)
+        monitor.observe(QuerySession(index), step=0)
+        # The monitor draws its probes from its seeded stream in one call.
+        probes = np.random.default_rng(5).uniform(
+            UNIVERSE_3D.lo, UNIVERSE_3D.hi, size=(20, 3)
+        )
+        answers = [oracle.knn(tuple(point), 3) for point in probes]
+        assert monitor.nearest_ids == [[hits[0][1] for hits in answers]]
+        assert np.allclose(monitor.kth_distances, [[hits[-1][0] for hits in answers]])
 
     def test_monitor_runs_inside_simulation(self):
         from repro.sim.engine import TimeSteppedSimulation

@@ -1324,8 +1324,6 @@ class TestOneGrid:
         drive(session, subs, "churn", ticks=4, seed=55)
         assert dict(session.state_items()) == grid.boxes
         assert grid.counters.safe_region_hits + grid.counters.safe_region_invalidations > 0
-        with pytest.raises(ValueError, match="counters"):
-            ContinuousSession(grid, counters=Counters())
         with pytest.raises(ValueError, match="universe"):
             ContinuousSession(grid, AABB((0, 0, 0), (1, 1, 1)))
 
@@ -1390,26 +1388,35 @@ class TestOneGrid:
         assert want[2] == scan.knn(specs[2].point, specs[2].k)
         assert want[4] == _nested_loop_pairs_within(dict(items), specs[4].epsilon)
 
-    def test_a_simulation_over_another_index_keeps_both_in_step(self):
+    def test_a_simulation_over_another_index_is_refused_before_loading(self):
+        """The session's state is the simulation's index, so only a grid
+        can carry standing queries; nothing is loaded into any other."""
         from repro.indexes.rtree import RTree
         from repro.sim import TimeSteppedSimulation
         from repro.sim.plasticity import PlasticityModel
 
         items = dict(make_items(150, seed=58, max_extent=2.0))
         model = PlasticityModel(items, UNIVERSE_3D, neighbourhood_queries=4, seed=59)
-        sim = TimeSteppedSimulation(model, RTree(), continuous=True)
-        subs = [sim.continuous.subscribe(spec) for kind in KINDS for spec in make_specs(kind)]
-        reports = sim.run(3)
-        assert sim.continuous.grid is not sim.index
-        assert dict(sim.continuous.state_items()) == sim.state
-        # The session charges the index's counters here too, so the steps
-        # report the join's comparisons as over a shared grid.
-        assert sim.continuous.counters is sim.index.counters
-        assert all(report.counters.comparisons > 0 for report in reports)
-        for sub in subs:
-            assert_exact(sim.continuous, sub)
-            if sub.kind == "range":
-                assert sub.result == set(sim.index.range_query(sub.spec.box))
+        index = RTree()
+        with pytest.raises(TypeError, match="UniformGrid"):
+            TimeSteppedSimulation(model, index, continuous=True)
+        assert len(index) == 0
+
+    def test_a_growing_simulation_constructs_only_the_callers_grid(self, monkeypatch):
+        """The model's standing synapse join rides the simulation's session."""
+        from repro.core import UniformGrid
+        from repro.datasets.neuroscience import generate_neurons
+        from repro.sim import GrowthModel, TimeSteppedSimulation
+
+        dataset = generate_neurons(neurons=5, segments_per_neuron=4, seed=30)
+        built = _count_grids(monkeypatch)
+        model = GrowthModel(dataset, join_every=1, epsilon=0.3, seed=9)
+        grid = UniformGrid(universe=dataset.universe)
+        sim = TimeSteppedSimulation(model, grid, continuous=True)
+        sim.run(5)
+        assert built == [UniformGrid]
+        assert sim.continuous.subscriptions == [model.synapse_subscription]
+        assert len(model.synapse_counts) == 5
 
     def test_a_read_only_grid_is_refused_when_the_session_is_built(self):
         from repro.core import UniformGrid
@@ -1446,7 +1453,10 @@ class TestSimulationSubscribers:
             assert sub.result == sim.continuous.oracle_result(sub)
             assert monitor.history[-1][regions.index(region)] == len(sub.result)
 
-    def test_growth_model_continuous_matches_batch_join(self):
+    @pytest.mark.parametrize("join_every", [1, 2])
+    def test_growth_model_continuous_matches_batch_join(self, join_every):
+        """The standing synapse join, maintained by the simulation's tick,
+        counts what the periodic batch join counts at every join step."""
         from repro.core import UniformGrid
         from repro.datasets.neuroscience import generate_neurons
         from repro.joins import JoinSession
@@ -1456,10 +1466,29 @@ class TestSimulationSubscribers:
         epsilon = 0.3
         batch_ds = generate_neurons(neurons=5, segments_per_neuron=4, seed=30)
         cont_ds = generate_neurons(neurons=5, segments_per_neuron=4, seed=30)
-        batch = GrowthModel(batch_ds, join_every=1, epsilon=epsilon, seed=9)
-        cont = GrowthModel(cont_ds, join_every=1, epsilon=epsilon, seed=9, continuous=True)
-        TimeSteppedSimulation(batch, UniformGrid(universe=batch_ds.universe)).run(5)
-        TimeSteppedSimulation(cont, UniformGrid(universe=cont_ds.universe)).run(5)
+        batch = GrowthModel(batch_ds, join_every=join_every, epsilon=epsilon, seed=9)
+        cont = GrowthModel(cont_ds, join_every=join_every, epsilon=epsilon, seed=9)
+        TimeSteppedSimulation(batch, UniformGrid(universe=batch_ds.universe)).run(6)
+        sim = TimeSteppedSimulation(cont, UniformGrid(universe=cont_ds.universe), continuous=True)
+        sim.run(6)
+        assert len(batch.synapse_counts) == 6 // join_every
         assert batch.synapse_counts == cont.synapse_counts
+        assert cont.join_session.stats.joins == 0
         synapses = JoinSession().run(SynapseJoinSpec(cont_ds, epsilon=epsilon))
         assert {(s.segment_a, s.segment_b) for s in synapses} == cont.synapse_subscription.result
+
+    def test_continuous_density_monitor_without_a_session_matches_density_monitor(self):
+        from repro.core import UniformGrid
+        from repro.sim import ContinuousDensityMonitor, DensityMonitor, TimeSteppedSimulation
+        from repro.sim.plasticity import PlasticityModel
+
+        items = dict(make_items(80, seed=72))
+        regions = [AABB((10, 10, 10), (40, 40, 40)), AABB((30, 30, 30), (90, 90, 90))]
+        standing, asked = ContinuousDensityMonitor(regions), DensityMonitor(regions)
+        model = PlasticityModel(items, UNIVERSE_3D, neighbourhood_queries=2, seed=4)
+        sim = TimeSteppedSimulation(
+            model, UniformGrid(universe=UNIVERSE_3D), monitors=[standing, asked]
+        )
+        sim.run(4)
+        assert sim.continuous is None and len(asked.history) == 4
+        assert standing.history == asked.history

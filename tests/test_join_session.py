@@ -399,23 +399,15 @@ class TestSynapseSpec:
             pairs = NestedLoopJoin().join(items_a, items_b, counters)
             return pairs + pairs  # a realistic non-deduplicating callable
 
-        synapses = SynapseDetector(dataset, epsilon).detect(box_join=duplicating_join)
+        synapses = SynapseDetector(dataset, epsilon).detect(strategy=CallableJoin(duplicating_join))
         keys = [(s.segment_a, s.segment_b) for s in synapses]
         assert len(keys) == len(set(keys))
         assert set(keys) == expected
 
-    def test_detector_strategy_pin_and_box_join(self, dataset, bruteforce):
+    def test_detector_strategy_pin(self, dataset, bruteforce):
         epsilon, expected = bruteforce
         via_strategy = SynapseDetector(dataset, epsilon).detect(strategy="pbsm")
         assert {(s.segment_a, s.segment_b) for s in via_strategy} == expected
-
-        def box_join(items_a, items_b, counters):
-            return NestedLoopJoin().join(items_a, items_b, counters)
-
-        via_callable = SynapseDetector(dataset, epsilon).detect(box_join=box_join)
-        assert {(s.segment_a, s.segment_b) for s in via_callable} == expected
-        with pytest.raises(ValueError):
-            SynapseDetector(dataset, epsilon).detect(box_join=box_join, strategy="grid")
 
 
 class TestTelemetry:

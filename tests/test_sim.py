@@ -5,6 +5,7 @@ import pytest
 from repro.continuous import ContinuousRangeQuery, Insert
 from repro.core.uniform_grid import UniformGrid
 from repro.datasets.neuroscience import generate_neurons
+from repro.engine import QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
@@ -125,7 +126,7 @@ class TestMonitors:
         index = UniformGrid(universe=neuron_dataset.universe)
         index.bulk_load(neuron_dataset.items)
         monitor = RangeMonitor(neuron_dataset.universe, queries_per_step=7, seed=10)
-        monitor.observe(index, 0)
+        monitor.observe(QuerySession(index), 0)
         assert len(monitor.result_counts) == 7
 
     def test_density_monitor_history(self, neuron_dataset):
@@ -133,15 +134,16 @@ class TestMonitors:
         index.bulk_load(neuron_dataset.items)
         regions = [AABB.from_center(neuron_dataset.universe.center(), 2.0)]
         monitor = DensityMonitor(regions)
-        monitor.observe(index, 0)
-        monitor.observe(index, 1)
+        session = QuerySession(index)
+        monitor.observe(session, 0)
+        monitor.observe(session, 1)
         assert len(monitor.history) == 2
 
     def test_visualization_monitor_frames(self, neuron_dataset):
         index = UniformGrid(universe=neuron_dataset.universe)
         index.bulk_load(neuron_dataset.items)
         monitor = VisualizationMonitor(neuron_dataset.universe, resolution=3)
-        monitor.observe(index, 0)
+        monitor.observe(QuerySession(index), 0)
         frame = monitor.frames[0]
         assert frame.shape == (3, 3, 3)
         assert frame.sum() >= len(neuron_dataset.items)  # replication counts
