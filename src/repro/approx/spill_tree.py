@@ -27,9 +27,8 @@ array (queries partition among children at every split; each reached leaf
 answers its queries with one distance matrix and the library-wide
 ``(distance, id)`` tie-break), reusing the flat packed-entry idiom of
 :mod:`repro.indexes.batch_knn` without the priority queue it no longer
-needs.  The flat arrays are exactly what the serving tier ships through
-shared memory (:meth:`export_spill`), so pool workers attach the built tree
-instead of rebuilding anything.
+needs.  The worker pool does not serve a spill tree: a sharded session
+over one answers in-process, through these same kernels.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ class _FlatSpillTree:
     ``left[i] < 0`` marks a leaf; leaves own ``leaf_rows[leaf_start[i] :
     leaf_start[i] + leaf_count[i]]`` — row indices into the dense point
     table, with boundary rows duplicated across sibling leaves (the spill).
-    This layout is shared-memory-ready: the serving payload is these arrays
-    verbatim.
     """
 
     __slots__ = ("dirs", "thresh", "left", "right", "leaf_start", "leaf_count", "leaf_rows")
@@ -85,18 +82,6 @@ class _FlatSpillTree:
             "leaf_count": self.leaf_count,
             "leaf_rows": self.leaf_rows,
         }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "_FlatSpillTree":
-        return cls(
-            arrays["node_dirs"],
-            arrays["node_thresh"],
-            arrays["node_left"],
-            arrays["node_right"],
-            arrays["leaf_start"],
-            arrays["leaf_count"],
-            arrays["leaf_rows"],
-        )
 
 
 def _build_flat_tree(pts: np.ndarray, leaf_size: int, tau: float) -> _FlatSpillTree:
@@ -382,19 +367,6 @@ class SpillTree(LinearScan):
         return recall
 
     # -- introspection ----------------------------------------------------------
-
-    def export_spill(self) -> dict[str, np.ndarray] | None:
-        """The dense tables plus the built flat tree, as one array dict.
-
-        This is the native serving payload: a pool worker attaches these
-        arrays and serves defeatist *and* exact batches with zero rebuild
-        (:class:`repro.serving.snapshots.SnapshotSpillTree`).
-        """
-        if not self._boxes:
-            return None
-        eids, data = self._dense_view()
-        tree = self._ensure_tree()
-        return {"eids": eids, "boxes": data, **tree.arrays()}
 
     @property
     def leaves(self) -> int:

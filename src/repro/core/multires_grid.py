@@ -236,13 +236,6 @@ class MultiResolutionGrid(SpatialIndex):
 
     # -- introspection --------------------------------------------------------------------
 
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        from repro.geometry.aabb import boxes_to_array
-
-        dims = next(iter(self._boxes.values())).dims if self._boxes else 0
-        eids = np.fromiter(self._boxes.keys(), dtype=np.int64, count=len(self._boxes))
-        return eids, boxes_to_array(list(self._boxes.values()), dims=dims)
-
     def level_populations(self) -> list[int]:
         if self._grids is None:
             return []

@@ -943,7 +943,8 @@ class UniformGrid(SpatialIndex):
         """The live ``eid → box`` view, read-only (writes go through the grid)."""
         return MappingProxyType(self._boxes)
 
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def export_items(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live rows as ``(eids (n,), boxes (n, 2, d))`` arrays, in store order."""
         self._settle()
         if self._store is None:
             dims = self._universe.dims if self._universe else 0

@@ -278,13 +278,14 @@ class ShardedExecutor(BatchExecutor):
     the snapshot was charged; the parent concatenates the results in
     submission order and sums the charges (:meth:`run_pooled`).
 
-    The work runs on a :class:`~repro.serving.pool.WorkerPool`: the index
+    The work runs on a :class:`~repro.serving.pool.WorkerPool`, which
+    serves one index: a :class:`~repro.core.uniform_grid.UniformGrid`
     crosses the process boundary once, as a shared-memory snapshot, and
     each flush ships only probe arrays and result ids.  The session offers
     every batch to :meth:`run_pooled` first.  A batch the pool cannot take
-    — too small to shard, the index has no shared-memory representation
-    (``export_index_payload`` returns ``None``), or the pool's
-    infrastructure failed — runs in-process through :meth:`run`, the
+    — too small to shard, on any other index or on an empty or
+    unlinearizable grid (``export_index_payload`` returns ``None``), or the
+    pool's infrastructure failed — runs in-process through :meth:`run`, the
     inherited :class:`BatchExecutor` kernel call, with the same answers and
     tallies.
 
@@ -368,7 +369,6 @@ class ShardedExecutor(BatchExecutor):
                 batch.payload,
                 batch.k,
                 self._shards(batch.size),
-                accuracy=batch.accuracy,
             )
         except Exception:
             # Pool-infrastructure failure: the in-process path reproduces

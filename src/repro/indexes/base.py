@@ -170,19 +170,6 @@ class SpatialIndex(ABC):
 
     # -- introspection ---------------------------------------------------------
 
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The current contents as packed ``(eids, boxes)`` arrays, or None.
-
-        ``eids`` is ``(n,) int64``, ``boxes`` ``(n, 2, d) float64`` — the
-        same packed layout the batch kernels use.  This is the payload the
-        serving tier ships through ``multiprocessing.shared_memory`` so a
-        long-lived worker pool can rebuild a query-equivalent snapshot
-        without ever pickling the index (:mod:`repro.serving`).  Indexes
-        whose storage cannot be enumerated cheaply return ``None``; the
-        pool then falls back to single-process execution.
-        """
-        return None
-
     @abstractmethod
     def __len__(self) -> int:
         """Number of indexed elements."""

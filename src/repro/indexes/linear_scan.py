@@ -206,10 +206,6 @@ class LinearScan(SpatialIndex):
         counters.bytes_touched += m * n * (dims * _BOX_BYTES_PER_DIM + 8)
         return results
 
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        eids, data = self._dense_view()
-        return eids.copy(), data.copy()
-
     def __len__(self) -> int:
         return len(self._boxes)
 

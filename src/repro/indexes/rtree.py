@@ -333,65 +333,6 @@ class RTree(SpatialIndex):
 
     # -- introspection -------------------------------------------------------------
 
-    def export_items(self) -> tuple[np.ndarray, np.ndarray] | None:
-        items = _collect_leaf_items(self._root)
-        items.sort(key=lambda item: item[0])
-        eids = np.fromiter((eid for eid, _ in items), dtype=np.int64, count=len(items))
-        return eids, boxes_to_array([box for _, box in items], dims=self._dims or 0)
-
-    def export_tree(self) -> dict[str, np.ndarray] | None:
-        """The whole tree flattened to contiguous arrays (BFS, root = 0).
-
-        This is the packed-entry cache (the per-node arrays ``batch_knn``
-        builds lazily) serialized for shared memory: ``node_starts`` is an
-        ``(N + 1,)`` prefix over the entry tables, node ``i`` owning
-        ``entry_boxes[node_starts[i]:node_starts[i+1]]`` and the matching
-        ``entry_refs`` slice — element ids for leaves (``node_is_leaf``),
-        child node indices for inner nodes.  A pool worker rehydrates these
-        into a :class:`~repro.serving.snapshots.SnapshotTreeIndex` and
-        serves the *same* structure the parent built, instead of
-        STR-rebuilding an R-tree from the flat item table.  ``None`` when
-        the tree is empty (R* inherits).
-        """
-        if self._size == 0 or self._dims is None:
-            return None
-        nodes: list[Node] = [self._root]
-        starts = [0]
-        is_leaf: list[bool] = []
-        boxes_parts: list[np.ndarray] = []
-        refs_parts: list[np.ndarray] = []
-        total = 0
-        cursor = 0
-        while cursor < len(nodes):
-            node = nodes[cursor]
-            cursor += 1
-            is_leaf.append(node.is_leaf)
-            boxes_parts.append(
-                boxes_to_array([box for box, _ in node.entries], dims=self._dims)
-            )
-            if node.is_leaf:
-                refs_parts.append(
-                    np.fromiter(
-                        (ref for _, ref in node.entries),
-                        dtype=np.int64,
-                        count=len(node.entries),
-                    )
-                )
-            else:
-                child_ids = []
-                for _, child in node.entries:
-                    nodes.append(child)  # type: ignore[arg-type]
-                    child_ids.append(len(nodes) - 1)
-                refs_parts.append(np.asarray(child_ids, dtype=np.int64))
-            total += len(node.entries)
-            starts.append(total)
-        return {
-            "node_starts": np.asarray(starts, dtype=np.int64),
-            "node_is_leaf": np.asarray(is_leaf, dtype=np.int64),
-            "entry_boxes": np.concatenate(boxes_parts),
-            "entry_refs": np.concatenate(refs_parts),
-        }
-
     def __len__(self) -> int:
         return self._size
 

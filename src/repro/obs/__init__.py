@@ -18,7 +18,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     global_registry,
-    snapshot_delta,
 )
 from .trace import (
     Span,
@@ -51,7 +50,6 @@ __all__ = [
     "propagation_context",
     "render_json",
     "render_prometheus",
-    "snapshot_delta",
     "span",
     "tracing_enabled",
 ]

@@ -10,14 +10,14 @@ so there is no second copy to drift.  The three metric kinds:
   right fold for high-water marks — the dominant gauge kind here);
 * :class:`Histogram` — fixed log-spaced buckets, so p50/p95/p99 come out of
   cumulative bucket counts **without storing samples**, and two histograms
-  merge by adding bucket vectors — the property that makes worker-side
-  registries mergeable into the parent on every pool result.
+  merge by adding bucket vectors — the property that makes one registry
+  mergeable into another.
 
 Registries are cheap dictionaries guarded by one lock; hot paths cache the
 metric object once and pay an attribute bump per event.  ``snapshot()``
-produces a plain-dict form that pickles across process boundaries, and
-``snapshot_delta`` subtracts two snapshots so a pool worker can ship only
-the work *one task* charged (:func:`repro.obs.capture_worker`).
+produces a plain-dict form that ``merge_snapshot`` folds into another
+registry (the serving tier's merged view).  Pool workers ship no metrics:
+the grid kernels they run write nothing to the global registry.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ class MetricsRegistry:
             return {name: metric.to_dict() for name, metric in self._metrics.items()}
 
     def merge_snapshot(self, snapshot: Mapping[str, dict]) -> None:
-        """Fold a snapshot (a worker's, or another registry's) into this one.
+        """Fold another registry's snapshot into this one.
 
         Counters and histogram buckets add; gauges take the max (high-water
         fold); histogram bounds must agree — mismatched bounds raise rather
@@ -243,48 +243,6 @@ class MetricsRegistry:
                     if data["count"]:
                         hist.vmin = min(hist.vmin, data["min"])
                         hist.vmax = max(hist.vmax, data["max"])
-
-
-def snapshot_delta(
-    after: Mapping[str, dict], before: Mapping[str, dict]
-) -> dict[str, dict]:
-    """The work charged between two snapshots of one registry.
-
-    Counters and histogram buckets subtract; gauges report the ``after``
-    value (a high-water mark is not differentiable).  Metrics that did not
-    change are dropped, so a pool worker ships only what its task did.
-    Histogram min/max carry the ``after`` values — merged extremes stay
-    conservative (never narrower than the truth).
-    """
-    delta: dict[str, dict] = {}
-    for name, data in after.items():
-        prior = before.get(name)
-        if prior is None:
-            if data["kind"] != "histogram" or data["count"]:
-                if data["kind"] != "counter" or data["value"]:
-                    delta[name] = data
-            continue
-        kind = data["kind"]
-        if kind == "counter":
-            diff = data["value"] - prior["value"]
-            if diff:
-                delta[name] = {"kind": "counter", "value": diff}
-        elif kind == "gauge":
-            if data["value"] != prior["value"]:
-                delta[name] = data
-        else:
-            count = data["count"] - prior["count"]
-            if count:
-                delta[name] = {
-                    "kind": "histogram",
-                    "bounds": data["bounds"],
-                    "buckets": [a - b for a, b in zip(data["buckets"], prior["buckets"])],
-                    "count": count,
-                    "sum": data["sum"] - prior["sum"],
-                    "min": data.get("min", 0.0),
-                    "max": data.get("max", 0.0),
-                }
-    return delta
 
 
 # -- read-only views -----------------------------------------------------------
@@ -341,6 +299,6 @@ def global_registry() -> MetricsRegistry:
 
     Sessions keep their own registries for per-session reports; storage,
     spill and approximate-kNN layers (which have no session handle) land
-    here, as do worker-side deltas merged back by the pool.
+    here.
     """
     return _GLOBAL

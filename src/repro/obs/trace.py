@@ -6,8 +6,8 @@ parent.  Parentage is tracked through a :mod:`contextvars` variable, so
 nesting falls out of ``with`` blocks; crossing a process boundary is
 explicit: the parent side captures :func:`propagation_context`, ships it
 with the task, and the worker side adopts it via :func:`capture_worker`,
-which also returns the spans and metric deltas the task produced so the
-pool can merge them back.  Timestamps are epoch ``time.time_ns()`` — not
+which also returns the spans the task recorded so the pool can merge them
+back.  Timestamps are epoch ``time.time_ns()`` — not
 ``perf_counter`` — precisely so spans recorded in different processes
 share one clock and render as a single tree in Perfetto
 (:meth:`Tracer.export_chrome`).
@@ -277,35 +277,29 @@ class capture_worker:
 
     Adopts the propagated context (temporarily enabling this process's
     tracer — pool workers run one task at a time, so flipping the global
-    flag is race-free), opens a ``worker.<task>`` span, snapshots the
-    global metrics registry, and on exit packages everything the task
-    produced::
+    flag is race-free), opens a ``worker.<task>`` span, and on exit
+    packages the spans the task recorded::
 
         with capture_worker("query_shard", ctx) as cap:
             ... do the work ...
         return (*payload, cap.telemetry)
 
-    ``telemetry`` is ``{"spans": [...], "metrics": {...}}``, or ``None``
-    when the task produced neither (no ctx propagated and no registry
-    activity), so idle tasks ship no extra bytes.  The metrics delta is
-    captured regardless of tracing — counters merge back even on untraced
-    runs; only span recording is gated on the propagated ctx.
+    ``telemetry`` is the list of span dicts, or ``None`` when no ctx was
+    propagated (tracing off), so untraced tasks ship no extra bytes.  No
+    metrics travel: the pool's workers run grid kernels, which write
+    nothing to the global registry.
     """
 
     __slots__ = ("_name", "_ctx", "_attrs", "_was_enabled", "_ctx_token",
-                 "_metrics_before", "_spans_before", "_span_cm", "_span",
-                 "telemetry")
+                 "_spans_before", "_span_cm", "_span", "telemetry")
 
     def __init__(self, name: str, ctx: tuple[str, str] | None, **attrs: Any) -> None:
         self._name = name
         self._ctx = ctx
         self._attrs = attrs
-        self.telemetry: dict | None = None
+        self.telemetry: list[dict] | None = None
 
     def __enter__(self) -> "capture_worker":
-        from .metrics import global_registry
-
-        self._metrics_before = global_registry().snapshot()
         self._was_enabled = _TRACER.enabled
         self._ctx_token = None
         self._span_cm = None
@@ -328,8 +322,6 @@ class capture_worker:
             self._span.set_attr(key, value)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        from .metrics import global_registry, snapshot_delta
-
         if self._span_cm is not None:
             self._span_cm.__exit__(exc_type, exc, tb)
         if self._ctx_token is not None:
@@ -338,28 +330,13 @@ class capture_worker:
             with _TRACER._lock:
                 spans = _TRACER._spans[self._spans_before:]
                 del _TRACER._spans[self._spans_before:]
-        else:
-            spans = []
+            self.telemetry = [span.to_dict() for span in spans]
         _TRACER.enabled = self._was_enabled
-        metrics = snapshot_delta(global_registry().snapshot(), self._metrics_before)
-        if spans or metrics:
-            self.telemetry = {
-                "spans": [span.to_dict() for span in spans],
-                "metrics": metrics,
-            }
         return None
 
 
-def ingest_telemetry(telemetry: Mapping[str, Any] | None) -> None:
-    """Parent-side fold of one worker's :class:`capture_worker` payload:
-    spans into the tracer, metric deltas into the global registry."""
-    if not telemetry:
-        return
-    spans = telemetry.get("spans")
-    if spans:
-        _TRACER.ingest(spans)
-    metrics = telemetry.get("metrics")
-    if metrics:
-        from .metrics import global_registry
-
-        global_registry().merge_snapshot(metrics)
+def ingest_telemetry(telemetry: list[Mapping[str, Any]] | None) -> None:
+    """Parent-side fold of one worker's :class:`capture_worker` spans into
+    the tracer."""
+    if telemetry:
+        _TRACER.ingest(telemetry)

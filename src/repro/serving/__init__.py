@@ -7,12 +7,13 @@ layer (PRs 3-5) already decouples submission from execution; this package
 adds the two missing pieces:
 
 * :class:`~repro.serving.pool.WorkerPool` — a **long-lived** process pool
-  whose workers attach index snapshots through
-  ``multiprocessing.shared_memory``.  A snapshot is exported exactly once
-  per (index, pool); after that, only probe arrays and result id arrays
-  cross process boundaries.  It is the only place the library starts
-  processes, and only query shards go there: ``ShardedExecutor`` routes
-  through it and runs in-process whatever it cannot take.  Joins run
+  whose workers attach :class:`~repro.core.uniform_grid.UniformGrid`
+  snapshots through ``multiprocessing.shared_memory``.  A snapshot is
+  exported exactly once per (grid, pool); after that, only probe arrays
+  and result id arrays cross process boundaries.  It is the only place the
+  library starts processes, and only query shards on a grid go there:
+  ``ShardedExecutor`` routes through it and runs in-process whatever it
+  cannot take, every other index included.  Joins run
   in-process, off the event loop on a worker thread.
 * :class:`~repro.serving.async_executor.AsyncExecutor` — an event-loop
   flush policy over one :class:`~repro.engine.QuerySession` or

@@ -2,15 +2,15 @@
 
 A :class:`WorkerPool` is the one place this package starts processes: its
 ``ProcessPoolExecutor`` workers persist across flushes, so no flush pays
-process start-up, and the index crosses the process boundary **once** per
-(index, pool) as a shared-memory snapshot (:mod:`repro.serving.snapshots`).
-Steady-state flushes ship probe arrays out and result arrays back — nothing
-else.  Only query shards travel here (``ShardedExecutor`` runs what the pool
-cannot take in-process); joins and external builds run in the calling
-process.
+process start-up, and a :class:`~repro.core.uniform_grid.UniformGrid`
+crosses the process boundary **once** per (grid, pool) as a shared-memory
+snapshot (:mod:`repro.serving.snapshots`).  Steady-state flushes ship probe
+arrays out and result arrays back — nothing else.  Only query shards on a
+grid travel here (``ShardedExecutor`` runs what the pool cannot take
+in-process); joins and external builds run in the calling process.
 
 Registration is keyed by object identity with a mutation fingerprint: when
-an index mutates, the next flush re-exports a fresh snapshot (and retires
+a grid mutates, the next flush re-exports a fresh snapshot (and retires
 the old segments); when it doesn't, the export count stays put — the
 zero-re-pickle property the serving tests pin.
 
@@ -65,14 +65,13 @@ class _Export:
 
     source: Any  # strong ref: keeps id() keys valid
     token: str
-    kind: str
-    scalars: dict
+    cell: float
     group: SegmentGroup
     fingerprint: tuple
 
 
 class WorkerPool:
-    """A persistent process pool serving shared-memory index snapshots.
+    """A persistent process pool serving shared-memory grid snapshots.
 
     Parameters
     ----------
@@ -97,7 +96,7 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.RLock()
         self._index_exports: dict[int, _Export] = {}
-        #: Lifetime count of index snapshot exports — the telemetry the
+        #: Lifetime count of grid snapshot exports — the telemetry the
         #: export-exactly-once tests assert on.
         self.exports = 0
         self.shards_run = 0
@@ -166,7 +165,8 @@ class WorkerPool:
         """The live export of ``index``, (re)publishing if absent or stale.
 
         Returns ``None`` when the index has no shared-memory representation
-        (callers fall back to single-process execution).
+        — it is not a grid, or the grid is empty or unlinearizable — and
+        callers fall back to single-process execution.
         """
         with self._lock:
             if self.closed:
@@ -182,15 +182,14 @@ class WorkerPool:
                     entry.group.close()
                     del self._index_exports[key]
                 return None
-            kind, arrays, scalars = payload
+            arrays, cell = payload
             group = SegmentGroup(arrays)
             if entry is not None:
                 entry.group.close()
             entry = _Export(
                 source=index,
                 token=f"idx-{key}-{next(_TOKENS)}",
-                kind=kind,
-                scalars=scalars,
+                cell=cell,
                 group=group,
                 # Stamped *after* export: exporting may itself (re)build the
                 # index's snapshot, which is part of the fingerprint.
@@ -239,9 +238,9 @@ class WorkerPool:
 
     def _map_telemetry(self, fn, tasks: list[tuple]) -> list[tuple]:
         """:meth:`_map` for obs-aware worker tasks: appends the propagated
-        trace context to every task, strips the trailing telemetry element
-        from every part and folds it into this process's tracer/registry
-        (exactly once — retried tasks report only their surviving run)."""
+        trace context to every task, strips the trailing spans element from
+        every part and folds it into this process's tracer (exactly once —
+        retried tasks report only their surviving run)."""
         ctx = propagation_context()
         parts = self._map(fn, [(*task, ctx) for task in tasks])
         stripped = []
@@ -257,26 +256,19 @@ class WorkerPool:
         payload: np.ndarray,
         k: int | None,
         shards: int,
-        accuracy: float | None = None,
     ) -> tuple[list, Counters]:
         """Partition ``payload`` row-wise across the workers; returns the
         results in row order and the :class:`Counters` the shards' snapshot
-        indexes were charged, summed.
-
-        ``accuracy`` rides along for kNN batches the session planner
-        resolved to approximate routing: each worker then answers its shard
-        through the snapshot's defeatist kernel."""
+        grids were charged, summed."""
         bounds = np.linspace(0, payload.shape[0], shards + 1).astype(int)
         tasks = [
             (
                 entry.token,
-                entry.kind,
                 entry.group.meta,
-                entry.scalars,
+                entry.cell,
                 batch_kind,
                 payload[a:b],
                 k,
-                accuracy,
             )
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
@@ -299,7 +291,7 @@ _DEFAULT_LOCK = threading.Lock()
 def default_pool() -> WorkerPool:
     """The process-wide shared pool (created on first use).
 
-    Sessions that don't pass an explicit pool land here, so every index in
+    Sessions that don't pass an explicit pool land here, so every grid in
     the process shares one set of workers — the serving-tier analogue of a
     database's one background worker fleet.
     """

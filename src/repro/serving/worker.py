@@ -1,13 +1,13 @@
 """Worker-process entry points of the serving pool.
 
 Everything here runs inside pool workers.  A worker receives a *task*: the
-shared-memory metadata of a registered payload plus the probe slice to
-execute.  The payload is attached and rehydrated **once per worker** and
-cached under the parent-issued token — subsequent tasks against the same
-token skip straight to the kernels, so steady-state traffic ships only
-probe arrays in and result arrays out.
+shared-memory metadata of a published grid snapshot plus the probe slice
+to execute.  The snapshot is attached and rehydrated **once per worker**
+and cached under the parent-issued token — subsequent tasks against the
+same token skip straight to the kernels, so steady-state traffic ships
+only probe arrays in and result arrays out.
 
-The parent issues a fresh token whenever an index mutates, so a token is an
+The parent issues a fresh token whenever the grid mutates, so a token is an
 immutable name for one exported snapshot; the small LRU here releases the
 mappings of superseded tokens.  The one task is a query shard
 (:func:`query_shard_task`).
@@ -19,11 +19,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.indexes.base import SpatialIndex
 from repro.instrumentation.counters import Counters
 from repro.obs import capture_worker
 from repro.serving.shm import AttachedArrays
-from repro.serving.snapshots import build_worker_index
+from repro.serving.snapshots import SnapshotGridIndex
 
 #: Superseded payloads kept attached per worker before eviction.  Small: a
 #: steady-state serving worker uses one or two live payloads; anything past
@@ -38,7 +37,7 @@ class _CacheEntry:
 
     def __init__(self, attached: AttachedArrays) -> None:
         self.attached = attached
-        self.index: SpatialIndex | None = None
+        self.index: SnapshotGridIndex | None = None
 
 
 _CACHE: OrderedDict[str, _CacheEntry] = OrderedDict()
@@ -58,32 +57,26 @@ def _entry_for(token: str, meta: Meta) -> _CacheEntry:
 
 def query_shard_task(
     token: str,
-    kind: str,
     meta: Meta,
-    scalars: dict[str, float],
+    cell: float,
     batch_kind: str,
     chunk: np.ndarray,
     k: int | None,
-    accuracy: float | None = None,
     obs_ctx: tuple[str, str] | None = None,
-) -> tuple[list, Counters, dict | None]:
-    """Answer one probe chunk against a rehydrated index snapshot; returns
-    the results and the :class:`Counters` the snapshot was charged.
-
-    ``accuracy`` is the parent planner's resolved routing decision: a float
-    routes a kNN chunk through the snapshot's defeatist kernel (spill
-    payloads); ``None`` — and any snapshot without an approximate kernel —
-    serves exactly."""
+) -> tuple[list, Counters, list[dict] | None]:
+    """Answer one probe chunk against a rehydrated grid snapshot; returns
+    the results, the :class:`Counters` the snapshot was charged and the
+    spans the task recorded (``None`` untraced)."""
     from repro.engine.session import BatchExecutor, QueryBatch
 
     with capture_worker("query_shard", obs_ctx, kind=batch_kind) as cap:
         entry = _entry_for(token, meta)
         if entry.index is None:
-            entry.index = build_worker_index(kind, entry.attached.arrays, scalars)
+            entry.index = SnapshotGridIndex(entry.attached.arrays, cell)
         counters = entry.index.counters
         before = counters.snapshot()
         results = BatchExecutor().run(
-            entry.index, QueryBatch(kind=batch_kind, payload=chunk, k=k, accuracy=accuracy)
+            entry.index, QueryBatch(kind=batch_kind, payload=chunk, k=k)
         )
         cap.set_attr("queries", int(chunk.shape[0]))
     return results, counters.diff(before), cap.telemetry

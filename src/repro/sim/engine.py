@@ -133,6 +133,9 @@ class TimeSteppedSimulation:
         start = time.perf_counter()
         updates = self.model.advance(self.index, step)
         compute_seconds = time.perf_counter() - start
+        # The model has moved on: the step is taken even if maintenance or a
+        # monitor fails, so a continuous session's tick t stays step t - 1.
+        self._step += 1
 
         start = time.perf_counter()
         moves = self._maintain(updates)
@@ -143,7 +146,6 @@ class TimeSteppedSimulation:
             monitor.observe(self.session, step)
         monitor_seconds = time.perf_counter() - start
 
-        self._step += 1
         return StepReport(
             step=step,
             compute_seconds=compute_seconds,

@@ -42,7 +42,7 @@ from repro.core.uniform_grid import UniformGrid, _cell_coords
 from repro.datasets.neuroscience import generate_neurons
 from repro.datasets.trajectories import PlasticityMotion
 from repro.geometry.aabb import AABB, as_box_array, as_point_array
-from repro.serving.snapshots import build_worker_index, export_index_payload
+from repro.serving.snapshots import SnapshotGridIndex, export_index_payload
 
 UNIVERSE = AABB((0.0, 0.0, 0.0), (10.0, 10.0, 7.0))  # 7/2: a ragged top cell
 
@@ -668,10 +668,10 @@ class TestExportedFirstMask:
 
     def test_worker_index_answers_like_the_live_grid(self, replicated):
         grid, windows, points = replicated
-        kind, arrays, scalars = export_index_payload(grid)
-        assert kind == "grid" and arrays["entry_first"].dtype == np.uint8
+        arrays, cell = export_index_payload(grid)
+        assert arrays["entry_first"].dtype == np.uint8
         assert arrays["entry_first"].shape == arrays["entry_rows"].shape
-        worker = build_worker_index(kind, arrays, scalars)
+        worker = SnapshotGridIndex(arrays, cell)
         assert worker.batch_range_query(windows) == grid.batch_range_query(windows)
         assert worker.batch_knn(points, 5) == grid.batch_knn(points, 5)
 

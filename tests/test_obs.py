@@ -3,8 +3,8 @@
 These tests pin the contracts ISSUE 10 introduces:
 
 * **metrics registry** — counters/gauges/fixed-bucket histograms with
-  sample-free percentiles, snapshot/merge/delta algebra (the pool's
-  worker→parent merge path), and the process-global registry;
+  sample-free percentiles, snapshot/merge algebra, and the
+  process-global registry (which the pool's grid shards never write);
 * **span tracer** — context-manager nesting, counter-delta attachment,
   Chrome ``trace_event`` export, and a sub-microsecond disabled path;
 * **cross-process propagation** — a sharded query flush under a live
@@ -49,7 +49,6 @@ from repro import (
     WorkerPool,
     shutdown_default_pool,
 )
-from repro.approx import SpillTree
 from repro.geometry.aabb import AABB as _AABB
 from repro.indexes.disk_rtree import DiskRTree
 from repro.obs import (
@@ -62,10 +61,12 @@ from repro.obs import (
     global_registry,
     ingest_telemetry,
     propagation_context,
-    snapshot_delta,
     span,
     tracing_enabled,
 )
+from repro.serving import worker
+from repro.serving.shm import SegmentGroup
+from repro.serving.snapshots import export_index_payload
 
 UNIVERSE = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
 
@@ -132,16 +133,6 @@ class TestMetrics:
         assert b.value("c") == 5
         assert b.value("g") == 7  # max-fold
         assert b.get("h").count == 2
-
-    def test_snapshot_delta_drops_unchanged(self):
-        registry = MetricsRegistry()
-        registry.counter("stable").inc(10)
-        before = registry.snapshot()
-        registry.counter("moved").inc(2)
-        delta = snapshot_delta(registry.snapshot(), before)
-        assert "moved" in delta
-        assert "stable" not in delta
-        assert delta["moved"]["value"] == 2
 
 
 # -- the span tracer -----------------------------------------------------------
@@ -227,29 +218,27 @@ class TestTracer:
         assert ctx is not None
         tracer.clear()
 
-        # "Worker" side: adopt the context, do metered work.
+        # "Worker" side: adopt the context, do the work.
         disable_tracing()
         with capture_worker("shard", ctx, mode="test") as cap:
-            global_registry().counter("worker.widgets").inc(2)
             cap.set_attr("chunk", 5)
         assert not tracing_enabled()  # restored
-        telemetry = cap.telemetry
-        assert telemetry is not None
-        assert telemetry["metrics"]["worker.widgets"]["value"] == 2
-        (worker_span,) = telemetry["spans"]
+        (worker_span,) = cap.telemetry
         assert worker_span["name"] == "worker.shard"
         assert worker_span["parent_id"] == flush_span.span_id
         assert worker_span["attrs"]["chunk"] == 5
 
-        # Parent side again: fold it back.  (Clear first: in-process the
-        # "worker" charged this same registry; a real worker charges its
-        # own process's registry and only the delta crosses back.)
-        global_registry().clear()
+        # Parent side again: fold it back.
         enable_tracing()
-        ingest_telemetry(telemetry)
-        assert global_registry().value("worker.widgets") == 2
+        ingest_telemetry(cap.telemetry)
         (ingested,) = get_tracer().spans()
         assert ingested.parent_id == flush_span.span_id
+
+    def test_capture_worker_ships_nothing_untraced(self):
+        disable_tracing()
+        with capture_worker("shard", None) as cap:
+            cap.set_attr("chunk", 5)
+        assert cap.telemetry is None
 
     def test_capture_worker_ships_only_post_fork_spans(self):
         # A forked worker inherits the parent's span list; the bracket must
@@ -262,7 +251,7 @@ class TestTracer:
         assert len(tracer.spans()) == 2
         with capture_worker("shard", ctx) as cap:
             pass
-        shipped = [s["name"] for s in cap.telemetry["spans"]]
+        shipped = [s["name"] for s in cap.telemetry]
         assert shipped == ["worker.shard"]
         # the parent-side spans are still exactly where they were
         local = [s.name for s in tracer.spans()]
@@ -452,23 +441,29 @@ class TestServingExposition:
         assert "p99" in payload["query.flush.seconds"]
         assert "buckets" not in payload["query.flush.seconds"]
 
-    def test_pool_merges_worker_metrics_into_parent_registry(self, pool):
-        """2+ workers, one merged snapshot: the defeatist descents the
-        workers charge to their own registries surface in the parent's
-        global registry via the telemetry merge, each exactly once."""
-        items = make_items(600, seed=33, points=True)
-        tree = SpillTree(tau=0.25, leaf_size=32)
-        tree.bulk_load(items)
-        points = np.random.default_rng(7).uniform(0.0, 100.0, size=(400, 3))
-        session = QuerySession(
-            tree, executor=ShardedExecutor(workers=2, min_shard=32, pool=pool)
-        )
-        session.knn(points, 4, accuracy=0.5)  # the parent calibrates recall once
-        global_registry().clear()
-        session.knn(points, 4, accuracy=0.5)
-        assert pool.shards_run == 4
-        assert global_registry().value("approx.descents") == len(points)
-        assert global_registry().value("approx.leaves_scanned") > 0
+    @pytest.mark.parametrize("kind", ["range", "point", "knn"])
+    def test_grid_shards_write_no_global_metrics(self, kind):
+        """Why workers ship spans only: the shard task a pool worker runs
+        (here in-process, on a published grid snapshot) writes nothing to
+        the global registry, so a metrics delta would always be empty."""
+        grid = build_grid(make_items(600, seed=31))
+        arrays, cell = export_index_payload(grid)
+        rng = np.random.default_rng(5)
+        chunk = _windows(64, seed=85) if kind == "range" else rng.uniform(0.0, 100.0, (64, 3))
+        group = SegmentGroup(arrays)
+        token = "metrics-probe"
+        disable_tracing()
+        try:
+            before = global_registry().snapshot()
+            for _ in range(2):  # rehydrating, then cached
+                results, charged, spans = worker.query_shard_task(
+                    token, group.meta, cell, kind, chunk, 4 if kind == "knn" else None
+                )
+            assert global_registry().snapshot() == before == {}
+            assert spans is None and len(results) == 64 and charged.elem_tests > 0
+        finally:
+            worker._CACHE.pop(token).attached.release()
+            group.close()
 
 
 # -- mapped scalar maintenance (ROADMAP zero-copy item (b)) --------------------

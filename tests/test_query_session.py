@@ -361,7 +361,8 @@ class TestExecutorEquivalence:
         inverted windows are empty intersections, ±inf window corners clamp
         to the universe, NaN, ±inf kNN points and wrong-dimension queries are
         refused.  ``snapshot_grid`` is a read-only grid rehydrated from a
-        live grid's ``snapshot_export()``, whose scalar path is a scan."""
+        live grid's ``snapshot_export()``, whose scalar path is its batch
+        kernel on one row."""
         items, _ = loaded
         if name == "snapshot_grid":
             grid = build_index("uniform_grid")

@@ -135,10 +135,10 @@ class TestColumnStore:
 
     def test_export_carries_the_columns_and_workers_adopt_them(self):
         grid, _ = loaded_grid(np.random.default_rng(6))
-        kind, arrays, scalars = export_index_payload(grid)
-        assert kind == "grid" and "boxes" not in arrays
+        arrays, cell = export_index_payload(grid)
+        assert "boxes" not in arrays
         assert arrays["columns"] is grid._snapshot.columns
-        worker = SnapshotGridIndex(arrays, scalars["cell"])
+        worker = SnapshotGridIndex(arrays, cell)
         assert np.shares_memory(worker._snapshot.columns, arrays["columns"])
         windows = np.stack([np.zeros((4, 3)), np.full((4, 3), 9.0)], axis=1)
         assert worker.batch_range_query(windows) == grid.batch_range_query(windows)
@@ -203,8 +203,7 @@ class TestRangeHits:
         lo = np.random.default_rng(10).uniform(-2.0, 22.0, size=(30, 3))
         windows = np.stack([lo, lo + 4.0], axis=1)
         expected, counts = self.answers(grid, windows)
-        _, arrays, scalars = export_index_payload(grid)
-        worker = SnapshotGridIndex(arrays, scalars["cell"])
+        worker = SnapshotGridIndex(*export_index_payload(grid))
         assert self.answers(worker, windows) == (expected, counts)
         assert csr_lists(worker.batch_range_hits(windows)) == expected
         # An index with no array kernel adapts its own lists.
@@ -360,8 +359,7 @@ class TestBatchKnnTail:
 
 
 def _read_only(grid: UniformGrid) -> SnapshotGridIndex:
-    _, arrays, scalars = export_index_payload(grid)
-    return SnapshotGridIndex(arrays, scalars["cell"])
+    return SnapshotGridIndex(*export_index_payload(grid))
 
 
 class TestNonFiniteProbes:

@@ -62,7 +62,6 @@ from repro import (
     make_index,
     shutdown_default_pool,
 )
-from repro.approx import SpillTree
 from repro.engine.session import BatchExecutor, InlineExecutor
 from repro.exec import SpillManager
 from repro.exec.external_join import SpillPlan
@@ -70,7 +69,7 @@ from repro.indexes.linear_scan import LinearScan
 from repro.joins import CallableJoin, DistanceJoinSpec, PairJoinSpec, make_join_strategy
 from repro.serving.async_executor import AsyncExecutor
 from repro.serving.shm import AttachedArrays, SegmentGroup, live_segment_names
-from repro.serving.snapshots import build_worker_index, export_index_payload
+from repro.serving.snapshots import export_index_payload
 
 pytestmark = pytest.mark.serving
 
@@ -195,8 +194,13 @@ class TestWorkerPool:
         self.run_batch(session, oracle, seed=11)
         # One flush, two kind-groups (range + kNN) — two sharded runs.
         assert session.stats.executor_runs == {"sharded": 2}
-        assert pool.exports == 1
-        assert pool.shards_run > 0
+        if build == "grid":
+            assert pool.exports == 1
+            assert pool.shards_run > 0
+        else:
+            # The pool serves grids only: every other index answers in-process.
+            assert pool.exports == 0
+            assert pool.shards_run == 0
 
     def test_index_exported_exactly_once_across_flushes(self, pool):
         items = make_items(600, seed=31)
@@ -281,7 +285,7 @@ class TestWorkerPool:
         shutdown_default_pool()
 
     def test_unexportable_index_falls_back_without_pooling(self, pool):
-        # KD-trees have no packed export; the sharded executor must still
+        # The pool serves grids only; the sharded executor must still
         # answer (in-process) and the pool must not register anything.
         from repro import KDTree
 
@@ -309,10 +313,13 @@ class TestOnlyThePoolStartsProcesses:
     executors' answers and tallies; and joins, even with a strategy that
     cannot be pickled, never start a pool at all."""
 
-    #: Registry indexes with no shared-memory export of a box load.
-    UNEXPORTABLE = ["crtree", "disk_rtree", "loose_octree", "octree", "rplus"]
+    #: Registry indexes with no shared-memory export: every one but the grid.
+    UNEXPORTABLE = [
+        "crtree", "disk_rtree", "linear_scan", "loose_octree", "multires_grid",
+        "octree", "rplus", "rstar", "rtree", "spill_tree",
+    ]
     #: Registry indexes the pool would take, were it up.
-    EXPORTABLE = ["linear_scan", "multires_grid", "rstar", "rtree", "uniform_grid"]
+    EXPORTABLE = ["uniform_grid"]
 
     @pytest.fixture(autouse=True)
     def refuse_other_pools(self, monkeypatch):
@@ -345,22 +352,26 @@ class TestOnlyThePoolStartsProcesses:
 
         index = KDTree()
         index.bulk_load(make_items(300, seed=5, points=True))
+        assert export_index_payload(index) is None
         with WorkerPool(workers=2) as pool:
             self.assert_answered_in_process(index, pool)
 
     @pytest.mark.parametrize("name", UNEXPORTABLE)
     def test_unexportable_box_index(self, name):
         index = make_index(name)
-        index.bulk_load(make_items(300, seed=5))
+        # The spill tree is a point access method.
+        index.bulk_load(make_items(300, seed=5, points=name == "spill_tree"))
         assert export_index_payload(index) is None
         with WorkerPool(workers=2) as pool:
             self.assert_answered_in_process(index, pool)
 
-    @pytest.mark.parametrize("name", EXPORTABLE)
+    @pytest.mark.parametrize(
+        "name", ["linear_scan", "multires_grid", "rstar", "rtree", "uniform_grid"]
+    )
     def test_failed_pool_answers_queries_in_process(self, name, closed_pool):
         index = make_index(name)
         index.bulk_load(make_items(300, seed=5))
-        assert export_index_payload(index) is not None
+        assert (export_index_payload(index) is not None) == (name in self.EXPORTABLE)
         self.assert_answered_in_process(index, closed_pool)
 
     @pytest.mark.parametrize("kind", ["self", "pair", "distance_self", "distance_pair"])
@@ -391,83 +402,6 @@ class TestOnlyThePoolStartsProcesses:
         assert expected[0]
         assert got == expected
         assert repro.serving.pool._DEFAULT is None  # no pool was ever asked for
-
-
-# -- tree & spill payloads ------------------------------------------------------
-
-
-class TestTreeAndSpillPayloads:
-    """R-tree-family indexes ship their packed node cache (kind ``"tree"``)
-    and spill trees their flat defeatist arrays (kind ``"spill"``): workers
-    attach the structure directly instead of STR-rebuilding an R-tree from
-    the raw ``(eids, boxes)`` payload."""
-
-    def _tree(self, items):
-        tree = RTree(max_entries=8)
-        tree.bulk_load(items)
-        return tree
-
-    def test_worker_attaches_tree_payload_without_rebuild(self, loaded, monkeypatch):
-        items, _, oracle = loaded
-        tree = self._tree(items)
-        payload = export_index_payload(tree)
-        assert payload is not None and payload[0] == "tree"
-        kind, arrays, scalars = payload
-        eids, boxes = tree.export_items()
-
-        def explode(self, items):
-            raise AssertionError("worker rebuilt an R-tree from raw items")
-
-        # The build-cost pin: with bulk_load poisoned, the tree payload
-        # still rehydrates (it adopts the exported node cache)...
-        monkeypatch.setattr(RTree, "bulk_load", explode)
-        snapshot = build_worker_index(kind, arrays, scalars)
-        # ...while the legacy packed payload would have to rebuild.
-        with pytest.raises(AssertionError, match="rebuilt"):
-            build_worker_index("packed", {"eids": eids, "boxes": boxes}, {})
-
-        assert len(snapshot) == len(tree)
-        probe_boxes = make_boxes(60, seed=47)
-        for got, box in zip(snapshot.batch_range_query(probe_boxes), probe_boxes):
-            assert sorted(got) == sorted(oracle.range_query(box))
-        rng = random.Random(48)
-        points = np.asarray(
-            [[rng.uniform(0.0, 100.0) for _ in range(3)] for _ in range(60)]
-        )
-        assert snapshot.batch_knn(points, 4) == tree.batch_knn(points, 4)
-
-    def test_pool_publishes_node_cache_for_trees(self, loaded, pool):
-        items, _, oracle = loaded
-        tree = self._tree(items)
-        session = QuerySession(
-            tree, executor=ShardedExecutor(workers=2, min_shard=32, pool=pool)
-        )
-        boxes = make_boxes(80, seed=51)
-        handles = [session.submit(RangeQuery(box)) for box in boxes]
-        session.flush()
-        for box, handle in zip(boxes, handles):
-            assert sorted(handle.result()) == sorted(oracle.range_query(box))
-        entry = pool.ensure_index(tree)
-        assert entry.kind == "tree"
-        assert pool.exports == 1  # the lookup above reused the live export
-
-    def test_pool_serves_defeatist_spill_batches(self, pool):
-        items = make_items(600, seed=33, points=True)
-        spill = SpillTree(tau=0.25, leaf_size=32)
-        spill.bulk_load(items)
-        rng = random.Random(7)
-        points = [tuple(rng.uniform(0.0, 100.0) for _ in range(3)) for _ in range(400)]
-        expected = spill.approx_batch_knn(np.asarray(points, dtype=np.float64), 4)
-        session = QuerySession(
-            spill, executor=ShardedExecutor(workers=2, min_shard=32, pool=pool)
-        )
-        got = session.knn(points, 4, accuracy=0.5)
-        assert got == expected  # sharding must not change a single answer
-        assert session.stats.executor_runs == {"sharded": 1}
-        assert session.stats.batch.approx_descents == len(points)
-        entry = pool.ensure_index(spill)
-        assert entry.kind == "spill"
-        assert pool.exports == 1
 
 
 class TestMappedSpillRuns:

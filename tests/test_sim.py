@@ -120,6 +120,35 @@ class TestGrowth:
         sim.run(4)
         assert len(model.synapse_counts) == 2
 
+    def test_a_failed_tick_still_takes_its_step(self, neuron_dataset):
+        """The model has grown by the time the maintenance tick refines the
+        standing synapse join, so a step whose refine raises is still taken:
+        the session's tick count and the engine's step count stay equal, and
+        each delta's tick t is step t - 1 of a step that reported."""
+
+        class FailingNeuronOf(dict):
+            armed = False
+
+            def __getitem__(self, eid):
+                if self.armed:
+                    raise RuntimeError("neuron lookup failed")
+                return super().__getitem__(eid)
+
+        neuron_dataset.neuron_of = FailingNeuronOf(neuron_dataset.neuron_of)
+        model = GrowthModel(neuron_dataset, join_every=2, epsilon=0.3, seed=9)
+        index = UniformGrid(universe=neuron_dataset.universe)
+        sim = TimeSteppedSimulation(model, index, continuous=True)
+        sim.run(2)
+        neuron_dataset.neuron_of.armed = True
+        with pytest.raises(RuntimeError, match="neuron lookup failed"):
+            sim.run(1)  # step 2's refine raises
+        neuron_dataset.neuron_of.armed = False
+        sim.run(2)
+        assert sim._step == sim.continuous.ticks == 5
+        ticks = [delta.tick for delta in model.synapse_subscription.deltas]
+        assert [tick - 1 for tick in ticks] == [report.step for report in sim.reports]
+        assert [report.step for report in sim.reports] == [0, 1, 3, 4]
+
 
 class TestMonitors:
     def test_range_monitor_counts(self, neuron_dataset):
