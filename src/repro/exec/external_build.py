@@ -21,14 +21,14 @@ slabs are gathered by concatenating row ranges, and one array tiler
 (:func:`repro.indexes.bulkload.tile_arrays`) finishes each slab — no
 per-entry object exists anywhere in it.  :func:`external_leaf_arrays`
 streams the resulting leaves as ``(boxes, eids)`` arrays in packing order,
-so consumers decide where leaves live: a mapped
+so consumers decide where leaves live:
 :meth:`repro.indexes.disk_rtree.DiskRTree.bulk_load_external` encodes each
-one straight into its page file without ever holding the leaf level in
+one straight into a node record without ever holding the leaf level in
 memory.  :func:`external_leaf_groups` is the thin object adapter over the
-same stream for consumers whose nodes hold ``AABB`` entries
+same stream for the trees whose nodes hold ``AABB`` entries
 (:meth:`repro.indexes.rtree.RTree.bulk_load_external` materializing
-:class:`~repro.indexes.rtree.Node` objects, the object-payload
-``DiskRTree``).  Upper levels are built from one ``(mbr, child)`` entry per
+:class:`~repro.indexes.rtree.Node` objects for ``RTree`` and
+``RStarTree``).  Upper levels are built from one ``(mbr, child)`` entry per
 leaf — ``max_entries``-fold smaller than the data, always in-budget.
 """
 
@@ -77,8 +77,10 @@ def external_leaf_groups(
 ) -> Iterator[list[tuple[AABB, int]]]:
     """:func:`external_leaf_arrays` as entry groups ``[(box, eid), ...]``.
 
-    The object adapter for consumers whose nodes hold ``AABB`` entries;
-    array-native consumers read :func:`external_leaf_arrays` directly.
+    The object adapter for ``RTree``/``RStarTree``, whose nodes hold
+    ``AABB`` entries (the performance ledger's ``out_of_core`` build times
+    it too); array-native consumers (``DiskRTree``) read
+    :func:`external_leaf_arrays` directly.
     """
     for boxes, eids in external_leaf_arrays(
         items, max_entries, budget, spill=spill, spill_dir=spill_dir, counters=counters

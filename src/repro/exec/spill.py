@@ -221,7 +221,7 @@ class SpillManager:
         if self.closed:
             return
         self.closed = True
-        self.pool.drop_all()
+        self.pool.clear()
         self.store.close(unlink=True)
         if self._owns_dir:
             shutil.rmtree(self.dir, ignore_errors=True)

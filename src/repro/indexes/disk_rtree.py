@@ -10,21 +10,17 @@ The tree is built with STR packing (as in the paper's Appendix A) and supports
 dynamic maintenance; structure and instrumentation mirror
 :class:`~repro.indexes.rtree.RTree`, with page transfers charged on top.
 
-With ``mapped=True`` nodes are stored as fixed binary records in a real file
-behind :class:`~repro.storage.pagestore.MappedPageStore`, and the read path
-serves **zero-copy NumPy views** of node pages through the buffer pool
-(:meth:`BufferPool.read_view`): the pool's bounded residency (capacity,
-hits/misses) is unchanged, but a miss maps the page instead of copying it.
-Writes go write-through with a ``pool.drop`` so no stale view frame can
-answer a rewritten page.
-
-The two modes share tree shape, traversal order and counter charges but not
-a node representation: object mode holds ``(is_leaf, [(AABB, ref), ...])``
-payloads and walks them entry by entry; mapped mode is arrays end to end —
-bulk loads tile box arrays (:func:`~repro.indexes.bulkload.tile_arrays`)
-and encode leaves straight from them, scalar queries test a whole node view
-at once, maintenance re-encodes nodes from arrays — and never constructs an
-``AABB``.
+Every node is one binary record (``int64 [is_leaf, count]`` header,
+``float64`` boxes, ``int64`` refs) and the tree is arrays end to end: bulk
+loads tile box arrays (:func:`~repro.indexes.bulkload.tile_arrays`) and
+encode leaves straight from them, queries test a whole node view at once,
+maintenance re-encodes nodes from arrays, and no ``AABB`` is ever built.
+``mapped`` picks only where the records live: as ``bytes`` in the in-memory
+:class:`~repro.storage.pagestore.PageStore`, or in a real file behind
+:class:`~repro.storage.pagestore.MappedPageStore`.  Either way reads are
+zero-copy NumPy views served through the buffer pool
+(:meth:`BufferPool.read_view`), and writes go write-through with a
+``pool.drop`` so no stale frame can answer a rewritten page.
 """
 
 from __future__ import annotations
@@ -42,17 +38,12 @@ from repro.geometry.aabb import (
     batch_intersects,
     bounds_min_distance_to_point,
     boxes_to_array,
-    union_all,
 )
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
-from repro.indexes.bulkload import _tile, split_groups, tile_arrays
+from repro.indexes.bulkload import split_groups, tile_arrays
 from repro.instrumentation.counters import Counters
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagestore import MappedPageStore, PageStore
-
-# An object-mode node payload is (is_leaf, entries); entries are
-# (AABB, eid | page_id).  Mapped-mode nodes are the binary records of
-# ``DiskRTree._encode_arrays``.
 
 
 class DiskRTree(SpatialIndex):
@@ -67,11 +58,10 @@ class DiskRTree(SpatialIndex):
     buffer_pages:
         LRU buffer pool capacity in pages (0 models a poolless cold run).
     mapped:
-        Store nodes as binary records in a real mapped file and serve reads
-        as zero-copy views (``int64 [is_leaf, count]`` header, ``float64``
-        boxes, ``int64`` refs per page).  Node capacity is then bounded by
-        ``page_size``; the encoder raises if ``max_entries`` boxes of the
-        data's dimensionality cannot fit one page.
+        Keep the node records in a real mapped file instead of in memory.
+        Node capacity is then bounded by ``page_size``; the encoder raises
+        if ``max_entries`` boxes of the data's dimensionality cannot fit
+        one page (an in-memory record is a simulated page of any size).
     """
 
     def __init__(
@@ -103,8 +93,8 @@ class DiskRTree(SpatialIndex):
         self.pool.clear()
 
     def close(self) -> None:
-        """Release the backing store (mapped mode unlinks its file)."""
-        self.pool.drop_all()
+        """Release the backing store (a file-backed tree unlinks its file)."""
+        self.pool.clear()
         if isinstance(self.store, MappedPageStore):
             self.store.close()
 
@@ -123,13 +113,13 @@ class DiskRTree(SpatialIndex):
         self.store = self._new_store(page_size)
         self.pool = BufferPool(self.store, capacity=capacity)
 
-    # -- mapped node codec --------------------------------------------------
+    # -- node codec ---------------------------------------------------------
 
     _HEADER_BYTES = 16  # int64 [is_leaf, count]
 
     def _node_views(self, buf: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-        """Decode one mapped page buffer into ``(is_leaf, boxes, refs)``
-        where boxes/refs are zero-copy views into the mapping."""
+        """Decode one page buffer into ``(is_leaf, boxes, refs)`` where
+        boxes/refs are zero-copy views into the page."""
         header = buf[: self._HEADER_BYTES].view(np.int64)
         is_leaf, count = bool(header[0]), int(header[1])
         dims = self._dims
@@ -146,8 +136,8 @@ class DiskRTree(SpatialIndex):
         """One node record: ``int64 [is_leaf, count]`` header, ``float64``
         boxes, ``int64`` refs.  Arrays in, bytes out — bulk loads encode
         tiled groups and maintenance feeds node views (or copies of them)
-        straight back through here.  Raises before anything is written when
-        the record cannot fit one page."""
+        straight back through here.  A file-backed tree raises before
+        anything is written when the record cannot fit one page."""
         count = int(refs.shape[0])
         header = np.array([1 if is_leaf else 0, count], dtype=np.int64)
         if not count:
@@ -157,7 +147,7 @@ class DiskRTree(SpatialIndex):
             + np.ascontiguousarray(boxes, dtype=np.float64).tobytes()
             + np.ascontiguousarray(refs, dtype=np.int64).tobytes()
         )
-        if len(blob) > self.store.page_size:
+        if self.mapped and len(blob) > self.store.page_size:
             raise ValueError(
                 f"node of {count} {boxes.shape[2]}-d entries needs {len(blob)} "
                 f"bytes; page size is {self.store.page_size} — lower "
@@ -168,7 +158,7 @@ class DiskRTree(SpatialIndex):
     def _write_arrays(
         self, page_id: int, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray
     ) -> None:
-        # Write-through: a mapped frame is a read-only view of the file, so
+        # Write-through: a frame is a read-only view of the page, so
         # write-back is meaningless and a stale frame is a hazard.
         self.store.write(page_id, self._encode_arrays(is_leaf, boxes, refs))
         self.pool.drop(page_id)
@@ -179,59 +169,20 @@ class DiskRTree(SpatialIndex):
         return self.store.allocate(self._encode_arrays(is_leaf, boxes, refs))
 
     def _node_arrays(self, page_id: int) -> tuple[bool, np.ndarray, np.ndarray]:
-        """One node as ``(is_leaf, boxes (n,2,d), refs int64)``.
-
-        Mapped mode serves the arrays as zero-copy views of the pooled page
-        view — no byte copy, no AABB materialization; object mode packs the
-        payload's boxes.  Residency accounting is the pool's either way.
-        """
-        if self.mapped:
-            return self._node_views(self.pool.read_view(page_id))
-        is_leaf, entries = self.pool.read(page_id)
-        boxes = boxes_to_array([box for box, _ in entries], dims=self._dims)
-        refs = np.fromiter(
-            (ref for _, ref in entries), dtype=np.int64, count=len(entries)
-        )
-        return is_leaf, boxes, refs
+        """One node as ``(is_leaf, boxes (n,2,d), refs int64)``: zero-copy
+        views of the pooled page view, with the pool's residency accounting."""
+        return self._node_views(self.pool.read_view(page_id))
 
     # -- maintenance -------------------------------------------------------------
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
+        n = len(materialized)
+        eids = np.fromiter((eid for eid, _ in materialized), dtype=np.int64, count=n)
+        boxes = boxes_to_array([box for _, box in materialized])
+        _check_finite(boxes)
         self._reset_storage()
-        if not materialized:
-            self._root_page = None
-            self._height = 0
-            self._size = 0
-            return
-        self._dims = materialized[0][1].dims
-        if self.mapped:
-            n = len(materialized)
-            eids = np.fromiter((eid for eid, _ in materialized), dtype=np.int64, count=n)
-            boxes = boxes_to_array([box for _, box in materialized])
-            self._pack_leaf_arrays(self._tile_level(boxes, eids))
-            return
-        entries: list[tuple[AABB, int]] = [(box, eid) for eid, box in materialized]
-        groups = _tile(entries, self._dims, self.max_entries)
-        pages = [self.store.allocate((True, group)) for group in groups]
-        boxes = [union_all(box for box, _ in group) for group in groups]
-        self._root_page = self._pack_upper_levels(pages, boxes)
-        self._size = len(materialized)
-
-    def _pack_upper_levels(self, pages: list[int], boxes: list[AABB]) -> int:
-        """Tile ``(mbr, page)`` entries upward until one root page remains.
-
-        Shared by both object-mode bulk loads; sets ``_height`` (1 for the
-        leaf level) and returns the root page id.
-        """
-        self._height = 1
-        while len(pages) > 1:
-            level_entries = list(zip(boxes, pages))
-            groups = _tile(level_entries, self._dims, self.max_entries)
-            pages = [self.store.allocate((False, group)) for group in groups]
-            boxes = [union_all(box for box, _ in group) for group in groups]
-            self._height += 1
-        return pages[0]
+        self._pack_leaf_arrays(self._tile_level(boxes, eids) if n else ())
 
     def _tile_level(
         self, boxes: np.ndarray, refs: np.ndarray
@@ -256,7 +207,7 @@ class DiskRTree(SpatialIndex):
     def _pack_leaf_arrays(
         self, leaves: Iterable[tuple[np.ndarray, np.ndarray]]
     ) -> None:
-        """The mapped bulk load: allocate streamed ``(boxes, eids)`` leaves
+        """The bulk load: allocate streamed ``(boxes, eids)`` leaves
         one at a time, then tile ``(mbr, page)`` arrays upward until one
         root page remains.  Only the one-entry-per-node skeleton is held."""
         mbrs, pages, self._size = self._allocate_level(True, leaves)
@@ -282,71 +233,39 @@ class DiskRTree(SpatialIndex):
         the page store one at a time — the natural fit for this index: the
         leaf level never exists in memory at all, only the one-entry-per-
         leaf skeleton the upper levels tile (``max_entries``-fold smaller
-        per level).  ``items`` is consumed streaming.  Mapped mode reads
-        the packer's array stream and encodes each leaf as it arrives.
+        per level).  ``items`` is consumed streaming: the packer's array
+        stream is encoded leaf by leaf as it arrives.
         """
-        from repro.exec.external_build import external_leaf_arrays, external_leaf_groups
+        from repro.exec.external_build import external_leaf_arrays
 
         self._reset_storage()
-        options = dict(budget=budget, spill_dir=spill_dir, counters=self.counters)
-        if self.mapped:
-            self._pack_leaf_arrays(
-                external_leaf_arrays(items, self.max_entries, **options)
+        self._pack_leaf_arrays(
+            external_leaf_arrays(
+                items, self.max_entries, budget, spill_dir=spill_dir,
+                counters=self.counters,
             )
-            return
-        pages: list[int] = []
-        boxes: list[AABB] = []
-        size = 0
-        for group in external_leaf_groups(items, self.max_entries, **options):
-            if not pages:
-                self._dims = group[0][0].dims
-            pages.append(self.store.allocate((True, group)))
-            boxes.append(union_all(box for box, _ in group))
-            size += len(group)
-        if not pages:
-            self._root_page = None
-            self._height = 0
-            self._size = 0
-            return
-        self._root_page = self._pack_upper_levels(pages, boxes)
-        self._size = size
+        )
 
     def insert(self, eid: int, box: AABB) -> None:
-        if self._dims is None:
-            self._dims = box.dims
-        if self.mapped:
-            self._insert_mapped(eid, np.array([box.lo, box.hi], dtype=np.float64))
-            return
+        if self._root_page is not None and box.dims != self._dims:
+            raise ValueError(f"box has {box.dims} dims, index has {self._dims}")
+        arr = np.array([box.lo, box.hi], dtype=np.float64)
+        _check_finite(arr)
         if self._root_page is None:
-            self._root_page = self.store.allocate((True, [(box, eid)]))
-            self._height = 1
-            self._size = 1
-            self.counters.inserts += 1
-            return
-        split = self._insert_recursive(self._root_page, self._height - 1, box, eid, 0)
-        if split is not None:
-            left_box, right_box, right_page = split
-            new_root = self.store.allocate(
-                (False, [(left_box, self._root_page), (right_box, right_page)])
+            self._dims = box.dims
+            self._root_page = self._allocate_arrays(
+                True, arr[None], np.array([eid], dtype=np.int64)
             )
-            self._root_page = new_root
-            self._height += 1
+            self._height = 1
+        else:
+            self._insert_entry(arr, eid)
         self._size += 1
         self.counters.inserts += 1
 
-    def _insert_mapped(self, eid: int, box: np.ndarray) -> None:
-        """Mapped-mode scalar insert: node pages stay arrays end to end."""
-        if self._root_page is None:
-            self._root_page = self._allocate_arrays(
-                True, box[None], np.array([eid], dtype=np.int64)
-            )
-            self._height = 1
-            self._size = 1
-            self.counters.inserts += 1
-            return
-        split = self._insert_recursive_arrays(
-            self._root_page, self._height - 1, box, eid, 0
-        )
+    def _insert_entry(self, box: np.ndarray, ref: int) -> None:
+        """Insert one leaf entry below the root, growing a new root on a
+        root split."""
+        split = self._insert_recursive(self._root_page, self._height - 1, box, ref, 0)
         if split is not None:
             left_box, right_box, right_page = split
             self._root_page = self._allocate_arrays(
@@ -355,66 +274,27 @@ class DiskRTree(SpatialIndex):
                 np.array([self._root_page, right_page], dtype=np.int64),
             )
             self._height += 1
-        self._size += 1
-        self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
         if self._root_page is None:
             raise KeyError(f"element {eid} not in index")
-        if self.mapped:
-            arr = np.array([box.lo, box.hi], dtype=np.float64)
-            orphan_arrays: list[tuple[int, np.ndarray]] = []
-            found = self._delete_recursive_arrays(
-                self._root_page, self._height - 1, eid, arr, orphan_arrays
-            )
-            if not found:
-                raise KeyError(f"element {eid} with box {box} not in index")
-            self._size -= 1
-            self.counters.deletes += 1
-            # Shrink a single-child inner root.
-            while self._height > 1:
-                is_leaf, _, refs = self._node_arrays(self._root_page)
-                if is_leaf or refs.shape[0] != 1:
-                    break
-                self._root_page = int(refs[0])
-                self._height -= 1
-            for orphan_eid, orphan_box in orphan_arrays:
-                split = self._insert_recursive_arrays(
-                    self._root_page, self._height - 1, orphan_box, orphan_eid, 0
-                )
-                if split is not None:
-                    left_box, right_box, right_page = split
-                    self._root_page = self._allocate_arrays(
-                        False,
-                        np.stack([left_box, right_box]),
-                        np.array([self._root_page, right_page], dtype=np.int64),
-                    )
-                    self._height += 1
-            if self._size == 0:
-                self._root_page = None
-                self._height = 0
-            return
-        orphans: list[tuple[int, AABB]] = []
-        found = self._delete_recursive(self._root_page, self._height - 1, eid, box, orphans)
-        if not found:
+        arr = np.array([box.lo, box.hi], dtype=np.float64)
+        orphans: list[tuple[int, np.ndarray]] = []
+        if box.dims != self._dims or not self._delete_recursive(
+            self._root_page, self._height - 1, eid, arr, orphans
+        ):
             raise KeyError(f"element {eid} with box {box} not in index")
         self._size -= 1
         self.counters.deletes += 1
         # Shrink a single-child inner root.
         while self._height > 1:
-            is_leaf, entries = self.pool.read(self._root_page)
-            if is_leaf or len(entries) != 1:
+            is_leaf, _, refs = self._node_arrays(self._root_page)
+            if is_leaf or refs.shape[0] != 1:
                 break
-            self._root_page = entries[0][1]
+            self._root_page = int(refs[0])
             self._height -= 1
         for orphan_eid, orphan_box in orphans:
-            split = self._insert_recursive(self._root_page, self._height - 1, orphan_box, orphan_eid, 0)
-            if split is not None:
-                left_box, right_box, right_page = split
-                self._root_page = self.store.allocate(
-                    (False, [(left_box, self._root_page), (right_box, right_page)])
-                )
-                self._height += 1
+            self._insert_entry(orphan_box, orphan_eid)
         if self._size == 0:
             self._root_page = None
             self._height = 0
@@ -426,39 +306,15 @@ class DiskRTree(SpatialIndex):
             return []
         if box.dims != self._dims:
             raise ValueError(f"query has {box.dims} dims, index has {self._dims}")
-        if self.mapped:
-            return self._range_query_arrays(box)
-        counters = self.counters
-        results: list[int] = []
-        stack = [self._root_page]
-        while stack:
-            page_id = stack.pop()
-            is_leaf, entries = self.pool.read(page_id)
-            if is_leaf:
-                for entry_box, eid in entries:
-                    counters.elem_tests += 1
-                    if entry_box.intersects(box):
-                        results.append(eid)
-            else:
-                for entry_box, child_page in entries:
-                    counters.node_tests += 1
-                    if entry_box.intersects(box):
-                        counters.pointer_follows += 1
-                        stack.append(child_page)
-        return results
-
-    def _range_query_arrays(self, box: AABB) -> list[int]:
-        """Mapped-mode scalar range query: one vectorized closed-interval
-        overlap per node view.  Hits are taken in entry order, so the LIFO
-        traversal, the answer order and every counter charge equal the
-        object-mode loop's."""
+        # One vectorized closed-interval overlap per node view; hits are
+        # taken in entry order, so the LIFO traversal fixes the answer order.
         counters = self.counters
         lo = np.array(box.lo, dtype=np.float64)
         hi = np.array(box.hi, dtype=np.float64)
         results: list[int] = []
         stack = [self._root_page]
         while stack:
-            is_leaf, boxes, refs = self._node_views(self.pool.read_view(stack.pop()))
+            is_leaf, boxes, refs = self._node_arrays(stack.pop())
             overlap = ((boxes[:, 0] <= hi) & (lo <= boxes[:, 1])).all(axis=1)
             hits = refs[overlap].tolist()
             if is_leaf:
@@ -491,8 +347,6 @@ class DiskRTree(SpatialIndex):
         stack: list[tuple[int, np.ndarray]] = [(self._root_page, np.arange(m))]
         while stack:
             page_id, active = stack.pop()
-            # Arrays straight from the node page: in mapped mode these are
-            # zero-copy views of the pooled page view.
             is_leaf, entry_boxes, refs = self._node_arrays(page_id)
             if entry_boxes.shape[0] == 0:
                 continue
@@ -529,20 +383,13 @@ class DiskRTree(SpatialIndex):
             if kind == 1:
                 results.append((dist, ref))
                 continue
-            if self.mapped:
-                # One tolist() per node view; the shared helper keeps the
-                # distances bit-identical to the AABB method's.
-                is_leaf, boxes, refs = self._node_views(self.pool.read_view(ref))
-                scored = [
-                    (bounds_min_distance_to_point(lo, hi, point), child)
-                    for (lo, hi), child in zip(boxes.tolist(), refs.tolist())
-                ]
-            else:
-                is_leaf, entries = self.pool.read(ref)
-                scored = [
-                    (entry_box.min_distance_to_point(point), child)
-                    for entry_box, child in entries
-                ]
+            # One tolist() per node view; the shared helper keeps the
+            # distances bit-identical to the AABB method's.
+            is_leaf, boxes, refs = self._node_arrays(ref)
+            scored = [
+                (bounds_min_distance_to_point(lo, hi, point), child)
+                for (lo, hi), child in zip(boxes.tolist(), refs.tolist())
+            ]
             if is_leaf:
                 counters.elem_tests += len(scored)
             else:
@@ -606,90 +453,6 @@ class DiskRTree(SpatialIndex):
     # -- internals -------------------------------------------------------------------
 
     def _insert_recursive(
-        self, page_id: int, level: int, box: AABB, ref: int, target_level: int
-    ) -> tuple[AABB, AABB, int] | None:
-        """Returns (this_node_box, sibling_box, sibling_page) after a split."""
-        is_leaf, entries = self.pool.read(page_id)
-        if level == target_level:
-            entries = entries + [(box, ref)]
-        else:
-            best_index = _least_enlargement(entries, box)
-            entry_box, child_page = entries[best_index]
-            child_split = self._insert_recursive(child_page, level - 1, box, ref, target_level)
-            entries = list(entries)
-            if child_split is None:
-                entries[best_index] = (entry_box.union(box), child_page)
-            else:
-                child_box, sibling_box, sibling_page = child_split
-                entries[best_index] = (child_box, child_page)
-                entries.append((sibling_box, sibling_page))
-        if len(entries) > self.max_entries:
-            ordered = sorted(entries, key=lambda e: e[0].center()[0])
-            half = len(ordered) // 2
-            left, right = ordered[:half], ordered[half:]
-            self.pool.write(page_id, (is_leaf, left))
-            sibling_page = self.store.allocate((is_leaf, right))
-            left_box = union_all(b for b, _ in left)
-            right_box = union_all(b for b, _ in right)
-            return (left_box, right_box, sibling_page)
-        self.pool.write(page_id, (is_leaf, entries))
-        return None
-
-    def _delete_recursive(
-        self,
-        page_id: int,
-        level: int,
-        eid: int,
-        box: AABB,
-        orphans: list[tuple[int, AABB]],
-    ) -> bool:
-        is_leaf, entries = self.pool.read(page_id)
-        if is_leaf:
-            for i, (entry_box, ref) in enumerate(entries):
-                if ref == eid and entry_box == box:
-                    remaining = entries[:i] + entries[i + 1 :]
-                    self.pool.write(page_id, (True, remaining))
-                    return True
-            return False
-        for i, (entry_box, child_page) in enumerate(entries):
-            self.counters.node_tests += 1
-            if not entry_box.intersects(box):
-                continue
-            if self._delete_recursive(child_page, level - 1, eid, box, orphans):
-                child_is_leaf, child_entries = self.pool.read(child_page)
-                updated = list(entries)
-                if len(child_entries) < self.min_entries:
-                    # Dissolve the child: collect its leaf items as orphans
-                    # (the caller reinserts them; logical size is unchanged).
-                    del updated[i]
-                    self._collect_items(child_page, orphans)
-                elif child_entries:
-                    updated[i] = (union_all(b for b, _ in child_entries), child_page)
-                else:
-                    del updated[i]
-                self.pool.write(page_id, (False, updated))
-                return True
-        return False
-
-    def _collect_items(self, page_id: int, out: list[tuple[int, AABB]]) -> None:
-        is_leaf, entries = self.pool.read(page_id)
-        if is_leaf:
-            out.extend((ref, entry_box) for entry_box, ref in entries)
-            return
-        for _, child_page in entries:
-            self._collect_items(child_page, out)
-
-    # -- mapped scalar maintenance ---------------------------------------------
-    #
-    # The batch query paths already serve mapped nodes as zero-copy array
-    # views (`_node_arrays`); these recursions give scalar insert/delete the
-    # same treatment — no per-entry AABB materialization, node records are
-    # re-encoded straight from arrays.  Structure, tie-breaks and counter
-    # charges mirror the object-payload recursions bit for bit (min/max
-    # unions, sequential volume products and stable center sorts reproduce
-    # the AABB arithmetic exactly), so both modes grow identical trees.
-
-    def _insert_recursive_arrays(
         self, page_id: int, level: int, box: np.ndarray, ref: int, target_level: int
     ) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Returns (this_node_mbr, sibling_mbr, sibling_page) after a split."""
@@ -698,12 +461,12 @@ class DiskRTree(SpatialIndex):
             new_boxes = np.concatenate([boxes, box[None]])
             new_refs = np.append(refs, np.int64(ref))
         else:
-            best = _least_enlargement_arrays(boxes, box)
+            best = _least_enlargement(boxes, box)
             child_page = int(refs[best])
-            child_split = self._insert_recursive_arrays(
+            child_split = self._insert_recursive(
                 child_page, level - 1, box, ref, target_level
             )
-            # Copy out of the mapped views before mutating: the child
+            # Copy out of the page views before mutating: the child
             # recursion re-encoded other pages, this node's record is about
             # to be rewritten underneath any live view of it.
             new_boxes = boxes.copy()
@@ -735,7 +498,7 @@ class DiskRTree(SpatialIndex):
         self._write_arrays(page_id, is_leaf, new_boxes, new_refs)
         return None
 
-    def _delete_recursive_arrays(
+    def _delete_recursive(
         self,
         page_id: int,
         level: int,
@@ -764,14 +527,14 @@ class DiskRTree(SpatialIndex):
             if not (np.all(boxes[i, 0] <= box[1]) and np.all(box[0] <= boxes[i, 1])):
                 continue
             child_page = int(refs[i])
-            if self._delete_recursive_arrays(child_page, level - 1, eid, box, orphans):
+            if self._delete_recursive(child_page, level - 1, eid, box, orphans):
                 _, child_boxes, child_refs = self._node_arrays(child_page)
                 if child_refs.shape[0] < self.min_entries:
                     # Dissolve the child: collect its leaf items as orphans
                     # (the caller reinserts them; logical size is unchanged).
                     keep = np.ones(refs.shape[0], dtype=bool)
                     keep[i] = False
-                    self._collect_items_arrays(child_page, orphans)
+                    self._collect_items(child_page, orphans)
                     self._write_arrays(page_id, False, boxes[keep], refs[keep])
                 elif child_refs.shape[0]:
                     new_boxes = boxes.copy()
@@ -785,42 +548,34 @@ class DiskRTree(SpatialIndex):
                 return True
         return False
 
-    def _collect_items_arrays(
-        self, page_id: int, out: list[tuple[int, np.ndarray]]
-    ) -> None:
+    def _collect_items(self, page_id: int, out: list[tuple[int, np.ndarray]]) -> None:
         is_leaf, boxes, refs = self._node_arrays(page_id)
         if is_leaf:
             # Copy each row out of the view: reinserting an earlier orphan
             # rewrites pages, and a live view of a rewritten page is stale.
-            out.extend(
-                (int(ref), boxes[j].copy()) for j, ref in enumerate(refs)
-            )
+            out.extend((int(ref), boxes[j].copy()) for j, ref in enumerate(refs))
             return
         for ref in refs.copy():
-            self._collect_items_arrays(int(ref), out)
+            self._collect_items(int(ref), out)
 
 
-def _least_enlargement(entries: list[tuple[AABB, int]], box: AABB) -> int:
-    """Guttman's subtree choice: least volume enlargement, ties by volume."""
-    best_index = 0
-    best_key: tuple[float, float] | None = None
-    for i, (entry_box, _) in enumerate(entries):
-        key = (entry_box.enlargement(box), entry_box.volume())
-        if best_key is None or key < best_key:
-            best_key = key
-            best_index = i
-    return best_index
-
-
-def _least_enlargement_arrays(boxes: np.ndarray, box: np.ndarray) -> int:
-    """:func:`_least_enlargement` over a ``(n, 2, d)`` box array.
+def _least_enlargement(boxes: np.ndarray, box: np.ndarray) -> int:
+    """Guttman's subtree choice over a ``(n, 2, d)`` box array: least volume
+    enlargement, ties by volume, then by the first index (stable lexsort).
 
     ``multiply.reduce`` over the last axis folds left to right like the
-    scalar ``volume`` loop, and the stable lexsort keeps the first index on
-    ties, so the chosen subtree is identical to the object-payload walk.
+    scalar :meth:`AABB.volume` loop, so the choice matches its arithmetic.
     """
     extents = boxes[:, 1, :] - boxes[:, 0, :]
     volumes = np.multiply.reduce(extents, axis=1)
     joined = np.maximum(boxes[:, 1, :], box[1]) - np.minimum(boxes[:, 0, :], box[0])
     enlargements = np.multiply.reduce(joined, axis=1) - volumes
     return int(np.lexsort((volumes, enlargements))[0])
+
+
+def _check_finite(boxes: np.ndarray) -> None:
+    """Refuse NaN or ±inf coordinates before any page is written: a NaN
+    carried into a parent MBR by ``minimum``/``maximum`` cuts its subtree
+    off from every query."""
+    if not np.isfinite(boxes).all():
+        raise ValueError("box coordinates must be finite")

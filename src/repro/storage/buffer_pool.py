@@ -2,7 +2,9 @@
 
 Mirrors a DBMS buffer manager: reads hit the pool first; misses fetch from
 the :class:`~repro.storage.pagestore.PageStore` (charging a page read) and may
-evict the least-recently-used frame, writing it back when dirty.  The paper's
+evict the least-recently-used frame.  The pool only reads: writers go
+write-through to the store and :meth:`BufferPool.drop` the rewritten page's
+frame, so a frame never holds anything the store does not.  The paper's
 experiments run "with an initially cold cache and the cache is cleaned between
 any two queries" — :meth:`clear` implements exactly that protocol.
 """
@@ -33,7 +35,6 @@ class BufferPool:
         self.store = store
         self.capacity = capacity
         self._frames: OrderedDict[int, Any] = OrderedDict()
-        self._dirty: set[int] = set()
         self.hits = 0
         self.misses = 0
 
@@ -55,13 +56,10 @@ class BufferPool:
     def read_view(self, page_id: int) -> Any:
         """Fetch a page as a zero-copy view through the pool.
 
-        Requires a store with a view read path
-        (:class:`~repro.storage.pagestore.MappedPageStore`).  The frames
-        then cache *views*, not copies: residency accounting (hits, misses,
-        the ``capacity`` bound on resident frames) is identical to
-        :meth:`read`, but a miss costs one mapped view instead of a byte
-        copy.  Callers must not mix :meth:`write` (write-back of a read-only
-        view is meaningless) — mapped stores are written write-through.
+        The frames then cache *views*, not copies: residency accounting
+        (hits, misses, the ``capacity`` bound on resident frames) is
+        identical to :meth:`read`, but a miss costs the store's view read
+        instead of a byte copy.
         """
         if page_id in self._frames:
             self.hits += 1
@@ -72,36 +70,14 @@ class BufferPool:
         self._admit(page_id, payload)
         return payload
 
-    def write(self, page_id: int, payload: Any) -> None:
-        """Update a page in the pool, deferring the disk write (write-back)."""
-        if page_id not in self._frames:
-            self._admit(page_id, payload)
-        else:
-            self._frames[page_id] = payload
-            self._frames.move_to_end(page_id)
-        self._dirty.add(page_id)
-
-    def flush(self) -> None:
-        """Write every dirty frame back to the store."""
-        for page_id in sorted(self._dirty):
-            self.store.write(page_id, self._frames[page_id])
-        self._dirty.clear()
-
     def clear(self) -> None:
-        """Flush and drop every frame — the paper's 'clean cache' protocol."""
-        self.flush()
+        """Drop every frame — the paper's 'clean cache' protocol."""
         self._frames.clear()
 
     def drop(self, page_id: int) -> None:
-        """Invalidate one frame *without* writeback — for pages the caller
-        freed in the store (a stale frame must not answer a reused slot)."""
+        """Invalidate one frame — for pages the caller rewrote or freed in
+        the store (a stale frame must not answer the page or a reused slot)."""
         self._frames.pop(page_id, None)
-        self._dirty.discard(page_id)
-
-    def drop_all(self) -> None:
-        """Invalidate every frame without writeback (store teardown)."""
-        self._frames.clear()
-        self._dirty.clear()
 
     def hit_rate(self) -> float:
         accesses = self.hits + self.misses
@@ -113,8 +89,5 @@ class BufferPool:
         if self.capacity == 0:
             return
         while len(self._frames) >= self.capacity:
-            victim, victim_payload = self._frames.popitem(last=False)
-            if victim in self._dirty:
-                self.store.write(victim, victim_payload)
-                self._dirty.discard(victim)
+            self._frames.popitem(last=False)
         self._frames[page_id] = payload

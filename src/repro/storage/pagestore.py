@@ -1,19 +1,20 @@
 """A simulated disk of fixed-size pages with transfer accounting.
 
-Payloads are kept as live Python objects (serialization would only slow the
-simulation down without changing the accounting); what makes this a "disk" is
-that every read and write is charged to a :class:`Counters` object, which the
+:class:`PageStore` keeps each page's payload in memory as it was written (a
+``DiskRTree`` node record is ``bytes``, readable as a zero-copy NumPy view
+with :meth:`PageStore.read_view`); what makes this a "disk" is that every
+read and write is charged to a :class:`Counters` object, which the
 :class:`~repro.instrumentation.costmodel.DiskCostModel` then prices.
 
 :class:`MappedPageStore` is the other half: the same page protocol and the
 same accounting, but payloads are byte blobs persisted in one real file, so
-evicted data genuinely leaves main memory, and reads can come back as
+evicted data genuinely leaves main memory, and view reads come back as
 **zero-copy NumPy views** over an ``mmap`` of that file.  Writers go through
 the slot protocol (plain file writes — the kernel's unified page cache keeps
 the mapping coherent), so one store serves any number of readers, in this
 process or another, without a copy per read.  It is the substrate the
 out-of-core subsystem (:mod:`repro.exec.spill`) writes tile and partition
-arrays through, and the page file of the mapped ``DiskRTree``.
+arrays through, and the page file of a ``DiskRTree(mapped=True)``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class PageStore:
             raise KeyError(f"page {page_id} was never allocated")
         self.counters.pages_read += 1
         return self._pages[page_id]
+
+    def read_view(self, page_id: int) -> np.ndarray:
+        """A ``bytes`` page as a read-only zero-copy ``uint8`` view, charging
+        one page read (the zero-copy telemetry is the file store's)."""
+        return np.frombuffer(self.read(page_id) or b"", dtype=np.uint8)
 
     def write(self, page_id: int, payload: Any) -> None:
         """Replace a page's payload, charging one page write."""

@@ -10,6 +10,7 @@ hypothesis-generated datasets and queries.  kNN comparisons are exact ordered
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -100,6 +101,12 @@ def assert_same_knn(index: SpatialIndex, items: list[Item], points, k: int) -> N
         got = knn_pairs(index.knn(point, k))
         expected = knn_pairs(oracle.knn(point, k))
         assert got == expected, f"knn mismatch at {point}: {got} != {expected}"
+
+
+def answer_digest(answers) -> str:
+    """A short fingerprint of answers *in order* (id lists, ``(distance,
+    id)`` lists, or lists of either), for freezing a seeded run's output."""
+    return hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
 
 
 def recall(oracle_pairs, approx_pairs) -> float:

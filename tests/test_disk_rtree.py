@@ -1,11 +1,36 @@
 """Disk-resident R-tree: correctness plus page-transfer accounting."""
 
+import math
+
 import pytest
 
 from repro.geometry.aabb import AABB
 from repro.indexes.disk_rtree import DiskRTree
 
-from conftest import assert_same_knn, assert_same_range_results, make_items, make_queries
+from conftest import (
+    answer_digest,
+    assert_same_knn,
+    assert_same_range_results,
+    make_items,
+    make_queries,
+)
+
+#: The counters a query charges, in the order the frozen tuples list them.
+COUNTERS = ("node_tests", "elem_tests", "pointer_follows", "pages_read", "heap_ops")
+
+
+def charged(tree, calls):
+    """Run ``calls`` in order on ``tree``: ``(answer digest, COUNTERS
+    charges, pool (hits, misses))`` of the run."""
+    before = tree.counters.snapshot()
+    hits, misses = tree.pool.hits, tree.pool.misses
+    answers = [call(tree) for call in calls]
+    delta = tree.counters.diff(before)
+    return (
+        answer_digest(answers),
+        tuple(getattr(delta, name) for name in COUNTERS),
+        (tree.pool.hits - hits, tree.pool.misses - misses),
+    )
 
 
 class TestCorrectness:
@@ -91,10 +116,20 @@ class TestPageAccounting:
 
 
 class TestMappedMode:
-    """ISSUE 9: ``mapped=True`` stores nodes as binary pages in a real file
-    (:class:`~repro.storage.pagestore.MappedPageStore`) and the read path
-    serves zero-copy views through the buffer pool — answers, maintenance
-    and residency accounting must match the object store exactly."""
+    """``mapped`` picks only where the node records live: ``bytes`` in the
+    in-memory store, or a real file behind
+    :class:`~repro.storage.pagestore.MappedPageStore` served as zero-copy
+    views through the buffer pool.  Both stores must agree with each other
+    and with constants frozen from the object-payload tree this one node
+    format replaced, run on the same seeded calls."""
+
+    # (answer digest, COUNTERS charges, pool (hits, misses)) per call group.
+    FROZEN_QUERIES = {
+        "range": ("d3959134d0bd0ad8", (253, 370, 41, 18, 0), (35, 18)),
+        "batch_range": ("de26956d0d26f3a4", (253, 370, 17, 0, 0), (18, 0)),
+        "batch_knn": ("1f3567fba78ff939", (89, 132, 10, 3, 87), (7, 3)),
+        "knn": ("c2d45343a87ace6c", (29, 64, 0, 0, 106), (7, 0)),
+    }
 
     def _pair(self, items, **kwargs):
         plain = DiskRTree(**kwargs)
@@ -103,23 +138,21 @@ class TestMappedMode:
         mapped.bulk_load(items)
         return plain, mapped
 
-    def test_query_parity_with_object_store(self, items_3d, queries_3d):
-        plain, mapped = self._pair(items_3d, max_entries=16)
-        try:
-            for query in queries_3d:
-                assert sorted(mapped.range_query(query)) == sorted(
-                    plain.range_query(query)
-                )
-            batched_plain = plain.batch_range_query(queries_3d)
-            batched_mapped = mapped.batch_range_query(queries_3d)
-            assert [sorted(r) for r in batched_mapped] == [
-                sorted(r) for r in batched_plain
-            ]
-            points = [(30.0, 60.0, 10.0), (80.0, 80.0, 80.0)]
-            assert mapped.batch_knn(points, 6) == plain.batch_knn(points, 6)
-            assert mapped.knn(points[0], 6) == plain.knn(points[0], 6)
-        finally:
-            mapped.close()
+    def test_query_parity_across_stores(self, items_3d, queries_3d):
+        points = [(30.0, 60.0, 10.0), (80.0, 80.0, 80.0)]
+        groups = {
+            "range": [lambda tree, q=q: tree.range_query(q) for q in queries_3d],
+            "batch_range": [lambda tree: tree.batch_range_query(queries_3d)],
+            "batch_knn": [lambda tree: tree.batch_knn(points, 6)],
+            "knn": [lambda tree: tree.knn(points[0], 6)],
+        }
+        for tree in self._pair(items_3d, max_entries=16):
+            try:
+                assert (tree.height, tree.page_count()) == (3, 30)
+                for name, calls in groups.items():
+                    assert charged(tree, calls) == self.FROZEN_QUERIES[name], name
+            finally:
+                tree.close()
 
     def test_dynamic_workload_parity(self):
         items = make_items(300, seed=9)
@@ -134,12 +167,20 @@ class TestMappedMode:
             box = live.pop(eid)
             plain.delete(eid, box)
             mapped.delete(eid, box)
+        queries = make_queries(30, seed=10)
+        calls = [lambda tree, q=q: tree.range_query(q) for q in queries]
         try:
-            assert len(mapped) == len(plain) == len(live)
-            for query in make_queries(30, seed=10):
-                assert sorted(mapped.range_query(query)) == sorted(
-                    plain.range_query(query)
+            for tree in (plain, mapped):
+                assert len(tree) == len(live) == 200
+                assert (tree.height, tree.page_count()) == (4, 62)
+                assert tree.counters.node_tests == 908
+                # Writes are write-through and drop the page's frame, so the
+                # pool holds no page the history rewrote: 6 misses where the
+                # object tree's write-back pool hit all 251 reads.
+                assert charged(tree, calls) == (
+                    "a431e7e1e2633726", (587, 529, 221, 6, 0), (245, 6)
                 )
+            assert_same_range_results(mapped, list(live.items()), queries)
         finally:
             mapped.close()
 
@@ -162,7 +203,7 @@ class TestMappedMode:
         finally:
             tree.close()
 
-    def test_warm_pool_skips_mapped_reads_like_object_mode(self):
+    def test_warm_pool_skips_mapped_reads(self):
         items = make_items(1000, seed=13)
         query = AABB((10, 10, 10), (30, 30, 30))
         tree = DiskRTree(max_entries=32, buffer_pages=512, mapped=True)
@@ -208,14 +249,26 @@ class TestMappedMode:
             tree.bulk_load(make_items(500, seed=17))
         tree.close()
 
+    def test_in_memory_records_are_not_capped_by_page_size(self):
+        # A 4-d node of 64 entries needs 16 + 64*(64+8) bytes > 4096: a file
+        # page cannot hold it, a simulated in-memory page can.
+        universe = AABB((0.0,) * 4, (100.0,) * 4)
+        items = make_items(500, universe=universe, seed=18)
+        tree = DiskRTree(max_entries=64)
+        tree.bulk_load(items)
+        assert_same_range_results(tree, items, make_queries(10, universe=universe))
+
 
 class TestMappedScalarReadParity:
-    """ISSUE 15: mapped scalar queries test whole node views and never build
-    an ``AABB``; they must stay indistinguishable from the object-mode entry
-    loop — same answers *in the same order*, same counter charges, same pool
-    traffic — on a tree grown by bulk load plus a random update history."""
+    """Scalar queries test whole node views and never build an ``AABB``; on
+    a tree grown by bulk load plus a random update history, both stores must
+    give the object-payload tree's frozen answers *in the same order*,
+    counter charges and pool traffic, cold and warm."""
 
-    COUNTERS = ("node_tests", "elem_tests", "pointer_follows", "pages_read", "heap_ops")
+    # (answer digest, COUNTERS charges, pool (hits, misses)); with six
+    # frames the warm pass charges exactly what the cold one does.
+    FROZEN_RANGE = ("983e7378a8741584", (1650, 755, 392, 419, 0), (13, 419))
+    FROZEN_KNN = ("ddf9f51bd36a4d92", (1497, 1305, 0, 492, 3521), (2, 492))
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -241,36 +294,30 @@ class TestMappedScalarReadParity:
         yield plain, mapped
         mapped.close()
 
-    def _run(self, tree, calls):
-        before = tree.counters.snapshot()
-        hits, misses = tree.pool.hits, tree.pool.misses
-        answers = [call(tree) for call in calls]
-        delta = tree.counters.diff(before)
-        charges = {name: getattr(delta, name) for name in self.COUNTERS}
-        return answers, charges, (tree.pool.hits - hits, tree.pool.misses - misses)
+    def _assert_parity(self, pair, calls, frozen):
+        for tree in pair:
+            tree.clear_cache()
+            assert charged(tree, calls) == frozen  # cold
+            assert charged(tree, calls) == frozen  # warm
 
-    def _assert_parity(self, pair, calls):
-        plain, mapped = pair
-        for warm in (False, True):
-            if not warm:
-                plain.clear_cache()
-                mapped.clear_cache()
-            got, expected = self._run(mapped, calls), self._run(plain, calls)
-            assert got[0] == expected[0]  # ordered lists, not sets
-            assert got[1] == expected[1]
-            assert got[2] == expected[2]
-            assert any(got[0]) and got[1]["pages_read"] > 0
+    def test_grown_tree_matches_frozen_shape(self, pair):
+        for tree in pair:
+            assert (len(tree), tree.height, tree.page_count()) == (731, 4, 165)
+            counters = tree.counters
+            assert (counters.inserts, counters.deletes) == (300, 169)
 
     def test_range_query_parity_cold_and_warm(self, pair):
         queries = make_queries(40, seed=22, extent=12.0)
         self._assert_parity(
-            pair, [lambda tree, q=q: tree.range_query(q) for q in queries]
+            pair, [lambda tree, q=q: tree.range_query(q) for q in queries],
+            self.FROZEN_RANGE,
         )
 
     def test_knn_parity_cold_and_warm(self, pair):
         points = [tuple(q.lo) for q in make_queries(25, seed=23)]
         self._assert_parity(
-            pair, [lambda tree, p=p: tree.knn(p, 9) for p in points]
+            pair, [lambda tree, p=p: tree.knn(p, 9) for p in points],
+            self.FROZEN_KNN,
         )
 
     def test_batch_range_query_order_matches_scalar_traversal(self, pair):
@@ -282,10 +329,74 @@ class TestMappedScalarReadParity:
         ]
 
 
+class TestRefusesBadBoxes:
+    """A NaN carried into a parent MBR by ``minimum``/``maximum`` cut whole
+    subtrees off from queries, and a 2-d box in a 3-d tree was accepted or
+    broke on a NumPy broadcast.  Both stores refuse either before any page
+    is written, with the grid's messages, and keep every element."""
+
+    UNIVERSE = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
+    BAD = {
+        "nan": AABB((1.0, math.nan, 1.0), (2.0, 2.0, 2.0)),
+        "inf": AABB((1.0, 1.0, 1.0), (2.0, math.inf, 2.0)),
+        "-inf": AABB((-math.inf, 1.0, 1.0), (2.0, 2.0, 2.0)),
+    }
+
+    @pytest.fixture(params=[False, True], ids=["memory", "file"])
+    def tree(self, request):
+        tree = DiskRTree(max_entries=8, mapped=request.param)
+        tree.bulk_load(make_items(400, seed=26))
+        yield tree
+        tree.close()
+
+    def _assert_untouched(self, tree, written):
+        assert tree.counters.pages_written == written
+        assert len(tree) == 400
+        assert sorted(tree.range_query(self.UNIVERSE)) == list(range(400))
+        assert sorted(tree.batch_range_query([self.UNIVERSE])[0]) == list(range(400))
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_bulk_load_refuses_non_finite_box(self, tree, kind):
+        items = make_items(400, seed=27)
+        items[123] = (123, self.BAD[kind])
+        written = tree.counters.pages_written
+        with pytest.raises(ValueError, match="box coordinates must be finite"):
+            tree.bulk_load(items)
+        self._assert_untouched(tree, written)
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_insert_refuses_non_finite_box(self, tree, kind):
+        written = tree.counters.pages_written
+        with pytest.raises(ValueError, match="box coordinates must be finite"):
+            tree.insert(400, self.BAD[kind])
+        self._assert_untouched(tree, written)
+
+    def test_insert_refuses_wrong_dims(self, tree):
+        written = tree.counters.pages_written
+        with pytest.raises(ValueError, match="box has 2 dims, index has 3"):
+            tree.insert(400, AABB((1.0, 1.0), (2.0, 2.0)))
+        self._assert_untouched(tree, written)
+
+    def test_delete_of_wrong_dims_box_is_not_found(self, tree):
+        written = tree.counters.pages_written
+        with pytest.raises(KeyError, match="not in index"):
+            tree.delete(5, AABB((1.0, 1.0), (2.0, 2.0)))
+        self._assert_untouched(tree, written)
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["memory", "file"])
+    def test_an_emptied_tree_takes_any_dims(self, mapped):
+        tree = DiskRTree(max_entries=8, mapped=mapped)
+        box = AABB((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+        tree.insert(1, box)
+        tree.delete(1, box)
+        tree.insert(2, AABB((1.0, 1.0), (2.0, 2.0)))
+        assert tree.range_query(AABB((0.0, 0.0), (3.0, 3.0))) == [2]
+        tree.close()
+
+
 class TestScalarDimsMismatch:
     """Scalar queries reject a query of the wrong dimensionality exactly as
-    the batch paths do, instead of truncating through ``zip`` (object mode)
-    or broadcasting (mapped mode)."""
+    the batch paths do, on either store, instead of broadcasting."""
 
     @pytest.fixture(params=[False, True], ids=["object", "mapped"])
     def tree(self, request):

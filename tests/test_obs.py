@@ -18,9 +18,9 @@ These tests pin the contracts ISSUE 10 introduces:
 * **serving exposition** — ``ServingSession.dump_metrics`` merges the
   query/join/global registries into one snapshot, served as Prometheus
   text and JSON over HTTP;
-* **mapped scalar maintenance** — ``DiskRTree(mapped=True)`` insert and
-  delete never decode object payloads and stay bit-parity with the
-  object-payload mode (ROADMAP zero-copy item (b)).
+* **array-native scalar maintenance** — ``DiskRTree`` insert and delete
+  never build an ``AABB`` on either store, and match constants frozen from
+  the object-payload tree its one node format replaced.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import time
 
 import pytest
 
-from conftest import make_items
+from conftest import answer_digest, make_items
 import numpy as np
 
 from repro import (
@@ -466,7 +466,7 @@ class TestServingExposition:
             group.close()
 
 
-# -- mapped scalar maintenance (ROADMAP zero-copy item (b)) --------------------
+# -- array-native scalar maintenance -------------------------------------------
 
 
 class TestMappedScalarMaintenance:
@@ -476,9 +476,11 @@ class TestMappedScalarMaintenance:
         hi = [l + rng.uniform(0, 5) for l in lo]
         return _AABB(tuple(lo), tuple(hi))
 
-    def test_mapped_mode_never_constructs_an_aabb(self, monkeypatch):
-        """Build, scalar queries and maintenance stay arrays end to end: the
-        only ``AABB`` objects alive are the caller's own arguments."""
+    @pytest.mark.parametrize("mapped", [False, True], ids=["memory", "file"])
+    def test_never_constructs_an_aabb(self, monkeypatch, mapped):
+        """Build, scalar queries and maintenance stay arrays end to end on
+        either store: the only ``AABB`` objects alive are the caller's own
+        arguments."""
         rng = random.Random(11)
         items = [(i, self._rand_box(rng)) for i in range(2500)]
         fresh = [(2500 + i, self._rand_box(rng)) for i in range(300)]
@@ -491,7 +493,7 @@ class TestMappedScalarMaintenance:
             original(self, lo, hi)
 
         monkeypatch.setattr(_AABB, "__init__", spy)
-        tree = DiskRTree(max_entries=8, mapped=True)
+        tree = DiskRTree(max_entries=8, mapped=mapped)
         try:
             tree.bulk_load(items)
             tree.bulk_load_external(iter(items))
@@ -510,9 +512,12 @@ class TestMappedScalarMaintenance:
         finally:
             tree.close()
         assert any(hits) and all(len(result) == 5 for result in near)
-        assert built == [], "mapped DiskRTree constructed AABB objects"
+        assert built == [], "DiskRTree constructed AABB objects"
 
-    def test_mapped_scalar_parity_with_object_mode(self):
+    def test_scalar_maintenance_parity_across_stores(self):
+        """Both stores grow the object-payload tree's shape on one seeded
+        insert/delete history and answer its queries alike: constants
+        frozen from that tree."""
         rng = random.Random(7)
         plain = DiskRTree(max_entries=8)
         mapped = DiskRTree(max_entries=8, mapped=True)
@@ -526,21 +531,24 @@ class TestMappedScalarMaintenance:
                 eid, gone = live.pop(rng.randrange(len(live)))
                 plain.delete(eid, gone)
                 mapped.delete(eid, gone)
+        query = _AABB((10.0, 10.0, 10.0), (60.0, 60.0, 60.0))
         try:
-            assert len(plain) == len(mapped)
-            assert plain.height == mapped.height
-            assert plain.page_count() == mapped.page_count()
-            query = _AABB((10.0, 10.0, 10.0), (60.0, 60.0, 60.0))
-            assert sorted(plain.range_query(query)) == sorted(
-                mapped.range_query(query)
-            )
-            assert plain.knn((30.0, 30.0, 30.0), 10) == mapped.knn(
-                (30.0, 30.0, 30.0), 10
-            )
-            # The tree-walk charges match structure for structure.
-            assert plain.counters.node_tests == mapped.counters.node_tests
-            assert plain.counters.inserts == mapped.counters.inserts
-            assert plain.counters.deletes == mapped.counters.deletes
+            for tree in (plain, mapped):
+                assert (len(tree), tree.height, tree.page_count()) == (252, 3, 64)
+                # The tree-walk charges match structure for structure.
+                counters = tree.counters
+                assert (counters.node_tests, counters.inserts, counters.deletes) == (
+                    1091, 400, 148
+                )
+                before = counters.snapshot()
+                assert answer_digest(tree.range_query(query)) == "b00d12f4e2b59725"
+                delta = counters.diff(before)
+                assert (delta.node_tests, delta.elem_tests, delta.pointer_follows) == (
+                    37, 97, 22
+                )
+                assert answer_digest(tree.knn((30.0, 30.0, 30.0), 10)) == (
+                    "6c3d824b6abefcce"
+                )
         finally:
             mapped.close()
 

@@ -131,6 +131,21 @@ class TestPageStore:
         assert store.peek(pid) == b"new"
         assert counters.pages_read == 1  # peek is free
 
+    def test_read_view_is_a_read_only_view_charging_one_read(self, make_store):
+        counters = Counters()
+        store = make_store(counters=counters)
+        pid = store.allocate(b"payload")
+        view = store.read_view(pid)
+        assert bytes(view) == b"payload" and view.dtype == np.uint8
+        assert not view.flags.writeable
+        assert counters.pages_read == 1
+        # The zero-copy telemetry is the file store's alone.
+        mapped = isinstance(store, MappedPageStore)
+        assert counters.zero_copy_reads == (1 if mapped else 0)
+        store.write(pid, b"rewritten")
+        assert bytes(store.read_view(pid)) == b"rewritten"
+        assert len(store.read_view(store.allocate())) == 0  # an empty page
+
     def test_allocate_empty_is_free(self, make_store):
         counters = Counters()
         store = make_store(counters=counters)
@@ -187,25 +202,6 @@ class TestBufferPool:
         pool.read(pids[2])  # evicts pids[0]
         pool.read(pids[0])  # miss again
         assert counters.pages_read == 4
-
-    def test_writeback_on_eviction(self, make_store):
-        counters = Counters()
-        store = make_store(counters=counters)
-        pids = [store.allocate(bytes([i])) for i in range(2)]
-        pool = BufferPool(store, capacity=1)
-        pool.write(pids[0], b"dirty")
-        pool.read(pids[1])  # evicts the dirty frame
-        assert store.peek(pids[0]) == b"dirty"
-
-    def test_clear_flushes(self, make_store):
-        store = make_store()
-        pid = store.allocate(b"orig")
-        pool = BufferPool(store, capacity=4)
-        pool.write(pid, b"changed")
-        pool.clear()
-        assert store.peek(pid) == b"changed"
-        pool.read(pid)
-        assert pool.misses == 1  # cold after clear
 
     def test_zero_capacity(self, make_store):
         counters = Counters()
