@@ -656,7 +656,8 @@ class UniformGrid(SpatialIndex):
         """The whole batch or nothing, and equal to the :meth:`update` loop:
         whatever can refuse a move (unknown id, stale ``old_box``, repeated
         id, wrong dims, non-finite coordinate) is checked for every move
-        first; then the batch is logged and settled, as the loop's log is."""
+        first; then, under ``_lock``, any earlier log is placed, the boxes
+        are written and the batch is placed from its packed boxes."""
         moves = unique_moves(moves)
         if not moves:
             return
@@ -669,51 +670,60 @@ class UniformGrid(SpatialIndex):
             if len(new_box.lo) != dims:
                 raise ValueError(f"box has {len(new_box.lo)} dims, index has {dims}")
         packed = _pack_finite([new_box for _, _, new_box in moves])
-        self._settle()
-        for eid, _, new_box in moves:
-            boxes[eid] = self._log[eid] = new_box
-        self._settle(packed)
+        # The batch never enters the write-behind log: a reader that settles
+        # while the boxes are written finds no part of it to place.
+        with self._lock:
+            self._place_log()
+            for eid, _, new_box in moves:
+                boxes[eid] = new_box
+            self._place([eid for eid, _, _ in moves], packed)
         self.counters.updates += len(moves)
 
-    def _settle(self, packed: np.ndarray | None = None) -> None:
-        """Place the logged moves (``packed``: their boxes, if at hand) in one
-        vectorized pass, once, whichever thread reads first.  Whether their
-        patches would carry the store past the compaction threshold is
-        decided up front: if so the store is repacked from its own rows with
-        the moves folded in and the snapshot dropped — where patching one by
-        one arrives.  Switchers are re-appended to the store in log order."""
+    def _settle(self) -> None:
+        """Place the logged moves in one vectorized pass, once, whichever
+        thread reads first."""
         if not self._log:  # a read of a settled grid: one truth test, no lock
             return
         with self._lock:
-            log, self._log = self._log, {}
-            if not log:  # another thread placed it meanwhile
-                return
-            eids = list(log)
-            if packed is None:
-                packed = _pack_finite(list(log.values()))
-            windows = self._corners(packed)
-            store = self._store
-            assert store is not None
-            rows, old = store.locate(eids)
-            stays = (old == windows).all(axis=1)
-            switch = np.flatnonzero(~stays)
-            dims = windows.shape[1] // 2
-            moved = windows[switch]
-            # The dirt of the scalar loop: one patch per in-place rewrite,
-            # one removal and one entry per covered cell per switch.
-            dirt = len(eids) + int(np.prod(moved[:, dims:] - moved[:, :dims] + 1, axis=1).sum())
-            if store.dirty + dirt > _compaction_threshold(store):
-                self._store = store.compacted((rows, packed, windows, switch))
-                self._snapshot = None
-            else:
-                stay = np.flatnonzero(stays)
-                if stay.size:
-                    store.patch_rewrite(rows[stay], packed[stay])
-                if switch.size:
-                    store.patch_remove(rows[switch])
-                    store.patch_append([eids[at] for at in switch.tolist()], packed[switch], moved)
-            self._in_place += len(eids) - len(switch)
-            self._switches += len(switch)
+            self._place_log()
+
+    def _place_log(self) -> None:
+        """:meth:`_place` the log, in call order; the caller holds ``_lock``
+        (the log may have been placed by another thread meanwhile)."""
+        log, self._log = self._log, {}
+        if log:
+            self._place(list(log), _pack_finite(list(log.values())))
+
+    def _place(self, eids: list[int], packed: np.ndarray) -> None:
+        """Write the moves of ``eids`` (``packed``: their new boxes) into the
+        row store; the caller holds ``_lock``.  Whether their patches would
+        carry the store past the compaction threshold is decided up front: if
+        so the store is repacked from its own rows with the moves folded in
+        and the snapshot dropped — where patching one by one arrives.
+        Switchers are re-appended to the store in move order."""
+        windows = self._corners(packed)
+        store = self._store
+        assert store is not None
+        rows, old = store.locate(eids)
+        stays = (old == windows).all(axis=1)
+        switch = np.flatnonzero(~stays)
+        dims = windows.shape[1] // 2
+        moved = windows[switch]
+        # The dirt of the scalar loop: one patch per in-place rewrite,
+        # one removal and one entry per covered cell per switch.
+        dirt = len(eids) + int(np.prod(moved[:, dims:] - moved[:, :dims] + 1, axis=1).sum())
+        if store.dirty + dirt > _compaction_threshold(store):
+            self._store = store.compacted((rows, packed, windows, switch))
+            self._snapshot = None
+        else:
+            stay = np.flatnonzero(stays)
+            if stay.size:
+                store.patch_rewrite(rows[stay], packed[stay])
+            if switch.size:
+                store.patch_remove(rows[switch])
+                store.patch_append([eids[at] for at in switch.tolist()], packed[switch], moved)
+        self._in_place += len(eids) - len(switch)
+        self._switches += len(switch)
 
     # -- queries --------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ full working set in RAM.  ``repro.exec`` closes that gap with four pieces:
 * the **chunked external STR bulk load**
   (:mod:`repro.exec.external_build`) — sort-spills entry runs and merges
   them into leaves so ``RTree``/``DiskRTree`` builds never hold more than
-  the budget.
+  the budget, and refuses non-finite boxes chunk by chunk.
 
 ``repro.exec.external_join`` is imported by :mod:`repro.joins.session` (not
 here) to keep the package import-cycle-free; constructing a ``JoinSession``
@@ -34,11 +34,9 @@ from repro.exec.budget import (
     str_build_working_set_bytes,
 )
 from repro.exec.external_build import (
-    ExternalBuild,
     external_bulk_load,
     external_leaf_arrays,
     external_leaf_groups,
-    external_str_pack,
 )
 from repro.exec.spill import SpillHandle, SpillManager
 
@@ -47,11 +45,9 @@ __all__ = [
     "MemoryBudget",
     "SpillHandle",
     "SpillManager",
-    "ExternalBuild",
     "external_bulk_load",
     "external_leaf_arrays",
     "external_leaf_groups",
-    "external_str_pack",
     "pbsm_working_set_bytes",
     "str_build_working_set_bytes",
 ]

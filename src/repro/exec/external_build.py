@@ -1,8 +1,8 @@
 """Chunked external STR bulk load: sort-spill entry runs, merge into leaves.
 
-In-memory STR packing (:func:`repro.indexes.bulkload.str_pack`) sorts the
-whole entry set at once — a working set several times the data.  This module
-is the out-of-core counterpart for builds larger than the
+In-memory STR packing (:meth:`repro.indexes.rtree.RTree.bulk_load`) sorts
+the whole entry set at once — a working set several times the data.  This
+module is the out-of-core counterpart for builds larger than the
 :class:`~repro.exec.budget.MemoryBudget`:
 
 1. **Run phase** — items are consumed in budget-sized chunks; each chunk is
@@ -21,30 +21,29 @@ slabs are gathered by concatenating row ranges, and one array tiler
 (:func:`repro.indexes.bulkload.tile_arrays`) finishes each slab — no
 per-entry object exists anywhere in it.  :func:`external_leaf_arrays`
 streams the resulting leaves as ``(boxes, eids)`` arrays in packing order,
-so consumers decide where leaves live:
-:meth:`repro.indexes.disk_rtree.DiskRTree.bulk_load_external` encodes each
-one straight into a node record without ever holding the leaf level in
-memory.  :func:`external_leaf_groups` is the thin object adapter over the
-same stream for the trees whose nodes hold ``AABB`` entries
-(:meth:`repro.indexes.rtree.RTree.bulk_load_external` materializing
-:class:`~repro.indexes.rtree.Node` objects for ``RTree`` and
-``RStarTree``).  Upper levels are built from one ``(mbr, child)`` entry per
-leaf — ``max_entries``-fold smaller than the data, always in-budget.
+and :meth:`repro.indexes.rtree.RTree.bulk_load_external` (``RStarTree``
+and ``DiskRTree`` inherit it) encodes each one straight into a node record
+without ever holding the leaf level in memory; upper levels are built from
+one ``(mbr, page)`` entry per leaf — ``max_entries``-fold smaller than the
+data, always in-budget.  Every chunk is refused before it is sorted or
+spilled when a coordinate is NaN or ±inf, with :meth:`RTree.bulk_load`'s
+message.  :func:`external_leaf_groups` is the same stream as
+``[(AABB, eid), ...]`` groups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.exec.budget import MemoryBudget
 from repro.exec.spill import SpillHandle, SpillManager
-from repro.geometry.aabb import AABB, boxes_to_array, union_all
+from repro.geometry.aabb import AABB, boxes_to_array
 from repro.indexes.base import Item
-from repro.indexes.bulkload import NodeFactory, _tile, split_groups, tile_arrays
+from repro.indexes.bulkload import split_groups, tile_arrays
 from repro.instrumentation.counters import Counters
 
 #: Chunking below this is all overhead (mirrors the external join's floor).
@@ -75,13 +74,9 @@ def external_leaf_groups(
     spill_dir: str | None = None,
     counters: Counters | None = None,
 ) -> Iterator[list[tuple[AABB, int]]]:
-    """:func:`external_leaf_arrays` as entry groups ``[(box, eid), ...]``.
-
-    The object adapter for ``RTree``/``RStarTree``, whose nodes hold
-    ``AABB`` entries (the performance ledger's ``out_of_core`` build times
-    it too); array-native consumers (``DiskRTree``) read
-    :func:`external_leaf_arrays` directly.
-    """
+    """:func:`external_leaf_arrays` as entry groups ``[(box, eid), ...]``
+    (the performance ledger's ``out_of_core`` replay times this stream; the
+    trees read :func:`external_leaf_arrays` directly)."""
     for boxes, eids in external_leaf_arrays(
         items, max_entries, budget, spill=spill, spill_dir=spill_dir, counters=counters
     ):
@@ -161,6 +156,8 @@ def _build_runs(
         eids = np.fromiter((eid for eid, _ in buffer), dtype=np.int64, count=n)
         boxes = boxes_to_array([box for _, box in buffer])
         buffer.clear()
+        if not np.isfinite(boxes).all():
+            raise ValueError("box coordinates must be finite")
         with budget.reserving(boxes.nbytes + 2 * eids.nbytes, force=True):
             keys = (boxes[:, 0, 0] + boxes[:, 1, 0]) * 0.5
             order = np.argsort(keys, kind="stable")
@@ -278,64 +275,6 @@ def _fetch_rows(
     if isinstance(field, SpillHandle):
         return spill.read_rows(field, lo, hi)
     return field[lo:hi]
-
-
-# -- packing to nodes ------------------------------------------------------------
-
-
-@dataclass
-class ExternalBuild:
-    """Result of an external pack: the built tree plus its dimensions."""
-
-    root: object | None
-    height: int
-    node_count: int
-    size: int
-    dims: int | None
-
-
-def external_str_pack(
-    items: Iterable[Item],
-    max_entries: int,
-    node_factory: NodeFactory,
-    budget: MemoryBudget | int | None = None,
-    spill: SpillManager | None = None,
-    spill_dir: str | None = None,
-    counters: Counters | None = None,
-) -> ExternalBuild:
-    """The external counterpart of :func:`repro.indexes.bulkload.str_pack`.
-
-    Leaves are materialized streaming from :func:`external_leaf_groups`;
-    upper levels tile one ``(mbr, node)`` entry per child — a working set
-    ``max_entries``-fold smaller per level, always within budget.  An empty
-    iterable returns an empty :class:`ExternalBuild` (``root=None``) rather
-    than raising, so index wrappers can reset themselves uniformly.
-    """
-    nodes: list[object] = []
-    boxes: list[AABB] = []
-    size = 0
-    dims: int | None = None
-    for group in external_leaf_groups(
-        items, max_entries, budget, spill=spill, spill_dir=spill_dir, counters=counters
-    ):
-        if dims is None:
-            dims = group[0][0].dims
-        nodes.append(node_factory(True, group))
-        boxes.append(union_all(box for box, _ in group))
-        size += len(group)
-    if not nodes:
-        return ExternalBuild(None, 0, 0, 0, None)
-    assert dims is not None
-    height = 1
-    node_count = len(nodes)
-    while len(nodes) > 1:
-        level_entries = list(zip(boxes, nodes))
-        groups = _tile(level_entries, dims, max_entries)
-        nodes = [node_factory(False, group) for group in groups]
-        boxes = [union_all(box for box, _ in group) for group in groups]
-        height += 1
-        node_count += len(nodes)
-    return ExternalBuild(nodes[0], height, node_count, size, dims)
 
 
 def external_bulk_load(

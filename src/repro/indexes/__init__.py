@@ -10,12 +10,12 @@ Contents:
 * :class:`~repro.indexes.linear_scan.LinearScan` — the no-index baseline of
   Section 4 ("using no index, i.e., a linear scan over the dataset, may be
   faster").
-* :class:`~repro.indexes.rtree.RTree` — Guttman's dynamic R-tree with linear
-  and quadratic node splits, plus STR bulk loading.
+* :class:`~repro.indexes.rtree.RTree` — Guttman's dynamic R-tree (quadratic
+  split) over binary node records, plus STR bulk loading.
 * :class:`~repro.indexes.rstar.RStarTree` — the R*-tree with forced
   reinsertion and margin-driven splits.
-* :class:`~repro.indexes.disk_rtree.DiskRTree` — the same structure with
-  nodes resident in the simulated page store behind an LRU buffer pool.
+* :class:`~repro.indexes.disk_rtree.DiskRTree` — the same tree with its
+  node records in the simulated page store behind an LRU buffer pool.
 * :class:`~repro.indexes.crtree.CRTree` — the cache-conscious R-tree with
   quantized relative MBRs and cache-line-multiple nodes.
 * :class:`~repro.indexes.kdtree.KDTree` — point access method.
@@ -30,7 +30,6 @@ from repro.indexes.base import Item, KNNResult, SpatialIndex
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
 from repro.indexes.rstar import RStarTree
-from repro.indexes.bulkload import str_pack
 from repro.indexes.disk_rtree import DiskRTree
 from repro.indexes.crtree import CRTree
 from repro.indexes.kdtree import KDTree
@@ -46,7 +45,6 @@ __all__ = [
     "LinearScan",
     "RTree",
     "RStarTree",
-    "str_pack",
     "DiskRTree",
     "CRTree",
     "KDTree",

@@ -9,8 +9,8 @@ the scalar ``min_distance_to_point`` bit for bit.  The per-query
 running top-k lives in dense ``(m, k)`` distance/id arrays, so leaf updates
 are a single row-wise merge instead of per-hit Python heap churn.
 
-The R-tree family (:class:`~repro.indexes.rtree.RTree` and subclasses),
-:class:`~repro.indexes.disk_rtree.DiskRTree` and
+The R-tree family (:class:`~repro.indexes.rtree.RTree` and its subclasses,
+:class:`~repro.indexes.disk_rtree.DiskRTree` among them) and
 :class:`~repro.indexes.kdtree.KDTree` all funnel through
 :func:`best_first_batch_knn`; each supplies an ``expand`` callback that maps
 its own node handle to ``(is_leaf, entry_boxes, refs)``.
@@ -124,9 +124,8 @@ def best_first_batch_knn(
     ``size`` is the number of indexed elements (caps the result length);
     ``root`` is the index's root handle for ``expand``.  Callers must handle
     the trivial cases (``m == 0``, ``k <= 0``, empty index) themselves.
-    ``after_chunk`` fires once per finished query chunk — callers with
-    bounded-memory models (DiskRTree) release per-chunk expansion state
-    there.
+    ``after_chunk`` fires once per finished query chunk — the R-trees
+    release their per-chunk expansion state there.
     """
     m = pts.shape[0]
     kk = min(k, size)

@@ -2,57 +2,22 @@
 
 The paper's experiments use "an available implementation of the STR R-Tree";
 Section 4 measures rebuild-from-scratch against per-element updates, and STR
-packing is the rebuild being measured.  The packer is shared: the in-memory
-:class:`~repro.indexes.rtree.RTree`, the :class:`~repro.indexes.rstar.RStarTree`
-and the :class:`~repro.indexes.crtree.CRTree` all build through it with their
-own node factories.
+packing is the rebuild being measured.  :func:`tile_arrays` tiles an
+``(n, 2, d)`` box array; the record trees
+(:class:`~repro.indexes.rtree.RTree`, its R* and disk subclasses, the joins'
+throwaway trees and the external packer) build every level through it.
+:func:`_tile` is the same tiler over ``(AABB, ref)`` entries, for the
+:class:`~repro.indexes.crtree.CRTree`'s quantized nodes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, union_all
-
-# A node factory takes (is_leaf, entries) and returns a node object.
-NodeFactory = Callable[[bool, list[tuple[AABB, object]]], object]
-
-
-def str_pack(
-    items: Sequence[tuple[int, AABB]],
-    max_entries: int,
-    node_factory: NodeFactory,
-) -> tuple[object, int, int]:
-    """Pack ``items`` into a fully built tree.
-
-    Returns ``(root, height, node_count)``.  ``height`` counts levels
-    including the leaf level, so a single leaf root has height 1.
-    """
-    if not items:
-        raise ValueError("str_pack needs at least one item")
-    if max_entries < 2:
-        raise ValueError(f"max_entries must be >= 2, got {max_entries}")
-
-    dims = items[0][1].dims
-    entries: list[tuple[AABB, object]] = [(box, eid) for eid, box in items]
-    groups = _tile(entries, dims, max_entries)
-    nodes = [node_factory(True, group) for group in groups]
-    boxes = [union_all(box for box, _ in group) for group in groups]
-    height = 1
-    node_count = len(nodes)
-
-    while len(nodes) > 1:
-        level_entries: list[tuple[AABB, object]] = list(zip(boxes, nodes))
-        groups = _tile(level_entries, dims, max_entries)
-        nodes = [node_factory(False, group) for group in groups]
-        boxes = [union_all(box for box, _ in group) for group in groups]
-        height += 1
-        node_count += len(nodes)
-
-    return nodes[0], height, node_count
+from repro.geometry.aabb import AABB
 
 
 def _tile(

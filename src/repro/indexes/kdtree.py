@@ -59,13 +59,13 @@ class KDTree(SpatialIndex):
         # node's region is determined by its root path, so cached child
         # regions/leaf arrays stay valid until a mutation clears the cache;
         # values keep the node alive so id() keys are stable.
-        self._batch_pack: dict[int, tuple[_KDNode, bool, "np.ndarray", object]] = {}
+        self._expansions: dict[int, tuple[_KDNode, bool, "np.ndarray", object]] = {}
 
     # -- maintenance -----------------------------------------------------------
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
-        self._batch_pack.clear()
+        self._expansions.clear()
         self._root = _KDNode()
         self._size = 0
         if not materialized:
@@ -78,7 +78,7 @@ class KDTree(SpatialIndex):
 
     def insert(self, eid: int, box: AABB) -> None:
         point = self._as_point(box)
-        self._batch_pack.clear()
+        self._expansions.clear()
         if self._dims is None:
             self._dims = len(point)
         node = self._root
@@ -94,7 +94,7 @@ class KDTree(SpatialIndex):
 
     def delete(self, eid: int, box: AABB) -> None:
         point = self._as_point(box)
-        self._batch_pack.clear()
+        self._expansions.clear()
         node = self._root
         while not node.is_leaf:
             self.counters.node_tests += 1
@@ -217,7 +217,7 @@ class KDTree(SpatialIndex):
             raise ValueError(f"points have {pts.shape[1]} dims, index has {self._dims}")
         dims = pts.shape[1]
         counters = self.counters
-        packed = self._batch_pack
+        packed = self._expansions
 
         def expand(handle: object) -> tuple[bool, np.ndarray, object]:
             node, region = handle  # type: ignore[misc]

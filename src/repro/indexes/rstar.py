@@ -1,7 +1,8 @@
 """The R*-tree (Beckmann et al. 1990): the paper's canonical "extension that
 reduces overlap".
 
-Three changes over Guttman's R-tree, each implemented here:
+Three changes over Guttman's R-tree, each implemented here on the node
+records' ``(n, 2, d)`` box arrays:
 
 1. **Subtree choice** — at the level above the leaves, children are picked by
    least *overlap* enlargement (ties by area enlargement, then area), which is
@@ -12,12 +13,18 @@ Three changes over Guttman's R-tree, each implemented here:
 3. **Forced reinsertion** — on the first overflow per level per insertion,
    the 30 % of entries farthest from the node centre are removed and
    reinserted, deferring (and often avoiding) the split.
+
+Sums are accumulated left to right (``cumsum``) and volumes are left-folded
+products, the order the scalar formulations use, so every tie breaks the
+same way.
 """
 
 from __future__ import annotations
 
-from repro.geometry.aabb import AABB, union_all
-from repro.indexes.rtree import Node, RTree
+import numpy as np
+
+from repro.geometry.aabb import AABB
+from repro.indexes.rtree import RTree, _least_enlargement, _mbr, _volumes
 
 _REINSERT_FRACTION = 0.3
 
@@ -26,14 +33,9 @@ class RStarTree(RTree):
     """R*-tree; drop-in replacement for :class:`~repro.indexes.rtree.RTree`."""
 
     def __init__(self, max_entries: int = 16, min_entries: int | None = None, counters=None) -> None:
-        super().__init__(
-            max_entries=max_entries,
-            min_entries=min_entries,
-            split="quadratic",  # placeholder; _split is overridden below
-            counters=counters,
-        )
+        super().__init__(max_entries=max_entries, min_entries=min_entries, counters=counters)
         self._overflow_seen_levels: set[int] = set()
-        self._pending_reinserts: list[tuple[AABB, object, int]] = []
+        self._pending_reinserts: list[tuple[np.ndarray, int, int]] = []
 
     # -- insertion with forced reinsertion -------------------------------------
 
@@ -53,102 +55,105 @@ class RStarTree(RTree):
     def _drain_reinserts(self) -> None:
         while self._pending_reinserts:
             entry_box, ref, level = self._pending_reinserts.pop()
-            self._insert_entry(entry_box, ref, target_level=level)
+            self._insert_entry(entry_box, ref, level)
 
-    def _handle_overflow(self, node: Node, level: int):
-        is_root = node is self._root
-        if is_root or level in self._overflow_seen_levels:
-            sibling = self._split(node)
-            self._node_count += 1
-            return (node.mbr(), sibling)
+    def _handle_overflow(self, page, level, is_leaf, boxes, refs):
+        if page == self._root or level in self._overflow_seen_levels:
+            return super()._handle_overflow(page, level, is_leaf, boxes, refs)
         self._overflow_seen_levels.add(level)
-        self._force_reinsert(node, level)
-        return None
-
-    def _force_reinsert(self, node: Node, level: int) -> None:
-        """Remove the farthest ~30 % of entries and queue them for reinsertion."""
-        center = node.mbr().center()
-        count = max(1, int(len(node.entries) * _REINSERT_FRACTION))
-
-        def distance(entry: tuple[AABB, object]) -> float:
-            entry_center = entry[0].center()
-            return sum((a - b) ** 2 for a, b in zip(entry_center, center))
-
-        ordered = sorted(node.entries, key=distance)
-        keep, evict = ordered[:-count], ordered[-count:]
-        node.entries = keep
-        # Entries of a node at `level` reference children at level-1 (or
-        # elements for leaves), so their container level is `level` itself.
-        for entry_box, ref in evict:
-            self._pending_reinserts.append((entry_box, ref, level))
+        # Keep the entries nearest the node centre (in distance order) and
+        # queue the farthest ~30 % for reinsertion into nodes at this level.
+        centers = (boxes[:, 0] + boxes[:, 1]) / 2.0
+        node_box = _mbr(boxes)
+        offsets = centers - (node_box[0] + node_box[1]) / 2.0
+        # ``float_power`` squares through libm's ``pow``, as the scalar
+        # ``(a - b) ** 2`` does (``x * x`` differs from it in the last bit).
+        squares = np.float_power(offsets, 2.0)
+        order = np.argsort(np.cumsum(squares, axis=1)[:, -1], kind="stable")
+        count = max(1, int(refs.shape[0] * _REINSERT_FRACTION))
+        keep, evict = order[:-count], order[-count:]
+        self._write_arrays(page, is_leaf, boxes[keep], refs[keep])
+        self._pending_reinserts.extend(
+            (boxes[i], int(refs[i]), level) for i in evict.tolist()
+        )
+        return _mbr(boxes[keep]), None
 
     # -- R* subtree choice -------------------------------------------------------
 
-    def _choose_subtree(self, node: Node, box: AABB, level: int) -> int:
-        children_are_leaves = not node.is_leaf and all(
-            isinstance(child, Node) and child.is_leaf for _, child in node.entries
+    def _choose_subtree(self, boxes: np.ndarray, box: np.ndarray, level: int) -> int:
+        if level != 1:
+            return _least_enlargement(boxes, box)
+        # Children are leaves: least overlap enlargement against the
+        # siblings, then least volume enlargement, then least volume.
+        lo, hi = boxes[:, 0], boxes[:, 1]
+        grown = np.minimum(lo, box[0]), np.maximum(hi, box[1])
+        terms = _overlap(grown[0][:, None], grown[1][:, None], lo, hi) - _overlap(
+            lo[:, None], hi[:, None], lo, hi
         )
-        if not children_are_leaves:
-            return super()._choose_subtree(node, box, level)
-        best_index = 0
-        best_key: tuple[float, float, float] | None = None
-        boxes = [entry_box for entry_box, _ in node.entries]
-        for i, entry_box in enumerate(boxes):
-            grown = entry_box.union(box)
-            overlap_delta = 0.0
-            for j, other in enumerate(boxes):
-                if j == i:
-                    continue
-                overlap_delta += grown.overlap_volume(other) - entry_box.overlap_volume(other)
-            key = (overlap_delta, entry_box.enlargement(box), entry_box.volume())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = i
-        return best_index
+        np.fill_diagonal(terms, 0.0)
+        volumes = _volumes(lo, hi)
+        return int(
+            np.lexsort((volumes, _volumes(*grown) - volumes, np.cumsum(terms, axis=1)[:, -1]))[0]
+        )
 
     # -- R* split -------------------------------------------------------------------
 
-    def _split(self, node: Node) -> Node:
-        group_a, group_b = _rstar_split(node.entries, self.min_entries, self.max_entries)
-        node.entries = group_a
-        return Node(is_leaf=node.is_leaf, entries=group_b)
+    def _split(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _rstar_split(boxes, self.min_entries)
 
 
-def _rstar_split(
-    entries: list[tuple[AABB, object]], min_entries: int, max_entries: int
-) -> tuple[list[tuple[AABB, object]], list[tuple[AABB, object]]]:
-    """Axis by minimum margin sum; distribution by minimum overlap then area."""
-    dims = entries[0][0].dims
-    m = min_entries
-    best_axis = 0
-    best_axis_margin = float("inf")
-    best_axis_orderings: list[list[tuple[AABB, object]]] = []
+def _overlap(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Overlap volumes of (broadcast) boxes ``a`` and ``b``: 0.0 where any
+    side is empty, as :meth:`AABB.overlap_volume` returns."""
+    sides = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    return np.where((sides <= 0.0).any(axis=-1), 0.0, np.multiply.reduce(sides, axis=-1))
 
+
+def _rstar_split(boxes: np.ndarray, min_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axis by minimum margin sum; distribution by minimum overlap then area.
+
+    Each axis sorts the entries by ``(lo, hi)`` and by ``(hi, lo)``; every
+    distribution cuts one sorted order at ``min_entries .. n - min_entries``.
+    Returns the row groups ``(left, right)`` of the chosen distribution.
+    """
+    n, _, dims = boxes.shape
+    cuts = np.arange(min_entries, n - min_entries + 1)
+    best_sum = np.inf
+    best: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
     for axis in range(dims):
-        by_lo = sorted(entries, key=lambda e: (e[0].lo[axis], e[0].hi[axis]))
-        by_hi = sorted(entries, key=lambda e: (e[0].hi[axis], e[0].lo[axis]))
-        margin_sum = 0.0
-        for ordering in (by_lo, by_hi):
-            for split_at in range(m, len(entries) - m + 1):
-                left = union_all(box for box, _ in ordering[:split_at])
-                right = union_all(box for box, _ in ordering[split_at:])
-                margin_sum += left.margin() + right.margin()
-        if margin_sum < best_axis_margin:
-            best_axis_margin = margin_sum
-            best_axis = axis
-            best_axis_orderings = [by_lo, by_hi]
+        lo, hi = boxes[:, 0, axis], boxes[:, 1, axis]
+        candidates = []
+        for order in (np.lexsort((hi, lo)), np.lexsort((lo, hi))):
+            candidates.append((order, _distributions(boxes[order], cuts)))
+        margins = np.concatenate([left_m + right_m for _, (left_m, right_m, _, _) in candidates])
+        margin_sum = np.cumsum(margins)[-1]
+        if margin_sum < best_sum:
+            best_sum, best = margin_sum, candidates
+    overlap = np.concatenate([o for _, (_, _, o, _) in best])
+    area = np.concatenate([a for _, (_, _, _, a) in best])
+    choice = int(np.lexsort((area, overlap))[0])
+    order = best[choice // cuts.shape[0]][0]
+    cut = int(cuts[choice % cuts.shape[0]])
+    return order[:cut], order[cut:]
 
-    best_key: tuple[float, float] | None = None
-    best_groups: tuple[list, list] | None = None
-    for ordering in best_axis_orderings:
-        for split_at in range(m, len(entries) - m + 1):
-            left_entries = ordering[:split_at]
-            right_entries = ordering[split_at:]
-            left = union_all(box for box, _ in left_entries)
-            right = union_all(box for box, _ in right_entries)
-            key = (left.overlap_volume(right), left.volume() + right.volume())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_groups = (list(left_entries), list(right_entries))
-    assert best_groups is not None  # len(entries) > max_entries >= 2m guarantees candidates
-    return best_groups
+
+def _distributions(ordered: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cut of ``ordered`` boxes: left and right margins, their overlap
+    volume and their summed volumes."""
+    lo, hi = ordered[:, 0], ordered[:, 1]
+    left = np.minimum.accumulate(lo)[cuts - 1], np.maximum.accumulate(hi)[cuts - 1]
+    right = (
+        np.minimum.accumulate(lo[::-1])[::-1][cuts],
+        np.maximum.accumulate(hi[::-1])[::-1][cuts],
+    )
+    return (
+        _margins(*left),
+        _margins(*right),
+        _overlap(*left, *right),
+        _volumes(*left) + _volumes(*right),
+    )
+
+
+def _margins(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of side lengths, added axis by axis as :meth:`AABB.margin` does."""
+    return np.cumsum(hi - lo, axis=1)[:, -1]

@@ -1,54 +1,56 @@
-"""Guttman's R-tree, in memory, with linear and quadratic splits.
+"""Guttman's R-tree over binary node records.
 
 This is the reference dynamic spatial index of the paper's experiments
 (Appendix A uses an STR-packed R-tree; :meth:`RTree.bulk_load` builds exactly
 that, while :meth:`RTree.insert`/:meth:`RTree.delete` provide the classic
 dynamic behaviour whose update cost Section 4.1 measures against rebuilds).
 
+Every node is one binary record: an ``int64 [is_leaf, count]`` header, then
+``count`` ``float64`` boxes, then ``count`` ``int64`` refs (element ids in a
+leaf, child page ids above).  ``RTree`` keeps the records as ``bytes`` in a
+dict; :class:`~repro.indexes.disk_rtree.DiskRTree` is the same tree on a page
+store behind a buffer pool, so Figure 2 compares one tree on two stores.
+Nodes are read as zero-copy views (:meth:`RTree._node_views`) and rewritten
+from arrays (:meth:`RTree._encode_arrays`); no ``AABB`` is built on any path
+but :meth:`root_mbr`.  A record is ``16 + n (16 d + 8)`` bytes.
+
+Maintenance runs Guttman's rules on a node's ``(n, 2, d)`` box array:
+least-enlargement subtree choice, the quadratic split (seeds from one
+dead-space matrix, ``PickNext`` one argmax per step), and condensation that
+reinserts orphaned entries at their own level and frees the dissolved node.
+Volumes are left-folded products, as :meth:`AABB.volume` computes them, so
+ties break exactly as the scalar rules do.
+
 Instrumentation contract (used by the Figure 2/3 benchmarks):
 
 * testing an *inner* entry's MBR against a query bumps ``node_tests``;
 * testing a *leaf* entry's MBR bumps ``elem_tests``;
 * descending into a child bumps ``pointer_follows``;
-* visiting a node charges its payload size to ``bytes_touched``.
+* visiting a node charges its record size to ``bytes_touched``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.geometry.aabb import (
-    AABB, as_box_array, batch_intersects, boxes_to_array, union_all,
+    AABB,
+    as_box_array,
+    as_point_array,
+    batch_intersects,
+    bounds_min_distance_to_point,
+    boxes_to_array,
 )
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
+from repro.indexes.batch_knn import best_first_batch_knn
+from repro.indexes.bulkload import split_groups, tile_arrays
 from repro.instrumentation.counters import Counters
 
-_ENTRY_PTR_BYTES = 8
-_NODE_HEADER_BYTES = 16
-
-
-class Node:
-    """An R-tree node: a flat list of ``(box, ref)`` entries.
-
-    For leaves ``ref`` is an element id; for inner nodes it is a child
-    :class:`Node`.  Nodes do not cache their own MBR — the parent entry holds
-    it — which matches the classic layout and keeps updates local.
-    """
-
-    __slots__ = ("is_leaf", "entries")
-
-    def __init__(self, is_leaf: bool, entries: list[tuple[AABB, object]] | None = None) -> None:
-        self.is_leaf = is_leaf
-        self.entries: list[tuple[AABB, object]] = entries if entries is not None else []
-
-    def mbr(self) -> AABB:
-        return union_all(box for box, _ in self.entries)
-
-    def payload_bytes(self, dims: int) -> int:
-        return _NODE_HEADER_BYTES + len(self.entries) * (dims * 16 + _ENTRY_PTR_BYTES)
+_HEADER_BYTES = 16  # int64 [is_leaf, count]
 
 
 class RTree(SpatialIndex):
@@ -61,59 +63,106 @@ class RTree(SpatialIndex):
     min_entries:
         Underflow threshold m; defaults to ``max(2, M * 2 // 5)`` (the 40 %
         fill classically recommended).
-    split:
-        ``"quadratic"`` (default) or ``"linear"`` seed selection.
     """
 
     def __init__(
         self,
         max_entries: int = 16,
         min_entries: int | None = None,
-        split: str = "quadratic",
         counters: Counters | None = None,
     ) -> None:
         super().__init__(counters)
         if max_entries < 4:
             raise ValueError(f"max_entries must be >= 4, got {max_entries}")
-        if split not in ("quadratic", "linear"):
-            raise ValueError(f"unknown split algorithm: {split!r}")
         self.max_entries = max_entries
         self.min_entries = min_entries if min_entries is not None else max(2, max_entries * 2 // 5)
         if not 1 <= self.min_entries <= max_entries // 2:
             raise ValueError(
                 f"min_entries must be in [1, max_entries/2], got {self.min_entries}"
             )
-        self.split_algorithm = split
-        self._root: Node = Node(is_leaf=True)
-        self._height = 1  # number of levels; leaves are level 0
+        self._pages: dict[int, bytes] = {}
+        self._next_page = 0
+        self._root: int | None = None
+        self._height = 0  # number of levels; leaves are level 0
         self._size = 0
         self._dims: int | None = None
-        self._node_count = 1
-        # Lazy per-node entry arrays for the batch-kNN traversal.  Values
-        # keep the Node alive so id() keys stay valid; any structural
-        # mutation clears the cache wholesale.
-        self._batch_pack: dict[int, tuple[Node, bool, np.ndarray, object]] = {}
+
+    # -- record store (DiskRTree puts these on a pooled page store) ----------
+
+    def _read(self, page: int) -> np.ndarray:
+        return np.frombuffer(self._pages[page], dtype=np.uint8)
+
+    def _write(self, page: int, record: bytes) -> None:
+        self._pages[page] = record
+
+    def _allocate(self, record: bytes) -> int:
+        page = self._next_page
+        self._next_page += 1
+        self._pages[page] = record
+        return page
+
+    def _free(self, page: int) -> None:
+        del self._pages[page]
+
+    def _reset_storage(self) -> None:
+        self._pages = {}
+
+    # -- node codec ------------------------------------------------------------
+
+    def _node_views(self, buf: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+        """Decode one record into ``(is_leaf, boxes, refs)`` where boxes/refs
+        are zero-copy views into it."""
+        header = buf[:_HEADER_BYTES].view(np.int64)
+        is_leaf, count = bool(header[0]), int(header[1])
+        dims = self._dims
+        if not count or dims is None:
+            return is_leaf, np.empty((0, 2, dims or 0)), np.empty(0, dtype=np.int64)
+        box_end = _HEADER_BYTES + count * 2 * dims * 8
+        boxes = buf[_HEADER_BYTES:box_end].view(np.float64)
+        refs = buf[box_end : box_end + count * 8].view(np.int64)
+        return is_leaf, boxes.reshape(count, 2, dims), refs
+
+    def _encode_arrays(self, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray) -> bytes:
+        """One node record: ``int64 [is_leaf, count]`` header, ``float64``
+        boxes, ``int64`` refs.  Arrays in, bytes out — bulk loads encode
+        tiled groups and maintenance feeds node views (or copies of them)
+        straight back through here."""
+        count = int(refs.shape[0])
+        header = np.array([1 if is_leaf else 0, count], dtype=np.int64).tobytes()
+        if not count:
+            return header
+        return (
+            header
+            + np.ascontiguousarray(boxes, dtype=np.float64).tobytes()
+            + np.ascontiguousarray(refs, dtype=np.int64).tobytes()
+        )
+
+    def _node_arrays(self, page: int) -> tuple[bool, np.ndarray, np.ndarray]:
+        """One node as ``(is_leaf, boxes (n, 2, d), refs int64)`` views."""
+        return self._node_views(self._read(page))
+
+    def _write_arrays(
+        self, page: int, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray
+    ) -> None:
+        self._write(page, self._encode_arrays(is_leaf, boxes, refs))
+
+    def _allocate_arrays(self, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray) -> int:
+        return self._allocate(self._encode_arrays(is_leaf, boxes, refs))
 
     # -- bulk loading ----------------------------------------------------------
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         """Rebuild via Sort-Tile-Recursive packing (the paper's build)."""
-        from repro.indexes.bulkload import str_pack
-
         materialized = validate_items(items)
-        self._batch_pack.clear()
-        if not materialized:
-            self._root = Node(is_leaf=True)
-            self._height = 1
-            self._size = 0
-            self._node_count = 1
-            return
-        self._dims = materialized[0][1].dims
-        root, height, node_count = str_pack(materialized, self.max_entries, Node)
-        self._root = root  # type: ignore[assignment]
-        self._height = height
-        self._size = len(materialized)
-        self._node_count = node_count
+        n = len(materialized)
+        eids = np.fromiter((eid for eid, _ in materialized), dtype=np.int64, count=n)
+        boxes = boxes_to_array([box for _, box in materialized])
+        _check_finite(boxes)
+        self._pack_arrays(boxes, eids)
+
+    def _pack_arrays(self, boxes: np.ndarray, eids: np.ndarray) -> None:
+        """STR-pack validated ``(n, 2, d)`` boxes and their ids."""
+        self._pack(self._tile_level(boxes, eids) if eids.shape[0] else ())
 
     def bulk_load_external(
         self,
@@ -121,134 +170,184 @@ class RTree(SpatialIndex):
         budget: object = None,
         spill_dir: str | None = None,
     ) -> None:
-        """STR rebuild whose *build* working set never exceeds ``budget``.
+        """STR rebuild with the build working set bounded by ``budget``.
 
-        The chunked external packer (:mod:`repro.exec.external_build`)
-        sort-spills entry runs through the storage layer and merges them
-        into leaves, so arbitrarily large builds hold only budget-sized
-        chunks of sort/entry arrays at a time.  ``items`` is consumed
-        streaming — pass a generator for datasets that should never be
-        materialized as a list.  Query results are identical to
-        :meth:`bulk_load`; leaf composition may differ at slab boundaries.
+        Leaf groups stream out of the chunked external packer
+        (:mod:`repro.exec.external_build`) and are encoded one at a time, so
+        only the one-entry-per-leaf skeleton the upper levels tile
+        (``max_entries``-fold smaller per level) is ever held.  ``items`` is
+        consumed streaming.  An unbudgeted build is :meth:`bulk_load`'s tree.
         """
-        from repro.exec.external_build import external_str_pack
+        from repro.exec.external_build import external_leaf_arrays
 
-        build = external_str_pack(
-            items,
-            self.max_entries,
-            Node,
-            budget=budget,  # type: ignore[arg-type]
-            spill_dir=spill_dir,
-            counters=self.counters,
+        self._pack(
+            external_leaf_arrays(
+                items, self.max_entries, budget, spill_dir=spill_dir,
+                counters=self.counters,
+            )
         )
-        self._batch_pack.clear()
-        if build.size == 0:
-            self._root = Node(is_leaf=True)
-            self._height = 1
-            self._size = 0
-            self._node_count = 1
+
+    def _tile_level(
+        self, boxes: np.ndarray, refs: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """STR groups of one level as ``(boxes, refs)`` array pairs."""
+        order, bounds = tile_arrays(boxes, 0, self.max_entries)
+        return split_groups(boxes[order], refs[order], bounds)
+
+    def _allocate_level(
+        self, is_leaf: bool, groups: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> tuple[list[np.ndarray], list[int], int]:
+        """Write one level's nodes; returns ``(mbrs, pages, entry count)``."""
+        mbrs: list[np.ndarray] = []
+        pages: list[int] = []
+        entries = 0
+        for boxes, refs in groups:
+            pages.append(self._allocate_arrays(is_leaf, boxes, refs))
+            mbrs.append(_mbr(boxes))
+            entries += refs.shape[0]
+        return mbrs, pages, entries
+
+    def _pack(self, leaves: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+        """The bulk load: allocate streamed ``(boxes, eids)`` leaves one at
+        a time, then tile ``(mbr, page)`` arrays upward until one root
+        remains.  The first leaf is drawn before the old tree is dropped,
+        so an input the packer refuses leaves the tree as it was."""
+        leaves = iter(leaves)
+        first = next(leaves, None)
+        self._reset_storage()
+        self._root, self._height, self._size = None, 0, 0
+        if first is None:
             return
-        self._dims = build.dims
-        self._root = build.root  # type: ignore[assignment]
-        self._height = build.height
-        self._size = build.size
-        self._node_count = build.node_count
+        self._dims = first[0].shape[2]
+        mbrs, pages, self._size = self._allocate_level(True, chain([first], leaves))
+        self._height = 1
+        while len(pages) > 1:
+            level = self._tile_level(np.stack(mbrs), np.array(pages, dtype=np.int64))
+            mbrs, pages, _ = self._allocate_level(False, level)
+            self._height += 1
+        self._root = pages[0]
 
     # -- maintenance -------------------------------------------------------------
 
     def insert(self, eid: int, box: AABB) -> None:
-        if self._dims is None:
-            self._dims = box.dims
-        elif box.dims != self._dims:
+        if self._root is not None and box.dims != self._dims:
             raise ValueError(f"box has {box.dims} dims, index has {self._dims}")
-        self._batch_pack.clear()
-        self._insert_entry(box, eid, target_level=0)
+        arr = np.array([box.lo, box.hi], dtype=np.float64)
+        _check_finite(arr)
+        if self._root is None:
+            self._dims = box.dims
+            self._root = self._allocate_arrays(True, arr[None], np.array([eid], dtype=np.int64))
+            self._height = 1
+        else:
+            self._insert_entry(arr, eid, 0)
         self._size += 1
         self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
-        self._batch_pack.clear()
-        orphans: list[tuple[int, tuple[AABB, object]]] = []
-        found = self._delete_recursive(self._root, self._height - 1, eid, box, orphans)
-        if not found:
+        if self._root is None:
+            raise KeyError(f"element {eid} not in index")
+        arr = np.array([box.lo, box.hi], dtype=np.float64)
+        orphans: list[tuple[int, np.ndarray, int]] = []
+        if box.dims != self._dims or not self._delete_recursive(
+            self._root, self._height - 1, eid, arr, orphans
+        ):
             raise KeyError(f"element {eid} with box {box} not in index")
         self._size -= 1
         self.counters.deletes += 1
-        # Shrink the root while it has a single inner child.
-        while not self._root.is_leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0][1]  # type: ignore[assignment]
+        # Shrink the root while it is an inner node with a single child.
+        while self._height > 1:
+            _, _, refs = self._node_arrays(self._root)
+            if refs.shape[0] != 1:
+                break
+            child = int(refs[0])
+            self._free(self._root)
+            self._root = child
             self._height -= 1
-            self._node_count -= 1
-        if not self._root.is_leaf and not self._root.entries:
-            self._root = Node(is_leaf=True)
-            self._height = 1
-            self._node_count = 1
-        # Reinsert orphaned entries at their original level.
-        for level, (entry_box, ref) in orphans:
-            self._insert_entry(entry_box, ref, target_level=level)
+        # Reinsert orphaned entries at their own level.
+        for level, entry_box, ref in orphans:
+            self._insert_entry(entry_box, ref, level)
+        if self._size == 0:
+            self._free(self._root)
+            self._root = None
+            self._height = 0
+
+    def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
+        """Delete + insert, with a new box the insert would refuse refused
+        first: the element must not be deleted and then lost."""
+        if self._root is not None and new_box.dims != self._dims:
+            raise ValueError(f"box has {new_box.dims} dims, index has {self._dims}")
+        _check_finite(np.array([new_box.lo, new_box.hi], dtype=np.float64))
+        super().update(eid, old_box, new_box)
 
     # -- queries ---------------------------------------------------------------
 
     def range_query(self, box: AABB) -> list[int]:
+        if self._root is None:
+            return []
+        if box.dims != self._dims:
+            raise ValueError(f"query has {box.dims} dims, index has {self._dims}")
+        # One vectorized closed-interval overlap per node view; hits are
+        # taken in entry order, so the LIFO traversal fixes the answer order.
         counters = self.counters
-        dims = box.dims
+        entry_bytes = 16 * box.dims + 8
+        lo = np.array(box.lo, dtype=np.float64)
+        hi = np.array(box.hi, dtype=np.float64)
         results: list[int] = []
         stack = [self._root]
         while stack:
-            node = stack.pop()
-            counters.bytes_touched += node.payload_bytes(dims)
-            if node.is_leaf:
-                for entry_box, ref in node.entries:
-                    counters.elem_tests += 1
-                    if entry_box.intersects(box):
-                        results.append(ref)  # type: ignore[arg-type]
+            is_leaf, boxes, refs = self._node_arrays(stack.pop())
+            counters.bytes_touched += _HEADER_BYTES + refs.shape[0] * entry_bytes
+            overlap = ((boxes[:, 0] <= hi) & (lo <= boxes[:, 1])).all(axis=1)
+            hits = refs[overlap].tolist()
+            if is_leaf:
+                counters.elem_tests += refs.shape[0]
+                results.extend(hits)
             else:
-                for entry_box, child in node.entries:
-                    counters.node_tests += 1
-                    if entry_box.intersects(box):
-                        counters.pointer_follows += 1
-                        stack.append(child)  # type: ignore[arg-type]
+                counters.node_tests += refs.shape[0]
+                counters.pointer_follows += len(hits)
+                stack.extend(hits)
         return results
 
     def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
-        """One traversal for the whole batch (shared by the R* subclass).
+        """One traversal for the whole batch: each node is read at most once.
 
-        Each node is visited at most once per batch, carrying the subset of
-        queries whose boxes reach it; entry MBRs are tested against all
-        pending queries with one vectorized AABB-overlap kernel, and a child
-        is descended with exactly the queries that overlap its entry box.
+        Every node is visited carrying the subset of queries whose boxes
+        reach it; entry MBRs are tested against all of them with one
+        vectorized overlap kernel.  On a page store this amortizes page
+        reads over the batch — the per-query loop re-reads the upper levels
+        for every query (every one of them on a cold cache).
         """
         queries = as_box_array(boxes)
         m = queries.shape[0]
         if m == 0:
             return []
         results: list[list[int]] = [[] for _ in range(m)]
-        if self._size == 0:
+        if self._root is None:
             return results
-        dims = queries.shape[2]
-        if self._dims is not None and dims != self._dims:
-            raise ValueError(f"queries have {dims} dims, index has {self._dims}")
+        if queries.shape[2] != self._dims:
+            raise ValueError(f"queries have {queries.shape[2]} dims, index has {self._dims}")
         counters = self.counters
-        stack: list[tuple[Node, np.ndarray]] = [(self._root, np.arange(m))]
+        entry_bytes = 16 * queries.shape[2] + 8
+        stack: list[tuple[int, np.ndarray]] = [(self._root, np.arange(m))]
         while stack:
-            node, active = stack.pop()
-            if not node.entries:
+            page, active = stack.pop()
+            is_leaf, entry_boxes, refs = self._node_arrays(page)
+            if entry_boxes.shape[0] == 0:
                 continue
-            counters.bytes_touched += node.payload_bytes(dims)
-            entry_boxes = boxes_to_array([box for box, _ in node.entries])
-            overlap = batch_intersects(entry_boxes, queries[active])  # (entries, active queries)
-            if node.is_leaf:
+            counters.bytes_touched += _HEADER_BYTES + refs.shape[0] * entry_bytes
+            overlap = batch_intersects(entry_boxes, queries[active])
+            if is_leaf:
                 counters.elem_tests += overlap.size
                 rows, cols = np.nonzero(overlap)
-                for entry_i, query_i in zip(rows.tolist(), cols.tolist()):
-                    results[active[query_i]].append(node.entries[entry_i][1])  # type: ignore[arg-type]
+                for eid, query_i in zip(refs[rows].tolist(), active[cols].tolist()):
+                    results[query_i].append(eid)
             else:
                 counters.node_tests += overlap.size
-                for entry_i, (_, child) in enumerate(node.entries):
-                    sub = active[overlap[entry_i]]
+                for child, mask in zip(refs.tolist(), overlap):
+                    sub = active[mask]
                     if sub.size:
                         counters.pointer_follows += 1
-                        stack.append((child, sub))  # type: ignore[arg-type]
+                        stack.append((child, sub))
         return results
 
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
@@ -260,29 +359,36 @@ class RTree(SpatialIndex):
         id), and tied elements pop in id order — which realizes the
         deterministic ``(distance, id)`` contract exactly.
         """
-        if k <= 0 or self._size == 0:
+        if k <= 0 or self._root is None:
             return []
+        if len(point) != self._dims:
+            raise ValueError(f"point has {len(point)} dims, index has {self._dims}")
         counters = self.counters
-        dims = len(tuple(point))
-        heap: list[tuple[float, int, int, object]] = [(0.0, 0, 0, self._root)]
+        entry_bytes = 16 * len(point) + 8
+        heap: list[tuple[float, int, int, int]] = [(0.0, 0, 0, self._root)]
         tiebreak = 1
         results: list[tuple[float, int]] = []
         while heap and len(results) < k:
             dist, kind, _, ref = heapq.heappop(heap)
             counters.heap_ops += 1
             if kind == 1:
-                results.append((dist, ref))  # type: ignore[arg-type]
+                results.append((dist, ref))
                 continue
-            node: Node = ref  # type: ignore[assignment]
-            counters.bytes_touched += node.payload_bytes(dims)
-            for entry_box, child in node.entries:
-                if node.is_leaf:
-                    counters.elem_tests += 1
-                else:
-                    counters.node_tests += 1
-                entry_dist = entry_box.min_distance_to_point(point)
-                if node.is_leaf:
-                    heapq.heappush(heap, (entry_dist, 1, child, child))  # type: ignore[list-item]
+            # One tolist() per node view; the shared helper keeps the
+            # distances bit-identical to the AABB method's.
+            is_leaf, boxes, refs = self._node_arrays(ref)
+            counters.bytes_touched += _HEADER_BYTES + refs.shape[0] * entry_bytes
+            scored = [
+                (bounds_min_distance_to_point(lo, hi, point), child)
+                for (lo, hi), child in zip(boxes.tolist(), refs.tolist())
+            ]
+            if is_leaf:
+                counters.elem_tests += len(scored)
+            else:
+                counters.node_tests += len(scored)
+            for entry_dist, child in scored:
+                if is_leaf:
+                    heapq.heappush(heap, (entry_dist, 1, child, child))
                 else:
                     heapq.heappush(heap, (entry_dist, 0, tiebreak, child))
                     tiebreak += 1
@@ -290,46 +396,37 @@ class RTree(SpatialIndex):
         return results
 
     def batch_knn(self, points: np.ndarray | Sequence[Sequence[float]], k: int) -> list[KNNResult]:
-        """One shared best-first traversal per query chunk (R* inherits).
-
-        Each node is expanded at most once per chunk with the subset of
-        queries whose k-th-distance bound still reaches it; see
-        :mod:`repro.indexes.batch_knn`.
-        """
-        from repro.geometry.aabb import as_point_array
-        from repro.indexes.batch_knn import best_first_batch_knn
-
+        """One shared best-first traversal per query chunk: each node is read
+        at most once per chunk with the subset of queries whose k-th-distance
+        bound still reaches it; see :mod:`repro.indexes.batch_knn`."""
         pts = as_point_array(points)
         m = pts.shape[0]
         if m == 0:
             return []
-        if k <= 0 or self._size == 0:
+        if k <= 0 or self._root is None:
             return [[] for _ in range(m)]
-        if self._dims is not None and pts.shape[1] != self._dims:
+        if pts.shape[1] != self._dims:
             raise ValueError(f"points have {pts.shape[1]} dims, index has {self._dims}")
         counters = self.counters
-        dims = pts.shape[1]
-        # Entry arrays pack lazily per node and persist across batches (the
-        # steady-state analysis regime); mutations clear `_batch_pack`.
-        packed = self._batch_pack
+        entry_bytes = 16 * pts.shape[1] + 8
+        # The unpacked nodes are released after every chunk, so the state
+        # held stays bounded by a chunk's working set, not the tree (the
+        # bounded residency a DiskRTree's buffer pool models).
+        packed: dict[int, tuple[bool, np.ndarray, object]] = {}
 
         def expand(handle: object) -> tuple[bool, np.ndarray, object]:
-            node: Node = handle  # type: ignore[assignment]
-            cached = packed.get(id(node))
+            cached = packed.get(handle)  # type: ignore[arg-type]
             if cached is not None:
-                return cached[1:]
-            counters.bytes_touched += node.payload_bytes(dims)
-            boxes = boxes_to_array([box for box, _ in node.entries], dims=dims)
-            if node.is_leaf:
-                refs: object = np.fromiter(
-                    (ref for _, ref in node.entries), dtype=np.int64, count=len(node.entries)
-                )
-            else:
-                refs = [child for _, child in node.entries]
-            packed[id(node)] = (node, node.is_leaf, boxes, refs)
-            return packed[id(node)][1:]
+                return cached
+            is_leaf, boxes, ref_array = self._node_arrays(handle)  # type: ignore[arg-type]
+            counters.bytes_touched += _HEADER_BYTES + ref_array.shape[0] * entry_bytes
+            refs: object = ref_array if is_leaf else ref_array.tolist()
+            packed[handle] = (is_leaf, boxes, refs)  # type: ignore[index]
+            return packed[handle]  # type: ignore[index]
 
-        return best_first_batch_knn(pts, k, self._size, self._root, expand, counters)
+        return best_first_batch_knn(
+            pts, k, self._size, self._root, expand, counters, after_chunk=packed.clear
+        )
 
     # -- introspection -------------------------------------------------------------
 
@@ -342,302 +439,229 @@ class RTree(SpatialIndex):
 
     @property
     def node_count(self) -> int:
-        return self._node_count
+        return len(self._pages)
 
     def memory_bytes(self) -> int:
-        if self._dims is None:
-            return 0
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += node.payload_bytes(self._dims)
-            if not node.is_leaf:
-                stack.extend(child for _, child in node.entries)  # type: ignore[misc]
-        return total
+        """Bytes of the records this tree holds itself (a ``DiskRTree``'s
+        live in its page store: 0)."""
+        return sum(map(len, self._pages.values()))
 
     def root_mbr(self) -> AABB | None:
-        if not self._root.entries:
+        if self._root is None:
             return None
-        return self._root.mbr()
+        lo, hi = _mbr(self._node_arrays(self._root)[1]).tolist()
+        return AABB(lo, hi)
 
     def check_invariants(self) -> None:
-        """Validate structural invariants (tests call this after mutations)."""
-        self._check_node(self._root, self._height - 1, is_root=True)
+        """Validate the structure (tests call this after mutations): levels,
+        fill bounds, parent entries covering their children, the element
+        count, and a store holding exactly the reachable nodes."""
+        reachable = size = 0
+        stack = [] if self._root is None else [(self._root, self._height - 1, None)]
+        while stack:
+            page, level, cover = stack.pop()
+            reachable += 1
+            is_leaf, boxes, refs = self._node_arrays(page)
+            if is_leaf != (level == 0):
+                raise AssertionError(f"{'leaf' if is_leaf else 'inner node'} at level {level}")
+            if page != self._root and refs.shape[0] < self.min_entries:
+                raise AssertionError(f"underfull node: {refs.shape[0]} < {self.min_entries}")
+            if refs.shape[0] > self.max_entries:
+                raise AssertionError(f"overfull node: {refs.shape[0]} > {self.max_entries}")
+            if cover is not None:
+                mbr = _mbr(boxes)
+                if (mbr[0] < cover[0]).any() or (mbr[1] > cover[1]).any():
+                    raise AssertionError("parent entry box does not cover child MBR")
+            if is_leaf:
+                size += refs.shape[0]
+            else:
+                stack.extend((int(child), level - 1, boxes[i]) for i, child in enumerate(refs))
+        if size != self._size:
+            raise AssertionError(f"{size} elements reachable, {self._size} counted")
+        if reachable != self.node_count:
+            raise AssertionError(f"{reachable} nodes reachable, {self.node_count} stored")
 
     # -- internals ------------------------------------------------------------------
 
-    def _insert_entry(self, box: AABB, ref: object, target_level: int) -> None:
-        if target_level > self._height - 1:
-            # The tree shrank below the orphan's level during condensation;
-            # fall back to reinserting the subtree's elements one by one.
-            for eid, elem_box in _collect_leaf_items(ref):  # type: ignore[arg-type]
-                self._insert_entry(elem_box, eid, target_level=0)
-            return
-        split = self._insert_recursive(self._root, self._height - 1, box, ref, target_level)
+    def _insert_entry(self, box: np.ndarray, ref: int, level: int) -> None:
+        """Insert one entry into a node at ``level`` (0: an element into a
+        leaf), growing a new root on a root split."""
+        mbr, split = self._insert_recursive(self._root, self._height - 1, box, ref, level)
         if split is not None:
-            left_box, right_node = split
-            old_root = self._root
-            self._root = Node(
-                is_leaf=False,
-                entries=[(left_box, old_root), (right_node.mbr(), right_node)],
+            sibling_mbr, sibling = split
+            self._root = self._allocate_arrays(
+                False,
+                np.stack([mbr, sibling_mbr]),
+                np.array([self._root, sibling], dtype=np.int64),
             )
             self._height += 1
-            self._node_count += 1
 
     def _insert_recursive(
-        self, node: Node, level: int, box: AABB, ref: object, target_level: int
-    ) -> tuple[AABB, Node] | None:
-        """Insert and return ``(this_node_new_mbr_entry, split_sibling)`` info.
-
-        Returns ``None`` when no split happened; otherwise the caller must
-        add the sibling.  The caller is responsible for refreshing its entry
-        box for ``node`` (done via :meth:`Node.mbr`).
-        """
+        self, page: int, level: int, box: np.ndarray, ref: int, target_level: int
+    ) -> tuple[np.ndarray, tuple[np.ndarray, int] | None]:
+        """Insert below ``page``; returns the node's new MBR and, after a
+        split, ``(sibling MBR, sibling page)`` for the caller to add."""
+        is_leaf, boxes, refs = self._node_arrays(page)
         if level == target_level:
-            node.entries.append((box, ref))
+            boxes = np.concatenate([boxes, box[None]])
+            refs = np.append(refs, np.int64(ref))
         else:
-            index = self._choose_subtree(node, box, level)
-            _, child = node.entries[index]
-            child_split = self._insert_recursive(child, level - 1, box, ref, target_level)
-            node.entries[index] = (child.mbr(), child)  # type: ignore[union-attr]
-            if child_split is not None:
-                _, sibling = child_split
-                node.entries.append((sibling.mbr(), sibling))
-        if len(node.entries) > self.max_entries:
-            return self._handle_overflow(node, level)
-        return None
+            best = self._choose_subtree(boxes, box, level)
+            child_mbr, split = self._insert_recursive(
+                int(refs[best]), level - 1, box, ref, target_level
+            )
+            # Copy out of the read-only view before patching this node.
+            boxes = boxes.copy()
+            boxes[best] = child_mbr
+            if split is not None:
+                boxes = np.concatenate([boxes, split[0][None]])
+                refs = np.append(refs, np.int64(split[1]))
+        if refs.shape[0] > self.max_entries:
+            return self._handle_overflow(page, level, is_leaf, boxes, refs)
+        self._write_arrays(page, is_leaf, boxes, refs)
+        return _mbr(boxes), None
 
-    def _handle_overflow(self, node: Node, level: int) -> tuple[AABB, Node] | None:
-        """Resolve an overfull node; base behaviour is to split.
+    def _handle_overflow(
+        self, page: int, level: int, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, int] | None]:
+        """Resolve an overfull node; the base rule splits it in two.
 
-        Subclasses (the R*-tree) override this to try forced reinsertion
-        first.  Returning ``None`` means the overflow was resolved without a
-        split; otherwise the caller adds the returned sibling.
+        The R*-tree overrides this to try forced reinsertion first, which
+        returns no sibling.
         """
-        sibling = self._split(node)
-        self._node_count += 1
-        return (node.mbr(), sibling)
+        keep, move = self._split(boxes)
+        self._write_arrays(page, is_leaf, boxes[keep], refs[keep])
+        sibling = self._allocate_arrays(is_leaf, boxes[move], refs[move])
+        return _mbr(boxes[keep]), (_mbr(boxes[move]), sibling)
 
-    def _choose_subtree(self, node: Node, box: AABB, level: int) -> int:
-        """Guttman's criterion: least enlargement, then least volume."""
-        best_index = 0
-        best_key: tuple[float, float] | None = None
-        for i, (entry_box, _) in enumerate(node.entries):
-            key = (entry_box.enlargement(box), entry_box.volume())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = i
-        return best_index
+    def _choose_subtree(self, boxes: np.ndarray, box: np.ndarray, level: int) -> int:
+        return _least_enlargement(boxes, box)
 
-    def _split(self, node: Node) -> Node:
-        """Split ``node`` in place, returning the new sibling."""
-        if self.split_algorithm == "quadratic":
-            group_a, group_b = _quadratic_split(node.entries, self.min_entries)
-        else:
-            group_a, group_b = _linear_split(node.entries, self.min_entries)
-        node.entries = group_a
-        return Node(is_leaf=node.is_leaf, entries=group_b)
+    def _split(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row groups ``(kept, moved to the sibling)`` of an overfull node."""
+        return _quadratic_split(boxes, self.min_entries)
 
     def _delete_recursive(
         self,
-        node: Node,
+        page: int,
         level: int,
         eid: int,
-        box: AABB,
-        orphans: list[tuple[int, tuple[AABB, object]]],
+        box: np.ndarray,
+        orphans: list[tuple[int, np.ndarray, int]],
     ) -> bool:
-        if node.is_leaf:
-            for i, (entry_box, ref) in enumerate(node.entries):
-                if ref == eid and entry_box == box:
-                    del node.entries[i]
-                    return True
-            return False
-        for i, (entry_box, child) in enumerate(node.entries):
-            self.counters.node_tests += 1
-            if not entry_box.intersects(box):
+        is_leaf, boxes, refs = self._node_arrays(page)
+        if is_leaf:
+            hits = np.flatnonzero((refs == eid) & (boxes == box).all(axis=(1, 2)))
+            if hits.shape[0] == 0:
+                return False
+            keep = np.ones(refs.shape[0], dtype=bool)
+            keep[hits[0]] = False
+            self._write_arrays(page, True, boxes[keep], refs[keep])
+            return True
+        reach = ((boxes[:, 0] <= box[1]) & (box[0] <= boxes[:, 1])).all(axis=1)
+        for i in np.flatnonzero(reach).tolist():
+            child = int(refs[i])
+            if not self._delete_recursive(child, level - 1, eid, box, orphans):
                 continue
-            if self._delete_recursive(child, level - 1, eid, box, orphans):  # type: ignore[arg-type]
-                child_node: Node = child  # type: ignore[assignment]
-                if len(child_node.entries) < self.min_entries:
-                    # Condense: dissolve the child, reinsert its entries later.
-                    del node.entries[i]
-                    self._node_count -= 1
-                    # The child sits at level-1; its entries belong in nodes
-                    # of exactly that level (elements for a leaf child,
-                    # level-2 subtrees for an inner child).
-                    for entry in child_node.entries:
-                        orphans.append((level - 1, entry))
-                    # Make the detached node inert: external structures that
-                    # cache node references (the bottom-up leaf map) must not
-                    # mistake it for a live container.
-                    child_node.entries = []
-                else:
-                    node.entries[i] = (child_node.mbr(), child_node)
-                return True
+            # Entries are tested in order until the one holding the element.
+            self.counters.node_tests += i + 1
+            _, child_boxes, child_refs = self._node_arrays(child)
+            if child_refs.shape[0] < self.min_entries:
+                # Condense: dissolve the child and reinsert its entries (at
+                # the child's own level) once the delete is done.
+                orphans.extend(
+                    (level - 1, entry_box, int(ref))
+                    for entry_box, ref in zip(child_boxes.copy(), child_refs.tolist())
+                )
+                self._free(child)
+                keep = np.ones(refs.shape[0], dtype=bool)
+                keep[i] = False
+                self._write_arrays(page, False, boxes[keep], refs[keep])
+            else:
+                new_boxes = boxes.copy()
+                new_boxes[i] = _mbr(child_boxes)
+                self._write_arrays(page, False, new_boxes, refs)
+            return True
+        self.counters.node_tests += refs.shape[0]
         return False
 
-    def _check_node(self, node: Node, level: int, is_root: bool) -> None:
-        if node.is_leaf:
-            if level != 0:
-                raise AssertionError(f"leaf found at level {level}")
+
+def _mbr(boxes: np.ndarray) -> np.ndarray:
+    """The ``(2, d)`` bounding box of an ``(n, 2, d)`` box array."""
+    return np.stack([boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)])
+
+
+def _volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Box volumes over the last axis; ``multiply.reduce`` folds left to
+    right like the scalar :meth:`AABB.volume` loop, so the bits match."""
+    return np.multiply.reduce(hi - lo, axis=-1)
+
+
+def _least_enlargement(boxes: np.ndarray, box: np.ndarray) -> int:
+    """Guttman's subtree choice over a ``(n, 2, d)`` box array: least volume
+    enlargement, ties by volume, then by the first index (stable lexsort)."""
+    volumes = _volumes(boxes[:, 0], boxes[:, 1])
+    joined = _volumes(np.minimum(boxes[:, 0], box[0]), np.maximum(boxes[:, 1], box[1]))
+    return int(np.lexsort((volumes, joined - volumes))[0])
+
+
+def _quadratic_split(boxes: np.ndarray, min_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guttman's quadratic split of an ``(n, 2, d)`` box array into row
+    groups ``(a, b)``.
+
+    The seeds waste the most dead space: the first pair, in row-major
+    order, of one ``(n, n)`` matrix whose value beats -1.0 (pair ``(0, 1)``
+    when none does).  Group a starts from the later seed.  ``PickNext``
+    takes the first remaining entry with the largest enlargement difference
+    and gives it to the group it enlarges less, then the smaller group,
+    then the one with fewer entries; a group that needs every remaining
+    entry to reach ``min_entries`` takes them in order.
+    """
+    n = boxes.shape[0]
+    lo, hi = boxes[:, 0], boxes[:, 1]
+    volumes = _volumes(lo, hi)
+    dead = (
+        _volumes(np.minimum(lo[:, None], lo[None]), np.maximum(hi[:, None], hi[None]))
+        - volumes[:, None]
+        - volumes[None, :]
+    )
+    dead[np.tril_indices(n)] = -np.inf
+    flat = int(np.argmax(dead))
+    seed_b, seed_a = divmod(flat, n) if dead.flat[flat] > -1.0 else (0, 1)
+    groups: tuple[list[int], list[int]] = ([seed_a], [seed_b])
+    bounds = [boxes[seed_a].copy(), boxes[seed_b].copy()]
+    remaining = np.delete(np.arange(n), [seed_b, seed_a])
+    while remaining.shape[0]:
+        for group in groups:
+            if len(group) + remaining.shape[0] <= min_entries:
+                group.extend(remaining.tolist())
+                return np.array(groups[0]), np.array(groups[1])
+        r_lo, r_hi = lo[remaining], hi[remaining]
+        grown = [
+            _volumes(np.minimum(r_lo, b[0]), np.maximum(r_hi, b[1])) - _volumes(b[0], b[1])
+            for b in bounds
+        ]
+        pick = int(np.argmax(np.abs(grown[0] - grown[1])))
+        grow_a, grow_b = grown[0][pick], grown[1][pick]
+        vol_a, vol_b = _volumes(bounds[0][0], bounds[0][1]), _volumes(bounds[1][0], bounds[1][1])
+        if grow_a != grow_b:
+            to_a = grow_a < grow_b
+        elif vol_a != vol_b:
+            to_a = vol_a < vol_b
         else:
-            if level <= 0:
-                raise AssertionError("inner node at leaf level")
-        if not is_root and len(node.entries) < self.min_entries:
-            raise AssertionError(
-                f"underfull node: {len(node.entries)} < {self.min_entries}"
-            )
-        if len(node.entries) > self.max_entries:
-            raise AssertionError(
-                f"overfull node: {len(node.entries)} > {self.max_entries}"
-            )
-        if not node.is_leaf:
-            for entry_box, child in node.entries:
-                child_node: Node = child  # type: ignore[assignment]
-                if not entry_box.contains_box(child_node.mbr()):
-                    raise AssertionError("parent entry box does not cover child MBR")
-                self._check_node(child_node, level - 1, is_root=False)
+            to_a = len(groups[0]) <= len(groups[1])
+        side = 0 if to_a else 1
+        row = int(remaining[pick])
+        remaining = np.delete(remaining, pick)
+        groups[side].append(row)
+        np.minimum(bounds[side][0], lo[row], out=bounds[side][0])
+        np.maximum(bounds[side][1], hi[row], out=bounds[side][1])
+    return np.array(groups[0]), np.array(groups[1])
 
 
-def _collect_leaf_items(node: Node) -> list[tuple[int, AABB]]:
-    """All (eid, box) element entries beneath ``node``."""
-    items: list[tuple[int, AABB]] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            items.extend((ref, box) for box, ref in current.entries)  # type: ignore[misc]
-        else:
-            stack.extend(child for _, child in current.entries)  # type: ignore[misc]
-    return items
-
-
-# -- split algorithms (module-level so R* and tests can reuse them) -------------
-
-
-def _quadratic_split(
-    entries: list[tuple[AABB, object]], min_entries: int
-) -> tuple[list[tuple[AABB, object]], list[tuple[AABB, object]]]:
-    """Guttman's quadratic split: seeds maximize dead space, the rest follow
-    the group whose MBR they enlarge least."""
-    seed_a, seed_b = _pick_seeds_quadratic(entries)
-    first = max(seed_a, seed_b)
-    second = min(seed_a, seed_b)
-    remaining = list(entries)
-    entry_a = remaining.pop(first)
-    entry_b = remaining.pop(second)
-    group_a = [entry_a]
-    group_b = [entry_b]
-    box_a = entry_a[0]
-    box_b = entry_b[0]
-    while remaining:
-        # Force assignment when one group must absorb all remaining entries.
-        if len(group_a) + len(remaining) <= min_entries:
-            group_a.extend(remaining)
-            break
-        if len(group_b) + len(remaining) <= min_entries:
-            group_b.extend(remaining)
-            break
-        index, prefer_a = _pick_next(remaining, box_a, box_b, len(group_a), len(group_b))
-        entry = remaining.pop(index)
-        if prefer_a:
-            group_a.append(entry)
-            box_a = box_a.union(entry[0])
-        else:
-            group_b.append(entry)
-            box_b = box_b.union(entry[0])
-    return group_a, group_b
-
-
-def _pick_seeds_quadratic(entries: list[tuple[AABB, object]]) -> tuple[int, int]:
-    worst = -1.0
-    seeds = (0, 1)
-    for i in range(len(entries)):
-        box_i = entries[i][0]
-        for j in range(i + 1, len(entries)):
-            box_j = entries[j][0]
-            dead = box_i.union(box_j).volume() - box_i.volume() - box_j.volume()
-            if dead > worst:
-                worst = dead
-                seeds = (i, j)
-    return seeds
-
-
-def _pick_next(
-    remaining: list[tuple[AABB, object]],
-    box_a: AABB,
-    box_b: AABB,
-    size_a: int,
-    size_b: int,
-) -> tuple[int, bool]:
-    best_index = 0
-    best_diff = -1.0
-    best_prefer_a = True
-    for i, (box, _) in enumerate(remaining):
-        enlarge_a = box_a.enlargement(box)
-        enlarge_b = box_b.enlargement(box)
-        diff = abs(enlarge_a - enlarge_b)
-        if diff > best_diff:
-            best_diff = diff
-            best_index = i
-            if enlarge_a != enlarge_b:
-                best_prefer_a = enlarge_a < enlarge_b
-            elif box_a.volume() != box_b.volume():
-                best_prefer_a = box_a.volume() < box_b.volume()
-            else:
-                best_prefer_a = size_a <= size_b
-    return best_index, best_prefer_a
-
-
-def _linear_split(
-    entries: list[tuple[AABB, object]], min_entries: int
-) -> tuple[list[tuple[AABB, object]], list[tuple[AABB, object]]]:
-    """Guttman's linear split: seeds with greatest normalized separation."""
-    dims = entries[0][0].dims
-    best_separation = -1.0
-    seeds = (0, 1)
-    for axis in range(dims):
-        highest_lo = max(range(len(entries)), key=lambda i: entries[i][0].lo[axis])
-        lowest_hi = min(range(len(entries)), key=lambda i: entries[i][0].hi[axis])
-        if highest_lo == lowest_hi:
-            continue
-        span_hi = max(box.hi[axis] for box, _ in entries)
-        span_lo = min(box.lo[axis] for box, _ in entries)
-        width = span_hi - span_lo
-        if width <= 0.0:
-            continue
-        separation = (entries[highest_lo][0].lo[axis] - entries[lowest_hi][0].hi[axis]) / width
-        if separation > best_separation:
-            best_separation = separation
-            seeds = (lowest_hi, highest_lo)
-    first = max(seeds)
-    second = min(seeds)
-    if first == second:
-        first, second = 1, 0
-    remaining = list(entries)
-    entry_a = remaining.pop(first)
-    entry_b = remaining.pop(second)
-    group_a = [entry_a]
-    group_b = [entry_b]
-    box_a = entry_a[0]
-    box_b = entry_b[0]
-    for entry in remaining:
-        if len(group_a) + 1 <= min_entries and len(group_a) <= len(group_b):
-            group_a.append(entry)
-            box_a = box_a.union(entry[0])
-            continue
-        if box_a.enlargement(entry[0]) <= box_b.enlargement(entry[0]):
-            group_a.append(entry)
-            box_a = box_a.union(entry[0])
-        else:
-            group_b.append(entry)
-            box_b = box_b.union(entry[0])
-    if len(group_b) < min_entries:
-        # Rebalance by moving the cheapest tail entries over.
-        while len(group_b) < min_entries:
-            group_b.append(group_a.pop())
-    if len(group_a) < min_entries:
-        while len(group_a) < min_entries:
-            group_a.append(group_b.pop())
-    return group_a, group_b
+def _check_finite(boxes: np.ndarray) -> None:
+    """Refuse NaN or ±inf coordinates before any node is written: a NaN
+    carried into a parent MBR by ``minimum``/``maximum`` cuts its subtree
+    off from every query."""
+    if not np.isfinite(boxes).all():
+        raise ValueError("box coordinates must be finite")

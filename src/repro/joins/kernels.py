@@ -21,8 +21,10 @@ Three families:
   pre-gathered replica arrays whose keys carry the first mask in their low
   bits — the kernel the out-of-core PBSM streams spilled partitions
   through; both run :func:`_merge_replicas`.
-* :func:`tree_pairs` — candidate generation over an STR-packed R-tree with
-  the *carried-query-set* traversal of :mod:`repro.indexes.batch_knn`: every
+* :func:`tree_pairs` — candidate generation over an STR-packed
+  :class:`~repro.indexes.rtree.RTree` (:func:`str_tree`, which TOUCH builds
+  too) with the *carried-query-set* traversal of
+  :mod:`repro.indexes.batch_knn`, reading its node records directly: every
   node is expanded at most once per batch with the subset of probes whose
   per-probe gap bound still reaches it.  With bounds of 0 this is a batched
   intersection join; with bounds of ε it is the distance join's filter, no
@@ -45,11 +47,11 @@ from repro.core.uniform_grid import (
     _walk_cells,
     box_columns,
 )
-from repro.geometry.aabb import batch_intersects, boxes_to_array
+from repro.geometry.aabb import batch_intersects
 from repro.geometry.refine import batch_box_gaps
+from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
-from repro.indexes.bulkload import str_pack
-from repro.indexes.rtree import Node
+from repro.indexes.rtree import RTree
 from repro.instrumentation.counters import Counters
 
 # Bool-matrix entries per all-pairs block; 1 << 24 keeps each block around
@@ -286,6 +288,15 @@ def replica_tile_pairs(
 # -- STR-tree carried-set traversal --------------------------------------------
 
 
+def str_tree(items: Sequence[Item] | BoxTable, max_entries: int) -> RTree:
+    """An STR-packed :class:`~repro.indexes.rtree.RTree` over one join side
+    (the join plane has already refused non-finite boxes and repeated ids)."""
+    table = BoxTable.of(items)
+    tree = RTree(max_entries=max_entries)
+    tree._pack_arrays(table.boxes, table.eids)
+    return tree
+
+
 def tree_pairs(
     items_a: Sequence[Item],
     probe_boxes: np.ndarray,
@@ -309,32 +320,13 @@ def tree_pairs(
     m = probe_boxes.shape[0]
     if m == 0 or not items_a:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    root, _height, _count = str_pack(list(items_a), max_entries, Node)
-    root_node: Node = root  # type: ignore[assignment]
-    packed: dict[int, tuple[bool, np.ndarray, object]] = {}
-
-    def expand(node: Node) -> tuple[bool, np.ndarray, object]:
-        cached = packed.get(id(node))
-        if cached is not None:
-            return cached
-        boxes = boxes_to_array([box for box, _ in node.entries])
-        if node.is_leaf:
-            refs: object = np.fromiter(
-                (ref for _, ref in node.entries), dtype=np.int64, count=len(node.entries)
-            )
-        else:
-            refs = [child for _, child in node.entries]
-        packed[id(node)] = (node.is_leaf, boxes, refs)
-        return packed[id(node)]
-
+    tree = str_tree(items_a, max_entries)
     out_probes: list[np.ndarray] = []
     out_eids: list[np.ndarray] = []
-    stack: list[tuple[Node, np.ndarray]] = [(root_node, np.arange(m, dtype=np.int64))]
+    stack: list[tuple[int, np.ndarray]] = [(tree._root, np.arange(m, dtype=np.int64))]
     while stack:
-        node, carried = stack.pop()
-        is_leaf, entry_boxes, refs = expand(node)
-        if entry_boxes.shape[0] == 0:
-            continue
+        page, carried = stack.pop()
+        is_leaf, entry_boxes, refs = tree._node_arrays(page)
         gaps = batch_box_gaps(probe_boxes[carried, None], entry_boxes[None])
         within = gaps <= bounds[carried][:, None]
         if is_leaf:
@@ -343,10 +335,10 @@ def tree_pairs(
             rows, cols = np.nonzero(within)
             if rows.shape[0]:
                 out_probes.append(carried[rows])
-                out_eids.append(refs[cols])  # type: ignore[index]
+                out_eids.append(refs[cols])
         else:
             counters.node_tests += gaps.size
-            for entry_i, child in enumerate(refs):  # type: ignore[arg-type]
+            for entry_i, child in enumerate(refs.tolist()):
                 sub = carried[within[:, entry_i]]
                 if sub.shape[0]:
                     counters.pointer_follows += 1

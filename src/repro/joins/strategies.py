@@ -47,11 +47,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.uniform_grid import UniformGrid
-from repro.geometry.aabb import AABB, union_all
+from repro.geometry.aabb import AABB, batch_intersects, union_all
 from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
-from repro.indexes.bulkload import str_pack
-from repro.indexes.rtree import Node
 from repro.instrumentation.counters import Counters
 from repro.joins import kernels
 
@@ -397,8 +395,8 @@ def _window_keys(lo: tuple[int, ...], hi: tuple[int, ...]):
 
 class _TreeBacked(JoinStrategy):
     def __init__(self, max_entries: int = 16) -> None:
-        if max_entries < 2:
-            raise ValueError(f"max_entries must be >= 2, got {max_entries}")
+        if max_entries < 4:
+            raise ValueError(f"max_entries must be >= 4, got {max_entries}")
         self.max_entries = max_entries
 
 
@@ -456,53 +454,54 @@ class TouchJoin(_TreeBacked):
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
-        root, _height, _count = str_pack(list(items_a), self.max_entries, Node)
-        root_node: Node = root  # type: ignore[assignment]
-        buckets: dict[int, list[Item]] = {}
-
-        for eid_b, box_b in items_b:
-            # Descend while exactly one child MBR intersects the element:
-            # only then is the whole candidate set guaranteed to be in one
-            # subtree.  Zero intersecting children means no A element can
-            # match — drop.
-            node = root_node
-            placed = True
-            while not node.is_leaf:
-                hits: list[Node] = []
-                for entry_box, child in node.entries:
-                    counters.node_tests += 1
-                    if entry_box.intersects(box_b):
-                        hits.append(child)  # type: ignore[arg-type]
-                        if len(hits) > 1:
-                            break
-                if not hits:
-                    placed = False
-                    break
-                if len(hits) > 1:
-                    break
-                node = hits[0]
-            if placed:
-                buckets.setdefault(id(node), []).append((eid_b, box_b))
+        tree = kernels.str_tree(items_a, self.max_entries)
+        table_b = BoxTable.of(items_b)
+        # Assign: B descends all at once.  A row moves down while exactly one
+        # child MBR intersects its box (only then is its whole candidate set
+        # in one subtree), stays where two or more do (testing stops at the
+        # second hit) and is dropped where none does: no A element can match.
+        buckets: dict[int, np.ndarray] = {}
+        stack = [(tree._root, np.arange(len(table_b)))]
+        while stack:
+            page, rows = stack.pop()
+            is_leaf, boxes, refs = tree._node_arrays(page)
+            if is_leaf:
+                buckets[page] = rows
+                continue
+            hit = batch_intersects(boxes, table_b.boxes[rows])  # (entries, rows)
+            seen = np.cumsum(hit, axis=0)
+            many = seen[-1] > 1
+            counters.node_tests += int(
+                np.where(many, np.argmax(seen > 1, axis=0) + 1, hit.shape[0]).sum()
+            )
+            if many.any():
+                buckets[page] = rows[many]
+            sole = np.where(seen[-1] == 1, np.argmax(hit, axis=0), -1)
+            for entry_i, child in enumerate(refs.tolist()):
+                sub = rows[sole == entry_i]
+                if sub.shape[0]:
+                    stack.append((child, sub))
 
         pairs: Pairs = []
-        self._probe(root_node, [], buckets, pairs, counters)
+        self._probe(tree, tree._root, [], buckets, table_b, pairs, counters)
         return pairs
 
-    def _probe(self, node: Node, ancestors, buckets, pairs, counters) -> None:
-        own = buckets.get(id(node))
-        if own:
+    def _probe(self, tree, page, ancestors, buckets, table_b, pairs, counters) -> None:
+        """Each leaf's A elements against the B rows assigned along its path,
+        in tree order, A element by A element."""
+        own = buckets.get(page)
+        if own is not None:
             ancestors = ancestors + [own]
-        if node.is_leaf:
-            if ancestors:
-                for box_a, eid_a in node.entries:
-                    for bucket in ancestors:
-                        for eid_b, box_b in bucket:
-                            counters.comparisons += 1
-                            if box_a.intersects(box_b):
-                                pairs.append((eid_a, eid_b))
+        is_leaf, boxes, refs = tree._node_arrays(page)
+        if not is_leaf:
+            for child in refs.tolist():
+                self._probe(tree, child, ancestors, buckets, table_b, pairs, counters)
             return
-        for _, child in node.entries:
-            self._probe(child, ancestors, buckets, pairs, counters)  # type: ignore[arg-type]
+        if ancestors:
+            rows = np.concatenate(ancestors)
+            counters.comparisons += refs.shape[0] * rows.shape[0]
+            a_at, b_at = np.nonzero(batch_intersects(boxes, table_b.boxes[rows]))
+            pairs.extend(zip(refs[a_at].tolist(), table_b.eids[rows[b_at]].tolist()))
 
 
 # -- tiny-cell self join -----------------------------------------------------------

@@ -13,13 +13,14 @@ element → leaf map and tries to patch the leaf in place:
   (splits/condenses relocate entries): fall back to a classic
   delete + insert.
 
+The map holds each element's leaf *page* in the R-tree's record store.
 Staleness is handled by *verification, not invalidation*: the fast path
-checks that ``(old_box, eid)`` is actually present in the cached leaf, so a
-stale pointer can only cause a slow-path detour, never a lost element
-(detached leaves are emptied by the R-tree on condensation).  When escapes
-accumulate past ``refresh_threshold`` the map is rebuilt wholesale, restoring
-the fast path — the same amortization real bottom-up trees get from parent
-pointers.
+checks that the page is still a stored leaf holding ``(old_box, eid)``, so
+a stale pointer can only cause a slow-path detour, never a lost element
+(the R-tree frees a leaf's page when condensation dissolves it).  When
+escapes accumulate past ``refresh_threshold`` the map is rebuilt wholesale,
+restoring the fast path — the same amortization real bottom-up trees get
+from parent pointers.
 
 Under simulation motion almost every move is tiny, so the in-place path
 dominates — :attr:`BottomUpRTree.in_place_updates` vs
@@ -31,9 +32,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.aabb import AABB
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
-from repro.indexes.rtree import Node, RTree
+from repro.indexes.rtree import RTree, _check_finite, _mbr
 from repro.instrumentation.counters import Counters
 
 
@@ -51,8 +54,8 @@ class BottomUpRTree(SpatialIndex):
             raise ValueError(f"refresh_fraction must be in (0,1], got {refresh_fraction}")
         self._tree = RTree(max_entries=max_entries, counters=self.counters)
         self.refresh_fraction = refresh_fraction
-        # eid -> owning leaf node (verified before every use)
-        self._leaf_of: dict[int, Node] = {}
+        # eid -> owning leaf page (verified before every use)
+        self._leaf_of: dict[int, int] = {}
         self._boxes: dict[int, AABB] = {}
         self._escapes_since_refresh = 0
         self.in_place_updates = 0
@@ -63,14 +66,15 @@ class BottomUpRTree(SpatialIndex):
     def refresh_map(self) -> None:
         """Rebuild the element → leaf map from the live tree."""
         self._leaf_of = {}
-        stack = [self._tree._root]
+        tree = self._tree
+        stack = [] if tree._root is None else [tree._root]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for _box, ref in node.entries:
-                    self._leaf_of[ref] = node  # type: ignore[index]
+            page = stack.pop()
+            is_leaf, _, refs = tree._node_arrays(page)
+            if is_leaf:
+                self._leaf_of.update(dict.fromkeys(refs.tolist(), page))
             else:
-                stack.extend(child for _, child in node.entries)  # type: ignore[misc]
+                stack.extend(refs.tolist())
         self._escapes_since_refresh = 0
 
     def _note_escape(self) -> None:
@@ -108,19 +112,15 @@ class BottomUpRTree(SpatialIndex):
         """Patch the owning leaf in place when the leaf MBR still covers."""
         if eid not in self._boxes or self._boxes[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
-        leaf = self._leaf_of.get(eid)
-        if leaf is not None and leaf.entries:
-            slot = None
-            for i, (entry_box, ref) in enumerate(leaf.entries):
-                if ref == eid and entry_box == old_box:
-                    slot = i
-                    break
-            if slot is not None and leaf.mbr().contains_box(new_box):
-                leaf.entries[slot] = (new_box, eid)
-                self._boxes[eid] = new_box
-                self.in_place_updates += 1
-                self.counters.updates += 1
-                return
+        if new_box.dims != old_box.dims:
+            raise ValueError(f"box has {new_box.dims} dims, index has {old_box.dims}")
+        new = np.array([new_box.lo, new_box.hi], dtype=np.float64)
+        _check_finite(new)
+        if self._patch_leaf(eid, old_box, new):
+            self._boxes[eid] = new_box
+            self.in_place_updates += 1
+            self.counters.updates += 1
+            return
         # Escaped the leaf MBR, or the map entry went stale: classic path.
         self._tree.delete(eid, old_box)
         self._tree.insert(eid, new_box)
@@ -129,6 +129,27 @@ class BottomUpRTree(SpatialIndex):
         self.structural_updates += 1
         self.counters.updates += 1
         self._note_escape()
+
+    def _patch_leaf(self, eid: int, old_box: AABB, new: np.ndarray) -> bool:
+        """Rewrite the element's row in its mapped leaf when the page still
+        holds ``(eid, old_box)`` and the leaf's MBR covers the ``(2, d)``
+        box ``new``."""
+        tree = self._tree
+        page = self._leaf_of.get(eid)
+        if page is None or page not in tree._pages:
+            return False
+        is_leaf, boxes, refs = tree._node_arrays(page)
+        old = np.array([old_box.lo, old_box.hi], dtype=np.float64)
+        slots = np.flatnonzero((refs == eid) & (boxes == old).all(axis=(1, 2)))
+        if not is_leaf or slots.shape[0] == 0:
+            return False
+        mbr = _mbr(boxes)
+        if (new[0] < mbr[0]).any() or (new[1] > mbr[1]).any():
+            return False
+        boxes = boxes.copy()
+        boxes[slots[0]] = new
+        tree._write_arrays(page, True, boxes, refs)
+        return True
 
     # -- queries -------------------------------------------------------------------------
 

@@ -7,6 +7,8 @@ Pinned here:
   dirt, batch answers (ids and order) and every counter — for batches below
   and above the compaction threshold, on base and overlay rows;
 * a batch the grid refuses mutates nothing (grid, snapshot, counters);
+* a read that lands inside a batch answers the state before it, and the
+  writer still places the whole batch;
 * the default implementation equals the loop on every registry index, refuses
   a repeated id up front and is otherwise *not* atomic.
 """
@@ -173,6 +175,40 @@ class TestRefusedBatchMutatesNothing:
         # Documented: the default is the update loop, so the first move stuck.
         assert index.counters.updates == 1 and a not in index.range_query(box_a)
         assert a in index.range_query(moved_a) and b in index.range_query(box_b)
+
+
+class TestAReadInsideTheBatch:
+    """A read that runs while ``apply_moves`` writes the boxes (here: called
+    from the element map's ``__setitem__`` half-way through, the point a
+    thread switch could land) settles no part of the batch: it answers the
+    state before the step, and the writer places every move."""
+
+    @pytest.mark.parametrize("size", [40, 400])  # below and past compaction
+    def test_the_read_sees_the_step_before_and_the_writer_loses_nothing(self, size):
+        items = make_items(2000, universe=UNIVERSE, max_extent=1.0, seed=9)
+        grid = loaded_grid(items)
+        state = dict(items)
+        rng = np.random.default_rng(9)
+        grid.update(*move_batch(rng, state, 1)[0])  # an earlier logged move
+        oracle = LinearScan()
+        oracle.bulk_load(state.items())
+        expected = oracle.batch_knn(PROBE_POINTS, 6)
+        moves = move_batch(rng, state, size)
+        seen = []
+
+        class ReadHalfWay(dict):
+            def __setitem__(self, eid, box):
+                super().__setitem__(eid, box)
+                if len(seen) == 0 and eid == moves[size // 2][0]:
+                    seen.append(grid.batch_knn(PROBE_POINTS, 6))
+
+        grid._boxes = ReadHalfWay(grid._boxes)
+        grid.apply_moves(moves)
+        assert seen == [expected]
+        eids, boxes = grid.export_items()
+        stored = {eid: (tuple(lo), tuple(hi)) for eid, (lo, hi) in zip(eids.tolist(), boxes.tolist())}
+        assert stored == {eid: (box.lo, box.hi) for eid, box in grid.boxes.items()}
+        assert stored == {eid: (box.lo, box.hi) for eid, box in state.items()}
 
 
 def registry_items(name: str):

@@ -5,65 +5,71 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.aabb import AABB
-from repro.indexes.bulkload import _tile_recursive, str_pack, tile_arrays
-from repro.indexes.rtree import Node
+from repro.indexes.bulkload import _tile_recursive, tile_arrays
+from repro.indexes.rtree import RTree
 
 from conftest import make_items
 
 
-def _collect(root):
+def _collect(tree):
     """(item ids, max entries seen, leaf count) of a packed tree."""
     ids = []
     max_fill = 0
     leaves = 0
-    stack = [root]
+    stack = [tree._root]
     while stack:
-        node = stack.pop()
-        max_fill = max(max_fill, len(node.entries))
-        if node.is_leaf:
+        is_leaf, _, refs = tree._node_arrays(stack.pop())
+        max_fill = max(max_fill, refs.shape[0])
+        if is_leaf:
             leaves += 1
-            ids.extend(ref for _, ref in node.entries)
+            ids.extend(refs.tolist())
         else:
-            stack.extend(child for _, child in node.entries)
+            stack.extend(refs.tolist())
     return ids, max_fill, leaves
 
 
-class TestStrPack:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            str_pack([], 8, Node)
-
-    def test_rejects_capacity_one(self):
-        with pytest.raises(ValueError):
-            str_pack(make_items(5), 1, Node)
-
+class TestStrBulkLoad:
     def test_single_item(self):
-        root, height, count = str_pack(make_items(1), 8, Node)
-        assert height == 1
-        assert count == 1
-        assert root.is_leaf
+        tree = RTree(max_entries=8)
+        tree.bulk_load(make_items(1))
+        assert (tree.height, tree.node_count) == (1, 1)
+        assert tree._node_arrays(tree._root)[0]  # the root is a leaf
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 400), capacity=st.integers(2, 32), seed=st.integers(0, 99))
+    @given(n=st.integers(1, 400), capacity=st.integers(4, 32), seed=st.integers(0, 99))
     def test_preserves_items_and_respects_capacity(self, n, capacity, seed):
         items = make_items(n, seed=seed)
-        root, height, count = str_pack(items, capacity, Node)
-        ids, max_fill, leaves = _collect(root)
+        tree = RTree(max_entries=capacity)
+        tree.bulk_load(items)
+        ids, max_fill, leaves = _collect(tree)
         assert sorted(ids) == sorted(eid for eid, _ in items)
         assert max_fill <= capacity
-        assert height >= 1
-        assert leaves <= count
+        assert tree.height >= 1
+        assert leaves <= tree.node_count
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 200), capacity=st.integers(2, 9), seed=st.integers(0, 99))
+    def test_tile_arrays_partitions_rows_within_capacity(self, n, capacity, seed):
+        boxes = np.array([[box.lo, box.hi] for _, box in make_items(n, seed=seed)])
+        order, bounds = tile_arrays(boxes, 0, capacity)
+        assert sorted(order.tolist()) == list(range(n))
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert sizes.min() >= 1 and sizes.max() <= capacity
 
     def test_parent_boxes_cover_children(self):
         items = make_items(200, seed=4)
-        root, _, _ = str_pack(items, 8, Node)
-        stack = [root]
+        tree = RTree(max_entries=8)
+        tree.bulk_load(items)
+        stack = [tree._root]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
+            is_leaf, boxes, refs = tree._node_arrays(stack.pop())
+            if is_leaf:
                 continue
-            for entry_box, child in node.entries:
-                assert entry_box.contains_box(child.mbr())
+            for entry_box, child in zip(boxes, refs.tolist()):
+                child_boxes = tree._node_arrays(child)[1]
+                assert (entry_box[0] <= child_boxes[:, 0].min(axis=0)).all()
+                assert (entry_box[1] >= child_boxes[:, 1].max(axis=0)).all()
                 stack.append(child)
 
     def test_near_minimal_height(self):
@@ -72,9 +78,10 @@ class TestStrPack:
 
         items = make_items(1000, seed=5)
         capacity = 10
-        _, height, _ = str_pack(items, capacity, Node)
+        tree = RTree(max_entries=capacity)
+        tree.bulk_load(items)
         minimal = math.ceil(math.log(1000, capacity))
-        assert height <= minimal + 1
+        assert tree.height <= minimal + 1
 
 
 class TestTileArrays:

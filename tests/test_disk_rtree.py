@@ -120,8 +120,10 @@ class TestMappedMode:
     in-memory store, or a real file behind
     :class:`~repro.storage.pagestore.MappedPageStore` served as zero-copy
     views through the buffer pool.  Both stores must agree with each other
-    and with constants frozen from the object-payload tree this one node
-    format replaced, run on the same seeded calls."""
+    and with constants frozen on the same seeded calls: bulk-load constants
+    from the object-payload tree this one node format replaced, dynamic ones
+    from the ``RTree`` this tree now is (its answers, tree counters, height
+    and node count; the page reads and pool traffic are this tree's)."""
 
     # (answer digest, COUNTERS charges, pool (hits, misses)) per call group.
     FROZEN_QUERIES = {
@@ -172,13 +174,13 @@ class TestMappedMode:
         try:
             for tree in (plain, mapped):
                 assert len(tree) == len(live) == 200
-                assert (tree.height, tree.page_count()) == (4, 62)
-                assert tree.counters.node_tests == 908
+                assert (tree.height, tree.page_count()) == (4, 56)
+                assert tree.counters.node_tests == 893
                 # Writes are write-through and drop the page's frame, so the
-                # pool holds no page the history rewrote: 6 misses where the
-                # object tree's write-back pool hit all 251 reads.
+                # pool holds no page the history rewrote: 7 misses in 175
+                # reads.
                 assert charged(tree, calls) == (
-                    "a431e7e1e2633726", (587, 529, 221, 6, 0), (245, 6)
+                    "7c99df3d17db90bb", (547, 262, 145, 7, 0), (168, 7)
                 )
             assert_same_range_results(mapped, list(live.items()), queries)
         finally:
@@ -262,13 +264,14 @@ class TestMappedMode:
 class TestMappedScalarReadParity:
     """Scalar queries test whole node views and never build an ``AABB``; on
     a tree grown by bulk load plus a random update history, both stores must
-    give the object-payload tree's frozen answers *in the same order*,
-    counter charges and pool traffic, cold and warm."""
+    give the in-memory ``RTree``'s frozen answers *in the same order* and
+    tree counters on that history, and the same page and pool traffic, cold
+    and warm."""
 
     # (answer digest, COUNTERS charges, pool (hits, misses)); with six
     # frames the warm pass charges exactly what the cold one does.
-    FROZEN_RANGE = ("983e7378a8741584", (1650, 755, 392, 419, 0), (13, 419))
-    FROZEN_KNN = ("ddf9f51bd36a4d92", (1497, 1305, 0, 492, 3521), (2, 492))
+    FROZEN_RANGE = ("3571cfe3f42b32f2", (1223, 497, 273, 280, 0), (33, 280))
+    FROZEN_KNN = ("ddf9f51bd36a4d92", (1193, 966, 0, 385, 2772), (3, 385))
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -302,7 +305,7 @@ class TestMappedScalarReadParity:
 
     def test_grown_tree_matches_frozen_shape(self, pair):
         for tree in pair:
-            assert (len(tree), tree.height, tree.page_count()) == (731, 4, 165)
+            assert (len(tree), tree.height, tree.page_count()) == (731, 4, 169)
             counters = tree.counters
             assert (counters.inserts, counters.deletes) == (300, 169)
 
@@ -327,6 +330,62 @@ class TestMappedScalarReadParity:
         assert [sorted(r) for r in batched] == [
             sorted(mapped.range_query(q)) for q in queries
         ]
+
+
+def reachable_nodes(tree):
+    """Nodes reachable from the root, walked through the tree's own reads."""
+    count, stack = 0, [] if tree._root is None else [tree._root]
+    while stack:
+        is_leaf, _, refs = tree._node_arrays(stack.pop())
+        count += 1
+        if not is_leaf:
+            stack.extend(refs.tolist())
+    return count
+
+
+class TestPagesFollowNodes:
+    """A node that dissolves, and a root that shrinks away, free their page:
+    ``page_count()`` is the reachable nodes after any history, and a
+    file-backed tree reuses the freed slots instead of growing."""
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["memory", "file"])
+    def test_page_count_is_the_reachable_nodes_after_every_round(self, mapped):
+        import random
+
+        rng = random.Random(31)
+        items = make_items(2000, seed=31)
+        tree = DiskRTree(max_entries=8, mapped=mapped)
+        try:
+            tree.bulk_load(items)
+            assert tree.page_count() == reachable_nodes(tree)
+            live = dict(items)
+            next_id = len(items)
+            for _ in range(3):
+                for eid in rng.sample(sorted(live), 600):
+                    tree.delete(eid, live.pop(eid))
+                for _ in range(600):
+                    lo = [rng.uniform(0, 96) for _ in range(3)]
+                    box = AABB(lo, [c + rng.uniform(0, 4) for c in lo])
+                    tree.insert(next_id, box)
+                    live[next_id] = box
+                    next_id += 1
+                assert tree.page_count() == reachable_nodes(tree)
+            if mapped:
+                assert tree.store.fragmentation() == 0.0
+            assert_same_range_results(tree, list(live.items()), make_queries(10, seed=32))
+        finally:
+            tree.close()
+
+    def test_deleting_everything_frees_every_page(self):
+        items = make_items(300, seed=33)
+        tree = DiskRTree(max_entries=8, mapped=True)
+        try:
+            tree.bulk_load(items)
+            for eid, box in items:
+                tree.delete(eid, box)
+            assert (len(tree), tree.height, tree.page_count()) == (0, 0, 0)
+        finally:
+            tree.close()
 
 
 class TestRefusesBadBoxes:

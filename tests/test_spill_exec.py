@@ -427,6 +427,35 @@ class TestExternalBuild:
         with pytest.raises(ValueError, match="dims"):
             RTree().bulk_load_external(mixed, budget=64_000)
 
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("budget", [None, 64_000])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: RTree(max_entries=8), id="rtree"),
+            pytest.param(lambda: DiskRTree(max_entries=8), id="disk-memory"),
+            pytest.param(lambda: DiskRTree(max_entries=8, mapped=True), id="disk-file"),
+        ],
+    )
+    def test_non_finite_box_is_refused_and_the_tree_kept(self, make, budget, kind):
+        # A NaN carried into a parent MBR cut its subtree off from every
+        # query: the packer refuses the chunk with bulk_load's message, and
+        # the tree built before still answers in full.
+        bad = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}[kind]
+        items = make_items(400, seed=27)
+        box = items[123][1]
+        items[123] = (123, AABB((box.lo[0], bad, box.lo[2]), (box.hi[0], bad, box.hi[2])))
+        tree = make()
+        try:
+            tree.bulk_load(make_items(300, seed=26))
+            with pytest.raises(ValueError, match="box coordinates must be finite"):
+                tree.bulk_load_external(iter(items), budget=budget)
+            universe = AABB((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
+            assert sorted(tree.range_query(universe)) == list(range(300))
+        finally:
+            if isinstance(tree, DiskRTree):
+                tree.close()
+
     def test_budget_high_water_tracked(self, workload):
         items, _, _ = workload
         budget = MemoryBudget(64_000)
