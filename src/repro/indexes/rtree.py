@@ -17,7 +17,9 @@ but :meth:`root_mbr`.  A record is ``16 + n (16 d + 8)`` bytes.
 Maintenance runs Guttman's rules on a node's ``(n, 2, d)`` box array:
 least-enlargement subtree choice, the quadratic split (seeds from one
 dead-space matrix, ``PickNext`` one argmax per step), and condensation that
-reinserts orphaned entries at their own level and frees the dissolved node.
+reinserts orphaned entries at their own level and frees the dissolved node
+(an orphaned subtree whose level the shrunk tree no longer has goes back
+element by element).
 Volumes are left-folded products, as :meth:`AABB.volume` computes them, so
 ties break exactly as the scalar rules do.
 
@@ -229,11 +231,18 @@ class RTree(SpatialIndex):
 
     # -- maintenance -------------------------------------------------------------
 
-    def insert(self, eid: int, box: AABB) -> None:
+    def _checked_box(self, box: AABB) -> np.ndarray:
+        """``box`` as a ``(2, d)`` array, refused before anything is written
+        when its dims differ from a non-empty tree's or a coordinate is
+        NaN/±inf."""
         if self._root is not None and box.dims != self._dims:
             raise ValueError(f"box has {box.dims} dims, index has {self._dims}")
         arr = np.array([box.lo, box.hi], dtype=np.float64)
         _check_finite(arr)
+        return arr
+
+    def insert(self, eid: int, box: AABB) -> None:
+        arr = self._checked_box(box)
         if self._root is None:
             self._dims = box.dims
             self._root = self._allocate_arrays(True, arr[None], np.array([eid], dtype=np.int64))
@@ -274,9 +283,7 @@ class RTree(SpatialIndex):
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
         """Delete + insert, with a new box the insert would refuse refused
         first: the element must not be deleted and then lost."""
-        if self._root is not None and new_box.dims != self._dims:
-            raise ValueError(f"box has {new_box.dims} dims, index has {self._dims}")
-        _check_finite(np.array([new_box.lo, new_box.hi], dtype=np.float64))
+        self._checked_box(new_box)
         super().update(eid, old_box, new_box)
 
     # -- queries ---------------------------------------------------------------
@@ -485,7 +492,16 @@ class RTree(SpatialIndex):
 
     def _insert_entry(self, box: np.ndarray, ref: int, level: int) -> None:
         """Insert one entry into a node at ``level`` (0: an element into a
-        leaf), growing a new root on a root split."""
+        leaf), growing a new root on a root split.
+
+        Condensation can shrink the tree below an orphan's level: an STR
+        load leaves underfull nodes, so one delete may dissolve a whole
+        branch and leave the root a single child's leaf.  Such an orphaned
+        subtree's pages are freed and its elements reinserted one by one."""
+        if level > self._height - 1:
+            for eid, elem_box in self._take_subtree(ref):
+                self._insert_entry(elem_box, eid, 0)
+            return
         mbr, split = self._insert_recursive(self._root, self._height - 1, box, ref, level)
         if split is not None:
             sibling_mbr, sibling = split
@@ -495,6 +511,21 @@ class RTree(SpatialIndex):
                 np.array([self._root, sibling], dtype=np.int64),
             )
             self._height += 1
+
+    def _take_subtree(self, page: int) -> list[tuple[int, np.ndarray]]:
+        """Free every page under ``page``; returns its ``(eid, box)``
+        elements, leaves taken in stack order."""
+        items: list[tuple[int, np.ndarray]] = []
+        stack = [page]
+        while stack:
+            page = stack.pop()
+            is_leaf, boxes, refs = self._node_arrays(page)
+            if is_leaf:
+                items.extend(zip(refs.tolist(), boxes.copy()))
+            else:
+                stack.extend(refs.tolist())
+            self._free(page)
+        return items
 
     def _insert_recursive(
         self, page: int, level: int, box: np.ndarray, ref: int, target_level: int

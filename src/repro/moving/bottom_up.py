@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.geometry.aabb import AABB
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
-from repro.indexes.rtree import RTree, _check_finite, _mbr
+from repro.indexes.rtree import RTree, _mbr
 from repro.instrumentation.counters import Counters
 
 
@@ -112,10 +112,7 @@ class BottomUpRTree(SpatialIndex):
         """Patch the owning leaf in place when the leaf MBR still covers."""
         if eid not in self._boxes or self._boxes[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
-        if new_box.dims != old_box.dims:
-            raise ValueError(f"box has {new_box.dims} dims, index has {old_box.dims}")
-        new = np.array([new_box.lo, new_box.hi], dtype=np.float64)
-        _check_finite(new)
+        new = self._tree._checked_box(new_box)
         if self._patch_leaf(eid, old_box, new):
             self._boxes[eid] = new_box
             self.in_place_updates += 1

@@ -109,6 +109,17 @@ def answer_digest(answers) -> str:
     return hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
 
 
+def reachable_nodes(tree):
+    """Nodes reachable from the root, walked through the tree's own reads."""
+    count, stack = 0, [] if tree._root is None else [tree._root]
+    while stack:
+        is_leaf, _, refs = tree._node_arrays(stack.pop())
+        count += 1
+        if not is_leaf:
+            stack.extend(refs.tolist())
+    return count
+
+
 def recall(oracle_pairs, approx_pairs) -> float:
     """Fraction of the oracle's neighbor ids an approximate answer found.
 

@@ -13,6 +13,7 @@ from conftest import (
     assert_same_range_results,
     make_items,
     make_queries,
+    reachable_nodes,
 )
 
 #: The counters a query charges, in the order the frozen tuples list them.
@@ -330,17 +331,6 @@ class TestMappedScalarReadParity:
         assert [sorted(r) for r in batched] == [
             sorted(mapped.range_query(q)) for q in queries
         ]
-
-
-def reachable_nodes(tree):
-    """Nodes reachable from the root, walked through the tree's own reads."""
-    count, stack = 0, [] if tree._root is None else [tree._root]
-    while stack:
-        is_leaf, _, refs = tree._node_arrays(stack.pop())
-        count += 1
-        if not is_leaf:
-            stack.extend(refs.tolist())
-    return count
 
 
 class TestPagesFollowNodes:

@@ -20,6 +20,7 @@ from conftest import (
     make_items,
     make_queries,
     modeled_query_cost,
+    reachable_nodes,
 )
 
 
@@ -181,6 +182,36 @@ class TestMaintenance:
             tree.update(5, items[5][1], new_box)
         assert len(tree) == 20
         assert sorted(tree.range_query(AABB((0.0,) * 3, (30.0,) * 3))) == list(range(20))
+
+    @pytest.mark.parametrize(
+        "make",
+        [RTree, RStarTree, DiskRTree, lambda **kw: DiskRTree(mapped=True, **kw)],
+        ids=["rtree", "rstar", "disk_memory", "disk_file"],
+    )
+    def test_an_orphan_above_the_shrunk_root_is_reinserted_by_element(self, make):
+        # 17 intervals at capacity 4 tile into leaves 4, 4, 4, 4, 1 under a
+        # root with children A (four leaves) and B (one leaf).  Deleting from
+        # the left dissolves A's leaves and then A, whose last leaf is
+        # orphaned at level 1 while the root shrinks to B's leaf (height 1).
+        items = [(i, AABB((float(i),), (i + 0.5,))) for i in range(17)]
+        tree = make(max_entries=4)
+        try:
+            tree.bulk_load(items)
+            assert tree.height == 3
+            live = dict(items)
+            heights = []
+            for eid, box in items[:14]:
+                tree.delete(eid, box)
+                live.pop(eid)
+                heights.append(tree.height)
+                assert len(tree) == len(live)
+                assert sorted(tree.range_query(AABB((-1.0,), (20.0,)))) == sorted(live)
+                assert tree.node_count == reachable_nodes(tree)
+            assert heights[9:11] == [3, 2]  # the delete of 10 dropped A
+            tree.check_invariants()
+        finally:
+            if isinstance(tree, DiskRTree):
+                tree.close()
 
     def test_node_count_tracks_structure(self):
         items = make_items(200, seed=21)
