@@ -54,7 +54,7 @@ def _check(eids: np.ndarray, boxes: np.ndarray) -> None:
 class BoxTable(Sequence):
     """``n`` join items as read-only ``eids`` ``(n,)`` / ``boxes`` ``(n, 2, d)``."""
 
-    __slots__ = ("eids", "boxes", "_items", "_order")
+    __slots__ = ("eids", "boxes", "_items", "_order", "_identity")
 
     def __init__(
         self, eids: np.ndarray, boxes: np.ndarray, items: Sequence[Item] | None = None
@@ -63,6 +63,7 @@ class BoxTable(Sequence):
         self.eids.flags.writeable = self.boxes.flags.writeable = False
         self._items = items
         self._order: np.ndarray | None = None
+        self._identity: bool | None = None
 
     @classmethod
     def from_items(cls, items: Iterable[Item]) -> "BoxTable":
@@ -175,6 +176,11 @@ class BoxTable(Sequence):
         return self._order
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """Row index of each id in ``ids`` (which must all be present)."""
+        """Row index of each id in ``ids`` (which must all be present):
+        ``ids`` itself when the eids are ``0..n-1`` in order (checked once)."""
+        if self._identity is None:
+            self._identity = bool(np.array_equal(self.eids, np.arange(len(self))))
+        if self._identity:
+            return ids
         order = self._id_order()
         return order[np.searchsorted(self.eids, ids, sorter=order)]

@@ -88,6 +88,9 @@ class RTree(SpatialIndex):
         self._height = 0  # number of levels; leaves are level 0
         self._size = 0
         self._dims: int | None = None
+        # Set by the STR pack, whose last node per level may hold fewer than
+        # ``min_entries``: the lower fill bound holds only on a grown tree.
+        self._packed = False
 
     # -- record store (DiskRTree puts these on a pooled page store) ----------
 
@@ -218,6 +221,7 @@ class RTree(SpatialIndex):
         first = next(leaves, None)
         self._reset_storage()
         self._root, self._height, self._size = None, 0, 0
+        self._packed = first is not None
         if first is None:
             return
         self._dims = first[0].shape[2]
@@ -235,11 +239,7 @@ class RTree(SpatialIndex):
         """``box`` as a ``(2, d)`` array, refused before anything is written
         when its dims differ from a non-empty tree's or a coordinate is
         NaN/±inf."""
-        if self._root is not None and box.dims != self._dims:
-            raise ValueError(f"box has {box.dims} dims, index has {self._dims}")
-        arr = np.array([box.lo, box.hi], dtype=np.float64)
-        _check_finite(arr)
-        return arr
+        return checked_box(box, None if self._root is None else self._dims)
 
     def insert(self, eid: int, box: AABB) -> None:
         arr = self._checked_box(box)
@@ -279,6 +279,7 @@ class RTree(SpatialIndex):
             self._free(self._root)
             self._root = None
             self._height = 0
+            self._packed = False
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
         """Delete + insert, with a new box the insert would refuse refused
@@ -461,8 +462,9 @@ class RTree(SpatialIndex):
 
     def check_invariants(self) -> None:
         """Validate the structure (tests call this after mutations): levels,
-        fill bounds, parent entries covering their children, the element
-        count, and a store holding exactly the reachable nodes."""
+        fill bounds (the lower one only on a tree no STR pack built),
+        parent entries covering their children, the element count, and a
+        store holding exactly the reachable nodes."""
         reachable = size = 0
         stack = [] if self._root is None else [(self._root, self._height - 1, None)]
         while stack:
@@ -471,7 +473,7 @@ class RTree(SpatialIndex):
             is_leaf, boxes, refs = self._node_arrays(page)
             if is_leaf != (level == 0):
                 raise AssertionError(f"{'leaf' if is_leaf else 'inner node'} at level {level}")
-            if page != self._root and refs.shape[0] < self.min_entries:
+            if not self._packed and page != self._root and refs.shape[0] < self.min_entries:
                 raise AssertionError(f"underfull node: {refs.shape[0]} < {self.min_entries}")
             if refs.shape[0] > self.max_entries:
                 raise AssertionError(f"overfull node: {refs.shape[0]} > {self.max_entries}")
@@ -688,6 +690,17 @@ def _quadratic_split(boxes: np.ndarray, min_entries: int) -> tuple[np.ndarray, n
         np.minimum(bounds[side][0], lo[row], out=bounds[side][0])
         np.maximum(bounds[side][1], hi[row], out=bounds[side][1])
     return np.array(groups[0]), np.array(groups[1])
+
+
+def checked_box(box: AABB, dims: int | None) -> np.ndarray:
+    """``box`` as a ``(2, d)`` array, refused when it has other than ``dims``
+    dims (``None``: an empty index takes any) or a NaN/±inf coordinate — the
+    check an index makes before it writes anything."""
+    if dims is not None and box.dims != dims:
+        raise ValueError(f"box has {box.dims} dims, index has {dims}")
+    arr = np.array([box.lo, box.hi], dtype=np.float64)
+    _check_finite(arr)
+    return arr
 
 
 def _check_finite(boxes: np.ndarray) -> None:

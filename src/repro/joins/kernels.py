@@ -5,7 +5,7 @@ Every kernel works on packed box arrays (``(n, 2, d)`` float64 — the
 query engine's batch kernels use) and returns candidate pairs as parallel
 integer row arrays — no Python-level pair loops.  The kernels never pack
 items themselves: the join plane hands them the table its spec built once.
-Three families:
+Four families:
 
 * :func:`block_pairs` — blocked all-pairs ``batch_intersects``: the
   vectorized nested loop.  O(n·m) comparisons but at kernel speed; the
@@ -21,6 +21,11 @@ Three families:
   pre-gathered replica arrays whose keys carry the first mask in their low
   bits — the kernel the out-of-core PBSM streams spilled partitions
   through; both run :func:`_merge_replicas`.
+* :func:`grid_self_pairs` — the grid join's self path: every box goes into
+  the cells its window covers, and each cell's entries meet each other once
+  (``i < j``), kept under the same first-common-cell rule, so a self-join
+  enumerates every unordered pair once — no diagonal, no second
+  orientation — in bounded slabs.
 * :func:`tree_pairs` — candidate generation over an STR-packed
   :class:`~repro.indexes.rtree.RTree` (:func:`str_tree`, which TOUCH builds
   too) with the *carried-query-set* traversal of
@@ -41,13 +46,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.uniform_grid import (
+    _axis_arrays,
+    _cell_coords,
     _cell_table,
     _expand_windows,
+    _group,
     _linear_strides,
     _walk_cells,
     box_columns,
+    grid_axes,
 )
-from repro.geometry.aabb import batch_intersects
+from repro.geometry.aabb import AABB, batch_intersects
 from repro.geometry.refine import batch_box_gaps
 from repro.geometry.table import BoxTable
 from repro.indexes.base import Item
@@ -58,9 +67,10 @@ from repro.instrumentation.counters import Counters
 # 16 MB and measures fastest on the n=100k workload.
 _BLOCK_CELLS = 1 << 24
 
-# Candidate entries per PBSM slab: the merge enumerates tile cross products
-# in slabs of at most this many entries, so adversarial inputs (everything in
-# one tile) degrade to bounded-memory batches instead of one giant allocation.
+# Candidate entries per slab: the PBSM merge enumerates tile cross products,
+# and the grid self-join each cell's entry pairs, in slabs of at most this
+# many entries, so adversarial inputs (everything in one tile or cell) degrade
+# to bounded-memory batches instead of one giant allocation.
 _SLAB_PAIRS = 1 << 22
 
 
@@ -164,6 +174,18 @@ def pack_first(keys: np.ndarray, first: np.ndarray, dims: int) -> np.ndarray:
     return (keys << dims) | first
 
 
+def _overlapping(
+    cols_a: np.ndarray, ai: np.ndarray, cols_b: np.ndarray, bi: np.ndarray
+) -> np.ndarray:
+    """Positions of the row pairs ``(ai, bi)`` whose boxes intersect: one
+    closed-interval test per axis over :func:`box_columns` layouts."""
+    hit = np.ones(ai.shape[0], dtype=bool)
+    for axis in range(cols_a.shape[1]):
+        hit &= cols_a[0, axis].take(ai) <= cols_b[1, axis].take(bi)
+        hit &= cols_b[0, axis].take(bi) <= cols_a[1, axis].take(ai)
+    return np.flatnonzero(hit)
+
+
 def _merge_replicas(
     boxes_a: np.ndarray,
     rows_a: np.ndarray,
@@ -212,11 +234,7 @@ def _merge_replicas(
         ai, bi, _ = _walk_cells(
             table, uniq, inverse[start:stop], rows_a[start:stop], first_a[start:stop], every_axis
         )
-        hit = np.ones(ai.shape[0], dtype=bool)
-        for axis in range(dims):
-            hit &= cols_a[0, axis].take(ai) <= cols_b[1, axis].take(bi)
-            hit &= cols_b[0, axis].take(bi) <= cols_a[1, axis].take(ai)
-        hit = np.flatnonzero(hit)
+        hit = _overlapping(cols_a, ai, cols_b, bi)
         out_a.append(ai.take(hit))
         out_b.append(bi.take(hit))
         start, done = stop, int(entries[stop - 1])
@@ -283,6 +301,76 @@ def replica_tile_pairs(
         counters, slab_pairs,
     )
     return eids_a.take(ai), eids_b.take(bi)
+
+
+# -- grid self-join --------------------------------------------------------------
+
+
+def grid_self_pairs(
+    boxes: np.ndarray,
+    universe: AABB,
+    cell: float,
+    counters: Counters,
+    slab_pairs: int = _SLAB_PAIRS,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every intersecting unordered pair of ``boxes`` once, as ``(row_i,
+    row_j)`` with ``i != j``; ``None`` when the grid's cell keys over
+    ``universe`` at ``cell`` would not fit int64.
+
+    Each box goes into every cell its clamped window covers (the grid's
+    :func:`~repro.core.uniform_grid._cell_coords` and
+    :func:`~repro.core.uniform_grid._expand_windows`) and the entries are
+    grouped by cell (:func:`~repro.core.uniform_grid._group`).  Inside a cell
+    each entry pair ``i < j`` is enumerated once and kept only where
+    ``first_i | first_j`` covers every axis — the first-common-cell rule, so
+    of all the cells two windows share exactly one reports them — and one
+    columnar overlap test follows.  ``comparisons`` counts the pairs
+    tested, ``cells_probed`` the occupied cells.  The enumeration runs in
+    slabs of at most ``slab_pairs`` pairs, cut per left entry (one whose cell
+    alone exceeds that is a slab of its own), so a pile of identical boxes
+    never allocates all its pairs at once.
+    """
+    origin, tops = _axis_arrays(grid_axes(universe, cell))
+    strides = _linear_strides(tops)
+    if strides is None:
+        return None
+    columns = box_columns(boxes)
+    rows, keys, first = _expand_windows(
+        _cell_coords(columns[0].T, origin, cell, tops),
+        _cell_coords(columns[1].T, origin, cell, tops),
+        strides,
+    )
+    order, keys, edge = _group(keys)
+    rows, first = rows.take(order), first.take(order)
+    starts = np.flatnonzero(edge)
+    counters.cells_probed += int(starts.shape[0])
+    # Entries after each one in its cell: its partners, in entry order.
+    counts = np.diff(starts, append=keys.shape[0])
+    after = np.repeat(starts + counts, counts) - np.arange(keys.shape[0]) - 1
+    ends = np.cumsum(after)
+    total = int(ends[-1]) if ends.shape[0] else 0
+
+    every_axis = (1 << boxes.shape[2]) - 1
+    out_i: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    out_j: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    start, done = 0, 0
+    while done < total:
+        stop = max(int(np.searchsorted(ends, done + slab_pairs, side="right")), start + 1)
+        width = after[start:stop]
+        # Pair k of entry p is (p, p + 1 + k's rank among p's pairs).
+        right = np.repeat(np.arange(start + 1, stop + 1) - (np.cumsum(width) - width), width)
+        right += np.arange(right.shape[0])
+        mask = np.repeat(first[start:stop], width)
+        mask |= first.take(right)
+        chosen = np.flatnonzero(mask == every_axis)
+        ri = np.repeat(rows[start:stop], width).take(chosen)
+        rj = rows.take(right.take(chosen))
+        counters.comparisons += int(chosen.shape[0])
+        hit = _overlapping(columns, ri, columns, rj)
+        out_i.append(ri.take(hit))
+        out_j.append(rj.take(hit))
+        start, done = stop, int(ends[stop - 1])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 # -- STR-tree carried-set traversal --------------------------------------------

@@ -124,10 +124,22 @@ def _spec_tables(spec: JoinSpec) -> tuple[BoxTable, BoxTable | None]:
 
 
 def pair_list(pairs: Pairs) -> list[tuple[int, int]]:
-    """The one materialisation: sorted ``(a, b)`` tuples of Python ints."""
+    """The one materialisation: sorted ``(a, b)`` tuples of Python ints.
+
+    Non-negative ids sort as one int64 key ``a · (max_b + 1) + b`` while it
+    fits — a plain sort of one column, several times faster than the
+    two-key ``lexsort`` every other input takes — and decode from it."""
     pairs = pair_array(pairs)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    if not len(pairs):
+        return []
+    a, b = pairs[:, 0], pairs[:, 1]
+    base = int(b.max()) + 1
+    if int(a.min()) >= 0 and int(b.min()) >= 0 and int(a.max()) * base + base - 1 < 1 << 63:
+        a, b = np.divmod(np.sort(a * base + b), base)
+    else:
+        order = np.lexsort((b, a))
+        a, b = a.take(order), b.take(order)
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def _spec_size(spec: JoinSpec) -> int:
@@ -374,8 +386,8 @@ class JoinSession(SessionCore):
             # kernel (one array expression over all candidates).
             table_b = table_a if table_b is None else table_b
             keep = batch_box_gaps(
-                table_a.boxes[table_a.rows_of(candidates[:, 0])],
-                table_b.boxes[table_b.rows_of(candidates[:, 1])],
+                table_a.boxes.take(table_a.rows_of(candidates[:, 0]), axis=0),
+                table_b.boxes.take(table_b.rows_of(candidates[:, 1]), axis=0),
             ) <= spec.epsilon
         result = pair_list(candidates[keep])
         self.metrics.counter("join.pairs").inc(len(result))

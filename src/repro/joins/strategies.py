@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.resolution import default_cell_size
 from repro.core.uniform_grid import UniformGrid
 from repro.geometry.aabb import AABB, batch_intersects, union_all
 from repro.geometry.table import BoxTable
@@ -118,8 +119,9 @@ class JoinStrategy(ABC):
         Default: run the binary join of the set against itself and keep the
         ``a < b`` half — every unordered pair appears exactly twice in the
         ordered result (once per orientation) plus the ``(i, i)`` diagonal,
-        so the filter reports it exactly once.  Strategies with a cheaper
-        native self path override this.
+        so the filter reports it exactly once, at twice the probe work.
+        Strategies with a native self path that tests each pair once
+        override this: the nested loop, ``grid``, ``tiny_cell``.
         """
         return ordered_pairs(self.join(items, items, counters))
 
@@ -311,6 +313,11 @@ class GridJoin(JoinStrategy):
     probed once and discarded, so it is built read-only: the dense snapshot
     the batch kernel queries, straight from A's arrays — only an
     unlinearizable resolution gets a live grid, which answers by scanning.
+
+    A self-join has its own path (:func:`repro.joins.kernels.grid_self_pairs`):
+    on the same universe and cells, each cell's entries meet each other once
+    under the first-common-cell rule, so every unordered pair is tested once
+    instead of once per orientation plus the diagonal.
     """
 
     name = "grid"
@@ -318,14 +325,18 @@ class GridJoin(JoinStrategy):
     def __init__(self, cell_size: float | None = None) -> None:
         self.cell_size = cell_size
 
+    @staticmethod
+    def _universe(*tables: BoxTable) -> AABB:
+        hull = _hull(*tables)
+        return hull.expanded(max(hull.margin() * 0.005, 1e-9))
+
     def join(self, items_a, items_b, counters):
         if not items_a or not items_b:
             return []
         from repro.serving.snapshots import SnapshotGridIndex  # repro.serving imports repro.joins
 
         table_a, probes = BoxTable.of(items_a), BoxTable.of(items_b)
-        hull = _hull(table_a, probes)
-        universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
+        universe = self._universe(table_a, probes)
         grid = SnapshotGridIndex.over(table_a.eids, table_a.boxes, universe, self.cell_size)
         if grid is None:
             grid = UniformGrid(universe=universe, cell_size=self.cell_size)
@@ -335,6 +346,20 @@ class GridJoin(JoinStrategy):
         counters.comparisons += scratch.elem_tests
         counters.cells_probed += scratch.cells_probed
         return pair_columns(ids, np.repeat(probes.eids, np.diff(offsets)))
+
+    def self_join(self, items, counters):
+        if not items:
+            return []
+        table = BoxTable.of(items)
+        universe = self._universe(table)
+        cell = self.cell_size
+        if cell is None:
+            cell = default_cell_size(len(table), universe)
+        found = kernels.grid_self_pairs(table.boxes, universe, cell, counters)
+        if found is None:  # unlinearizable: the live grid's scan, both orientations
+            return super().self_join(table, counters)
+        ids_i, ids_j = table.eids.take(found[0]), table.eids.take(found[1])
+        return pair_columns(np.minimum(ids_i, ids_j), np.maximum(ids_i, ids_j))
 
 
 # -- PBSM ------------------------------------------------------------------------

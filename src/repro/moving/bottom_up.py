@@ -87,8 +87,8 @@ class BottomUpRTree(SpatialIndex):
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
-        self._boxes = dict(materialized)
         self._tree.bulk_load(materialized)
+        self._boxes = dict(materialized)
         self.refresh_map()
         self.in_place_updates = 0
         self.structural_updates = 0

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.geometry.aabb import AABB
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
-from repro.indexes.rtree import RTree
+from repro.indexes.rtree import RTree, checked_box
 from repro.instrumentation.counters import Counters
 
 
@@ -52,15 +52,22 @@ class BufferedRTree(SpatialIndex):
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
+        self._tree.bulk_load(materialized)
         self._current = dict(materialized)
         self._in_tree = dict(materialized)
         self._pending = {}
-        self._tree.bulk_load(materialized)
         self.flushes = 0
+
+    def _check(self, box: AABB) -> None:
+        """Refuse what the flush rebuild would refuse (a box of other dims
+        than the current elements', NaN/±inf) before the buffer takes it."""
+        current = next(iter(self._current.values()), None)
+        checked_box(box, None if current is None else current.dims)
 
     def insert(self, eid: int, box: AABB) -> None:
         if eid in self._current:
             raise ValueError(f"element {eid} already present")
+        self._check(box)
         self._current[eid] = box
         self._pending[eid] = box
         self.counters.inserts += 1
@@ -80,6 +87,7 @@ class BufferedRTree(SpatialIndex):
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
         if eid not in self._current or self._current[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
+        self._check(new_box)
         self._current[eid] = new_box
         self._pending[eid] = new_box
         self.counters.updates += 1

@@ -51,9 +51,10 @@ class LURTree(SpatialIndex):
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
+        grace_boxes = {eid: box.expanded(self.grace) for eid, box in materialized}
+        self._tree.bulk_load(list(grace_boxes.items()))
         self._exact = dict(materialized)
-        self._grace_boxes = {eid: box.expanded(self.grace) for eid, box in materialized}
-        self._tree.bulk_load(list(self._grace_boxes.items()))
+        self._grace_boxes = grace_boxes
         self.lazy_updates = 0
         self.structural_updates = 0
 
@@ -61,9 +62,9 @@ class LURTree(SpatialIndex):
         if eid in self._exact:
             raise ValueError(f"element {eid} already present")
         grace_box = box.expanded(self.grace)
+        self._tree.insert(eid, grace_box)  # refuses a bad box before it writes
         self._exact[eid] = box
         self._grace_boxes[eid] = grace_box
-        self._tree.insert(eid, grace_box)
         self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
@@ -78,12 +79,15 @@ class LURTree(SpatialIndex):
         """Lazy when the move stays inside the grace box, structural else."""
         if eid not in self._exact or self._exact[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
+        # Refused here (wrong dims, NaN/±inf), or a lazy move would keep it
+        # and a structural one would delete the element and then fail.
+        new_grace = new_box.expanded(self.grace)
+        self._tree._checked_box(new_grace)
         grace_box = self._grace_boxes[eid]
         if grace_box.contains_box(new_box):
             self._exact[eid] = new_box
             self.lazy_updates += 1
         else:
-            new_grace = new_box.expanded(self.grace)
             self._tree.delete(eid, grace_box)
             self._tree.insert(eid, new_grace)
             self._exact[eid] = new_box

@@ -398,12 +398,11 @@ class TestGridJoinReadOnlyGrid:
     def neurons(self):
         return BoxTable.from_items(generate_neurons(125, 80, seed=3).items)
 
-    def _self_join(self, table, monkeypatch, bucket_grid, cell_size=None):
+    def _join(self, table, monkeypatch, bucket_grid):
         if bucket_grid:
             monkeypatch.setattr(SnapshotGridIndex, "over", classmethod(lambda cls, *a: None))
         counters = Counters()
-        strategy = make_join_strategy("grid", cell_size=cell_size)
-        pairs = strategy.distance_candidates(table, None, self.EPSILON, counters)
+        pairs = make_join_strategy("grid").join(table, table, counters)
         monkeypatch.undo()
         return pairs.tolist(), counters.comparisons, counters.cells_probed
 
@@ -415,11 +414,22 @@ class TestGridJoinReadOnlyGrid:
             built.append(original(cls, *args))
             return built[-1]
 
+        # The binary form probes one read-only grid ...
+        grown = neurons.expanded(self.EPSILON / 2.0)
         monkeypatch.setattr(SnapshotGridIndex, "over", classmethod(recording))
-        read_only = self._self_join(neurons, monkeypatch, bucket_grid=False)
+        read_only = self._join(grown, monkeypatch, bucket_grid=False)
         assert len(built) == 1 and isinstance(built[0], SnapshotGridIndex)
-        assert read_only == self._self_join(neurons, monkeypatch, bucket_grid=True)
+        assert read_only == self._join(grown, monkeypatch, bucket_grid=True)
         assert read_only[0] and read_only[1] > 0
+        # ... and the self form builds none: it pairs each cell's entries.
+        part = neurons[:600]
+        monkeypatch.setattr(SnapshotGridIndex, "over", classmethod(recording))
+        pairs = make_join_strategy("grid").distance_candidates(part, None, self.EPSILON, Counters())
+        monkeypatch.undo()
+        assert len(built) == 1
+        nested = make_join_strategy("nested_loop").distance_candidates(
+            part, None, self.EPSILON, Counters())
+        assert pairs.shape[0] and pair_list(pairs) == pair_list(nested)
 
     def test_pair_join_equals_the_bucket_grid_path(self, monkeypatch):
         a, b = _boxes(400, 3, seed=31), _boxes(300, 3, seed=32, offset=9000)
@@ -444,12 +454,18 @@ class TestGridJoinReadOnlyGrid:
             or real(table, keys, *rest),
         )
         epsilon = float(np.max(part.hull().extents()))
+        grid, nested = make_join_strategy("grid"), make_join_strategy("nested_loop")
         counters = Counters()
-        pairs = make_join_strategy("grid").distance_candidates(part, None, epsilon, counters)
-        nested = make_join_strategy("nested_loop").distance_candidates(part, None, epsilon, Counters())
-        assert pair_list(pairs) == pair_list(nested) and len(pairs) == 400 * 399 // 2
+        pairs = grid.distance_candidates(part, part, epsilon, counters)
+        assert len(pairs) == len(part) ** 2
         assert counters.comparisons == len(part) ** 2  # every probe window shares a cell with every row
         assert walked and all(gathered <= occupied for gathered, occupied in walked)
+        # The self form tests each unordered pair once, at its first common cell.
+        counters = Counters()
+        pairs = grid.distance_candidates(part, None, epsilon, counters)
+        expected = nested.distance_candidates(part, None, epsilon, Counters())
+        assert pair_list(pairs) == pair_list(expected) and len(pairs) == 400 * 399 // 2
+        assert counters.comparisons == 400 * 399 // 2
 
     def test_unlinearizable_universe_uses_the_bucket_grid(self, monkeypatch):
         # 3 axes of ~2M cells each: linear cell keys would overflow int64.

@@ -31,6 +31,7 @@ from repro.joins import (
     make_join_strategy,
 )
 from repro.analysis import join_report, session_report
+from repro.joins import kernels
 from repro.joins.session import pair_list
 from repro.joins.strategies import NestedLoopJoin
 from repro.serving.snapshots import SnapshotGridIndex
@@ -166,12 +167,14 @@ class TestStrategyOracle:
 
 class TestGridJoinBucketGrid:
     """``GridJoin`` over the bucket :class:`UniformGrid` — the path it takes
-    when the read-only snapshot cannot linearize the resolution — against the
-    nested loop on every dataset shape."""
+    when the read-only snapshot (or, self-joined, the self-pair kernel)
+    cannot linearize the resolution — against the nested loop on every
+    dataset shape."""
 
     @pytest.fixture(autouse=True)
     def snapshot_requests(self, monkeypatch):
-        """Every snapshot request answers "unlinearizable"; the list records them."""
+        """Every snapshot request and self-pair kernel call answers
+        "unlinearizable"; the list records the snapshot requests."""
         requests = []
 
         def unlinearizable(cls, eids, boxes, universe, cell_size=None):
@@ -179,6 +182,7 @@ class TestGridJoinBucketGrid:
             return None
 
         monkeypatch.setattr(SnapshotGridIndex, "over", classmethod(unlinearizable))
+        monkeypatch.setattr(kernels, "grid_self_pairs", lambda *args, **kwargs: None)
         return requests
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))

@@ -123,6 +123,53 @@ class TestBufferedRTree:
         assert delta.elem_tests >= index.pending_operations
 
 
+BAD_BOXES = [
+    pytest.param(AABB((5.0, float("nan"), 5.0), (6.0, 6.0, 6.0)), "finite", id="nan"),
+    pytest.param(AABB((5.0, 5.0, 5.0), (6.0, float("inf"), 6.0)), "finite", id="inf"),
+    pytest.param(AABB((5.0, 5.0), (6.0, 6.0)), "box has 2 dims, index has 3", id="2d"),
+]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: LURTree(grace=0.5, max_entries=8), id="lur"),
+        pytest.param(lambda: BufferedRTree(buffer_capacity=1, max_entries=8), id="buffered-flush"),
+        pytest.param(lambda: BufferedRTree(buffer_capacity=100, max_entries=8), id="buffered"),
+        pytest.param(lambda: BottomUpRTree(max_entries=8), id="bottom-up"),
+    ],
+)
+@pytest.mark.parametrize("bad, message", BAD_BOXES)
+class TestBadBoxesAreRefusedBeforeAnyWrite:
+    """The wrappers refuse what their R-tree refuses, with its message,
+    before they write anything: the index answers as it did."""
+
+    QUERY = AABB((-10.0,) * 3, (40.0,) * 3)
+
+    def loaded(self, make):
+        index = make()
+        index.bulk_load([(i, AABB((i, i, i), (i + 1.0, i + 1.0, i + 1.0))) for i in range(20)])
+        return index, (len(index), sorted(index.range_query(self.QUERY)), index.knn((5, 5, 5), 4))
+
+    def test_insert(self, make, bad, message):
+        index, before = self.loaded(make)
+        with pytest.raises(ValueError, match=message):
+            index.insert(99, bad)
+        assert (len(index), sorted(index.range_query(self.QUERY)), index.knn((5, 5, 5), 4)) == before
+
+    def test_update(self, make, bad, message):
+        index, before = self.loaded(make)
+        with pytest.raises(ValueError, match=message):
+            index.update(5, AABB((5, 5, 5), (6.0, 6.0, 6.0)), bad)
+        assert (len(index), sorted(index.range_query(self.QUERY)), index.knn((5, 5, 5), 4)) == before
+
+    def test_bulk_load(self, make, bad, message):
+        index, before = self.loaded(make)
+        with pytest.raises(ValueError):  # mixed dims: validate_items's own wording
+            index.bulk_load([(0, AABB((0, 0, 0), (1.0, 1.0, 1.0))), (1, bad)])
+        assert (len(index), sorted(index.range_query(self.QUERY)), index.knn((5, 5, 5), 4)) == before
+
+
 class TestTPRIndex:
     def test_oracle_after_motion(self, items_3d, queries_3d):
         index = TPRIndex(max_speed=0.2, horizon=5)

@@ -50,6 +50,26 @@ class TestBulkLoad:
         # STR-packed trees are near-minimal height.
         assert tree.height <= 4
 
+    def test_the_lower_fill_bound_binds_only_trees_no_pack_built(self):
+        # STR tiles 300 boxes at 16 into full nodes plus a short last one.
+        packed = RTree(max_entries=16)
+        packed.bulk_load(make_items(300, seed=5))
+        packed.check_invariants()
+        grown = RTree(max_entries=16)
+        for eid, box in make_items(300, seed=5):
+            grown.insert(eid, box)
+        grown.check_invariants()
+        # Cut one leaf of the grown tree to a single entry: now it is underfull.
+        leaf = next(
+            page for page in grown._pages
+            if grown._node_arrays(page)[0] and page != grown._root
+        )
+        _, boxes, refs = grown._node_arrays(leaf)
+        grown._write_arrays(leaf, True, boxes[:1].copy(), refs[:1].copy())
+        grown._size -= refs.shape[0] - 1
+        with pytest.raises(AssertionError, match="underfull node"):
+            grown.check_invariants()
+
     def test_bulk_load_replaces(self):
         tree = RTree()
         tree.bulk_load(make_items(100, seed=1))
@@ -376,6 +396,7 @@ def _grown_history(tree, seed):
     rng = random.Random(seed)
     items = make_items(300, seed=seed, max_extent=6.0)
     tree.bulk_load(items)
+    tree.check_invariants()
     live = dict(items)
     next_id = len(items)
     for _ in range(360):
@@ -421,6 +442,7 @@ class TestParentParity:
         seed = 100 + max_entries
         try:
             _grown_history(tree, seed)
+            tree.check_invariants()
             counters = tree.counters
             assert (len(tree), tree.height, tree.node_count) == shape
             assert (counters.node_tests, counters.inserts, counters.deletes) == maintenance
@@ -443,6 +465,7 @@ class TestParentParity:
         items = make_items(500, seed=seed)
         tree = BottomUpRTree(max_entries=max_entries)
         tree.bulk_load(items)
+        tree._tree.check_invariants()
         boxes = dict(items)
         for _ in range(4):
             for eid in sorted(boxes):
