@@ -19,9 +19,15 @@ Contents:
 * :class:`~repro.indexes.crtree.CRTree` — the cache-conscious R-tree with
   quantized relative MBRs and cache-line-multiple nodes.
 * :class:`~repro.indexes.kdtree.KDTree` — point access method.
-* :class:`~repro.indexes.quadtree.QuadTree` /
-  :class:`~repro.indexes.octree.Octree` — space-oriented partitioning with
-  leaf-level replication for volumetric elements.
+* :class:`~repro.indexes.region_tree.RegionTree` — the one
+  space-partitioning tree with leaf-level replication of volumetric
+  elements, with two cut rules:
+
+  * :class:`~repro.indexes.quadtree.QuadTree` /
+    :class:`~repro.indexes.octree.Octree` cut a region into 2^d equal
+    children;
+  * :class:`~repro.indexes.rplus.RPlusTree` — the R+-tree — cuts it in two
+    at the median lower bound on its widest axis.
 * :class:`~repro.indexes.loose_octree.LooseOctree` — replication-free variant
   with enlarged (loose) cells.
 """

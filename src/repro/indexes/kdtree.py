@@ -88,7 +88,7 @@ class KDTree(SpatialIndex):
             self.counters.pointer_follows += 1
         node.points.append((point, eid))  # type: ignore[union-attr]
         if len(node.points) > self.bucket_size:  # type: ignore[arg-type]
-            self._split_leaf(node)
+            self._split_bucket(node)
         self._size += 1
         self.counters.inserts += 1
 
@@ -294,7 +294,7 @@ class KDTree(SpatialIndex):
         node.right = self._build(right)
         return node
 
-    def _split_leaf(self, node: _KDNode) -> None:
+    def _split_bucket(self, node: _KDNode) -> None:
         points = node.points
         assert points is not None
         rebuilt = self._build(points)

@@ -1,13 +1,30 @@
-"""Shared space-oriented region tree behind the quadtree and octree.
+"""One space-partitioning tree with leaf-level replication.
 
-Space-oriented partitioning splits *space* into 2^d equal children per node.
-Volumetric elements that straddle child boundaries are **replicated** into
-every overlapping leaf — the strategy the paper attributes to point access
-methods ("supporting volumetric objects ... can be accomplished by
-replicating elements which occupy several partitions on the leaf level.
-However, by doing so, the index size is increased massively").  The
-``replication_factor`` property exposes exactly that blow-up for the
-benchmarks; the loose octree avoids it at the price of overlap.
+Both trees the paper prices by their replicas are this one structure: every
+node owns a *region*, sibling regions tile their parent's region without
+overlap, and an element is stored in every leaf whose region its box
+touches (closed intersection).  They differ only in how a region is cut:
+
+* :class:`RegionTree` cuts *space*: a region splits into 2^d equal
+  children (the quadtree and octree, Samet 1984).  The paper: "supporting
+  volumetric objects ... can be accomplished by replicating elements which
+  occupy several partitions on the leaf level.  However, by doing so, the
+  index size is increased massively";
+* :class:`~repro.indexes.rplus.RPlusTree` cuts *data*: two children at a
+  median of the elements' lower bounds on the widest axis (Sellis,
+  Roussopoulos and Faloutsos 1987), which §3.2 lists among the R-tree
+  extensions that trade overlap for duplicated elements.
+
+One top-down build (:meth:`RegionTree._fill`) makes every subtree: the bulk
+load, the split of a leaf holding more than ``capacity`` elements (unless
+it sits at ``max_depth``), and the rebuild under a widened root when a
+write lands outside the universe.  Every write refuses NaN/±inf
+coordinates, boxes of other dims and ids the tree already holds before it
+changes anything.  Deletion removes every replica; regions never merge
+(the structure is rebuilt instead, which suits the paper's §4 economics).
+``replication_factor`` reports the blow-up and ``max_sibling_overlap`` the
+invariant (0.0); the loose octree avoids the first at the price of the
+second.
 """
 
 from __future__ import annotations
@@ -15,20 +32,27 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from repro.geometry.aabb import AABB, union_all
+from repro.geometry.aabb import AABB, boxes_to_array, union_all
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
+from repro.indexes.rtree import _check_finite, checked_box
 from repro.instrumentation.counters import Counters
 
 _BOX_BYTES_PER_DIM = 16
+_NODE_HEADER_BYTES = 16
+# The universe is the data's hull padded by this share of its mean side;
+# a write outside it widens it by half again, so drifting data rebuilds
+# rarely.
+_UNIVERSE_PAD = 0.01
+_GROWTH_PAD = 0.5
 
 
 class _RegionNode:
-    __slots__ = ("box", "children", "items")
+    __slots__ = ("region", "children", "items")
 
-    def __init__(self, box: AABB) -> None:
-        self.box = box
+    def __init__(self, region: AABB) -> None:
+        self.region = region
         self.children: list["_RegionNode"] | None = None
-        self.items: list[tuple[int, AABB]] = []
+        self.items: list[Item] = []
 
     @property
     def is_leaf(self) -> bool:
@@ -36,39 +60,41 @@ class _RegionNode:
 
 
 class RegionTree(SpatialIndex):
-    """2^d-ary space partitioning tree with leaf-level replication.
+    """Space partitioning tree with leaf-level replication; this class cuts
+    a region into 2^d equal children.
 
     Parameters
     ----------
     dims:
-        Dimensionality (2 = quadtree, 3 = octree).
+        Dimensionality (2 = quadtree, 3 = octree); ``None`` takes the first
+        write's.
     universe:
-        Root cell; when omitted it is derived from the first ``bulk_load``
-        (with a 1 % margin) and grown by rebuild when an insert lands
-        outside.
+        Root region; when omitted it is derived from the first write (the
+        hull padded by 1 % of its mean side) and widened by rebuild when a
+        write lands outside.
     capacity:
-        Leaf split threshold (distinct elements per leaf).
+        Elements a leaf holds before it is cut.
     max_depth:
-        Hard depth cap; overflowing leaves at the cap simply grow, which
-        bounds replication on pathological inputs.
+        Depth cap; an overflowing leaf at the cap simply grows, which bounds
+        replication on pathological inputs.
     """
 
     def __init__(
         self,
-        dims: int,
+        dims: int | None,
         universe: AABB | None = None,
         capacity: int = 16,
-        max_depth: int = 12,
+        max_depth: float = 12,
         counters: Counters | None = None,
     ) -> None:
         super().__init__(counters)
-        if dims < 1:
+        if dims is not None and dims < 1:
             raise ValueError(f"dims must be >= 1, got {dims}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if universe is not None and universe.dims != dims:
+        if universe is not None and dims is not None and universe.dims != dims:
             raise ValueError(f"universe has {universe.dims} dims, expected {dims}")
-        self.dims = dims
+        self.dims = universe.dims if universe is not None else dims
         self.capacity = capacity
         self.max_depth = max_depth
         self._universe = universe
@@ -80,43 +106,36 @@ class RegionTree(SpatialIndex):
 
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
-        self._boxes = {}
-        self._replicas = 0
-        if self._universe is None and materialized:
-            hull = union_all(box for _, box in materialized)
-            margin = max(hull.margin() / (2 * self.dims) * 0.01, 1e-9)
-            self._universe = hull.expanded(margin)
-        self._root = _RegionNode(self._universe) if self._universe else None
-        for eid, box in materialized:
-            self.insert(eid, box)
-        # bulk_load is a rebuild, not N logical inserts
-        self.counters.inserts -= len(materialized)
+        if materialized:
+            checked_box(materialized[0][1], self.dims)
+            _check_finite(boxes_to_array([box for _, box in materialized]))
+            self._cover(union_all(box for _, box in materialized))
+        self._boxes = dict(materialized)
+        self._rebuild()
 
     def insert(self, eid: int, box: AABB) -> None:
-        if box.dims != self.dims:
-            raise ValueError(f"box has {box.dims} dims, index has {self.dims}")
-        if self._universe is None:
-            margin = max(box.margin() / (2 * self.dims) * 0.01, 1e-9)
-            self._universe = box.expanded(margin)
-            self._root = _RegionNode(self._universe)
-        if not self._universe.contains_box(box):
-            self._grow_universe(box)
+        checked_box(box, self.dims)
+        if eid in self._boxes:
+            raise ValueError(f"element {eid} already present")
         self._boxes[eid] = box
-        self._insert_into(self._root, eid, box, depth=0)
+        if self._cover(box):
+            self._rebuild()
+        else:
+            self._insert_into(self._root, eid, box, 0)
         self.counters.inserts += 1
 
     def delete(self, eid: int, box: AABB) -> None:
-        if eid not in self._boxes or self._boxes[eid] != box:
+        if self._boxes.get(eid) != box:
             raise KeyError(f"element {eid} with box {box} not in index")
-        assert self._root is not None
         self._delete_from(self._root, eid, box)
         del self._boxes[eid]
         self.counters.deletes += 1
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        self.delete(eid, old_box)
-        self.insert(eid, new_box)
-        self.counters.updates += 1
+        """Delete + insert, with a new box the insert would refuse refused
+        first: the element must not be deleted and then lost."""
+        checked_box(new_box, self.dims)
+        super().update(eid, old_box, new_box)
 
     # -- queries -----------------------------------------------------------------
 
@@ -124,15 +143,14 @@ class RegionTree(SpatialIndex):
         if self._root is None:
             return []
         counters = self.counters
+        entry_bytes = box.dims * _BOX_BYTES_PER_DIM + 8
         seen: set[int] = set()
         results: list[int] = []
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                counters.bytes_touched += len(node.items) * (
-                    self.dims * _BOX_BYTES_PER_DIM + 8
-                )
+                counters.bytes_touched += _NODE_HEADER_BYTES + len(node.items) * entry_bytes
                 for eid, elem_box in node.items:
                     if eid in seen:
                         continue
@@ -141,10 +159,9 @@ class RegionTree(SpatialIndex):
                         seen.add(eid)
                         results.append(eid)
                 continue
-            assert node.children is not None
             for child in node.children:
                 counters.node_tests += 1
-                if child.box.intersects(box):
+                if child.region.intersects(box):
                     counters.pointer_follows += 1
                     stack.append(child)
         return results
@@ -180,12 +197,11 @@ class RegionTree(SpatialIndex):
                     )
                     counters.heap_ops += 1
                 continue
-            assert node.children is not None
             for child in node.children:
                 counters.node_tests += 1
                 heapq.heappush(
                     heap,
-                    (child.box.min_distance_to_point(point), 0, tiebreak, child),
+                    (child.region.min_distance_to_point(point), 0, tiebreak, child),
                 )
                 counters.heap_ops += 1
                 tiebreak += 1
@@ -194,6 +210,8 @@ class RegionTree(SpatialIndex):
     def __len__(self) -> int:
         return len(self._boxes)
 
+    # -- introspection -------------------------------------------------------------
+
     @property
     def replication_factor(self) -> float:
         """Stored leaf entries per distinct element (1.0 = no replication)."""
@@ -201,31 +219,76 @@ class RegionTree(SpatialIndex):
             return 0.0
         return self._replicas / len(self._boxes)
 
+    def max_sibling_overlap(self) -> float:
+        """Largest overlap volume between two sibling regions: 0.0, since
+        every cut tiles its region (shared faces have no volume)."""
+        worst = 0.0
+        stack = [self._root] if self._root else []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            for i, a in enumerate(node.children):
+                for b in node.children[i + 1 :]:
+                    worst = max(worst, a.region.overlap_volume(b.region))
+            stack.extend(node.children)
+        return worst
+
     # -- internals -------------------------------------------------------------------
+
+    def _cut(self, region: AABB, items: list[Item]) -> list[AABB] | None:
+        """The child regions ``region`` is cut into for ``items``, or
+        ``None`` when it cannot be cut: here its 2^d equal children."""
+        return _subdivide(region)
+
+    def _fill(self, node: _RegionNode, items: list[Item], depth: int) -> _RegionNode:
+        """The one build: keep ``items`` in ``node`` as a leaf, or cut its
+        region and fill each child with the items that touch it.  A cut
+        after which every child holds every item would only copy the leaf
+        2^d-fold per level (boxes spanning the centre), so it is not made."""
+        if len(items) > self.capacity and depth < self.max_depth:
+            regions = self._cut(node.region, items) or ()
+            parts = [[item for item in items if region.intersects(item[1])] for region in regions]
+            if any(len(part) < len(items) for part in parts):
+                node.items = []
+                node.children = [
+                    self._fill(_RegionNode(region), part, depth + 1)
+                    for region, part in zip(regions, parts)
+                ]
+                return node
+        node.items = items
+        self._replicas += len(items)
+        return node
+
+    def _rebuild(self) -> None:
+        self._replicas = 0
+        self._root = None
+        if self._universe is not None:
+            self._root = self._fill(_RegionNode(self._universe), list(self._boxes.items()), 0)
+
+    def _cover(self, hull: AABB) -> bool:
+        """Make the universe contain ``hull``; True when it had to change
+        (the caller rebuilds under the new root)."""
+        if self._universe is None:
+            self.dims = hull.dims
+            self._universe = _padded(hull, _UNIVERSE_PAD)
+        elif not self._universe.contains_box(hull):
+            self._universe = _padded(self._universe.union(hull), _GROWTH_PAD)
+        else:
+            return False
+        return True
 
     def _insert_into(self, node: _RegionNode, eid: int, box: AABB, depth: int) -> None:
         if node.is_leaf:
             node.items.append((eid, box))
             self._replicas += 1
-            distinct = len({stored_eid for stored_eid, _ in node.items})
-            if distinct > self.capacity and depth < self.max_depth:
-                self._split(node)
+            if len(node.items) > self.capacity:
+                self._replicas -= len(node.items)
+                self._fill(node, node.items, depth)
             return
-        assert node.children is not None
         for child in node.children:
-            if child.box.intersects(box):
+            if child.region.intersects(box):
                 self._insert_into(child, eid, box, depth + 1)
-
-    def _split(self, node: _RegionNode) -> None:
-        node.children = [_RegionNode(box) for box in _subdivide(node.box)]
-        items = node.items
-        node.items = []
-        self._replicas -= len(items)
-        for eid, box in items:
-            for child in node.children:
-                if child.box.intersects(box):
-                    child.items.append((eid, box))
-                    self._replicas += 1
 
     def _delete_from(self, node: _RegionNode, eid: int, box: AABB) -> None:
         if node.is_leaf:
@@ -233,23 +296,14 @@ class RegionTree(SpatialIndex):
             node.items = [(e, b) for e, b in node.items if e != eid]
             self._replicas -= before - len(node.items)
             return
-        assert node.children is not None
         for child in node.children:
-            if child.box.intersects(box):
+            if child.region.intersects(box):
                 self._delete_from(child, eid, box)
 
-    def _grow_universe(self, box: AABB) -> None:
-        """Rebuild with a universe covering both the old data and ``box``."""
-        items = list(self._boxes.items())
-        hull = self._universe.union(box) if self._universe else box
-        margin = max(hull.margin() / (2 * self.dims) * 0.5, 1e-9)
-        self._universe = hull.expanded(margin)
-        self._root = _RegionNode(self._universe)
-        self._replicas = 0
-        self._boxes = {}
-        for eid, item_box in items:
-            self._boxes[eid] = item_box
-            self._insert_into(self._root, eid, item_box, depth=0)
+
+def _padded(hull: AABB, share: float) -> AABB:
+    """``hull`` grown on every face by ``share`` of its mean side."""
+    return hull.expanded(max(hull.margin() / hull.dims * share, 1e-9))
 
 
 def _subdivide(box: AABB) -> list[AABB]:

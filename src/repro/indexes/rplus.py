@@ -1,50 +1,36 @@
-"""The R+-tree (Sellis, Roussopoulos, Faloutsos 1987): overlap-free regions.
+"""The R+-tree (Sellis, Roussopoulos, Faloutsos 1987): a region tree that
+cuts data, not space.
 
 §3.2 names it among the R-tree extensions that attack overlap: "Numerous
 extensions (Priority R-Tree, R*-Tree, R+-Tree, etc. ...) reduce the overlap
 and hence improve performance, but the fundamental problem of overlap
 remains."  The R+-tree removes *inner-node* overlap entirely by partitioning
-space into disjoint regions and **replicating** elements that straddle region
-boundaries — trading Figure 3's redundant tree descents for Figure 4-style
-duplicated element tests, a trade-off the counters make directly visible
-(zero overlapping sibling regions; ``replication_factor`` > 1).
+space into disjoint regions and **replicating** elements that straddle
+region boundaries — trading Figure 3's redundant tree descents for Figure
+4-style duplicated element tests, a trade-off the counters make directly
+visible (``max_sibling_overlap`` 0.0, ``replication_factor`` > 1).
 
-Implementation: children of a node carry disjoint *region* boxes produced by
-recursive axis cuts (widest axis, median of element lower bounds); an
-element is stored in every leaf whose region its box intersects; queries
-descend by region (a point crosses exactly one child) and deduplicate ids.
-Deletion removes the element from every hosting leaf; regions are never
-merged (classic R+ behaviour — the structure is periodically rebuilt
-instead, which suits the paper's §4 economics).
+It is :class:`~repro.indexes.region_tree.RegionTree` — the same node,
+build, writes and queries as the quadtree and octree — with one cut rule:
+a full leaf splits in two on the region's widest axis, at the median of
+the elements' lower bounds that lie above some element's upper bound and
+below some element's lower bound, so each half loses an element (the
+next-widest axis when no lower bound does).  It keeps no depth cap: every
+cut shrinks both halves.  Elements that no axis separates (identical
+boxes, boxes sharing a span) share one oversized leaf.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Sequence
+import math
 
-from repro.geometry.aabb import AABB, union_all
-from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
+from repro.geometry.aabb import AABB
+from repro.indexes.base import Item
+from repro.indexes.region_tree import RegionTree
 from repro.instrumentation.counters import Counters
 
-_BOX_BYTES_PER_DIM = 16
-_NODE_HEADER_BYTES = 16
 
-
-class _RPlusNode:
-    __slots__ = ("region", "children", "items")
-
-    def __init__(self, region: AABB) -> None:
-        self.region = region
-        self.children: list["_RPlusNode"] | None = None
-        self.items: list[tuple[int, AABB]] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
-class RPlusTree(SpatialIndex):
+class RPlusTree(RegionTree):
     """Overlap-free data-oriented tree with straddler replication.
 
     Parameters
@@ -52,8 +38,8 @@ class RPlusTree(SpatialIndex):
     max_entries:
         Leaf capacity before a region split.
     universe:
-        Root region; derived (with margin) from the first bulk load when
-        omitted, and grown by rebuild if an insert lands outside.
+        Root region; derived from the first write when omitted, and grown
+        by rebuild when a write lands outside.
     """
 
     def __init__(
@@ -62,271 +48,24 @@ class RPlusTree(SpatialIndex):
         universe: AABB | None = None,
         counters: Counters | None = None,
     ) -> None:
-        super().__init__(counters)
         if max_entries < 2:
             raise ValueError(f"max_entries must be >= 2, got {max_entries}")
+        super().__init__(
+            dims=None, universe=universe, capacity=max_entries, max_depth=math.inf,
+            counters=counters,
+        )
         self.max_entries = max_entries
-        self._universe = universe
-        self._root: _RPlusNode | None = _RPlusNode(universe) if universe else None
-        self._boxes: dict[int, AABB] = {}
-        self._replicas = 0
 
-    # -- maintenance ---------------------------------------------------------------
-
-    def bulk_load(self, items: Iterable[Item]) -> None:
-        materialized = validate_items(items)
-        self._boxes = dict(materialized)
-        self._replicas = 0
-        if not materialized:
-            self._root = _RPlusNode(self._universe) if self._universe else None
-            return
-        if self._universe is None:
-            hull = union_all(box for _, box in materialized)
-            self._universe = hull.expanded(max(hull.margin() * 0.005, 1e-9))
-        self._root = self._build(self._universe, materialized)
-
-    def insert(self, eid: int, box: AABB) -> None:
-        if eid in self._boxes:
-            raise ValueError(f"element {eid} already present")
-        if self._universe is None:
-            self._universe = box.expanded(max(box.margin() * 0.005, 1e-9))
-            self._root = _RPlusNode(self._universe)
-        if not self._universe.contains_box(box):
-            self._grow_universe(box)
-        self._boxes[eid] = box
-        assert self._root is not None
-        self._insert_into(self._root, eid, box)
-        self.counters.inserts += 1
-
-    def delete(self, eid: int, box: AABB) -> None:
-        if eid not in self._boxes or self._boxes[eid] != box:
-            raise KeyError(f"element {eid} with box {box} not in index")
-        assert self._root is not None
-        self._delete_from(self._root, eid, box)
-        del self._boxes[eid]
-        self.counters.deletes += 1
-
-    def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
-        self.delete(eid, old_box)
-        self.insert(eid, new_box)
-        self.counters.updates += 1
-
-    # -- queries --------------------------------------------------------------------
-
-    def range_query(self, box: AABB) -> list[int]:
-        if self._root is None:
-            return []
-        counters = self.counters
-        dims = box.dims
-        seen: set[int] = set()
-        results: list[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                counters.bytes_touched += _NODE_HEADER_BYTES + len(node.items) * (
-                    dims * _BOX_BYTES_PER_DIM + 8
-                )
-                for eid, elem_box in node.items:
-                    if eid in seen:
-                        continue
-                    counters.elem_tests += 1
-                    if elem_box.intersects(box):
-                        seen.add(eid)
-                        results.append(eid)
-                continue
-            assert node.children is not None
-            for child in node.children:
-                counters.node_tests += 1
-                if child.region.intersects(box):
-                    counters.pointer_follows += 1
-                    stack.append(child)
-        return results
-
-    def knn(self, point: Sequence[float], k: int) -> KNNResult:
-        if k <= 0 or not self._boxes or self._root is None:
-            return []
-        counters = self.counters
-        # (distance, kind, key, ref): nodes (kind 0) pop before elements
-        # (kind 1) at equal distance, tied elements pop in id order — the
-        # deterministic (distance, id) contract (see indexes/base.py).
-        heap: list[tuple[float, int, int, object]] = [(0.0, 0, 0, self._root)]
-        tiebreak = 1
-        emitted: set[int] = set()
-        results: list[tuple[float, int]] = []
-        while heap and len(results) < k:
-            dist, kind, _, ref = heapq.heappop(heap)
-            counters.heap_ops += 1
-            if kind == 1:
-                if ref not in emitted:
-                    emitted.add(ref)  # type: ignore[arg-type]
-                    results.append((dist, ref))  # type: ignore[arg-type]
-                continue
-            node: _RPlusNode = ref  # type: ignore[assignment]
-            if node.is_leaf:
-                for eid, elem_box in node.items:
-                    if eid in emitted:
-                        continue
-                    counters.elem_tests += 1
-                    heapq.heappush(
-                        heap,
-                        (elem_box.min_distance_to_point(point), 1, eid, eid),
-                    )
-                    counters.heap_ops += 1
-                continue
-            assert node.children is not None
-            for child in node.children:
-                counters.node_tests += 1
-                heapq.heappush(
-                    heap,
-                    (child.region.min_distance_to_point(point), 0, tiebreak, child),
-                )
-                counters.heap_ops += 1
-                tiebreak += 1
-        return results
-
-    def __len__(self) -> int:
-        return len(self._boxes)
-
-    # -- introspection ----------------------------------------------------------------
-
-    @property
-    def replication_factor(self) -> float:
-        if not self._boxes:
-            return 0.0
-        return self._replicas / len(self._boxes)
-
-    def max_sibling_overlap(self) -> float:
-        """Largest pairwise overlap volume among sibling regions (must be 0
-        up to shared faces — the R+ invariant the tests assert)."""
-        worst = 0.0
-        stack = [self._root] if self._root else []
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            assert node.children is not None
-            for i, a in enumerate(node.children):
-                for b in node.children[i + 1 :]:
-                    worst = max(worst, a.region.overlap_volume(b.region))
-            stack.extend(node.children)
-        return worst
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _build(self, region: AABB, items: list[Item]) -> _RPlusNode:
-        node = _RPlusNode(region)
-        if len(items) <= self.max_entries:
-            node.items = list(items)
-            self._replicas += len(items)
-            return node
-        cut_axis, cut_value = _choose_cut(region, items)
-        if cut_value is None:
-            # Degenerate: all items identical along every axis — oversized leaf.
-            node.items = list(items)
-            self._replicas += len(items)
-            return node
-        low_region, high_region = _split_region(region, cut_axis, cut_value)
-        low_items = [item for item in items if item[1].lo[cut_axis] < cut_value]
-        high_items = [item for item in items if item[1].hi[cut_axis] > cut_value]
-        on_cut = [
-            item
-            for item in items
-            if item[1].lo[cut_axis] == cut_value and item[1].hi[cut_axis] == cut_value
-        ]
-        low_items += on_cut
-        if not low_items or not high_items:
-            node.items = list(items)
-            self._replicas += len(items)
-            return node
-        node.children = [
-            self._build(low_region, low_items),
-            self._build(high_region, high_items),
-        ]
-        return node
-
-    def _insert_into(self, node: _RPlusNode, eid: int, box: AABB) -> None:
-        if node.is_leaf:
-            node.items.append((eid, box))
-            self._replicas += 1
-            if len(node.items) > self.max_entries:
-                self._split_leaf(node)
-            return
-        assert node.children is not None
-        for child in node.children:
-            if child.region.intersects(box):
-                self._insert_into(child, eid, box)
-
-    def _split_leaf(self, node: _RPlusNode) -> None:
-        items = node.items
-        cut_axis, cut_value = _choose_cut(node.region, items)
-        if cut_value is None:
-            return  # all identical: tolerate the oversized leaf
-        low_region, high_region = _split_region(node.region, cut_axis, cut_value)
-        low_items = [item for item in items if item[1].lo[cut_axis] < cut_value]
-        high_items = [item for item in items if item[1].hi[cut_axis] > cut_value]
-        on_cut = [
-            item
-            for item in items
-            if item[1].lo[cut_axis] == cut_value and item[1].hi[cut_axis] == cut_value
-        ]
-        low_items += on_cut
-        if not low_items or not high_items:
-            return
-        self._replicas += len(low_items) + len(high_items) - len(items)
-        node.items = []
-        low = _RPlusNode(low_region)
-        low.items = low_items
-        high = _RPlusNode(high_region)
-        high.items = high_items
-        node.children = [low, high]
-
-    def _delete_from(self, node: _RPlusNode, eid: int, box: AABB) -> None:
-        if node.is_leaf:
-            before = len(node.items)
-            node.items = [(e, b) for e, b in node.items if e != eid]
-            self._replicas -= before - len(node.items)
-            return
-        assert node.children is not None
-        for child in node.children:
-            if child.region.intersects(box):
-                self._delete_from(child, eid, box)
-
-    def _grow_universe(self, box: AABB) -> None:
-        items = list(self._boxes.items())
-        hull = self._universe.union(box) if self._universe else box
-        self._universe = hull.expanded(max(hull.margin() * 0.5, 1e-9))
-        self._replicas = 0
-        if items:
-            self._root = self._build(self._universe, items)
-        else:
-            self._root = _RPlusNode(self._universe)
-
-
-def _choose_cut(region: AABB, items: list[Item]) -> tuple[int, float | None]:
-    """Widest axis with a median lower-bound cut strictly inside the region.
-
-    Returns ``(axis, None)`` when no axis admits a separating cut (all
-    element boxes identical along every axis).
-    """
-    dims = region.dims
-    axes = sorted(range(dims), key=lambda a: region.hi[a] - region.lo[a], reverse=True)
-    for axis in axes:
-        values = sorted(box.lo[axis] for _, box in items)
-        median = values[len(values) // 2]
-        if region.lo[axis] < median < region.hi[axis] and values[0] < median:
-            return axis, median
-        # Fall back to the midpoint of distinct coordinates on this axis.
-        distinct = sorted({v for v in values})
-        for candidate in distinct:
-            if region.lo[axis] < candidate < region.hi[axis]:
-                return axis, candidate
-    return axes[0], None
-
-
-def _split_region(region: AABB, axis: int, value: float) -> tuple[AABB, AABB]:
-    low_hi = list(region.hi)
-    low_hi[axis] = value
-    high_lo = list(region.lo)
-    high_lo[axis] = value
-    return AABB(region.lo, low_hi), AABB(high_lo, region.hi)
+    def _cut(self, region: AABB, items: list[Item]) -> list[AABB] | None:
+        widest_first = sorted(range(region.dims), key=lambda a: region.lo[a] - region.hi[a])
+        for axis in widest_first:
+            # Only a cut above some element's upper bound and below some
+            # element's lower bound leaves each half fewer elements.
+            least_hi = min(box.hi[axis] for _, box in items)
+            values = sorted(box.lo[axis] for _, box in items)
+            separating = [v for v in values if least_hi < v < values[-1]]
+            if separating:
+                low_hi, high_lo = list(region.hi), list(region.lo)
+                low_hi[axis] = high_lo[axis] = separating[len(separating) // 2]
+                return [AABB(region.lo, low_hi), AABB(high_lo, region.hi)]
+        return None

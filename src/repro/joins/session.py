@@ -124,22 +124,32 @@ def _spec_tables(spec: JoinSpec) -> tuple[BoxTable, BoxTable | None]:
 
 
 def pair_list(pairs: Pairs) -> list[tuple[int, int]]:
-    """The one materialisation: sorted ``(a, b)`` tuples of Python ints.
-
-    Non-negative ids sort as one int64 key ``a · (max_b + 1) + b`` while it
-    fits — a plain sort of one column, several times faster than the
-    two-key ``lexsort`` every other input takes — and decode from it."""
+    """The one materialisation: sorted ``(a, b)`` tuples of Python ints."""
     pairs = pair_array(pairs)
     if not len(pairs):
         return []
+    a, b = _sorted_columns(pairs)
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def _sorted_columns(pairs: np.ndarray, unique: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(a, b)`` columns of non-empty ``pairs`` in ``(a, b)`` order,
+    each pair once when ``unique``.
+
+    Non-negative ids sort as one int64 key ``a · (max_b + 1) + b`` while it
+    fits — a plain sort (or ``unique``) of one column, several times faster
+    than the two-key ``lexsort`` or row-wise ``unique`` every other input
+    takes — and decode from it."""
     a, b = pairs[:, 0], pairs[:, 1]
     base = int(b.max()) + 1
     if int(a.min()) >= 0 and int(b.min()) >= 0 and int(a.max()) * base + base - 1 < 1 << 63:
-        a, b = np.divmod(np.sort(a * base + b), base)
-    else:
-        order = np.lexsort((b, a))
-        a, b = a.take(order), b.take(order)
-    return list(zip(a.tolist(), b.tolist()))
+        key = a * base + b
+        return np.divmod(np.unique(key) if unique else np.sort(key), base)
+    if unique:
+        pairs = np.unique(pairs, axis=0)
+        return pairs[:, 0], pairs[:, 1]
+    order = np.lexsort((b, a))
+    return a.take(order), b.take(order)
 
 
 def _spec_size(spec: JoinSpec) -> int:
@@ -416,8 +426,7 @@ class JoinSession(SessionCore):
         # Registry strategies emit each pair exactly once, but a
         # user-supplied CallableJoin carries no such guarantee — and the
         # synapse contract promises duplicate unordered pairs are excluded.
-        cand_pairs = np.unique(candidates, axis=0)
-        cand_a, cand_b = cand_pairs[:, 0], cand_pairs[:, 1]
+        cand_a, cand_b = _sorted_columns(candidates, unique=True)
         rows_a = np.searchsorted(eids_sorted, cand_a)
         rows_b = np.searchsorted(eids_sorted, cand_b)
 

@@ -113,94 +113,99 @@ class DLS:
         terminates *at* the query region but no cell intersects (query in
         empty space outside the mesh).
         """
-        start = self._walk_to(box, self._seed_for(box.center()))
-        if start is None:
+        mesh = self.mesh
+        stranded, entry = directed_walk(mesh, box, self._seed_for(box.center()), self.counters)
+        if entry is not None:
+            return flood(mesh, box, entry, set(), self.counters)
+        # Nothing intersecting close by.  Arriving next to the query, or a
+        # query that misses the mesh hull, is a legitimately empty result;
+        # otherwise a hole blocked the path — the documented convex-only
+        # limitation, reported loudly.
+        gap = mesh.bounds(stranded).min_distance_to_point(box.center())
+        if gap <= _walk_slack(mesh, stranded) or not mesh.hull().intersects(box):
             return []
-        return self._flood(box, start)
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _walk_to(self, box: AABB, start: int) -> int | None:
-        """Greedy descent by centroid distance to the query centre."""
-        mesh = self.mesh
-        target = box.center()
-        current = start
-        current_dist = _distance(mesh.centroid(current), target)
-        visited = {current}
-        while True:
-            self.counters.elem_tests += 1
-            if mesh.bounds(current).intersects(box):
-                return current
-            best = None
-            best_dist = current_dist
-            for neighbor in mesh.neighbors(current):
-                self.counters.pointer_follows += 1
-                if neighbor in visited:
-                    continue
-                dist = _distance(mesh.centroid(neighbor), target)
-                if dist < best_dist:
-                    best = neighbor
-                    best_dist = dist
-            if best is None:
-                return self._local_minimum_fallback(box, current)
-            visited.add(best)
-            current = best
-            current_dist = best_dist
-
-    def _local_minimum_fallback(self, box: AABB, current: int) -> int | None:
-        """Resolve a stranded walk.
-
-        The walk stops at the cell whose centroid is locally nearest the
-        query centre.  Queries clipping the mesh edge-on can still intersect
-        *other* nearby cells, so we breadth-search the neighbourhood within
-        an inflated probe box.  Finding nothing close by means either the
-        query misses the mesh (empty result) or a hole blocked the path —
-        the documented convex-only limitation, reported loudly.
-        """
-        mesh = self.mesh
-        slack = _walk_slack(mesh, current)
-        gap = mesh.bounds(current).min_distance_to_point(box.center())
-        probe = box.expanded(gap + slack)
-        stack = [current]
-        seen = {current}
-        while stack:
-            cid = stack.pop()
-            self.counters.elem_tests += 1
-            if mesh.bounds(cid).intersects(box):
-                return cid
-            for neighbor in mesh.neighbors(cid):
-                if neighbor in seen:
-                    continue
-                self.counters.pointer_follows += 1
-                if mesh.bounds(neighbor).intersects(probe):
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        if gap <= slack or not self.mesh.hull().intersects(box):
-            # Either we arrived next to the query, or the query misses the
-            # mesh hull entirely — a legitimately empty result.
-            return None
         raise WalkStuckError(
-            f"directed walk stranded at cell {current}, "
+            f"directed walk stranded at cell {stranded}, "
             f"{gap:.3g} away from the query; mesh is likely concave — use Octopus"
         )
 
-    def _flood(self, box: AABB, start: int) -> list[int]:
-        """Collect the connected region of cells intersecting ``box``."""
-        mesh = self.mesh
-        results = []
-        stack = [start]
-        seen = {start}
-        while stack:
-            cid = stack.pop()
-            results.append(cid)
-            for neighbor in mesh.neighbors(cid):
-                if neighbor in seen:
-                    continue
-                self.counters.elem_tests += 1
-                if mesh.bounds(neighbor).intersects(box):
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return results
+
+# -- the walk and the flood (shared with Octopus) ------------------------------------
+
+
+def directed_walk(
+    mesh: Mesh, box: AABB, start: int, counters: Counters
+) -> tuple[int, int | None]:
+    """Greedy descent from ``start`` by centroid distance to the query
+    centre, then, where it strands, a search of the neighbourhood.
+
+    Returns ``(stranded, entry)``: the cell the descent stopped at and the
+    first cell found that intersects ``box``, or ``None``.  The descent
+    stops at the cell whose centroid is locally nearest the query centre;
+    queries clipping the mesh edge-on can still intersect *other* nearby
+    cells, so the stranded walk breadth-searches the cells within an
+    inflated probe box.
+    """
+    target = box.center()
+    current = start
+    current_dist = _distance(mesh.centroid(current), target)
+    visited = {current}
+    while True:
+        counters.elem_tests += 1
+        if mesh.bounds(current).intersects(box):
+            return current, current
+        best = None
+        best_dist = current_dist
+        for neighbor in mesh.neighbors(current):
+            counters.pointer_follows += 1
+            if neighbor in visited:
+                continue
+            dist = _distance(mesh.centroid(neighbor), target)
+            if dist < best_dist:
+                best = neighbor
+                best_dist = dist
+        if best is None:
+            break
+        visited.add(best)
+        current = best
+        current_dist = best_dist
+    gap = mesh.bounds(current).min_distance_to_point(target)
+    probe = box.expanded(gap + _walk_slack(mesh, current))
+    stack = [current]
+    seen = {current}
+    while stack:
+        cid = stack.pop()
+        counters.elem_tests += 1
+        if mesh.bounds(cid).intersects(box):
+            return current, cid
+        for neighbor in mesh.neighbors(cid):
+            if neighbor in seen:
+                continue
+            counters.pointer_follows += 1
+            if mesh.bounds(neighbor).intersects(probe):
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return current, None
+
+
+def flood(mesh: Mesh, box: AABB, start: int, seen: set[int], counters: Counters) -> list[int]:
+    """The cells of the connected region intersecting ``box`` that are
+    reachable from ``start`` without passing a cell in ``seen``; every
+    reached cell is added to ``seen``."""
+    results = []
+    stack = [start]
+    seen.add(start)
+    while stack:
+        cid = stack.pop()
+        results.append(cid)
+        for neighbor in mesh.neighbors(cid):
+            if neighbor in seen:
+                continue
+            counters.elem_tests += 1
+            if mesh.bounds(neighbor).intersects(box):
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return results
 
 
 def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:

@@ -10,21 +10,23 @@ Strategy implemented here:
 
 * seeds are **surface (boundary) cells** — cheap to enumerate from the mesh
   itself, no auxiliary structure to maintain under deformation;
-* a query launches directed walks from the nearest surface seeds in turn;
-  walks blocked by a hole simply fail over to the next seed (walks from
-  enough directions cannot all be blocked by the same hole);
-* every walk that reaches the query region floods it; flooding from multiple
-  entry points also covers query regions the holes disconnect — the case a
-  single-start flood provably misses.
+* a query launches DLS's directed walk
+  (:func:`~repro.mesh.dls.directed_walk`) from the nearest surface seeds in
+  turn; walks blocked by a hole simply fail over to the next seed (walks
+  from enough directions cannot all be blocked by the same hole), where
+  DLS would raise;
+* every walk that reaches the query region floods it
+  (:func:`~repro.mesh.dls.flood`, skipping cells already flooded); flooding
+  from multiple entry points also covers query regions the holes disconnect
+  — the case a single-start flood provably misses.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
 from repro.mesh.connectivity import Mesh
+from repro.mesh.dls import _distance, directed_walk, flood
 
 
 class Octopus:
@@ -65,81 +67,8 @@ class Octopus:
         results: set[int] = set()
         flooded: set[int] = set()
         for seed in seeds:
-            entry = self._walk(box, seed)
+            _, entry = directed_walk(mesh, box, seed, self.counters)
             if entry is None or entry in flooded:
                 continue
-            self._flood(box, entry, results, flooded)
+            results.update(flood(mesh, box, entry, flooded, self.counters))
         return sorted(results)
-
-    # -- internals ---------------------------------------------------------------
-
-    def _walk(self, box: AABB, start: int) -> int | None:
-        """Greedy walk toward the query centre; None when blocked or arrived
-        at a non-intersecting minimum."""
-        mesh = self.mesh
-        target = box.center()
-        current = start
-        current_dist = _distance(mesh.centroid(current), target)
-        visited = {current}
-        while True:
-            self.counters.elem_tests += 1
-            if mesh.bounds(current).intersects(box):
-                return current
-            best = None
-            best_dist = current_dist
-            for neighbor in mesh.neighbors(current):
-                self.counters.pointer_follows += 1
-                if neighbor in visited:
-                    continue
-                dist = _distance(mesh.centroid(neighbor), target)
-                if dist < best_dist:
-                    best = neighbor
-                    best_dist = dist
-            if best is None:
-                return self._nudge(box, current)
-            visited.add(best)
-            current = best
-            current_dist = best_dist
-
-    def _nudge(self, box: AABB, current: int) -> int | None:
-        """Bounded neighbourhood search around a stranded walk (queries that
-        clip the mesh edge-on intersect cells the greedy path skirts)."""
-        mesh = self.mesh
-        bounds = mesh.bounds(current)
-        slack = 2.0 * math.sqrt(sum(e * e for e in bounds.extents()))
-        gap = bounds.min_distance_to_point(box.center())
-        probe = box.expanded(gap + slack)
-        stack = [current]
-        seen = {current}
-        while stack:
-            cid = stack.pop()
-            self.counters.elem_tests += 1
-            if mesh.bounds(cid).intersects(box):
-                return cid
-            for neighbor in mesh.neighbors(cid):
-                if neighbor in seen:
-                    continue
-                self.counters.pointer_follows += 1
-                if mesh.bounds(neighbor).intersects(probe):
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return None
-
-    def _flood(self, box: AABB, start: int, results: set[int], flooded: set[int]) -> None:
-        mesh = self.mesh
-        stack = [start]
-        flooded.add(start)
-        while stack:
-            cid = stack.pop()
-            results.add(cid)
-            for neighbor in mesh.neighbors(cid):
-                if neighbor in flooded:
-                    continue
-                self.counters.elem_tests += 1
-                if mesh.bounds(neighbor).intersects(box):
-                    flooded.add(neighbor)
-                    stack.append(neighbor)
-
-
-def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))

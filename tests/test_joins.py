@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets.points import clustered_boxes, uniform_boxes
 from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
-from repro.joins.session import pair_list
+from repro.joins.session import _sorted_columns, pair_list
 from repro.joins.strategies import (
     GridJoin,
     NestedLoopJoin,
@@ -107,3 +107,18 @@ class TestSelfJoins:
         items = uniform_boxes(100, UNIVERSE_3D, 1.0, 4.0, seed=11)
         got = TinyCellJoin(cell_size=2.0).self_join(items, Counters())
         assert sorted(got) == sorted(ORACLE.self_join(items, Counters()))
+
+
+class TestPairOrder:
+    @pytest.mark.parametrize("low", [0, -50, 2**40], ids=["one-key", "negative", "wide"])
+    @pytest.mark.parametrize("unique", [False, True], ids=["sort", "unique"])
+    def test_sorted_columns_match_numpy(self, low, unique):
+        """The one-key path and the two-key fallback order (and dedup) pairs
+        as numpy's row-wise sort and unique do."""
+        pairs = np.random.default_rng(4).integers(low, low + 50, size=(400, 2))
+        a, b = _sorted_columns(pairs, unique=unique)
+        if unique:
+            expected = np.unique(pairs, axis=0)
+        else:
+            expected = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        assert np.array_equal(np.stack([a, b], axis=1), expected)

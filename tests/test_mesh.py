@@ -8,7 +8,7 @@ from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
 from repro.indexes.rtree import RTree
 from repro.mesh.connectivity import Mesh
-from repro.mesh.dls import DLS
+from repro.mesh.dls import DLS, WalkStuckError
 from repro.mesh.flat import FLAT
 from repro.mesh.generators import carve_hole, structured_tet_mesh
 from repro.mesh.octopus import Octopus
@@ -100,6 +100,16 @@ class TestDLS:
 
     def test_query_outside_mesh_is_empty(self, convex_mesh):
         assert DLS(convex_mesh).range_query(AABB((50, 50, 50), (51, 51, 51))) == []
+
+    def test_stranded_walk_is_reported(self):
+        """A query inside a hole, far from where the walk strands, is the
+        concave case DLS does not handle: it raises rather than guess, and
+        OCTOPUS answers it."""
+        mesh = carve_hole(structured_tet_mesh(12, 12, 2), AABB((3.0, -1.0, -1.0), (9.0, 9.0, 5.0)))
+        query = AABB((7.3, 2.5, -0.5), (7.4, 3.3, 0.5))
+        with pytest.raises(WalkStuckError, match="stranded"):
+            DLS(mesh, seed_resolution=1).range_query(query)
+        assert Octopus(mesh).range_query(query) == list(mesh.scan_range(query)) == []
 
 
 class TestOctopus:

@@ -8,6 +8,8 @@ from repro.datasets.queries import random_range_queries
 from repro.datasets.trajectories import BrownianMotion, LinearMotion, PlasticityMotion, apply_moves
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
+from repro.indexes.octree import Octree
+from repro.indexes.rplus import RPlusTree
 from repro.indexes.rtree import RTree
 from repro.moving.bottom_up import BottomUpRTree
 from repro.moving.buffered_rtree import BufferedRTree
@@ -137,12 +139,15 @@ BAD_BOXES = [
         pytest.param(lambda: BufferedRTree(buffer_capacity=1, max_entries=8), id="buffered-flush"),
         pytest.param(lambda: BufferedRTree(buffer_capacity=100, max_entries=8), id="buffered"),
         pytest.param(lambda: BottomUpRTree(max_entries=8), id="bottom-up"),
+        pytest.param(lambda: RPlusTree(max_entries=8), id="rplus"),
+        pytest.param(lambda: Octree(capacity=8), id="octree"),
     ],
 )
 @pytest.mark.parametrize("bad, message", BAD_BOXES)
 class TestBadBoxesAreRefusedBeforeAnyWrite:
     """The wrappers refuse what their R-tree refuses, with its message,
-    before they write anything: the index answers as it did."""
+    before they write anything: the index answers as it did.  The region
+    trees (R+-tree, octree) refuse the same boxes the same way."""
 
     QUERY = AABB((-10.0,) * 3, (40.0,) * 3)
 

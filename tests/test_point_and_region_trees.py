@@ -10,6 +10,7 @@ from repro.indexes.kdtree import KDTree
 from repro.indexes.loose_octree import LooseOctree
 from repro.indexes.octree import Octree
 from repro.indexes.quadtree import QuadTree
+from repro.indexes.rplus import RPlusTree
 
 from conftest import (
     UNIVERSE_2D,
@@ -108,6 +109,34 @@ class TestRegionTrees:
         tree = QuadTree(universe=UNIVERSE_2D)
         with pytest.raises(ValueError):
             tree.insert(1, AABB((0, 0, 0), (1, 1, 1)))
+
+    def test_duplicate_id_refused(self):
+        """An id the tree holds is refused before any write: the old
+        replicas stay and answer, and the new box does not."""
+        tree = Octree(universe=UNIVERSE_3D, capacity=4)
+        tree.bulk_load([(i, AABB((i, i, i), (i + 1.0, i + 1.0, i + 1.0))) for i in range(20)])
+        with pytest.raises(ValueError, match="already present"):
+            tree.insert(3, AABB((60, 60, 60), (61, 61, 61)))
+        assert len(tree) == 20
+        assert tree.range_query(AABB((3.2, 3.2, 3.2), (3.8, 3.8, 3.8))) == [3]
+        assert tree.range_query(AABB((59, 59, 59), (62, 62, 62))) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: Octree(universe=UNIVERSE_3D, capacity=16, max_depth=4), id="octree"),
+            pytest.param(lambda: RPlusTree(max_entries=8, universe=UNIVERSE_3D), id="rplus"),
+        ],
+    )
+    def test_a_cut_that_separates_nothing_is_not_made(self, make):
+        """Boxes spanning the centre (and every lower bound) stay in one
+        oversized leaf instead of being copied into each child, level after
+        level."""
+        items = [(i, AABB((1 + i * 0.01, 1, 1), (99, 99, 99))) for i in range(40)]
+        tree = make()
+        tree.bulk_load(items)
+        assert tree.replication_factor == 1.0
+        assert sorted(tree.range_query(AABB((50, 50, 50), (51, 51, 51)))) == list(range(40))
 
 
 class TestLooseOctree:

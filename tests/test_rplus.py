@@ -3,6 +3,7 @@
 import pytest
 
 from repro.geometry.aabb import AABB
+from repro.indexes.octree import Octree
 from repro.indexes.rplus import RPlusTree
 from repro.indexes.rtree import RTree
 
@@ -70,9 +71,17 @@ class TestRPlusInvariants:
         tree.bulk_load(items_3d)
         assert tree.max_sibling_overlap() == 0.0
 
-    def test_zero_overlap_survives_churn(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: RPlusTree(max_entries=8, universe=UNIVERSE_3D), id="rplus"),
+            pytest.param(lambda: Octree(universe=UNIVERSE_3D, capacity=8), id="octree"),
+        ],
+    )
+    def test_zero_overlap_survives_churn(self, make):
+        """Both cut rules tile their regions, so churn leaves no overlap."""
         items = make_items(300, seed=33)
-        tree = RPlusTree(max_entries=8, universe=UNIVERSE_3D)
+        tree = make()
         tree.bulk_load(items)
         live = dict(items)
         for eid in list(live)[::2]:
