@@ -17,7 +17,8 @@ Contents:
 * :class:`~repro.indexes.disk_rtree.DiskRTree` — the same tree with its
   node records in the simulated page store behind an LRU buffer pool.
 * :class:`~repro.indexes.crtree.CRTree` — the cache-conscious R-tree with
-  quantized relative MBRs and cache-line-multiple nodes.
+  quantized relative MBRs and cache-line-multiple nodes: ``RTree``'s
+  record plus a quantized entry block, with ``RTree``'s maintenance.
 * :class:`~repro.indexes.kdtree.KDTree` — point access method.
 * :class:`~repro.indexes.region_tree.RegionTree` — the one
   space-partitioning tree with leaf-level replication of volumetric

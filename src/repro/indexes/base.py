@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, array_to_boxes
+from repro.geometry.aabb import AABB
 from repro.instrumentation.counters import Counters
 
 Item = tuple[int, AABB]
@@ -30,12 +30,14 @@ Move = tuple[int, AABB, AABB]
 KNNResult = list[tuple[float, int]]
 
 
-def as_aabb_list(boxes: np.ndarray | Sequence[AABB]) -> list[AABB]:
-    """Normalize a batch of range queries to a list of AABBs."""
+def as_aabb_list(boxes: np.ndarray | Sequence[AABB]) -> list[AABB | None]:
+    """Normalize a batch of range queries to a list of AABBs.  An inverted
+    array row (lo > hi on some axis), which no AABB holds, becomes ``None``:
+    the empty intersection the vectorized kernels answer for it."""
     if isinstance(boxes, np.ndarray):
         if boxes.ndim != 3 or boxes.shape[1] != 2:
             raise ValueError(f"box array must have shape (m, 2, d), got {boxes.shape}")
-        return array_to_boxes(boxes)
+        return [None if (row[0] > row[1]).any() else AABB(row[0], row[1]) for row in boxes]
     return list(boxes)
 
 
@@ -130,7 +132,7 @@ class SpatialIndex(ABC):
 
     def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
         """Run one range query per box; ``boxes`` is ``(m, 2, d)`` or AABBs."""
-        return [self.range_query(box) for box in as_aabb_list(boxes)]
+        return [[] if box is None else self.range_query(box) for box in as_aabb_list(boxes)]
 
     def batch_range_hits(
         self, boxes: np.ndarray | Sequence[AABB]

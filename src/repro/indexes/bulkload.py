@@ -4,10 +4,9 @@ The paper's experiments use "an available implementation of the STR R-Tree";
 Section 4 measures rebuild-from-scratch against per-element updates, and STR
 packing is the rebuild being measured.  :func:`tile_arrays` tiles an
 ``(n, 2, d)`` box array; the record trees
-(:class:`~repro.indexes.rtree.RTree`, its R* and disk subclasses, the joins'
-throwaway trees and the external packer) build every level through it.
-:func:`_tile` is the same tiler over ``(AABB, ref)`` entries, for the
-:class:`~repro.indexes.crtree.CRTree`'s quantized nodes.
+(:class:`~repro.indexes.rtree.RTree`, its R*, disk and CR subclasses, the
+joins' throwaway trees and the external packer) build every level through
+it.
 """
 
 from __future__ import annotations
@@ -17,51 +16,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB
-
-
-def _tile(
-    entries: list[tuple[AABB, object]], dims: int, max_entries: int
-) -> list[list[tuple[AABB, object]]]:
-    """Partition entries into groups of at most ``max_entries`` by recursive
-    sort-and-slice along successive dimensions."""
-    groups: list[list[tuple[AABB, object]]] = []
-    _tile_recursive(entries, 0, dims, max_entries, groups)
-    return groups
-
-
-def _tile_recursive(
-    entries: list[tuple[AABB, object]],
-    axis: int,
-    dims: int,
-    max_entries: int,
-    out: list[list[tuple[AABB, object]]],
-) -> None:
-    if len(entries) <= max_entries:
-        out.append(entries)
-        return
-    ordered = sorted(entries, key=lambda e: (e[0].lo[axis] + e[0].hi[axis]) / 2.0)
-    if axis == dims - 1:
-        for start in range(0, len(ordered), max_entries):
-            out.append(ordered[start : start + max_entries])
-        return
-    pages = math.ceil(len(ordered) / max_entries)
-    slabs = math.ceil(pages ** (1.0 / (dims - axis)))
-    slab_size = math.ceil(len(ordered) / slabs)
-    for start in range(0, len(ordered), slab_size):
-        _tile_recursive(ordered[start : start + slab_size], axis + 1, dims, max_entries, out)
-
 
 def tile_arrays(
     boxes: np.ndarray, start_axis: int, max_entries: int
 ) -> tuple[np.ndarray, list[int]]:
-    """:func:`_tile_recursive` over an ``(n, 2, d)`` box array.
+    """Partition the rows of an ``(n, 2, d)`` box array into groups of at
+    most ``max_entries`` by recursive sort-and-slice along successive axes,
+    from ``start_axis`` on.
 
     Returns ``(order, bounds)``: group ``g`` is rows
-    ``order[bounds[g]:bounds[g + 1]]`` of ``boxes``.  A stable argsort on
-    ``(lo + hi) / 2.0`` — the float ``AABB.center()`` produces — with the
-    same slab arithmetic makes the group sequence identical to the object
-    tiler's, so array-native builders pack the very same tree.
+    ``order[bounds[g]:bounds[g + 1]]`` of ``boxes``.  Each slice is a
+    stable argsort on ``(lo + hi) / 2.0`` — the float ``AABB.center()``
+    produces — so ties keep input order; the tests hold an object tiler
+    over ``(AABB, ref)`` entries that this matches group for group.
     """
     n, _, dims = boxes.shape
     order = np.arange(n)

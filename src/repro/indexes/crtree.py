@@ -1,4 +1,4 @@
-"""The CR-tree (Kim & Kwon, SIGMOD'01): a cache-conscious R-tree.
+"""The CR-tree (Kim, Cha & Kwon, SIGMOD'01): a cache-conscious R-tree.
 
 The paper cites the CR-tree as "a step in the right direction" for in-memory
 indexing: nodes are sized to a multiple of the cache block, and entry MBRs are
@@ -9,98 +9,65 @@ problem of overlap remains" — which the grid-vs-tree benchmark reproduces.
 
 Implementation notes:
 
-* Quantization is conservative (entry boxes round outward, query boxes round
-  outward in the opposite sense), so the quantized filter can only produce
-  false positives, never false negatives; leaf candidates are refined against
-  exact boxes (counted as ``refine_tests``).
-* Queries touch only the quantized representation; byte accounting therefore
-  charges ``QUANT_BYTES`` per coordinate instead of 8, which is precisely the
-  CR-tree saving the memory cost model prices.
-* Maintenance (insert/delete) works on exact boxes and re-quantizes the
-  affected nodes, mirroring the published algorithm's lazy re-quantization.
+* A CR-tree is an :class:`~repro.indexes.rtree.RTree` whose node record is
+  ``RTree``'s (header, ``float64`` boxes, ``int64`` refs) followed by the
+  node's reference box (``2 d`` ``float64``, the MBR of its entries) and
+  its entries' QRMBRs (``n × 2 d`` ``uint16``).  The STR pack, Guttman's
+  maintenance, the NaN/±inf and wrong-dims refusals, kNN and the invariant
+  check are ``RTree``'s.  Every node write goes through
+  :meth:`CRTree._encode_arrays`, which re-quantizes the node: the
+  published algorithm's lazy re-quantization.
+* Quantization is conservative (entry boxes and query boxes both round
+  outward), so the quantized filter can only produce false positives, never
+  false negatives; leaf candidates are refined against exact boxes (counted
+  as ``refine_tests``).
+* Range queries filter on the quantized block alone, so byte accounting
+  charges the modeled CR node, ``16 + 16 d + n (4 d + 8)`` bytes per visit
+  (``QUANT_BYTES`` per coordinate instead of 8), not the record's length;
+  :meth:`CRTree.memory_bytes` is the same sum over every node.  This is
+  precisely the CR-tree saving the memory cost model prices.  kNN ranks by
+  the exact boxes, as ``RTree``'s does, at the same modeled charge.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.geometry.aabb import AABB, union_all
-from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
-from repro.indexes.bulkload import _tile
+import numpy as np
+
+from repro.geometry.aabb import AABB, as_box_array, batch_intersects
+from repro.indexes.rtree import _HEADER_BYTES, RTree, _mbr
 from repro.instrumentation.counters import Counters
 
 QUANT_LEVELS = 1 << 16  # 16-bit coordinates
 QUANT_BYTES = 2
-_NODE_HEADER_BYTES = 16
+_FULL_RANGE = np.array([[0.0], [QUANT_LEVELS - 1.0]])
 
 
-class CRNode:
-    """A CR-tree node: reference box plus quantized entries.
+def quantize(boxes: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Outward cells of ``(..., 2, d)`` boxes relative to the reference box
+    ``ref`` — one ``(2, d)`` box, or a ``(k, 2, d)`` stack that broadcasts
+    against the boxes — as floats.
 
-    ``entries`` holds ``(qlo, qhi, exact_box, ref)`` — the exact box is kept
-    for maintenance and refinement but the query path reads only the
-    quantized coordinates.
+    Lower corners round down and upper corners up, so boxes that overlap
+    have overlapping cells.  An axis the reference box spans by zero or by
+    a denormal width (the scale overflows) carries no information and maps
+    to the full range.  Cells clip to ``[0, QUANT_LEVELS - 1]``, ±inf
+    corners included; a NaN corner stays NaN and overlaps nothing.
     """
-
-    __slots__ = ("is_leaf", "ref_box", "entries")
-
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.ref_box: AABB | None = None
-        self.entries: list[tuple[tuple[int, ...], tuple[int, ...], AABB, object]] = []
-
-    def rebuild_quantization(self, exact_entries: list[tuple[AABB, object]]) -> None:
-        """Recompute the reference box and quantize every entry outward."""
-        self.ref_box = union_all(box for box, _ in exact_entries)
-        self.entries = [
-            (*_quantize_box(box, self.ref_box, outward=True), box, ref)
-            for box, ref in exact_entries
-        ]
-
-    def exact_entries(self) -> list[tuple[AABB, object]]:
-        return [(box, ref) for _, _, box, ref in self.entries]
-
-    def mbr(self) -> AABB:
-        return union_all(box for _, _, box, _ in self.entries)
-
-    def payload_bytes(self, dims: int) -> int:
-        per_entry = dims * 2 * QUANT_BYTES + 8
-        return _NODE_HEADER_BYTES + dims * 16 + len(self.entries) * per_entry
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A zero span's scale is inf, a denormal's overflows to inf and an
+        # overflowed span's is 0: positive and finite only when informative.
+        scale = ((QUANT_LEVELS - 1) / (ref[..., 1, :] - ref[..., 0, :]))[..., None, :]
+        offset = (boxes - ref[..., :1, :]) * scale
+    cells = np.floor(offset)
+    np.ceil(offset[..., 1, :], out=cells[..., 1, :])
+    cells = np.where((scale > 0.0) & (scale < np.inf), cells, _FULL_RANGE)
+    np.maximum(cells, 0.0, out=cells)
+    return np.minimum(cells, QUANT_LEVELS - 1.0, out=cells)
 
 
-def _quantize_box(
-    box: AABB, ref: AABB, outward: bool
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Map ``box`` into ``ref``-relative integer grid coordinates.
-
-    ``outward=True`` rounds lo down / hi up (entries); callers quantizing a
-    *query* also round outward so that the integer overlap test is a superset
-    of the float test.
-    """
-    qlo = []
-    qhi = []
-    for lo, hi, r_lo, r_hi in zip(box.lo, box.hi, ref.lo, ref.hi):
-        span = r_hi - r_lo
-        if span <= 0.0 or not math.isfinite((QUANT_LEVELS - 1) / span):
-            # Zero or denormal span: the axis carries no information —
-            # quantize to the full range (always conservative).
-            qlo.append(0)
-            qhi.append(QUANT_LEVELS - 1)
-            continue
-        scale = (QUANT_LEVELS - 1) / span
-        lo_cell = math.floor((lo - r_lo) * scale)
-        hi_cell = math.ceil((hi - r_lo) * scale)
-        if not outward:
-            lo_cell = math.ceil((lo - r_lo) * scale)
-            hi_cell = math.floor((hi - r_lo) * scale)
-        qlo.append(max(0, min(QUANT_LEVELS - 1, lo_cell)))
-        qhi.append(max(0, min(QUANT_LEVELS - 1, hi_cell)))
-    return tuple(qlo), tuple(qhi)
-
-
-class CRTree(SpatialIndex):
+class CRTree(RTree):
     """Cache-conscious R-tree with quantized relative MBRs."""
 
     def __init__(
@@ -111,243 +78,123 @@ class CRTree(SpatialIndex):
         # 42 three-dim quantized entries ≈ 14 cache lines per node, a
         # multiple-of-cache-line size in the range the paper recommends
         # (640 B – 1 KB nodes).
-        super().__init__(counters)
-        if max_entries < 4:
-            raise ValueError(f"max_entries must be >= 4, got {max_entries}")
-        self.max_entries = max_entries
-        self.min_entries = max(2, max_entries * 2 // 5)
-        self._root = CRNode(is_leaf=True)
-        self._height = 1
-        self._size = 0
-        self._dims: int | None = None
+        super().__init__(max_entries=max_entries, counters=counters)
 
-    # -- maintenance ---------------------------------------------------------
+    # -- node codec ------------------------------------------------------------
 
-    def bulk_load(self, items: Iterable[Item]) -> None:
-        materialized = validate_items(items)
-        if not materialized:
-            self._root = CRNode(is_leaf=True)
-            self._height = 1
-            self._size = 0
-            return
-        self._dims = materialized[0][1].dims
-        entries: list[tuple[AABB, object]] = [(box, eid) for eid, box in materialized]
-        groups = _tile(entries, self._dims, self.max_entries)
-        nodes = []
-        for group in groups:
-            node = CRNode(is_leaf=True)
-            node.rebuild_quantization(group)
-            nodes.append(node)
-        self._height = 1
-        while len(nodes) > 1:
-            level_entries = [(node.mbr(), node) for node in nodes]
-            groups = _tile(level_entries, self._dims, self.max_entries)
-            parents = []
-            for group in groups:
-                node = CRNode(is_leaf=False)
-                node.rebuild_quantization(group)
-                parents.append(node)
-            nodes = parents
-            self._height += 1
-        self._root = nodes[0]
-        self._size = len(materialized)
+    def _encode_arrays(self, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray) -> bytes:
+        """``RTree``'s record, then the reference box and the QRMBRs."""
+        record = super()._encode_arrays(is_leaf, boxes, refs)
+        if not refs.shape[0]:
+            return record
+        ref = _mbr(boxes)
+        return record + ref.tobytes() + quantize(boxes, ref).astype(np.uint16).tobytes()
 
-    def insert(self, eid: int, box: AABB) -> None:
-        if self._dims is None:
-            self._dims = box.dims
-        split = self._insert_recursive(self._root, self._height - 1, box, eid)
-        if split is not None:
-            old_root = self._root
-            new_root = CRNode(is_leaf=False)
-            new_root.rebuild_quantization([(old_root.mbr(), old_root), (split.mbr(), split)])
-            self._root = new_root
-            self._height += 1
-        self._size += 1
-        self.counters.inserts += 1
+    def _views(self, page: int) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A node as ``(is_leaf, boxes, refs, reference box (2, d), QRMBRs
+        (n, 2, d))``, all zero-copy views into its record."""
+        buf = self._read(page)
+        is_leaf, boxes, refs = self._node_views(buf)
+        count, dims = refs.shape[0], self._dims
+        start = _HEADER_BYTES + count * (16 * dims + 8)
+        cells = start + 16 * dims
+        return (
+            is_leaf,
+            boxes,
+            refs,
+            buf[start:cells].view(np.float64).reshape(2, dims),
+            buf[cells : cells + count * 4 * dims].view(np.uint16).reshape(count, 2, dims),
+        )
 
-    def delete(self, eid: int, box: AABB) -> None:
-        orphans: list[tuple[int, AABB]] = []
-        found = self._delete_recursive(self._root, eid, box, orphans)
-        if not found:
-            raise KeyError(f"element {eid} with box {box} not in index")
-        self._size -= 1
-        self.counters.deletes += 1
-        while not self._root.is_leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0][3]  # type: ignore[assignment]
-            self._height -= 1
-        for orphan_eid, orphan_box in orphans:
-            split = self._insert_recursive(self._root, self._height - 1, orphan_box, orphan_eid)
-            if split is not None:
-                old_root = self._root
-                new_root = CRNode(is_leaf=False)
-                new_root.rebuild_quantization(
-                    [(old_root.mbr(), old_root), (split.mbr(), split)]
-                )
-                self._root = new_root
-                self._height += 1
+    def _visit_cost(self, dims: int) -> tuple[int, int]:
+        """The modeled CR node: header and reference box, then per entry a
+        QRMBR of ``QUANT_BYTES`` per coordinate and a pointer."""
+        return _HEADER_BYTES + 16 * dims, 2 * dims * QUANT_BYTES + 8
 
-    # -- queries -----------------------------------------------------------------
+    # -- queries ---------------------------------------------------------------
 
     def range_query(self, box: AABB) -> list[int]:
-        if self._size == 0:
+        """Level by level: one quantization of the query against every
+        reached node's reference box, one test against all their QRMBRs,
+        and at the leaves one refine of the candidates' exact boxes.  An
+        inner level's entries are taken last-first, so the leaves come in
+        the depth-first order of RTree's stack, and so do the answers."""
+        if self._root is None:
             return []
+        if box.dims != self._dims:
+            raise ValueError(f"query has {box.dims} dims, index has {self._dims}")
         counters = self.counters
-        dims = box.dims
-        results: list[int] = []
-        stack = [self._root]
+        fixed, per_entry = self._visit_cost(box.dims)
+        query = np.array([box.lo, box.hi], dtype=np.float64)
+        level = [self._root]
+        while level:
+            nodes = [self._views(page) for page in level]
+            is_leaf = nodes[0][0]
+            order = slice(None) if is_leaf else slice(None, None, -1)
+            counts = [node[2].shape[0] for node in nodes]
+            entries = sum(counts)
+            counters.bytes_touched += fixed * len(nodes) + per_entry * entries
+            reference = quantize(query, np.stack([node[3] for node in nodes]))
+            asked = np.repeat(reference, counts, axis=0)
+            cells = np.concatenate([node[4][order] for node in nodes])
+            passed = ((cells[:, 0] <= asked[:, 1]) & (asked[:, 0] <= cells[:, 1])).all(axis=1)
+            refs = np.concatenate([node[2][order] for node in nodes])[passed]
+            if is_leaf:
+                counters.elem_tests += entries
+                counters.refine_tests += refs.shape[0]
+                candidates = np.concatenate([node[1] for node in nodes])[passed]
+                lo, hi = query
+                exact = ((candidates[:, 0] <= hi) & (lo <= candidates[:, 1])).all(axis=1)
+                return refs[exact].tolist()
+            counters.node_tests += entries
+            counters.pointer_follows += refs.shape[0]
+            level = refs.tolist()
+        return []
+
+    def batch_range_query(self, boxes: np.ndarray | Sequence[AABB]) -> list[list[int]]:
+        """One traversal for the whole batch: every node is read once with
+        the queries that reach it, whose quantized cells are tested against
+        the node's QRMBRs; leaf candidates are refined on the exact boxes."""
+        queries = as_box_array(boxes)
+        m = queries.shape[0]
+        if m == 0:
+            return []
+        results: list[list[int]] = [[] for _ in range(m)]
+        if self._root is None:
+            return results
+        if queries.shape[2] != self._dims:
+            raise ValueError(f"queries have {queries.shape[2]} dims, index has {self._dims}")
+        counters = self.counters
+        fixed, per_entry = self._visit_cost(self._dims)
+        stack: list[tuple[int, np.ndarray]] = [(self._root, np.arange(m))]
         while stack:
-            node = stack.pop()
-            counters.bytes_touched += node.payload_bytes(dims)
-            if node.ref_box is None:
-                continue
-            q_qlo, q_qhi = _quantize_box(box, node.ref_box, outward=True)
-            if node.is_leaf:
-                for qlo, qhi, exact_box, ref in node.entries:
-                    counters.elem_tests += 1
-                    if _quantized_intersect(qlo, qhi, q_qlo, q_qhi):
-                        counters.refine_tests += 1
-                        if exact_box.intersects(box):
-                            results.append(ref)  # type: ignore[arg-type]
+            page, active = stack.pop()
+            is_leaf, entry_boxes, refs, ref, cells = self._views(page)
+            counters.bytes_touched += fixed + refs.shape[0] * per_entry
+            passed = batch_intersects(cells, quantize(queries[active], ref))
+            if is_leaf:
+                counters.elem_tests += passed.size
+                rows, cols = np.nonzero(passed)
+                counters.refine_tests += rows.shape[0]
+                candidates, asked = entry_boxes[rows], queries[active[cols]]
+                exact = (
+                    (candidates[:, 0] <= asked[:, 1]) & (asked[:, 0] <= candidates[:, 1])
+                ).all(axis=1)
+                for eid, query_i in zip(refs[rows[exact]].tolist(), active[cols[exact]].tolist()):
+                    results[query_i].append(eid)
             else:
-                for qlo, qhi, _, child in node.entries:
-                    counters.node_tests += 1
-                    if _quantized_intersect(qlo, qhi, q_qlo, q_qhi):
-                        counters.pointer_follows += 1
-                        stack.append(child)  # type: ignore[arg-type]
+                counters.node_tests += passed.size
+                followed = np.flatnonzero(passed.any(axis=1))
+                counters.pointer_follows += followed.shape[0]
+                stack.extend((int(refs[row]), active[passed[row]]) for row in followed.tolist())
         return results
 
-    def knn(self, point: Sequence[float], k: int) -> KNNResult:
-        if k <= 0 or self._size == 0:
-            return []
-        counters = self.counters
-        dims = len(tuple(point))
-        # (distance, kind, key, ref): nodes (kind 0) pop before elements
-        # (kind 1) at equal distance, tied elements pop in id order — the
-        # deterministic (distance, id) contract (see indexes/base.py).
-        heap: list[tuple[float, int, int, object]] = [(0.0, 0, 0, self._root)]
-        tiebreak = 1
-        results: list[tuple[float, int]] = []
-        while heap and len(results) < k:
-            dist, kind, _, ref = heapq.heappop(heap)
-            counters.heap_ops += 1
-            if kind == 1:
-                results.append((dist, ref))  # type: ignore[arg-type]
-                continue
-            node: CRNode = ref  # type: ignore[assignment]
-            counters.bytes_touched += node.payload_bytes(dims)
-            for _, _, exact_box, child in node.entries:
-                if node.is_leaf:
-                    counters.elem_tests += 1
-                else:
-                    counters.node_tests += 1
-                entry_dist = exact_box.min_distance_to_point(point)
-                if node.is_leaf:
-                    heapq.heappush(heap, (entry_dist, 1, child, child))  # type: ignore[list-item]
-                else:
-                    heapq.heappush(heap, (entry_dist, 0, tiebreak, child))
-                    tiebreak += 1
-                counters.heap_ops += 1
-        return results
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def height(self) -> int:
-        return self._height
+    # -- introspection -----------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        if self._dims is None:
+        """The modeled payload a visit charges, summed over every node."""
+        if self._root is None:
             return 0
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += node.payload_bytes(self._dims)
-            if not node.is_leaf:
-                stack.extend(child for _, _, _, child in node.entries)  # type: ignore[misc]
-        return total
-
-    # -- internals -------------------------------------------------------------------
-
-    def _insert_recursive(self, node: CRNode, level: int, box: AABB, ref: object) -> CRNode | None:
-        exact = node.exact_entries()
-        if node.is_leaf:
-            exact.append((box, ref))
-        else:
-            best_index = 0
-            best_key: tuple[float, float] | None = None
-            for i, (entry_box, _) in enumerate(exact):
-                key = (entry_box.enlargement(box), entry_box.volume())
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = i
-            entry_box, child = exact[best_index]
-            split = self._insert_recursive(child, level - 1, box, ref)  # type: ignore[arg-type]
-            exact[best_index] = (child.mbr(), child)  # type: ignore[union-attr]
-            if split is not None:
-                exact.append((split.mbr(), split))
-        if len(exact) > self.max_entries:
-            ordered = sorted(exact, key=lambda e: e[0].center()[0])
-            half = len(ordered) // 2
-            node.rebuild_quantization(ordered[:half])
-            sibling = CRNode(is_leaf=node.is_leaf)
-            sibling.rebuild_quantization(ordered[half:])
-            return sibling
-        node.rebuild_quantization(exact)
-        return None
-
-    def _delete_recursive(
-        self, node: CRNode, eid: int, box: AABB, orphans: list[tuple[int, AABB]]
-    ) -> bool:
-        if node.is_leaf:
-            exact = node.exact_entries()
-            for i, (entry_box, ref) in enumerate(exact):
-                if ref == eid and entry_box == box:
-                    del exact[i]
-                    if exact:
-                        node.rebuild_quantization(exact)
-                    else:
-                        node.ref_box = None
-                        node.entries = []
-                    return True
-            return False
-        exact = node.exact_entries()
-        for i, (entry_box, child) in enumerate(exact):
-            self.counters.node_tests += 1
-            if not entry_box.intersects(box):
-                continue
-            child_node: CRNode = child  # type: ignore[assignment]
-            if self._delete_recursive(child_node, eid, box, orphans):
-                if len(child_node.entries) < self.min_entries:
-                    del exact[i]
-                    _collect_items(child_node, orphans)
-                else:
-                    exact[i] = (child_node.mbr(), child_node)
-                if exact:
-                    node.rebuild_quantization(exact)
-                else:
-                    node.ref_box = None
-                    node.entries = []
-                return True
-        return False
-
-
-def _collect_items(node: CRNode, out: list[tuple[int, AABB]]) -> None:
-    if node.is_leaf:
-        out.extend((ref, box) for _, _, box, ref in node.entries)  # type: ignore[misc]
-        return
-    for _, _, _, child in node.entries:
-        _collect_items(child, out)  # type: ignore[arg-type]
-
-
-def _quantized_intersect(
-    a_lo: tuple[int, ...],
-    a_hi: tuple[int, ...],
-    b_lo: tuple[int, ...],
-    b_hi: tuple[int, ...],
-) -> bool:
-    for al, ah, bl, bh in zip(a_lo, a_hi, b_lo, b_hi):
-        if al > bh or bl > ah:
-            return False
-    return True
+        fixed, per_entry = self._visit_cost(self._dims)
+        counts = (int(np.frombuffer(record, np.int64, 2)[1]) for record in self._pages.values())
+        return fixed * len(self._pages) + per_entry * sum(counts)

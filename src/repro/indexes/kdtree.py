@@ -112,6 +112,8 @@ class KDTree(SpatialIndex):
     # -- queries ----------------------------------------------------------------
 
     def range_query(self, box: AABB) -> list[int]:
+        if self._size and box.dims != self._dims:
+            raise ValueError(f"query has {box.dims} dims, index has {self._dims}")
         counters = self.counters
         results: list[int] = []
         stack = [self._root]
@@ -139,6 +141,8 @@ class KDTree(SpatialIndex):
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
         if k <= 0 or self._size == 0:
             return []
+        if len(point) != self._dims:
+            raise ValueError(f"point has {len(point)} dims, index has {self._dims}")
         counters = self.counters
         point = tuple(point)
         tiebreak = 1
@@ -213,7 +217,7 @@ class KDTree(SpatialIndex):
             return []
         if k <= 0 or self._size == 0:
             return [[] for _ in range(m)]
-        if self._dims is not None and pts.shape[1] != self._dims:
+        if pts.shape[1] != self._dims:
             raise ValueError(f"points have {pts.shape[1]} dims, index has {self._dims}")
         dims = pts.shape[1]
         counters = self.counters

@@ -20,8 +20,9 @@ load, the split of a leaf holding more than ``capacity`` elements (unless
 it sits at ``max_depth``), and the rebuild under a widened root when a
 write lands outside the universe.  Every write refuses NaN/±inf
 coordinates, boxes of other dims and ids the tree already holds before it
-changes anything.  Deletion removes every replica; regions never merge
-(the structure is rebuilt instead, which suits the paper's §4 economics).
+changes anything, and every query of other dims is refused.  Deletion
+removes every replica; regions never merge (the structure is rebuilt
+instead, which suits the paper's §4 economics).
 ``replication_factor`` reports the blow-up and ``max_sibling_overlap`` the
 invariant (0.0); the loose octree avoids the first at the price of the
 second.
@@ -142,6 +143,8 @@ class RegionTree(SpatialIndex):
     def range_query(self, box: AABB) -> list[int]:
         if self._root is None:
             return []
+        if box.dims != self.dims:
+            raise ValueError(f"query has {box.dims} dims, index has {self.dims}")
         counters = self.counters
         entry_bytes = box.dims * _BOX_BYTES_PER_DIM + 8
         seen: set[int] = set()
@@ -169,6 +172,8 @@ class RegionTree(SpatialIndex):
     def knn(self, point: Sequence[float], k: int) -> KNNResult:
         if k <= 0 or not self._boxes:
             return []
+        if len(point) != self.dims:
+            raise ValueError(f"point has {len(point)} dims, index has {self.dims}")
         counters = self.counters
         # (distance, kind, key, ref): nodes (kind 0) pop before elements
         # (kind 1) at equal distance, tied elements pop in id order — the

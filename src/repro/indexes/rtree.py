@@ -9,10 +9,12 @@ Every node is one binary record: an ``int64 [is_leaf, count]`` header, then
 ``count`` ``float64`` boxes, then ``count`` ``int64`` refs (element ids in a
 leaf, child page ids above).  ``RTree`` keeps the records as ``bytes`` in a
 dict; :class:`~repro.indexes.disk_rtree.DiskRTree` is the same tree on a page
-store behind a buffer pool, so Figure 2 compares one tree on two stores.
-Nodes are read as zero-copy views (:meth:`RTree._node_views`) and rewritten
-from arrays (:meth:`RTree._encode_arrays`); no ``AABB`` is built on any path
-but :meth:`root_mbr`.  A record is ``16 + n (16 d + 8)`` bytes.
+store behind a buffer pool, so Figure 2 compares one tree on two stores,
+and :class:`~repro.indexes.crtree.CRTree` appends a quantized entry block
+to every record.  Nodes are read as zero-copy views
+(:meth:`RTree._node_views`) and rewritten from arrays
+(:meth:`RTree._encode_arrays`); no ``AABB`` is built on any path but
+:meth:`root_mbr`.  A record is ``16 + n (16 d + 8)`` bytes.
 
 Maintenance runs Guttman's rules on a node's ``(n, 2, d)`` box array:
 least-enlargement subtree choice, the quadratic split (seeds from one
@@ -28,7 +30,8 @@ Instrumentation contract (used by the Figure 2/3 benchmarks):
 * testing an *inner* entry's MBR against a query bumps ``node_tests``;
 * testing a *leaf* entry's MBR bumps ``elem_tests``;
 * descending into a child bumps ``pointer_follows``;
-* visiting a node charges its record size to ``bytes_touched``.
+* visiting a node charges :meth:`RTree._visit_cost` to ``bytes_touched``:
+  its record size (the CR-tree charges its modeled quantized node).
 """
 
 from __future__ import annotations
@@ -153,6 +156,12 @@ class RTree(SpatialIndex):
 
     def _allocate_arrays(self, is_leaf: bool, boxes: np.ndarray, refs: np.ndarray) -> int:
         return self._allocate(self._encode_arrays(is_leaf, boxes, refs))
+
+    def _visit_cost(self, dims: int) -> tuple[int, int]:
+        """``(fixed, per entry)`` bytes a node visit charges to
+        ``bytes_touched``: here the record's own length.  Queries resolve it
+        once per call, outside the node loop."""
+        return _HEADER_BYTES, 16 * dims + 8
 
     # -- bulk loading ----------------------------------------------------------
 
@@ -297,14 +306,14 @@ class RTree(SpatialIndex):
         # One vectorized closed-interval overlap per node view; hits are
         # taken in entry order, so the LIFO traversal fixes the answer order.
         counters = self.counters
-        entry_bytes = 16 * box.dims + 8
+        fixed, per_entry = self._visit_cost(box.dims)
         lo = np.array(box.lo, dtype=np.float64)
         hi = np.array(box.hi, dtype=np.float64)
         results: list[int] = []
         stack = [self._root]
         while stack:
             is_leaf, boxes, refs = self._node_arrays(stack.pop())
-            counters.bytes_touched += _HEADER_BYTES + refs.shape[0] * entry_bytes
+            counters.bytes_touched += fixed + refs.shape[0] * per_entry
             overlap = ((boxes[:, 0] <= hi) & (lo <= boxes[:, 1])).all(axis=1)
             hits = refs[overlap].tolist()
             if is_leaf:
@@ -335,14 +344,14 @@ class RTree(SpatialIndex):
         if queries.shape[2] != self._dims:
             raise ValueError(f"queries have {queries.shape[2]} dims, index has {self._dims}")
         counters = self.counters
-        entry_bytes = 16 * queries.shape[2] + 8
+        fixed, per_entry = self._visit_cost(queries.shape[2])
         stack: list[tuple[int, np.ndarray]] = [(self._root, np.arange(m))]
         while stack:
             page, active = stack.pop()
             is_leaf, entry_boxes, refs = self._node_arrays(page)
             if entry_boxes.shape[0] == 0:
                 continue
-            counters.bytes_touched += _HEADER_BYTES + refs.shape[0] * entry_bytes
+            counters.bytes_touched += fixed + refs.shape[0] * per_entry
             overlap = batch_intersects(entry_boxes, queries[active])
             if is_leaf:
                 counters.elem_tests += overlap.size
@@ -372,7 +381,7 @@ class RTree(SpatialIndex):
         if len(point) != self._dims:
             raise ValueError(f"point has {len(point)} dims, index has {self._dims}")
         counters = self.counters
-        entry_bytes = 16 * len(point) + 8
+        fixed, per_entry = self._visit_cost(len(point))
         heap: list[tuple[float, int, int, int]] = [(0.0, 0, 0, self._root)]
         tiebreak = 1
         results: list[tuple[float, int]] = []
@@ -385,7 +394,7 @@ class RTree(SpatialIndex):
             # One tolist() per node view; the shared helper keeps the
             # distances bit-identical to the AABB method's.
             is_leaf, boxes, refs = self._node_arrays(ref)
-            counters.bytes_touched += _HEADER_BYTES + refs.shape[0] * entry_bytes
+            counters.bytes_touched += fixed + refs.shape[0] * per_entry
             scored = [
                 (bounds_min_distance_to_point(lo, hi, point), child)
                 for (lo, hi), child in zip(boxes.tolist(), refs.tolist())
@@ -416,7 +425,7 @@ class RTree(SpatialIndex):
         if pts.shape[1] != self._dims:
             raise ValueError(f"points have {pts.shape[1]} dims, index has {self._dims}")
         counters = self.counters
-        entry_bytes = 16 * pts.shape[1] + 8
+        fixed, per_entry = self._visit_cost(pts.shape[1])
         # The unpacked nodes are released after every chunk, so the state
         # held stays bounded by a chunk's working set, not the tree (the
         # bounded residency a DiskRTree's buffer pool models).
@@ -427,7 +436,7 @@ class RTree(SpatialIndex):
             if cached is not None:
                 return cached
             is_leaf, boxes, ref_array = self._node_arrays(handle)  # type: ignore[arg-type]
-            counters.bytes_touched += _HEADER_BYTES + ref_array.shape[0] * entry_bytes
+            counters.bytes_touched += fixed + ref_array.shape[0] * per_entry
             refs: object = ref_array if is_leaf else ref_array.tolist()
             packed[handle] = (is_leaf, boxes, refs)  # type: ignore[index]
             return packed[handle]  # type: ignore[index]

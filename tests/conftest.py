@@ -11,6 +11,7 @@ hypothesis-generated datasets and queries.  kNN comparisons are exact ordered
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -107,6 +108,35 @@ def answer_digest(answers) -> str:
     """A short fingerprint of answers *in order* (id lists, ``(distance,
     id)`` lists, or lists of either), for freezing a seeded run's output."""
     return hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
+
+
+def tile_objects(entries, dims: int, max_entries: int):
+    """STR-tile ``(AABB, ref)`` entries from the first axis: the object
+    reference that ``bulkload.tile_arrays`` and the array build pipelines
+    are held to, group for group."""
+    groups: list = []
+    tile_objects_recursive(entries, 0, dims, max_entries, groups)
+    return groups
+
+
+def tile_objects_recursive(entries, axis: int, dims: int, max_entries: int, out: list) -> None:
+    """Append to ``out`` the groups of at most ``max_entries`` entries made
+    by sorting on the centre along ``axis`` and slicing into slabs, then
+    recursing on the next axis (the last axis slices into groups)."""
+    if len(entries) <= max_entries:
+        out.append(entries)
+        return
+    ordered = sorted(entries, key=lambda e: (e[0].lo[axis] + e[0].hi[axis]) / 2.0)
+    if axis == dims - 1:
+        for start in range(0, len(ordered), max_entries):
+            out.append(ordered[start : start + max_entries])
+        return
+    pages = math.ceil(len(ordered) / max_entries)
+    slabs = math.ceil(pages ** (1.0 / (dims - axis)))
+    slab_size = math.ceil(len(ordered) / slabs)
+    for start in range(0, len(ordered), slab_size):
+        slab = ordered[start : start + slab_size]
+        tile_objects_recursive(slab, axis + 1, dims, max_entries, out)
 
 
 def reachable_nodes(tree):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.aabb import AABB
-from repro.indexes.bulkload import _tile_recursive, tile_arrays
+from repro.indexes.bulkload import tile_arrays
 from repro.indexes.rtree import RTree
 
-from conftest import make_items
+from conftest import make_items, tile_objects_recursive
 
 
 def _collect(tree):
@@ -85,7 +85,7 @@ class TestStrBulkLoad:
 
 
 class TestTileArrays:
-    """``tile_arrays`` is ``_tile_recursive`` over a box array: the same
+    """``tile_arrays`` is the object tiler over a box array: the same
     groups, in the same order, with the same members in the same order —
     the array-native builders pack the object tiler's tree by construction."""
 
@@ -96,7 +96,7 @@ class TestTileArrays:
             for row, (lo, hi) in enumerate(zip(boxes[:, 0].tolist(), boxes[:, 1].tolist()))
         ]
         groups = []
-        _tile_recursive(entries, start_axis, boxes.shape[2], max_entries, groups)
+        tile_objects_recursive(entries, start_axis, boxes.shape[2], max_entries, groups)
         return [[row for _, row in group] for group in groups]
 
     @staticmethod

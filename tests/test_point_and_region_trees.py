@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import BatchExecutor, InlineExecutor, QuerySession
 from repro.geometry.aabb import AABB
 from repro.indexes.kdtree import KDTree
 from repro.indexes.loose_octree import LooseOctree
@@ -65,6 +66,43 @@ class TestKDTree:
         for eid in range(20):
             tree.insert(eid, box)
         assert sorted(tree.range_query(AABB((4, 4, 4), (6, 6, 6)))) == list(range(20))
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("range", [[[1.0, 1.0], [50.0, 50.0]]]),
+            ("point", [[10.0, 10.0]]),
+            ("knn", [[10.0, 10.0]]),
+        ],
+        ids=["window_2d", "point_2d", "probe_2d"],
+    )
+    def test_a_wrong_dims_query_is_refused_inline_and_batch(self, kind, payload):
+        """A 2-d query on a 3-d point tree is refused on every path, as the
+        batch kNN kernel already refused it."""
+        tree = KDTree(bucket_size=8)
+        tree.bulk_load(make_items(200, seed=3, points=True))
+        payload = np.asarray(payload, dtype=np.float64)
+        for executor in (InlineExecutor(), BatchExecutor()):
+            session = QuerySession(tree, executor=executor)
+            ask = {
+                "range": lambda: session.range_query(payload),
+                "point": lambda: session.point_query(payload),
+                "knn": lambda: session.knn(payload, 3),
+            }[kind]
+            with pytest.raises(ValueError, match="2 dims, index has 3"):
+                ask()
+
+    def test_wrong_dims_messages(self):
+        tree = KDTree(bucket_size=8)
+        tree.bulk_load(make_items(50, seed=3, points=True))
+        with pytest.raises(ValueError, match="query has 2 dims, index has 3"):
+            tree.range_query(AABB((1.0, 1.0), (2.0, 2.0)))
+        with pytest.raises(ValueError, match="query has 2 dims, index has 3"):
+            tree.batch_range_query(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="point has 2 dims, index has 3"):
+            tree.knn((1.0, 1.0), 3)
+        with pytest.raises(ValueError, match="points have 2 dims, index has 3"):
+            tree.batch_knn(np.zeros((1, 2)), 3)
 
 
 class TestRegionTrees:

@@ -353,7 +353,11 @@ class TestExecutorEquivalence:
 
     @pytest.mark.parametrize("case", list(HOSTILE))
     @pytest.mark.parametrize(
-        "name", ["uniform_grid", "linear_scan", "multires_grid", "snapshot_grid"]
+        "name",
+        [
+            "uniform_grid", "linear_scan", "multires_grid", "snapshot_grid",
+            "rtree", "crtree", "octree", "rplus",
+        ],
     )
     def test_inline_and_batch_agree_on_hostile_input(self, loaded, name, case):
         """The heuristic may send any batch inline, so the scalar path must

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.queries import range_queries_for_selectivity
 from repro.geometry.aabb import AABB, union_all
+from repro.indexes.crtree import CRTree
 from repro.indexes.disk_rtree import DiskRTree
 from repro.indexes.rstar import RStarTree, _rstar_split
 from repro.indexes.rtree import RTree, _quadratic_split
@@ -188,7 +189,7 @@ class TestMaintenance:
         assert tree.range_query(AABB((49, 49, 49), (52, 52, 52))) == [1]
         assert tree.range_query(AABB((0, 0, 0), (2, 2, 2))) == []
 
-    @pytest.mark.parametrize("cls", [RTree, RStarTree, DiskRTree])
+    @pytest.mark.parametrize("cls", [RTree, RStarTree, DiskRTree, CRTree])
     @pytest.mark.parametrize(
         "new_box",
         [AABB((5.0, float("nan"), 5.0), (6.0, 6.0, 6.0)), AABB((5.0, 5.0), (6.0, 6.0))],
@@ -205,8 +206,8 @@ class TestMaintenance:
 
     @pytest.mark.parametrize(
         "make",
-        [RTree, RStarTree, DiskRTree, lambda **kw: DiskRTree(mapped=True, **kw)],
-        ids=["rtree", "rstar", "disk_memory", "disk_file"],
+        [RTree, RStarTree, DiskRTree, lambda **kw: DiskRTree(mapped=True, **kw), CRTree],
+        ids=["rtree", "rstar", "disk_memory", "disk_file", "crtree"],
     )
     def test_an_orphan_above_the_shrunk_root_is_reinserted_by_element(self, make):
         # 17 intervals at capacity 4 tile into leaves 4, 4, 4, 4, 1 under a
@@ -457,6 +458,30 @@ class TestParentParity:
         finally:
             if isinstance(tree, DiskRTree):
                 tree.close()
+
+    @pytest.mark.parametrize("max_entries", [6, 8, 16])
+    def test_crtree_grows_the_rtree_shapes(self, max_entries):
+        """CRTree is RTree's maintenance on longer records: the same shape,
+        maintenance charges and answers in order; kNN reads the exact boxes
+        at the same charge but for the modeled bytes of a quantized node."""
+        shape, maintenance, range_charge, knn_charge = PARENT_TREES[("RTree", max_entries)]
+        seed = 100 + max_entries
+        tree = CRTree(max_entries=max_entries)
+        _grown_history(tree, seed)
+        tree.check_invariants()
+        counters = tree.counters
+        assert (len(tree), tree.height, tree.node_count) == shape
+        assert (counters.node_tests, counters.inserts, counters.deletes) == maintenance
+        queries = make_queries(30, seed=seed + 1, extent=12.0)
+        points = [tuple(q.lo) for q in make_queries(20, seed=seed + 2)]
+        assert _charged(tree, [lambda q=q: tree.range_query(q) for q in queries])[0] == (
+            range_charge[0]
+        )
+        digest, charge = _charged(tree, [lambda p=p: tree.knn(p, 7) for p in points])
+        assert (digest, charge[:-1]) == (knn_charge[0], knn_charge[1][:-1])
+        assert charge[-1] < knn_charge[1][-1]
+        assert answer_digest(tree.batch_range_query(queries)) == range_charge[0]
+        assert answer_digest(tree.batch_knn(points, 7)) == knn_charge[0]
 
     @pytest.mark.parametrize("max_entries", [6, 8, 16])
     def test_bottom_up_leaf_map_matches_the_object_tree(self, max_entries):

@@ -49,7 +49,7 @@ from repro.joins import (
 )
 from repro.joins.session import pair_list
 
-from conftest import make_items, make_queries
+from conftest import make_items, make_queries, tile_objects, tile_objects_recursive
 
 
 def _sides(n, seed, extent=2.0):
@@ -610,8 +610,6 @@ def _reference_leaf_groups(items, max_entries, budget):
     the array pipeline is compared against, never called by the library.
     Returns ``(leaf groups, run count, slab count)``."""
     from repro.exec.external_build import MIN_CHUNK_BYTES, _entry_bytes, _slab_rows
-    from repro.indexes.bulkload import _tile_recursive
-
     n, dims = len(items), items[0][1].dims
     chunk_budget = chunk_rows = None
     if budget is not None:
@@ -635,7 +633,7 @@ def _reference_leaf_groups(items, max_entries, budget):
         entries = [
             (runs[r][row][1], runs[r][row][0]) for r, row in sorted(merged[p0 : p0 + slab])
         ]
-        _tile_recursive(entries, min(1, dims - 1), dims, max_entries, groups)
+        tile_objects_recursive(entries, min(1, dims - 1), dims, max_entries, groups)
     return groups, len(runs), -(-n // slab)
 
 
@@ -646,7 +644,6 @@ def _reference_page_file(leaf_groups, dims, max_entries, page_size):
     import struct
 
     from repro.geometry.aabb import union_all
-    from repro.indexes.bulkload import _tile
 
     pages = []
 
@@ -660,7 +657,7 @@ def _reference_page_file(leaf_groups, dims, max_entries, page_size):
 
     level = [allocate(True, group) for group in leaf_groups]
     while len(level) > 1:
-        level = [allocate(False, group) for group in _tile(level, dims, max_entries)]
+        level = [allocate(False, group) for group in tile_objects(level, dims, max_entries)]
     return b"".join(pages)
 
 
