@@ -11,7 +11,9 @@ materializes more than (a quarter of) the session's
 1. **Histogram pass** — both sides arrive as one
    :class:`~repro.geometry.table.BoxTable` each (packed once by the spec, not
    here); bounded *row slices* of the table have their tile replicas only
-   *counted* (``np.bincount``), producing the per-tile replica histogram;
+   *counted*, never made (:func:`~repro.joins.kernels.tile_histogram`: a
+   difference array over the tile windows' corners), producing the
+   per-tile replica histogram;
 2. **Partition pass** — contiguous tile ranges are grouped into *runs* whose
    replica bytes fit the chunk budget, and a second pass over the same row
    slices gathers each slice's replicas and spills them per run through the
@@ -329,14 +331,12 @@ class SpillPBSMJoin(JoinStrategy):
         tile_count = tiles**dims
 
         histogram = np.zeros(tile_count, dtype=np.int64)
-        replicas = 0
         for table in (table_a, table_b):
             for start in range(0, len(table), chunk_rows):
                 boxes = table.boxes[start : start + chunk_rows]
                 with self.budget.reserving(boxes.nbytes, force=True):
-                    _, keys, _ = kernels.tile_replicas(boxes, hull_lo, sides, strides, tiles)
-                    histogram += np.bincount(keys, minlength=tile_count)
-                    replicas += keys.shape[0]
+                    histogram += kernels.tile_histogram(boxes, hull_lo, sides, tiles)
+        replicas = int(histogram.sum())
         counters.cells_probed += replicas
         layout = TileRunLayout(
             hull_lo=hull_lo,

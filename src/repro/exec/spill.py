@@ -24,6 +24,12 @@ removed on :meth:`close`), every handle can be freed individually, and
 ``close()`` is idempotent — sessions call it from their own ``close()``,
 strategies from ``finally`` blocks, so an error path never leaves orphan
 spill files behind.
+
+The spill file is the store's own unique temporary file, written through
+the descriptor that created it and never reopened: a reopen for writing
+truncates (``O_TRUNC``), and ext4's ``auto_da_alloc`` then forces the whole
+file out to the device on close, where a spill file's pages should die
+unwritten in the page cache when it is unlinked.
 """
 
 from __future__ import annotations
@@ -120,12 +126,10 @@ class SpillManager:
         else:
             os.makedirs(dir, exist_ok=True)
         self.dir = dir
-        # A unique file per manager: MappedPageStore opens with "w+b", so a
-        # shared fixed name would let two managers pointed at the same
-        # directory truncate each other's live spill file.
-        fd, self.path = tempfile.mkstemp(prefix="spill-", suffix=".pages", dir=dir)
-        os.close(fd)
-        self.store = MappedPageStore(self.path, page_size=page_size, counters=self.counters)
+        self.store = MappedPageStore(
+            dir, page_size=page_size, counters=self.counters, prefix="spill-"
+        )
+        self.path = self.store.path
         self.pool = BufferPool(self.store, capacity=pool_pages)
         self.closed = False
         self._live = 0

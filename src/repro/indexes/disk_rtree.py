@@ -19,9 +19,6 @@ frees its page, so :meth:`page_count` counts the reachable nodes.
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
 from repro.indexes.rtree import RTree
@@ -77,9 +74,7 @@ class DiskRTree(RTree):
     def _new_store(self, page_size: int) -> PageStore:
         if not self.mapped:
             return PageStore(page_size=page_size, counters=self.counters)
-        fd, path = tempfile.mkstemp(prefix="disk-rtree-", suffix=".pages")
-        os.close(fd)
-        return MappedPageStore(path, page_size=page_size, counters=self.counters)
+        return MappedPageStore(page_size=page_size, counters=self.counters, prefix="disk-rtree-")
 
     def _reset_storage(self) -> None:
         """Fresh store + pool for a rebuild; mapped files are unlinked."""
@@ -93,6 +88,9 @@ class DiskRTree(RTree):
 
     def _read(self, page: int) -> np.ndarray:
         return self.pool.read_view(page)
+
+    def _peek(self, page: int) -> np.ndarray:
+        return np.frombuffer(self.store.peek(page), dtype=np.uint8)
 
     def _write(self, page: int, record: bytes) -> None:
         # Write-through: a frame is a read-only view of the page, so

@@ -23,8 +23,9 @@ import heapq
 import math
 from typing import Iterable, Sequence
 
-from repro.geometry.aabb import AABB, union_all
+from repro.geometry.aabb import AABB, boxes_to_array, union_all
 from repro.indexes.base import Item, KNNResult, SpatialIndex, validate_items
+from repro.indexes.rtree import _check_finite, checked_box
 from repro.instrumentation.counters import Counters
 
 _BOX_BYTES_PER_DIM = 16
@@ -73,8 +74,16 @@ class LooseOctree(SpatialIndex):
 
     # -- maintenance -----------------------------------------------------------
 
+    def _checked(self, box: AABB) -> None:
+        """Refuse a NaN/±inf coordinate or, once a universe is set, a box of
+        other dims — before anything is written."""
+        checked_box(box, None if self._universe is None else self._universe.dims)
+
     def bulk_load(self, items: Iterable[Item]) -> None:
         materialized = validate_items(items)
+        if materialized:
+            self._checked(materialized[0][1])
+            _check_finite(boxes_to_array([box for _, box in materialized]))
         self._cells = {}
         self._locations = {}
         self._boxes = {}
@@ -89,10 +98,11 @@ class LooseOctree(SpatialIndex):
             self._place(eid, box)
 
     def insert(self, eid: int, box: AABB) -> None:
-        if self._universe is None:
-            self._universe = box.expanded(max(box.margin() * 0.005, 1e-9))
+        self._checked(box)
         if eid in self._boxes:
             raise ValueError(f"element {eid} already present")
+        if self._universe is None:
+            self._universe = box.expanded(max(box.margin() * 0.005, 1e-9))
         self._place(eid, box)
         self.counters.inserts += 1
 
@@ -104,6 +114,7 @@ class LooseOctree(SpatialIndex):
 
     def update(self, eid: int, old_box: AABB, new_box: AABB) -> None:
         """O(1) move: relocate only when the owning cell changes."""
+        self._checked(new_box)
         if eid not in self._boxes or self._boxes[eid] != old_box:
             raise KeyError(f"element {eid} with box {old_box} not in index")
         new_key = self._cell_key(new_box)
@@ -126,9 +137,11 @@ class LooseOctree(SpatialIndex):
     def range_query(self, box: AABB) -> list[int]:
         if self._universe is None:
             return []
+        dims = self._universe.dims
+        if box.dims != dims:
+            raise ValueError(f"query has {box.dims} dims, index has {dims}")
         counters = self.counters
         results: list[int] = []
-        dims = self._universe.dims
         halo = self.looseness / 2.0
         for level, _count in self._levels_in_use.items():
             cell_sides = self._cell_sides(level)
@@ -138,13 +151,14 @@ class LooseOctree(SpatialIndex):
             window = 1
             for axis in range(dims):
                 side = cell_sides[axis]
-                lo_idx = math.floor((box.lo[axis] - self._universe.lo[axis]) / side - halo)
-                hi_idx = math.floor((box.hi[axis] - self._universe.lo[axis]) / side + halo)
-                # Clamp both ends into the grid: out-of-universe elements are
-                # clamped into edge cells at placement time, so queries beyond
-                # the universe must still probe those edge cells.
-                lo_idx = max(0, min(lo_idx, resolution - 1))
-                hi_idx = max(0, min(hi_idx, resolution - 1))
+                lo = (box.lo[axis] - self._universe.lo[axis]) / side - halo
+                hi = (box.hi[axis] - self._universe.lo[axis]) / side + halo
+                # Clamp both ends into the grid, then floor: out-of-universe
+                # elements are clamped into edge cells at placement time, so
+                # queries beyond the universe (±inf corners too) must still
+                # probe those edge cells.  A NaN stays NaN and floor refuses it.
+                lo_idx = math.floor(min(max(lo, 0.0), resolution - 1))
+                hi_idx = math.floor(min(max(hi, 0.0), resolution - 1))
                 ranges.append(range(lo_idx, hi_idx + 1))
                 window *= hi_idx - lo_idx + 1
             if not ranges:
@@ -185,6 +199,8 @@ class LooseOctree(SpatialIndex):
         """Exact kNN by expanding-radius range probes (doubling search)."""
         if k <= 0 or not self._boxes or self._universe is None:
             return []
+        if len(point) != self._universe.dims:
+            raise ValueError(f"point has {len(point)} dims, index has {self._universe.dims}")
         counters = self.counters
         point = tuple(point)
         radius = max(min(self._cell_sides(self.max_level)), 1e-9)

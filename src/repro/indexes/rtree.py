@@ -90,6 +90,9 @@ class RTree(SpatialIndex):
         self._root: int | None = None
         self._height = 0  # number of levels; leaves are level 0
         self._size = 0
+        # The held ids, so an insert can refuse one twice; ``None`` after a
+        # bulk load until a write needs them (a read-only tree never pays).
+        self._ids: set[int] | None = set()
         self._dims: int | None = None
         # Set by the STR pack, whose last node per level may hold fewer than
         # ``min_entries``: the lower fill bound holds only on a grown tree.
@@ -99,6 +102,10 @@ class RTree(SpatialIndex):
 
     def _read(self, page: int) -> np.ndarray:
         return np.frombuffer(self._pages[page], dtype=np.uint8)
+
+    def _peek(self, page: int) -> np.ndarray:
+        """:meth:`_read` without charging a page transfer."""
+        return self._read(page)
 
     def _write(self, page: int, record: bytes) -> None:
         self._pages[page] = record
@@ -229,7 +236,7 @@ class RTree(SpatialIndex):
         leaves = iter(leaves)
         first = next(leaves, None)
         self._reset_storage()
-        self._root, self._height, self._size = None, 0, 0
+        self._root, self._height, self._size, self._ids = None, 0, 0, None
         self._packed = first is not None
         if first is None:
             return
@@ -250,14 +257,27 @@ class RTree(SpatialIndex):
         NaN/±inf."""
         return checked_box(box, None if self._root is None else self._dims)
 
+    def _held_ids(self) -> set[int]:
+        if self._ids is None:  # walk the leaves, charging no read
+            self._ids = set()
+            stack = [] if self._root is None else [self._root]
+            while stack:
+                is_leaf, _, refs = self._node_views(self._peek(stack.pop()))
+                (self._ids.update if is_leaf else stack.extend)(refs.tolist())
+        return self._ids
+
     def insert(self, eid: int, box: AABB) -> None:
         arr = self._checked_box(box)
+        ids = self._held_ids()
+        if eid in ids:
+            raise ValueError(f"element {eid} already present")
         if self._root is None:
             self._dims = box.dims
             self._root = self._allocate_arrays(True, arr[None], np.array([eid], dtype=np.int64))
             self._height = 1
         else:
             self._insert_entry(arr, eid, 0)
+        ids.add(eid)
         self._size += 1
         self.counters.inserts += 1
 
@@ -270,6 +290,7 @@ class RTree(SpatialIndex):
             self._root, self._height - 1, eid, arr, orphans
         ):
             raise KeyError(f"element {eid} with box {box} not in index")
+        self._held_ids().discard(eid)
         self._size -= 1
         self.counters.deletes += 1
         # Shrink the root while it is an inner node with a single child.

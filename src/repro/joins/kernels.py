@@ -159,13 +159,54 @@ def tile_replicas(
     row-major order within a row — the grid's own window expansion
     (:func:`~repro.core.uniform_grid._expand_windows`) over tile windows.
     """
-    # Tile coordinates as one contiguous column per corner and axis: ufuncs
-    # over the (n, 2, d) rows would run d-long inner loops, several times slower.
+    tiles = _tile_windows(boxes, hull_lo, sides, tiles_per_axis)
+    return _expand_windows(tiles[0].T, tiles[1].T, strides)
+
+
+def tile_histogram(
+    boxes: np.ndarray, hull_lo: np.ndarray, sides: np.ndarray, tiles_per_axis: int
+) -> np.ndarray:
+    """Replicas per tile key of :func:`tile_replicas`, without making them.
+
+    A difference array over a ``(tiles + 1)^d`` grid: each tile window adds
+    ±1 at its ``2^d`` corners (a high corner sits one past the window's last
+    tile, and the sign flips with each one), one ``bincount`` per corner;
+    one ``cumsum`` per axis turns that into per-tile counts, and the leading
+    ``tiles^d`` block in row-major order is indexed by tile key.  Corner by
+    corner, the temporaries stay row-sized.
+    """
+    windows = _tile_windows(boxes, hull_lo, sides, tiles_per_axis)
+    windows[1] += 1
+    dims, span = windows.shape[1], tiles_per_axis + 1
+    windows *= (span ** np.arange(dims - 1, -1, -1))[:, None]
+    cells = span**dims
+    diff = np.zeros(cells, dtype=np.int64)
+    for corner in range(1 << dims):
+        key = windows[corner & 1, 0]
+        for axis in range(1, dims):
+            key = key + windows[corner >> axis & 1, axis]
+        if bin(corner).count("1") % 2:
+            diff -= np.bincount(key, minlength=cells)
+        else:
+            diff += np.bincount(key, minlength=cells)
+    grid = diff.reshape((span,) * dims)
+    for axis in range(dims):
+        np.cumsum(grid, axis=axis, out=grid)
+    return grid[(slice(tiles_per_axis),) * dims].ravel()
+
+
+def _tile_windows(
+    boxes: np.ndarray, hull_lo: np.ndarray, sides: np.ndarray, tiles_per_axis: int
+) -> np.ndarray:
+    """Each box's inclusive tile window: ``(2, d, n)`` int64 tile coordinates
+    (low corners, then high), clamped into the tiling."""
+    # One contiguous column per corner and axis: ufuncs over the (n, 2, d)
+    # rows would run d-long inner loops, several times slower.
     coords = np.subtract(boxes.transpose(1, 2, 0), hull_lo[:, None], order="C")
     coords /= sides[:, None]
     tiles = coords.astype(np.int64)
     np.clip(tiles, 0, tiles_per_axis - 1, out=tiles)
-    return _expand_windows(tiles[0].T, tiles[1].T, strides)
+    return tiles
 
 
 def pack_first(keys: np.ndarray, first: np.ndarray, dims: int) -> np.ndarray:

@@ -15,6 +15,15 @@ the mapping coherent), so one store serves any number of readers, in this
 process or another, without a copy per read.  It is the substrate the
 out-of-core subsystem (:mod:`repro.exec.spill`) writes tile and partition
 arrays through, and the page file of a ``DiskRTree(mapped=True)``.
+
+A page file is a scratch file: the store creates it itself (``mkstemp``),
+keeps the descriptor ``mkstemp`` returned for every ``pwrite``/``pread`` and
+the mapping, and never opens the path again.  Reopening an existing file
+with ``"w+b"`` is an ``O_TRUNC``, and ext4's ``auto_da_alloc`` takes a
+truncate-to-zero for a file being replaced: it forces the file's dirty
+blocks out to the device on close, and the unlink waits for that writeback.
+Created once and never truncated, a page file lives and dies in the page
+cache, and its delayed-allocation blocks are cancelled at unlink.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import heapq
 import mmap
 import os
+import tempfile
 from typing import Any
 
 import numpy as np
@@ -103,10 +113,11 @@ class MappedPageStore(PageStore):
     The page protocol (allocate / read / write / free) and the transfer
     accounting are identical to :class:`PageStore`; the difference is that
     payloads are ``bytes`` blobs of at most ``page_size`` written at
-    ``page_id * page_size`` in a backing file, so a freed in-memory reference
-    really releases the memory.  Freed slots are reused before the file
-    grows.  The :class:`~repro.storage.buffer_pool.BufferPool` composes with
-    it unchanged — that pairing is what :class:`repro.exec.spill.SpillManager`
+    ``page_id * page_size`` in a backing file the store creates in ``dir``,
+    so a freed in-memory reference really releases the memory.  Freed slots
+    are reused before the file grows.  The
+    :class:`~repro.storage.buffer_pool.BufferPool` composes with it
+    unchanged — that pairing is what :class:`repro.exec.spill.SpillManager`
     builds on.
 
     Besides the copying :meth:`read`, the read side offers :meth:`read_view`
@@ -131,11 +142,19 @@ class MappedPageStore(PageStore):
     """
 
     def __init__(
-        self, path: str, page_size: int = 1 << 20, counters: Counters | None = None
+        self,
+        dir: str | None = None,
+        page_size: int = 1 << 20,
+        counters: Counters | None = None,
+        prefix: str = "pages-",
     ) -> None:
         super().__init__(page_size=page_size, counters=counters)
-        self.path = path
-        self._file = open(path, "w+b")
+        #: The page file: a fresh ``mkstemp`` name in ``dir`` (``None``: the
+        #: system temp directory), removed by :meth:`close`.
+        fd, self.path = tempfile.mkstemp(prefix=prefix, suffix=".pages", dir=dir)
+        # mkstemp's descriptor, held unbuffered by a file object so that a
+        # store dropped without close() still releases it when collected.
+        self._file = os.fdopen(fd, "r+b", buffering=0)
         self._lengths: dict[int, int] = {}
         self._free_slots: list[int] = []
         self._slots = 0
@@ -274,12 +293,14 @@ class MappedPageStore(PageStore):
             raise ValueError(
                 f"payload of {len(payload)} bytes exceeds page size {self.page_size}"
             )
-        self._file.seek(page_id * self.page_size)
-        self._file.write(payload)
-        # Hand the page to the kernel now (the seek of the next write would
-        # anyway): the mapping sees it at once, and nothing buffered is left
-        # to re-grow a file cut short behind the store's back.
-        self._file.flush()
+        # Unbuffered positional writes: the mapping sees the page at once,
+        # and nothing buffered is left to re-grow a file cut short behind
+        # the store's back.
+        offset, rest = page_id * self.page_size, memoryview(payload)
+        while rest:
+            written = os.pwrite(self._file.fileno(), rest, offset)
+            offset += written
+            rest = rest[written:]
         self._lengths[page_id] = len(payload)
         self._extent = max(self._extent, page_id * self.page_size + len(payload))
 
@@ -287,8 +308,7 @@ class MappedPageStore(PageStore):
         length = self._lengths[page_id]
         if length == 0:
             return b""
-        self._file.seek(page_id * self.page_size)
-        payload = self._file.read(length)
+        payload = os.pread(self._file.fileno(), length, page_id * self.page_size)
         if len(payload) != length:
             raise ValueError(
                 f"page file {self.path!r} is truncated: page {page_id} holds "

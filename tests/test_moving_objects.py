@@ -8,6 +8,7 @@ from repro.datasets.queries import random_range_queries
 from repro.datasets.trajectories import BrownianMotion, LinearMotion, PlasticityMotion, apply_moves
 from repro.geometry.aabb import AABB
 from repro.indexes.linear_scan import LinearScan
+from repro.indexes.loose_octree import LooseOctree
 from repro.indexes.octree import Octree
 from repro.indexes.rplus import RPlusTree
 from repro.indexes.rtree import RTree
@@ -141,13 +142,15 @@ BAD_BOXES = [
         pytest.param(lambda: BottomUpRTree(max_entries=8), id="bottom-up"),
         pytest.param(lambda: RPlusTree(max_entries=8), id="rplus"),
         pytest.param(lambda: Octree(capacity=8), id="octree"),
+        pytest.param(LooseOctree, id="loose-octree"),
     ],
 )
 @pytest.mark.parametrize("bad, message", BAD_BOXES)
 class TestBadBoxesAreRefusedBeforeAnyWrite:
     """The wrappers refuse what their R-tree refuses, with its message,
     before they write anything: the index answers as it did.  The region
-    trees (R+-tree, octree) refuse the same boxes the same way."""
+    trees (R+-tree, octree) and the loose octree refuse the same boxes the
+    same way."""
 
     QUERY = AABB((-10.0,) * 3, (40.0,) * 3)
 

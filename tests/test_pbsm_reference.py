@@ -17,7 +17,10 @@ loop):
 * the slab bound: no slab enumerates more than ``max(slab_pairs, largest
   single-replica tile row)`` entries;
 * the tiling guard: a tiling whose packed keys would overflow int64 is
-  refused with a ``ValueError`` before anything tile-sized is allocated.
+  refused with a ``ValueError`` before anything tile-sized is allocated;
+* the spill join's histogram pass: :func:`kernels.tile_histogram` (a
+  difference array over the tile windows' corners) counts exactly the
+  replicas :func:`kernels.tile_replicas` makes, tile by tile.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec.external_join import SpillPBSMJoin
 from repro.geometry.aabb import AABB
@@ -468,3 +473,52 @@ class TestPBSMTilingGuard:
         for tiles in (1, 3, 1 << 10):
             got = make_join_strategy("pbsm", tiles_per_axis=tiles).join(items, items, Counters())
             assert len(got) >= len(items)  # every box meets itself
+
+
+# -- the histogram pass ---------------------------------------------------------------
+
+
+@st.composite
+def tiled_boxes(draw):
+    """0-40 boxes in 2 or 3 dims on a half-unit lattice (zero-extent boxes
+    and repeats are common) with 1-6 tiles per axis over their hull, or over
+    a hull cut inside it so windows clamp at both edges."""
+    dims = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 40))
+    corner = st.lists(st.integers(-6, 6), min_size=dims, max_size=dims)
+    extent = st.lists(st.integers(0, 4), min_size=dims, max_size=dims)
+    lo = np.array(draw(st.lists(corner, min_size=n, max_size=n)), dtype=np.float64).reshape(n, dims)
+    ext = np.array(draw(st.lists(extent, min_size=n, max_size=n)), dtype=np.float64).reshape(n, dims)
+    boxes = np.stack([lo, lo + ext], axis=1) * 0.5
+    if n:
+        hull_lo, hull_hi = boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)
+    else:
+        hull_lo, hull_hi = np.zeros(dims), np.ones(dims)
+    if draw(st.booleans()):
+        hull_lo, hull_hi = hull_lo + 0.75, np.maximum(hull_hi - 0.75, hull_lo + 0.75)
+    return boxes, hull_lo, hull_hi, draw(st.integers(1, 6))
+
+
+class TestTileHistogram:
+    @settings(max_examples=200, deadline=None)
+    @given(tiled_boxes())
+    def test_equals_the_bincount_of_the_replica_keys(self, case):
+        boxes, hull_lo, hull_hi, tiles = case
+        sides, strides = kernels.tile_layout(hull_lo, hull_hi, tiles)
+        _, keys, _ = kernels.tile_replicas(boxes, hull_lo, sides, strides, tiles)
+        want = np.bincount(keys, minlength=tiles ** boxes.shape[2])
+        got = kernels.tile_histogram(boxes, hull_lo, sides, tiles)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dims,tiles,fixture", CASES)
+    def test_equals_the_bincount_on_the_reference_fixtures(self, dims, tiles, fixture):
+        boxes = FIXTURES[fixture](300, dims, seed=dims)
+        tiles = tiling(boxes, boxes, tiles)
+        hull_lo, hull_hi = hull(boxes, boxes)
+        sides, strides = kernels.tile_layout(hull_lo, hull_hi, tiles)
+        _, keys, _ = kernels.tile_replicas(boxes, hull_lo, sides, strides, tiles)
+        np.testing.assert_array_equal(
+            kernels.tile_histogram(boxes, hull_lo, sides, tiles),
+            np.bincount(keys, minlength=tiles**dims),
+        )

@@ -356,7 +356,7 @@ class TestExecutorEquivalence:
         "name",
         [
             "uniform_grid", "linear_scan", "multires_grid", "snapshot_grid",
-            "rtree", "crtree", "octree", "rplus",
+            "rtree", "crtree", "octree", "rplus", "loose_octree",
         ],
     )
     def test_inline_and_batch_agree_on_hostile_input(self, loaded, name, case):

@@ -12,6 +12,7 @@ from repro.indexes.crtree import CRTree
 from repro.indexes.disk_rtree import DiskRTree
 from repro.indexes.rstar import RStarTree, _rstar_split
 from repro.indexes.rtree import RTree, _quadratic_split
+from repro.instrumentation.counters import Counters
 from repro.moving.bottom_up import BottomUpRTree
 
 from conftest import (
@@ -203,6 +204,40 @@ class TestMaintenance:
             tree.update(5, items[5][1], new_box)
         assert len(tree) == 20
         assert sorted(tree.range_query(AABB((0.0,) * 3, (30.0,) * 3))) == list(range(20))
+
+    @pytest.mark.parametrize(
+        "make",
+        [RTree, RStarTree, DiskRTree, lambda **kw: DiskRTree(mapped=True, **kw), CRTree],
+        ids=["rtree", "rstar", "disk_memory", "disk_file", "crtree"],
+    )
+    def test_insert_refuses_an_id_the_tree_holds(self, make):
+        # Held after a bulk load, after an insert, and free again after its
+        # delete; a refused insert writes nothing, and the walk that first
+        # collects a loaded tree's ids charges no read.
+        items = [(i, AABB((i, i, i), (i + 1.0, i + 1.0, i + 1.0))) for i in range(20)]
+        far = AABB((50.0,) * 3, (51.0,) * 3)
+        everything = AABB((-1.0,) * 3, (60.0,) * 3)
+        tree = make(max_entries=8)
+        try:
+            tree.bulk_load(items)
+            loaded = tree.counters.snapshot()
+            with pytest.raises(ValueError, match="^element 7 already present$"):
+                tree.insert(7, far)
+            assert tree.counters.diff(loaded) == Counters()
+            tree.insert(30, AABB((30.0,) * 3, (31.0,) * 3))
+            before = (len(tree), tree.node_count, sorted(tree.range_query(everything)))
+            for eid in (1, 30):
+                with pytest.raises(ValueError, match=f"^element {eid} already present$"):
+                    tree.insert(eid, far)
+                assert (len(tree), tree.node_count, sorted(tree.range_query(everything))) == before
+            assert tree.range_query(far) == []
+            tree.delete(*items[1])
+            tree.insert(1, far)
+            assert tree.range_query(far) == [1] and len(tree) == 21
+            tree.check_invariants()
+        finally:
+            if isinstance(tree, DiskRTree):
+                tree.close()
 
     @pytest.mark.parametrize(
         "make",

@@ -1,11 +1,17 @@
 """Page store, buffer pool — and the spill substrate."""
 
+import builtins
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from repro.exec.spill import SpillManager
+from repro.geometry.aabb import AABB
+from repro.indexes.disk_rtree import DiskRTree
 from repro.instrumentation.counters import Counters
+from repro.joins import JoinSession, PairJoinSpec
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagestore import MappedPageStore, PageStore
 
@@ -20,8 +26,7 @@ def make_store(request, tmp_path):
         if request.param == "memory":
             store = PageStore(page_size=page_size, counters=counters)
         else:
-            path = str(tmp_path / f"pages{len(stores)}.bin")
-            store = MappedPageStore(path, page_size=page_size, counters=counters)
+            store = MappedPageStore(str(tmp_path), page_size=page_size, counters=counters)
         stores.append(store)
         return store
 
@@ -37,7 +42,7 @@ class TestMappedPageStore:
     def test_read_view_roundtrip_and_counters(self, tmp_path):
         counters = Counters()
         store = MappedPageStore(
-            str(tmp_path / "pages.bin"), page_size=64, counters=counters
+            str(tmp_path), page_size=64, counters=counters
         )
         pid = store.allocate(b"hello mapped world")
         view = store.read_view(pid)
@@ -51,7 +56,7 @@ class TestMappedPageStore:
         store.close()
 
     def test_views_see_later_writes_through_page_cache(self, tmp_path):
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
         pid = store.allocate(b"aaaaaaaa")
         assert bytes(store.read_view(pid)) == b"aaaaaaaa"
         store.write(pid, b"bbbbbbbb")
@@ -61,7 +66,7 @@ class TestMappedPageStore:
         store.close()
 
     def test_growth_remaps_without_invalidating_old_views(self, tmp_path):
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
         first = store.allocate(b"0123456789abcdef")
         early_view = store.read_view(first)
         for i in range(8):  # grow the file well past the first mapping
@@ -75,7 +80,7 @@ class TestMappedPageStore:
     def test_run_view_spans_pages(self, tmp_path):
         counters = Counters()
         store = MappedPageStore(
-            str(tmp_path / "pages.bin"), page_size=16, counters=counters
+            str(tmp_path), page_size=16, counters=counters
         )
         payload = bytes(range(48))
         for start in range(0, 48, 16):
@@ -89,7 +94,7 @@ class TestMappedPageStore:
         store.close()
 
     def test_buffer_pool_read_view_keeps_residency_accounting(self, tmp_path):
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
         pids = [store.allocate(bytes([i]) * 8) for i in range(4)]
         pool = BufferPool(store, capacity=2)
         for pid in pids:
@@ -104,7 +109,7 @@ class TestMappedPageStore:
     @pytest.mark.parametrize("state", ["never_allocated", "freed"])
     def test_views_of_dead_pages_raise_like_read(self, tmp_path, state):
         counters = Counters()
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16, counters=counters)
+        store = MappedPageStore(str(tmp_path), page_size=16, counters=counters)
         pid = 0
         if state == "freed":
             pid = store.allocate(b"gone")
@@ -218,16 +223,16 @@ class TestMappedPageStoreSlots:
     reuse, a size cap and a fragmentation gauge."""
 
     def test_payloads_persist_in_real_file(self, tmp_path):
-        path = tmp_path / "pages.bin"
-        store = MappedPageStore(str(path), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
+        path = pathlib.Path(store.path)
+        assert path.parent == tmp_path  # the store names its own file
         store.allocate(b"0123456789abcdef")
-        store._file.flush()
-        assert path.stat().st_size >= 16
+        assert path.read_bytes() == b"0123456789abcdef"  # written through, unbuffered
         store.close()
         assert not path.exists()  # close unlinks by default
 
     def test_free_slots_are_reused(self, tmp_path):
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
         first = store.allocate(b"aa")
         store.allocate(b"bb")
         store.free(first)
@@ -242,7 +247,7 @@ class TestMappedPageStoreSlots:
         # The free list is a heap, not a LIFO stack: after freeing slots
         # out of order, allocations return them ascending — so a multi-page
         # allocation that follows a multi-page free lands contiguous again.
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
         pids = [store.allocate(bytes([i]) * 4) for i in range(6)]
         for pid in (pids[4], pids[1], pids[3], pids[2]):
             store.free(pid)
@@ -250,7 +255,7 @@ class TestMappedPageStoreSlots:
         store.close()
 
     def test_fragmentation_gauge(self, tmp_path):
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=16)
+        store = MappedPageStore(str(tmp_path), page_size=16)
         assert store.fragmentation() == 0.0  # empty store: no holes
         pids = [store.allocate(b"p") for i in range(4)]
         assert store.fragmentation() == 0.0  # fully packed
@@ -262,29 +267,114 @@ class TestMappedPageStoreSlots:
         store.close()
 
     def test_oversized_payload_rejected(self, tmp_path):
-        store = MappedPageStore(str(tmp_path / "pages.bin"), page_size=4)
+        store = MappedPageStore(str(tmp_path), page_size=4)
         with pytest.raises(ValueError):
             store.allocate(b"too large")
         store.close()
 
 
+def spill_items(n, seed, offset=0):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 49.0, size=(n, 3))
+    hi = np.minimum(lo + rng.uniform(0.1, 1.5, size=(n, 3)), 50.0)
+    return [(offset + eid, AABB(l, h)) for eid, (l, h) in enumerate(zip(lo, hi))]
+
+
+def spill_round_trip(tmp_path):
+    with SpillManager(dir=str(tmp_path), page_size=4096) as spill:
+        data = np.arange(5000, dtype=np.float64)
+        handle = spill.spill(data)
+        np.testing.assert_array_equal(spill.read(handle), data)
+        spill.free(handle)
+        np.testing.assert_array_equal(spill.read(spill.spill(data[::-1])), data[::-1])
+
+
+def external_build(tmp_path):
+    items = spill_items(3000, 5)
+    tree = DiskRTree(max_entries=16, mapped=True)
+    try:
+        tree.bulk_load_external(iter(items), budget=40_000, spill_dir=str(tmp_path))
+        assert len(tree) == 3000 and tree.range_query(items[7][1])
+    finally:
+        tree.close()
+
+
+def spilling_join(tmp_path):
+    with JoinSession(budget=120_000, spill_dir=str(tmp_path)) as session:
+        session.run(PairJoinSpec(spill_items(1200, 1), spill_items(1200, 2, offset=10_000)))
+        assert session.stats.tiles_spilled > 0
+
+
+class TestPageFilesAreCreatedOnce:
+    """A page or spill file is created once and written through the
+    descriptor that created it: nothing opens one with ``O_TRUNC`` or opens
+    an existing path for writing.  (ext4's ``auto_da_alloc`` forces a
+    truncated file's blocks out to the device when it is closed.)"""
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        """Every ``os.open`` and ``open`` call: ``(path, flags, mode, existed)``."""
+        calls = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            calls.append((path, flags, None, os.path.exists(path)))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                calls.append((file, 0, mode, os.path.exists(file)))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        return calls
+
+    @pytest.mark.parametrize("run", [spill_round_trip, external_build, spilling_join])
+    def test_no_open_truncates_or_reopens_for_writing(self, tmp_path, opens, run):
+        run(tmp_path)
+        created = [call for call in opens if call[1] & os.O_CREAT]
+        assert created and all(not existed for _, _, _, existed in created)
+        for path, flags, mode, existed in opens:
+            assert not flags & os.O_TRUNC, path
+            assert not (mode is not None and "w" in mode and existed), (path, mode)
+        assert os.listdir(tmp_path) == []
+
+    def test_short_writes_land_every_byte(self, tmp_path, monkeypatch):
+        """``pwrite`` may write less than asked: the store writes the rest."""
+        real_pwrite, calls = os.pwrite, []
+
+        def half_pwrite(fd, data, offset):
+            calls.append(len(data))
+            view = memoryview(data)
+            return real_pwrite(fd, view[: max(1, len(view) // 2)], offset)
+
+        monkeypatch.setattr(os, "pwrite", half_pwrite)
+        rng = np.random.default_rng(3)
+        payloads = [rng.bytes(size) for size in (4096, 1, 777, 4095, 2048)]
+        store = MappedPageStore(str(tmp_path), page_size=4096)
+        try:
+            pids = [store.allocate(payload) for payload in payloads]
+            store.write(pids[1], payloads[3])
+            payloads[1] = payloads[3]
+            for pid, payload in zip(pids, payloads):
+                assert store.read(pid) == payload
+                assert bytes(store.read_view(pid)) == payload
+        finally:
+            store.close()
+        assert len(calls) > len(payloads) + 1  # the writes really came up short
+        with SpillManager(dir=str(tmp_path), page_size=4096) as spill:
+            data = rng.uniform(size=(3000, 2, 3))
+            np.testing.assert_array_equal(spill.read(spill.spill(data)), data)
+
+
 class TestSpillLifecycle:
     """ISSUE 5 satellite: no orphan spill files, bounded pool residency."""
 
-    def _boxes(self, n, seed, offset=0):
-        rng = np.random.default_rng(seed)
-        from repro.geometry.aabb import AABB
-
-        lo = rng.uniform(0.0, 49.0, size=(n, 3))
-        hi = np.minimum(lo + rng.uniform(0.1, 1.5, size=(n, 3)), 50.0)
-        return [(offset + eid, AABB(l, h)) for eid, (l, h) in enumerate(zip(lo, hi))]
-
     def test_session_close_removes_every_spill_file(self, tmp_path):
-        from repro.joins import JoinSession, PairJoinSpec
-
         spill_dir = tmp_path / "spills"
         session = JoinSession(budget=120_000, spill_dir=str(spill_dir))
-        session.run(PairJoinSpec(self._boxes(1200, 1), self._boxes(1200, 2, offset=10_000)))
+        session.run(PairJoinSpec(spill_items(1200, 1), spill_items(1200, 2, offset=10_000)))
         assert session.stats.tiles_spilled > 0
         assert os.listdir(spill_dir) != []
         session.close()
@@ -302,13 +392,11 @@ class TestSpillLifecycle:
         strategy = SpillPBSMJoin(budget=120_000, spill_dir=str(tmp_path))
         with pytest.raises(RuntimeError):
             strategy.join(
-                self._boxes(1200, 3), self._boxes(1200, 4, offset=10_000), Counters()
+                spill_items(1200, 3), spill_items(1200, 4, offset=10_000), Counters()
             )
         assert os.listdir(tmp_path) == []
 
     def test_contiguous_reads_are_zero_copy_views(self, tmp_path):
-        from repro.exec.spill import SpillManager
-
         counters = Counters()
         with SpillManager(
             dir=str(tmp_path), page_size=1024, counters=counters
@@ -330,8 +418,6 @@ class TestSpillLifecycle:
     def test_pool_residency_bounded_under_spill_pressure(self, tmp_path):
         # Fragmented handles (pages on non-consecutive slots) cannot be
         # served as one mapped view; they fall back to the bounded pool.
-        from repro.exec.spill import SpillManager
-
         pool_pages = 4
         with SpillManager(
             dir=str(tmp_path), page_size=1024, pool_pages=pool_pages
