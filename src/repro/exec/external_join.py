@@ -328,14 +328,14 @@ class SpillPBSMJoin(JoinStrategy):
             else _default_tiles(len(table_a) + len(table_b), dims)
         )
         sides, strides = kernels.tile_layout(hull_lo, hull_hi, tiles)
-        tile_count = tiles**dims
-
-        histogram = np.zeros(tile_count, dtype=np.int64)
-        for table in (table_a, table_b):
-            for start in range(0, len(table), chunk_rows):
-                boxes = table.boxes[start : start + chunk_rows]
-                with self.budget.reserving(boxes.nbytes, force=True):
-                    histogram += kernels.tile_histogram(boxes, hull_lo, sides, tiles)
+        chunks = (
+            table.boxes[start : start + chunk_rows]
+            for table in (table_a, table_b)
+            for start in range(0, len(table), chunk_rows)
+        )
+        largest = max(table.boxes[:chunk_rows].nbytes for table in (table_a, table_b))
+        with self.budget.reserving(largest, force=True):
+            histogram = kernels.tile_histogram(chunks, hull_lo, sides, tiles)
         replicas = int(histogram.sum())
         counters.cells_probed += replicas
         layout = TileRunLayout(

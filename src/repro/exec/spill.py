@@ -25,11 +25,9 @@ removed on :meth:`close`), every handle can be freed individually, and
 strategies from ``finally`` blocks, so an error path never leaves orphan
 spill files behind.
 
-The spill file is the store's own unique temporary file, written through
-the descriptor that created it and never reopened: a reopen for writing
-truncates (``O_TRUNC``), and ext4's ``auto_da_alloc`` then forces the whole
-file out to the device on close, where a spill file's pages should die
-unwritten in the page cache when it is unlinked.
+The spill file is the store's own temporary file, created once and never
+reopened, so ext4's ``auto_da_alloc`` never forces it to the device
+(:mod:`repro.storage.pagestore` says why).
 """
 
 from __future__ import annotations

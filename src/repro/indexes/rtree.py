@@ -290,7 +290,8 @@ class RTree(SpatialIndex):
             self._root, self._height - 1, eid, arr, orphans
         ):
             raise KeyError(f"element {eid} with box {box} not in index")
-        self._held_ids().discard(eid)
+        if self._ids is not None:  # a set walked now would miss the orphans
+            self._ids.discard(eid)
         self._size -= 1
         self.counters.deletes += 1
         # Shrink the root while it is an inner node with a single child.

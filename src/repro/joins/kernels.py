@@ -41,7 +41,7 @@ Four families:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -164,31 +164,30 @@ def tile_replicas(
 
 
 def tile_histogram(
-    boxes: np.ndarray, hull_lo: np.ndarray, sides: np.ndarray, tiles_per_axis: int
+    chunks: Iterable[np.ndarray], hull_lo: np.ndarray, sides: np.ndarray, tiles_per_axis: int
 ) -> np.ndarray:
-    """Replicas per tile key of :func:`tile_replicas`, without making them.
+    """Replicas per tile key of :func:`tile_replicas` over every chunk of
+    boxes, without making them.
 
-    A difference array over a ``(tiles + 1)^d`` grid: each tile window adds
+    A difference array over one ``(tiles + 1)^d`` grid: each tile window adds
     ±1 at its ``2^d`` corners (a high corner sits one past the window's last
-    tile, and the sign flips with each one), one ``bincount`` per corner;
-    one ``cumsum`` per axis turns that into per-tile counts, and the leading
-    ``tiles^d`` block in row-major order is indexed by tile key.  Corner by
-    corner, the temporaries stay row-sized.
+    tile, and the sign flips with each one), one unbuffered ``ufunc.at`` per
+    corner, so a chunk costs its rows and never the grid.  After the last
+    chunk, one ``cumsum`` per axis turns that into per-tile counts, and the
+    leading ``tiles^d`` block in row-major order is indexed by tile key.
     """
-    windows = _tile_windows(boxes, hull_lo, sides, tiles_per_axis)
-    windows[1] += 1
-    dims, span = windows.shape[1], tiles_per_axis + 1
-    windows *= (span ** np.arange(dims - 1, -1, -1))[:, None]
-    cells = span**dims
-    diff = np.zeros(cells, dtype=np.int64)
-    for corner in range(1 << dims):
-        key = windows[corner & 1, 0]
-        for axis in range(1, dims):
-            key = key + windows[corner >> axis & 1, axis]
-        if bin(corner).count("1") % 2:
-            diff -= np.bincount(key, minlength=cells)
-        else:
-            diff += np.bincount(key, minlength=cells)
+    dims, span = hull_lo.shape[0], tiles_per_axis + 1
+    weights = (span ** np.arange(dims - 1, -1, -1))[:, None]
+    diff = np.zeros(span**dims, dtype=np.int64)
+    for boxes in chunks:
+        windows = _tile_windows(boxes, hull_lo, sides, tiles_per_axis)
+        windows[1] += 1
+        windows *= weights
+        for corner in range(1 << dims):
+            key = windows[corner & 1, 0]
+            for axis in range(1, dims):
+                key = key + windows[corner >> axis & 1, axis]
+            (np.subtract if bin(corner).count("1") % 2 else np.add).at(diff, key, 1)
     grid = diff.reshape((span,) * dims)
     for axis in range(dims):
         np.cumsum(grid, axis=axis, out=grid)

@@ -16,14 +16,10 @@ process or another, without a copy per read.  It is the substrate the
 out-of-core subsystem (:mod:`repro.exec.spill`) writes tile and partition
 arrays through, and the page file of a ``DiskRTree(mapped=True)``.
 
-A page file is a scratch file: the store creates it itself (``mkstemp``),
-keeps the descriptor ``mkstemp`` returned for every ``pwrite``/``pread`` and
-the mapping, and never opens the path again.  Reopening an existing file
-with ``"w+b"`` is an ``O_TRUNC``, and ext4's ``auto_da_alloc`` takes a
-truncate-to-zero for a file being replaced: it forces the file's dirty
-blocks out to the device on close, and the unlink waits for that writeback.
-Created once and never truncated, a page file lives and dies in the page
-cache, and its delayed-allocation blocks are cancelled at unlink.
+A page file is created once (``mkstemp``), served through that descriptor
+and never reopened: an ``O_TRUNC`` reopen makes ext4's ``auto_da_alloc``
+force the file to the device on close, and the unlink wait for it.  Never
+truncated, a page file lives and dies in the page cache.
 """
 
 from __future__ import annotations
@@ -113,11 +109,10 @@ class MappedPageStore(PageStore):
     The page protocol (allocate / read / write / free) and the transfer
     accounting are identical to :class:`PageStore`; the difference is that
     payloads are ``bytes`` blobs of at most ``page_size`` written at
-    ``page_id * page_size`` in a backing file the store creates in ``dir``,
-    so a freed in-memory reference really releases the memory.  Freed slots
-    are reused before the file grows.  The
-    :class:`~repro.storage.buffer_pool.BufferPool` composes with it
-    unchanged — that pairing is what :class:`repro.exec.spill.SpillManager`
+    ``page_id * page_size`` in a backing file, so a freed in-memory reference
+    really releases the memory.  Freed slots are reused before the file
+    grows.  The :class:`~repro.storage.buffer_pool.BufferPool` composes with
+    it unchanged — that pairing is what :class:`repro.exec.spill.SpillManager`
     builds on.
 
     Besides the copying :meth:`read`, the read side offers :meth:`read_view`
@@ -149,12 +144,8 @@ class MappedPageStore(PageStore):
         prefix: str = "pages-",
     ) -> None:
         super().__init__(page_size=page_size, counters=counters)
-        #: The page file: a fresh ``mkstemp`` name in ``dir`` (``None``: the
-        #: system temp directory), removed by :meth:`close`.
         fd, self.path = tempfile.mkstemp(prefix=prefix, suffix=".pages", dir=dir)
-        # mkstemp's descriptor, held unbuffered by a file object so that a
-        # store dropped without close() still releases it when collected.
-        self._file = os.fdopen(fd, "r+b", buffering=0)
+        self._file = os.fdopen(fd, "r+b", buffering=0)  # closes fd when collected
         self._lengths: dict[int, int] = {}
         self._free_slots: list[int] = []
         self._slots = 0
@@ -293,9 +284,7 @@ class MappedPageStore(PageStore):
             raise ValueError(
                 f"payload of {len(payload)} bytes exceeds page size {self.page_size}"
             )
-        # Unbuffered positional writes: the mapping sees the page at once,
-        # and nothing buffered is left to re-grow a file cut short behind
-        # the store's back.
+        # A short pwrite resumes where it stopped.
         offset, rest = page_id * self.page_size, memoryview(payload)
         while rest:
             written = os.pwrite(self._file.fileno(), rest, offset)

@@ -20,7 +20,8 @@ loop):
   refused with a ``ValueError`` before anything tile-sized is allocated;
 * the spill join's histogram pass: :func:`kernels.tile_histogram` (a
   difference array over the tile windows' corners) counts exactly the
-  replicas :func:`kernels.tile_replicas` makes, tile by tile.
+  replicas :func:`kernels.tile_replicas` makes, tile by tile, however the
+  rows are cut into chunks.
 """
 
 from __future__ import annotations
@@ -482,7 +483,8 @@ class TestPBSMTilingGuard:
 def tiled_boxes(draw):
     """0-40 boxes in 2 or 3 dims on a half-unit lattice (zero-extent boxes
     and repeats are common) with 1-6 tiles per axis over their hull, or over
-    a hull cut inside it so windows clamp at both edges."""
+    a hull cut inside it so windows clamp at both edges, cut into chunks of
+    1-41 rows."""
     dims = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(0, 40))
     corner = st.lists(st.integers(-6, 6), min_size=dims, max_size=dims)
@@ -496,18 +498,19 @@ def tiled_boxes(draw):
         hull_lo, hull_hi = np.zeros(dims), np.ones(dims)
     if draw(st.booleans()):
         hull_lo, hull_hi = hull_lo + 0.75, np.maximum(hull_hi - 0.75, hull_lo + 0.75)
-    return boxes, hull_lo, hull_hi, draw(st.integers(1, 6))
+    return boxes, hull_lo, hull_hi, draw(st.integers(1, 6)), draw(st.integers(1, 41))
 
 
 class TestTileHistogram:
     @settings(max_examples=200, deadline=None)
     @given(tiled_boxes())
     def test_equals_the_bincount_of_the_replica_keys(self, case):
-        boxes, hull_lo, hull_hi, tiles = case
+        boxes, hull_lo, hull_hi, tiles, chunk = case
         sides, strides = kernels.tile_layout(hull_lo, hull_hi, tiles)
         _, keys, _ = kernels.tile_replicas(boxes, hull_lo, sides, strides, tiles)
         want = np.bincount(keys, minlength=tiles ** boxes.shape[2])
-        got = kernels.tile_histogram(boxes, hull_lo, sides, tiles)
+        chunks = (boxes[start : start + chunk] for start in range(0, len(boxes), chunk))
+        got = kernels.tile_histogram(chunks, hull_lo, sides, tiles)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
@@ -519,6 +522,6 @@ class TestTileHistogram:
         sides, strides = kernels.tile_layout(hull_lo, hull_hi, tiles)
         _, keys, _ = kernels.tile_replicas(boxes, hull_lo, sides, strides, tiles)
         np.testing.assert_array_equal(
-            kernels.tile_histogram(boxes, hull_lo, sides, tiles),
+            kernels.tile_histogram([boxes], hull_lo, sides, tiles),
             np.bincount(keys, minlength=tiles**dims),
         )

@@ -244,6 +244,39 @@ class TestMaintenance:
         [RTree, RStarTree, DiskRTree, lambda **kw: DiskRTree(mapped=True, **kw), CRTree],
         ids=["rtree", "rstar", "disk_memory", "disk_file", "crtree"],
     )
+    @pytest.mark.parametrize(
+        "max_entries, n, victim",
+        # Packed layouts: 56 sits in a leaf of three (min_entries 3), and 18
+        # in a leaf whose parent then falls below min_entries 2 and dissolves.
+        [(8, 70, 56), (4, 82, 18)],
+        ids=["leaf", "inner"],
+    )
+    def test_a_first_delete_that_condenses_keeps_every_id_held(
+        self, make, max_entries, n, victim
+    ):
+        # The first write after a bulk load is a delete whose condensation
+        # orphans entries; each orphaned id must still be refused.
+        items = [(i, AABB((i, i, i), (i + 1.0, i + 1.0, i + 1.0))) for i in range(n)]
+        far = AABB((500.0,) * 3, (501.0,) * 3)
+        tree = make(max_entries=max_entries)
+        try:
+            tree.bulk_load(items)
+            tree.delete(*items[victim])
+            for eid in range(n):
+                if eid != victim:
+                    with pytest.raises(ValueError, match=f"^element {eid} already present$"):
+                        tree.insert(eid, far)
+            assert len(tree) == n - 1 and tree.range_query(far) == []
+            tree.check_invariants()
+        finally:
+            if isinstance(tree, DiskRTree):
+                tree.close()
+
+    @pytest.mark.parametrize(
+        "make",
+        [RTree, RStarTree, DiskRTree, lambda **kw: DiskRTree(mapped=True, **kw), CRTree],
+        ids=["rtree", "rstar", "disk_memory", "disk_file", "crtree"],
+    )
     def test_an_orphan_above_the_shrunk_root_is_reinserted_by_element(self, make):
         # 17 intervals at capacity 4 tile into leaves 4, 4, 4, 4, 1 under a
         # root with children A (four leaves) and B (one leaf).  Deleting from
